@@ -1,7 +1,8 @@
 # Streamcast build/test entry points. Tier-1 verification (ROADMAP.md) is
 # `make ci`: build + vet + streamvet lint + full test suite, plus the race
-# pass over the engine and observability packages, short fuzz smokes of the
-# fault-plan and scenario parsers, and the chaos/scenario corpus replays.
+# pass over the engine, observability and experiment packages, short fuzz
+# smokes of the fault-plan and scenario parsers, and the chaos/scenario
+# corpus replays.
 
 GO ?= go
 
@@ -13,14 +14,13 @@ build:
 test:
 	$(GO) test ./...
 
-# Race pass over the packages with real concurrency: the parallel engine,
-# the observer event merging layered on it, and the fault-injection suite
-# (whose parity tests drive both engines and the concurrent runtime). The
-# concurrency analyzers (shardsafe/barrierphase) run alongside: the same
-# invariants the race detector observes dynamically are proven statically.
+# Race pass. The slot engine is single-threaded; the in-process concurrency
+# is the goroutine runtime (internal/runtime, driven by the integration and
+# fault-injection suites too) and the experiments' row worker pool
+# (forEachRow), which runs many independent engine runs at once on pooled
+# Runners — hence slotsim and obs stay in the list.
 race:
-	$(GO) test -race ./internal/slotsim/... ./internal/obs/... ./internal/runtime/... ./internal/integration/... ./internal/faults/...
-	$(GO) run ./cmd/streamvet -analyzers shardsafe,barrierphase
+	$(GO) test -race ./internal/slotsim/... ./internal/obs/... ./internal/runtime/... ./internal/integration/... ./internal/faults/... ./internal/experiments/...
 
 vet:
 	$(GO) vet ./...
@@ -52,12 +52,9 @@ bench:
 # One-iteration benchmark smoke: proves every benchmark still compiles and
 # runs, including the N=10^5 slot-engine scale cases. Part of ci; -short
 # skips only the million-node hypercube, and numbers from a 1x pass are not
-# meaningful. The fingerprint smoke then pins the sharded engine at two
-# workers against the sequential fingerprint, so even a single-CPU CI run
-# proves the persistent-pool barrier delivers bit-identical results.
+# meaningful.
 benchsmoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -short -run XXX .
-	$(GO) test ./internal/slotsim -run TestShardedSmokeTwoWorkers -count=1
 
 # Measured benchmark snapshot as JSON (ns/op, B/op, allocs/op, custom
 # metrics), written to BENCH_<date>.json via cmd/benchdiff. Compare two

@@ -8,7 +8,6 @@ package streamcast
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"streamcast/internal/core"
@@ -232,7 +231,9 @@ func BenchmarkDisjointTreeSolver(b *testing.B) {
 }
 
 // BenchmarkEngineSequentialVsParallel measures simulator throughput on a
-// large multi-tree (substrate micro-benchmark).
+// large multi-tree (substrate micro-benchmark). The parallel rows went with
+// the sharded engine; the benchmark and row names stay so snapshots remain
+// comparable with BENCH_2026-08-07-pr9.json.
 func BenchmarkEngineSequentialVsParallel(b *testing.B) {
 	s := benchScheme(b, spec.MultiTreeScenario(2000, 3, multitree.Greedy, core.PreRecorded)).(*multitree.Scheme)
 	opt := slotsim.Options{
@@ -246,27 +247,17 @@ func BenchmarkEngineSequentialVsParallel(b *testing.B) {
 			}
 		}
 	})
-	for _, w := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("parallel-%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := slotsim.RunParallel(s, opt, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkSlotEngineScale measures raw slot-engine throughput at the scales
 // the paper's asymptotic bounds address: multitree at N=10^4 and N=10^5, and
 // a full 2^20−1 hypercube (the "million-node" case; skipped under -short, so
-// `make benchsmoke` stays quick). Each case runs the sequential engine and a
-// worker-count sweep of the persistent-pool sharded engine (1/2/4/8, plus
-// GOMAXPROCS when that differs) on a warmed Runner — the compiled-schedule
-// cache, scratch arenas and worker pool are hot, so the numbers isolate the
-// per-slot path. The node_slots/s metric (nodes × slots simulated per
-// second) per worker count is the speedup curve the PERFORMANCE.md
-// trajectory table tracks.
+// `make benchsmoke` stays quick). Each case runs on a warmed Runner — the
+// compiled-schedule cache and scratch arenas are hot, so the numbers isolate
+// the per-slot path. The node_slots/s metric (nodes × slots simulated per
+// second) is what the PERFORMANCE.md trajectory table tracks. Rows keep the
+// "/sequential" suffix so `make bench-gate` still matches the committed
+// baseline snapshot.
 func BenchmarkSlotEngineScale(b *testing.B) {
 	type scaleCase struct {
 		name   string
@@ -295,46 +286,19 @@ func BenchmarkSlotEngineScale(b *testing.B) {
 	}
 	for _, c := range cases {
 		work := float64(c.nodes) * float64(c.opt.Slots)
-		run := func(workers int) func(b *testing.B) {
-			return func(b *testing.B) {
-				r := slotsim.NewRunner()
-				exec := func() error {
-					if workers == 0 {
-						_, err := r.Run(c.scheme, c.opt)
-						return err
-					}
-					_, err := r.RunParallel(c.scheme, c.opt, workers)
-					return err
-				}
-				if err := exec(); err != nil { // warm scratch + compiled cache
+		b.Run(c.name+"/sequential", func(b *testing.B) {
+			r := slotsim.NewRunner()
+			if _, err := r.Run(c.scheme, c.opt); err != nil { // warm scratch + compiled cache
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Run(c.scheme, c.opt); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := exec(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(work*float64(b.N)/b.Elapsed().Seconds(), "node_slots/s")
 			}
-		}
-		b.Run(c.name+"/sequential", run(0))
-		// Worker-count sweep over the persistent pool. The multi-core speedup
-		// curve only shows on a multi-core host; on a 1-CPU container every
-		// count measures the same work plus the barrier overhead.
-		counts := []int{1, 2, 4, 8}
-		if p := runtime.GOMAXPROCS(0); p > 1 {
-			seen := false
-			for _, w := range counts {
-				seen = seen || w == p
-			}
-			if !seen {
-				counts = append(counts, p)
-			}
-		}
-		for _, w := range counts {
-			b.Run(fmt.Sprintf("%s/sharded-%d", c.name, w), run(w))
-		}
+			b.ReportMetric(work*float64(b.N)/b.Elapsed().Seconds(), "node_slots/s")
+		})
 	}
 }
 

@@ -32,26 +32,24 @@
 //
 //	streamsim -scheme multitree -n 255 -d 3 -report-out report.json
 //	streamsim -scheme hypercube -n 500 -metrics-out metrics.prom -trace-out events.jsonl
-//	streamsim -scheme multitree -n 100000 -parallel -pprof localhost:6060
+//	streamsim -scheme multitree -n 2000000 -pprof localhost:6060
 //
 // Scale (see PERFORMANCE.md): the struct-of-arrays engine runs N=10^5–10^6
-// node scenarios directly; -parallel shards slots across workers over
-// contiguous NodeID ranges with results bit-identical to the sequential
-// engine at any -workers count, so worker count is purely a tuning knob:
+// node scenarios directly, single-threaded:
 //
-//	streamsim -scheme multitree -n 1000000 -d 4 -parallel -workers 8
+//	streamsim -scheme multitree -n 1000000 -d 4
 //
 // Fault injection (see FAULTS.md): -faults loads a deterministic fault plan
 // (crashes, transient loss, link delay, churn) and replays it against the
 // run; -fault-seed overrides the plan's seed. The same plan and seed give a
-// bit-identical event stream on the sequential and parallel engines, and
-// the same frame losses on the goroutine runtime:
+// bit-identical event stream on every replay, and the same frame losses on
+// the goroutine runtime:
 //
 //	streamsim -scheme multitree -n 100 -d 3 -faults chaos.plan
-//	streamsim -scheme multitree -n 100 -d 3 -faults chaos.plan -fault-seed 7 -parallel
+//	streamsim -scheme multitree -n 100 -d 3 -faults chaos.plan -fault-seed 7
 //
 // Live churn (the churn scenario directive): -churn makes joins and leaves
-// a mid-run workload — the topology re-plans at slot barriers while the
+// a mid-run workload — the topology re-plans at slot boundaries while the
 // stream keeps flowing, each operation held to the paper's d²+d swap
 // bound, and the run reports playback SLOs (hiccups, stalls, rebuffer
 // ratio, time to repair) instead of a pre-churn snapshot:
@@ -105,8 +103,6 @@ type cli struct {
 	swaps        string
 	rounds       int
 	doCheck      bool
-	parallel     bool
-	workers      int
 	engine       string
 	metricsOut   string
 	traceOut     string
@@ -149,8 +145,6 @@ func newCLI(fs *flag.FlagSet) *cli {
 	fs.StringVar(&c.swaps, "swaps", "", "mid-stream swaps slot:a:b[,...] (session scheme)")
 	fs.IntVar(&c.rounds, "rounds", 6, "MDC playback rounds (mdc scheme)")
 	fs.BoolVar(&c.doCheck, "check", false, "statically verify the schedule and mesh (internal/check) before running")
-	fs.BoolVar(&c.parallel, "parallel", false, "use the sharded parallel engine (bit-identical results)")
-	fs.IntVar(&c.workers, "workers", 0, "parallel engine workers (0 = GOMAXPROCS)")
 	fs.StringVar(&c.engine, "engine", "slotsim", "slotsim | runtime (goroutine message passing)")
 	fs.StringVar(&c.metricsOut, "metrics-out", "", "write Prometheus-format metrics to this file ('-' for stdout)")
 	fs.StringVar(&c.traceOut, "trace-out", "", "write a JSONL event trace to this file ('-' for stdout)")
@@ -204,10 +198,6 @@ func (c *cli) scenario() (*spec.Scenario, error) {
 			sc.Slots = c.slots
 		case "check":
 			sc.Check = c.doCheck
-		case "parallel":
-			sc.Parallel = c.parallel
-		case "workers":
-			sc.Workers = c.workers
 		case "metrics-out":
 			sc.MetricsOut = c.metricsOut
 		case "trace-out":
@@ -389,16 +379,10 @@ func runScenario(sc *spec.Scenario, stdout, stderr io.Writer) error {
 	}
 	opt := run.Opt
 	opt.Observer = observer
-	var (
-		res *slotsim.Result
-		wk  int
-	)
 	if sc.Parallel {
-		wk = sc.Workers
-		res, err = slotsim.RunParallel(run.Scheme, opt, sc.Workers)
-	} else {
-		res, err = slotsim.Run(run.Scheme, opt)
+		fmt.Fprintln(stderr, "streamsim: parallel: accepted and ignored: the engine is single-threaded; results never depended on worker count")
 	}
+	res, err := slotsim.Run(run.Scheme, opt)
 	if err != nil {
 		return err
 	}
@@ -412,7 +396,7 @@ func runScenario(sc *spec.Scenario, stdout, stderr io.Writer) error {
 			churn.NodesMeasured, churn.Hiccups, churn.Gaps, churn.MaxStallSlots, churn.RebufferRatio, churn.TimeToRepairSlots)
 	}
 	report(run, res, stdout)
-	return sk.finish(run.Scheme, opt, res, wk, churn)
+	return sk.finish(run.Scheme, opt, res, sc.Workers, churn)
 }
 
 // runOnRuntime executes the scenario on the goroutine message-passing

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"streamcast/internal/obs"
@@ -240,5 +241,34 @@ func TestListSchemes(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(f.Name)) {
 			t.Errorf("-list-schemes output missing %q", f.Name)
 		}
+	}
+}
+
+// TestParallelDirectiveIsAnnounced: a scenario carrying the `parallel`
+// directive is not a silent no-op — stdout is byte-identical to the plain
+// scenario's, and stderr says the directive was accepted and ignored.
+func TestParallelDirectiveIsAnnounced(t *testing.T) {
+	const text = "scheme multitree\nparam d=3 n=40\n"
+	run := func(src string) (stdout, stderr string) {
+		sc, err := spec.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out, errOut bytes.Buffer
+		if err := runScenario(sc, &out, &errOut); err != nil {
+			t.Fatalf("runScenario: %v (stderr: %s)", err, errOut.String())
+		}
+		return out.String(), errOut.String()
+	}
+	plainOut, plainErr := run(text)
+	parOut, parErr := run(text + "parallel workers=2\n")
+	if parOut != plainOut {
+		t.Errorf("stdout differs under the parallel directive:\n%s\nvs\n%s", parOut, plainOut)
+	}
+	if strings.Contains(plainErr, "accepted and ignored") {
+		t.Errorf("plain scenario announced an ignored directive: %q", plainErr)
+	}
+	if !strings.Contains(parErr, "parallel: accepted and ignored") {
+		t.Errorf("stderr %q does not announce the ignored parallel directive", parErr)
 	}
 }

@@ -127,20 +127,23 @@ func CompileSchedule(s Scheme) *CompiledScheme {
 	}
 }
 
-// CompileForRun compiles s only when it is periodic and the one-time
-// compilation cost (materializing W+2P slots) does not exceed the
+// WorthCompiling is the compile-amortisation rule: s is periodic and the
+// one-time compilation cost (materializing W+2P slots) does not exceed the
 // slot-generation work a single pass over the given horizon would spend
-// anyway. Returns nil when compilation is declined or fails.
-func CompileForRun(s Scheme, horizon Slot) *CompiledScheme {
+// anyway.
+func WorthCompiling(s Scheme, horizon Slot) bool {
 	ps, ok := s.(PeriodicScheme)
 	if !ok {
-		if c, isCompiled := s.(*CompiledScheme); isCompiled {
-			return c
-		}
-		return nil
+		return false
 	}
 	p, w := ps.Period(), ps.SteadyState()
-	if p < 1 || w < 0 || w+2*p > horizon {
+	return p >= 1 && w >= 0 && w+2*p <= horizon
+}
+
+// CompileForRun compiles s only when WorthCompiling says the horizon
+// amortizes it. Returns nil when compilation is declined or fails.
+func CompileForRun(s Scheme, horizon Slot) *CompiledScheme {
+	if !WorthCompiling(s, horizon) {
 		return nil
 	}
 	return CompileSchedule(s)

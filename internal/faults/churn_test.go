@@ -132,5 +132,5 @@ func TestChurnedFamilyStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runBoth(t, s, in.Apply(slotsim.Options{Slots: slots, Packets: win}), 4)
+	runReplayed(t, s, in.Apply(slotsim.Options{Slots: slots, Packets: win}))
 }

@@ -62,7 +62,7 @@ func TestChaosCorpus(t *testing.T) {
 			}
 		}
 		s := multitree.NewScheme(m, core.PreRecorded)
-		res, met := runBoth(t, s, faultedOptions(m, d, in), 5)
+		res, met := runReplayed(t, s, faultedOptions(m, d, in))
 		if res == nil {
 			t.Fatalf("%s: run rejected", name)
 		}

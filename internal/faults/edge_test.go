@@ -12,7 +12,7 @@ import (
 
 // TestFaultEdgeCases drives the degenerate corners of the model — N=1,
 // d=1, crashes in the first and the very last slot, total loss — through
-// the faults API on both engines, table-driven.
+// the faults API, table-driven.
 func TestFaultEdgeCases(t *testing.T) {
 	mt := func(n, d int) core.Scheme {
 		m, err := multitree.New(n, d, multitree.Greedy)
@@ -107,7 +107,7 @@ func TestFaultEdgeCases(t *testing.T) {
 				t.Fatal(err)
 			}
 			opt := in.Apply(slotsim.Options{Slots: c.slots, Packets: c.packets, Mode: c.mode})
-			res, _ := runBoth(t, c.scheme, opt, 3)
+			res, _ := runReplayed(t, c.scheme, opt)
 			if res == nil {
 				t.Fatal("run rejected")
 			}

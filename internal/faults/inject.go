@@ -20,7 +20,7 @@ const (
 )
 
 // Injector is the seeded, plan-driven fault source. It implements
-// slotsim.Injector (per-transmission drop/delay verdicts for both engines)
+// slotsim.Injector (per-transmission drop/delay verdicts for the slot engine)
 // and the runtime package's FrameFault (the same verdicts at the transport
 // layer). Every verdict is a pure function of the plan and the
 // transmission coordinates, so a faulted run is bit-for-bit replayable.

@@ -28,8 +28,8 @@ import (
 //     likely.
 //
 // All verdicts are pure hashes of (seed, coordinate space, slot, index), so
-// the sequential and sharded engines — stepping the source at identical
-// barriers — produce bit-identical membership histories.
+// every replay — stepping the source at identical slot boundaries — produces
+// a bit-identical membership history.
 
 // Live-churn generator kinds (LiveChurnConfig.Kind).
 const (

@@ -291,15 +291,15 @@ func TestLiveChurnMembershipWindows(t *testing.T) {
 	}
 }
 
-// TestLiveChurnEngineParity runs a generator through the real engines: the
-// sequential and sharded runs must be bit-identical, and lazy repair must
-// also be deterministic.
+// TestLiveChurnEngineParity runs a generator through the real engine: two
+// replays from the same seed must be bit-identical, under eager and under
+// lazy repair.
 func TestLiveChurnEngineParity(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
-		run := func(workers int) (*slotsim.Result, ChurnSummary) {
+		run := func() (*slotsim.Result, ChurnSummary) {
 			cfg := LiveChurnConfig{Kind: ChurnPoisson, Seed: 17, Rate: 0.4, Begin: 5, MaxJoins: 6, CheckInvariants: true}
 			ls, lc := liveSource(t, 13, 3, lazy, cfg)
-			opt := slotsim.Options{
+			res, err := slotsim.Run(ls, slotsim.Options{
 				Slots:           ls.SteadyState() + 60,
 				Packets:         core.Packet(24),
 				Mode:            core.PreRecorded,
@@ -307,34 +307,25 @@ func TestLiveChurnEngineParity(t *testing.T) {
 				AllowIncomplete: true,
 				SkipUnavailable: true,
 				AllowDuplicates: true,
-			}
-			var res *slotsim.Result
-			var err error
-			if workers == 0 {
-				res, err = slotsim.Run(ls, opt)
-			} else {
-				res, err = slotsim.RunParallel(ls, opt, workers)
-			}
+			})
 			if err != nil {
-				t.Fatalf("lazy=%v workers=%d: %v", lazy, workers, err)
+				t.Fatalf("lazy=%v: %v", lazy, err)
 			}
 			return res, lc.Summary()
 		}
-		ref, refSum := run(0)
+		ref, refSum := run()
 		if refSum.Ops == 0 {
 			t.Fatalf("lazy=%v: generator applied no ops; the parity case is vacuous", lazy)
 		}
 		if refSum.MaxSwaps > refSum.Bound {
 			t.Fatalf("lazy=%v: max swaps %d exceeded bound %d without aborting", lazy, refSum.MaxSwaps, refSum.Bound)
 		}
-		for _, workers := range []int{2, 4} {
-			res, sum := run(workers)
-			if !reflect.DeepEqual(ref, res) {
-				t.Errorf("lazy=%v workers=%d: Result differs from sequential run", lazy, workers)
-			}
-			if !reflect.DeepEqual(refSum, sum) {
-				t.Errorf("lazy=%v workers=%d: churn summary differs: %+v vs %+v", lazy, workers, sum, refSum)
-			}
+		res, sum := run()
+		if !reflect.DeepEqual(ref, res) {
+			t.Errorf("lazy=%v: Result differs between replays", lazy)
+		}
+		if !reflect.DeepEqual(refSum, sum) {
+			t.Errorf("lazy=%v: churn summary differs between replays: %+v vs %+v", lazy, sum, refSum)
 		}
 	}
 }

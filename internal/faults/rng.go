@@ -2,9 +2,9 @@ package faults
 
 // The fault coins are NOT a sequential PRNG: every probabilistic verdict is
 // a pure hash of (plan seed, rule index, transmission coordinates). That
-// makes a verdict independent of evaluation order, so the sequential and
-// parallel slotsim engines — and the runtime transport wrapper — reach
-// identical decisions for the same plan, and a single rule's coin stream
+// makes a verdict independent of evaluation order, so the slotsim engine
+// and the runtime transport wrapper reach identical decisions for the same
+// plan, and a single rule's coin stream
 // does not shift when another rule is added before it.
 
 // splitmix64 is the finalizer of Vigna's SplitMix64 generator: a cheap,

@@ -193,31 +193,6 @@ func TestNeighborBoundArbitraryN(t *testing.T) {
 	}
 }
 
-// TestParallelEngineEquivalence cross-checks engines on the hypercube
-// schedule.
-func TestParallelEngineEquivalence(t *testing.T) {
-	s, err := New(93, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := slotsim.Options{Slots: 80, Packets: 10, Mode: core.Live}
-	seq, err := slotsim.Run(s, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := slotsim.RunParallel(s, opt, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := 0; id <= seq.N; id++ {
-		for j := range seq.Arrival[id] {
-			if seq.Arrival[id][j] != par.Arrival[id][j] {
-				t.Fatalf("arrival[%d][%d]: %d != %d", id, j, seq.Arrival[id][j], par.Arrival[id][j])
-			}
-		}
-	}
-}
-
 // TestChainDecomposition checks the cube decomposition for hand-computed
 // values.
 func TestChainDecomposition(t *testing.T) {

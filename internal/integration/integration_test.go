@@ -63,8 +63,9 @@ func matrix(t *testing.T) []fixture {
 	return fs
 }
 
-// TestThreeEngineAgreement: matrix engine, parallel matrix engine, and the
-// goroutine runtime agree on playback start and peak buffer per node.
+// TestThreeEngineAgreement: the matrix engine on its compiled schedule, the
+// matrix engine interpreting the scheme slot by slot, and the goroutine
+// runtime agree on playback start and peak buffer per node.
 func TestThreeEngineAgreement(t *testing.T) {
 	for _, f := range matrix(t) {
 		f := f
@@ -74,7 +75,7 @@ func TestThreeEngineAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := slotsim.RunParallel(f.scheme, opt, 4)
+			plain, err := slotsim.Run(plainScheme{f.scheme}, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -85,8 +86,9 @@ func TestThreeEngineAgreement(t *testing.T) {
 				t.Fatal(err)
 			}
 			for id := 1; id <= f.scheme.NumReceivers(); id++ {
-				if seq.StartDelay[id] != par.StartDelay[id] {
-					t.Fatalf("node %d: seq start %d, parallel %d", id, seq.StartDelay[id], par.StartDelay[id])
+				if seq.StartDelay[id] != plain.StartDelay[id] || seq.MaxBuffer[id] != plain.MaxBuffer[id] {
+					t.Fatalf("node %d: compiled start/buffer %d/%d, interpreted %d/%d", id,
+						seq.StartDelay[id], seq.MaxBuffer[id], plain.StartDelay[id], plain.MaxBuffer[id])
 				}
 				if seq.StartDelay[id] != rt.Reports[id].Start {
 					t.Fatalf("node %d: matrix start %d, runtime %d", id, seq.StartDelay[id], rt.Reports[id].Start)

@@ -10,11 +10,12 @@
 // a full-repository run costs one build, not one type-check per transitive
 // dependency.
 //
-// The four analyzers guard invariants that the simulation engines can only
-// detect dynamically, if at all:
+// The analyzers guard invariants that the simulation engine can only detect
+// dynamically, if at all (STATIC_ANALYSIS.md lists, per analyzer, the bug
+// class or untested invariant it covers):
 //
 //   - nodeterminism: no wall-clock reads or global (unseeded) math/rand in
-//     internal packages, preserving Run/RunParallel bit-parity and resume.
+//     internal packages, preserving bit-identical replays and resume.
 //   - slottypes: no direct conversions that mix core.NodeID, core.Packet and
 //     core.Slot (all int underneath); semantic crossings must go through an
 //     explicit int(...) bridge.
@@ -23,6 +24,9 @@
 //     receiver, keeping the benchmarked nil-observer fast path intact.
 //   - checkederr: no silently discarded error returns in non-test internal
 //     code.
+//   - hotalloc: no map allocation in the slotsim per-slot hot path.
+//   - construction: schemes are built through the internal/spec registry.
+//   - maporder: no map iteration on a path that reaches deterministic output.
 //
 // Findings can be suppressed with a `//lint:ignore <analyzer> <reason>`
 // comment on the offending line or the line above it.

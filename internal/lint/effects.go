@@ -1,89 +1,34 @@
 package lint
 
-// Interprocedural effects summaries. ComputeEffects walks every function of
-// the loaded packages and derives, bottom-up through the call graph with a
-// conservative fixpoint, a summary of the state the function may touch:
+// Output-reach summaries. ComputeEffects walks every function of the loaded
+// packages and derives, bottom-up through the call graph with a fixpoint,
+// whether the function's effects reach deterministic output — observer
+// events, fingerprint hashes, trace/report/CSV writers, or fields of
+// slotsim.Result / check.Report. That is the one fact the maporder analyzer
+// needs about a callee it finds inside a map-range body.
 //
-//   - package-level variables read and written (qualified names);
-//   - parameter-reachable state written (which parameter/receiver slots the
-//     function may write through);
-//   - whether those writes always go through an index expression, and which
-//     parameter slots flow into the indexes (the partition evidence the
-//     shardsafe analyzer checks at spawn sites);
-//   - whether the function's effects reach deterministic output — observer
-//     events, fingerprint hashes, trace/report/CSV writers, or fields of
-//     slotsim.Result / check.Report (what the maporder analyzer protects).
-//
-// The analysis is deliberately syntactic and conservative: a call through an
-// interface or into a package whose source is not loaded marks the summary
-// Unresolved, and pointer-shaped arguments of such calls are assumed
-// written. Identity across packages is by qualified name, so a summary
+// The analysis is deliberately syntactic: only statically resolved calls to
+// module functions form call edges, so a sink reached solely through an
+// interface or func value is invisible unless the call itself is a base sink
+// (isOutputSink). Identity across packages is by qualified name, so a summary
 // computed from a package's own source matches the *types.Func the importer
 // materializes for the same function elsewhere.
 
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
-// FuncEffects is the computed effect summary of one function. Parameter
-// "slots" number the receiver (if any) as 0 with the declared parameters
-// following; functions without a receiver start their parameters at 0.
+// FuncEffects is the computed effect summary of one function.
 type FuncEffects struct {
-	// Key is the function's qualified name (see funcKey).
-	Key string
-	// ReadsGlobals and WritesGlobals are the qualified names of module
-	// package-level variables the function (transitively) reads/writes.
-	ReadsGlobals  map[string]bool
-	WritesGlobals map[string]bool
-	// WritesParams marks parameter slots whose reachable state may be
-	// written (directly or via callees).
-	WritesParams map[int]bool
-	// IndexedParams marks parameter slots that flow into the index of an
-	// indexed write to param-reachable state (x.field[i] = ... with i
-	// derived from the slot).
-	IndexedParams map[int]bool
-	// ScalarStateWrite is set when some write to param-reachable state does
-	// not go through an index expression (a shared scalar or whole-slice
-	// update rather than a partitioned element write).
-	ScalarStateWrite bool
 	// Emits is set when the function's effects reach deterministic output:
 	// observer events, hashes, writers, or Result/Report fields.
 	Emits bool
-	// Unresolved is set when the function calls something whose body the
-	// analysis cannot see (out-of-module code, dynamic or interface calls).
-	Unresolved bool
-}
-
-func newFuncEffects(key string) *FuncEffects {
-	return &FuncEffects{
-		Key:           key,
-		ReadsGlobals:  make(map[string]bool),
-		WritesGlobals: make(map[string]bool),
-		WritesParams:  make(map[int]bool),
-		IndexedParams: make(map[int]bool),
-	}
-}
-
-// WritesAnything reports whether the summary records any state write.
-func (fe *FuncEffects) WritesAnything() bool {
-	return len(fe.WritesGlobals) > 0 || len(fe.WritesParams) > 0
-}
-
-// GlobalsList returns the written globals sorted, for deterministic output.
-func (fe *FuncEffects) GlobalsList() []string {
-	out := make([]string, 0, len(fe.WritesGlobals))
-	for g := range fe.WritesGlobals {
-		out = append(out, g)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Effects is the module-wide effects index, keyed by qualified function
-// name.
+// name (see funcKey).
 type Effects struct {
 	fns map[string]*FuncEffects
 }
@@ -95,15 +40,6 @@ func (e *Effects) Of(fn *types.Func) *FuncEffects {
 		return nil
 	}
 	return e.fns[funcKey(fn)]
-}
-
-// ByKey returns the summary under a qualified name ("pkgpath.Func" or
-// "pkgpath.(Recv).Method"), or nil.
-func (e *Effects) ByKey(key string) *FuncEffects {
-	if e == nil {
-		return nil
-	}
-	return e.fns[key]
 }
 
 // funcKey renders the cross-package identity of a function: package path,
@@ -129,35 +65,12 @@ func funcKey(fn *types.Func) string {
 	return pkg + "." + fn.Name()
 }
 
-// globalKey renders the qualified name of a package-level variable.
-func globalKey(v *types.Var) string {
-	if v.Pkg() == nil {
-		return v.Name()
-	}
-	return v.Pkg().Path() + "." + v.Name()
-}
-
-// callEdge records one call site for the fixpoint: which caller slots feed
-// each callee slot (syntactic derivation).
-type callEdge struct {
-	callee string
-	// argSlots[calleeSlot] lists the caller slots whose values reach that
-	// argument (empty when the argument derives from no parameter).
-	argSlots map[int][]int
-}
-
-// funcBody couples a summary with its call edges during computation.
-type funcBody struct {
-	fx    *FuncEffects
-	calls []callEdge
-}
-
 // ComputeEffects builds the module-wide effects index over the loaded
-// packages. Packages are processed independently (their summaries meet in
-// the fixpoint), so the index covers exactly the functions whose source was
-// loaded.
+// packages: each function's direct output reach first, then a fixpoint that
+// marks every caller of an emitting function as emitting too.
 func ComputeEffects(pkgs []*Package) *Effects {
-	bodies := make(map[string]*funcBody)
+	idx := &Effects{fns: make(map[string]*FuncEffects)}
+	callees := make(map[string][]string) // caller key -> statically resolved module callees
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -169,335 +82,59 @@ func ComputeEffects(pkgs []*Package) *Effects {
 				if !ok {
 					continue
 				}
-				key := funcKey(obj)
-				fb := &funcBody{fx: newFuncEffects(key)}
-				summarizeBody(pkg, fd, obj, fb)
-				bodies[key] = fb
+				key, fx := funcKey(obj), &FuncEffects{}
+				idx.fns[key] = fx
+				callees[key] = summarizeBody(pkg.Info, fd.Body, fx)
 			}
 		}
 	}
-	// Conservative fixpoint: propagate callee effects into callers until no
-	// summary changes. Unknown callees were already folded in as direct
-	// conservative effects by summarizeBody.
 	for changed := true; changed; {
 		changed = false
-		for _, fb := range bodies {
-			for _, edge := range fb.calls {
-				callee, ok := bodies[edge.callee]
-				if !ok {
-					continue
+		for key, fx := range idx.fns {
+			if fx.Emits {
+				continue
+			}
+			for _, c := range callees[key] {
+				if callee := idx.fns[c]; callee != nil && callee.Emits {
+					fx.Emits = true
+					changed = true
+					break
 				}
-				changed = mergeCall(fb.fx, callee.fx, edge) || changed
 			}
 		}
-	}
-	idx := &Effects{fns: make(map[string]*FuncEffects, len(bodies))}
-	for key, fb := range bodies {
-		idx.fns[key] = fb.fx
 	}
 	return idx
 }
 
-// mergeCall folds a callee summary into the caller across one call edge and
-// reports whether the caller summary grew.
-func mergeCall(caller, callee *FuncEffects, edge callEdge) bool {
-	changed := false
-	for g := range callee.WritesGlobals {
-		if !caller.WritesGlobals[g] {
-			caller.WritesGlobals[g] = true
-			changed = true
-		}
-	}
-	for g := range callee.ReadsGlobals {
-		if !caller.ReadsGlobals[g] {
-			caller.ReadsGlobals[g] = true
-			changed = true
-		}
-	}
-	if callee.Emits && !caller.Emits {
-		caller.Emits = true
-		changed = true
-	}
-	if callee.Unresolved && !caller.Unresolved {
-		caller.Unresolved = true
-		changed = true
-	}
-	for s := range callee.WritesParams {
-		for _, cs := range edge.argSlots[s] {
-			if !caller.WritesParams[cs] {
-				caller.WritesParams[cs] = true
-				changed = true
-			}
-		}
-		if callee.ScalarStateWrite && len(edge.argSlots[s]) > 0 && !caller.ScalarStateWrite {
-			caller.ScalarStateWrite = true
-			changed = true
-		}
-	}
-	for s := range callee.IndexedParams {
-		for _, cs := range edge.argSlots[s] {
-			if !caller.IndexedParams[cs] {
-				caller.IndexedParams[cs] = true
-				changed = true
-			}
-		}
-	}
-	return changed
-}
-
-// paramSlots maps the parameter (and receiver) objects of a function
-// declaration to their slot numbers.
-func paramSlots(pkg *Package, fd *ast.FuncDecl) map[types.Object]int {
-	slots := make(map[types.Object]int)
-	next := 0
-	if fd.Recv != nil {
-		for _, field := range fd.Recv.List {
-			for _, name := range field.Names {
-				if obj := pkg.Info.Defs[name]; obj != nil {
-					slots[obj] = next
-				}
-			}
-		}
-		next = 1
-	}
-	if fd.Type.Params != nil {
-		for _, field := range fd.Type.Params.List {
-			if len(field.Names) == 0 {
-				next++
-				continue
-			}
-			for _, name := range field.Names {
-				if obj := pkg.Info.Defs[name]; obj != nil {
-					slots[obj] = next
-				}
-				next++
-			}
-		}
-	}
-	return slots
-}
-
-// summarizeBody computes the direct effects and call edges of one function.
-func summarizeBody(pkg *Package, fd *ast.FuncDecl, fn *types.Func, fb *funcBody) {
-	slots := paramSlots(pkg, fd)
-	taint := buildTaint(pkg, fd, slots)
-
-	// exprSlots returns the parameter slots an expression's value may derive
-	// from: slots of every parameter or tainted local mentioned in it.
-	exprSlots := func(e ast.Expr) []int {
-		seen := make(map[int]bool)
-		ast.Inspect(e, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := pkg.Info.Uses[id]
-			if obj == nil {
-				return true
-			}
-			if s, ok := slots[obj]; ok {
-				seen[s] = true
-			}
-			for _, s := range taint[obj] {
-				seen[s] = true
-			}
-			return true
-		})
-		out := make([]int, 0, len(seen))
-		for s := range seen {
-			out = append(out, s)
-		}
-		sort.Ints(out)
-		return out
-	}
-
-	recordWrite := func(lhs ast.Expr) {
-		root, indexes := rootAndIndexes(lhs)
-		if root == nil {
-			return
-		}
-		if outType(pkg.Info, lhs) {
-			fb.fx.Emits = true
-		}
-		obj := pkg.Info.Uses[root]
-		if obj == nil {
-			obj = pkg.Info.Defs[root]
-		}
-		v, ok := obj.(*types.Var)
-		if !ok {
-			return
-		}
-		if isGlobalVar(v) {
-			fb.fx.WritesGlobals[globalKey(v)] = true
-			return
-		}
-		// Parameter-reachable: the root is a parameter/receiver or a local
-		// tainted by one. A write to the variable itself (no selector, no
-		// index, no deref) only rebinds the local and is not a state write.
-		written := map[int]bool{}
-		if s, isParam := slots[obj]; isParam {
-			written[s] = true
-		}
-		for _, s := range taint[obj] {
-			written[s] = true
-		}
-		if len(written) == 0 || lhs == (ast.Expr)(root) {
-			return
-		}
-		for s := range written {
-			fb.fx.WritesParams[s] = true
-		}
-		if len(indexes) == 0 {
-			fb.fx.ScalarStateWrite = true
-			return
-		}
-		for _, ix := range indexes {
-			for _, s := range exprSlots(ix) {
-				fb.fx.IndexedParams[s] = true
-			}
-		}
-	}
-
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+// summarizeBody records a function body's direct output reach in fx — a base
+// sink call, or a write into a Result/Report field — and returns the keys of
+// the module functions it calls statically.
+func summarizeBody(info *types.Info, body *ast.BlockStmt, fx *FuncEffects) []string {
+	var callees []string
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range st.Lhs {
-				recordWrite(lhs)
+				if outType(info, lhs) {
+					fx.Emits = true
+				}
 			}
 		case *ast.IncDecStmt:
-			recordWrite(st.X)
-		case *ast.RangeStmt:
-			if st.Key != nil {
-				recordWrite(st.Key)
-			}
-			if st.Value != nil {
-				recordWrite(st.Value)
-			}
-		case *ast.Ident:
-			// Global reads: any use of a package-level variable.
-			if v, ok := pkg.Info.Uses[st].(*types.Var); ok && isGlobalVar(v) {
-				fb.fx.ReadsGlobals[globalKey(v)] = true
+			if outType(info, st.X) {
+				fx.Emits = true
 			}
 		case *ast.CallExpr:
-			summarizeCall(pkg, st, fb, exprSlots)
+			if isOutputSink(info, st) {
+				fx.Emits = true
+			}
+			if fn := calleeFunc(info, st); fn != nil && fn.Pkg() != nil &&
+				strings.HasPrefix(fn.Pkg().Path(), "streamcast/") {
+				callees = append(callees, funcKey(fn))
+			}
 		}
 		return true
 	})
-}
-
-// buildTaint maps local variables to the parameter slots their value may
-// alias: a local initialized or assigned from an expression mentioning a
-// parameter (or an already tainted local) carries those slots. Two forward
-// passes approximate the transitive closure through simple assignment
-// chains; loops deeper than that are out of scope by design.
-func buildTaint(pkg *Package, fd *ast.FuncDecl, slots map[types.Object]int) map[types.Object][]int {
-	taint := make(map[types.Object][]int)
-	mention := func(e ast.Expr) map[int]bool {
-		found := map[int]bool{}
-		ast.Inspect(e, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := pkg.Info.Uses[id]
-			if obj == nil {
-				return true
-			}
-			if s, ok := slots[obj]; ok {
-				found[s] = true
-			}
-			for _, s := range taint[obj] {
-				found[s] = true
-			}
-			return true
-		})
-		return found
-	}
-	for pass := 0; pass < 2; pass++ {
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				id, ok := lhs.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := pkg.Info.Defs[id]
-				if obj == nil {
-					obj = pkg.Info.Uses[id]
-				}
-				if obj == nil {
-					continue
-				}
-				if _, isParam := slots[obj]; isParam {
-					continue
-				}
-				var rhs ast.Expr
-				if len(as.Rhs) == len(as.Lhs) {
-					rhs = as.Rhs[i]
-				} else if len(as.Rhs) == 1 {
-					rhs = as.Rhs[0]
-				}
-				if rhs == nil {
-					continue
-				}
-				merged := map[int]bool{}
-				for _, s := range taint[obj] {
-					merged[s] = true
-				}
-				for s := range mention(rhs) {
-					merged[s] = true
-				}
-				if len(merged) == 0 {
-					continue
-				}
-				list := make([]int, 0, len(merged))
-				for s := range merged {
-					list = append(list, s)
-				}
-				sort.Ints(list)
-				taint[obj] = list
-			}
-			return true
-		})
-	}
-	return taint
-}
-
-// rootAndIndexes peels selectors, index expressions and derefs off an
-// assignment target, returning the base identifier and every index
-// expression crossed on the way. A nil root means the target is not rooted
-// in a plain identifier (e.g. a call result) and is ignored.
-func rootAndIndexes(e ast.Expr) (*ast.Ident, []ast.Expr) {
-	var indexes []ast.Expr
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x, indexes
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			indexes = append(indexes, x.Index)
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return nil, indexes
-		}
-	}
-}
-
-// isGlobalVar reports whether v is a package-level variable of some loaded
-// or imported package.
-func isGlobalVar(v *types.Var) bool {
-	if v.Pkg() == nil || v.IsField() {
-		return false
-	}
-	return v.Parent() == v.Pkg().Scope()
+	return callees
 }
 
 // outType reports whether a write target reaches one of the structured
@@ -548,127 +185,15 @@ func isResultLike(t types.Type) bool {
 	return resultTypes[named.Obj().Pkg().Path()+"."+named.Obj().Name()]
 }
 
-// summarizeCall records one call's contribution: an edge to a module
-// function, a base output sink, or a conservative unknown.
-func summarizeCall(pkg *Package, call *ast.CallExpr, fb *funcBody, exprSlots func(ast.Expr) []int) {
-	if isOutputSink(pkg.Info, call) {
-		fb.fx.Emits = true
-	}
-	callee := calleeFunc(pkg, call)
-	if callee == nil {
-		// Dynamic call (func value, method value, conversion): conservative.
-		if !builtinCall(pkg, call) {
-			markUnknownCall(pkg, call, fb, exprSlots)
-		}
-		return
-	}
-	sig, _ := callee.Type().(*types.Signature)
-	if callee.Pkg() == nil || !strings.HasPrefix(callee.Pkg().Path(), "streamcast/") {
-		markUnknownCall(pkg, call, fb, exprSlots)
-		return
-	}
-	if sig != nil && sig.Recv() != nil {
-		if _, isIface := sig.Recv().Type().Underlying().(*types.Interface); isIface {
-			// Module-interface dispatch: body unknown, conservative.
-			markUnknownCall(pkg, call, fb, exprSlots)
-			return
-		}
-	}
-	edge := callEdge{callee: funcKey(callee), argSlots: make(map[int][]int)}
-	calleeSlot := 0
-	if sig != nil && sig.Recv() != nil {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			edge.argSlots[0] = exprSlots(sel.X)
-		}
-		calleeSlot = 1
-	}
-	for i, arg := range call.Args {
-		edge.argSlots[calleeSlot+i] = exprSlots(arg)
-	}
-	fb.calls = append(fb.calls, edge)
-}
-
-// markUnknownCall applies the conservative model for a callee whose body the
-// analysis cannot see: the summary is Unresolved, and every pointer-shaped
-// argument derived from a parameter slot is assumed written (scalar, since
-// nothing proves partitioning).
-func markUnknownCall(pkg *Package, call *ast.CallExpr, fb *funcBody, exprSlots func(ast.Expr) []int) {
-	fb.fx.Unresolved = true
-	consider := func(e ast.Expr) {
-		t := pkg.Info.TypeOf(e)
-		if t == nil || !pointerShaped(t) {
-			return
-		}
-		for _, s := range exprSlots(e) {
-			fb.fx.WritesParams[s] = true
-			fb.fx.ScalarStateWrite = true
-		}
-	}
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		// Method calls on out-of-module types may mutate their receiver —
-		// but only pointer-shaped receivers can leak the write back. Calls
-		// through func-valued fields (e.sendCap(id)) pass only their
-		// arguments: sel.X never crosses into the callee on this edge.
-		_, isPkg := pkg.Info.Uses[rootIdentOf(sel.X)].(*types.PkgName)
-		_, isMethod := pkg.Info.Uses[sel.Sel].(*types.Func)
-		if !isPkg && isMethod {
-			consider(sel.X)
-		}
-	}
-	for _, arg := range call.Args {
-		consider(arg)
-	}
-}
-
-// rootIdentOf returns the base identifier of an expression, or nil.
-func rootIdentOf(e ast.Expr) *ast.Ident {
-	id, _ := rootAndIndexes(e)
-	return id
-}
-
-// pointerShaped reports whether values of t share underlying storage when
-// copied (so a callee can write state the caller observes).
-func pointerShaped(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Interface, *types.Signature:
-		return true
-	}
-	return false
-}
-
-// builtinCall reports whether the call's function position is a builtin
-// (append, len, copy, make, ...) or a type conversion — neither is a real
-// callee with hidden effects.
-func builtinCall(pkg *Package, call *ast.CallExpr) bool {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if obj := pkg.Info.Uses[fun]; obj != nil {
-			if _, ok := obj.(*types.Builtin); ok {
-				return true
-			}
-			if _, ok := obj.(*types.TypeName); ok {
-				return true
-			}
-		}
-	case *ast.ArrayType, *ast.MapType, *ast.StarExpr:
-		return true // conversion to a composite type
-	case *ast.SelectorExpr:
-		if _, ok := pkg.Info.Uses[fun.Sel].(*types.TypeName); ok {
-			return true
-		}
-	}
-	return false
-}
-
 // calleeFunc statically resolves the called function, nil for dynamic
 // calls, builtins and conversions.
-func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
-		fn, _ := pkg.Info.Uses[fun].(*types.Func)
+		fn, _ := info.Uses[fun].(*types.Func)
 		return fn
 	case *ast.SelectorExpr:
-		fn, _ := pkg.Info.Uses[fun.Sel].(*types.Func)
+		fn, _ := info.Uses[fun.Sel].(*types.Func)
 		return fn
 	}
 	return nil

@@ -5,146 +5,39 @@ import (
 	"testing"
 )
 
-// loadEffectsFixture computes summaries over the effects fixture package.
-func loadEffectsFixture(t *testing.T) *Effects {
-	t.Helper()
+// TestEffectsGoldenSummaries pins the computed output-reach summaries for
+// the fixture package: a direct sink call, reach inherited through one and
+// two call edges, and functions that must stay clean.
+func TestEffectsGoldenSummaries(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join("testdata", "src", "effects")
-	pkg, err := loader.LoadDir(dir, "streamcast/internal/fixture/effects")
+	const base = "streamcast/internal/fixture/effects"
+	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "effects"), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, terr := range pkg.TypeErrors {
 		t.Errorf("fixture type error: %v", terr)
 	}
-	return ComputeEffects([]*Package{pkg})
-}
-
-// TestEffectsGoldenSummaries pins the computed summaries for the fixture
-// package: direct writes, writes inherited through method calls, and the
-// conservative treatment of interface dispatch.
-func TestEffectsGoldenSummaries(t *testing.T) {
-	fx := loadEffectsFixture(t)
-	const base = "streamcast/internal/fixture/effects"
-	counterKey := base + ".counter"
-
-	get := func(key string) *FuncEffects {
-		t.Helper()
-		fe := fx.ByKey(base + key)
-		if fe == nil {
-			t.Fatalf("no summary for %s%s", base, key)
-		}
-		return fe
-	}
-
-	t.Run("direct global write", func(t *testing.T) {
-		fe := get(".writeGlobal")
-		if !fe.WritesGlobals[counterKey] {
-			t.Errorf("writeGlobal does not record writing %s: %v", counterKey, fe.GlobalsList())
-		}
-		if len(fe.WritesParams) != 0 || fe.Unresolved {
-			t.Errorf("writeGlobal summary too broad: params %v, unresolved %v", fe.WritesParams, fe.Unresolved)
-		}
-	})
-
-	t.Run("global read is not a write", func(t *testing.T) {
-		fe := get(".readGlobal")
-		if !fe.ReadsGlobals[counterKey] {
-			t.Errorf("readGlobal does not record reading %s", counterKey)
-		}
-		if fe.WritesAnything() {
-			t.Errorf("readGlobal records writes: globals %v, params %v", fe.GlobalsList(), fe.WritesParams)
-		}
-	})
-
-	t.Run("indexed receiver write", func(t *testing.T) {
-		fe := get(".(box).writeIndexed")
-		if !fe.WritesParams[0] {
-			t.Errorf("writeIndexed does not record the receiver write: %v", fe.WritesParams)
-		}
-		if !fe.IndexedParams[1] {
-			t.Errorf("writeIndexed does not record parameter i feeding the index: %v", fe.IndexedParams)
-		}
-		if fe.ScalarStateWrite {
-			t.Error("writeIndexed flagged as a scalar write; the write is indexed")
-		}
-	})
-
-	t.Run("scalar receiver write", func(t *testing.T) {
-		fe := get(".(box).writeScalar")
-		if !fe.WritesParams[0] || !fe.ScalarStateWrite {
-			t.Errorf("writeScalar summary: params %v, scalar %v; want receiver write marked scalar",
-				fe.WritesParams, fe.ScalarStateWrite)
-		}
-	})
-
-	t.Run("write inherited through method call", func(t *testing.T) {
-		fe := get(".viaMethod")
-		if !fe.WritesParams[0] {
-			t.Errorf("viaMethod does not inherit the receiver write through the call edge: %v", fe.WritesParams)
-		}
-		if fe.ScalarStateWrite {
-			t.Error("viaMethod inherited a scalar write; the callee write is indexed")
-		}
-	})
-
-	t.Run("interface dispatch is conservative", func(t *testing.T) {
-		fe := get(".viaInterface")
-		if !fe.Unresolved {
-			t.Error("viaInterface not marked unresolved despite dispatching through an interface")
-		}
-	})
-
-	t.Run("transitive combination", func(t *testing.T) {
-		fe := get(".chained")
-		if !fe.WritesGlobals[counterKey] {
-			t.Errorf("chained does not inherit the global write: %v", fe.GlobalsList())
-		}
-		if !fe.WritesParams[0] || !fe.ScalarStateWrite {
-			t.Errorf("chained does not inherit the scalar receiver write: params %v, scalar %v",
-				fe.WritesParams, fe.ScalarStateWrite)
-		}
-	})
-}
-
-// TestSlotsimHotPathScratchOnly is the self-check the shardsafe design rests
-// on: the sequential engine's hot-path functions write only engine-reachable
-// scratch state — never module package-level variables — and noteDelivery
-// carries the per-slot index evidence for its shard and node parameters.
-func TestSlotsimHotPathScratchOnly(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadModule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fx := ComputeEffects(pkgs)
-	const slotsim = "streamcast/internal/slotsim"
-
-	for _, name := range []string{
-		".(engine).step",
-		".(engine).validateSends",
-		".(engine).deliver",
-		".(engine).noteDelivery",
-		".(engine).nextTick",
+	fx := ComputeEffects([]*Package{pkg})
+	for _, tc := range []struct {
+		fn    string
+		emits bool
+	}{
+		{"emitDirect", true},
+		{"viaHelper", true},
+		{"chained", true},
+		{"aggregate", false},
+		{"viaAggregate", false},
 	} {
-		key := slotsim + name
-		fe := fx.ByKey(key)
+		fe := fx.fns[base+"."+tc.fn]
 		if fe == nil {
-			t.Fatalf("no summary for %s", key)
+			t.Fatalf("no summary for %s", tc.fn)
 		}
-		if len(fe.WritesGlobals) > 0 {
-			t.Errorf("%s writes package-level state %v; the hot path must be scratch-only", key, fe.GlobalsList())
+		if fe.Emits != tc.emits {
+			t.Errorf("%s: Emits = %v, want %v", tc.fn, fe.Emits, tc.emits)
 		}
-	}
-
-	nd := fx.ByKey(slotsim + ".(engine).noteDelivery")
-	if !nd.IndexedParams[1] || !nd.IndexedParams[2] {
-		t.Errorf("noteDelivery index evidence missing: IndexedParams %v; want shard (1) and id (2)", nd.IndexedParams)
 	}
 }

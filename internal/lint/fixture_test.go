@@ -115,8 +115,4 @@ func TestConstructionFixture(t *testing.T) { runFixture(t, "construction", Const
 // multi-line statements: the directive must cover the whole statement span.
 func TestIgnoreSpanFixture(t *testing.T) { runFixture(t, "ignorespan", CheckedErr) }
 
-func TestShardSafeFixture(t *testing.T) { runFixture(t, "shardsafe", ShardSafe) }
-
 func TestMapOrderFixture(t *testing.T) { runFixture(t, "maporder", MapOrder) }
-
-func TestBarrierPhaseFixture(t *testing.T) { runFixture(t, "barrierphase", BarrierPhase) }

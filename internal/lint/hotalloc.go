@@ -12,37 +12,23 @@ import (
 // map allocation is always a regression here because map storage cannot be
 // recycled across runs without clearing it key by key.
 var hotFuncs = map[string]bool{
-	"step":                  true,
-	"route":                 true,
-	"deliver":               true,
-	"validateSends":         true,
-	"filterUnavailable":     true,
-	"pendingArrivals":       true,
-	"holds":                 true,
-	"isSource":              true,
-	"sendCapOf":             true,
-	"recvCapOf":             true,
-	"observeFail":           true,
-	"validateSendsParallel": true,
-	"deliverParallel":       true,
-	"validateShard":         true,
-	"deliverShard":          true,
-	"stageArrivals":         true,
-	"runShard":              true,
-	"shardFor":              true,
-	"shardRange":            true,
-	"mergeStaged":           true,
-	"headIdx":               true,
-	"siftDown":              true,
-	"dispatch":              true,
-	"await":                 true,
-	"finishJob":             true,
-	"noteDelivery":          true,
-	"nextTick":              true,
-	"enqueue":               true,
-	"drain":                 true,
-	"finish":                true,
-	"maxBuffer":             true,
+	"step":              true,
+	"route":             true,
+	"deliver":           true,
+	"validateSends":     true,
+	"filterUnavailable": true,
+	"pendingArrivals":   true,
+	"holds":             true,
+	"isSource":          true,
+	"sendCapOf":         true,
+	"recvCapOf":         true,
+	"observeFail":       true,
+	"noteDelivery":      true,
+	"nextTick":          true,
+	"enqueue":           true,
+	"drain":             true,
+	"finish":            true,
+	"maxBuffer":         true,
 }
 
 // HotAlloc flags map allocations inside the slotsim engine's per-slot hot

@@ -243,9 +243,7 @@ func All() []*Analyzer {
 		CheckedErr,
 		HotAlloc,
 		Construction,
-		ShardSafe,
 		MapOrder,
-		BarrierPhase,
 	}
 }
 

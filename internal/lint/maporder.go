@@ -65,7 +65,7 @@ func outputReach(pass *Pass, body *ast.BlockStmt) string {
 				sink = "writes an output sink directly"
 				return false
 			}
-			if fn := calleeFuncOf(pass, st); fn != nil {
+			if fn := calleeFunc(pass.Info, st); fn != nil {
 				if fx := pass.Effects.Of(fn); fx != nil && fx.Emits {
 					sink = "calls " + fn.Name() + ", whose effects emit output"
 					return false

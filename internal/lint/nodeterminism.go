@@ -6,8 +6,8 @@ import (
 )
 
 // wallClockFuncs are the package time functions that read the wall clock.
-// Any of them inside an engine or scheme package breaks Run/RunParallel
-// bit-parity, schedule fingerprints, and resume-from-trace.
+// Any of them inside an engine or scheme package breaks bit-identical
+// replays, schedule fingerprints, and resume-from-trace.
 var wallClockFuncs = map[string]bool{
 	"Now":   true,
 	"Since": true,
@@ -29,7 +29,7 @@ var globalRandFuncs = map[string]bool{
 var NoDeterminism = &Analyzer{
 	Name: "nodeterminism",
 	Doc: "forbid time.Now/Since/Until and global math/rand draws in internal " +
-		"packages; they break RunParallel bit-parity and deterministic resume",
+		"packages; they break bit-identical replays and deterministic resume",
 	Run: runNoDeterminism,
 }
 

@@ -1,60 +1,44 @@
-// Package fixture exercises the effects-summary layer: direct writes to
-// package-level and parameter-reachable state, writes that only happen
-// through method calls (fixpoint propagation), and interface dispatch, which
-// the analysis must treat conservatively. The golden expectations live in
-// effects_test.go.
+// Package fixture exercises the effects-summary layer: a direct call to a
+// base output sink, output reach inherited through module call edges
+// (fixpoint propagation), and functions that never reach output. The golden
+// expectations live in effects_test.go.
 package fixture
 
-// counter is package-level state written and read directly.
+import (
+	"fmt"
+	"io"
+)
+
+// counter is package-level state; touching it is not output.
 var counter int
 
-// sink is dispatched through dynamically; the analysis cannot see the
-// callee's body.
-type sink interface {
-	Emit(string)
+// emitDirect calls a base output sink itself.
+func emitDirect(w io.Writer) {
+	fmt.Fprintln(w, counter)
 }
 
-// box carries both indexed (partitionable) and scalar receiver state.
-type box struct {
-	vals  []int
-	total int
+// viaHelper reaches the sink only through a call edge.
+func viaHelper(w io.Writer) {
+	emitDirect(w)
 }
 
-// writeGlobal writes a package-level variable directly.
-func writeGlobal() {
+// chained is two call edges away from the sink.
+func chained(w io.Writer) {
 	counter++
+	viaHelper(w)
 }
 
-// readGlobal only reads package-level state.
-func readGlobal() int {
-	return counter
+// aggregate folds state without reaching any sink.
+func aggregate(vs []int) int {
+	total := 0
+	for _, v := range vs {
+		total += v
+	}
+	counter = total
+	return total
 }
 
-// writeIndexed writes receiver state through an index derived from a
-// parameter — the partition-evidence shape shardsafe depends on.
-func (b *box) writeIndexed(i, v int) {
-	b.vals[i] = v
-}
-
-// writeScalar updates receiver state without an index expression.
-func (b *box) writeScalar(v int) {
-	b.total += v
-}
-
-// viaMethod writes only through a method call: the summary must inherit the
-// callee's indexed receiver write across the call edge.
-func viaMethod(b *box, i int) {
-	b.writeIndexed(i, 1)
-}
-
-// viaInterface dispatches through an interface; the summary must be marked
-// unresolved rather than assumed pure.
-func viaInterface(s sink) {
-	s.Emit("x")
-}
-
-// chained combines a global write and a scalar receiver write transitively.
-func chained(b *box) {
-	writeGlobal()
-	b.writeScalar(2)
+// viaAggregate calls only non-emitting functions.
+func viaAggregate(vs []int) int {
+	return aggregate(vs) + 1
 }

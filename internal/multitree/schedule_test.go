@@ -162,37 +162,3 @@ func TestLiveNeverSendsFuturePackets(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelEngineEquivalence verifies that the goroutine-parallel engine
-// produces bit-identical results with the sequential one.
-func TestParallelEngineEquivalence(t *testing.T) {
-	m, err := New(120, 3, Greedy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewScheme(m, core.PreRecorded)
-	opt := slotsim.Options{Slots: 80, Packets: 12}
-	seq, err := slotsim.Run(s, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		par, err := slotsim.RunParallel(s, opt, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.WorstStartDelay() != par.WorstStartDelay() ||
-			seq.AvgStartDelay() != par.AvgStartDelay() ||
-			seq.WorstBuffer() != par.WorstBuffer() {
-			t.Fatalf("workers=%d: parallel result differs from sequential", workers)
-		}
-		for id := 0; id <= seq.N; id++ {
-			for j := range seq.Arrival[id] {
-				if seq.Arrival[id][j] != par.Arrival[id][j] {
-					t.Fatalf("workers=%d: arrival[%d][%d] %d != %d",
-						workers, id, j, seq.Arrival[id][j], par.Arrival[id][j])
-				}
-			}
-		}
-	}
-}

@@ -1,5 +1,5 @@
 // Package obs is the observability layer of the slot simulator: a
-// per-slot event-hook contract (Observer) that both slotsim engines honour,
+// per-slot event-hook contract (Observer) that the slotsim engine honours,
 // plus the standard consumers — a metrics collector, a JSONL trace
 // recorder, and Prometheus-text / JSON-report exporters.
 //
@@ -9,11 +9,7 @@
 // historically reported only end-of-run aggregates; an Observer passed via
 // slotsim.Options.Observer sees every slot boundary, transmission,
 // delivery, failure-injection drop and constraint violation as it happens,
-// in a deterministic order that is identical between slotsim.Run and
-// slotsim.RunParallel (the sharded engine stages each worker's deliveries
-// tagged with their transmission index and k-way merges the per-shard
-// batches at the slot barrier — see PERFORMANCE.md for why that
-// reconstructs the sequential order exactly, violations included).
+// in a deterministic order.
 //
 // Consumers shipped here:
 //
@@ -24,8 +20,8 @@
 //     RunReport).
 //   - JSONLWriter — a compact one-object-per-line event log; ReadEvents
 //     inverts it. internal/trace golden-tests the format.
-//   - Recorder — in-memory event capture, used by the Run/RunParallel
-//     event-stream parity tests.
+//   - Recorder — in-memory event capture, used by the event-stream
+//     parity tests (compiled vs interpreted schedules, replays).
 //   - Funcs — free-function adapter for one-off hooks.
 //   - Combine — fan-out to several observers (nil-safe).
 //
@@ -44,6 +40,6 @@
 //	rep := slotsim.BuildReport(s, opt, res, m)
 //	rep.WriteJSON(os.Stdout)
 //
-// Overhead: with a nil Observer both engines skip all hook work (a single
+// Overhead: with a nil Observer the engine skips all hook work (a single
 // pointer check per event site); see OBSERVABILITY.md for measured numbers.
 package obs

@@ -6,10 +6,9 @@ import (
 	"streamcast/internal/core"
 )
 
-// Observer receives per-slot callbacks from the slotsim engines. All
-// callbacks for one run are delivered sequentially from a single goroutine
-// (the parallel engine shards event collection across its workers and
-// merges at the slot barrier), so implementations need no locking.
+// Observer receives per-slot callbacks from the slotsim engine. All
+// callbacks for one run are delivered sequentially from a single goroutine,
+// so implementations need no locking.
 //
 // Callback order within a slot t is fixed:
 //
@@ -108,8 +107,9 @@ func (e Event) String() string {
 }
 
 // Recorder is an Observer that appends every callback to Events. It is the
-// reference consumer for equivalence tests (Run vs RunParallel event-stream
-// parity) and the in-memory form of the JSONL trace.
+// reference consumer for equivalence tests (event-stream parity between
+// compiled and interpreted schedules, and between replays) and the
+// in-memory form of the JSONL trace.
 type Recorder struct {
 	Events []Event
 }

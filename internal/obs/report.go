@@ -62,7 +62,9 @@ type ChurnSLO struct {
 	TimeToRepairSlots int `json:"time_to_repair_slots"`
 }
 
-// ReportOptions records the engine configuration of the run.
+// ReportOptions records the engine configuration of the run. Workers is the
+// count the scenario requested via its `parallel` directive; the engine is
+// single-threaded and ignores it.
 type ReportOptions struct {
 	Slots           int    `json:"slots"`
 	Packets         int    `json:"packets"`

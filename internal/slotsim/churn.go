@@ -2,18 +2,15 @@ package slotsim
 
 import (
 	"fmt"
-	"runtime"
 
 	"streamcast/internal/core"
 )
 
 // ChurnSource feeds a run's live membership changes. It is consulted once
-// per slot, single-threaded, at the barrier entering the slot — after the
-// previous slot's deliver/merge completed and before the next validate — by
-// both the sequential and the sharded driver, so a source whose decisions
-// are pure functions of (seed, slot) yields bit-identical runs at any worker
-// count. internal/faults provides the plan- and generator-driven
-// implementation.
+// per slot at the boundary entering the slot — after the previous slot's
+// deliveries completed and before the next validate — so a source whose
+// decisions are pure functions of (seed, slot) yields bit-identical replays.
+// internal/faults provides the plan- and generator-driven implementation.
 type ChurnSource interface {
 	// MaxNodes returns an upper bound on the id space the churned topology
 	// can ever reach (initial members plus the worst-case growth of the
@@ -31,10 +28,6 @@ type ChurnSource interface {
 // refreshes engine state for any epoch change: ids reassigned to joining
 // members are wiped (arrival row slices, playback cursor, in-flight ring
 // entries), and the capacity tables are revalidated against the new epoch.
-// Always single-threaded: the parallel driver's workers are parked between
-// slots, so the swap window cannot race the deliver merge.
-//
-//phase:churn
 func (e *engine) churnStep(t core.Slot) (bool, error) {
 	stats, err := e.opt.Churn.Step(t, e.dyn)
 	if err != nil {
@@ -72,12 +65,12 @@ func (e *engine) resetNode(id core.NodeID) {
 }
 
 // refreshTopology revalidates the engine's pre-sized invariants after a
-// topology epoch bump. The struct-of-arrays state and the shard plan are
-// sized to the churn ceiling at run start, so growth within the ceiling is
-// free; growth beyond it is a hard error rather than a silent remap. The
-// default capacity tables are keyed by (nodes, source capacity) in the
-// scratch arena — a source-capacity change patches the live table and
-// re-keys it so no later run reuses a stale entry.
+// topology epoch bump. The struct-of-arrays state is sized to the churn
+// ceiling at run start, so growth within the ceiling is free; growth beyond
+// it is a hard error rather than a silent remap. The default capacity
+// tables are keyed by (nodes, source capacity) in the scratch arena — a
+// source-capacity change patches the live table and re-keys it so no later
+// run reuses a stale entry.
 func (e *engine) refreshTopology(t core.Slot) error {
 	if nr := e.dyn.NumReceivers(); nr > e.n {
 		return fmt.Errorf("slotsim: slot %d: churn grew the id space to %d nodes, beyond the pre-sized ceiling %d (raise ChurnSource.MaxNodes)", t, nr, e.n)
@@ -87,84 +80,4 @@ func (e *engine) refreshTopology(t core.Slot) error {
 		e.sc.tabSrcCap = int32(sc)
 	}
 	return nil
-}
-
-// runChurn drives a live-churn run on either engine: the slot loop gains a
-// single-threaded churn barrier ahead of each slot, and the schedule window
-// becomes per-epoch — compiled when churn is sparse enough to amortize the
-// snapshot, interpreted otherwise.
-func (r *Runner) runChurn(s core.Scheme, opt Options, parallel bool, workers int) (*Result, error) {
-	ds, ok := s.(core.DynamicScheme)
-	if !ok {
-		return nil, fmt.Errorf("slotsim: Options.Churn requires a core.DynamicScheme; %T is static", s)
-	}
-	if !opt.AllowIncomplete || !opt.SkipUnavailable {
-		return nil, fmt.Errorf("slotsim: live churn requires AllowIncomplete and SkipUnavailable (repair gaps cascade as real losses)")
-	}
-	e, err := newEngine(s, opt, &r.sc)
-	if err != nil {
-		return nil, err
-	}
-	e.dyn = ds
-	var p *parallelDriver
-	if parallel {
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		_, eff := shardPlan(e.n+1, workers)
-		p = attachDriver(e, workers, r.ensurePool(eff))
-		defer p.detach()
-	}
-	// cur is the schedule view of the current topology epoch. The initial
-	// epoch gets the normal compile-if-worthwhile treatment; each epoch bump
-	// invalidates it (a compiled window of a mutated topology is stale by
-	// definition) and epochSchedule decides whether the fresh epoch earns a
-	// new snapshot. Runner.prepared never caches dynamic schemes, so stale
-	// windows cannot leak across runs either.
-	cur := core.Scheme(ds)
-	if c := core.CompileForRun(ds, opt.Slots); c != nil {
-		cur = c
-	}
-	lastSwap := core.Slot(0)
-	for t := core.Slot(0); t < opt.Slots; t++ {
-		changed, err := e.churnStep(t)
-		if err != nil {
-			return nil, err
-		}
-		if changed {
-			cur = r.epochSchedule(ds, t, lastSwap, opt.Slots)
-			lastSwap = t
-		}
-		txs := cur.Transmissions(t)
-		if parallel {
-			err = p.step(t, txs)
-		} else {
-			err = e.step(t, txs)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return e.finish()
-}
-
-// epochSchedule picks the schedule representation for a fresh topology
-// epoch. Compiling costs one pass over W+2P slots, so it only pays off when
-// epochs outlive their own compile window: if the epoch that just ended was
-// shorter than W+2P, churn is assumed sustained and the scheme is
-// interpreted directly (the interpreted path is the correctness fallback in
-// every case — compilation failing or declining never affects results).
-func (r *Runner) epochSchedule(ds core.DynamicScheme, t, lastSwap, slots core.Slot) core.Scheme {
-	ps, ok := core.Scheme(ds).(core.PeriodicScheme)
-	if !ok {
-		return ds
-	}
-	p, w := ps.Period(), ps.SteadyState()
-	if p < 1 || w < 0 || t-lastSwap < w+2*p {
-		return ds
-	}
-	if c := core.CompileForRun(ds, slots-t); c != nil {
-		return c
-	}
-	return ds
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // scriptChurn is a deterministic ChurnSource for engine tests: a fixed map of
-// slot → ops, applied verbatim. Decisions depend only on the slot, so the
-// sequential and sharded engines see identical membership histories.
+// slot → ops, applied verbatim. Decisions depend only on the slot, so every
+// replay sees the identical membership history.
 type scriptChurn struct {
 	max int
 	ops map[core.Slot][]core.TopologyOp
@@ -30,8 +30,9 @@ func (s *scriptChurn) Step(t core.Slot, ds core.DynamicScheme) ([]core.ChurnStat
 
 // liveCase builds a fresh churn-capable run: the live multi-tree scheme, a
 // scripted mid-run join/leave sequence, and options sized so the horizon
-// spans warmup, the churn window, and several quiet periods after the last
-// op (the epoch-recompile path needs quiet stretches to trigger).
+// spans warmup, a burst of short epochs (interpreted: none outlives its own
+// compile window), a quiet stretch, and one late op whose fresh epoch is
+// long enough — behind it and ahead of it — to be compiled again.
 func liveCase(t *testing.T, n, d int, mode core.StreamMode) (*multitree.LiveScheme, slotsim.Options) {
 	t.Helper()
 	dy, err := multitree.NewDynamic(n, d, false)
@@ -46,11 +47,12 @@ func liveCase(t *testing.T, n, d int, mode core.StreamMode) (*multitree.LiveSche
 			7:  {{Leave: true, Name: "node-2"}, {Name: "j2"}},
 			12: {{Name: "j3"}, {Name: "j4"}},
 			19: {{Leave: true, Name: "j1"}, {Leave: true, Name: "node-5"}},
+			30: {{Name: "j5"}},
 		},
 	}
 	win := core.Packet(6 * d)
 	opt := slotsim.Options{
-		Slots:           core.Slot(int(win)) + ls.SteadyState() + core.Slot(8*d+2),
+		Slots:           core.Slot(int(win)) + ls.SteadyState() + core.Slot(14*d+2),
 		Packets:         win,
 		Mode:            mode,
 		Churn:           script,
@@ -61,58 +63,95 @@ func liveCase(t *testing.T, n, d int, mode core.StreamMode) (*multitree.LiveSche
 	return ls, opt
 }
 
-// churnRun executes one fully observed churned run; workers=0 selects the
-// sequential engine.
-func churnRun(t *testing.T, n, d int, mode core.StreamMode, workers int) (*slotsim.Result, *obs.Recorder, *obs.Metrics, uint64) {
+// interpreted hides the PeriodicScheme methods of a dynamic scheme —
+// embedding the interface value exposes only core.DynamicScheme — so every
+// topology epoch of a churned run is replayed slot by slot, never compiled.
+type interpreted struct{ core.DynamicScheme }
+
+// churnRun executes one fully observed churned run, with per-epoch schedule
+// compilation available or hidden.
+func churnRun(t *testing.T, n, d int, mode core.StreamMode, compile bool) (*slotsim.Result, *obs.Recorder, *obs.Metrics, uint64) {
 	t.Helper()
 	ls, opt := liveCase(t, n, d, mode)
+	if core.CompileForRun(ls, opt.Slots) == nil {
+		t.Fatalf("%s: live scheme does not compile at horizon %d; the parity case is vacuous", mode, opt.Slots)
+	}
 	rec, met := &obs.Recorder{}, obs.NewMetrics()
 	opt.Observer = obs.Combine(rec, met)
-	var res *slotsim.Result
-	var err error
-	if workers == 0 {
-		res, err = slotsim.Run(ls, opt)
-	} else {
-		res, err = slotsim.RunParallel(ls, opt, workers)
+	var s core.Scheme = ls
+	if !compile {
+		s = interpreted{ls}
 	}
+	res, err := slotsim.Run(s, opt)
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatalf("compile=%v: %v", compile, err)
 	}
 	return res, rec, met, ls.Epoch()
 }
 
-// TestChurnParity is the determinism acceptance case: a seeded mid-run
-// join/leave sequence must produce bit-identical Results, observer event
-// streams, and metric fingerprints between the sequential engine and the
-// sharded engine at every worker count.
+// TestChurnParity is the determinism acceptance case for the epoch-aware
+// schedule source: a scripted mid-run join/leave sequence must produce
+// bit-identical Results, observer event streams, and metric fingerprints
+// whether each topology epoch replays a compiled snapshot (when the epoch
+// amortizes one) or is interpreted throughout.
 func TestChurnParity(t *testing.T) {
 	for _, mode := range []core.StreamMode{core.PreRecorded, core.Live} {
-		refRes, refRec, refMet, refEpoch := churnRun(t, 10, 2, mode, 0)
+		refRes, refRec, refMet, refEpoch := churnRun(t, 10, 2, mode, false)
 		if refEpoch == 0 {
 			t.Fatalf("%s: scripted churn applied no ops; the parity case is vacuous", mode)
 		}
-		for _, workers := range []int{1, 2, 4, 7} {
-			res, rec, met, epoch := churnRun(t, 10, 2, mode, workers)
-			if epoch != refEpoch {
-				t.Errorf("%s workers=%d: final epoch %d, sequential %d", mode, workers, epoch, refEpoch)
-			}
-			if !reflect.DeepEqual(refRes, res) {
-				t.Errorf("%s workers=%d: Result differs from sequential run", mode, workers)
-			}
-			if got, want := met.Fingerprint(), refMet.Fingerprint(); got != want {
-				t.Errorf("%s workers=%d: fingerprint %s, sequential %s", mode, workers, got, want)
-			}
-			if !reflect.DeepEqual(refRec.Events, rec.Events) {
-				la, lb := len(refRec.Events), len(rec.Events)
-				for i := 0; i < la && i < lb; i++ {
-					if refRec.Events[i] != rec.Events[i] {
-						t.Fatalf("%s workers=%d: event %d differs: sequential %s, sharded %s",
-							mode, workers, i, refRec.Events[i], rec.Events[i])
-					}
-				}
-				t.Fatalf("%s workers=%d: event streams differ in length: %d vs %d", mode, workers, la, lb)
-			}
+		res, rec, met, epoch := churnRun(t, 10, 2, mode, true)
+		if epoch != refEpoch {
+			t.Errorf("%s: final epoch %d, interpreted %d", mode, epoch, refEpoch)
 		}
+		if !reflect.DeepEqual(refRes, res) {
+			t.Errorf("%s: Result differs from the interpreted run", mode)
+		}
+		if got, want := met.Fingerprint(), refMet.Fingerprint(); got != want {
+			t.Errorf("%s: fingerprint %s, interpreted %s", mode, got, want)
+		}
+		assertSameEvents(t, mode.String(), "interpreted", refRec, "compiled", rec)
+	}
+}
+
+// idleChurn is a ChurnSource that never emits an op and declares no id-space
+// growth, so the engine's arrays are not padded.
+type idleChurn struct{}
+
+func (idleChurn) MaxNodes() int { return 0 }
+func (idleChurn) Step(core.Slot, core.DynamicScheme) ([]core.ChurnStats, error) {
+	return nil, nil
+}
+
+// TestIdleChurnSourceIsIdentity states the claim the single slot loop rests
+// on — a static run is the zero-epoch case of a churned one: the same live
+// scheme and options under a ChurnSource that never acts must equal the run
+// with Churn == nil, in Result, event stream and fingerprint.
+func TestIdleChurnSourceIsIdentity(t *testing.T) {
+	for _, mode := range []core.StreamMode{core.PreRecorded, core.Live} {
+		run := func(src slotsim.ChurnSource) (*slotsim.Result, *obs.Recorder, *obs.Metrics) {
+			ls, opt := liveCase(t, 10, 2, mode)
+			opt.Churn = src
+			rec, met := &obs.Recorder{}, obs.NewMetrics()
+			opt.Observer = obs.Combine(rec, met)
+			res, err := slotsim.Run(ls, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", mode, err)
+			}
+			if ls.Epoch() != 0 {
+				t.Fatalf("%s: topology moved to epoch %d without any op", mode, ls.Epoch())
+			}
+			return res, rec, met
+		}
+		refRes, refRec, refMet := run(nil)
+		res, rec, met := run(idleChurn{})
+		if !reflect.DeepEqual(refRes, res) {
+			t.Errorf("%s: Result differs from the Churn == nil run", mode)
+		}
+		if got, want := met.Fingerprint(), refMet.Fingerprint(); got != want {
+			t.Errorf("%s: fingerprint %s, Churn == nil %s", mode, got, want)
+		}
+		assertSameEvents(t, mode.String(), "Churn == nil", refRec, "idle source", rec)
 	}
 }
 
@@ -182,7 +221,7 @@ func TestChurnOptionErrors(t *testing.T) {
 		t.Fatalf("static scheme under churn: got %v, want DynamicScheme error", err)
 	}
 
-	// Churn without degraded-operation flags is rejected (both engines).
+	// Churn without degraded-operation flags is rejected.
 	dy, err := multitree.NewDynamic(10, 2, false)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +234,7 @@ func TestChurnOptionErrors(t *testing.T) {
 	}
 	strict = opt
 	strict.SkipUnavailable = false
-	if _, err := slotsim.RunParallel(ls, strict, 2); err == nil || !strings.Contains(err.Error(), "SkipUnavailable") {
+	if _, err := slotsim.Run(ls, strict); err == nil || !strings.Contains(err.Error(), "SkipUnavailable") {
 		t.Fatalf("missing SkipUnavailable: got %v", err)
 	}
 }

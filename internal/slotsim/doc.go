@@ -24,19 +24,16 @@
 //
 // Entry points:
 //
-//   - Run executes a core.Scheme sequentially and returns a Result with
-//     per-node arrival times, playback start delays (StartDelay, the
-//     paper's startup delay: max_j arrival_j − j), peak buffer occupancy
-//     under the Figure 5 playback convention, and hiccup accounting.
-//   - RunParallel is the sharded variant: contiguous, cache-line-aligned
-//     NodeID partitions executed by a persistent worker pool (spawned
-//     once per Runner, driven through an epoch phase barrier — pool.go),
-//     with per-shard delivery staging merged deterministically at the
-//     slot barrier. Bit-identical with Run at any worker count
-//     (property-tested), including the observer event stream.
-//   - Runner owns the scratch arena, the worker pool, and a small cache
-//     of compiled schedules for callers that run many simulations back
-//     to back; Run and RunParallel draw pooled Runners automatically.
+//   - Run executes a core.Scheme, one slot at a time on one goroutine, and
+//     returns a Result with per-node arrival times, playback start delays
+//     (StartDelay, the paper's startup delay: max_j arrival_j − j), peak
+//     buffer occupancy under the Figure 5 playback convention, and hiccup
+//     accounting. The model is lock-step, so a slot is O(N) array traffic
+//     between two hard barriers; PERFORMANCE.md records why sharding it
+//     across workers was measured and removed.
+//   - Runner owns the scratch arena and a small cache of compiled
+//     schedules for callers that run many simulations back to back; Run
+//     draws pooled Runners automatically.
 //   - Options configures horizon, measurement window, stream mode,
 //     capacities, link latency, failure injection (Drop, SkipUnavailable,
 //     AllowIncomplete) and the observability hook (Observer).
@@ -45,7 +42,6 @@
 //
 // Observability: set Options.Observer to receive per-slot callbacks
 // (obs.Observer) — slot boundaries, every transmission, delivery, drop and
-// violation, in a deterministic order shared by both engines. With a nil
-// observer the hook sites reduce to a pointer check and the engines run at
-// full speed.
+// violation, in a deterministic order. With a nil observer the hook sites
+// reduce to a pointer check and the engine runs at full speed.
 package slotsim

@@ -43,9 +43,9 @@ type Options struct {
 	// offending link.
 	Latency LatencyFunc
 	// Observer, if non-nil, receives per-slot event callbacks (slot
-	// boundaries, transmissions, deliveries, drops, violations) from both
-	// Run and RunParallel, in an identical, deterministic order. A nil
-	// Observer costs nothing beyond one pointer check per event site.
+	// boundaries, transmissions, deliveries, drops, violations) in a
+	// deterministic order. A nil Observer costs nothing beyond one pointer
+	// check per event site.
 	Observer obs.Observer
 	// AllowDuplicates, if set, tolerates a node receiving the same packet
 	// twice (the duplicate is dropped but still consumes receive capacity).
@@ -57,11 +57,9 @@ type Options struct {
 	Drop func(tx core.Transmission, t core.Slot) bool
 	// Inject, if non-nil, is the structured fault-injection hook (see
 	// internal/faults): it is consulted once per validated transmission, in
-	// schedule order, by both Run and RunParallel — the call sites sit in
-	// the single-threaded routing step shared by the two engines, so a
-	// deterministic Injector yields bit-identical faulted runs. DropTx
-	// loses the transmission in flight exactly like Drop; DelayTx stretches
-	// the link latency for that one transmission.
+	// schedule order, so a deterministic Injector yields bit-identical
+	// faulted runs. DropTx loses the transmission in flight exactly like
+	// Drop; DelayTx stretches the link latency for that one transmission.
 	Inject Injector
 	// AllowIncomplete, if set, lets the run finish even when some node
 	// missed some packet of the measurement window; missing packets are
@@ -73,13 +71,12 @@ type Options struct {
 	// failure injection. Only sensible together with Drop.
 	SkipUnavailable bool
 	// Churn, if non-nil, makes the topology a live workload: the source is
-	// consulted single-threaded at every slot barrier (before validate, by
-	// both Run and RunParallel) and may apply join/leave ops to the scheme,
-	// which must implement core.DynamicScheme. The engine pre-sizes its
-	// struct-of-arrays state to Churn.MaxNodes() so the shard plan and the
-	// arrival-matrix stride stay fixed across topology epochs, and requires
-	// AllowIncomplete + SkipUnavailable (repair gaps cascade as measurable
-	// losses). See internal/faults for the seeded, plan- and
+	// consulted at every slot boundary (before validate) and may apply
+	// join/leave ops to the scheme, which must implement core.DynamicScheme.
+	// The engine pre-sizes its struct-of-arrays state to Churn.MaxNodes() so
+	// the arrival-matrix stride stays fixed across topology epochs, and
+	// requires AllowIncomplete + SkipUnavailable (repair gaps cascade as
+	// measurable losses). See internal/faults for the seeded, plan- and
 	// generator-driven implementation.
 	Churn ChurnSource
 	// ExtraSources marks additional node IDs that behave like sources:
@@ -91,9 +88,9 @@ type Options struct {
 	ExtraSources map[core.NodeID]bool
 }
 
-// Injector is the engine's structured fault-injection hook. Both engines
-// invoke it from the single-threaded per-slot routing step, in schedule
-// order, so implementations need no locking; implementations whose verdicts
+// Injector is the engine's structured fault-injection hook. The engine
+// invokes it from the per-slot routing step, in schedule order, so
+// implementations need no locking; implementations whose verdicts
 // are pure functions of (tx, t) make faulted runs replayable bit for bit.
 // internal/faults provides the seeded, plan-driven implementation.
 type Injector interface {
@@ -191,25 +188,16 @@ func (r *Result) WorstBuffer() int {
 	return worst
 }
 
-// Run executes the scheme on the sequential engine. Each call draws an
-// exclusively-owned Runner from an internal pool, so repeated runs reuse
-// engine scratch memory and compiled schedules; hold an explicit Runner to
-// control that reuse manually.
-func Run(s core.Scheme, opt Options) (*Result, error) {
-	return pooledRun(s, opt, false, 0)
-}
-
-// engine holds the mutable state of a run shared by the sequential and
-// parallel drivers. All per-node state is struct-of-arrays (see soa.go and
-// PERFORMANCE.md): flat arrays indexed by NodeID, with the arrival matrix
-// flattened to one int32 array of stride maxPkt.
+// engine holds the mutable state of a run. All per-node state is
+// struct-of-arrays (see soa.go and PERFORMANCE.md): flat arrays indexed by
+// NodeID, with the arrival matrix flattened to one int32 array of stride
+// maxPkt.
 type engine struct {
-	scheme core.Scheme
-	opt    Options
-	// dyn is the run's dynamic scheme view, set only on the churn path; the
-	// churnStep barrier applies membership ops through it.
-	dyn core.DynamicScheme
-	n   int
+	opt Options
+	// dyn is the run's dynamic scheme view, set only under Options.Churn;
+	// churnStep applies membership ops through it.
+	dyn    core.DynamicScheme
+	n      int
 	maxPkt core.Packet // tracking bound for arrivals (window + slack)
 	stride int         // row stride of the flat arrival matrix (= n+1)
 	// arr is the packed arrival matrix, packet-major: arr[p·stride+id] holds
@@ -267,10 +255,19 @@ func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("slotsim: scheme has %d receivers", n)
 	}
+	var dyn core.DynamicScheme
 	if opt.Churn != nil {
-		// Pre-size every per-node array (and hence the shard plan) to the
-		// largest id space churn may create, so joins never remap mid-run.
-		// Ids beyond the initial population stay silent until assigned.
+		ds, ok := s.(core.DynamicScheme)
+		if !ok {
+			return nil, fmt.Errorf("slotsim: Options.Churn requires a core.DynamicScheme; %T is static", s)
+		}
+		if !opt.AllowIncomplete || !opt.SkipUnavailable {
+			return nil, fmt.Errorf("slotsim: live churn requires AllowIncomplete and SkipUnavailable (repair gaps cascade as real losses)")
+		}
+		dyn = ds
+		// Pre-size every per-node array to the largest id space churn may
+		// create, so joins never remap mid-run. Ids beyond the initial
+		// population stay silent until assigned.
 		if m := opt.Churn.MaxNodes(); m > n {
 			n = m
 		}
@@ -330,17 +327,12 @@ func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
 	for i := range sc.cursor {
 		sc.cursor[i] = curInit
 	}
-	if len(sc.maxArr) == 0 {
-		sc.maxArr = append(sc.maxArr, 0)
-	}
-	for i := range sc.maxArr {
-		sc.maxArr[i] = -1
-	}
+	sc.maxArr = -1
 
 	fast := opt.Latency == nil && opt.Inject == nil
 	sc.eng = engine{
-		scheme:    s,
 		opt:       opt,
+		dyn:       dyn,
 		n:         n,
 		maxPkt:    maxPkt,
 		stride:    n + 1,
@@ -459,8 +451,6 @@ func (e *engine) holds(id core.NodeID, p core.Packet, t core.Slot) bool {
 }
 
 // validateSends checks sender-side constraints for the slot's transmissions.
-//
-//phase:validate
 func (e *engine) validateSends(t core.Slot, txs []core.Transmission) error {
 	tick := e.nextTick()
 	for _, tx := range txs {
@@ -487,9 +477,8 @@ func (e *engine) validateSends(t core.Slot, txs []core.Transmission) error {
 }
 
 // noteDelivery advances the playback cursors for a window packet that was
-// just written to the arrival matrix. shard selects the writer's private
-// SlotsUsed cursor (0 for the sequential engine).
-func (e *engine) noteDelivery(shard int, id core.NodeID, p core.Packet, t core.Slot) {
+// just written to the arrival matrix.
+func (e *engine) noteDelivery(id core.NodeID, p core.Packet, t core.Slot) {
 	if p >= e.opt.Packets {
 		return
 	}
@@ -500,14 +489,12 @@ func (e *engine) noteDelivery(shard int, id core.NodeID, p core.Packet, t core.S
 		worst = lag
 	}
 	e.cursor[id] = uint64(uint32(worst))<<32 | uint64(got)
-	if int32(t) > e.sc.maxArr[shard] {
-		e.sc.maxArr[shard] = int32(t)
+	if int32(t) > e.sc.maxArr {
+		e.sc.maxArr = int32(t)
 	}
 }
 
 // deliver applies arrivals scheduled for the end of slot t.
-//
-//phase:deliver
 func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) error {
 	tick := e.nextTick()
 	for _, tx := range arrivals {
@@ -540,7 +527,7 @@ func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) error {
 		}
 		e.arr[idx] = int32(t) + 1
 		e.dirtyRows[int(tx.Packet)>>6] |= 1 << (uint(tx.Packet) & 63)
-		e.noteDelivery(0, tx.To, tx.Packet, t)
+		e.noteDelivery(tx.To, tx.Packet, t)
 		if e.obs != nil {
 			e.obs.Deliver(t, tx, false)
 		}
@@ -567,9 +554,7 @@ func (e *engine) filterUnavailable(t core.Slot, txs []core.Transmission) []core.
 // route assigns each validated transmission to its arrival slot, applying
 // failure injection and link latency. Same-slot (latency 1) arrivals are
 // appended to sameSlot and returned; later arrivals go to the in-flight
-// ring. Shared by the sequential and parallel drivers; runs single-threaded
-// in both so a deterministic Injector sees one schedule-ordered call
-// sequence.
+// ring. A deterministic Injector sees one schedule-ordered call sequence.
 func (e *engine) route(t core.Slot, txs []core.Transmission, sameSlot []core.Transmission) ([]core.Transmission, error) {
 	for _, tx := range txs {
 		if e.opt.Drop != nil && e.opt.Drop(tx, t) {
@@ -618,7 +603,7 @@ func (e *engine) route(t core.Slot, txs []core.Transmission, sameSlot []core.Tra
 	return sameSlot, nil
 }
 
-// step executes one slot on the sequential engine.
+// step executes one slot.
 func (e *engine) step(t core.Slot, txs []core.Transmission) error {
 	if e.obs == nil && e.fast && e.opt.Drop == nil {
 		// Fast direct path: every link takes exactly one slot and nothing
@@ -694,10 +679,8 @@ func (e *engine) finish() (*Result, error) {
 	for id := 0; id <= e.n; id++ {
 		r.Arrival[id] = out[id*np : (id+1)*np : (id+1)*np]
 	}
-	for _, m := range e.sc.maxArr {
-		if core.Slot(m) > r.SlotsUsed {
-			r.SlotsUsed = core.Slot(m)
-		}
+	if m := core.Slot(e.sc.maxArr); m > r.SlotsUsed {
+		r.SlotsUsed = m
 	}
 	counts := grownInts(e.sc.counts, int(e.opt.Slots))
 	e.sc.counts = counts

@@ -9,12 +9,10 @@ import (
 	"streamcast/internal/slotsim"
 )
 
-// ExampleRunParallel runs a 63-receiver multi-tree on the goroutine-parallel
-// engine. The parallel driver is a drop-in for Run — same Options, same
-// Result, and (because event collection is sharded per worker and merged at
-// the slot barrier) the same observer event stream, here fingerprinted to
-// prove it.
-func ExampleRunParallel() {
+// ExampleRun runs a 63-receiver multi-tree with a metrics observer attached
+// and replays it: the observer event stream is deterministic, here
+// fingerprinted to prove it.
+func ExampleRun() {
 	m, err := multitree.New(63, 3, multitree.Greedy)
 	if err != nil {
 		panic(err)
@@ -22,25 +20,24 @@ func ExampleRunParallel() {
 	scheme := multitree.NewScheme(m, core.Live)
 	opt := slotsim.Options{Slots: 50, Packets: 12, Mode: core.Live}
 
-	seq := obs.NewMetrics()
-	opt.Observer = seq
-	sres, err := slotsim.Run(scheme, opt)
+	first := obs.NewMetrics()
+	opt.Observer = first
+	res, err := slotsim.Run(scheme, opt)
 	if err != nil {
 		panic(err)
 	}
 
-	par := obs.NewMetrics()
-	opt.Observer = par
-	pres, err := slotsim.RunParallel(scheme, opt, 4)
-	if err != nil {
+	replay := obs.NewMetrics()
+	opt.Observer = replay
+	if _, err := slotsim.Run(scheme, opt); err != nil {
 		panic(err)
 	}
 
-	fmt.Printf("worst delay:  %d slots (parallel %d)\n", sres.WorstStartDelay(), pres.WorstStartDelay())
-	fmt.Printf("worst buffer: %d packets (parallel %d)\n", sres.WorstBuffer(), pres.WorstBuffer())
-	fmt.Printf("same schedule: %v\n", seq.Fingerprint() == par.Fingerprint())
+	fmt.Printf("worst delay:  %d slots\n", res.WorstStartDelay())
+	fmt.Printf("worst buffer: %d packets\n", res.WorstBuffer())
+	fmt.Printf("same schedule: %v\n", first.Fingerprint() == replay.Fingerprint())
 	// Output:
-	// worst delay:  11 slots (parallel 11)
-	// worst buffer: 6 packets (parallel 6)
+	// worst delay:  11 slots
+	// worst buffer: 6 packets
 	// same schedule: true
 }

@@ -9,7 +9,9 @@ import (
 // run: the scheme identity and schedule fingerprint, the engine options,
 // the aggregate QoS numbers of the Result, and the per-slot time-series
 // collected by the Metrics observer (which must have been attached to the
-// run via Options.Observer). workers is 0 for the sequential engine.
+// run via Options.Observer). workers is the worker count the scenario
+// requested (the engine ignores it); the parameter is kept for its last
+// caller, bench/pipeline.go.
 func BuildReport(s core.Scheme, opt Options, res *Result, m *obs.Metrics, workers int) *obs.RunReport {
 	rep := &obs.RunReport{
 		Scheme:      s.Name(),

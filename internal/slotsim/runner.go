@@ -2,7 +2,6 @@ package slotsim
 
 import (
 	"reflect"
-	"runtime"
 	"sync"
 
 	"streamcast/internal/core"
@@ -25,7 +24,7 @@ type scratch struct {
 	recvSt     []uint64            // packed receive counters, same layout
 	tick       uint32              // current epoch; monotonic across runs
 	cursor     []uint64            // packed playback cursors: worstLag<<32 | got
-	maxArr     []int32             // last window arrival slot, one cursor per shard
+	maxArr     int32               // last window arrival slot (-1 = none yet)
 	sendTab    []int32             // precomputed send capacities (default funcs only)
 	recvTab    []int32             // precomputed receive capacities
 	tabN       int                 // nodes the capacity tables cover (0 = stale)
@@ -34,8 +33,6 @@ type scratch struct {
 	filter     []core.Transmission // SkipUnavailable keep-list
 	arrive     []core.Transmission // same-slot arrival list
 	ring       txRing              // in-flight transmissions keyed by arrival slot
-	shards     shardScratch        // parallel driver staging (see parallel.go)
-	drv        parallelDriver      // parallel driver, re-attached per run (never copied)
 	eng        engine              // engine state, reset per run
 }
 
@@ -51,94 +48,72 @@ type compiledEntry struct {
 // schedules, so repeated runs — experiment sweeps, benchmarks, fault
 // corpora — reuse both instead of re-allocating and re-compiling. A Runner
 // is NOT safe for concurrent use (its compiled snapshots shift packet
-// numbers in place); use one Runner per goroutine, or the package-level
-// Run/RunParallel which draw exclusively-owned Runners from a sync.Pool.
+// numbers in place); use one Runner per goroutine, or the package-level Run
+// which draws exclusively-owned Runners from a sync.Pool.
 type Runner struct {
 	sc    scratch
 	cache [4]compiledEntry
 	next  int
-	// pool holds the Runner's persistent shard workers (pool.go), spawned
-	// on the first RunParallel and reused — parked, not respawned — across
-	// runs. Close releases them; a finalizer backstops Runners that are
-	// simply dropped.
-	pool *workerPool
 }
 
 // NewRunner returns an empty Runner; buffers grow on first use.
 func NewRunner() *Runner { return &Runner{} }
 
-// ensurePool returns the Runner's worker pool grown to at least n workers,
-// creating it (and arming the finalizer backstop) on first use.
-func (r *Runner) ensurePool(n int) *workerPool {
-	if r.pool == nil {
-		r.pool = newWorkerPool()
-		// A Runner dropped without Close would otherwise strand its parked
-		// workers forever; the finalizer joins them when the Runner is
-		// collected. Runners parked in the internal sync.Pool stay reachable,
-		// so their hot pools survive until the GC trims the pool itself.
-		runtime.SetFinalizer(r, (*Runner).Close)
-	}
-	r.pool.ensure(n)
-	return r.pool
-}
-
-// Close joins the Runner's persistent shard workers, if any. Idempotent,
-// and the Runner remains usable — a later RunParallel respawns the pool.
-func (r *Runner) Close() {
-	if r.pool != nil {
-		r.pool.shutdown()
-	}
-}
-
-// Run executes the scheme on the sequential engine, compiling its schedule
-// first when the scheme is periodic and the horizon makes it worthwhile.
-// The semantics and the Result are identical to the uncompiled path.
+// Run executes the scheme, one slot at a time. The schedule it replays is
+// the scheme's own or — when the scheme is periodic and the horizon makes it
+// worthwhile — a compiled snapshot; the semantics and the Result are
+// identical either way. Under Options.Churn the topology is a sequence of
+// epochs: the churn source runs at the boundary entering each slot, and
+// every epoch bump re-chooses the schedule for the mutated topology. A
+// static run is the zero-epoch case: the schedule is chosen once.
 func (r *Runner) Run(s core.Scheme, opt Options) (*Result, error) {
-	if opt.Churn != nil {
-		return r.runChurn(s, opt, false, 0)
-	}
-	s = r.prepared(s, opt.Slots)
+	// Compile before sizing the engine: the snapshot's append garbage is
+	// collected while the heap is still small, instead of riding the GC goal
+	// the arrival matrix sets (a 2× peak-RSS difference on dense-long).
+	cur := r.prepared(s, opt.Slots)
 	e, err := newEngine(s, opt, &r.sc)
 	if err != nil {
 		return nil, err
 	}
+	lastSwap := core.Slot(0)
 	for t := core.Slot(0); t < opt.Slots; t++ {
-		if err := e.step(t, s.Transmissions(t)); err != nil {
+		if e.dyn != nil {
+			changed, err := e.churnStep(t)
+			if err != nil {
+				return nil, err
+			}
+			if changed {
+				// A snapshot only pays off when epochs outlive their own
+				// compile window: if the epoch that just ended was too short
+				// to amortize one, churn is assumed sustained and the fresh
+				// epoch is interpreted, as it is when too little of the run
+				// remains.
+				cur = r.prepared(s, min(t-lastSwap, opt.Slots-t))
+				lastSwap = t
+			}
+		}
+		if err := e.step(t, cur.Transmissions(t)); err != nil {
 			return nil, err
 		}
 	}
 	return e.finish()
 }
 
-// RunParallel executes the scheme on the parallel engine (see the
-// package-level RunParallel for the sharding contract). workers <= 0
-// selects GOMAXPROCS.
-func (r *Runner) RunParallel(s core.Scheme, opt Options, workers int) (*Result, error) {
-	if opt.Churn != nil {
-		return r.runChurn(s, opt, true, workers)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	s = r.prepared(s, opt.Slots)
-	e, err := newEngine(s, opt, &r.sc)
-	if err != nil {
-		return nil, err
-	}
-	_, eff := shardPlan(e.n+1, workers)
-	p := attachDriver(e, workers, r.ensurePool(eff))
-	defer p.detach()
-	for t := core.Slot(0); t < opt.Slots; t++ {
-		if err := p.step(t, s.Transmissions(t)); err != nil {
-			return nil, err
-		}
-	}
-	return e.finish()
+// RunParallel is Run: the engine is single-threaded (PERFORMANCE.md, "Why
+// the engine is single-threaded") and results never depended on the worker
+// count. Kept for its last caller, bench/pipeline.go.
+func (r *Runner) RunParallel(s core.Scheme, opt Options, _ int) (*Result, error) {
+	return r.Run(s, opt)
 }
+
+// Close is a no-op: a Runner holds no goroutines. Kept for its last caller,
+// bench/pipeline.go.
+func (r *Runner) Close() {}
 
 // prepared substitutes a compiled snapshot for a periodic scheme when the
-// one-time compile cost fits inside the run's own slot-generation budget,
-// caching outcomes (including failures) per scheme identity.
+// one-time compile cost fits inside the horizon's own slot-generation budget
+// (core.CompileForRun owns that rule), caching outcomes (including failures)
+// per scheme identity.
 func (r *Runner) prepared(s core.Scheme, horizon core.Slot) core.Scheme {
 	if _, ok := s.(*core.CompiledScheme); ok {
 		return s
@@ -146,8 +121,11 @@ func (r *Runner) prepared(s core.Scheme, horizon core.Slot) core.Scheme {
 	if _, dyn := s.(core.DynamicScheme); dyn {
 		// Never cache (or serve a cached snapshot of) a scheme whose
 		// topology can mutate: an identity-keyed entry compiled at one epoch
-		// would silently replay stale slots at a later one. The churn path
-		// compiles per epoch instead.
+		// would silently replay stale slots at a later one. Snapshot the
+		// current epoch afresh instead.
+		if c := core.CompileForRun(s, horizon); c != nil {
+			return c
+		}
 		return s
 	}
 	t := reflect.TypeOf(s)
@@ -162,12 +140,7 @@ func (r *Runner) prepared(s core.Scheme, horizon core.Slot) core.Scheme {
 			return s
 		}
 	}
-	ps, ok := s.(core.PeriodicScheme)
-	if !ok {
-		return s
-	}
-	p, w := ps.Period(), ps.SteadyState()
-	if p < 1 || w < 0 || w+2*p > horizon {
+	if !core.WorthCompiling(s, horizon) {
 		// Too short a horizon to amortize the compile this run; don't cache
 		// the decision — a later, longer run may still benefit.
 		return s
@@ -185,21 +158,18 @@ func (r *Runner) prepared(s core.Scheme, horizon core.Slot) core.Scheme {
 	return c
 }
 
-// runnerPool hands out exclusively-owned Runners to the package-level entry
-// points, so concurrent Run calls never share scratch or compiled snapshots.
+// runnerPool hands out exclusively-owned Runners to the package-level Run,
+// so concurrent calls never share scratch or compiled snapshots.
 var runnerPool = sync.Pool{New: func() interface{} { return NewRunner() }}
 
-func pooledRun(s core.Scheme, opt Options, parallel bool, workers int) (*Result, error) {
+// Run executes the scheme on an exclusively-owned Runner drawn from an
+// internal pool, so repeated runs reuse engine scratch memory and compiled
+// schedules; hold an explicit Runner to control that reuse manually.
+func Run(s core.Scheme, opt Options) (*Result, error) {
 	r := runnerPool.Get().(*Runner)
-	var res *Result
-	var err error
-	if parallel {
-		res, err = r.RunParallel(s, opt, workers)
-	} else {
-		res, err = r.Run(s, opt)
-	}
-	// Drop the run's references (scheme, observer, hooks) before pooling so
-	// a parked Runner pins only its own scratch.
+	res, err := r.Run(s, opt)
+	// Drop the run's references (observer, hooks, dynamic scheme) before
+	// pooling so a parked Runner pins only its own scratch.
 	r.sc.eng = engine{}
 	runnerPool.Put(r)
 	return res, err

@@ -29,16 +29,10 @@ func (h hidePeriodic) Transmissions(t core.Slot) []core.Transmission {
 func (h hidePeriodic) Neighbors() map[core.NodeID][]core.NodeID { return h.inner.Neighbors() }
 
 // observedRun executes one run with full observation attached.
-func observedRun(s core.Scheme, opt slotsim.Options, parallel bool) (*slotsim.Result, *obs.Recorder, *obs.Metrics, error) {
+func observedRun(s core.Scheme, opt slotsim.Options) (*slotsim.Result, *obs.Recorder, *obs.Metrics, error) {
 	rec, met := &obs.Recorder{}, obs.NewMetrics()
 	opt.Observer = obs.Combine(rec, met)
-	var res *slotsim.Result
-	var err error
-	if parallel {
-		res, err = slotsim.RunParallel(s, opt, 2)
-	} else {
-		res, err = slotsim.Run(s, opt)
-	}
+	res, err := slotsim.Run(s, opt)
 	return res, rec, met, err
 }
 
@@ -55,35 +49,40 @@ func assertCompiledParity(t *testing.T, name string, s core.Scheme, opt slotsim.
 	if c := core.CompileForRun(s, opt.Slots); c == nil {
 		t.Fatalf("%s: scheme does not compile at horizon %d; parity case is vacuous", name, opt.Slots)
 	}
-	for _, parallel := range []bool{false, true} {
-		resC, recC, metC, errC := observedRun(s, opt, parallel)
-		resU, recU, metU, errU := observedRun(hidePeriodic{inner: s}, opt, parallel)
-		if (errC == nil) != (errU == nil) {
-			t.Fatalf("%s (parallel=%v): acceptance differs: compiled %v, uncompiled %v", name, parallel, errC, errU)
+	resC, recC, metC, errC := observedRun(s, opt)
+	resU, recU, metU, errU := observedRun(hidePeriodic{inner: s}, opt)
+	if (errC == nil) != (errU == nil) {
+		t.Fatalf("%s: acceptance differs: compiled %v, uncompiled %v", name, errC, errU)
+	}
+	if errC != nil {
+		if errC.Error() != errU.Error() {
+			t.Fatalf("%s: errors differ: %q vs %q", name, errC, errU)
 		}
-		if errC != nil {
-			if errC.Error() != errU.Error() {
-				t.Fatalf("%s (parallel=%v): errors differ: %q vs %q", name, parallel, errC, errU)
-			}
-			continue
-		}
-		if !reflect.DeepEqual(resC, resU) {
-			t.Fatalf("%s (parallel=%v): Results differ between compiled and uncompiled runs", name, parallel)
-		}
-		if got, want := metC.Fingerprint(), metU.Fingerprint(); got != want {
-			t.Fatalf("%s (parallel=%v): fingerprints differ: compiled %s, uncompiled %s", name, parallel, got, want)
-		}
-		if !reflect.DeepEqual(recC.Events, recU.Events) {
-			la, lb := len(recC.Events), len(recU.Events)
-			for i := 0; i < la && i < lb; i++ {
-				if recC.Events[i] != recU.Events[i] {
-					t.Fatalf("%s (parallel=%v): event %d differs: compiled %s, uncompiled %s",
-						name, parallel, i, recC.Events[i], recU.Events[i])
-				}
-			}
-			t.Fatalf("%s (parallel=%v): event streams differ in length: %d vs %d", name, parallel, la, lb)
+		return
+	}
+	if !reflect.DeepEqual(resC, resU) {
+		t.Fatalf("%s: Results differ between compiled and uncompiled runs", name)
+	}
+	if got, want := metC.Fingerprint(), metU.Fingerprint(); got != want {
+		t.Fatalf("%s: fingerprints differ: compiled %s, uncompiled %s", name, got, want)
+	}
+	assertSameEvents(t, name, "compiled", recC, "uncompiled", recU)
+}
+
+// assertSameEvents requires two recorded event streams to be identical,
+// reporting the first differing event.
+func assertSameEvents(t *testing.T, name, labelA string, a *obs.Recorder, labelB string, b *obs.Recorder) {
+	t.Helper()
+	if reflect.DeepEqual(a.Events, b.Events) {
+		return
+	}
+	la, lb := len(a.Events), len(b.Events)
+	for i := 0; i < la && i < lb; i++ {
+		if a.Events[i] != b.Events[i] {
+			t.Fatalf("%s: event %d differs: %s %s, %s %s", name, i, labelA, a.Events[i], labelB, b.Events[i])
 		}
 	}
+	t.Fatalf("%s: event streams differ in length: %s %d, %s %d", name, labelA, la, labelB, lb)
 }
 
 // multitreeCase builds a multitree scheme and a horizon spanning many
@@ -212,10 +211,10 @@ func TestRunnerReuse(t *testing.T) {
 }
 
 // TestRunnerReuseAcrossSizes reuses one Runner across runs of very different
-// node counts, on both engines: growing then shrinking the node count must
-// neither corrupt results (stale capacity tables, dirty arrival rows, shard
-// plans sized for the other run) nor cost allocations beyond each run's own
-// fixed overhead once the scratch has grown to the larger size.
+// node counts: growing then shrinking the node count must neither corrupt
+// results (stale capacity tables, dirty arrival rows) nor cost allocations
+// beyond each run's own fixed overhead once the scratch has grown to the
+// larger size.
 func TestRunnerReuseAcrossSizes(t *testing.T) {
 	small, optS := multitreeCase(t, 10, 2, core.PreRecorded)
 	big, optB := multitreeCase(t, 400, 4, core.PreRecorded)
@@ -231,33 +230,20 @@ func TestRunnerReuseAcrossSizes(t *testing.T) {
 	}
 
 	r := slotsim.NewRunner()
-	defer r.Close()
 	for i := 0; i < 3; i++ {
-		for _, parallel := range []bool{false, true} {
-			var gotS, gotB *slotsim.Result
-			var err error
-			if parallel {
-				gotS, err = r.RunParallel(small, optS, 3)
-			} else {
-				gotS, err = r.Run(small, optS)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if parallel {
-				gotB, err = r.RunParallel(big, optB, 3)
-			} else {
-				gotB, err = r.Run(big, optB)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(wantS, gotS) {
-				t.Fatalf("round %d (parallel=%v): small Result drifted after a large run shared the scratch", i, parallel)
-			}
-			if !reflect.DeepEqual(wantB, gotB) {
-				t.Fatalf("round %d (parallel=%v): large Result drifted after a small run shared the scratch", i, parallel)
-			}
+		gotS, err := r.Run(small, optS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotB, err := r.Run(big, optB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(wantS, gotS) {
+			t.Fatalf("round %d: small Result drifted after a large run shared the scratch", i)
+		}
+		if !reflect.DeepEqual(wantB, gotB) {
+			t.Fatalf("round %d: large Result drifted after a small run shared the scratch", i)
 		}
 	}
 

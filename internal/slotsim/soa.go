@@ -3,8 +3,7 @@ package slotsim
 // Struct-of-arrays node state (see PERFORMANCE.md). The engine keeps no
 // per-node structs: every per-node quantity lives in its own flat array
 // indexed by NodeID, so one slot's work walks a handful of dense arrays
-// instead of chasing pointers, and the parallel driver can hand each worker
-// a contiguous, cache-line-aligned NodeID range of every array at once.
+// instead of chasing pointers.
 //
 //	arr        [maxPkt · (N+1)]int32  arrival matrix, arr[p·(N+1)+id] = slot+1 (0 = not yet)
 //	srcBits    [(N+1+63)/64]uint64    occupancy bitmap: which ids originate packets
@@ -29,10 +28,7 @@ package slotsim
 //   - Dirty rows: the arrival matrix is never bulk-cleared between runs.
 //     Each delivery marks its packet's bit in dirtyRows, and the next run
 //     clears exactly the marked rows — one contiguous memclr per packet
-//     that moved, instead of an O(maxPkt·N) wipe. The parallel driver
-//     pre-marks the bitmap single-threaded before dispatching the deliver
-//     phase to its workers, since different shards deliver the same
-//     packets.
+//     that moved, instead of an O(maxPkt·N) wipe.
 
 import "streamcast/internal/core"
 

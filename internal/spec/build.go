@@ -165,8 +165,10 @@ func (r *Run) Preflight() (*check.Report, error) {
 	return check.Static(r.Scheme, *r.CheckOpt)
 }
 
-// Execute runs the scenario on the slotsim engine it selects (sequential
-// or parallel). Runtime-engine scenarios use ExecuteRuntime instead.
+// Execute runs the scenario on the slotsim engine. The `parallel` directive
+// is accepted and ignored: the engine is single-threaded and results never
+// depended on worker count. Runtime-engine scenarios use ExecuteRuntime
+// instead.
 func (r *Run) Execute() (*slotsim.Result, error) {
 	if r.Scenario.Engine == "runtime" {
 		return nil, fmt.Errorf("spec: scenario selects the runtime engine; use ExecuteRuntime")
@@ -176,9 +178,6 @@ func (r *Run) Execute() (*slotsim.Result, error) {
 			return nil, fmt.Errorf("spec: a live-churn run is single-shot (the churn source and topology were consumed); Build the scenario again")
 		}
 		r.executed = true
-	}
-	if r.Scenario.Parallel {
-		return slotsim.RunParallel(r.Scheme, r.Opt, r.Scenario.Workers)
 	}
 	return slotsim.Run(r.Scheme, r.Opt)
 }

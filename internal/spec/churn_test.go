@@ -91,16 +91,18 @@ func TestChurnDirectiveDiagnostics(t *testing.T) {
 }
 
 // churnScenario builds a fresh live-churn scenario (live-churn runs are
-// single-shot, so every execution needs its own Build).
-func churnScenario(t *testing.T, policy string, parallel bool, workers int) *Run {
+// single-shot, so every execution needs its own Build). parallel adds the
+// accepted-and-ignored `parallel workers=2` directive.
+func churnScenario(t *testing.T, policy string, parallel bool) *Run {
 	t.Helper()
 	sc, err := Parse("scheme multitree\nparam d=3 n=20\npackets 18\nchurn kind=poisson rate=0.6 seed=31 max=8 slots=5..\n")
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc.ChurnPolicy = policy
-	sc.Parallel = parallel
-	sc.Workers = workers
+	if parallel {
+		sc.Parallel, sc.Workers = true, 2
+	}
 	run, err := Build(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -110,14 +112,15 @@ func churnScenario(t *testing.T, policy string, parallel bool, workers int) *Run
 
 // TestChurnScenarioParity is the spec-level acceptance case: a seeded
 // scenario with mid-run joins and leaves is bit-identical — Results,
-// observer event streams, metric fingerprints, op logs — between the
-// sequential engine and the sharded engine at workers 1, 2, 4, and 7, for
-// both repair policies. The d²+d swap bound is enforced per op during the
-// run (a breach would have aborted) and double-checked on the summary.
+// observer event streams, metric fingerprints, op logs — with and without
+// the `parallel` directive (which the single-threaded engine accepts and
+// ignores), for both repair policies. The d²+d swap bound is enforced per op
+// during the run (a breach would have aborted) and double-checked on the
+// summary.
 func TestChurnScenarioParity(t *testing.T) {
 	for _, policy := range []string{"", "lazy"} {
-		exec := func(parallel bool, workers int) (*slotsim.Result, *obs.Recorder, *obs.Metrics, *faults.LiveChurn) {
-			run := churnScenario(t, policy, parallel, workers)
+		exec := func(parallel bool) (*slotsim.Result, *obs.Recorder, *obs.Metrics, *faults.LiveChurn) {
+			run := churnScenario(t, policy, parallel)
 			if run.Live == nil || run.Opt.Churn == nil {
 				t.Fatal("live-churn scenario built without a churn source")
 			}
@@ -128,11 +131,11 @@ func TestChurnScenarioParity(t *testing.T) {
 			run.Opt.Observer = obs.Combine(rec, met)
 			res, err := run.Execute()
 			if err != nil {
-				t.Fatalf("policy=%q parallel=%v workers=%d: %v", policy, parallel, workers, err)
+				t.Fatalf("policy=%q parallel=%v: %v", policy, parallel, err)
 			}
 			return res, rec, met, run.Live
 		}
-		refRes, refRec, refMet, refLive := exec(false, 0)
+		refRes, refRec, refMet, refLive := exec(false)
 		sum := refLive.Summary()
 		if sum.Ops == 0 {
 			t.Fatalf("policy=%q: generator applied no ops; the acceptance case is vacuous", policy)
@@ -144,20 +147,18 @@ func TestChurnScenarioParity(t *testing.T) {
 		if sum.MaxSwaps > sum.Bound {
 			t.Fatalf("policy=%q: max swaps %d exceeded the d²+d bound %d without aborting", policy, sum.MaxSwaps, sum.Bound)
 		}
-		for _, workers := range []int{1, 2, 4, 7} {
-			res, rec, met, live := exec(true, workers)
-			if !reflect.DeepEqual(refRes, res) {
-				t.Errorf("policy=%q workers=%d: Result differs from sequential run", policy, workers)
-			}
-			if got, want := met.Fingerprint(), refMet.Fingerprint(); got != want {
-				t.Errorf("policy=%q workers=%d: fingerprint %s, sequential %s", policy, workers, got, want)
-			}
-			if !reflect.DeepEqual(refRec.Events, rec.Events) {
-				t.Errorf("policy=%q workers=%d: event stream differs from sequential run", policy, workers)
-			}
-			if !reflect.DeepEqual(refLive.Ops(), live.Ops()) {
-				t.Errorf("policy=%q workers=%d: churn op log differs from sequential run", policy, workers)
-			}
+		res, rec, met, live := exec(true)
+		if !reflect.DeepEqual(refRes, res) {
+			t.Errorf("policy=%q: Result differs under the parallel directive", policy)
+		}
+		if got, want := met.Fingerprint(), refMet.Fingerprint(); got != want {
+			t.Errorf("policy=%q: fingerprint %s under the parallel directive, %s without", policy, got, want)
+		}
+		if !reflect.DeepEqual(refRec.Events, rec.Events) {
+			t.Errorf("policy=%q: event stream differs under the parallel directive", policy)
+		}
+		if !reflect.DeepEqual(refLive.Ops(), live.Ops()) {
+			t.Errorf("policy=%q: churn op log differs under the parallel directive", policy)
 		}
 		// The SLO of the reference run is well-formed: every still-live
 		// member measured, ratios within [0,1].

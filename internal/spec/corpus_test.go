@@ -18,20 +18,12 @@ var update = flag.Bool("update", false, "rewrite testdata/scenarios/golden.txt f
 
 // runFingerprint executes a built run with a metrics observer attached and
 // returns the schedule fingerprint plus the missing-packet total.
-func runFingerprint(t *testing.T, run *Run, parallel bool) (string, int) {
+func runFingerprint(t *testing.T, run *Run) (string, int) {
 	t.Helper()
 	met := obs.NewMetrics()
 	opt := run.Opt
 	opt.Observer = met
-	var (
-		res *slotsim.Result
-		err error
-	)
-	if parallel {
-		res, err = slotsim.RunParallel(run.Scheme, opt, 0)
-	} else {
-		res, err = slotsim.Run(run.Scheme, opt)
-	}
+	res, err := slotsim.Run(run.Scheme, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +36,7 @@ func runFingerprint(t *testing.T, run *Run, parallel bool) (string, int) {
 
 // TestScenarioCorpus replays every pinned scenario in testdata/scenarios
 // and compares the obs fingerprint and missing-packet total to the golden
-// file, on both engines. This is the `make scenarios` target: any change
+// file. This is the `make scenarios` target: any change
 // to a family builder, a default, the horizon derivation, or the fault
 // wiring shows up as a fingerprint mismatch here before it can silently
 // change experiments. Refresh intentionally with
@@ -79,12 +71,8 @@ func TestScenarioCorpus(t *testing.T) {
 				t.Fatalf("%s: static check rejected the pinned scenario: %v", name, rep.Issues)
 			}
 		}
-		seqFP, missing := runFingerprint(t, run, false)
-		parFP, _ := runFingerprint(t, run, true)
-		if seqFP != parFP {
-			t.Fatalf("%s: sequential/parallel fingerprint mismatch: %s vs %s", name, seqFP, parFP)
-		}
-		got[name] = fmt.Sprintf("%s missing=%d", seqFP, missing)
+		fp, missing := runFingerprint(t, run)
+		got[name] = fmt.Sprintf("%s missing=%d", fp, missing)
 	}
 
 	goldenPath := filepath.Join("testdata", "scenarios", "golden.txt")

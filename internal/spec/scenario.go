@@ -36,10 +36,10 @@ type Scenario struct {
 	// Engine selects the execution engine ("slotsim", "runtime"); empty
 	// means slotsim.
 	Engine string
-	// Parallel selects the sharded slotsim engine (contiguous NodeID
-	// shards, one worker each; results are bit-identical at any worker
-	// count); Workers is its worker count (0 = GOMAXPROCS, at most
-	// maxWorkers).
+	// Parallel and Workers record the `parallel [workers=n]` directive,
+	// which is accepted and ignored: the engine is single-threaded and
+	// results never depended on worker count. Kept — parse, validation,
+	// canonical Format — for their last caller, bench/pipeline.go.
 	Parallel bool
 	Workers  int
 	// Check runs the static schedule/mesh verifier as a preflight.
@@ -77,9 +77,8 @@ type Scenario struct {
 	ReportOut  string
 }
 
-// maxWorkers caps the parallel engine's worker count: the sharded engine
-// never uses more shards than nodes, and a scenario asking for thousands of
-// goroutines is a typo, not a tuning choice.
+// maxWorkers caps the parallel directive's worker count: a scenario asking
+// for thousands of workers is a typo, not a tuning choice.
 const maxWorkers = 1024
 
 // setParam records an explicitly set parameter.
@@ -151,7 +150,7 @@ func (sc *Scenario) Validate() error {
 			return fmt.Errorf("spec: metrics/trace/report outputs require the slotsim engine (observability is a slotsim feature)")
 		}
 		if sc.Parallel {
-			return fmt.Errorf("spec: parallel selects the slotsim parallel engine; it conflicts with engine runtime")
+			return fmt.Errorf("spec: parallel is a slotsim directive; it conflicts with engine runtime")
 		}
 		if f.InternalMode {
 			return fmt.Errorf("spec: scheme %s needs the slotsim engine (per-link latency)", sc.Scheme)
@@ -166,7 +165,7 @@ func (sc *Scenario) Validate() error {
 		return fmt.Errorf("spec: workers must be >= 0, got %d", sc.Workers)
 	}
 	if sc.Workers > maxWorkers {
-		return fmt.Errorf("spec: workers must be <= %d, got %d (the sharded engine clamps shards to the node count; results are worker-count independent, so more workers than cores only adds overhead)", maxWorkers, sc.Workers)
+		return fmt.Errorf("spec: workers must be <= %d, got %d (the directive is accepted and ignored — the engine is single-threaded and results never depended on worker count — but a count this large is a typo)", maxWorkers, sc.Workers)
 	}
 	if sc.Check && !f.Caps.StaticCheck {
 		return fmt.Errorf("spec: scheme %s is not statically checkable (no closed-form schedule for internal/check); drop the check directive", sc.Scheme)
