@@ -8,6 +8,7 @@ package streamcast
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"streamcast/internal/core"
@@ -304,38 +305,40 @@ func BenchmarkSlotEngineScale(b *testing.B) {
 
 // BenchmarkObserverOverhead measures the cost of the observability layer
 // on the sequential engine: no observer (the fast path every pre-existing
-// caller stays on), the Metrics collector, and full event recording.
+// caller stays on), the Metrics collector, the JSONL trace writer over
+// io.Discard, and full event recording. Every row reports allocations, so
+// `make bench-json` snapshots allocs/op for the sinks.
 func BenchmarkObserverOverhead(b *testing.B) {
 	s := benchScheme(b, spec.MultiTreeScenario(2000, 3, multitree.Greedy, core.PreRecorded)).(*multitree.Scheme)
 	base := slotsim.Options{
 		Slots:   core.Slot(s.Tree.Height()*3 + 30),
 		Packets: 9,
 	}
-	b.Run("none", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := slotsim.Run(s, base); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		sink func() obs.Observer
+	}{
+		{"none", func() obs.Observer { return nil }},
+		{"metrics", func() obs.Observer { return obs.NewMetrics() }},
+		{"jsonl", func() obs.Observer { return obs.NewJSONLWriter(io.Discard) }},
+		{"recorder", func() obs.Observer { return &obs.Recorder{} }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				opt := base
+				opt.Observer = c.sink()
+				if _, err := slotsim.Run(s, opt); err != nil {
+					b.Fatal(err)
+				}
+				if j, ok := opt.Observer.(*obs.JSONLWriter); ok {
+					if err := j.Flush(); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
-	})
-	b.Run("metrics", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			opt := base
-			opt.Observer = obs.NewMetrics()
-			if _, err := slotsim.Run(s, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("recorder", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			opt := base
-			opt.Observer = &obs.Recorder{}
-			if _, err := slotsim.Run(s, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkScheduleGeneration measures raw schedule-emission throughput.

@@ -384,6 +384,10 @@ func runScenario(sc *spec.Scenario, stdout, stderr io.Writer) error {
 	}
 	res, err := slotsim.Run(run.Scheme, opt)
 	if err != nil {
+		// A failed run still owes its trace: its last events, a violation
+		// included, sit in the writer's buffer. The run's error is the one
+		// reported.
+		_ = sk.closeTrace()
 		return err
 	}
 	churn := run.ChurnReport(res)
@@ -523,16 +527,23 @@ func newSinks(metricsOut, traceOut, reportOut string) (*sinks, obs.Observer, err
 	return sk, obs.Combine(list...), nil
 }
 
+// closeTrace flushes the JSONL trace, if one was requested, and closes its
+// file.
+func (sk *sinks) closeTrace() error {
+	if sk.trace == nil {
+		return nil
+	}
+	if err := sk.trace.Flush(); err != nil {
+		return err
+	}
+	return closeOut(sk.traceFile)
+}
+
 // finish flushes and writes every requested output for a completed run.
 // churn, when non-nil, becomes the run report's live-churn section.
 func (sk *sinks) finish(s core.Scheme, opt slotsim.Options, res *slotsim.Result, workers int, churn *obs.ChurnSLO) error {
-	if sk.trace != nil {
-		if err := sk.trace.Flush(); err != nil {
-			return err
-		}
-		if err := closeOut(sk.traceFile); err != nil {
-			return err
-		}
+	if err := sk.closeTrace(); err != nil {
+		return err
 	}
 	if sk.metricsFile != nil {
 		if err := sk.metrics.WriteProm(sk.metricsFile, s.Name()); err != nil {

@@ -272,3 +272,38 @@ func TestParallelDirectiveIsAnnounced(t *testing.T) {
 		t.Errorf("stderr %q does not announce the ignored parallel directive", parErr)
 	}
 }
+
+// TestFailedRunFlushesTrace: a run the engine aborts must still leave a
+// whole trace behind — every buffered event flushed, the file ending on a
+// line boundary, the last event closing the last executed slot — while the
+// run's error stays the one reported.
+func TestFailedRunFlushesTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "short.jsonl")
+	sc, err := spec.Parse("scheme multitree\nparam d=3 n=2000\npackets 24\nslots 12\nout trace=" + path + "\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	if err := runScenario(sc, &out, &errOut); err == nil || !strings.Contains(err.Error(), "never received packet") {
+		t.Fatalf("runScenario = %v, want the engine's incomplete-delivery error", err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(raw, []byte("\n")) {
+		t.Errorf("trace ends mid-line: %q", raw[max(0, len(raw)-60):])
+	}
+	evs, err := obs.ReadEvents(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("trace of a failed run does not parse: %v", err)
+	}
+	if len(evs) == 0 {
+		t.Fatal("trace of a failed run is empty")
+	}
+	// The horizon runs out before delivery completes, so the engine closes
+	// slot 11 and then fails: the trace must reach that closing event.
+	if last, want := evs[len(evs)-1], (obs.Event{Kind: obs.KindSlotEnd, Slot: 11}); last != want {
+		t.Errorf("last event %v, want %v (the end of the last of 12 executed slots)", last, want)
+	}
+}

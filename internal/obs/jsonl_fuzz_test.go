@@ -56,6 +56,13 @@ func FuzzReadEvents(f *testing.F) {
 	f.Add([]byte("not json at all"))
 	f.Add([]byte("\n\n\n"))
 	f.Add([]byte(`{"ev":"tx","t":-3,"from":-1,"to":-2,"p":-9}`))
+	// The encoder oracle's inputs (TestAppendEncoderMatchesMarshal), as the
+	// writer serializes them: extremes, omitted zeros and hostile notes.
+	if oracle, err := writeAll(obs.OracleEvents(1, 200)); err == nil {
+		f.Add(oracle)
+	} else {
+		f.Errorf("serializing the oracle events: %v", err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		evs, err := obs.ReadEvents(bytes.NewReader(data))
 		if err != nil {

@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -76,5 +79,95 @@ func TestJSONLWriterRetainsFirstError(t *testing.T) {
 	}
 	if err := j.Flush(); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Errorf("Flush() = %v, want the retained write error", err)
+	}
+}
+
+// marshalLine is the encoder's oracle: the reflective json.Marshal of
+// jsonEvent the writer used before it became an append encoder, with the
+// same field-selection rule (transmission fields only for kinds that carry
+// one).
+func marshalLine(t *testing.T, e Event) []byte {
+	t.Helper()
+	je := jsonEvent{Ev: e.Kind.String(), T: e.Slot, N: e.Scheduled, Kind: e.Note}
+	if hasTx(e.Kind) {
+		je.From, je.To, je.P, je.Dup = e.Tx.From, e.Tx.To, e.Tx.Packet, e.Dup
+	}
+	b, err := json.Marshal(je)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
+}
+
+// viaObserver replays e through the Observer method of its kind and
+// returns the event that callback describes: the surface drops whatever
+// the callback has no parameter for.
+func viaObserver(o Observer, e Event) Event {
+	switch e.Kind {
+	case KindSlotStart:
+		o.SlotStart(e.Slot, e.Scheduled)
+		return Event{Kind: e.Kind, Slot: e.Slot, Scheduled: e.Scheduled}
+	case KindTransmit:
+		o.Transmit(e.Slot, e.Tx)
+		return Event{Kind: e.Kind, Slot: e.Slot, Tx: e.Tx}
+	case KindDeliver:
+		o.Deliver(e.Slot, e.Tx, e.Dup)
+		return Event{Kind: e.Kind, Slot: e.Slot, Tx: e.Tx, Dup: e.Dup}
+	case KindDrop:
+		o.Drop(e.Slot, e.Tx)
+		return Event{Kind: e.Kind, Slot: e.Slot, Tx: e.Tx}
+	case KindViolation:
+		o.Violation(e.Slot, e.Note, e.Tx)
+		return Event{Kind: e.Kind, Slot: e.Slot, Tx: e.Tx, Note: e.Note}
+	default:
+		o.SlotEnd(e.Slot)
+		return Event{Kind: KindSlotEnd, Slot: e.Slot}
+	}
+}
+
+// TestAppendEncoderMatchesMarshal pins the wire format: for a few thousand
+// seeded events through the Observer surface — zero, negative and extreme
+// fields, Dup set on kinds whose callback cannot carry it, hostile
+// violation notes — the append encoder's bytes equal json.Marshal of
+// jsonEvent line by line.
+func TestAppendEncoderMatchesMarshal(t *testing.T) {
+	var got, want bytes.Buffer
+	j := NewJSONLWriter(&got)
+	for _, e := range OracleEvents(1, 4000) {
+		want.Write(marshalLine(t, viaObserver(j, e)))
+	}
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := bytes.SplitAfter(got.Bytes(), []byte("\n")), bytes.SplitAfter(want.Bytes(), []byte("\n"))
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Fatalf("line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Fatalf("encoder wrote %d lines, oracle %d", len(gl), len(wl))
+	}
+}
+
+// TestJSONLWriterAllocs: the per-event callbacks of a trace must not
+// allocate — the encoder appends into the buffer it already owns.
+func TestJSONLWriterAllocs(t *testing.T) {
+	j := NewJSONLWriter(io.Discard)
+	x := tx(1234, 5678, 42)
+	slot := core.Slot(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		j.SlotStart(slot, 3)
+		j.Transmit(slot, x)
+		j.Deliver(slot, x, false)
+		j.Deliver(slot, x, true)
+		j.Drop(slot, x)
+		j.SlotEnd(slot)
+		slot++
+	}); n != 0 {
+		t.Errorf("JSONLWriter callbacks allocate %v times per slot, want 0", n)
+	}
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
 	}
 }

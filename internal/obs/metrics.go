@@ -2,8 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"hash"
-	"hash/fnv"
 
 	"streamcast/internal/core"
 	"streamcast/internal/stats"
@@ -33,16 +31,52 @@ type NodeCounters struct {
 	Sends, Receives, Duplicates, Drops int
 }
 
-// arrival is one booked packet delivery at a node.
+// arrival is one booked packet delivery at a node, held at the width the
+// engine itself keeps arrivals at (its arrival matrix is int32): twelve
+// bytes per non-duplicate delivery is what a Metrics run retains most of.
 type arrival struct {
-	pkt  core.Packet
-	slot core.Slot
+	node, pkt, slot int32
+}
+
+// arrivalChunkMin is the capacity of the arrival log's first chunk; each
+// later chunk is a quarter larger than the one before it.
+const arrivalChunkMin = 1024
+
+// FNV-1a 64-bit parameters (hash/fnv's), inlined so the per-transmission
+// fingerprint update is a register loop rather than an interface call.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvZeroRun[k] is fnvPrime64^k (mod 2^64): folding k zero bytes into an
+// FNV-1a state only multiplies it by the prime k times.
+var fnvZeroRun = func() (pow [9]uint64) {
+	pow[0] = 1
+	for k := 1; k < len(pow); k++ {
+		pow[k] = pow[k-1] * fnvPrime64
+	}
+	return pow
+}()
+
+// fnvMix folds the eight little-endian bytes of v into the FNV-1a state h.
+// Ids, slots and packets are small, so most of those bytes are a run of
+// high zeros, folded in one multiplication; the result is hash/fnv's.
+func fnvMix(h uint64, v int) uint64 {
+	u, left := uint64(v), 8
+	for ; u != 0; left-- {
+		h = (h ^ (u & 0xff)) * fnvPrime64
+		u >>= 8
+	}
+	return h * fnvZeroRun[left]
 }
 
 // Metrics is the standard collecting Observer: per-slot counter series,
-// per-node totals and arrival logs (from which buffer-occupancy
+// per-node totals, one log of arrivals (from which buffer-occupancy
 // time-series are derived), a streaming histogram of per-packet delivery
-// latency, and an FNV-1a fingerprint of the executed schedule.
+// latency, and an FNV-1a fingerprint of the executed schedule. It retains
+// one record per slot, one per node and one per non-duplicate delivery, so
+// its memory grows with the event count, not only with N.
 //
 // The zero value is not usable; call NewMetrics.
 type Metrics struct {
@@ -51,11 +85,15 @@ type Metrics struct {
 	open     bool
 	inFlight int
 
-	nodes    []NodeCounters
+	nodes []NodeCounters
+	// arrivals logs every non-duplicate delivery in event order, as chunks
+	// that fill once and never move: growing the log allocates
+	// O(log arrivals) times and copies nothing. OccupancySeries buckets it
+	// by node and slot on demand.
 	arrivals [][]arrival
 
 	latency    *stats.StreamingHist
-	hash       hash.Hash64
+	hash       uint64
 	violations []Event
 	lastSlot   core.Slot
 }
@@ -68,15 +106,14 @@ func DefaultLatencyBounds() []float64 { return stats.ExponentialBounds(1, 2, 13)
 func NewMetrics() *Metrics {
 	return &Metrics{
 		latency: stats.NewStreamingHist(DefaultLatencyBounds()),
-		hash:    fnv.New64a(),
+		hash:    fnvOffset64,
 	}
 }
 
-// grow ensures per-node storage covers id.
+// grow ensures per-node storage covers id, extending it in one step.
 func (m *Metrics) grow(id core.NodeID) {
-	for int(id) >= len(m.nodes) {
-		m.nodes = append(m.nodes, NodeCounters{})
-		m.arrivals = append(m.arrivals, nil)
+	if n := int(id) + 1; n > len(m.nodes) {
+		m.nodes = append(m.nodes, make([]NodeCounters, n-len(m.nodes))...)
 	}
 }
 
@@ -95,13 +132,10 @@ func (m *Metrics) Transmit(t core.Slot, tx core.Transmission) {
 	m.inFlight++
 	m.grow(tx.From)
 	m.nodes[tx.From].Sends++
-	var buf [32]byte
-	for i, v := range [4]int64{int64(t), int64(tx.From), int64(tx.To), int64(tx.Packet)} {
-		for b := 0; b < 8; b++ {
-			buf[i*8+b] = byte(uint64(v) >> (8 * b))
-		}
-	}
-	m.hash.Write(buf[:])
+	h := fnvMix(m.hash, int(t))
+	h = fnvMix(h, int(tx.From))
+	h = fnvMix(h, int(tx.To))
+	m.hash = fnvMix(h, int(tx.Packet))
 }
 
 // Deliver implements Observer.
@@ -115,7 +149,15 @@ func (m *Metrics) Deliver(t core.Slot, tx core.Transmission, duplicate bool) {
 		m.nodes[tx.To].Duplicates++
 		return
 	}
-	m.arrivals[tx.To] = append(m.arrivals[tx.To], arrival{pkt: tx.Packet, slot: t})
+	last := len(m.arrivals) - 1
+	if last < 0 {
+		m.arrivals = append(m.arrivals, make([]arrival, 0, arrivalChunkMin))
+		last++
+	} else if c := cap(m.arrivals[last]); len(m.arrivals[last]) == c {
+		m.arrivals = append(m.arrivals, make([]arrival, 0, c+c/4))
+		last++
+	}
+	m.arrivals[last] = append(m.arrivals[last], arrival{node: int32(tx.To), pkt: int32(tx.Packet), slot: int32(t)})
 	if lag := float64(t) - float64(tx.Packet); lag >= 0 {
 		m.latency.Observe(lag)
 	}
@@ -167,7 +209,7 @@ func (m *Metrics) Violations() []Event { return m.violations }
 // (slot, from, to, packet) tuple in order — a scheme-and-schedule identity
 // that two runs share iff the engine executed the same transmissions.
 func (m *Metrics) Fingerprint() string {
-	return fmt.Sprintf("fnv1a:%016x", m.hash.Sum64())
+	return fmt.Sprintf("fnv1a:%016x", m.hash)
 }
 
 // Totals sums the slot series.
@@ -194,28 +236,30 @@ func (m *Metrics) Totals() SlotCounters {
 // maximum of the series equals the engine's Result.MaxBuffer.
 func (m *Metrics) OccupancySeries(start []core.Slot, window core.Packet) [][]int {
 	slots := int(m.lastSlot) + 1
-	out := make([][]int, len(m.arrivals))
-	for id := range m.arrivals {
-		row := make([]int, slots)
-		out[id] = row
-		if id >= len(start) {
-			continue
-		}
-		arrPerSlot := make([]int, slots)
-		n := 0
-		for _, a := range m.arrivals[id] {
-			if a.pkt >= window || int(a.slot) >= slots {
+	flat := make([]int, len(m.nodes)*slots)
+	out := make([][]int, len(m.nodes))
+	for id := range out {
+		out[id] = flat[id*slots : (id+1)*slots : (id+1)*slots]
+	}
+	// One counting pass buckets the log into arrivals per (node, slot),
+	// using the output rows themselves as the buckets.
+	for _, chunk := range m.arrivals {
+		for _, a := range chunk {
+			if int(a.node) >= len(start) || int(a.pkt) >= int(window) || int(a.slot) >= slots {
 				continue
 			}
-			arrPerSlot[a.slot]++
-			n++
+			out[a.node][a.slot]++
 		}
-		if n == 0 {
-			continue
+	}
+	// Each row then turns into occupancy in place: packets held so far
+	// minus packets already played back.
+	for id, row := range out {
+		if id >= len(start) {
+			break
 		}
 		have := 0
-		for t := 0; t < slots; t++ {
-			have += arrPerSlot[t]
+		for t := range row {
+			have += row[t]
 			played := t - int(start[id])
 			if played < 0 {
 				played = 0
@@ -223,9 +267,7 @@ func (m *Metrics) OccupancySeries(start []core.Slot, window core.Packet) [][]int
 			if played > int(window) {
 				played = int(window)
 			}
-			if occ := have - played; occ > 0 {
-				row[t] = occ
-			}
+			row[t] = max(have-played, 0)
 		}
 	}
 	return out

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"reflect"
 	"testing"
 
@@ -79,6 +82,31 @@ func TestMetricsFingerprint(t *testing.T) {
 	}
 }
 
+// TestFingerprintIsFNV1a: the inlined hash, zero-run shortcut included, is
+// hash/fnv's FNV-1a over the little-endian (slot, from, to, packet) tuples —
+// for small values, negatives (no zero run) and the int64 extremes alike.
+func TestFingerprintIsFNV1a(t *testing.T) {
+	m, ref := NewMetrics(), fnv.New64a()
+	vals := []int{0, 1, 255, 256, 65535, 65536, 1 << 24, 1<<32 - 1, 1 << 32, 1 << 56, -1, -256, math.MinInt64, math.MaxInt64}
+	for i, a := range vals {
+		for j, b := range vals {
+			b = int(uint16(b)) // the sender indexes the per-node table
+			c, d := vals[(i+j)%len(vals)], vals[(i*j)%len(vals)]
+			m.Transmit(core.Slot(a), tx(core.NodeID(b), core.NodeID(c), core.Packet(d)))
+			var buf [32]byte
+			for k, v := range [4]int{a, b, c, d} {
+				for s := 0; s < 8; s++ {
+					buf[k*8+s] = byte(uint64(v) >> (8 * s))
+				}
+			}
+			ref.Write(buf[:])
+		}
+	}
+	if got, want := m.Fingerprint(), fmt.Sprintf("fnv1a:%016x", ref.Sum64()); got != want {
+		t.Errorf("fingerprint %s, hash/fnv says %s", got, want)
+	}
+}
+
 func TestMetricsDuplicatesAndDrops(t *testing.T) {
 	m := NewMetrics()
 	m.SlotStart(0, 3)
@@ -146,5 +174,24 @@ func TestOccupancyBurst(t *testing.T) {
 	occ := m.OccupancySeries([]core.Slot{0, 3}, 3)
 	if want := []int{0, 0, 3, 3, 2, 1, 0}; !reflect.DeepEqual(occ[1], want) {
 		t.Errorf("burst occupancy %v, want %v", occ[1], want)
+	}
+}
+
+// TestMetricsAllocs: once a node id has been seen, the callbacks that do
+// not extend a log — SlotStart, Transmit, Drop — must not allocate; the
+// fingerprint update in particular is a register loop, not a hash.Hash
+// call with an escaping buffer.
+func TestMetricsAllocs(t *testing.T) {
+	m := NewMetrics()
+	x := tx(7, 9, 3)
+	m.Transmit(0, x) // first sight of the ids grows the per-node table
+	slot := core.Slot(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		m.SlotStart(slot, 2)
+		m.Transmit(slot, x)
+		m.Drop(slot, x)
+		slot++
+	}); n != 0 {
+		t.Errorf("Metrics SlotStart/Transmit/Drop allocate %v times per slot, want 0", n)
 	}
 }
