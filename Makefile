@@ -45,16 +45,17 @@ lint-fix-check:
 	[ "$$clean" = "[]" ] || { printf '%s\n' "$$out"; echo "lint-fix-check: expected empty findings array"; exit 1; }
 
 # Full benchmark sweep (one iteration each) — doubles as a reproduction
-# record; see bench_test.go.
+# record; see bench_test.go. internal/slotsim carries the white-box
+# BenchmarkFinish (the epilogue alone, PERFORMANCE.md §7).
 bench:
-	$(GO) test -bench . -benchtime 1x -run XXX .
+	$(GO) test -bench . -benchtime 1x -run XXX . ./internal/slotsim
 
 # One-iteration benchmark smoke: proves every benchmark still compiles and
 # runs, including the N=10^5 slot-engine scale cases. Part of ci; -short
 # skips only the million-node hypercube, and numbers from a 1x pass are not
 # meaningful.
 benchsmoke:
-	$(GO) test -bench . -benchtime 1x -benchmem -short -run XXX .
+	$(GO) test -bench . -benchtime 1x -benchmem -short -run XXX . ./internal/slotsim
 
 # Measured benchmark snapshot as JSON (ns/op, B/op, allocs/op, custom
 # metrics), written to BENCH_<date>.json via cmd/benchdiff. Compare two
@@ -62,7 +63,7 @@ benchsmoke:
 #   go run ./cmd/benchdiff -old BENCH_a.json -new BENCH_b.json -threshold 0.2
 BENCHTIME ?= 2x
 bench-json:
-	$(GO) test -bench . -benchtime $(BENCHTIME) -benchmem -run XXX . \
+	$(GO) test -bench . -benchtime $(BENCHTIME) -benchmem -run XXX . ./internal/slotsim \
 		| $(GO) run ./cmd/benchdiff -write BENCH_$$(date +%Y-%m-%d).json
 
 # Short fuzz smoke over the fault-plan parser (FAULTS.md) and the scenario

@@ -256,9 +256,13 @@ func BenchmarkEngineSequentialVsParallel(b *testing.B) {
 // `make benchsmoke` stays quick). Each case runs on a warmed Runner — the
 // compiled-schedule cache and scratch arenas are hot, so the numbers isolate
 // the per-slot path. The node_slots/s metric (nodes × slots simulated per
-// second) is what the PERFORMANCE.md trajectory table tracks. Rows keep the
-// "/sequential" suffix so `make bench-gate` still matches the committed
-// baseline snapshot.
+// second) is what the PERFORMANCE.md trajectory table tracks. Those rows use
+// a window of a few packets, so the epilogue (engine.finish) is invisible in
+// them; the multitree-N31000-P600 row is the dense benchmark workloads' shape
+// — 600 window packets — where summarising the window costs as much as a
+// fifth of the run (internal/slotsim BenchmarkFinish times it alone). Rows
+// keep the "/sequential" suffix so `make bench-gate` still matches the
+// committed baseline snapshot.
 func BenchmarkSlotEngineScale(b *testing.B) {
 	type scaleCase struct {
 		name   string
@@ -267,13 +271,17 @@ func BenchmarkSlotEngineScale(b *testing.B) {
 		nodes  int
 	}
 	var cases []scaleCase
-	for _, n := range []int{10000, 100000} {
-		s := benchScheme(b, spec.MultiTreeScenario(n, 4, multitree.Greedy, core.PreRecorded)).(*multitree.Scheme)
-		opt := slotsim.Options{
-			Slots:   core.Slot(s.Tree.Height()*4 + 24),
-			Packets: 8,
+	for _, c := range []struct {
+		n       int
+		packets core.Packet
+	}{{10000, 8}, {100000, 8}, {31000, 600}} {
+		s := benchScheme(b, spec.MultiTreeScenario(c.n, 4, multitree.Greedy, core.PreRecorded)).(*multitree.Scheme)
+		name, slots := fmt.Sprintf("multitree-N%d", c.n), s.Tree.Height()*4+24
+		if c.packets > 8 { // the wide-window row: the horizon has to cover the window
+			name, slots = fmt.Sprintf("%s-P%d", name, c.packets), slots+int(c.packets)
 		}
-		cases = append(cases, scaleCase{fmt.Sprintf("multitree-N%d", n), s, opt, n + 1})
+		opt := slotsim.Options{Slots: core.Slot(slots), Packets: c.packets}
+		cases = append(cases, scaleCase{name, s, opt, c.n + 1})
 	}
 	if !testing.Short() {
 		const k = 20
@@ -292,6 +300,7 @@ func BenchmarkSlotEngineScale(b *testing.B) {
 			if _, err := r.Run(c.scheme, c.opt); err != nil { // warm scratch + compiled cache
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := r.Run(c.scheme, c.opt); err != nil {

@@ -60,6 +60,7 @@ type CompiledScheme struct {
 	steady  Slot
 	n       int
 	srcCap  int
+	maxPkt  Packet // largest packet in the snapshot as compiled (shift 0); -1 if empty
 	backing []Transmission
 	off     []int // len steady+period+1; off[i]..off[i+1] bounds slot i
 	shift   []int // applied packet offset per period residue
@@ -98,6 +99,10 @@ func CompileSchedule(s Scheme) *CompiledScheme {
 		}
 	}
 	off[nSlots] = len(backing)
+	maxPkt := Packet(-1)
+	for _, tx := range backing {
+		maxPkt = max(maxPkt, tx.Packet)
+	}
 	// Verification pass: the period after the snapshot must equal the
 	// stored period with every packet advanced by P.
 	adv := Packet(int(p))
@@ -121,6 +126,7 @@ func CompileSchedule(s Scheme) *CompiledScheme {
 		steady:  w,
 		n:       s.NumReceivers(),
 		srcCap:  s.SourceCapacity(),
+		maxPkt:  maxPkt,
 		backing: backing,
 		off:     off,
 		shift:   make([]int, p),
@@ -170,6 +176,19 @@ func (c *CompiledScheme) Period() Slot { return c.period }
 
 // SteadyState implements PeriodicScheme.
 func (c *CompiledScheme) SteadyState() Slot { return c.steady }
+
+// PacketBound returns an exclusive upper bound on the packet numbers
+// Transmissions emits over slots [0, slots): the largest packet of the
+// snapshot, advanced by the whole periods the last of those slots lies past
+// the stored one. It lets the slot engine size its arrival matrix to the
+// packets this schedule actually moves instead of slots × source capacity.
+func (c *CompiledScheme) PacketBound(slots Slot) Packet {
+	var adv Slot
+	if last := slots - 1; last >= c.steady {
+		adv = (last - c.steady) / c.period * c.period
+	}
+	return c.maxPkt + Packet(int(adv)) + 1
+}
 
 // Window exposes the compiled snapshot for symbolic verification: the
 // warmup length, the period, the flat backing array and the slot offsets

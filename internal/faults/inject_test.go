@@ -159,7 +159,7 @@ func TestCrashSemantics(t *testing.T) {
 		t.Error("crashed node missed nothing")
 	}
 	// The victim received nothing from slot 3 on.
-	for p, a := range res.Arrival[victim] {
+	for p, a := range res.ArrivalRow(victim) {
 		if a >= 3 {
 			t.Errorf("crashed node still received packet %d at slot %d", p, a)
 		}

@@ -2,6 +2,8 @@ package faults
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"streamcast/internal/core"
 	"streamcast/internal/slotsim"
@@ -116,6 +118,10 @@ type LiveChurn struct {
 	log     []LiveOp
 	members []slotsim.Membership
 	byNode  map[core.NodeID]int // live membership entry per node id
+	// pickList is the live membership in ds.Members() order (sorted by name),
+	// seeded from it at slot 0 and kept in step by apply: victim picks index
+	// into it, and rebuilding it per leave is an O(N log N) string sort.
+	pickList []core.MemberInfo
 }
 
 var _ slotsim.ChurnSource = (*LiveChurn)(nil)
@@ -220,7 +226,8 @@ func (lc *LiveChurn) Step(t core.Slot, ds core.DynamicScheme) ([]core.ChurnStats
 			return nil, fmt.Errorf("faults: LiveChurn is single-shot; build a fresh source per run")
 		}
 		lc.used = true
-		for _, m := range ds.Members() {
+		lc.pickList = ds.Members()
+		for _, m := range lc.pickList {
 			lc.track(m.Node, m.Name, 0)
 		}
 	}
@@ -331,12 +338,11 @@ func (lc *LiveChurn) apply(t core.Slot, ds core.DynamicScheme, leave bool, name 
 			return core.ChurnStats{}, fmt.Errorf("faults: churn op %d (leave at slot %d): membership is at the %d-member floor", lc.opIdx+1, t, lc.cfg.Floor)
 		}
 		if !fromPlan || name == AnyName {
-			mem := ds.Members()
 			space := spaceChurnLeave
 			if fromPlan {
 				space = spaceChurnPick
 			}
-			name = mem[pick(lc.seed, len(mem), space, lc.opIdx)].Name
+			name = lc.pickList[pick(lc.seed, len(lc.pickList), space, lc.opIdx)].Name
 		}
 	} else if lc.joins >= lc.cfg.MaxJoins {
 		return core.ChurnStats{}, fmt.Errorf("faults: churn op %d (join %q at slot %d): join budget %d exhausted", lc.opIdx+1, name, t, lc.cfg.MaxJoins)
@@ -361,7 +367,12 @@ func (lc *LiveChurn) apply(t core.Slot, ds core.DynamicScheme, leave bool, name 
 	if lc.firstChurn < 0 {
 		lc.firstChurn = t
 	}
+	// ApplyOps succeeded, so a leaver is in the list and a joiner is not.
+	at, _ := slices.BinarySearchFunc(lc.pickList, name, func(m core.MemberInfo, name string) int {
+		return strings.Compare(m.Name, name)
+	})
 	if leave {
+		lc.pickList = slices.Delete(lc.pickList, at, at+1)
 		lc.leaves++
 		lc.live--
 		if idx, ok := lc.byNode[st.Node]; ok {
@@ -369,6 +380,7 @@ func (lc *LiveChurn) apply(t core.Slot, ds core.DynamicScheme, leave bool, name 
 			delete(lc.byNode, st.Node)
 		}
 	} else {
+		lc.pickList = slices.Insert(lc.pickList, at, core.MemberInfo{Node: st.Node, Name: name})
 		lc.joins++
 		lc.track(st.Node, name, t)
 	}

@@ -355,3 +355,50 @@ func TestSummarizeEdgeCases(t *testing.T) {
 		t.Fatalf("Summarize aggregates: %+v", s)
 	}
 }
+
+// membersChecked is the live scheme with one extra duty: before each op is
+// applied — that is, right after the previous one settled — the source's
+// maintained pick list must equal a fresh Members() listing.
+type membersChecked struct {
+	*multitree.LiveScheme
+	t  *testing.T
+	lc *LiveChurn
+}
+
+func (m membersChecked) check(when string) {
+	m.t.Helper()
+	if want := m.Members(); !reflect.DeepEqual(m.lc.pickList, want) {
+		m.t.Fatalf("%s: pick list %v, Members() %v", when, m.lc.pickList, want)
+	}
+}
+
+func (m membersChecked) ApplyOps(t core.Slot, ops []core.TopologyOp) ([]core.ChurnStats, error) {
+	m.check("entering an op")
+	return m.LiveScheme.ApplyOps(t, ops)
+}
+
+// TestLiveChurnPickListMatchesMembers: victims are picked by index into the
+// name-sorted live membership, so the incrementally maintained list has to be
+// that listing after every single op — joins, leaves, level grows and
+// shrinks, under both repair policies.
+func TestLiveChurnPickListMatchesMembers(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		cfg := LiveChurnConfig{Kind: ChurnPoisson, Seed: 21, Rate: 2, MaxJoins: 40}
+		ls, lc := liveSource(t, 12, 3, lazy, cfg)
+		ds := membersChecked{LiveScheme: ls, t: t, lc: lc}
+		grew, shrunk := false, false
+		for s := core.Slot(0); s < 120; s++ {
+			stats, err := lc.Step(s, ds)
+			if err != nil {
+				t.Fatalf("lazy=%v slot %d: %v", lazy, s, err)
+			}
+			ds.check("after a step")
+			for _, st := range stats {
+				grew, shrunk = grew || st.Grew, shrunk || st.Shrunk
+			}
+		}
+		if lc.Joins() == 0 || lc.Leaves() == 0 || !grew || !shrunk {
+			t.Fatalf("lazy=%v: %d joins, %d leaves, grew=%v shrunk=%v; pick a seed that exercises all four", lazy, lc.Joins(), lc.Leaves(), grew, shrunk)
+		}
+	}
+}

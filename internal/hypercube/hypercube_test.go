@@ -86,7 +86,7 @@ func TestDoublingInvariant(t *testing.T) {
 		for tt := j; tt <= j+k; tt++ {
 			holders := 0
 			for id := 1; id <= n; id++ {
-				if a := res.Arrival[id][j]; a >= 0 && a <= core.Slot(tt) {
+				if a := res.ArrivalAt(core.NodeID(id), core.Packet(j)); a >= 0 && a <= core.Slot(tt) {
 					holders++
 				}
 			}

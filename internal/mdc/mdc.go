@@ -12,13 +12,11 @@ import (
 func RoundQuality(res *slotsim.Result, id core.NodeID, d int, start core.Slot) []float64 {
 	rounds := int(res.Packets) / d
 	out := make([]float64, 0, rounds)
-	row := res.Arrival[id]
 	for r := 0; r < rounds; r++ {
 		deadline := start + core.Slot((r+1)*d-1)
 		have := 0
 		for k := 0; k < d; k++ {
-			j := r*d + k
-			if a := row[j]; a >= 0 && a <= deadline {
+			if a := res.ArrivalAt(id, core.Packet(r*d+k)); a >= 0 && a <= deadline {
 				have++
 			}
 		}

@@ -59,7 +59,7 @@ func TestLossConfinedToSubtree(t *testing.T) {
 			if res.Missing[id] != 1 {
 				t.Errorf("subtree node %d missing %d packets, want exactly 1", id, res.Missing[id])
 			}
-			if res.Arrival[id][0] != -1 {
+			if res.ArrivalAt(core.NodeID(id), 0) != -1 {
 				t.Errorf("subtree node %d received packet 0 despite the drop", id)
 			}
 		} else if res.Missing[id] != 0 {
@@ -67,7 +67,7 @@ func TestLossConfinedToSubtree(t *testing.T) {
 		}
 		// Packets of trees 1 and 2 are never affected.
 		for j := 1; j < 9; j++ {
-			if j%3 != 0 && res.Arrival[id][j] == -1 {
+			if j%3 != 0 && res.ArrivalAt(core.NodeID(id), core.Packet(j)) == -1 {
 				t.Errorf("node %d lost packet %d of an unaffected tree", id, j)
 			}
 		}

@@ -2,6 +2,7 @@ package multitree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"streamcast/internal/core"
@@ -28,9 +29,11 @@ type LiveScheme struct {
 	mode core.StreamMode
 
 	epoch uint64
-	np    int // padded positions firstRecv was built for
+	np    int // padded positions of the current epoch
 	// firstRecv[k][p-1] is the slot at which position p of tree T_k
-	// receives its round-0 packet; rebuilt only when np changes.
+	// receives its round-0 packet. It depends on the position alone, so the
+	// tables only ever grow: they cover the largest padded size reached and
+	// the current epoch reads their first np entries.
 	firstRecv [][]core.Slot
 	steady    core.Slot
 	out       []core.Transmission // reused across Transmissions calls
@@ -53,24 +56,24 @@ func NewLiveScheme(dy *Dynamic, mode core.StreamMode) *LiveScheme {
 // Dynamic returns the underlying family.
 func (s *LiveScheme) Dynamic() *Dynamic { return s.dy }
 
-// rebuild recomputes the positional firstRecv table and the steady-state
-// bound for the current padded size. steady is the maximum over all
-// positions (dummy-held ones included), so it is invariant under membership
-// swaps and only changes when the trees grow or shrink a level.
+// rebuild adopts the current padded size: it extends the firstRecv tables to
+// cover it if they never have, and recomputes the steady-state bound. steady
+// is the maximum over all np positions (dummy-held ones included), so it is
+// invariant under membership swaps and only changes when the trees grow or
+// shrink a level.
 func (s *LiveScheme) rebuild() {
 	dy := s.dy
 	s.np = dy.np
 	s.steady = 0
-	s.firstRecv = make([][]core.Slot, dy.d)
-	for k := 0; k < dy.d; k++ {
-		s.firstRecv[k] = make([]core.Slot, dy.np)
-		for p := 1; p <= dy.np; p++ {
-			fr := firstRecvSlot(s.mode, dy.d, k, p)
-			s.firstRecv[k][p-1] = fr
-			if fr > s.steady {
-				s.steady = fr
-			}
+	if s.firstRecv == nil {
+		s.firstRecv = make([][]core.Slot, dy.d)
+	}
+	for k, fr := range s.firstRecv {
+		for p := len(fr) + 1; p <= dy.np; p++ {
+			fr = append(fr, firstRecvSlot(s.mode, dy.d, k, p))
 		}
+		s.firstRecv[k] = fr
+		s.steady = max(s.steady, slices.Max(fr[:dy.np]))
 	}
 }
 

@@ -202,3 +202,47 @@ func TestLiveSchemeCompileParityAfterChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestLiveSchemeLevelOscillationMatchesFresh drives the membership up and
+// down across a level boundary several times: the tables kept across the
+// shrinks must schedule every epoch exactly as a scheme built from scratch
+// over the same family does.
+func TestLiveSchemeLevelOscillationMatchesFresh(t *testing.T) {
+	for _, mode := range []core.StreamMode{core.PreRecorded, core.Live} {
+		dy, err := NewDynamic(6, 2, false) // full: the next join grows a level
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls := NewLiveScheme(dy, mode)
+		grew, shrunk := 0, 0
+		for i := 0; i < 8; i++ {
+			op := core.TopologyOp{Name: "osc-" + string(rune('a'+i))}
+			if i%2 == 1 {
+				op = core.TopologyOp{Leave: true, Name: "osc-" + string(rune('a'+i-1))}
+			}
+			stats, err := ls.ApplyOps(core.Slot(i), []core.TopologyOp{op})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats[0].Grew {
+				grew++
+			}
+			if stats[0].Shrunk {
+				shrunk++
+			}
+			fresh := NewLiveScheme(dy, mode)
+			if ls.SteadyState() != fresh.SteadyState() {
+				t.Fatalf("%s op %d: steady state %d, fresh scheme %d", mode, i, ls.SteadyState(), fresh.SteadyState())
+			}
+			for slot := core.Slot(0); slot < fresh.SteadyState()+2*fresh.Period(); slot++ {
+				want := copyTxs(fresh.Transmissions(slot))
+				if got := ls.Transmissions(slot); !reflect.DeepEqual(copyTxs(got), want) {
+					t.Fatalf("%s op %d slot %d: %v, fresh scheme %v", mode, i, slot, got, want)
+				}
+			}
+		}
+		if grew < 2 || shrunk < 2 {
+			t.Fatalf("%s: %d grows and %d shrinks; the oscillation never crossed a level twice", mode, grew, shrunk)
+		}
+	}
+}

@@ -157,7 +157,7 @@ func TestSteadyStateRecovery(t *testing.T) {
 		start := long.StartDelay[id]
 		lateMisses := 0
 		for j := int(shortWindow); j < int(longWindow); j++ {
-			if a := long.Arrival[nid][j]; a < 0 || a > start+core.Slot(j) {
+			if a := long.ArrivalAt(nid, core.Packet(j)); a < 0 || a > start+core.Slot(j) {
 				lateMisses++
 			}
 		}

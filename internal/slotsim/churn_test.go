@@ -195,7 +195,7 @@ func TestChurnReassignedIDState(t *testing.T) {
 	if reborn == 0 {
 		t.Fatal("joiner not in final membership")
 	}
-	for p, a := range res.Arrival[reborn] {
+	for p, a := range res.ArrivalRow(reborn) {
 		if a >= 0 && a < joinSlot {
 			t.Errorf("reborn id %d 'received' packet %d at slot %d, before its join at %d (inherited state)",
 				reborn, p, a, joinSlot)

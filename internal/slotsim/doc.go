@@ -25,7 +25,8 @@
 // Entry points:
 //
 //   - Run executes a core.Scheme, one slot at a time on one goroutine, and
-//     returns a Result with per-node arrival times, playback start delays
+//     returns a Result with per-node arrival times (Result.ArrivalAt and
+//     ArrivalRow, over a compact int32 matrix), playback start delays
 //     (StartDelay, the paper's startup delay: max_j arrival_j − j), peak
 //     buffer occupancy under the Figure 5 playback convention, and hiccup
 //     accounting. The model is lock-step, so a slot is O(N) array traffic

@@ -122,13 +122,13 @@ type Result struct {
 	N int
 	// Packets is the measurement window size.
 	Packets core.Packet
-	// Arrival[node][packet] is the slot at the end of which the packet was
-	// received, or -1 if it never arrived. Arrival[0] is the source row and
-	// is all -1.
-	Arrival [][]core.Slot
+	// arrival is the window's arrival matrix, node-major with row stride
+	// Packets, in the engine's own encoding (slot + 1; 0 = never arrived).
+	// Read it through ArrivalAt and ArrivalRow.
+	arrival []int32
 	// StartDelay[node] is the earliest slot s at which the node can begin
 	// playback and then consume one packet per slot without hiccups:
-	// s = max_j (Arrival[node][j] - j) over the measurement window. Packet
+	// s = max_j (ArrivalAt(node, j) - j) over the measurement window. Packet
 	// j is consumed at the end of slot s+j; as in the paper's Figure 5, a
 	// packet that arrives during a slot may be consumed at the end of that
 	// same slot.
@@ -149,12 +149,30 @@ type Result struct {
 // missing entirely or arrive after their playback slot start+j.
 func (r *Result) Hiccups(id core.NodeID, start core.Slot) int {
 	n := 0
-	for j, a := range r.Arrival[id] {
-		if a == unset || a > start+core.Slot(j) {
+	for j := 0; j < int(r.Packets); j++ {
+		if a := r.ArrivalAt(id, core.Packet(j)); a == unset || a > start+core.Slot(j) {
 			n++
 		}
 	}
 	return n
+}
+
+// ArrivalAt returns the slot at the end of which node id received window
+// packet j, or -1 if it never arrived. Node 0 is the source, which receives
+// nothing.
+func (r *Result) ArrivalAt(id core.NodeID, j core.Packet) core.Slot {
+	return core.Slot(r.arrival[int(id)*int(r.Packets)+int(j)]) - 1
+}
+
+// ArrivalRow returns node id's arrival slots over the whole window, indexed
+// by packet (-1 = never arrived), as a fresh slice. It allocates; code that
+// visits many nodes should call ArrivalAt.
+func (r *Result) ArrivalRow(id core.NodeID) []core.Slot {
+	out := make([]core.Slot, r.Packets)
+	for j := range out {
+		out[j] = r.ArrivalAt(id, core.Packet(j))
+	}
+	return out
 }
 
 // WorstStartDelay returns the maximum playback delay over all receivers.
@@ -244,7 +262,10 @@ func grownInts(s []int, n int) []int {
 	return s[:n]
 }
 
-func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
+// newEngine sizes and resets the run's state on the Runner's scratch.
+// pktBound, when positive, is an exclusive bound on the packet numbers the
+// run's schedule emits (core.CompiledScheme.PacketBound); zero means unknown.
+func newEngine(s core.Scheme, opt Options, sc *scratch, pktBound core.Packet) (*engine, error) {
 	if opt.Slots <= 0 {
 		return nil, fmt.Errorf("slotsim: Slots must be > 0, got %d", opt.Slots)
 	}
@@ -276,6 +297,13 @@ func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
 	// Track arrivals for every packet the source could emit in the
 	// simulated horizon, so availability checks work beyond the window.
 	maxPkt := core.Packet(int(opt.Slots)*srcCap + srcCap)
+	if pktBound > 0 && pktBound < maxPkt {
+		// The schedule is known to stay below pktBound, so no transmission
+		// can tell the difference — and the matrix is a fraction of the size
+		// when the source emits fewer packets per slot than its capacity
+		// (multitree: one, against a capacity of d).
+		maxPkt = pktBound
+	}
 	if maxPkt < opt.Packets {
 		maxPkt = opt.Packets
 	}
@@ -647,37 +675,33 @@ func (e *engine) pendingArrivals(t core.Slot) []core.Transmission {
 	return sameSlot
 }
 
+// finishTile is how many node ids finish transposes at a time. A tile's
+// output rows (finishTile·Packets int32s, 150 KB at 600 packets) should stay
+// in L2 while every window packet row contributes its finishTile-wide run to
+// them; a run of 64 int32s is 256 contiguous bytes of the packet-major
+// source, enough to use the cache lines it fetches. Measured on the dense
+// benchmark shape, 16–64 are within noise of each other and 128 and up are a
+// fifth slower.
+const finishTile = 64
+
 // finish computes the Result after the last slot. The playback cursors
 // maintained at delivery time supply StartDelay, Missing and SlotsUsed
 // directly; only the per-node buffer-occupancy scan still walks the window.
 func (e *engine) finish() (*Result, error) {
+	np := int(e.opt.Packets)
+	// The Result must stay valid after the Runner's buffers are recycled for
+	// the next run, so the window is copied out of the scratch matrix — and
+	// transposed, because the scratch is packet-major and every reader of a
+	// Result walks one node's packets. It keeps the scratch encoding (slot+1,
+	// 0 = never arrived): the fresh allocation is already all-unset and half
+	// the size of a core.Slot matrix.
 	r := &Result{
 		N:          e.n,
 		Packets:    e.opt.Packets,
-		Arrival:    make([][]core.Slot, e.n+1),
+		arrival:    make([]int32, (e.n+1)*np),
 		StartDelay: make([]core.Slot, e.n+1),
 		MaxBuffer:  make([]int, e.n+1),
 		Missing:    make([]int, e.n+1),
-	}
-	// Copy arrival rows out of the reusable packed matrix: the Result must
-	// stay valid after the Runner's buffers are recycled for the next run,
-	// and the public rows use core.Slot with -1 = never arrived. The matrix
-	// is packet-major, so read it row by row (sequential) and scatter into
-	// the much smaller node-major output.
-	np := int(e.opt.Packets)
-	out := make([]core.Slot, (e.n+1)*np)
-	for i := range out {
-		out[i] = unset
-	}
-	for j := 0; j < np; j++ {
-		for id, a := range e.arr[j*e.stride : (j+1)*e.stride] {
-			if a != unset32 {
-				out[id*np+j] = core.Slot(a) - 1
-			}
-		}
-	}
-	for id := 0; id <= e.n; id++ {
-		r.Arrival[id] = out[id*np : (id+1)*np : (id+1)*np]
 	}
 	if m := core.Slot(e.sc.maxArr); m > r.SlotsUsed {
 		r.SlotsUsed = m
@@ -687,24 +711,39 @@ func (e *engine) finish() (*Result, error) {
 	for i := range counts {
 		counts[i] = 0
 	}
-	for id := 1; id <= e.n; id++ {
-		row := r.Arrival[id]
-		cur := e.cursor[id]
-		got := int(uint32(cur))
-		if got < np {
-			if !e.opt.AllowIncomplete {
-				for j, a := range row {
-					if a == unset {
-						return nil, fmt.Errorf("slotsim: node %d never received packet %d within %d slots", id, j, e.opt.Slots)
+	// A cell-by-cell transpose writes with a stride of one output row, a cache
+	// miss per cell. Going a tile of ids at a time, each packet row's run for
+	// the tile lands in rows that are still cached from the previous packet,
+	// and the tile's metrics are computed before those rows are evicted.
+	out := r.arrival
+	for lo := 0; lo <= e.n; lo += finishTile {
+		hi := min(lo+finishTile, e.n+1)
+		for j := 0; j < np; j++ {
+			o := lo*np + j
+			for _, a := range e.arr[j*e.stride+lo : j*e.stride+hi] {
+				out[o] = a
+				o += np
+			}
+		}
+		for id := max(lo, 1); id < hi; id++ {
+			row := out[id*np : (id+1)*np]
+			cur := e.cursor[id]
+			got := int(uint32(cur))
+			if got < np {
+				if !e.opt.AllowIncomplete {
+					for j, a := range row {
+						if a == unset32 {
+							return nil, fmt.Errorf("slotsim: node %d never received packet %d within %d slots", id, j, e.opt.Slots)
+						}
 					}
 				}
+				r.Missing[id] = np - got
 			}
-			r.Missing[id] = np - got
+			if worst := int32(uint32(cur >> 32)); worst != noLag {
+				r.StartDelay[id] = core.Slot(worst)
+			}
+			r.MaxBuffer[id] = maxBuffer(row, r.StartDelay[id], counts)
 		}
-		if worst := int32(uint32(cur >> 32)); worst != noLag {
-			r.StartDelay[id] = core.Slot(worst)
-		}
-		r.MaxBuffer[id] = maxBuffer(row, r.StartDelay[id], counts)
 	}
 	r.SlotsUsed++
 	return r, nil
@@ -718,22 +757,23 @@ func (e *engine) finish() (*Result, error) {
 // end of t; this matches the paper's "store 2 packets" accounting for the
 // hypercube scheme (one being consumed plus one being disseminated).
 //
-// counts is a caller-owned scratch slice, all zero on entry and indexable by
-// every arrival slot; maxBuffer re-zeroes each entry it touches, so the
-// slice is all zero again on return and reusable for the next node.
-func maxBuffer(arrival []core.Slot, start core.Slot, counts []int) int {
-	var lastSlot core.Slot
+// arrival is one node's window in the packed encoding (slot + 1; 0 = never
+// arrived). counts is a caller-owned scratch slice, all zero on entry and
+// indexable by every arrival slot; maxBuffer re-zeroes each entry it touches,
+// so the slice is all zero again on return and reusable for the next node.
+func maxBuffer(arrival []int32, start core.Slot, counts []int) int {
+	var end int32 // latest arrival slot + 1
 	for _, a := range arrival {
-		if a == unset {
+		if a == unset32 {
 			continue
 		}
-		counts[a]++
-		if a > lastSlot {
-			lastSlot = a
+		counts[a-1]++
+		if a > end {
+			end = a
 		}
 	}
 	peak, have := 0, 0
-	for t := core.Slot(0); t <= lastSlot; t++ {
+	for t := core.Slot(0); t < core.Slot(end); t++ {
 		have += counts[t]
 		counts[t] = 0
 		// Packets fully played (playback slot strictly before t) are gone.

@@ -166,11 +166,11 @@ func TestLatencyDelaysArrival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Arrival[1][0] != 2 {
-		t.Errorf("arrival at node 1 = %d, want 2", res.Arrival[1][0])
+	if res.ArrivalAt(1, 0) != 2 {
+		t.Errorf("arrival at node 1 = %d, want 2", res.ArrivalAt(1, 0))
 	}
-	if res.Arrival[2][0] != 3 {
-		t.Errorf("arrival at node 2 = %d, want 3", res.Arrival[2][0])
+	if res.ArrivalAt(2, 0) != 3 {
+		t.Errorf("arrival at node 2 = %d, want 3", res.ArrivalAt(2, 0))
 	}
 	// Relaying one slot earlier must fail.
 	s.slots[2] = s.slots[3]
@@ -236,7 +236,7 @@ func TestExtraSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Arrival[2][0] != 0 || res.Arrival[2][1] != 1 {
-		t.Errorf("extra-source deliveries wrong: %v", res.Arrival[2])
+	if res.ArrivalAt(2, 0) != 0 || res.ArrivalAt(2, 1) != 1 {
+		t.Errorf("extra-source deliveries wrong: %v", res.ArrivalRow(2))
 	}
 }

@@ -61,7 +61,7 @@ func TestLossCascade(t *testing.T) {
 		if res.Missing[id] != 1 {
 			t.Errorf("node %d missing %d, want 1", id, res.Missing[id])
 		}
-		if res.Arrival[id][1] == -1 || res.Arrival[id][3] == -1 {
+		if res.ArrivalAt(core.NodeID(id), 1) == -1 || res.ArrivalAt(core.NodeID(id), 3) == -1 {
 			t.Errorf("node %d lost packets beyond the injected one", id)
 		}
 	}

@@ -67,11 +67,27 @@ func NewRunner() *Runner { return &Runner{} }
 // every epoch bump re-chooses the schedule for the mutated topology. A
 // static run is the zero-epoch case: the schedule is chosen once.
 func (r *Runner) Run(s core.Scheme, opt Options) (*Result, error) {
+	e, err := r.runSlots(s, opt)
+	if err != nil {
+		return nil, err
+	}
+	return e.finish()
+}
+
+// runSlots is the slot loop: it returns the engine as the last slot left it,
+// for finish to summarise.
+func (r *Runner) runSlots(s core.Scheme, opt Options) (*engine, error) {
 	// Compile before sizing the engine: the snapshot's append garbage is
 	// collected while the heap is still small, instead of riding the GC goal
 	// the arrival matrix sets (a 2× peak-RSS difference on dense-long).
 	cur := r.prepared(s, opt.Slots)
-	e, err := newEngine(s, opt, &r.sc)
+	// A snapshot of a topology nothing will mutate knows every packet the
+	// run can move; a live one is re-snapshotted per epoch and does not.
+	var pktBound core.Packet
+	if c, ok := cur.(*core.CompiledScheme); ok && opt.Churn == nil {
+		pktBound = c.PacketBound(opt.Slots)
+	}
+	e, err := newEngine(s, opt, &r.sc, pktBound)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +112,7 @@ func (r *Runner) Run(s core.Scheme, opt Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	return e.finish()
+	return e, nil
 }
 
 // RunParallel is Run: the engine is single-threaded (PERFORMANCE.md, "Why

@@ -205,7 +205,7 @@ func TestRunnerReuse(t *testing.T) {
 		}
 	}
 	// Results must stay valid after the Runner's scratch was reused.
-	if first.Arrival[1][0] < 0 {
+	if first.ArrivalAt(1, 0) < 0 {
 		t.Fatal("first Result was corrupted by later runs reusing scratch")
 	}
 }
@@ -296,5 +296,46 @@ func TestCompiledSchemeTooShortHorizon(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, ref) {
 		t.Fatal("short-horizon run differs from reference")
+	}
+}
+
+// TestPacketBoundCoversHorizon: the engine sizes its arrival matrix from
+// CompiledScheme.PacketBound, so for every horizon the bound must exceed each
+// packet the source scheme schedules inside it — whatever shift the snapshot
+// was left at — and once the horizon covers the whole snapshot, stay within a
+// period of the largest one.
+func TestPacketBoundCoversHorizon(t *testing.T) {
+	cube, err := hypercube.New(31, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, err := baseline.NewChain(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemes := []core.Scheme{cube, chain}
+	for _, mode := range []core.StreamMode{core.PreRecorded, core.Live, core.LivePreBuffered} {
+		s, _ := multitreeCase(t, 25, 3, mode)
+		schemes = append(schemes, s)
+	}
+	for _, s := range schemes {
+		c := core.CompileSchedule(s)
+		if c == nil {
+			t.Fatalf("%s does not compile", s.Name())
+		}
+		top := core.Packet(-1)
+		for h := core.Slot(1); h <= c.SteadyState()+5*c.Period(); h++ {
+			for _, x := range s.Transmissions(h - 1) {
+				top = max(top, x.Packet)
+			}
+			c.Transmissions(3 * h) // leave some residue shifted far ahead
+			bound := c.PacketBound(h)
+			if bound <= top {
+				t.Fatalf("%s: PacketBound(%d) = %d, but packet %d is scheduled before slot %d", s.Name(), h, bound, top, h)
+			}
+			if h >= c.SteadyState()+c.Period() && bound-top > core.Packet(int(c.Period()))+1 {
+				t.Fatalf("%s: PacketBound(%d) = %d, largest scheduled packet %d", s.Name(), h, bound, top)
+			}
+		}
 	}
 }

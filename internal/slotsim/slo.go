@@ -67,7 +67,6 @@ func PlaybackSLO(r *Result, members []Membership, probe int, firstChurn core.Slo
 		if m.Leave >= 0 || m.Node < 1 || int(m.Node) > r.N {
 			continue
 		}
-		row := r.Arrival[m.Node]
 		// A joiner owes playback only from the live edge at its join slot:
 		// the schedule never re-sends rounds produced before it arrived.
 		j0 := int(m.Join)
@@ -81,7 +80,7 @@ func PlaybackSLO(r *Result, members []Membership, probe int, firstChurn core.Slo
 		// window was entirely lost falls back to its final worst lag.
 		start := core.Slot(noLag)
 		for j := j0; j < np && j < j0+probe; j++ {
-			if a := row[j]; a != unset {
+			if a := r.ArrivalAt(m.Node, core.Packet(j)); a != unset {
 				if lag := a - core.Slot(j); lag > start {
 					start = lag
 				}
@@ -94,8 +93,8 @@ func PlaybackSLO(r *Result, members []Membership, probe int, firstChurn core.Slo
 		s.Expected += np - j0
 		run := core.Slot(0)
 		for j := j0; j < np; j++ {
-			late := row[j] == unset || row[j] > start+core.Slot(j)
-			if late {
+			a := r.ArrivalAt(m.Node, core.Packet(j))
+			if a == unset || a > start+core.Slot(j) {
 				s.Hiccups++
 				run++
 				if run > s.MaxStall {

@@ -71,3 +71,45 @@ func TestTxRingReset(t *testing.T) {
 		t.Fatalf("recycled bucket drained %v", got)
 	}
 }
+
+// periodicStub is a period-1 chain S→1→2 whose source capacity (3) overstates
+// the one packet per slot it actually emits.
+type periodicStub struct{ stubScheme }
+
+func (periodicStub) Period() core.Slot      { return 1 }
+func (periodicStub) SteadyState() core.Slot { return 1 }
+func (periodicStub) Transmissions(t core.Slot) []core.Transmission {
+	out := []core.Transmission{tx(0, 1, core.Packet(int(t)))}
+	if t >= 1 {
+		out = append(out, tx(1, 2, core.Packet(int(t)-1)))
+	}
+	return out
+}
+
+// TestArrivalMatrixSizedFromSnapshot: a compiled static schedule tells the
+// engine how many packets it moves, and the matrix is sized to that instead
+// of slots × source capacity; a schedule the Runner cannot compile, or a
+// window wider than the bound, keeps the general sizing rules.
+func TestArrivalMatrixSizedFromSnapshot(t *testing.T) {
+	s := &periodicStub{stubScheme{n: 2, srcCap: 3}}
+	e, err := NewRunner().runSlots(s, Options{Slots: 20, Packets: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.maxPkt != 20 {
+		t.Errorf("compiled: matrix tracks %d packets, want the 20 the schedule emits", e.maxPkt)
+	}
+	if _, err := e.finish(); err != nil {
+		t.Errorf("compiled: %v", err)
+	}
+	if e, err = NewRunner().runSlots(s, Options{Slots: 20, Packets: 30, AllowIncomplete: true}); err != nil {
+		t.Fatal(err)
+	} else if e.maxPkt != 30 {
+		t.Errorf("wide window: matrix tracks %d packets, want the window's 30", e.maxPkt)
+	}
+	if e, err = NewRunner().runSlots(&s.stubScheme, Options{Slots: 20, Packets: 4, AllowIncomplete: true}); err != nil {
+		t.Fatal(err)
+	} else if e.maxPkt != 20*3+3 {
+		t.Errorf("uncompiled: matrix tracks %d packets, want slots·cap+cap = 63", e.maxPkt)
+	}
+}
