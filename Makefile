@@ -1,12 +1,12 @@
 # Streamcast build/test entry points. Tier-1 verification (ROADMAP.md) is
-# `make ci`: build + vet + streamvet lint + full test suite, plus the race
-# pass over the engine, observability and experiment packages, short fuzz
-# smokes of the fault-plan and scenario parsers, and the chaos/scenario
+# `make ci`: build + vet + gofmt gate + streamvet lint + full test suite, plus
+# the race pass over the engine, observability and experiment packages, short
+# fuzz smokes of the fault-plan and scenario parsers, and the chaos/scenario
 # corpus replays.
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-json lint-fix-check bench benchsmoke bench-json bench-gate fuzz chaos scenarios cover ci clean
+.PHONY: build test race vet fmt-check lint lint-json lint-fix-check bench benchsmoke bench-json bench-gate fuzz chaos scenarios cover ci clean
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: every .go file in the tree (fixtures under testdata
+# included) must be gofmt-clean; offenders are listed on failure.
+fmt-check:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { printf '%s\n' "$$out"; echo "fmt-check: run gofmt -w on the files above"; exit 1; }
 
 # Project-specific static analysis: the streamvet analyzers (see
 # STATIC_ANALYSIS.md) over every package in the module.
@@ -120,7 +125,7 @@ bench-gate:
 	$(GO) run ./cmd/benchdiff -old $(BENCH_BASELINE) -new $$snap -threshold 0.25; \
 	status=$$?; rm -f $$snap; exit $$status
 
-ci: build vet lint lint-fix-check test race fuzz chaos scenarios cover benchsmoke bench-gate
+ci: build vet fmt-check lint lint-fix-check test race fuzz chaos scenarios cover benchsmoke bench-gate
 
 clean:
 	$(GO) clean ./...

@@ -13,6 +13,7 @@ import (
 
 	"streamcast/internal/core"
 	"streamcast/internal/experiments"
+	"streamcast/internal/gossip"
 	"streamcast/internal/graph"
 	"streamcast/internal/multitree"
 	"streamcast/internal/obs"
@@ -364,6 +365,46 @@ func BenchmarkScheduleGeneration(b *testing.B) {
 			h.Transmissions(core.Slot(i%64) + 16)
 		}
 	})
+}
+
+// benchSchedule times schedule generation alone — a fresh scheme per
+// iteration (the gossip generators are stateful), every slot of the
+// scenario's horizon read once through Transmissions, no engine.
+func benchSchedule(b *testing.B, sc *spec.Scenario) {
+	b.ReportAllocs()
+	txs := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		run, err := spec.Build(sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for t := core.Slot(0); t < run.Opt.Slots; t++ {
+			txs += len(run.Scheme.Transmissions(t))
+		}
+	}
+	b.ReportMetric(float64(txs)/float64(b.N), "txs/op")
+}
+
+// BenchmarkGossipSchedule generates the schedule of the costliest
+// `unstructured` row: N = 1000, d = 3, degree 5, pull-oldest, 4100 slots
+// (PERFORMANCE.md §8).
+func BenchmarkGossipSchedule(b *testing.B) {
+	sc := spec.GossipScenario(1000, 3, 5, gossip.PullOldest, 42)
+	sc.Packets = 9
+	sc.Slots = 4100
+	benchSchedule(b, sc)
+}
+
+// BenchmarkRandRegSchedule generates one N = 10^4 trial of the `randreg`
+// table's pull and push rows over the registry's default horizon.
+func BenchmarkRandRegSchedule(b *testing.B) {
+	for _, mode := range []string{"pull", "push"} {
+		b.Run(mode+"-N10000", func(b *testing.B) {
+			benchSchedule(b, spec.RandRegScenario(10000, 3, mode, 1))
+		})
+	}
 }
 
 // BenchmarkStructuredVsUnstructured regenerates the gossip comparison.

@@ -60,28 +60,28 @@ func TestFaultEdgeCases(t *testing.T) {
 			wantMissing: -1,
 		},
 		{
-			name: "N=1 d=1 hypercube, crash the only receiver at slot 0",
+			name:   "N=1 d=1 hypercube, crash the only receiver at slot 0",
 			scheme: hc(1, 1), mode: core.Live,
 			slots: 10, packets: 3,
 			plan:        &Plan{Rules: []Rule{{Kind: Crash, Node: 1, Begin: 0, End: Forever}}},
 			wantMissing: 3, // every packet of the window
 		},
 		{
-			name: "chain N=1, crash in the very last slot",
+			name:   "chain N=1, crash in the very last slot",
 			scheme: chain(1),
-			slots: 6, packets: 6,
+			slots:  6, packets: 6,
 			plan:        &Plan{Rules: []Rule{{Kind: Crash, Node: 1, Begin: 5, End: Forever}}},
 			wantMissing: 1, // only the final slot's packet is lost
 		},
 		{
-			name: "chain N=3, mid-chain crash cuts the tail",
+			name:   "chain N=3, mid-chain crash cuts the tail",
 			scheme: chain(3),
-			slots: 10, packets: 4,
+			slots:  10, packets: 4,
 			plan:        &Plan{Rules: []Rule{{Kind: Crash, Node: 2, Begin: 0, End: Forever}}},
 			wantMissing: 8, // nodes 2 and 3 lose the whole window
 		},
 		{
-			name: "d=1 hypercube N=7, total blackout from slot 0",
+			name:   "d=1 hypercube N=7, total blackout from slot 0",
 			scheme: hc(7, 1), mode: core.Live,
 			slots: 40, packets: 4,
 			plan: &Plan{Seed: 9, Rules: []Rule{
@@ -90,9 +90,9 @@ func TestFaultEdgeCases(t *testing.T) {
 			wantMissing: 28, // nothing ever arrives anywhere
 		},
 		{
-			name: "delay on the last scheduled slot pushes past the horizon",
+			name:   "delay on the last scheduled slot pushes past the horizon",
 			scheme: chain(2),
-			slots: 8, packets: 6,
+			slots:  8, packets: 6,
 			plan: &Plan{Rules: []Rule{
 				{Kind: Delay, From: 0, To: 1, Rate: 1, Extra: 20, Begin: 5, End: Forever},
 			}},

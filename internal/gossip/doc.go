@@ -13,6 +13,15 @@
 // deterministic random stream, so runs are reproducible and replayable by
 // both simulation engines.
 //
+// Generation costs O(N) per slot and allocates nothing once warm: each
+// node's have-set is a bitset with a lowest-missing frontier, a pull scans
+// target &^ puller a word at a time from that frontier (first set bit,
+// last, or popcount-and-select, by strategy), and the slot's scratch
+// buffers are reused. Generated slots go into a core.SlotLog — the packed
+// append-only store randreg's pull and push modes share — and every read,
+// first or replayed, materialises from it. reference_test.go keeps the
+// original map-and-sort generator and requires identical schedules.
+//
 // Entry points: New(n, d, degree, strategy, seed) builds the mesh as a
 // core.Scheme; run it with slotsim.Options{Mode: core.Live,
 // AllowIncomplete: true} since starvation is expected. Strategies:

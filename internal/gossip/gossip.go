@@ -2,8 +2,8 @@ package gossip
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
 
 	"streamcast/internal/core"
 )
@@ -47,14 +47,24 @@ type Scheme struct {
 	rng      *rand.Rand
 	nbrs     [][]core.NodeID // per node (1..n), may include the source
 
-	// holdings[i] tracks the packets node i holds, as a dense bool slice
-	// grown on demand; holdings[0] is unused (source availability is
-	// time-based).
-	holdings [][]bool
-	// nextSlot is the first slot not yet generated; memo caches generated
-	// slots for replay.
-	nextSlot core.Slot
-	memo     [][]core.Transmission
+	// have[i] is the set of packets node i holds, one bit per packet, grown
+	// a word at a time on demand; have[0] is the live source's all-ones
+	// prefix 0..t, extended by one bit as each slot is generated. low[i] is
+	// node i's lowest missing packet: nothing below it is ever useful to
+	// pull, so every scan of what a neighbor could offer starts there.
+	have [][]uint64
+	low  []int
+
+	// Per-slot scratch, reused so a slot allocates nothing once warm: the
+	// request order, how many requests each node has served, and the
+	// slot's transmissions before they enter the log.
+	order  []int32
+	served []int32
+	txs    []core.Transmission
+
+	// log holds every generated slot for replay; log.Len() is the first
+	// slot not yet generated.
+	log core.SlotLog
 }
 
 // New builds a gossip mesh over n receivers with the given neighbor-set
@@ -71,15 +81,19 @@ func New(n, d, degree int, strategy Strategy, seed int64) (*Scheme, error) {
 	}
 	s := &Scheme{
 		n: n, d: d, degree: degree, strategy: strategy,
-		rng:      rand.New(rand.NewSource(seed)),
-		nbrs:     make([][]core.NodeID, n+1),
-		holdings: make([][]bool, n+1),
+		rng:    rand.New(rand.NewSource(seed)),
+		nbrs:   make([][]core.NodeID, n+1),
+		have:   make([][]uint64, n+1),
+		low:    make([]int, n+1),
+		order:  make([]int32, n),
+		served: make([]int32, n+1),
 	}
-	// Random mesh: every node gets `degree` distinct neighbors; d random
-	// nodes additionally adopt the source, so new data has entry points.
+	// Random mesh: every node gets `degree` distinct neighbors — or the
+	// n-1 peers that exist, when degree asks for more; d random nodes
+	// additionally adopt the source, so new data has entry points.
 	for i := 1; i <= n; i++ {
 		seen := map[core.NodeID]bool{core.NodeID(i): true}
-		for len(s.nbrs[i]) < degree && len(seen) <= n {
+		for len(s.nbrs[i]) < degree && len(seen) < n {
 			nb := core.NodeID(1 + s.rng.Intn(n))
 			if !seen[nb] {
 				seen[nb] = true
@@ -133,38 +147,52 @@ func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
 	return out
 }
 
-// holds reports whether a node holds packet p before the current slot.
-func (s *Scheme) holds(id core.NodeID, p core.Packet) bool {
-	h := s.holdings[id]
-	return int(p) < len(h) && h[p]
-}
-
-// give records a packet arrival (usable from the next slot).
+// give records a packet arrival (usable from the next slot) and advances
+// the node's lowest-missing frontier past it when it filled the gap.
 func (s *Scheme) give(id core.NodeID, p core.Packet) {
-	h := s.holdings[id]
-	for int(p) >= len(h) {
-		h = append(h, false)
+	h := s.have[id]
+	for int(p)>>6 >= len(h) {
+		h = append(h, 0)
 	}
-	h[p] = true
-	s.holdings[id] = h
+	h[int(p)>>6] |= 1 << (uint(p) & 63)
+	s.have[id] = h
+	if int(p) != s.low[id] {
+		return
+	}
+	lo := int(p) + 1
+	for lo>>6 < len(h) {
+		if gaps := ^h[lo>>6] >> (uint(lo) & 63); gaps != 0 {
+			lo += bits.TrailingZeros64(gaps)
+			break
+		}
+		lo = (lo>>6 + 1) << 6
+	}
+	s.low[id] = lo
 }
 
-// Transmissions implements core.Scheme. Slots must be generated in order;
-// replay of earlier slots is served from the memo.
+// Transmissions implements core.Scheme. Slots are generated in order up to
+// t; every read, first or replayed, is served from the log.
 func (s *Scheme) Transmissions(t core.Slot) []core.Transmission {
-	for s.nextSlot <= t {
-		s.generate(s.nextSlot)
-		s.nextSlot++
+	for s.log.Len() <= t {
+		s.generate(s.log.Len())
 	}
-	return s.memo[t]
+	return s.log.Transmissions(t)
 }
 
 // generate rolls the pull protocol forward by one slot.
 func (s *Scheme) generate(t core.Slot) {
-	// Each node picks a target; requests are granted in random order.
-	order := s.rng.Perm(s.n)
-	served := make(map[core.NodeID]int, s.n)
-	var txs []core.Transmission
+	s.give(core.SourceID, core.Packet(int(t))) // live: packet t exists from slot t
+	// Each node picks a target; requests are granted in random order. The
+	// order is math/rand's Perm, draw for draw, shuffled into the reused
+	// buffer.
+	order := s.order
+	for i := range order {
+		j := s.rng.Intn(i + 1)
+		order[i] = order[j]
+		order[j] = int32(i)
+	}
+	clear(s.served)
+	txs := s.txs[:0]
 	for _, oi := range order {
 		puller := core.NodeID(oi + 1)
 		target := s.nbrs[puller][s.rng.Intn(len(s.nbrs[puller]))]
@@ -172,50 +200,72 @@ func (s *Scheme) generate(t core.Slot) {
 		if target == core.SourceID {
 			capacity = s.d
 		}
-		if served[target] >= capacity {
+		if int(s.served[target]) >= capacity {
 			continue // target busy this slot
 		}
-		p, ok := s.choose(puller, target, t)
+		p, ok := s.choose(puller, target)
 		if !ok {
 			continue // neighbor has nothing useful
 		}
-		served[target]++
+		s.served[target]++
 		txs = append(txs, core.Transmission{From: target, To: puller, Packet: p})
 	}
 	for _, tx := range txs {
 		s.give(tx.To, tx.Packet)
 	}
-	s.memo = append(s.memo, txs)
+	s.log.Append(txs)
+	s.txs = txs
 }
 
 // choose picks the packet the puller requests from the target under the
-// strategy, or ok=false if the target has nothing useful.
-func (s *Scheme) choose(puller, target core.NodeID, t core.Slot) (core.Packet, bool) {
-	var useful []core.Packet
-	if target == core.SourceID {
-		// The source holds packets 0..t (live); scan the puller's gaps.
-		for p := core.Packet(0); p <= core.Packet(int(t)); p++ {
-			if !s.holds(puller, p) {
-				useful = append(useful, p)
-			}
-		}
-	} else {
-		for p, has := range s.holdings[target] {
-			if has && !s.holds(puller, core.Packet(p)) {
-				useful = append(useful, core.Packet(p))
-			}
-		}
-	}
-	if len(useful) == 0 {
-		return 0, false
-	}
-	sort.Slice(useful, func(i, j int) bool { return useful[i] < useful[j] })
+// strategy, or ok=false if the target has nothing useful. The useful set is
+// target &^ puller, scanned a word at a time from the puller's frontier.
+func (s *Scheme) choose(puller, target core.NodeID) (core.Packet, bool) {
+	tg, pl := s.have[target], s.have[puller]
+	first := s.low[puller] >> 6
 	switch s.strategy {
 	case PullNewest:
-		return useful[len(useful)-1], true
+		for w := len(tg) - 1; w >= first; w-- {
+			if u := useful(tg, pl, w); u != 0 {
+				return core.Packet(w<<6 + 63 - bits.LeadingZeros64(u)), true
+			}
+		}
 	case PullRandom:
-		return useful[s.rng.Intn(len(useful))], true
+		count := 0
+		for w := first; w < len(tg); w++ {
+			count += bits.OnesCount64(useful(tg, pl, w))
+		}
+		if count == 0 {
+			return 0, false
+		}
+		// The k-th useful packet in ascending order.
+		k := s.rng.Intn(count)
+		for w := first; ; w++ {
+			u := useful(tg, pl, w)
+			if c := bits.OnesCount64(u); k >= c {
+				k -= c
+				continue
+			}
+			for ; k > 0; k-- {
+				u &= u - 1
+			}
+			return core.Packet(w<<6 + bits.TrailingZeros64(u)), true
+		}
 	default:
-		return useful[0], true
+		for w := first; w < len(tg); w++ {
+			if u := useful(tg, pl, w); u != 0 {
+				return core.Packet(w<<6 + bits.TrailingZeros64(u)), true
+			}
+		}
 	}
+	return 0, false
+}
+
+// useful returns word w of the packets tg holds and pl lacks; w must be
+// below len(tg).
+func useful(tg, pl []uint64, w int) uint64 {
+	if w < len(pl) {
+		return tg[w] &^ pl[w]
+	}
+	return tg[w]
 }

@@ -1,7 +1,9 @@
 package gossip
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"streamcast/internal/core"
 	"streamcast/internal/slotsim"
@@ -96,9 +98,8 @@ func TestGossipReplayDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for u := core.Slot(0); u < 50; u++ {
-		a, b := s.Transmissions(u), s2.Transmissions(u)
-		if len(a) != len(b) {
-			t.Fatalf("seeded replay diverged at slot %d", u)
+		if a, b := s.Transmissions(u), s2.Transmissions(u); !reflect.DeepEqual(a, b) {
+			t.Fatalf("seeded replay diverged at slot %d: %v vs %v", u, a, b)
 		}
 	}
 }
@@ -126,5 +127,71 @@ func TestGossipValidation(t *testing.T) {
 	}
 	if _, err := New(5, 1, 0, PullOldest, 1); err == nil {
 		t.Error("degree=0 accepted")
+	}
+}
+
+// TestNewTerminatesWhenDegreeExceedsPeers: a degree the mesh cannot supply
+// (only n-1 peers exist) used to spin New's neighbor loop forever. Each
+// node now adopts the peers there are — for n = 1 only its source adoption
+// — and the mesh runs to completion through the engine.
+func TestNewTerminatesWhenDegreeExceedsPeers(t *testing.T) {
+	type outcome struct {
+		s   *Scheme
+		err error
+	}
+	for _, c := range []struct{ n, degree int }{{1, 1}, {2, 4}, {3, 5}, {6, 5}} {
+		done := make(chan outcome, 1)
+		go func() {
+			s, err := New(c.n, 2, c.degree, PullOldest, 1)
+			if err == nil {
+				_, err = slotsim.Run(s, slotsim.Options{
+					Slots: 120, Packets: 8, Mode: core.Live, AllowIncomplete: true,
+				})
+			}
+			done <- outcome{s, err}
+		}()
+		select {
+		case o := <-done:
+			if o.err != nil {
+				t.Fatalf("n=%d degree=%d: %v", c.n, c.degree, o.err)
+			}
+			for i := 1; i <= c.n; i++ {
+				peers := 0
+				for _, nb := range o.s.nbrs[i] {
+					if nb != core.SourceID {
+						peers++
+					}
+				}
+				if want := min(c.degree, c.n-1); peers != want {
+					t.Errorf("n=%d degree=%d: node %d has %d peers, want %d", c.n, c.degree, i, peers, want)
+				}
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("n=%d degree=%d: New or the run did not finish in 10s", c.n, c.degree)
+		}
+	}
+}
+
+// TestGenerateAllocsPerSlot pins the cost model: generating and reading one
+// further slot at N = 1000 allocates the materialised slice and, every few
+// slots, a log chunk — where the map-and-sort generator made some 400. The
+// window (slots 1200..1399) sits between two doublings of the have-sets'
+// append growth under all three strategies; each doubling of the horizon
+// adds one allocation per node on top of this.
+func TestGenerateAllocsPerSlot(t *testing.T) {
+	for _, strat := range []Strategy{PullOldest, PullNewest, PullRandom} {
+		s, err := New(1000, 3, 5, strat, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := core.Slot(1200)
+		s.Transmissions(next - 1)
+		avg := testing.AllocsPerRun(200, func() {
+			s.Transmissions(next)
+			next++
+		})
+		if avg > 2 {
+			t.Errorf("%s: %.0f allocations per generated slot, want <= 2", strat, avg)
+		}
 	}
 }

@@ -14,13 +14,13 @@ import (
 // Direct constructs every banned family by hand — the seven-file-edit
 // pattern the registry exists to end.
 func Direct() {
-	m, _ := multitree.New(100, 3, multitree.Greedy) // want `direct call of streamcast/internal/multitree\.New`
-	_, _ = hypercube.New(100, 3)                    // want `direct call of streamcast/internal/hypercube\.New`
-	_, _ = cluster.New(cluster.Config{})            // want `direct call of streamcast/internal/cluster\.New`
-	_, _ = baseline.NewChain(10)                    // want `direct call of streamcast/internal/baseline\.NewChain`
-	_, _ = baseline.NewSingleTree(10, 2)            // want `direct call of streamcast/internal/baseline\.NewSingleTree`
-	_, _ = gossip.New(10, 3, 5, gossip.PullOldest, 1)            // want `direct call of streamcast/internal/gossip\.New`
-	_ = multitree.NewScheme(m, core.PreRecorded)    // wrapper constructors stay callable
+	m, _ := multitree.New(100, 3, multitree.Greedy)   // want `direct call of streamcast/internal/multitree\.New`
+	_, _ = hypercube.New(100, 3)                      // want `direct call of streamcast/internal/hypercube\.New`
+	_, _ = cluster.New(cluster.Config{})              // want `direct call of streamcast/internal/cluster\.New`
+	_, _ = baseline.NewChain(10)                      // want `direct call of streamcast/internal/baseline\.NewChain`
+	_, _ = baseline.NewSingleTree(10, 2)              // want `direct call of streamcast/internal/baseline\.NewSingleTree`
+	_, _ = gossip.New(10, 3, 5, gossip.PullOldest, 1) // want `direct call of streamcast/internal/gossip\.New`
+	_ = multitree.NewScheme(m, core.PreRecorded)      // wrapper constructors stay callable
 }
 
 // Dynamic uses the churn machinery and scheme wrappers, which are not

@@ -63,7 +63,7 @@ func (h candHeap) Less(i, j int) bool {
 	}
 	return a.r < b.r
 }
-func (h candHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h candHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *candHeap) Push(x interface{}) { *h = append(*h, x.(latinCand)) }
 func (h *candHeap) Pop() interface{} {
 	old := *h

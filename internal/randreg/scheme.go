@@ -12,6 +12,11 @@
 //     missing packet from a uniformly random in-neighbor.
 //   - push: the symmetric out-neighbor push.
 //
+// Pull and push are simulation state, not closed forms: slots are generated
+// once, in order, into a core.SlotLog (the packed store internal/gossip
+// shares) and every read materialises from it, so replays and out-of-order
+// reads observe one schedule.
+//
 // Every bit of randomness derives from one splitmix64 seed, so runs are
 // exactly reproducible; guarantees are probabilistic (best effort), and the
 // differential/property test harness, not a symbolic proof, is what makes
@@ -79,14 +84,18 @@ type Scheme struct {
 	// Latin mode: the precomputed edge plan.
 	plan *latinPlan
 
-	// Pull/push modes: lazy stateful generation in slot order with a memo
-	// for replay (both engines and repeated runs must observe identical
-	// schedules). next[v] is the holdings frontier: in-order transfer means
-	// node v holds exactly the packets below next[v].
-	rng      *stats.SplitMix64
-	next     []core.Packet
-	nextSlot core.Slot
-	memo     [][]core.Transmission
+	// Pull/push modes: lazy stateful generation in slot order into a slot
+	// log for replay (both engines and repeated runs must observe identical
+	// schedules); log.Len() is the first slot not yet generated. next[v] is
+	// the holdings frontier: in-order transfer means node v holds exactly
+	// the packets below next[v]. order, busy and txs are per-slot scratch,
+	// reused so a slot allocates nothing once warm.
+	rng   *stats.SplitMix64
+	next  []core.Packet
+	order []int
+	busy  []bool
+	txs   []core.Transmission
+	log   core.SlotLog
 }
 
 var _ core.PeriodicScheme = (*Scheme)(nil)
@@ -111,6 +120,8 @@ func New(n, degree int, mode Mode, seed int64) (*Scheme, error) {
 		// graph for a given seed never depends on the mode.
 		s.rng = stats.NewSplitMix64(stats.NewSplitMix64(uint64(seed)).Uint64() ^ 0xA5A5A5A5A5A5A5A5)
 		s.next = make([]core.Packet, n+1)
+		s.order = make([]int, n+1)
+		s.busy = make([]bool, n+1)
 	default:
 		return nil, fmt.Errorf("randreg: invalid mode %d", int(mode))
 	}
@@ -192,11 +203,10 @@ func (s *Scheme) Transmissions(t core.Slot) []core.Transmission {
 	if s.mode == Latin {
 		return s.latinSlot(t)
 	}
-	for s.nextSlot <= t {
-		s.generate(s.nextSlot)
-		s.nextSlot++
+	for s.log.Len() <= t {
+		s.generate(s.log.Len())
 	}
-	return s.memo[t]
+	return s.log.Transmissions(t)
 }
 
 // latinSlot emits phase k = t mod d: every live color-k edge (v→u) delivers
@@ -228,40 +238,42 @@ func (s *Scheme) latinSlot(t core.Slot) []core.Transmission {
 // in a seeded random priority order, so the schedule is a deterministic
 // function of the seed alone.
 func (s *Scheme) generate(t core.Slot) {
-	var txs []core.Transmission
+	txs := s.txs[:0]
+	clear(s.busy)
 	if s.mode == Pull {
-		order := s.rng.Perm(s.n)
-		served := make([]int, s.n+1)
+		order := s.order[:s.n]
+		s.rng.PermInto(order)
 		for _, oi := range order {
 			v := oi + 1
 			p := s.next[v]
 			u := s.g.In[v][s.rng.Intn(s.d)]
-			if !s.holds(u, p, t) || served[u] >= 1 {
+			if !s.holds(u, p, t) || s.busy[u] {
 				continue
 			}
-			served[u]++
+			s.busy[u] = true // u serves one request per slot
 			txs = append(txs, core.Transmission{From: core.NodeID(u), To: core.NodeID(v), Packet: p})
 		}
 	} else {
-		order := s.rng.Perm(s.n + 1)
-		got := make([]int, s.n+1)
+		order := s.order[:s.n+1]
+		s.rng.PermInto(order)
 		for _, v := range order {
 			w := s.g.Out[v][s.rng.Intn(s.d)]
 			if w == 0 {
 				continue // the source needs nothing pushed to it
 			}
 			p := s.next[w]
-			if !s.holds(v, p, t) || got[w] >= 1 {
+			if !s.holds(v, p, t) || s.busy[w] {
 				continue
 			}
-			got[w]++
+			s.busy[w] = true // w accepts one push per slot
 			txs = append(txs, core.Transmission{From: core.NodeID(v), To: core.NodeID(w), Packet: p})
 		}
 	}
 	for _, tx := range txs {
 		s.next[tx.To]++
 	}
-	s.memo = append(s.memo, txs)
+	s.log.Append(txs)
+	s.txs = txs
 }
 
 // holds reports whether node u can serve packet p at slot t: receivers

@@ -145,7 +145,7 @@ func TestGossipModesValid(t *testing.T) {
 // TestGossipReplayDeterministic: reading slots out of order, re-reading
 // them, and rebuilding the scheme from the same seed must all observe the
 // identical schedule (both engines replay schedules concurrently-ish, so
-// the memo is the contract).
+// the slot log is the contract).
 func TestGossipReplayDeterministic(t *testing.T) {
 	for _, mode := range []Mode{Pull, Push} {
 		a, err := New(25, 3, mode, 13)
@@ -238,6 +238,28 @@ func TestNeighborsShape(t *testing.T) {
 			if i > 0 && list[i-1] >= u {
 				t.Fatalf("node %d neighbor list unsorted: %v", v, list)
 			}
+		}
+	}
+}
+
+// TestGenerateAllocsPerSlot pins the cost model of the gossip modes:
+// generating and reading one further slot at N = 1000 allocates the
+// materialised slice and, every few slots, a log chunk — no permutation, no
+// counter slice, no append-grown slot.
+func TestGenerateAllocsPerSlot(t *testing.T) {
+	for _, mode := range []Mode{Pull, Push} {
+		s, err := New(1000, 3, mode, 31)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := core.Slot(100)
+		s.Transmissions(next - 1)
+		avg := testing.AllocsPerRun(200, func() {
+			s.Transmissions(next)
+			next++
+		})
+		if avg > 2 {
+			t.Errorf("%v: %.0f allocations per generated slot, want <= 2", mode, avg)
 		}
 	}
 }

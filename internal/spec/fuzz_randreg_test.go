@@ -18,14 +18,14 @@ func FuzzRandRegScenario(f *testing.F) {
 	f.Add("scheme randreg\nparam mode=push seed=-1\n")
 	f.Add("scheme randreg\nparam degree=2 n=5\ncheck\n")
 	f.Add("scheme randreg\nmode live\n")
-	f.Add("scheme randreg\nmode prebuffered\n")              // conflicts with forced live
-	f.Add("scheme randreg\nparam mode=chaotic\n")            // unknown enum word
-	f.Add("scheme randreg\nparam degree=three\n")            // ill-typed int
-	f.Add("scheme randreg\nparam fanout=3\n")                // undeclared parameter
-	f.Add("scheme randreg\nparam degree=0\n")                // below the declared Min
-	f.Add("scheme randreg\nparam n=2\n")                     // below the declared Min
-	f.Add("scheme randreg\nparam n=99999999999999999999\n")  // overflows int
-	f.Add("scheme randreg\nparam seed=0x10\n")               // not a decimal int64
+	f.Add("scheme randreg\nmode prebuffered\n")             // conflicts with forced live
+	f.Add("scheme randreg\nparam mode=chaotic\n")           // unknown enum word
+	f.Add("scheme randreg\nparam degree=three\n")           // ill-typed int
+	f.Add("scheme randreg\nparam fanout=3\n")               // undeclared parameter
+	f.Add("scheme randreg\nparam degree=0\n")               // below the declared Min
+	f.Add("scheme randreg\nparam n=2\n")                    // below the declared Min
+	f.Add("scheme randreg\nparam n=99999999999999999999\n") // overflows int
+	f.Add("scheme randreg\nparam seed=0x10\n")              // not a decimal int64
 	f.Fuzz(func(t *testing.T, src string) {
 		sc, err := Parse(src)
 		if err != nil {

@@ -47,12 +47,15 @@ func (r *SplitMix64) Intn(n int) int {
 		panic(fmt.Sprintf("stats: Intn(%d): n must be > 0", n))
 	}
 	max := uint64(n)
-	// Largest multiple of max representable in 64 bits; values at or above
-	// it would bias the modulo and are redrawn.
-	limit := (^uint64(0) / max) * max
+	// A draw v is kept when the next multiple of max above it, v - v%max +
+	// max, is still representable; draws from the ragged block at the top of
+	// the range would bias the modulo and are redrawn. That keeps exactly
+	// the draws below (2^64-1)/max*max, with one division deciding both the
+	// verdict and the value.
 	for {
-		if v := r.Uint64(); v < limit {
-			return int(v % max)
+		v := r.Uint64()
+		if rem := v % max; v-rem <= ^uint64(0)-max {
+			return int(rem)
 		}
 	}
 }
@@ -60,14 +63,20 @@ func (r *SplitMix64) Intn(n int) int {
 // Perm returns a uniform random permutation of [0, n) via Fisher-Yates.
 func (r *SplitMix64) Perm(n int) []int {
 	p := make([]int, n)
+	r.PermInto(p)
+	return p
+}
+
+// PermInto overwrites p with the permutation Perm(len(p)) would return,
+// draw for draw, so a per-slot caller can reuse one buffer.
+func (r *SplitMix64) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
 }
 
 // TrialSeeds derives k independent non-negative trial seeds from one base

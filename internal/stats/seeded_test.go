@@ -66,6 +66,53 @@ func TestIntnRange(t *testing.T) {
 	}
 }
 
+// intnTwoDivisions is Intn as it was first written — the acceptance limit
+// from one division, the value from a second — kept as the reference the
+// single-division form must match draw for draw.
+func intnTwoDivisions(r *SplitMix64, n int) int {
+	max := uint64(n)
+	limit := (^uint64(0) / max) * max
+	for {
+		if v := r.Uint64(); v < limit {
+			return int(v % max)
+		}
+	}
+}
+
+// TestIntnMatchesTwoDivisionReference: same values and, after every draw,
+// the same generator state (so the same number of rejections) on moduli
+// that never reject, that are powers of two, and — 1<<62+1, 1<<63-1 — that
+// reject a quarter and a half of all draws.
+func TestIntnMatchesTwoDivisionReference(t *testing.T) {
+	draws := 200000
+	if testing.Short() {
+		draws = 20000
+	}
+	for _, n := range []int{1, 2, 3, 5, 64, 1000, 10001, 1 << 31, 1<<62 + 1, 1<<63 - 1} {
+		a, b := NewSplitMix64(uint64(n)), NewSplitMix64(uint64(n))
+		for i := 0; i < draws; i++ {
+			got, want := a.Intn(n), intnTwoDivisions(b, n)
+			if got != want || a.state != b.state {
+				t.Fatalf("Intn(%d) draw %d: got %d (state %#x), reference %d (state %#x)",
+					n, i, got, a.state, want, b.state)
+			}
+		}
+	}
+}
+
+// TestPermIntoMatchesPerm: PermInto over a dirty reused buffer is Perm, and
+// leaves the generator in the same state.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	a, b := NewSplitMix64(11), NewSplitMix64(11)
+	buf := make([]int, 300)
+	for _, n := range []int{0, 1, 2, 7, 300, 64} {
+		a.PermInto(buf[:n])
+		if want := b.Perm(n); !reflect.DeepEqual(buf[:n], want) || a.state != b.state {
+			t.Fatalf("PermInto(%d) = %v, Perm = %v", n, buf[:n], want)
+		}
+	}
+}
+
 // TestPermValid: Perm returns a permutation, identically for equal seeds.
 func TestPermValid(t *testing.T) {
 	r := NewSplitMix64(3)
