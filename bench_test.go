@@ -11,6 +11,7 @@ import (
 	"io"
 	"testing"
 
+	"streamcast/internal/check"
 	"streamcast/internal/core"
 	"streamcast/internal/experiments"
 	"streamcast/internal/gossip"
@@ -359,12 +360,61 @@ func BenchmarkScheduleGeneration(b *testing.B) {
 			s.Transmissions(core.Slot(i % 64))
 		}
 	})
-	h := benchScheme(b, spec.HypercubeScenario(1023, 1))
-	b.Run("hypercube-N1023", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			h.Transmissions(core.Slot(i%64) + 16)
+	for _, n := range []int{1023, 32767} {
+		h := benchScheme(b, spec.HypercubeScenario(n, 1))
+		b.Run(fmt.Sprintf("hypercube-N%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				h.Transmissions(core.Slot(i%64) + 16)
+			}
+		})
+	}
+}
+
+// checkBenchScenarios are the two paper constructions at the sizes the
+// end-to-end benchmark's cube-check and dense workloads run them at.
+var checkBenchScenarios = []struct {
+	name string
+	sc   *spec.Scenario
+}{
+	{"hypercube-N32767", spec.HypercubeScenario(32767, 1)},
+	{"multitree-N31000", spec.MultiTreeScenario(31000, 4, multitree.Structured, core.PreRecorded)},
+}
+
+// BenchmarkCheckStatic measures the static verifier alone — schedule
+// interpretation, tree and mesh audit, bound cross-check — on a scheme built
+// once (PERFORMANCE.md §9).
+func BenchmarkCheckStatic(b *testing.B) {
+	for _, c := range checkBenchScenarios {
+		run, err := spec.Build(c.sc)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep, err := check.Static(run.Scheme, *run.CheckOpt)
+				if err != nil || !rep.OK() {
+					b.Fatalf("check failed: %v %v", err, rep)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkNeighbors measures building the protocol-neighbour mesh, which
+// every text report and every mesh audit asks the scheme for.
+func BenchmarkNeighbors(b *testing.B) {
+	for _, c := range checkBenchScenarios {
+		s := benchScheme(b, c.sc)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if nb := s.Neighbors(); len(nb) != s.NumReceivers() {
+					b.Fatalf("%d lists for %d receivers", len(nb), s.NumReceivers())
+				}
+			}
+		})
+	}
 }
 
 // benchSchedule times schedule generation alone — a fresh scheme per

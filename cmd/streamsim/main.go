@@ -382,7 +382,7 @@ func runScenario(sc *spec.Scenario, stdout, stderr io.Writer) error {
 	if sc.Parallel {
 		fmt.Fprintln(stderr, "streamsim: parallel: accepted and ignored: the engine is single-threaded; results never depended on worker count")
 	}
-	res, err := slotsim.Run(run.Scheme, opt)
+	res, err := slotsim.Run(run.Schedule(), opt)
 	if err != nil {
 		// A failed run still owes its trace: its last events, a violation
 		// included, sit in the writer's buffer. The run's error is the one

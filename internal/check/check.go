@@ -2,7 +2,9 @@ package check
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
+	"strconv"
 	"strings"
 
 	"streamcast/internal/core"
@@ -155,26 +157,46 @@ type verifier struct {
 	scheme core.Scheme
 	opt    Options
 	n      int
+	srcCap int
 	maxPkt core.Packet
 	// txAt generates slot t's transmissions. Static reads the scheme;
 	// VerifyCompiled substitutes a direct interpretation of the compiled
 	// window so the snapshot is proven, not the generator.
-	txAt    func(t core.Slot) []core.Transmission
-	arrival [][]core.Slot
+	txAt func(t core.Slot) []core.Transmission
+	// arrival is the node-major arrival matrix in one flat array: cell
+	// id*maxPkt+p holds the slot packet p reached node id plus one, 0 while
+	// it has not (the encoding slotsim stores: a fresh matrix is all unset).
+	arrival []int32
 	report  *Report
-	// residues[sender] is the set of packet residues mod TreeDegree the
-	// sender relays; children[sender][residue] its receiver set there.
-	residues map[core.NodeID]map[int]bool
-	children map[core.NodeID]map[int]map[core.NodeID]bool
-	// interiorReported suppresses repeat interior-overlap issues per node.
-	interiorReported map[core.NodeID]bool
+
+	// Multi-tree audit (TreeDegree > 0). residues holds resWords mask words
+	// per node: bit r is set once the node relays a packet of residue r.
+	// kids holds TreeDegree+2 cells per node: the first residue class it
+	// relayed, then the distinct children it feeds there (both plus one,
+	// 0 = free). Children in a further class — the node is in violation
+	// already — go to spill, keyed by {node, residue}.
+	residues []uint64
+	resWords int
+	kids     []int32
+	spill    map[[2]int][]core.NodeID
+
+	// Mesh audit (MaxNeighbors > 0 or CheckMesh). lists is Neighbors() by
+	// id, nil for a node the scheme does not list (the source, usually);
+	// strays are listed ids outside 0..n. offMesh buffers the scheduled
+	// edges found missing while the schedule is interpreted: they are filed
+	// after the interpreter's findings and the degree audit.
+	mesh    map[core.NodeID][]core.NodeID
+	lists   [][]core.NodeID
+	strays  []core.NodeID
+	offMesh []Issue
 }
 
-const unset core.Slot = -1
-
 // Static verifies the scheme's schedule and mesh without running the
-// simulation engine. It returns an error only for unusable configuration;
-// scheme defects land in the report.
+// simulation engine. One pass over the schedule relaxes arrival times,
+// checks the slot model, gathers the multi-tree evidence and tests every
+// scheduled edge against the mesh; the delay and buffer bounds are then read
+// off the arrival matrix. It returns an error only for unusable
+// configuration; scheme defects land in the report.
 func Static(s core.Scheme, opt Options) (*Report, error) {
 	if opt.Horizon <= 0 {
 		return nil, fmt.Errorf("check: Horizon must be > 0, got %d", opt.Horizon)
@@ -186,16 +208,14 @@ func Static(s core.Scheme, opt Options) (*Report, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("check: scheme has %d receivers", n)
 	}
-	// Periodic schemes are verified against a compiled snapshot of one
-	// schedule period: both the interpreter pass and the mesh audit then read
-	// precomputed slots instead of regenerating them.
+	// A periodic scheme is verified against a compiled snapshot of one
+	// schedule period when the horizon amortises compiling it; a snapshot
+	// the caller already holds (spec.Run.Schedule) passes through unchanged.
 	if c := core.CompileForRun(s, opt.Horizon); c != nil {
 		s = c
 	}
 	v := newVerifier(s, opt)
-	v.interpret()
-	v.auditMesh()
-	v.crossCheck()
+	v.verify()
 	return v.report, nil
 }
 
@@ -208,44 +228,36 @@ func newVerifier(s core.Scheme, opt Options) *verifier {
 		opt.MaxIssues = 32
 	}
 	srcCap := s.SourceCapacity()
-	if opt.SendCap == nil {
-		opt.SendCap = func(id core.NodeID) int {
-			if id == core.SourceID {
-				return srcCap
-			}
-			return 1
-		}
-	}
-	if opt.RecvCap == nil {
-		opt.RecvCap = func(core.NodeID) int { return 1 }
-	}
-	if opt.Latency == nil {
-		opt.Latency = func(core.NodeID, core.NodeID) core.Slot { return 1 }
-	}
-	maxPkt := core.Packet(int(opt.Horizon)*srcCap + srcCap)
-	if maxPkt < opt.Packets {
-		maxPkt = opt.Packets
-	}
+	maxPkt := max(core.Packet(int(opt.Horizon)*srcCap+srcCap), opt.Packets)
 	v := &verifier{
-		scheme:           s,
-		opt:              opt,
-		n:                n,
-		maxPkt:           maxPkt,
-		txAt:             s.Transmissions,
-		arrival:          make([][]core.Slot, n+1),
-		report:           &Report{Scheme: s.Name()},
-		residues:         make(map[core.NodeID]map[int]bool),
-		children:         make(map[core.NodeID]map[int]map[core.NodeID]bool),
-		interiorReported: make(map[core.NodeID]bool),
+		scheme:  s,
+		opt:     opt,
+		n:       n,
+		srcCap:  srcCap,
+		maxPkt:  maxPkt,
+		txAt:    s.Transmissions,
+		arrival: make([]int32, (n+1)*int(maxPkt)),
+		report:  &Report{Scheme: s.Name()},
 	}
-	for id := 0; id <= n; id++ {
-		row := make([]core.Slot, maxPkt)
-		for j := range row {
-			row[j] = unset
-		}
-		v.arrival[id] = row
+	if d := opt.TreeDegree; d > 0 {
+		v.resWords = (d + 63) / 64
+		v.residues = make([]uint64, (n+1)*v.resWords)
+		v.kids = make([]int32, (n+1)*(d+2))
 	}
 	return v
+}
+
+// verify runs the passes in the order their findings are filed: the
+// schedule interpreter (which also buffers the missing mesh edges), the
+// degree audit, the buffered mesh findings, the bound cross-check.
+func (v *verifier) verify() {
+	v.loadMesh()
+	v.interpret()
+	v.auditDegrees()
+	for _, is := range v.offMesh {
+		v.issue(is)
+	}
+	v.crossCheck()
 }
 
 // issue records a finding, honoring the cap.
@@ -257,9 +269,10 @@ func (v *verifier) issue(i Issue) {
 	v.report.Issues = append(v.report.Issues, i)
 }
 
-// isSource reports whether the node originates packets.
+// isSource reports whether the node originates packets. The length test
+// keeps the map out of the per-transmission path when the option is unset.
 func (v *verifier) isSource(id core.NodeID) bool {
-	return id == core.SourceID || v.opt.ExtraSources[id]
+	return id == core.SourceID || (len(v.opt.ExtraSources) != 0 && v.opt.ExtraSources[id])
 }
 
 // holds reports whether the node can transmit packet p during slot t,
@@ -277,21 +290,20 @@ func (v *verifier) holds(id core.NodeID, p core.Packet, t core.Slot) bool {
 	if p >= v.maxPkt {
 		return false
 	}
-	a := v.arrival[id][p]
-	return a != unset && a < t
+	a := v.arrival[int(id)*int(v.maxPkt)+int(p)]
+	return a != 0 && core.Slot(a) <= t // it arrived in a slot before t
 }
 
 // interpret relaxes arrival times over the schedule, checking the per-slot
-// model constraints along the way.
+// model constraints and the mesh membership of every edge along the way.
 func (v *verifier) interpret() {
 	inflight := make(map[core.Slot][]core.Transmission)
 	sent := make([]int, v.n+1)
 	received := make([]int, v.n+1)
+	var arrivals []core.Transmission
 	for t := core.Slot(0); t < v.opt.Horizon; t++ {
-		for i := range sent {
-			sent[i] = 0
-		}
-		arrivals := inflight[t]
+		clear(sent)
+		arrivals = append(arrivals[:0], inflight[t]...)
 		delete(inflight, t)
 		for _, tx := range v.txAt(t) {
 			if tx.From < 0 || int(tx.From) > v.n || tx.To < 0 || int(tx.To) > v.n {
@@ -302,18 +314,30 @@ func (v *verifier) interpret() {
 				v.issue(Issue{Slot: t, Kind: KindSelf, Tx: tx})
 				continue
 			}
+			if v.opt.CheckMesh {
+				v.checkEdge(t, tx)
+			}
+			sendCap := 1
+			if v.opt.SendCap != nil {
+				sendCap = v.opt.SendCap(tx.From)
+			} else if tx.From == core.SourceID {
+				sendCap = v.srcCap
+			}
 			sent[tx.From]++
-			if over := sent[tx.From] - v.opt.SendCap(tx.From); over == 1 {
+			if sent[tx.From]-sendCap == 1 {
 				// Report the first excess send per node and slot.
 				v.issue(Issue{Slot: t, Kind: KindSendCap, Tx: tx,
-					Detail: fmt.Sprintf("node %d capacity %d", tx.From, v.opt.SendCap(tx.From))})
+					Detail: fmt.Sprintf("node %d capacity %d", tx.From, sendCap)})
 			}
 			if !v.holds(tx.From, tx.Packet, t) {
 				v.issue(Issue{Slot: t, Kind: KindNotHeld, Tx: tx})
 				continue // an unavailable packet cannot propagate
 			}
 			v.observeTreeEdge(tx)
-			l := v.opt.Latency(tx.From, tx.To)
+			l := core.Slot(1)
+			if v.opt.Latency != nil {
+				l = v.opt.Latency(tx.From, tx.To)
+			}
 			if l < 1 {
 				v.issue(Issue{Slot: t, Kind: KindBadLatency, Tx: tx,
 					Detail: fmt.Sprintf("Latency(%d, %d) = %d", tx.From, tx.To, l)})
@@ -325,24 +349,27 @@ func (v *verifier) interpret() {
 				inflight[t+l-1] = append(inflight[t+l-1], tx)
 			}
 		}
-		for i := range received {
-			received[i] = 0
-		}
+		clear(received)
 		for _, tx := range arrivals {
+			recvCap := 1
+			if v.opt.RecvCap != nil {
+				recvCap = v.opt.RecvCap(tx.To)
+			}
 			received[tx.To]++
-			if over := received[tx.To] - v.opt.RecvCap(tx.To); over == 1 {
+			if received[tx.To]-recvCap == 1 {
 				v.issue(Issue{Slot: t, Kind: KindRecvCap, Tx: tx,
-					Detail: fmt.Sprintf("node %d capacity %d", tx.To, v.opt.RecvCap(tx.To))})
+					Detail: fmt.Sprintf("node %d capacity %d", tx.To, recvCap)})
 			}
 			if v.isSource(tx.To) || tx.Packet >= v.maxPkt {
 				continue
 			}
-			if v.arrival[tx.To][tx.Packet] != unset {
+			cell := &v.arrival[int(tx.To)*int(v.maxPkt)+int(tx.Packet)]
+			if *cell != 0 {
 				v.issue(Issue{Slot: t, Kind: KindDuplicate, Tx: tx,
-					Detail: fmt.Sprintf("first arrived at slot %d", v.arrival[tx.To][tx.Packet])})
+					Detail: fmt.Sprintf("first arrived at slot %d", *cell-1)})
 				continue
 			}
-			v.arrival[tx.To][tx.Packet] = t
+			*cell = int32(t) + 1
 		}
 	}
 }
@@ -352,129 +379,157 @@ func (v *verifier) interpret() {
 // crosses residue classes.
 func (v *verifier) observeTreeEdge(tx core.Transmission) {
 	d := v.opt.TreeDegree
-	if d <= 0 || v.isSource(tx.From) || v.opt.TreeExempt[tx.From] {
+	if d <= 0 || v.isSource(tx.From) || (len(v.opt.TreeExempt) != 0 && v.opt.TreeExempt[tx.From]) {
 		return
 	}
-	r := int(tx.Packet) % d
-	set := v.residues[tx.From]
-	if set == nil {
-		set = make(map[int]bool)
-		v.residues[tx.From] = set
-	}
-	set[r] = true
-	if len(set) > 1 && !v.interiorReported[tx.From] {
-		v.interiorReported[tx.From] = true
-		v.issue(Issue{Slot: -1, Kind: KindInterior,
-			Detail: fmt.Sprintf("node %d relays packets of trees %s; a receiver may be interior in at most one of the %d trees",
-				tx.From, residueList(set), d)})
-	}
-	byRes := v.children[tx.From]
-	if byRes == nil {
-		byRes = make(map[int]map[core.NodeID]bool)
-		v.children[tx.From] = byRes
-	}
-	kids := byRes[r]
-	if kids == nil {
-		kids = make(map[core.NodeID]bool)
-		byRes[r] = kids
-	}
-	if !kids[tx.To] {
-		kids[tx.To] = true
-		if len(kids) == d+1 {
-			v.issue(Issue{Slot: -1, Kind: KindFanout,
-				Detail: fmt.Sprintf("node %d feeds %d distinct children in tree %d; a %d-ary tree allows %d",
-					tx.From, len(kids), r, d, d)})
+	from, r := int(tx.From), int(tx.Packet)%d
+	mask := v.residues[from*v.resWords : (from+1)*v.resWords]
+	if bit := uint64(1) << (r % 64); mask[r/64]&bit == 0 {
+		mask[r/64] |= bit
+		classes := 0
+		for _, w := range mask {
+			classes += bits.OnesCount64(w)
 		}
+		if classes == 2 { // reported once, when the second class shows up
+			v.issue(Issue{Slot: -1, Kind: KindInterior,
+				Detail: fmt.Sprintf("node %d relays packets of trees %s; a receiver may be interior in at most one of the %d trees",
+					tx.From, residueList(mask), d)})
+		}
+	}
+	// children is the class's distinct child count once tx.To has joined it,
+	// 0 when it adds none: it is there already, or the list is full — it
+	// holds d+1, and reaching d+1 is what was reported.
+	children := 0
+	row := v.kids[from*(d+2) : (from+1)*(d+2)]
+	if row[0] == 0 {
+		row[0] = int32(r) + 1
+	}
+	if row[0] == int32(r)+1 {
+		for i, kid := range row[1:] {
+			if kid == 0 {
+				row[1+i], children = int32(tx.To)+1, i+1
+			}
+			if kid == 0 || kid == int32(tx.To)+1 {
+				break
+			}
+		}
+	} else if kids := v.spill[[2]int{from, r}]; len(kids) <= d && !slices.Contains(kids, tx.To) {
+		if v.spill == nil {
+			v.spill = make(map[[2]int][]core.NodeID)
+		}
+		v.spill[[2]int{from, r}] = append(kids, tx.To)
+		children = len(kids) + 1
+	}
+	if children == d+1 {
+		v.issue(Issue{Slot: -1, Kind: KindFanout,
+			Detail: fmt.Sprintf("node %d feeds %d distinct children in tree %d; a %d-ary tree allows %d",
+				tx.From, children, r, d, d)})
 	}
 }
 
-// residueList renders a residue set deterministically.
-func residueList(set map[int]bool) string {
-	rs := make([]int, 0, len(set))
-	for r := range set {
-		rs = append(rs, r)
-	}
-	sort.Ints(rs)
-	parts := make([]string, len(rs))
-	for i, r := range rs {
-		parts[i] = fmt.Sprintf("%d", r)
+// residueList renders a residue mask in ascending order.
+func residueList(mask []uint64) string {
+	var parts []string
+	for w, word := range mask {
+		for ; word != 0; word &= word - 1 {
+			parts = append(parts, strconv.Itoa(w*64+bits.TrailingZeros64(word)))
+		}
 	}
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// auditMesh checks neighbor degrees and mesh/schedule consistency.
-func (v *verifier) auditMesh() {
+// noNeighbors stands for a listed node's empty list, so that a nil entry of
+// verifier.lists always means "not listed".
+var noNeighbors = []core.NodeID{}
+
+// loadMesh reads Neighbors() once into an id-indexed table.
+func (v *verifier) loadMesh() {
 	if v.opt.MaxNeighbors <= 0 && !v.opt.CheckMesh {
 		return
 	}
-	nb := v.scheme.Neighbors()
-	sets := make(map[core.NodeID]map[core.NodeID]bool, len(nb))
-	ids := make([]core.NodeID, 0, len(nb))
-	for id := range nb {
-		ids = append(ids, id)
+	v.mesh = v.scheme.Neighbors()
+	v.lists = make([][]core.NodeID, v.n+1)
+	for id, list := range v.mesh {
+		switch {
+		case id < 0 || int(id) > v.n:
+			v.strays = append(v.strays, id)
+		case list == nil:
+			v.lists[id] = noNeighbors
+		default:
+			v.lists[id] = list
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		list := nb[id]
-		if len(list) > v.report.MaxNeighbors {
-			v.report.MaxNeighbors = len(list)
+	slices.Sort(v.strays)
+}
+
+// checkEdge tests one scheduled edge against the mesh: every edge the
+// schedule uses must be a mesh edge at both listed ends; a schedule talking
+// to a non-neighbor breaks the 2d protocol-state bound the paper argues for.
+// An edge is reported once, at its first slot. Neighbor lists are at most 2d
+// long, so membership is a scan.
+func (v *verifier) checkEdge(t core.Slot, tx core.Transmission) {
+	for _, end := range [2]core.NodeID{tx.From, tx.To} {
+		list := v.lists[end]
+		if list == nil {
+			continue // source side: schemes do not list the source
 		}
-		if v.opt.MaxNeighbors > 0 && len(list) > v.opt.MaxNeighbors {
-			v.issue(Issue{Slot: -1, Kind: KindDegree,
-				Detail: fmt.Sprintf("node %d has %d protocol neighbors, bound is %d",
-					id, len(list), v.opt.MaxNeighbors)})
+		other := tx.From + tx.To - end
+		if slices.Contains(list, other) {
+			continue
 		}
-		set := make(map[core.NodeID]bool, len(list))
-		for _, o := range list {
-			set[o] = true
+		// One finding past the cap is enough to mark the report truncated.
+		if len(v.offMesh) > v.opt.MaxIssues {
+			return
 		}
-		sets[id] = set
-	}
-	if !v.opt.CheckMesh {
+		for _, is := range v.offMesh {
+			if is.Tx.From == tx.From && is.Tx.To == tx.To {
+				return
+			}
+		}
+		v.offMesh = append(v.offMesh, Issue{Slot: t, Kind: KindMesh, Tx: tx,
+			Detail: fmt.Sprintf("node %d does not list %d in Neighbors()", end, other)})
 		return
 	}
-	// Every edge the sender-side audit accepted must be a mesh edge; a
-	// schedule talking to a non-neighbor breaks the 2d protocol-state bound
-	// the paper argues for.
-	reported := make(map[[2]core.NodeID]bool)
-	for t := core.Slot(0); t < v.opt.Horizon; t++ {
-		for _, tx := range v.txAt(t) {
-			if tx.From < 0 || int(tx.From) > v.n || tx.To < 0 || int(tx.To) > v.n || tx.From == tx.To {
-				continue // already reported by interpret
-			}
-			key := [2]core.NodeID{tx.From, tx.To}
-			if reported[key] {
-				continue
-			}
-			for _, end := range []core.NodeID{tx.From, tx.To} {
-				set, tracked := sets[end]
-				if !tracked {
-					continue // source side: schemes do not list the source
-				}
-				other := tx.From + tx.To - end
-				if !set[other] {
-					reported[key] = true
-					v.issue(Issue{Slot: t, Kind: KindMesh, Tx: tx,
-						Detail: fmt.Sprintf("node %d does not list %d in Neighbors()", end, other)})
-					break
-				}
-			}
+}
+
+// auditDegrees checks every listed node's degree, in ascending id order.
+func (v *verifier) auditDegrees() {
+	audit := func(id core.NodeID, degree int) {
+		v.report.MaxNeighbors = max(v.report.MaxNeighbors, degree)
+		if v.opt.MaxNeighbors > 0 && degree > v.opt.MaxNeighbors {
+			v.issue(Issue{Slot: -1, Kind: KindDegree,
+				Detail: fmt.Sprintf("node %d has %d protocol neighbors, bound is %d",
+					id, degree, v.opt.MaxNeighbors)})
 		}
+	}
+	below, _ := slices.BinarySearch(v.strays, 0) // strays are sorted and hold no id in 0..n
+	for _, id := range v.strays[:below] {
+		audit(id, len(v.mesh[id]))
+	}
+	for id, list := range v.lists {
+		if list != nil {
+			audit(core.NodeID(id), len(list))
+		}
+	}
+	for _, id := range v.strays[below:] {
+		audit(id, len(v.mesh[id]))
 	}
 }
 
 // crossCheck derives worst-case delay and buffer from the relaxed arrival
 // times and compares them against the closed-form bounds.
 func (v *verifier) crossCheck() {
+	counts := make([]int, v.opt.Horizon) // peakBuffer's histogram, reused
 	for id := core.NodeID(1); int(id) <= v.n; id++ {
 		if v.isSource(id) {
 			continue
 		}
-		row := v.arrival[id][:v.opt.Packets]
+		lo := int(id) * int(v.maxPkt)
+		row := v.arrival[lo : lo+int(v.opt.Packets)]
 		var worst core.Slot = -1 << 30
 		complete := true
 		for j, a := range row {
-			if a == unset {
+			if a == 0 {
 				complete = false
 				if !v.opt.AllowIncomplete {
 					v.issue(Issue{Slot: -1, Kind: KindIncomplete,
@@ -482,7 +537,7 @@ func (v *verifier) crossCheck() {
 				}
 				continue
 			}
-			if lag := a - core.Slot(j); lag > worst {
+			if lag := core.Slot(a-1) - core.Slot(j); lag > worst {
 				worst = lag
 			}
 		}
@@ -492,7 +547,7 @@ func (v *verifier) crossCheck() {
 		if worst > v.report.WorstDelay {
 			v.report.WorstDelay = worst
 		}
-		if b := peakBuffer(row, worst); b > v.report.WorstBuffer {
+		if b := peakBuffer(row, worst, counts); b > v.report.WorstBuffer {
 			v.report.WorstBuffer = b
 		}
 	}
@@ -510,31 +565,21 @@ func (v *verifier) crossCheck() {
 
 // peakBuffer mirrors the engine's buffer accounting: packet j occupies the
 // buffer from the end of its arrival slot through the end of slot start+j.
-func peakBuffer(arrival []core.Slot, start core.Slot) int {
-	arrCount := make(map[core.Slot]int, len(arrival))
-	var lastSlot core.Slot
+// arrival is one complete row of the matrix (slot plus one). counts is the
+// caller's histogram of arrivals per slot, all zero on entry and again on
+// return: every entry touched is cleared on the way back.
+func peakBuffer(arrival []int32, start core.Slot, counts []int) int {
+	var end int32 // latest arrival slot, plus one
 	for _, a := range arrival {
-		if a == unset {
-			continue
-		}
-		arrCount[a]++
-		if a > lastSlot {
-			lastSlot = a
-		}
+		counts[a-1]++
+		end = max(end, a)
 	}
 	peak, have := 0, 0
-	for t := core.Slot(0); t <= lastSlot; t++ {
-		have += arrCount[t]
-		played := int(t - start)
-		if played < 0 {
-			played = 0
-		}
-		if played > len(arrival) {
-			played = len(arrival)
-		}
-		if occ := have - played; occ > peak {
-			peak = occ
-		}
+	for t := core.Slot(0); t < core.Slot(end); t++ {
+		have += counts[t]
+		counts[t] = 0
+		played := min(max(int(t-start), 0), len(arrival))
+		peak = max(peak, have-played)
 	}
 	return peak
 }

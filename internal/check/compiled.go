@@ -78,9 +78,7 @@ func VerifyCompiled(c *core.CompiledScheme, opt Options) (*Report, error) {
 	// passes emit many symptom issues (hold violations, duplicates), and the
 	// MaxIssues cap must not crowd out the root-cause mismatch findings.
 	v.checkAgreement(windowAt, c, steady, period)
-	v.interpret()
-	v.auditMesh()
-	v.crossCheck()
+	v.verify()
 	return v.report, nil
 }
 

@@ -7,9 +7,10 @@
 // interior-disjoint d-ary trees, the slot model allows one send and one
 // receive per node per slot, and Proposition 1's Farley-style rounds fix the
 // hypercube delay in closed form. Static verifies exactly those properties
-// by interpreting the schedule symbolically (an arrival-time relaxation over
-// the scheme's own Transmissions, with per-link latency) and by auditing the
-// mesh:
+// in one pass over the schedule — an arrival-time relaxation over the
+// scheme's own Transmissions, with per-link latency, that tests each edge
+// against the mesh as it reads it — followed by a scan of the arrival matrix
+// it filled:
 //
 //   - per-slot send/receive capacity (source d, receivers 1, or scheme caps);
 //   - packet availability — nobody forwards a packet before holding it,
@@ -27,6 +28,14 @@
 // the two layers see the same defect, so the checker/engine agreement tests
 // can assert that a statically rejected mesh fails dynamically with the same
 // class of violation.
+//
+// Every slot is generated once and Neighbors() is read once, into flat
+// state: one int32 arrival matrix, the mesh as an id-indexed table of the
+// scheme's own lists, per-node residue masks and child cells. A clean
+// verification allocates nothing per node or per transmission. Findings are
+// filed in a fixed order — the interpreter's, slot by slot; degree overflows
+// by id; missing mesh edges in schedule order; incomplete windows and broken
+// bounds — which testdata/pinned_reports.txt pins with their text.
 //
 // Entry points: Static runs the verifier with explicit Options;
 // MultiTreeOptions, HypercubeOptions and ClusterOptions derive the right

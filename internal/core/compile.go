@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // Schedule compilation: most paper schemes (multi-tree round-robin,
 // hypercube phases, cluster backbone) are eventually periodic — after a
 // warmup prefix the transmission pattern repeats every P slots with every
@@ -52,8 +54,9 @@ const (
 //     instead of corrupting the neighboring slot's segment.
 //
 // Slots may be requested in any order: the shift is tracked per period
-// residue and applied as a delta, so re-reading earlier slots (as the static
-// verifier's second pass does) shifts the segment back.
+// residue and applied as a delta, so re-reading earlier slots (as a run does
+// after the static verifier has read the same snapshot) shifts the segment
+// back.
 type CompiledScheme struct {
 	src     Scheme
 	period  Slot
@@ -93,7 +96,17 @@ func CompileSchedule(s Scheme) *CompiledScheme {
 	var backing []Transmission
 	for t := 0; t < nSlots; t++ {
 		off[t] = len(backing)
-		backing = append(backing, s.Transmissions(Slot(t))...)
+		txs := s.Transmissions(Slot(t))
+		if t == int(w) {
+			// The first steady slot tells how large a period is: size the
+			// array for all P of them now, rather than let append double a
+			// multi-megabyte array into place. An estimate past the cap
+			// reserves nothing; the check below still decides.
+			if want := len(backing) + int(p)*len(txs); want <= maxCompiledTransmissions {
+				backing = slices.Grow(backing, want-len(backing))
+			}
+		}
+		backing = append(backing, txs...)
 		if len(backing) > maxCompiledTransmissions {
 			return nil
 		}

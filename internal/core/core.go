@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // NodeID identifies a node within a cluster. The source is always SourceID;
 // receivers are numbered 1..N as in the paper ("node id i").
@@ -78,7 +81,24 @@ type Scheme interface {
 	Transmissions(t Slot) []Transmission
 	// Neighbors returns, for each receiver, the set of distinct nodes it
 	// ever exchanges packets with (its protocol-maintenance neighbor set).
+	// A list holds no duplicates and is not sorted. The paper constructions
+	// (multi-tree, hypercube) return each list in construction order — a
+	// multi-tree node's parent, then its children, tree by tree; a cube
+	// vertex's partners by dimension, then its chain edges — so two calls
+	// return identical slices. Schemes that gather their mesh from sets
+	// (cluster, session, gossip) promise the members only: compare as sets.
 	Neighbors() map[NodeID][]NodeID
+}
+
+// AppendNeighbor appends id to a neighbor list unless the list already holds
+// it. Neighbor lists are short (at most 2d entries), so Neighbors
+// implementations dedup by scanning the list instead of building a set per
+// node.
+func AppendNeighbor(list []NodeID, id NodeID) []NodeID {
+	if slices.Contains(list, id) {
+		return list
+	}
+	return append(list, id)
 }
 
 // Config carries the common parameters of a streaming run.

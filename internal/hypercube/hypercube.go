@@ -2,6 +2,7 @@ package hypercube
 
 import (
 	"fmt"
+	"math/bits"
 
 	"streamcast/internal/core"
 )
@@ -184,9 +185,15 @@ func (s *Scheme) CubeDims() [][]int {
 	return out
 }
 
-// Transmissions implements core.Scheme.
+// Transmissions implements core.Scheme. In steady state every cube emits one
+// injection and 2^k − 2 spreads, n transmissions in all, so the slice is
+// sized once; the slack covers a dimension order that pairs no holder with
+// the source.
 func (s *Scheme) Transmissions(t core.Slot) []core.Transmission {
-	var out []core.Transmission
+	if t < 0 {
+		return nil
+	}
+	out := make([]core.Transmission, 0, s.n+len(s.groups))
 	for _, chain := range s.groups {
 		for i, c := range chain {
 			tau := t - c.base
@@ -218,34 +225,37 @@ func (s *Scheme) Transmissions(t core.Slot) []core.Transmission {
 // dimension dim(τ) by its current holder set
 // H(j) = 2^dim(j) ⊕ span{dim(j+1), …, dim(τ−1)}, except the holder paired
 // with the (virtual) source, which is freed to feed the next cube.
+//
+// H(j) is walked in binary-counting order of the subset mask over those
+// dimensions. Counting from mask−1 to mask clears the trailing ones and sets
+// the next bit, so the holder moves by the XOR of the first
+// TrailingZeros(mask)+1 dimensions — one lookup in a prefix-XOR table.
 func appendSpreads(out []core.Transmission, c cubeSpec, tau core.Slot) []core.Transmission {
 	cur := 1 << c.dim(tau)
-	lo := tau - core.Slot(c.k)
-	if lo < 0 {
-		lo = 0
-	}
+	lo := max(tau-core.Slot(c.k), 0)
+	base := c.firstID - 1
+	var px [64]int // px[i] = 2^dim(j+1) ⊕ … ⊕ 2^dim(j+1+i)
 	for j := lo; j < tau; j++ {
-		// Dimensions the packet has already spread along.
-		var dims []int
-		for u := j + 1; u < tau; u++ {
-			dims = append(dims, c.dim(u))
+		m := int(tau - 1 - j) // dimensions the packet has already spread along
+		acc := 0
+		for i := 0; i < m; i++ {
+			acc ^= 1 << c.dim(j+1+core.Slot(i))
+			px[i] = acc
 		}
-		basePt := 1 << c.dim(j)
-		for mask := 0; mask < 1<<len(dims); mask++ {
-			v := basePt
-			for b, dd := range dims {
-				if mask&(1<<b) != 0 {
-					v ^= 1 << dd
-				}
+		pkt := core.Packet(int(j))
+		v := 1 << c.dim(j)
+		for mask := uint(0); ; {
+			if v != cur { // cur is the freed sender: paired with the source this slot
+				out = append(out, core.Transmission{
+					From:   base + core.NodeID(v),
+					To:     base + core.NodeID(v^cur),
+					Packet: pkt,
+				})
 			}
-			if v == cur {
-				continue // freed sender: paired with the source this slot
+			if mask++; mask == 1<<m {
+				break
 			}
-			out = append(out, core.Transmission{
-				From:   c.id(v),
-				To:     c.id(v ^ cur),
-				Packet: core.Packet(int(j)),
-			})
+			v ^= px[bits.TrailingZeros(mask)]
 		}
 	}
 	return out
@@ -254,40 +264,33 @@ func appendSpreads(out []core.Transmission, c cubeSpec, tau core.Slot) []core.Tr
 // Neighbors implements core.Scheme: each node's intra-cube partners (one per
 // dimension, where the partner of 2^dim(τ) in the pairing slot is the cube's
 // source/injector side) plus the chaining edges between consecutive cubes.
+// A vertex's list is its bit-flip partners in dimension order — a row of one
+// array per cube — followed, for the vertices 2^b, by the injector and chain
+// edges in schedule order.
 func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
-	set := make(map[core.NodeID]map[core.NodeID]bool, s.n)
-	add := func(a, b core.NodeID) {
-		if set[a] == nil {
-			set[a] = make(map[core.NodeID]bool)
-		}
-		set[a][b] = true
-		if b == core.SourceID {
-			return
-		}
-		if set[b] == nil {
-			set[b] = make(map[core.NodeID]bool)
-		}
-		set[b][a] = true
-	}
+	out := make(map[core.NodeID][]core.NodeID, s.n)
 	for _, chain := range s.groups {
 		for i, c := range chain {
-			// Intra-cube pairing partners.
+			// Intra-cube pairing partners. Only a vertex 2^b has fewer
+			// than k (its partner along b is the injector side, below), so
+			// only its row can outgrow k entries, and append then moves
+			// that one list out of the array.
+			rows := make([]core.NodeID, c.size()*c.k)
 			for v := 1; v < 1<<c.k; v++ {
+				list := rows[(v-1)*c.k : (v-1)*c.k : v*c.k]
 				for b := 0; b < c.k; b++ {
-					w := v ^ 1<<b
-					if w == 0 {
-						continue // handled via injector edges below
-					}
-					if w > v {
-						add(c.id(v), c.id(w))
+					if w := v ^ 1<<b; w != 0 {
+						list = append(list, c.id(w))
 					}
 				}
+				out[c.id(v)] = list
 			}
 			// Injector edges: who delivers new packets to this cube's
 			// vertices 2^b.
 			if i == 0 {
 				for b := 0; b < c.k; b++ {
-					add(c.id(1<<b), core.SourceID)
+					id := c.id(1 << b)
+					out[id] = core.AppendNeighbor(out[id], core.SourceID)
 				}
 				continue
 			}
@@ -298,17 +301,11 @@ func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
 			period := core.Slot(lcm(prev.k, c.k))
 			for off := core.Slot(0); off < period; off++ {
 				t := c.base + core.Slot(c.k) + off // any slot ≥ both bases
-				add(prev.id(1<<prev.dim(t-prev.base)), c.id(1<<c.dim(t-c.base)))
+				from, to := prev.id(1<<prev.dim(t-prev.base)), c.id(1<<c.dim(t-c.base))
+				out[from] = core.AppendNeighbor(out[from], to)
+				out[to] = core.AppendNeighbor(out[to], from)
 			}
 		}
-	}
-	out := make(map[core.NodeID][]core.NodeID, s.n)
-	for id := core.NodeID(1); int(id) <= s.n; id++ {
-		list := make([]core.NodeID, 0, len(set[id]))
-		for nb := range set[id] {
-			list = append(list, nb)
-		}
-		out[id] = list
 	}
 	return out
 }

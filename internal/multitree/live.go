@@ -154,35 +154,35 @@ func (s *LiveScheme) Validate() error { return s.dy.Validate() }
 
 // Neighbors implements core.Scheme over the live membership: for each live
 // real member, the distinct nodes it exchanges packets with at the current
-// epoch (parents may be the source; dummy children are skipped).
+// epoch (parents may be the source; dummy children are skipped), in the
+// order MultiTree.Neighbors lists them.
 func (s *LiveScheme) Neighbors() map[core.NodeID][]core.NodeID {
 	dy := s.dy
 	out := make(map[core.NodeID][]core.NodeID, dy.n)
+	rows := make([]core.NodeID, dy.n*2*dy.d) // one 2d-entry row per live real member
+	lo := 0
 	for id := 1; id < len(dy.real); id++ {
 		if !dy.alive[id] || !dy.real[id] {
 			continue
 		}
-		set := make(map[core.NodeID]bool)
+		list := rows[lo : lo : lo+2*dy.d]
+		lo += 2 * dy.d
 		for k := 0; k < dy.d; k++ {
 			p := dy.pos[k][id]
 			pp := ParentPos(p, dy.d)
 			if pp == 0 {
-				set[core.SourceID] = true
+				list = core.AppendNeighbor(list, core.SourceID)
 			} else {
-				set[core.NodeID(dy.trees[k][pp-1])] = true
+				list = core.AppendNeighbor(list, core.NodeID(dy.trees[k][pp-1]))
 			}
 			if p <= dy.i {
 				for c := 0; c < dy.d; c++ {
 					child := dy.trees[k][ChildPos(p, c, dy.d)-1]
 					if dy.real[child] {
-						set[core.NodeID(child)] = true
+						list = core.AppendNeighbor(list, core.NodeID(child))
 					}
 				}
 			}
-		}
-		list := make([]core.NodeID, 0, len(set))
-		for n := range set {
-			list = append(list, n)
 		}
 		out[core.NodeID(id)] = list
 	}

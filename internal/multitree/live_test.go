@@ -246,3 +246,61 @@ func TestLiveSchemeLevelOscillationMatchesFresh(t *testing.T) {
 		}
 	}
 }
+
+// TestNeighborsOrderIsStable: the static and the live mesh list every node's
+// neighbors in construction order (parent, then children, tree by tree), so
+// two calls return identical slices — they used to come out in
+// map-iteration order — no list repeats a node, and an unchurned live scheme
+// lists exactly what the static family it was built from lists.
+func TestNeighborsOrderIsStable(t *testing.T) {
+	noRepeats := func(name string, nb map[core.NodeID][]core.NodeID) {
+		t.Helper()
+		for id, list := range nb {
+			seen := map[core.NodeID]bool{}
+			for _, o := range list {
+				if seen[o] {
+					t.Fatalf("%s: node %d lists %d twice: %v", name, id, o, list)
+				}
+				seen[o] = true
+			}
+		}
+	}
+	for _, d := range []int{2, 3, 5} {
+		for _, c := range []Construction{Structured, Greedy} {
+			m, err := New(77, d, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nb := m.Neighbors()
+			if !reflect.DeepEqual(nb, m.Neighbors()) {
+				t.Fatalf("%s d=%d: two Neighbors() calls disagree", c, d)
+			}
+			noRepeats(c.String(), nb)
+		}
+		dy, err := NewDynamic(77, d, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls := NewLiveScheme(dy, core.Live)
+		m, err := New(77, d, Greedy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ls.Neighbors(), m.Neighbors()) {
+			t.Fatalf("d=%d: unchurned live mesh differs from the static greedy mesh", d)
+		}
+		if _, err := ls.ApplyOps(3, []core.TopologyOp{
+			{Name: "alice"}, {Leave: true, Name: "node-4"}, {Name: "bob"}, {Leave: true, Name: "node-30"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		nb := ls.Neighbors()
+		if len(nb) != len(ls.Members()) {
+			t.Fatalf("d=%d: %d lists for %d live members", d, len(nb), len(ls.Members()))
+		}
+		if !reflect.DeepEqual(nb, ls.Neighbors()) {
+			t.Fatalf("d=%d: two live Neighbors() calls disagree after churn", d)
+		}
+		noRepeats("live", nb)
+	}
+}

@@ -212,31 +212,31 @@ func (m *MultiTree) Validate() error {
 
 // Neighbors returns each real node's protocol neighbor set: its parent in
 // every tree plus its children in the tree where it is interior. This is the
-// quantity bounded by 2d in the paper.
+// quantity bounded by 2d in the paper, so each list is a 2d-entry row of one
+// array, filled tree by tree (parent, then children) and deduplicated by
+// scanning it.
 func (m *MultiTree) Neighbors() map[core.NodeID][]core.NodeID {
 	out := make(map[core.NodeID][]core.NodeID, m.N)
+	rows := make([]core.NodeID, m.N*2*m.D)
 	for id := core.NodeID(1); int(id) <= m.N; id++ {
-		set := make(map[core.NodeID]bool)
+		lo := (int(id) - 1) * 2 * m.D
+		list := rows[lo : lo : lo+2*m.D]
 		for k := 0; k < m.D; k++ {
 			p := m.pos[k][id]
 			pp := ParentPos(p, m.D)
 			if pp == 0 {
-				set[core.SourceID] = true
+				list = core.AppendNeighbor(list, core.SourceID)
 			} else {
-				set[m.Trees[k][pp-1]] = true
+				list = core.AppendNeighbor(list, m.Trees[k][pp-1])
 			}
 			if p <= m.I {
 				for c := 0; c < m.D; c++ {
 					child := m.Trees[k][ChildPos(p, c, m.D)-1]
 					if !m.IsDummy(child) {
-						set[child] = true
+						list = core.AppendNeighbor(list, child)
 					}
 				}
 			}
-		}
-		list := make([]core.NodeID, 0, len(set))
-		for n := range set {
-			list = append(list, n)
 		}
 		out[id] = list
 	}

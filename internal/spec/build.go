@@ -44,6 +44,26 @@ type Run struct {
 	// executed guards the single-shot property of live-churn runs: the
 	// churn source consumes its op log, so one Run executes at most once.
 	executed bool
+	// schedule memoises Schedule.
+	schedule core.Scheme
+}
+
+// Schedule returns the one schedule Preflight and Execute both replay, so
+// that it is generated once for compile, check and run: a compiled snapshot
+// when the topology is static and core.CompileForRun takes the scheme at the
+// run's horizon, else the scheme itself (a live topology is re-snapshotted
+// per epoch inside the run). A snapshot carries the scheme's name, size and
+// mesh; callers that need the concrete scheme use Scheme.
+func (r *Run) Schedule() core.Scheme {
+	if r.schedule == nil {
+		r.schedule = r.Scheme
+		if r.Live == nil {
+			if c := core.CompileForRun(r.Scheme, r.Opt.Slots); c != nil {
+				r.schedule = c
+			}
+		}
+	}
+	return r.schedule
 }
 
 // Build resolves a scenario through the registry into a Run. It validates
@@ -162,7 +182,7 @@ func (r *Run) Preflight() (*check.Report, error) {
 	if r.CheckOpt == nil {
 		return nil, fmt.Errorf("spec: scheme %s is not statically checkable", r.Family.Name)
 	}
-	return check.Static(r.Scheme, *r.CheckOpt)
+	return check.Static(r.Schedule(), *r.CheckOpt)
 }
 
 // Execute runs the scenario on the slotsim engine. The `parallel` directive
@@ -179,7 +199,7 @@ func (r *Run) Execute() (*slotsim.Result, error) {
 		}
 		r.executed = true
 	}
-	return slotsim.Run(r.Scheme, r.Opt)
+	return slotsim.Run(r.Schedule(), r.Opt)
 }
 
 // churnProbe is how many leading expected packets a node samples before
