@@ -63,13 +63,19 @@ benchsmoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -short -run XXX . ./internal/slotsim
 
 # Measured benchmark snapshot as JSON (ns/op, B/op, allocs/op, custom
-# metrics), written to BENCH_<date>.json via cmd/benchdiff. Compare two
-# snapshots with:
+# metrics), written to BENCH_<date><suffix>.json via cmd/benchdiff. A
+# snapshot is a committed record: the target refuses to overwrite one, so a
+# second snapshot on the same date needs a suffix —
+#   make bench-json SNAPSHOT_SUFFIX=-pr19
+# Compare two snapshots with:
 #   go run ./cmd/benchdiff -old BENCH_a.json -new BENCH_b.json -threshold 0.2
 BENCHTIME ?= 2x
+SNAPSHOT_SUFFIX ?=
 bench-json:
+	@out=BENCH_$$(date +%Y-%m-%d)$(SNAPSHOT_SUFFIX).json; \
+	if [ -e "$$out" ]; then echo "bench-json: $$out exists; set SNAPSHOT_SUFFIX (e.g. -pr19) to write beside it"; exit 1; fi; \
 	$(GO) test -bench . -benchtime $(BENCHTIME) -benchmem -run XXX . ./internal/slotsim \
-		| $(GO) run ./cmd/benchdiff -write BENCH_$$(date +%Y-%m-%d).json
+		| $(GO) run ./cmd/benchdiff -write "$$out"
 
 # Short fuzz smoke over the fault-plan parser (FAULTS.md) and the scenario
 # parser/formatter round trip (SCENARIOS.md). CI keeps these brief; crank

@@ -457,6 +457,47 @@ func BenchmarkRandRegSchedule(b *testing.B) {
 	}
 }
 
+// BenchmarkRandRegFrontierRow regenerates the N = 10^4 row group of the
+// `randreg` table — the two deterministic schemes plus three seeded trials of
+// each randreg mode, eleven runs spread over the row workers — which is most
+// of a `sweep` iteration (PERFORMANCE.md §10).
+func BenchmarkRandRegFrontierRow(b *testing.B) {
+	b.Run("N10000", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := experiments.RandRegFrontier([]int{10000}, 3, 3, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkCheckedCubeRun is the `cube-check` workload in process: registry
+// build, static check and run of the N = 32767 hypercube, all three replaying
+// the run's one schedule snapshot. The run ends when its window is complete
+// (slot 19 of a 264-slot horizon).
+func BenchmarkCheckedCubeRun(b *testing.B) {
+	b.Run("N32767", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			run, err := spec.Build(spec.HypercubeScenario(32767, 1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rep, err := run.Preflight(); err != nil || !rep.OK() {
+				b.Fatalf("check failed: %v %v", err, rep)
+			}
+			res, err := run.Execute()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.SlotsUsed != 19 {
+				b.Fatalf("slots used %d, want 19", res.SlotsUsed)
+			}
+		}
+	})
+}
+
 // BenchmarkStructuredVsUnstructured regenerates the gossip comparison.
 func BenchmarkStructuredVsUnstructured(b *testing.B) {
 	var tab *experiments.Table

@@ -41,6 +41,13 @@ const (
 	maxCompiledTransmissions = 1 << 26
 )
 
+// MaxArrivalCells is the companion ceiling on the engine's arrival matrix
+// (one int32 cell per node per tracked packet, so 4 GiB): a run whose
+// horizon × population asks for more is refused up front with a sized error
+// instead of dying in the allocator. The million-node hypercube uses under a
+// twentieth of it.
+const MaxArrivalCells = 1 << 30
+
 // CompiledScheme is a snapshot of a periodic schedule. Transmissions(t)
 // returns a capacity-clamped sub-slice of one flat backing array — zero
 // allocations per call. For steady-state slots the packet numbers in the

@@ -22,52 +22,62 @@ func rowWorkers(n int) int {
 	return w
 }
 
-// forEachRow evaluates n independent row builds — build(i) returns the group
-// of table rows for sweep index i — on a bounded worker pool and returns the
-// groups in index order, so the assembled table is byte-identical to a serial
-// sweep regardless of scheduling. On error the lowest-index failure wins,
-// again matching what a serial sweep would have reported first.
+// forEachTask runs n independent tasks on a bounded worker pool. On error the
+// lowest-index failure wins, matching what a serial sweep would have reported
+// first (a serial sweep also stops there; the pool runs the rest regardless).
 //
 // When a report sink is installed the sweep stays serial: run reports are
-// emitted in deterministic row order, and sink callbacks never race.
-func forEachRow(n int, build func(i int) ([][]interface{}, error)) ([][][]interface{}, error) {
-	if n <= 0 {
-		return nil, nil
-	}
+// emitted in deterministic task order, and sink callbacks never race.
+func forEachTask(n int, task func(i int) error) error {
 	w := rowWorkers(n)
 	if w <= 1 || reportsActive() {
-		out := make([][][]interface{}, n)
 		for i := 0; i < n; i++ {
-			g, err := build(i)
-			if err != nil {
-				return nil, err
+			if err := task(i); err != nil {
+				return err
 			}
-			out[i] = g
 		}
-		return out, nil
+		return nil
 	}
-	out := make([][][]interface{}, n)
 	errs := make([]error, n)
-	var next int64 = -1
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for k := 0; k < w; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(atomic.AddInt64(&next, 1))
+				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				out[i], errs[i] = build(i)
+				errs[i] = task(i)
 			}
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
+	}
+	return nil
+}
+
+// forEachRow evaluates n independent row builds — build(i) returns the group
+// of table rows for sweep index i — through forEachTask and returns the
+// groups in index order, so the assembled table is byte-identical to a serial
+// sweep regardless of scheduling.
+func forEachRow(n int, build func(i int) ([][]interface{}, error)) ([][][]interface{}, error) {
+	if n <= 0 {
+		return nil, nil
+	}
+	out := make([][][]interface{}, n)
+	err := forEachTask(n, func(i int) (err error) {
+		out[i], err = build(i)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -81,6 +81,10 @@ func runnersUnderTest(t *testing.T) map[string]func() (*Table, error) {
 		"delaydist": func() (*Table, error) {
 			return DelayDistribution([]int{15}, 2)
 		},
+		// One task per (N, scheme, trial): 2 sizes × (2 + 3 modes × 2 trials).
+		"randreg": func() (*Table, error) {
+			return RandRegFrontier([]int{20, 40}, 3, 2, 1)
+		},
 	}
 }
 

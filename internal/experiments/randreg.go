@@ -36,56 +36,69 @@ func RandRegFrontier(ns []int, degree, trials int, baseSeed int64) (*Table, erro
 			"N", "scheme", "trials", "p50 delay", "p99 delay", "max delay", "max buffer", "missing",
 		},
 	}
-	groups, err := forEachRow(len(ns), func(i int) ([][]interface{}, error) {
-		n := ns[i]
-		var rows [][]interface{}
-
-		mtSc := spec.MultiTreeScenario(n, degree, multitree.Greedy, core.Live)
-		mtSc.Packets = 3 * degree
-		_, mtRes, err := specResult(mtSc, false)
+	// One task per simulation, in the table's own order — per population
+	// size the two deterministic schemes, then every (mode, trial) — so the
+	// largest size's runs spread over the workers instead of queueing behind
+	// one. Each task leaves its receivers' delays, worst buffer and missing
+	// count in its own cell; rows are assembled afterwards, pooling trials in
+	// seed order.
+	modes := []string{"latin", "pull", "push"}
+	seeds := stats.TrialSeeds(baseSeed, trials)
+	perN := 2 + len(modes)*trials
+	type outcome struct {
+		delays          []float64
+		maxBuf, missing int
+	}
+	runs := make([]outcome, len(ns)*perN)
+	err := forEachTask(len(runs), func(i int) error {
+		n, k := ns[i/perN], i%perN
+		var sc *spec.Scenario
+		var what string
+		switch k {
+		case 0:
+			sc = spec.MultiTreeScenario(n, degree, multitree.Greedy, core.Live)
+			sc.Packets = 3 * degree
+			what = fmt.Sprintf("multitree n=%d", n)
+		case 1:
+			sc = spec.HypercubeScenario(n, 1)
+			sc.Packets = 3 * degree
+			what = fmt.Sprintf("hypercube n=%d", n)
+		default:
+			mode, seed := modes[(k-2)/trials], seeds[(k-2)%trials]
+			sc = spec.RandRegScenario(n, degree, mode, seed)
+			what = fmt.Sprintf("mode=%s n=%d seed=%d", mode, n, seed)
+		}
+		_, res, err := specResult(sc, false)
 		if err != nil {
-			return nil, fmt.Errorf("randreg: multitree n=%d: %w", n, err)
+			return fmt.Errorf("randreg: %s: %w", what, err)
 		}
-		mt := stats.Summarize(receiverDelays(mtRes))
-		rows = append(rows, []interface{}{n, fmt.Sprintf("multi-tree d=%d", degree), 1,
-			mt.P50, mt.P99, mt.Max, mtRes.WorstBuffer(), 0})
-
-		hcSc := spec.HypercubeScenario(n, 1)
-		hcSc.Packets = 3 * degree
-		_, hcRes, err := specResult(hcSc, false)
-		if err != nil {
-			return nil, fmt.Errorf("randreg: hypercube n=%d: %w", n, err)
+		o := outcome{delays: receiverDelays(res), maxBuf: res.WorstBuffer()}
+		for _, m := range res.Missing {
+			o.missing += m
 		}
-		hc := stats.Summarize(receiverDelays(hcRes))
-		rows = append(rows, []interface{}{n, "hypercube chain", 1,
-			hc.P50, hc.P99, hc.Max, hcRes.WorstBuffer(), 0})
-
-		for _, mode := range []string{"latin", "pull", "push"} {
-			var q stats.TrialQuantiles
-			maxBuf, missing := 0, 0
-			for _, seed := range stats.TrialSeeds(baseSeed, trials) {
-				sc := spec.RandRegScenario(n, degree, mode, seed)
-				_, res, err := specResult(sc, false)
-				if err != nil {
-					return nil, fmt.Errorf("randreg: mode=%s n=%d seed=%d: %w", mode, n, seed, err)
-				}
-				q.AddTrial(receiverDelays(res))
-				if b := res.WorstBuffer(); b > maxBuf {
-					maxBuf = b
-				}
-				for _, m := range res.Missing {
-					missing += m
-				}
-			}
-			pooled := q.Pooled()
-			rows = append(rows, []interface{}{n, "randreg " + mode, trials,
-				pooled.P50, pooled.P99, pooled.Max, maxBuf, missing})
-		}
-		return rows, nil
+		runs[i] = o
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	addGroups(t, groups)
+	for i, n := range ns {
+		at := runs[i*perN:]
+		mt := stats.Summarize(at[0].delays)
+		t.AddRow(n, fmt.Sprintf("multi-tree d=%d", degree), 1, mt.P50, mt.P99, mt.Max, at[0].maxBuf, 0)
+		hc := stats.Summarize(at[1].delays)
+		t.AddRow(n, "hypercube chain", 1, hc.P50, hc.P99, hc.Max, at[1].maxBuf, 0)
+		for m, mode := range modes {
+			var q stats.TrialQuantiles
+			maxBuf, missing := 0, 0
+			for _, o := range at[2+m*trials : 2+(m+1)*trials] {
+				q.AddTrial(o.delays)
+				maxBuf = max(maxBuf, o.maxBuf)
+				missing += o.missing
+			}
+			pooled := q.Pooled()
+			t.AddRow(n, "randreg "+mode, trials, pooled.P50, pooled.P99, pooled.Max, maxBuf, missing)
+		}
+	}
 	return t, nil
 }

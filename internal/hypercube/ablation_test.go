@@ -10,7 +10,9 @@ import (
 
 // TestDimOrderPermutationsWork: the doubling schedule only needs each
 // window of k slots to use k distinct dimensions, so every permutation of
-// the dimension cycle is a valid design point.
+// the dimension cycle is a valid design point. The engine validates the slots
+// a run executes, and a bare run ends with its window: 3k packets at delay k
+// keep it running through four dimension cycles.
 func TestDimOrderPermutationsWork(t *testing.T) {
 	k := 3
 	n := 1<<k - 1
@@ -23,7 +25,7 @@ func TestDimOrderPermutationsWork(t *testing.T) {
 		}
 		res, err := slotsim.Run(s, slotsim.Options{
 			Slots:   core.Slot(4*k + 6),
-			Packets: core.Packet(2 * k),
+			Packets: core.Packet(3 * k),
 			Mode:    core.Live,
 		})
 		if err != nil {

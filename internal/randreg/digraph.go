@@ -120,28 +120,28 @@ func conflictEdges(nodes, d int, to []int) []int {
 
 // stronglyConnected reports whether every node is reachable from node 0
 // along out-edges and along reversed edges — equivalent, for a graph where
-// node 0 exists, to strong connectivity of the whole digraph.
+// node 0 exists, to strong connectivity of the whole digraph. to is a
+// d-regular head list as pairing leaves it: every node heads exactly d edges
+// (switches swap heads, so the in-degrees never move), which is what lets
+// the reversed adjacency be rows of d like the forward one.
 func stronglyConnected(nodes, d int, to []int) bool {
-	reach := func(forward bool) bool {
-		adj := make([][]int, nodes)
-		for v := 0; v < nodes; v++ {
-			for j := 0; j < d; j++ {
-				u := to[v*d+j]
-				if forward {
-					adj[v] = append(adj[v], u)
-				} else {
-					adj[u] = append(adj[u], v)
-				}
-			}
-		}
-		seen := make([]bool, nodes)
+	rev := make([]int, nodes*d)
+	fill := make([]int, nodes)
+	for e, u := range to {
+		rev[u*d+fill[u]] = e / d
+		fill[u]++
+	}
+	seen := make([]bool, nodes)
+	stack := make([]int, 0, nodes)
+	reach := func(adj []int) bool {
+		clear(seen)
 		seen[0] = true
-		stack := []int{0}
+		stack = append(stack[:0], 0)
 		count := 1
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, u := range adj[v] {
+			for _, u := range adj[v*d : (v+1)*d] {
 				if !seen[u] {
 					seen[u] = true
 					count++
@@ -151,7 +151,22 @@ func stronglyConnected(nodes, d int, to []int) bool {
 		}
 		return count == nodes
 	}
-	return reach(true) && reach(false)
+	return reach(to) && reach(rev)
+}
+
+// intRows returns nodes rows of d ints, every entry set to fill, cut from one
+// backing array: two allocations however many nodes. Rows are capacity-
+// clamped, so an append to one cannot run into the next.
+func intRows(nodes, d, fill int) [][]int {
+	flat := make([]int, nodes*d)
+	for i := range flat {
+		flat[i] = fill
+	}
+	rows := make([][]int, nodes)
+	for v := range rows {
+		rows[v] = flat[v*d : (v+1)*d : (v+1)*d]
+	}
+	return rows
 }
 
 // colorEdges computes a proper d-edge-coloring of the simple d-regular
@@ -162,15 +177,8 @@ func stronglyConnected(nodes, d int, to []int) bool {
 // tail's and head's free colors differ.
 func (g *Digraph) colorEdges(to []int) {
 	nodes, d := g.Nodes, g.D
-	outc := make([][]int, nodes) // outc[v][c] = head of v's color-c edge, -1 free
-	inc := make([][]int, nodes)  // inc[u][c] = tail of u's color-c edge, -1 free
-	for v := 0; v < nodes; v++ {
-		outc[v] = make([]int, d)
-		inc[v] = make([]int, d)
-		for c := 0; c < d; c++ {
-			outc[v][c], inc[v][c] = -1, -1
-		}
-	}
+	outc := intRows(nodes, d, -1) // outc[v][c] = head of v's color-c edge, -1 free
+	inc := intRows(nodes, d, -1)  // inc[u][c] = tail of u's color-c edge, -1 free
 	free := func(slots []int) int {
 		for c, w := range slots {
 			if w == -1 {
@@ -180,6 +188,7 @@ func (g *Digraph) colorEdges(to []int) {
 		panic("randreg: no free color on a d-regular node")
 	}
 	type pedge struct{ tail, head, col int }
+	var path []pedge // the chain being flipped; one buffer for every flip
 	for v := 0; v < nodes; v++ {
 		for j := 0; j < d; j++ {
 			u := to[v*d+j]
@@ -189,7 +198,7 @@ func (g *Digraph) colorEdges(to []int) {
 				// color-a in-edge, that tail's color-b out-edge, and so on.
 				// The chain cannot reach tail v (v misses a), so a stays
 				// free at v and becomes free at u.
-				var path []pedge
+				path = path[:0]
 				x := u
 				for {
 					w := inc[x][a]

@@ -86,31 +86,14 @@ func (h *candHeap) Pop() interface{} {
 func newLatinPlan(g *Digraph) *latinPlan {
 	nodes, d := g.Nodes, g.D
 	p := &latinPlan{
-		resOf: make([][]int, nodes),
-		delay: make([][]int, nodes),
-	}
-	for v := 0; v < nodes; v++ {
-		p.resOf[v] = make([]int, d)
-		p.delay[v] = make([]int, d)
-		for k := 0; k < d; k++ {
-			p.resOf[v][k] = -1
-			p.delay[v][k] = latinInf
-		}
+		resOf: intRows(nodes, d, -1),
+		delay: intRows(nodes, d, latinInf),
 	}
 
-	// lag[v][r] is v's accepted delay for residue r; colorTaken / resDone
-	// make acceptance first come, first served per node.
-	lag := make([][]int, nodes)
-	colorTaken := make([][]bool, nodes)
-	resDone := make([][]bool, nodes)
-	for v := 0; v < nodes; v++ {
-		lag[v] = make([]int, d)
-		colorTaken[v] = make([]bool, d)
-		resDone[v] = make([]bool, d)
-		for r := 0; r < d; r++ {
-			lag[v][r] = latinInf
-		}
-	}
+	// colorTaken[v·d+k] / resDone[v·d+r] make acceptance first come, first
+	// served per node.
+	colorTaken := make([]bool, nodes*d)
+	resDone := make([]bool, nodes*d)
 
 	h := &candHeap{}
 	// fanOut publishes u's new supply of residue r to every head of u's
@@ -118,9 +101,8 @@ func newLatinPlan(g *Digraph) *latinPlan {
 	// slot offset at which the tail can forward: the source holds packet p
 	// from slot p (offset 0), a receiver strictly after it received it.
 	fanOut := func(u, r, uLag int) {
-		for c := 0; c < d; c++ {
-			w := g.Out[u][c]
-			if w == 0 || resDone[w][r] || colorTaken[w][c] {
+		for c, w := range g.Out[u] {
+			if w == 0 || resDone[w*d+r] || colorTaken[w*d+c] {
 				continue
 			}
 			minSend := 0
@@ -138,12 +120,11 @@ func newLatinPlan(g *Digraph) *latinPlan {
 	}
 	for h.Len() > 0 {
 		c := heap.Pop(h).(latinCand)
-		if resDone[c.v][c.r] || colorTaken[c.v][c.k] {
+		if resDone[c.v*d+c.r] || colorTaken[c.v*d+c.k] {
 			continue
 		}
-		resDone[c.v][c.r] = true
-		colorTaken[c.v][c.k] = true
-		lag[c.v][c.r] = c.delay
+		resDone[c.v*d+c.r] = true
+		colorTaken[c.v*d+c.k] = true
 		p.resOf[c.v][c.k] = c.r
 		p.delay[c.v][c.k] = c.delay
 		if s := core.Slot(c.delay); s > p.steady {

@@ -25,7 +25,7 @@ package randreg
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"streamcast/internal/core"
 	"streamcast/internal/stats"
@@ -151,18 +151,16 @@ func (s *Scheme) Mode() Mode { return s.mode }
 // set is its in- and out-neighborhood in the digraph.
 func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
 	out := make(map[core.NodeID][]core.NodeID, s.n)
+	// A node has d in- and d out-neighbors, none of them itself (the digraph
+	// is simple), so every list fits a 2d-entry row of one array.
+	rows := make([]core.NodeID, s.n*2*s.d)
 	for v := 1; v <= s.n; v++ {
-		seen := map[int]bool{v: true}
-		var list []core.NodeID
+		list := rows[(v-1)*2*s.d : (v-1)*2*s.d : v*2*s.d]
 		for k := 0; k < s.d; k++ {
-			for _, u := range []int{s.g.In[v][k], s.g.Out[v][k]} {
-				if !seen[u] {
-					seen[u] = true
-					list = append(list, core.NodeID(u))
-				}
-			}
+			list = core.AppendNeighbor(list, core.NodeID(s.g.In[v][k]))
+			list = core.AppendNeighbor(list, core.NodeID(s.g.Out[v][k]))
 		}
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+		slices.Sort(list)
 		out[core.NodeID(v)] = list
 	}
 	return out
@@ -214,7 +212,8 @@ func (s *Scheme) Transmissions(t core.Slot) []core.Transmission {
 // already held by the tail.
 func (s *Scheme) latinSlot(t core.Slot) []core.Transmission {
 	k := int(t) % s.d
-	var txs []core.Transmission
+	// Sized for the steady state, where every planned color-k edge fires.
+	txs := make([]core.Transmission, 0, s.n)
 	for u := 1; u <= s.n; u++ {
 		delay := s.plan.delay[u][k]
 		if delay >= latinInf {

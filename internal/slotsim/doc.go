@@ -31,13 +31,19 @@
 //     buffer occupancy under the Figure 5 playback convention, and hiccup
 //     accounting. The model is lock-step, so a slot is O(N) array traffic
 //     between two hard barriers; PERFORMANCE.md records why sharding it
-//     across workers was measured and removed.
+//     across workers was measured and removed. Options.Slots is an upper
+//     bound: a Result depends on the window's arrivals alone, so a bare run
+//     — no observer, drop hook, injector, latency function or churn source
+//     — ends at the first slot boundary at which every receiver holds the
+//     whole window, and any of those keeps the run going to the horizon
+//     (PERFORMANCE.md §10).
 //   - Runner owns the scratch arena and a small cache of compiled
 //     schedules for callers that run many simulations back to back; Run
 //     draws pooled Runners automatically.
-//   - Options configures horizon, measurement window, stream mode,
-//     capacities, link latency, failure injection (Drop, SkipUnavailable,
-//     AllowIncomplete) and the observability hook (Observer).
+//   - Options configures horizon (an upper bound), measurement window,
+//     stream mode, capacities, link latency, failure injection (Drop,
+//     SkipUnavailable, AllowIncomplete) and the observability hook
+//     (Observer).
 //   - BuildReport turns a finished run plus an obs.Metrics collector into
 //     a machine-readable obs.RunReport (see OBSERVABILITY.md).
 //

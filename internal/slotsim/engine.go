@@ -2,6 +2,7 @@ package slotsim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"streamcast/internal/core"
@@ -22,7 +23,16 @@ type LatencyFunc func(from, to core.NodeID) core.Slot
 
 // Options configures a simulation run.
 type Options struct {
-	// Slots is the number of time slots to simulate.
+	// Slots is the horizon: an upper bound on the time slots simulated. The
+	// Result is a function of the window's arrivals alone, so a run that
+	// nothing outside the engine can watch — no Observer, Drop, Inject,
+	// Latency or Churn — ends at the first slot boundary at which every
+	// receiver holds the whole window; with any of those set, and whenever
+	// the window never completes, all Slots slots run. A constraint the
+	// schedule breaks only after that boundary is therefore seen by an
+	// observed or injected run and not by a bare one: the engine validates
+	// what it executes, and check.Static is the validator of a schedule over
+	// a stated horizon.
 	Slots core.Slot
 	// Packets is the measurement window: metrics are computed over packets
 	// 0..Packets-1 and the run fails unless every receiver has received all
@@ -236,6 +246,15 @@ type engine struct {
 	// fast marks a run with no LatencyFunc and no Injector: every link takes
 	// exactly 1 slot, so routing bypasses the in-flight ring entirely.
 	fast bool
+	// direct marks a fast run that nothing observes or drops in flight: the
+	// engine's own state is all a slot can change. step delivers the
+	// schedule's slice as it stands, and — absent a churn source — runSlots
+	// ends the run once the window is complete.
+	direct bool
+	// pending counts the receivers still missing part of the window: n less
+	// the ExtraSources among them (which originate packets and receive
+	// nothing) at run start, one less each time noteDelivery completes a node.
+	pending int
 	// ring buffers in-flight transmissions by arrival slot. nil on the
 	// fast path.
 	ring *txRing
@@ -251,6 +270,15 @@ type engine struct {
 	cursor []uint64
 	sc     *scratch
 	obs    obs.Observer
+}
+
+// satMul returns a·b for non-negative operands, saturating at math.MaxInt.
+func satMul(a, b int) int {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 || lo > math.MaxInt {
+		return math.MaxInt
+	}
+	return int(lo)
 }
 
 // grownInts returns s resized to n, reusing its backing array when large
@@ -296,7 +324,10 @@ func newEngine(s core.Scheme, opt Options, sc *scratch, pktBound core.Packet) (*
 	srcCap := s.SourceCapacity()
 	// Track arrivals for every packet the source could emit in the
 	// simulated horizon, so availability checks work beyond the window.
-	maxPkt := core.Packet(int(opt.Slots)*srcCap + srcCap)
+	maxPkt := core.Packet(satMul(int(opt.Slots), srcCap))
+	if int(maxPkt) <= math.MaxInt-srcCap {
+		maxPkt += core.Packet(srcCap)
+	}
 	if pktBound > 0 && pktBound < maxPkt {
 		// The schedule is known to stay below pktBound, so no transmission
 		// can tell the difference — and the matrix is a fraction of the size
@@ -304,15 +335,26 @@ func newEngine(s core.Scheme, opt Options, sc *scratch, pktBound core.Packet) (*
 		// (multitree: one, against a capacity of d).
 		maxPkt = pktBound
 	}
+	if opt.Mode == core.Live && int(maxPkt) > int(opt.Slots) {
+		// A live source — and every ExtraSources id, holds treats them alike —
+		// cannot send packet p before slot p, so no node ever holds a packet
+		// numbered Slots or above and those rows can never be written.
+		maxPkt = core.Packet(int(opt.Slots))
+	}
 	if maxPkt < opt.Packets {
 		maxPkt = opt.Packets
+	}
+	need := satMul(n+1, int(maxPkt))
+	if need > core.MaxArrivalCells {
+		const gib = 1 << 30
+		return nil, fmt.Errorf("slotsim: arrival matrix too large: N=%d nodes × %d packet rows needs %.1f GiB, over the %d GiB ceiling (core.MaxArrivalCells); shorten the horizon (%d slots) or the population",
+			n, maxPkt, float64(need)*4/gib, core.MaxArrivalCells*4/gib, opt.Slots)
 	}
 	// Undo the previous run's arrival writes against the old backing, then
 	// resize. A grown matrix is freshly allocated and therefore all-unset
 	// (unset32 is the zero value); a reused one is made all-unset here by
 	// clearing exactly the packet rows the dirty bitmap marks, each one
 	// contiguous memclr of the previous run's row stride.
-	need := (n + 1) * int(maxPkt)
 	if cap(sc.arr) < need {
 		// The matrix will be freshly allocated; just forget the old writes.
 		clear(sc.dirtyRows)
@@ -339,9 +381,13 @@ func newEngine(s core.Scheme, opt Options, sc *scratch, pktBound core.Packet) (*
 		sc.srcBits[i] = 0
 	}
 	setSrcBit(sc.srcBits, core.SourceID)
+	pending := n
 	for id, on := range opt.ExtraSources {
 		if on && id >= 0 && int(id) <= n {
 			setSrcBit(sc.srcBits, id)
+			if id != core.SourceID {
+				pending--
+			}
 		}
 	}
 
@@ -368,6 +414,8 @@ func newEngine(s core.Scheme, opt Options, sc *scratch, pktBound core.Packet) (*
 		dirtyRows: sc.dirtyRows,
 		srcBits:   sc.srcBits,
 		fast:      fast,
+		direct:    fast && opt.Observer == nil && opt.Drop == nil,
+		pending:   pending,
 		sentSt:    sc.sentSt,
 		recvSt:    sc.recvSt,
 		cursor:    sc.cursor,
@@ -517,6 +565,9 @@ func (e *engine) noteDelivery(id core.NodeID, p core.Packet, t core.Slot) {
 		worst = lag
 	}
 	e.cursor[id] = uint64(uint32(worst))<<32 | uint64(got)
+	if got == uint32(e.opt.Packets) {
+		e.pending--
+	}
 	if int32(t) > e.sc.maxArr {
 		e.sc.maxArr = int32(t)
 	}
@@ -633,10 +684,10 @@ func (e *engine) route(t core.Slot, txs []core.Transmission, sameSlot []core.Tra
 
 // step executes one slot.
 func (e *engine) step(t core.Slot, txs []core.Transmission) error {
-	if e.obs == nil && e.fast && e.opt.Drop == nil {
-		// Fast direct path: every link takes exactly one slot and nothing
-		// observes or drops in flight, so the schedule's own slice IS the
-		// slot's arrival list — skip the route copy entirely.
+	if e.direct {
+		// Every link takes exactly one slot and nothing observes or drops in
+		// flight, so the schedule's own slice IS the slot's arrival list —
+		// skip the route copy entirely.
 		txs = e.filterUnavailable(t, txs)
 		if err := e.validateSends(t, txs); err != nil {
 			return err
@@ -706,7 +757,8 @@ func (e *engine) finish() (*Result, error) {
 	if m := core.Slot(e.sc.maxArr); m > r.SlotsUsed {
 		r.SlotsUsed = m
 	}
-	counts := grownInts(e.sc.counts, int(e.opt.Slots))
+	// Indexable by every arrival slot: none is later than maxArr.
+	counts := grownInts(e.sc.counts, int(e.sc.maxArr)+1)
 	e.sc.counts = counts
 	for i := range counts {
 		counts[i] = 0

@@ -103,9 +103,11 @@ func TestViolationLiveFuturePacket(t *testing.T) {
 	assertViolation(t, err, "does not hold")
 }
 
-// TestViolationDuplicate: receiving the same packet twice.
+// TestViolationDuplicate: receiving the same packet twice. Node 3 is still
+// waiting when the duplicate lands, so the run has not ended (a bare run
+// stops once the window is complete; TestStopRule pins that side).
 func TestViolationDuplicate(t *testing.T) {
-	s := &stubScheme{n: 2, srcCap: 1, slots: map[core.Slot][]core.Transmission{
+	s := &stubScheme{n: 3, srcCap: 1, slots: map[core.Slot][]core.Transmission{
 		0: {tx(0, 1, 0)},
 		1: {tx(0, 2, 0)},
 		2: {tx(1, 2, 0)},

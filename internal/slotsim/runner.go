@@ -65,7 +65,9 @@ func NewRunner() *Runner { return &Runner{} }
 // identical either way. Under Options.Churn the topology is a sequence of
 // epochs: the churn source runs at the boundary entering each slot, and
 // every epoch bump re-chooses the schedule for the mutated topology. A
-// static run is the zero-epoch case: the schedule is chosen once.
+// static run is the zero-epoch case: the schedule is chosen once. The loop
+// leaves early when the window is complete and nothing outside the engine
+// could read a later slot (Options.Slots).
 func (r *Runner) Run(s core.Scheme, opt Options) (*Result, error) {
 	e, err := r.runSlots(s, opt)
 	if err != nil {
@@ -110,6 +112,11 @@ func (r *Runner) runSlots(s core.Scheme, opt Options) (*engine, error) {
 		}
 		if err := e.step(t, cur.Transmissions(t)); err != nil {
 			return nil, err
+		}
+		if e.pending == 0 && e.direct && e.dyn == nil {
+			// Every receiver holds the whole window and nothing outside the
+			// engine can read a later slot: the Result is already decided.
+			break
 		}
 	}
 	return e, nil

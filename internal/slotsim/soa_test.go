@@ -1,6 +1,8 @@
 package slotsim
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"streamcast/internal/core"
@@ -111,5 +113,53 @@ func TestArrivalMatrixSizedFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	} else if e.maxPkt != 20*3+3 {
 		t.Errorf("uncompiled: matrix tracks %d packets, want slots·cap+cap = 63", e.maxPkt)
+	}
+}
+
+// TestLiveMatrixBoundedByHorizon: in Live mode no node can hold packet p
+// before slot p, so the matrix needs no row at or past Slots, whatever the
+// source capacity; the window still sets the floor, and the other modes, whose
+// source may run ahead of the clock, keep slots·cap+cap.
+func TestLiveMatrixBoundedByHorizon(t *testing.T) {
+	s := &stubScheme{n: 2, srcCap: 3}
+	for _, c := range []struct {
+		name string
+		opt  Options
+		want core.Packet
+	}{
+		{"live", Options{Slots: 20, Packets: 4, Mode: core.Live}, 20},
+		{"live, wide window", Options{Slots: 20, Packets: 30, Mode: core.Live}, 30},
+		{"live pre-buffered", Options{Slots: 20, Packets: 4, Mode: core.LivePreBuffered}, 63},
+		{"pre-recorded", Options{Slots: 20, Packets: 4}, 63},
+	} {
+		c.opt.AllowIncomplete = true
+		e, err := NewRunner().runSlots(s, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.maxPkt != c.want {
+			t.Errorf("%s: matrix tracks %d packets, want %d", c.name, e.maxPkt, c.want)
+		}
+	}
+}
+
+// TestArrivalMatrixCeiling: a run whose population × horizon asks for more
+// than core.MaxArrivalCells is refused before anything is allocated, with the
+// sizes in the message — including when the product does not fit an int — and
+// the Runner is still good for a run that fits.
+func TestArrivalMatrixCeiling(t *testing.T) {
+	r := NewRunner()
+	big := &stubScheme{n: 200_000, srcCap: 3}
+	for _, slots := range []core.Slot{800_112, math.MaxInt} {
+		_, err := r.Run(big, Options{Slots: slots, Packets: 9, Mode: core.Live, AllowIncomplete: true})
+		if err == nil || !strings.Contains(err.Error(), "arrival matrix too large: N=200000 nodes") {
+			t.Fatalf("Slots=%d: got %v, want the sized ceiling error", slots, err)
+		}
+	}
+	if cap(r.sc.arr) != 0 {
+		t.Errorf("a refused run allocated %d cells", cap(r.sc.arr))
+	}
+	if _, err := r.Run(chainOfTwo(), Options{Slots: 6, Packets: 1}); err != nil {
+		t.Errorf("run after a refused one: %v", err)
 	}
 }
