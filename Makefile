@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint lint-json lint-fix-check bench benchsmoke bench-json bench-gate fuzz chaos scenarios cover ci clean
+.PHONY: build test race vet fmt-check lint lint-json lint-fix-check bench benchsmoke bench-json bench-gate fuzz chaos scenarios cover loc ci clean
 
 build:
 	$(GO) build ./...
@@ -130,6 +130,12 @@ bench-gate:
 		| $(GO) run ./cmd/benchdiff -write $$snap || { rm -f $$snap; exit 1; }; \
 	$(GO) run ./cmd/benchdiff -old $(BENCH_BASELINE) -new $$snap -threshold 0.25; \
 	status=$$?; rm -f $$snap; exit $$status
+
+# The size of the program: non-test, non-testdata Go lines under internal/
+# and cmd/. This is the number ROADMAP.md and CHANGES.md quote when a PR
+# claims "line count down".
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
 
 ci: build vet fmt-check lint lint-fix-check test race fuzz chaos scenarios cover benchsmoke bench-gate
 

@@ -13,14 +13,13 @@
 //	streamsim -scheme multitree -n 100 -d 3 -construction greedy -mode live
 //	streamsim -scheme hypercube -n 100 -d 2
 //	streamsim -scheme cluster -n 20 -k 9 -D 3 -d 4 -tc 5
-//	streamsim -scheme session -n 50 -d 3 -swaps 20:4:9
 //	streamsim -scheme randreg -n 200 -degree 3 -randreg-mode latin -seed 7
 //	streamsim -scenario run.scn
 //	streamsim -list-schemes
 //
 // The -check flag runs the static schedule/mesh verifier (internal/check,
 // see STATIC_ANALYSIS.md) as a preflight; on families without a static
-// schedule (gossip, mdc, session, randreg) it fails fast instead of
+// schedule (gossip, mdc, randreg) it fails fast instead of
 // producing spurious verifier output:
 //
 //	streamsim -scheme multitree -n 100 -d 3 -check
@@ -40,23 +39,24 @@
 //	streamsim -scheme multitree -n 1000000 -d 4
 //
 // Fault injection (see FAULTS.md): -faults loads a deterministic fault plan
-// (crashes, transient loss, link delay, churn) and replays it against the
-// run; -fault-seed overrides the plan's seed. The same plan and seed give a
-// bit-identical event stream on every replay, and the same frame losses on
-// the goroutine runtime:
+// (crashes, transient loss, link delay, join/leave events) and replays it
+// against the run; -fault-seed overrides the plan's seed. The same plan and
+// seed give a bit-identical event stream on every replay, and the same frame
+// losses on the goroutine runtime. A plan that carries join/leave events
+// needs -churn plan: without it the run is refused, never silently static:
 //
-//	streamsim -scheme multitree -n 100 -d 3 -faults chaos.plan
-//	streamsim -scheme multitree -n 100 -d 3 -faults chaos.plan -fault-seed 7
+//	streamsim -scheme multitree -n 100 -d 3 -faults loss.plan
+//	streamsim -scheme multitree -n 100 -d 3 -faults loss.plan -fault-seed 7
+//	streamsim -scheme multitree -n 100 -d 3 -faults chaos.plan -churn plan
 //
-// Live churn (the churn scenario directive): -churn makes joins and leaves
-// a mid-run workload — the topology re-plans at slot boundaries while the
-// stream keeps flowing, each operation held to the paper's d²+d swap
-// bound, and the run reports playback SLOs (hiccups, stalls, rebuffer
-// ratio, time to repair) instead of a pre-churn snapshot:
+// Live churn (the churn scenario directive) is the one way membership
+// changes: -churn makes joins and leaves a mid-run workload — the topology
+// re-plans at slot boundaries while the stream keeps flowing, each operation
+// held to the paper's d²+d swap bound, and the run reports playback SLOs
+// (hiccups, stalls, rebuffer ratio, time to repair):
 //
 //	streamsim -scheme multitree -n 100 -d 3 -churn poisson -churn-rate 0.5 -churn-seed 7
 //	streamsim -scheme multitree -n 100 -d 3 -churn flash -churn-rate 2 -churn-slots 10..40 -churn-policy lazy
-//	streamsim -scheme multitree -n 100 -d 3 -churn plan -faults chaos.plan
 package main
 
 import (
@@ -100,7 +100,6 @@ type cli struct {
 	degree       int
 	rrMode       string
 	seed         int64
-	swaps        string
 	rounds       int
 	doCheck      bool
 	engine       string
@@ -142,7 +141,6 @@ func newCLI(fs *flag.FlagSet) *cli {
 	fs.IntVar(&c.degree, "degree", 3, "d-regular digraph degree (randreg scheme)")
 	fs.StringVar(&c.rrMode, "randreg-mode", "latin", "randreg schedule: latin | pull | push")
 	fs.Int64Var(&c.seed, "seed", 1, "seed for the gossip mesh or randreg digraph")
-	fs.StringVar(&c.swaps, "swaps", "", "mid-stream swaps slot:a:b[,...] (session scheme)")
 	fs.IntVar(&c.rounds, "rounds", 6, "MDC playback rounds (mdc scheme)")
 	fs.BoolVar(&c.doCheck, "check", false, "statically verify the schedule and mesh (internal/check) before running")
 	fs.StringVar(&c.engine, "engine", "slotsim", "slotsim | runtime (goroutine message passing)")
@@ -165,7 +163,7 @@ var paramFlags = map[string]string{
 	"n": "n", "d": "d", "construction": "construction",
 	"k": "k", "D": "D", "tc": "tc", "intra": "intra",
 	"gossip-degree": "degree", "strategy": "strategy", "seed": "seed",
-	"swaps": "swaps", "rounds": "rounds",
+	"rounds": "rounds",
 	"degree": "degree", "randreg-mode": "mode",
 }
 
@@ -298,9 +296,6 @@ func printSchemes(w io.Writer) {
 		if f.Caps.BestEffort {
 			caps = append(caps, "best-effort")
 		}
-		if f.Caps.Churn {
-			caps = append(caps, "churn")
-		}
 		if f.Caps.LiveChurn {
 			caps = append(caps, "live-churn")
 		}
@@ -309,11 +304,7 @@ func printSchemes(w io.Writer) {
 			fmt.Fprintf(w, "             capabilities: %v\n", caps)
 		}
 		for _, p := range f.Params {
-			def := p.Def
-			if def == "" {
-				def = `""`
-			}
-			fmt.Fprintf(w, "             -%s (default %s): %s\n", flagName(p.Name), def, p.Doc)
+			fmt.Fprintf(w, "             -%s (default %s): %s\n", flagName(p.Name), p.Def, p.Doc)
 		}
 	}
 }
@@ -345,11 +336,6 @@ func runScenario(sc *spec.Scenario, stdout, stderr io.Writer) error {
 	run, err := spec.Build(sc)
 	if err != nil {
 		return err
-	}
-	if sum := run.Churn; sum != nil {
-		fmt.Fprintf(stderr,
-			"streamsim: churn: %d ops, %d total swaps, worst op %d (bound d²+d = %d), %d members affected\n",
-			sum.Ops, sum.TotalSwaps, sum.MaxSwaps, sum.Bound, sum.Affected)
 	}
 	if run.Injector != nil {
 		fmt.Fprintf(stderr, "streamsim: faults: %s\n", run.Injector.Describe())

@@ -26,7 +26,6 @@ var flagCases = map[string][]string{
 	"cluster":    {"-scheme", "cluster", "-k", "4", "-D", "3", "-tc", "3", "-n", "10", "-d", "2"},
 	"gossip":     {"-scheme", "gossip", "-n", "24", "-d", "3", "-gossip-degree", "4", "-seed", "9"},
 	"mdc":        {"-scheme", "mdc", "-n", "20", "-d", "2", "-rounds", "4"},
-	"session":    {"-scheme", "session", "-n", "20", "-d", "2", "-swaps", "12:5:9"},
 	"randreg":    {"-scheme", "randreg", "-n", "24", "-degree", "3", "-randreg-mode", "pull", "-seed", "5"},
 }
 
@@ -213,6 +212,37 @@ func TestChurnFlagScenario(t *testing.T) {
 	}
 	if rep.Churn.MaxSwaps > rep.Churn.SwapBound {
 		t.Fatalf("report records a bound breach that should have aborted: %+v", rep.Churn)
+	}
+}
+
+// TestPlanChurnNeedsDirective: a fault plan with join/leave events runs only
+// with -churn plan — without it the run is refused with the plan and the
+// directive named, never silently static — and there is no flag that places
+// position swaps by hand.
+func TestPlanChurnNeedsDirective(t *testing.T) {
+	plan := filepath.Join("..", "..", "internal", "faults", "testdata", "corpus", "chaos.plan")
+	args := []string{"-scheme", "multitree", "-faults", plan}
+	var out, errOut bytes.Buffer
+	err := runScenario(translate(t, args), &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), plan) || !strings.Contains(err.Error(), "-churn plan") {
+		t.Fatalf("plan churn without -churn plan: got %v", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("a refused run printed a report:\n%s", out.String())
+	}
+
+	errOut.Reset()
+	if err := runScenario(translate(t, append(args, "-churn", "plan")), &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(errOut.String(), "live churn: 3 ops (2 joins, 1 leaves)") {
+		t.Errorf("stderr lacks the live-churn line for the plan's three events:\n%s", errOut.String())
+	}
+
+	c := newCLI(flag.NewFlagSet("streamsim", flag.ContinueOnError))
+	c.fs.SetOutput(&errOut)
+	if err := c.fs.Parse([]string{"-swaps", "12:5:9"}); err == nil {
+		t.Error("-swaps still parses")
 	}
 }
 

@@ -1,20 +1,19 @@
 // Resilience: a live multi-tree swarm hit by packet loss, a node crash,
-// and mid-stream churn — together. The example shows how the pieces
-// compose: failure injection with loss cascades in the simulator, the MDC
-// layer turning stalls into graceful quality loss, and a mid-stream
-// position swap whose blast radius stays confined.
+// and a mid-stream departure — together. The example shows how the pieces
+// compose: one fault plan carrying all three, the departure repaired by the
+// appendix deletion at a slot barrier while the stream flows, loss cascading
+// through the simulator, and the MDC layer turning stalls into graceful
+// quality loss.
 package main
 
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"streamcast/internal/core"
+	"streamcast/internal/faults"
 	"streamcast/internal/mdc"
 	"streamcast/internal/multitree"
-	"streamcast/internal/session"
-	"streamcast/internal/slotsim"
 	"streamcast/internal/spec"
 )
 
@@ -24,71 +23,84 @@ func main() {
 		d         = 4
 		rounds    = 8
 		lossRate  = 0.01
+		leaveSlot = 12
 		crashSlot = 14
 	)
 
-	// The base mesh comes out of the scheme registry; the session layer
-	// wraps it with the mid-stream swap below.
-	brun, err := spec.Build(spec.MultiTreeScenario(n, d, multitree.Greedy, core.Live))
+	// A plan-free probe build resolves the topology the victims are picked
+	// from: the root children of T_0 and T_1, interior nodes both.
+	sc := spec.MultiTreeScenario(n, d, multitree.Greedy, core.Live)
+	probe, err := spec.Build(sc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	base := brun.Scheme.(*multitree.Scheme)
-	trees := base.Tree
+	trees := probe.Scheme.(*multitree.Scheme).Tree
+	leaver, crashed := trees.Trees[0][0], trees.Trees[1][0]
+	sc.Packets = rounds * d
+	sc.ChurnKind = faults.ChurnPlan
 
-	// Mid-stream churn: an interior node of T_0 is replaced by an all-leaf
-	// node at slot 12 (the swap phase of a deletion).
-	var leaf core.NodeID
-	for p := trees.NP; p > trees.NP-d; p-- {
-		if id := trees.Trees[0][p-1]; !trees.IsDummy(id) {
-			leaf = id
-			break
-		}
-	}
-	interior := trees.Trees[0][0]
-	scheme, err := session.New(base, []session.Swap{{Slot: 12, A: interior, B: leaf}})
+	// A plan names a leaver by member name; the dynamic family numbers its
+	// initial members like the static tree, so its listing translates.
+	dy, err := multitree.NewDynamic(n, d, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Failure injection: 1% random loss plus a node crash (node `leaf`,
-	// which has just been promoted to interior, stops sending at slot 14).
-	rng := rand.New(rand.NewSource(7))
-	drop := func(tx core.Transmission, t core.Slot) bool {
-		if t >= crashSlot && tx.From == leaf {
-			return true
+	var leaverName string
+	for _, m := range multitree.NewLiveScheme(dy, core.Live).Members() {
+		if m.Node == leaver {
+			leaverName = m.Name
 		}
-		return rng.Float64() < lossRate
 	}
 
-	res, err := slotsim.Run(scheme, slotsim.Options{
-		Slots:           core.Slot(trees.Height()*d + (rounds+4)*d),
-		Packets:         core.Packet(rounds * d),
-		Mode:            core.Live,
-		Drop:            drop,
-		AllowIncomplete: true,
-		AllowDuplicates: true,
-		SkipUnavailable: true,
+	// One plan: 1% random loss, the crash, and — mid-stream churn — the
+	// interior node of T_0 leaving at slot 12. The leave is a real deletion:
+	// replacements are swapped into its d interior positions between two
+	// slots, within the paper's d²+d bound.
+	run, err := spec.BuildWithPlan(sc, &faults.Plan{
+		Seed: 7,
+		Rules: []faults.Rule{
+			{Kind: faults.Loss, From: faults.Any, To: faults.Any, Rate: lossRate, End: faults.Forever},
+			{Kind: faults.Crash, Node: crashed, Begin: crashSlot, End: faults.Forever},
+		},
+		Churn: []faults.ChurnEvent{{At: leaveSlot, Leave: true, Name: leaverName}},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	res, err := run.Execute()
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	totalHiccups, affected := 0, 0
-	for id := 1; id <= n; id++ {
-		h := res.Hiccups(core.NodeID(id), res.StartDelay[id])
+	// Statistics range over the members still live and up at the end: the id
+	// space also holds padding positions and the departed node, and the
+	// crashed node plays nothing.
+	totalHiccups, affected, survivors := 0, 0, 0
+	var qualitySum float64
+	worst := 1.0
+	for _, m := range run.Scheme.(core.DynamicScheme).Members() {
+		if m.Node == crashed {
+			continue
+		}
+		survivors++
+		h := res.Hiccups(m.Node, res.StartDelay[m.Node])
 		totalHiccups += h
 		if h > 0 {
 			affected++
 		}
+		q := mdc.MeanQuality(mdc.RoundQuality(res, m.Node, d, res.StartDelay[m.Node]))
+		qualitySum += q
+		worst = min(worst, q)
 	}
-	mean, worst := mdc.SystemQuality(res, d)
+	sum := run.Live.Summary()
 
-	fmt.Printf("swarm of %d nodes, d=%d trees, %d%% loss + interior crash + mid-stream swap\n",
+	fmt.Printf("swarm of %d nodes, d=%d trees, %d%% loss + interior crash + mid-stream leave\n",
 		n, d, int(lossRate*100))
-	fmt.Printf("without MDC: %d nodes suffer %d playback hiccups in total\n", affected, totalHiccups)
+	fmt.Printf("the leave cost %d position swaps (bound d²+d = %d)\n", sum.TotalSwaps, sum.Bound)
+	fmt.Printf("without MDC: %d of %d survivors suffer %d playback hiccups in total\n",
+		affected, survivors, totalHiccups)
 	fmt.Printf("with MDC over the %d interior-disjoint trees:\n", d)
-	fmt.Printf("  mean playback quality: %.3f\n", mean)
+	fmt.Printf("  mean playback quality: %.3f\n", qualitySum/float64(survivors))
 	fmt.Printf("  worst node quality:    %.3f (interior-disjointness floors a crash at %.2f)\n",
 		worst, float64(d-1)/float64(d))
 }

@@ -208,6 +208,9 @@ func Static(s core.Scheme, opt Options) (*Report, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("check: scheme has %d receivers", n)
 	}
+	if err := arrivalFits(s, opt); err != nil {
+		return nil, err
+	}
 	// A periodic scheme is verified against a compiled snapshot of one
 	// schedule period when the horizon amortises compiling it; a snapshot
 	// the caller already holds (spec.Run.Schedule) passes through unchanged.
@@ -219,9 +222,27 @@ func Static(s core.Scheme, opt Options) (*Report, error) {
 	return v.report, nil
 }
 
+// arrivalFits refuses, before anything is allocated, a verification whose
+// arrival matrix — one int32 cell per node per packet the source could emit
+// in the horizon — would exceed core.MaxArrivalCells, with the sized error
+// the engine returns for the same run. The size is computed in float64:
+// exact far past the ceiling, and a hostile horizon × population cannot
+// overflow it.
+func arrivalFits(s core.Scheme, opt Options) error {
+	n, srcCap := s.NumReceivers(), s.SourceCapacity()
+	rows := max((float64(opt.Horizon)+1)*float64(srcCap), float64(opt.Packets))
+	if need := float64(n+1) * rows; need > core.MaxArrivalCells {
+		const gib = 1 << 30
+		return fmt.Errorf("check: arrival matrix too large: N=%d nodes × %.0f packet rows needs %.1f GiB, over the %d GiB ceiling (core.MaxArrivalCells); shorten the horizon (%d slots) or the population",
+			n, rows, need*4/gib, core.MaxArrivalCells*4/gib, opt.Horizon)
+	}
+	return nil
+}
+
 // newVerifier builds the working state shared by Static and VerifyCompiled:
-// option defaults, the arrival matrix, and the schedule reader (the scheme
-// itself until a caller overrides txAt).
+// option defaults, the arrival matrix (arrivalFits has vouched for its
+// size), and the schedule reader (the scheme itself until a caller overrides
+// txAt).
 func newVerifier(s core.Scheme, opt Options) *verifier {
 	n := s.NumReceivers()
 	if opt.MaxIssues == 0 {

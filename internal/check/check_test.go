@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -313,5 +314,58 @@ func TestIssueCap(t *testing.T) {
 	}
 	if rep.Err() == nil || !strings.Contains(rep.Err().Error(), "5+") {
 		t.Errorf("Err() should flag truncation: %v", rep.Err())
+	}
+}
+
+// huge is a scheme that is all size and no schedule: the verifier must judge
+// its arrival matrix from NumReceivers and SourceCapacity alone, so the
+// schedule and mesh readers fail the test if anything calls them.
+type huge struct {
+	t      *testing.T
+	n, cap int
+}
+
+func (h huge) Name() string        { return "huge" }
+func (h huge) NumReceivers() int   { return h.n }
+func (h huge) SourceCapacity() int { return h.cap }
+func (h huge) Transmissions(core.Slot) []core.Transmission {
+	h.t.Fatal("Transmissions called on a scheme too large to verify")
+	return nil
+}
+func (h huge) Neighbors() map[core.NodeID][]core.NodeID {
+	h.t.Fatal("Neighbors called on a scheme too large to verify")
+	return nil
+}
+
+// TestOversizedVerificationIsRefused: a horizon × population whose arrival
+// matrix would exceed core.MaxArrivalCells is refused with a sized error
+// before anything is allocated or generated — the ceiling the engine applies
+// to the same run — and a product that overflows int is refused, not wrapped.
+func TestOversizedVerificationIsRefused(t *testing.T) {
+	cases := []struct {
+		name string
+		s    huge
+		opt  check.Options
+		want string
+	}{
+		{"population", huge{t, 1 << 28, 1}, check.Options{Horizon: 20, Packets: 8}, "N=268435456 nodes × 21 packet rows"},
+		{"overflow", huge{t, 1 << 28, 1 << 40}, check.Options{Horizon: 1 << 30, Packets: 8}, "arrival matrix too large"},
+	}
+	for _, c := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := check.Static(c.s, c.opt)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: accepted", c.name)
+		}
+		for _, want := range []string{c.want, "GiB", "ceiling"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: %v lacks %q", c.name, err, want)
+			}
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: refusing allocated %d bytes", c.name, grew)
+		}
 	}
 }

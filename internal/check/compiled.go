@@ -44,6 +44,9 @@ func VerifyCompiled(c *core.CompiledScheme, opt Options) (*Report, error) {
 	if c.NumReceivers() < 1 {
 		return nil, fmt.Errorf("check: scheme has %d receivers", c.NumReceivers())
 	}
+	if err := arrivalFits(c, opt); err != nil {
+		return nil, err
+	}
 	steady, period, backing, off := c.Window()
 	v := newVerifier(c, opt)
 	if !v.checkWindowShape(steady, period, backing, off) {

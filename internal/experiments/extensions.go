@@ -6,6 +6,7 @@ import (
 
 	"streamcast/internal/analysis"
 	"streamcast/internal/core"
+	"streamcast/internal/faults"
 	"streamcast/internal/gossip"
 	"streamcast/internal/hypercube"
 	"streamcast/internal/mdc"
@@ -112,71 +113,99 @@ func StructuredVsUnstructured(ns []int, d int) (*Table, error) {
 	return t, nil
 }
 
-// MidStreamSwaps measures the blast radius of churn swaps applied while
-// packets are in flight (internal/session): a leaf↔leaf swap perturbs only
-// the two members, an interior↔leaf swap additionally glitches the interior
-// position's subtree for one transition window — the dynamic counterpart of
-// the static ChurnImpact analysis.
+// MidStreamSwaps measures the blast radius of a departure repaired while
+// packets are in flight: the appendix deletion run live at a slot barrier
+// (`churn kind=plan`), its position swaps landing between two slots of the
+// stream. An all-leaf member leaves without a single swap and no survivor
+// notices; an interior member's leave promotes replacements into its d
+// interior positions, and the members those swaps move — plus the subtrees
+// below them — glitch for one transition window. Hiccups are counted over
+// the members still live at the end, each held to the start delay the
+// undisturbed schedule gives it — the dynamic counterpart of the static
+// ChurnImpact analysis.
 func MidStreamSwaps(n, d int) (*Table, error) {
 	t := &Table{
 		ID:    "midstream",
-		Title: fmt.Sprintf("mid-stream swap blast radius, N=%d d=%d", n, d),
+		Title: fmt.Sprintf("mid-stream leave blast radius, N=%d d=%d", n, d),
 		Columns: []string{
-			"swap kind", "members w/ hiccups", "total hiccups", "max per member",
+			"membership change", "swaps", "survivors w/ hiccups", "total hiccups", "max per survivor",
 		},
 	}
-	base, err := analyticMultiTree(n, d, multitree.Greedy)
+	scenario := func() *spec.Scenario {
+		sc := spec.MultiTreeScenario(n, d, multitree.Greedy, core.PreRecorded)
+		sc.Packets = 12 * d
+		return sc
+	}
+	// The control run is the undisturbed schedule: its scheme supplies every
+	// member's analytic start delay and the tree the leavers are picked from.
+	control, cres, err := specResult(scenario(), false)
 	if err != nil {
 		return nil, err
 	}
+	base := control.Scheme.(*multitree.Scheme)
 	m := base.Tree
-	swapSlot := core.Slot(m.Height()*d + 7)
+	leaveSlot := core.Slot(m.Height()*d + 7)
 
-	// Two real all-leaf members (leaves in every tree): scan the tail of
-	// T_0 from the back, skipping padding dummies.
-	var allLeaf []core.NodeID
-	for p := m.NP; p > m.NP-d && len(allLeaf) < 2; p-- {
+	// A real all-leaf member (a leaf in every tree): scan the tail of T_0
+	// from the back, skipping padding dummies.
+	var allLeaf core.NodeID
+	for p := m.NP; p > m.NP-d && allLeaf == 0; p-- {
 		if id := m.Trees[0][p-1]; !m.IsDummy(id) {
-			allLeaf = append(allLeaf, id)
+			allLeaf = id
 		}
 	}
-	if len(allLeaf) < 2 {
-		return nil, fmt.Errorf("experiments: N=%d d=%d has fewer than two real all-leaf members; pick N with N mod d >= 2 or d | N", n, d)
+	if allLeaf == 0 {
+		return nil, fmt.Errorf("experiments: N=%d d=%d has no real all-leaf member", n, d)
 	}
-	leafA, leafB := allLeaf[0], allLeaf[1]
 	interior := m.Trees[0][0]
 
-	cases := []struct {
-		label string
-		swaps string
-	}{
-		{"none (control)", ""},
-		{"leaf <-> leaf", fmt.Sprintf("%d:%d:%d", swapSlot, leafA, leafB)},
-		{"interior <-> leaf", fmt.Sprintf("%d:%d:%d", swapSlot, interior, leafA)},
+	// A plan names a leaver by member name; the dynamic family numbers its
+	// initial members like the static tree, so its listing translates.
+	dy, err := multitree.NewDynamic(n, d, false)
+	if err != nil {
+		return nil, err
 	}
-	for _, c := range cases {
-		// The session family's default window and horizon are exactly this
-		// experiment's measurement: 12d packets, h·d+24 slack.
-		run, err := spec.Build(spec.SessionScenario(n, d, c.swaps))
-		if err != nil {
-			return nil, err
+	names := make(map[core.NodeID]string, n)
+	for _, mem := range multitree.NewLiveScheme(dy, core.PreRecorded).Members() {
+		names[mem.Node] = mem.Name
+	}
+
+	addRow := func(label string, run *spec.Run, res *slotsim.Result) {
+		swaps := 0
+		if run.Live != nil {
+			swaps = run.Live.Summary().TotalSwaps
 		}
-		res, err := slotsim.Run(run.Scheme, run.Opt)
-		if err != nil {
-			return nil, err
-		}
-		members, total, worst := 0, 0, 0
-		for id := 1; id <= n; id++ {
-			h := res.Hiccups(core.NodeID(id), base.AnalyticStartDelay(core.NodeID(id)))
-			if h > 0 {
-				members++
+		hit, total, worst := 0, 0, 0
+		for _, id := range survivors(run) {
+			if h := res.Hiccups(id, base.AnalyticStartDelay(id)); h > 0 {
+				hit++
 				total += h
-				if h > worst {
-					worst = h
-				}
+				worst = max(worst, h)
 			}
 		}
-		t.AddRow(c.label, members, total, worst)
+		t.AddRow(label, swaps, hit, total, worst)
+	}
+	addRow("none (control)", control, cres)
+	for _, c := range []struct {
+		label  string
+		leaver core.NodeID
+	}{
+		{"all-leaf member leaves", allLeaf},
+		{"interior member leaves", interior},
+	} {
+		sc := scenario()
+		sc.ChurnKind = faults.ChurnPlan
+		run, err := spec.BuildWithPlan(sc, &faults.Plan{Churn: []faults.ChurnEvent{
+			{At: leaveSlot, Leave: true, Name: names[c.leaver]},
+		}})
+		if err != nil {
+			return nil, err
+		}
+		res, err := simulateRun(run)
+		if err != nil {
+			return nil, err
+		}
+		addRow(c.label, run, res)
 	}
 	return t, nil
 }

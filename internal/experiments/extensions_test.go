@@ -63,22 +63,30 @@ func TestChurnImpactExperiment(t *testing.T) {
 	}
 }
 
-// TestMidStreamSwaps: control shows zero hiccups; interior swaps cascade to
-// more members than leaf swaps.
+// TestMidStreamSwaps: the control run and an all-leaf member's leave are
+// hiccup-free for every survivor (the leave costs no swap at all); an
+// interior member's leave costs d swaps and glitches some survivors — more
+// than none, no more than its subtree plus the swapped members.
 func TestMidStreamSwaps(t *testing.T) {
-	tab, err := MidStreamSwaps(41, 3)
+	const n, d = 41, 3
+	tab, err := MidStreamSwaps(n, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}
-	if atoi(t, tab.Rows[0][1]) != 0 {
-		t.Errorf("control run has hiccups: %v", tab.Rows[0])
+	for _, r := range tab.Rows[:2] {
+		if atoi(t, r[1]) != 0 || atoi(t, r[2]) != 0 || atoi(t, r[3]) != 0 {
+			t.Errorf("%s: swaps or hiccups where none belong: %v", r[0], r)
+		}
 	}
-	leaf, interior := atoi(t, tab.Rows[1][1]), atoi(t, tab.Rows[2][1])
-	if interior <= leaf {
-		t.Errorf("interior swap (%d members) not wider than leaf swap (%d)", interior, leaf)
+	interior := tab.Rows[2]
+	if swaps := atoi(t, interior[1]); swaps != d {
+		t.Errorf("interior leave took %d swaps, want d = %d (one per tree)", swaps, d)
+	}
+	if hit := atoi(t, interior[2]); hit == 0 || hit > n/d+d*d+d {
+		t.Errorf("interior leave glitched %d survivors, want 1..%d", hit, n/d+d*d+d)
 	}
 }
 

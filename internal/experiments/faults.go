@@ -13,11 +13,12 @@ import (
 // FaultDegradation measures how gracefully the multi-tree scheme degrades
 // under seeded fault plans: packet loss at several rates, a permanent crash
 // of an interior node, deterministic link delay, and membership churn with
-// background loss. Every scenario replays the same deterministic plan
-// machinery the test suite pins (internal/faults), so the numbers are
-// reproducible bit for bit from the seed. The clean row anchors the
-// comparison; "inflation" is the worst startup delay of still-complete
-// nodes relative to that clean run.
+// background loss (the plan's joins and leaves applied live, at their slot
+// barriers, and the statistics taken over the members live at the end).
+// Every scenario replays the same deterministic plan machinery the test
+// suite pins (internal/faults), so the numbers are reproducible bit for bit
+// from the seed. The clean row anchors the comparison; "inflation" is the
+// worst startup delay of still-complete nodes relative to that clean run.
 func FaultDegradation(n, d int, seed int64) (*Table, error) {
 	t := &Table{
 		ID:    "faults",
@@ -28,7 +29,6 @@ func FaultDegradation(n, d int, seed int64) (*Table, error) {
 		},
 	}
 
-	interior := core.NodeID(0)
 	scenarios := []struct {
 		name  string
 		churn bool
@@ -51,9 +51,9 @@ func FaultDegradation(n, d int, seed int64) (*Table, error) {
 			}}
 		}},
 		{"interior crash", false, func(m *multitree.MultiTree) *faults.Plan {
-			interior = m.Trees[0][0] // root child of tree 0: a whole subtree loses its feed
+			// The root child of tree 0: a whole subtree loses its feed.
 			return &faults.Plan{Seed: seed, Rules: []faults.Rule{
-				{Kind: faults.Crash, Node: interior, Begin: core.Slot(d), End: faults.Forever},
+				{Kind: faults.Crash, Node: m.Trees[0][0], Begin: core.Slot(d), End: faults.Forever},
 			}}
 		}},
 		{"delay +2 (30% of sends)", false, func(*multitree.MultiTree) *faults.Plan {
@@ -75,28 +75,26 @@ func FaultDegradation(n, d int, seed int64) (*Table, error) {
 		}},
 	}
 
+	// The crash plan needs the built tree to pick its victim, so a plan-free
+	// probe build resolves the topology first.
+	probe, err := analyticMultiTree(n, d, multitree.Greedy)
+	if err != nil {
+		return nil, err
+	}
 	var cleanWorst core.Slot
 	for _, sc := range scenarios {
 		// Every variant is the same registry scenario — a multi-tree at its
 		// family-default window (4d packets, h·d+4d+2 slack) — under a
-		// different programmatic fault plan. The crash plan needs the built
-		// tree to pick its victim, so a plan-free probe build resolves the
-		// topology first; churn plans rebuild through the registry's dynamic
-		// replay and stream the post-churn snapshot, like streamsim.
+		// different programmatic fault plan; the churn plan's events fire
+		// live (kind=plan).
 		base := spec.MultiTreeScenario(n, d, multitree.Greedy, core.PreRecorded)
-		var m *multitree.MultiTree
-		if !sc.churn {
-			probe, err := spec.Build(base)
-			if err != nil {
-				return nil, err
-			}
-			m = probe.Scheme.(*multitree.Scheme).Tree
+		if sc.churn {
+			base.ChurnKind = faults.ChurnPlan
 		}
-		run, err := spec.BuildWithPlan(base, sc.plan(m))
+		run, err := spec.BuildWithPlan(base, sc.plan(probe.Tree))
 		if err != nil {
 			return nil, err
 		}
-		m = run.Scheme.(*multitree.Scheme).Tree
 		met := obs.NewMetrics()
 		run.Opt.Observer = met
 		res, err := simulateRun(run)
@@ -104,10 +102,11 @@ func FaultDegradation(n, d int, seed int64) (*Table, error) {
 			return nil, fmt.Errorf("faults: %s: %v", sc.name, err)
 		}
 
+		live := survivors(run)
 		missing, complete := 0, 0
 		var worst core.Slot
 		var sum float64
-		for id := 1; id <= m.N; id++ {
+		for _, id := range live {
 			missing += res.Missing[id]
 			if res.Missing[id] > 0 {
 				continue
@@ -119,7 +118,7 @@ func FaultDegradation(n, d int, seed int64) (*Table, error) {
 			sum += float64(res.StartDelay[id])
 		}
 		drops := 0
-		for id := 0; id <= m.N; id++ {
+		for id := 0; id < met.NodeCount(); id++ {
 			drops += met.Node(core.NodeID(id)).Drops
 		}
 		avg := 0.0
@@ -133,7 +132,7 @@ func FaultDegradation(n, d int, seed int64) (*Table, error) {
 		if cleanWorst > 0 {
 			inflation = float64(worst) / float64(cleanWorst)
 		}
-		t.AddRow(sc.name, missing, fmt.Sprintf("%d/%d", complete, m.N),
+		t.AddRow(sc.name, missing, fmt.Sprintf("%d/%d", complete, len(live)),
 			drops, int(worst), avg, res.WorstBuffer(), inflation)
 	}
 	return t, nil

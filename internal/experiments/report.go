@@ -41,25 +41,6 @@ func currentSink() func(*obs.RunReport) {
 // reportsActive reports whether a run-report sink is installed.
 func reportsActive() bool { return currentSink() != nil }
 
-// simulate runs a scheme over a standard measurement window, attaching a
-// metrics observer when a report sink is installed.
-func simulate(s core.Scheme, packets core.Packet, extraSlots core.Slot, opt slotsim.Options) (*slotsim.Result, error) {
-	opt.Packets = packets
-	opt.Slots = core.Slot(int(packets)) + extraSlots
-	sink := currentSink()
-	if sink == nil {
-		return slotsim.Run(s, opt)
-	}
-	m := obs.NewMetrics()
-	opt.Observer = obs.Combine(opt.Observer, m)
-	res, err := slotsim.Run(s, opt)
-	if err != nil {
-		return nil, err
-	}
-	sink(slotsim.BuildReport(s, opt, res, m, 0))
-	return res, nil
-}
-
 // simulateRun executes a registry-built run with its fully resolved engine
 // options, attaching a metrics observer when a report sink is installed.
 func simulateRun(run *spec.Run) (*slotsim.Result, error) {
@@ -103,4 +84,24 @@ func specResult(sc *spec.Scenario, verify bool) (*spec.Run, *slotsim.Result, err
 		return nil, nil, err
 	}
 	return run, res, nil
+}
+
+// survivors lists the receivers a run's per-member statistics range over:
+// every receiver of a static run, the members still live at the end of a
+// live-churn one (its id space also holds padding dummies and the ids of the
+// departed). Call it after the run.
+func survivors(run *spec.Run) []core.NodeID {
+	if ds, ok := run.Scheme.(core.DynamicScheme); ok {
+		members := ds.Members()
+		ids := make([]core.NodeID, len(members))
+		for i, m := range members {
+			ids[i] = m.Node
+		}
+		return ids
+	}
+	ids := make([]core.NodeID, run.Scheme.NumReceivers())
+	for i := range ids {
+		ids[i] = core.NodeID(i + 1)
+	}
+	return ids
 }

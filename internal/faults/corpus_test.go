@@ -12,6 +12,7 @@ import (
 
 	"streamcast/internal/core"
 	"streamcast/internal/multitree"
+	"streamcast/internal/slotsim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/corpus/golden.txt from the current runs")
@@ -19,7 +20,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/corpus/golden.tx
 // TestChaosCorpus replays every pinned plan in testdata/corpus against a
 // fixed family and compares the obs fingerprint and total missing count to
 // the golden file. This is the `make chaos` target: any change to the fault
-// coins, the engine's routing order, or the churn replay shows up as a
+// coins, the engine's routing order, or the live churn path shows up as a
 // fingerprint mismatch here before it can silently change experiments.
 // Refresh intentionally with `go test ./internal/faults -run TestChaosCorpus -update`.
 func TestChaosCorpus(t *testing.T) {
@@ -44,31 +45,37 @@ func TestChaosCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		// Plans with churn are replayed through a dynamic family first and
-		// the surviving snapshot is what streams, mirroring streamsim.
-		var m *multitree.MultiTree
+		// A plan with join/leave events streams over the dynamic family and
+		// its events fire live, at their slots (churn kind=plan), mirroring
+		// streamsim; any other plan streams over the static trees.
+		m, err := multitree.New(15, d, multitree.Greedy)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		build := static(multitree.NewScheme(m, core.PreRecorded), faultedOptions(m, d, in))
+		var live *multitree.LiveScheme // the family as the last replay left it
 		if len(plan.Churn) > 0 {
-			dy, err := multitree.NewDynamic(15, d, false)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if _, err := ApplyChurn(plan, dy); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			m, _ = dy.Snapshot()
-		} else {
-			if m, err = multitree.New(15, d, multitree.Greedy); err != nil {
-				t.Fatalf("%s: %v", name, err)
+			build = func() (core.Scheme, slotsim.Options) {
+				ls, lc := liveSource(t, 15, d, false, LiveChurnConfig{Kind: ChurnPlan, Plan: plan, MaxJoins: len(plan.Churn)})
+				live = ls
+				return ls, liveOptions(ls, lc, in.Apply(slotsim.Options{Packets: core.Packet(4 * d)}))
 			}
 		}
-		s := multitree.NewScheme(m, core.PreRecorded)
-		res, met := runReplayed(t, s, faultedOptions(m, d, in))
+		res, met := runReplayed(t, build)
 		if res == nil {
 			t.Fatalf("%s: run rejected", name)
 		}
+		// Missing packets are counted over the receivers there at the end:
+		// a live run's id space also holds padding and departed ids.
 		missing := 0
-		for _, v := range res.Missing {
-			missing += v
+		if live != nil {
+			for _, m := range live.Members() {
+				missing += res.Missing[m.Node]
+			}
+		} else {
+			for _, v := range res.Missing {
+				missing += v
+			}
 		}
 		got[name] = fmt.Sprintf("%s missing=%d", met.Fingerprint(), missing)
 	}

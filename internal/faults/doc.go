@@ -11,7 +11,9 @@
 // fingerprint, and the same RunReport on every replay: chaos runs are
 // evidence, not noise.
 //
-// Membership churn replays through multitree.Dynamic (ApplyChurn), i.e.
-// recovery runs the appendix's eager/lazy restructuring algorithms, and
-// every operation is hard-checked against the d²+d swap bound.
+// Membership churn is live: LiveChurn applies a plan's join/leave events (or
+// a seeded generator's) to the run's core.DynamicScheme at the slot barrier
+// each is scheduled for, so recovery runs the appendix's eager/lazy
+// restructuring algorithms while the stream flows, and every operation is
+// hard-checked against the d²+d swap bound.
 package faults

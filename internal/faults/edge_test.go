@@ -107,7 +107,7 @@ func TestFaultEdgeCases(t *testing.T) {
 				t.Fatal(err)
 			}
 			opt := in.Apply(slotsim.Options{Slots: c.slots, Packets: c.packets, Mode: c.mode})
-			res, _ := runReplayed(t, c.scheme, opt)
+			res, _ := runReplayed(t, static(c.scheme, opt))
 			if res == nil {
 				t.Fatal("run rejected")
 			}

@@ -20,23 +20,30 @@ func faultedOptions(m *multitree.MultiTree, d int, in *Injector) slotsim.Options
 	})
 }
 
-// runReplayed executes the same faulted run twice — same scheme, same
-// injector instance — with full observation and asserts bit-identical
-// outcomes: identical Result, identical event streams, identical
-// fingerprints. An injector whose verdicts drifted between runs (hidden
-// state, draw order) would fail here.
-func runReplayed(t *testing.T, s core.Scheme, opt slotsim.Options) (*slotsim.Result, *obs.Metrics) {
+// static adapts a fixed scheme and options to runReplayed's builder: a
+// static topology can be run any number of times.
+func static(s core.Scheme, opt slotsim.Options) func() (core.Scheme, slotsim.Options) {
+	return func() (core.Scheme, slotsim.Options) { return s, opt }
+}
+
+// runReplayed executes the same faulted run twice — same injector instance,
+// the scheme and options taken from build each time, since a live-churn
+// source and the topology it mutates are single-shot — with full observation
+// and asserts bit-identical outcomes: identical Result, identical event
+// streams, identical fingerprints. An injector or churn source whose verdicts
+// drifted between runs (hidden state, draw order) would fail here.
+func runReplayed(t *testing.T, build func() (core.Scheme, slotsim.Options)) (*slotsim.Result, *obs.Metrics) {
 	t.Helper()
 	recA, recB := &obs.Recorder{}, &obs.Recorder{}
 	metA, metB := obs.NewMetrics(), obs.NewMetrics()
 
-	optA := opt
+	sA, optA := build()
 	optA.Observer = obs.Combine(recA, metA)
-	resA, errA := slotsim.Run(s, optA)
+	resA, errA := slotsim.Run(sA, optA)
 
-	optB := opt
+	sB, optB := build()
 	optB.Observer = obs.Combine(recB, metB)
-	resB, errB := slotsim.Run(s, optB)
+	resB, errB := slotsim.Run(sB, optB)
 
 	if (errA == nil) != (errB == nil) {
 		t.Fatalf("replays disagree on acceptance: first %v, second %v", errA, errB)
@@ -83,7 +90,7 @@ func TestFaultedParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		runReplayed(t, s, faultedOptions(m, d, in))
+		runReplayed(t, static(s, faultedOptions(m, d, in)))
 	}
 }
 

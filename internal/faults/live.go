@@ -12,8 +12,9 @@ import (
 // Live churn: membership change as a mid-run workload. LiveChurn implements
 // slotsim.ChurnSource — the engines consult it at every slot barrier and it
 // applies join/leave ops to the run's core.DynamicScheme, checking the
-// appendix d²+d swap bound on every single op as the run streams (not as a
-// pre-run replay; see the deprecation note on ApplyChurn).
+// appendix d²+d swap bound on every single op as the run streams. This is the
+// only way a run's membership changes: a join or leave happens at a slot
+// barrier or not at all.
 //
 // Ops come from one of four deterministic sources:
 //
@@ -192,7 +193,18 @@ func (lc *LiveChurn) Membership() []slotsim.Membership {
 	return out
 }
 
-// Summary aggregates the applied ops like the replay path's Summarize.
+// ChurnSummary aggregates a run's applied ops: total and worst per-op swap
+// counts and how many members the operations perturbed.
+type ChurnSummary struct {
+	Ops, TotalSwaps, MaxSwaps, Affected int
+	// AvgSwaps is TotalSwaps/Ops, or 0 when no ops were applied.
+	AvgSwaps float64
+	// Bound is the per-op swap ceiling every op was checked against
+	// (LiveChurnConfig.Bound: d²+d for the multi-tree family).
+	Bound int
+}
+
+// Summary aggregates the applied-op log.
 func (lc *LiveChurn) Summary() ChurnSummary {
 	s := ChurnSummary{Ops: len(lc.log), Bound: lc.cfg.Bound}
 	if len(lc.log) == 0 {
@@ -234,13 +246,11 @@ func (lc *LiveChurn) Step(t core.Slot, ds core.DynamicScheme) ([]core.ChurnStats
 	var applied []core.ChurnStats
 	fail := func(err error) ([]core.ChurnStats, error) { return applied, err }
 
-	// Plan events scheduled for this slot fire first, in plan order.
+	// Plan events due at this barrier fire first, in plan order. The engine
+	// steps every slot from 0, so due means scheduled for exactly t.
 	for lc.planIdx < len(lc.plan) && lc.plan[lc.planIdx].At <= t {
 		e := lc.plan[lc.planIdx]
 		lc.planIdx++
-		if e.At < t {
-			continue // unreachable for sorted plans starting at slot 0
-		}
 		st, err := lc.apply(t, ds, e.Leave, e.Name, true)
 		if err != nil {
 			return fail(err)

@@ -44,6 +44,37 @@ func stepAll(t *testing.T, ls *multitree.LiveScheme, lc *LiveChurn, slots core.S
 	return lc.Ops()
 }
 
+// liveOptions completes the engine options of a live-churn run the way the
+// registry does: the source wired in, a horizon of the window plus the live
+// steady state plus the family slack unless one is set, and the allowances a
+// degraded run needs (repair gaps cascade as losses, and a position swap can
+// re-deliver a packet its new occupant already held).
+func liveOptions(ls *multitree.LiveScheme, lc *LiveChurn, opt slotsim.Options) slotsim.Options {
+	if opt.Slots == 0 {
+		opt.Slots = core.Slot(int(opt.Packets)) + ls.SteadyState() + core.Slot(4*ls.SourceCapacity()+2)
+	}
+	opt.Churn = lc
+	opt.AllowIncomplete, opt.SkipUnavailable, opt.AllowDuplicates = true, true, true
+	return opt
+}
+
+// initialName returns the name a fresh (n, d) family lists node id under —
+// what a plan must call an initial member to make it leave.
+func initialName(t *testing.T, n, d int, id core.NodeID) string {
+	t.Helper()
+	dy, err := multitree.NewDynamic(n, d, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range multitree.NewLiveScheme(dy, core.PreRecorded).Members() {
+		if m.Node == id {
+			return m.Name
+		}
+	}
+	t.Fatalf("node %d is not an initial member", id)
+	return ""
+}
+
 func TestLiveChurnConfigValidation(t *testing.T) {
 	base := LiveChurnConfig{Bound: 6, MaxNodes: 20}
 	cases := []struct {
@@ -158,7 +189,9 @@ func TestLiveChurnFloorAndBudget(t *testing.T) {
 }
 
 // TestLiveChurnPlanStrict: plan-driven ops are strict — a join beyond the
-// budget and a leave at the floor abort the run instead of being skipped.
+// budget, a leave at the floor and a leave of a member nobody knows abort the
+// run instead of being skipped, and each diagnostic carries the op's 1-based
+// index.
 func TestLiveChurnPlanStrict(t *testing.T) {
 	plan := &Plan{Seed: 9, Churn: []ChurnEvent{{At: 2, Name: "a"}, {At: 3, Name: "b"}}}
 	cfg := LiveChurnConfig{Kind: ChurnPlan, Plan: plan, MaxJoins: 1, Bound: 6, MaxNodes: 30}
@@ -167,7 +200,7 @@ func TestLiveChurnPlanStrict(t *testing.T) {
 	for s := core.Slot(0); s < 10 && err == nil; s++ {
 		_, err = lc.Step(s, ls)
 	}
-	if err == nil || !strings.Contains(err.Error(), "join budget") {
+	if err == nil || !strings.Contains(err.Error(), "churn op 2") || !strings.Contains(err.Error(), "join budget") {
 		t.Fatalf("plan join beyond budget: got %v", err)
 	}
 
@@ -181,8 +214,55 @@ func TestLiveChurnPlanStrict(t *testing.T) {
 	for s := core.Slot(0); s < 10 && err == nil; s++ {
 		_, err = lc.Step(s, ls)
 	}
-	if err == nil || !strings.Contains(err.Error(), "floor") {
+	if err == nil || !strings.Contains(err.Error(), "churn op 2") || !strings.Contains(err.Error(), "floor") {
 		t.Fatalf("plan leave at floor: got %v", err)
+	}
+
+	plan = &Plan{Churn: []ChurnEvent{
+		{At: 1, Name: "late-1"},
+		{At: 2, Leave: true, Name: "ghost"},
+	}}
+	cfg = LiveChurnConfig{Kind: ChurnPlan, Plan: plan, MaxJoins: 1, Bound: 6, MaxNodes: 20}
+	ls, lc = liveSource(t, 7, 2, false, cfg)
+	err = nil
+	for s := core.Slot(0); s < 10 && err == nil; s++ {
+		_, err = lc.Step(s, ls)
+	}
+	if err == nil || !strings.Contains(err.Error(), "churn op 2") || !strings.Contains(err.Error(), "ghost") {
+		t.Fatalf("leave of an unknown member: got %v, want the op index and the name", err)
+	}
+}
+
+// TestLiveChurnSwapBound: every generated plan, applied live through eager
+// and lazy repair at several degrees, keeps every operation within d²+d and
+// the family's full invariant set intact after every single op. A breach of
+// either is a Step error, so the bound is enforced, not sampled.
+func TestLiveChurnSwapBound(t *testing.T) {
+	for _, d := range []int{2, 3, 4} {
+		for _, lazy := range []bool{false, true} {
+			ops := 0
+			for seed := int64(0); seed < 15; seed++ {
+				plan := RandomPlan(seed, GenOptions{Nodes: 20, Slots: 60, MaxChurn: 24})
+				if len(plan.Churn) == 0 {
+					continue
+				}
+				cfg := LiveChurnConfig{Kind: ChurnPlan, Plan: plan, MaxJoins: len(plan.Churn), CheckInvariants: true}
+				ls, lc := liveSource(t, 2*d+1, d, lazy, cfg)
+				stepAll(t, ls, lc, 60)
+				sum := lc.Summary()
+				if sum.Ops != len(plan.Churn) {
+					t.Fatalf("d=%d lazy=%v seed=%d: applied %d of %d plan events", d, lazy, seed, sum.Ops, len(plan.Churn))
+				}
+				if sum.MaxSwaps > multitree.SwapBound(d) {
+					t.Fatalf("d=%d lazy=%v seed=%d: max swaps %d exceeds bound %d",
+						d, lazy, seed, sum.MaxSwaps, multitree.SwapBound(d))
+				}
+				ops += sum.Ops
+			}
+			if ops == 0 {
+				t.Fatalf("d=%d lazy=%v: no generated plan carried churn; the case is vacuous", d, lazy)
+			}
+		}
 	}
 }
 
@@ -299,15 +379,7 @@ func TestLiveChurnEngineParity(t *testing.T) {
 		run := func() (*slotsim.Result, ChurnSummary) {
 			cfg := LiveChurnConfig{Kind: ChurnPoisson, Seed: 17, Rate: 0.4, Begin: 5, MaxJoins: 6, CheckInvariants: true}
 			ls, lc := liveSource(t, 13, 3, lazy, cfg)
-			res, err := slotsim.Run(ls, slotsim.Options{
-				Slots:           ls.SteadyState() + 60,
-				Packets:         core.Packet(24),
-				Mode:            core.PreRecorded,
-				Churn:           lc,
-				AllowIncomplete: true,
-				SkipUnavailable: true,
-				AllowDuplicates: true,
-			})
+			res, err := slotsim.Run(ls, liveOptions(ls, lc, slotsim.Options{Slots: ls.SteadyState() + 60, Packets: 24}))
 			if err != nil {
 				t.Fatalf("lazy=%v: %v", lazy, err)
 			}
@@ -330,29 +402,16 @@ func TestLiveChurnEngineParity(t *testing.T) {
 	}
 }
 
-// TestSummarizeEdgeCases pins the replay summary on degenerate inputs: no
-// ops (all-zero aggregates, no NaN average) and a non-positive degree (zero
-// bound instead of a bogus d²+d).
+// TestSummarizeEdgeCases pins Summary on its degenerate input, a run that
+// applied no op: all-zero aggregates and no NaN average beside the configured
+// bound. (TestLiveChurnMembershipWindows checks the aggregates of a run that
+// applied some.)
 func TestSummarizeEdgeCases(t *testing.T) {
-	s := Summarize(nil, 0)
-	if s != (ChurnSummary{}) {
-		t.Fatalf("Summarize(nil, 0) = %+v, want zero value", s)
-	}
-	s = Summarize(nil, 3)
-	if s.Bound != multitree.SwapBound(3) || s.Ops != 0 || s.AvgSwaps != 0 {
-		t.Fatalf("Summarize(nil, 3) = %+v", s)
-	}
-	s = Summarize([]ChurnOp{}, -2)
-	if s.Bound != 0 {
-		t.Fatalf("negative degree produced bound %d, want 0", s.Bound)
-	}
-	ops := []ChurnOp{
-		{Stats: multitree.OpStats{Swaps: 2, Affected: 3}},
-		{Stats: multitree.OpStats{Swaps: 5, Affected: 1}},
-	}
-	s = Summarize(ops, 2)
-	if s.TotalSwaps != 7 || s.MaxSwaps != 5 || s.Affected != 4 || s.AvgSwaps != 3.5 {
-		t.Fatalf("Summarize aggregates: %+v", s)
+	cfg := LiveChurnConfig{Kind: ChurnPoisson, Seed: 5, Rate: 3, MaxJoins: 0, Floor: 10}
+	ls, lc := liveSource(t, 10, 2, false, cfg)
+	stepAll(t, ls, lc, 20)
+	if got, want := lc.Summary(), (ChurnSummary{Bound: multitree.SwapBound(2)}); got != want {
+		t.Fatalf("Summary of an op-free run = %+v, want %+v", got, want)
 	}
 }
 
@@ -400,5 +459,117 @@ func TestLiveChurnPickListMatchesMembers(t *testing.T) {
 		if lc.Joins() == 0 || lc.Leaves() == 0 || !grew || !shrunk {
 			t.Fatalf("lazy=%v: %d joins, %d leaves, grew=%v shrunk=%v; pick a seed that exercises all four", lazy, lc.Joins(), lc.Leaves(), grew, shrunk)
 		}
+	}
+}
+
+// TestLiveChurnRecovers: the stream heals. Once a plan's last op has been
+// applied — at the barrier entering slot T — the topology is fixed again, and
+// every window packet numbered T+d or later, which the source first sends
+// after T, reaches every member live at the end: the survivors of the initial
+// family and the joiners alike, under both repair policies. Only packets in
+// flight across a repair are ever lost.
+func TestLiveChurnRecovers(t *testing.T) {
+	for _, c := range []struct{ n, d int }{{41, 3}, {24, 2}, {30, 3}, {100, 4}, {57, 3}} {
+		for _, lazy := range []bool{false, true} {
+			m, err := multitree.New(c.n, c.d, multitree.Greedy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Mid-stream, packets in flight in every tree: an interior
+			// member leaves, then joins and seeded leaves interleave.
+			at := core.Slot(m.Height()*c.d + 5)
+			plan := &Plan{Seed: int64(c.n), Churn: []ChurnEvent{
+				{At: at, Leave: true, Name: initialName(t, c.n, c.d, m.Trees[0][0])},
+				{At: at + 1, Name: "late-a"},
+				{At: at + 3, Leave: true, Name: AnyName},
+				{At: at + 3, Name: "late-b"},
+				{At: at + 4, Name: "late-c"},
+				{At: at + 7, Leave: true, Name: AnyName},
+			}}
+			last := at + 7
+			cfg := LiveChurnConfig{Kind: ChurnPlan, Plan: plan, MaxJoins: 3, CheckInvariants: true}
+			ls, lc := liveSource(t, c.n, c.d, lazy, cfg)
+			packets := core.Packet(int(last) + 5*c.d)
+			res, err := slotsim.Run(ls, liveOptions(ls, lc, slotsim.Options{Packets: packets}))
+			if err != nil {
+				t.Fatalf("N=%d d=%d lazy=%v: %v", c.n, c.d, lazy, err)
+			}
+			if got := len(lc.Ops()); got != len(plan.Churn) {
+				t.Fatalf("N=%d d=%d lazy=%v: %d of %d plan events applied", c.n, c.d, lazy, got, len(plan.Churn))
+			}
+			members := ls.Members()
+			if len(members) != c.n { // three leaves, three joins
+				t.Fatalf("N=%d d=%d lazy=%v: %d members live at the end, want %d", c.n, c.d, lazy, len(members), c.n)
+			}
+			lost := 0
+			for _, mem := range members {
+				lost += res.Missing[mem.Node]
+				for j := core.Packet(int(last) + c.d); j < packets; j++ {
+					if res.ArrivalAt(mem.Node, j) < 0 {
+						t.Errorf("N=%d d=%d lazy=%v: %s (node %d) never received packet %d, sent after the last op at slot %d",
+							c.n, c.d, lazy, mem.Name, mem.Node, j, last)
+					}
+				}
+			}
+			if lost == 0 {
+				t.Errorf("N=%d d=%d lazy=%v: no survivor missed anything; the repairs never touched the stream", c.n, c.d, lazy)
+			}
+		}
+	}
+}
+
+// TestLeaveBlastRadius: how far a mid-stream departure reaches depends on
+// where the leaver sat. An all-leaf member forwards to nobody, so its leave
+// costs no swap and no survivor misses a playback deadline; an interior
+// member's leave promotes replacements into its positions, and the members
+// those swaps move, plus the subtrees below them, glitch for one transition
+// window — some survivors, but a bounded number, and a hiccup volume far
+// below the stream's. Deadlines are the undisturbed schedule's analytic
+// start delays.
+func TestLeaveBlastRadius(t *testing.T) {
+	const n, d = 30, 3
+	m, err := multitree.New(n, d, multitree.Greedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := multitree.NewScheme(m, core.PreRecorded)
+	allLeaf := m.Trees[0][m.NP-1]
+	if m.IsDummy(allLeaf) {
+		t.Fatal("the tail of T_0 holds a dummy at this size; pick another")
+	}
+	packets := core.Packet(12 * d)
+	run := func(leaver core.NodeID) (swaps, hit, total int) {
+		plan := &Plan{Churn: []ChurnEvent{
+			{At: core.Slot(m.Height()*d + 7), Leave: true, Name: initialName(t, n, d, leaver)},
+		}}
+		ls, lc := liveSource(t, n, d, false, LiveChurnConfig{Kind: ChurnPlan, Plan: plan})
+		res, err := slotsim.Run(ls, liveOptions(ls, lc, slotsim.Options{Packets: packets}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mem := range ls.Members() {
+			if h := res.Hiccups(mem.Node, base.AnalyticStartDelay(mem.Node)); h > 0 {
+				hit++
+				total += h
+			}
+		}
+		return lc.Summary().TotalSwaps, hit, total
+	}
+
+	if swaps, hit, _ := run(allLeaf); swaps != 0 || hit != 0 {
+		t.Errorf("all-leaf leave: %d swaps, %d survivors with hiccups; want none of either", swaps, hit)
+	}
+	swaps, hit, total := run(m.Trees[0][0])
+	if swaps == 0 || swaps > multitree.SwapBound(d) {
+		t.Errorf("interior leave: %d swaps, want 1..%d", swaps, multitree.SwapBound(d))
+	}
+	if hit == 0 {
+		t.Error("interior leave perturbed no survivor at all")
+	}
+	// The vacated root-child position heads a subtree of at most n/d members
+	// of one tree, and the swaps move at most d²+d members more; what they
+	// miss is a transition window, not the stream.
+	if hit > n/d+multitree.SwapBound(d) || total > n*int(packets)/2 {
+		t.Errorf("interior leave: %d survivors with %d hiccups — wider than one subtree plus the swapped members", hit, total)
 	}
 }

@@ -8,10 +8,10 @@ import (
 // bannedConstructors maps a scheme package path to the constructor names
 // that must only be called through the internal/spec registry. The dynamic
 // families (multitree.NewDynamic, hypercube.NewDynamicHC), scheme wrappers
-// (multitree.NewScheme, session.New), and variant constructors used by the
-// analysis renderers stay callable: the ban covers the flag-plumbing
-// duplication the registry exists to end, not the building blocks the
-// registry itself is made of.
+// (multitree.NewScheme, multitree.NewLiveScheme), and variant constructors
+// used by the analysis renderers stay callable: the ban covers the
+// flag-plumbing duplication the registry exists to end, not the building
+// blocks the registry itself is made of.
 var bannedConstructors = map[string]map[string]bool{
 	"streamcast/internal/multitree": {"New": true},
 	"streamcast/internal/hypercube": {"New": true},

@@ -85,7 +85,7 @@ func TestDynamicSwapBounds(t *testing.T) {
 // the same shape internal/faults replays from fault plans — through eager
 // and lazy dynamics and requires every single operation to stay within
 // SwapBound(d) = d²+d, the appendix's worst case over both op kinds. This
-// is the bound ApplyChurn enforces as a hard error, so it must hold for
+// is the bound faults.LiveChurn enforces as a hard error, so it must hold for
 // every reachable state, not just the curated workloads above.
 func TestSwapBoundUnderGeneratedChurn(t *testing.T) {
 	for _, d := range []int{2, 3, 4, 5} {

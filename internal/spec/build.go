@@ -35,8 +35,6 @@ type Run struct {
 	Injector *faults.Injector
 	// Plan is the loaded fault plan backing Injector.
 	Plan *faults.Plan
-	// Churn summarizes replayed fault-plan churn; nil without churn.
-	Churn *faults.ChurnSummary
 	// Live is the run's mid-run churn source; nil without a churn
 	// directive. After Execute it holds the applied op log, the membership
 	// windows (for slotsim.PlaybackSLO), and the first churn slot.
@@ -67,9 +65,12 @@ func (r *Run) Schedule() core.Scheme {
 }
 
 // Build resolves a scenario through the registry into a Run. It validates
-// the scenario, resolves parameters against the family defaults, loads and
-// replays the fault plan (churn included), constructs the scheme exactly
-// once, and derives the engine and check options.
+// the scenario, resolves parameters against the family defaults, loads the
+// fault plan, constructs the scheme exactly once, and derives the engine and
+// check options. A plan's join/leave events fire live, at their slot
+// barriers, under `churn kind=plan` and in no other way: a plan that carries
+// them on a run without that directive is an error, not an implied mode, and
+// so is an event at or past the horizon, which would never fire.
 func Build(sc *Scenario) (*Run, error) { return BuildWithPlan(sc, nil) }
 
 // BuildWithPlan is Build with a programmatic fault plan taking the place of
@@ -95,13 +96,25 @@ func BuildWithPlan(sc *Scenario, plan *faults.Plan) (*Run, error) {
 			plan.Seed = sc.FaultSeed
 		}
 	}
-	if plan != nil && len(plan.Churn) > 0 && !f.Caps.Churn {
+	planChurn := plan != nil && len(plan.Churn) > 0
+	if planChurn && sc.ChurnKind != faults.ChurnPlan {
 		source := sc.FaultsFile
 		if source == "" {
 			source = "the fault plan"
 		}
-		return nil, fmt.Errorf("spec: churn events in %s require a churn-capable scheme (multitree); %s is static",
-			source, sc.Scheme)
+		if !f.Caps.LiveChurn {
+			return nil, fmt.Errorf("spec: churn events in %s require a churn-capable scheme (multitree); %s is static",
+				source, sc.Scheme)
+		}
+		has := "no churn directive"
+		if sc.ChurnKind != "" {
+			has = "churn kind=" + sc.ChurnKind + ", which generates its own"
+		}
+		return nil, fmt.Errorf("spec: %s carries join/leave events, which fire only under `churn kind=plan` (streamsim -churn plan), and this run has %s; set the directive or strip the plan's join/leave lines",
+			source, has)
+	}
+	if !planChurn && sc.ChurnKind == faults.ChurnPlan {
+		return nil, fmt.Errorf("spec: churn kind=plan needs a fault plan with join/leave events (faults file=... or a programmatic plan)")
 	}
 
 	mode := f.ForcedMode
@@ -139,6 +152,18 @@ func BuildWithPlan(sc *Scenario, plan *faults.Plan) (*Run, error) {
 	if sc.Slots > 0 {
 		opt.Slots = core.Slot(sc.Slots)
 	}
+	if sc.ChurnKind == faults.ChurnPlan {
+		for i, e := range plan.Churn {
+			if e.At >= opt.Slots {
+				verb := "join"
+				if e.Leave {
+					verb = "leave"
+				}
+				return nil, fmt.Errorf("spec: churn event %d (%s %s at slot %d) would never fire: the run's horizon is %d slots, 0..%d; move the event or raise `slots`",
+					i+1, verb, e.Name, e.At, opt.Slots, opt.Slots-1)
+			}
+		}
+	}
 
 	run := &Run{
 		Scenario: sc,
@@ -146,7 +171,6 @@ func BuildWithPlan(sc *Scenario, plan *faults.Plan) (*Run, error) {
 		Values:   v,
 		Scheme:   out.Scheme,
 		Plan:     plan,
-		Churn:    out.Churn,
 		Live:     out.Live,
 	}
 	if plan != nil {

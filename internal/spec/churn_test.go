@@ -1,10 +1,12 @@
 package spec
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"streamcast/internal/core"
 	"streamcast/internal/faults"
 	"streamcast/internal/obs"
 	"streamcast/internal/slotsim"
@@ -173,8 +175,7 @@ func TestChurnScenarioParity(t *testing.T) {
 }
 
 // TestChurnPlanScenario: kind=plan consumes the fault plan's churn events
-// live — no pre-run replay happens, the events fire at their slots, and the
-// static replay summary stays empty.
+// live — the events fire at their slots, wildcards resolved.
 func TestChurnPlanScenario(t *testing.T) {
 	plan := &faults.Plan{Seed: 9, Churn: []faults.ChurnEvent{
 		{At: 6, Name: "late-a"},
@@ -187,9 +188,6 @@ func TestChurnPlanScenario(t *testing.T) {
 	run, err := BuildWithPlan(sc, plan)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if run.Churn != nil {
-		t.Fatal("plan churn was replayed pre-run despite churn kind=plan")
 	}
 	if _, err := run.Execute(); err != nil {
 		t.Fatal(err)
@@ -224,5 +222,54 @@ func TestChurnPlanScenario(t *testing.T) {
 	}
 	if _, err := Build(sc3); err == nil || !strings.Contains(err.Error(), "needs a fault plan") {
 		t.Fatalf("plan kind without plan: got %v", err)
+	}
+}
+
+// TestChurnPlanPastHorizon: a plan event scheduled at or past the run's
+// horizon would never fire — the engine stops stepping the source at the
+// last slot — so Build refuses it, naming the event, its slot and the
+// horizon, instead of running one op short and saying nothing.
+func TestChurnPlanPastHorizon(t *testing.T) {
+	sc, err := Parse("scheme multitree\nparam d=2 n=10\npackets 12\nslots 30\nchurn kind=plan\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := func(at int) *faults.Plan {
+		return &faults.Plan{Churn: []faults.ChurnEvent{
+			{At: 6, Name: "late-a"},
+			{At: core.Slot(at), Leave: true, Name: faults.AnyName},
+		}}
+	}
+	for _, at := range []int{30, 31, 1000} {
+		_, err := BuildWithPlan(sc, plan(at))
+		if err == nil {
+			t.Fatalf("leave at slot %d of a 30-slot run accepted", at)
+		}
+		for _, want := range []string{"churn event 2", fmt.Sprintf("slot %d", at), "30 slots"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("leave at slot %d: %v lacks %q", at, err, want)
+			}
+		}
+	}
+
+	// The last slot of the horizon is still a barrier: the event fires.
+	run, err := BuildWithPlan(sc, plan(29))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Execute(); err != nil {
+		t.Fatal(err)
+	}
+	if ops := run.Live.Ops(); len(ops) != 2 || ops[1].Slot != 29 {
+		t.Fatalf("event at the last slot misfired: %+v", ops)
+	}
+
+	// The automatic horizon is checked the same way.
+	auto, err := Parse("scheme multitree\nparam d=2 n=10\npackets 12\nchurn kind=plan\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildWithPlan(auto, plan(5000)); err == nil || !strings.Contains(err.Error(), "would never fire") {
+		t.Fatalf("leave at slot 5000 under the automatic horizon: got %v", err)
 	}
 }

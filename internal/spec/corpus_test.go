@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"streamcast/internal/core"
 	"streamcast/internal/obs"
 	"streamcast/internal/slotsim"
 )
@@ -17,7 +18,9 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/scenarios/golden.txt from the current runs")
 
 // runFingerprint executes a built run with a metrics observer attached and
-// returns the schedule fingerprint plus the missing-packet total.
+// returns the schedule fingerprint plus the missing-packet total — over the
+// members live at the end when membership changed mid-run, since a live
+// run's id space also holds padding and departed ids.
 func runFingerprint(t *testing.T, run *Run) (string, int) {
 	t.Helper()
 	met := obs.NewMetrics()
@@ -28,8 +31,14 @@ func runFingerprint(t *testing.T, run *Run) (string, int) {
 		t.Fatal(err)
 	}
 	missing := 0
-	for _, v := range res.Missing {
-		missing += v
+	if ds, ok := run.Scheme.(core.DynamicScheme); ok {
+		for _, m := range ds.Members() {
+			missing += res.Missing[m.Node]
+		}
+	} else {
+		for _, v := range res.Missing {
+			missing += v
+		}
 	}
 	return met.Fingerprint(), missing
 }

@@ -11,9 +11,9 @@
 // reproduces sc exactly (FuzzScenario pins the round trip).
 //
 // Each family (multitree, hypercube, chain, singletree, cluster, gossip,
-// mdc, session) self-registers in its family_*.go file: declared
+// mdc, randreg) self-registers in its family_*.go file: declared
 // parameters with defaults, capability flags (statically checkable,
-// periodic/compilable, best effort, churn-capable), and a builder that
+// periodic/compilable, best effort, live churn), and a builder that
 // turns resolved parameters into a constructed scheme plus engine and
 // check options. Build resolves a Scenario through the registry into a
 // Run, which executes on either engine and preflights through

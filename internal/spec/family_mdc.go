@@ -23,7 +23,7 @@ func init() {
 			return core.Packet(v.Int("rounds") * v.Int("d"))
 		},
 		build: func(in buildInput) (*buildOutput, error) {
-			m, _, err := buildMultiTree(in.Values, nil)
+			m, err := buildMultiTree(in.Values)
 			if err != nil {
 				return nil, err
 			}

@@ -10,7 +10,7 @@ import (
 )
 
 // multiTreeParams are the parameters shared by every family built on the
-// multi-tree construction (multitree itself, mdc, session).
+// multi-tree construction (multitree itself and mdc).
 func multiTreeParams() []Param {
 	return []Param{
 		{Name: "n", Kind: Int, Def: "100", Min: 1, Doc: "number of receivers"},
@@ -29,31 +29,10 @@ func parseConstruction(v string) multitree.Construction {
 	return multitree.Greedy
 }
 
-// buildMultiTree constructs the multi-tree behind the multitree, mdc, and
-// session families. When the fault plan carries churn, the schedule is
-// replayed through the dynamic family and the surviving snapshot is
-// streamed — the repaired trees are what a post-churn deployment would
-// actually run.
-func buildMultiTree(v Values, plan *faults.Plan) (*multitree.MultiTree, *faults.ChurnSummary, error) {
-	n, d := v.Int("n"), v.Int("d")
-	if plan != nil && len(plan.Churn) > 0 {
-		dy, err := multitree.NewDynamic(n, d, false)
-		if err != nil {
-			return nil, nil, err
-		}
-		ops, err := faults.ApplyChurn(plan, dy)
-		if err != nil {
-			return nil, nil, err
-		}
-		sum := faults.Summarize(ops, d)
-		m, _ := dy.Snapshot()
-		return m, &sum, nil
-	}
-	m, err := multitree.New(n, d, parseConstruction(v.Str("construction")))
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, nil, nil
+// buildMultiTree constructs the static multi-tree behind the multitree and
+// mdc families.
+func buildMultiTree(v Values) (*multitree.MultiTree, error) {
+	return multitree.New(v.Int("n"), v.Int("d"), parseConstruction(v.Str("construction")))
 }
 
 // multiTreeExtra is the family's automatic horizon slack beyond the packet
@@ -65,17 +44,12 @@ func multiTreeExtra(m *multitree.MultiTree, d int) core.Slot {
 
 // buildLiveMultiTree wires the live-churn run: the dynamic family under the
 // positional live schedule, with a faults.LiveChurn source the slot engines
-// consult at every barrier. The fault plan's churn events, when the kind is
-// "plan", are consumed live — the pre-run replay path never sees them.
+// consult at every barrier. Under kind "plan" the ops are the fault plan's
+// join/leave events (Build has checked that the plan and the kind agree);
+// the generator kinds draw their own.
 func buildLiveMultiTree(in buildInput) (*buildOutput, error) {
 	cs := in.Churn
 	n, d := in.Values.Int("n"), in.Values.Int("d")
-	if cs.Kind == faults.ChurnPlan && (in.Plan == nil || len(in.Plan.Churn) == 0) {
-		return nil, fmt.Errorf("churn kind=plan needs a fault plan with join/leave events (faults file=... or a programmatic plan)")
-	}
-	if cs.Kind != faults.ChurnPlan && in.Plan != nil && len(in.Plan.Churn) > 0 {
-		return nil, fmt.Errorf("the fault plan carries join/leave events but churn kind=%s generates its own; use kind=plan or strip the plan's churn", cs.Kind)
-	}
 	dy, err := multitree.NewDynamic(n, d, cs.Lazy)
 	if err != nil {
 		return nil, err
@@ -134,9 +108,9 @@ func buildLiveMultiTree(in buildInput) (*buildOutput, error) {
 func init() {
 	register(&Family{
 		Name:   "multitree",
-		Doc:    "the paper's d interior-disjoint trees (Section 2); supports churn replay and live mid-run churn",
+		Doc:    "the paper's d interior-disjoint trees (Section 2); supports live mid-run churn",
 		Params: multiTreeParams(),
-		Caps:   Capabilities{StaticCheck: true, Periodic: true, Churn: true, LiveChurn: true},
+		Caps:   Capabilities{StaticCheck: true, Periodic: true, LiveChurn: true},
 		defaultPackets: func(v Values) core.Packet {
 			return core.Packet(4 * v.Int("d"))
 		},
@@ -144,7 +118,7 @@ func init() {
 			if in.Churn != nil {
 				return buildLiveMultiTree(in)
 			}
-			m, churn, err := buildMultiTree(in.Values, in.Plan)
+			m, err := buildMultiTree(in.Values)
 			if err != nil {
 				return nil, err
 			}
@@ -152,7 +126,6 @@ func init() {
 			out := &buildOutput{
 				Scheme: s,
 				Extra:  multiTreeExtra(m, in.Values.Int("d")),
-				Churn:  churn,
 				MkCheck: func(win core.Packet) check.Options {
 					return check.MultiTreeOptions(s, win)
 				},

@@ -21,8 +21,6 @@ const (
 	Int64
 	// Enum is one of a fixed set of lower-case words.
 	Enum
-	// Text is a free-form token validated by the parameter's Check hook.
-	Text
 )
 
 // Param describes one parameter a scheme family accepts. Anything not
@@ -40,8 +38,6 @@ type Param struct {
 	Min int
 	// Enum lists the allowed values for Enum parameters.
 	Enum []string
-	// Check optionally validates Text parameters.
-	Check func(v string) error
 	// Doc is the one-line description shown by streamsim -list-schemes.
 	Doc string
 }
@@ -68,12 +64,6 @@ func (p Param) validate(v string) error {
 			}
 		}
 		return fmt.Errorf("%s=%q is not one of %v", p.Name, v, p.Enum)
-	case Text:
-		if p.Check != nil {
-			if err := p.Check(v); err != nil {
-				return fmt.Errorf("%s: %w", p.Name, err)
-			}
-		}
 	}
 	return nil
 }
@@ -91,12 +81,9 @@ type Capabilities struct {
 	// BestEffort means the family runs with AllowIncomplete by default:
 	// missing packets are an expected outcome, not a scheme defect.
 	BestEffort bool
-	// Churn means the family can replay fault-plan join/leave events
-	// (the dynamic multi-tree machinery).
-	Churn bool
-	// LiveChurn means the family can run churn as a live, mid-run workload
-	// (the churn scenario directive): its builder wires a
-	// core.DynamicScheme plus a slotsim.ChurnSource into the run.
+	// LiveChurn means the family's membership can change mid-run (the
+	// churn scenario directive, the only way it ever does): its builder
+	// wires a core.DynamicScheme plus a slotsim.ChurnSource into the run.
 	LiveChurn bool
 }
 
@@ -163,8 +150,6 @@ type buildOutput struct {
 	// MkCheck builds the family's internal/check options for a window.
 	// Nil with Caps.StaticCheck means the generic engine-derived audit.
 	MkCheck func(win core.Packet) check.Options
-	// Churn summarizes replayed fault-plan churn, when any.
-	Churn *faults.ChurnSummary
 	// Live is the run's mid-run churn source (already wired into
 	// Opt.Churn); non-nil suppresses the static preflight options, since a
 	// mutating topology has no fixed schedule to verify.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"streamcast/internal/core"
+	"streamcast/internal/multitree"
 	"streamcast/internal/slotsim"
 )
 
@@ -14,8 +15,8 @@ import (
 // and a deterministic listing order.
 func TestRegistryShape(t *testing.T) {
 	fams := Families()
-	if len(fams) < 8 {
-		t.Fatalf("registry has %d families, want at least 8", len(fams))
+	if len(fams) != 8 {
+		t.Fatalf("registry has %d families, want 8", len(fams))
 	}
 	for i := 1; i < len(fams); i++ {
 		if fams[i-1].Name >= fams[i].Name {
@@ -40,7 +41,7 @@ func TestRegistryShape(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range []string{"multitree", "hypercube", "chain", "singletree", "cluster", "gossip", "mdc", "session"} {
+	for _, name := range []string{"multitree", "hypercube", "chain", "singletree", "cluster", "gossip", "mdc", "randreg"} {
 		if Lookup(name) == nil {
 			t.Errorf("family %q not registered", name)
 		}
@@ -123,7 +124,11 @@ func TestBuildOverrides(t *testing.T) {
 	}
 }
 
-// TestBuildChurnRequiresMultitree pins the churn capability gate.
+// TestBuildChurnRequiresMultitree pins the gate on a plan's join/leave
+// events: a static family refuses them outright, and the churn-capable one
+// runs them live under `churn kind=plan` and in no other way — without the
+// directive Build names the plan and the directive to add, it does not pick
+// a mode on its own.
 func TestBuildChurnRequiresMultitree(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/churn.plan"
@@ -137,16 +142,22 @@ func TestBuildChurnRequiresMultitree(t *testing.T) {
 		t.Fatalf("churn on hypercube: %v", err)
 	}
 
-	mt := MultiTreeScenario(30, 3, 0, core.PreRecorded)
+	mt := MultiTreeScenario(30, 3, multitree.Greedy, core.PreRecorded)
 	mt.FaultsFile = path
+	_, err = Build(mt)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "churn kind=plan") {
+		t.Fatalf("churn plan without the directive: got %v, want an error naming %s and `churn kind=plan`", err, path)
+	}
+
+	mt.ChurnKind = "plan"
 	run, err := Build(mt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Churn == nil || run.Churn.Ops != 1 {
-		t.Fatalf("churn summary = %+v", run.Churn)
-	}
 	if _, err := run.Execute(); err != nil {
 		t.Fatal(err)
+	}
+	if ops := run.Live.Ops(); len(ops) != 1 || ops[0].Slot != 4 || !ops[0].Leave {
+		t.Fatalf("the plan's leave did not fire at its slot: %+v", ops)
 	}
 }

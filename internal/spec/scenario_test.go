@@ -58,7 +58,7 @@ func TestFormatRoundTrip(t *testing.T) {
 		"scheme multitree\nparam construction=structured d=4 n=255\nmode prebuffered\npackets 16\n",
 		"scheme cluster\nparam D=3 k=9 tc=5\nslots 200\n",
 		"scheme gossip\nparam seed=42 strategy=pull-newest\n",
-		"scheme session\nparam n=30 swaps=14:3:9,20:1:2\n",
+		"scheme multitree\nparam n=30\nfaults file=x.plan\nchurn kind=plan policy=lazy\n",
 		"scheme chain\nparam n=50\nengine runtime\n",
 		"scheme singletree\nparam d=2 n=50\nparallel\ncheck\n",
 		"scheme mdc\nparam rounds=4\n",
@@ -103,7 +103,7 @@ func TestParseDiagnostics(t *testing.T) {
 		{"scheme cluster\nmode live\n", "manages its stream mode internally"},
 		{"scheme gossip\ncheck\n", "not statically checkable"},
 		{"scheme mdc\ncheck\n", "not statically checkable"},
-		{"scheme session\ncheck\n", "not statically checkable"},
+		{"scheme randreg\ncheck\n", "not statically checkable"},
 		{"scheme multitree\nparam n=5 n=6\n", `duplicate parameter "n"`},
 		{"scheme multitree\nscheme chain\n", "duplicate scheme directive"},
 		{"scheme multitree\nmode nosuch\n", `unknown mode "nosuch"`},
@@ -117,7 +117,7 @@ func TestParseDiagnostics(t *testing.T) {
 		{"scheme multitree\nfaults file=x.plan bogus=1\n", `unknown argument "bogus"`},
 		{"scheme multitree\nout\n", "out needs at least one of"},
 		{"scheme gossip\nparam strategy=pull-eager\n", "is not one of"},
-		{"scheme session\nparam swaps=10:1\n", "is not slot:a:b"},
+		{"scheme multitree\nparam swaps=10:1:2\n", `multitree does not accept parameter "swaps"`},
 		{"scheme multitree\nparam construction=dfs\n", "is not one of"},
 	}
 	for _, c := range cases {
