@@ -63,9 +63,12 @@ benchsmoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -short -run XXX . ./internal/slotsim
 
 # Measured benchmark snapshot as JSON (ns/op, B/op, allocs/op, custom
-# metrics), written to BENCH_<date><suffix>.json via cmd/benchdiff. A
-# snapshot is a committed record: the target refuses to overwrite one, so a
-# second snapshot on the same date needs a suffix —
+# metrics), written to BENCH_<date><suffix>.json via cmd/benchdiff: the whole
+# sweep at BENCHTIME, then the rows `bench-gate` reruns, measured the way it
+# measures them (benchdiff keeps a row's fastest repeat), so that any snapshot
+# can serve as the gate's baseline. A snapshot is a committed record: the target
+# refuses to overwrite one, so a second snapshot on the same date needs a
+# suffix —
 #   make bench-json SNAPSHOT_SUFFIX=-pr19
 # Compare two snapshots with:
 #   go run ./cmd/benchdiff -old BENCH_a.json -new BENCH_b.json -threshold 0.2
@@ -74,7 +77,7 @@ SNAPSHOT_SUFFIX ?=
 bench-json:
 	@out=BENCH_$$(date +%Y-%m-%d)$(SNAPSHOT_SUFFIX).json; \
 	if [ -e "$$out" ]; then echo "bench-json: $$out exists; set SNAPSHOT_SUFFIX (e.g. -pr19) to write beside it"; exit 1; fi; \
-	$(GO) test -bench . -benchtime $(BENCHTIME) -benchmem -run XXX . ./internal/slotsim \
+	{ $(GO) test -bench . -benchtime $(BENCHTIME) -benchmem -run XXX . ./internal/slotsim && $(GATE_BENCH); } \
 		| $(GO) run ./cmd/benchdiff -write "$$out"
 
 # Short fuzz smoke over the fault-plan parser (FAULTS.md) and the scenario
@@ -116,19 +119,30 @@ cover:
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit !(t+0 >= min+0) }' \
 		|| { echo "cover: total $$total% is below the $(COVER_MIN)% gate"; exit 1; }
 
-# Benchmark regression gate against the committed baseline snapshot: rerun
-# the N=10^4 multitree slot-engine row (the headline scale case, and the
-# only row stable enough to gate on in shared CI) and fail if ns/op or
-# allocs/op regressed past 25%. Rows present in the baseline but filtered
-# out of the fresh run are reported as missing, never failed — that is what
-# lets this gate run a narrow -bench filter. Refresh the baseline with
-# `make bench-json` and point BENCH_BASELINE at the new snapshot.
-BENCH_BASELINE ?= BENCH_2026-08-07-pr9.json
+# Benchmark regression gate against the committed baseline snapshot.
+# GATE_BENCH reruns the multitree slot-engine rows at N=10^4 (the headline
+# scale case; the pattern takes the N=10^5 row with it), five times 30
+# iterations each — benchdiff keeps a row's fastest repeat — and holds them to
+# ns/op, B/op and allocs/op; and the two rows that hold the epilogue's memory
+# in place — BenchmarkFinish and the wide-window N=31000, 600-packet engine
+# row — held to B/op and allocs/op only (-memory-only): their ns/op reads
+# 0.4–1.5 s for one binary on a shared host, while what they allocate repeats
+# exactly, and a window matrix back on the heap is 75 MB against 0.8. Memory
+# past 25% fails; time past 50%, because the fastest of five still reads
+# 2.5–3.6 ms for the same binary on a two-core host shared with other
+# containers (the baseline before this one said 6.23 ms for a row that measures
+# 3, so 2.9x passed). Rows present in the baseline but filtered out of the fresh
+# run are reported as missing, never failed — that is what lets this gate run a
+# narrow -bench filter. Refresh the baseline with `make bench-json` and point
+# BENCH_BASELINE at the new snapshot.
+BENCH_BASELINE ?= BENCH_2026-10-02-pr23.json
+GATE_BENCH = $(GO) test -bench 'SlotEngineScale/multitree-N10000/sequential' -benchtime 30x -count 5 -benchmem -run XXX . && \
+	$(GO) test -bench 'SlotEngineScale/multitree-N31000-P600/sequential' -benchtime 5x -benchmem -run XXX . && \
+	$(GO) test -bench '^BenchmarkFinish$$' -benchtime 5x -benchmem -run XXX ./internal/slotsim
 bench-gate:
 	@snap=$$(mktemp); \
-	$(GO) test -bench 'SlotEngineScale/multitree-N10000/sequential' -benchtime 2x -benchmem -run XXX . \
-		| $(GO) run ./cmd/benchdiff -write $$snap || { rm -f $$snap; exit 1; }; \
-	$(GO) run ./cmd/benchdiff -old $(BENCH_BASELINE) -new $$snap -threshold 0.25; \
+	{ $(GATE_BENCH); } | $(GO) run ./cmd/benchdiff -write $$snap || { rm -f $$snap; exit 1; }; \
+	$(GO) run ./cmd/benchdiff -old $(BENCH_BASELINE) -new $$snap -threshold 0.25 -time-threshold 0.5 -memory-only 'N31000-P600|^BenchmarkFinish$$'; \
 	status=$$?; rm -f $$snap; exit $$status
 
 # The size of the program: non-test, non-testdata Go lines under internal/

@@ -261,10 +261,11 @@ func BenchmarkEngineSequentialVsParallel(b *testing.B) {
 // second) is what the PERFORMANCE.md trajectory table tracks. Those rows use
 // a window of a few packets, so the epilogue (engine.finish) is invisible in
 // them; the multitree-N31000-P600 row is the dense benchmark workloads' shape
-// — 600 window packets — where summarising the window costs as much as a
-// fifth of the run (internal/slotsim BenchmarkFinish times it alone). Rows
-// keep the "/sequential" suffix so `make bench-gate` still matches the
-// committed baseline snapshot.
+// — 600 window packets — where summarising the window is ≈ 85 of the run's
+// ≈ 440 ms (internal/slotsim BenchmarkFinish times it alone) and, no cell
+// being asked for, allocates 0.76 MB whatever the window. Rows keep the
+// "/sequential" suffix so `make bench-gate` still matches the committed
+// baseline snapshot, which holds this row to its B/op and allocs/op.
 func BenchmarkSlotEngineScale(b *testing.B) {
 	type scaleCase struct {
 		name   string

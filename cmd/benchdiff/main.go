@@ -5,7 +5,9 @@
 //
 //	go test -bench . -benchmem -run XXX . | go run ./cmd/benchdiff -write BENCH_2026-08-05.json
 //
-// Compare mode (exits 1 when ns/op or allocs/op regressed past -threshold):
+// Compare mode (exits 1 when B/op or allocs/op regressed past -threshold or
+// ns/op past -time-threshold; rows matching -memory-only are held to B/op and
+// allocs/op alone):
 //
 //	go run ./cmd/benchdiff -old BENCH_old.json -new BENCH_new.json -threshold 0.2
 package main
@@ -17,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,9 +45,13 @@ type Snapshot struct {
 }
 
 // parseBench extracts benchmark result lines from `go test -bench` output.
-// Non-benchmark lines (package headers, PASS, custom logs) are ignored.
+// Non-benchmark lines (package headers, PASS, custom logs) are ignored. A name
+// measured more than once (-count, or a sweep followed by a rerun of a few
+// rows) keeps its fastest result: on a shared host the least disturbed
+// measurement is the repeatable one.
 func parseBench(r io.Reader) ([]Benchmark, error) {
 	var out []Benchmark
+	at := make(map[string]int) // name -> index in out
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -79,7 +86,15 @@ func parseBench(r io.Reader) ([]Benchmark, error) {
 				b.Metrics[unit] = v
 			}
 		}
-		if ok && b.NsPerOp > 0 {
+		if !ok || b.NsPerOp <= 0 {
+			continue
+		}
+		if i, seen := at[b.Name]; seen {
+			if b.NsPerOp < out[i].NsPerOp {
+				out[i] = b
+			}
+		} else {
+			at[b.Name] = len(out)
 			out = append(out, b)
 		}
 	}
@@ -124,8 +139,12 @@ type regression struct {
 }
 
 // compare returns the regressions and improvements between two snapshots:
-// ns/op and allocs/op changes beyond the fractional threshold.
-func compare(old, cur *Snapshot, threshold float64) (regs, imps []regression, missing []string) {
+// B/op and allocs/op changes beyond the fractional threshold, ns/op changes
+// beyond timeThreshold — what a benchmark allocates repeats exactly, how long
+// it takes on a shared host does not. A row whose name matches memoryOnly (nil
+// matches none) is not compared on ns/op at all: its run time is too long to
+// repeat and too noisy to gate on.
+func compare(old, cur *Snapshot, threshold, timeThreshold float64, memoryOnly *regexp.Regexp) (regs, imps []regression, missing []string) {
 	curBy := make(map[string]Benchmark, len(cur.Benchmarks))
 	for _, b := range cur.Benchmarks {
 		curBy[b.Name] = b
@@ -136,19 +155,22 @@ func compare(old, cur *Snapshot, threshold float64) (regs, imps []regression, mi
 			missing = append(missing, ob.Name)
 			continue
 		}
-		check := func(metric string, ov, nv float64) {
+		check := func(metric string, ov, nv, limit float64) {
 			if ov <= 0 {
 				return
 			}
 			switch delta := (nv - ov) / ov; {
-			case delta > threshold:
+			case delta > limit:
 				regs = append(regs, regression{ob.Name, metric, ov, nv})
-			case delta < -threshold:
+			case delta < -limit:
 				imps = append(imps, regression{ob.Name, metric, ov, nv})
 			}
 		}
-		check("ns/op", ob.NsPerOp, nb.NsPerOp)
-		check("allocs/op", ob.AllocsPerOp, nb.AllocsPerOp)
+		if memoryOnly == nil || !memoryOnly.MatchString(ob.Name) {
+			check("ns/op", ob.NsPerOp, nb.NsPerOp, timeThreshold)
+		}
+		check("B/op", ob.BytesPerOp, nb.BytesPerOp, threshold)
+		check("allocs/op", ob.AllocsPerOp, nb.AllocsPerOp, threshold)
 	}
 	return regs, imps, missing
 }
@@ -157,7 +179,9 @@ func main() {
 	write := flag.String("write", "", "parse bench output from stdin and write a JSON snapshot to this file")
 	oldPath := flag.String("old", "", "baseline snapshot for comparison")
 	newPath := flag.String("new", "", "candidate snapshot for comparison")
-	threshold := flag.Float64("threshold", 0.20, "fractional regression threshold for ns/op and allocs/op")
+	threshold := flag.Float64("threshold", 0.20, "fractional regression threshold for B/op and allocs/op, and for ns/op unless -time-threshold is set")
+	timeThreshold := flag.Float64("time-threshold", 0, "fractional regression threshold for ns/op (0 = -threshold)")
+	memoryOnly := flag.String("memory-only", "", "regexp of benchmark names compared on B/op and allocs/op only, not ns/op")
 	flag.Parse()
 
 	switch {
@@ -193,7 +217,17 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchdiff:", err)
 			os.Exit(2)
 		}
-		regs, imps, missing := compare(old, cur, *threshold)
+		var memRows *regexp.Regexp
+		if *memoryOnly != "" {
+			if memRows, err = regexp.Compile(*memoryOnly); err != nil {
+				fmt.Fprintln(os.Stderr, "benchdiff: -memory-only:", err)
+				os.Exit(2)
+			}
+		}
+		if *timeThreshold == 0 {
+			*timeThreshold = *threshold
+		}
+		regs, imps, missing := compare(old, cur, *threshold, *timeThreshold, memRows)
 		for _, r := range imps {
 			fmt.Printf("improved  %-60s %-10s %14.1f -> %14.1f (%+.1f%%)\n",
 				r.name, r.metric, r.old, r.new, 100*(r.new-r.old)/r.old)
@@ -208,8 +242,8 @@ func main() {
 		if len(regs) > 0 {
 			os.Exit(1)
 		}
-		fmt.Printf("benchdiff: no regressions past %.0f%% (%d benchmarks compared)\n",
-			*threshold*100, len(old.Benchmarks)-len(missing))
+		fmt.Printf("benchdiff: no regressions past %.0f%% (ns/op: %.0f%%; %d benchmarks compared)\n",
+			*threshold*100, *timeThreshold*100, len(old.Benchmarks)-len(missing))
 	default:
 		flag.Usage()
 		os.Exit(2)

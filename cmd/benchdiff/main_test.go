@@ -1,6 +1,7 @@
 package main
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -13,6 +14,8 @@ BenchmarkEngineSequentialVsParallel/parallel-2-8         	      98	  12112340 ns
 BenchmarkFig4WorstCaseDelay-8                            	      76	  15711362 ns/op	        18.00 delay_d2_N2000	14630736 B/op	   15134 allocs/op
 PASS
 ok  	streamcast	4.521s
+BenchmarkFig4WorstCaseDelay-8                            	     100	  15000000 ns/op	        18.00 delay_d2_N2000	14630736 B/op	   15134 allocs/op
+BenchmarkFig4WorstCaseDelay-8                            	      50	  19000000 ns/op	        18.00 delay_d2_N2000	14630736 B/op	   15134 allocs/op
 `
 
 func TestParseBench(t *testing.T) {
@@ -37,6 +40,9 @@ func TestParseBench(t *testing.T) {
 	fig4 := byName["BenchmarkFig4WorstCaseDelay"]
 	if got := fig4.Metrics["delay_d2_N2000"]; got != 18 {
 		t.Errorf("custom metric delay_d2_N2000 = %v, want 18", got)
+	}
+	if fig4.Iterations != 100 || fig4.NsPerOp != 15000000 {
+		t.Errorf("a row measured three times parsed as %+v, want its fastest result (100 iterations)", fig4)
 	}
 	for i := 1; i < len(benches); i++ {
 		if benches[i-1].Name > benches[i].Name {
@@ -64,27 +70,39 @@ func TestCompareThreshold(t *testing.T) {
 		{Name: "A", NsPerOp: 1000, AllocsPerOp: 100},
 		{Name: "B", NsPerOp: 1000, AllocsPerOp: 100},
 		{Name: "C", NsPerOp: 1000, AllocsPerOp: 100},
+		{Name: "D", NsPerOp: 1000, BytesPerOp: 4096, AllocsPerOp: 4},
+		{Name: "Slow/E", NsPerOp: 1000, BytesPerOp: 4096, AllocsPerOp: 4},
 		{Name: "Gone", NsPerOp: 1000},
 	}}
 	cur := &Snapshot{Benchmarks: []Benchmark{
-		{Name: "A", NsPerOp: 1500, AllocsPerOp: 100}, // ns/op regression
-		{Name: "B", NsPerOp: 400, AllocsPerOp: 100},  // improvement
-		{Name: "C", NsPerOp: 1100, AllocsPerOp: 130}, // ns within threshold, allocs regressed
+		{Name: "A", NsPerOp: 1500, AllocsPerOp: 100},                      // ns/op regression
+		{Name: "B", NsPerOp: 400, AllocsPerOp: 100},                       // improvement
+		{Name: "C", NsPerOp: 1350, AllocsPerOp: 130},                      // ns past the memory threshold but within the time threshold, allocs regressed
+		{Name: "D", NsPerOp: 1000, BytesPerOp: 8192, AllocsPerOp: 5},      // bytes regressed; 4 -> 5 allocs is exactly the threshold
+		{Name: "Slow/E", NsPerOp: 9000, BytesPerOp: 8192, AllocsPerOp: 4}, // memory-only row: its ns/op is not compared
 	}}
-	regs, imps, missing := compare(old, cur, 0.20)
-	if len(regs) != 2 {
-		t.Fatalf("got %d regressions (%v), want 2", len(regs), regs)
+	regs, imps, missing := compare(old, cur, 0.25, 0.4, regexp.MustCompile("^Slow/"))
+	want := []regression{
+		{"A", "ns/op", 1000, 1500},
+		{"C", "allocs/op", 100, 130},
+		{"D", "B/op", 4096, 8192},
+		{"Slow/E", "B/op", 4096, 8192},
 	}
-	if regs[0].name != "A" || regs[0].metric != "ns/op" {
-		t.Errorf("first regression = %+v, want A ns/op", regs[0])
+	if len(regs) != len(want) {
+		t.Fatalf("got %d regressions (%v), want %d", len(regs), regs, len(want))
 	}
-	if regs[1].name != "C" || regs[1].metric != "allocs/op" {
-		t.Errorf("second regression = %+v, want C allocs/op", regs[1])
+	for i, w := range want {
+		if regs[i] != w {
+			t.Errorf("regression %d = %+v, want %+v", i, regs[i], w)
+		}
 	}
 	if len(imps) != 1 || imps[0].name != "B" {
 		t.Errorf("improvements = %v, want just B", imps)
 	}
 	if len(missing) != 1 || missing[0] != "Gone" {
 		t.Errorf("missing = %v, want [Gone]", missing)
+	}
+	if regs, _, _ := compare(old, cur, 0.25, 0.4, nil); len(regs) != len(want)+1 {
+		t.Errorf("without -memory-only: %d regressions (%v), want Slow/E's ns/op as well", len(regs), regs)
 	}
 }

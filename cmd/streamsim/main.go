@@ -455,7 +455,7 @@ func report(run *spec.Run, res *slotsim.Result, w io.Writer) {
 	fmt.Fprintf(w, "max neighbors: %d\n", maxNb)
 	fmt.Fprintf(w, "slots used:    %d\n", res.SlotsUsed)
 	if d := run.Descriptions(); d > 0 {
-		mean, worst := mdc.SystemQuality(res, d)
+		mean, worst := mdc.SystemQuality(res, run.Opt.Arrivals, d)
 		fmt.Fprintf(w, "mdc quality:   %.3f mean, %.3f worst node (%d descriptions)\n", mean, worst, d)
 	}
 	if run.Injector != nil {

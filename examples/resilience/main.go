@@ -75,6 +75,7 @@ func main() {
 	// Statistics range over the members still live and up at the end: the id
 	// space also holds padding positions and the departed node, and the
 	// crashed node plays nothing.
+	cells := run.Opt.Arrivals // kept by every live-churn run
 	totalHiccups, affected, survivors := 0, 0, 0
 	var qualitySum float64
 	worst := 1.0
@@ -83,12 +84,12 @@ func main() {
 			continue
 		}
 		survivors++
-		h := res.Hiccups(m.Node, res.StartDelay[m.Node])
+		h := cells.Hiccups(m.Node, res.StartDelay[m.Node])
 		totalHiccups += h
 		if h > 0 {
 			affected++
 		}
-		q := mdc.MeanQuality(mdc.RoundQuality(res, m.Node, d, res.StartDelay[m.Node]))
+		q := mdc.MeanQuality(mdc.RoundQuality(res, cells, m.Node, d, res.StartDelay[m.Node]))
 		qualitySum += q
 		worst = min(worst, q)
 	}

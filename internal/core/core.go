@@ -86,7 +86,7 @@ type Scheme interface {
 	// multi-tree node's parent, then its children, tree by tree; a cube
 	// vertex's partners by dimension, then its chain edges — so two calls
 	// return identical slices. Schemes that gather their mesh from sets
-	// (cluster, session, gossip) promise the members only: compare as sets.
+	// (cluster, gossip) promise the members only: compare as sets.
 	Neighbors() map[NodeID][]NodeID
 }
 

@@ -138,8 +138,14 @@ func MidStreamSwaps(n, d int) (*Table, error) {
 	}
 	// The control run is the undisturbed schedule: its scheme supplies every
 	// member's analytic start delay and the tree the leavers are picked from.
-	control, cres, err := specResult(scenario(), false)
+	// Every row counts hiccups cell by cell; the live rows keep their cells
+	// already, the static control is asked to.
+	control, err := spec.Build(scenario())
 	if err != nil {
+		return nil, err
+	}
+	control.Opt.Arrivals = new(slotsim.Arrivals)
+	if _, err := simulateRun(control); err != nil {
 		return nil, err
 	}
 	base := control.Scheme.(*multitree.Scheme)
@@ -170,14 +176,14 @@ func MidStreamSwaps(n, d int) (*Table, error) {
 		names[mem.Node] = mem.Name
 	}
 
-	addRow := func(label string, run *spec.Run, res *slotsim.Result) {
+	addRow := func(label string, run *spec.Run) {
 		swaps := 0
 		if run.Live != nil {
 			swaps = run.Live.Summary().TotalSwaps
 		}
 		hit, total, worst := 0, 0, 0
 		for _, id := range survivors(run) {
-			if h := res.Hiccups(id, base.AnalyticStartDelay(id)); h > 0 {
+			if h := run.Opt.Arrivals.Hiccups(id, base.AnalyticStartDelay(id)); h > 0 {
 				hit++
 				total += h
 				worst = max(worst, h)
@@ -185,7 +191,7 @@ func MidStreamSwaps(n, d int) (*Table, error) {
 		}
 		t.AddRow(label, swaps, hit, total, worst)
 	}
-	addRow("none (control)", control, cres)
+	addRow("none (control)", control)
 	for _, c := range []struct {
 		label  string
 		leaver core.NodeID
@@ -201,11 +207,10 @@ func MidStreamSwaps(n, d int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := simulateRun(run)
-		if err != nil {
+		if _, err := simulateRun(run); err != nil {
 			return nil, err
 		}
-		addRow(c.label, run, res)
+		addRow(c.label, run)
 	}
 	return t, nil
 }
@@ -236,12 +241,15 @@ func MDCGracefulDegradation(n, d int, lossRates []float64, seed int64) (*Table, 
 		opt.Drop = drop
 		return slotsim.Run(mdcRun.Scheme, opt)
 	}
+	// Each run refills the cells the mdc family keeps; addRow reads them
+	// before the next run starts.
+	cells := mdcRun.Opt.Arrivals
 	addRow := func(label string, res *slotsim.Result) {
 		hiccups := 0
 		for id := 1; id <= n; id++ {
-			hiccups += res.Hiccups(core.NodeID(id), res.StartDelay[id])
+			hiccups += cells.Hiccups(core.NodeID(id), res.StartDelay[id])
 		}
-		mean, worst := mdc.SystemQuality(res, mdcRun.Descriptions())
+		mean, worst := mdc.SystemQuality(res, cells, mdcRun.Descriptions())
 		t.AddRow(label, hiccups, mean, worst)
 	}
 	for _, p := range lossRates {

@@ -29,9 +29,10 @@ func static(s core.Scheme, opt slotsim.Options) func() (core.Scheme, slotsim.Opt
 // runReplayed executes the same faulted run twice — same injector instance,
 // the scheme and options taken from build each time, since a live-churn
 // source and the topology it mutates are single-shot — with full observation
-// and asserts bit-identical outcomes: identical Result, identical event
-// streams, identical fingerprints. An injector or churn source whose verdicts
-// drifted between runs (hidden state, draw order) would fail here.
+// and asserts bit-identical outcomes: identical Result and arrival cells,
+// identical event streams, identical fingerprints. An injector or churn
+// source whose verdicts drifted between runs (hidden state, draw order) would
+// fail here.
 func runReplayed(t *testing.T, build func() (core.Scheme, slotsim.Options)) (*slotsim.Result, *obs.Metrics) {
 	t.Helper()
 	recA, recB := &obs.Recorder{}, &obs.Recorder{}
@@ -39,10 +40,12 @@ func runReplayed(t *testing.T, build func() (core.Scheme, slotsim.Options)) (*sl
 
 	sA, optA := build()
 	optA.Observer = obs.Combine(recA, metA)
+	optA.Arrivals = new(slotsim.Arrivals)
 	resA, errA := slotsim.Run(sA, optA)
 
 	sB, optB := build()
 	optB.Observer = obs.Combine(recB, metB)
+	optB.Arrivals = new(slotsim.Arrivals)
 	resB, errB := slotsim.Run(sB, optB)
 
 	if (errA == nil) != (errB == nil) {
@@ -54,8 +57,8 @@ func runReplayed(t *testing.T, build func() (core.Scheme, slotsim.Options)) (*sl
 		}
 		return nil, metA
 	}
-	if !reflect.DeepEqual(resA, resB) {
-		t.Fatalf("results differ between replays")
+	if !reflect.DeepEqual(resA, resB) || !reflect.DeepEqual(optA.Arrivals, optB.Arrivals) {
+		t.Fatalf("results or arrival cells differ between replays")
 	}
 	if got, want := metB.Fingerprint(), metA.Fingerprint(); got != want {
 		t.Fatalf("fingerprints differ: replay %s, first run %s", got, want)
@@ -158,6 +161,7 @@ func TestCrashSemantics(t *testing.T) {
 	met := obs.NewMetrics()
 	opt := faultedOptions(m, d, in)
 	opt.Observer = met
+	opt.Arrivals = new(slotsim.Arrivals)
 	res, err := slotsim.Run(s, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +170,7 @@ func TestCrashSemantics(t *testing.T) {
 		t.Error("crashed node missed nothing")
 	}
 	// The victim received nothing from slot 3 on.
-	for p, a := range res.ArrivalRow(victim) {
+	for p, a := range opt.Arrivals.Row(victim) {
 		if a >= 3 {
 			t.Errorf("crashed node still received packet %d at slot %d", p, a)
 		}

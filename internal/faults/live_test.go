@@ -54,6 +54,7 @@ func liveOptions(ls *multitree.LiveScheme, lc *LiveChurn, opt slotsim.Options) s
 		opt.Slots = core.Slot(int(opt.Packets)) + ls.SteadyState() + core.Slot(4*ls.SourceCapacity()+2)
 	}
 	opt.Churn = lc
+	opt.Arrivals = new(slotsim.Arrivals) // as spec.Build asks for every live-churn run
 	opt.AllowIncomplete, opt.SkipUnavailable, opt.AllowDuplicates = true, true, true
 	return opt
 }
@@ -376,25 +377,26 @@ func TestLiveChurnMembershipWindows(t *testing.T) {
 // lazy repair.
 func TestLiveChurnEngineParity(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
-		run := func() (*slotsim.Result, ChurnSummary) {
+		run := func() (*slotsim.Result, *slotsim.Arrivals, ChurnSummary) {
 			cfg := LiveChurnConfig{Kind: ChurnPoisson, Seed: 17, Rate: 0.4, Begin: 5, MaxJoins: 6, CheckInvariants: true}
 			ls, lc := liveSource(t, 13, 3, lazy, cfg)
-			res, err := slotsim.Run(ls, liveOptions(ls, lc, slotsim.Options{Slots: ls.SteadyState() + 60, Packets: 24}))
+			opt := liveOptions(ls, lc, slotsim.Options{Slots: ls.SteadyState() + 60, Packets: 24})
+			res, err := slotsim.Run(ls, opt)
 			if err != nil {
 				t.Fatalf("lazy=%v: %v", lazy, err)
 			}
-			return res, lc.Summary()
+			return res, opt.Arrivals, lc.Summary()
 		}
-		ref, refSum := run()
+		ref, refCells, refSum := run()
 		if refSum.Ops == 0 {
 			t.Fatalf("lazy=%v: generator applied no ops; the parity case is vacuous", lazy)
 		}
 		if refSum.MaxSwaps > refSum.Bound {
 			t.Fatalf("lazy=%v: max swaps %d exceeded bound %d without aborting", lazy, refSum.MaxSwaps, refSum.Bound)
 		}
-		res, sum := run()
-		if !reflect.DeepEqual(ref, res) {
-			t.Errorf("lazy=%v: Result differs between replays", lazy)
+		res, cells, sum := run()
+		if !reflect.DeepEqual(ref, res) || !reflect.DeepEqual(refCells, cells) {
+			t.Errorf("lazy=%v: Result or arrival cells differ between replays", lazy)
 		}
 		if !reflect.DeepEqual(refSum, sum) {
 			t.Errorf("lazy=%v: churn summary differs between replays: %+v vs %+v", lazy, sum, refSum)
@@ -490,7 +492,8 @@ func TestLiveChurnRecovers(t *testing.T) {
 			cfg := LiveChurnConfig{Kind: ChurnPlan, Plan: plan, MaxJoins: 3, CheckInvariants: true}
 			ls, lc := liveSource(t, c.n, c.d, lazy, cfg)
 			packets := core.Packet(int(last) + 5*c.d)
-			res, err := slotsim.Run(ls, liveOptions(ls, lc, slotsim.Options{Packets: packets}))
+			opt := liveOptions(ls, lc, slotsim.Options{Packets: packets})
+			res, err := slotsim.Run(ls, opt)
 			if err != nil {
 				t.Fatalf("N=%d d=%d lazy=%v: %v", c.n, c.d, lazy, err)
 			}
@@ -505,7 +508,7 @@ func TestLiveChurnRecovers(t *testing.T) {
 			for _, mem := range members {
 				lost += res.Missing[mem.Node]
 				for j := core.Packet(int(last) + c.d); j < packets; j++ {
-					if res.ArrivalAt(mem.Node, j) < 0 {
+					if opt.Arrivals.At(mem.Node, j) < 0 {
 						t.Errorf("N=%d d=%d lazy=%v: %s (node %d) never received packet %d, sent after the last op at slot %d",
 							c.n, c.d, lazy, mem.Name, mem.Node, j, last)
 					}
@@ -543,12 +546,12 @@ func TestLeaveBlastRadius(t *testing.T) {
 			{At: core.Slot(m.Height()*d + 7), Leave: true, Name: initialName(t, n, d, leaver)},
 		}}
 		ls, lc := liveSource(t, n, d, false, LiveChurnConfig{Kind: ChurnPlan, Plan: plan})
-		res, err := slotsim.Run(ls, liveOptions(ls, lc, slotsim.Options{Packets: packets}))
-		if err != nil {
+		opt := liveOptions(ls, lc, slotsim.Options{Packets: packets})
+		if _, err := slotsim.Run(ls, opt); err != nil {
 			t.Fatal(err)
 		}
 		for _, mem := range ls.Members() {
-			if h := res.Hiccups(mem.Node, base.AnalyticStartDelay(mem.Node)); h > 0 {
+			if h := opt.Arrivals.Hiccups(mem.Node, base.AnalyticStartDelay(mem.Node)); h > 0 {
 				hit++
 				total += h
 			}

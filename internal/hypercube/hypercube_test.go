@@ -9,7 +9,7 @@ import (
 )
 
 // runHC simulates the scheme over a window of `packets` packets.
-func runHC(t *testing.T, s *Scheme, packets int) *slotsim.Result {
+func runHC(t *testing.T, s *Scheme, packets int, cells *slotsim.Arrivals) *slotsim.Result {
 	t.Helper()
 	// Generous horizon: chained cubes delay at most the sum of dims, which
 	// is below (log2 N + 1)^2.
@@ -19,9 +19,10 @@ func runHC(t *testing.T, s *Scheme, packets int) *slotsim.Result {
 	}
 	slots := core.Slot(packets + (lg+1)*(lg+1) + 4)
 	res, err := slotsim.Run(s, slotsim.Options{
-		Slots:   slots,
-		Packets: core.Packet(packets),
-		Mode:    core.Live, // the hypercube schedule is inherently live-safe
+		Slots:    slots,
+		Packets:  core.Packet(packets),
+		Mode:     core.Live, // the hypercube schedule is inherently live-safe
+		Arrivals: cells,     // nil unless the caller reads single arrivals
 	})
 	if err != nil {
 		t.Fatalf("%s N=%d: %v", s.Name(), s.n, err)
@@ -56,7 +57,7 @@ func TestProposition1SingleCube(t *testing.T) {
 		if dims := s.CubeDims(); len(dims[0]) != 1 || dims[0][0] != k {
 			t.Fatalf("N=%d: cube dims %v, want single cube of dim %d", n, dims, k)
 		}
-		res := runHC(t, s, 3*k+3)
+		res := runHC(t, s, 3*k+3, nil)
 		if got := res.WorstStartDelay(); got > core.Slot(k) {
 			t.Errorf("k=%d: worst start delay %d > k", k, got)
 		}
@@ -81,12 +82,13 @@ func TestDoublingInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runHC(t, s, 12)
+	cells := new(slotsim.Arrivals)
+	runHC(t, s, 12, cells)
 	for j := 0; j < 12; j++ {
 		for tt := j; tt <= j+k; tt++ {
 			holders := 0
 			for id := 1; id <= n; id++ {
-				if a := res.ArrivalAt(core.NodeID(id), core.Packet(j)); a >= 0 && a <= core.Slot(tt) {
+				if a := cells.At(core.NodeID(id), core.Packet(j)); a >= 0 && a <= core.Slot(tt) {
 					holders++
 				}
 			}
@@ -110,7 +112,7 @@ func TestChainedArbitraryN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := runHC(t, s, 10)
+		res := runHC(t, s, 10, nil)
 		// Worst delay is bounded by the sum of chained cube dimensions.
 		var sum core.Slot
 		for _, k := range s.CubeDims()[0] {
@@ -133,7 +135,7 @@ func TestTheorem4AverageDelay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := runHC(t, s, 8)
+		res := runHC(t, s, 8, nil)
 		bound := 2 * math.Log2(float64(n))
 		if avg := res.AvgStartDelay(); avg > bound {
 			t.Errorf("N=%d: average delay %.2f > 2 log2 N = %.2f", n, avg, bound)
@@ -152,7 +154,7 @@ func TestGroupedSourceCapacityD(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := runHC(t, s, 10)
+		res := runHC(t, s, 10, nil)
 		var worst core.Slot
 		for _, dims := range s.CubeDims() {
 			var sum core.Slot

@@ -123,8 +123,8 @@ type plainScheme struct{ core.Scheme }
 
 // enginesAgree is the differential harness minus the static verifier, for
 // best-effort families the verifier has no model for. Every judge must
-// accept and produce identical Results, observer fingerprints, and full
-// event streams: the engine as-is (auto-compiled when the schedule is
+// accept and produce identical Results, arrival cells, observer fingerprints,
+// and full event streams: the engine as-is (auto-compiled when the schedule is
 // periodic), the engine forced down the uncompiled path, and — when the
 // scheme compiles — the engine replaying the explicitly compiled window.
 func enginesAgree(t *testing.T, tag string, s core.Scheme, sopt slotsim.Options) {
@@ -145,6 +145,7 @@ func enginesAgree(t *testing.T, tag string, s core.Scheme, sopt slotsim.Options)
 
 	var refName string
 	var refRes *slotsim.Result
+	var refCells *slotsim.Arrivals
 	var refRec *obs.Recorder
 	var refFP string
 	for _, j := range judges {
@@ -152,16 +153,17 @@ func enginesAgree(t *testing.T, tag string, s core.Scheme, sopt slotsim.Options)
 		met := obs.NewMetrics()
 		o := sopt
 		o.Observer = obs.Combine(rec, met)
+		o.Arrivals = new(slotsim.Arrivals)
 		res, err := j.run(o)
 		if err != nil {
 			t.Fatalf("%s: %s engine rejected: %v", tag, j.name, err)
 		}
 		if refRec == nil {
-			refName, refRes, refRec, refFP = j.name, res, rec, met.Fingerprint()
+			refName, refRes, refCells, refRec, refFP = j.name, res, o.Arrivals, rec, met.Fingerprint()
 			continue
 		}
-		if !reflect.DeepEqual(refRes, res) {
-			t.Fatalf("%s: %s and %s Results differ", tag, refName, j.name)
+		if !reflect.DeepEqual(refRes, res) || !reflect.DeepEqual(refCells, o.Arrivals) {
+			t.Fatalf("%s: %s and %s Results or arrival cells differ", tag, refName, j.name)
 		}
 		if fp := met.Fingerprint(); fp != refFP {
 			t.Fatalf("%s: %s and %s fingerprints differ: %s vs %s", tag, refName, j.name, refFP, fp)

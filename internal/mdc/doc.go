@@ -12,7 +12,8 @@
 // graceful-degradation property the experiment measures.
 //
 // Entry points: RoundQuality scores one receiver's per-round description
-// completeness from a slotsim.Result; SystemQuality aggregates it;
+// completeness from a slotsim.Result and the slotsim.Arrivals its run kept;
+// SystemQuality aggregates it;
 // internal/experiments.MDCGracefulDegradation reports quality as a
 // function of loss rate.
 package mdc

@@ -8,15 +8,16 @@ import (
 // RoundQuality returns, for one node, the per-round playback quality under
 // MDC with d descriptions and a fixed playback start: round r plays at slot
 // start + (r+1)·d − 1 (when its last description is due) and its quality is
-// the fraction of the d description packets that have arrived by then.
-func RoundQuality(res *slotsim.Result, id core.NodeID, d int, start core.Slot) []float64 {
+// the fraction of the d description packets that have arrived by then. cells
+// are the arrivals the run kept (slotsim.Options.Arrivals).
+func RoundQuality(res *slotsim.Result, cells *slotsim.Arrivals, id core.NodeID, d int, start core.Slot) []float64 {
 	rounds := int(res.Packets) / d
 	out := make([]float64, 0, rounds)
 	for r := 0; r < rounds; r++ {
 		deadline := start + core.Slot((r+1)*d-1)
 		have := 0
 		for k := 0; k < d; k++ {
-			if a := res.ArrivalAt(id, core.Packet(r*d+k)); a >= 0 && a <= deadline {
+			if a := cells.At(id, core.Packet(r*d+k)); a >= 0 && a <= deadline {
 				have++
 			}
 		}
@@ -53,11 +54,11 @@ func WorstRound(qs []float64) float64 {
 
 // SystemQuality aggregates mean and minimum round quality over all
 // receivers, using each node's measured start delay.
-func SystemQuality(res *slotsim.Result, d int) (mean, worstNode float64) {
+func SystemQuality(res *slotsim.Result, cells *slotsim.Arrivals, d int) (mean, worstNode float64) {
 	worstNode = 1
 	var sum float64
 	for id := 1; id <= res.N; id++ {
-		qs := RoundQuality(res, core.NodeID(id), d, res.StartDelay[id])
+		qs := RoundQuality(res, cells, core.NodeID(id), d, res.StartDelay[id])
 		m := MeanQuality(qs)
 		sum += m
 		if m < worstNode {

@@ -10,16 +10,18 @@ import (
 )
 
 // runWithDrop simulates a multi-tree under a failure-injection hook.
-func runWithDrop(t *testing.T, n, d int, rounds int, drop func(core.Transmission, core.Slot) bool) (*multitree.Scheme, *slotsim.Result) {
+func runWithDrop(t *testing.T, n, d int, rounds int, drop func(core.Transmission, core.Slot) bool) (*slotsim.Result, *slotsim.Arrivals) {
 	t.Helper()
 	m, err := multitree.New(n, d, multitree.Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := multitree.NewScheme(m, core.PreRecorded)
+	cells := new(slotsim.Arrivals)
 	res, err := slotsim.Run(s, slotsim.Options{
 		Slots:           core.Slot(m.Height()*d + (rounds+3)*d),
 		Packets:         core.Packet(rounds * d),
+		Arrivals:        cells,
 		Drop:            drop,
 		AllowIncomplete: true,
 		SkipUnavailable: true,
@@ -27,14 +29,14 @@ func runWithDrop(t *testing.T, n, d int, rounds int, drop func(core.Transmission
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, res
+	return res, cells
 }
 
 // TestPerfectRunHasFullQuality: without loss every node plays every round
 // at quality 1.
 func TestPerfectRunHasFullQuality(t *testing.T) {
-	_, res := runWithDrop(t, 30, 3, 4, nil)
-	mean, worst := SystemQuality(res, 3)
+	res, cells := runWithDrop(t, 30, 3, 4, nil)
+	mean, worst := SystemQuality(res, cells, 3)
 	if mean != 1 || worst != 1 {
 		t.Errorf("mean=%.3f worst=%.3f, want 1,1", mean, worst)
 	}
@@ -53,14 +55,14 @@ func TestInteriorCrashCostsOneDescription(t *testing.T) {
 	drop := func(tx core.Transmission, at core.Slot) bool {
 		return tx.From == crashed
 	}
-	_, res := runWithDrop(t, n, d, 5, drop)
+	res, cells := runWithDrop(t, n, d, 5, drop)
 	floor := float64(d-1) / float64(d)
 	affected := 0
 	for id := 1; id <= n; id++ {
 		if core.NodeID(id) == crashed {
 			continue // the crashed node itself still receives
 		}
-		qs := RoundQuality(res, core.NodeID(id), d, res.StartDelay[id])
+		qs := RoundQuality(res, cells, core.NodeID(id), d, res.StartDelay[id])
 		mq := MeanQuality(qs)
 		if mq < floor-1e-9 {
 			t.Errorf("node %d quality %.3f below (d-1)/d", id, mq)
@@ -84,8 +86,8 @@ func TestRandomLossDegradesSmoothly(t *testing.T) {
 		drop := func(tx core.Transmission, at core.Slot) bool {
 			return rng.Float64() < p
 		}
-		_, res := runWithDrop(t, 50, 3, 5, drop)
-		qualities[i], _ = SystemQuality(res, 3)
+		res, cells := runWithDrop(t, 50, 3, 5, drop)
+		qualities[i], _ = SystemQuality(res, cells, 3)
 	}
 	if qualities[0] <= qualities[1] {
 		t.Errorf("quality at 2%% loss (%.3f) not above 15%% loss (%.3f)", qualities[0], qualities[1])

@@ -23,9 +23,11 @@ func TestLossConfinedToSubtree(t *testing.T) {
 	drop := func(x core.Transmission, at core.Slot) bool {
 		return x.From == core.SourceID && x.To == victim && x.Packet == 0
 	}
+	cells := new(slotsim.Arrivals)
 	res, err := slotsim.Run(s, slotsim.Options{
 		Slots:           core.Slot(m.Height()*3 + 18),
 		Packets:         9,
+		Arrivals:        cells,
 		Drop:            drop,
 		AllowIncomplete: true,
 		SkipUnavailable: true,
@@ -59,7 +61,7 @@ func TestLossConfinedToSubtree(t *testing.T) {
 			if res.Missing[id] != 1 {
 				t.Errorf("subtree node %d missing %d packets, want exactly 1", id, res.Missing[id])
 			}
-			if res.ArrivalAt(core.NodeID(id), 0) != -1 {
+			if cells.At(core.NodeID(id), 0) != -1 {
 				t.Errorf("subtree node %d received packet 0 despite the drop", id)
 			}
 		} else if res.Missing[id] != 0 {
@@ -67,7 +69,7 @@ func TestLossConfinedToSubtree(t *testing.T) {
 		}
 		// Packets of trees 1 and 2 are never affected.
 		for j := 1; j < 9; j++ {
-			if j%3 != 0 && res.ArrivalAt(core.NodeID(id), core.Packet(j)) == -1 {
+			if j%3 != 0 && cells.At(core.NodeID(id), core.Packet(j)) == -1 {
 				t.Errorf("node %d lost packet %d of an unaffected tree", id, j)
 			}
 		}
@@ -85,9 +87,11 @@ func TestLossHiccupBudget(t *testing.T) {
 	drop := func(x core.Transmission, at core.Slot) bool {
 		return x.From == core.SourceID && x.To == m.Trees[1][0] && x.Packet == 1
 	}
+	cells := new(slotsim.Arrivals)
 	res, err := slotsim.Run(s, slotsim.Options{
 		Slots:           core.Slot(m.Height()*2 + 16),
 		Packets:         8,
+		Arrivals:        cells,
 		Drop:            drop,
 		AllowIncomplete: true,
 		SkipUnavailable: true,
@@ -97,7 +101,7 @@ func TestLossHiccupBudget(t *testing.T) {
 	}
 	for id := 1; id <= m.N; id++ {
 		start := s.AnalyticStartDelay(core.NodeID(id))
-		h := res.Hiccups(core.NodeID(id), start)
+		h := cells.Hiccups(core.NodeID(id), start)
 		if h != res.Missing[id] {
 			t.Errorf("node %d: %d hiccups vs %d missing", id, h, res.Missing[id])
 		}

@@ -70,7 +70,7 @@ type interpreted struct{ core.DynamicScheme }
 
 // churnRun executes one fully observed churned run, with per-epoch schedule
 // compilation available or hidden.
-func churnRun(t *testing.T, n, d int, mode core.StreamMode, compile bool) (*slotsim.Result, *obs.Recorder, *obs.Metrics, uint64) {
+func churnRun(t *testing.T, n, d int, mode core.StreamMode, compile bool) (outcome, *obs.Recorder, *obs.Metrics, uint64) {
 	t.Helper()
 	ls, opt := liveCase(t, n, d, mode)
 	if core.CompileForRun(ls, opt.Slots) == nil {
@@ -82,18 +82,18 @@ func churnRun(t *testing.T, n, d int, mode core.StreamMode, compile bool) (*slot
 	if !compile {
 		s = interpreted{ls}
 	}
-	res, err := slotsim.Run(s, opt)
+	out, err := runKeeping(slotsim.NewRunner(), s, opt)
 	if err != nil {
 		t.Fatalf("compile=%v: %v", compile, err)
 	}
-	return res, rec, met, ls.Epoch()
+	return out, rec, met, ls.Epoch()
 }
 
 // TestChurnParity is the determinism acceptance case for the epoch-aware
 // schedule source: a scripted mid-run join/leave sequence must produce
-// bit-identical Results, observer event streams, and metric fingerprints
-// whether each topology epoch replays a compiled snapshot (when the epoch
-// amortizes one) or is interpreted throughout.
+// bit-identical Results and arrival cells, observer event streams, and metric
+// fingerprints whether each topology epoch replays a compiled snapshot (when
+// the epoch amortizes one) or is interpreted throughout.
 func TestChurnParity(t *testing.T) {
 	for _, mode := range []core.StreamMode{core.PreRecorded, core.Live} {
 		refRes, refRec, refMet, refEpoch := churnRun(t, 10, 2, mode, false)
@@ -105,7 +105,7 @@ func TestChurnParity(t *testing.T) {
 			t.Errorf("%s: final epoch %d, interpreted %d", mode, epoch, refEpoch)
 		}
 		if !reflect.DeepEqual(refRes, res) {
-			t.Errorf("%s: Result differs from the interpreted run", mode)
+			t.Errorf("%s: Result or arrival cells differ from the interpreted run", mode)
 		}
 		if got, want := met.Fingerprint(), refMet.Fingerprint(); got != want {
 			t.Errorf("%s: fingerprint %s, interpreted %s", mode, got, want)
@@ -129,12 +129,12 @@ func (idleChurn) Step(core.Slot, core.DynamicScheme) ([]core.ChurnStats, error) 
 // with Churn == nil, in Result, event stream and fingerprint.
 func TestIdleChurnSourceIsIdentity(t *testing.T) {
 	for _, mode := range []core.StreamMode{core.PreRecorded, core.Live} {
-		run := func(src slotsim.ChurnSource) (*slotsim.Result, *obs.Recorder, *obs.Metrics) {
+		run := func(src slotsim.ChurnSource) (outcome, *obs.Recorder, *obs.Metrics) {
 			ls, opt := liveCase(t, 10, 2, mode)
 			opt.Churn = src
 			rec, met := &obs.Recorder{}, obs.NewMetrics()
 			opt.Observer = obs.Combine(rec, met)
-			res, err := slotsim.Run(ls, opt)
+			res, err := runKeeping(slotsim.NewRunner(), ls, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", mode, err)
 			}
@@ -146,7 +146,7 @@ func TestIdleChurnSourceIsIdentity(t *testing.T) {
 		refRes, refRec, refMet := run(nil)
 		res, rec, met := run(idleChurn{})
 		if !reflect.DeepEqual(refRes, res) {
-			t.Errorf("%s: Result differs from the Churn == nil run", mode)
+			t.Errorf("%s: Result or arrival cells differ from the Churn == nil run", mode)
 		}
 		if got, want := met.Fingerprint(), refMet.Fingerprint(); got != want {
 			t.Errorf("%s: fingerprint %s, Churn == nil %s", mode, got, want)
@@ -178,12 +178,12 @@ func TestChurnReassignedIDState(t *testing.T) {
 		Packets:         win,
 		Mode:            core.PreRecorded,
 		Churn:           script,
+		Arrivals:        new(slotsim.Arrivals),
 		AllowIncomplete: true,
 		SkipUnavailable: true,
 		AllowDuplicates: true,
 	}
-	res, err := slotsim.Run(ls, opt)
-	if err != nil {
+	if _, err := slotsim.Run(ls, opt); err != nil {
 		t.Fatal(err)
 	}
 	var reborn core.NodeID
@@ -195,7 +195,7 @@ func TestChurnReassignedIDState(t *testing.T) {
 	if reborn == 0 {
 		t.Fatal("joiner not in final membership")
 	}
-	for p, a := range res.ArrivalRow(reborn) {
+	for p, a := range opt.Arrivals.Row(reborn) {
 		if a >= 0 && a < joinSlot {
 			t.Errorf("reborn id %d 'received' packet %d at slot %d, before its join at %d (inherited state)",
 				reborn, p, a, joinSlot)
@@ -303,6 +303,7 @@ func TestChurnSLO(t *testing.T) {
 		Packets:         win,
 		Mode:            core.PreRecorded,
 		Churn:           script,
+		Arrivals:        new(slotsim.Arrivals),
 		AllowIncomplete: true,
 		SkipUnavailable: true,
 		AllowDuplicates: true,
@@ -315,7 +316,7 @@ func TestChurnSLO(t *testing.T) {
 	for _, m := range ls.Members() {
 		members = append(members, slotsim.Membership{Node: m.Node, Name: m.Name, Join: 0, Leave: -1})
 	}
-	slo := slotsim.PlaybackSLO(res, members, 3, -1)
+	slo := slotsim.PlaybackSLO(res, opt.Arrivals, members, 3, -1)
 	if slo.Nodes != 10 {
 		t.Fatalf("measured %d nodes, want 10", slo.Nodes)
 	}
@@ -327,7 +328,7 @@ func TestChurnSLO(t *testing.T) {
 	}
 	// A departed member owes no playback and is excluded.
 	members[0].Leave = 5
-	if got := slotsim.PlaybackSLO(res, members, 3, -1).Nodes; got != 9 {
+	if got := slotsim.PlaybackSLO(res, opt.Arrivals, members, 3, -1).Nodes; got != 9 {
 		t.Fatalf("measured %d nodes with one departed, want 9", got)
 	}
 }

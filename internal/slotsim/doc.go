@@ -25,14 +25,16 @@
 // Entry points:
 //
 //   - Run executes a core.Scheme, one slot at a time on one goroutine, and
-//     returns a Result with per-node arrival times (Result.ArrivalAt and
-//     ArrivalRow, over a compact int32 matrix), playback start delays
-//     (StartDelay, the paper's startup delay: max_j arrival_j − j), peak
-//     buffer occupancy under the Figure 5 playback convention, and hiccup
-//     accounting. The model is lock-step, so a slot is O(N) array traffic
-//     between two hard barriers; PERFORMANCE.md records why sharding it
-//     across workers was measured and removed. Options.Slots is an upper
-//     bound: a Result depends on the window's arrivals alone, so a bare run
+//     returns a Result with per-node playback start delays (StartDelay, the
+//     paper's startup delay: max_j arrival_j − j), peak buffer occupancy
+//     under the Figure 5 playback convention and missing-packet counts. The
+//     arrival times themselves — and the hiccup accounting read off them —
+//     are kept only for a run that sets Options.Arrivals (Arrivals.At, Row
+//     and Hiccups, over a compact int32 matrix). The model is lock-step, so
+//     a slot is O(N) array traffic between two hard barriers;
+//     PERFORMANCE.md records why sharding it across workers was measured
+//     and removed. Options.Slots is an upper bound: a Result depends on
+//     the window's arrivals alone, so a bare run
 //     — no observer, drop hook, injector, latency function or churn source
 //     — ends at the first slot boundary at which every receiver holds the
 //     whole window, and any of those keeps the run going to the horizon
@@ -42,8 +44,8 @@
 //     draws pooled Runners automatically.
 //   - Options configures horizon (an upper bound), measurement window,
 //     stream mode, capacities, link latency, failure injection (Drop,
-//     SkipUnavailable, AllowIncomplete) and the observability hook
-//     (Observer).
+//     SkipUnavailable, AllowIncomplete), the observability hook
+//     (Observer) and whether the arrival cells outlive the run (Arrivals).
 //   - BuildReport turns a finished run plus an obs.Metrics collector into
 //     a machine-readable obs.RunReport (see OBSERVABILITY.md).
 //

@@ -57,6 +57,12 @@ type Options struct {
 	// deterministic order. A nil Observer costs nothing beyond one pointer
 	// check per event site.
 	Observer obs.Observer
+	// Arrivals, if non-nil, asks the run to keep the window's arrival cells:
+	// on success it is overwritten with a matrix the caller owns. A Result
+	// holds only per-node summaries, so a reader of single cells (Hiccups,
+	// PlaybackSLO, mdc.RoundQuality) sets this and every other run skips the
+	// 4·(N+1)·Packets bytes.
+	Arrivals *Arrivals
 	// AllowDuplicates, if set, tolerates a node receiving the same packet
 	// twice (the duplicate is dropped but still consumes receive capacity).
 	// By default a duplicate is a constraint violation.
@@ -132,13 +138,9 @@ type Result struct {
 	N int
 	// Packets is the measurement window size.
 	Packets core.Packet
-	// arrival is the window's arrival matrix, node-major with row stride
-	// Packets, in the engine's own encoding (slot + 1; 0 = never arrived).
-	// Read it through ArrivalAt and ArrivalRow.
-	arrival []int32
 	// StartDelay[node] is the earliest slot s at which the node can begin
 	// playback and then consume one packet per slot without hiccups:
-	// s = max_j (ArrivalAt(node, j) - j) over the measurement window. Packet
+	// s = max_j (arrival(node, j) - j) over the measurement window. Packet
 	// j is consumed at the end of slot s+j; as in the paper's Figure 5, a
 	// packet that arrives during a slot may be consumed at the end of that
 	// same slot.
@@ -154,35 +156,45 @@ type Result struct {
 	SlotsUsed core.Slot
 }
 
+// Arrivals is the measurement window's arrival matrix, kept for a run whose
+// Options.Arrivals pointed at it: when each node received each window packet.
+// The matrix is the caller's own memory — later runs on the same Runner do not
+// touch it — and a second run handed the same Arrivals replaces its contents.
+type Arrivals struct {
+	packets core.Packet
+	// cells is node-major with row stride packets, in the engine's own
+	// encoding (slot + 1; 0 = never arrived).
+	cells []int32
+}
+
+// At returns the slot at the end of which node id received window packet j,
+// or -1 if it never arrived. Node 0 is the source, which receives nothing.
+func (a *Arrivals) At(id core.NodeID, j core.Packet) core.Slot {
+	return core.Slot(a.cells[int(id)*int(a.packets)+int(j)]) - 1
+}
+
+// Row returns node id's arrival slots over the whole window, indexed by
+// packet (-1 = never arrived), as a fresh slice. It allocates; code that
+// visits many nodes should call At.
+func (a *Arrivals) Row(id core.NodeID) []core.Slot {
+	out := make([]core.Slot, a.packets)
+	for j := range out {
+		out[j] = a.At(id, core.Packet(j))
+	}
+	return out
+}
+
 // Hiccups counts the playback interruptions node id would suffer if it
 // committed to starting playback at the given slot: packets that are
 // missing entirely or arrive after their playback slot start+j.
-func (r *Result) Hiccups(id core.NodeID, start core.Slot) int {
+func (a *Arrivals) Hiccups(id core.NodeID, start core.Slot) int {
 	n := 0
-	for j := 0; j < int(r.Packets); j++ {
-		if a := r.ArrivalAt(id, core.Packet(j)); a == unset || a > start+core.Slot(j) {
+	for j := 0; j < int(a.packets); j++ {
+		if at := a.At(id, core.Packet(j)); at == unset || at > start+core.Slot(j) {
 			n++
 		}
 	}
 	return n
-}
-
-// ArrivalAt returns the slot at the end of which node id received window
-// packet j, or -1 if it never arrived. Node 0 is the source, which receives
-// nothing.
-func (r *Result) ArrivalAt(id core.NodeID, j core.Packet) core.Slot {
-	return core.Slot(r.arrival[int(id)*int(r.Packets)+int(j)]) - 1
-}
-
-// ArrivalRow returns node id's arrival slots over the whole window, indexed
-// by packet (-1 = never arrived), as a fresh slice. It allocates; code that
-// visits many nodes should call ArrivalAt.
-func (r *Result) ArrivalRow(id core.NodeID) []core.Slot {
-	out := make([]core.Slot, r.Packets)
-	for j := range out {
-		out[j] = r.ArrivalAt(id, core.Packet(j))
-	}
-	return out
 }
 
 // WorstStartDelay returns the maximum playback delay over all receivers.
@@ -726,13 +738,12 @@ func (e *engine) pendingArrivals(t core.Slot) []core.Transmission {
 	return sameSlot
 }
 
-// finishTile is how many node ids finish transposes at a time. A tile's
-// output rows (finishTile·Packets int32s, 150 KB at 600 packets) should stay
-// in L2 while every window packet row contributes its finishTile-wide run to
-// them; a run of 64 int32s is 256 contiguous bytes of the packet-major
-// source, enough to use the cache lines it fetches. Measured on the dense
-// benchmark shape, 16–64 are within noise of each other and 128 and up are a
-// fifth slower.
+// finishTile is how many node ids finish gathers at a time. A tile's rows
+// (finishTile·Packets int32s, 150 KB at 600 packets) should stay in L2 while
+// every window packet row contributes its finishTile-wide run to them; a run of
+// 64 int32s is 256 contiguous bytes of the packet-major source, enough to use
+// the cache lines it fetches. Measured on the dense benchmark shape, 16–64 are
+// within noise of each other and 128 and up are a fifth slower.
 const finishTile = 64
 
 // finish computes the Result after the last slot. The playback cursors
@@ -740,16 +751,9 @@ const finishTile = 64
 // directly; only the per-node buffer-occupancy scan still walks the window.
 func (e *engine) finish() (*Result, error) {
 	np := int(e.opt.Packets)
-	// The Result must stay valid after the Runner's buffers are recycled for
-	// the next run, so the window is copied out of the scratch matrix — and
-	// transposed, because the scratch is packet-major and every reader of a
-	// Result walks one node's packets. It keeps the scratch encoding (slot+1,
-	// 0 = never arrived): the fresh allocation is already all-unset and half
-	// the size of a core.Slot matrix.
 	r := &Result{
 		N:          e.n,
 		Packets:    e.opt.Packets,
-		arrival:    make([]int32, (e.n+1)*np),
 		StartDelay: make([]core.Slot, e.n+1),
 		MaxBuffer:  make([]int, e.n+1),
 		Missing:    make([]int, e.n+1),
@@ -763,22 +767,51 @@ func (e *engine) finish() (*Result, error) {
 	for i := range counts {
 		counts[i] = 0
 	}
-	// A cell-by-cell transpose writes with a stride of one output row, a cache
-	// miss per cell. Going a tile of ids at a time, each packet row's run for
-	// the tile lands in rows that are still cached from the previous packet,
-	// and the tile's metrics are computed before those rows are evicted.
-	out := r.arrival
+	// The scratch matrix is packet-major and the occupancy scan walks one
+	// node's packets, so the window is transposed — a tile of ids at a time:
+	// cell by cell would write with a stride of one output row, a cache miss
+	// per cell, where each packet row's run for a tile lands in rows still
+	// cached from the previous packet, and the tile's metrics are computed
+	// before those rows are evicted. A tile is gathered into one reused buffer
+	// and forgotten; only a run that asked for its cells writes them to the
+	// heap, into a node-major matrix that stays valid after the Runner's
+	// buffers are recycled. It keeps the scratch encoding (slot+1, 0 = never
+	// arrived): the fresh allocation is already all-unset and half the size of
+	// a core.Slot matrix.
+	var cells []int32
+	if e.opt.Arrivals != nil {
+		cells = make([]int32, (e.n+1)*np)
+	} else {
+		e.sc.tile = grownInt32s(e.sc.tile, finishTile*np)
+	}
 	for lo := 0; lo <= e.n; lo += finishTile {
 		hi := min(lo+finishTile, e.n+1)
+		first := max(lo, 1)
+		if receivedNone(e.cursor[lo:hi]) {
+			// No id of the tile received a window packet — the join headroom of
+			// a live-churn run is thousands of such ids — so its cells are the
+			// zeros already there and its metrics need no scan.
+			if !e.opt.AllowIncomplete {
+				return nil, fmt.Errorf("slotsim: node %d never received packet 0 within %d slots", first, e.opt.Slots)
+			}
+			for id := first; id < hi; id++ {
+				r.Missing[id] = np
+			}
+			continue
+		}
+		out := e.sc.tile
+		if cells != nil {
+			out = cells[lo*np:]
+		}
 		for j := 0; j < np; j++ {
-			o := lo*np + j
+			o := j
 			for _, a := range e.arr[j*e.stride+lo : j*e.stride+hi] {
 				out[o] = a
 				o += np
 			}
 		}
-		for id := max(lo, 1); id < hi; id++ {
-			row := out[id*np : (id+1)*np]
+		for id := first; id < hi; id++ {
+			row := out[(id-lo)*np : (id-lo+1)*np]
 			cur := e.cursor[id]
 			got := int(uint32(cur))
 			if got < np {
@@ -798,7 +831,21 @@ func (e *engine) finish() (*Result, error) {
 		}
 	}
 	r.SlotsUsed++
+	if cells != nil {
+		*e.opt.Arrivals = Arrivals{packets: e.opt.Packets, cells: cells}
+	}
 	return r, nil
+}
+
+// receivedNone reports whether no id of a run of playback cursors received a
+// window packet: every received-count half is zero.
+func receivedNone(cursors []uint64) bool {
+	for _, cur := range cursors {
+		if uint32(cur) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // maxBuffer computes the peak buffer occupancy for one node: packet j

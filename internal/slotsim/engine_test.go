@@ -164,15 +164,15 @@ func TestLatencyDelaysArrival(t *testing.T) {
 		}
 		return 1
 	}
-	res, err := Run(s, Options{Slots: 5, Packets: 1, Latency: lat})
+	_, cells, err := runCells(s, Options{Slots: 5, Packets: 1, Latency: lat})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ArrivalAt(1, 0) != 2 {
-		t.Errorf("arrival at node 1 = %d, want 2", res.ArrivalAt(1, 0))
+	if cells.At(1, 0) != 2 {
+		t.Errorf("arrival at node 1 = %d, want 2", cells.At(1, 0))
 	}
-	if res.ArrivalAt(2, 0) != 3 {
-		t.Errorf("arrival at node 2 = %d, want 3", res.ArrivalAt(2, 0))
+	if cells.At(2, 0) != 3 {
+		t.Errorf("arrival at node 2 = %d, want 3", cells.At(2, 0))
 	}
 	// Relaying one slot earlier must fail.
 	s.slots[2] = s.slots[3]
@@ -214,6 +214,13 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
+// runCells is Run with the window's arrival cells asked for.
+func runCells(s core.Scheme, opt Options) (*Result, *Arrivals, error) {
+	opt.Arrivals = new(Arrivals)
+	res, err := Run(s, opt)
+	return res, opt.Arrivals, err
+}
+
 func assertViolation(t *testing.T, err error, substr string) {
 	t.Helper()
 	if err == nil {
@@ -230,7 +237,7 @@ func TestExtraSources(t *testing.T) {
 		0: {tx(1, 2, 0)},
 		1: {tx(1, 2, 1)},
 	}}
-	res, err := Run(s, Options{
+	_, cells, err := runCells(s, Options{
 		Slots: 2, Packets: 2,
 		ExtraSources:    map[core.NodeID]bool{1: true},
 		AllowIncomplete: true, // node 1 itself receives nothing
@@ -238,7 +245,7 @@ func TestExtraSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ArrivalAt(2, 0) != 0 || res.ArrivalAt(2, 1) != 1 {
-		t.Errorf("extra-source deliveries wrong: %v", res.ArrivalRow(2))
+	if cells.At(2, 0) != 0 || cells.At(2, 1) != 1 {
+		t.Errorf("extra-source deliveries wrong: %v", cells.Row(2))
 	}
 }

@@ -15,7 +15,7 @@ func TestDropCreatesMissing(t *testing.T) {
 		2: {tx(0, 1, 2)},
 	}}
 	drop := func(x core.Transmission, at core.Slot) bool { return x.Packet == 1 }
-	res, err := Run(s, Options{Slots: 3, Packets: 3, Drop: drop, AllowIncomplete: true})
+	res, cells, err := runCells(s, Options{Slots: 3, Packets: 3, Drop: drop, AllowIncomplete: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestDropCreatesMissing(t *testing.T) {
 	if res.StartDelay[1] != 0 {
 		t.Errorf("start %d, want 0", res.StartDelay[1])
 	}
-	if got := res.Hiccups(1, res.StartDelay[1]); got != 1 {
+	if got := cells.Hiccups(1, res.StartDelay[1]); got != 1 {
 		t.Errorf("hiccups %d, want 1", got)
 	}
 	// Without AllowIncomplete the same run errors out.
@@ -49,7 +49,7 @@ func TestLossCascade(t *testing.T) {
 	drop := func(x core.Transmission, at core.Slot) bool {
 		return x.From == 0 && x.Packet == 0
 	}
-	res, err := Run(s, Options{
+	res, cells, err := runCells(s, Options{
 		Slots: 6, Packets: 4,
 		Drop: drop, AllowIncomplete: true, SkipUnavailable: true,
 	})
@@ -61,7 +61,7 @@ func TestLossCascade(t *testing.T) {
 		if res.Missing[id] != 1 {
 			t.Errorf("node %d missing %d, want 1", id, res.Missing[id])
 		}
-		if res.ArrivalAt(core.NodeID(id), 1) == -1 || res.ArrivalAt(core.NodeID(id), 3) == -1 {
+		if cells.At(core.NodeID(id), 1) == -1 || cells.At(core.NodeID(id), 3) == -1 {
 			t.Errorf("node %d lost packets beyond the injected one", id)
 		}
 	}
@@ -74,14 +74,14 @@ func TestHiccupsCounting(t *testing.T) {
 		3: {tx(0, 1, 1)}, // 2 slots late for start=0
 		4: {tx(0, 1, 2)},
 	}}
-	res, err := Run(s, Options{Slots: 5, Packets: 3})
+	_, cells, err := runCells(s, Options{Slots: 5, Packets: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Hiccups(1, 0); got != 2 {
+	if got := cells.Hiccups(1, 0); got != 2 {
 		t.Errorf("hiccups at start 0: %d, want 2", got)
 	}
-	if got := res.Hiccups(1, 2); got != 0 {
+	if got := cells.Hiccups(1, 2); got != 0 {
 		t.Errorf("hiccups at start 2: %d, want 0", got)
 	}
 }

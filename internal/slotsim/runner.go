@@ -30,6 +30,7 @@ type scratch struct {
 	tabN       int                 // nodes the capacity tables cover (0 = stale)
 	tabSrcCap  int32               // source capacity the tables were filled for
 	counts     []int               // per-slot arrival counts for maxBuffer (kept zeroed)
+	tile       []int32             // finish's gather buffer: finishTile ids × Packets, node-major
 	filter     []core.Transmission // SkipUnavailable keep-list
 	arrive     []core.Transmission // same-slot arrival list
 	ring       txRing              // in-flight transmissions keyed by arrival slot

@@ -28,17 +28,32 @@ func (h hidePeriodic) Transmissions(t core.Slot) []core.Transmission {
 }
 func (h hidePeriodic) Neighbors() map[core.NodeID][]core.NodeID { return h.inner.Neighbors() }
 
+// outcome is what a run leaves behind — its Result and the window's arrival
+// cells — so that "identical Results" in these tests means cell for cell.
+type outcome struct {
+	Res   *slotsim.Result
+	Cells *slotsim.Arrivals
+}
+
+// runKeeping executes one run on r with the cells asked for.
+func runKeeping(r *slotsim.Runner, s core.Scheme, opt slotsim.Options) (outcome, error) {
+	opt.Arrivals = new(slotsim.Arrivals)
+	res, err := r.Run(s, opt)
+	return outcome{res, opt.Arrivals}, err
+}
+
 // observedRun executes one run with full observation attached.
-func observedRun(s core.Scheme, opt slotsim.Options) (*slotsim.Result, *obs.Recorder, *obs.Metrics, error) {
+func observedRun(s core.Scheme, opt slotsim.Options) (outcome, *obs.Recorder, *obs.Metrics, error) {
 	rec, met := &obs.Recorder{}, obs.NewMetrics()
 	opt.Observer = obs.Combine(rec, met)
-	res, err := slotsim.Run(s, opt)
-	return res, rec, met, err
+	out, err := runKeeping(slotsim.NewRunner(), s, opt)
+	return out, rec, met, err
 }
 
 // assertCompiledParity runs the scheme compiled (the engine's default for a
 // periodic scheme) and uncompiled (periodicity hidden) and requires
-// byte-identical Results, observer event streams, and metric fingerprints.
+// byte-identical Results and arrival cells, observer event streams, and metric
+// fingerprints.
 // It fails the test if the scheme would not actually compile, so a parity
 // case can never silently degrade to comparing the slow path with itself.
 func assertCompiledParity(t *testing.T, name string, s core.Scheme, opt slotsim.Options) {
@@ -61,7 +76,7 @@ func assertCompiledParity(t *testing.T, name string, s core.Scheme, opt slotsim.
 		return
 	}
 	if !reflect.DeepEqual(resC, resU) {
-		t.Fatalf("%s: Results differ between compiled and uncompiled runs", name)
+		t.Fatalf("%s: Results or arrival cells differ between compiled and uncompiled runs", name)
 	}
 	if got, want := metC.Fingerprint(), metU.Fingerprint(); got != want {
 		t.Fatalf("%s: fingerprints differ: compiled %s, uncompiled %s", name, got, want)
@@ -189,24 +204,25 @@ func TestRunnerReuse(t *testing.T) {
 	r := slotsim.NewRunner()
 	s1, opt1 := multitreeCase(t, 25, 3, core.PreRecorded)
 	s2, opt2 := multitreeCase(t, 10, 2, core.Live)
-	var first *slotsim.Result
+	var first outcome
 	for i := 0; i < 3; i++ {
-		res1, err := r.Run(s1, opt1)
+		out1, err := runKeeping(r, s1, opt1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if first == nil {
-			first = res1
-		} else if !reflect.DeepEqual(first, res1) {
-			t.Fatalf("run %d: Result drifted across Runner reuse", i)
+		if first.Res == nil {
+			first = out1
+		} else if !reflect.DeepEqual(first, out1) {
+			t.Fatalf("run %d: Result or cells drifted across Runner reuse", i)
 		}
-		if _, err := r.Run(s2, opt2); err != nil {
+		if _, err := runKeeping(r, s2, opt2); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Results must stay valid after the Runner's scratch was reused.
-	if first.ArrivalAt(1, 0) < 0 {
-		t.Fatal("first Result was corrupted by later runs reusing scratch")
+	// The first run's cells are its caller's: five later runs on the same
+	// Runner, which compared equal above, must not have reached them.
+	if first.Cells.At(1, 0) < 0 {
+		t.Fatal("first run's cells were corrupted by later runs reusing scratch")
 	}
 }
 
@@ -220,22 +236,22 @@ func TestRunnerReuseAcrossSizes(t *testing.T) {
 	big, optB := multitreeCase(t, 400, 4, core.PreRecorded)
 
 	// Fresh-Runner references for both sizes.
-	wantS, err := slotsim.Run(small, optS)
+	wantS, err := runKeeping(slotsim.NewRunner(), small, optS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantB, err := slotsim.Run(big, optB)
+	wantB, err := runKeeping(slotsim.NewRunner(), big, optB)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	r := slotsim.NewRunner()
 	for i := 0; i < 3; i++ {
-		gotS, err := r.Run(small, optS)
+		gotS, err := runKeeping(r, small, optS)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotB, err := r.Run(big, optB)
+		gotB, err := runKeeping(r, big, optB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,11 +302,11 @@ func TestCompiledSchemeTooShortHorizon(t *testing.T) {
 	if c := core.CompileForRun(ch, opt.Slots); c != nil {
 		t.Fatal("gate failed: compiled although horizon cannot amortize")
 	}
-	res, err := slotsim.Run(ch, opt)
+	res, err := runKeeping(slotsim.NewRunner(), ch, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := slotsim.Run(hidePeriodic{inner: ch}, opt)
+	ref, err := runKeeping(slotsim.NewRunner(), hidePeriodic{inner: ch}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

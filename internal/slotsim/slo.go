@@ -51,13 +51,14 @@ type SLO struct {
 	TimeToRepair core.Slot
 }
 
-// PlaybackSLO computes the hiccup/rebuffer SLOs of a churned run. members
+// PlaybackSLO computes the hiccup/rebuffer SLOs of a churned run from its
+// Result and the arrival cells it kept (Options.Arrivals). members
 // lists the membership windows (only members with Leave < 0 are measured —
 // a departed member owes no playback); probe is the number of leading
 // expected packets a node samples before committing to its start delay
 // (clamped to at least 1); firstChurn is the slot of the first applied churn
 // op, or -1 for none (TimeToRepair is then 0).
-func PlaybackSLO(r *Result, members []Membership, probe int, firstChurn core.Slot) SLO {
+func PlaybackSLO(r *Result, cells *Arrivals, members []Membership, probe int, firstChurn core.Slot) SLO {
 	if probe < 1 {
 		probe = 1
 	}
@@ -80,7 +81,7 @@ func PlaybackSLO(r *Result, members []Membership, probe int, firstChurn core.Slo
 		// window was entirely lost falls back to its final worst lag.
 		start := core.Slot(noLag)
 		for j := j0; j < np && j < j0+probe; j++ {
-			if a := r.ArrivalAt(m.Node, core.Packet(j)); a != unset {
+			if a := cells.At(m.Node, core.Packet(j)); a != unset {
 				if lag := a - core.Slot(j); lag > start {
 					start = lag
 				}
@@ -93,7 +94,7 @@ func PlaybackSLO(r *Result, members []Membership, probe int, firstChurn core.Slo
 		s.Expected += np - j0
 		run := core.Slot(0)
 		for j := j0; j < np; j++ {
-			a := r.ArrivalAt(m.Node, core.Packet(j))
+			a := cells.At(m.Node, core.Packet(j))
 			if a == unset || a > start+core.Slot(j) {
 				s.Hiccups++
 				run++

@@ -74,18 +74,18 @@ func TestStopRule(t *testing.T) {
 	})
 
 	t.Run("violation after completion", func(t *testing.T) {
-		clean, err := Run(chainOfTwo(), base)
+		clean, cleanCells, err := runCells(chainOfTwo(), base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s := chainOfTwo()
 		s.slots[3] = []core.Transmission{tx(1, 2, 0)} // a duplicate, two slots after the window closed
-		res, err := Run(s, base)
+		res, cells, err := runCells(s, base)
 		if err != nil {
 			t.Fatalf("bare run saw slot 3: %v", err)
 		}
-		if !reflect.DeepEqual(res, clean) {
-			t.Error("bare run's Result differs from the clean schedule's")
+		if !reflect.DeepEqual(res, clean) || !reflect.DeepEqual(cells, cleanCells) {
+			t.Error("bare run's Result or cells differ from the clean schedule's")
 		}
 		want := &Violation{Slot: 3, Kind: "duplicate packet", Tx: tx(1, 2, 0)}
 		for name, attach := range watched {
@@ -145,15 +145,15 @@ func TestStopRule(t *testing.T) {
 		opt := base
 		opt.ExtraSources = map[core.NodeID]bool{1: true}
 		opt.AllowIncomplete = true
-		res, err := Run(c, opt)
+		res, cells, err := runCells(c, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if c.asked != 2 {
 			t.Errorf("asked for %d slots, want 2", c.asked)
 		}
-		if res.Missing[1] != 1 || res.ArrivalAt(2, 0) != 0 || res.ArrivalAt(3, 0) != 1 || res.SlotsUsed != 2 {
-			t.Errorf("Missing %v, arrivals %d %d, SlotsUsed %d", res.Missing, res.ArrivalAt(2, 0), res.ArrivalAt(3, 0), res.SlotsUsed)
+		if res.Missing[1] != 1 || cells.At(2, 0) != 0 || cells.At(3, 0) != 1 || res.SlotsUsed != 2 {
+			t.Errorf("Missing %v, arrivals %d %d, SlotsUsed %d", res.Missing, cells.At(2, 0), cells.At(3, 0), res.SlotsUsed)
 		}
 	})
 }
@@ -180,11 +180,21 @@ func TestRunnerReuseAfterEarlyStop(t *testing.T) {
 		5: {tx(2, 1, 2)},
 	}}
 	optB := Options{Slots: 8, Packets: 3}
-	wantA, err := NewRunner().Run(a, optA)
+	// Results are compared cells included: every run keeps its own.
+	type outcome struct {
+		res   *Result
+		cells *Arrivals
+	}
+	run := func(r *Runner, s core.Scheme, opt Options) (outcome, error) {
+		opt.Arrivals = new(Arrivals)
+		res, err := r.Run(s, opt)
+		return outcome{res, opt.Arrivals}, err
+	}
+	wantA, err := run(NewRunner(), a, optA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantB, err := NewRunner().Run(b, optB)
+	wantB, err := run(NewRunner(), b, optB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +202,14 @@ func TestRunnerReuseAfterEarlyStop(t *testing.T) {
 	r := NewRunner()
 	for round := 0; round < 3; round++ {
 		c := &countingScheme{stubScheme: a}
-		gotA, err := r.Run(c, optA)
+		gotA, err := run(r, c, optA)
 		if err != nil {
 			t.Fatalf("round %d: a: %v", round, err)
 		}
 		if c.asked != 3 {
 			t.Errorf("round %d: a asked for %d slots, want 3", round, c.asked)
 		}
-		gotB, err := r.Run(b, optB)
+		gotB, err := run(r, b, optB)
 		if err != nil {
 			t.Fatalf("round %d: b after an early-stopped a: %v", round, err)
 		}

@@ -26,7 +26,11 @@ type Run struct {
 	// Scheme is the constructed scheme.
 	Scheme core.Scheme
 	// Opt are the complete engine options (horizon, window, mode,
-	// capacities, injected faults).
+	// capacities, injected faults). Opt.Arrivals is set exactly for the runs
+	// whose reports read arrival cells — live churn (ChurnReport) and the mdc
+	// family (mdc.SystemQuality) — and holds them after the run; every other
+	// run keeps none. A caller with a cell reader of its own points it at an
+	// Arrivals before executing.
 	Opt slotsim.Options
 	// CheckOpt are the static-verifier options; nil when the family is
 	// not statically checkable.
@@ -165,6 +169,10 @@ func BuildWithPlan(sc *Scenario, plan *faults.Plan) (*Run, error) {
 		}
 	}
 
+	if out.Live != nil {
+		opt.Arrivals = new(slotsim.Arrivals) // ChurnReport's PlaybackSLO reads cells
+	}
+
 	run := &Run{
 		Scenario: sc,
 		Family:   f,
@@ -233,14 +241,15 @@ const churnProbe = 3
 
 // ChurnReport assembles the report's live-churn section from an executed
 // run: the churn source's op/swap summary plus the playback SLOs of the
-// members still live at the end. Nil for runs without live churn — callers
-// can assign it to a report's Churn field unconditionally.
+// members still live at the end, read from the cells the run left in
+// Opt.Arrivals. Nil for runs without live churn — callers can assign it to a
+// report's Churn field unconditionally.
 func (r *Run) ChurnReport(res *slotsim.Result) *obs.ChurnSLO {
 	if r.Live == nil || res == nil {
 		return nil
 	}
 	sum := r.Live.Summary()
-	slo := slotsim.PlaybackSLO(res, r.Live.Membership(), churnProbe, r.Live.FirstChurnSlot())
+	slo := slotsim.PlaybackSLO(res, r.Opt.Arrivals, r.Live.Membership(), churnProbe, r.Live.FirstChurnSlot())
 	return &obs.ChurnSLO{
 		Kind:              r.Scenario.ChurnKind,
 		Ops:               sum.Ops,

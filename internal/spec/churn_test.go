@@ -113,15 +113,15 @@ func churnScenario(t *testing.T, policy string, parallel bool) *Run {
 }
 
 // TestChurnScenarioParity is the spec-level acceptance case: a seeded
-// scenario with mid-run joins and leaves is bit-identical — Results,
-// observer event streams, metric fingerprints, op logs — with and without
-// the `parallel` directive (which the single-threaded engine accepts and
-// ignores), for both repair policies. The d²+d swap bound is enforced per op
+// scenario with mid-run joins and leaves is bit-identical — Results, the
+// arrival cells every live-churn run keeps, observer event streams, metric
+// fingerprints, op logs — with and without the `parallel` directive (which
+// the single-threaded engine accepts and ignores), for both repair policies. The d²+d swap bound is enforced per op
 // during the run (a breach would have aborted) and double-checked on the
 // summary.
 func TestChurnScenarioParity(t *testing.T) {
 	for _, policy := range []string{"", "lazy"} {
-		exec := func(parallel bool) (*slotsim.Result, *obs.Recorder, *obs.Metrics, *faults.LiveChurn) {
+		exec := func(parallel bool) (*slotsim.Result, *obs.Recorder, *obs.Metrics, *Run) {
 			run := churnScenario(t, policy, parallel)
 			if run.Live == nil || run.Opt.Churn == nil {
 				t.Fatal("live-churn scenario built without a churn source")
@@ -135,9 +135,10 @@ func TestChurnScenarioParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("policy=%q parallel=%v: %v", policy, parallel, err)
 			}
-			return res, rec, met, run.Live
+			return res, rec, met, run
 		}
-		refRes, refRec, refMet, refLive := exec(false)
+		refRes, refRec, refMet, refRun := exec(false)
+		refLive := refRun.Live
 		sum := refLive.Summary()
 		if sum.Ops == 0 {
 			t.Fatalf("policy=%q: generator applied no ops; the acceptance case is vacuous", policy)
@@ -149,9 +150,9 @@ func TestChurnScenarioParity(t *testing.T) {
 		if sum.MaxSwaps > sum.Bound {
 			t.Fatalf("policy=%q: max swaps %d exceeded the d²+d bound %d without aborting", policy, sum.MaxSwaps, sum.Bound)
 		}
-		res, rec, met, live := exec(true)
-		if !reflect.DeepEqual(refRes, res) {
-			t.Errorf("policy=%q: Result differs under the parallel directive", policy)
+		res, rec, met, run := exec(true)
+		if !reflect.DeepEqual(refRes, res) || !reflect.DeepEqual(refRun.Opt.Arrivals, run.Opt.Arrivals) {
+			t.Errorf("policy=%q: Result or arrival cells differ under the parallel directive", policy)
 		}
 		if got, want := met.Fingerprint(), refMet.Fingerprint(); got != want {
 			t.Errorf("policy=%q: fingerprint %s under the parallel directive, %s without", policy, got, want)
@@ -159,12 +160,12 @@ func TestChurnScenarioParity(t *testing.T) {
 		if !reflect.DeepEqual(refRec.Events, rec.Events) {
 			t.Errorf("policy=%q: event stream differs under the parallel directive", policy)
 		}
-		if !reflect.DeepEqual(refLive.Ops(), live.Ops()) {
+		if !reflect.DeepEqual(refLive.Ops(), run.Live.Ops()) {
 			t.Errorf("policy=%q: churn op log differs under the parallel directive", policy)
 		}
 		// The SLO of the reference run is well-formed: every still-live
 		// member measured, ratios within [0,1].
-		slo := slotsim.PlaybackSLO(refRes, refLive.Membership(), 3, refLive.FirstChurnSlot())
+		slo := slotsim.PlaybackSLO(refRes, refRun.Opt.Arrivals, refLive.Membership(), 3, refLive.FirstChurnSlot())
 		if slo.Nodes == 0 || slo.Expected == 0 {
 			t.Fatalf("policy=%q: SLO measured nothing: %+v", policy, slo)
 		}

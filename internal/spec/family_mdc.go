@@ -5,6 +5,7 @@ import (
 
 	"streamcast/internal/core"
 	"streamcast/internal/multitree"
+	"streamcast/internal/slotsim"
 )
 
 func init() {
@@ -37,6 +38,8 @@ func init() {
 			out.Opt.Mode = in.Mode
 			out.Opt.AllowIncomplete = true
 			out.Opt.SkipUnavailable = true
+			// Round quality is read off single arrivals.
+			out.Opt.Arrivals = new(slotsim.Arrivals)
 			return out, nil
 		},
 	})
@@ -53,7 +56,8 @@ func MDCScenario(n, d, rounds int) *Scenario {
 }
 
 // Descriptions returns the MDC description count of an mdc-family run
-// (the tree degree d); callers use it to drive mdc.SystemQuality.
+// (the tree degree d); callers use it, with Opt.Arrivals, to drive
+// mdc.SystemQuality.
 func (r *Run) Descriptions() int {
 	if r.Family.Name != "mdc" {
 		return 0

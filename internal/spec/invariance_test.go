@@ -9,29 +9,30 @@ import (
 
 	"streamcast/internal/core"
 	"streamcast/internal/obs"
+	"streamcast/internal/slotsim"
 )
 
 type invarianceCase struct {
-	name  string
-	build func() *Run
+	name string
+	// build resolves the scenario afresh — a live-churn run is single-shot, and
+	// the gossip families' schedules are simulation state — under the given
+	// horizon, or its own when slots is 0.
+	build func(slots core.Slot) *Run
 }
 
 // invarianceScenarios is the list the metamorphic properties run over: every
 // pinned corpus scenario, plus each family the sweeps lean on at two sizes.
-// Each entry builds afresh per use — a live-churn run is single-shot, and the
-// gossip families' schedules are simulation state.
 func invarianceScenarios(t *testing.T) []invarianceCase {
 	t.Helper()
 	var out []invarianceCase
-	paths, err := filepath.Glob(filepath.Join("testdata", "scenarios", "*.scn"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no corpus scenarios found (%v)", err)
-	}
-	for _, path := range paths {
-		out = append(out, invarianceCase{"corpus/" + strings.TrimSuffix(filepath.Base(path), ".scn"), func() *Run {
-			sc, err := Load(path)
+	add := func(name string, load func() (*Scenario, error)) {
+		out = append(out, invarianceCase{name, func(slots core.Slot) *Run {
+			sc, err := load()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if slots > 0 {
+				sc.Slots = int(slots)
 			}
 			run, err := Build(sc)
 			if err != nil {
@@ -39,6 +40,13 @@ func invarianceScenarios(t *testing.T) []invarianceCase {
 			}
 			return run
 		}})
+	}
+	paths, err := filepath.Glob(filepath.Join("testdata", "scenarios", "*.scn"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no corpus scenarios found (%v)", err)
+	}
+	for _, path := range paths {
+		add("corpus/"+strings.TrimSuffix(filepath.Base(path), ".scn"), func() (*Scenario, error) { return Load(path) })
 	}
 	for _, text := range []string{
 		"scheme hypercube\nparam d=1 n=63\n",
@@ -57,17 +65,35 @@ func invarianceScenarios(t *testing.T) []invarianceCase {
 		"scheme gossip\nparam d=3 degree=4 n=60 seed=2\n",
 		"scheme gossip\nparam d=2 degree=5 n=300 seed=9 strategy=pull-random\n",
 	} {
-		out = append(out, invarianceCase{strings.ReplaceAll(strings.TrimSpace(text), "\n", "; "), func() *Run { return mustBuild(t, text) }})
+		add(strings.ReplaceAll(strings.TrimSpace(text), "\n", "; "), func() (*Scenario, error) { return Parse(text) })
 	}
 	return out
 }
 
+// outcome is what the properties compare: a run's Result and, so that "equal
+// Results" keeps meaning cell for cell, the window's arrivals.
+type outcome struct {
+	Res   *slotsim.Result
+	Cells *slotsim.Arrivals
+}
+
+// executeKeeping executes the run with its arrival cells asked for, as
+// live-churn and mdc runs ask already, under one more observer when given.
+func executeKeeping(run *Run, observer obs.Observer) (outcome, error) {
+	if run.Opt.Arrivals == nil {
+		run.Opt.Arrivals = new(slotsim.Arrivals)
+	}
+	run.Opt.Observer = obs.Combine(run.Opt.Observer, observer)
+	res, err := run.Execute()
+	return outcome{res, run.Opt.Arrivals}, err
+}
+
 // TestObserverAttachmentInvariance: attaching an observer that does nothing
-// changes nothing a Result reports. The bare run ends when its window is
+// changes nothing a run reports. The bare run ends when its window is
 // complete; the observed one replays the whole horizon (slotsim.Options.Slots
-// is an upper bound); both must agree on N, Packets, every ArrivalAt cell,
-// StartDelay, MaxBuffer, Missing and SlotsUsed — reflect.DeepEqual on the two
-// Results compares exactly those, the arrival matrix included.
+// is an upper bound); both must agree on N, Packets, StartDelay, MaxBuffer,
+// Missing, SlotsUsed and every arrival cell — reflect.DeepEqual on the two
+// Results and on the two Arrivals compares exactly those.
 //
 // The observer also sees every delivery of the full-horizon run, which lets
 // the test check against runs, not argument, the fact the engine's Live-mode
@@ -76,22 +102,21 @@ func TestObserverAttachmentInvariance(t *testing.T) {
 	live := 0
 	for _, c := range invarianceScenarios(t) {
 		name := c.name
-		bare, err := c.build().Execute()
+		bare, err := executeKeeping(c.build(0), nil)
 		if err != nil {
 			t.Fatalf("%s: bare run: %v", name, err)
 		}
-		run := c.build()
+		run := c.build(0)
 		top := core.Packet(-1)
-		run.Opt.Observer = obs.Combine(run.Opt.Observer, obs.Funcs{
+		watched, err := executeKeeping(run, obs.Funcs{
 			OnDeliver: func(_ core.Slot, tx core.Transmission, _ bool) { top = max(top, tx.Packet) },
 		})
-		watched, err := run.Execute()
 		if err != nil {
 			t.Fatalf("%s: observed run: %v", name, err)
 		}
 		if !reflect.DeepEqual(bare, watched) {
-			t.Errorf("%s: Result differs between a bare run and one with an idle observer (slots used %d vs %d, worst delay %d vs %d)",
-				name, bare.SlotsUsed, watched.SlotsUsed, bare.WorstStartDelay(), watched.WorstStartDelay())
+			t.Errorf("%s: Result or cells differ between a bare run and one with an idle observer (slots used %d vs %d, worst delay %d vs %d)",
+				name, bare.Res.SlotsUsed, watched.Res.SlotsUsed, bare.Res.WorstStartDelay(), watched.Res.WorstStartDelay())
 		}
 		if top < 0 {
 			t.Errorf("%s: the observer saw no delivery", name)
@@ -105,6 +130,93 @@ func TestObserverAttachmentInvariance(t *testing.T) {
 	}
 	if live < 8 {
 		t.Errorf("only %d Live runs in the list; the matrix-bound check needs the gossip, randreg and live multitree entries", live)
+	}
+}
+
+// TestCellRequestInvariance: whether a run keeps its arrival cells changes
+// nothing it computes — not a StartDelay, MaxBuffer, Missing or SlotsUsed, bare
+// or observed, and not the observed run's Metrics fingerprint. finish()
+// summarises the same tiles either way; only where it puts them differs.
+func TestCellRequestInvariance(t *testing.T) {
+	for _, c := range invarianceScenarios(t) {
+		for _, observed := range []bool{false, true} {
+			exec := func(keep bool) (*slotsim.Result, string) {
+				run := c.build(0)
+				run.Opt.Arrivals = nil // live-churn and mdc runs ask by default
+				if keep {
+					run.Opt.Arrivals = new(slotsim.Arrivals)
+				}
+				var met *obs.Metrics
+				if observed {
+					met = obs.NewMetrics()
+					run.Opt.Observer = obs.Combine(run.Opt.Observer, met)
+				}
+				res, err := run.Execute()
+				if err != nil {
+					t.Fatalf("%s (observed %v, cells %v): %v", c.name, observed, keep, err)
+				}
+				if met == nil {
+					return res, ""
+				}
+				return res, met.Fingerprint()
+			}
+			without, fpWithout := exec(false)
+			with, fpWith := exec(true)
+			if !reflect.DeepEqual(without, with) {
+				t.Errorf("%s (observed %v): Result differs when the run keeps its cells", c.name, observed)
+			}
+			if fpWithout != fpWith {
+				t.Errorf("%s: fingerprint %s without cells, %s with", c.name, fpWithout, fpWith)
+			}
+		}
+	}
+}
+
+// TestPrefixStability: T slots are a prefix of T+k. When every receiver holds
+// the whole window by the end of slot T−1, a horizon of T, T+1, T+64 or T+65
+// slots gives the same Result and the same cells, bare — where the stop rule
+// leaves at T whatever the horizon — and observed, where every slot of the
+// horizon runs. This is the property the stop rule rests on (TestStopRule
+// pins it on hand cases). A scenario whose window never completes has no such
+// T and is skipped — the faulted and the two churned entries (a joiner's id
+// misses what was sent before it joined) and randreg latin at n=400, whose
+// digraph leaves receivers short — and 22 of the 26 remain; none breaks it.
+func TestPrefixStability(t *testing.T) {
+	checked := 0
+	for _, c := range invarianceScenarios(t) {
+		full, err := executeKeeping(c.build(0), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		complete := true
+		for _, miss := range full.Res.Missing[1:] {
+			complete = complete && miss == 0
+		}
+		if !complete {
+			continue
+		}
+		checked++
+		T := full.Res.SlotsUsed
+		for _, k := range []core.Slot{0, 1, 64, 65} {
+			for _, observed := range []bool{false, true} {
+				var watcher obs.Observer
+				if observed {
+					watcher = obs.Funcs{}
+				}
+				got, err := executeKeeping(c.build(T+k), watcher)
+				if err != nil {
+					t.Errorf("%s: horizon T+%d = %d (observed %v): %v", c.name, k, T+k, observed, err)
+					continue
+				}
+				if !reflect.DeepEqual(full, got) {
+					t.Errorf("%s: horizon T+%d = %d (observed %v) gives a different Result or cells than the scenario's own horizon (slots used %d vs %d, worst delay %d vs %d)",
+						c.name, k, T+k, observed, got.Res.SlotsUsed, full.Res.SlotsUsed, got.Res.WorstStartDelay(), full.Res.WorstStartDelay())
+				}
+			}
+		}
+	}
+	if checked < 20 {
+		t.Errorf("only %d scenarios complete their window; the property needs the static families", checked)
 	}
 }
 
