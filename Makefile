@@ -1,8 +1,8 @@
 # Streamcast build/test entry points. Tier-1 verification (ROADMAP.md) is
 # `make ci`: build + vet + gofmt gate + streamvet lint + full test suite, plus
 # the race pass over the engine, observability and experiment packages, short
-# fuzz smokes of the fault-plan and scenario parsers, and the chaos/scenario
-# corpus replays.
+# fuzz smokes of the fault-plan and scenario parsers and of the engine against
+# its reference interpreter, and the chaos/scenario corpus replays.
 
 GO ?= go
 
@@ -15,12 +15,11 @@ test:
 	$(GO) test ./...
 
 # Race pass. The slot engine is single-threaded; the in-process concurrency
-# is the goroutine runtime (internal/runtime, driven by the integration and
-# fault-injection suites too) and the experiments' row worker pool
-# (forEachRow), which runs many independent engine runs at once on pooled
-# Runners — hence slotsim and obs stay in the list.
+# is the experiments' row worker pool (forEachRow), which runs many
+# independent engine runs at once on pooled Runners — hence slotsim, obs and
+# the suites that drive them stay in the list.
 race:
-	$(GO) test -race ./internal/slotsim/... ./internal/obs/... ./internal/runtime/... ./internal/integration/... ./internal/faults/... ./internal/experiments/...
+	$(GO) test -race ./internal/slotsim/... ./internal/obs/... ./internal/integration/... ./internal/faults/... ./internal/experiments/...
 
 vet:
 	$(GO) vet ./...
@@ -80,13 +79,15 @@ bench-json:
 	{ $(GO) test -bench . -benchtime $(BENCHTIME) -benchmem -run XXX . ./internal/slotsim && $(GATE_BENCH); } \
 		| $(GO) run ./cmd/benchdiff -write "$$out"
 
-# Short fuzz smoke over the fault-plan parser (FAULTS.md) and the scenario
-# parser/formatter round trip (SCENARIOS.md). CI keeps these brief; crank
-# -fuzztime for a real session.
+# Short fuzz smoke over the fault-plan parser (FAULTS.md), the scenario
+# parser/formatter round trip (SCENARIOS.md), and the engine against its
+# reference interpreter on generated runs (internal/integration). CI keeps
+# these brief; crank -fuzztime for a real session.
 fuzz:
 	$(GO) test -fuzz '^FuzzFaultPlan$$' -fuzztime 5s -run '^$$' ./internal/faults
 	$(GO) test -fuzz '^FuzzScenario$$' -fuzztime 5s -run '^$$' ./internal/spec
 	$(GO) test -fuzz '^FuzzRandRegScenario$$' -fuzztime 5s -run '^$$' ./internal/spec
+	$(GO) test -fuzz '^FuzzEngineDifferential$$' -fuzztime 5s -run '^$$' ./internal/integration
 
 # Replay the pinned fault corpus (internal/faults/testdata/corpus) and fail
 # on any fingerprint drift. Refresh intentionally with:

@@ -18,7 +18,6 @@ import (
 	"streamcast/internal/graph"
 	"streamcast/internal/multitree"
 	"streamcast/internal/obs"
-	rt "streamcast/internal/runtime"
 	"streamcast/internal/slotsim"
 	"streamcast/internal/spec"
 )
@@ -532,30 +531,6 @@ func BenchmarkChurnImpact(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkRuntimeExecution measures the concurrent goroutine runtime
-// (channel and net.Pipe transports) against the matrix engine's workload.
-func BenchmarkRuntimeExecution(b *testing.B) {
-	s := benchScheme(b, spec.MultiTreeScenario(100, 3, multitree.Greedy, core.PreRecorded)).(*multitree.Scheme)
-	slots := core.Slot(s.Tree.Height()*3 + 30)
-	b.Run("chan-transport", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rt.Execute(s, rt.Options{Slots: slots, Packets: 9}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("pipe-transport", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rt.Execute(s, rt.Options{
-				Slots: slots, Packets: 9,
-				Transport: rt.NewPipeTransport(100, 8),
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkRegistryBuild measures scenario resolution through the scheme

@@ -24,7 +24,7 @@
 //
 //	streamsim -scheme multitree -n 100 -d 3 -check
 //
-// Observability (see OBSERVABILITY.md): any slotsim run can additionally
+// Observability (see OBSERVABILITY.md): any run can additionally
 // emit Prometheus-format metrics, a JSONL event trace, and a JSON run
 // report with per-slot buffer-occupancy series, and can serve net/http/pprof
 // while running:
@@ -41,9 +41,9 @@
 // Fault injection (see FAULTS.md): -faults loads a deterministic fault plan
 // (crashes, transient loss, link delay, join/leave events) and replays it
 // against the run; -fault-seed overrides the plan's seed. The same plan and
-// seed give a bit-identical event stream on every replay, and the same frame
-// losses on the goroutine runtime. A plan that carries join/leave events
-// needs -churn plan: without it the run is refused, never silently static:
+// seed give a bit-identical event stream on every replay. A plan that
+// carries join/leave events needs -churn plan: without it the run is
+// refused, never silently static:
 //
 //	streamsim -scheme multitree -n 100 -d 3 -faults loss.plan
 //	streamsim -scheme multitree -n 100 -d 3 -faults loss.plan -fault-seed 7
@@ -102,7 +102,6 @@ type cli struct {
 	seed         int64
 	rounds       int
 	doCheck      bool
-	engine       string
 	metricsOut   string
 	traceOut     string
 	reportOut    string
@@ -143,7 +142,6 @@ func newCLI(fs *flag.FlagSet) *cli {
 	fs.Int64Var(&c.seed, "seed", 1, "seed for the gossip mesh or randreg digraph")
 	fs.IntVar(&c.rounds, "rounds", 6, "MDC playback rounds (mdc scheme)")
 	fs.BoolVar(&c.doCheck, "check", false, "statically verify the schedule and mesh (internal/check) before running")
-	fs.StringVar(&c.engine, "engine", "slotsim", "slotsim | runtime (goroutine message passing)")
 	fs.StringVar(&c.metricsOut, "metrics-out", "", "write Prometheus-format metrics to this file ('-' for stdout)")
 	fs.StringVar(&c.traceOut, "trace-out", "", "write a JSONL event trace to this file ('-' for stdout)")
 	fs.StringVar(&c.reportOut, "report-out", "", "write a JSON run report to this file ('-' for stdout)")
@@ -184,10 +182,6 @@ func (c *cli) scenario() (*spec.Scenario, error) {
 		switch f.Name {
 		case "mode":
 			sc.Mode = c.mode
-		case "engine":
-			if c.engine != "slotsim" {
-				sc.Engine = c.engine
-			}
 		case "scenario", "list-schemes", "pprof", "scheme":
 			// handled outside the scenario
 		case "packets":
@@ -355,10 +349,6 @@ func runScenario(sc *spec.Scenario, stdout, stderr io.Writer) error {
 			rep.Scheme, rep.WorstDelay, rep.WorstBuffer)
 	}
 
-	if sc.Engine == "runtime" {
-		return runOnRuntime(run, stdout)
-	}
-
 	sk, observer, err := newSinks(sc.MetricsOut, sc.TraceOut, sc.ReportOut)
 	if err != nil {
 		return err
@@ -387,34 +377,6 @@ func runScenario(sc *spec.Scenario, stdout, stderr io.Writer) error {
 	}
 	report(run, res, stdout)
 	return sk.finish(run.Scheme, opt, res, sc.Workers, churn)
-}
-
-// runOnRuntime executes the scenario on the goroutine message-passing
-// runtime and prints its report shape.
-func runOnRuntime(run *spec.Run, stdout io.Writer) error {
-	rres, err := run.ExecuteRuntime()
-	if err != nil {
-		return err
-	}
-	s := run.Scheme
-	fmt.Fprintf(stdout, "scheme:        %s (goroutine runtime)\n", s.Name())
-	fmt.Fprintf(stdout, "receivers:     %d\n", s.NumReceivers())
-	fmt.Fprintf(stdout, "worst delay:   %d slots\n", rres.WorstStart())
-	fmt.Fprintf(stdout, "worst buffer:  %d packets\n", rres.WorstBuffer())
-	fmt.Fprintf(stdout, "warmup rebuf:  %d\n", rres.TotalHiccups())
-	if run.Injector != nil {
-		// Played keeps counting past the verification window while the
-		// stream continues, so report window completion, not raw totals.
-		complete := 0
-		for id := 1; id <= s.NumReceivers(); id++ {
-			if rres.Reports[id].Played >= int(run.Opt.Packets) {
-				complete++
-			}
-		}
-		fmt.Fprintf(stdout, "faulted:       %d of %d nodes played the full %d-packet window\n",
-			complete, s.NumReceivers(), run.Opt.Packets)
-	}
-	return nil
 }
 
 // report prints the slotsim result: the generic shape for most families,

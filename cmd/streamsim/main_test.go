@@ -118,7 +118,7 @@ func TestFlagTranslationOnlyExplicit(t *testing.T) {
 	if len(sc.Params) != 0 {
 		t.Fatalf("unset flags leaked into params: %+v", sc.Params)
 	}
-	if sc.Mode != "" || sc.Engine != "" || sc.Packets != 0 {
+	if sc.Mode != "" || sc.Packets != 0 {
 		t.Fatalf("unset flags leaked into scenario: %+v", sc)
 	}
 
@@ -246,20 +246,15 @@ func TestPlanChurnNeedsDirective(t *testing.T) {
 	}
 }
 
-// TestRuntimeEngineParity checks the runtime path is reachable from both
-// invocation styles with identical output.
-func TestRuntimeEngineParity(t *testing.T) {
-	fromFlags := translate(t, []string{"-scheme", "multitree", "-n", "30", "-engine", "runtime"})
-	path := filepath.Join(t.TempDir(), "run.scn")
-	if err := os.WriteFile(path, []byte(fromFlags.Format()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fromFile, err := spec.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(capture(t, fromFlags), capture(t, fromFile)) {
-		t.Error("runtime-engine stdout differs between flag and scenario paths")
+// TestEngineFlagIsGone: there is one engine, so -engine is the flag
+// package's ordinary unknown-flag error, with no compatibility shim.
+func TestEngineFlagIsGone(t *testing.T) {
+	var errOut bytes.Buffer
+	c := newCLI(flag.NewFlagSet("streamsim", flag.ContinueOnError))
+	c.fs.SetOutput(&errOut)
+	err := c.fs.Parse([]string{"-scheme", "multitree", "-engine", "runtime"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -engine") {
+		t.Errorf("-engine runtime: got %v, want the unknown-flag error", err)
 	}
 }
 

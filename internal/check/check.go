@@ -77,9 +77,6 @@ type Options struct {
 	RecvCap func(id core.NodeID) int
 	// Latency overrides per-link latency in slots (nil: 1).
 	Latency func(from, to core.NodeID) core.Slot
-	// ExtraSources marks nodes that originate packets without receiving
-	// them (standalone sub-scheme checks).
-	ExtraSources map[core.NodeID]bool
 	// TreeDegree, when > 0, enables the multi-tree structural audit: packet
 	// j belongs to tree j mod TreeDegree, every non-source sender must
 	// relay a single residue class (interior-disjointness) and fan out to
@@ -290,19 +287,13 @@ func (v *verifier) issue(i Issue) {
 	v.report.Issues = append(v.report.Issues, i)
 }
 
-// isSource reports whether the node originates packets. The length test
-// keeps the map out of the per-transmission path when the option is unset.
-func (v *verifier) isSource(id core.NodeID) bool {
-	return id == core.SourceID || (len(v.opt.ExtraSources) != 0 && v.opt.ExtraSources[id])
-}
-
 // holds reports whether the node can transmit packet p during slot t,
 // mirroring the engine's availability rule.
 func (v *verifier) holds(id core.NodeID, p core.Packet, t core.Slot) bool {
 	if p < 0 {
 		return false
 	}
-	if v.isSource(id) {
+	if id == core.SourceID {
 		if v.opt.Mode == core.Live {
 			return core.Slot(int(p)) <= t
 		}
@@ -381,7 +372,7 @@ func (v *verifier) interpret() {
 				v.issue(Issue{Slot: t, Kind: KindRecvCap, Tx: tx,
 					Detail: fmt.Sprintf("node %d capacity %d", tx.To, recvCap)})
 			}
-			if v.isSource(tx.To) || tx.Packet >= v.maxPkt {
+			if tx.To == core.SourceID || tx.Packet >= v.maxPkt {
 				continue
 			}
 			cell := &v.arrival[int(tx.To)*int(v.maxPkt)+int(tx.Packet)]
@@ -400,7 +391,7 @@ func (v *verifier) interpret() {
 // crosses residue classes.
 func (v *verifier) observeTreeEdge(tx core.Transmission) {
 	d := v.opt.TreeDegree
-	if d <= 0 || v.isSource(tx.From) || (len(v.opt.TreeExempt) != 0 && v.opt.TreeExempt[tx.From]) {
+	if d <= 0 || tx.From == core.SourceID || (len(v.opt.TreeExempt) != 0 && v.opt.TreeExempt[tx.From]) {
 		return
 	}
 	from, r := int(tx.From), int(tx.Packet)%d
@@ -542,9 +533,6 @@ func (v *verifier) auditDegrees() {
 func (v *verifier) crossCheck() {
 	counts := make([]int, v.opt.Horizon) // peakBuffer's histogram, reused
 	for id := core.NodeID(1); int(id) <= v.n; id++ {
-		if v.isSource(id) {
-			continue
-		}
 		lo := int(id) * int(v.maxPkt)
 		row := v.arrival[lo : lo+int(v.opt.Packets)]
 		var worst core.Slot = -1 << 30

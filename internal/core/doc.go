@@ -16,6 +16,6 @@
 // Entry points: NodeID, Slot and Packet are the index types (the source is
 // always NodeID 0, SourceID); Transmission is one scheduled packet copy; a
 // Scheme is any scheme that can enumerate its Transmissions slot by slot
-// for the engines in internal/slotsim and internal/runtime to execute;
+// for the engine in internal/slotsim to execute;
 // StreamMode selects pre-recorded, live, or pre-buffered-live semantics.
 package core

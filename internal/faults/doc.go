@@ -5,8 +5,8 @@
 // A Plan is parsed from a small line-based text format (ParsePlan/Format
 // round-trip exactly) and compiled into an Injector whose every verdict is
 // a pure hash of (seed, rule, slot, from, to, packet) — never a stateful
-// PRNG — so the slotsim engine and the runtime transport wrapper reach
-// identical decisions in any evaluation order. For a fixed seed a faulted
+// PRNG — so any two interpreters of a plan reach identical decisions in
+// any evaluation order. For a fixed seed a faulted
 // run therefore produces the same event stream, the same obs.Metrics
 // fingerprint, and the same RunReport on every replay: chaos runs are
 // evidence, not noise.

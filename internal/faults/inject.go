@@ -20,9 +20,8 @@ const (
 )
 
 // Injector is the seeded, plan-driven fault source. It implements
-// slotsim.Injector (per-transmission drop/delay verdicts for the slot engine)
-// and the runtime package's FrameFault (the same verdicts at the transport
-// layer). Every verdict is a pure function of the plan and the
+// slotsim.Injector (per-transmission drop/delay verdicts for the slot
+// engine). Every verdict is a pure function of the plan and the
 // transmission coordinates, so a faulted run is bit-for-bit replayable.
 type Injector struct {
 	plan *Plan
@@ -77,17 +76,6 @@ func (in *Injector) DelayTx(tx core.Transmission, t core.Slot) core.Slot {
 		}
 	}
 	return extra
-}
-
-// FrameVerdict implements the runtime package's FrameFault: the transport
-// wrapper asks once per frame, and gets exactly the verdicts the slotsim
-// engines would produce for the equivalent transmission.
-func (in *Injector) FrameVerdict(t core.Slot, from, to core.NodeID, pkt core.Packet) (drop bool, delay core.Slot) {
-	tx := core.Transmission{From: from, To: to, Packet: pkt}
-	if in.DropTx(tx, t) {
-		return true, 0
-	}
-	return false, in.DelayTx(tx, t)
 }
 
 // Apply wires the injector into engine options and relaxes the run for

@@ -2,10 +2,10 @@ package faults
 
 // The fault coins are NOT a sequential PRNG: every probabilistic verdict is
 // a pure hash of (plan seed, rule index, transmission coordinates). That
-// makes a verdict independent of evaluation order, so the slotsim engine
-// and the runtime transport wrapper reach identical decisions for the same
-// plan, and a single rule's coin stream
-// does not shift when another rule is added before it.
+// makes a verdict independent of evaluation order, so any two interpreters
+// of a plan (the slotsim engine and the test oracle, say) reach identical
+// decisions, and a single rule's coin stream does not shift when another
+// rule is added before it.
 
 // splitmix64 is the finalizer of Vigna's SplitMix64 generator: a cheap,
 // well-distributed 64-bit mixing function.

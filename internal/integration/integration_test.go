@@ -9,7 +9,6 @@ import (
 	"streamcast/internal/gossip"
 	"streamcast/internal/hypercube"
 	"streamcast/internal/multitree"
-	"streamcast/internal/runtime"
 	"streamcast/internal/slotsim"
 	"streamcast/internal/spec"
 )
@@ -38,63 +37,61 @@ func build(t *testing.T, sc *spec.Scenario) fixture {
 	}
 }
 
-// matrix builds the full scheme test matrix through the registry.
-func matrix(t *testing.T) []fixture {
-	t.Helper()
-	var fs []fixture
+// matrixScenarios is the scheme test matrix: both multi-tree constructions
+// in both modes at three sizes, four hypercube shapes, and a live chain.
+func matrixScenarios() []*spec.Scenario {
+	var scs []*spec.Scenario
 	for _, c := range []multitree.Construction{multitree.Structured, multitree.Greedy} {
 		for _, tc := range []struct{ n, d int }{{9, 2}, {26, 3}, {64, 4}} {
 			for _, mode := range []core.StreamMode{core.PreRecorded, core.Live} {
 				sc := spec.MultiTreeScenario(tc.n, tc.d, c, mode)
 				sc.Packets = 3 * tc.d
-				fs = append(fs, build(t, sc))
+				scs = append(scs, sc)
 			}
 		}
 	}
 	for _, tc := range []struct{ n, d int }{{7, 1}, {31, 1}, {44, 1}, {60, 3}} {
 		sc := spec.HypercubeScenario(tc.n, tc.d)
 		sc.Packets = 8
-		fs = append(fs, build(t, sc))
+		scs = append(scs, sc)
 	}
 	ch := spec.ChainScenario(18)
 	ch.Mode = "live"
 	ch.Packets = 6
-	fs = append(fs, build(t, ch))
+	return append(scs, ch)
+}
+
+// matrix builds the full scheme test matrix through the registry.
+func matrix(t *testing.T) []fixture {
+	t.Helper()
+	var fs []fixture
+	for _, sc := range matrixScenarios() {
+		fs = append(fs, build(t, sc))
+	}
 	return fs
 }
 
 // TestThreeEngineAgreement: the matrix engine on its compiled schedule, the
-// matrix engine interpreting the scheme slot by slot, and the goroutine
-// runtime agree on playback start and peak buffer per node.
+// matrix engine interpreting the scheme slot by slot, and the reference
+// interpreter (oracle_test.go) agree on every node's Result and every
+// arrival cell.
 func TestThreeEngineAgreement(t *testing.T) {
 	for _, f := range matrix(t) {
 		f := f
 		t.Run(fmt.Sprintf("%s/%s", f.scheme.Name(), f.mode), func(t *testing.T) {
 			opt := slotsim.Options{Slots: f.slots, Packets: f.packets, Mode: f.mode}
-			seq, err := slotsim.Run(f.scheme, opt)
+			want, cells, err := oracle(f.scheme, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := slotsim.Run(plainScheme{f.scheme}, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rt, err := runtime.Execute(f.scheme, runtime.Options{
-				Slots: f.slots, Packets: f.packets, Mode: f.mode,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for id := 1; id <= f.scheme.NumReceivers(); id++ {
-				if seq.StartDelay[id] != plain.StartDelay[id] || seq.MaxBuffer[id] != plain.MaxBuffer[id] {
-					t.Fatalf("node %d: compiled start/buffer %d/%d, interpreted %d/%d", id,
-						seq.StartDelay[id], seq.MaxBuffer[id], plain.StartDelay[id], plain.MaxBuffer[id])
+			for name, s := range map[string]core.Scheme{"compiled": f.scheme, "interpreted": plainScheme{f.scheme}} {
+				opt.Arrivals = new(slotsim.Arrivals)
+				got, err := slotsim.Run(s, opt)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if seq.StartDelay[id] != rt.Reports[id].Start {
-					t.Fatalf("node %d: matrix start %d, runtime %d", id, seq.StartDelay[id], rt.Reports[id].Start)
-				}
-				if seq.MaxBuffer[id] != rt.Reports[id].MaxBuffer {
-					t.Fatalf("node %d: matrix buffer %d, runtime %d", id, seq.MaxBuffer[id], rt.Reports[id].MaxBuffer)
+				if diff := sameOutcome(got, opt.Arrivals, want, cells); diff != "" {
+					t.Fatalf("%s engine against the oracle: %s", name, diff)
 				}
 			}
 		})

@@ -19,7 +19,6 @@ var hotFuncs = map[string]bool{
 	"filterUnavailable": true,
 	"pendingArrivals":   true,
 	"holds":             true,
-	"isSource":          true,
 	"sendCapOf":         true,
 	"recvCapOf":         true,
 	"observeFail":       true,

@@ -95,13 +95,6 @@ type Options struct {
 	// measurable losses). See internal/faults for the seeded, plan- and
 	// generator-driven implementation.
 	Churn ChurnSource
-	// ExtraSources marks additional node IDs that behave like sources:
-	// they may transmit packets they never received (used by the cluster
-	// simulator for super nodes is NOT needed — super nodes receive the
-	// stream — but used in tests for standalone sub-schemes). The engine
-	// folds this map into a flat occupancy bitmap at run start; the
-	// per-slot path never touches the map itself.
-	ExtraSources map[core.NodeID]bool
 }
 
 // Injector is the engine's structured fault-injection hook. The engine
@@ -249,7 +242,6 @@ type engine struct {
 	// bit in dirtyRows so the next run clears only the rows this run touched.
 	arr       []int32
 	dirtyRows []uint64     // bitmap of arrival-matrix (packet) rows written this run
-	srcBits   []uint64     // occupancy bitmap of packet-originating node ids
 	sendCap   CapacityFunc // custom only; nil when sendTab is active
 	recvCap   CapacityFunc // custom only; nil when recvTab is active
 	latency   LatencyFunc  // nil on the fast path (no latency, no injector)
@@ -263,9 +255,8 @@ type engine struct {
 	// schedule's slice as it stands, and — absent a churn source — runSlots
 	// ends the run once the window is complete.
 	direct bool
-	// pending counts the receivers still missing part of the window: n less
-	// the ExtraSources among them (which originate packets and receive
-	// nothing) at run start, one less each time noteDelivery completes a node.
+	// pending counts the receivers still missing part of the window: n at run
+	// start, one less each time noteDelivery completes a node.
 	pending int
 	// ring buffers in-flight transmissions by arrival slot. nil on the
 	// fast path.
@@ -348,9 +339,9 @@ func newEngine(s core.Scheme, opt Options, sc *scratch, pktBound core.Packet) (*
 		maxPkt = pktBound
 	}
 	if opt.Mode == core.Live && int(maxPkt) > int(opt.Slots) {
-		// A live source — and every ExtraSources id, holds treats them alike —
-		// cannot send packet p before slot p, so no node ever holds a packet
-		// numbered Slots or above and those rows can never be written.
+		// A live source cannot send packet p before slot p, so no node ever
+		// holds a packet numbered Slots or above and those rows can never be
+		// written.
 		maxPkt = core.Packet(int(opt.Slots))
 	}
 	if maxPkt < opt.Packets {
@@ -384,24 +375,8 @@ func newEngine(s core.Scheme, opt Options, sc *scratch, pktBound core.Packet) (*
 		}
 	}
 	sc.arr = grownInt32s(sc.arr, need)
-	sc.dirtyRows = grownU64s(sc.dirtyRows, srcWords(int(maxPkt)))
+	sc.dirtyRows = grownU64s(sc.dirtyRows, (int(maxPkt)+63)/64)
 	sc.prevStride = n + 1
-
-	words := srcWords(n + 1)
-	sc.srcBits = grownU64s(sc.srcBits, words)
-	for i := range sc.srcBits {
-		sc.srcBits[i] = 0
-	}
-	setSrcBit(sc.srcBits, core.SourceID)
-	pending := n
-	for id, on := range opt.ExtraSources {
-		if on && id >= 0 && int(id) <= n {
-			setSrcBit(sc.srcBits, id)
-			if id != core.SourceID {
-				pending--
-			}
-		}
-	}
 
 	// The packed epoch-stamped counters need no initialization: a stale
 	// stamp is an already-spent tick and reads as count zero.
@@ -424,10 +399,9 @@ func newEngine(s core.Scheme, opt Options, sc *scratch, pktBound core.Packet) (*
 		stride:    n + 1,
 		arr:       sc.arr,
 		dirtyRows: sc.dirtyRows,
-		srcBits:   sc.srcBits,
 		fast:      fast,
 		direct:    fast && opt.Observer == nil && opt.Drop == nil,
-		pending:   pending,
+		pending:   n,
 		sentSt:    sc.sentSt,
 		recvSt:    sc.recvSt,
 		cursor:    sc.cursor,
@@ -511,19 +485,12 @@ func (e *engine) observeFail(err error) error {
 	return err
 }
 
-// isSource reports whether the node originates packets without receiving
-// them first. One bitmap probe — the ExtraSources map never reaches the
-// per-slot path.
-func (e *engine) isSource(id core.NodeID) bool {
-	return e.srcBits[int(id)>>6]&(1<<(uint(id)&63)) != 0
-}
-
 // holds reports whether the node can transmit packet p during slot t.
 func (e *engine) holds(id core.NodeID, p core.Packet, t core.Slot) bool {
 	if p < 0 {
 		return false
 	}
-	if e.isSource(id) {
+	if id == core.SourceID {
 		if e.opt.Mode == core.Live {
 			return core.Slot(int(p)) <= t
 		}
@@ -598,8 +565,8 @@ func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) error {
 		if int32(c) > e.recvCapOf(tx.To) {
 			return &Violation{t, "receive capacity exceeded", tx}
 		}
-		if e.isSource(tx.To) || tx.Packet >= e.maxPkt {
-			// Sources discard incoming packets; packets beyond the
+		if tx.To == core.SourceID || tx.Packet >= e.maxPkt {
+			// The source discards incoming packets; packets beyond the
 			// tracking horizon only count against capacity.
 			if e.obs != nil {
 				e.obs.Deliver(t, tx, false)

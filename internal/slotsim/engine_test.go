@@ -230,22 +230,3 @@ func assertViolation(t *testing.T, err error, substr string) {
 		t.Fatalf("expected %q violation, got %v", substr, err)
 	}
 }
-
-// TestExtraSources: a node marked as an extra source may originate packets.
-func TestExtraSources(t *testing.T) {
-	s := &stubScheme{n: 2, srcCap: 1, slots: map[core.Slot][]core.Transmission{
-		0: {tx(1, 2, 0)},
-		1: {tx(1, 2, 1)},
-	}}
-	_, cells, err := runCells(s, Options{
-		Slots: 2, Packets: 2,
-		ExtraSources:    map[core.NodeID]bool{1: true},
-		AllowIncomplete: true, // node 1 itself receives nothing
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cells.At(2, 0) != 0 || cells.At(2, 1) != 1 {
-		t.Errorf("extra-source deliveries wrong: %v", cells.Row(2))
-	}
-}

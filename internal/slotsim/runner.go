@@ -19,7 +19,6 @@ type scratch struct {
 	arr        []int32             // packed packet-major arrival matrix (slot+1; 0 = unset)
 	dirtyRows  []uint64            // packet rows of arr written this run, cleared at next run start
 	prevStride int                 // row stride (nodes) the dirtyRows bits were written under
-	srcBits    []uint64            // occupancy bitmap of packet-originating ids
 	sentSt     []uint64            // packed send counters: epoch stamp<<32 | count
 	recvSt     []uint64            // packed receive counters, same layout
 	tick       uint32              // current epoch; monotonic across runs

@@ -6,7 +6,6 @@ package slotsim
 // instead of chasing pointers.
 //
 //	arr        [maxPkt · (N+1)]int32  arrival matrix, arr[p·(N+1)+id] = slot+1 (0 = not yet)
-//	srcBits    [(N+1+63)/64]uint64    occupancy bitmap: which ids originate packets
 //	sentSt     [N+1]uint64            send counter: epoch stamp (high 32) | count (low 32)
 //	recvSt     [N+1]uint64            receive counter, same packing
 //	cursor     [N+1]uint64            playback cursor: worstLag (high 32) | got (low 32)
@@ -41,14 +40,6 @@ const unset32 int32 = 0
 // Lags can be negative (a pre-recorded packet may arrive slots early), so
 // the cursor needs an out-of-band minimum rather than zero.
 const noLag int32 = -1 << 30
-
-// srcWords returns the length of the source bitmap for n+1 node ids.
-func srcWords(nodes int) int { return (nodes + 63) / 64 }
-
-// setSrcBit marks id as a packet origin in the occupancy bitmap.
-func setSrcBit(bits []uint64, id core.NodeID) {
-	bits[int(id)>>6] |= 1 << (uint(id) & 63)
-}
 
 // txRing is the in-flight transmission buffer for runs with link latency:
 // bucket t%len holds the transmissions arriving at the end of slot t. It

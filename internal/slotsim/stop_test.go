@@ -134,28 +134,6 @@ func TestStopRule(t *testing.T) {
 			t.Errorf("Missing = %v, want only node 3 short", res.Missing)
 		}
 	})
-
-	t.Run("extra sources do not wait for themselves", func(t *testing.T) {
-		// Node 1 originates the stream for 2 and 3 and receives nothing; the
-		// window is complete when the two real receivers hold it.
-		c := &countingScheme{stubScheme: &stubScheme{n: 3, srcCap: 1, slots: map[core.Slot][]core.Transmission{
-			0: {tx(1, 2, 0)},
-			1: {tx(1, 3, 0)},
-		}}}
-		opt := base
-		opt.ExtraSources = map[core.NodeID]bool{1: true}
-		opt.AllowIncomplete = true
-		res, cells, err := runCells(c, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.asked != 2 {
-			t.Errorf("asked for %d slots, want 2", c.asked)
-		}
-		if res.Missing[1] != 1 || cells.At(2, 0) != 0 || cells.At(3, 0) != 1 || res.SlotsUsed != 2 {
-			t.Errorf("Missing %v, arrivals %d %d, SlotsUsed %d", res.Missing, cells.At(2, 0), cells.At(3, 0), res.SlotsUsed)
-		}
-	})
 }
 
 // TestRunnerReuseAfterEarlyStop: a run that stops early leaves its Runner as

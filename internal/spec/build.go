@@ -7,11 +7,10 @@ import (
 	"streamcast/internal/core"
 	"streamcast/internal/faults"
 	"streamcast/internal/obs"
-	"streamcast/internal/runtime"
 	"streamcast/internal/slotsim"
 )
 
-// Run is a scenario resolved into everything the engines need: the
+// Run is a scenario resolved into everything the engine needs: the
 // constructed scheme, fully populated slotsim options, the preflight
 // check options, and the fault injector. It is the registry's product —
 // every layer (CLI, experiments, integration suites, benchmarks) executes
@@ -219,12 +218,8 @@ func (r *Run) Preflight() (*check.Report, error) {
 
 // Execute runs the scenario on the slotsim engine. The `parallel` directive
 // is accepted and ignored: the engine is single-threaded and results never
-// depended on worker count. Runtime-engine scenarios use ExecuteRuntime
-// instead.
+// depended on worker count.
 func (r *Run) Execute() (*slotsim.Result, error) {
-	if r.Scenario.Engine == "runtime" {
-		return nil, fmt.Errorf("spec: scenario selects the runtime engine; use ExecuteRuntime")
-	}
 	if r.Live != nil {
 		if r.executed {
 			return nil, fmt.Errorf("spec: a live-churn run is single-shot (the churn source and topology were consumed); Build the scenario again")
@@ -268,31 +263,4 @@ func (r *Run) ChurnReport(res *slotsim.Result) *obs.ChurnSLO {
 		RebufferRatio:     slo.RebufferRatio,
 		TimeToRepairSlots: int(slo.TimeToRepair),
 	}
-}
-
-// RuntimeOptions derives the goroutine-runtime options for the run,
-// wiring the fault plan through a FaultTransport exactly as the CLI
-// always has: the per-frame verdict coins match the slotsim injector,
-// and delayed frames get receive-capacity headroom to land beside the
-// regularly scheduled ones.
-func (r *Run) RuntimeOptions() runtime.Options {
-	ropt := runtime.Options{Slots: r.Opt.Slots, Packets: r.Opt.Packets, Mode: r.Opt.Mode}
-	if r.Injector != nil {
-		rcap := 1
-		if r.Plan.HasDelay() {
-			rcap = 32
-		}
-		ropt.RecvCap = rcap
-		ropt.Transport = runtime.NewFaultTransport(
-			runtime.NewChanTransport(r.Scheme.NumReceivers(), rcap+4), r.Injector)
-		ropt.AllowIncomplete = true
-		ropt.SkipUnavailable = true
-	}
-	return ropt
-}
-
-// ExecuteRuntime runs the scenario on the goroutine message-passing
-// runtime.
-func (r *Run) ExecuteRuntime() (*runtime.Result, error) {
-	return runtime.Execute(r.Scheme, r.RuntimeOptions())
 }

@@ -76,7 +76,6 @@ func TestChurnDirectiveDiagnostics(t *testing.T) {
 		{"scheme hypercube\nchurn kind=poisson rate=1\n", "cannot run live churn"},
 		{"scheme multitree\nparam construction=structured\nchurn kind=poisson rate=1\n", "cannot churn"},
 		{"scheme multitree\nchurn kind=poisson rate=1\ncheck\n", "drop check"},
-		{"scheme multitree\nchurn kind=poisson rate=1\nengine runtime\n", "slotsim engine"},
 	}
 	for _, tc := range cases {
 		if _, err := Parse(tc.src); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -16,7 +16,7 @@
 // periodic/compilable, best effort, live churn), and a builder that
 // turns resolved parameters into a constructed scheme plus engine and
 // check options. Build resolves a Scenario through the registry into a
-// Run, which executes on either engine and preflights through
+// Run, which executes on the slotsim engine and preflights through
 // internal/check. Adding a scheme family is one registration — the CLI,
 // the experiment sweeps, the integration suites, and the benchmarks all
 // enumerate the registry.

@@ -22,6 +22,7 @@ func FuzzScenario(f *testing.F) {
 	f.Add("scheme gossip\nparam n=3 degree=5\n") // more neighbors asked for than peers exist
 	// A parameter no family accepts.
 	f.Add("scheme multitree\nparam swaps=14:3:9,20:1:2\n")
+	// A directive that no longer exists.
 	f.Add("scheme mdc\nparam rounds=4\nengine runtime\n")
 	f.Add("scheme chain\nfaults file=chaos.plan seed=7\nout metrics=m.prom trace=t.jsonl report=r.json\n")
 	f.Add("scheme multitree\nscheme multitree\n")

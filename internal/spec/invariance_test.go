@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -48,23 +49,13 @@ func invarianceScenarios(t *testing.T) []invarianceCase {
 	for _, path := range paths {
 		add("corpus/"+strings.TrimSuffix(filepath.Base(path), ".scn"), func() (*Scenario, error) { return Load(path) })
 	}
-	for _, text := range []string{
-		"scheme hypercube\nparam d=1 n=63\n",
-		"scheme hypercube\nparam d=2 n=500\n",
-		"scheme multitree\nparam d=3 n=40\n",
-		"scheme multitree\nparam d=4 n=300\n",
-		"scheme multitree\nparam d=3 n=40\nmode live\n",
-		"scheme multitree\nparam d=4 n=300\nmode live\n",
-		"scheme multitree\nparam d=3 n=60\nmode live\nchurn kind=poisson rate=0.5 seed=11 max=20 slots=10..60\n",
-		"scheme randreg\nparam degree=3 mode=latin n=50 seed=3\n",
-		"scheme randreg\nparam degree=4 mode=latin n=400 seed=4\n",
-		"scheme randreg\nparam degree=3 mode=pull n=50 seed=3\n",
-		"scheme randreg\nparam degree=4 mode=pull n=400 seed=4\n",
-		"scheme randreg\nparam degree=3 mode=push n=50 seed=3\n",
-		"scheme randreg\nparam degree=4 mode=push n=400 seed=4\n",
-		"scheme gossip\nparam d=3 degree=4 n=60 seed=2\n",
-		"scheme gossip\nparam d=2 degree=5 n=300 seed=9 strategy=pull-random\n",
-	} {
+	// The inline list lives in a file so that the oracle differential
+	// (internal/integration) runs over the same fifteen.
+	inline, err := os.ReadFile(filepath.Join("testdata", "inline.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range strings.Split(strings.TrimSpace(string(inline)), "\n\n") {
 		add(strings.ReplaceAll(strings.TrimSpace(text), "\n", "; "), func() (*Scenario, error) { return Parse(text) })
 	}
 	return out

@@ -14,7 +14,7 @@ import (
 
 // Scenario is a complete, serializable description of one simulation run:
 // which scheme family with which parameters, under which stream mode and
-// horizon, on which engine, with which faults, preflight, and outputs.
+// horizon, with which faults, preflight, and outputs.
 // The zero value plus a Scheme name is a valid scenario using every
 // family default.
 type Scenario struct {
@@ -33,9 +33,6 @@ type Scenario struct {
 	// Slots overrides the total horizon; 0 means the family's automatic
 	// horizon (window + family slack).
 	Slots int
-	// Engine selects the execution engine ("slotsim", "runtime"); empty
-	// means slotsim.
-	Engine string
 	// Parallel and Workers record the `parallel [workers=n]` directive,
 	// which is accepted and ignored: the engine is single-threaded and
 	// results never depended on worker count. Kept — parse, validation,
@@ -50,8 +47,7 @@ type Scenario struct {
 	FaultSeed  int64
 	// ChurnKind selects a live, mid-run churn source ("plan", "poisson",
 	// "flash", "wave"); empty means no live churn. Live churn requires a
-	// family with the LiveChurn capability (multitree) on the slotsim
-	// engine.
+	// family with the LiveChurn capability (multitree).
 	ChurnKind string
 	// ChurnRate is the expected membership ops per slot for the generator
 	// kinds (the peak rate for flash/wave); it must be 0 for kind=plan.
@@ -110,7 +106,7 @@ func modeWord(m core.StreamMode) string {
 
 // Validate checks the scenario against the registry: the family must
 // exist, every parameter must be declared and well-typed, the mode must be
-// one the family runs in, and engine/output/check combinations must be
+// one the family runs in, and check/fault/churn combinations must be
 // executable. CLI-built and parsed scenarios go through the same checks.
 func (sc *Scenario) Validate() error {
 	if sc.Scheme == "" {
@@ -143,21 +139,6 @@ func (sc *Scenario) Validate() error {
 	if sc.Slots < 0 {
 		return fmt.Errorf("spec: slots must be >= 0, got %d", sc.Slots)
 	}
-	switch sc.Engine {
-	case "", "slotsim":
-	case "runtime":
-		if sc.MetricsOut != "" || sc.TraceOut != "" || sc.ReportOut != "" {
-			return fmt.Errorf("spec: metrics/trace/report outputs require the slotsim engine (observability is a slotsim feature)")
-		}
-		if sc.Parallel {
-			return fmt.Errorf("spec: parallel is a slotsim directive; it conflicts with engine runtime")
-		}
-		if f.InternalMode {
-			return fmt.Errorf("spec: scheme %s needs the slotsim engine (per-link latency)", sc.Scheme)
-		}
-	default:
-		return fmt.Errorf("spec: unknown engine %q (want slotsim or runtime)", sc.Engine)
-	}
 	if sc.Workers != 0 && !sc.Parallel {
 		return fmt.Errorf("spec: workers is only meaningful with parallel; it would be ignored")
 	}
@@ -185,7 +166,7 @@ var churnKinds = map[string]bool{"plan": true, "poisson": true, "flash": true, "
 
 // validateChurn checks the live-churn half of the scenario: without a kind
 // every churn field must be zero (nothing may be silently ignored); with
-// one, the family, engine, and per-kind parameter rules apply.
+// one, the family and per-kind parameter rules apply.
 func (sc *Scenario) validateChurn(f *Family) error {
 	if sc.ChurnKind == "" {
 		if sc.ChurnRate != 0 || sc.ChurnSeed != 0 || sc.ChurnPolicy != "" ||
@@ -199,9 +180,6 @@ func (sc *Scenario) validateChurn(f *Family) error {
 	}
 	if !f.Caps.LiveChurn {
 		return fmt.Errorf("spec: scheme %s cannot run live churn (no dynamic topology); only churn-capable families (multitree) accept the churn directive", sc.Scheme)
-	}
-	if sc.Engine == "runtime" {
-		return fmt.Errorf("spec: live churn requires the slotsim engine (the runtime engine has no slot barrier to swap the topology at)")
 	}
 	if sc.Check {
 		return fmt.Errorf("spec: check verifies a static schedule; it cannot preflight a topology that mutates mid-run — drop check or the churn directive")
@@ -246,7 +224,6 @@ func (sc *Scenario) validateChurn(f *Family) error {
 //	mode live
 //	packets 12
 //	slots 80
-//	engine runtime
 //	parallel workers=4
 //	check
 //	faults file=chaos.plan seed=7
@@ -325,16 +302,6 @@ func Parse(src string) (*Scenario, error) {
 				sc.Packets = n
 			} else {
 				sc.Slots = n
-			}
-		case "engine":
-			if err := once(ln, directive); err != nil {
-				return nil, err
-			}
-			if len(rest) != 1 || (rest[0] != "slotsim" && rest[0] != "runtime") {
-				return nil, fmt.Errorf("spec: line %d: engine takes exactly one of slotsim, runtime", ln)
-			}
-			if rest[0] != "slotsim" {
-				sc.Engine = rest[0]
 			}
 		case "parallel":
 			if err := once(ln, directive); err != nil {
@@ -449,7 +416,7 @@ func Parse(src string) (*Scenario, error) {
 			sc.TraceOut = a["trace"]
 			sc.ReportOut = a["report"]
 		default:
-			return nil, fmt.Errorf("spec: line %d: unknown directive %q (want scheme, param, mode, packets, slots, engine, parallel, check, faults, churn, or out)", ln, directive)
+			return nil, fmt.Errorf("spec: line %d: unknown directive %q (want scheme, param, mode, packets, slots, parallel, check, faults, churn, or out)", ln, directive)
 		}
 	}
 	if err := sc.Validate(); err != nil {
@@ -553,9 +520,6 @@ func (sc *Scenario) Format() string {
 	}
 	if sc.Slots > 0 {
 		fmt.Fprintf(&b, "slots %d\n", sc.Slots)
-	}
-	if sc.Engine != "" && sc.Engine != "slotsim" {
-		fmt.Fprintf(&b, "engine %s\n", sc.Engine)
 	}
 	if sc.Parallel {
 		if sc.Workers > 0 {

@@ -59,7 +59,6 @@ func TestFormatRoundTrip(t *testing.T) {
 		"scheme cluster\nparam D=3 k=9 tc=5\nslots 200\n",
 		"scheme gossip\nparam seed=42 strategy=pull-newest\n",
 		"scheme multitree\nparam n=30\nfaults file=x.plan\nchurn kind=plan policy=lazy\n",
-		"scheme chain\nparam n=50\nengine runtime\n",
 		"scheme singletree\nparam d=2 n=50\nparallel\ncheck\n",
 		"scheme mdc\nparam rounds=4\n",
 	}
@@ -108,10 +107,10 @@ func TestParseDiagnostics(t *testing.T) {
 		{"scheme multitree\nscheme chain\n", "duplicate scheme directive"},
 		{"scheme multitree\nmode nosuch\n", `unknown mode "nosuch"`},
 		{"scheme multitree\npackets 0\n", "not a positive integer"},
-		{"scheme multitree\nengine turbo\n", "engine takes exactly one of"},
-		{"scheme multitree\nengine runtime\nout report=r.json\n", "require the slotsim engine"},
-		{"scheme multitree\nengine runtime\nparallel\n", "conflicts with engine runtime"},
-		{"scheme cluster\nengine runtime\n", "needs the slotsim engine"},
+		// There is one engine: the directive that chose between two is gone,
+		// whichever it names.
+		{"scheme multitree\nengine runtime\n", `line 2: unknown directive "engine"`},
+		{"scheme multitree\nparam n=30\nengine slotsim\n", `line 3: unknown directive "engine"`},
 		{"scheme multitree\nparallel workers=0\n", "not a positive integer"},
 		{"scheme multitree\nfaults seed=3\n", "missing file="},
 		{"scheme multitree\nfaults file=x.plan bogus=1\n", `unknown argument "bogus"`},
