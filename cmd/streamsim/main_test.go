@@ -2,199 +2,119 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
 	"streamcast/internal/obs"
-	"streamcast/internal/slotsim"
 	"streamcast/internal/spec"
 )
 
-// flagCases gives one representative flag invocation per registered
-// scheme family; TestFlagVsScenarioParity fails if a family has no case,
-// so a newly registered scheme must be added here and is then covered
-// automatically.
-var flagCases = map[string][]string{
-	"multitree":  {"-scheme", "multitree", "-n", "40", "-d", "3", "-construction", "structured", "-mode", "live"},
-	"hypercube":  {"-scheme", "hypercube", "-n", "31", "-d", "1"},
-	"chain":      {"-scheme", "chain", "-n", "25"},
-	"singletree": {"-scheme", "singletree", "-n", "30", "-d", "2", "-mode", "prebuffered"},
-	"cluster":    {"-scheme", "cluster", "-k", "4", "-D", "3", "-tc", "3", "-n", "10", "-d", "2"},
-	"gossip":     {"-scheme", "gossip", "-n", "24", "-d", "3", "-gossip-degree", "4", "-seed", "9"},
-	"mdc":        {"-scheme", "mdc", "-n", "20", "-d", "2", "-rounds", "4"},
-	"randreg":    {"-scheme", "randreg", "-n", "24", "-degree", "3", "-randreg-mode", "pull", "-seed", "5"},
+// removedFlags are the options streamsim once had that restated a scenario
+// directive or parameter (plus -engine and -swaps, deleted with their
+// mechanisms). Each is now the flag package's own unknown-flag error.
+var removedFlags = []string{
+	"scheme", "n", "d", "construction", "mode", "packets", "slots",
+	"k", "D", "tc", "intra", "gossip-degree", "strategy", "degree",
+	"randreg-mode", "seed", "rounds", "check",
+	"metrics-out", "trace-out", "report-out", "faults", "fault-seed",
+	"churn", "churn-rate", "churn-seed", "churn-max", "churn-policy", "churn-slots",
+	"engine", "swaps",
 }
 
-// translate parses args through the CLI flag set and translates them into
-// a scenario.
-func translate(t *testing.T, args []string) *spec.Scenario {
-	t.Helper()
-	c := newCLI(flag.NewFlagSet("streamsim", flag.ContinueOnError))
-	if err := c.fs.Parse(args); err != nil {
-		t.Fatal(err)
-	}
-	sc, err := c.scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sc
-}
-
-// capture runs one scenario and returns its stdout bytes.
-func capture(t *testing.T, sc *spec.Scenario) []byte {
-	t.Helper()
+// invoke runs the command in-process and returns its exit status and output.
+func invoke(args []string, stdin string) (code int, stdout, stderr string) {
 	var out, errOut bytes.Buffer
-	if err := runScenario(sc, &out, &errOut); err != nil {
-		t.Fatalf("runScenario: %v (stderr: %s)", err, errOut.String())
-	}
-	return out.Bytes()
+	code = run(args, strings.NewReader(stdin), &out, &errOut)
+	return code, out.String(), errOut.String()
 }
 
-// fingerprint builds the scenario and runs it with a metrics observer,
-// returning the event-stream fingerprint.
-func fingerprint(t *testing.T, sc *spec.Scenario) string {
-	t.Helper()
-	run, err := spec.Build(sc)
+// TestCLIOverScenarioCorpus runs every spec corpus scenario from its own
+// directory twice — as `-scenario FILE` and as `-scenario -` with the same
+// text on stdin — and demands identical stdout and stderr, so a new family
+// is covered the day its corpus scenario lands. It also pins the usage
+// errors: no scenario, and every removed flag, exit 2.
+func TestCLIOverScenarioCorpus(t *testing.T) {
+	dir, err := filepath.Abs(filepath.Join("..", "..", "internal", "spec", "testdata", "scenarios"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	met := obs.NewMetrics()
-	opt := run.Opt
-	opt.Observer = met
-	if _, err := slotsim.Run(run.Scheme, opt); err != nil {
+	wd, err := os.Getwd()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return met.Fingerprint()
-}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = os.Chdir(wd) })
 
-// TestFlagVsScenarioParity pins the acceptance criterion: for every
-// registered scheme, the flag path and the -scenario path produce the
-// same Scenario value, byte-identical stdout, and identical obs
-// event-stream fingerprints.
-func TestFlagVsScenarioParity(t *testing.T) {
-	for _, f := range spec.Families() {
-		args, ok := flagCases[f.Name]
-		if !ok {
-			t.Errorf("family %q has no flag case; add one to cover the new scheme", f.Name)
-			continue
-		}
-		f := f
-		t.Run(f.Name, func(t *testing.T) {
-			fromFlags := translate(t, args)
-
-			path := filepath.Join(t.TempDir(), "run.scn")
-			if err := os.WriteFile(path, []byte(fromFlags.Format()), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			fromFile, err := spec.Load(path)
+	files, err := filepath.Glob("*.scn")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus scenarios in %s (%v)", dir, err)
+	}
+	for _, name := range files {
+		t.Run(strings.TrimSuffix(name, ".scn"), func(t *testing.T) {
+			text, err := os.ReadFile(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(fromFlags, fromFile) {
-				t.Fatalf("flag and scenario paths disagree:\nflags: %+v\nfile:  %+v", fromFlags, fromFile)
+			fileCode, fileOut, fileErr := invoke([]string{"-scenario", name}, "")
+			if fileCode != 0 {
+				t.Fatalf("-scenario FILE exited %d: %s", fileCode, fileErr)
 			}
-
-			outA := capture(t, fromFlags)
-			outB := capture(t, fromFile)
-			if !bytes.Equal(outA, outB) {
-				t.Errorf("stdout differs:\n-- flags --\n%s-- scenario --\n%s", outA, outB)
-			}
-			if fpA, fpB := fingerprint(t, fromFlags), fingerprint(t, fromFile); fpA != fpB {
-				t.Errorf("fingerprints differ: %s vs %s", fpA, fpB)
+			stdinCode, stdinOut, stdinErr := invoke([]string{"-scenario", "-"}, string(text))
+			if stdinCode != 0 || stdinOut != fileOut || stdinErr != fileErr {
+				t.Errorf("-scenario - differs from -scenario FILE (exit %d)\n-- file stdout --\n%s-- stdin stdout --\n%s-- file stderr --\n%s-- stdin stderr --\n%s",
+					stdinCode, fileOut, stdinOut, fileErr, stdinErr)
 			}
 		})
 	}
-}
 
-// TestFlagTranslationOnlyExplicit checks that defaults never leak into
-// the scenario: an unset flag must not become a parameter, so registry
-// validation sees exactly what the user typed.
-func TestFlagTranslationOnlyExplicit(t *testing.T) {
-	sc := translate(t, []string{"-scheme", "hypercube"})
-	if len(sc.Params) != 0 {
-		t.Fatalf("unset flags leaked into params: %+v", sc.Params)
+	if code, _, stderr := invoke(nil, ""); code != 2 || !strings.Contains(stderr, "usage: streamsim") {
+		t.Errorf("no scenario: exit %d, stderr %q; want 2 and the usage", code, stderr)
 	}
-	if sc.Mode != "" || sc.Packets != 0 {
-		t.Fatalf("unset flags leaked into scenario: %+v", sc)
-	}
-
-	// The satellite regressions: these were silently ignored before.
-	c := newCLI(flag.NewFlagSet("streamsim", flag.ContinueOnError))
-	if err := c.fs.Parse([]string{"-scheme", "hypercube", "-construction", "structured"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.scenario(); err == nil {
-		t.Error("-scheme hypercube -construction structured accepted")
-	}
-	c = newCLI(flag.NewFlagSet("streamsim", flag.ContinueOnError))
-	if err := c.fs.Parse([]string{"-tc", "5"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.scenario(); err == nil {
-		t.Error("-tc 5 without -scheme cluster accepted")
+	for _, name := range removedFlags {
+		code, stdout, stderr := invoke([]string{"-" + name, "1", "-scenario", files[0]}, "")
+		if want := "flag provided but not defined: -" + name; code != 2 || !strings.Contains(stderr, want) || stdout != "" {
+			t.Errorf("-%s: exit %d, stderr %q; want 2 and %q", name, code, stderr, want)
+		}
 	}
 }
 
-// TestChurnFlagScenario: the churn flags translate into the same scenario
-// the churn directive parses to, the two paths print identical reports, and
-// the run report carries the live-churn SLO section.
-func TestChurnFlagScenario(t *testing.T) {
-	fromFlags := translate(t, []string{
-		"-scheme", "multitree", "-n", "20", "-d", "3", "-packets", "18",
-		"-churn", "poisson", "-churn-rate", "0.6", "-churn-seed", "31",
-		"-churn-max", "8", "-churn-policy", "lazy", "-churn-slots", "5..",
-	})
-	want := &spec.Scenario{
-		Scheme: "multitree", Params: map[string]string{"n": "20", "d": "3"}, Packets: 18,
-		ChurnKind: "poisson", ChurnRate: 0.6, ChurnSeed: 31, ChurnMax: 8,
-		ChurnPolicy: "lazy", ChurnBegin: 5,
+// TestPlanChurnNeedsDirective: a fault plan with join/leave events runs only
+// under `churn kind=plan` — without it the run is refused with the plan and
+// the directive named, never silently static.
+func TestPlanChurnNeedsDirective(t *testing.T) {
+	plan := filepath.Join("..", "..", "internal", "faults", "testdata", "corpus", "chaos.plan")
+	text := "scheme multitree\nfaults file=" + plan + "\n"
+	code, stdout, stderr := invoke([]string{"-scenario", "-"}, text)
+	if code != 1 || !strings.Contains(stderr, plan) || !strings.Contains(stderr, "`churn kind=plan`") {
+		t.Fatalf("plan churn without the directive: exit %d, stderr %q", code, stderr)
 	}
-	if !reflect.DeepEqual(fromFlags, want) {
-		t.Fatalf("flag translation: got %+v\nwant %+v", fromFlags, want)
+	if stdout != "" {
+		t.Errorf("a refused run printed a report:\n%s", stdout)
 	}
 
-	path := filepath.Join(t.TempDir(), "run.scn")
-	if err := os.WriteFile(path, []byte(fromFlags.Format()), 0o644); err != nil {
-		t.Fatal(err)
+	code, _, stderr = invoke([]string{"-scenario", "-"}, text+"churn kind=plan\n")
+	if code != 0 {
+		t.Fatalf("plan churn under the directive: exit %d, stderr %q", code, stderr)
 	}
-	fromFile, err := spec.Load(path)
-	if err != nil {
-		t.Fatal(err)
+	if !strings.Contains(stderr, "live churn: 3 ops (2 joins, 1 leaves)") {
+		t.Errorf("stderr lacks the live-churn line for the plan's three events:\n%s", stderr)
 	}
-	if !reflect.DeepEqual(fromFlags, fromFile) {
-		t.Fatalf("flag and scenario paths disagree:\nflags: %+v\nfile:  %+v", fromFlags, fromFile)
-	}
-	if !bytes.Equal(capture(t, fromFlags), capture(t, fromFile)) {
-		t.Error("churn stdout differs between flag and scenario paths")
-	}
+}
 
-	// -churn-policy eager is the canonical default: stored empty, like the
-	// directive's policy=eager.
-	sc := translate(t, []string{"-scheme", "multitree", "-churn", "wave",
-		"-churn-rate", "1", "-churn-policy", "eager"})
-	if sc.ChurnPolicy != "" {
-		t.Fatalf("-churn-policy eager stored as %q, want empty", sc.ChurnPolicy)
-	}
-
-	// A malformed window is a flag error, with the shared parser's message.
-	c := newCLI(flag.NewFlagSet("streamsim", flag.ContinueOnError))
-	if err := c.fs.Parse([]string{"-scheme", "multitree", "-churn", "poisson",
-		"-churn-rate", "1", "-churn-slots", "7"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.scenario(); err == nil {
-		t.Error("-churn-slots 7 accepted; want lo..hi diagnostic")
-	}
-
-	// The run report written by -report-out carries the churn section.
+// TestChurnReportSection: the run report of a live-churn run carries a
+// populated churn section within the d²+d swap bound.
+func TestChurnReportSection(t *testing.T) {
 	repPath := filepath.Join(t.TempDir(), "report.json")
-	withReport := *want
-	withReport.ReportOut = repPath
-	capture(t, &withReport)
+	text := "scheme multitree\nparam n=20 d=3\npackets 18\n" +
+		"churn kind=poisson rate=0.6 seed=31 max=8 policy=lazy slots=5..\n" +
+		"out report=" + repPath + "\n"
+	if code, _, stderr := invoke([]string{"-scenario", "-"}, text); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
 	f, err := os.Open(repPath)
 	if err != nil {
 		t.Fatal(err)
@@ -215,56 +135,21 @@ func TestChurnFlagScenario(t *testing.T) {
 	}
 }
 
-// TestPlanChurnNeedsDirective: a fault plan with join/leave events runs only
-// with -churn plan — without it the run is refused with the plan and the
-// directive named, never silently static — and there is no flag that places
-// position swaps by hand.
-func TestPlanChurnNeedsDirective(t *testing.T) {
-	plan := filepath.Join("..", "..", "internal", "faults", "testdata", "corpus", "chaos.plan")
-	args := []string{"-scheme", "multitree", "-faults", plan}
-	var out, errOut bytes.Buffer
-	err := runScenario(translate(t, args), &out, &errOut)
-	if err == nil || !strings.Contains(err.Error(), plan) || !strings.Contains(err.Error(), "-churn plan") {
-		t.Fatalf("plan churn without -churn plan: got %v", err)
-	}
-	if out.Len() != 0 {
-		t.Errorf("a refused run printed a report:\n%s", out.String())
-	}
-
-	errOut.Reset()
-	if err := runScenario(translate(t, append(args, "-churn", "plan")), &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(errOut.String(), "live churn: 3 ops (2 joins, 1 leaves)") {
-		t.Errorf("stderr lacks the live-churn line for the plan's three events:\n%s", errOut.String())
-	}
-
-	c := newCLI(flag.NewFlagSet("streamsim", flag.ContinueOnError))
-	c.fs.SetOutput(&errOut)
-	if err := c.fs.Parse([]string{"-swaps", "12:5:9"}); err == nil {
-		t.Error("-swaps still parses")
-	}
-}
-
-// TestEngineFlagIsGone: there is one engine, so -engine is the flag
-// package's ordinary unknown-flag error, with no compatibility shim.
-func TestEngineFlagIsGone(t *testing.T) {
-	var errOut bytes.Buffer
-	c := newCLI(flag.NewFlagSet("streamsim", flag.ContinueOnError))
-	c.fs.SetOutput(&errOut)
-	err := c.fs.Parse([]string{"-scheme", "multitree", "-engine", "runtime"})
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -engine") {
-		t.Errorf("-engine runtime: got %v, want the unknown-flag error", err)
-	}
-}
-
-// TestListSchemes keeps the registry listing rendering every family.
+// TestListSchemes: the registry listing renders every family and spells each
+// parameter as the `param` directive a scenario writes.
 func TestListSchemes(t *testing.T) {
-	var buf bytes.Buffer
-	printSchemes(&buf)
+	code, stdout, _ := invoke([]string{"-list-schemes"}, "")
+	if code != 0 {
+		t.Fatalf("-list-schemes exited %d", code)
+	}
 	for _, f := range spec.Families() {
-		if !bytes.Contains(buf.Bytes(), []byte(f.Name)) {
+		if !strings.Contains(stdout, f.Name) {
 			t.Errorf("-list-schemes output missing %q", f.Name)
+		}
+		for _, p := range f.Params {
+			if want := "param " + p.Name + "=" + p.Def + ": "; !strings.Contains(stdout, want) {
+				t.Errorf("-list-schemes output missing %q for %s", want, f.Name)
+			}
 		}
 	}
 }

@@ -32,7 +32,7 @@ func main() {
 	fmt.Println()
 
 	// The composed scheme comes out of the scheme registry, the same
-	// construction path `streamsim -scheme cluster` resolves.
+	// construction path a `scheme cluster` scenario resolves.
 	run, err := spec.Build(spec.ClusterScenario(cfg.K, cfg.D, int(cfg.Tc), cfg.ClusterSize, cfg.Degree, cfg.Construction))
 	if err != nil {
 		log.Fatal(err)

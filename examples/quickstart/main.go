@@ -2,7 +2,8 @@
 // declarative scenario, resolve it through the scheme registry, preflight
 // it with the static verifier, run the slot-synchronous simulator, and
 // print the QoS the paper analyses — playback delay, buffer space, and
-// neighbor count. The same text form works with `streamsim -scenario`.
+// neighbor count. The same text runs from a file or stdin through
+// `streamsim -scenario FILE|-`.
 package main
 
 import (

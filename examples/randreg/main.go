@@ -4,8 +4,8 @@
 // compiles to a steady-state window — while the pull and push modes are
 // seeded gossip protocols whose guarantees are probabilistic; the
 // differential test harness (internal/integration), not a symbolic proof,
-// is what certifies all three. The same scenarios work with
-// `streamsim -scenario` or `streamsim -scheme randreg -randreg-mode pull`.
+// is what certifies all three. The same scenario text runs through
+// `streamsim -scenario -`; `param mode=pull` selects the pull schedule.
 package main
 
 import (

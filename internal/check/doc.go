@@ -39,6 +39,6 @@
 //
 // Entry points: Static runs the verifier with explicit Options;
 // MultiTreeOptions, HypercubeOptions and ClusterOptions derive the right
-// Options (bounds included) for the paper constructions. cmd/streamsim
-// exposes the verifier as the -check preflight flag.
+// Options (bounds included) for the paper constructions. A scenario's
+// check directive runs the verifier as a preflight.
 package check

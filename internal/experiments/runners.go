@@ -313,7 +313,7 @@ func DegreeOptimization(ns []int, maxD int) (*Table, error) {
 // operations cost (swaps against the appendix d²+d bound) next to what
 // playback quality the surviving members saw (hiccups, distinct stalls,
 // rebuffer ratio, time to repair). Every row is a churn-directive Scenario,
-// so the sweep exercises exactly what `streamsim -churn` runs.
+// so the sweep exercises exactly what a `churn kind=poisson` scenario runs.
 func ChurnSurvival(n, d, packets int, rates []float64, seed int64) (*Table, error) {
 	t := &Table{
 		ID:    "churn",
@@ -458,8 +458,8 @@ func LiveModes(ns []int, d int) (*Table, error) {
 
 // SchemeMatrix is the registry-driven sweep: every registered scheme family
 // is run once at a common size through its family-default scenario, so a
-// newly registered family shows up as a comparison row (and in streamsim
-// -list-schemes) without touching the experiments code. Statically
+// newly registered family shows up as a comparison row (and in
+// `streamsim -list-schemes`) without touching the experiments code. Statically
 // checkable families are verified before they are measured.
 func SchemeMatrix(n int) (*Table, error) {
 	t := &Table{

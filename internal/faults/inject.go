@@ -29,7 +29,7 @@ type Injector struct {
 }
 
 // NewInjector validates the plan and builds its injector. An explicit seed
-// override (from a CLI -fault-seed flag, say) is applied by mutating
+// override (from a scenario's `faults seed=`, say) is applied by mutating
 // Plan.Seed before this call.
 func NewInjector(p *Plan) (*Injector, error) {
 	if err := p.Validate(); err != nil {

@@ -499,10 +499,12 @@ func (e *engine) holds(id core.NodeID, p core.Packet, t core.Slot) bool {
 	if p >= e.maxPkt {
 		return false
 	}
-	a := e.arr[int(p)*e.stride+int(id)]
-	// a stores arrival+1; the packet is forwardable from the slot after its
-	// arrival, i.e. when arrival < t  ⇔  a ≤ t.
-	return a != unset32 && core.Slot(a) <= t
+	// A packet is forwardable from the slot after its arrival, so holding it
+	// at t means arrival < t. Any recorded arrival already satisfies that:
+	// deliver writes a cell only at the end of its slot, after that slot's
+	// sends were validated, and slots run in increasing order, so every cell
+	// read here predates the slot being validated. Recorded is enough.
+	return e.arr[int(p)*e.stride+int(id)] != unset32
 }
 
 // validateSends checks sender-side constraints for the slot's transmissions.

@@ -113,7 +113,7 @@ func BuildWithPlan(sc *Scenario, plan *faults.Plan) (*Run, error) {
 		if sc.ChurnKind != "" {
 			has = "churn kind=" + sc.ChurnKind + ", which generates its own"
 		}
-		return nil, fmt.Errorf("spec: %s carries join/leave events, which fire only under `churn kind=plan` (streamsim -churn plan), and this run has %s; set the directive or strip the plan's join/leave lines",
+		return nil, fmt.Errorf("spec: %s carries join/leave events, which fire only under `churn kind=plan`, and this run has %s; set the directive or strip the plan's join/leave lines",
 			source, has)
 	}
 	if !planChurn && sc.ChurnKind == faults.ChurnPlan {

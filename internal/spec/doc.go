@@ -6,8 +6,8 @@
 // horizon, engine, fault plan, preflight, and observability outputs.
 // Parse reads the text form with line-precise diagnostics and rejects
 // anything a run would silently ignore — an undeclared parameter, a mode
-// a family cannot run in, a -check on a family that is not statically
-// checkable. Format renders the canonical form; Parse(Format(sc))
+// a family cannot run in, a check directive on a family that is not
+// statically checkable. Format renders the canonical form; Parse(Format(sc))
 // reproduces sc exactly (FuzzScenario pins the round trip).
 //
 // Each family (multitree, hypercube, chain, singletree, cluster, gossip,

@@ -27,8 +27,7 @@ const (
 // declared here is rejected by scenario validation — a parameter can never
 // be silently ignored.
 type Param struct {
-	// Name is the key used in "param name=value" directives and as the
-	// streamsim flag name.
+	// Name is the key used in "param name=value" directives.
 	Name string
 	// Kind selects the value syntax.
 	Kind Kind
@@ -38,7 +37,7 @@ type Param struct {
 	Min int
 	// Enum lists the allowed values for Enum parameters.
 	Enum []string
-	// Doc is the one-line description shown by streamsim -list-schemes.
+	// Doc is the one-line description `streamsim -list-schemes` shows.
 	Doc string
 }
 
@@ -72,8 +71,8 @@ func (p Param) validate(v string) error {
 // what the rest of the toolchain may assume without constructing anything.
 type Capabilities struct {
 	// StaticCheck means internal/check can verify the family's schedule;
-	// -check on a family without it fails fast instead of producing
-	// spurious verifier output.
+	// the check directive on a family without it fails fast instead of
+	// producing spurious verifier output.
 	StaticCheck bool
 	// Periodic means the family's schemes implement core.PeriodicScheme
 	// and are eligible for schedule compilation.
@@ -127,7 +126,7 @@ type churnSpec struct {
 
 // buildInput is what a family builder receives: resolved parameters, the
 // resolved stream mode and packet window, the loaded fault plan (nil
-// without -faults / a faults directive), and the live-churn spec (nil
+// without a faults directive), and the live-churn spec (nil
 // without a churn directive).
 type buildInput struct {
 	Values  Values
@@ -157,12 +156,12 @@ type buildOutput struct {
 }
 
 // Family is one registered scheme family: the single construction path for
-// its schemes. CLI flags, scenario files, experiment sweeps, checks, and
-// the integration suites all go through the family's builder.
+// its schemes. Scenario text, experiment sweeps, checks, and the
+// integration suites all go through the family's builder.
 type Family struct {
 	// Name is the scheme name ("multitree", "hypercube", ...).
 	Name string
-	// Doc is a one-line description for -list-schemes.
+	// Doc is a one-line description for `streamsim -list-schemes`.
 	Doc string
 	// Params declares every accepted parameter.
 	Params []Param

@@ -107,7 +107,8 @@ func modeWord(m core.StreamMode) string {
 // Validate checks the scenario against the registry: the family must
 // exist, every parameter must be declared and well-typed, the mode must be
 // one the family runs in, and check/fault/churn combinations must be
-// executable. CLI-built and parsed scenarios go through the same checks.
+// executable. Scenarios built as values and parsed ones go through the same
+// checks.
 func (sc *Scenario) Validate() error {
 	if sc.Scheme == "" {
 		return fmt.Errorf("spec: no scheme selected")
@@ -424,11 +425,6 @@ func Parse(src string) (*Scenario, error) {
 	}
 	return sc, nil
 }
-
-// ParseChurnWindow parses the "lo..hi" / "lo.." churn window syntax shared
-// by the churn directive and streamsim's -churn-slots flag, so the two
-// invocation paths accept byte-identical window spellings.
-func ParseChurnWindow(v string) (lo, hi int, err error) { return parseChurnWindow(v) }
 
 // parseChurnWindow parses the churn directive's "lo..hi" / "lo.." window
 // forms (mirroring fault-rule windows). An explicit end must be a positive

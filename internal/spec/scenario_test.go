@@ -131,8 +131,8 @@ func TestParseDiagnostics(t *testing.T) {
 	}
 }
 
-// TestValidateCLIShapes covers the validations the CLI path relies on for
-// scenarios built from flags rather than parsed from text.
+// TestValidateCLIShapes covers the validations that scenarios built as values
+// rather than parsed from text rely on.
 func TestValidateCLIShapes(t *testing.T) {
 	sc := &Scenario{Scheme: "multitree", Workers: 4}
 	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "workers is only meaningful with parallel") {
