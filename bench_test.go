@@ -314,6 +314,24 @@ func BenchmarkSlotEngineScale(b *testing.B) {
 	}
 }
 
+// BenchmarkSlotEngineCold is the wide-window scale row on a fresh Runner per
+// iteration, so its B/op counts everything a run sizes for itself — the
+// arrival ledger included — where SlotEngineScale's warmed Runner hides it.
+// `make bench-gate` holds it to its bytes: a cell-free run that wrote an int32
+// cell per node per window packet would add 4·31 001·600 B ≈ 74 MB to it.
+func BenchmarkSlotEngineCold(b *testing.B) {
+	s := benchScheme(b, spec.MultiTreeScenario(31000, 4, multitree.Greedy, core.PreRecorded)).(*multitree.Scheme)
+	opt := slotsim.Options{Slots: core.Slot(s.Tree.Height()*4 + 24 + 600), Packets: 600}
+	b.Run("multitree-N31000-P600", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := slotsim.NewRunner().Run(s, opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkObserverOverhead measures the cost of the observability layer
 // on the sequential engine: no observer (the fast path every pre-existing
 // caller stays on), the Metrics collector, the JSONL trace writer over

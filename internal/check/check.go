@@ -221,8 +221,8 @@ func Static(s core.Scheme, opt Options) (*Report, error) {
 
 // arrivalFits refuses, before anything is allocated, a verification whose
 // arrival matrix — one int32 cell per node per packet the source could emit
-// in the horizon — would exceed core.MaxArrivalCells, with the sized error
-// the engine returns for the same run. The size is computed in float64:
+// in the horizon — would exceed core.MaxArrivalCells, with a sized error
+// worded like the engine's for the same run. The size is computed in float64:
 // exact far past the ceiling, and a hostile horizon × population cannot
 // overflow it.
 func arrivalFits(s core.Scheme, opt Options) error {
@@ -230,8 +230,8 @@ func arrivalFits(s core.Scheme, opt Options) error {
 	rows := max((float64(opt.Horizon)+1)*float64(srcCap), float64(opt.Packets))
 	if need := float64(n+1) * rows; need > core.MaxArrivalCells {
 		const gib = 1 << 30
-		return fmt.Errorf("check: arrival matrix too large: N=%d nodes × %.0f packet rows needs %.1f GiB, over the %d GiB ceiling (core.MaxArrivalCells); shorten the horizon (%d slots) or the population",
-			n, rows, need*4/gib, core.MaxArrivalCells*4/gib, opt.Horizon)
+		return fmt.Errorf("check: arrival matrix too large: N=%d nodes × %.0f packet rows would allocate %.1f GiB of int32 cells, over the %d-cell ceiling (core.MaxArrivalCells); shorten the horizon (%d slots) or the population",
+			n, rows, need*4/gib, core.MaxArrivalCells, opt.Horizon)
 	}
 	return nil
 }

@@ -41,11 +41,14 @@ const (
 	maxCompiledTransmissions = 1 << 26
 )
 
-// MaxArrivalCells is the companion ceiling on the engine's arrival matrix
-// (one int32 cell per node per tracked packet, so 4 GiB): a run whose
-// horizon × population asks for more is refused up front with a sized error
-// instead of dying in the allocator. The million-node hypercube uses under a
-// twentieth of it.
+// MaxArrivalCells is the companion ceiling on the (node, tracked packet) cells
+// a run may track: a run whose horizon × population asks for more is refused
+// up front with an error that states what it would allocate, instead of dying
+// in the allocator. What a cell costs depends on who tracks it: the slot engine
+// keeps a presence bit per cell (128 MiB at the ceiling) and int32 arrival
+// slots only for the window of a run that reads them; check.Static keeps an
+// int32 per cell (4 GiB at the ceiling). The million-node hypercube uses under
+// a twentieth of it.
 const MaxArrivalCells = 1 << 30
 
 // CompiledScheme is a snapshot of a periodic schedule. Transmissions(t)

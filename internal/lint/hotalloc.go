@@ -6,7 +6,7 @@ import (
 )
 
 // hotFuncs are the slotsim functions on the per-slot execution path: they run
-// once per slot (or once per run for finish/maxBuffer) and must not allocate
+// once per slot (or once per run for finish and its helpers) and must not allocate
 // maps — the zero-alloc engine contract that the scratch/Runner design
 // establishes. Slice appends are allowed (they reuse pooled backing arrays);
 // map allocation is always a regression here because map storage cannot be
@@ -19,6 +19,9 @@ var hotFuncs = map[string]bool{
 	"filterUnavailable": true,
 	"pendingArrivals":   true,
 	"holds":             true,
+	"has":               true,
+	"record":            true,
+	"growSlots":         true,
 	"sendCapOf":         true,
 	"recvCapOf":         true,
 	"observeFail":       true,
@@ -27,6 +30,9 @@ var hotFuncs = map[string]bool{
 	"enqueue":           true,
 	"drain":             true,
 	"finish":            true,
+	"finishBits":        true,
+	"arrivedBy":         true,
+	"finishCells":       true,
 	"maxBuffer":         true,
 }
 

@@ -28,8 +28,9 @@ func steadyCase(t *testing.T, n, d int) (core.Scheme, slotsim.Options) {
 // TestSteadyStateAllocFree pins the engine's zero-allocation hot path: on a
 // warmed Runner, running the same compiled scheme over a longer horizon must
 // cost exactly as many allocations as the shorter one — i.e. the extra slots
-// allocate nothing. (The fixed per-run cost — the returned Result — is the
-// same in both and cancels out.)
+// allocate nothing. The fixed per-run cost is the returned Result and its
+// three per-node slices: a cell-free run's finish reads its window from the
+// Runner's bits and allocates nothing else.
 func TestSteadyStateAllocFree(t *testing.T) {
 	s, opt := steadyCase(t, 2000, 4)
 	long := opt
@@ -53,5 +54,8 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	})
 	if ext > base {
 		t.Errorf("64 extra slots cost %.0f allocations (%.0f vs %.0f): the per-slot path is not allocation-free", ext-base, ext, base)
+	}
+	if base > 4 {
+		t.Errorf("a warmed cell-free run made %.0f allocations, want 4 (the Result and its three slices)", base)
 	}
 }

@@ -47,23 +47,6 @@ func (e *engine) churnStep(t core.Slot) (bool, error) {
 	return true, nil
 }
 
-// resetNode wipes the engine state of one node id so it can be reassigned to
-// a joining member: the member ids of the multi-tree family recycle through
-// dummy revival, and the new occupant must not inherit the previous
-// occupant's arrivals (it would otherwise appear to hold — and forward —
-// packets it never received). In-flight transmissions addressed to the id
-// are purged for the same reason.
-func (e *engine) resetNode(id core.NodeID) {
-	for p := 0; p < int(e.maxPkt); p++ {
-		e.arr[p*e.stride+int(id)] = unset32
-	}
-	lag := noLag
-	e.cursor[id] = uint64(uint32(lag)) << 32
-	if e.ring != nil {
-		e.ring.purgeTo(id)
-	}
-}
-
 // refreshTopology revalidates the engine's pre-sized invariants after a
 // topology epoch bump. The struct-of-arrays state is sized to the churn
 // ceiling at run start, so growth within the ceiling is free; growth beyond

@@ -16,11 +16,12 @@
 //
 // Internally the engine is struct-of-arrays (see PERFORMANCE.md): there are
 // no per-node structs or per-node maps. Every per-node quantity — the
-// packed arrival matrix, source-occupancy bitmap, epoch-stamped capacity
-// counters, and playback cursors — lives in a flat array indexed by NodeID
-// inside a reusable scratch arena, which is what lets one engine span
-// N=10 and N=10^6 with a per-slot path that performs no allocations and no
-// O(N) clears.
+// arrival ledger (a presence bit per node per tracked packet, plus either
+// int32 window cells or a bit per node per slot; ledger.go), epoch-stamped
+// capacity counters, and playback cursors — lives in a flat array indexed
+// by NodeID inside a reusable scratch arena, which is what lets one engine
+// span N=10 and N=10^6 with a per-slot path that performs no allocations
+// and no O(N) clears.
 //
 // Entry points:
 //
@@ -30,8 +31,10 @@
 //     under the Figure 5 playback convention and missing-packet counts. The
 //     arrival times themselves — and the hiccup accounting read off them —
 //     are kept only for a run that sets Options.Arrivals (Arrivals.At, Row
-//     and Hiccups, over a compact int32 matrix). The model is lock-step, so
-//     a slot is O(N) array traffic between two hard barriers;
+//     and Hiccups, over a compact int32 matrix); a run that sets neither it
+//     nor RecvCap reads its buffer peaks off one bit per node per slot. The
+//     model is lock-step, so a slot is O(N) array traffic between two hard
+//     barriers;
 //     PERFORMANCE.md records why sharding it across workers was measured
 //     and removed. Options.Slots is an upper bound: a Result depends on
 //     the window's arrivals alone, so a bare run

@@ -60,8 +60,10 @@ type Options struct {
 	// Arrivals, if non-nil, asks the run to keep the window's arrival cells:
 	// on success it is overwritten with a matrix the caller owns. A Result
 	// holds only per-node summaries, so a reader of single cells (Hiccups,
-	// PlaybackSLO, mdc.RoundQuality) sets this and every other run skips the
-	// 4·(N+1)·Packets bytes.
+	// PlaybackSLO, mdc.RoundQuality) sets this. A run that sets neither this
+	// nor RecvCap writes no int32 cell at all, not even to scratch: it tracks
+	// its window in bits (ledger.go) and never holds the 4·(N+1)·Packets
+	// bytes.
 	Arrivals *Arrivals
 	// AllowDuplicates, if set, tolerates a node receiving the same packet
 	// twice (the duplicate is dropped but still consumes receive capacity).
@@ -223,8 +225,7 @@ func (r *Result) WorstBuffer() int {
 
 // engine holds the mutable state of a run. All per-node state is
 // struct-of-arrays (see soa.go and PERFORMANCE.md): flat arrays indexed by
-// NodeID, with the arrival matrix flattened to one int32 array of stride
-// maxPkt.
+// NodeID, with the arrival ledger (ledger.go) in packed bit and int32 arrays.
 type engine struct {
 	opt Options
 	// dyn is the run's dynamic scheme view, set only under Options.Churn;
@@ -232,21 +233,29 @@ type engine struct {
 	dyn    core.DynamicScheme
 	n      int
 	maxPkt core.Packet // tracking bound for arrivals (window + slack)
-	stride int         // row stride of the flat arrival matrix (= n+1)
-	// arr is the packed arrival matrix, packet-major: arr[p·stride+id] holds
-	// the arrival slot + 1 of packet p at node id, or unset32 (0). Rows are
+	// have is the presence bitset, packet-major: bit id of row p (words
+	// uint64s from p·words) is set once node id holds packet p. Rows are
 	// packets because a slot moves only a few distinct packets across many
-	// nodes, so packet-major turns each slot's matrix traffic into
+	// nodes, so packet-major turns each slot's ledger traffic into
 	// near-sequential walks of a handful of rows; node-major would make
 	// every access a random probe at large N. Each write marks the packet's
 	// bit in dirtyRows so the next run clears only the rows this run touched.
-	arr       []int32
-	dirtyRows []uint64     // bitmap of arrival-matrix (packet) rows written this run
-	sendCap   CapacityFunc // custom only; nil when sendTab is active
-	recvCap   CapacityFunc // custom only; nil when recvTab is active
-	latency   LatencyFunc  // nil on the fast path (no latency, no injector)
-	sendTab   []int32      // precomputed default send capacities
-	recvTab   []int32      // precomputed default receive capacities
+	have      []uint64
+	words     int      // uint64 words per presence or slot row (= ⌈(n+1)/64⌉)
+	dirtyRows []uint64 // bitmap of presence (packet) rows written this run
+	// cells holds a cell run's window arrivals, packet-major with row stride
+	// n+1: cells[p·stride+id] is the arrival slot + 1 of window packet p at
+	// node id, or unset32 (0). nil on a cell-free run, which keeps slots
+	// instead: bit id of row t (words uint64s from t·words) is set when a
+	// window packet reached node id at the end of slot t.
+	cells   []int32
+	stride  int
+	slots   []uint64
+	sendCap CapacityFunc // custom only; nil when sendTab is active
+	recvCap CapacityFunc // custom only; nil when recvTab is active
+	latency LatencyFunc  // nil on the fast path (no latency, no injector)
+	sendTab []int32      // precomputed default send capacities
+	recvTab []int32      // precomputed default receive capacities
 	// fast marks a run with no LatencyFunc and no Injector: every link takes
 	// exactly 1 slot, so routing bypasses the in-flight ring entirely.
 	fast bool
@@ -347,36 +356,18 @@ func newEngine(s core.Scheme, opt Options, sc *scratch, pktBound core.Packet) (*
 	if maxPkt < opt.Packets {
 		maxPkt = opt.Packets
 	}
-	need := satMul(n+1, int(maxPkt))
-	if need > core.MaxArrivalCells {
+	// A run keeps int32 window cells only where something reads them
+	// (ledger.go); every other run summarises its window from bits.
+	var cellRows core.Packet
+	if opt.Arrivals != nil || opt.RecvCap != nil {
+		cellRows = opt.Packets
+	}
+	if satMul(n+1, int(maxPkt)) > core.MaxArrivalCells {
 		const gib = 1 << 30
-		return nil, fmt.Errorf("slotsim: arrival matrix too large: N=%d nodes × %d packet rows needs %.1f GiB, over the %d GiB ceiling (core.MaxArrivalCells); shorten the horizon (%d slots) or the population",
-			n, maxPkt, float64(need)*4/gib, core.MaxArrivalCells*4/gib, opt.Slots)
+		return nil, fmt.Errorf("slotsim: arrival matrix too large: N=%d nodes × %d packet rows would allocate up to %.1f GiB of arrival bits and cells, over the %d-cell ceiling (core.MaxArrivalCells); shorten the horizon (%d slots) or the population",
+			n, maxPkt, arrivalBytes(n, maxPkt, cellRows, opt.Slots)/gib, core.MaxArrivalCells, opt.Slots)
 	}
-	// Undo the previous run's arrival writes against the old backing, then
-	// resize. A grown matrix is freshly allocated and therefore all-unset
-	// (unset32 is the zero value); a reused one is made all-unset here by
-	// clearing exactly the packet rows the dirty bitmap marks, each one
-	// contiguous memclr of the previous run's row stride.
-	if cap(sc.arr) < need {
-		// The matrix will be freshly allocated; just forget the old writes.
-		clear(sc.dirtyRows)
-	} else {
-		for w, set := range sc.dirtyRows {
-			if set == 0 {
-				continue
-			}
-			sc.dirtyRows[w] = 0
-			for set != 0 {
-				p := w<<6 + bits.TrailingZeros64(set)
-				set &= set - 1
-				clear(sc.arr[p*sc.prevStride : (p+1)*sc.prevStride])
-			}
-		}
-	}
-	sc.arr = grownInt32s(sc.arr, need)
-	sc.dirtyRows = grownU64s(sc.dirtyRows, (int(maxPkt)+63)/64)
-	sc.prevStride = n + 1
+	sc.resetLedger(n, maxPkt, cellRows)
 
 	// The packed epoch-stamped counters need no initialization: a stale
 	// stamp is an already-spent tick and reads as count zero.
@@ -396,9 +387,10 @@ func newEngine(s core.Scheme, opt Options, sc *scratch, pktBound core.Packet) (*
 		dyn:       dyn,
 		n:         n,
 		maxPkt:    maxPkt,
-		stride:    n + 1,
-		arr:       sc.arr,
+		have:      sc.have,
+		words:     sc.words,
 		dirtyRows: sc.dirtyRows,
+		stride:    n + 1,
 		fast:      fast,
 		direct:    fast && opt.Observer == nil && opt.Drop == nil,
 		pending:   n,
@@ -409,6 +401,11 @@ func newEngine(s core.Scheme, opt Options, sc *scratch, pktBound core.Packet) (*
 		obs:       opt.Observer,
 	}
 	e := &sc.eng
+	if cellRows > 0 {
+		e.cells = sc.cells
+	} else {
+		e.slots = sc.slots[:0]
+	}
 	if opt.SendCap == nil || opt.RecvCap == nil {
 		// The default capacity tables are pure functions of (n, srcCap), so
 		// repeated runs of same-shaped schemes skip the O(N) refill.
@@ -485,28 +482,6 @@ func (e *engine) observeFail(err error) error {
 	return err
 }
 
-// holds reports whether the node can transmit packet p during slot t.
-func (e *engine) holds(id core.NodeID, p core.Packet, t core.Slot) bool {
-	if p < 0 {
-		return false
-	}
-	if id == core.SourceID {
-		if e.opt.Mode == core.Live {
-			return core.Slot(int(p)) <= t
-		}
-		return true
-	}
-	if p >= e.maxPkt {
-		return false
-	}
-	// A packet is forwardable from the slot after its arrival, so holding it
-	// at t means arrival < t. Any recorded arrival already satisfies that:
-	// deliver writes a cell only at the end of its slot, after that slot's
-	// sends were validated, and slots run in increasing order, so every cell
-	// read here predates the slot being validated. Recorded is enough.
-	return e.arr[int(p)*e.stride+int(id)] != unset32
-}
-
 // validateSends checks sender-side constraints for the slot's transmissions.
 func (e *engine) validateSends(t core.Slot, txs []core.Transmission) error {
 	tick := e.nextTick()
@@ -534,11 +509,8 @@ func (e *engine) validateSends(t core.Slot, txs []core.Transmission) error {
 }
 
 // noteDelivery advances the playback cursors for a window packet that was
-// just written to the arrival matrix.
+// just recorded.
 func (e *engine) noteDelivery(id core.NodeID, p core.Packet, t core.Slot) {
-	if p >= e.opt.Packets {
-		return
-	}
 	cur := e.cursor[id]
 	got := uint32(cur) + 1
 	worst := int32(uint32(cur >> 32))
@@ -575,8 +547,7 @@ func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) error {
 			}
 			continue
 		}
-		idx := int(tx.Packet)*e.stride + int(tx.To)
-		if e.arr[idx] != unset32 {
+		if e.has(tx.To, tx.Packet) {
 			if !e.opt.AllowDuplicates {
 				return &Violation{t, "duplicate packet", tx}
 			}
@@ -585,9 +556,7 @@ func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) error {
 			}
 			continue
 		}
-		e.arr[idx] = int32(t) + 1
-		e.dirtyRows[int(tx.Packet)>>6] |= 1 << (uint(tx.Packet) & 63)
-		e.noteDelivery(tx.To, tx.Packet, t)
+		e.record(tx.To, tx.Packet, t)
 		if e.obs != nil {
 			e.obs.Deliver(t, tx, false)
 		}
@@ -705,156 +674,4 @@ func (e *engine) pendingArrivals(t core.Slot) []core.Transmission {
 		sameSlot = e.ring.drain(t, sameSlot)
 	}
 	return sameSlot
-}
-
-// finishTile is how many node ids finish gathers at a time. A tile's rows
-// (finishTile·Packets int32s, 150 KB at 600 packets) should stay in L2 while
-// every window packet row contributes its finishTile-wide run to them; a run of
-// 64 int32s is 256 contiguous bytes of the packet-major source, enough to use
-// the cache lines it fetches. Measured on the dense benchmark shape, 16–64 are
-// within noise of each other and 128 and up are a fifth slower.
-const finishTile = 64
-
-// finish computes the Result after the last slot. The playback cursors
-// maintained at delivery time supply StartDelay, Missing and SlotsUsed
-// directly; only the per-node buffer-occupancy scan still walks the window.
-func (e *engine) finish() (*Result, error) {
-	np := int(e.opt.Packets)
-	r := &Result{
-		N:          e.n,
-		Packets:    e.opt.Packets,
-		StartDelay: make([]core.Slot, e.n+1),
-		MaxBuffer:  make([]int, e.n+1),
-		Missing:    make([]int, e.n+1),
-	}
-	if m := core.Slot(e.sc.maxArr); m > r.SlotsUsed {
-		r.SlotsUsed = m
-	}
-	// Indexable by every arrival slot: none is later than maxArr.
-	counts := grownInts(e.sc.counts, int(e.sc.maxArr)+1)
-	e.sc.counts = counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	// The scratch matrix is packet-major and the occupancy scan walks one
-	// node's packets, so the window is transposed — a tile of ids at a time:
-	// cell by cell would write with a stride of one output row, a cache miss
-	// per cell, where each packet row's run for a tile lands in rows still
-	// cached from the previous packet, and the tile's metrics are computed
-	// before those rows are evicted. A tile is gathered into one reused buffer
-	// and forgotten; only a run that asked for its cells writes them to the
-	// heap, into a node-major matrix that stays valid after the Runner's
-	// buffers are recycled. It keeps the scratch encoding (slot+1, 0 = never
-	// arrived): the fresh allocation is already all-unset and half the size of
-	// a core.Slot matrix.
-	var cells []int32
-	if e.opt.Arrivals != nil {
-		cells = make([]int32, (e.n+1)*np)
-	} else {
-		e.sc.tile = grownInt32s(e.sc.tile, finishTile*np)
-	}
-	for lo := 0; lo <= e.n; lo += finishTile {
-		hi := min(lo+finishTile, e.n+1)
-		first := max(lo, 1)
-		if receivedNone(e.cursor[lo:hi]) {
-			// No id of the tile received a window packet — the join headroom of
-			// a live-churn run is thousands of such ids — so its cells are the
-			// zeros already there and its metrics need no scan.
-			if !e.opt.AllowIncomplete {
-				return nil, fmt.Errorf("slotsim: node %d never received packet 0 within %d slots", first, e.opt.Slots)
-			}
-			for id := first; id < hi; id++ {
-				r.Missing[id] = np
-			}
-			continue
-		}
-		out := e.sc.tile
-		if cells != nil {
-			out = cells[lo*np:]
-		}
-		for j := 0; j < np; j++ {
-			o := j
-			for _, a := range e.arr[j*e.stride+lo : j*e.stride+hi] {
-				out[o] = a
-				o += np
-			}
-		}
-		for id := first; id < hi; id++ {
-			row := out[(id-lo)*np : (id-lo+1)*np]
-			cur := e.cursor[id]
-			got := int(uint32(cur))
-			if got < np {
-				if !e.opt.AllowIncomplete {
-					for j, a := range row {
-						if a == unset32 {
-							return nil, fmt.Errorf("slotsim: node %d never received packet %d within %d slots", id, j, e.opt.Slots)
-						}
-					}
-				}
-				r.Missing[id] = np - got
-			}
-			if worst := int32(uint32(cur >> 32)); worst != noLag {
-				r.StartDelay[id] = core.Slot(worst)
-			}
-			r.MaxBuffer[id] = maxBuffer(row, r.StartDelay[id], counts)
-		}
-	}
-	r.SlotsUsed++
-	if cells != nil {
-		*e.opt.Arrivals = Arrivals{packets: e.opt.Packets, cells: cells}
-	}
-	return r, nil
-}
-
-// receivedNone reports whether no id of a run of playback cursors received a
-// window packet: every received-count half is zero.
-func receivedNone(cursors []uint64) bool {
-	for _, cur := range cursors {
-		if uint32(cur) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// maxBuffer computes the peak buffer occupancy for one node: packet j
-// occupies the buffer from the end of its arrival slot through the end of
-// slot start+j (its playback slot), inclusive; a packet that arrives in its
-// own playback slot is counted exactly once. Occupancy is sampled at the
-// end of every slot, so a packet played during slot t still counts at the
-// end of t; this matches the paper's "store 2 packets" accounting for the
-// hypercube scheme (one being consumed plus one being disseminated).
-//
-// arrival is one node's window in the packed encoding (slot + 1; 0 = never
-// arrived). counts is a caller-owned scratch slice, all zero on entry and
-// indexable by every arrival slot; maxBuffer re-zeroes each entry it touches,
-// so the slice is all zero again on return and reusable for the next node.
-func maxBuffer(arrival []int32, start core.Slot, counts []int) int {
-	var end int32 // latest arrival slot + 1
-	for _, a := range arrival {
-		if a == unset32 {
-			continue
-		}
-		counts[a-1]++
-		if a > end {
-			end = a
-		}
-	}
-	peak, have := 0, 0
-	for t := core.Slot(0); t < core.Slot(end); t++ {
-		have += counts[t]
-		counts[t] = 0
-		// Packets fully played (playback slot strictly before t) are gone.
-		played := int(t - start)
-		if played < 0 {
-			played = 0
-		}
-		if played > len(arrival) {
-			played = len(arrival)
-		}
-		if occ := have - played; occ > peak {
-			peak = occ
-		}
-	}
-	return peak
 }

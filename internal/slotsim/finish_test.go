@@ -2,6 +2,7 @@ package slotsim
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"runtime"
 	"slices"
@@ -94,12 +95,12 @@ func finishCase(t testing.TB, kind string, n int, packets core.Packet) (core.Sch
 	return multitree.NewScheme(m, core.PreRecorded), opt
 }
 
-// TestFinishMatchesCellwise holds the blocked epilogue to a naive reading of
-// the scratch matrix, one cell at a time, at node counts on both sides of a
-// tile boundary and windows from one packet to hundreds. Every case is
-// summarised twice from the same engine state — tiles gathered into the reused
-// scratch, then into a matrix the run keeps — and the two must agree on every
-// metric, with the kept cells equal to the scratch matrix.
+// TestFinishMatchesCellwise holds both ledgers to a naive reading of the kept
+// cells, at node counts on both sides of a tile boundary and windows from one
+// packet to hundreds. Every case runs twice on fresh Runners — cell-free, which
+// summarises its window from bits, then keeping its cells — and the two Results
+// must be identical, with every metric equal to what the cells say one by one
+// and every MaxBuffer to the reference scan's.
 func TestFinishMatchesCellwise(t *testing.T) {
 	for _, kind := range []string{"clean", "drops", "churn"} {
 		lost := 0
@@ -107,44 +108,43 @@ func TestFinishMatchesCellwise(t *testing.T) {
 			for _, packets := range []core.Packet{1, 7, 600} {
 				name := fmt.Sprintf("%s/N%d/P%d", kind, n, packets)
 				s, opt := finishCase(t, kind, n, packets)
-				e, err := NewRunner().runSlots(s, opt)
+				receivers := s.NumReceivers()
+				bare, err := NewRunner().Run(s, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				bare, err := e.finish()
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
+				s, opt = finishCase(t, kind, n, packets) // churn mutated the first scheme
 				cells := new(Arrivals)
-				e.opt.Arrivals = cells
-				res, err := e.finish()
+				opt.Arrivals = cells
+				res, err := NewRunner().Run(s, opt)
 				if err != nil {
 					t.Fatalf("%s: keeping cells: %v", name, err)
 				}
 				if !reflect.DeepEqual(bare, res) {
 					t.Fatalf("%s: Result differs between a run that kept its cells and one that did not", name)
 				}
-				if kind == "churn" {
-					if e.n <= s.NumReceivers() {
-						t.Fatalf("%s: engine sized for %d ids, scheme has %d: the padded-id case is vacuous", name, e.n, s.NumReceivers())
-					}
-					lo := (e.n + 1 - finishTile) / finishTile * finishTile // the last whole tile
-					if !receivedNone(e.cursor[lo : lo+finishTile]) {
-						t.Fatalf("%s: ids %d..%d received packets: the empty-tile case is vacuous", name, lo, lo+finishTile-1)
-					}
+				if res.Packets != packets || len(res.StartDelay) != res.N+1 {
+					t.Fatalf("%s: Result shape N=%d Packets=%d len(StartDelay)=%d", name, res.N, res.Packets, len(res.StartDelay))
 				}
-				if res.N != e.n || res.Packets != packets || len(res.StartDelay) != e.n+1 {
-					t.Fatalf("%s: Result shape N=%d Packets=%d len(StartDelay)=%d, engine n=%d", name, res.N, res.Packets, len(res.StartDelay), e.n)
+				if kind == "churn" {
+					if res.N <= receivers {
+						t.Fatalf("%s: run sized for %d ids, scheme has %d: the padded-id case is vacuous", name, res.N, receivers)
+					}
+					lo := (res.N + 1 - finishTile) / finishTile * finishTile // the last whole tile
+					for id := lo; id < lo+finishTile; id++ {
+						if res.Missing[id] != int(packets) {
+							t.Fatalf("%s: id %d of tile %d..%d received packets: the empty-tile case is vacuous", name, id, lo, lo+finishTile-1)
+						}
+					}
+				} else if res.N != receivers {
+					t.Fatalf("%s: Result N=%d, scheme has %d receivers", name, res.N, receivers)
 				}
 				missing := 0
-				for id := 0; id <= e.n; id++ {
+				for id := 0; id <= res.N; id++ {
 					row := make([]core.Slot, packets)
 					lag, miss := core.Slot(noLag), 0
 					for j := range row {
-						row[j] = core.Slot(e.arr[j*e.stride+id]) - 1
-						if got := cells.At(core.NodeID(id), core.Packet(j)); got != row[j] {
-							t.Fatalf("%s: At(%d, %d) = %d, scratch matrix says %d", name, id, j, got, row[j])
-						}
+						row[j] = cells.At(core.NodeID(id), core.Packet(j))
 						if row[j] == unset {
 							miss++
 						} else {
@@ -152,7 +152,7 @@ func TestFinishMatchesCellwise(t *testing.T) {
 						}
 					}
 					if got := cells.Row(core.NodeID(id)); !slices.Equal(got, row) {
-						t.Fatalf("%s: Row(%d) = %v, want %v", name, id, got, row)
+						t.Fatalf("%s: Row(%d) = %v, At says %v", name, id, got, row)
 					}
 					if id == 0 {
 						if miss != int(packets) {
@@ -177,6 +177,67 @@ func TestFinishMatchesCellwise(t *testing.T) {
 		if (kind == "clean") != (lost == 0) {
 			t.Errorf("%s runs: %d window packets missing in all", kind, lost)
 		}
+	}
+}
+
+// TestPeakIsArrivalsByStart is the lemma a cell-free run's finish rests on: when a
+// node takes at most one packet per slot, its peak buffer under playback from
+// slot s is the number of its packets that arrived in slots 0..s — for every
+// s, before the first arrival and past the last included.
+func TestPeakIsArrivalsByStart(t *testing.T) {
+	rng := rand.New(rand.NewPCG(27, 1))
+	for trial := 0; trial < 2000; trial++ {
+		packets := 1 + rng.IntN(40)
+		// Distinct arrival slots, some packets missing, in any packet order.
+		slots := rng.Perm(packets + rng.IntN(2*packets+1))
+		row := make([]core.Slot, packets)
+		for j := range row {
+			row[j] = core.Slot(slots[j])
+			if rng.IntN(8) == 0 {
+				row[j] = unset
+			}
+		}
+		for s := core.Slot(-3); s <= core.Slot(len(slots)+3); s++ {
+			byStart := 0
+			for _, a := range row {
+				if a != unset && a <= s {
+					byStart++
+				}
+			}
+			if got := maxBufferRef(row, s); got != byStart {
+				t.Fatalf("arrivals %v, start %d: peak %d, arrivals by the start %d", row, s, got, byStart)
+			}
+		}
+	}
+}
+
+// TestTwoPerSlotKeepsCells: under a receive capacity of 2 a node can take two
+// window packets in one slot, its count jumps past the start slot's, and the
+// peak is no longer the arrivals by the start. Such a run must summarise its
+// window from cells, and agree with the reference scan.
+func TestTwoPerSlotKeepsCells(t *testing.T) {
+	s := &stubScheme{n: 1, srcCap: 2, slots: map[core.Slot][]core.Transmission{
+		0: {tx(0, 1, 0)},
+		1: {tx(0, 1, 1), tx(0, 1, 2)},
+	}}
+	r := NewRunner()
+	res, err := r.Run(s, Options{Slots: 3, Packets: 3, RecvCap: func(core.NodeID) int { return 2 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(r.sc.cells) == 0 {
+		t.Error("a run with a custom RecvCap kept no cells")
+	}
+	row := []core.Slot{0, 1, 1}
+	if res.StartDelay[1] != 0 {
+		t.Fatalf("StartDelay = %d, want 0", res.StartDelay[1])
+	}
+	want := maxBufferRef(row, 0)
+	if want != 2 {
+		t.Fatalf("reference peak %d, want 2 (one more than the arrivals by the start)", want)
+	}
+	if res.MaxBuffer[1] != want {
+		t.Errorf("MaxBuffer = %d, reference scan %d", res.MaxBuffer[1], want)
 	}
 }
 
@@ -225,7 +286,9 @@ func TestIncompleteRunNamesSmallestNodeAndPacket(t *testing.T) {
 
 // TestResultSurvivesRunnerReuse: a Result, and the cells kept beside it, own
 // their memory. Running other schemes, larger and smaller, on the same Runner
-// must not change what an earlier run returned.
+// must not change what an earlier run returned — and each of those runs, on a
+// ledger the previous one wrote under another layout, must return what a
+// fresh Runner does.
 func TestResultSurvivesRunnerReuse(t *testing.T) {
 	r := NewRunner()
 	s, opt := finishCase(t, "drops", 65, 7)
@@ -244,10 +307,15 @@ func TestResultSurvivesRunnerReuse(t *testing.T) {
 		kind    string
 		n       int
 		packets core.Packet
-	}{{"clean", 1000, 7}, {"churn", 63, 600}, {"clean", 1, 1}} {
+	}{{"clean", 1000, 7}, {"churn", 63, 600}, {"clean", 64, 600}, {"clean", 1, 1}} {
 		s2, opt2 := finishCase(t, other.kind, other.n, other.packets)
-		if _, err := r.Run(s2, opt2); err != nil {
+		got, err := r.Run(s2, opt2)
+		if err != nil {
 			t.Fatal(err)
+		}
+		s2, opt2 = finishCase(t, other.kind, other.n, other.packets)
+		if want, err := NewRunner().Run(s2, opt2); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s N=%d on a reused Runner differs from a fresh one (%v)", other.kind, other.n, err)
 		}
 		if !reflect.DeepEqual(&keep, res) || !reflect.DeepEqual(&keepCells, cells) {
 			t.Fatalf("Result or cells changed after the Runner ran %s N=%d", other.kind, other.n)
@@ -257,7 +325,7 @@ func TestResultSurvivesRunnerReuse(t *testing.T) {
 
 // TestFinishBytesCeiling: what the epilogue allocates depends on whether the
 // run keeps its cells. Without them it is the Result and three per-node
-// slices — O(N) bytes whatever the window, the tile buffer being the Runner's.
+// slices — O(N) bytes whatever the window, the slot bits being the Runner's.
 // With them it adds the int32 window matrix, 4·(N+1)·Packets bytes; a matrix
 // of 8-byte slots would be twice that ceiling.
 func TestFinishBytesCeiling(t *testing.T) {
@@ -278,12 +346,12 @@ func TestFinishBytesCeiling(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s, opt := finishCase(t, "clean", n, c.packets)
+			if c.keep {
+				opt.Arrivals = new(Arrivals)
+			}
 			e, err := NewRunner().runSlots(s, opt)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if c.keep {
-				e.opt.Arrivals = new(Arrivals)
 			}
 			if _, err := e.finish(); err != nil { // grow the counts and tile scratch
 				t.Fatal(err)
@@ -321,8 +389,8 @@ func BenchmarkFinish(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Grow the Runner's counts and tile scratch first, so that B/op does not
-	// depend on b.N: `make bench-gate` holds this row to its bytes.
+	// Summarise once before timing, so that B/op does not depend on b.N:
+	// `make bench-gate` holds this row to its bytes.
 	if _, err := e.finish(); err != nil {
 		b.Fatal(err)
 	}

@@ -14,26 +14,33 @@ import (
 // that invariant and TestSteadyStateAllocFree pins the rest.
 //
 // All per-node state is struct-of-arrays (soa.go): flat arrays indexed by
-// NodeID, with the arrival matrix packed into one int32 array.
+// NodeID, with the arrival ledger packed into bit and int32 arrays.
 type scratch struct {
-	arr        []int32             // packed packet-major arrival matrix (slot+1; 0 = unset)
-	dirtyRows  []uint64            // packet rows of arr written this run, cleared at next run start
-	prevStride int                 // row stride (nodes) the dirtyRows bits were written under
-	sentSt     []uint64            // packed send counters: epoch stamp<<32 | count
-	recvSt     []uint64            // packed receive counters, same layout
-	tick       uint32              // current epoch; monotonic across runs
-	cursor     []uint64            // packed playback cursors: worstLag<<32 | got
-	maxArr     int32               // last window arrival slot (-1 = none yet)
-	sendTab    []int32             // precomputed send capacities (default funcs only)
-	recvTab    []int32             // precomputed receive capacities
-	tabN       int                 // nodes the capacity tables cover (0 = stale)
-	tabSrcCap  int32               // source capacity the tables were filled for
-	counts     []int               // per-slot arrival counts for maxBuffer (kept zeroed)
-	tile       []int32             // finish's gather buffer: finishTile ids × Packets, node-major
-	filter     []core.Transmission // SkipUnavailable keep-list
-	arrive     []core.Transmission // same-slot arrival list
-	ring       txRing              // in-flight transmissions keyed by arrival slot
-	eng        engine              // engine state, reset per run
+	// The arrival ledger (ledger.go). words, stride and cellRows describe the
+	// layout of the run that last wrote it, so that the next run can undo
+	// exactly those writes (with maxArr, which bounds its slot rows).
+	have      []uint64            // packet-major presence bits
+	dirtyRows []uint64            // packet rows of have and cells written this run
+	words     int                 // uint64 words per presence or slot row
+	cells     []int32             // a cell run's packet-major window cells (slot+1; 0 = unset)
+	stride    int                 // row stride of cells
+	cellRows  int                 // window rows of cells (0 = a cell-free run)
+	slots     []uint64            // a cell-free run's slot-major window arrival bits
+	sentSt    []uint64            // packed send counters: epoch stamp<<32 | count
+	recvSt    []uint64            // packed receive counters, same layout
+	tick      uint32              // current epoch; monotonic across runs
+	cursor    []uint64            // packed playback cursors: worstLag<<32 | got
+	maxArr    int32               // last window arrival slot (-1 = none yet)
+	sendTab   []int32             // precomputed send capacities (default funcs only)
+	recvTab   []int32             // precomputed receive capacities
+	tabN      int                 // nodes the capacity tables cover (0 = stale)
+	tabSrcCap int32               // source capacity the tables were filled for
+	counts    []int               // per-slot arrival counts for maxBuffer (kept zeroed)
+	tile      []int32             // finish's gather buffer: finishTile ids × Packets, node-major
+	filter    []core.Transmission // SkipUnavailable keep-list
+	arrive    []core.Transmission // same-slot arrival list
+	ring      txRing              // in-flight transmissions keyed by arrival slot
+	eng       engine              // engine state, reset per run
 }
 
 // compiledEntry caches the outcome of compiling one scheme: dst is the

@@ -146,7 +146,8 @@ func TestLiveMatrixBoundedByHorizon(t *testing.T) {
 // TestArrivalMatrixCeiling: a run whose population × horizon asks for more
 // than core.MaxArrivalCells is refused before anything is allocated, with the
 // sizes in the message — including when the product does not fit an int — and
-// the Runner is still good for a run that fits.
+// the Runner is still good for a run that fits. That run keeps no
+// cells, so it completes without allocating a single int32 cell either.
 func TestArrivalMatrixCeiling(t *testing.T) {
 	r := NewRunner()
 	big := &stubScheme{n: 200_000, srcCap: 3}
@@ -156,10 +157,13 @@ func TestArrivalMatrixCeiling(t *testing.T) {
 			t.Fatalf("Slots=%d: got %v, want the sized ceiling error", slots, err)
 		}
 	}
-	if cap(r.sc.arr) != 0 {
-		t.Errorf("a refused run allocated %d cells", cap(r.sc.arr))
+	if cap(r.sc.have) != 0 || cap(r.sc.cells) != 0 {
+		t.Errorf("a refused run allocated %d presence words and %d cells", cap(r.sc.have), cap(r.sc.cells))
 	}
 	if _, err := r.Run(chainOfTwo(), Options{Slots: 6, Packets: 1}); err != nil {
 		t.Errorf("run after a refused one: %v", err)
+	}
+	if cap(r.sc.cells) != 0 {
+		t.Errorf("a cell-free run allocated %d arrival cells", cap(r.sc.cells))
 	}
 }
