@@ -130,7 +130,8 @@ cover:
 # counts the arrival ledger itself — held to B/op and allocs/op only
 # (-memory-only): their ns/op reads 0.4–1.5 s for one binary on a shared host,
 # while what they allocate repeats exactly, and a window matrix back on the
-# heap, or an int32 cell per node per packet back in the ledger, is 74 MB more. Memory
+# heap, or an int32 cell per node per packet back in the ledger, is 74 MB more
+# (a compiled schedule snapshot back in the cold row, ≈ 90 MB). Memory
 # past 25% fails; time past 50%, because the fastest of five still reads
 # 2.5–3.6 ms for the same binary on a two-core host shared with other
 # containers (the baseline before this one said 6.23 ms for a row that measures
@@ -138,7 +139,7 @@ cover:
 # run are reported as missing, never failed — that is what lets this gate run a
 # narrow -bench filter. Refresh the baseline with `make bench-json` and point
 # BENCH_BASELINE at the new snapshot.
-BENCH_BASELINE ?= BENCH_2026-10-15-pr27.json
+BENCH_BASELINE ?= BENCH_2026-10-16-pr28.json
 GATE_BENCH = $(GO) test -bench 'SlotEngineScale/multitree-N10000/sequential' -benchtime 30x -count 5 -benchmem -run XXX . && \
 	$(GO) test -bench 'SlotEngineScale/multitree-N31000-P600/sequential' -benchtime 5x -benchmem -run XXX . && \
 	$(GO) test -bench 'SlotEngineCold/multitree-N31000-P600' -benchtime 5x -benchmem -run XXX . && \

@@ -130,9 +130,6 @@ func capabilities(f *spec.Family) []string {
 	if f.Caps.StaticCheck {
 		caps = append(caps, "checkable")
 	}
-	if f.Caps.Periodic {
-		caps = append(caps, "periodic")
-	}
 	if f.Caps.BestEffort {
 		caps = append(caps, "best-effort")
 	}
@@ -190,7 +187,7 @@ func runScenario(sc *spec.Scenario, stdout, stderr io.Writer) error {
 	if sc.Parallel {
 		fmt.Fprintln(stderr, "streamsim: parallel: accepted and ignored: the engine is single-threaded; results never depended on worker count")
 	}
-	res, err := slotsim.Run(run.Schedule(), opt)
+	res, err := slotsim.Run(run.Scheme, opt)
 	if err != nil {
 		// A failed run still owes its trace: its last events, a violation
 		// included, sit in the writer's buffer. The run's error is the one

@@ -1,7 +1,7 @@
 // Randreg: run the random-regular-digraph family in all three schedule
 // modes over the same seeded graph and compare them against the paper's
-// delay/buffer frontier. The latin mode is exactly periodic — the schedule
-// compiles to a steady-state window — while the pull and push modes are
+// delay/buffer frontier. The latin mode is exactly periodic — a closed form
+// of the slot — while the pull and push modes are
 // seeded gossip protocols whose guarantees are probabilistic; the
 // differential test harness (internal/integration), not a symbolic proof,
 // is what certifies all three. The same scenario text runs through
@@ -12,33 +12,30 @@ import (
 	"fmt"
 	"log"
 
-	"streamcast/internal/core"
+	"streamcast/internal/randreg"
 	"streamcast/internal/spec"
 )
 
 func main() {
+	const degree = 3
 	for _, mode := range []string{"latin", "pull", "push"} {
 		// 1. Describe the run declaratively and resolve it through the
 		// scheme registry: one seed fixes the digraph (shared by every
 		// mode) and the protocol's random choices, so each run here is
 		// exactly reproducible.
-		sc := spec.RandRegScenario(200, 3, mode, 7)
+		sc := spec.RandRegScenario(200, degree, mode, 7)
 		fmt.Printf("— scenario —\n%s", sc.Format())
 		run, err := spec.Build(sc)
 		if err != nil {
 			log.Fatal(err)
 		}
 
-		// 2. The latin mode implements core.PeriodicScheme with a real
-		// period, so its schedule compiles into a steady-state window the
-		// engine can replay without calling the scheme again.
-		if p, ok := run.Scheme.(core.PeriodicScheme); ok && p.Period() > 0 {
-			if c := core.CompileSchedule(run.Scheme); c != nil {
-				fmt.Printf("periodic: period %d slots, steady state at slot %d (compiled)\n",
-					c.Period(), c.SteadyState())
-			}
+		// 2. The latin mode repeats every degree slots once its largest
+		// edge delay has passed; pull and push have no closed form.
+		if s := run.Scheme.(*randreg.Scheme); s.Mode() == randreg.Latin {
+			fmt.Printf("periodic: period %d slots from slot %d, the largest edge delay\n", degree, s.MaxDelay())
 		} else {
-			fmt.Println("gossip schedule: generated from simulation state, not compiled")
+			fmt.Println("gossip schedule: generated from simulation state")
 		}
 
 		// 3. Execute and report the QoS the paper trades off: playback

@@ -47,16 +47,6 @@ func (c *Chain) Transmissions(t core.Slot) []core.Transmission {
 	return out
 }
 
-// Period implements core.PeriodicScheme: every slot shifts the whole
-// pipeline by one packet.
-func (c *Chain) Period() core.Slot { return 1 }
-
-// SteadyState implements core.PeriodicScheme: from slot N−1 on, every link
-// of the chain carries a packet.
-func (c *Chain) SteadyState() core.Slot { return core.Slot(c.N - 1) }
-
-var _ core.PeriodicScheme = (*Chain)(nil)
-
 // Neighbors implements core.Scheme: each node talks to its predecessor and
 // successor only.
 func (c *Chain) Neighbors() map[core.NodeID][]core.NodeID {
@@ -129,17 +119,6 @@ func (s *SingleTree) Transmissions(t core.Slot) []core.Transmission {
 	}
 	return out
 }
-
-// Period implements core.PeriodicScheme: every slot shifts the whole tree's
-// packet wave by one.
-func (s *SingleTree) Period() core.Slot { return 1 }
-
-// SteadyState implements core.PeriodicScheme: depth grows with position, so
-// once the deepest position N has received its first packet every edge of
-// the tree is active each slot.
-func (s *SingleTree) SteadyState() core.Slot { return s.depth(s.N) - 1 }
-
-var _ core.PeriodicScheme = (*SingleTree)(nil)
 
 // Neighbors implements core.Scheme.
 func (s *SingleTree) Neighbors() map[core.NodeID][]core.NodeID {

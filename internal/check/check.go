@@ -156,10 +156,6 @@ type verifier struct {
 	n      int
 	srcCap int
 	maxPkt core.Packet
-	// txAt generates slot t's transmissions. Static reads the scheme;
-	// VerifyCompiled substitutes a direct interpretation of the compiled
-	// window so the snapshot is proven, not the generator.
-	txAt func(t core.Slot) []core.Transmission
 	// arrival is the node-major arrival matrix in one flat array: cell
 	// id*maxPkt+p holds the slot packet p reached node id plus one, 0 while
 	// it has not (the encoding slotsim stores: a fresh matrix is all unset).
@@ -208,12 +204,6 @@ func Static(s core.Scheme, opt Options) (*Report, error) {
 	if err := arrivalFits(s, opt); err != nil {
 		return nil, err
 	}
-	// A periodic scheme is verified against a compiled snapshot of one
-	// schedule period when the horizon amortises compiling it; a snapshot
-	// the caller already holds (spec.Run.Schedule) passes through unchanged.
-	if c := core.CompileForRun(s, opt.Horizon); c != nil {
-		s = c
-	}
 	v := newVerifier(s, opt)
 	v.verify()
 	return v.report, nil
@@ -236,10 +226,8 @@ func arrivalFits(s core.Scheme, opt Options) error {
 	return nil
 }
 
-// newVerifier builds the working state shared by Static and VerifyCompiled:
-// option defaults, the arrival matrix (arrivalFits has vouched for its
-// size), and the schedule reader (the scheme itself until a caller overrides
-// txAt).
+// newVerifier builds the working state of one Static run: option defaults
+// and the arrival matrix (arrivalFits has vouched for its size).
 func newVerifier(s core.Scheme, opt Options) *verifier {
 	n := s.NumReceivers()
 	if opt.MaxIssues == 0 {
@@ -253,7 +241,6 @@ func newVerifier(s core.Scheme, opt Options) *verifier {
 		n:       n,
 		srcCap:  srcCap,
 		maxPkt:  maxPkt,
-		txAt:    s.Transmissions,
 		arrival: make([]int32, (n+1)*int(maxPkt)),
 		report:  &Report{Scheme: s.Name()},
 	}
@@ -317,7 +304,7 @@ func (v *verifier) interpret() {
 		clear(sent)
 		arrivals = append(arrivals[:0], inflight[t]...)
 		delete(inflight, t)
-		for _, tx := range v.txAt(t) {
+		for _, tx := range v.scheme.Transmissions(t) {
 			if tx.From < 0 || int(tx.From) > v.n || tx.To < 0 || int(tx.To) > v.n {
 				v.issue(Issue{Slot: t, Kind: KindRange, Tx: tx})
 				continue

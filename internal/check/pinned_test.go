@@ -32,8 +32,8 @@ func appendAt(at core.Slot, extra ...core.Transmission) func(core.Slot, []core.T
 	}
 }
 
-// pinnedCases are the seeded corruptions of check_test.go and
-// compiled_test.go, plus two that cover how findings of different passes
+// pinnedCases are the seeded corruptions of check_test.go, plus two that
+// cover how findings of different passes
 // interleave: the MaxIssues cut, and a schedule that breaks both a hold rule
 // and the mesh (interpreter findings are filed before mesh findings).
 func pinnedCases() []pinnedCase {
@@ -175,28 +175,6 @@ func pinnedCases() []pinnedCase {
 					return nb
 				}}
 			return check.Static(cs, opt)
-		}},
-		{"compiled window, steady packet corrupted", func(t *testing.T) (*check.Report, error) {
-			c, opt := compiledMultiTree(t, 20, 3)
-			steady, _, backing, off := c.Window()
-			backing[off[steady]].Packet += 2
-			return check.VerifyCompiled(c, opt)
-		}},
-		{"compiled window, warmup receiver corrupted", func(t *testing.T) (*check.Report, error) {
-			c, opt := compiledMultiTree(t, 20, 3)
-			_, _, backing, off := c.Window()
-			tx := &backing[off[0]]
-			tx.To = core.NodeID(c.NumReceivers())
-			if tx.To == tx.From {
-				tx.To--
-			}
-			return check.VerifyCompiled(c, opt)
-		}},
-		{"compiled window, offsets corrupted", func(t *testing.T) (*check.Report, error) {
-			c, opt := compiledMultiTree(t, 20, 3)
-			_, _, _, off := c.Window()
-			off[1] = off[2] + 1
-			return check.VerifyCompiled(c, opt)
 		}},
 	}
 }

@@ -302,55 +302,6 @@ func (s *Scheme) Transmissions(t core.Slot) []core.Transmission {
 	return out
 }
 
-// Period implements core.PeriodicScheme: the backbone forwards one packet
-// per slot (period 1), so the composite period is the least common multiple
-// of the intra-cluster periods. A non-periodic inner scheme declines
-// compilation with a period of 0.
-func (s *Scheme) Period() core.Slot {
-	p := core.Slot(1)
-	for _, in := range s.inner {
-		ps, ok := in.(core.PeriodicScheme)
-		if !ok {
-			return 0
-		}
-		ip := ps.Period()
-		if ip < 1 {
-			return 0
-		}
-		p = p / gcdSlot(p, ip) * ip
-	}
-	return p
-}
-
-// SteadyState implements core.PeriodicScheme: every super node must have
-// started forwarding (t >= depth·Tc) and every shifted intra-cluster
-// schedule must have reached its own steady state.
-func (s *Scheme) SteadyState() core.Slot {
-	var w core.Slot
-	for i, in := range s.inner {
-		if v := core.Slot(s.depth[i]) * s.cfg.Tc; v > w {
-			w = v
-		}
-		ps, ok := in.(core.PeriodicScheme)
-		if !ok {
-			continue
-		}
-		if v := s.shift[i] + ps.SteadyState(); v > w {
-			w = v
-		}
-	}
-	return w
-}
-
-var _ core.PeriodicScheme = (*Scheme)(nil)
-
-func gcdSlot(a, b core.Slot) core.Slot {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
 // remap converts a local intra-cluster id to the global id space.
 func (s *Scheme) remap(i int, local core.NodeID) core.NodeID {
 	if local == core.SourceID {

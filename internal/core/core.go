@@ -77,7 +77,10 @@ type Scheme interface {
 	// per slot (d for multi-tree; 1 for the basic hypercube scheme).
 	SourceCapacity() int
 	// Transmissions returns every transmission scheduled for the given
-	// slot. Implementations must be deterministic.
+	// slot. Implementations must be deterministic. The result is read-only
+	// and valid only until the next Transmissions call on the same scheme,
+	// which may reuse its memory; a caller that keeps a slot copies it. A
+	// Scheme is therefore not safe for concurrent use.
 	Transmissions(t Slot) []Transmission
 	// Neighbors returns, for each receiver, the set of distinct nodes it
 	// ever exchanges packets with (its protocol-maintenance neighbor set).
@@ -99,6 +102,29 @@ func AppendNeighbor(list []NodeID, id NodeID) []NodeID {
 		return list
 	}
 	return append(list, id)
+}
+
+// MaxArrivalCells is the ceiling on the (node, tracked packet) cells a run may
+// track: a run whose horizon × population asks for more is refused up front
+// with an error that states what it would allocate, instead of dying in the
+// allocator. What a cell costs depends on who tracks it: the slot engine keeps
+// a presence bit per cell (128 MiB at the ceiling) and int32 arrival slots
+// only for the window of a run that reads them; check.Static keeps an int32
+// per cell (4 GiB at the ceiling). The million-node hypercube uses under a
+// twentieth of it.
+const MaxArrivalCells = 1 << 30
+
+// CompiledScheme, CompileForRun and Window remain only for bench/pipeline.go,
+// which times a compile step and cannot change outside a benchmark revision:
+// schedules are generated slot by slot, so CompileForRun always declines.
+type CompiledScheme struct{ Scheme }
+
+// CompileForRun returns nil: there is no compiled form of a schedule.
+func CompileForRun(Scheme, Slot) *CompiledScheme { return nil }
+
+// Window returns nothing; see CompiledScheme.
+func (*CompiledScheme) Window() (steady, period Slot, backing []Transmission, off []int) {
+	return 0, 0, nil, nil
 }
 
 // Config carries the common parameters of a streaming run.

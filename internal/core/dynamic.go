@@ -39,8 +39,8 @@ type MemberInfo struct {
 
 // DynamicScheme is a Scheme whose topology may change between slots while a
 // run is in flight. Implementations version the topology with a monotonically
-// increasing epoch: every applied op bumps the epoch, and any schedule window
-// compiled for an earlier epoch is stale and must be discarded.
+// increasing epoch: every applied op bumps the epoch, and the next
+// Transmissions call schedules the new topology.
 //
 // NodeIDs are stable across ops: a join may extend the id space (never
 // renumbering existing members) and a leave tombstones its id. NumReceivers

@@ -47,11 +47,11 @@ func simulateRun(run *spec.Run) (*slotsim.Result, error) {
 	opt := run.Opt
 	sink := currentSink()
 	if sink == nil {
-		return slotsim.Run(run.Schedule(), opt)
+		return slotsim.Run(run.Scheme, opt)
 	}
 	m := obs.NewMetrics()
 	opt.Observer = obs.Combine(opt.Observer, m)
-	res, err := slotsim.Run(run.Schedule(), opt)
+	res, err := slotsim.Run(run.Scheme, opt)
 	if err != nil {
 		return nil, err
 	}

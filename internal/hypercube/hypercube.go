@@ -50,6 +50,7 @@ type Scheme struct {
 	n      int
 	d      int
 	groups [][]cubeSpec
+	out    []core.Transmission // reused across Transmissions calls
 }
 
 var _ core.Scheme = (*Scheme)(nil)
@@ -140,39 +141,6 @@ func (s *Scheme) NumReceivers() int { return s.n }
 // SourceCapacity implements core.Scheme.
 func (s *Scheme) SourceCapacity() int { return s.d }
 
-// Period implements core.PeriodicScheme: each cube's pairing dimension
-// cycles with period k, so the whole chained schedule (including the
-// freed-sender chaining edges between consecutive cubes) repeats after the
-// least common multiple of all cube dimensions, with packet numbers advanced
-// by exactly that many slots.
-func (s *Scheme) Period() core.Slot {
-	p := 1
-	for _, chain := range s.groups {
-		for _, c := range chain {
-			p = lcm(p, c.k)
-		}
-	}
-	return core.Slot(p)
-}
-
-// SteadyState implements core.PeriodicScheme: a cube's spread window
-// [τ−k, τ−1] is clamped at its start (packets before injection do not
-// exist), so the pattern is periodic once every cube has been running for k
-// slots past its base.
-func (s *Scheme) SteadyState() core.Slot {
-	var w core.Slot
-	for _, chain := range s.groups {
-		for _, c := range chain {
-			if v := c.base + core.Slot(c.k); v > w {
-				w = v
-			}
-		}
-	}
-	return w
-}
-
-var _ core.PeriodicScheme = (*Scheme)(nil)
-
 // CubeDims returns, per group, the dimensions of the chained cubes — e.g.
 // N=11, d=1 yields [[3 1 1]].
 func (s *Scheme) CubeDims() [][]int {
@@ -186,14 +154,17 @@ func (s *Scheme) CubeDims() [][]int {
 }
 
 // Transmissions implements core.Scheme. In steady state every cube emits one
-// injection and 2^k − 2 spreads, n transmissions in all, so the slice is
-// sized once; the slack covers a dimension order that pairs no holder with
+// injection and 2^k − 2 spreads, n transmissions in all, so the reused buffer
+// is sized once; the slack covers a dimension order that pairs no holder with
 // the source.
 func (s *Scheme) Transmissions(t core.Slot) []core.Transmission {
 	if t < 0 {
 		return nil
 	}
-	out := make([]core.Transmission, 0, s.n+len(s.groups))
+	if s.out == nil {
+		s.out = make([]core.Transmission, 0, s.n+len(s.groups))
+	}
+	out := s.out[:0]
 	for _, chain := range s.groups {
 		for i, c := range chain {
 			tau := t - c.base
@@ -217,7 +188,8 @@ func (s *Scheme) Transmissions(t core.Slot) []core.Transmission {
 			out = appendSpreads(out, c, tau)
 		}
 	}
-	return out
+	s.out = out
+	return out[:len(out):len(out)]
 }
 
 // appendSpreads emits the intra-cube doubling transmissions of cube c at

@@ -3,7 +3,6 @@ package integration
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"streamcast/internal/check"
@@ -115,86 +114,22 @@ func TestDifferentialCluster(t *testing.T) {
 	}
 }
 
-// plainScheme hides any PeriodicScheme methods of the wrapped scheme —
-// embedding the interface value exposes only core.Scheme — which forces
-// the engine down the uncompiled slot-by-slot path even for periodic
-// schedules.
-type plainScheme struct{ core.Scheme }
-
-// enginesAgree is the differential harness minus the static verifier, for
-// best-effort families the verifier has no model for. Every judge must
-// accept and produce identical Results, arrival cells, observer fingerprints,
-// and full event streams: the engine as-is (auto-compiled when the schedule is
-// periodic), the engine forced down the uncompiled path, and — when the
-// scheme compiles — the engine replaying the explicitly compiled window.
-func enginesAgree(t *testing.T, tag string, s core.Scheme, sopt slotsim.Options) {
-	t.Helper()
-	type judge struct {
-		name string
-		run  func(o slotsim.Options) (*slotsim.Result, error)
-	}
-	judges := []judge{
-		{"seq", func(o slotsim.Options) (*slotsim.Result, error) { return slotsim.Run(s, o) }},
-		{"seq-plain", func(o slotsim.Options) (*slotsim.Result, error) { return slotsim.Run(plainScheme{s}, o) }},
-	}
-	if c := core.CompileSchedule(s); c != nil {
-		judges = append(judges, judge{"seq-compiled", func(o slotsim.Options) (*slotsim.Result, error) {
-			return slotsim.Run(plainScheme{c}, o)
-		}})
-	}
-
-	var refName string
-	var refRes *slotsim.Result
-	var refCells *slotsim.Arrivals
-	var refRec *obs.Recorder
-	var refFP string
-	for _, j := range judges {
-		rec := &obs.Recorder{}
-		met := obs.NewMetrics()
-		o := sopt
-		o.Observer = obs.Combine(rec, met)
-		o.Arrivals = new(slotsim.Arrivals)
-		res, err := j.run(o)
-		if err != nil {
-			t.Fatalf("%s: %s engine rejected: %v", tag, j.name, err)
-		}
-		if refRec == nil {
-			refName, refRes, refCells, refRec, refFP = j.name, res, o.Arrivals, rec, met.Fingerprint()
-			continue
-		}
-		if !reflect.DeepEqual(refRes, res) || !reflect.DeepEqual(refCells, o.Arrivals) {
-			t.Fatalf("%s: %s and %s Results or arrival cells differ", tag, refName, j.name)
-		}
-		if fp := met.Fingerprint(); fp != refFP {
-			t.Fatalf("%s: %s and %s fingerprints differ: %s vs %s", tag, refName, j.name, refFP, fp)
-		}
-		if !reflect.DeepEqual(refRec.Events, rec.Events) {
-			t.Fatalf("%s: %s and %s event streams differ", tag, refName, j.name)
-		}
-	}
-}
-
 // TestDifferentialRandReg sweeps seeded randreg configurations in every
-// schedule mode through the multi-judge engine harness. The latin mode
-// additionally exercises the compiled judge (auto-compilation plus the
-// explicit core.CompileSchedule window), so the periodic contract is
-// cross-checked against the uncompiled replay on the same seeds.
+// schedule mode, each judged by the oracle: the engine, bare and observed,
+// must produce its Result, arrival cells and verdict.
 func TestDifferentialRandReg(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for _, mode := range []string{"latin", "pull", "push"} {
-		mode := mode
 		t.Run(mode, func(t *testing.T) {
 			for i := 0; i < 6; i++ {
 				n := rng.Intn(60) + 8
 				degree := rng.Intn(3) + 2
 				seed := rng.Int63n(1 << 30)
-				sc := spec.RandRegScenario(n, degree, mode, seed)
-				run, err := spec.Build(sc)
-				if err != nil {
-					t.Fatalf("n=%d degree=%d seed=%d: %v", n, degree, seed, err)
-				}
-				tag := fmt.Sprintf("%s n=%d degree=%d seed=%d", run.Scheme.Name(), n, degree, seed)
-				enginesAgree(t, tag, run.Scheme, run.Opt)
+				t.Run(fmt.Sprintf("n=%d/degree=%d/seed=%d", n, degree, seed), func(t *testing.T) {
+					agree(t, builder(t, func() (*spec.Scenario, error) {
+						return spec.RandRegScenario(n, degree, mode, seed), nil
+					}, nil))
+				})
 			}
 		})
 	}
@@ -203,23 +138,20 @@ func TestDifferentialRandReg(t *testing.T) {
 // TestDifferentialRegistry enumerates the scheme registry: every family is
 // built from a plain Scenario at a small size and judged — statically
 // checkable families by the verifier-versus-engine harness, best-effort
-// families by engine agreement. A newly registered family is swept automatically.
+// families by the oracle. A newly registered family is swept automatically.
 func TestDifferentialRegistry(t *testing.T) {
 	for _, f := range spec.Families() {
-		f := f
 		t.Run(f.Name, func(t *testing.T) {
 			for _, n := range []int{7, 20} {
-				sc := &spec.Scenario{Scheme: f.Name, Params: map[string]string{"n": fmt.Sprint(n)}}
-				run, err := spec.Build(sc)
-				if err != nil {
-					t.Fatalf("n=%d: %v", n, err)
+				load := func() (*spec.Scenario, error) {
+					return &spec.Scenario{Scheme: f.Name, Params: map[string]string{"n": fmt.Sprint(n)}}, nil
 				}
-				tag := fmt.Sprintf("%s n=%d", f.Name, n)
-				if f.Caps.StaticCheck {
-					differential(t, tag, run.Scheme, *run.CheckOpt, run.Opt)
-				} else {
-					enginesAgree(t, tag, run.Scheme, run.Opt)
+				if !f.Caps.StaticCheck {
+					agree(t, builder(t, load, nil))
+					continue
 				}
+				run := builder(t, load, nil)()
+				differential(t, fmt.Sprintf("%s n=%d", f.Name, n), run.Scheme, *run.CheckOpt, run.Opt)
 			}
 		})
 	}

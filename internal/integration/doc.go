@@ -1,5 +1,5 @@
 // Package integration runs cross-module differential tests: every scheme
-// family is executed by the slotsim engine, compiled and interpreted, and by
+// family is executed by the slotsim engine and by
 // a short reference interpreter of the paper's slot model that shares none of
 // its code (oracle_test.go), and their Results, arrival cells and verdicts
 // must agree — over the pinned corpora and under a fuzzer; declared neighbor

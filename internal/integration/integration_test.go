@@ -9,6 +9,7 @@ import (
 	"streamcast/internal/gossip"
 	"streamcast/internal/hypercube"
 	"streamcast/internal/multitree"
+	"streamcast/internal/obs"
 	"streamcast/internal/slotsim"
 	"streamcast/internal/spec"
 )
@@ -71,27 +72,27 @@ func matrix(t *testing.T) []fixture {
 	return fs
 }
 
-// TestThreeEngineAgreement: the matrix engine on its compiled schedule, the
-// matrix engine interpreting the scheme slot by slot, and the reference
-// interpreter (oracle_test.go) agree on every node's Result and every
-// arrival cell.
+// TestThreeEngineAgreement: the engine as a bare run (which stops once the
+// window is complete), the engine observed (which replays every slot of the
+// horizon), and the reference interpreter (oracle_test.go) agree on every
+// node's Result and every arrival cell.
 func TestThreeEngineAgreement(t *testing.T) {
 	for _, f := range matrix(t) {
-		f := f
 		t.Run(fmt.Sprintf("%s/%s", f.scheme.Name(), f.mode), func(t *testing.T) {
 			opt := slotsim.Options{Slots: f.slots, Packets: f.packets, Mode: f.mode}
 			want, cells, err := oracle(f.scheme, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, s := range map[string]core.Scheme{"compiled": f.scheme, "interpreted": plainScheme{f.scheme}} {
+			for _, observer := range []obs.Observer{nil, obs.Funcs{}} {
+				opt.Observer = observer
 				opt.Arrivals = new(slotsim.Arrivals)
-				got, err := slotsim.Run(s, opt)
+				got, err := slotsim.Run(f.scheme, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if diff := sameOutcome(got, opt.Arrivals, want, cells); diff != "" {
-					t.Fatalf("%s engine against the oracle: %s", name, diff)
+					t.Fatalf("observed=%v engine against the oracle: %s", observer != nil, diff)
 				}
 			}
 		})

@@ -13,9 +13,8 @@ import (
 // judged by. It takes what the engine takes — a core.Scheme and a
 // slotsim.Options — and is written to be read, not to be fast: maps and
 // structs, every slot of the horizon, the scheme asked slot by slot. It has
-// none of the engine's machinery (no compiled snapshot, no struct-of-arrays
-// state, no stop rule, no bound on the packet numbers it tracks, no tiled
-// epilogue) and calls nothing slotsim or check defines: it uses the Options,
+// none of the engine's machinery (no struct-of-arrays state, no stop rule, no
+// bound on the packet numbers it tracks, no tiled epilogue) and calls nothing slotsim or check defines: it uses the Options,
 // Result and Violation types, and reaches the fault and churn hooks through
 // the interfaces Options carries.
 //

@@ -23,7 +23,7 @@ import (
 // firstRecvSlot depends only on (mode, d, position), so a membership swap
 // changes who occupies a position but never when the position fires. The
 // schedule stays exactly periodic with period d within every epoch, and each
-// applied op bumps Epoch() to invalidate compiled windows.
+// applied op bumps Epoch().
 type LiveScheme struct {
 	dy   *Dynamic
 	mode core.StreamMode
@@ -36,11 +36,22 @@ type LiveScheme struct {
 	// the current epoch reads their first np entries.
 	firstRecv [][]core.Slot
 	steady    core.Slot
-	out       []core.Transmission // reused across Transmissions calls
+	// fires[r][k] lists, in position order, the epoch's padded positions of
+	// tree k whose first receive slot is ≡ r (mod d) — Scheme's firing
+	// lists by position, since who occupies a position is read when it
+	// fires. A grow or shrink changes only the ends of the lists.
+	fires [][][]liveFiring
+	out   []core.Transmission // reused across Transmissions calls
+}
+
+// liveFiring is position p, its parent position pp (0 = the source), and
+// when it fires: from slot first on, every d slots, with packet t − lag.
+type liveFiring struct {
+	p, pp      int32
+	first, lag int32
 }
 
 var _ core.Scheme = (*LiveScheme)(nil)
-var _ core.PeriodicScheme = (*LiveScheme)(nil)
 var _ core.DynamicScheme = (*LiveScheme)(nil)
 
 // NewLiveScheme wraps a churn-capable family with the positional round-robin
@@ -57,16 +68,22 @@ func NewLiveScheme(dy *Dynamic, mode core.StreamMode) *LiveScheme {
 func (s *LiveScheme) Dynamic() *Dynamic { return s.dy }
 
 // rebuild adopts the current padded size: it extends the firstRecv tables to
-// cover it if they never have, and recomputes the steady-state bound. steady
-// is the maximum over all np positions (dummy-held ones included), so it is
-// invariant under membership swaps and only changes when the trees grow or
-// shrink a level.
+// cover it if they never have, recomputes the steady-state bound, and drops
+// from or appends to the firing lists the positions the size change moved.
+// steady is the maximum over all np positions (dummy-held ones included), so
+// it is invariant under membership swaps and only changes when the trees grow
+// or shrink a level.
 func (s *LiveScheme) rebuild() {
 	dy := s.dy
+	listed := s.np
 	s.np = dy.np
 	s.steady = 0
 	if s.firstRecv == nil {
 		s.firstRecv = make([][]core.Slot, dy.d)
+		s.fires = make([][][]liveFiring, dy.d)
+		for r := range s.fires {
+			s.fires[r] = make([][]liveFiring, dy.d)
+		}
 	}
 	for k, fr := range s.firstRecv {
 		for p := len(fr) + 1; p <= dy.np; p++ {
@@ -74,6 +91,21 @@ func (s *LiveScheme) rebuild() {
 		}
 		s.firstRecv[k] = fr
 		s.steady = max(s.steady, slices.Max(fr[:dy.np]))
+		for _, lists := range s.fires {
+			l := lists[k]
+			for len(l) > 0 && int(l[len(l)-1].p) > dy.np {
+				l = l[:len(l)-1]
+			}
+			lists[k] = l
+		}
+		for p := listed + 1; p <= dy.np; p++ {
+			first := fr[p-1]
+			r := int(first) % dy.d
+			s.fires[r][k] = append(s.fires[r][k], liveFiring{
+				p: int32(p), pp: int32(ParentPos(p, dy.d)),
+				first: int32(first), lag: int32(int(first) - k),
+			})
+		}
 	}
 }
 
@@ -89,10 +121,9 @@ func (s *LiveScheme) NumReceivers() int { return len(s.dy.real) - 1 }
 // SourceCapacity implements core.Scheme.
 func (s *LiveScheme) SourceCapacity() int { return s.dy.d }
 
-// Period implements core.PeriodicScheme.
-func (s *LiveScheme) Period() core.Slot { return core.Slot(s.dy.d) }
-
-// SteadyState implements core.PeriodicScheme.
+// SteadyState returns the first slot from which the current epoch's schedule
+// repeats every d slots: the latest round-0 receive slot over all padded
+// positions. A run's horizon reads it to leave room for the whole window.
 func (s *LiveScheme) SteadyState() core.Slot { return s.steady }
 
 // Epoch implements core.DynamicScheme.
@@ -190,33 +221,33 @@ func (s *LiveScheme) Neighbors() map[core.NodeID][]core.NodeID {
 }
 
 // Transmissions implements core.Scheme. The returned slice is reused across
-// calls: callers must consume it before the next call (both the slot engine
-// and CompileSchedule do).
+// calls, as core.Scheme allows: it is valid until the next call.
 func (s *LiveScheme) Transmissions(t core.Slot) []core.Transmission {
+	if t < 0 {
+		return nil
+	}
 	dy := s.dy
-	d := core.Slot(dy.d)
 	out := s.out[:0]
-	for k := 0; k < dy.d; k++ {
-		fr := s.firstRecv[k]
+	for k, list := range s.fires[int(t)%dy.d] {
 		tk := dy.trees[k]
-		for p := 1; p <= s.np; p++ {
-			child := tk[p-1]
+		for _, f := range list {
+			if t < core.Slot(f.first) {
+				continue
+			}
+			child := tk[f.p-1]
 			if !dy.real[child] {
 				continue
 			}
-			first := fr[p-1]
-			if t < first || (t-first)%d != 0 {
-				continue
-			}
-			round := (t - first) / d
-			pkt := core.Packet(k) + core.Packet(int(round))*core.Packet(dy.d)
 			from := core.SourceID
-			if pp := ParentPos(p, dy.d); pp > 0 {
-				from = core.NodeID(tk[pp-1])
+			if f.pp > 0 {
+				from = core.NodeID(tk[f.pp-1])
 			}
-			out = append(out, core.Transmission{From: from, To: core.NodeID(child), Packet: pkt})
+			out = append(out, core.Transmission{
+				From: from, To: core.NodeID(child),
+				Packet: core.Packet(int(t) - int(f.lag)),
+			})
 		}
 	}
 	s.out = out
-	return out
+	return out[:len(out):len(out)]
 }

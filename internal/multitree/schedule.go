@@ -2,6 +2,7 @@ package multitree
 
 import (
 	"fmt"
+	"slices"
 
 	"streamcast/internal/core"
 )
@@ -30,38 +31,68 @@ type Scheme struct {
 	// receives its round-0 packet under the canonical (pre-recorded)
 	// schedule.
 	firstRecv [][]core.Slot
-	// steady is the first slot from which the schedule is periodic: the
-	// latest round-0 receive slot over all real positions.
-	steady core.Slot
+	// fires[r] lists, in (tree, position) order, the real positions whose
+	// first receive slot is ≡ r (mod d): exactly the positions that can fire
+	// in a slot t ≡ r.
+	fires [][]firing
+	out   []core.Transmission // reused across Transmissions calls
+}
+
+// firing is one real position of the round-robin: the edge into it, the slot
+// it first receives in, and lag = first − k. Position (k,p) fires in slot t
+// when t ≥ first and t ≡ first (mod d), with packet k + (t − first), which is
+// t − lag.
+type firing struct {
+	from, to   int32
+	first, lag int32
 }
 
 var _ core.Scheme = (*Scheme)(nil)
-var _ core.PeriodicScheme = (*Scheme)(nil)
 
 // NewScheme wraps a multi-tree family with a transmission schedule.
 func NewScheme(m *MultiTree, mode core.StreamMode) *Scheme {
 	s := &Scheme{Tree: m, Mode: mode}
 	s.firstRecv = make([][]core.Slot, m.D)
+	count := make([]int, m.D)
 	for k := 0; k < m.D; k++ {
 		s.firstRecv[k] = make([]core.Slot, m.NP)
 		for p := 1; p <= m.NP; p++ {
-			s.firstRecv[k][p-1] = firstRecvSlot(mode, m.D, k, p)
-			if !m.IsDummy(m.Trees[k][p-1]) && s.firstRecv[k][p-1] > s.steady {
-				s.steady = s.firstRecv[k][p-1]
+			first := firstRecvSlot(mode, m.D, k, p)
+			s.firstRecv[k][p-1] = first
+			if !m.IsDummy(m.Trees[k][p-1]) {
+				count[int(first)%m.D]++
 			}
+		}
+	}
+	// One backing array for the d lists, each carved at its final size, and
+	// an output buffer as long as the longest.
+	s.out = make([]core.Transmission, 0, slices.Max(count))
+	backing := make([]firing, 0, m.N*m.D)
+	s.fires = make([][]firing, m.D)
+	for r, c := range count {
+		s.fires[r] = backing[len(backing) : len(backing) : len(backing)+c]
+		backing = backing[:len(backing)+c]
+	}
+	for k := 0; k < m.D; k++ {
+		for p := 1; p <= m.NP; p++ {
+			child := m.Trees[k][p-1]
+			if m.IsDummy(child) {
+				continue
+			}
+			from := core.SourceID
+			if pp := ParentPos(p, m.D); pp > 0 {
+				from = m.Trees[k][pp-1]
+			}
+			first := s.firstRecv[k][p-1]
+			r := int(first) % m.D
+			s.fires[r] = append(s.fires[r], firing{
+				from: int32(from), to: int32(child),
+				first: int32(first), lag: int32(int(first) - k),
+			})
 		}
 	}
 	return s
 }
-
-// Period implements core.PeriodicScheme: one round of the round-robin
-// schedule spans d slots and advances every tree's packet number by d.
-func (s *Scheme) Period() core.Slot { return core.Slot(s.Tree.D) }
-
-// SteadyState implements core.PeriodicScheme: once every real position has
-// received its round-0 packet, position (k,p) fires exactly when
-// (t − firstRecv) mod d = 0, a pattern that repeats every d slots.
-func (s *Scheme) SteadyState() core.Slot { return s.steady }
 
 // virtualSourceSlot returns the slot at the end of which the source is
 // treated as "receiving" the round-0 packet of tree k. Every position's
@@ -125,32 +156,25 @@ func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
 }
 
 // Transmissions implements core.Scheme: it emits, for slot t, every edge
-// delivery (parent → child) whose receive pattern fires at t. Transfers to
-// dummy children are suppressed.
+// delivery (parent → child) whose receive pattern fires at t, walking only
+// the firing list of t's residue. Transfers to dummy children are suppressed.
 func (s *Scheme) Transmissions(t core.Slot) []core.Transmission {
-	m := s.Tree
-	d := core.Slot(m.D)
-	out := make([]core.Transmission, 0, m.N)
-	for k := 0; k < m.D; k++ {
-		for p := 1; p <= m.NP; p++ {
-			child := m.Trees[k][p-1]
-			if m.IsDummy(child) {
-				continue
-			}
-			first := s.firstRecv[k][p-1]
-			if t < first || (t-first)%d != 0 {
-				continue
-			}
-			round := (t - first) / d
-			pkt := core.Packet(k) + core.Packet(int(round))*core.Packet(m.D)
-			var from core.NodeID = core.SourceID
-			if pp := ParentPos(p, m.D); pp > 0 {
-				from = m.Trees[k][pp-1]
-			}
-			out = append(out, core.Transmission{From: from, To: child, Packet: pkt})
-		}
+	if t < 0 {
+		return nil
 	}
-	return out
+	out := s.out[:0]
+	list := s.fires[int(t)%len(s.fires)]
+	for _, f := range list {
+		if t < core.Slot(f.first) {
+			continue
+		}
+		out = append(out, core.Transmission{
+			From: core.NodeID(f.from), To: core.NodeID(f.to),
+			Packet: core.Packet(int(t) - int(f.lag)),
+		})
+	}
+	s.out = out
+	return out[:len(out):len(out)]
 }
 
 // FirstRecvSlot returns the slot at which node id receives its first packet

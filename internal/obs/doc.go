@@ -21,7 +21,7 @@
 //   - JSONLWriter — a compact one-object-per-line event log; ReadEvents
 //     inverts it. internal/trace golden-tests the format.
 //   - Recorder — in-memory event capture, used by the event-stream
-//     parity tests (compiled vs interpreted schedules, replays).
+//     parity tests (replays, observer invariance).
 //   - Funcs — free-function adapter for one-off hooks.
 //   - Combine — fan-out to several observers (nil-safe).
 //

@@ -108,7 +108,7 @@ func (e Event) String() string {
 
 // Recorder is an Observer that appends every callback to Events. It is the
 // reference consumer for equivalence tests (event-stream parity between
-// compiled and interpreted schedules, and between replays) and the
+// replays) and the
 // in-memory form of the JSONL trace.
 type Recorder struct {
 	Events []Event

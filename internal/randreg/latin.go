@@ -16,8 +16,7 @@ import (
 // delay(e) ≡ k − r (mod d), so deliveries land exactly on the edge's firing
 // phase. delay(e) is strictly larger than the tail's own delay for that
 // residue (holds-before-forward), which makes the whole schedule periodic
-// with period d after a warmup of the largest delay — the property
-// core.CompileSchedule verifies and exploits.
+// with period d after a warmup of the largest delay.
 
 // latinInf marks an unassigned delay; kept far below overflow so +1
 // arithmetic stays safe.

@@ -6,8 +6,8 @@
 // buffer behavior. The package offers three schedule modes over one graph:
 //
 //   - latin: a deterministic phase schedule derived from a proper
-//     d-edge-coloring; exactly periodic (period d), so it compiles via
-//     core.CompileSchedule and is verifiable with check.VerifyCompiled.
+//     d-edge-coloring; exactly periodic (period d) once MaxDelay slots have
+//     passed.
 //   - pull: gossip-style in-order pull — each node requests its first
 //     missing packet from a uniformly random in-neighbor.
 //   - push: the symmetric out-neighbor push.
@@ -72,9 +72,7 @@ func ParseMode(v string) (Mode, error) {
 }
 
 // Scheme is a streaming scheme over a random d-regular digraph on the
-// source plus n receivers. It implements core.Scheme and
-// core.PeriodicScheme; the pull and push modes decline compilation with
-// Period() == 0 (their schedules are simulation state, not periodic).
+// source plus n receivers. It implements core.Scheme.
 type Scheme struct {
 	g    *Digraph
 	mode Mode
@@ -98,7 +96,7 @@ type Scheme struct {
 	log   core.SlotLog
 }
 
-var _ core.PeriodicScheme = (*Scheme)(nil)
+var _ core.Scheme = (*Scheme)(nil)
 
 // New builds a randreg scheme: a seeded simple strongly connected d-regular
 // digraph over n receivers plus the source, and the requested schedule mode
@@ -166,26 +164,9 @@ func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
 	return out
 }
 
-// Period implements core.PeriodicScheme: the latin mode repeats every d
-// slots; the stateful pull/push modes decline compilation.
-func (s *Scheme) Period() core.Slot {
-	if s.mode == Latin {
-		return core.Slot(s.d)
-	}
-	return 0
-}
-
-// SteadyState implements core.PeriodicScheme: once the largest edge delay
-// has elapsed, every edge of the latin plan fires each period.
-func (s *Scheme) SteadyState() core.Slot {
-	if s.mode == Latin {
-		return s.plan.steady
-	}
-	return 0
-}
-
 // MaxDelay returns the latin plan's largest edge delay (0 for the gossip
-// modes) — the analytic worst-case start delay of the periodic schedule.
+// modes) — the analytic worst-case start delay of the periodic schedule, and
+// the slot from which every edge of the plan fires once per d slots.
 func (s *Scheme) MaxDelay() core.Slot {
 	if s.mode == Latin {
 		return s.plan.steady

@@ -2,6 +2,7 @@ package randreg
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"streamcast/internal/core"
@@ -64,26 +65,23 @@ func TestLatinScheduleValid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d d=%d: %v", tc.n, tc.d, err)
 		}
-		horizon := s.SteadyState() + core.Slot(4*tc.d) + 8
+		horizon := s.MaxDelay() + core.Slot(4*tc.d) + 8
 		validateSlots(t, s, horizon)
 	}
 }
 
-// TestLatinPeriodicContract checks the core.PeriodicScheme contract the
-// compiler relies on: Transmissions(t+P) = Transmissions(t) shifted by P
-// for all t at or past the steady state.
+// TestLatinPeriodicContract checks the closed form the latin mode promises:
+// with P = d, Transmissions(t+P) = Transmissions(t) shifted by P for all t at
+// or past MaxDelay.
 func TestLatinPeriodicContract(t *testing.T) {
 	s, err := New(30, 3, Latin, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	P := s.Period()
-	if P != 3 {
-		t.Fatalf("Period() = %d, want 3", P)
-	}
-	W := s.SteadyState()
+	const P = 3
+	W := s.MaxDelay()
 	for tt := W; tt < W+4*P; tt++ {
-		base := s.Transmissions(tt)
+		base := slices.Clone(s.Transmissions(tt))
 		next := s.Transmissions(tt + P)
 		if len(base) != len(next) {
 			t.Fatalf("slot %d vs %d: %d vs %d transmissions", tt, tt+P, len(base), len(next))
@@ -98,31 +96,6 @@ func TestLatinPeriodicContract(t *testing.T) {
 	}
 }
 
-// TestLatinCompiles: the latin mode must be accepted by core.CompileSchedule
-// (which re-verifies the periodic contract over an extra period itself).
-func TestLatinCompiles(t *testing.T) {
-	s, err := New(40, 3, Latin, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := core.CompileSchedule(s)
-	if c == nil {
-		t.Fatal("CompileSchedule rejected the latin schedule")
-	}
-	for tt := core.Slot(0); tt < s.SteadyState()+9; tt++ {
-		if !reflect.DeepEqual(noneAsEmpty(c.Transmissions(tt)), noneAsEmpty(s.Transmissions(tt))) {
-			t.Fatalf("compiled schedule diverges at slot %d", tt)
-		}
-	}
-}
-
-func noneAsEmpty(txs []core.Transmission) []core.Transmission {
-	if txs == nil {
-		return []core.Transmission{}
-	}
-	return txs
-}
-
 // TestGossipModesValid replays pull and push against the same invariants.
 func TestGossipModesValid(t *testing.T) {
 	for _, mode := range []Mode{Pull, Push} {
@@ -133,9 +106,6 @@ func TestGossipModesValid(t *testing.T) {
 			s, err := New(tc.n, tc.d, mode, tc.seed)
 			if err != nil {
 				t.Fatalf("%v n=%d d=%d: %v", mode, tc.n, tc.d, err)
-			}
-			if s.Period() != 0 {
-				t.Fatalf("%v mode must decline compilation, Period() = %d", mode, s.Period())
 			}
 			validateSlots(t, s, 200)
 		}

@@ -28,23 +28,20 @@ type ChurnSource interface {
 // refreshes engine state for any epoch change: ids reassigned to joining
 // members are wiped (arrival row slices, playback cursor, in-flight ring
 // entries), and the capacity tables are revalidated against the new epoch.
-func (e *engine) churnStep(t core.Slot) (bool, error) {
+func (e *engine) churnStep(t core.Slot) error {
 	stats, err := e.opt.Churn.Step(t, e.dyn)
 	if err != nil {
-		return false, fmt.Errorf("slotsim: slot %d: churn: %w", t, err)
+		return fmt.Errorf("slotsim: slot %d: churn: %w", t, err)
 	}
 	if len(stats) == 0 {
-		return false, nil
+		return nil
 	}
 	for _, st := range stats {
 		if !st.Leave && st.Node >= 1 && int(st.Node) <= e.n {
 			e.resetNode(st.Node)
 		}
 	}
-	if err := e.refreshTopology(t); err != nil {
-		return false, err
-	}
-	return true, nil
+	return e.refreshTopology(t)
 }
 
 // refreshTopology revalidates the engine's pre-sized invariants after a

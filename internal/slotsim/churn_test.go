@@ -30,9 +30,8 @@ func (s *scriptChurn) Step(t core.Slot, ds core.DynamicScheme) ([]core.ChurnStat
 
 // liveCase builds a fresh churn-capable run: the live multi-tree scheme, a
 // scripted mid-run join/leave sequence, and options sized so the horizon
-// spans warmup, a burst of short epochs (interpreted: none outlives its own
-// compile window), a quiet stretch, and one late op whose fresh epoch is
-// long enough — behind it and ahead of it — to be compiled again.
+// spans warmup, a burst of short epochs, a quiet stretch, and one late op
+// followed by a long epoch.
 func liveCase(t *testing.T, n, d int, mode core.StreamMode) (*multitree.LiveScheme, slotsim.Options) {
 	t.Helper()
 	dy, err := multitree.NewDynamic(n, d, false)
@@ -63,54 +62,40 @@ func liveCase(t *testing.T, n, d int, mode core.StreamMode) (*multitree.LiveSche
 	return ls, opt
 }
 
-// interpreted hides the PeriodicScheme methods of a dynamic scheme —
-// embedding the interface value exposes only core.DynamicScheme — so every
-// topology epoch of a churned run is replayed slot by slot, never compiled.
-type interpreted struct{ core.DynamicScheme }
-
-// churnRun executes one fully observed churned run, with per-epoch schedule
-// compilation available or hidden.
-func churnRun(t *testing.T, n, d int, mode core.StreamMode, compile bool) (outcome, *obs.Recorder, *obs.Metrics, uint64) {
+// churnRun executes one fully observed churned run on a fresh scheme.
+func churnRun(t *testing.T, n, d int, mode core.StreamMode) (outcome, *obs.Recorder, *obs.Metrics, uint64) {
 	t.Helper()
 	ls, opt := liveCase(t, n, d, mode)
-	if core.CompileForRun(ls, opt.Slots) == nil {
-		t.Fatalf("%s: live scheme does not compile at horizon %d; the parity case is vacuous", mode, opt.Slots)
-	}
 	rec, met := &obs.Recorder{}, obs.NewMetrics()
 	opt.Observer = obs.Combine(rec, met)
-	var s core.Scheme = ls
-	if !compile {
-		s = interpreted{ls}
-	}
-	out, err := runKeeping(slotsim.NewRunner(), s, opt)
+	out, err := runKeeping(slotsim.NewRunner(), ls, opt)
 	if err != nil {
-		t.Fatalf("compile=%v: %v", compile, err)
+		t.Fatal(err)
 	}
 	return out, rec, met, ls.Epoch()
 }
 
 // TestChurnParity is the determinism acceptance case for the epoch-aware
-// schedule source: a scripted mid-run join/leave sequence must produce
-// bit-identical Results and arrival cells, observer event streams, and metric
-// fingerprints whether each topology epoch replays a compiled snapshot (when
-// the epoch amortizes one) or is interpreted throughout.
+// schedule source: a scripted mid-run join/leave sequence, replayed on a
+// fresh scheme and Runner, must produce bit-identical Results and arrival
+// cells, observer event streams, and metric fingerprints.
 func TestChurnParity(t *testing.T) {
 	for _, mode := range []core.StreamMode{core.PreRecorded, core.Live} {
-		refRes, refRec, refMet, refEpoch := churnRun(t, 10, 2, mode, false)
+		refRes, refRec, refMet, refEpoch := churnRun(t, 10, 2, mode)
 		if refEpoch == 0 {
 			t.Fatalf("%s: scripted churn applied no ops; the parity case is vacuous", mode)
 		}
-		res, rec, met, epoch := churnRun(t, 10, 2, mode, true)
+		res, rec, met, epoch := churnRun(t, 10, 2, mode)
 		if epoch != refEpoch {
-			t.Errorf("%s: final epoch %d, interpreted %d", mode, epoch, refEpoch)
+			t.Errorf("%s: final epoch %d, first replay %d", mode, epoch, refEpoch)
 		}
 		if !reflect.DeepEqual(refRes, res) {
-			t.Errorf("%s: Result or arrival cells differ from the interpreted run", mode)
+			t.Errorf("%s: Result or arrival cells differ from the first replay", mode)
 		}
 		if got, want := met.Fingerprint(), refMet.Fingerprint(); got != want {
-			t.Errorf("%s: fingerprint %s, interpreted %s", mode, got, want)
+			t.Errorf("%s: fingerprint %s, first replay %s", mode, got, want)
 		}
-		assertSameEvents(t, mode.String(), "interpreted", refRec, "compiled", rec)
+		assertSameEvents(t, mode.String(), "first replay", refRec, "second replay", rec)
 	}
 }
 

@@ -42,9 +42,8 @@
 //     — ends at the first slot boundary at which every receiver holds the
 //     whole window, and any of those keeps the run going to the horizon
 //     (PERFORMANCE.md §10).
-//   - Runner owns the scratch arena and a small cache of compiled
-//     schedules for callers that run many simulations back to back; Run
-//     draws pooled Runners automatically.
+//   - Runner owns the scratch arena for callers that run many simulations
+//     back to back; Run draws pooled Runners automatically.
 //   - Options configures horizon (an upper bound), measurement window,
 //     stream mode, capacities, link latency, failure injection (Drop,
 //     SkipUnavailable, AllowIncomplete), the observability hook

@@ -303,9 +303,7 @@ func grownInts(s []int, n int) []int {
 }
 
 // newEngine sizes and resets the run's state on the Runner's scratch.
-// pktBound, when positive, is an exclusive bound on the packet numbers the
-// run's schedule emits (core.CompiledScheme.PacketBound); zero means unknown.
-func newEngine(s core.Scheme, opt Options, sc *scratch, pktBound core.Packet) (*engine, error) {
+func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
 	if opt.Slots <= 0 {
 		return nil, fmt.Errorf("slotsim: Slots must be > 0, got %d", opt.Slots)
 	}
@@ -339,13 +337,6 @@ func newEngine(s core.Scheme, opt Options, sc *scratch, pktBound core.Packet) (*
 	maxPkt := core.Packet(satMul(int(opt.Slots), srcCap))
 	if int(maxPkt) <= math.MaxInt-srcCap {
 		maxPkt += core.Packet(srcCap)
-	}
-	if pktBound > 0 && pktBound < maxPkt {
-		// The schedule is known to stay below pktBound, so no transmission
-		// can tell the difference — and the matrix is a fraction of the size
-		// when the source emits fewer packets per slot than its capacity
-		// (multitree: one, against a capacity of d).
-		maxPkt = pktBound
 	}
 	if opt.Mode == core.Live && int(maxPkt) > int(opt.Slots) {
 		// A live source cannot send packet p before slot p, so no node ever

@@ -1,7 +1,6 @@
 package slotsim
 
 import (
-	"reflect"
 	"sync"
 
 	"streamcast/internal/core"
@@ -43,38 +42,23 @@ type scratch struct {
 	eng       engine              // engine state, reset per run
 }
 
-// compiledEntry caches the outcome of compiling one scheme: dst is the
-// compiled snapshot, or nil when compilation was attempted and failed (so
-// the Runner does not retry a scheme that cannot compile on every run).
-type compiledEntry struct {
-	src core.Scheme
-	dst core.Scheme
-}
-
-// Runner owns the engine's scratch memory and a small cache of compiled
-// schedules, so repeated runs — experiment sweeps, benchmarks, fault
-// corpora — reuse both instead of re-allocating and re-compiling. A Runner
-// is NOT safe for concurrent use (its compiled snapshots shift packet
-// numbers in place); use one Runner per goroutine, or the package-level Run
-// which draws exclusively-owned Runners from a sync.Pool.
+// Runner owns the engine's scratch memory, so repeated runs — experiment
+// sweeps, benchmarks, fault corpora — reuse it instead of re-allocating. A
+// Runner is NOT safe for concurrent use; use one Runner per goroutine, or the
+// package-level Run which draws exclusively-owned Runners from a sync.Pool.
 type Runner struct {
-	sc    scratch
-	cache [4]compiledEntry
-	next  int
+	sc scratch
 }
 
 // NewRunner returns an empty Runner; buffers grow on first use.
 func NewRunner() *Runner { return &Runner{} }
 
-// Run executes the scheme, one slot at a time. The schedule it replays is
-// the scheme's own or — when the scheme is periodic and the horizon makes it
-// worthwhile — a compiled snapshot; the semantics and the Result are
-// identical either way. Under Options.Churn the topology is a sequence of
-// epochs: the churn source runs at the boundary entering each slot, and
-// every epoch bump re-chooses the schedule for the mutated topology. A
-// static run is the zero-epoch case: the schedule is chosen once. The loop
-// leaves early when the window is complete and nothing outside the engine
-// could read a later slot (Options.Slots).
+// Run executes the scheme, one slot at a time, asking it for each slot's
+// transmissions. Under Options.Churn the topology is a sequence of epochs: the
+// churn source runs at the boundary entering each slot, and the scheme's next
+// slot reflects the mutated topology. The loop leaves early when the window is
+// complete and nothing outside the engine could read a later slot
+// (Options.Slots).
 func (r *Runner) Run(s core.Scheme, opt Options) (*Result, error) {
 	e, err := r.runSlots(s, opt)
 	if err != nil {
@@ -86,38 +70,17 @@ func (r *Runner) Run(s core.Scheme, opt Options) (*Result, error) {
 // runSlots is the slot loop: it returns the engine as the last slot left it,
 // for finish to summarise.
 func (r *Runner) runSlots(s core.Scheme, opt Options) (*engine, error) {
-	// Compile before sizing the engine: the snapshot's append garbage is
-	// collected while the heap is still small, instead of riding the GC goal
-	// the arrival matrix sets (a 2× peak-RSS difference on dense-long).
-	cur := r.prepared(s, opt.Slots)
-	// A snapshot of a topology nothing will mutate knows every packet the
-	// run can move; a live one is re-snapshotted per epoch and does not.
-	var pktBound core.Packet
-	if c, ok := cur.(*core.CompiledScheme); ok && opt.Churn == nil {
-		pktBound = c.PacketBound(opt.Slots)
-	}
-	e, err := newEngine(s, opt, &r.sc, pktBound)
+	e, err := newEngine(s, opt, &r.sc)
 	if err != nil {
 		return nil, err
 	}
-	lastSwap := core.Slot(0)
 	for t := core.Slot(0); t < opt.Slots; t++ {
 		if e.dyn != nil {
-			changed, err := e.churnStep(t)
-			if err != nil {
+			if err := e.churnStep(t); err != nil {
 				return nil, err
 			}
-			if changed {
-				// A snapshot only pays off when epochs outlive their own
-				// compile window: if the epoch that just ended was too short
-				// to amortize one, churn is assumed sustained and the fresh
-				// epoch is interpreted, as it is when too little of the run
-				// remains.
-				cur = r.prepared(s, min(t-lastSwap, opt.Slots-t))
-				lastSwap = t
-			}
 		}
-		if err := e.step(t, cur.Transmissions(t)); err != nil {
+		if err := e.step(t, s.Transmissions(t)); err != nil {
 			return nil, err
 		}
 		if e.pending == 0 && e.direct && e.dyn == nil {
@@ -140,61 +103,13 @@ func (r *Runner) RunParallel(s core.Scheme, opt Options, _ int) (*Result, error)
 // bench/pipeline.go.
 func (r *Runner) Close() {}
 
-// prepared substitutes a compiled snapshot for a periodic scheme when the
-// one-time compile cost fits inside the horizon's own slot-generation budget
-// (core.CompileForRun owns that rule), caching outcomes (including failures)
-// per scheme identity.
-func (r *Runner) prepared(s core.Scheme, horizon core.Slot) core.Scheme {
-	if _, ok := s.(*core.CompiledScheme); ok {
-		return s
-	}
-	if _, dyn := s.(core.DynamicScheme); dyn {
-		// Never cache (or serve a cached snapshot of) a scheme whose
-		// topology can mutate: an identity-keyed entry compiled at one epoch
-		// would silently replay stale slots at a later one. Snapshot the
-		// current epoch afresh instead.
-		if c := core.CompileForRun(s, horizon); c != nil {
-			return c
-		}
-		return s
-	}
-	t := reflect.TypeOf(s)
-	if t == nil || !t.Comparable() {
-		return s
-	}
-	for i := range r.cache {
-		if r.cache[i].src == s {
-			if r.cache[i].dst != nil {
-				return r.cache[i].dst
-			}
-			return s
-		}
-	}
-	if !core.WorthCompiling(s, horizon) {
-		// Too short a horizon to amortize the compile this run; don't cache
-		// the decision — a later, longer run may still benefit.
-		return s
-	}
-	c := core.CompileSchedule(s)
-	ent := compiledEntry{src: s}
-	if c != nil {
-		ent.dst = c
-	}
-	r.cache[r.next] = ent
-	r.next = (r.next + 1) % len(r.cache)
-	if c == nil {
-		return s
-	}
-	return c
-}
-
 // runnerPool hands out exclusively-owned Runners to the package-level Run,
-// so concurrent calls never share scratch or compiled snapshots.
+// so concurrent calls never share scratch.
 var runnerPool = sync.Pool{New: func() interface{} { return NewRunner() }}
 
 // Run executes the scheme on an exclusively-owned Runner drawn from an
-// internal pool, so repeated runs reuse engine scratch memory and compiled
-// schedules; hold an explicit Runner to control that reuse manually.
+// internal pool, so repeated runs reuse engine scratch memory; hold an
+// explicit Runner to control that reuse manually.
 func Run(s core.Scheme, opt Options) (*Result, error) {
 	r := runnerPool.Get().(*Runner)
 	res, err := r.Run(s, opt)

@@ -47,7 +47,7 @@ func chainOfTwo() *stubScheme {
 // run of the same schedule, which replays every slot, reports it. That
 // asymmetry is a decision, not an accident: the engine vouches for the slots
 // that produced its Result, and a schedule's validity over a stated horizon
-// is check.Static's question (and CompileSchedule's verification pass's), not
+// is check.Static's question, not
 // a side effect of how long a measurement happened to run.
 func TestStopRule(t *testing.T) {
 	watched := map[string]func(*Options){

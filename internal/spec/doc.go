@@ -12,8 +12,8 @@
 //
 // Each family (multitree, hypercube, chain, singletree, cluster, gossip,
 // mdc, randreg) self-registers in its family_*.go file: declared
-// parameters with defaults, capability flags (statically checkable,
-// periodic/compilable, best effort, live churn), and a builder that
+// parameters with defaults, capability flags (statically checkable, best
+// effort, live churn), and a builder that
 // turns resolved parameters into a constructed scheme plus engine and
 // check options. Build resolves a Scenario through the registry into a
 // Run, which executes on the slotsim engine and preflights through

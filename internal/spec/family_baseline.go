@@ -17,7 +17,7 @@ func init() {
 		Params: []Param{
 			{Name: "n", Kind: Int, Def: "100", Min: 1, Doc: "number of receivers"},
 		},
-		Caps: Capabilities{StaticCheck: true, Periodic: true},
+		Caps: Capabilities{StaticCheck: true},
 		defaultPackets: func(v Values) core.Packet {
 			return 12
 		},
@@ -39,7 +39,7 @@ func init() {
 			{Name: "n", Kind: Int, Def: "100", Min: 1, Doc: "number of receivers"},
 			{Name: "d", Kind: Int, Def: "3", Min: 1, Doc: "tree branching factor b"},
 		},
-		Caps: Capabilities{StaticCheck: true, Periodic: true},
+		Caps: Capabilities{StaticCheck: true},
 		defaultPackets: func(v Values) core.Packet {
 			return core.Packet(4 * v.Int("d"))
 		},

@@ -28,7 +28,7 @@ func init() {
 			{Name: "intra", Kind: Enum, Def: "multitree", Enum: []string{"multitree", "hypercube"},
 				Doc: "intra-cluster scheme"},
 		},
-		Caps: Capabilities{StaticCheck: true, Periodic: true},
+		Caps: Capabilities{StaticCheck: true},
 		// The scheme manages its own mode: cluster.Options always runs
 		// Live with the backbone's Tc latency map.
 		InternalMode: true,

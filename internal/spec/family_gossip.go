@@ -34,8 +34,8 @@ func init() {
 			{Name: "seed", Kind: Int64, Def: "1", Doc: "mesh and pull-choice seed"},
 		},
 		// The schedule is generated lazily from simulation state: there is
-		// no closed-form bound for internal/check to verify and no period
-		// to compile, and missing packets are expected (best effort).
+		// no closed-form bound for internal/check to verify, and missing
+		// packets are expected (best effort).
 		Caps:          Capabilities{BestEffort: true},
 		ForcedMode:    core.Live,
 		HasForcedMode: true,

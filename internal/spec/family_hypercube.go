@@ -16,7 +16,7 @@ func init() {
 			{Name: "n", Kind: Int, Def: "100", Min: 1, Doc: "number of receivers"},
 			{Name: "d", Kind: Int, Def: "3", Min: 1, Doc: "source capacity d (cubes per chain group)"},
 		},
-		Caps:          Capabilities{StaticCheck: true, Periodic: true},
+		Caps:          Capabilities{StaticCheck: true},
 		ForcedMode:    core.Live,
 		HasForcedMode: true,
 		defaultPackets: func(v Values) core.Packet {

@@ -17,9 +17,8 @@ func init() {
 		Doc:    "multi-tree run analyzed as d MDC descriptions per round (Section 1)",
 		Params: params,
 		// Quality analysis expects loss: the run is best effort, and the
-		// static verifier's completeness model does not apply. The
-		// underlying multi-tree schedule itself is still periodic.
-		Caps: Capabilities{BestEffort: true, Periodic: true},
+		// static verifier's completeness model does not apply.
+		Caps: Capabilities{BestEffort: true},
 		defaultPackets: func(v Values) core.Packet {
 			return core.Packet(v.Int("rounds") * v.Int("d"))
 		},

@@ -110,7 +110,7 @@ func init() {
 		Name:   "multitree",
 		Doc:    "the paper's d interior-disjoint trees (Section 2); supports live mid-run churn",
 		Params: multiTreeParams(),
-		Caps:   Capabilities{StaticCheck: true, Periodic: true, LiveChurn: true},
+		Caps:   Capabilities{StaticCheck: true, LiveChurn: true},
 		defaultPackets: func(v Values) core.Packet {
 			return core.Packet(4 * v.Int("d"))
 		},

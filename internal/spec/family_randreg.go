@@ -11,7 +11,7 @@ import (
 func init() {
 	register(&Family{
 		Name: "randreg",
-		Doc:  "seeded random d-regular digraph; latin (periodic, compiled) or pull/push gossip schedules",
+		Doc:  "seeded random d-regular digraph; latin (periodic) or pull/push gossip schedules",
 		Params: []Param{
 			{Name: "n", Kind: Int, Def: "100", Min: 4, Doc: "number of receivers"},
 			{Name: "degree", Kind: Int, Def: "3", Min: 2, Doc: "in- and out-degree of every node"},
@@ -20,12 +20,9 @@ func init() {
 				Doc:  "schedule over the digraph: latin is periodic, pull/push are gossip"},
 			{Name: "seed", Kind: Int64, Def: "1", Doc: "digraph and protocol seed"},
 		},
-		// The latin mode is exactly periodic (period = degree), so the
-		// default build compiles and is window-verified; the pull/push modes
-		// are simulation state and decline compilation. All modes are
-		// probabilistic constructions, so delivery is best effort — there is
-		// no closed-form static bound for internal/check.
-		Caps:          Capabilities{Periodic: true, BestEffort: true},
+		// All modes are probabilistic constructions, so delivery is best
+		// effort — there is no closed-form static bound for internal/check.
+		Caps:          Capabilities{BestEffort: true},
 		ForcedMode:    core.Live,
 		HasForcedMode: true,
 		defaultPackets: func(v Values) core.Packet {
@@ -43,9 +40,9 @@ func init() {
 			}
 			out := &buildOutput{Scheme: s}
 			if mode == randreg.Latin {
-				// Past the steady state every edge fires each period; a
-				// couple of extra periods let the tail packets land.
-				out.Extra = s.SteadyState() + core.Slot(2*degree+16)
+				// Past the largest edge delay every edge fires each period;
+				// a couple of extra periods let the tail packets land.
+				out.Extra = s.MaxDelay() + core.Slot(2*degree+16)
 			} else {
 				// Gossip dissemination of one packet takes O(log n) rounds
 				// with high probability; the slack covers the in-order

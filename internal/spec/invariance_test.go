@@ -217,9 +217,16 @@ func TestPrefixStability(t *testing.T) {
 // caller can catch); it must come back from Execute as a sized error, and
 // promptly — nothing of the matrix is allocated first.
 func TestOversizedRunIsRefused(t *testing.T) {
-	run := mustBuild(t, "scheme gossip\nparam n=200000 d=3\n")
+	sc, err := Parse("scheme gossip\nparam n=200000 d=3\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := Build(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
-	_, err := run.Execute()
+	_, err = run.Execute()
 	took := time.Since(start)
 	if err == nil {
 		t.Fatal("Execute accepted a 596 GiB arrival matrix")

@@ -74,9 +74,6 @@ type Capabilities struct {
 	// the check directive on a family without it fails fast instead of
 	// producing spurious verifier output.
 	StaticCheck bool
-	// Periodic means the family's schemes implement core.PeriodicScheme
-	// and are eligible for schedule compilation.
-	Periodic bool
 	// BestEffort means the family runs with AllowIncomplete by default:
 	// missing packets are an expected outcome, not a scheme defect.
 	BestEffort bool

@@ -49,9 +49,9 @@ func TestRegistryShape(t *testing.T) {
 }
 
 // TestCapabilitiesMatchSchemes verifies the declared capability flags
-// against the constructed schemes: Periodic families must implement
-// core.PeriodicScheme on a default build, BestEffort families must run
-// with AllowIncomplete, and every default scenario must build and run to
+// against the constructed schemes: BestEffort families must run with
+// AllowIncomplete, StaticCheck families must carry check options their
+// default build passes, and every default scenario must build and run to
 // completion on its automatic horizon.
 func TestCapabilitiesMatchSchemes(t *testing.T) {
 	for _, f := range Families() {
@@ -60,10 +60,6 @@ func TestCapabilitiesMatchSchemes(t *testing.T) {
 			run, err := Build(&Scenario{Scheme: f.Name})
 			if err != nil {
 				t.Fatal(err)
-			}
-			_, periodic := run.Scheme.(core.PeriodicScheme)
-			if periodic != f.Caps.Periodic {
-				t.Errorf("Caps.Periodic=%v but scheme implements PeriodicScheme=%v", f.Caps.Periodic, periodic)
 			}
 			if run.Opt.AllowIncomplete != f.Caps.BestEffort {
 				t.Errorf("Caps.BestEffort=%v but Opt.AllowIncomplete=%v", f.Caps.BestEffort, run.Opt.AllowIncomplete)
