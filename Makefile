@@ -1,12 +1,13 @@
 # Streamcast build/test entry points. Tier-1 verification (ROADMAP.md) is
-# `make ci`: build + vet + gofmt gate + streamvet lint + full test suite, plus
-# the race pass over the engine, observability and experiment packages, short
-# fuzz smokes of the fault-plan and scenario parsers and of the engine against
-# its reference interpreter, and the chaos/scenario corpus replays.
+# `make ci`: build + vet + gofmt gate + full test suite (the internal/lint
+# analyzers run inside it), plus the race pass over the engine, observability
+# and experiment packages, short fuzz smokes of the fault-plan and scenario
+# parsers and of the engine against its reference interpreter, and the
+# chaos/scenario corpus replays.
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint lint-json lint-fix-check bench benchsmoke bench-json bench-gate fuzz chaos scenarios cover loc ci clean
+.PHONY: build test race vet fmt-check lint bench benchsmoke bench-json bench-gate fuzz chaos scenarios cover loc ci clean
 
 build:
 	$(GO) build ./...
@@ -29,24 +30,11 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { printf '%s\n' "$$out"; echo "fmt-check: run gofmt -w on the files above"; exit 1; }
 
-# Project-specific static analysis: the streamvet analyzers (see
-# STATIC_ANALYSIS.md) over every package in the module.
+# Project-specific static analysis alone: the internal/lint analyzers (see
+# STATIC_ANALYSIS.md) over every package in the module, and their fixtures.
+# `make test` runs the same tests, so ci does not list this target.
 lint:
-	$(GO) run ./cmd/streamvet
-
-# Machine-readable findings (one JSON array of file/line/col/analyzer/message
-# records) for CI annotations and editor integration. Exit status matches
-# `make lint`: non-zero when anything is reported.
-lint-json:
-	$(GO) run ./cmd/streamvet -json
-
-# CI gate asserting the repo is clean under every analyzer: the -json stream
-# must be exactly the empty array, so stray stdout noise or a partial run
-# cannot masquerade as a clean pass.
-lint-fix-check:
-	@out="$$($(GO) run ./cmd/streamvet -json)" || { printf '%s\n' "$$out"; echo "lint-fix-check: streamvet reported findings"; exit 1; }; \
-	clean="$$(printf '%s' "$$out" | tr -d '[:space:]')"; \
-	[ "$$clean" = "[]" ] || { printf '%s\n' "$$out"; echo "lint-fix-check: expected empty findings array"; exit 1; }
+	$(GO) test -count=1 ./internal/lint
 
 # Full benchmark sweep (one iteration each) — doubles as a reproduction
 # record; see bench_test.go. internal/slotsim carries the white-box
@@ -104,13 +92,14 @@ scenarios:
 	$(GO) test ./internal/spec -run 'TestScenarioCorpus|TestCorpusScenariosCanonical|TestNoStrayConstruction' -count=1 -v
 
 # Aggregate statement-coverage gate: one profile over every package,
-# totalled with `go tool cover -func`. The recorded baseline is 82.6%
-# (2026-08); COVER_MIN sits a few points below it so the gate catches a PR
-# landing a large untested surface without tripping on routine drift. The
+# totalled with `go tool cover -func`. The recorded baseline is 84.4%
+# (2026-10, after the lint audit); COVER_MIN sits a few points below it so
+# the gate catches a PR landing a large untested surface without tripping on
+# routine drift. The
 # profile lives in a temp file so a gate run never leaves artifacts in the
 # tree; for per-function detail, write your own profile:
 #   go test -coverprofile=/tmp/cover.out ./... && go tool cover -func=/tmp/cover.out
-COVER_MIN ?= 78.0
+COVER_MIN ?= 81.0
 cover:
 	@prof=$$(mktemp); \
 	$(GO) test -coverprofile=$$prof ./... || { rm -f $$prof; exit 1; }; \
@@ -156,7 +145,7 @@ bench-gate:
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
 
-ci: build vet fmt-check lint lint-fix-check test race fuzz chaos scenarios cover benchsmoke bench-gate
+ci: build vet fmt-check test race fuzz chaos scenarios cover benchsmoke bench-gate
 
 clean:
 	$(GO) clean ./...

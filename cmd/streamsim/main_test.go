@@ -183,6 +183,22 @@ func TestParallelDirectiveIsAnnounced(t *testing.T) {
 	}
 }
 
+// TestSinkWriteFailureExits1: an output that cannot be written is a failed
+// run. Each sink writes to /dev/full, whose every write fails with ENOSPC; a
+// dropped write, flush or close error would exit 0 with the file truncated.
+func TestSinkWriteFailureExits1(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	for _, sink := range []string{"report", "metrics", "trace"} {
+		text := "scheme multitree\nparam n=40 d=3\nout " + sink + "=/dev/full\n"
+		code, _, stderr := invoke([]string{"-scenario", "-"}, text)
+		if code != 1 || !strings.Contains(stderr, "/dev/full") {
+			t.Errorf("out %s=/dev/full: exit %d, stderr %q; want 1 and the path's write error", sink, code, stderr)
+		}
+	}
+}
+
 // TestFailedRunFlushesTrace: a run the engine aborts must still leave a
 // whole trace behind — every buffered event flushed, the file ending on a
 // line boundary, the last event closing the last executed slot — while the

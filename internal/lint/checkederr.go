@@ -8,7 +8,7 @@ import (
 
 // CheckedErr forbids silently discarded error returns in non-test internal
 // code: a call statement (plain, go, or defer) whose callee returns an error
-// must assign or check it.
+// must assign or check it. A deliberate discard is spelled `_ = f()`.
 //
 // The documented escape hatches keep the signal high:
 //   - fmt.Print*/Fprint* — formatted output in this repo goes to stdout,
@@ -19,14 +19,9 @@ import (
 //     contract is "it never returns an error";
 //   - methods of *math/rand.Rand — the draw methods have no error result and
 //     Read is documented to always return a nil error.
-//
-// Anything else (Close, Flush, encoders, ...) either handles the error or
-// carries a //lint:ignore checkederr comment saying why not.
 var CheckedErr = &Analyzer{
 	Name: "checkederr",
-	Doc: "forbid discarded error returns in non-test internal code " +
-		"(fmt print helpers and Builder/Buffer writes excepted)",
-	Run: runCheckedErr,
+	Run:  runCheckedErr,
 }
 
 func runCheckedErr(pass *Pass) {
@@ -44,27 +39,20 @@ func runCheckedErr(pass *Pass) {
 			case *ast.DeferStmt:
 				call = s.Call
 			}
-			if call == nil {
-				return true
-			}
-			if !returnsError(pass, call) || errAllowlisted(pass, call) {
+			if call == nil || !returnsError(pass.TypeOf(call)) || errAllowlisted(pass, call) {
 				return true
 			}
 			pass.Reportf(call.Pos(),
-				"result of %s contains an error that is discarded; handle it or annotate with //lint:ignore checkederr <reason>",
-				calleeName(call))
+				"result of %s contains an error that is discarded; handle it, or assign it to _ where dropping it is deliberate",
+				types.ExprString(call.Fun))
 			return true
 		})
 	}
 }
 
-// returnsError reports whether the call's result type is error or a tuple
+// returnsError reports whether a call's result type is error or a tuple
 // with an error element.
-func returnsError(pass *Pass, call *ast.CallExpr) bool {
-	t := pass.TypeOf(call)
-	if t == nil {
-		return false
-	}
+func returnsError(t types.Type) bool {
 	if tuple, ok := t.(*types.Tuple); ok {
 		for i := 0; i < tuple.Len(); i++ {
 			if isErrorType(tuple.At(i).Type()) {
@@ -73,7 +61,7 @@ func returnsError(pass *Pass, call *ast.CallExpr) bool {
 		}
 		return false
 	}
-	return isErrorType(t)
+	return t != nil && isErrorType(t)
 }
 
 // isErrorType reports whether t is the built-in error interface.
@@ -96,54 +84,22 @@ func errAllowlisted(pass *Pass, call *ast.CallExpr) bool {
 	// type: the methods themselves resolve to embedded interfaces (io.Writer
 	// inside hash.Hash), so the *types.Func receiver alone cannot tell a hash
 	// write from an arbitrary Write.
-	if full := namedTypeOf(pass, sel.X); full != "" {
-		switch full {
-		case "hash.Hash", "hash.Hash32", "hash.Hash64", "hash/maphash.Hash":
-			if strings.HasPrefix(fn.Name(), "Write") {
-				return true
-			}
-		case "math/rand.Rand":
+	switch namedType(pass.TypeOf(sel.X)) {
+	case "hash.Hash", "hash.Hash32", "hash.Hash64", "hash/maphash.Hash":
+		if strings.HasPrefix(fn.Name(), "Write") {
 			return true
 		}
+	case "math/rand.Rand":
+		return true
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
+	sig := fn.Type().(*types.Signature)
 	if sig.Recv() == nil {
 		return fn.Pkg() != nil && fn.Pkg().Path() == "fmt" &&
 			(strings.HasPrefix(fn.Name(), "Print") || strings.HasPrefix(fn.Name(), "Fprint"))
 	}
-	recv := sig.Recv().Type()
-	if ptr, ok := recv.(*types.Pointer); ok {
-		recv = ptr.Elem()
+	switch namedType(sig.Recv().Type()) {
+	case "strings.Builder", "bytes.Buffer":
+		return true
 	}
-	named, ok := recv.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	full := named.Obj().Pkg().Path() + "." + named.Obj().Name()
-	return full == "strings.Builder" || full == "bytes.Buffer"
-}
-
-// namedTypeOf returns the pkgpath-qualified name of an expression's static
-// type after pointer dereference, or "" when it is not a named type.
-func namedTypeOf(pass *Pass, e ast.Expr) string {
-	t := pass.TypeOf(e)
-	if t == nil {
-		return ""
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return ""
-	}
-	return named.Obj().Pkg().Path() + "." + named.Obj().Name()
-}
-
-// calleeName renders the called expression for the diagnostic.
-func calleeName(call *ast.CallExpr) string {
-	return types.ExprString(call.Fun)
+	return false
 }

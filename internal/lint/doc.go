@@ -1,33 +1,25 @@
-// Package lint is a self-contained static-analysis framework plus the
-// repo-specific analyzers behind cmd/streamvet (see STATIC_ANALYSIS.md).
+// Package lint is a small static-analysis framework plus the repo-specific
+// analyzers that no behavioural test can replace (see STATIC_ANALYSIS.md).
+// It runs inside `go test`: TestRepositoryIsClean applies every analyzer to
+// every package of the module, and `make lint` runs this package alone.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis model — an
 // Analyzer inspects one type-checked package through a Pass and reports
 // Diagnostics — but is built entirely on the standard library so the
 // repository carries no external dependencies. Packages under analysis are
 // parsed from source and type-checked against compiled export data obtained
-// from `go list -export` (the same artifacts the go tool itself builds), so
-// a full-repository run costs one build, not one type-check per transitive
-// dependency.
+// from `go list -export`, so a full-repository run costs one build, not one
+// type-check per transitive dependency.
 //
-// The analyzers guard invariants that the simulation engine can only detect
-// dynamically, if at all (STATIC_ANALYSIS.md lists, per analyzer, the bug
-// class or untested invariant it covers):
+// Each analyzer survived a mutation audit: its bug class was seeded into the
+// tree and the test suite passed without it. The seed that got through is
+// the analyzer's fixture under testdata/src.
 //
 //   - nodeterminism: no wall-clock reads or global (unseeded) math/rand in
-//     internal packages, preserving bit-identical replays and resume.
+//     internal packages, preserving bit-identical replays.
 //   - slottypes: no direct conversions that mix core.NodeID, core.Packet and
-//     core.Slot (all int underneath); semantic crossings must go through an
-//     explicit int(...) bridge.
-//   - obsguard: every call of an obs.Observer interface method outside
-//     internal/obs must sit under an explicit `!= nil` guard on the same
-//     receiver, keeping the benchmarked nil-observer fast path intact.
+//     core.Slot (all int underneath); a crossing goes through int(...).
 //   - checkederr: no silently discarded error returns in non-test internal
-//     code.
-//   - hotalloc: no map allocation in the slotsim per-slot hot path.
-//   - construction: schemes are built through the internal/spec registry.
-//   - maporder: no map iteration on a path that reaches deterministic output.
-//
-// Findings can be suppressed with a `//lint:ignore <analyzer> <reason>`
-// comment on the offending line or the line above it.
+//     code; a deliberate discard is spelled `_ = f()`.
+//   - maporder: no map range whose body writes deterministic output.
 package lint

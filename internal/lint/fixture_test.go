@@ -103,16 +103,6 @@ func TestNoDeterminismFixture(t *testing.T) { runFixture(t, "nodeterminism", NoD
 
 func TestSlotTypesFixture(t *testing.T) { runFixture(t, "slottypes", SlotTypes) }
 
-func TestObsGuardFixture(t *testing.T) { runFixture(t, "obsguard", ObsGuard) }
-
 func TestCheckedErrFixture(t *testing.T) { runFixture(t, "checkederr", CheckedErr) }
-
-func TestHotAllocFixture(t *testing.T) { runFixture(t, "hotalloc", HotAlloc) }
-
-func TestConstructionFixture(t *testing.T) { runFixture(t, "construction", Construction) }
-
-// TestIgnoreSpanFixture is the regression test for //lint:ignore above
-// multi-line statements: the directive must cover the whole statement span.
-func TestIgnoreSpanFixture(t *testing.T) { runFixture(t, "ignorespan", CheckedErr) }
 
 func TestMapOrderFixture(t *testing.T) { runFixture(t, "maporder", MapOrder) }

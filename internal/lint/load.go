@@ -19,15 +19,12 @@ import (
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
 	// Path is the import path (or a synthetic path for test fixtures).
-	Path string
-	// Dir is the directory the sources were read from.
-	Dir   string
+	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
-	Types *types.Package
 	Info  *types.Info
 	// TypeErrors holds non-fatal type-check problems. Analyzers still run
-	// on a partially checked package; the driver surfaces these separately.
+	// on a partially checked package; the caller surfaces these separately.
 	TypeErrors []error
 }
 
@@ -35,79 +32,32 @@ type Package struct {
 // are satisfied from compiled export data produced by `go list -export`, so
 // dependencies are never re-type-checked from source.
 type Loader struct {
-	// Root is the module root directory (where go.mod lives).
-	Root string
-	// Module is the module path from go.mod.
-	Module string
-
+	root    string // the module root directory, where every go list runs
 	fset    *token.FileSet
 	imp     types.Importer
 	exports map[string]string // import path -> export data file
 }
 
-// NewLoader builds a loader for the module containing dir, walking upward
-// to find go.mod.
+// NewLoader builds a loader for the module containing dir, with the export
+// data of the module and its full dependency closure from one `go list`.
 func NewLoader(dir string) (*Loader, error) {
-	abs, err := filepath.Abs(dir)
+	l := &Loader{root: dir, fset: token.NewFileSet(), exports: make(map[string]string)}
+	root, err := l.goList("-m", "-f", "{{.Dir}}")
 	if err != nil {
 		return nil, err
 	}
-	root := abs
-	for {
-		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
-			break
-		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			return nil, fmt.Errorf("lint: no go.mod found above %s", abs)
-		}
-		root = parent
-	}
-	modBytes, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, err
-	}
-	module := ""
-	for _, line := range strings.Split(string(modBytes), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			module = strings.TrimSpace(rest)
-			break
-		}
-	}
-	if module == "" {
-		return nil, fmt.Errorf("lint: no module directive in %s/go.mod", root)
-	}
-	l := &Loader{
-		Root:    root,
-		Module:  module,
-		fset:    token.NewFileSet(),
-		exports: make(map[string]string),
-	}
+	l.root = strings.TrimSpace(root)
 	l.imp = importer.ForCompiler(l.fset, "gc", l.lookup)
-	if err := l.primeExports(); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
-// primeExports fills the export-data map for the module and its full
-// dependency closure with a single `go list` invocation.
-func (l *Loader) primeExports() error {
 	out, err := l.goList("-deps", "-export", "-e", "-f", "{{.ImportPath}}\t{{.Export}}", "./...")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, line := range strings.Split(out, "\n") {
-		parts := strings.SplitN(line, "\t", 2)
-		if len(parts) == 2 && parts[1] != "" {
-			l.exports[parts[0]] = parts[1]
+		if path, file, ok := strings.Cut(line, "\t"); ok && file != "" {
+			l.exports[path] = file
 		}
 	}
-	return nil
+	return l, nil
 }
 
 // lookup feeds export data to the gc importer, consulting the primed map
@@ -120,8 +70,7 @@ func (l *Loader) lookup(path string) (io.ReadCloser, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lint: resolving %s: %w", path, err)
 		}
-		file = strings.TrimSpace(out)
-		if file == "" {
+		if file = strings.TrimSpace(out); file == "" {
 			return nil, fmt.Errorf("lint: no export data for %s", path)
 		}
 		l.exports[path] = file
@@ -132,7 +81,7 @@ func (l *Loader) lookup(path string) (io.ReadCloser, error) {
 // goList runs `go list` at the module root.
 func (l *Loader) goList(args ...string) (string, error) {
 	cmd := exec.Command("go", append([]string{"list"}, args...)...)
-	cmd.Dir = l.Root
+	cmd.Dir = l.root
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
@@ -143,24 +92,18 @@ func (l *Loader) goList(args ...string) (string, error) {
 }
 
 // LoadModule loads every package of the module (the ./... pattern),
-// excluding test files.
+// excluding test files, in import-path order.
 func (l *Loader) LoadModule() ([]*Package, error) {
 	out, err := l.goList("-f", "{{.ImportPath}}\t{{.Dir}}", "./...")
 	if err != nil {
 		return nil, err
 	}
-	type entry struct{ path, dir string }
-	var entries []entry
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		parts := strings.SplitN(line, "\t", 2)
-		if len(parts) == 2 {
-			entries = append(entries, entry{parts[0], parts[1]})
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].path < entries[j].path })
-	pkgs := make([]*Package, 0, len(entries))
-	for _, e := range entries {
-		pkg, err := l.LoadDir(e.dir, e.path)
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	sort.Strings(lines)
+	var pkgs []*Package
+	for _, line := range lines {
+		path, dir, _ := strings.Cut(line, "\t")
+		pkg, err := l.LoadDir(dir, path)
 		if err != nil {
 			return nil, err
 		}
@@ -169,64 +112,39 @@ func (l *Loader) LoadModule() ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks the single package in dir under the given
-// import path. The path may be synthetic (test fixtures under testdata use
-// paths the go tool never sees).
+// LoadDir parses and type-checks the non-test Go files in dir as one package
+// under the given import path. The path may be synthetic (test fixtures under
+// testdata use paths the go tool never sees).
 func (l *Loader) LoadDir(dir, path string) (*Package, error) {
-	names, err := sourceFiles(dir)
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		return nil, err
 	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("lint: no non-test Go files in %s", dir)
-	}
-	files := make([]*ast.File, 0, len(names))
+	pkg := &Package{Path: path, Fset: l.fset}
 	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(l.fset, name, nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		files = append(files, f)
+		pkg.Files = append(pkg.Files, f)
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
+	if len(pkg.Files) == 0 {
+		return nil, fmt.Errorf("lint: no non-test Go files in %s", dir)
+	}
+	pkg.Info = &types.Info{
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{
 		Importer: l.imp,
-		Error: func(err error) {
-			pkg.TypeErrors = append(pkg.TypeErrors, err)
-		},
+		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
 	}
 	// The returned error duplicates the collected TypeErrors; analysis
 	// proceeds on whatever was checked.
-	tpkg, _ := conf.Check(path, l.fset, files, info)
-	pkg.Types = tpkg
-	pkg.Info = info
+	_, _ = conf.Check(path, l.fset, pkg.Files, pkg.Info)
 	return pkg, nil
-}
-
-// sourceFiles lists the buildable non-test Go files of a directory in
-// deterministic order.
-func sourceFiles(dir string) ([]string, error) {
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, de := range des {
-		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, nil
 }

@@ -25,12 +25,11 @@ var globalRandFuncs = map[string]bool{
 }
 
 // NoDeterminism forbids wall-clock reads and global math/rand draws in
-// internal packages.
+// internal packages; they break bit-identical replays and deterministic
+// resume.
 var NoDeterminism = &Analyzer{
 	Name: "nodeterminism",
-	Doc: "forbid time.Now/Since/Until and global math/rand draws in internal " +
-		"packages; they break bit-identical replays and deterministic resume",
-	Run: runNoDeterminism,
+	Run:  runNoDeterminism,
 }
 
 func runNoDeterminism(pass *Pass) {

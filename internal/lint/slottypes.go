@@ -18,12 +18,10 @@ var slotTypeNames = map[string]bool{
 }
 
 // SlotTypes flags direct conversions between core.NodeID, core.Packet and
-// core.Slot.
+// core.Slot; a cross-domain conversion must bridge through int(...).
 var SlotTypes = &Analyzer{
 	Name: "slottypes",
-	Doc: "flag conversions that directly mix core.NodeID, core.Packet and " +
-		"core.Slot; cross-domain conversions must bridge through int(...)",
-	Run: runSlotTypes,
+	Run:  runSlotTypes,
 }
 
 func runSlotTypes(pass *Pass) {

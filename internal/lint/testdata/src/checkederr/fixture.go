@@ -48,8 +48,26 @@ func HashAndRand(h hash.Hash, rng *rand.Rand, buf []byte) uint64 {
 	return h64.Sum64()
 }
 
-// Suppressed documents a deliberate discard in place.
-func Suppressed(f *os.File) {
-	//lint:ignore checkederr fixture demonstrates suppression
-	f.Close()
+// Deliberate spells a discard out, so it is not a finding.
+func Deliberate(f *os.File) {
+	_ = f.Close()
+}
+
+// membership stands in for multitree.Dynamic, whose Add returns an error
+// only on a duplicate name.
+type membership struct{ names map[string]bool }
+
+func (m *membership) Add(name string) (int, error) {
+	if m.names[name] {
+		return 0, fmt.Errorf("duplicate %q", name)
+	}
+	m.names[name] = true
+	return len(m.names), nil
+}
+
+// DroppedAdd is the seeded mutation no test caught (experiments.ChurnImpact
+// calling dy.Add as a statement): a (value, error) result whose error only
+// fires on input the tests never build.
+func DroppedAdd(m *membership, i int) {
+	m.Add(fmt.Sprintf("i-%d", i)) // want `result of m\.Add contains an error that is discarded`
 }

@@ -24,13 +24,15 @@ func SeededJitter(seed int64) int {
 	return rng.Intn(10)
 }
 
+// ClockSeeded is the seeded mutation no test caught (faults.RandomPlan and
+// experiments.MDCGracefulDegradation seeded this way still passed tier-1): a seeded
+// generator whose seed is the wall clock.
+func ClockSeeded(seed int64) int {
+	rng := rand.New(rand.NewSource(time.Now().UnixNano())) // want `time\.Now reads the wall clock`
+	return rng.Intn(int(seed))
+}
+
 // Timeout uses the time package without reading the clock — allowed.
 func Timeout() time.Duration {
 	return 3 * time.Second
-}
-
-// Suppressed shows the escape hatch for a justified wall-clock read.
-func Suppressed() time.Time {
-	//lint:ignore nodeterminism fixture demonstrates suppression
-	return time.Now()
 }

@@ -19,6 +19,13 @@ func Bridged(t core.Slot) core.Packet {
 	return core.Packet(int(t))
 }
 
+// Unbridged is the seeded mutation no test caught (the live-source rule in
+// slotsim, check and randreg with its bridge dropped): the same value, with
+// the unit crossing no longer visible at the call site.
+func Unbridged(p core.Packet, t core.Slot) bool {
+	return core.Slot(p) <= t // want `conversion core\.Slot\(\.\.\.\) applied to a core\.Packet`
+}
+
 // Plain conversions from untyped constants and ints are the normal way to
 // build identifiers and stay allowed.
 func Plain(n int) (core.Slot, core.Packet, core.NodeID) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"streamcast/internal/core"
+	"streamcast/internal/faults"
 	"streamcast/internal/hypercube"
 	"streamcast/internal/multitree"
 	"streamcast/internal/obs"
@@ -31,29 +32,54 @@ func steadyCase(t *testing.T, n, d int) (core.Scheme, slotsim.Options) {
 // warmed Runner, running the same scheme over a longer horizon must cost
 // exactly as many allocations as the shorter one — i.e. the extra slots
 // allocate nothing, in the engine or in the scheme's slot generation. The
-// fixed per-run cost is the returned Result and its three per-node slices: a
-// cell-free run's finish reads its window from the Runner's bits and
-// allocates nothing else. Covered: the multi-tree and a chained hypercube.
+// fixed per-run cost is the returned Result and its three per-node slices:
+// finish reads its window from the Runner's bits or cells and allocates
+// nothing else. The rows cover the direct path (multi-tree), an observed
+// chained hypercube, a Drop hook (route's fast branch), link latency (the
+// in-flight ring), a fault plan with loss and delay (the injector, plus the
+// cell window its delay rules force), and a receive capacity of 2 (the cell
+// path through finishCells).
 func TestSteadyStateAllocFree(t *testing.T) {
 	mt, mtOpt := steadyCase(t, 2000, 4)
 	cube, err := hypercube.New(1000, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lossy := mtOpt
+	lossy.AllowIncomplete, lossy.SkipUnavailable = true, true
+	dropped, late := lossy, lossy
+	dropped.Drop = func(tx core.Transmission, _ core.Slot) bool { return (int(tx.To)+int(tx.Packet))%7 == 0 }
+	late.Latency = func(core.NodeID, core.NodeID) core.Slot { return 2 }
+	plan, err := faults.ParsePlan("seed 5\nloss from=any to=any rate=0.05 slots=0..\n" +
+		"delay from=any to=any extra=2 rate=0.2 slots=0..\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := faults.NewInjector(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := mtOpt
+	wide.RecvCap = func(core.NodeID) int { return 2 }
 	for _, c := range []struct {
-		s   core.Scheme
-		opt slotsim.Options
+		name string
+		s    core.Scheme
+		opt  slotsim.Options
 	}{
-		{mt, mtOpt},
+		{"direct", mt, mtOpt},
 		// An idle observer makes the run replay its whole horizon instead of
 		// stopping once the window is complete, so the 64 extra slots run.
-		{cube, slotsim.Options{Slots: 100, Packets: 8, Mode: core.Live, Observer: obs.Funcs{}}},
+		{"observed", cube, slotsim.Options{Slots: 100, Packets: 8, Mode: core.Live, Observer: obs.Funcs{}}},
+		{"drop", mt, dropped},
+		{"latency", mt, late},
+		{"inject", mt, in.Apply(mtOpt)},
+		{"recvcap", mt, wide},
 	} {
-		steadyAllocFree(t, c.s, c.opt)
+		steadyAllocFree(t, c.name, c.s, c.opt)
 	}
 }
 
-func steadyAllocFree(t *testing.T, s core.Scheme, opt slotsim.Options) {
+func steadyAllocFree(t *testing.T, name string, s core.Scheme, opt slotsim.Options) {
 	t.Helper()
 	long := opt
 	long.Slots += 64
@@ -75,9 +101,9 @@ func steadyAllocFree(t *testing.T, s core.Scheme, opt slotsim.Options) {
 		}
 	})
 	if ext > base {
-		t.Errorf("%s: 64 extra slots cost %.0f allocations (%.0f vs %.0f): the per-slot path is not allocation-free", s.Name(), ext-base, ext, base)
+		t.Errorf("%s: 64 extra slots cost %.0f allocations (%.0f vs %.0f): the per-slot path is not allocation-free", name, ext-base, ext, base)
 	}
-	if base > 4 {
-		t.Errorf("%s: a warmed cell-free run made %.0f allocations, want 4 (the Result and its three slices)", s.Name(), base)
+	if base != 4 {
+		t.Errorf("%s: a warmed run made %.0f allocations, want 4 (the Result and its three slices)", name, base)
 	}
 }

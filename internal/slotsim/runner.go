@@ -9,8 +9,7 @@ import (
 // scratch is the reusable allocation arena of one Runner: every buffer the
 // engine needs per run, grown on demand and recycled across runs. The
 // per-slot hot path (step/route/deliver/finish) allocates nothing in steady
-// state; the hotalloc streamvet analyzer machine-checks the map half of
-// that invariant and TestSteadyStateAllocFree pins the rest.
+// state; TestSteadyStateAllocFree pins that invariant on every branch.
 //
 // All per-node state is struct-of-arrays (soa.go): flat arrays indexed by
 // NodeID, with the arrival ledger packed into bit and int32 arrays.

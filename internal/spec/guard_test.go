@@ -5,19 +5,20 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
 // bannedConstructors maps an import path to the constructor names that must
-// only be called through the scheme registry. This mirrors the streamvet
-// `construction` analyzer but extends the ban to _test.go files in the
-// layers above the spec package: the experiment runners, the integration
-// suites, the CLI tools, the examples, and the top-level benchmarks all
-// have to build schemes from a Scenario so that a new family is swept
-// automatically and horizons are derived in exactly one place.
+// only be called through the scheme registry. The dynamic families
+// (multitree.NewDynamic, hypercube.NewDynamicHC) and the scheme wrappers over
+// an already built topology (multitree.NewScheme, NewLiveScheme) stay
+// callable: the ban covers the flag-plumbing duplication the registry exists
+// to end, not the building blocks the registry itself is made of.
 var bannedConstructors = map[string][]string{
 	"streamcast/internal/multitree": {"New"},
 	"streamcast/internal/hypercube": {"New"},
@@ -27,43 +28,87 @@ var bannedConstructors = map[string][]string{
 	"streamcast/internal/randreg":   {"New", "NewDigraph"},
 }
 
-// guardedTrees lists the module sub-trees (relative to the repo root) in
-// which TestNoStrayConstruction enforces the ban, including test files.
-// Low-level engine and scheme unit tests below these trees keep their
-// hand-built fixtures on purpose.
-var guardedTrees = []string{
+// exemptPackages may call the constructors anywhere: each scheme package
+// itself and the registry that wraps them.
+var exemptPackages = []string{
+	"internal/multitree",
+	"internal/hypercube",
+	"internal/cluster",
+	"internal/baseline",
+	"internal/gossip",
+	"internal/randreg",
+	"internal/spec",
+}
+
+// guardedTestTrees are the module sub-trees (relative to the repo root) whose
+// _test.go files the ban covers too, beside the root package's: the layers
+// above the registry. Low-level engine and scheme unit tests elsewhere keep
+// their hand-built fixtures on purpose.
+var guardedTestTrees = []string{
 	"cmd",
 	"examples",
 	"internal/experiments",
 	"internal/integration",
 }
 
-// TestNoStrayConstruction asserts that every construction site above the
-// spec layer routes through the registry. Unlike the streamvet analyzer it
-// also covers _test.go files; a deliberate exception carries a
-// `//lint:ignore construction <reason>` comment on the call line or the
-// line above it.
+// guarded reports whether the ban applies to the file at rel, a slash path
+// relative to the repo root.
+func guarded(rel string) bool {
+	dir := filepath.ToSlash(filepath.Dir(rel))
+	if !strings.HasSuffix(rel, "_test.go") {
+		return !slices.Contains(exemptPackages, dir)
+	}
+	if dir == "." {
+		return true
+	}
+	return slices.ContainsFunc(guardedTestTrees, func(tree string) bool {
+		return dir == tree || strings.HasPrefix(dir, tree+"/")
+	})
+}
+
+// TestNoStrayConstruction asserts that every construction site outside the
+// scheme packages and the registry routes through the registry: every
+// non-test file of the module, and the test files of the layers above the
+// registry. A scheme built around a spec.Scenario skips parameter validation
+// and the single horizon derivation, and is invisible to the sweeps that test
+// "every registered family". A deliberate exception carries a
+// `//lint:ignore construction <reason>` comment on the call line or the line
+// above it.
 func TestNoStrayConstruction(t *testing.T) {
 	root := filepath.Join("..", "..")
 	var files []string
-	ents, err := filepath.Glob(filepath.Join(root, "*.go"))
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			// testdata, hidden directories and nested modules are not this
+			// module's source.
+			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		if strings.HasSuffix(path, ".go") && guarded(rel) {
+			files = append(files, path)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	files = append(files, ents...)
-	for _, tree := range guardedTrees {
-		err := filepath.WalkDir(filepath.Join(root, tree), func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() && strings.HasSuffix(path, ".go") {
-				files = append(files, path)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	if len(files) < 50 {
+		t.Fatalf("scanned only %d files; the walk is broken", len(files))
 	}
 
 	fset := token.NewFileSet()
@@ -121,17 +166,10 @@ func TestNoStrayConstruction(t *testing.T) {
 				return true
 			}
 			names, ok := banned[id.Name]
-			if !ok {
+			if !ok || !slices.Contains(names, sel.Sel.Name) {
 				return true
 			}
-			for _, name := range names {
-				if sel.Sel.Name != name {
-					continue
-				}
-				pos := fset.Position(call.Pos())
-				if ignored[pos.Line] {
-					continue
-				}
+			if pos := fset.Position(call.Pos()); !ignored[pos.Line] {
 				t.Errorf("%s:%d: direct %s.%s call; build the scheme from a spec.Scenario via the registry",
 					pos.Filename, pos.Line, id.Name, sel.Sel.Name)
 			}
