@@ -17,10 +17,13 @@ test:
 
 # Race pass. The slot engine is single-threaded; the in-process concurrency
 # is the experiments' row worker pool (forEachRow), which runs many
-# independent engine runs at once on pooled Runners — hence slotsim, obs and
-# the suites that drive them stay in the list.
+# independent engine runs at once on pooled Runners, and the JSONL trace
+# writer's encoder goroutine, which formats and writes a trace beside the
+# run that records it — hence slotsim, obs, the trace goldens, streamsim
+# (whose `out trace=-` shares stdout with the text report) and the suites
+# that drive them are in the list.
 race:
-	$(GO) test -race ./internal/slotsim/... ./internal/obs/... ./internal/integration/... ./internal/faults/... ./internal/experiments/...
+	$(GO) test -race ./internal/slotsim/... ./internal/obs/... ./internal/trace/... ./cmd/streamsim/... ./internal/integration/... ./internal/faults/... ./internal/experiments/...
 
 vet:
 	$(GO) vet ./...

@@ -9,6 +9,8 @@ package streamcast
 import (
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"streamcast/internal/check"
@@ -335,7 +337,9 @@ func BenchmarkSlotEngineCold(b *testing.B) {
 // BenchmarkObserverOverhead measures the cost of the observability layer
 // on the sequential engine: no observer (the fast path every pre-existing
 // caller stays on), the Metrics collector, the JSONL trace writer over
-// io.Discard, and full event recording. Every row reports allocations, so
+// io.Discard, full event recording, and the CLI's pairing of Metrics with a
+// JSONL trace written to a file, which pays the write(2) calls the
+// benchmark's `observed` workload pays. Every row reports allocations, so
 // `make bench-json` snapshots allocs/op for the sinks.
 func BenchmarkObserverOverhead(b *testing.B) {
 	s := benchScheme(b, spec.MultiTreeScenario(2000, 3, multitree.Greedy, core.PreRecorded)).(*multitree.Scheme)
@@ -343,24 +347,40 @@ func BenchmarkObserverOverhead(b *testing.B) {
 		Slots:   core.Slot(s.Tree.Height()*3 + 30),
 		Packets: 9,
 	}
+	trace, err := os.Create(filepath.Join(b.TempDir(), "events.jsonl"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer trace.Close()
 	for _, c := range []struct {
 		name string
-		sink func() obs.Observer
+		sink func() (obs.Observer, *obs.JSONLWriter)
 	}{
-		{"none", func() obs.Observer { return nil }},
-		{"metrics", func() obs.Observer { return obs.NewMetrics() }},
-		{"jsonl", func() obs.Observer { return obs.NewJSONLWriter(io.Discard) }},
-		{"recorder", func() obs.Observer { return &obs.Recorder{} }},
+		{"none", func() (obs.Observer, *obs.JSONLWriter) { return nil, nil }},
+		{"metrics", func() (obs.Observer, *obs.JSONLWriter) { return obs.NewMetrics(), nil }},
+		{"jsonl", func() (obs.Observer, *obs.JSONLWriter) {
+			j := obs.NewJSONLWriter(io.Discard)
+			return j, j
+		}},
+		{"recorder", func() (obs.Observer, *obs.JSONLWriter) { return &obs.Recorder{}, nil }},
+		{"metrics+jsonl", func() (obs.Observer, *obs.JSONLWriter) {
+			if _, err := trace.Seek(0, io.SeekStart); err != nil {
+				b.Fatal(err)
+			}
+			j := obs.NewJSONLWriter(trace)
+			return obs.Combine(obs.NewMetrics(), j), j
+		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				opt := base
-				opt.Observer = c.sink()
+				var j *obs.JSONLWriter
+				opt.Observer, j = c.sink()
 				if _, err := slotsim.Run(s, opt); err != nil {
 					b.Fatal(err)
 				}
-				if j, ok := opt.Observer.(*obs.JSONLWriter); ok {
+				if j != nil {
 					if err := j.Flush(); err != nil {
 						b.Fatal(err)
 					}

@@ -188,12 +188,17 @@ func runScenario(sc *spec.Scenario, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stderr, "streamsim: parallel: accepted and ignored: the engine is single-threaded; results never depended on worker count")
 	}
 	res, err := slotsim.Run(run.Scheme, opt)
+	// The trace is whole once the run returns, and it is closed before
+	// anything else reaches stdout: `out trace=-` shares stdout with the
+	// text report, which must follow the trace, not split it. A failed run
+	// still owes its trace (its last events, a violation included, are
+	// still in the writer); the run's error is then the one reported.
+	traceErr := sk.closeTrace()
 	if err != nil {
-		// A failed run still owes its trace: its last events, a violation
-		// included, sit in the writer's buffer. The run's error is the one
-		// reported.
-		_ = sk.closeTrace()
 		return err
+	}
+	if traceErr != nil {
+		return traceErr
 	}
 	churn := run.ChurnReport(res)
 	if churn != nil {
@@ -316,12 +321,10 @@ func (sk *sinks) closeTrace() error {
 	return sk.traceOut.Close()
 }
 
-// finish flushes and writes every requested output for a completed run.
-// churn, when non-nil, becomes the run report's live-churn section.
+// finish writes the metrics and the run report of a completed run; the
+// trace is closed by then. churn, when non-nil, becomes the run report's
+// live-churn section.
 func (sk *sinks) finish(s core.Scheme, opt slotsim.Options, res *slotsim.Result, workers int, churn *obs.ChurnSLO) error {
-	if err := sk.closeTrace(); err != nil {
-		return err
-	}
 	if sk.metricsOut != nil {
 		if err := sk.metrics.WriteProm(sk.metricsOut, s.Name()); err != nil {
 			return err

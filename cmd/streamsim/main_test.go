@@ -233,3 +233,42 @@ func TestFailedRunFlushesTrace(t *testing.T) {
 		t.Errorf("last event %v, want %v (the end of the last of 12 executed slots)", last, want)
 	}
 }
+
+// TestTraceToStdoutPrecedesReport: with `out trace=-` stdout is the whole
+// JSONL trace, through the end of the horizon's last slot, followed by
+// exactly the text report a run without outputs prints. The trace runs
+// past a megabyte, several of the writer's buffers, so a report written
+// before the trace is closed lands inside it.
+func TestTraceToStdoutPrecedesReport(t *testing.T) {
+	text := "scheme multitree\nparam d=3 n=300\npackets 24\n"
+	code, bare, stderr := invoke([]string{"-scenario", "-"}, text)
+	if code != 0 {
+		t.Fatalf("bare run: exit %d, stderr %q", code, stderr)
+	}
+	code, out, stderr := invoke([]string{"-scenario", "-"}, text+"out trace=-\n")
+	if code != 0 {
+		t.Fatalf("traced run: exit %d, stderr %q", code, stderr)
+	}
+	trace, report, ok := strings.Cut(out, "\nscheme:")
+	if !ok {
+		t.Fatal("no text report on stdout")
+	}
+	if report = "scheme:" + report; report != bare {
+		t.Errorf("stdout after the trace:\n%s\nwant the bare run's report:\n%s", report, bare)
+	}
+	evs, err := obs.ReadEvents(strings.NewReader(trace))
+	if err != nil {
+		t.Fatalf("trace part of stdout does not parse: %v", err)
+	}
+	sc, err := spec.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := spec.Build(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last, want := evs[len(evs)-1], (obs.Event{Kind: obs.KindSlotEnd, Slot: run.Opt.Slots - 1}); last != want {
+		t.Errorf("last trace event %v, want %v", last, want)
+	}
+}

@@ -3,11 +3,13 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"streamcast/internal/core"
 )
@@ -60,12 +62,14 @@ func TestReadEventsRejectsGarbage(t *testing.T) {
 	}
 }
 
-// failWriter fails after n successful writes.
-type failWriter struct{ n int }
+// failWriter fails after n successful writes, each failure with its own
+// error so that a test can tell the first from the rest.
+type failWriter struct{ n, failed int }
 
 func (w *failWriter) Write(p []byte) (int, error) {
 	if w.n <= 0 {
-		return 0, errors.New("disk full")
+		w.failed++
+		return 0, fmt.Errorf("disk full (failure %d)", w.failed)
 	}
 	w.n--
 	return len(p), nil
@@ -79,6 +83,32 @@ func TestJSONLWriterRetainsFirstError(t *testing.T) {
 	}
 	if err := j.Flush(); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Errorf("Flush() = %v, want the retained write error", err)
+	}
+}
+
+// TestJSONLWriterFailsMidRun: a sink that fails after two buffer-sized
+// writes, under several megabytes of events and so many batch handoffs,
+// must not block or panic the callbacks; Flush returns the first error,
+// again on a second call, and the encoder stops writing after it.
+func TestJSONLWriterFailsMidRun(t *testing.T) {
+	w := &failWriter{n: 2}
+	j := NewJSONLWriter(w)
+	x := tx(1234, 5678, 42)
+	for slot := core.Slot(0); slot < 1000; slot++ {
+		j.SlotStart(slot, 100)
+		for k := 0; k < 50; k++ {
+			j.Transmit(slot, x)
+			j.Deliver(slot, x, false)
+		}
+		j.SlotEnd(slot)
+	}
+	for range 2 {
+		if err := j.Flush(); err == nil || err.Error() != "disk full (failure 1)" {
+			t.Errorf("Flush() = %v, want the first write error", err)
+		}
+	}
+	if w.failed != 1 {
+		t.Errorf("sink saw %d failed writes, want 1: the encoder kept writing after the error", w.failed)
 	}
 }
 
@@ -133,7 +163,7 @@ func viaObserver(o Observer, e Event) Event {
 func TestAppendEncoderMatchesMarshal(t *testing.T) {
 	var got, want bytes.Buffer
 	j := NewJSONLWriter(&got)
-	for _, e := range OracleEvents(1, 4000) {
+	for _, e := range OracleEvents(1, 3*jsonlBatchLen) {
 		want.Write(marshalLine(t, viaObserver(j, e)))
 	}
 	if err := j.Flush(); err != nil {
@@ -150,24 +180,99 @@ func TestAppendEncoderMatchesMarshal(t *testing.T) {
 	}
 }
 
+// batchOfEvents feeds o one JSONLWriter batch's worth of events of every
+// kind, from slot *slot on.
+func batchOfEvents(o Observer, slot *core.Slot) {
+	x := tx(1234, 5678, 42)
+	for k := 0; k < jsonlBatchLen; k += 6 {
+		t := *slot
+		o.SlotStart(t, 3)
+		o.Transmit(t, x)
+		o.Deliver(t, x, false)
+		o.Deliver(t, x, true)
+		o.Drop(t, x)
+		o.SlotEnd(t)
+		*slot++
+	}
+}
+
 // TestJSONLWriterAllocs: the per-event callbacks of a trace must not
-// allocate — the encoder appends into the buffer it already owns.
+// allocate — not per event and not per batch handoff, before and after a
+// Flush. Each measured run hands over at least one batch; AllocsPerRun's
+// own first call starts the encoder, whose channels and goroutine are all
+// a writer allocates after NewJSONLWriter.
 func TestJSONLWriterAllocs(t *testing.T) {
 	j := NewJSONLWriter(io.Discard)
-	x := tx(1234, 5678, 42)
 	slot := core.Slot(0)
-	if n := testing.AllocsPerRun(1000, func() {
-		j.SlotStart(slot, 3)
-		j.Transmit(slot, x)
-		j.Deliver(slot, x, false)
-		j.Deliver(slot, x, true)
-		j.Drop(slot, x)
-		j.SlotEnd(slot)
-		slot++
-	}); n != 0 {
-		t.Errorf("JSONLWriter callbacks allocate %v times per slot, want 0", n)
+	for round := 0; round < 2; round++ {
+		if n := testing.AllocsPerRun(5, func() { batchOfEvents(j, &slot) }); n != 0 {
+			t.Errorf("round %d: a batch of JSONLWriter callbacks allocates %v times, want 0", round, n)
+		}
+		if err := j.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// encoderGoroutines counts the goroutines running a JSONL encoder.
+func encoderGoroutines() int {
+	buf := make([]byte, 1<<20)
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("obs.(*jsonlEncoder).run("))
+}
+
+// awaitGoroutines waits until ok holds, giving goroutines that have
+// signalled their end time to return, and reports whether it came to hold.
+func awaitGoroutines(ok func() bool) bool {
+	for deadline := time.Now().Add(5 * time.Second); !ok(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestJSONLWriterLifecycle: the encoder goroutine runs from the first
+// handoff until Flush, which joins it, so the goroutine count is back at
+// its baseline once Flush returns; and events recorded after a Flush land
+// after the flushed ones, in order, from a new encoder.
+func TestJSONLWriterLifecycle(t *testing.T) {
+	// Encoders of earlier tests have been joined but may not have returned.
+	awaitGoroutines(func() bool { return encoderGoroutines() == 0 })
+	base := runtime.NumGoroutine()
+	var got, want bytes.Buffer
+	j := NewJSONLWriter(&got)
+	slot := core.Slot(0)
+	events := func() {
+		for range 3 * jsonlBatches {
+			batchOfEvents(j, &slot)
+		}
+	}
+	events()
+	if n := encoderGoroutines(); n != 1 {
+		t.Errorf("%d encoder goroutines while the writer has full batches, want 1", n)
 	}
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	if !awaitGoroutines(func() bool { return runtime.NumGoroutine() <= base }) {
+		t.Errorf("%d goroutines after Flush, want the baseline %d", runtime.NumGoroutine(), base)
+	}
+	if n := encoderGoroutines(); n != 0 {
+		t.Errorf("%d encoder goroutines after Flush, want 0", n)
+	}
+	events()
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var oracle Recorder
+	end := slot
+	for slot = 0; slot < end; {
+		batchOfEvents(&oracle, &slot)
+	}
+	for _, e := range oracle.Events {
+		want.Write(marshalLine(t, e))
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("trace across a Flush differs from the events in order (%d bytes, want %d)", got.Len(), want.Len())
 	}
 }

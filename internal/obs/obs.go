@@ -8,7 +8,9 @@ import (
 
 // Observer receives per-slot callbacks from the slotsim engine. All
 // callbacks for one run are delivered sequentially from a single goroutine,
-// so implementations need no locking.
+// so implementations need no locking. An implementation may still hand its
+// work to a goroutine of its own: the JSONLWriter writes its io.Writer from
+// its encoder goroutine, from the first batch handoff until Flush returns.
 //
 // Callback order within a slot t is fixed:
 //

@@ -19,10 +19,12 @@ func EventLog(s core.Scheme, opt slotsim.Options) (string, error) {
 	var buf strings.Builder
 	j := obs.NewJSONLWriter(&buf)
 	opt.Observer = obs.Combine(opt.Observer, j)
-	if _, err := slotsim.Run(s, opt); err != nil {
-		return "", err
+	_, err := slotsim.Run(s, opt)
+	// A failed run is flushed too: Flush joins the writer's encoder.
+	if ferr := j.Flush(); err == nil {
+		err = ferr
 	}
-	if err := j.Flush(); err != nil {
+	if err != nil {
 		return "", err
 	}
 	return buf.String(), nil

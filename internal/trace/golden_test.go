@@ -4,8 +4,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"streamcast/internal/core"
 	"streamcast/internal/hypercube"
@@ -99,5 +101,27 @@ func TestDelayCurvesShape(t *testing.T) {
 	}
 	if !strings.Contains(out, "#") {
 		t.Errorf("missing bars:\n%s", out)
+	}
+}
+
+// TestEventLogFailedRunJoinsEncoder: a run the engine aborts — here a
+// horizon too short to deliver the window, after tens of thousands of
+// events — still has its trace writer flushed, so the writer's encoder
+// goroutine does not outlive EventLog.
+func TestEventLogFailedRunJoinsEncoder(t *testing.T) {
+	mt, err := multitree.New(2000, 3, multitree.Greedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	if _, err := EventLog(multitree.NewScheme(mt, core.PreRecorded), slotsim.Options{Slots: 12, Packets: 24}); err == nil {
+		t.Fatal("EventLog succeeded; want the engine's incomplete-delivery error")
+	}
+	// The encoder has signalled its end; give it time to return.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after a failed EventLog, want at most %d", n, base)
 	}
 }
