@@ -390,6 +390,44 @@ func BenchmarkObserverOverhead(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildReport measures assembling the run report of the
+// `churn-faulted` benchmark shape — multitree d=3 N=10000, 200 packets,
+// Poisson live churn over 2% loss — from its Result and Metrics. The run
+// itself is set up once, outside the timer. `make bench-gate` holds the row to
+// its bytes: the report's buffer series are folded from the arrival log with
+// O(N + slots) scratch, and a nodes × slots occupancy matrix back in the path
+// is ≈ 19 MB more per op.
+func BenchmarkBuildReport(b *testing.B) {
+	plan := filepath.Join(b.TempDir(), "loss.plan")
+	if err := os.WriteFile(plan, []byte("seed 7\nloss from=any to=any rate=0.02 slots=0..\n"), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	sc, err := spec.Parse("scheme multitree\nparam d=3 n=10000\npackets 200\nfaults file=" + plan +
+		"\nchurn kind=poisson rate=1 seed=11 policy=lazy slots=20..\n")
+	if err != nil {
+		b.Fatal(err)
+	}
+	run, err := spec.Build(sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	met := obs.NewMetrics()
+	opt := run.Opt
+	opt.Observer = met
+	res, err := slotsim.Run(run.Scheme, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reportSink = slotsim.BuildReport(run.Scheme, opt, res, met, 0)
+	}
+}
+
+// reportSink keeps BenchmarkBuildReport's result live.
+var reportSink *obs.RunReport
+
 // BenchmarkScheduleGeneration measures raw schedule-emission throughput.
 func BenchmarkScheduleGeneration(b *testing.B) {
 	s := benchScheme(b, spec.MultiTreeScenario(1000, 3, multitree.Greedy, core.PreRecorded))

@@ -13,8 +13,9 @@
 //
 // Consumers shipped here:
 //
-//   - Metrics — per-slot counter series, per-node totals, buffer-occupancy
-//     time-series (OccupancySeries), a streaming delivery-latency histogram
+//   - Metrics — per-slot counter series, per-node totals, the largest and
+//     summed buffer occupancy per slot (BufferSeries, folded from an 8-byte
+//     record per delivery), a streaming delivery-latency histogram
 //     (stats.StreamingHist) and an FNV-1a schedule fingerprint. Export with
 //     WriteProm (Prometheus text format) or slotsim.BuildReport (JSON
 //     RunReport).
@@ -30,14 +31,14 @@
 //
 //	s, _ := hypercube.New(7, 1)
 //	m := obs.NewMetrics()
-//	res, err := slotsim.Run(s, slotsim.Options{
-//		Slots: 20, Packets: 8, Mode: core.Live, Observer: m,
-//	})
+//	opt := slotsim.Options{Slots: 20, Packets: 8, Mode: core.Live, Observer: m}
+//	res, err := slotsim.Run(s, opt)
 //	if err != nil { ... }
-//	occ := m.OccupancySeries(res.StartDelay, res.Packets)
-//	// occ[id][t] is node id's buffer occupancy at the end of slot t;
-//	// max over t equals res.MaxBuffer[id] (2 packets — Proposition 1).
-//	rep := slotsim.BuildReport(s, opt, res, m)
+//	peak, total := m.BufferSeries(res.StartDelay, res.Packets)
+//	// peak[t] is the fullest receiver buffer at the end of slot t and
+//	// total[t] the packets buffered across all receivers; max over t of
+//	// peak equals res.WorstBuffer() (2 packets — Proposition 1).
+//	rep := slotsim.BuildReport(s, opt, res, m, 0) // series.buffer_max/_total
 //	rep.WriteJSON(os.Stdout)
 //
 // Overhead: with a nil Observer the engine skips all hook work (a single

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"streamcast/internal/core"
@@ -30,16 +31,9 @@ func Example() {
 	fmt.Printf("worst delay:   %d slots\n", res.WorstStartDelay())
 	fmt.Printf("worst buffer:  %d packets\n", res.WorstBuffer())
 
-	// The per-slot occupancy series peaks exactly at the engine's number.
-	peak := 0
-	for _, row := range m.OccupancySeries(res.StartDelay, res.Packets) {
-		for _, v := range row {
-			if v > peak {
-				peak = v
-			}
-		}
-	}
-	fmt.Printf("series peak:   %d packets\n", peak)
+	// The per-slot buffer series peaks exactly at the engine's number.
+	peak, _ := m.BufferSeries(res.StartDelay, res.Packets)
+	fmt.Printf("series peak:   %d packets\n", slices.Max(peak))
 	// Output:
 	// transmissions: 569
 	// worst delay:   3 slots

@@ -32,10 +32,19 @@ type NodeCounters struct {
 }
 
 // arrival is one booked packet delivery at a node, held at the width the
-// engine itself keeps arrivals at (its arrival matrix is int32): twelve
-// bytes per non-duplicate delivery is what a Metrics run retains most of.
+// engine itself keeps ids at: eight bytes per non-duplicate delivery is what
+// a Metrics run retains most of. Its slot is not stored: deliveries come in
+// slot order (the Observer contract), so the log is cut into slotRuns instead.
 type arrival struct {
-	node, pkt, slot int32
+	node, pkt int32
+}
+
+// slotRun closes one stretch of the arrival log delivered in one slot: the
+// records from the previous run's end up to (not including) end arrived at
+// the end of slot. A run costs 16 bytes per slot that delivered anything.
+type slotRun struct {
+	slot core.Slot
+	end  int
 }
 
 // arrivalChunkMin is the capacity of the arrival log's first chunk; each
@@ -72,8 +81,8 @@ func fnvMix(h uint64, v int) uint64 {
 }
 
 // Metrics is the standard collecting Observer: per-slot counter series,
-// per-node totals, one log of arrivals (from which buffer-occupancy
-// time-series are derived), a streaming histogram of per-packet delivery
+// per-node totals, one log of arrivals (from which the buffer-occupancy
+// series are folded), a streaming histogram of per-packet delivery
 // latency, and an FNV-1a fingerprint of the executed schedule. It retains
 // one record per slot, one per node and one per non-duplicate delivery, so
 // its memory grows with the event count, not only with N.
@@ -88,9 +97,10 @@ type Metrics struct {
 	nodes []NodeCounters
 	// arrivals logs every non-duplicate delivery in event order, as chunks
 	// that fill once and never move: growing the log allocates
-	// O(log arrivals) times and copies nothing. OccupancySeries buckets it
-	// by node and slot on demand.
+	// O(log arrivals) times and copies nothing. runs says which slot each
+	// stretch of it was delivered in. BufferSeries folds it on demand.
 	arrivals [][]arrival
+	runs     []slotRun
 
 	latency    *stats.StreamingHist
 	hash       uint64
@@ -157,7 +167,15 @@ func (m *Metrics) Deliver(t core.Slot, tx core.Transmission, duplicate bool) {
 		m.arrivals = append(m.arrivals, make([]arrival, 0, c+c/4))
 		last++
 	}
-	m.arrivals[last] = append(m.arrivals[last], arrival{node: int32(tx.To), pkt: int32(tx.Packet), slot: int32(t)})
+	m.arrivals[last] = append(m.arrivals[last], arrival{node: int32(tx.To), pkt: int32(tx.Packet)})
+	if n := len(m.runs); n == 0 || m.runs[n-1].slot != t {
+		end := 0
+		if n > 0 {
+			end = m.runs[n-1].end
+		}
+		m.runs = append(m.runs, slotRun{slot: t, end: end})
+	}
+	m.runs[len(m.runs)-1].end++
 	if lag := float64(t) - float64(tx.Packet); lag >= 0 {
 		m.latency.Observe(lag)
 	}
@@ -227,48 +245,67 @@ func (m *Metrics) Totals() SlotCounters {
 	return tot
 }
 
-// OccupancySeries derives each node's buffer occupancy at the end of every
-// slot from the recorded arrivals, under the engine's playback model:
-// packet j (within the measurement window) occupies node id's buffer from
-// the end of its arrival slot through the end of slot start[id]+j, its
-// playback slot. The result is indexed [node][slot] with slots 0..lastSlot;
-// rows beyond len(start)-1 or without arrivals are all-zero. The per-node
-// maximum of the series equals the engine's Result.MaxBuffer.
-func (m *Metrics) OccupancySeries(start []core.Slot, window core.Packet) [][]int {
-	slots := int(m.lastSlot) + 1
-	flat := make([]int, len(m.nodes)*slots)
-	out := make([][]int, len(m.nodes))
-	for id := range out {
-		out[id] = flat[id*slots : (id+1)*slots : (id+1)*slots]
+// BufferSeries folds the recorded arrivals into the two per-slot buffer
+// series of a run report: the largest and the summed buffer occupancy over
+// receivers 1..len(start)−1 at the end of every slot 0..lastSlot. Occupancy
+// follows the engine's playback model: packet j (within the measurement
+// window) occupies node id's buffer from the end of its arrival slot through
+// the end of slot start[id]+j, its playback slot, and a node that has played
+// more packets than it holds (late or missing ones) holds none. The per-node
+// maximum of that occupancy is the engine's Result.MaxBuffer.
+//
+// The fold walks the log once and keeps two int32s per node — packets held,
+// and the first slot not yet folded — so it needs no nodes × slots matrix:
+// when a packet reaches a node, the slots since the node's last arrival are
+// folded at its previous count, stopping once the buffer has drained (played
+// only grows); the tail after the last arrival is folded at the end. This
+// relies on deliveries arriving in slot order, which the Observer contract
+// guarantees.
+func (m *Metrics) BufferSeries(start []core.Slot, window core.Packet) (peak, total []int) {
+	slots := 0
+	if len(m.nodes) > 0 {
+		slots = int(m.lastSlot) + 1
 	}
-	// One counting pass buckets the log into arrivals per (node, slot),
-	// using the output rows themselves as the buckets.
+	peak, total = make([]int, slots), make([]int, slots)
+	nodes := min(len(start), len(m.nodes))
+	held := make([]int32, nodes)
+	next := make([]int32, nodes)
+	// fold adds node id's occupancy at count have over slots from..to−1.
+	fold := func(id int, have, from, to int) {
+		s := int(start[id])
+		for t := from; t < to; t++ {
+			played := min(max(t-s, 0), int(window))
+			occ := have - played
+			if occ <= 0 {
+				return
+			}
+			total[t] += occ
+			if occ > peak[t] {
+				peak[t] = occ
+			}
+		}
+	}
+	i, r, end, slot := 0, 0, 0, 0
 	for _, chunk := range m.arrivals {
 		for _, a := range chunk {
-			if int(a.node) >= len(start) || int(a.pkt) >= int(window) || int(a.slot) >= slots {
+			if i == end {
+				slot, end = int(m.runs[r].slot), m.runs[r].end
+				r++
+			}
+			i++
+			id := int(a.node)
+			if id < 1 || id >= nodes || int(a.pkt) >= int(window) || slot >= slots {
 				continue
 			}
-			out[a.node][a.slot]++
+			fold(id, int(held[id]), int(next[id]), slot)
+			held[id]++
+			next[id] = int32(slot)
 		}
 	}
-	// Each row then turns into occupancy in place: packets held so far
-	// minus packets already played back.
-	for id, row := range out {
-		if id >= len(start) {
-			break
-		}
-		have := 0
-		for t := range row {
-			have += row[t]
-			played := t - int(start[id])
-			if played < 0 {
-				played = 0
-			}
-			if played > int(window) {
-				played = int(window)
-			}
-			row[t] = max(have-played, 0)
+	for id := 1; id < nodes; id++ {
+		if held[id] > 0 {
+			fold(id, int(held[id]), int(next[id]), slots)
 		}
 	}
-	return out
+	return peak, total
 }

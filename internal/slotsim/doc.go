@@ -31,7 +31,8 @@
 //     under the Figure 5 playback convention and missing-packet counts. The
 //     arrival times themselves — and the hiccup accounting read off them —
 //     are kept only for a run that sets Options.Arrivals (Arrivals.At, Row
-//     and Hiccups, over a compact int32 matrix); a run that sets neither it
+//     and Hiccups, over the engine's own packet-major int32 cells, handed
+//     over rather than copied); a run that sets neither it
 //     nor RecvCap reads its buffer peaks off one bit per node per slot. The
 //     model is lock-step, so a slot is O(N) array traffic between two hard
 //     barriers;

@@ -58,7 +58,8 @@ type Options struct {
 	// check per event site.
 	Observer obs.Observer
 	// Arrivals, if non-nil, asks the run to keep the window's arrival cells:
-	// on success it is overwritten with a matrix the caller owns. A Result
+	// on success it is overwritten with the run's own cells, which the Runner
+	// then gives up, so the caller owns them and nothing copies them. A Result
 	// holds only per-node summaries, so a reader of single cells (Hiccups,
 	// PlaybackSLO, mdc.RoundQuality) sets this. A run that sets neither this
 	// nor RecvCap writes no int32 cell at all, not even to scratch: it tracks
@@ -153,19 +154,23 @@ type Result struct {
 
 // Arrivals is the measurement window's arrival matrix, kept for a run whose
 // Options.Arrivals pointed at it: when each node received each window packet.
-// The matrix is the caller's own memory — later runs on the same Runner do not
-// touch it — and a second run handed the same Arrivals replaces its contents.
+// The matrix is the engine's own window cells, handed over rather than copied:
+// the Runner forgets them, so later runs on it never touch them, and a second
+// run handed the same Arrivals replaces its contents.
 type Arrivals struct {
 	packets core.Packet
-	// cells is node-major with row stride packets, in the engine's own
-	// encoding (slot + 1; 0 = never arrived).
-	cells []int32
+	// cells is packet-major with row stride stride (the run's node ids,
+	// churn headroom included), in the engine's own encoding (slot + 1;
+	// 0 = never arrived): cells[j·stride+id] is window packet j at node id.
+	// A reader that visits many nodes walks it a packet row at a time.
+	cells  []int32
+	stride int
 }
 
 // At returns the slot at the end of which node id received window packet j,
 // or -1 if it never arrived. Node 0 is the source, which receives nothing.
 func (a *Arrivals) At(id core.NodeID, j core.Packet) core.Slot {
-	return core.Slot(a.cells[int(id)*int(a.packets)+int(j)]) - 1
+	return core.Slot(a.cells[int(j)*a.stride+int(id)]) - 1
 }
 
 // Row returns node id's arrival slots over the whole window, indexed by
@@ -245,9 +250,11 @@ type engine struct {
 	dirtyRows []uint64 // bitmap of presence (packet) rows written this run
 	// cells holds a cell run's window arrivals, packet-major with row stride
 	// n+1: cells[p·stride+id] is the arrival slot + 1 of window packet p at
-	// node id, or unset32 (0). nil on a cell-free run, which keeps slots
-	// instead: bit id of row t (words uint64s from t·words) is set when a
-	// window packet reached node id at the end of slot t.
+	// node id, or unset32 (0). A run that set Options.Arrivals hands this
+	// very matrix to its caller when it finishes (finishCells). nil on a
+	// cell-free run, which keeps slots instead: bit id of row t (words
+	// uint64s from t·words) is set when a window packet reached node id at
+	// the end of slot t.
 	cells   []int32
 	stride  int
 	slots   []uint64

@@ -43,11 +43,13 @@ func arrivalBytes(n int, maxPkt, cellRows core.Packet, slots core.Slot) float64 
 // bits and, below its cell rows, in the cells, and on a cell-free run the slot
 // rows up to its last window arrival. A buffer that must grow is freshly
 // allocated instead, and therefore all zero, and is never cleared here: pages
-// the run does not touch stay unfaulted.
+// the run does not touch stay unfaulted. Cells the previous run handed to its
+// caller (Options.Arrivals) are no longer the Runner's: sc.cells is nil, and
+// a cell run allocates its own.
 func (sc *scratch) resetLedger(n int, maxPkt, cellRows core.Packet) {
 	words := (n + 64) / 64
 	haveLen, cellLen := int(maxPkt)*words, int(cellRows)*(n+1)
-	reuseHave, reuseCells := cap(sc.have) >= haveLen, cap(sc.cells) >= cellLen
+	reuseHave, reuseCells := cap(sc.have) >= haveLen, sc.cells != nil && cap(sc.cells) >= cellLen
 	for w, set := range sc.dirtyRows {
 		if set == 0 {
 			continue
@@ -253,28 +255,20 @@ func (e *engine) finishCells(r *Result) error {
 		counts[i] = 0
 	}
 	// The cells are packet-major and the occupancy scan walks one node's
-	// packets, so the window is transposed — a tile of ids at a time: cell by
-	// cell would write with a stride of one output row, a cache miss per cell,
-	// where each packet row's run for a tile lands in rows still cached from the
-	// previous packet, and the tile's metrics are computed before those rows are
-	// evicted. A tile is gathered into one reused buffer and forgotten; only a
-	// run that asked for its cells writes them to the heap, into a node-major
-	// matrix that stays valid after the Runner's buffers are recycled. It keeps
-	// the scratch encoding (slot+1, 0 = never arrived): the fresh allocation is
-	// already all-unset and half the size of a core.Slot matrix.
-	var kept []int32
-	if e.opt.Arrivals != nil {
-		kept = make([]int32, (e.n+1)*np)
-	} else {
-		e.sc.tile = grownInt32s(e.sc.tile, finishTile*np)
-	}
+	// packets, so the window is gathered a tile of ids at a time into one
+	// reused node-major buffer: cell by cell would write with a stride of one
+	// output row, a cache miss per cell, where each packet row's run for a
+	// tile lands in rows still cached from the previous packet, and the tile's
+	// metrics are computed before those rows are evicted.
+	tile := grownInt32s(e.sc.tile, finishTile*np)
+	e.sc.tile = tile
 	for lo := 0; lo <= e.n; lo += finishTile {
 		hi := min(lo+finishTile, e.n+1)
 		first := max(lo, 1)
 		if receivedNone(e.cursor[lo:hi]) {
 			// No id of the tile received a window packet — the join headroom of
-			// a live-churn run is thousands of such ids — so its cells are the
-			// zeros already there and its metrics need no scan.
+			// a live-churn run is thousands of such ids — so its metrics need no
+			// scan.
 			if !e.opt.AllowIncomplete {
 				return e.neverReceived(first)
 			}
@@ -283,19 +277,15 @@ func (e *engine) finishCells(r *Result) error {
 			}
 			continue
 		}
-		out := e.sc.tile
-		if kept != nil {
-			out = kept[lo*np:]
-		}
 		for j := 0; j < np; j++ {
 			o := j
 			for _, a := range e.cells[j*e.stride+lo : j*e.stride+hi] {
-				out[o] = a
+				tile[o] = a
 				o += np
 			}
 		}
 		for id := first; id < hi; id++ {
-			row := out[(id-lo)*np : (id-lo+1)*np]
+			row := tile[(id-lo)*np : (id-lo+1)*np]
 			cur := e.cursor[id]
 			got := int(uint32(cur))
 			if got < np {
@@ -310,8 +300,11 @@ func (e *engine) finishCells(r *Result) error {
 			r.MaxBuffer[id] = maxBuffer(row, r.StartDelay[id], counts)
 		}
 	}
-	if kept != nil {
-		*e.opt.Arrivals = Arrivals{packets: e.opt.Packets, cells: kept}
+	if e.opt.Arrivals != nil {
+		// The caller takes the cells as they are, packet-major; the Runner
+		// forgets them, so no later run clears or reuses what the caller holds.
+		*e.opt.Arrivals = Arrivals{packets: e.opt.Packets, cells: e.cells[:len(e.cells):len(e.cells)], stride: e.stride}
+		e.sc.cells = nil
 	}
 	return nil
 }

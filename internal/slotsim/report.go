@@ -69,26 +69,10 @@ func BuildReport(s core.Scheme, opt Options, res *Result, m *obs.Metrics, worker
 		}
 	}
 
-	// Buffer-occupancy trajectories, derived from the observed arrivals
-	// under the Result's playback starts; the per-node maximum of these
-	// series is exactly Result.MaxBuffer.
-	occ := m.OccupancySeries(res.StartDelay, res.Packets)
-	slots := 0
-	for _, row := range occ {
-		if len(row) > slots {
-			slots = len(row)
-		}
-	}
-	rep.Series.BufferMax = make([]int, slots)
-	rep.Series.BufferTotal = make([]int, slots)
-	for id := 1; id < len(occ) && id <= res.N; id++ {
-		for t, v := range occ[id] {
-			rep.Series.BufferTotal[t] += v
-			if v > rep.Series.BufferMax[t] {
-				rep.Series.BufferMax[t] = v
-			}
-		}
-	}
+	// Buffer-occupancy trajectories, folded from the observed arrivals
+	// under the Result's playback starts; the per-node maximum of the
+	// occupancy they sum is exactly Result.MaxBuffer.
+	rep.Series.BufferMax, rep.Series.BufferTotal = m.BufferSeries(res.StartDelay, res.Packets)
 
 	rep.PerNode = obs.PerNode{
 		StartDelay: make([]int, res.N+1),

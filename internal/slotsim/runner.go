@@ -20,7 +20,7 @@ type scratch struct {
 	have      []uint64            // packet-major presence bits
 	dirtyRows []uint64            // packet rows of have and cells written this run
 	words     int                 // uint64 words per presence or slot row
-	cells     []int32             // a cell run's packet-major window cells (slot+1; 0 = unset)
+	cells     []int32             // a cell run's packet-major window cells (slot+1; 0 = unset); nil once handed off
 	stride    int                 // row stride of cells
 	cellRows  int                 // window rows of cells (0 = a cell-free run)
 	slots     []uint64            // a cell-free run's slot-major window arrival bits

@@ -66,30 +66,51 @@ func multitreeCase(t *testing.T, n, d int, mode core.StreamMode) (core.Scheme, s
 }
 
 // TestRunnerReuse runs different schemes back to back through one Runner:
-// scratch must never leak state across runs.
+// scratch must never leak state across runs, and cells a run handed to its
+// caller must never be reached by the runs after it.
 func TestRunnerReuse(t *testing.T) {
 	r := slotsim.NewRunner()
 	s1, opt1 := multitreeCase(t, 25, 3, core.PreRecorded)
 	s2, opt2 := multitreeCase(t, 10, 2, core.Live)
+	// A receive capacity of 2 makes a cell run that keeps its cells in the
+	// Runner's scratch rather than handing them over.
+	wide := opt1
+	wide.RecvCap = func(core.NodeID) int { return 2 }
+	rows := func(a *slotsim.Arrivals, n int) [][]core.Slot {
+		out := make([][]core.Slot, n+1)
+		for id := range out {
+			out[id] = a.Row(core.NodeID(id))
+		}
+		return out
+	}
 	var first outcome
+	var kept [][]core.Slot
 	for i := 0; i < 3; i++ {
 		out1, err := runKeeping(r, s1, opt1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if first.Res == nil {
-			first = out1
+			first, kept = out1, rows(out1.Cells, out1.Res.N)
 		} else if !reflect.DeepEqual(first, out1) {
 			t.Fatalf("run %d: Result or cells drifted across Runner reuse", i)
 		}
 		if _, err := runKeeping(r, s2, opt2); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := r.Run(s1, wide); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The first run's cells are its caller's: five later runs on the same
-	// Runner, which compared equal above, must not have reached them.
+	// The first run's cells are its caller's: the Runner handed them over and
+	// forgot them, so the eight runs after it — five that handed over cells of
+	// their own, three that kept theirs in scratch — must not have reached
+	// them.
+	if got := rows(first.Cells, first.Res.N); !reflect.DeepEqual(got, kept) {
+		t.Fatal("first run's cells were changed by later runs on the same Runner")
+	}
 	if first.Cells.At(1, 0) < 0 {
-		t.Fatal("first run's cells were corrupted by later runs reusing scratch")
+		t.Fatal("first run's cells lost node 1's first packet")
 	}
 }
 

@@ -1,6 +1,11 @@
 package slotsim
 
-import "streamcast/internal/core"
+import (
+	"cmp"
+	"slices"
+
+	"streamcast/internal/core"
+)
 
 // Playback SLOs for churned runs. A static run's quality is fully described
 // by StartDelay/MaxBuffer; under live churn the interesting quantities are
@@ -64,66 +69,90 @@ func PlaybackSLO(r *Result, cells *Arrivals, members []Membership, probe int, fi
 	}
 	np := int(r.Packets)
 	var s SLO
+	// The members owed playback, ordered by the first packet they owe and
+	// then by id: a joiner owes playback only from the live edge at its join
+	// slot, since the schedule never re-sends rounds produced before it
+	// arrived.
+	type owed struct{ from, id int32 }
+	var owing []owed
 	for _, m := range members {
 		if m.Leave >= 0 || m.Node < 1 || int(m.Node) > r.N {
 			continue
 		}
-		// A joiner owes playback only from the live edge at its join slot:
-		// the schedule never re-sends rounds produced before it arrived.
-		j0 := int(m.Join)
-		if j0 > np {
-			j0 = np
+		if j0 := min(int(m.Join), np); j0 < np {
+			owing = append(owing, owed{int32(j0), int32(m.Node)})
 		}
-		if j0 >= np {
-			continue
+	}
+	slices.SortFunc(owing, func(a, b owed) int {
+		if c := cmp.Compare(a.from, b.from); c != 0 {
+			return c
 		}
+		return cmp.Compare(a.id, b.id)
+	})
+	// Per-member state in flat arrays: the id, the start delay it commits
+	// to, and its current gap run.
+	n := len(owing)
+	ids, start, run := make([]int32, n), make([]int32, n), make([]int32, n)
+	for i, o := range owing {
+		ids[i] = o.id
 		// Commit a start delay from the probe prefix; a node whose probe
 		// window was entirely lost falls back to its final worst lag.
-		start := core.Slot(noLag)
-		for j := j0; j < np && j < j0+probe; j++ {
-			if a := cells.At(m.Node, core.Packet(j)); a != unset {
-				if lag := a - core.Slot(j); lag > start {
-					start = lag
-				}
+		st := core.Slot(noLag)
+		for j := int(o.from); j < np && j < int(o.from)+probe; j++ {
+			if a := cells.At(core.NodeID(o.id), core.Packet(j)); a != unset {
+				st = max(st, a-core.Slot(j))
 			}
 		}
-		if start == core.Slot(noLag) {
-			start = r.StartDelay[m.Node]
+		if st == core.Slot(noLag) {
+			st = r.StartDelay[o.id]
 		}
-		s.Nodes++
-		s.Expected += np - j0
-		run := core.Slot(0)
-		for j := j0; j < np; j++ {
-			a := cells.At(m.Node, core.Packet(j))
-			if a == unset || a > start+core.Slot(j) {
-				s.Hiccups++
-				run++
-				if run > s.MaxStall {
-					s.MaxStall = run
-				}
-				if firstChurn >= 0 {
-					// The gap packet's playback slot ends this node's
-					// repair interval.
-					if ttr := start + core.Slot(j) + 1 - firstChurn; ttr > s.TimeToRepair {
-						s.TimeToRepair = ttr
-					}
-				}
-				continue
-			}
-			if run > 0 {
-				s.Gaps++
-				run = 0
-			}
+		start[i] = int32(st)
+		s.Expected += np - int(o.from)
+	}
+	s.Nodes = n
+	// The cells are packet-major, so the window is walked a packet row at a
+	// time: each member owing the packet — a prefix of them — reads its cell
+	// of the row, in id order so that the row streams, and carries its gap
+	// run on to the next row. Whether a packet is a gap is close to a coin
+	// flip, so the walk counts without branching on it.
+	hiccups, gaps, stall, reach := 0, 0, 0, 0
+	owes := 0
+	for j := 0; j < np; j++ {
+		for owes < n && int(owing[owes].from) <= j {
+			owes++
 		}
-		if run > 0 {
-			s.Gaps++
+		row := cells.cells[j*cells.stride : (j+1)*cells.stride]
+		st, gr := start[:owes], run[:owes]
+		for i, id := range ids[:owes] {
+			// An unset cell (0) wraps to the largest uint32: later than any
+			// playback slot.
+			play := int(st[i]) + j
+			gap := b2i(int(uint32(row[id])-1) > play)
+			cur := (int(gr[i]) + 1) * gap
+			gr[i] = int32(cur)
+			hiccups += gap
+			gaps += b2i(cur == 1)
+			stall = max(stall, cur)
+			// A gap packet's playback slot ends its member's repair interval.
+			reach = max(reach, gap*(play+1))
 		}
+	}
+	s.Hiccups, s.Gaps, s.MaxStall = hiccups, gaps, core.Slot(stall)
+	if firstChurn >= 0 {
+		// A slot no gap reached is 0, at or before the first churn op.
+		s.TimeToRepair = max(core.Slot(reach)-firstChurn, 0)
 	}
 	if s.Expected > 0 {
 		s.RebufferRatio = float64(s.Hiccups) / float64(s.Expected)
 	}
-	if s.TimeToRepair < 0 {
-		s.TimeToRepair = 0
-	}
 	return s
+}
+
+// b2i is 1 for true and 0 for false; the compiler turns it into a flag
+// move, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
