@@ -1,0 +1,34 @@
+package main
+
+import (
+	"io"
+	"os"
+	"strings"
+	"testing"
+)
+
+// TestMainPrints runs the program as its users do and checks one line of
+// what it prints.
+func TestMainPrints(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	args := os.Args
+	os.Args = []string{"treeviz", "-fig", "3"}
+	defer func() { os.Args = args }()
+	main()
+	w.Close()
+	const want = "-- structured construction (N=15, d=3) --"
+	if got := <-out; !strings.Contains(got, want+"\n") {
+		t.Errorf("output lacks the line %q:\n%s", want, got)
+	}
+}

@@ -9,13 +9,14 @@ import (
 )
 
 // TestStaticAllocationBudget: a clean verification allocates per pass and
-// per slot — the arrival matrix, the mesh table, the audit tables, one
-// generated slice per slot, the snapshot's arrays — and nothing per node or
-// per transmission: one of either would cost a thousand here. The two-pass,
+// per slot — the engine's scratch and Result arrays, the mesh table, the
+// audit tables, one generated slice per slot — and nothing per node or per
+// transmission: one of either would cost a thousand here. The two-pass,
 // map-based verifier made 12 793 allocations on the hypercube below and
-// 13 467 on the multi-tree; the one-pass verifier makes 51 and 71, and the
-// budget leaves room for the map inside Neighbors() to grow differently
-// under another Go release.
+// 13 467 on the multi-tree; the one-pass interpreter made 51 and 71, and the
+// engine run with its audit observer makes 39 and 40, the Runner's scratch
+// included. The budget leaves room for the map inside Neighbors() to grow
+// differently under another Go release.
 func TestStaticAllocationBudget(t *testing.T) {
 	const budget = 120
 	hc, err := hypercube.New(1023, 1)

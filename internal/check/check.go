@@ -1,6 +1,7 @@
 package check
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -8,11 +9,12 @@ import (
 	"strings"
 
 	"streamcast/internal/core"
+	"streamcast/internal/slotsim"
 )
 
-// Issue kinds. The first block reuses the slotsim Violation kind strings so
-// static findings map one-to-one onto the violation class the engine would
-// raise for the same defect.
+// Issue kinds. The first block is the slot model: these are the kind strings
+// of the slotsim Violation that Static's engine run stops at, at most one per
+// report. The second block is what only the verifier audits.
 const (
 	KindRange     = "node id out of range"
 	KindSelf      = "self transmission"
@@ -21,7 +23,6 @@ const (
 	KindRecvCap   = "receive capacity exceeded"
 	KindDuplicate = "duplicate packet"
 
-	KindBadLatency  = "latency below one slot"
 	KindInterior    = "interior-disjointness violated"
 	KindFanout      = "tree fanout exceeds degree"
 	KindDegree      = "neighbor bound exceeded"
@@ -36,7 +37,7 @@ type Issue struct {
 	// Slot is the slot the defect manifests in (-1 for structural findings
 	// that are not tied to a slot).
 	Slot core.Slot
-	// Kind classifies the defect; schedule-level kinds match the slotsim
+	// Kind classifies the defect; slot-model kinds are the slotsim
 	// Violation kinds.
 	Kind string
 	// Tx is the offending transmission for schedule-level findings.
@@ -63,7 +64,8 @@ func (i Issue) String() string {
 
 // Options configures one static verification.
 type Options struct {
-	// Horizon is the number of slots to interpret.
+	// Horizon is the number of slots to run; every one is executed and
+	// audited (the engine's early stop does not apply to an observed run).
 	Horizon core.Slot
 	// Packets is the measurement window for the delay/buffer/completeness
 	// cross-checks.
@@ -75,7 +77,8 @@ type Options struct {
 	SendCap func(id core.NodeID) int
 	// RecvCap overrides per-node receive capacity (nil: 1).
 	RecvCap func(id core.NodeID) int
-	// Latency overrides per-link latency in slots (nil: 1).
+	// Latency overrides per-link latency in slots (nil: 1). A latency below
+	// 1 is a configuration error: Static returns the engine's error.
 	Latency func(from, to core.NodeID) core.Slot
 	// TreeDegree, when > 0, enables the multi-tree structural audit: packet
 	// j belongs to tree j mod TreeDegree, every non-source sender must
@@ -97,8 +100,8 @@ type Options struct {
 	BufferBound int
 	// AllowIncomplete skips the completeness check (gossip-style schemes).
 	AllowIncomplete bool
-	// MaxIssues caps the number of recorded issues (0: 32). Counting stops
-	// early but the pass always finishes, so summary stats stay valid.
+	// MaxIssues caps the number of recorded issues (0: 32). Recording stops
+	// at the cap, but every audit still runs, so summary stats stay valid.
 	MaxIssues int
 }
 
@@ -112,9 +115,11 @@ type Report struct {
 	// Truncated is set when more issues were found than recorded.
 	Truncated bool
 	// WorstDelay is the schedule's worst playback start slot over the
-	// measurement window (receivers with complete windows only).
+	// measurement window (receivers with complete windows only); 0 when the
+	// run stopped at a slot-model violation.
 	WorstDelay core.Slot
-	// WorstBuffer is the peak buffer occupancy over all receivers.
+	// WorstBuffer is the peak buffer occupancy over the same receivers; 0
+	// when the run stopped at a slot-model violation.
 	WorstBuffer int
 	// MaxNeighbors is the largest Neighbors() degree observed.
 	MaxNeighbors int
@@ -149,18 +154,16 @@ func (r *Report) HasKind(kind string) bool {
 	return false
 }
 
-// verifier is the working state of one Static run.
+// verifier is the working state of one Static run: the structural audits
+// only the verifier does, fed by the engine as the run's obs.Observer. The
+// tables are sized at the first SlotStart, after the engine has accepted the
+// run, so an oversized verification is refused before any of them is
+// allocated or Neighbors() is read.
 type verifier struct {
 	scheme core.Scheme
 	opt    Options
 	n      int
-	srcCap int
-	maxPkt core.Packet
-	// arrival is the node-major arrival matrix in one flat array: cell
-	// id*maxPkt+p holds the slot packet p reached node id plus one, 0 while
-	// it has not (the encoding slotsim stores: a fresh matrix is all unset).
-	arrival []int32
-	report  *Report
+	report *Report
 
 	// Multi-tree audit (TreeDegree > 0). residues holds resWords mask words
 	// per node: bit r is set once the node relays a packet of residue r.
@@ -176,20 +179,21 @@ type verifier struct {
 	// Mesh audit (MaxNeighbors > 0 or CheckMesh). lists is Neighbors() by
 	// id, nil for a node the scheme does not list (the source, usually);
 	// strays are listed ids outside 0..n. offMesh buffers the scheduled
-	// edges found missing while the schedule is interpreted: they are filed
-	// after the interpreter's findings and the degree audit.
+	// edges found missing during the run: they are filed after the
+	// slot-model finding and the degree audit.
 	mesh    map[core.NodeID][]core.NodeID
 	lists   [][]core.NodeID
 	strays  []core.NodeID
 	offMesh []Issue
 }
 
-// Static verifies the scheme's schedule and mesh without running the
-// simulation engine. One pass over the schedule relaxes arrival times,
-// checks the slot model, gathers the multi-tree evidence and tests every
-// scheduled edge against the mesh; the delay and buffer bounds are then read
-// off the arrival matrix. It returns an error only for unusable
-// configuration; scheme defects land in the report.
+// Static verifies the scheme's schedule and mesh over opt.Horizon slots. It
+// runs the schedule once on the slot engine, which enforces the slot model,
+// with an observer that gathers the multi-tree evidence and tests every
+// executed edge against the mesh; the degree audit and the delay, buffer and
+// completeness cross-checks then read Neighbors() and the engine's Result.
+// It returns an error only for unusable configuration — the engine's own
+// refusals included; scheme defects land in the report.
 func Static(s core.Scheme, opt Options) (*Report, error) {
 	if opt.Horizon <= 0 {
 		return nil, fmt.Errorf("check: Horizon must be > 0, got %d", opt.Horizon)
@@ -197,72 +201,78 @@ func Static(s core.Scheme, opt Options) (*Report, error) {
 	if opt.Packets <= 0 {
 		return nil, fmt.Errorf("check: Packets must be > 0, got %d", opt.Packets)
 	}
-	n := s.NumReceivers()
-	if n < 1 {
-		return nil, fmt.Errorf("check: scheme has %d receivers", n)
-	}
-	if err := arrivalFits(s, opt); err != nil {
-		return nil, err
-	}
-	v := newVerifier(s, opt)
-	v.verify()
-	return v.report, nil
-}
-
-// arrivalFits refuses, before anything is allocated, a verification whose
-// arrival matrix — one int32 cell per node per packet the source could emit
-// in the horizon — would exceed core.MaxArrivalCells, with a sized error
-// worded like the engine's for the same run. The size is computed in float64:
-// exact far past the ceiling, and a hostile horizon × population cannot
-// overflow it.
-func arrivalFits(s core.Scheme, opt Options) error {
-	n, srcCap := s.NumReceivers(), s.SourceCapacity()
-	rows := max((float64(opt.Horizon)+1)*float64(srcCap), float64(opt.Packets))
-	if need := float64(n+1) * rows; need > core.MaxArrivalCells {
-		const gib = 1 << 30
-		return fmt.Errorf("check: arrival matrix too large: N=%d nodes × %.0f packet rows would allocate %.1f GiB of int32 cells, over the %d-cell ceiling (core.MaxArrivalCells); shorten the horizon (%d slots) or the population",
-			n, rows, need*4/gib, core.MaxArrivalCells, opt.Horizon)
-	}
-	return nil
-}
-
-// newVerifier builds the working state of one Static run: option defaults
-// and the arrival matrix (arrivalFits has vouched for its size).
-func newVerifier(s core.Scheme, opt Options) *verifier {
-	n := s.NumReceivers()
 	if opt.MaxIssues == 0 {
 		opt.MaxIssues = 32
 	}
-	srcCap := s.SourceCapacity()
-	maxPkt := max(core.Packet(int(opt.Horizon)*srcCap+srcCap), opt.Packets)
-	v := &verifier{
-		scheme:  s,
-		opt:     opt,
-		n:       n,
-		srcCap:  srcCap,
-		maxPkt:  maxPkt,
-		arrival: make([]int32, (n+1)*int(maxPkt)),
-		report:  &Report{Scheme: s.Name()},
+	v := &verifier{scheme: s, opt: opt, n: s.NumReceivers(), report: &Report{Scheme: s.Name()}}
+	// A Runner of its own, not the pool's: its scratch is garbage once the
+	// verdict is in. A pooled one stays reachable, and the run after the
+	// check is not always handed it (sync.Pool keeps a Runner per P), so a
+	// checked N = 32 767 cube peaked ≈ 3.5 MB higher with the pool.
+	res, err := slotsim.NewRunner().Run(s, slotsim.Options{
+		Slots:           opt.Horizon,
+		Packets:         opt.Packets,
+		Mode:            opt.Mode,
+		SendCap:         opt.SendCap,
+		RecvCap:         opt.RecvCap,
+		Latency:         opt.Latency,
+		AllowIncomplete: true,
+		Observer:        v,
+	})
+	var viol *slotsim.Violation
+	switch {
+	case errors.As(err, &viol):
+		v.issue(Issue{Slot: viol.Slot, Kind: viol.Kind, Tx: viol.Tx})
+		if viol.Kind != KindRange && viol.Kind != KindSelf {
+			// The flagged transmission is audited like an executed one,
+			// except that a packet its sender does not hold joins no tree.
+			v.audit(viol.Slot, viol.Tx, viol.Kind != KindNotHeld)
+		}
+	case err != nil:
+		return nil, err
 	}
-	if d := opt.TreeDegree; d > 0 {
-		v.resWords = (d + 63) / 64
-		v.residues = make([]uint64, (n+1)*v.resWords)
-		v.kids = make([]int32, (n+1)*(d+2))
-	}
-	return v
-}
-
-// verify runs the passes in the order their findings are filed: the
-// schedule interpreter (which also buffers the missing mesh edges), the
-// degree audit, the buffered mesh findings, the bound cross-check.
-func (v *verifier) verify() {
-	v.loadMesh()
-	v.interpret()
 	v.auditDegrees()
 	for _, is := range v.offMesh {
 		v.issue(is)
 	}
-	v.crossCheck()
+	if res != nil {
+		v.crossCheck(res)
+	}
+	return v.report, nil
+}
+
+// SlotStart sizes the audit tables and reads the mesh when the run opens.
+func (v *verifier) SlotStart(t core.Slot, _ int) {
+	if t != 0 {
+		return
+	}
+	if d := v.opt.TreeDegree; d > 0 {
+		v.resWords = (d + 63) / 64
+		v.residues = make([]uint64, (v.n+1)*v.resWords)
+		v.kids = make([]int32, (v.n+1)*(d+2))
+	}
+	v.loadMesh()
+}
+
+// Transmit audits one executed transmission.
+func (v *verifier) Transmit(t core.Slot, tx core.Transmission) { v.audit(t, tx, true) }
+
+// Deliver, Drop, Violation and SlotEnd carry nothing the audits read: the
+// engine's Result and its returned Violation do.
+func (*verifier) Deliver(core.Slot, core.Transmission, bool)     {}
+func (*verifier) Drop(core.Slot, core.Transmission)              {}
+func (*verifier) Violation(core.Slot, string, core.Transmission) {}
+func (*verifier) SlotEnd(core.Slot)                              {}
+
+// audit tests one transmission's edge against the mesh and, when it carries
+// a packet its sender holds, adds it to the multi-tree evidence.
+func (v *verifier) audit(t core.Slot, tx core.Transmission, relayed bool) {
+	if v.opt.CheckMesh {
+		v.checkEdge(t, tx)
+	}
+	if relayed {
+		v.observeTreeEdge(tx)
+	}
 }
 
 // issue records a finding, honoring the cap.
@@ -272,105 +282,6 @@ func (v *verifier) issue(i Issue) {
 		return
 	}
 	v.report.Issues = append(v.report.Issues, i)
-}
-
-// holds reports whether the node can transmit packet p during slot t,
-// mirroring the engine's availability rule.
-func (v *verifier) holds(id core.NodeID, p core.Packet, t core.Slot) bool {
-	if p < 0 {
-		return false
-	}
-	if id == core.SourceID {
-		if v.opt.Mode == core.Live {
-			return core.Slot(int(p)) <= t
-		}
-		return true
-	}
-	if p >= v.maxPkt {
-		return false
-	}
-	a := v.arrival[int(id)*int(v.maxPkt)+int(p)]
-	return a != 0 && core.Slot(a) <= t // it arrived in a slot before t
-}
-
-// interpret relaxes arrival times over the schedule, checking the per-slot
-// model constraints and the mesh membership of every edge along the way.
-func (v *verifier) interpret() {
-	inflight := make(map[core.Slot][]core.Transmission)
-	sent := make([]int, v.n+1)
-	received := make([]int, v.n+1)
-	var arrivals []core.Transmission
-	for t := core.Slot(0); t < v.opt.Horizon; t++ {
-		clear(sent)
-		arrivals = append(arrivals[:0], inflight[t]...)
-		delete(inflight, t)
-		for _, tx := range v.scheme.Transmissions(t) {
-			if tx.From < 0 || int(tx.From) > v.n || tx.To < 0 || int(tx.To) > v.n {
-				v.issue(Issue{Slot: t, Kind: KindRange, Tx: tx})
-				continue
-			}
-			if tx.From == tx.To {
-				v.issue(Issue{Slot: t, Kind: KindSelf, Tx: tx})
-				continue
-			}
-			if v.opt.CheckMesh {
-				v.checkEdge(t, tx)
-			}
-			sendCap := 1
-			if v.opt.SendCap != nil {
-				sendCap = v.opt.SendCap(tx.From)
-			} else if tx.From == core.SourceID {
-				sendCap = v.srcCap
-			}
-			sent[tx.From]++
-			if sent[tx.From]-sendCap == 1 {
-				// Report the first excess send per node and slot.
-				v.issue(Issue{Slot: t, Kind: KindSendCap, Tx: tx,
-					Detail: fmt.Sprintf("node %d capacity %d", tx.From, sendCap)})
-			}
-			if !v.holds(tx.From, tx.Packet, t) {
-				v.issue(Issue{Slot: t, Kind: KindNotHeld, Tx: tx})
-				continue // an unavailable packet cannot propagate
-			}
-			v.observeTreeEdge(tx)
-			l := core.Slot(1)
-			if v.opt.Latency != nil {
-				l = v.opt.Latency(tx.From, tx.To)
-			}
-			if l < 1 {
-				v.issue(Issue{Slot: t, Kind: KindBadLatency, Tx: tx,
-					Detail: fmt.Sprintf("Latency(%d, %d) = %d", tx.From, tx.To, l)})
-				continue
-			}
-			if l == 1 {
-				arrivals = append(arrivals, tx)
-			} else {
-				inflight[t+l-1] = append(inflight[t+l-1], tx)
-			}
-		}
-		clear(received)
-		for _, tx := range arrivals {
-			recvCap := 1
-			if v.opt.RecvCap != nil {
-				recvCap = v.opt.RecvCap(tx.To)
-			}
-			received[tx.To]++
-			if received[tx.To]-recvCap == 1 {
-				v.issue(Issue{Slot: t, Kind: KindRecvCap, Tx: tx,
-					Detail: fmt.Sprintf("node %d capacity %d", tx.To, recvCap)})
-			}
-			if tx.To == core.SourceID || tx.Packet >= v.maxPkt {
-				continue
-			}
-			cell := &v.arrival[int(tx.To)*int(v.maxPkt)+int(tx.Packet)]
-			if *cell != 0 {
-				v.issue(Issue{Slot: t, Kind: KindDuplicate, Tx: tx,
-					Detail: fmt.Sprintf("first arrived at slot %d", *cell-1)})
-				continue
-			}
-			*cell = int32(t) + 1
-		}
-	}
 }
 
 // observeTreeEdge accumulates the multi-tree structural evidence of one
@@ -515,37 +426,20 @@ func (v *verifier) auditDegrees() {
 	}
 }
 
-// crossCheck derives worst-case delay and buffer from the relaxed arrival
-// times and compares them against the closed-form bounds.
-func (v *verifier) crossCheck() {
-	counts := make([]int, v.opt.Horizon) // peakBuffer's histogram, reused
-	for id := core.NodeID(1); int(id) <= v.n; id++ {
-		lo := int(id) * int(v.maxPkt)
-		row := v.arrival[lo : lo+int(v.opt.Packets)]
-		var worst core.Slot = -1 << 30
-		complete := true
-		for j, a := range row {
-			if a == 0 {
-				complete = false
-				if !v.opt.AllowIncomplete {
-					v.issue(Issue{Slot: -1, Kind: KindIncomplete,
-						Detail: fmt.Sprintf("node %d never receives packet %d within %d slots", id, j, v.opt.Horizon)})
-				}
-				continue
+// crossCheck reads worst-case delay and buffer off the engine's Result —
+// over the receivers that got the whole window — files every receiver that
+// did not, and compares the measurements against the closed-form bounds.
+func (v *verifier) crossCheck(res *slotsim.Result) {
+	for id := 1; id <= v.n; id++ {
+		if m := res.Missing[id]; m > 0 {
+			if !v.opt.AllowIncomplete {
+				v.issue(Issue{Slot: -1, Kind: KindIncomplete,
+					Detail: fmt.Sprintf("node %d misses %d of %d window packets within %d slots", id, m, v.opt.Packets, v.opt.Horizon)})
 			}
-			if lag := core.Slot(a-1) - core.Slot(j); lag > worst {
-				worst = lag
-			}
-		}
-		if !complete {
 			continue
 		}
-		if worst > v.report.WorstDelay {
-			v.report.WorstDelay = worst
-		}
-		if b := peakBuffer(row, worst, counts); b > v.report.WorstBuffer {
-			v.report.WorstBuffer = b
-		}
+		v.report.WorstDelay = max(v.report.WorstDelay, res.StartDelay[id])
+		v.report.WorstBuffer = max(v.report.WorstBuffer, res.MaxBuffer[id])
 	}
 	if v.opt.DelayBound > 0 && v.report.WorstDelay > v.opt.DelayBound {
 		v.issue(Issue{Slot: -1, Kind: KindDelayBound,
@@ -557,25 +451,4 @@ func (v *verifier) crossCheck() {
 			Detail: fmt.Sprintf("peak buffer occupancy %d packets exceeds bound %d",
 				v.report.WorstBuffer, v.opt.BufferBound)})
 	}
-}
-
-// peakBuffer mirrors the engine's buffer accounting: packet j occupies the
-// buffer from the end of its arrival slot through the end of slot start+j.
-// arrival is one complete row of the matrix (slot plus one). counts is the
-// caller's histogram of arrivals per slot, all zero on entry and again on
-// return: every entry touched is cleared on the way back.
-func peakBuffer(arrival []int32, start core.Slot, counts []int) int {
-	var end int32 // latest arrival slot, plus one
-	for _, a := range arrival {
-		counts[a-1]++
-		end = max(end, a)
-	}
-	peak, have := 0, 0
-	for t := core.Slot(0); t < core.Slot(end); t++ {
-		have += counts[t]
-		counts[t] = 0
-		played := min(max(int(t-start), 0), len(arrival))
-		peak = max(peak, have-played)
-	}
-	return peak
 }

@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -292,20 +293,62 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
+// TestBadLatencyIsAnError: a latency below one slot is a configuration
+// error, returned as the engine's error rather than filed as an issue.
+func TestBadLatencyIsAnError(t *testing.T) {
+	_, s := mustMultiTree(t, 5, 2)
+	opt := check.MultiTreeOptions(s, 4)
+	opt.Latency = func(core.NodeID, core.NodeID) core.Slot { return 0 }
+	rep, err := check.Static(s, opt)
+	if err == nil || !strings.Contains(err.Error(), "Latency(") {
+		t.Fatalf("latency 0: report %v, error %v", rep, err)
+	}
+}
+
+// starve drops the one transmission that brings packet 1 to node id. The
+// caller picks an interior node of tree 0, which is a leaf of tree 1, so no
+// other node misses the packet with it.
+func starve(s core.Scheme, id core.NodeID) *corrupt {
+	return &corrupt{Scheme: s, txMod: func(_ core.Slot, txs []core.Transmission) []core.Transmission {
+		out := txs[:0:0]
+		for _, tx := range txs {
+			if tx.To != id || tx.Packet != 1 {
+				out = append(out, tx)
+			}
+		}
+		return out
+	}}
+}
+
+// TestRejectIncompleteWindow: a receiver starved of one window packet is
+// reported as an incomplete window naming it, and only it; under
+// AllowIncomplete the same schedule passes.
+func TestRejectIncompleteWindow(t *testing.T) {
+	m, s := mustMultiTree(t, 13, 2)
+	bad := findInterior(t, m)
+	opt := check.MultiTreeOptions(s, 6)
+	rep, err := check.Static(starve(s, bad), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("node %d misses 1 of 6 window packets", bad)
+	if len(rep.Issues) != 1 || rep.Issues[0].Kind != check.KindIncomplete || !strings.Contains(rep.Issues[0].Detail, want) {
+		t.Fatalf("want one %q issue with %q, got %v", check.KindIncomplete, want, rep.Issues)
+	}
+	opt.AllowIncomplete = true
+	if rep, err := check.Static(starve(s, bad), opt); err != nil || !rep.OK() {
+		t.Fatalf("AllowIncomplete: %v %v", err, rep.Issues)
+	}
+}
+
 // TestIssueCap: a thoroughly broken scheme truncates at MaxIssues but still
-// reports, so diagnostics stay readable.
+// reports, so diagnostics stay readable. With no node listing a neighbor,
+// every scheduled edge between receivers is off the mesh.
 func TestIssueCap(t *testing.T) {
 	_, s := mustMultiTree(t, 13, 2)
-	cs := &corrupt{Scheme: s, txMod: func(t core.Slot, txs []core.Transmission) []core.Transmission {
-		for i := range txs {
-			txs[i].To = txs[i].From // every edge becomes a self transmission
-		}
-		return txs
-	}}
 	opt := check.MultiTreeOptions(s, 6)
 	opt.MaxIssues = 5
-	opt.AllowIncomplete = true
-	rep, err := check.Static(cs, opt)
+	rep, err := check.Static(&corrupt{Scheme: s, nbMod: unlisted}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,9 +360,10 @@ func TestIssueCap(t *testing.T) {
 	}
 }
 
-// huge is a scheme that is all size and no schedule: the verifier must judge
-// its arrival matrix from NumReceivers and SourceCapacity alone, so the
-// schedule and mesh readers fail the test if anything calls them.
+// huge is a scheme that is all size and no schedule: the engine under the
+// verifier must judge its arrival ledger from NumReceivers and SourceCapacity
+// alone, so the schedule and mesh readers fail the test if anything calls
+// them.
 type huge struct {
 	t      *testing.T
 	n, cap int
@@ -338,9 +382,9 @@ func (h huge) Neighbors() map[core.NodeID][]core.NodeID {
 }
 
 // TestOversizedVerificationIsRefused: a horizon × population whose arrival
-// matrix would exceed core.MaxArrivalCells is refused with a sized error
-// before anything is allocated or generated — the ceiling the engine applies
-// to the same run — and a product that overflows int is refused, not wrapped.
+// ledger would exceed core.MaxArrivalCells is refused by the engine's gate
+// with a sized error before anything is allocated, generated or read from the
+// mesh, and a product that overflows int is refused, not wrapped.
 func TestOversizedVerificationIsRefused(t *testing.T) {
 	cases := []struct {
 		name string

@@ -1,41 +1,45 @@
-// Package check statically verifies a streaming scheme before any slot is
-// simulated (see STATIC_ANALYSIS.md).
+// Package check statically verifies a streaming scheme over a stated horizon
+// (see STATIC_ANALYSIS.md).
 //
-// The slotsim engines detect a broken schedule dynamically — a capacity or
-// holds violation surfaces mid-run, after simulation time has been spent —
-// yet the paper's guarantees are structural: Theorem 2 rests on d
+// The paper's guarantees are structural: Theorem 2 rests on d
 // interior-disjoint d-ary trees, the slot model allows one send and one
 // receive per node per slot, and Proposition 1's Farley-style rounds fix the
-// hypercube delay in closed form. Static verifies exactly those properties
-// in one pass over the schedule — an arrival-time relaxation over the
-// scheme's own Transmissions, with per-link latency, that tests each edge
-// against the mesh as it reads it — followed by a scan of the arrival matrix
-// it filled:
+// hypercube delay in closed form. Static verifies those properties with one
+// run of the scheme on the slot engine (slotsim), the one production reading
+// of the slot model, plus the audits only this package does:
 //
-//   - per-slot send/receive capacity (source d, receivers 1, or scheme caps);
-//   - packet availability — nobody forwards a packet before holding it,
-//     which on a cluster backbone is exactly Tc-consistency;
-//   - interior-disjointness, derived from the schedule itself: a node that
+//   - the slot model, enforced by the engine: per-slot send/receive capacity
+//     (source d, receivers 1, or scheme caps), packet availability — nobody
+//     forwards a packet before holding it, which on a cluster backbone is
+//     exactly Tc-consistency — ids in range, no self transmissions and no
+//     duplicate deliveries;
+//   - interior-disjointness, derived from the executed schedule: a node that
 //     relays packets of more than one residue class mod d is interior in
 //     more than one tree;
 //   - per-tree fan-out <= d and per-node neighbor degree <= the paper bound;
-//   - mesh/schedule consistency — every scheduled edge appears in
+//   - mesh/schedule consistency — every executed edge appears in
 //     Neighbors();
-//   - worst-case delay and buffer cross-checked against the closed-form
-//     bounds of Theorem 2, Propositions 1/2, and Theorem 1.
+//   - completeness of every receiver's window, and worst-case delay and
+//     buffer, read off the engine's Result, cross-checked against the
+//     closed-form bounds of Theorem 2, Propositions 1/2, and Theorem 1.
 //
-// Issue kinds deliberately reuse the slotsim Violation kind strings where
-// the two layers see the same defect, so the checker/engine agreement tests
-// can assert that a statically rejected mesh fails dynamically with the same
-// class of violation.
+// The tree and mesh audits are an obs.Observer fed by the engine's Transmit
+// events; the observer also makes the engine run every slot of the horizon
+// rather than stop once the window is complete. Slot-model findings take the
+// engine's first-violation semantics: the run stops at the first broken
+// constraint, which becomes one Issue with the engine's kind string, and the
+// offending transmission is audited like an executed one. Structural and
+// bound findings stay multi-issue. They are filed in a fixed order: tree
+// findings as the run meets them, the slot-model violation, degree overflows
+// by id, missing mesh edges in schedule order, and — after a run without a
+// violation — incomplete windows and broken bounds.
+// testdata/pinned_reports.txt pins them with their text.
 //
-// Every slot is generated once and Neighbors() is read once, into flat
-// state: one int32 arrival matrix, the mesh as an id-indexed table of the
-// scheme's own lists, per-node residue masks and child cells. A clean
-// verification allocates nothing per node or per transmission. Findings are
-// filed in a fixed order — the interpreter's, slot by slot; degree overflows
-// by id; missing mesh edges in schedule order; incomplete windows and broken
-// bounds — which testdata/pinned_reports.txt pins with their text.
+// The audit tables are sized, and Neighbors() is read, at the run's first
+// slot: an oversized verification is refused by the engine's
+// core.MaxArrivalCells gate before either happens. A clean verification
+// allocates nothing per node or per transmission beyond the engine's own
+// per-run arrays.
 //
 // Entry points: Static runs the verifier with explicit Options;
 // MultiTreeOptions, HypercubeOptions and ClusterOptions derive the right

@@ -16,9 +16,11 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/pinned_reports.txt from the current verifier")
 
-// pinnedCase is one seeded corruption whose whole report is pinned.
+// pinnedCase is one seeded corruption whose whole report is pinned; kind is
+// a finding the report must carry.
 type pinnedCase struct {
 	name string
+	kind string
 	run  func(t *testing.T) (*check.Report, error)
 }
 
@@ -32,13 +34,67 @@ func appendAt(at core.Slot, extra ...core.Transmission) func(core.Slot, []core.T
 	}
 }
 
-// pinnedCases are the seeded corruptions of check_test.go, plus two that
-// cover how findings of different passes
-// interleave: the MaxIssues cut, and a schedule that breaks both a hold rule
-// and the mesh (interpreter findings are filed before mesh findings).
+// resendAt returns a txMod that schedules the first relayed transmission of
+// one slot a second time in that slot.
+func resendAt(at core.Slot) func(core.Slot, []core.Transmission) []core.Transmission {
+	return func(t core.Slot, txs []core.Transmission) []core.Transmission {
+		if t != at {
+			return txs
+		}
+		for _, tx := range txs {
+			if tx.From != core.SourceID {
+				return append(txs, tx)
+			}
+		}
+		return txs
+	}
+}
+
+// rewriteFirstAt returns a txMod that rewrites the first transmission of one
+// slot, on a copy of the scheme's slice.
+func rewriteFirstAt(at core.Slot, rewrite func(*core.Transmission)) func(core.Slot, []core.Transmission) []core.Transmission {
+	return func(t core.Slot, txs []core.Transmission) []core.Transmission {
+		if t != at || len(txs) == 0 {
+			return txs
+		}
+		out := append([]core.Transmission(nil), txs...)
+		rewrite(&out[0])
+		return out
+	}
+}
+
+// withCaps raises every receiver's send capacity, and with recv also every
+// receive capacity, to two packets per slot.
+func withCaps(opt check.Options, d int, recv bool) check.Options {
+	opt.SendCap = func(id core.NodeID) int {
+		if id == core.SourceID {
+			return d
+		}
+		return 2
+	}
+	if recv {
+		opt.RecvCap = func(core.NodeID) int { return 2 }
+	}
+	return opt
+}
+
+// unlisted returns an nbMod under which every listed node lists no
+// neighbor, so every scheduled edge between receivers is off the mesh.
+func unlisted(nb map[core.NodeID][]core.NodeID) map[core.NodeID][]core.NodeID {
+	for id := range nb {
+		nb[id] = nil
+	}
+	return nb
+}
+
+// pinnedCases are the seeded corruptions of check_test.go, one row per
+// slot-model violation the engine reports, and three that cover how findings
+// of different passes interleave: the MaxIssues cut within one pass and
+// across passes, and a transmission that breaks both a hold rule and the mesh
+// (the slot-model finding is filed before the mesh findings).
 func pinnedCases() []pinnedCase {
 	return []pinnedCase{
-		{"shared interior", func(t *testing.T) (*check.Report, error) {
+		{"shared interior", check.KindInterior, func(t *testing.T) (*check.Report, error) {
 			m, s := mustMultiTree(t, 13, 2)
 			bad := findInterior(t, m)
 			other := core.NodeID(1)
@@ -50,9 +106,10 @@ func pinnedCases() []pinnedCase {
 				core.Transmission{From: bad, To: other, Packet: 1})}
 			return check.Static(cs, opt)
 		}},
-		{"fan-out overflow in two residue classes", func(t *testing.T) (*check.Report, error) {
+		{"fan-out overflow in two residue classes", check.KindFanout, func(t *testing.T) (*check.Report, error) {
 			// The interior node feeds three further children in its own
-			// tree and three in the other one: both child lists overflow.
+			// tree and three in the other one; the run stops at the first
+			// of them, which overflows its own tree's child list.
 			m, s := mustMultiTree(t, 13, 2)
 			bad := findInterior(t, m)
 			opt := check.MultiTreeOptions(s, 6)
@@ -64,24 +121,40 @@ func pinnedCases() []pinnedCase {
 			}
 			return check.Static(&corrupt{Scheme: s, txMod: appendAt(opt.DelayBound+6, extra...)}, opt)
 		}},
-		{"double send", func(t *testing.T) (*check.Report, error) {
+		{"double send", check.KindSendCap, func(t *testing.T) (*check.Report, error) {
 			_, s := mustMultiTree(t, 20, 3)
 			opt := check.MultiTreeOptions(s, 9)
-			at := opt.DelayBound + 3
-			cs := &corrupt{Scheme: s, txMod: func(t core.Slot, txs []core.Transmission) []core.Transmission {
-				if t != at {
-					return txs
-				}
-				for _, tx := range txs {
-					if tx.From != core.SourceID {
-						return append(txs, tx)
-					}
-				}
-				return txs
-			}}
+			return check.Static(&corrupt{Scheme: s, txMod: resendAt(opt.DelayBound + 3)}, opt)
+		}},
+		{"double receive", check.KindRecvCap, func(t *testing.T) (*check.Report, error) {
+			// The same resend with room to send it twice.
+			_, s := mustMultiTree(t, 20, 3)
+			opt := withCaps(check.MultiTreeOptions(s, 9), 3, false)
+			return check.Static(&corrupt{Scheme: s, txMod: resendAt(opt.DelayBound + 3)}, opt)
+		}},
+		{"duplicate packet", check.KindDuplicate, func(t *testing.T) (*check.Report, error) {
+			// ... and with room to receive it twice.
+			_, s := mustMultiTree(t, 20, 3)
+			opt := withCaps(check.MultiTreeOptions(s, 9), 3, true)
+			return check.Static(&corrupt{Scheme: s, txMod: resendAt(opt.DelayBound + 3)}, opt)
+		}},
+		{"self transmission", check.KindSelf, func(t *testing.T) (*check.Report, error) {
+			_, s := mustMultiTree(t, 13, 2)
+			opt := check.MultiTreeOptions(s, 6)
+			cs := &corrupt{Scheme: s, txMod: rewriteFirstAt(opt.DelayBound+2, func(tx *core.Transmission) {
+				tx.To = tx.From
+			})}
 			return check.Static(cs, opt)
 		}},
-		{"degree overflow", func(t *testing.T) (*check.Report, error) {
+		{"receiver out of range", check.KindRange, func(t *testing.T) (*check.Report, error) {
+			_, s := mustMultiTree(t, 13, 2)
+			opt := check.MultiTreeOptions(s, 6)
+			cs := &corrupt{Scheme: s, txMod: rewriteFirstAt(opt.DelayBound+2, func(tx *core.Transmission) {
+				tx.To = core.NodeID(s.NumReceivers() + 7)
+			})}
+			return check.Static(cs, opt)
+		}},
+		{"degree overflow", check.KindDegree, func(t *testing.T) (*check.Report, error) {
 			_, s := mustMultiTree(t, 13, 2)
 			cs := &corrupt{Scheme: s, nbMod: func(nb map[core.NodeID][]core.NodeID) map[core.NodeID][]core.NodeID {
 				for id := core.NodeID(20); id <= 25; id++ {
@@ -91,7 +164,7 @@ func pinnedCases() []pinnedCase {
 			}}
 			return check.Static(cs, check.MultiTreeOptions(s, 6))
 		}},
-		{"degree overflow at listed ids outside the node range", func(t *testing.T) (*check.Report, error) {
+		{"degree overflow at listed ids outside the node range", check.KindDegree, func(t *testing.T) (*check.Report, error) {
 			// Degrees are audited in ascending id order, whatever is listed.
 			_, s := mustMultiTree(t, 13, 2)
 			cs := &corrupt{Scheme: s, nbMod: func(nb map[core.NodeID][]core.NodeID) map[core.NodeID][]core.NodeID {
@@ -103,7 +176,7 @@ func pinnedCases() []pinnedCase {
 			}}
 			return check.Static(cs, check.MultiTreeOptions(s, 6))
 		}},
-		{"missing mesh edge", func(t *testing.T) (*check.Report, error) {
+		{"missing mesh edge", check.KindMesh, func(t *testing.T) (*check.Report, error) {
 			_, s := mustMultiTree(t, 13, 2)
 			cs := &corrupt{Scheme: s, nbMod: func(nb map[core.NodeID][]core.NodeID) map[core.NodeID][]core.NodeID {
 				nb[3] = nil
@@ -111,7 +184,7 @@ func pinnedCases() []pinnedCase {
 			}}
 			return check.Static(cs, check.MultiTreeOptions(s, 6))
 		}},
-		{"early backbone send", func(t *testing.T) (*check.Report, error) {
+		{"early backbone send", check.KindNotHeld, func(t *testing.T) (*check.Report, error) {
 			s, err := cluster.New(cluster.Config{
 				K: 9, D: 3, Tc: 5, ClusterSize: 10, Degree: 2, Intra: cluster.MultiTree,
 			})
@@ -122,40 +195,32 @@ func pinnedCases() []pinnedCase {
 				core.Transmission{From: s.SuperID(0), To: s.SuperID(3), Packet: 0})}
 			return check.Static(cs, check.ClusterOptions(s, 6, 60))
 		}},
-		{"issue cap", func(t *testing.T) (*check.Report, error) {
+		{"issue cap", check.KindMesh, func(t *testing.T) (*check.Report, error) {
 			_, s := mustMultiTree(t, 13, 2)
-			cs := &corrupt{Scheme: s, txMod: func(t core.Slot, txs []core.Transmission) []core.Transmission {
-				for i := range txs {
-					txs[i].To = txs[i].From
-				}
-				return txs
-			}}
 			opt := check.MultiTreeOptions(s, 6)
 			opt.MaxIssues = 5
-			opt.AllowIncomplete = true
-			return check.Static(cs, opt)
+			return check.Static(&corrupt{Scheme: s, nbMod: unlisted}, opt)
 		}},
-		{"issue cap across passes", func(t *testing.T) (*check.Report, error) {
-			// Hold violations fill all but two places, then three missing
-			// mesh edges are to be filed: the cut falls inside them.
+		{"issue cap across passes", check.KindNotHeld, func(t *testing.T) (*check.Report, error) {
+			// A hold violation is filed first, then the missing mesh edges
+			// the run met up to it — slot 0's and its own: the cut falls
+			// inside them.
 			_, s := mustMultiTree(t, 13, 2)
 			opt := check.MultiTreeOptions(s, 6)
-			opt.MaxIssues = 4
+			opt.MaxIssues = 3
 			cs := &corrupt{Scheme: s,
-				txMod: appendAt(1,
-					core.Transmission{From: 5, To: 6, Packet: 30},
-					core.Transmission{From: 7, To: 8, Packet: 31}),
-				nbMod: func(nb map[core.NodeID][]core.NodeID) map[core.NodeID][]core.NodeID {
-					nb[3], nb[4] = nil, nil
-					return nb
-				}}
+				txMod: appendAt(1, core.Transmission{From: 5, To: 6, Packet: 30}),
+				nbMod: unlisted}
 			return check.Static(cs, opt)
 		}},
-		{"hold violation and missing mesh edge", func(t *testing.T) (*check.Report, error) {
+		{"incomplete window", check.KindIncomplete, func(t *testing.T) (*check.Report, error) {
+			m, s := mustMultiTree(t, 13, 2)
+			return check.Static(starve(s, findInterior(t, m)), check.MultiTreeOptions(s, 6))
+		}},
+		{"hold violation and missing mesh edge", check.KindNotHeld, func(t *testing.T) (*check.Report, error) {
 			// One transmission breaks both rules (its sender cannot hold the
-			// packet and the edge is not in the mesh); it recurs in a later
-			// slot, where the edge is reported once only. A degree overflow
-			// is filed between the two.
+			// packet and the edge is not in the mesh). A degree overflow is
+			// filed between the two findings.
 			s, err := hypercube.New(15, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -179,11 +244,11 @@ func pinnedCases() []pinnedCase {
 	}
 }
 
-// TestPinnedReports holds the verifier to the reports it produced before it
-// was rewritten as one pass over a flat arrival matrix: every issue's text,
-// the order issues are filed in, where MaxIssues cuts, and the measured
-// delay, buffer and degree. testdata/pinned_reports.txt was written by the
-// two-pass, map-based verifier; a diff means an observable change.
+// TestPinnedReports holds the verifier to its whole reports: every issue's
+// text, the order issues are filed in, where MaxIssues cuts, and the measured
+// delay, buffer and degree. testdata/pinned_reports.txt was last rewritten
+// when the verifier became an engine run plus its audits; a diff means an
+// observable change.
 func TestPinnedReports(t *testing.T) {
 	var got bytes.Buffer
 	for _, pc := range pinnedCases() {
@@ -191,8 +256,8 @@ func TestPinnedReports(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pc.name, err)
 		}
-		if rep.OK() {
-			t.Errorf("%s: corruption not detected", pc.name)
+		if !rep.HasKind(pc.kind) {
+			t.Errorf("%s: no %q finding: %v", pc.name, pc.kind, rep.Issues)
 		}
 		fmt.Fprintf(&got, "== %s\n", pc.name)
 		fmt.Fprintf(&got, "scheme %s truncated=%v worst_delay=%d worst_buffer=%d max_neighbors=%d\n",

@@ -107,11 +107,10 @@ func AppendNeighbor(list []NodeID, id NodeID) []NodeID {
 // MaxArrivalCells is the ceiling on the (node, tracked packet) cells a run may
 // track: a run whose horizon × population asks for more is refused up front
 // with an error that states what it would allocate, instead of dying in the
-// allocator. What a cell costs depends on who tracks it: the slot engine keeps
-// a presence bit per cell (128 MiB at the ceiling) and int32 arrival slots
-// only for the window of a run that reads them; check.Static keeps an int32
-// per cell (4 GiB at the ceiling). The million-node hypercube uses under a
-// twentieth of it.
+// allocator. The slot engine keeps a presence bit per cell (128 MiB at the
+// ceiling) and int32 arrival slots only for the window of a run that reads
+// them; check.Static is an engine run, so the same gate refuses an oversized
+// verification. The million-node hypercube uses under a twentieth of it.
 const MaxArrivalCells = 1 << 30
 
 // CompiledScheme, CompileForRun and Window remain only for bench/pipeline.go,

@@ -8,35 +8,32 @@ import (
 	"streamcast/internal/check"
 	"streamcast/internal/core"
 	"streamcast/internal/multitree"
-	"streamcast/internal/obs"
-	"streamcast/internal/slotsim"
 	"streamcast/internal/spec"
 )
 
-// differential runs the two independent judges of a scheme — the static
-// verifier and the slot engine — over the same window and requires a
-// unanimous verdict: both accept or both reject. The static verifier and
-// the engine share no simulation code beyond the Transmissions schedule
-// itself, so agreement here is a genuine cross-check, not an echo.
-func differential(t *testing.T, tag string, s core.Scheme, copt check.Options, sopt slotsim.Options) {
+// verdict holds the static verifier to its verdicts on one swept
+// configuration: it accepts at the horizon its options derive and, when
+// starved is positive and the options demand a complete window, rejects the
+// same schedule cut to starved slots. The verifier runs the engine, so this is
+// not a second opinion on the slot model — the oracle is (TestOracleDifferential)
+// — but a sweep of the derived options and bounds over random shapes.
+func verdict(t *testing.T, tag string, s core.Scheme, opt check.Options, starved core.Slot) {
 	t.Helper()
-	rep, cerr := check.Static(s, copt)
-	staticOK := cerr == nil && rep.OK()
-
-	// A bare run ends when its window is complete; the verifier audits its
-	// whole horizon. The idle observer makes the engine replay every slot,
-	// so the two verdicts are about the same slots.
-	sopt.Observer = obs.Combine(sopt.Observer, obs.Funcs{})
-	_, err := slotsim.Run(s, sopt)
-	if engineOK := err == nil; staticOK != engineOK {
-		t.Fatalf("%s: static verifier says ok=%v (err=%v, report=%v) but the engine says ok=%v (%v)",
-			tag, staticOK, cerr, rep.Err(), engineOK, err)
+	if rep, err := check.Static(s, opt); err != nil || !rep.OK() {
+		t.Fatalf("%s: rejected at the derived horizon %d: %v %v", tag, opt.Horizon, err, rep.Err())
+	}
+	if starved <= 0 || opt.AllowIncomplete {
+		return
+	}
+	opt.Horizon = starved
+	if rep, err := check.Static(s, opt); err != nil || rep.OK() {
+		t.Fatalf("%s: accepted over a starved horizon of %d slots (err=%v)", tag, starved, err)
 	}
 }
 
 // TestDifferentialMultitree sweeps seeded random multi-tree configurations
-// through the harness, each both at the verifier-derived horizon (accept)
-// and at a starved horizon (reject).
+// through the verifier, each both at the verifier-derived horizon (accept)
+// and at a starved horizon of d slots (reject).
 func TestDifferentialMultitree(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 25; i++ {
@@ -54,24 +51,13 @@ func TestDifferentialMultitree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("N=%d d=%d: %v", n, d, err)
 		}
-		s := run.Scheme
-		copt := *run.CheckOpt
-		sopt := slotsim.Options{Slots: copt.Horizon, Packets: copt.Packets, Mode: mode}
-		tag := s.Name()
-		differential(t, tag, s, copt, sopt)
-
-		// Starve the window: everyone must reject, and the engines must
-		// reject identically.
-		short := copt
-		short.Horizon = core.Slot(d)
-		sshort := sopt
-		sshort.Slots = core.Slot(d)
-		differential(t, tag+" (starved)", s, short, sshort)
+		verdict(t, run.Scheme.Name(), run.Scheme, *run.CheckOpt, core.Slot(d))
 	}
 }
 
 // TestDifferentialHypercube does the same sweep over hypercube families,
-// including d=1 single cubes and chained variants.
+// including d=1 single cubes and chained variants; a one-slot horizon starves
+// them.
 func TestDifferentialHypercube(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 25; i++ {
@@ -83,15 +69,13 @@ func TestDifferentialHypercube(t *testing.T) {
 		if err != nil {
 			t.Fatalf("N=%d d=%d: %v", n, d, err)
 		}
-		copt := *run.CheckOpt
-		sopt := slotsim.Options{Slots: copt.Horizon, Packets: copt.Packets, Mode: core.Live}
-		differential(t, run.Scheme.Name(), run.Scheme, copt, sopt)
+		verdict(t, run.Scheme.Name(), run.Scheme, *run.CheckOpt, 1)
 	}
 }
 
-// TestDifferentialCluster sweeps composed multi-cluster schemes; options
-// come from the scheme itself so capacities and backbone latencies match
-// between the verifier and the engines.
+// TestDifferentialCluster sweeps composed multi-cluster schemes; the check
+// options come from the scheme itself, backbone capacities and latencies
+// included.
 func TestDifferentialCluster(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < 8; i++ {
@@ -108,9 +92,7 @@ func TestDifferentialCluster(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", sc, err)
 		}
-		// The registry's engine options carry the backbone latency and
-		// capacity maps; the check options come from the same mapping.
-		differential(t, run.Scheme.Name(), run.Scheme, *run.CheckOpt, run.Opt)
+		verdict(t, run.Scheme.Name(), run.Scheme, *run.CheckOpt, 1)
 	}
 }
 
@@ -137,8 +119,8 @@ func TestDifferentialRandReg(t *testing.T) {
 
 // TestDifferentialRegistry enumerates the scheme registry: every family is
 // built from a plain Scenario at a small size and judged — statically
-// checkable families by the verifier-versus-engine harness, best-effort
-// families by the oracle. A newly registered family is swept automatically.
+// checkable families by their verifier verdicts, best-effort families by the
+// oracle. A newly registered family is swept automatically.
 func TestDifferentialRegistry(t *testing.T) {
 	for _, f := range spec.Families() {
 		t.Run(f.Name, func(t *testing.T) {
@@ -151,7 +133,7 @@ func TestDifferentialRegistry(t *testing.T) {
 					continue
 				}
 				run := builder(t, load, nil)()
-				differential(t, fmt.Sprintf("%s n=%d", f.Name, n), run.Scheme, *run.CheckOpt, run.Opt)
+				verdict(t, fmt.Sprintf("%s n=%d", f.Name, n), run.Scheme, *run.CheckOpt, 1)
 			}
 		})
 	}
