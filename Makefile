@@ -119,7 +119,8 @@ cover:
 # ns/op, B/op and allocs/op; and the rows that hold memory in place —
 # BenchmarkFinish, the wide-window N=31000, 600-packet engine row on a warmed
 # Runner, the same row on a cold Runner per iteration, whose B/op counts the
-# arrival ledger itself, BenchmarkBuildReport on the churn-faulted shape, and
+# arrival ledger itself, BenchmarkBuildReport on the churn-faulted shape,
+# BenchmarkFaultedChurnRun (that shape's build, faulted run and report), and
 # BenchmarkCheckStatic's two paper constructions —
 # held to B/op and allocs/op only (-memory-only): their ns/op reads 0.4–1.5 s
 # for one binary on a shared host, while what they allocate repeats exactly,
@@ -135,17 +136,18 @@ cover:
 # run are reported as missing, never failed — that is what lets this gate run a
 # narrow -bench filter. Refresh the baseline with `make bench-json` and point
 # BENCH_BASELINE at the new snapshot.
-BENCH_BASELINE ?= BENCH_2026-10-17-pr33.json
+BENCH_BASELINE ?= BENCH_2026-10-17-pr34.json
 GATE_BENCH = $(GO) test -bench 'SlotEngineScale/multitree-N10000/sequential' -benchtime 30x -count 5 -benchmem -run XXX . && \
 	$(GO) test -bench 'SlotEngineScale/multitree-N31000-P600/sequential' -benchtime 5x -benchmem -run XXX . && \
 	$(GO) test -bench 'SlotEngineCold/multitree-N31000-P600' -benchtime 5x -benchmem -run XXX . && \
 	$(GO) test -bench '^BenchmarkFinish$$' -benchtime 5x -benchmem -run XXX ./internal/slotsim && \
 	$(GO) test -bench '^BenchmarkBuildReport$$' -benchtime 5x -benchmem -run XXX . && \
+	$(GO) test -bench '^BenchmarkFaultedChurnRun$$' -benchtime 5x -benchmem -run XXX . && \
 	$(GO) test -bench '^BenchmarkCheckStatic/' -benchtime 5x -benchmem -run XXX .
 bench-gate:
 	@snap=$$(mktemp); \
 	{ $(GATE_BENCH); } | $(GO) run ./cmd/benchdiff -write $$snap || { rm -f $$snap; exit 1; }; \
-	$(GO) run ./cmd/benchdiff -old $(BENCH_BASELINE) -new $$snap -threshold 0.25 -time-threshold 0.5 -memory-only 'N31000-P600|^BenchmarkFinish$$|^BenchmarkBuildReport$$|^BenchmarkCheckStatic/'; \
+	$(GO) run ./cmd/benchdiff -old $(BENCH_BASELINE) -new $$snap -threshold 0.25 -time-threshold 0.5 -memory-only 'N31000-P600|^BenchmarkFinish$$|^BenchmarkBuildReport$$|^BenchmarkFaultedChurnRun$$|^BenchmarkCheckStatic/'; \
 	status=$$?; rm -f $$snap; exit $$status
 
 # The size of the program: non-test, non-testdata Go lines under internal/

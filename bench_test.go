@@ -16,6 +16,7 @@ import (
 	"streamcast/internal/check"
 	"streamcast/internal/core"
 	"streamcast/internal/experiments"
+	"streamcast/internal/faults"
 	"streamcast/internal/gossip"
 	"streamcast/internal/graph"
 	"streamcast/internal/multitree"
@@ -398,16 +399,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 // O(N + slots) scratch, and a nodes × slots occupancy matrix back in the path
 // is ≈ 19 MB more per op.
 func BenchmarkBuildReport(b *testing.B) {
-	plan := filepath.Join(b.TempDir(), "loss.plan")
-	if err := os.WriteFile(plan, []byte("seed 7\nloss from=any to=any rate=0.02 slots=0..\n"), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	sc, err := spec.Parse("scheme multitree\nparam d=3 n=10000\npackets 200\nfaults file=" + plan +
-		"\nchurn kind=poisson rate=1 seed=11 policy=lazy slots=20..\n")
-	if err != nil {
-		b.Fatal(err)
-	}
-	run, err := spec.Build(sc)
+	run, err := spec.Build(faultedChurnScenario(b, b.TempDir()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -425,8 +417,81 @@ func BenchmarkBuildReport(b *testing.B) {
 	}
 }
 
-// reportSink keeps BenchmarkBuildReport's result live.
+// reportSink keeps the report benchmarks' results live.
 var reportSink *obs.RunReport
+
+// faultedChurnScenario is the `churn-faulted` benchmark shape: multitree d=3
+// N=10000, 200 packets, Poisson live churn (lazy repair) over a 2% loss plan
+// written to dir.
+func faultedChurnScenario(b *testing.B, dir string) *spec.Scenario {
+	b.Helper()
+	plan := filepath.Join(dir, "loss.plan")
+	if err := os.WriteFile(plan, []byte("seed 7\nloss from=any to=any rate=0.02 slots=0..\n"), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	sc, err := spec.Parse("scheme multitree\nparam d=3 n=10000\npackets 200\nfaults file=" + plan +
+		"\nchurn kind=poisson rate=1 seed=11 policy=lazy slots=20..\n")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sc
+}
+
+// BenchmarkFaultedChurnRun is the `churn-faulted` workload in process: per
+// iteration the registry build (a live-churn run is single-shot), the run with
+// Metrics attached on one held Runner, and the report with its churn section.
+// The injector's verdicts and the per-delivery Metrics hook sit on this path.
+// `make bench-gate` holds the row to its bytes and allocations.
+func BenchmarkFaultedChurnRun(b *testing.B) {
+	sc := faultedChurnScenario(b, b.TempDir())
+	r := slotsim.NewRunner()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		run, err := spec.Build(sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		met := obs.NewMetrics()
+		opt := run.Opt
+		opt.Observer = met
+		res, err := r.Run(run.Scheme, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reportSink = slotsim.BuildReport(run.Scheme, opt, res, met, 0)
+		reportSink.Churn = run.ChurnReport(res)
+	}
+}
+
+// BenchmarkInjectorDropTx measures the loss verdict alone: a fixed stream of
+// 2 000 000 transmissions (200 slots × 10 000 links) against one 2% loss
+// rule, reported per verdict.
+func BenchmarkInjectorDropTx(b *testing.B) {
+	plan, err := faults.ParsePlan("seed 7\nloss from=any to=any rate=0.02 slots=0..\n")
+	if err != nil {
+		b.Fatal(err)
+	}
+	in, err := faults.NewInjector(plan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const slots, links = 200, 10000
+	drops := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		drops = 0
+		for t := core.Slot(0); t < slots; t++ {
+			for k := 0; k < links; k++ {
+				tx := core.Transmission{From: core.NodeID(k), To: core.NodeID((3*k + 1) % links), Packet: core.Packet(t)}
+				if in.DropTx(tx, t) {
+					drops++
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*slots*links), "ns/verdict")
+	b.ReportMetric(float64(drops), "drops")
+}
 
 // BenchmarkScheduleGeneration measures raw schedule-emission throughput.
 func BenchmarkScheduleGeneration(b *testing.B) {

@@ -23,39 +23,75 @@ const (
 // slotsim.Injector (per-transmission drop/delay verdicts for the slot
 // engine). Every verdict is a pure function of the plan and the
 // transmission coordinates, so a faulted run is bit-for-bit replayable.
+//
+// NewInjector compiles the plan once: the rules are split by kind, and each
+// loss or delay coin keeps its rule index only as the folded hash prefix
+// mix(seed, space, index), so a verdict finishes the chain over
+// (slot, from, to, packet) — four splitmix64 steps, not seven — and reaches
+// the same value uniform would. Nothing is written after NewInjector, so one
+// Injector may serve any number of runs, and goroutines, at once.
 type Injector struct {
-	plan *Plan
-	seed uint64
+	plan  *Plan
+	crash []Rule
+	loss  []coinRule
+	delay []coinRule
+}
+
+// coinRule is a compiled loss or delay rule: the rule and the hash of
+// (seed, space, rule index) its coins continue from.
+type coinRule struct {
+	Rule
+	prefix uint64
 }
 
 // NewInjector validates the plan and builds its injector. An explicit seed
 // override (from a scenario's `faults seed=`, say) is applied by mutating
-// Plan.Seed before this call.
+// Plan.Seed before this call; the plan must not change afterwards.
 func NewInjector(p *Plan) (*Injector, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Injector{plan: p, seed: uint64(p.Seed)}, nil
+	in := &Injector{plan: p}
+	seed := uint64(p.Seed)
+	for i, r := range p.Rules {
+		switch r.Kind {
+		case Crash:
+			in.crash = append(in.crash, r)
+		case Loss:
+			in.loss = append(in.loss, coinRule{r, mix(seed, spaceLoss, int64(i))})
+		case Delay:
+			in.delay = append(in.delay, coinRule{r, mix(seed, spaceDelay, int64(i))})
+		}
+	}
+	return in, nil
 }
 
 // Plan returns the validated plan the injector runs.
 func (in *Injector) Plan() *Plan { return in.plan }
 
+// coin finishes r's hash chain over the transmission coordinates and maps it
+// to [0, 1): uniform(seed, space, index, t, from, to, packet), bit for bit.
+func (r *coinRule) coin(tx core.Transmission, t core.Slot) float64 {
+	h := splitmix64(r.prefix ^ uint64(t))
+	h = splitmix64(h ^ uint64(tx.From))
+	h = splitmix64(h ^ uint64(tx.To))
+	return unit(splitmix64(h ^ uint64(tx.Packet)))
+}
+
 // DropTx implements slotsim.Injector: crash rules lose everything a dead
 // node would send or receive from its crash slot on; loss rules flip a
 // seeded coin per (rule, slot, from, to, packet).
 func (in *Injector) DropTx(tx core.Transmission, t core.Slot) bool {
-	for i, r := range in.plan.Rules {
-		switch r.Kind {
-		case Crash:
-			if t >= r.Begin && (tx.From == r.Node || tx.To == r.Node) {
-				return true
-			}
-		case Loss:
-			if r.active(t) && r.matches(tx.From, tx.To) &&
-				uniform(in.seed, spaceLoss, int64(i), int64(t), int64(tx.From), int64(tx.To), int64(tx.Packet)) < r.Rate {
-				return true
-			}
+	for i := range in.crash {
+		r := &in.crash[i]
+		if t >= r.Begin && (tx.From == r.Node || tx.To == r.Node) {
+			return true
+		}
+	}
+	for i := range in.loss {
+		r := &in.loss[i]
+		if r.active(t) && r.matches(tx.From, tx.To) && r.coin(tx, t) < r.Rate {
+			return true
 		}
 	}
 	return false
@@ -66,12 +102,12 @@ func (in *Injector) DropTx(tx core.Transmission, t core.Slot) bool {
 // each gated by its own seeded coin.
 func (in *Injector) DelayTx(tx core.Transmission, t core.Slot) core.Slot {
 	var extra core.Slot
-	for i, r := range in.plan.Rules {
-		if r.Kind != Delay || !r.active(t) || !r.matches(tx.From, tx.To) {
+	for i := range in.delay {
+		r := &in.delay[i]
+		if !r.active(t) || !r.matches(tx.From, tx.To) {
 			continue
 		}
-		if r.Rate >= 1 ||
-			uniform(in.seed, spaceDelay, int64(i), int64(t), int64(tx.From), int64(tx.To), int64(tx.Packet)) < r.Rate {
+		if r.Rate >= 1 || r.coin(tx, t) < r.Rate {
 			extra += r.Extra
 		}
 	}
@@ -94,7 +130,7 @@ func (in *Injector) Apply(opt slotsim.Options) slotsim.Options {
 	opt.Inject = in
 	opt.AllowIncomplete = true
 	opt.SkipUnavailable = true
-	if in.plan.HasDelay() && opt.RecvCap == nil {
+	if len(in.delay) > 0 && opt.RecvCap == nil {
 		opt.RecvCap = func(core.NodeID) int { return math.MaxInt32 }
 	}
 	return opt
@@ -105,8 +141,8 @@ func (in *Injector) Apply(opt slotsim.Options) slotsim.Options {
 func (in *Injector) CrashedNodes() []core.NodeID {
 	seen := make(map[core.NodeID]bool)
 	var out []core.NodeID
-	for _, r := range in.plan.Rules {
-		if r.Kind == Crash && !seen[r.Node] {
+	for _, r := range in.crash {
+		if !seen[r.Node] {
 			seen[r.Node] = true
 			out = append(out, r.Node)
 		}
@@ -116,17 +152,6 @@ func (in *Injector) CrashedNodes() []core.NodeID {
 
 // Describe summarizes the plan for CLI banners.
 func (in *Injector) Describe() string {
-	var crash, loss, delay int
-	for _, r := range in.plan.Rules {
-		switch r.Kind {
-		case Crash:
-			crash++
-		case Loss:
-			loss++
-		case Delay:
-			delay++
-		}
-	}
 	return fmt.Sprintf("seed=%d crash=%d loss=%d delay=%d churn=%d",
-		in.plan.Seed, crash, loss, delay, len(in.plan.Churn))
+		in.plan.Seed, len(in.crash), len(in.loss), len(in.delay), len(in.plan.Churn))
 }

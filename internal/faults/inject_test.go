@@ -1,7 +1,9 @@
 package faults
 
 import (
+	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"streamcast/internal/core"
@@ -256,4 +258,173 @@ func TestDescribeAndCrashedNodes(t *testing.T) {
 	if got := in.Describe(); got != "seed=5 crash=3 loss=1 delay=0 churn=0" {
 		t.Errorf("Describe = %q", got)
 	}
+}
+
+// referenceDropTx is the drop verdict as the plan reads: every rule in file
+// order, each loss coin drawn by uniform over the whole coordinate tuple.
+// The compiled Injector must agree with it on every transmission.
+func referenceDropTx(p *Plan, tx core.Transmission, t core.Slot) bool {
+	seed := uint64(p.Seed)
+	for i, r := range p.Rules {
+		switch r.Kind {
+		case Crash:
+			if t >= r.Begin && (tx.From == r.Node || tx.To == r.Node) {
+				return true
+			}
+		case Loss:
+			if r.active(t) && r.matches(tx.From, tx.To) &&
+				uniform(seed, spaceLoss, int64(i), int64(t), int64(tx.From), int64(tx.To), int64(tx.Packet)) < r.Rate {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// referenceDelayTx is the delay verdict as the plan reads, the reference
+// for the compiled Injector's DelayTx.
+func referenceDelayTx(p *Plan, tx core.Transmission, t core.Slot) core.Slot {
+	seed := uint64(p.Seed)
+	var extra core.Slot
+	for i, r := range p.Rules {
+		if r.Kind != Delay || !r.active(t) || !r.matches(tx.From, tx.To) {
+			continue
+		}
+		if r.Rate >= 1 ||
+			uniform(seed, spaceDelay, int64(i), int64(t), int64(tx.From), int64(tx.To), int64(tx.Packet)) < r.Rate {
+			extra += r.Extra
+		}
+	}
+	return extra
+}
+
+// verdictSpan bounds the drawn slots and node ids: past 2^20, so the hash
+// inputs use more than the low bytes.
+const verdictSpan = 1 << 21
+
+// randomVerdictPlan draws a valid plan whose crash, loss and delay rules are
+// interleaved, so no kind's rule indices are contiguous. Links are the
+// wildcard or one of the hot ids, so specific rules match often enough to
+// matter; windows are random, open-ended (Forever) about a third of the time.
+func randomVerdictPlan(rng *rand.Rand, hot []core.NodeID) *Plan {
+	p := &Plan{Seed: rng.Int63() - rng.Int63()}
+	link := func() core.NodeID {
+		if rng.Intn(3) == 0 {
+			return Any
+		}
+		return hot[rng.Intn(len(hot))]
+	}
+	for k := 1 + rng.Intn(8); k > 0; k-- {
+		r := Rule{Kind: Kind(rng.Intn(3)), Begin: core.Slot(rng.Intn(verdictSpan))}
+		switch r.Kind {
+		case Crash:
+			r.Node, r.End = hot[rng.Intn(len(hot))], Forever
+		default:
+			r.From, r.To = link(), link()
+			r.Rate = 1 - rng.Float64() // (0, 1]
+			if rng.Intn(4) == 0 {
+				r.Rate = 1
+			}
+			r.End = Forever
+			if rng.Intn(3) > 0 {
+				r.End = r.Begin + core.Slot(rng.Intn(verdictSpan))
+			}
+			if r.Kind == Delay {
+				r.Extra = core.Slot(1 + rng.Intn(5))
+			}
+		}
+		p.Rules = append(p.Rules, r)
+	}
+	return p
+}
+
+// TestCompiledVerdictsMatchReference: the compiled Injector (rules split by
+// kind, hash prefixes folded once) reaches the reference's drop and delay
+// verdict on every transmission of random plans, and each compiled coin is
+// uniform's value over the full coordinate tuple.
+func TestCompiledVerdictsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for trial := 0; trial < 300; trial++ {
+		hot := make([]core.NodeID, 1+rng.Intn(4))
+		for i := range hot {
+			hot[i] = core.NodeID(rng.Intn(verdictSpan))
+		}
+		p := randomVerdictPlan(rng, hot)
+		in, err := NewInjector(p)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		id := func() core.NodeID {
+			if rng.Intn(2) == 0 {
+				return hot[rng.Intn(len(hot))]
+			}
+			return core.NodeID(rng.Intn(verdictSpan))
+		}
+		for k := 0; k < 2000; k++ {
+			tx := core.Transmission{From: id(), To: id(), Packet: core.Packet(rng.Intn(verdictSpan))}
+			slot := core.Slot(rng.Intn(verdictSpan))
+			if rng.Intn(4) == 0 { // on or beside a window edge
+				r := p.Rules[rng.Intn(len(p.Rules))]
+				edge := r.Begin
+				if rng.Intn(2) == 0 && r.End != Forever {
+					edge = r.End
+				}
+				slot = max(edge+core.Slot(rng.Intn(3)-1), 0)
+			}
+			if got, want := in.DropTx(tx, slot), referenceDropTx(p, tx, slot); got != want {
+				t.Fatalf("trial %d: DropTx(%s, %d) = %v, reference %v\nplan:\n%s", trial, tx, slot, got, want, p.Format())
+			}
+			if got, want := in.DelayTx(tx, slot), referenceDelayTx(p, tx, slot); got != want {
+				t.Fatalf("trial %d: DelayTx(%s, %d) = %d, reference %d\nplan:\n%s", trial, tx, slot, got, want, p.Format())
+			}
+			loss, delay := 0, 0
+			for i, r := range p.Rules {
+				var c *coinRule
+				space := spaceLoss
+				switch r.Kind {
+				case Loss:
+					c, loss = &in.loss[loss], loss+1
+				case Delay:
+					c, delay, space = &in.delay[delay], delay+1, spaceDelay
+				default:
+					continue
+				}
+				want := uniform(uint64(p.Seed), space, int64(i), int64(slot), int64(tx.From), int64(tx.To), int64(tx.Packet))
+				if got := c.coin(tx, slot); got != want {
+					t.Fatalf("trial %d: rule %d coin for %s at %d = %v, uniform %v", trial, i, tx, slot, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestInjectorSharedAcrossGoroutines: an Injector is written only by
+// NewInjector, so goroutines may ask one injector for verdicts at once (run
+// under -race) and each still gets the reference's answer.
+func TestInjectorSharedAcrossGoroutines(t *testing.T) {
+	hot := []core.NodeID{3, 7, 1 << 20}
+	p := randomVerdictPlan(rand.New(rand.NewSource(7)), hot)
+	p.Rules = append(p.Rules,
+		Rule{Kind: Loss, From: Any, To: Any, Rate: 0.3, End: Forever},
+		Rule{Kind: Delay, From: Any, To: 7, Rate: 0.5, Extra: 2, End: Forever})
+	in, err := NewInjector(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 5000; k++ {
+				tx := core.Transmission{From: hot[k%len(hot)], To: hot[(k+g)%len(hot)], Packet: core.Packet(k)}
+				slot := core.Slot(k * (g + 1))
+				if in.DropTx(tx, slot) != referenceDropTx(p, tx, slot) || in.DelayTx(tx, slot) != referenceDelayTx(p, tx, slot) {
+					t.Errorf("goroutine %d: verdict for %s at %d differs from the reference", g, tx, slot)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

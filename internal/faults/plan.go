@@ -66,10 +66,10 @@ type Rule struct {
 }
 
 // active reports whether the rule applies in slot t.
-func (r Rule) active(t core.Slot) bool { return t >= r.Begin && t <= r.End }
+func (r *Rule) active(t core.Slot) bool { return t >= r.Begin && t <= r.End }
 
 // matches reports whether the rule's link pattern covers from->to.
-func (r Rule) matches(from, to core.NodeID) bool {
+func (r *Rule) matches(from, to core.NodeID) bool {
 	return (r.From == Any || r.From == from) && (r.To == Any || r.To == to)
 }
 
@@ -99,18 +99,6 @@ type Plan struct {
 	// Churn are the membership events, in file order; they are applied in
 	// slot order (stable for equal slots).
 	Churn []ChurnEvent
-}
-
-// HasDelay reports whether any rule can stretch latencies — such plans need
-// receive-capacity headroom, since a delayed packet lands beside the
-// receiver's regularly scheduled one (see Injector.Apply).
-func (p *Plan) HasDelay() bool {
-	for _, r := range p.Rules {
-		if r.Kind == Delay {
-			return true
-		}
-	}
-	return false
 }
 
 // ChurnInOrder returns the churn events sorted by slot, stable for equal

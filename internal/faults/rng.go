@@ -28,7 +28,12 @@ func mix(seed uint64, vals ...int64) uint64 {
 // uniform returns a deterministic value in [0, 1) from the seed and the
 // coordinate tuple.
 func uniform(seed uint64, vals ...int64) float64 {
-	return float64(mix(seed, vals...)>>11) / (1 << 53)
+	return unit(mix(seed, vals...))
+}
+
+// unit maps a hash to [0, 1) by its top 53 bits.
+func unit(h uint64) float64 {
+	return float64(h>>11) / (1 << 53)
 }
 
 // pick returns a deterministic index in [0, n) from the seed and tuple.

@@ -15,8 +15,11 @@
 //
 //   - Metrics — per-slot counter series, per-node totals, the largest and
 //     summed buffer occupancy per slot (BufferSeries, folded from an 8-byte
-//     record per delivery), a streaming delivery-latency histogram
-//     (stats.StreamingHist) and an FNV-1a schedule fingerprint. Export with
+//     record per delivery), a delivery-latency histogram
+//     (stats.StreamingHist; Deliver only counts the integer lag in a table
+//     of one int per slot of lag, and Latency folds the counts in when read,
+//     so reads mid-run and at the end stay exact) and an FNV-1a schedule
+//     fingerprint. Export with
 //     WriteProm (Prometheus text format) or slotsim.BuildReport (JSON
 //     RunReport).
 //   - JSONLWriter — a compact one-object-per-line event log; ReadEvents

@@ -87,6 +87,10 @@ func fnvMix(h uint64, v int) uint64 {
 // one record per slot, one per node and one per non-duplicate delivery, so
 // its memory grows with the event count, not only with N.
 //
+// A delivery's lag is an integer number of slots, so Deliver only counts it
+// in a table indexed by lag (O(slots) entries); Latency folds the pending
+// counts into the histogram when it is read.
+//
 // The zero value is not usable; call NewMetrics.
 type Metrics struct {
 	slots    []SlotCounters
@@ -102,7 +106,9 @@ type Metrics struct {
 	arrivals [][]arrival
 	runs     []slotRun
 
-	latency    *stats.StreamingHist
+	latency *stats.StreamingHist
+	// lags[l] counts the deliveries with lag l not yet folded into latency.
+	lags       []int
 	hash       uint64
 	violations []Event
 	lastSlot   core.Slot
@@ -176,8 +182,11 @@ func (m *Metrics) Deliver(t core.Slot, tx core.Transmission, duplicate bool) {
 		m.runs = append(m.runs, slotRun{slot: t, end: end})
 	}
 	m.runs[len(m.runs)-1].end++
-	if lag := float64(t) - float64(tx.Packet); lag >= 0 {
-		m.latency.Observe(lag)
+	if lag := int(t) - int(tx.Packet); lag >= 0 {
+		if lag >= len(m.lags) {
+			m.lags = append(m.lags, make([]int, lag+1-len(m.lags))...)
+		}
+		m.lags[lag]++
 	}
 }
 
@@ -217,8 +226,19 @@ func (m *Metrics) Node(id core.NodeID) NodeCounters {
 
 // Latency returns the streaming histogram of per-packet delivery latency:
 // for each non-duplicate delivery of packet p at slot t, the lag t − p in
-// slots (how far the packet arrived behind the stream head).
-func (m *Metrics) Latency() *stats.StreamingHist { return m.latency }
+// slots (how far the packet arrived behind the stream head). It first folds
+// the lag counts gathered since the last read into the histogram, so a read
+// mid-run and another at the end count every delivery once. The folded Sum
+// adds integers below 2^53, so it is exact in any order.
+func (m *Metrics) Latency() *stats.StreamingHist {
+	for lag, c := range m.lags {
+		if c > 0 {
+			m.latency.ObserveN(float64(lag), c)
+			m.lags[lag] = 0
+		}
+	}
+	return m.latency
+}
 
 // Violations returns the recorded violation events (at most one per run).
 func (m *Metrics) Violations() []Event { return m.violations }

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"streamcast/internal/core"
+	"streamcast/internal/stats"
 )
 
 // driveChain feeds a Metrics collector the event stream of a 2-node chain:
@@ -128,6 +130,46 @@ func TestMetricsDuplicatesAndDrops(t *testing.T) {
 	// The duplicate must not count toward latency or occupancy.
 	if m.Latency().N != 1 {
 		t.Errorf("latency N = %d, want 1", m.Latency().N)
+	}
+}
+
+// TestLatencyFoldMidRun: Metrics counts lags and folds them into the
+// histogram when Latency is read. A read mid-run followed by more deliveries
+// and a second read must equal one read at the end, and both must equal the
+// histogram Observe builds delivery by delivery. Early arrivals of a
+// pre-recorded stream (packet ahead of the slot) stay out, and lags past the
+// last bound land in the +Inf bucket.
+func TestLatencyFoldMidRun(t *testing.T) {
+	mid, end := NewMetrics(), NewMetrics()
+	ref := stats.NewStreamingHist(DefaultLatencyBounds())
+	rng := rand.New(rand.NewSource(34))
+	for slot := core.Slot(0); slot < 6000; slot += core.Slot(1 + rng.Intn(40)) {
+		for k := rng.Intn(6); k > 0; k-- {
+			x := tx(0, core.NodeID(1+rng.Intn(50)), core.Packet(rng.Intn(int(slot)+20)))
+			dup := rng.Intn(8) == 0
+			for _, m := range []*Metrics{mid, end} {
+				m.Deliver(slot, x, dup)
+			}
+			if lag := float64(slot) - float64(x.Packet); !dup && lag >= 0 {
+				ref.Observe(lag)
+			}
+		}
+		if slot >= 3000 && mid.Latency().N == 0 {
+			t.Fatal("mid-run read saw no deliveries")
+		}
+	}
+	first := *mid.Latency()
+	if !reflect.DeepEqual(first, *mid.Latency()) {
+		t.Error("a second read without new deliveries changed the histogram")
+	}
+	if got, want := *mid.Latency(), *end.Latency(); !reflect.DeepEqual(got, want) {
+		t.Errorf("read mid-run then at the end: %+v\nread once at the end: %+v", got, want)
+	}
+	if got, want := *end.Latency(), *ref; !reflect.DeepEqual(got, want) {
+		t.Errorf("folded lag counts: %+v\nObserve per delivery: %+v", got, want)
+	}
+	if ref.Counts[len(ref.Bounds)] == 0 || ref.N == 0 {
+		t.Errorf("the stream should reach the +Inf bucket: %+v", ref)
 	}
 }
 

@@ -41,7 +41,7 @@ func (m *Metrics) WriteProm(w io.Writer, scheme string) error {
 		return err
 	}
 
-	h := m.latency
+	h := m.Latency()
 	if _, err := fmt.Fprintf(w,
 		"# HELP streamcast_delivery_latency_slots Per-packet delivery lag behind the stream head, in slots.\n"+
 			"# TYPE streamcast_delivery_latency_slots histogram\n"); err != nil {

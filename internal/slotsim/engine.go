@@ -260,7 +260,7 @@ type engine struct {
 	slots   []uint64
 	sendCap CapacityFunc // custom only; nil when sendTab is active
 	recvCap CapacityFunc // custom only; nil when recvTab is active
-	latency LatencyFunc  // nil on the fast path (no latency, no injector)
+	latency LatencyFunc  // custom only; nil means every link takes 1 slot
 	sendTab []int32      // precomputed default send capacities
 	recvTab []int32      // precomputed default receive capacities
 	// fast marks a run with no LatencyFunc and no Injector: every link takes
@@ -431,9 +431,6 @@ func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
 	}
 	if !fast {
 		e.latency = opt.Latency
-		if e.latency == nil {
-			e.latency = func(core.NodeID, core.NodeID) core.Slot { return 1 }
-		}
 		sc.ring.reset()
 		e.ring = &sc.ring
 	}
@@ -605,10 +602,12 @@ func (e *engine) route(t core.Slot, txs []core.Transmission, sameSlot []core.Tra
 			}
 			continue // lost in flight; send capacity already spent
 		}
-		l := e.latency(tx.From, tx.To)
-		if l < 1 {
-			return nil, fmt.Errorf("slotsim: slot %d: Latency(%d, %d) returned %d for %s; LatencyFunc must return at least 1",
-				t, tx.From, tx.To, l, tx)
+		l := core.Slot(1)
+		if e.latency != nil {
+			if l = e.latency(tx.From, tx.To); l < 1 {
+				return nil, fmt.Errorf("slotsim: slot %d: Latency(%d, %d) returned %d for %s; LatencyFunc must return at least 1",
+					t, tx.From, tx.To, l, tx)
+			}
 		}
 		if e.opt.Inject != nil {
 			x := e.opt.Inject.DelayTx(tx, t)

@@ -63,17 +63,23 @@ func ExponentialBounds(start, factor float64, n int) []float64 {
 }
 
 // Observe adds one observation.
-func (h *StreamingHist) Observe(x float64) {
+func (h *StreamingHist) Observe(x float64) { h.ObserveN(x, 1) }
+
+// ObserveN adds n observations of the value x (n >= 1) in one step: the
+// counts and Min/Max come out as n Observe calls leave them, and Sum grows
+// by x·n, which is the same sum exactly when x·n and the running Sum are
+// integers below 2^53 (counted integer lags, say).
+func (h *StreamingHist) ObserveN(x float64, n int) {
 	i := sort.SearchFloat64s(h.Bounds, x)
-	h.Counts[i]++
+	h.Counts[i] += n
 	if h.N == 0 || x < h.Min {
 		h.Min = x
 	}
 	if h.N == 0 || x > h.Max {
 		h.Max = x
 	}
-	h.N++
-	h.Sum += x
+	h.N += n
+	h.Sum += x * float64(n)
 }
 
 // Mean returns the exact mean of the observations.
