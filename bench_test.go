@@ -258,16 +258,18 @@ func BenchmarkEngineSequentialVsParallel(b *testing.B) {
 // the paper's asymptotic bounds address: multitree at N=10^4 and N=10^5, and
 // a full 2^20−1 hypercube (the "million-node" case; skipped under -short, so
 // `make benchsmoke` stays quick). Each case runs on a warmed Runner — the
-// compiled-schedule cache and scratch arenas are hot, so the numbers isolate
+// scheme's slot buffer and the scratch arenas are hot, so the numbers isolate
 // the per-slot path. The node_slots/s metric (nodes × slots simulated per
 // second) is what the PERFORMANCE.md trajectory table tracks. Those rows use
 // a window of a few packets, so the epilogue (engine.finish) is invisible in
 // them; the multitree-N31000-P600 row is the dense benchmark workloads' shape
-// — 600 window packets — where summarising the window is ≈ 85 of the run's
-// ≈ 440 ms (internal/slotsim BenchmarkFinish times it alone) and, no cell
-// being asked for, allocates 0.76 MB whatever the window. Rows keep the
-// "/sequential" suffix so `make bench-gate` still matches the committed
-// baseline snapshot, which holds this row to its B/op and allocs/op.
+// — 600 window packets — where summarising the window (internal/slotsim
+// BenchmarkFinish times it alone) is ≈ 0.3 % of the run in the committed
+// snapshots — 0.62 of 181 ms on a quiet two-core host, 1.05 of 339 ms on a
+// busy one. The rest is the slot loop, chiefly deliver and validateSends. No cell being asked for, the run allocates 0.76 MB whatever
+// the window. Rows keep the "/sequential" suffix so `make bench-gate` still
+// matches the committed baseline snapshot, which holds this row to its B/op
+// and allocs/op.
 func BenchmarkSlotEngineScale(b *testing.B) {
 	type scaleCase struct {
 		name   string
@@ -302,7 +304,7 @@ func BenchmarkSlotEngineScale(b *testing.B) {
 		work := float64(c.nodes) * float64(c.opt.Slots)
 		b.Run(c.name+"/sequential", func(b *testing.B) {
 			r := slotsim.NewRunner()
-			if _, err := r.Run(c.scheme, c.opt); err != nil { // warm scratch + compiled cache
+			if _, err := r.Run(c.scheme, c.opt); err != nil { // warm scratch and slot buffers
 				b.Fatal(err)
 			}
 			b.ReportAllocs()

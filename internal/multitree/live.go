@@ -19,11 +19,11 @@ import (
 // what lets the slot engine keep its struct-of-arrays state and shard plan
 // fixed across epochs.
 //
-// The schedule itself is the same positional round-robin as Scheme:
-// firstRecvSlot depends only on (mode, d, position), so a membership swap
-// changes who occupies a position but never when the position fires. The
-// schedule stays exactly periodic with period d within every epoch, and each
-// applied op bumps Epoch().
+// The schedule itself is the same positional round-robin as Scheme: a
+// position's first receive slot depends only on (mode, d, tree, position), so
+// a membership swap changes who occupies a position but never when the
+// position fires. The schedule stays exactly periodic with period d within
+// every epoch, and each applied op bumps Epoch().
 type LiveScheme struct {
 	dy   *Dynamic
 	mode core.StreamMode
@@ -86,9 +86,7 @@ func (s *LiveScheme) rebuild() {
 		}
 	}
 	for k, fr := range s.firstRecv {
-		for p := len(fr) + 1; p <= dy.np; p++ {
-			fr = append(fr, firstRecvSlot(s.mode, dy.d, k, p))
-		}
+		fr = appendFirstRecv(fr, s.mode, dy.d, k, dy.np)
 		s.firstRecv[k] = fr
 		s.steady = max(s.steady, slices.Max(fr[:dy.np]))
 		for _, lists := range s.fires {

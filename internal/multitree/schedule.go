@@ -55,11 +55,9 @@ func NewScheme(m *MultiTree, mode core.StreamMode) *Scheme {
 	s.firstRecv = make([][]core.Slot, m.D)
 	count := make([]int, m.D)
 	for k := 0; k < m.D; k++ {
-		s.firstRecv[k] = make([]core.Slot, m.NP)
-		for p := 1; p <= m.NP; p++ {
-			first := firstRecvSlot(mode, m.D, k, p)
-			s.firstRecv[k][p-1] = first
-			if !m.IsDummy(m.Trees[k][p-1]) {
+		s.firstRecv[k] = appendFirstRecv(make([]core.Slot, 0, m.NP), mode, m.D, k, m.NP)
+		for p, first := range s.firstRecv[k] {
+			if !m.IsDummy(m.Trees[k][p]) {
 				count[int(first)%m.D]++
 			}
 		}
@@ -116,27 +114,28 @@ func virtualSourceSlot(mode core.StreamMode, d, k int) core.Slot {
 	}
 }
 
-// firstRecvSlot computes the slot at which position p receives the round-0
-// packet of tree k under the given mode. The result is purely positional —
-// it depends on (mode, d, k, p) and never on which member occupies the
-// position — which is what lets the live (churned) scheme keep a stable
-// schedule across membership swaps.
-func firstRecvSlot(mode core.StreamMode, d, k, p int) core.Slot {
-	recv := virtualSourceSlot(mode, d, k)
-	// Walk root-to-leaf over the ancestor chain of p.
-	chain := make([]int, 0, 8)
-	for q := p; q > 0; q = ParentPos(q, d) {
-		chain = append(chain, q)
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		c := ChildSlot(chain[i], d)
-		delta := (core.Slot(c) - recv - 1) % core.Slot(d)
+// appendFirstRecv extends fr, the round-0 receive slots of tree k's positions
+// 1..len(fr), to positions 1..np. A position receives in the first slot after
+// its parent's whose residue mod d is its child slot; a parent's position is
+// smaller than its child's, so one pass in position order finds every
+// parent's slot already in fr. The result is purely positional — it depends
+// on (mode, d, k, p) and never on which member occupies the position — which
+// is what lets the live (churned) scheme keep a stable schedule across
+// membership swaps.
+func appendFirstRecv(fr []core.Slot, mode core.StreamMode, d, k, np int) []core.Slot {
+	src := virtualSourceSlot(mode, d, k)
+	for p := len(fr) + 1; p <= np; p++ {
+		recv := src
+		if pp := ParentPos(p, d); pp > 0 {
+			recv = fr[pp-1]
+		}
+		delta := (core.Slot(ChildSlot(p, d)) - recv - 1) % core.Slot(d)
 		if delta < 0 {
 			delta += core.Slot(d)
 		}
-		recv = recv + 1 + delta
+		fr = append(fr, recv+1+delta)
 	}
-	return recv
+	return fr
 }
 
 // Name implements core.Scheme.

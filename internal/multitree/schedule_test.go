@@ -162,3 +162,65 @@ func TestLiveNeverSendsFuturePackets(t *testing.T) {
 		}
 	}
 }
+
+// ancestorWalkFirstRecv is the reference for appendFirstRecv: it walks
+// position p's ancestor chain root to leaf, advancing from the virtual source
+// slot to the first slot after each ancestor's whose residue mod d is the
+// next position's child slot.
+func ancestorWalkFirstRecv(mode core.StreamMode, d, k, p int) core.Slot {
+	recv := virtualSourceSlot(mode, d, k)
+	var chain []int
+	for q := p; q > 0; q = ParentPos(q, d) {
+		chain = append(chain, q)
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		delta := (core.Slot(ChildSlot(chain[i], d)) - recv - 1) % core.Slot(d)
+		if delta < 0 {
+			delta += core.Slot(d)
+		}
+		recv += 1 + delta
+	}
+	return recv
+}
+
+// TestFirstRecvMatchesAncestorWalk: the one-pass tables of Scheme and
+// LiveScheme equal the ancestor walk at every position, dummy positions of
+// padded sizes included, in all three stream modes; so does a table extended
+// in two steps, as LiveScheme.rebuild extends it when the trees grow.
+func TestFirstRecvMatchesAncestorWalk(t *testing.T) {
+	modes := []core.StreamMode{core.PreRecorded, core.Live, core.LivePreBuffered}
+	for _, n := range []int{1, 7, 64, 1001} {
+		for d := 2; d <= 5; d++ {
+			m, err := New(n, d, Greedy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dy, err := NewDynamic(n, d, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range modes {
+				s, live := NewScheme(m, mode), NewLiveScheme(dy, mode)
+				for k := 0; k < d; k++ {
+					split := appendFirstRecv(nil, mode, d, k, m.NP/2)
+					split = appendFirstRecv(split, mode, d, k, m.NP)
+					for _, tab := range []struct {
+						name string
+						fr   []core.Slot
+					}{{"Scheme", s.firstRecv[k]}, {"LiveScheme", live.firstRecv[k][:live.np]}, {"two-step", split}} {
+						name, fr := tab.name, tab.fr
+						if len(fr) != m.NP {
+							t.Fatalf("n=%d d=%d %s tree %d: %s covers %d positions, want %d", n, d, mode, k, name, len(fr), m.NP)
+						}
+						for p := 1; p <= m.NP; p++ {
+							if want := ancestorWalkFirstRecv(mode, d, k, p); fr[p-1] != want {
+								t.Fatalf("n=%d d=%d %s tree %d position %d: %s reads %d, the ancestor walk %d",
+									n, d, mode, k, p, name, fr[p-1], want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

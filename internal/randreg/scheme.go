@@ -87,7 +87,8 @@ type Scheme struct {
 	// schedules); log.Len() is the first slot not yet generated. next[v] is
 	// the holdings frontier: in-order transfer means node v holds exactly
 	// the packets below next[v]. order, busy and txs are per-slot scratch,
-	// reused so a slot allocates nothing once warm.
+	// reused so a slot allocates nothing once warm; txs is latinSlot's
+	// output buffer too.
 	rng   *stats.SplitMix64
 	next  []core.Packet
 	order []int
@@ -113,6 +114,8 @@ func New(n, degree int, mode Mode, seed int64) (*Scheme, error) {
 	switch mode {
 	case Latin:
 		s.plan = newLatinPlan(g)
+		// Sized for the steady state, where every planned color-k edge fires.
+		s.txs = make([]core.Transmission, 0, n)
 	case Pull, Push:
 		// The protocol stream is split from the construction stream so the
 		// graph for a given seed never depends on the mode.
@@ -193,8 +196,7 @@ func (s *Scheme) Transmissions(t core.Slot) []core.Transmission {
 // already held by the tail.
 func (s *Scheme) latinSlot(t core.Slot) []core.Transmission {
 	k := int(t) % s.d
-	// Sized for the steady state, where every planned color-k edge fires.
-	txs := make([]core.Transmission, 0, s.n)
+	txs := s.txs[:0]
 	for u := 1; u <= s.n; u++ {
 		delay := s.plan.delay[u][k]
 		if delay >= latinInf {
@@ -210,7 +212,8 @@ func (s *Scheme) latinSlot(t core.Slot) []core.Transmission {
 			Packet: core.Packet(int(p)),
 		})
 	}
-	return txs
+	s.txs = txs
+	return txs[:len(txs):len(txs)]
 }
 
 // generate rolls the pull or push protocol forward by one slot. All

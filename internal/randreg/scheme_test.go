@@ -212,13 +212,17 @@ func TestNeighborsShape(t *testing.T) {
 	}
 }
 
-// TestGenerateAllocsPerSlot pins the cost model of the gossip modes:
-// generating and reading one further slot at N = 1000 allocates the
-// materialised slice and, every few slots, a log chunk — no permutation, no
-// counter slice, no append-grown slot.
+// TestGenerateAllocsPerSlot pins the cost model of every mode: generating
+// and reading one further slot at N = 1000 allocates, in the gossip modes,
+// the materialised slice and, every few slots, a log chunk — no permutation,
+// no counter slice, no append-grown slot — and in latin mode nothing, since a
+// slot is built in one reused buffer.
 func TestGenerateAllocsPerSlot(t *testing.T) {
-	for _, mode := range []Mode{Pull, Push} {
-		s, err := New(1000, 3, mode, 31)
+	for _, c := range []struct {
+		mode Mode
+		max  float64
+	}{{Pull, 2}, {Push, 2}, {Latin, 0}} {
+		s, err := New(1000, 3, c.mode, 31)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,8 +232,8 @@ func TestGenerateAllocsPerSlot(t *testing.T) {
 			s.Transmissions(next)
 			next++
 		})
-		if avg > 2 {
-			t.Errorf("%v: %.0f allocations per generated slot, want <= 2", mode, avg)
+		if avg > c.max {
+			t.Errorf("%v: %.0f allocations per generated slot, want <= %.0f", c.mode, avg, c.max)
 		}
 	}
 }

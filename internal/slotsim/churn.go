@@ -49,13 +49,13 @@ func (e *engine) churnStep(t core.Slot) error {
 // ceiling at run start, so growth within the ceiling is free; growth beyond
 // it is a hard error rather than a silent remap. The default capacity
 // tables are keyed by (nodes, source capacity) in the scratch arena — a
-// source-capacity change patches the live table and re-keys it so no later
-// run reuses a stale entry.
+// source-capacity change patches the live send table and re-keys it so no
+// later run reuses a stale entry. A custom SendCap keeps its own source entry.
 func (e *engine) refreshTopology(t core.Slot) error {
 	if nr := e.dyn.NumReceivers(); nr > e.n {
 		return fmt.Errorf("slotsim: slot %d: churn grew the id space to %d nodes, beyond the pre-sized ceiling %d (raise ChurnSource.MaxNodes)", t, nr, e.n)
 	}
-	if sc := e.dyn.SourceCapacity(); e.sendTab != nil && int32(sc) != e.sendTab[0] {
+	if sc := e.dyn.SourceCapacity(); e.opt.SendCap == nil && int32(sc) != e.sendTab[0] {
 		e.sendTab[0] = int32(sc)
 		e.sc.tabSrcCap = int32(sc)
 	}

@@ -12,7 +12,9 @@ import (
 // unset marks a packet that has not yet arrived at a node.
 const unset core.Slot = -1
 
-// CapacityFunc returns a per-node, per-slot capacity.
+// CapacityFunc returns a per-node, per-slot capacity. A run reads it once for
+// every node id (0..N, or the churn ceiling under Options.Churn) before its
+// first slot, so it must not depend on the slot.
 type CapacityFunc func(id core.NodeID) int
 
 // LatencyFunc returns the number of slots a transmission from one node to
@@ -243,8 +245,9 @@ type engine struct {
 	// packets because a slot moves only a few distinct packets across many
 	// nodes, so packet-major turns each slot's ledger traffic into
 	// near-sequential walks of a handful of rows; node-major would make
-	// every access a random probe at large N. Each write marks the packet's
-	// bit in dirtyRows so the next run clears only the rows this run touched.
+	// every access a random probe at large N. deliver marks a packet's bit in
+	// dirtyRows whenever the packet differs from the one it last marked, so
+	// the next run clears only the rows this run touched.
 	have      []uint64
 	words     int      // uint64 words per presence or slot row (= ⌈(n+1)/64⌉)
 	dirtyRows []uint64 // bitmap of presence (packet) rows written this run
@@ -258,11 +261,9 @@ type engine struct {
 	cells   []int32
 	stride  int
 	slots   []uint64
-	sendCap CapacityFunc // custom only; nil when sendTab is active
-	recvCap CapacityFunc // custom only; nil when recvTab is active
-	latency LatencyFunc  // custom only; nil means every link takes 1 slot
-	sendTab []int32      // precomputed default send capacities
-	recvTab []int32      // precomputed default receive capacities
+	latency LatencyFunc // custom only; nil means every link takes 1 slot
+	sendTab []int32     // per-node send capacities, custom or default
+	recvTab []int32     // per-node receive capacities, custom or default
 	// fast marks a run with no LatencyFunc and no Injector: every link takes
 	// exactly 1 slot, so routing bypasses the in-flight ring entirely.
 	fast bool
@@ -272,7 +273,7 @@ type engine struct {
 	// ends the run once the window is complete.
 	direct bool
 	// pending counts the receivers still missing part of the window: n at run
-	// start, one less each time noteDelivery completes a node.
+	// start, one less each time deliver completes a node.
 	pending int
 	// ring buffers in-flight transmissions by arrival slot. nil on the
 	// fast path.
@@ -404,31 +405,21 @@ func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
 	} else {
 		e.slots = sc.slots[:0]
 	}
-	if opt.SendCap == nil || opt.RecvCap == nil {
-		// The default capacity tables are pure functions of (n, srcCap), so
-		// repeated runs of same-shaped schemes skip the O(N) refill.
-		if sc.tabN != n+1 || sc.tabSrcCap != int32(srcCap) {
-			sc.sendTab = grownInt32s(sc.sendTab, n+1)
-			sc.recvTab = grownInt32s(sc.recvTab, n+1)
-			sc.sendTab[0] = int32(srcCap)
-			sc.recvTab[0] = 1
-			for i := 1; i <= n; i++ {
-				sc.sendTab[i] = 1
-				sc.recvTab[i] = 1
-			}
-			sc.tabN, sc.tabSrcCap = n+1, int32(srcCap)
+	// Both send and receive checks read capacity from one table per
+	// direction. The default tables are pure functions of (n, srcCap), so
+	// repeated runs of same-shaped schemes skip the O(N) refill; a custom
+	// CapacityFunc is read into the tables once per run, and the cache is
+	// invalidated so that the next default run refills them.
+	custom := opt.SendCap != nil || opt.RecvCap != nil
+	if custom || sc.tabN != n+1 || sc.tabSrcCap != int32(srcCap) {
+		sc.sendTab = fillCaps(grownInt32s(sc.sendTab, n+1), opt.SendCap, int32(srcCap))
+		sc.recvTab = fillCaps(grownInt32s(sc.recvTab, n+1), opt.RecvCap, 1)
+		sc.tabN, sc.tabSrcCap = n+1, int32(srcCap)
+		if custom {
+			sc.tabN = 0
 		}
 	}
-	if opt.SendCap != nil {
-		e.sendCap = opt.SendCap
-	} else {
-		e.sendTab = sc.sendTab
-	}
-	if opt.RecvCap != nil {
-		e.recvCap = opt.RecvCap
-	} else {
-		e.recvTab = sc.recvTab
-	}
+	e.sendTab, e.recvTab = sc.sendTab, sc.recvTab
 	if !fast {
 		e.latency = opt.Latency
 		sc.ring.reset()
@@ -451,20 +442,20 @@ func (e *engine) nextTick() uint32 {
 	return e.sc.tick
 }
 
-// sendCapOf returns the per-slot send capacity of a (range-checked) node.
-func (e *engine) sendCapOf(id core.NodeID) int32 {
-	if e.sendTab != nil {
-		return e.sendTab[id]
+// fillCaps writes the per-slot capacity of every node id into tab: f(id) when
+// f is set, otherwise src for the source and 1 for every receiver.
+func fillCaps(tab []int32, f CapacityFunc, src int32) []int32 {
+	for i := range tab {
+		switch {
+		case f != nil:
+			tab[i] = int32(f(core.NodeID(i)))
+		case i == int(core.SourceID):
+			tab[i] = src
+		default:
+			tab[i] = 1
+		}
 	}
-	return int32(e.sendCap(id))
-}
-
-// recvCapOf returns the per-slot receive capacity of a (range-checked) node.
-func (e *engine) recvCapOf(id core.NodeID) int32 {
-	if e.recvTab != nil {
-		return e.recvTab[id]
-	}
-	return int32(e.recvCap(id))
+	return tab
 }
 
 // observeFail forwards a violation to the observer before the run aborts.
@@ -493,7 +484,7 @@ func (e *engine) validateSends(t core.Slot, txs []core.Transmission) error {
 			c = uint32(st) + 1
 		}
 		e.sentSt[tx.From] = uint64(tick)<<32 | uint64(c)
-		if int32(c) > e.sendCapOf(tx.From) {
+		if int32(c) > e.sendTab[tx.From] {
 			return &Violation{t, "send capacity exceeded", tx}
 		}
 		if !e.holds(tx.From, tx.Packet, t) {
@@ -503,38 +494,26 @@ func (e *engine) validateSends(t core.Slot, txs []core.Transmission) error {
 	return nil
 }
 
-// noteDelivery advances the playback cursors for a window packet that was
-// just recorded.
-func (e *engine) noteDelivery(id core.NodeID, p core.Packet, t core.Slot) {
-	cur := e.cursor[id]
-	got := uint32(cur) + 1
-	worst := int32(uint32(cur >> 32))
-	if lag := int32(t) - int32(p); lag > worst {
-		worst = lag
-	}
-	e.cursor[id] = uint64(uint32(worst))<<32 | uint64(got)
-	if got == uint32(e.opt.Packets) {
-		e.pending--
-	}
-	if int32(t) > e.sc.maxArr {
-		e.sc.maxArr = int32(t)
-	}
-}
-
-// deliver applies arrivals scheduled for the end of slot t.
+// deliver applies arrivals scheduled for the end of slot t. A tracked arrival
+// loads its presence word once, to test and set the node's bit, and marks its
+// packet's row dirty only when the packet differs from the one last marked (a
+// repeated mark changes nothing). Hot slices live in locals, kept in registers.
 func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) error {
 	tick := e.nextTick()
+	recvSt, recvTab, have, cursor := e.recvSt, e.recvTab, e.have, e.cursor
+	marked := core.Packet(-1)
 	for _, tx := range arrivals {
-		st := e.recvSt[tx.To]
+		id, p := tx.To, tx.Packet
+		st := recvSt[id]
 		c := uint32(1)
 		if uint32(st>>32) == tick {
 			c = uint32(st) + 1
 		}
-		e.recvSt[tx.To] = uint64(tick)<<32 | uint64(c)
-		if int32(c) > e.recvCapOf(tx.To) {
+		recvSt[id] = uint64(tick)<<32 | uint64(c)
+		if int32(c) > recvTab[id] {
 			return &Violation{t, "receive capacity exceeded", tx}
 		}
-		if tx.To == core.SourceID || tx.Packet >= e.maxPkt {
+		if id == core.SourceID || p >= e.maxPkt {
 			// The source discards incoming packets; packets beyond the
 			// tracking horizon only count against capacity.
 			if e.obs != nil {
@@ -542,7 +521,9 @@ func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) error {
 			}
 			continue
 		}
-		if e.has(tx.To, tx.Packet) {
+		i, bit := int(p)*e.words+int(id)>>6, uint64(1)<<(uint(id)&63)
+		w := have[i]
+		if w&bit != 0 {
 			if !e.opt.AllowDuplicates {
 				return &Violation{t, "duplicate packet", tx}
 			}
@@ -551,7 +532,36 @@ func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) error {
 			}
 			continue
 		}
-		e.record(tx.To, tx.Packet, t)
+		have[i] = w | bit
+		if p != marked {
+			e.dirtyRows[int(p)>>6] |= 1 << (uint(p) & 63)
+			marked = p
+		}
+		if p < e.opt.Packets {
+			// A window packet: advance the playback cursor, then book it.
+			cur := cursor[id]
+			got := uint32(cur) + 1
+			worst := int32(uint32(cur >> 32))
+			if lag := int32(t) - int32(p); lag > worst {
+				worst = lag
+			}
+			cursor[id] = uint64(uint32(worst))<<32 | uint64(got)
+			if got == uint32(e.opt.Packets) {
+				e.pending--
+			}
+			if int32(t) > e.sc.maxArr {
+				e.sc.maxArr = int32(t)
+			}
+			if e.cells != nil {
+				e.cells[int(p)*e.stride+int(id)] = int32(t) + 1
+			} else {
+				j := int(t)*e.words + int(id)>>6
+				if j >= len(e.slots) {
+					e.growSlots(t)
+				}
+				e.slots[j] |= bit
+			}
+		}
 		if e.obs != nil {
 			e.obs.Deliver(t, tx, false)
 		}

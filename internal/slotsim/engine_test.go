@@ -1,6 +1,7 @@
 package slotsim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -122,6 +123,38 @@ func TestViolationDuplicate(t *testing.T) {
 	}}
 	if _, err := Run(s2, Options{Slots: 2, Packets: 1, AllowDuplicates: true}); err != nil {
 		t.Errorf("AllowDuplicates run failed: %v", err)
+	}
+}
+
+// TestDirtyRowsMarkEveryPacketChange: slot 0 delivers packets p, q, p, so
+// deliver writes the dirty-row mark at each packet change, not once per slot.
+// A second scheme run on the same Runner must then find both presence rows
+// clean and equal a fresh Runner's run; had q's row been left unmarked, its
+// stale bit would make node 2's first copy of q a duplicate.
+func TestDirtyRowsMarkEveryPacketChange(t *testing.T) {
+	const p, q = 2, 1
+	first := &stubScheme{n: 3, srcCap: 3, slots: map[core.Slot][]core.Transmission{
+		0: {tx(0, 1, p), tx(0, 2, q), tx(0, 3, p)},
+	}}
+	second := &stubScheme{n: 3, srcCap: 3, slots: map[core.Slot][]core.Transmission{
+		0: {tx(0, 1, 0), tx(0, 2, q), tx(0, 3, p)},
+		1: {tx(0, 1, q), tx(0, 2, p), tx(0, 3, 0)},
+		2: {tx(0, 1, p), tx(0, 2, 0), tx(0, 3, q)},
+	}}
+	// The same horizon for both runs, so the second reuses the first's
+	// presence rows rather than growing fresh ones.
+	opt := Options{Slots: 3, Packets: 3}
+	r := NewRunner()
+	if _, err := r.Run(first, Options{Slots: 3, Packets: 1, AllowIncomplete: true}); err != nil {
+		t.Fatal(err)
+	}
+	got, gotErr := r.Run(second, opt)
+	want, wantErr := NewRunner().Run(second, opt)
+	if wantErr != nil {
+		t.Fatal(wantErr)
+	}
+	if gotErr != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("run after p,q,p on a reused Runner: %+v, %v; a fresh Runner's: %+v", got, gotErr, want)
 	}
 }
 

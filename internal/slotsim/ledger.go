@@ -10,6 +10,8 @@ import (
 // The arrival ledger: what the engine remembers of each delivery, and how
 // finish reads it back (PERFORMANCE.md §7). Every run keeps one presence bit
 // per (tracked packet, node) — all that availability and duplicate checks ask.
+// deliver (engine.go) writes them, touching each presence word once and
+// marking a packet's row dirty only when the packet changes (PERFORMANCE.md §2).
 // What else a window delivery leaves depends on who reads the run afterwards:
 //
 //   - A cell run keeps the window's arrival slots, one int32 per node per window
@@ -97,26 +99,6 @@ func (e *engine) holds(id core.NodeID, p core.Packet, t core.Slot) bool {
 	// sends were validated, and slots run in increasing order. Recorded is
 	// enough.
 	return p < e.maxPkt && e.has(id, p)
-}
-
-// record notes node id's first copy of tracked packet p, which arrived at the
-// end of slot t.
-func (e *engine) record(id core.NodeID, p core.Packet, t core.Slot) {
-	e.have[int(p)*e.words+int(id)>>6] |= 1 << (uint(id) & 63)
-	e.dirtyRows[int(p)>>6] |= 1 << (uint(p) & 63)
-	if p >= e.opt.Packets {
-		return
-	}
-	e.noteDelivery(id, p, t)
-	if e.cells != nil {
-		e.cells[int(p)*e.stride+int(id)] = int32(t) + 1
-		return
-	}
-	i := int(t)*e.words + int(id)>>6
-	if i >= len(e.slots) {
-		e.growSlots(t)
-	}
-	e.slots[i] |= 1 << (uint(id) & 63)
 }
 
 // growSlots makes the slot bits of a cell-free run cover rows 0..t. Rows

@@ -2,6 +2,7 @@ package slotsim_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"streamcast/internal/core"
@@ -76,6 +77,12 @@ func TestRunnerReuse(t *testing.T) {
 	// Runner's scratch rather than handing them over.
 	wide := opt1
 	wide.RecvCap = func(core.NodeID) int { return 2 }
+	// Custom capacities the schedule breaks: each run must fail, and the
+	// default run after it must not read its table (a cache of the default
+	// tables that survived a custom run would fail that run too).
+	starved := [2]slotsim.Options{opt1, opt1}
+	starved[0].SendCap = func(core.NodeID) int { return 1 }
+	starved[1].RecvCap = func(core.NodeID) int { return 0 }
 	rows := func(a *slotsim.Arrivals, n int) [][]core.Slot {
 		out := make([][]core.Slot, n+1)
 		for id := range out {
@@ -101,11 +108,17 @@ func TestRunnerReuse(t *testing.T) {
 		if _, err := r.Run(s1, wide); err != nil {
 			t.Fatal(err)
 		}
+		for j, want := range []string{"send capacity exceeded", "receive capacity exceeded"} {
+			_, err := r.Run(s1, starved[j])
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("run %d: custom capacity run: got %v, want %q", i, err, want)
+			}
+		}
 	}
 	// The first run's cells are its caller's: the Runner handed them over and
-	// forgot them, so the eight runs after it — five that handed over cells of
-	// their own, three that kept theirs in scratch — must not have reached
-	// them.
+	// forgot them, so the runs after it — five that handed over cells of
+	// their own, three that kept theirs in scratch, six that failed — must not
+	// have reached them.
 	if got := rows(first.Cells, first.Res.N); !reflect.DeepEqual(got, kept) {
 		t.Fatal("first run's cells were changed by later runs on the same Runner")
 	}

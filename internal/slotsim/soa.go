@@ -5,16 +5,19 @@ package slotsim
 // indexed by NodeID, so one slot's work walks a handful of dense arrays
 // instead of chasing pointers.
 //
-//	arr        [maxPkt · (N+1)]int32  arrival matrix, arr[p·(N+1)+id] = slot+1 (0 = not yet)
-//	sentSt     [N+1]uint64            send counter: epoch stamp (high 32) | count (low 32)
-//	recvSt     [N+1]uint64            receive counter, same packing
-//	cursor     [N+1]uint64            playback cursor: worstLag (high 32) | got (low 32)
-//	dirtyRows  [(maxPkt+63)/64]uint64 bitmap of arrival-matrix packet rows written this run
+//	have       [maxPkt · ⌈(N+1)/64⌉]uint64 presence bits, bit id of row p = id holds p
+//	sentSt     [N+1]uint64                 send counter: epoch stamp (high 32) | count (low 32)
+//	recvSt     [N+1]uint64                 receive counter, same packing
+//	sendTab    [N+1]int32                  per-slot send capacity, default or custom
+//	recvTab    [N+1]int32                  per-slot receive capacity, same
+//	cursor     [N+1]uint64                 playback cursor: worstLag (high 32) | got (low 32)
+//	dirtyRows  [(maxPkt+63)/64]uint64      bitmap of presence (packet) rows written this run
 //
-// The counters and cursors pack two logically separate fields into one
-// word on purpose: the hot path reads and writes them together, so packing
-// halves the cache lines touched per transmission. The arrival matrix is
-// packet-major because one slot moves few distinct packets across many
+// The window's arrival cells or slot bits are the rest of the ledger
+// (ledger.go). The counters and cursors pack two logically separate fields
+// into one word on purpose: the hot path reads and writes them together, so
+// packing halves the cache lines touched per transmission. The presence bits
+// are packet-major because one slot moves few distinct packets across many
 // nodes: availability checks and deliveries then walk a handful of rows
 // near-sequentially instead of probing N random node rows.
 //
@@ -24,10 +27,12 @@ package slotsim
 //     validation/delivery phase draws a fresh tick; a counter whose stamp
 //     is not the current tick reads as zero. Resetting N counters is one
 //     integer increment.
-//   - Dirty rows: the arrival matrix is never bulk-cleared between runs.
-//     Each delivery marks its packet's bit in dirtyRows, and the next run
-//     clears exactly the marked rows — one contiguous memclr per packet
-//     that moved, instead of an O(maxPkt·N) wipe.
+//   - Dirty rows: the ledger is never bulk-cleared between runs. deliver
+//     marks a packet's bit in dirtyRows whenever a delivery's packet differs
+//     from the one it last marked (consecutive deliveries often share a
+//     packet, and a repeated mark changes nothing), and the next run clears
+//     exactly the marked rows — one contiguous memclr per packet that moved,
+//     instead of an O(maxPkt·N) wipe.
 
 import "streamcast/internal/core"
 
