@@ -151,15 +151,3 @@ func (s *SingleTree) SendCap(id core.NodeID) int {
 // UploadFactor returns how much more upload capacity an interior node needs
 // than the streaming rate: exactly b.
 func (s *SingleTree) UploadFactor() int { return s.B }
-
-// LeafFraction returns the fraction of receivers that contribute no upload
-// at all.
-func (s *SingleTree) LeafFraction() float64 {
-	leaves := 0
-	for p := 1; p <= s.N; p++ {
-		if s.B*p+1 > s.N {
-			leaves++
-		}
-	}
-	return float64(leaves) / float64(s.N)
-}

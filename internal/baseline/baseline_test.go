@@ -77,7 +77,7 @@ func TestSingleTreeViolatesReceiverModel(t *testing.T) {
 	}
 }
 
-// TestSingleTreeResourceMetrics checks UploadFactor and LeafFraction.
+// TestSingleTreeResourceMetrics checks UploadFactor.
 func TestSingleTreeResourceMetrics(t *testing.T) {
 	s, err := NewSingleTree(7, 2) // complete binary: 3 interior, 4 leaves
 	if err != nil {
@@ -85,9 +85,6 @@ func TestSingleTreeResourceMetrics(t *testing.T) {
 	}
 	if s.UploadFactor() != 2 {
 		t.Errorf("upload factor %d", s.UploadFactor())
-	}
-	if got := s.LeafFraction(); got != 4.0/7.0 {
-		t.Errorf("leaf fraction %f, want %f", got, 4.0/7.0)
 	}
 }
 

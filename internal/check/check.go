@@ -77,9 +77,11 @@ type Options struct {
 	SendCap func(id core.NodeID) int
 	// RecvCap overrides per-node receive capacity (nil: 1).
 	RecvCap func(id core.NodeID) int
-	// Latency overrides per-link latency in slots (nil: 1). A latency below
-	// 1 is a configuration error: Static returns the engine's error.
-	Latency func(from, to core.NodeID) core.Slot
+	// Inject is the run's in-flight hook (nil: every link takes 1 slot);
+	// a slotsim.LatencyFunc sets per-link latency. A link that would take
+	// fewer than 1 slot is a configuration error: Static returns the
+	// engine's error.
+	Inject slotsim.Injector
 	// TreeDegree, when > 0, enables the multi-tree structural audit: packet
 	// j belongs to tree j mod TreeDegree, every non-source sender must
 	// relay a single residue class (interior-disjointness) and fan out to
@@ -215,7 +217,7 @@ func Static(s core.Scheme, opt Options) (*Report, error) {
 		Mode:            opt.Mode,
 		SendCap:         opt.SendCap,
 		RecvCap:         opt.RecvCap,
-		Latency:         opt.Latency,
+		Inject:          opt.Inject,
 		AllowIncomplete: true,
 		Observer:        v,
 	})

@@ -11,6 +11,7 @@ import (
 	"streamcast/internal/core"
 	"streamcast/internal/hypercube"
 	"streamcast/internal/multitree"
+	"streamcast/internal/slotsim"
 )
 
 // corrupt wraps a scheme with schedule and mesh mutations, the fault
@@ -298,9 +299,9 @@ func TestOptionValidation(t *testing.T) {
 func TestBadLatencyIsAnError(t *testing.T) {
 	_, s := mustMultiTree(t, 5, 2)
 	opt := check.MultiTreeOptions(s, 4)
-	opt.Latency = func(core.NodeID, core.NodeID) core.Slot { return 0 }
+	opt.Inject = slotsim.LatencyFunc(func(core.NodeID, core.NodeID) core.Slot { return 0 })
 	rep, err := check.Static(s, opt)
-	if err == nil || !strings.Contains(err.Error(), "Latency(") {
+	if err == nil || !strings.Contains(err.Error(), "at least 1") {
 		t.Fatalf("latency 0: report %v, error %v", rep, err)
 	}
 }

@@ -84,7 +84,7 @@ func ClusterOptions(s *cluster.Scheme, packets core.Packet, extraSlots core.Slot
 		Packets:    packets,
 		Mode:       base.Mode,
 		SendCap:    base.SendCap,
-		Latency:    base.Latency,
+		Inject:     base.Inject,
 		TreeExempt: exempt,
 		CheckMesh:  true,
 	}

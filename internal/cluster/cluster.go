@@ -364,7 +364,7 @@ func (s *Scheme) Options(packets core.Packet, extraSlots core.Slot) slotsim.Opti
 		Packets: packets,
 		Mode:    core.Live,
 		SendCap: s.SendCap,
-		Latency: s.Latency,
+		Inject:  slotsim.LatencyFunc(s.Latency),
 	}
 }
 

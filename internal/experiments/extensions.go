@@ -236,9 +236,9 @@ func MDCGracefulDegradation(n, d int, lossRates []float64, seed int64) (*Table, 
 		return nil, err
 	}
 	m := mdcRun.Scheme.(*multitree.Scheme).Tree
-	run := func(drop func(core.Transmission, core.Slot) bool) (*slotsim.Result, error) {
+	run := func(drop slotsim.DropFunc) (*slotsim.Result, error) {
 		opt := mdcRun.Opt
-		opt.Drop = drop
+		opt.Inject = drop
 		return slotsim.Run(mdcRun.Scheme, opt)
 	}
 	// Each run refills the cells the mdc family keeps; addRow reads them

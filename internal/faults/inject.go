@@ -126,8 +126,15 @@ func (in *Injector) DelayTx(tx core.Transmission, t core.Slot) core.Slot {
 // receive bandwidth every such collision would abort the run. Lifting the
 // cap records the collision as buffer inflation instead — the quantity the
 // fault experiments measure.
+//
+// A hook the options already carry, such as a cluster's link latency, is
+// kept and asked first (chain).
 func (in *Injector) Apply(opt slotsim.Options) slotsim.Options {
-	opt.Inject = in
+	if opt.Inject != nil {
+		opt.Inject = chain{opt.Inject, in}
+	} else {
+		opt.Inject = in
+	}
 	opt.AllowIncomplete = true
 	opt.SkipUnavailable = true
 	if len(in.delay) > 0 && opt.RecvCap == nil {
@@ -136,18 +143,16 @@ func (in *Injector) Apply(opt slotsim.Options) slotsim.Options {
 	return opt
 }
 
-// CrashedNodes returns the ids of nodes any crash rule ever fails, in rule
-// order (duplicates removed).
-func (in *Injector) CrashedNodes() []core.NodeID {
-	seen := make(map[core.NodeID]bool)
-	var out []core.NodeID
-	for _, r := range in.crash {
-		if !seen[r.Node] {
-			seen[r.Node] = true
-			out = append(out, r.Node)
-		}
-	}
-	return out
+// chain asks two in-flight hooks about each transmission, first before
+// second: it is lost if either loses it, and their delays add.
+type chain struct{ first, second slotsim.Injector }
+
+func (c chain) DropTx(tx core.Transmission, t core.Slot) bool {
+	return c.first.DropTx(tx, t) || c.second.DropTx(tx, t)
+}
+
+func (c chain) DelayTx(tx core.Transmission, t core.Slot) core.Slot {
+	return c.first.DelayTx(tx, t) + c.second.DelayTx(tx, t)
 }
 
 // Describe summarizes the plan for CLI banners.

@@ -29,7 +29,7 @@ func pick[T any](d *draw, from ...T) T { return from[d.n(len(from))] }
 // mode where the family takes one, window widths up to and around 64, now and
 // then a horizon too short for the window, live churn from a generator where
 // the family can churn, a seeded loss / delay / crash plan, and — one input in
-// four — a Drop hook losing every transmission whose coordinates sum to a
+// four — a DropFunc, asked before the plan, losing every transmission whose coordinates sum to a
 // multiple of drop. keep says whether the engine runs are asked for their
 // arrival cells.
 func generate(data []byte) (scenario, plan string, drop int, keep bool) {
@@ -107,9 +107,9 @@ func FuzzEngineDifferential(f *testing.F) {
 		build := func(slots core.Slot) (*spec.Run, error) {
 			run, err := buildRun(scenario, planText, slots)
 			if err == nil && drop > 0 {
-				run.Opt.Drop = func(tx core.Transmission, t core.Slot) bool {
+				run.Opt.Inject = withDrop(run.Opt.Inject, func(tx core.Transmission, t core.Slot) bool {
 					return (int(tx.From)+int(tx.To)+int(tx.Packet)+int(t))%drop == 0
-				}
+				})
 			}
 			return run, err
 		}

@@ -94,6 +94,28 @@ func engineAgainst(run *spec.Run, observed, keep bool, want *slotsim.Result, cel
 	return sameOutcome(got, run.Opt.Arrivals, want, cells)
 }
 
+// withDrop puts drop in front of a run's in-flight hook, if it has one: the
+// hook never sees a transmission drop has lost.
+func withDrop(in slotsim.Injector, drop slotsim.DropFunc) slotsim.Injector {
+	if in == nil {
+		return drop
+	}
+	return dropFirst{drop, in}
+}
+
+type dropFirst struct {
+	drop slotsim.DropFunc
+	next slotsim.Injector
+}
+
+func (d dropFirst) DropTx(tx core.Transmission, t core.Slot) bool {
+	return d.drop(tx, t) || d.next.DropTx(tx, t)
+}
+
+func (d dropFirst) DelayTx(tx core.Transmission, t core.Slot) core.Slot {
+	return d.next.DelayTx(tx, t)
+}
+
 // agree runs the oracle and the engine, bare and observed, each on its own
 // fresh build — churn sources and gossip schedules are single-shot — and
 // fails on any difference in Result, cells or verdict. It returns the
@@ -152,8 +174,8 @@ func builder(t testing.TB, load func() (*spec.Scenario, error), mutate func(*spe
 // input the repository has: the scenario corpus, the fault-plan corpus (over
 // the family `make chaos` replays it on), the inline list the metamorphic
 // properties use, the integration matrix at its own horizons and at starved
-// ones, live churn under link delay, the Drop hook, and cluster runs, whose
-// backbone links take Tc ≥ 2 slots.
+// ones, live churn under link delay, a DropFunc, and cluster runs, whose
+// backbone links take Tc ≥ 2 slots, one of them under a fault plan too.
 func TestOracleDifferential(t *testing.T) {
 	parsed := func(text string) func() (*spec.Scenario, error) {
 		return func() (*spec.Scenario, error) { return spec.Parse(text) }
@@ -231,9 +253,9 @@ func TestOracleDifferential(t *testing.T) {
 		})
 	}
 
-	// The Drop hook, as the MDC experiment uses it: an interior node that
+	// A DropFunc, as the MDC experiment uses it: an interior node that
 	// forwards nothing, and losses scattered over every link.
-	for name, drop := range map[string]func(core.Transmission, core.Slot) bool{
+	for name, drop := range map[string]slotsim.DropFunc{
 		"silent-node": func(tx core.Transmission, _ core.Slot) bool { return tx.From == 3 },
 		"scattered":   func(tx core.Transmission, t core.Slot) bool { return (int(tx.To)+int(tx.Packet)+int(t))%7 == 0 },
 	} {
@@ -241,19 +263,27 @@ func TestOracleDifferential(t *testing.T) {
 			build := builder(t, parsed("scheme mdc\nparam d=3 n=40 rounds=4\n"), nil)
 			agree(t, func() *spec.Run {
 				run := build()
-				run.Opt.Drop = drop
+				run.Opt.Inject = withDrop(run.Opt.Inject, drop)
 				return run
 			})
 		})
 	}
 
-	for _, text := range []string{
-		"scheme cluster\nparam D=3 d=2 k=3 n=9 tc=2\n",
-		"scheme cluster\nparam D=4 d=3 intra=hypercube k=6 n=7 tc=4\n",
+	// The last case puts a loss and delay plan on top of the backbone's Tc.
+	for _, c := range []struct{ text, plan string }{
+		{"scheme cluster\nparam D=3 d=2 k=3 n=9 tc=2\n", ""},
+		{"scheme cluster\nparam D=4 d=3 intra=hypercube k=6 n=7 tc=4\n", ""},
+		{"scheme cluster\nparam D=3 d=2 k=3 n=9 tc=2\n", "seed 9\nloss from=any to=any rate=0.05 slots=0..\ndelay from=any to=any extra=2 rate=0.3 slots=0..\n"},
 	} {
-		t.Run("cluster/"+strings.ReplaceAll(strings.TrimSpace(text), "\n", "; "), func(t *testing.T) {
-			run := builder(t, parsed(text), nil)
-			if run().Opt.Latency == nil {
+		t.Run("cluster/"+strings.ReplaceAll(strings.TrimSpace(c.text+c.plan), "\n", "; "), func(t *testing.T) {
+			run := func() *spec.Run {
+				run, err := buildRun(c.text, c.plan, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return run
+			}
+			if run().Opt.Inject == nil {
 				t.Fatal("the cluster run has no link latency")
 			}
 			agree(t, run)

@@ -150,21 +150,15 @@ func (o *oracleRun) slot(t core.Slot, scheduled []core.Transmission) error {
 	}
 
 	// Links: a lost transmission has spent its sender's capacity and arrives
-	// nowhere; the rest land after their latency, stretched by any injected
-	// delay. The hooks are asked once per transmission, in schedule order.
+	// nowhere; the rest land after the model's one slot plus the delay the
+	// hook adds. The hook is asked once per transmission, in schedule order.
 	for _, tx := range txs {
-		if o.opt.Drop != nil && o.opt.Drop(tx, t) {
-			continue
-		}
-		if o.opt.Inject != nil && o.opt.Inject.DropTx(tx, t) {
-			continue
-		}
 		l := core.Slot(1)
-		if o.opt.Latency != nil {
-			l = o.opt.Latency(tx.From, tx.To)
-		}
-		if o.opt.Inject != nil {
-			l += o.opt.Inject.DelayTx(tx, t)
+		if in := o.opt.Inject; in != nil {
+			if in.DropTx(tx, t) {
+				continue
+			}
+			l += in.DelayTx(tx, t)
 		}
 		if l < 1 {
 			return fmt.Errorf("slot %d: %s would arrive before it was sent (latency %d)", t, tx, l)

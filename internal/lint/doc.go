@@ -1,7 +1,9 @@
 // Package lint is a small static-analysis framework plus the repo-specific
 // analyzers that no behavioural test can replace (see STATIC_ANALYSIS.md).
 // It runs inside `go test`: TestRepositoryIsClean applies every analyzer to
-// every package of the module, and `make lint` runs this package alone.
+// every package of the module, TestNoTestOnlyExports fails on an exported
+// declaration under internal/ that only tests use, and `make lint` runs this
+// package alone.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis model — an
 // Analyzer inspects one type-checked package through a Pass and reports

@@ -38,20 +38,6 @@ func MeanQuality(qs []float64) float64 {
 	return sum / float64(len(qs))
 }
 
-// WorstRound returns the minimum round quality.
-func WorstRound(qs []float64) float64 {
-	if len(qs) == 0 {
-		return 0
-	}
-	worst := qs[0]
-	for _, q := range qs[1:] {
-		if q < worst {
-			worst = q
-		}
-	}
-	return worst
-}
-
 // SystemQuality aggregates mean and minimum round quality over all
 // receivers, using each node's measured start delay.
 func SystemQuality(res *slotsim.Result, cells *slotsim.Arrivals, d int) (mean, worstNode float64) {

@@ -10,7 +10,7 @@ import (
 )
 
 // runWithDrop simulates a multi-tree under a failure-injection hook.
-func runWithDrop(t *testing.T, n, d int, rounds int, drop func(core.Transmission, core.Slot) bool) (*slotsim.Result, *slotsim.Arrivals) {
+func runWithDrop(t *testing.T, n, d int, rounds int, drop slotsim.DropFunc) (*slotsim.Result, *slotsim.Arrivals) {
 	t.Helper()
 	m, err := multitree.New(n, d, multitree.Greedy)
 	if err != nil {
@@ -18,14 +18,17 @@ func runWithDrop(t *testing.T, n, d int, rounds int, drop func(core.Transmission
 	}
 	s := multitree.NewScheme(m, core.PreRecorded)
 	cells := new(slotsim.Arrivals)
-	res, err := slotsim.Run(s, slotsim.Options{
+	opt := slotsim.Options{
 		Slots:           core.Slot(m.Height()*d + (rounds+3)*d),
 		Packets:         core.Packet(rounds * d),
 		Arrivals:        cells,
-		Drop:            drop,
 		AllowIncomplete: true,
 		SkipUnavailable: true,
-	})
+	}
+	if drop != nil {
+		opt.Inject = drop
+	}
+	res, err := slotsim.Run(s, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +102,11 @@ func TestRandomLossDegradesSmoothly(t *testing.T) {
 
 // TestQualityHelpers covers the small aggregation helpers.
 func TestQualityHelpers(t *testing.T) {
-	if MeanQuality(nil) != 0 || WorstRound(nil) != 0 {
+	if MeanQuality(nil) != 0 {
 		t.Error("empty timelines should yield 0")
 	}
 	qs := []float64{1, 0.5, 0.75}
 	if MeanQuality(qs) != 0.75 {
 		t.Errorf("mean %f", MeanQuality(qs))
-	}
-	if WorstRound(qs) != 0.5 {
-		t.Errorf("worst %f", WorstRound(qs))
 	}
 }

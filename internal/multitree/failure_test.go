@@ -28,7 +28,7 @@ func TestLossConfinedToSubtree(t *testing.T) {
 		Slots:           core.Slot(m.Height()*3 + 18),
 		Packets:         9,
 		Arrivals:        cells,
-		Drop:            drop,
+		Inject:          slotsim.DropFunc(drop),
 		AllowIncomplete: true,
 		SkipUnavailable: true,
 	})
@@ -92,7 +92,7 @@ func TestLossHiccupBudget(t *testing.T) {
 		Slots:           core.Slot(m.Height()*2 + 16),
 		Packets:         8,
 		Arrivals:        cells,
-		Drop:            drop,
+		Inject:          slotsim.DropFunc(drop),
 		AllowIncomplete: true,
 		SkipUnavailable: true,
 	})

@@ -240,9 +240,6 @@ func (m *Metrics) Latency() *stats.StreamingHist {
 	return m.latency
 }
 
-// Violations returns the recorded violation events (at most one per run).
-func (m *Metrics) Violations() []Event { return m.violations }
-
 // Fingerprint returns the FNV-1a hash over every transmitted
 // (slot, from, to, packet) tuple in order — a scheme-and-schedule identity
 // that two runs share iff the engine executed the same transmissions.

@@ -33,8 +33,8 @@ type Observer interface {
 	// duplicate is set when the receiver already held the packet and the
 	// engine discarded the copy (Options.AllowDuplicates).
 	Deliver(t core.Slot, tx core.Transmission, duplicate bool)
-	// Drop reports a transmission lost in flight by failure injection
-	// (Options.Drop): it consumed send capacity but never arrives.
+	// Drop reports a transmission the run's in-flight hook lost
+	// (slotsim.Options.Inject): it consumed send capacity but never arrives.
 	Drop(t core.Slot, tx core.Transmission)
 	// Violation reports a broken model constraint; the run aborts after
 	// this event.

@@ -35,8 +35,8 @@ func steadyCase(t *testing.T, n, d int) (core.Scheme, slotsim.Options) {
 // fixed per-run cost is the returned Result and its three per-node slices:
 // finish reads its window from the Runner's bits or cells and allocates
 // nothing else. The rows cover the direct path (multi-tree), an observed
-// chained hypercube, a Drop hook (route's fast branch), link latency (the
-// in-flight ring), a fault plan with loss and delay (the injector, plus the
+// chained hypercube, a DropFunc (losses through Inject), link latency (the
+// in-flight ring, through Inject), a fault plan with loss and delay (the injector, plus the
 // cell window its delay rules force), and a receive capacity of 2 (the cell
 // path through finishCells).
 func TestSteadyStateAllocFree(t *testing.T) {
@@ -48,8 +48,8 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	lossy := mtOpt
 	lossy.AllowIncomplete, lossy.SkipUnavailable = true, true
 	dropped, late := lossy, lossy
-	dropped.Drop = func(tx core.Transmission, _ core.Slot) bool { return (int(tx.To)+int(tx.Packet))%7 == 0 }
-	late.Latency = func(core.NodeID, core.NodeID) core.Slot { return 2 }
+	dropped.Inject = slotsim.DropFunc(func(tx core.Transmission, _ core.Slot) bool { return (int(tx.To)+int(tx.Packet))%7 == 0 })
+	late.Inject = slotsim.LatencyFunc(func(core.NodeID, core.NodeID) core.Slot { return 2 })
 	plan, err := faults.ParsePlan("seed 5\nloss from=any to=any rate=0.05 slots=0..\n" +
 		"delay from=any to=any extra=2 rate=0.2 slots=0..\n")
 	if err != nil {

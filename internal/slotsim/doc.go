@@ -3,7 +3,8 @@
 // in each time slot a receiver may transmit at most one packet and receive
 // at most one packet, the source may transmit up to its capacity d, and an
 // intra-cluster transmission occupies exactly one slot (inter-cluster
-// transmissions may be configured to take Tc slots via Options.Latency).
+// transmissions may be configured to take Tc slots by setting Options.Inject
+// to a LatencyFunc).
 //
 // The engine is deliberately independent of the scheme implementations: it
 // re-validates every constraint (send capacity, receive capacity, sender
@@ -39,16 +40,18 @@
 //     PERFORMANCE.md records why sharding it across workers was measured
 //     and removed. Options.Slots is an upper bound: a Result depends on
 //     the window's arrivals alone, so a bare run
-//     — no observer, drop hook, injector, latency function or churn source
-//     — ends at the first slot boundary at which every receiver holds the
+//     — no observer, in-flight hook or churn source — ends at the first
+//     slot boundary at which every receiver holds the
 //     whole window, and any of those keeps the run going to the horizon
 //     (PERFORMANCE.md §10).
 //   - Runner owns the scratch arena for callers that run many simulations
 //     back to back; Run draws pooled Runners automatically.
 //   - Options configures horizon (an upper bound), measurement window,
-//     stream mode, capacities, link latency, failure injection (Drop,
-//     SkipUnavailable, AllowIncomplete), the observability hook
-//     (Observer) and whether the arrival cells outlive the run (Arrivals).
+//     stream mode, capacities, the one in-flight hook that decides loss and
+//     link latency per transmission (Inject: a LatencyFunc, a DropFunc or a
+//     fault plan), how a run degrades under loss (SkipUnavailable,
+//     AllowIncomplete), the observability hook (Observer) and whether the
+//     arrival cells outlive the run (Arrivals).
 //   - BuildReport turns a finished run plus an obs.Metrics collector into
 //     a machine-readable obs.RunReport (see OBSERVABILITY.md).
 //

@@ -20,17 +20,36 @@ type CapacityFunc func(id core.NodeID) int
 // LatencyFunc returns the number of slots a transmission from one node to
 // another occupies. It must return at least 1. A packet sent in slot t with
 // latency L is available at the receiver from slot t+L onward (it arrives at
-// the end of slot t+L-1).
+// the end of slot t+L-1). As an Injector it loses nothing and stretches each
+// link's one slot to f(from, to).
 type LatencyFunc func(from, to core.NodeID) core.Slot
+
+// DropTx implements Injector: a link's latency loses nothing.
+func (f LatencyFunc) DropTx(core.Transmission, core.Slot) bool { return false }
+
+// DelayTx implements Injector: the slots f adds to the link's one.
+func (f LatencyFunc) DelayTx(tx core.Transmission, _ core.Slot) core.Slot {
+	return f(tx.From, tx.To) - 1
+}
+
+// DropFunc reports whether a transmission sent in slot t is lost in flight.
+// As an Injector it loses what f reports and delays nothing.
+type DropFunc func(tx core.Transmission, t core.Slot) bool
+
+// DropTx implements Injector.
+func (f DropFunc) DropTx(tx core.Transmission, t core.Slot) bool { return f(tx, t) }
+
+// DelayTx implements Injector: a lost-or-not verdict delays nothing.
+func (f DropFunc) DelayTx(core.Transmission, core.Slot) core.Slot { return 0 }
 
 // Options configures a simulation run.
 type Options struct {
 	// Slots is the horizon: an upper bound on the time slots simulated. The
 	// Result is a function of the window's arrivals alone, so a run that
-	// nothing outside the engine can watch — no Observer, Drop, Inject,
-	// Latency or Churn — ends at the first slot boundary at which every
-	// receiver holds the whole window; with any of those set, and whenever
-	// the window never completes, all Slots slots run. A constraint the
+	// nothing outside the engine can watch — no Observer, Inject or Churn —
+	// ends at the first slot boundary at which every receiver holds the
+	// whole window; with any of those set, and whenever the window never
+	// completes, all Slots slots run. A constraint the
 	// schedule breaks only after that boundary is therefore seen by an
 	// observed or injected run and not by a bare one: the engine validates
 	// what it executes, and check.Static is the validator of a schedule over
@@ -49,11 +68,6 @@ type Options struct {
 	// RecvCap overrides per-node receive capacity. If nil, every node
 	// uses 1.
 	RecvCap CapacityFunc
-	// Latency overrides per-link latency. If nil, every link takes 1 slot.
-	// A returned latency below 1 is a configuration error: the run aborts
-	// with a descriptive error at the first transmission that uses the
-	// offending link.
-	Latency LatencyFunc
 	// Observer, if non-nil, receives per-slot event callbacks (slot
 	// boundaries, transmissions, deliveries, drops, violations) in a
 	// deterministic order. A nil Observer costs nothing beyond one pointer
@@ -72,15 +86,16 @@ type Options struct {
 	// twice (the duplicate is dropped but still consumes receive capacity).
 	// By default a duplicate is a constraint violation.
 	AllowDuplicates bool
-	// Drop, if non-nil, is a failure-injection hook: a transmission for
-	// which it returns true is validated and consumes send capacity but is
-	// lost in flight (it never arrives). Use with AllowIncomplete.
-	Drop func(tx core.Transmission, t core.Slot) bool
-	// Inject, if non-nil, is the structured fault-injection hook (see
-	// internal/faults): it is consulted once per validated transmission, in
-	// schedule order, so a deterministic Injector yields bit-identical
-	// faulted runs. DropTx loses the transmission in flight exactly like
-	// Drop; DelayTx stretches the link latency for that one transmission.
+	// Inject, if non-nil, is the run's one in-flight hook: it is asked once
+	// per validated transmission, in schedule order, whether the
+	// transmission is lost (DropTx) and how many slots its link adds to the
+	// model's one (DelayTx), so a deterministic Injector yields
+	// bit-identical runs. Link latency is a LatencyFunc, a bare loss
+	// predicate is a DropFunc, and a fault plan is internal/faults'
+	// Injector. If nil, nothing is lost and every link takes 1 slot. A link that would take
+	// fewer than 1 slot is a configuration error: the run aborts at the
+	// first transmission that uses it. Use a dropping hook with
+	// AllowIncomplete.
 	Inject Injector
 	// AllowIncomplete, if set, lets the run finish even when some node
 	// missed some packet of the measurement window; missing packets are
@@ -89,7 +104,7 @@ type Options struct {
 	// SkipUnavailable, if set, silently skips scheduled transmissions
 	// whose sender does not hold the packet instead of flagging a
 	// violation — the loss-cascade behaviour of a real protocol under
-	// failure injection. Only sensible together with Drop.
+	// failure injection. Only sensible together with a dropping Inject.
 	SkipUnavailable bool
 	// Churn, if non-nil, makes the topology a live workload: the source is
 	// consulted at every slot boundary (before validate) and may apply
@@ -112,9 +127,9 @@ type Injector interface {
 	// it consumes send capacity and produces a Drop observer event, but
 	// never arrives.
 	DropTx(tx core.Transmission, t core.Slot) bool
-	// DelayTx returns extra slots added to the link latency of this one
-	// transmission (0 = undisturbed). A negative value is a configuration
-	// error and aborts the run.
+	// DelayTx returns the slots added to the link's one for this one
+	// transmission (0 = undisturbed). A value below 0 makes the link take
+	// less than 1 slot, a configuration error that aborts the run.
 	DelayTx(tx core.Transmission, t core.Slot) core.Slot
 }
 
@@ -261,23 +276,16 @@ type engine struct {
 	cells   []int32
 	stride  int
 	slots   []uint64
-	latency LatencyFunc // custom only; nil means every link takes 1 slot
-	sendTab []int32     // per-node send capacities, custom or default
-	recvTab []int32     // per-node receive capacities, custom or default
-	// fast marks a run with no LatencyFunc and no Injector: every link takes
-	// exactly 1 slot, so routing bypasses the in-flight ring entirely.
-	fast bool
-	// direct marks a fast run that nothing observes or drops in flight: the
-	// engine's own state is all a slot can change. step delivers the
-	// schedule's slice as it stands, and — absent a churn source — runSlots
-	// ends the run once the window is complete.
+	sendTab []int32 // per-node send capacities, custom or default
+	recvTab []int32 // per-node receive capacities, custom or default
+	// direct marks a run with no Inject and no Observer: every link takes
+	// exactly 1 slot and the engine's own state is all a slot can change.
+	// step delivers the schedule's slice as it stands, and — absent a churn
+	// source — runSlots ends the run once the window is complete.
 	direct bool
 	// pending counts the receivers still missing part of the window: n at run
 	// start, one less each time deliver completes a node.
 	pending int
-	// ring buffers in-flight transmissions by arrival slot. nil on the
-	// fast path.
-	ring *txRing
 	// Epoch-stamped per-slot capacity counters, packed stamp<<32 | count:
 	// an entry is only meaningful when its stamp equals the phase's tick, so
 	// no per-slot O(N) clearing is needed, and packing the stamp with the
@@ -380,7 +388,6 @@ func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
 	}
 	sc.maxArr = -1
 
-	fast := opt.Latency == nil && opt.Inject == nil
 	sc.eng = engine{
 		opt:       opt,
 		dyn:       dyn,
@@ -390,8 +397,7 @@ func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
 		words:     sc.words,
 		dirtyRows: sc.dirtyRows,
 		stride:    n + 1,
-		fast:      fast,
-		direct:    fast && opt.Observer == nil && opt.Drop == nil,
+		direct:    opt.Inject == nil && opt.Observer == nil,
 		pending:   n,
 		sentSt:    sc.sentSt,
 		recvSt:    sc.recvSt,
@@ -420,11 +426,7 @@ func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
 		}
 	}
 	e.sendTab, e.recvTab = sc.sendTab, sc.recvTab
-	if !fast {
-		e.latency = opt.Latency
-		sc.ring.reset()
-		e.ring = &sc.ring
-	}
+	sc.ring.reset()
 	return e, nil
 }
 
@@ -585,44 +587,25 @@ func (e *engine) filterUnavailable(t core.Slot, txs []core.Transmission) []core.
 	return kept
 }
 
-// route assigns each validated transmission to its arrival slot, applying
-// failure injection and link latency. Same-slot (latency 1) arrivals are
-// appended to sameSlot and returned; later arrivals go to the in-flight
-// ring. A deterministic Injector sees one schedule-ordered call sequence.
+// route assigns each validated transmission to its arrival slot, asking the
+// Inject hook whether it is lost and how long its link takes. Same-slot
+// (latency 1) arrivals are appended to sameSlot and returned; later arrivals
+// go to the in-flight ring. A deterministic Injector sees one
+// schedule-ordered call sequence.
 func (e *engine) route(t core.Slot, txs []core.Transmission, sameSlot []core.Transmission) ([]core.Transmission, error) {
+	in := e.opt.Inject
 	for _, tx := range txs {
-		if e.opt.Drop != nil && e.opt.Drop(tx, t) {
-			if e.obs != nil {
-				e.obs.Drop(t, tx)
-			}
-			continue // lost in flight; send capacity already spent
-		}
-		if e.fast {
-			// No LatencyFunc and no Injector: every link takes one slot, so
-			// the transmission arrives at the end of this very slot.
-			if e.obs != nil {
-				e.obs.Transmit(t, tx)
-			}
-			sameSlot = append(sameSlot, tx)
-			continue
-		}
-		if e.opt.Inject != nil && e.opt.Inject.DropTx(tx, t) {
-			if e.obs != nil {
-				e.obs.Drop(t, tx)
-			}
-			continue // lost in flight; send capacity already spent
-		}
 		l := core.Slot(1)
-		if e.latency != nil {
-			if l = e.latency(tx.From, tx.To); l < 1 {
-				return nil, fmt.Errorf("slotsim: slot %d: Latency(%d, %d) returned %d for %s; LatencyFunc must return at least 1",
-					t, tx.From, tx.To, l, tx)
+		if in != nil {
+			if in.DropTx(tx, t) {
+				if e.obs != nil {
+					e.obs.Drop(t, tx)
+				}
+				continue // lost in flight; send capacity already spent
 			}
-		}
-		if e.opt.Inject != nil {
-			x := e.opt.Inject.DelayTx(tx, t)
+			x := in.DelayTx(tx, t)
 			if x < 0 {
-				return nil, fmt.Errorf("slotsim: slot %d: Inject.DelayTx returned %d for %s; extra delay must be >= 0",
+				return nil, fmt.Errorf("slotsim: slot %d: Inject.DelayTx returned %d for %s; a link's latency (1 + delay) must be at least 1",
 					t, x, tx)
 			}
 			l += x
@@ -633,7 +616,7 @@ func (e *engine) route(t core.Slot, txs []core.Transmission, sameSlot []core.Tra
 		if l == 1 {
 			sameSlot = append(sameSlot, tx)
 		} else {
-			e.ring.enqueue(t+l-1, tx)
+			e.sc.ring.enqueue(t+l-1, tx)
 		}
 	}
 	return sameSlot, nil
@@ -658,8 +641,8 @@ func (e *engine) step(t core.Slot, txs []core.Transmission) error {
 	if err := e.validateSends(t, txs); err != nil {
 		return e.observeFail(err)
 	}
-	sameSlot := e.pendingArrivals(t)
-	sameSlot, err := e.route(t, txs, sameSlot)
+	// The slot's arrivals: what the ring holds for t, then route's own.
+	sameSlot, err := e.route(t, txs, e.sc.ring.drain(t, e.sc.arrive[:0]))
 	if err != nil {
 		return err
 	}
@@ -671,14 +654,4 @@ func (e *engine) step(t core.Slot, txs []core.Transmission) error {
 		e.obs.SlotEnd(t)
 	}
 	return nil
-}
-
-// pendingArrivals returns the slot's arrival list seeded with any in-flight
-// transmissions due at t, built on the reusable arrival scratch buffer.
-func (e *engine) pendingArrivals(t core.Slot) []core.Transmission {
-	sameSlot := e.sc.arrive[:0]
-	if e.ring != nil {
-		sameSlot = e.ring.drain(t, sameSlot)
-	}
-	return sameSlot
 }

@@ -191,13 +191,13 @@ func TestLatencyDelaysArrival(t *testing.T) {
 		0: {tx(0, 1, 0)},
 		3: {tx(1, 2, 0)},
 	}}
-	lat := func(from, to core.NodeID) core.Slot {
+	lat := LatencyFunc(func(from, to core.NodeID) core.Slot {
 		if from == 0 {
 			return 3
 		}
 		return 1
-	}
-	_, cells, err := runCells(s, Options{Slots: 5, Packets: 1, Latency: lat})
+	})
+	_, cells, err := runCells(s, Options{Slots: 5, Packets: 1, Inject: lat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestLatencyDelaysArrival(t *testing.T) {
 	// Relaying one slot earlier must fail.
 	s.slots[2] = s.slots[3]
 	delete(s.slots, 3)
-	_, err = Run(s, Options{Slots: 5, Packets: 1, Latency: lat})
+	_, err = Run(s, Options{Slots: 5, Packets: 1, Inject: lat})
 	assertViolation(t, err, "does not hold")
 }
 

@@ -14,8 +14,8 @@ func TestDropCreatesMissing(t *testing.T) {
 		1: {tx(0, 1, 1)},
 		2: {tx(0, 1, 2)},
 	}}
-	drop := func(x core.Transmission, at core.Slot) bool { return x.Packet == 1 }
-	res, cells, err := runCells(s, Options{Slots: 3, Packets: 3, Drop: drop, AllowIncomplete: true})
+	drop := DropFunc(func(x core.Transmission, at core.Slot) bool { return x.Packet == 1 })
+	res, cells, err := runCells(s, Options{Slots: 3, Packets: 3, Inject: drop, AllowIncomplete: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestDropCreatesMissing(t *testing.T) {
 		t.Errorf("hiccups %d, want 1", got)
 	}
 	// Without AllowIncomplete the same run errors out.
-	if _, err := Run(s, Options{Slots: 3, Packets: 3, Drop: drop}); err == nil {
+	if _, err := Run(s, Options{Slots: 3, Packets: 3, Inject: drop}); err == nil {
 		t.Error("incomplete run accepted without AllowIncomplete")
 	}
 }
@@ -46,12 +46,12 @@ func TestLossCascade(t *testing.T) {
 			s.slots[u] = append(s.slots[u], tx(1, 2, core.Packet(u-1)))
 		}
 	}
-	drop := func(x core.Transmission, at core.Slot) bool {
+	drop := DropFunc(func(x core.Transmission, at core.Slot) bool {
 		return x.From == 0 && x.Packet == 0
-	}
+	})
 	res, cells, err := runCells(s, Options{
 		Slots: 6, Packets: 4,
-		Drop: drop, AllowIncomplete: true, SkipUnavailable: true,
+		Inject: drop, AllowIncomplete: true, SkipUnavailable: true,
 	})
 	if err != nil {
 		t.Fatal(err)

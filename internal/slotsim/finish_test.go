@@ -88,9 +88,9 @@ func finishCase(t testing.TB, kind string, n int, packets core.Packet) (core.Sch
 	opt := Options{Slots: core.Slot(int(packets) + m.Height()*d + 4*d + 2), Packets: packets}
 	if kind == "drops" {
 		opt = lossy(opt)
-		opt.Drop = func(x core.Transmission, at core.Slot) bool {
+		opt.Inject = DropFunc(func(x core.Transmission, at core.Slot) bool {
 			return (int(x.To)*31+int(x.Packet)*17+int(at))%11 == 0
-		}
+		})
 	}
 	return multitree.NewScheme(m, core.PreRecorded), opt
 }

@@ -139,9 +139,7 @@ func (e *engine) resetNode(id core.NodeID) {
 	}
 	lag := noLag
 	e.cursor[id] = uint64(uint32(lag)) << 32
-	if e.ring != nil {
-		e.ring.purgeTo(id)
-	}
+	e.sc.ring.purgeTo(id)
 }
 
 // finish computes the Result after the last slot. The playback cursors

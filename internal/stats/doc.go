@@ -25,9 +25,7 @@
 //     them, and Sum too, being a sum of integers below 2^53. Its
 //     cumulative-bucket form maps directly onto the Prometheus text
 //     exposition format that obs.Metrics exports.
-//     LinearBounds and ExponentialBounds build common boundary layouts;
-//     Merge combines per-shard histograms, so parallel collectors can
-//     aggregate without locking.
+//     ExponentialBounds builds a doubling boundary layout.
 //
 // Entry points: Summarize for batch samples, NewStreamingHist for streaming
 // collection.

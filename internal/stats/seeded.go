@@ -7,10 +7,7 @@ package stats
 // a randomized scheme's delay/buffer numbers are only re-runnable artifacts
 // if every sample traces back to one fixed base seed.
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // SplitMix64 is Steele/Lea/Flood's splitmix64 generator: a 64-bit state
 // advanced by the golden-gamma increment and finalized by two xor-multiply
@@ -94,9 +91,9 @@ func TrialSeeds(base int64, k int) []int64 {
 }
 
 // TrialQuantiles aggregates a per-node metric (start delay, peak buffer)
-// across repeated seeded trials of a randomized scheme. It answers the two
-// questions a frontier table needs: the pooled distribution over every node
-// of every trial, and the trial-to-trial spread of a chosen quantile.
+// across repeated seeded trials of a randomized scheme into the pooled
+// distribution over every node of every trial, which a frontier table
+// reports.
 type TrialQuantiles struct {
 	trials [][]float64
 }
@@ -106,9 +103,6 @@ func (q *TrialQuantiles) AddTrial(xs []float64) {
 	q.trials = append(q.trials, append([]float64(nil), xs...))
 }
 
-// Trials returns the number of recorded trials.
-func (q *TrialQuantiles) Trials() int { return len(q.trials) }
-
 // Pooled summarizes every sample of every trial as one distribution.
 func (q *TrialQuantiles) Pooled() Summary {
 	var all []float64
@@ -116,25 +110,4 @@ func (q *TrialQuantiles) Pooled() Summary {
 		all = append(all, t...)
 	}
 	return Summarize(all)
-}
-
-// AcrossTrials computes the given quantile within each trial and summarizes
-// those per-trial values — the spread that tells whether a frontier number
-// is a property of the construction or luck of one seed.
-func (q *TrialQuantiles) AcrossTrials(quantile float64) Summary {
-	per := make([]float64, 0, len(q.trials))
-	for _, t := range q.trials {
-		s := Summarize(t)
-		switch {
-		case quantile >= 1:
-			per = append(per, s.Max)
-		case quantile <= 0:
-			per = append(per, s.Min)
-		default:
-			sorted := append([]float64(nil), t...)
-			sort.Float64s(sorted)
-			per = append(per, Percentile(sorted, quantile))
-		}
-	}
-	return Summarize(per)
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -32,19 +31,6 @@ func NewStreamingHist(bounds []float64) *StreamingHist {
 		Bounds: bounds,
 		Counts: make([]int, len(bounds)+1),
 	}
-}
-
-// LinearBounds returns n equally spaced upper bounds lo+w, lo+2w, …, hi.
-func LinearBounds(lo, hi float64, n int) []float64 {
-	if n < 1 || hi <= lo {
-		return nil
-	}
-	w := (hi - lo) / float64(n)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = lo + float64(i+1)*w
-	}
-	return out
 }
 
 // ExponentialBounds returns n upper bounds start, start·factor,
@@ -136,32 +122,4 @@ func (h *StreamingHist) Cumulative() []int {
 		out[i] = run
 	}
 	return out
-}
-
-// Merge adds another histogram with identical bounds into h, enabling
-// per-shard collection followed by lock-free aggregation.
-func (h *StreamingHist) Merge(o *StreamingHist) error {
-	if len(o.Bounds) != len(h.Bounds) {
-		return fmt.Errorf("stats: merging histograms with %d vs %d bounds", len(o.Bounds), len(h.Bounds))
-	}
-	for i, b := range o.Bounds {
-		if b != h.Bounds[i] {
-			return fmt.Errorf("stats: merging histograms with different bounds at %d: %v vs %v", i, b, h.Bounds[i])
-		}
-	}
-	if o.N == 0 {
-		return nil
-	}
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	if h.N == 0 || o.Min < h.Min {
-		h.Min = o.Min
-	}
-	if h.N == 0 || o.Max > h.Max {
-		h.Max = o.Max
-	}
-	h.N += o.N
-	h.Sum += o.Sum
-	return nil
 }

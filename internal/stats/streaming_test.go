@@ -51,45 +51,11 @@ func TestStreamingHistQuantile(t *testing.T) {
 	}
 }
 
-func TestStreamingHistMerge(t *testing.T) {
-	a := NewStreamingHist([]float64{1, 10})
-	b := NewStreamingHist([]float64{1, 10})
-	a.Observe(0.5)
-	a.Observe(5)
-	b.Observe(20)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{1, 1, 1}; !reflect.DeepEqual(a.Counts, want) {
-		t.Errorf("merged counts %v, want %v", a.Counts, want)
-	}
-	if a.N != 3 || a.Min != 0.5 || a.Max != 20 {
-		t.Errorf("merged N/min/max = %d/%g/%g", a.N, a.Min, a.Max)
-	}
-	// Merging into an empty histogram adopts the other's min/max.
-	c := NewStreamingHist([]float64{1, 10})
-	if err := c.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if c.Min != 20 || c.Max != 20 {
-		t.Errorf("empty-merge min/max = %g/%g, want 20/20", c.Min, c.Max)
-	}
-	if err := a.Merge(NewStreamingHist([]float64{1})); err == nil {
-		t.Error("merge with mismatched bounds should fail")
-	}
-	if err := a.Merge(NewStreamingHist([]float64{1, 11})); err == nil {
-		t.Error("merge with different bound values should fail")
-	}
-}
-
 func TestBoundsBuilders(t *testing.T) {
-	if want := []float64{2, 4, 6, 8, 10}; !reflect.DeepEqual(LinearBounds(0, 10, 5), want) {
-		t.Errorf("LinearBounds = %v, want %v", LinearBounds(0, 10, 5), want)
-	}
 	if want := []float64{1, 2, 4, 8}; !reflect.DeepEqual(ExponentialBounds(1, 2, 4), want) {
 		t.Errorf("ExponentialBounds = %v, want %v", ExponentialBounds(1, 2, 4), want)
 	}
-	if LinearBounds(5, 5, 3) != nil || ExponentialBounds(0, 2, 3) != nil || ExponentialBounds(1, 1, 3) != nil {
+	if ExponentialBounds(0, 2, 3) != nil || ExponentialBounds(1, 1, 3) != nil {
 		t.Error("degenerate bounds should return nil")
 	}
 }
