@@ -71,11 +71,13 @@ bench-json:
 		| $(GO) run ./cmd/benchdiff -write "$$out"
 
 # Short fuzz smoke over the fault-plan parser (FAULTS.md), the scenario
-# parser/formatter round trip (SCENARIOS.md), and the engine against its
-# reference interpreter on generated runs (internal/integration). CI keeps
-# these brief; crank -fuzztime for a real session.
+# parser/formatter round trip (SCENARIOS.md), the JSONL trace reader and its
+# writer round trip (OBSERVABILITY.md), and the engine against its reference
+# interpreter on generated runs (internal/integration). CI keeps these brief;
+# crank -fuzztime for a real session.
 fuzz:
 	$(GO) test -fuzz '^FuzzFaultPlan$$' -fuzztime 5s -run '^$$' ./internal/faults
+	$(GO) test -fuzz '^FuzzReadEvents$$' -fuzztime 5s -run '^$$' ./internal/obs
 	$(GO) test -fuzz '^FuzzScenario$$' -fuzztime 5s -run '^$$' ./internal/spec
 	$(GO) test -fuzz '^FuzzRandRegScenario$$' -fuzztime 5s -run '^$$' ./internal/spec
 	$(GO) test -fuzz '^FuzzEngineDifferential$$' -fuzztime 5s -run '^$$' ./internal/integration

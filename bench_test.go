@@ -338,12 +338,14 @@ func BenchmarkSlotEngineCold(b *testing.B) {
 }
 
 // BenchmarkObserverOverhead measures the cost of the observability layer
-// on the sequential engine: no observer (the fast path every pre-existing
-// caller stays on), the Metrics collector, the JSONL trace writer over
-// io.Discard, full event recording, and the CLI's pairing of Metrics with a
-// JSONL trace written to a file, which pays the write(2) calls the
-// benchmark's `observed` workload pays. Every row reports allocations, so
-// `make bench-json` snapshots allocs/op for the sinks.
+// on the sequential engine: no observer (a bare run, which ends once the
+// window is complete, while an observed one runs every slot of the horizon
+// through the same step and hands each slot's view to the sink), the Metrics
+// collector, the JSONL trace writer over io.Discard, full event recording,
+// and the CLI's pairing of Metrics with a JSONL trace written to a file,
+// which pays the write(2) calls the benchmark's `observed` workload pays.
+// Every row reports allocations, so `make bench-json` snapshots allocs/op for
+// the sinks.
 func BenchmarkObserverOverhead(b *testing.B) {
 	s := benchScheme(b, spec.MultiTreeScenario(2000, 3, multitree.Greedy, core.PreRecorded)).(*multitree.Scheme)
 	base := slotsim.Options{

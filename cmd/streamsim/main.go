@@ -279,8 +279,8 @@ type sinks struct {
 
 // newSinks opens every requested output up front — a bad path should fail
 // before a long simulation, not after — and returns the combined observer
-// to attach to the engine (nil when no output was requested, preserving the
-// engine's no-observer fast path). A path of "-" writes to stdout.
+// to attach to the engine (nil when no output was requested, so that a bare
+// run may end once its window is complete). A path of "-" writes to stdout.
 func newSinks(metricsOut, traceOut, reportOut string, stdout io.Writer) (*sinks, obs.Observer, error) {
 	sk := &sinks{}
 	var list []obs.Observer

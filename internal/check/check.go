@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"streamcast/internal/core"
+	"streamcast/internal/obs"
 	"streamcast/internal/slotsim"
 )
 
@@ -158,9 +159,9 @@ func (r *Report) HasKind(kind string) bool {
 
 // verifier is the working state of one Static run: the structural audits
 // only the verifier does, fed by the engine as the run's obs.Observer. The
-// tables are sized at the first SlotStart, after the engine has accepted the
-// run, so an oversized verification is refused before any of them is
-// allocated or Neighbors() is read.
+// tables are sized at slot 0's view, after the engine has accepted the run,
+// so an oversized verification is refused before any of them is allocated
+// or Neighbors() is read.
 type verifier struct {
 	scheme core.Scheme
 	opt    Options
@@ -243,28 +244,27 @@ func Static(s core.Scheme, opt Options) (*Report, error) {
 	return v.report, nil
 }
 
-// SlotStart sizes the audit tables and reads the mesh when the run opens.
-func (v *verifier) SlotStart(t core.Slot, _ int) {
-	if t != 0 {
-		return
+// Slot sizes the audit tables and reads the mesh when the run opens, then
+// audits every transmission the slot executed; the engine's Result and its
+// returned Violation carry the rest.
+func (v *verifier) Slot(sv *obs.SlotView) {
+	if sv.T == 0 {
+		if d := v.opt.TreeDegree; d > 0 {
+			v.resWords = (d + 63) / 64
+			v.residues = make([]uint64, (v.n+1)*v.resWords)
+			v.kids = make([]int32, (v.n+1)*(d+2))
+		}
+		v.loadMesh()
 	}
-	if d := v.opt.TreeDegree; d > 0 {
-		v.resWords = (d + 63) / 64
-		v.residues = make([]uint64, (v.n+1)*v.resWords)
-		v.kids = make([]int32, (v.n+1)*(d+2))
+	lost := sv.Lost
+	for i, tx := range sv.Sent {
+		if len(lost) > 0 && lost[0] == i {
+			lost = lost[1:]
+			continue
+		}
+		v.audit(sv.T, tx, true)
 	}
-	v.loadMesh()
 }
-
-// Transmit audits one executed transmission.
-func (v *verifier) Transmit(t core.Slot, tx core.Transmission) { v.audit(t, tx, true) }
-
-// Deliver, Drop, Violation and SlotEnd carry nothing the audits read: the
-// engine's Result and its returned Violation do.
-func (*verifier) Deliver(core.Slot, core.Transmission, bool)     {}
-func (*verifier) Drop(core.Slot, core.Transmission)              {}
-func (*verifier) Violation(core.Slot, string, core.Transmission) {}
-func (*verifier) SlotEnd(core.Slot)                              {}
 
 // audit tests one transmission's edge against the mesh and, when it carries
 // a packet its sender holds, adds it to the multi-tree evidence.

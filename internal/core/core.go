@@ -16,9 +16,6 @@ const SourceID NodeID = 0
 // A stream is conceptually infinite; simulations run over a finite prefix.
 type Packet int
 
-// NoPacket marks the absence of a packet in schedule slots.
-const NoPacket Packet = -1
-
 // Slot is a discrete time step. Slot 0 is the first transmission slot.
 type Slot int
 
@@ -124,31 +121,4 @@ func CompileForRun(Scheme, Slot) *CompiledScheme { return nil }
 // Window returns nothing; see CompiledScheme.
 func (*CompiledScheme) Window() (steady, period Slot, backing []Transmission, off []int) {
 	return 0, 0, nil, nil
-}
-
-// Config carries the common parameters of a streaming run.
-type Config struct {
-	// N is the number of receivers in the cluster.
-	N int
-	// Degree is d: the source transmits up to d packets per slot, and
-	// multi-tree constructions build d interior-disjoint d-ary trees.
-	Degree int
-	// Mode is the data-availability assumption at the source.
-	Mode StreamMode
-}
-
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
-	if c.N < 1 {
-		return fmt.Errorf("core: N must be >= 1, got %d", c.N)
-	}
-	if c.Degree < 1 {
-		return fmt.Errorf("core: degree must be >= 1, got %d", c.Degree)
-	}
-	switch c.Mode {
-	case PreRecorded, Live, LivePreBuffered:
-	default:
-		return fmt.Errorf("core: invalid stream mode %d", int(c.Mode))
-	}
-	return nil
 }

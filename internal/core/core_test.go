@@ -5,23 +5,6 @@ import (
 	"testing"
 )
 
-func TestConfigValidate(t *testing.T) {
-	good := Config{N: 10, Degree: 3, Mode: PreRecorded}
-	if err := good.Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
-	}
-	bad := []Config{
-		{N: 0, Degree: 3},
-		{N: 5, Degree: 0},
-		{N: 5, Degree: 2, Mode: StreamMode(9)},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("config %d accepted: %+v", i, c)
-		}
-	}
-}
-
 func TestStreamModeString(t *testing.T) {
 	cases := map[StreamMode]string{
 		PreRecorded:     "pre-recorded",

@@ -84,7 +84,7 @@ func TestThreeEngineAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, observer := range []obs.Observer{nil, obs.Funcs{}} {
+			for _, observer := range []obs.Observer{nil, obs.SlotFunc(func(*obs.SlotView) {})} {
 				opt.Observer = observer
 				opt.Arrivals = new(slotsim.Arrivals)
 				got, err := slotsim.Run(f.scheme, opt)

@@ -85,7 +85,7 @@ func engineAgainst(run *spec.Run, observed, keep bool, want *slotsim.Result, cel
 		run.Opt.Arrivals = new(slotsim.Arrivals)
 	}
 	if observed {
-		run.Opt.Observer = obs.Combine(run.Opt.Observer, obs.Funcs{})
+		run.Opt.Observer = obs.Combine(run.Opt.Observer, obs.SlotFunc(func(*obs.SlotView) {}))
 	}
 	got, gerr := run.Execute()
 	if diff := sameVerdict(gerr, werr); diff != "" || werr != nil {
@@ -359,7 +359,7 @@ func TestOracleVerdicts(t *testing.T) {
 			if !errors.As(werr, &v) || v.Kind != c.kind || v.Slot != at {
 				t.Fatalf("oracle verdict %v, want %q at slot %d", werr, c.kind, at)
 			}
-			for _, observer := range []obs.Observer{nil, obs.Funcs{}} {
+			for _, observer := range []obs.Observer{nil, obs.SlotFunc(func(*obs.SlotView) {})} {
 				opt := run.Opt
 				opt.Observer = observer
 				_, gerr := slotsim.Run(s, opt)

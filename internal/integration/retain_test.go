@@ -45,7 +45,7 @@ func TestNoCallerRetainsTransmissions(t *testing.T) {
 					return run.Scheme
 				}
 				out := map[string]any{}
-				for _, observer := range []obs.Observer{nil, obs.Funcs{}} {
+				for _, observer := range []obs.Observer{nil, obs.SlotFunc(func(*obs.SlotView) {})} {
 					run := build()
 					opt := run.Opt
 					opt.Observer, opt.Arrivals = observer, new(slotsim.Arrivals)

@@ -16,7 +16,7 @@ import (
 // found when the scan was introduced and is a candidate for deletion.
 var testOnly = map[string]string{
 	"streamcast/internal/obs.Recorder":                     "test helper: tests in six packages record events with it",
-	"streamcast/internal/obs.Funcs":                        "test helper: tests in six packages observe with it",
+	"streamcast/internal/obs.SlotFunc":                     "test helper: tests in four packages observe a run with a function",
 	"streamcast/internal/slotsim.VerifyNeighbors":          "test helper: the partner audit the scheme tests run",
 	"streamcast/internal/check.Report.HasKind":             "test helper: asserts which issue kind a report holds",
 	"streamcast/internal/slotsim.Arrivals.Row":             "test helper: one node's arrivals as a slice",
@@ -30,8 +30,6 @@ var testOnly = map[string]string{
 	"streamcast/internal/check.KindDuplicate":              "issue-kind vocabulary: tests match the engine's violation kinds by it",
 	"streamcast/internal/obs.ReadEvents":                   "the JSONL trace format's reader, documented for outside tools",
 	"streamcast/internal/stats.StreamingHist.Observe":      "reference: tests hold ObserveN and the Metrics fold to it",
-	"streamcast/internal/core.Config":                      "unreviewed",
-	"streamcast/internal/core.NoPacket":                    "unreviewed",
 	"streamcast/internal/faults.Injector.Plan":             "unreviewed",
 	"streamcast/internal/faults.LiveChurn.Ops":             "unreviewed",
 	"streamcast/internal/hypercube.Dynamic.Lazy":           "unreviewed",
@@ -106,6 +104,32 @@ func receiverIdents(f *ast.File) map[*ast.Ident]bool {
 	return out
 }
 
+// loaded caches loadModule's packages by directory: the module-wide tests
+// share one load.
+var loaded = map[string][]*Package{}
+
+// loadModule type-checks the non-test files of every package of the module
+// that holds dir, once per test binary. It skips the test in -short mode.
+func loadModule(t *testing.T, dir string) []*Package {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("full-module load in -short mode")
+	}
+	if pkgs, ok := loaded[dir]; ok {
+		return pkgs
+	}
+	loader, err := NewLoader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.LoadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded[dir] = pkgs
+	return pkgs
+}
+
 // TestNoTestOnlyExports fails when an exported top-level declaration under
 // internal/ has no use in any non-test file of the module or of bench/. A
 // type named only in its own methods' receivers counts as unused. A method
@@ -113,21 +137,7 @@ func receiverIdents(f *ast.File) map[*ast.Ident]bool {
 // interface literal declares is exempt: it may be called through it. Production code that only
 // tests call is either a test helper that belongs in testOnly or dead code.
 func TestNoTestOnlyExports(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-module load in -short mode")
-	}
-	var pkgs []*Package
-	for _, dir := range []string{".", filepath.Join("..", "..", "bench")} {
-		loader, err := NewLoader(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := loader.LoadModule()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkgs = append(pkgs, loaded...)
-	}
+	pkgs := append(loadModule(t, "."), loadModule(t, filepath.Join("..", "..", "bench"))...)
 	used := map[string]bool{}
 	ifaceMethods := map[string]bool{"Error": true} // error's, in no package scope
 	seen := map[*types.Package]bool{}

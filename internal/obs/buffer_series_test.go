@@ -154,11 +154,7 @@ func TestBufferSeriesHandDriven(t *testing.T) {
 		}
 	}
 	for t := core.Slot(0); t < 12; t++ {
-		m.SlotStart(t, 0)
-		for _, tx := range deliver[t] {
-			m.Deliver(t, tx, false)
-		}
-		m.SlotEnd(t)
+		m.Slot(&obs.SlotView{T: t, Arrivals: deliver[t], Ended: true})
 	}
 	// Node 4 is past the Result's receivers (len(start) = 4).
 	start := []core.Slot{0, 0, 3, 0}

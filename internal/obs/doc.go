@@ -1,5 +1,5 @@
 // Package obs is the observability layer of the slot simulator: a
-// per-slot event-hook contract (Observer) that the slotsim engine honours,
+// one-call-per-slot contract (Observer) that the slotsim engine honours,
 // plus the standard consumers — a metrics collector, a JSONL trace
 // recorder, and Prometheus-text / JSON-report exporters.
 //
@@ -7,26 +7,28 @@
 // lag evolving slot by slot (Figures 5 and 6 trace them by hand for the
 // hypercube scheme). The engines compute those trajectories internally but
 // historically reported only end-of-run aggregates; an Observer passed via
-// slotsim.Options.Observer sees every slot boundary, transmission,
-// delivery, failure-injection drop and constraint violation as it happens,
-// in a deterministic order.
+// slotsim.Options.Observer is handed a SlotView after every slot: the
+// slot's transmissions, failure-injection drops, deliveries and any
+// constraint violation, lent from the engine's own slices, in a
+// deterministic order.
 //
 // Consumers shipped here:
 //
 //   - Metrics — per-slot counter series, per-node totals, the largest and
 //     summed buffer occupancy per slot (BufferSeries, folded from an 8-byte
 //     record per delivery), a delivery-latency histogram
-//     (stats.StreamingHist; Deliver only counts the integer lag in a table
+//     (stats.StreamingHist; Slot only counts each integer lag in a table
 //     of one int per slot of lag, and Latency folds the counts in when read,
 //     so reads mid-run and at the end stay exact) and an FNV-1a schedule
 //     fingerprint. Export with
 //     WriteProm (Prometheus text format) or slotsim.BuildReport (JSON
 //     RunReport).
-//   - JSONLWriter — a compact one-object-per-line event log; ReadEvents
+//   - JSONLWriter — a compact one-object-per-line event log, one line per
+//     event of the views' streams (SlotView.AppendEvents); ReadEvents
 //     inverts it. internal/trace golden-tests the format.
 //   - Recorder — in-memory event capture, used by the event-stream
 //     parity tests (replays, observer invariance).
-//   - Funcs — free-function adapter for one-off hooks.
+//   - SlotFunc — function adapter for one-off hooks.
 //   - Combine — fan-out to several observers (nil-safe).
 //
 // A worked example, collecting the buffer trajectory of a hypercube run
@@ -44,6 +46,6 @@
 //	rep := slotsim.BuildReport(s, opt, res, m, 0) // series.buffer_max/_total
 //	rep.WriteJSON(os.Stdout)
 //
-// Overhead: with a nil Observer the engine skips all hook work (a single
-// pointer check per event site); see OBSERVABILITY.md for measured numbers.
+// Overhead: the engine makes one pointer check and, when an Observer is
+// set, one call per slot; see OBSERVABILITY.md for measured numbers.
 package obs

@@ -41,10 +41,10 @@ func Example() {
 	// series peak:   2 packets
 }
 
-// ExampleFuncs hooks a single callback into a run without writing a full
-// Observer implementation: count deliveries that arrive more than 8 slots
-// behind the stream head.
-func ExampleFuncs() {
+// ExampleSlotFunc hooks a function into a run without writing an Observer
+// type: count deliveries that arrive more than 8 slots behind the stream
+// head.
+func ExampleSlotFunc() {
 	m, err := multitree.New(15, 3, multitree.Greedy)
 	if err != nil {
 		panic(err)
@@ -53,13 +53,13 @@ func ExampleFuncs() {
 	late := 0
 	opt := slotsim.Options{
 		Slots: 35, Packets: 12, Mode: core.Live,
-		Observer: obs.Funcs{
-			OnDeliver: func(t core.Slot, tx core.Transmission, dup bool) {
-				if !dup && t-core.Slot(tx.Packet) > 8 {
+		Observer: obs.SlotFunc(func(v *obs.SlotView) {
+			for _, tx := range v.Arrivals {
+				if v.T-core.Slot(tx.Packet) > 8 {
 					late++
 				}
-			},
-		},
+			}
+		}),
 	}
 	if _, err := slotsim.Run(scheme, opt); err != nil {
 		panic(err)

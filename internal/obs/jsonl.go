@@ -43,15 +43,18 @@ const jsonlBufSize = 256 << 10
 // stores, a 48-byte opening and 8-byte words, reach at most 8 bytes past it.
 const jsonlMaxLine = 192
 
-// A writer hands events to its encoder jsonlBatchLen at a time and never
-// owns more than jsonlBatches batches: one filling, one encoding, one
-// queued between them, ≈ 480 KB in all. Each handoff may wake the other
-// goroutine, and a woken goroutine can wait tens of microseconds for a
-// core: on a two-core host, the traced slot loop of the benchmark's
-// `observed` shape took 47 ms with 1 024-event batches, 35.5 ms with these.
+// A writer copies each slot into a batch, up to jsonlBatchTxs transmissions
+// and jsonlBatchSlots slot parts, and hands full batches to its encoder; a
+// slot that does not fit continues in the next batch. It never owns more
+// than jsonlBatches batches: one filling, one encoding, one queued between
+// them, ≈ 0.8 MB in all. Together they must hold more than one slot: the
+// engine reports the ≈ 16 000 events of a slot of the benchmark's `observed`
+// shape in one call, and with less room the encoder, having caught up, sits
+// idle while the engine computes the next slot.
 const (
-	jsonlBatchLen = 4096
-	jsonlBatches  = 3
+	jsonlBatchTxs   = 8192
+	jsonlBatchSlots = 1024
+	jsonlBatches    = 3
 )
 
 // digitTableMax caps the encoder's digit table: values in [0, digitTableMax)
@@ -64,8 +67,8 @@ const digitTableMax = 1 << 17
 // when the run finishes, failed or not. The first write error is retained
 // and returned by Flush; subsequent events are discarded.
 //
-// The callbacks only record events into a batch. Full batches go to an
-// encoder goroutine, started at the first handoff, which formats the lines
+// Slot only copies the view into a batch. Full batches go to an encoder
+// goroutine, started at the first handoff, which expands them into lines
 // and writes the io.Writer until Flush hands over the last partial batch
 // and joins it; a writer never flushed leaves that goroutine blocked. A
 // writer may be reused after Flush; its next handoff starts a new encoder.
@@ -82,25 +85,41 @@ type JSONLWriter struct {
 	done chan struct{}
 }
 
-// jsonlRecord is one event as the encoder reads it: 40 bytes without
-// pointers, so batches are cheap to pass between cores and the collector
-// never scans them. a, b, c are a transmission's sender, receiver and
-// packet, or a slot start's schedule size in a.
-type jsonlRecord struct {
-	t       core.Slot
-	a, b, c int
-	kind    Kind
-	dup     bool
+// jsonlSlot is one slot's part of a batch. Its transmissions are the batch's
+// next sent+arr entries of txs, the sent ones first. open marks the slot's
+// first part, which starts with the slot line; viol and end mark its last,
+// which ends with the violation line (the batch's next entry of viols) or
+// the end line.
+type jsonlSlot struct {
+	t               core.Slot
+	scheduled       int
+	sent, arr       int32
+	open, viol, end bool
 }
 
-// jsonlBatch is the unit handed from the callbacks to the encoder.
+// jsonlBatch is the unit handed from Slot to the encoder: copies of the
+// views, without pointers apart from the violation notes, so batches are
+// cheap to pass between cores and the collector never scans them. marks
+// lists, ascending, the positions in txs of lost sends and duplicate
+// arrivals; a position is one or the other by the part it falls in.
 type jsonlBatch struct {
-	recs  []jsonlRecord
-	notes []string // the violation notes among recs, in order
+	slots []jsonlSlot
+	txs   []core.Transmission
+	marks []int32
+	viols []Violation
 }
 
 func newJSONLBatch() *jsonlBatch {
-	return &jsonlBatch{recs: make([]jsonlRecord, 0, jsonlBatchLen)}
+	return &jsonlBatch{
+		slots: make([]jsonlSlot, 0, jsonlBatchSlots),
+		txs:   make([]core.Transmission, 0, jsonlBatchTxs),
+		marks: make([]int32, 0, jsonlBatchTxs),
+	}
+}
+
+// reset empties the batch for reuse.
+func (b *jsonlBatch) reset() {
+	b.slots, b.txs, b.marks, b.viols = b.slots[:0], b.txs[:0], b.marks[:0], b.viols[:0]
 }
 
 // NewJSONLWriter wraps w in a batched JSONL event sink.
@@ -117,22 +136,42 @@ func NewJSONLWriter(w io.Writer) *JSONLWriter {
 	return j
 }
 
-// put records one event, handing the batch over first when it is full. It
-// stores field by field: a record built as a composite literal goes through
-// the stack, and copying it out stalled on store forwarding, ≈ 10 ns an event.
-func (j *JSONLWriter) put(k Kind, t core.Slot, a, b, c int, dup bool) {
-	if len(j.cur.recs) == jsonlBatchLen {
-		j.handoff()
+// Slot implements Observer: it copies the view into the current batch,
+// continuing in the next batch wherever this one is full.
+func (j *JSONLWriter) Slot(v *SlotView) {
+	si, ai, li, di := 0, 0, 0, 0 // Sent, Arrivals, Lost and Dups copied so far
+	for open := true; ; open = false {
+		b := j.cur
+		if len(b.slots) == jsonlBatchSlots || len(b.txs) == jsonlBatchTxs && si+ai < len(v.Sent)+len(v.Arrivals) {
+			j.handoff()
+			b = j.cur
+		}
+		room := jsonlBatchTxs - len(b.txs)
+		ns := min(len(v.Sent)-si, room)
+		na := min(len(v.Arrivals)-ai, room-ns)
+		base := int32(len(b.txs) - si)
+		b.txs = append(b.txs, v.Sent[si:si+ns]...)
+		for si += ns; li < len(v.Lost) && v.Lost[li] < si; li++ {
+			b.marks = append(b.marks, base+int32(v.Lost[li]))
+		}
+		base = int32(len(b.txs) - ai)
+		b.txs = append(b.txs, v.Arrivals[ai:ai+na]...)
+		for ai += na; di < len(v.Dups) && v.Dups[di] < ai; di++ {
+			b.marks = append(b.marks, base+int32(v.Dups[di]))
+		}
+		part := jsonlSlot{t: v.T, scheduled: v.Scheduled, sent: int32(ns), arr: int32(na), open: open}
+		last := si == len(v.Sent) && ai == len(v.Arrivals)
+		if last {
+			part.end = v.Ended
+			if part.viol = v.Violation != nil; part.viol {
+				b.viols = append(b.viols, *v.Violation)
+			}
+		}
+		b.slots = append(b.slots, part)
+		if last {
+			return
+		}
 	}
-	recs := j.cur.recs[:len(j.cur.recs)+1]
-	r := &recs[len(recs)-1]
-	r.t, r.a, r.b, r.c, r.kind, r.dup = t, a, b, c, k, dup
-	j.cur.recs = recs
-}
-
-// putTx records an event that carries a transmission.
-func (j *JSONLWriter) putTx(k Kind, t core.Slot, tx core.Transmission, dup bool) {
-	j.put(k, t, int(tx.From), int(tx.To), int(tx.Packet), dup)
 }
 
 // handoff queues the full batch for the encoder, starting one if none
@@ -153,7 +192,7 @@ func (j *JSONLWriter) handoff() {
 func (j *JSONLWriter) Flush() error {
 	if j.full == nil {
 		j.enc.encode(j.cur)
-		j.cur.recs, j.cur.notes = j.cur.recs[:0], j.cur.notes[:0]
+		j.cur.reset()
 	} else {
 		j.full <- j.cur
 		close(j.full)
@@ -163,37 +202,6 @@ func (j *JSONLWriter) Flush() error {
 	}
 	j.enc.flush()
 	return j.enc.err
-}
-
-// SlotStart implements Observer.
-func (j *JSONLWriter) SlotStart(t core.Slot, scheduled int) {
-	j.put(KindSlotStart, t, scheduled, 0, 0, false)
-}
-
-// Transmit implements Observer.
-func (j *JSONLWriter) Transmit(t core.Slot, tx core.Transmission) {
-	j.putTx(KindTransmit, t, tx, false)
-}
-
-// Deliver implements Observer.
-func (j *JSONLWriter) Deliver(t core.Slot, tx core.Transmission, duplicate bool) {
-	j.putTx(KindDeliver, t, tx, duplicate)
-}
-
-// Drop implements Observer.
-func (j *JSONLWriter) Drop(t core.Slot, tx core.Transmission) {
-	j.putTx(KindDrop, t, tx, false)
-}
-
-// Violation implements Observer.
-func (j *JSONLWriter) Violation(t core.Slot, kind string, tx core.Transmission) {
-	j.putTx(KindViolation, t, tx, false)
-	j.cur.notes = append(j.cur.notes, kind)
-}
-
-// SlotEnd implements Observer.
-func (j *JSONLWriter) SlotEnd(t core.Slot) {
-	j.put(KindSlotEnd, t, 0, 0, 0, false)
 }
 
 // jsonlEncoder formats recorded events into its buffer and writes the
@@ -257,53 +265,88 @@ var jsonlKinds = [...]string{
 func (e *jsonlEncoder) run(full <-chan *jsonlBatch, free chan<- *jsonlBatch, done chan<- struct{}) {
 	for b := range full {
 		e.encode(b)
-		b.recs, b.notes = b.recs[:0], b.notes[:0]
+		b.reset()
 		free <- b
 	}
 	close(done)
 }
 
-// encode writes one line per record; after a write has failed it discards.
-// Each line is stored straight into the buffer, which keeps jsonlMaxLine
-// bytes of room ahead of it.
+// encode expands the batch into its lines; after a write has failed it
+// discards.
 func (e *jsonlEncoder) encode(batch *jsonlBatch) {
-	notes := batch.notes
-	for i := range batch.recs {
-		if len(e.buf)-e.n < jsonlMaxLine {
-			e.flush()
+	txs, marks, viols := batch.txs, batch.marks, batch.viols
+	pos := int32(0) // position in the batch's txs of txs[0]
+	for _, s := range batch.slots {
+		if s.t != e.headSlot {
+			e.setHeads(s.t)
 		}
-		if e.err != nil {
-			return
+		if s.open {
+			e.line(KindSlotStart, s.scheduled, core.Transmission{}, false)
 		}
-		r := &batch.recs[i]
-		if r.t != e.headSlot {
-			e.setHeads(r.t)
-		}
-		b := e.buf[e.n:]
-		h := &e.heads[r.kind]
-		*(*[jsonlHeadLen]byte)(b) = h.b
-		p := h.n
-		switch r.kind {
-		case KindSlotStart:
-			p = e.putField(b, p, keyN, r.a)
-		case KindSlotEnd:
-		default:
-			p = e.putField(b, p, keyFrom, r.a)
-			p = e.putField(b, p, keyTo, r.b)
-			p = e.putField(b, p, keyP, r.c)
-			if r.dup {
-				p += copy(b[p:], `,"dup":true`)
+		for _, tx := range txs[:s.sent] {
+			k := KindTransmit
+			if len(marks) > 0 && marks[0] == pos {
+				k, marks = KindDrop, marks[1:]
 			}
-			if r.kind == KindViolation {
-				e.n += p
-				e.endWithNote(notes[0])
-				notes = notes[1:]
-				continue
-			}
+			e.line(k, 0, tx, false)
+			pos++
 		}
-		b[p], b[p+1] = '}', '\n'
-		e.n += p + 2
+		for _, tx := range txs[s.sent : s.sent+s.arr] {
+			dup := len(marks) > 0 && marks[0] == pos
+			if dup {
+				marks = marks[1:]
+			}
+			e.line(KindDeliver, 0, tx, dup)
+			pos++
+		}
+		txs = txs[s.sent+s.arr:]
+		if s.viol {
+			if e.line(KindViolation, 0, viols[0].Tx, false) {
+				e.endWithNote(viols[0].Kind)
+			}
+			viols = viols[1:]
+		}
+		if s.end {
+			e.line(KindSlotEnd, 0, core.Transmission{}, false)
+		}
 	}
+}
+
+// line stores one line of kind k through the slot number's heads: n for a
+// slot line, tx and dup for the kinds that carry a transmission. A violation
+// line is left open for its note. It reports false, storing nothing, once a
+// write has failed. Each line is stored straight into the buffer, which
+// keeps jsonlMaxLine bytes of room ahead of it.
+func (e *jsonlEncoder) line(k Kind, n int, tx core.Transmission, dup bool) bool {
+	if len(e.buf)-e.n < jsonlMaxLine {
+		e.flush()
+	}
+	if e.err != nil {
+		return false
+	}
+	b := e.buf[e.n:]
+	h := &e.heads[k]
+	*(*[jsonlHeadLen]byte)(b) = h.b
+	p := h.n
+	switch k {
+	case KindSlotStart:
+		p = e.putField(b, p, keyN, n)
+	case KindSlotEnd:
+	default:
+		p = e.putField(b, p, keyFrom, int(tx.From))
+		p = e.putField(b, p, keyTo, int(tx.To))
+		p = e.putField(b, p, keyP, int(tx.Packet))
+		if dup {
+			p += copy(b[p:], `,"dup":true`)
+		}
+		if k == KindViolation {
+			e.n += p
+			return true
+		}
+	}
+	b[p], b[p+1] = '}', '\n'
+	e.n += p + 2
+	return true
 }
 
 // setHeads formats every kind's line opening for slot t.
@@ -416,21 +459,11 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 		if err := json.Unmarshal(raw, &je); err != nil {
 			return nil, fmt.Errorf("obs: line %d: %w", line, err)
 		}
-		var k Kind
-		switch je.Ev {
-		case "slot":
-			k = KindSlotStart
-		case "tx":
-			k = KindTransmit
-		case "rx":
-			k = KindDeliver
-		case "drop":
-			k = KindDrop
-		case "violation":
-			k = KindViolation
-		case "end":
-			k = KindSlotEnd
-		default:
+		k := KindSlotStart
+		for k <= KindSlotEnd && k.String() != je.Ev {
+			k++
+		}
+		if k > KindSlotEnd {
 			return nil, fmt.Errorf("obs: line %d: unknown event %q", line, je.Ev)
 		}
 		e := Event{Kind: k, Slot: je.T, Scheduled: je.N, Dup: je.Dup, Note: je.Kind}

@@ -20,7 +20,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	both := Combine(&rec, NewJSONLWriter(&buf)).(multi)
 	j := both[1].(*JSONLWriter)
 	replay(both)
-	both.Violation(2, "receive capacity", tx(1, 2, 3))
+	both.Slot(&SlotView{T: 2, Violation: &Violation{Kind: "receive capacity", Tx: tx(1, 2, 3)}})
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -36,15 +36,16 @@ func TestJSONLRoundTrip(t *testing.T) {
 func TestJSONLWireFormat(t *testing.T) {
 	var buf strings.Builder
 	j := NewJSONLWriter(&buf)
-	j.SlotStart(0, 2)
-	j.Transmit(0, tx(0, 3, 0))
-	j.Deliver(1, tx(3, 4, 2), true)
-	j.SlotEnd(1)
+	Feed(j,
+		Event{Kind: KindSlotStart, Slot: 1, Scheduled: 2},
+		Event{Kind: KindTransmit, Slot: 1, Tx: tx(0, 3, 0)},
+		Event{Kind: KindDeliver, Slot: 1, Tx: tx(3, 4, 2), Dup: true},
+		Event{Kind: KindSlotEnd, Slot: 1})
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	want := `{"ev":"slot","t":0,"n":2}
-{"ev":"tx","t":0,"to":3}
+	want := `{"ev":"slot","t":1,"n":2}
+{"ev":"tx","t":1,"to":3}
 {"ev":"rx","t":1,"from":3,"to":4,"p":2,"dup":true}
 {"ev":"end","t":1}
 `
@@ -78,8 +79,7 @@ func (w *failWriter) Write(p []byte) (int, error) {
 func TestJSONLWriterRetainsFirstError(t *testing.T) {
 	j := NewJSONLWriter(&failWriter{})
 	for t := core.Slot(0); t < 10000; t++ {
-		j.SlotStart(t, 0) // must not panic once the sink has failed
-		j.SlotEnd(t)
+		j.Slot(&SlotView{T: t, Ended: true}) // must not panic once the sink has failed
 	}
 	if err := j.Flush(); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Errorf("Flush() = %v, want the retained write error", err)
@@ -88,19 +88,17 @@ func TestJSONLWriterRetainsFirstError(t *testing.T) {
 
 // TestJSONLWriterFailsMidRun: a sink that fails after two buffer-sized
 // writes, under several megabytes of events and so many batch handoffs,
-// must not block or panic the callbacks; Flush returns the first error,
-// again on a second call, and the encoder stops writing after it.
+// must not block or panic Slot; Flush returns the first error, again on a
+// second call, and the encoder stops writing after it.
 func TestJSONLWriterFailsMidRun(t *testing.T) {
 	w := &failWriter{n: 2}
 	j := NewJSONLWriter(w)
-	x := tx(1234, 5678, 42)
+	txs := make([]core.Transmission, 50)
+	for i := range txs {
+		txs[i] = tx(1234, 5678, 42)
+	}
 	for slot := core.Slot(0); slot < 1000; slot++ {
-		j.SlotStart(slot, 100)
-		for k := 0; k < 50; k++ {
-			j.Transmit(slot, x)
-			j.Deliver(slot, x, false)
-		}
-		j.SlotEnd(slot)
+		j.Slot(&SlotView{T: slot, Scheduled: 100, Sent: txs, Arrivals: txs, Ended: true})
 	}
 	for range 2 {
 		if err := j.Flush(); err == nil || err.Error() != "disk full (failure 1)" {
@@ -129,42 +127,35 @@ func marshalLine(t *testing.T, e Event) []byte {
 	return append(b, '\n')
 }
 
-// viaObserver replays e through the Observer method of its kind and
-// returns the event that callback describes: the surface drops whatever
-// the callback has no parameter for.
-func viaObserver(o Observer, e Event) Event {
-	switch e.Kind {
-	case KindSlotStart:
-		o.SlotStart(e.Slot, e.Scheduled)
-		return Event{Kind: e.Kind, Slot: e.Slot, Scheduled: e.Scheduled}
-	case KindTransmit:
-		o.Transmit(e.Slot, e.Tx)
-		return Event{Kind: e.Kind, Slot: e.Slot, Tx: e.Tx}
-	case KindDeliver:
-		o.Deliver(e.Slot, e.Tx, e.Dup)
-		return Event{Kind: e.Kind, Slot: e.Slot, Tx: e.Tx, Dup: e.Dup}
-	case KindDrop:
-		o.Drop(e.Slot, e.Tx)
-		return Event{Kind: e.Kind, Slot: e.Slot, Tx: e.Tx}
-	case KindViolation:
-		o.Violation(e.Slot, e.Note, e.Tx)
-		return Event{Kind: e.Kind, Slot: e.Slot, Tx: e.Tx, Note: e.Note}
-	default:
-		o.SlotEnd(e.Slot)
-		return Event{Kind: KindSlotEnd, Slot: e.Slot}
-	}
-}
-
 // TestAppendEncoderMatchesMarshal pins the wire format: for a few thousand
-// seeded events through the Observer surface — zero, negative and extreme
-// fields, Dup set on kinds whose callback cannot carry it, hostile
-// violation notes — the append encoder's bytes equal json.Marshal of
-// jsonEvent line by line.
+// seeded events in slot views — zero, negative and extreme fields, lost
+// sends, duplicate arrivals, hostile violation notes, unended slots — the
+// append encoder's bytes equal json.Marshal of jsonEvent line by line. The
+// views span several batches, and slots that continue from one batch into
+// the next.
 func TestAppendEncoderMatchesMarshal(t *testing.T) {
+	evs := OracleEvents(1, 3*jsonlBatchTxs)
+	views, ok := Views(evs)
+	if !ok {
+		t.Fatal("the oracle's events are not a stream of slot views")
+	}
+	big := make([]core.Transmission, jsonlBatchTxs+jsonlBatchTxs/2)
+	for i := range big {
+		big[i] = tx(core.NodeID(i), core.NodeID(i+1), core.Packet(i%7))
+	}
+	// Two slots larger than a batch, each starting where the last batch is
+	// part full.
+	for i, k := range []int{len(views) / 3, 2 * len(views) / 3} {
+		views[k].Sent, views[k].Lost = big, []int{0, jsonlBatchTxs - 1, jsonlBatchTxs, len(big) - 1}
+		views[k].Arrivals, views[k].Dups = big[i:], []int{1, jsonlBatchTxs}
+	}
 	var got, want bytes.Buffer
 	j := NewJSONLWriter(&got)
-	for _, e := range OracleEvents(1, 3*jsonlBatchLen) {
-		want.Write(marshalLine(t, viaObserver(j, e)))
+	for i := range views {
+		j.Slot(&views[i])
+		for _, e := range views[i].AppendEvents(nil) {
+			want.Write(marshalLine(t, e))
+		}
 	}
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
@@ -180,33 +171,37 @@ func TestAppendEncoderMatchesMarshal(t *testing.T) {
 	}
 }
 
-// batchOfEvents feeds o one JSONLWriter batch's worth of events of every
-// kind, from slot *slot on.
-func batchOfEvents(o Observer, slot *core.Slot) {
-	x := tx(1234, 5678, 42)
-	for k := 0; k < jsonlBatchLen; k += 6 {
-		t := *slot
-		o.SlotStart(t, 3)
-		o.Transmit(t, x)
-		o.Deliver(t, x, false)
-		o.Deliver(t, x, true)
-		o.Drop(t, x)
-		o.SlotEnd(t)
+// batchView is a slot with every kind of line but the violation's: a
+// transmit, a drop, an arrival and a duplicate.
+var batchView = SlotView{
+	Scheduled: 3,
+	Sent:      []core.Transmission{tx(1234, 5678, 42), tx(1234, 5678, 42)},
+	Lost:      []int{1},
+	Arrivals:  []core.Transmission{tx(1234, 5678, 42), tx(1234, 5678, 42)},
+	Dups:      []int{1},
+	Ended:     true,
+}
+
+// batchOfViews feeds o one JSONLWriter batch's worth of batchView slots,
+// from slot *slot on.
+func batchOfViews(o Observer, slot *core.Slot) {
+	for k := 0; k < jsonlBatchTxs; k += 4 {
+		batchView.T = *slot
+		o.Slot(&batchView)
 		*slot++
 	}
 }
 
-// TestJSONLWriterAllocs: the per-event callbacks of a trace must not
-// allocate — not per event and not per batch handoff, before and after a
-// Flush. Each measured run hands over at least one batch; AllocsPerRun's
-// own first call starts the encoder, whose channels and goroutine are all
-// a writer allocates after NewJSONLWriter.
+// TestJSONLWriterAllocs: Slot must not allocate — not per slot and not per
+// batch handoff, before and after a Flush. Each measured run hands over at
+// least one batch; AllocsPerRun's own first call starts the encoder, whose
+// channels and goroutine are all a writer allocates after NewJSONLWriter.
 func TestJSONLWriterAllocs(t *testing.T) {
 	j := NewJSONLWriter(io.Discard)
 	slot := core.Slot(0)
 	for round := 0; round < 2; round++ {
-		if n := testing.AllocsPerRun(5, func() { batchOfEvents(j, &slot) }); n != 0 {
-			t.Errorf("round %d: a batch of JSONLWriter callbacks allocates %v times, want 0", round, n)
+		if n := testing.AllocsPerRun(5, func() { batchOfViews(j, &slot) }); n != 0 {
+			t.Errorf("round %d: a batch of JSONLWriter slots allocates %v times, want 0", round, n)
 		}
 		if err := j.Flush(); err != nil {
 			t.Fatal(err)
@@ -244,7 +239,7 @@ func TestJSONLWriterLifecycle(t *testing.T) {
 	slot := core.Slot(0)
 	events := func() {
 		for range 3 * jsonlBatches {
-			batchOfEvents(j, &slot)
+			batchOfViews(j, &slot)
 		}
 	}
 	events()
@@ -267,7 +262,7 @@ func TestJSONLWriterLifecycle(t *testing.T) {
 	var oracle Recorder
 	end := slot
 	for slot = 0; slot < end; {
-		batchOfEvents(&oracle, &slot)
+		batchOfViews(&oracle, &slot)
 	}
 	for _, e := range oracle.Events {
 		want.Write(marshalLine(t, e))

@@ -87,15 +87,13 @@ func fnvMix(h uint64, v int) uint64 {
 // one record per slot, one per node and one per non-duplicate delivery, so
 // its memory grows with the event count, not only with N.
 //
-// A delivery's lag is an integer number of slots, so Deliver only counts it
+// A delivery's lag is an integer number of slots, so Slot only counts it
 // in a table indexed by lag (O(slots) entries); Latency folds the pending
 // counts into the histogram when it is read.
 //
 // The zero value is not usable; call NewMetrics.
 type Metrics struct {
 	slots    []SlotCounters
-	cur      SlotCounters
-	open     bool
 	inFlight int
 
 	nodes []NodeCounters
@@ -110,7 +108,7 @@ type Metrics struct {
 	// lags[l] counts the deliveries with lag l not yet folded into latency.
 	lags       []int
 	hash       uint64
-	violations []Event
+	violations int // slots that stopped the run on a broken constraint
 	lastSlot   core.Slot
 }
 
@@ -133,38 +131,66 @@ func (m *Metrics) grow(id core.NodeID) {
 	}
 }
 
-// SlotStart implements Observer.
-func (m *Metrics) SlotStart(t core.Slot, scheduled int) {
-	m.cur = SlotCounters{Slot: t, Scheduled: scheduled}
-	m.open = true
+// Slot implements Observer: it counts the slot, hashes its transmissions
+// into the fingerprint and books its arrivals. A slot that stopped the run
+// counts toward every total but opens no entry of the slot series.
+func (m *Metrics) Slot(v *SlotView) {
+	t := v.T
+	c := SlotCounters{Slot: t, Scheduled: v.Scheduled}
 	if t > m.lastSlot {
 		m.lastSlot = t
 	}
-}
-
-// Transmit implements Observer.
-func (m *Metrics) Transmit(t core.Slot, tx core.Transmission) {
-	m.cur.Transmits++
-	m.inFlight++
-	m.grow(tx.From)
-	m.nodes[tx.From].Sends++
-	h := fnvMix(m.hash, int(t))
-	h = fnvMix(h, int(tx.From))
-	h = fnvMix(h, int(tx.To))
-	m.hash = fnvMix(h, int(tx.Packet))
-}
-
-// Deliver implements Observer.
-func (m *Metrics) Deliver(t core.Slot, tx core.Transmission, duplicate bool) {
-	m.cur.Delivers++
-	m.inFlight--
-	m.grow(tx.To)
-	m.nodes[tx.To].Receives++
-	if duplicate {
-		m.cur.Duplicates++
-		m.nodes[tx.To].Duplicates++
-		return
+	h, lost := m.hash, v.Lost
+	for i, tx := range v.Sent {
+		m.grow(tx.From)
+		if len(lost) > 0 && lost[0] == i {
+			lost = lost[1:]
+			c.Drops++
+			m.nodes[tx.From].Drops++
+			continue
+		}
+		c.Transmits++
+		m.nodes[tx.From].Sends++
+		h = fnvMix(h, int(t))
+		h = fnvMix(h, int(tx.From))
+		h = fnvMix(h, int(tx.To))
+		h = fnvMix(h, int(tx.Packet))
 	}
+	m.hash = h
+	booked, dups := 0, v.Dups
+	for i, tx := range v.Arrivals {
+		m.grow(tx.To)
+		m.nodes[tx.To].Receives++
+		if len(dups) > 0 && dups[0] == i {
+			dups = dups[1:]
+			c.Duplicates++
+			m.nodes[tx.To].Duplicates++
+			continue
+		}
+		m.logArrival(t, tx)
+		booked++
+	}
+	if booked > 0 {
+		end := booked
+		if n := len(m.runs); n > 0 {
+			end += m.runs[n-1].end
+		}
+		m.runs = append(m.runs, slotRun{slot: t, end: end})
+	}
+	c.Delivers = len(v.Arrivals)
+	m.inFlight += c.Transmits - c.Delivers
+	if v.Violation != nil {
+		m.violations++
+	}
+	if v.Ended {
+		c.InFlight = m.inFlight
+		m.slots = append(m.slots, c)
+	}
+}
+
+// logArrival appends one non-duplicate delivery at the end of slot t to the
+// arrival log and counts its lag; Slot closes the slot's run of the log.
+func (m *Metrics) logArrival(t core.Slot, tx core.Transmission) {
 	last := len(m.arrivals) - 1
 	if last < 0 {
 		m.arrivals = append(m.arrivals, make([]arrival, 0, arrivalChunkMin))
@@ -174,39 +200,12 @@ func (m *Metrics) Deliver(t core.Slot, tx core.Transmission, duplicate bool) {
 		last++
 	}
 	m.arrivals[last] = append(m.arrivals[last], arrival{node: int32(tx.To), pkt: int32(tx.Packet)})
-	if n := len(m.runs); n == 0 || m.runs[n-1].slot != t {
-		end := 0
-		if n > 0 {
-			end = m.runs[n-1].end
-		}
-		m.runs = append(m.runs, slotRun{slot: t, end: end})
-	}
-	m.runs[len(m.runs)-1].end++
 	if lag := int(t) - int(tx.Packet); lag >= 0 {
 		if lag >= len(m.lags) {
 			m.lags = append(m.lags, make([]int, lag+1-len(m.lags))...)
 		}
 		m.lags[lag]++
 	}
-}
-
-// Drop implements Observer.
-func (m *Metrics) Drop(t core.Slot, tx core.Transmission) {
-	m.cur.Drops++
-	m.grow(tx.From)
-	m.nodes[tx.From].Drops++
-}
-
-// Violation implements Observer.
-func (m *Metrics) Violation(t core.Slot, kind string, tx core.Transmission) {
-	m.violations = append(m.violations, Event{Kind: KindViolation, Slot: t, Tx: tx, Note: kind})
-}
-
-// SlotEnd implements Observer.
-func (m *Metrics) SlotEnd(t core.Slot) {
-	m.cur.InFlight = m.inFlight
-	m.slots = append(m.slots, m.cur)
-	m.open = false
 }
 
 // SlotSeries returns the per-slot counter series, one entry per completed

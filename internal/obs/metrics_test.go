@@ -23,14 +23,7 @@ func driveChain(m *Metrics) {
 		if t >= 1 && t < 6 {
 			txs = append(txs, tx(1, 2, core.Packet(t-1)))
 		}
-		m.SlotStart(t, len(txs))
-		for _, x := range txs {
-			m.Transmit(t, x)
-		}
-		for _, x := range txs {
-			m.Deliver(t, x, false)
-		}
-		m.SlotEnd(t)
+		m.Slot(&SlotView{T: t, Scheduled: len(txs), Sent: txs, Arrivals: txs, Ended: true})
 	}
 }
 
@@ -76,9 +69,10 @@ func TestMetricsFingerprint(t *testing.T) {
 	}
 	c := NewMetrics()
 	driveChain(c)
-	c.SlotStart(7, 1)
-	c.Transmit(7, tx(0, 3, 0))
-	c.SlotEnd(7)
+	Feed(c,
+		Event{Kind: KindSlotStart, Slot: 7, Scheduled: 1},
+		Event{Kind: KindTransmit, Slot: 7, Tx: tx(0, 3, 0)},
+		Event{Kind: KindSlotEnd, Slot: 7})
 	if c.Fingerprint() == a.Fingerprint() {
 		t.Error("an extra transmission should change the fingerprint")
 	}
@@ -94,7 +88,7 @@ func TestFingerprintIsFNV1a(t *testing.T) {
 		for j, b := range vals {
 			b = int(uint16(b)) // the sender indexes the per-node table
 			c, d := vals[(i+j)%len(vals)], vals[(i*j)%len(vals)]
-			m.Transmit(core.Slot(a), tx(core.NodeID(b), core.NodeID(c), core.Packet(d)))
+			m.Slot(&SlotView{T: core.Slot(a), Sent: []core.Transmission{tx(core.NodeID(b), core.NodeID(c), core.Packet(d))}})
 			var buf [32]byte
 			for k, v := range [4]int{a, b, c, d} {
 				for s := 0; s < 8; s++ {
@@ -111,12 +105,13 @@ func TestFingerprintIsFNV1a(t *testing.T) {
 
 func TestMetricsDuplicatesAndDrops(t *testing.T) {
 	m := NewMetrics()
-	m.SlotStart(0, 3)
-	m.Transmit(0, tx(0, 1, 0))
-	m.Drop(0, tx(2, 3, 0))
-	m.Deliver(0, tx(0, 1, 0), false)
-	m.Deliver(0, tx(2, 1, 0), true)
-	m.SlotEnd(0)
+	Feed(m,
+		Event{Kind: KindSlotStart, Slot: 0, Scheduled: 3},
+		Event{Kind: KindTransmit, Slot: 0, Tx: tx(0, 1, 0)},
+		Event{Kind: KindDrop, Slot: 0, Tx: tx(2, 3, 0)},
+		Event{Kind: KindDeliver, Slot: 0, Tx: tx(0, 1, 0)},
+		Event{Kind: KindDeliver, Slot: 0, Tx: tx(2, 1, 0), Dup: true},
+		Event{Kind: KindSlotEnd, Slot: 0})
 	tot := m.Totals()
 	if tot.Duplicates != 1 || tot.Drops != 1 {
 		t.Errorf("totals %+v, want 1 duplicate and 1 drop", tot)
@@ -144,15 +139,20 @@ func TestLatencyFoldMidRun(t *testing.T) {
 	ref := stats.NewStreamingHist(DefaultLatencyBounds())
 	rng := rand.New(rand.NewSource(34))
 	for slot := core.Slot(0); slot < 6000; slot += core.Slot(1 + rng.Intn(40)) {
+		v := SlotView{T: slot, Ended: true}
 		for k := rng.Intn(6); k > 0; k-- {
 			x := tx(0, core.NodeID(1+rng.Intn(50)), core.Packet(rng.Intn(int(slot)+20)))
 			dup := rng.Intn(8) == 0
-			for _, m := range []*Metrics{mid, end} {
-				m.Deliver(slot, x, dup)
+			if dup {
+				v.Dups = append(v.Dups, len(v.Arrivals))
 			}
+			v.Arrivals = append(v.Arrivals, x)
 			if lag := float64(slot) - float64(x.Packet); !dup && lag >= 0 {
 				ref.Observe(lag)
 			}
+		}
+		for _, m := range []*Metrics{mid, end} {
+			m.Slot(&v)
 		}
 		if slot >= 3000 && mid.Latency().N == 0 {
 			t.Fatal("mid-run read saw no deliveries")
@@ -205,13 +205,11 @@ func TestOccupancyBurst(t *testing.T) {
 	// end of its playback slot start+j).
 	m := NewMetrics()
 	for t := core.Slot(0); t < 7; t++ {
-		m.SlotStart(t, 0)
+		v := SlotView{T: t, Ended: true}
 		if t == 2 {
-			for p := core.Packet(0); p < 3; p++ {
-				m.Deliver(t, tx(0, 1, p), false)
-			}
+			v.Arrivals = []core.Transmission{tx(0, 1, 0), tx(0, 1, 1), tx(0, 1, 2)}
 		}
-		m.SlotEnd(t)
+		m.Slot(&v)
 	}
 	occ := m.OccupancySeries([]core.Slot{0, 3}, 3)
 	if want := []int{0, 0, 3, 3, 2, 1, 0}; !reflect.DeepEqual(occ[1], want) {
@@ -219,21 +217,19 @@ func TestOccupancyBurst(t *testing.T) {
 	}
 }
 
-// TestMetricsAllocs: once a node id has been seen, the callbacks that do
-// not extend a log — SlotStart, Transmit, Drop — must not allocate; the
+// TestMetricsAllocs: once a node id has been seen, a slot that extends no
+// log — sends and drops, and no arrival or end — must not allocate; the
 // fingerprint update in particular is a register loop, not a hash.Hash
 // call with an escaping buffer.
 func TestMetricsAllocs(t *testing.T) {
 	m := NewMetrics()
 	x := tx(7, 9, 3)
-	m.Transmit(0, x) // first sight of the ids grows the per-node table
-	slot := core.Slot(0)
+	v := SlotView{Scheduled: 2, Sent: []core.Transmission{x, x}, Lost: []int{1}}
+	m.Slot(&v) // first sight of the ids grows the per-node table
 	if n := testing.AllocsPerRun(1000, func() {
-		m.SlotStart(slot, 2)
-		m.Transmit(slot, x)
-		m.Drop(slot, x)
-		slot++
+		v.T++
+		m.Slot(&v)
 	}); n != 0 {
-		t.Errorf("Metrics SlotStart/Transmit/Drop allocate %v times per slot, want 0", n)
+		t.Errorf("Metrics.Slot of sends and drops allocates %v times per slot, want 0", n)
 	}
 }

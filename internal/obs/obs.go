@@ -6,41 +6,86 @@ import (
 	"streamcast/internal/core"
 )
 
-// Observer receives per-slot callbacks from the slotsim engine. All
-// callbacks for one run are delivered sequentially from a single goroutine,
-// so implementations need no locking. An implementation may still hand its
-// work to a goroutine of its own: the JSONLWriter writes its io.Writer from
-// its encoder goroutine, from the first batch handoff until Flush returns.
-//
-// Callback order within a slot t is fixed:
-//
-//	SlotStart(t, scheduled)
-//	Transmit / Drop        — one per scheduled transmission, in schedule order
-//	Deliver                — one per arrival at the end of t, in arrival order
-//	SlotEnd(t)
-//
-// A transmission over a link with latency L produces its Transmit event in
-// its send slot and its Deliver event in slot sendSlot+L−1. Violation fires
-// at most once, as the final event of a failed run (the engine aborts).
+// Observer receives one call per executed slot from the slotsim engine, in
+// slot order and from a single goroutine, so implementations need no
+// locking. An implementation may still hand its work to a goroutine of its
+// own: the JSONLWriter writes its io.Writer from its encoder goroutine, from
+// the first batch handoff until Flush returns.
 type Observer interface {
-	// SlotStart opens slot t; scheduled is the number of transmissions the
-	// scheme emitted for the slot (before failure-injection filtering).
-	SlotStart(t core.Slot, scheduled int)
-	// Transmit reports a validated transmission leaving its sender in
-	// slot t.
-	Transmit(t core.Slot, tx core.Transmission)
-	// Deliver reports a transmission arriving at the end of slot t.
-	// duplicate is set when the receiver already held the packet and the
-	// engine discarded the copy (Options.AllowDuplicates).
-	Deliver(t core.Slot, tx core.Transmission, duplicate bool)
-	// Drop reports a transmission the run's in-flight hook lost
-	// (slotsim.Options.Inject): it consumed send capacity but never arrives.
-	Drop(t core.Slot, tx core.Transmission)
-	// Violation reports a broken model constraint; the run aborts after
-	// this event.
-	Violation(t core.Slot, kind string, tx core.Transmission)
-	// SlotEnd closes slot t after all deliveries.
-	SlotEnd(t core.Slot)
+	// Slot reports slot v.T after its deliveries. The view and its slices
+	// belong to the engine and are valid only during the call.
+	Slot(v *SlotView)
+}
+
+// Violation is the model constraint that stopped a run and the transmission
+// that broke it.
+type Violation struct {
+	Kind string
+	Tx   core.Transmission
+}
+
+// SlotView is what one slot did. Read in order, it is the slot's event
+// stream: the slot opens with Scheduled, then each of Sent is a transmit or,
+// when listed in Lost, a drop; then each of Arrivals is a delivery, a
+// duplicate when listed in Dups; then the violation, if any; then, if Ended,
+// the slot's end. A transmission over a link with latency L is in Sent in its
+// send slot and in Arrivals in slot sendSlot+L−1.
+//
+// The slot that stops a run has Ended false and holds only what happened
+// before it stopped: a send-side violation has no Sent, a receive-side one
+// cuts Arrivals before the failing arrival, and an Inject that shortens a
+// link below one slot cuts Sent before the failing transmission and has no
+// Arrivals.
+type SlotView struct {
+	T core.Slot
+	// Scheduled is the number of transmissions the scheme emitted for the
+	// slot, before SkipUnavailable filtering.
+	Scheduled int
+	// Sent holds the validated transmissions, in schedule order.
+	Sent []core.Transmission
+	// Lost holds the ascending indexes into Sent of the transmissions the
+	// run's in-flight hook lost (slotsim.Options.Inject): they consumed send
+	// capacity but never arrive.
+	Lost []int
+	// Arrivals holds the transmissions arriving at the end of the slot, in
+	// arrival order.
+	Arrivals []core.Transmission
+	// Dups holds the ascending indexes into Arrivals of the packets their
+	// receiver already held, which the engine discarded
+	// (slotsim.Options.AllowDuplicates).
+	Dups []int
+	// Violation is the broken model constraint that stops the run, or nil.
+	Violation *Violation
+	// Ended is set when the slot ran to completion.
+	Ended bool
+}
+
+// AppendEvents appends the view's event stream to evs and returns it.
+func (v *SlotView) AppendEvents(evs []Event) []Event {
+	evs = append(evs, Event{Kind: KindSlotStart, Slot: v.T, Scheduled: v.Scheduled})
+	lost := v.Lost
+	for i, tx := range v.Sent {
+		k := KindTransmit
+		if len(lost) > 0 && lost[0] == i {
+			k, lost = KindDrop, lost[1:]
+		}
+		evs = append(evs, Event{Kind: k, Slot: v.T, Tx: tx})
+	}
+	dups := v.Dups
+	for i, tx := range v.Arrivals {
+		dup := len(dups) > 0 && dups[0] == i
+		if dup {
+			dups = dups[1:]
+		}
+		evs = append(evs, Event{Kind: KindDeliver, Slot: v.T, Tx: tx, Dup: dup})
+	}
+	if v.Violation != nil {
+		evs = append(evs, Event{Kind: KindViolation, Slot: v.T, Tx: v.Violation.Tx, Note: v.Violation.Kind})
+	}
+	if v.Ended {
+		evs = append(evs, Event{Kind: KindSlotEnd, Slot: v.T})
+	}
+	return evs
 }
 
 // Kind enumerates recorded event types.
@@ -75,7 +120,7 @@ func (k Kind) String() string {
 	}
 }
 
-// Event is one recorded observer callback in a flat, comparable form.
+// Event is one entry of a slot's event stream in a flat, comparable form.
 type Event struct {
 	Kind Kind
 	Slot core.Slot
@@ -108,103 +153,28 @@ func (e Event) String() string {
 	}
 }
 
-// Recorder is an Observer that appends every callback to Events. It is the
-// reference consumer for equivalence tests (event-stream parity between
-// replays) and the
-// in-memory form of the JSONL trace.
+// Recorder is an Observer that appends every slot's event stream to Events.
+// It is the reference consumer for equivalence tests (event-stream parity
+// between replays) and the in-memory form of the JSONL trace.
 type Recorder struct {
 	Events []Event
 }
 
-// SlotStart implements Observer.
-func (r *Recorder) SlotStart(t core.Slot, scheduled int) {
-	r.Events = append(r.Events, Event{Kind: KindSlotStart, Slot: t, Scheduled: scheduled})
-}
+// Slot implements Observer.
+func (r *Recorder) Slot(v *SlotView) { r.Events = v.AppendEvents(r.Events) }
 
-// Transmit implements Observer.
-func (r *Recorder) Transmit(t core.Slot, tx core.Transmission) {
-	r.Events = append(r.Events, Event{Kind: KindTransmit, Slot: t, Tx: tx})
-}
+// SlotFunc adapts a function to Observer.
+type SlotFunc func(v *SlotView)
 
-// Deliver implements Observer.
-func (r *Recorder) Deliver(t core.Slot, tx core.Transmission, duplicate bool) {
-	r.Events = append(r.Events, Event{Kind: KindDeliver, Slot: t, Tx: tx, Dup: duplicate})
-}
+// Slot implements Observer.
+func (f SlotFunc) Slot(v *SlotView) { f(v) }
 
-// Drop implements Observer.
-func (r *Recorder) Drop(t core.Slot, tx core.Transmission) {
-	r.Events = append(r.Events, Event{Kind: KindDrop, Slot: t, Tx: tx})
-}
-
-// Violation implements Observer.
-func (r *Recorder) Violation(t core.Slot, kind string, tx core.Transmission) {
-	r.Events = append(r.Events, Event{Kind: KindViolation, Slot: t, Tx: tx, Note: kind})
-}
-
-// SlotEnd implements Observer.
-func (r *Recorder) SlotEnd(t core.Slot) {
-	r.Events = append(r.Events, Event{Kind: KindSlotEnd, Slot: t})
-}
-
-// Funcs adapts free functions to Observer; nil fields are skipped. Use it
-// for one-off hooks without writing a full implementation.
-type Funcs struct {
-	OnSlotStart func(t core.Slot, scheduled int)
-	OnTransmit  func(t core.Slot, tx core.Transmission)
-	OnDeliver   func(t core.Slot, tx core.Transmission, duplicate bool)
-	OnDrop      func(t core.Slot, tx core.Transmission)
-	OnViolation func(t core.Slot, kind string, tx core.Transmission)
-	OnSlotEnd   func(t core.Slot)
-}
-
-// SlotStart implements Observer.
-func (f Funcs) SlotStart(t core.Slot, scheduled int) {
-	if f.OnSlotStart != nil {
-		f.OnSlotStart(t, scheduled)
-	}
-}
-
-// Transmit implements Observer.
-func (f Funcs) Transmit(t core.Slot, tx core.Transmission) {
-	if f.OnTransmit != nil {
-		f.OnTransmit(t, tx)
-	}
-}
-
-// Deliver implements Observer.
-func (f Funcs) Deliver(t core.Slot, tx core.Transmission, duplicate bool) {
-	if f.OnDeliver != nil {
-		f.OnDeliver(t, tx, duplicate)
-	}
-}
-
-// Drop implements Observer.
-func (f Funcs) Drop(t core.Slot, tx core.Transmission) {
-	if f.OnDrop != nil {
-		f.OnDrop(t, tx)
-	}
-}
-
-// Violation implements Observer.
-func (f Funcs) Violation(t core.Slot, kind string, tx core.Transmission) {
-	if f.OnViolation != nil {
-		f.OnViolation(t, kind, tx)
-	}
-}
-
-// SlotEnd implements Observer.
-func (f Funcs) SlotEnd(t core.Slot) {
-	if f.OnSlotEnd != nil {
-		f.OnSlotEnd(t)
-	}
-}
-
-// multi fans callbacks out to several observers in order.
+// multi fans each slot out to several observers in order.
 type multi []Observer
 
 // Combine merges observers into one, skipping nils. It returns nil when
-// none remain (preserving the engines' nil-observer fast path) and the
-// observer itself when exactly one remains.
+// none remain (a run nothing observes) and the observer itself when exactly
+// one remains.
 func Combine(os ...Observer) Observer {
 	kept := make(multi, 0, len(os))
 	for _, o := range os {
@@ -222,44 +192,9 @@ func Combine(os ...Observer) Observer {
 	}
 }
 
-// SlotStart implements Observer.
-func (m multi) SlotStart(t core.Slot, scheduled int) {
+// Slot implements Observer.
+func (m multi) Slot(v *SlotView) {
 	for _, o := range m {
-		o.SlotStart(t, scheduled)
-	}
-}
-
-// Transmit implements Observer.
-func (m multi) Transmit(t core.Slot, tx core.Transmission) {
-	for _, o := range m {
-		o.Transmit(t, tx)
-	}
-}
-
-// Deliver implements Observer.
-func (m multi) Deliver(t core.Slot, tx core.Transmission, duplicate bool) {
-	for _, o := range m {
-		o.Deliver(t, tx, duplicate)
-	}
-}
-
-// Drop implements Observer.
-func (m multi) Drop(t core.Slot, tx core.Transmission) {
-	for _, o := range m {
-		o.Drop(t, tx)
-	}
-}
-
-// Violation implements Observer.
-func (m multi) Violation(t core.Slot, kind string, tx core.Transmission) {
-	for _, o := range m {
-		o.Violation(t, kind, tx)
-	}
-}
-
-// SlotEnd implements Observer.
-func (m multi) SlotEnd(t core.Slot) {
-	for _, o := range m {
-		o.SlotEnd(t)
+		o.Slot(v)
 	}
 }

@@ -16,15 +16,11 @@ func tx(from, to core.NodeID, p core.Packet) core.Transmission {
 //	t0: S→1:p0 transmitted and delivered
 //	t1: 1→2:p0 dropped; S→1:p1 delivered as a duplicate
 func replay(o Observer) {
-	o.SlotStart(0, 1)
-	o.Transmit(0, tx(0, 1, 0))
-	o.Deliver(0, tx(0, 1, 0), false)
-	o.SlotEnd(0)
-	o.SlotStart(1, 2)
-	o.Drop(1, tx(1, 2, 0))
-	o.Transmit(1, tx(0, 1, 1))
-	o.Deliver(1, tx(0, 1, 1), true)
-	o.SlotEnd(1)
+	o.Slot(&SlotView{T: 0, Scheduled: 1,
+		Sent: []core.Transmission{tx(0, 1, 0)}, Arrivals: []core.Transmission{tx(0, 1, 0)}, Ended: true})
+	o.Slot(&SlotView{T: 1, Scheduled: 2,
+		Sent: []core.Transmission{tx(1, 2, 0), tx(0, 1, 1)}, Lost: []int{0},
+		Arrivals: []core.Transmission{tx(0, 1, 1)}, Dups: []int{0}, Ended: true})
 }
 
 func TestRecorder(t *testing.T) {
@@ -44,24 +40,26 @@ func TestRecorder(t *testing.T) {
 	if !reflect.DeepEqual(r.Events, want) {
 		t.Errorf("events:\n got %v\nwant %v", r.Events, want)
 	}
+	if views, ok := Views(want); !ok || len(views) != 2 {
+		t.Errorf("Views grouped the stream into %d views (ok %v), want 2", len(views), ok)
+	}
 }
 
-func TestFuncsAndCombine(t *testing.T) {
-	// A Funcs with only some hooks set must not panic on the others.
+func TestSlotFuncAndCombine(t *testing.T) {
 	var delivers int
-	f := Funcs{OnDeliver: func(core.Slot, core.Transmission, bool) { delivers++ }}
+	f := SlotFunc(func(v *SlotView) { delivers += len(v.Arrivals) })
 	var r1, r2 Recorder
 	combined := Combine(nil, &r1, f, nil, &r2)
 	replay(combined)
-	combined.Violation(2, "test", tx(1, 1, 0))
+	combined.Slot(&SlotView{T: 2, Violation: &Violation{Kind: "test", Tx: tx(1, 1, 0)}})
 	if delivers != 2 {
-		t.Errorf("Funcs saw %d delivers, want 2", delivers)
+		t.Errorf("SlotFunc saw %d delivers, want 2", delivers)
 	}
 	if !reflect.DeepEqual(r1.Events, r2.Events) {
 		t.Error("fan-out observers saw different event streams")
 	}
-	if n := len(r1.Events); n != 10 {
-		t.Errorf("recorder saw %d events, want 10", n)
+	if n := len(r1.Events); n != 11 {
+		t.Errorf("recorder saw %d events, want 11", n)
 	}
 
 	if Combine(nil, nil) != nil {

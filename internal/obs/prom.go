@@ -28,7 +28,7 @@ func (m *Metrics) WriteProm(w io.Writer, scheme string) error {
 		{"streamcast_deliveries_total", "Packet arrivals (duplicates included).", tot.Delivers},
 		{"streamcast_duplicates_total", "Arrivals of already-held packets.", tot.Duplicates},
 		{"streamcast_drops_total", "Transmissions lost to failure injection.", tot.Drops},
-		{"streamcast_violations_total", "Model-constraint violations detected.", len(m.violations)},
+		{"streamcast_violations_total", "Model-constraint violations detected.", m.violations},
 	} {
 		if err := counter(c.name, c.help, c.v); err != nil {
 			return err

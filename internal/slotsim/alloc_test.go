@@ -69,7 +69,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 		{"direct", mt, mtOpt},
 		// An idle observer makes the run replay its whole horizon instead of
 		// stopping once the window is complete, so the 64 extra slots run.
-		{"observed", cube, slotsim.Options{Slots: 100, Packets: 8, Mode: core.Live, Observer: obs.Funcs{}}},
+		{"observed", cube, slotsim.Options{Slots: 100, Packets: 8, Mode: core.Live, Observer: obs.SlotFunc(func(*obs.SlotView) {})}},
 		{"drop", mt, dropped},
 		{"latency", mt, late},
 		{"inject", mt, in.Apply(mtOpt)},

@@ -55,8 +55,9 @@
 //   - BuildReport turns a finished run plus an obs.Metrics collector into
 //     a machine-readable obs.RunReport (see OBSERVABILITY.md).
 //
-// Observability: set Options.Observer to receive per-slot callbacks
-// (obs.Observer) — slot boundaries, every transmission, delivery, drop and
-// violation, in a deterministic order. With a nil observer the hook sites
-// reduce to a pointer check and the engine runs at full speed.
+// Observability: set Options.Observer to receive one call per executed slot
+// (obs.Observer) with a view of what the slot did — every transmission,
+// drop, delivery and violation, in a deterministic order. An observed run
+// takes the same path through the engine as a bare one; it only runs to the
+// horizon.
 package slotsim

@@ -46,14 +46,14 @@ func (f DropFunc) DelayTx(core.Transmission, core.Slot) core.Slot { return 0 }
 type Options struct {
 	// Slots is the horizon: an upper bound on the time slots simulated. The
 	// Result is a function of the window's arrivals alone, so a run that
-	// nothing outside the engine can watch — no Observer, Inject or Churn —
-	// ends at the first slot boundary at which every receiver holds the
-	// whole window; with any of those set, and whenever the window never
-	// completes, all Slots slots run. A constraint the
-	// schedule breaks only after that boundary is therefore seen by an
-	// observed or injected run and not by a bare one: the engine validates
-	// what it executes, and check.Static is the validator of a schedule over
-	// a stated horizon.
+	// nothing outside the engine reads or changes — no Observer, Inject or
+	// Churn — ends at the first slot boundary at which every receiver holds
+	// the whole window; with any of those set, and whenever the window never
+	// completes, all Slots slots run, each through the same step. A
+	// constraint the schedule breaks only after that boundary is therefore
+	// seen by an observed or injected run and not by a bare one: the engine
+	// validates what it executes, and check.Static is the validator of a
+	// schedule over a stated horizon.
 	Slots core.Slot
 	// Packets is the measurement window: metrics are computed over packets
 	// 0..Packets-1 and the run fails unless every receiver has received all
@@ -68,10 +68,9 @@ type Options struct {
 	// RecvCap overrides per-node receive capacity. If nil, every node
 	// uses 1.
 	RecvCap CapacityFunc
-	// Observer, if non-nil, receives per-slot event callbacks (slot
-	// boundaries, transmissions, deliveries, drops, violations) in a
-	// deterministic order. A nil Observer costs nothing beyond one pointer
-	// check per event site.
+	// Observer, if non-nil, is handed one view per executed slot, after the
+	// slot's deliveries (obs.SlotView). It changes no slot's work, only how
+	// many slots run (Slots).
 	Observer obs.Observer
 	// Arrivals, if non-nil, asks the run to keep the window's arrival cells:
 	// on success it is overwritten with the run's own cells, which the Runner
@@ -124,7 +123,7 @@ type Options struct {
 // internal/faults provides the seeded, plan-driven implementation.
 type Injector interface {
 	// DropTx reports whether the validated transmission is lost in flight:
-	// it consumes send capacity and produces a Drop observer event, but
+	// it consumes send capacity and is listed in the slot view's Lost, but
 	// never arrives.
 	DropTx(tx core.Transmission, t core.Slot) bool
 	// DelayTx returns the slots added to the link's one for this one
@@ -278,10 +277,9 @@ type engine struct {
 	slots   []uint64
 	sendTab []int32 // per-node send capacities, custom or default
 	recvTab []int32 // per-node receive capacities, custom or default
-	// direct marks a run with no Inject and no Observer: every link takes
-	// exactly 1 slot and the engine's own state is all a slot can change.
-	// step delivers the schedule's slice as it stands, and — absent a churn
-	// source — runSlots ends the run once the window is complete.
+	// direct marks a run with no Observer, Inject or Churn: nothing outside
+	// the engine reads or changes a slot, so runSlots ends the run once the
+	// window is complete.
 	direct bool
 	// pending counts the receivers still missing part of the window: n at run
 	// start, one less each time deliver completes a node.
@@ -397,7 +395,7 @@ func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
 		words:     sc.words,
 		dirtyRows: sc.dirtyRows,
 		stride:    n + 1,
-		direct:    opt.Inject == nil && opt.Observer == nil,
+		direct:    opt.Observer == nil && opt.Inject == nil && opt.Churn == nil,
 		pending:   n,
 		sentSt:    sc.sentSt,
 		recvSt:    sc.recvSt,
@@ -460,16 +458,6 @@ func fillCaps(tab []int32, f CapacityFunc, src int32) []int32 {
 	return tab
 }
 
-// observeFail forwards a violation to the observer before the run aborts.
-func (e *engine) observeFail(err error) error {
-	if e.obs != nil {
-		if v, ok := err.(*Violation); ok {
-			e.obs.Violation(v.Slot, v.Kind, v.Tx)
-		}
-	}
-	return err
-}
-
 // validateSends checks sender-side constraints for the slot's transmissions.
 func (e *engine) validateSends(t core.Slot, txs []core.Transmission) error {
 	tick := e.nextTick()
@@ -496,15 +484,18 @@ func (e *engine) validateSends(t core.Slot, txs []core.Transmission) error {
 	return nil
 }
 
-// deliver applies arrivals scheduled for the end of slot t. A tracked arrival
-// loads its presence word once, to test and set the node's bit, and marks its
-// packet's row dirty only when the packet differs from the one last marked (a
-// repeated mark changes nothing). Hot slices live in locals, kept in registers.
-func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) error {
+// deliver applies arrivals scheduled for the end of slot t and returns how
+// many it applied: all of them, or those before the one that broke a
+// constraint. A duplicate's index goes to the scratch's dups list. A tracked
+// arrival loads its presence word once, to test and set the node's bit, and
+// marks its packet's row dirty only when the packet differs from the one last
+// marked (a repeated mark changes nothing). Hot slices live in locals, kept in
+// registers.
+func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) (int, error) {
 	tick := e.nextTick()
 	recvSt, recvTab, have, cursor := e.recvSt, e.recvTab, e.have, e.cursor
 	marked := core.Packet(-1)
-	for _, tx := range arrivals {
+	for i, tx := range arrivals {
 		id, p := tx.To, tx.Packet
 		st := recvSt[id]
 		c := uint32(1)
@@ -513,28 +504,23 @@ func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) error {
 		}
 		recvSt[id] = uint64(tick)<<32 | uint64(c)
 		if int32(c) > recvTab[id] {
-			return &Violation{t, "receive capacity exceeded", tx}
+			return i, &Violation{t, "receive capacity exceeded", tx}
 		}
 		if id == core.SourceID || p >= e.maxPkt {
 			// The source discards incoming packets; packets beyond the
 			// tracking horizon only count against capacity.
-			if e.obs != nil {
-				e.obs.Deliver(t, tx, false)
-			}
 			continue
 		}
-		i, bit := int(p)*e.words+int(id)>>6, uint64(1)<<(uint(id)&63)
-		w := have[i]
+		k, bit := int(p)*e.words+int(id)>>6, uint64(1)<<(uint(id)&63)
+		w := have[k]
 		if w&bit != 0 {
 			if !e.opt.AllowDuplicates {
-				return &Violation{t, "duplicate packet", tx}
+				return i, &Violation{t, "duplicate packet", tx}
 			}
-			if e.obs != nil {
-				e.obs.Deliver(t, tx, true)
-			}
+			e.sc.dups = append(e.sc.dups, i)
 			continue
 		}
-		have[i] = w | bit
+		have[k] = w | bit
 		if p != marked {
 			e.dirtyRows[int(p)>>6] |= 1 << (uint(p) & 63)
 			marked = p
@@ -564,11 +550,8 @@ func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) error {
 				e.slots[j] |= bit
 			}
 		}
-		if e.obs != nil {
-			e.obs.Deliver(t, tx, false)
-		}
 	}
-	return nil
+	return len(arrivals), nil
 }
 
 // filterUnavailable drops scheduled transmissions whose sender lacks the
@@ -588,70 +571,65 @@ func (e *engine) filterUnavailable(t core.Slot, txs []core.Transmission) []core.
 }
 
 // route assigns each validated transmission to its arrival slot, asking the
-// Inject hook whether it is lost and how long its link takes. Same-slot
-// (latency 1) arrivals are appended to sameSlot and returned; later arrivals
-// go to the in-flight ring. A deterministic Injector sees one
-// schedule-ordered call sequence.
-func (e *engine) route(t core.Slot, txs []core.Transmission, sameSlot []core.Transmission) ([]core.Transmission, error) {
+// Inject hook whether it is lost and how long its link takes, and returns
+// the transmissions it routed and the slot's arrivals: what the in-flight
+// ring holds for t, then the same-slot (latency 1) transmissions. Later
+// arrivals go to the ring, and a lost transmission's index to the scratch's
+// lost list. A deterministic Injector sees one schedule-ordered call
+// sequence. A link shorter than one slot stops the routing there.
+func (e *engine) route(t core.Slot, txs []core.Transmission) (routed, arrivals []core.Transmission, err error) {
 	in := e.opt.Inject
-	for _, tx := range txs {
-		l := core.Slot(1)
-		if in != nil {
-			if in.DropTx(tx, t) {
-				if e.obs != nil {
-					e.obs.Drop(t, tx)
-				}
-				continue // lost in flight; send capacity already spent
-			}
-			x := in.DelayTx(tx, t)
-			if x < 0 {
-				return nil, fmt.Errorf("slotsim: slot %d: Inject.DelayTx returned %d for %s; a link's latency (1 + delay) must be at least 1",
-					t, x, tx)
-			}
-			l += x
+	arrivals = e.sc.ring.drain(t, e.sc.arrive[:0])
+	for i, tx := range txs {
+		if in.DropTx(tx, t) {
+			e.sc.lost = append(e.sc.lost, i)
+			continue // lost in flight; send capacity already spent
 		}
-		if e.obs != nil {
-			e.obs.Transmit(t, tx)
-		}
-		if l == 1 {
-			sameSlot = append(sameSlot, tx)
-		} else {
-			e.sc.ring.enqueue(t+l-1, tx)
+		x := in.DelayTx(tx, t)
+		switch {
+		case x < 0:
+			return txs[:i], nil, fmt.Errorf("slotsim: slot %d: Inject.DelayTx returned %d for %s; a link's latency (1 + delay) must be at least 1",
+				t, x, tx)
+		case x == 0:
+			arrivals = append(arrivals, tx)
+		default:
+			e.sc.ring.enqueue(t+x, tx)
 		}
 	}
-	return sameSlot, nil
+	e.sc.arrive = arrivals // retain grown capacity for later slots
+	return txs, arrivals, nil
 }
 
-// step executes one slot.
+// step executes one slot and then, if the run is observed, hands the
+// observer the slot's view. Without Inject every link takes exactly one slot
+// and nothing is lost in flight, so the schedule's own slice is the slot's
+// arrival list and the route copy is skipped.
 func (e *engine) step(t core.Slot, txs []core.Transmission) error {
-	if e.direct {
-		// Every link takes exactly one slot and nothing observes or drops in
-		// flight, so the schedule's own slice IS the slot's arrival list —
-		// skip the route copy entirely.
-		txs = e.filterUnavailable(t, txs)
-		if err := e.validateSends(t, txs); err != nil {
-			return err
-		}
-		return e.deliver(t, txs)
-	}
-	if e.obs != nil {
-		e.obs.SlotStart(t, len(txs))
-	}
+	scheduled := len(txs)
+	sc := e.sc
+	sc.lost, sc.dups = sc.lost[:0], sc.dups[:0]
 	txs = e.filterUnavailable(t, txs)
-	if err := e.validateSends(t, txs); err != nil {
-		return e.observeFail(err)
+	arrivals := txs
+	err := e.validateSends(t, txs)
+	switch {
+	case err != nil:
+		txs, arrivals = nil, nil
+	case e.opt.Inject != nil:
+		txs, arrivals, err = e.route(t, txs)
 	}
-	// The slot's arrivals: what the ring holds for t, then route's own.
-	sameSlot, err := e.route(t, txs, e.sc.ring.drain(t, e.sc.arrive[:0]))
-	if err != nil {
-		return err
-	}
-	e.sc.arrive = sameSlot // retain grown capacity for later slots
-	if err := e.deliver(t, sameSlot); err != nil {
-		return e.observeFail(err)
+	if err == nil {
+		var n int
+		n, err = e.deliver(t, arrivals)
+		arrivals = arrivals[:n]
 	}
 	if e.obs != nil {
-		e.obs.SlotEnd(t)
+		sc.view = obs.SlotView{T: t, Scheduled: scheduled, Sent: txs, Lost: sc.lost,
+			Arrivals: arrivals, Dups: sc.dups, Ended: err == nil}
+		if v, ok := err.(*Violation); ok {
+			sc.viol = obs.Violation{Kind: v.Kind, Tx: v.Tx}
+			sc.view.Violation = &sc.viol
+		}
+		e.obs.Slot(&sc.view)
 	}
-	return nil
+	return err
 }

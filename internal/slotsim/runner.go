@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"streamcast/internal/core"
+	"streamcast/internal/obs"
 )
 
 // scratch is the reusable allocation arena of one Runner: every buffer the
@@ -38,6 +39,10 @@ type scratch struct {
 	filter    []core.Transmission // SkipUnavailable keep-list
 	arrive    []core.Transmission // same-slot arrival list
 	ring      txRing              // in-flight transmissions keyed by arrival slot
+	lost      []int               // the slot's Sent indexes Inject lost
+	dups      []int               // the slot's duplicate arrival indexes
+	view      obs.SlotView        // the slot lent to the observer
+	viol      obs.Violation       // the view's violation, when it has one
 	eng       engine              // engine state, reset per run
 }
 
@@ -82,7 +87,7 @@ func (r *Runner) runSlots(s core.Scheme, opt Options) (*engine, error) {
 		if err := e.step(t, s.Transmissions(t)); err != nil {
 			return nil, err
 		}
-		if e.pending == 0 && e.direct && e.dyn == nil {
+		if e.pending == 0 && e.direct {
 			// Every receiver holds the whole window and nothing outside the
 			// engine can read a later slot: the Result is already decided.
 			break
@@ -112,9 +117,10 @@ var runnerPool = sync.Pool{New: func() interface{} { return NewRunner() }}
 func Run(s core.Scheme, opt Options) (*Result, error) {
 	r := runnerPool.Get().(*Runner)
 	res, err := r.Run(s, opt)
-	// Drop the run's references (observer, hooks, dynamic scheme) before
-	// pooling so a parked Runner pins only its own scratch.
-	r.sc.eng = engine{}
+	// Drop the run's references (observer, hooks, dynamic scheme, the
+	// schedule slices the last view lent) before pooling so a parked Runner
+	// pins only its own scratch.
+	r.sc.eng, r.sc.view = engine{}, obs.SlotView{}
 	runnerPool.Put(r)
 	return res, err
 }

@@ -51,7 +51,7 @@ func chainOfTwo() *stubScheme {
 // a side effect of how long a measurement happened to run.
 func TestStopRule(t *testing.T) {
 	watched := map[string]func(*Options){
-		"observer": func(o *Options) { o.Observer = obs.Funcs{} },
+		"observer": func(o *Options) { o.Observer = obs.SlotFunc(func(*obs.SlotView) {}) },
 		"injector": func(o *Options) { o.Inject = idleInjector{} },
 	}
 	base := Options{Slots: 6, Packets: 1}
@@ -193,6 +193,32 @@ func TestRunnerReuseAfterEarlyStop(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gotA, wantA) || !reflect.DeepEqual(gotB, wantB) {
 			t.Fatalf("round %d: Results drifted across reuse of an early-stopped Runner", round)
+		}
+	}
+}
+
+// TestObservedRunLendsSchedule: an observer changes no slot's work. Without
+// Inject the arrivals of every view are the schedule's own slice, as on a
+// bare run; with Inject they are route's copy.
+func TestObservedRunLendsSchedule(t *testing.T) {
+	s := chainOfTwo()
+	for _, inject := range []Injector{nil, idleInjector{}} {
+		lent, views := 0, 0
+		opt := Options{Slots: 3, Packets: 1, Inject: inject, Observer: obs.SlotFunc(func(v *obs.SlotView) {
+			views++
+			if own := s.slots[v.T]; len(own) > 0 && &v.Sent[0] == &own[0] && &v.Arrivals[0] == &own[0] {
+				lent++
+			}
+		})}
+		if _, err := Run(s, opt); err != nil {
+			t.Fatal(err)
+		}
+		want := len(s.slots)
+		if inject != nil {
+			want = 0
+		}
+		if views != 3 || lent != want {
+			t.Errorf("inject %v: %d of %d views lend the schedule's slice, want %d of 3", inject, lent, views, want)
 		}
 	}
 }

@@ -99,9 +99,11 @@ func TestObserverAttachmentInvariance(t *testing.T) {
 		}
 		run := c.build(0)
 		top := core.Packet(-1)
-		watched, err := executeKeeping(run, obs.Funcs{
-			OnDeliver: func(_ core.Slot, tx core.Transmission, _ bool) { top = max(top, tx.Packet) },
-		})
+		watched, err := executeKeeping(run, obs.SlotFunc(func(v *obs.SlotView) {
+			for _, tx := range v.Arrivals {
+				top = max(top, tx.Packet)
+			}
+		}))
 		if err != nil {
 			t.Fatalf("%s: observed run: %v", name, err)
 		}
@@ -192,7 +194,7 @@ func TestPrefixStability(t *testing.T) {
 			for _, observed := range []bool{false, true} {
 				var watcher obs.Observer
 				if observed {
-					watcher = obs.Funcs{}
+					watcher = obs.SlotFunc(func(*obs.SlotView) {})
 				}
 				got, err := executeKeeping(c.build(T+k), watcher)
 				if err != nil {
