@@ -37,7 +37,7 @@ func main() {
 	trees := probe.Scheme.(*multitree.Scheme).Tree
 	leaver, crashed := trees.Trees[0][0], trees.Trees[1][0]
 	sc.Packets = rounds * d
-	sc.ChurnKind = faults.ChurnPlan
+	sc.Churn = &faults.Churn{Kind: faults.ChurnPlan}
 
 	// A plan names a leaver by member name; the dynamic family numbers its
 	// initial members like the static tree, so its listing translates.

@@ -200,7 +200,7 @@ func MidStreamSwaps(n, d int) (*Table, error) {
 		{"interior member leaves", interior},
 	} {
 		sc := scenario()
-		sc.ChurnKind = faults.ChurnPlan
+		sc.Churn = &faults.Churn{Kind: faults.ChurnPlan}
 		run, err := spec.BuildWithPlan(sc, &faults.Plan{Churn: []faults.ChurnEvent{
 			{At: leaveSlot, Leave: true, Name: names[c.leaver]},
 		}})

@@ -89,7 +89,7 @@ func FaultDegradation(n, d int, seed int64) (*Table, error) {
 		// live (kind=plan).
 		base := spec.MultiTreeScenario(n, d, multitree.Greedy, core.PreRecorded)
 		if sc.churn {
-			base.ChurnKind = faults.ChurnPlan
+			base.Churn = &faults.Churn{Kind: faults.ChurnPlan}
 		}
 		run, err := spec.BuildWithPlan(base, sc.plan(probe.Tree))
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"streamcast/internal/check"
 	"streamcast/internal/cluster"
 	"streamcast/internal/core"
+	"streamcast/internal/faults"
 	"streamcast/internal/hypercube"
 	"streamcast/internal/multitree"
 	"streamcast/internal/slotsim"
@@ -330,12 +331,11 @@ func ChurnSurvival(n, d, packets int, rates []float64, seed int64) (*Table, erro
 		rate := rates[i%len(rates)]
 		sc := spec.MultiTreeScenario(n, d, multitree.Greedy, core.PreRecorded)
 		sc.Packets = packets
-		sc.ChurnKind = "poisson"
-		sc.ChurnRate = rate
-		sc.ChurnSeed = seed
-		sc.ChurnPolicy = policy
-		// Let the initial construction settle before the first op lands.
-		sc.ChurnBegin = 5
+		sc.Churn = &faults.Churn{
+			Kind: faults.ChurnPoisson, Rate: rate, Seed: seed, Lazy: policy == "lazy",
+			// Let the initial construction settle before the first op lands.
+			Begin: 5,
+		}
 		run, res, err := specResult(sc, false)
 		if err != nil {
 			return nil, err

@@ -56,7 +56,7 @@ func TestChaosCorpus(t *testing.T) {
 		var live *multitree.LiveScheme // the family as the last replay left it
 		if len(plan.Churn) > 0 {
 			build = func() (core.Scheme, slotsim.Options) {
-				ls, lc := liveSource(t, 15, d, false, LiveChurnConfig{Kind: ChurnPlan, Plan: plan, MaxJoins: len(plan.Churn)})
+				ls, lc := liveSource(t, 15, d, false, LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: len(plan.Churn)}, Plan: plan})
 				live = ls
 				return ls, liveOptions(ls, lc, in.Apply(slotsim.Options{Packets: core.Packet(4 * d)}))
 			}

@@ -1,14 +1,15 @@
 package faults
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
 
 // FuzzFaultPlan hardens the plan parser: arbitrary text must either be
-// rejected with an error or parse into a plan that (a) passes Validate,
-// and (b) survives a Format/ParsePlan round trip bit-exactly. The parser
-// must never panic. `make ci` runs this briefly as a fuzz smoke stage;
+// rejected with an error — the same one on every parse — or parse into a
+// plan that (a) passes Validate, and (b) survives a Format/ParsePlan round
+// trip bit-exactly. The parser must never panic. `make ci` runs this briefly as a fuzz smoke stage;
 // `go test -fuzz FuzzFaultPlan ./internal/faults` digs deeper.
 func FuzzFaultPlan(f *testing.F) {
 	f.Add("")
@@ -22,8 +23,12 @@ func FuzzFaultPlan(f *testing.F) {
 	f.Add("loss rate=1e-300 slots=0..\n")
 	f.Add("crash node=99999999999999999999 at=1\n")
 	f.Add(RandomPlan(3, GenOptions{Nodes: 9, Slots: 30, MaxCrash: 2, MaxLoss: 2, MaxDelay: 2, MaxChurn: 6}).Format())
+	f.Add("loss rate=0.1 alpha=1 beta=2 gamma=3 delta=4\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := ParsePlan(src)
+		if _, again := ParsePlan(src); fmt.Sprint(again) != fmt.Sprint(err) {
+			t.Fatalf("two parses of one text disagree: %v, then %v\ninput: %q", err, again, src)
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
 		}

@@ -66,9 +66,6 @@ func NewInjector(p *Plan) (*Injector, error) {
 	return in, nil
 }
 
-// Plan returns the validated plan the injector runs.
-func (in *Injector) Plan() *Plan { return in.plan }
-
 // coin finishes r's hash chain over the transmission coordinates and maps it
 // to [0, 1): uniform(seed, space, index, t, from, to, packet), bit for bit.
 func (r *coinRule) coin(tx core.Transmission, t core.Slot) float64 {

@@ -34,7 +34,7 @@ import (
 // every replay — stepping the source at identical slot boundaries — produces
 // a bit-identical membership history.
 
-// Live-churn generator kinds (LiveChurnConfig.Kind).
+// Live-churn generator kinds (Churn.Kind).
 const (
 	ChurnPlan    = "plan"
 	ChurnPoisson = "poisson"
@@ -50,25 +50,69 @@ const maxChurnRate = 4.0
 // active window is open-ended.
 const wavePeriod = 64
 
-// LiveChurnConfig parameterizes a LiveChurn source.
-type LiveChurnConfig struct {
+// Churn is a churn directive: the op source and what drives it. A scenario
+// holds one per `churn` line and LiveChurnConfig embeds one; Check is the one
+// home of the rules a directive must meet on its own.
+type Churn struct {
 	// Kind selects the op source: ChurnPlan, ChurnPoisson, ChurnFlash or
 	// ChurnWave.
 	Kind string
-	// Seed drives every stochastic verdict (op counts, join/leave coins,
-	// victim picks). For ChurnPlan a zero Seed inherits the plan's.
-	Seed int64
 	// Rate is the expected membership ops per slot for the generator kinds
 	// (the peak rate for flash/wave); it must be 0 for ChurnPlan and in
 	// (0, 4] otherwise.
 	Rate float64
-	// Begin and End bound the generator's active window in slots; End <= 0
-	// means open-ended. ChurnFlash requires a bounded window (the crowd
-	// needs a drain phase). Ignored for ChurnPlan (events carry slots).
+	// Seed drives every stochastic verdict (op counts, join/leave coins,
+	// victim picks). For ChurnPlan a zero Seed inherits the plan's.
+	Seed int64
+	// Lazy selects the lazy repair policy of the churned topology; false is
+	// eager.
+	Lazy bool
+	// Max is the join budget: generator joins beyond it are skipped, plan
+	// joins beyond it abort the run. In a scenario 0 means the family
+	// default (the plan's join count for ChurnPlan, n otherwise), which the
+	// builder resolves before NewLiveChurn, where 0 means no joins.
+	Max int
+	// Begin and End bound the generator's active window in slots; End 0
+	// means open-ended. ChurnFlash requires End > Begin (the crowd needs a
+	// drain phase). ChurnPlan takes no window: its events carry their slots.
 	Begin, End core.Slot
-	// MaxJoins is the join budget: generator joins beyond it are skipped,
-	// plan joins beyond it abort the run. It sizes MaxNodes.
-	MaxJoins int
+}
+
+// Check reports the first rule the directive breaks.
+func (c *Churn) Check() error {
+	switch c.Kind {
+	case ChurnPlan:
+		if c.Rate != 0 {
+			return fmt.Errorf("churn kind=plan takes its events from the fault plan; rate would be ignored")
+		}
+		if c.Begin != 0 || c.End != 0 {
+			return fmt.Errorf("churn kind=plan events carry their own slots; the slots window would be ignored")
+		}
+	case ChurnPoisson, ChurnFlash, ChurnWave:
+		if !(c.Rate > 0 && c.Rate <= maxChurnRate) { // negated form also rejects NaN
+			return fmt.Errorf("churn kind=%s needs a rate in (0, %g], got %g", c.Kind, maxChurnRate, c.Rate)
+		}
+	default:
+		return fmt.Errorf("unknown churn kind %q (want plan, poisson, flash or wave)", c.Kind)
+	}
+	// Every join may add an id, and a run holds at most core.MaxArrivalCells
+	// (node, packet) cells, so a larger budget could never run.
+	if c.Max < 0 || c.Max > core.MaxArrivalCells {
+		return fmt.Errorf("churn max %d is not in [0, %d]", c.Max, core.MaxArrivalCells)
+	}
+	if c.Begin < 0 || c.End < 0 || (c.End > 0 && c.End < c.Begin) {
+		return fmt.Errorf("churn window %d..%d is empty or negative", c.Begin, c.End)
+	}
+	if c.Kind == ChurnFlash && c.End <= c.Begin {
+		return fmt.Errorf("churn kind=flash needs a bounded window (the crowd must drain); got slots=%d..%d", c.Begin, c.End)
+	}
+	return nil
+}
+
+// LiveChurnConfig parameterizes a LiveChurn source.
+type LiveChurnConfig struct {
+	// Churn is the directive, its Max already resolved.
+	Churn
 	// Plan supplies the events for ChurnPlan (it must contain at least one
 	// join/leave event).
 	Plan *Plan
@@ -129,23 +173,11 @@ var _ slotsim.ChurnSource = (*LiveChurn)(nil)
 
 // NewLiveChurn validates the configuration and builds the source.
 func NewLiveChurn(cfg LiveChurnConfig) (*LiveChurn, error) {
-	switch cfg.Kind {
-	case ChurnPlan:
-		if cfg.Plan == nil || len(cfg.Plan.Churn) == 0 {
-			return nil, fmt.Errorf("faults: churn kind=plan needs a plan with join/leave events")
-		}
-		if cfg.Rate != 0 {
-			return nil, fmt.Errorf("faults: churn kind=plan takes its events from the plan; rate must be 0")
-		}
-	case ChurnPoisson, ChurnFlash, ChurnWave:
-		if !(cfg.Rate > 0 && cfg.Rate <= maxChurnRate) {
-			return nil, fmt.Errorf("faults: churn kind=%s needs a rate in (0, %g], got %g", cfg.Kind, maxChurnRate, cfg.Rate)
-		}
-		if cfg.Kind == ChurnFlash && cfg.End <= cfg.Begin {
-			return nil, fmt.Errorf("faults: churn kind=flash needs a bounded window (the crowd must drain); got slots=%d..%d", cfg.Begin, cfg.End)
-		}
-	default:
-		return nil, fmt.Errorf("faults: unknown churn kind %q (want plan, poisson, flash or wave)", cfg.Kind)
+	if err := cfg.Check(); err != nil {
+		return nil, fmt.Errorf("faults: %w", err)
+	}
+	if cfg.Kind == ChurnPlan && (cfg.Plan == nil || len(cfg.Plan.Churn) == 0) {
+		return nil, fmt.Errorf("faults: churn kind=plan needs a plan with join/leave events")
 	}
 	if cfg.Bound <= 0 {
 		return nil, fmt.Errorf("faults: live churn needs a positive per-op swap bound, got %d", cfg.Bound)
@@ -263,7 +295,7 @@ func (lc *LiveChurn) Step(t core.Slot, ds core.DynamicScheme) ([]core.ChurnStats
 			leave := lc.directionAt(t, i)
 			name := ""
 			if !leave {
-				if lc.joins >= lc.cfg.MaxJoins {
+				if lc.joins >= lc.cfg.Max {
 					continue // join budget exhausted
 				}
 				name = fmt.Sprintf("live-%d", lc.nameSeq)
@@ -354,8 +386,8 @@ func (lc *LiveChurn) apply(t core.Slot, ds core.DynamicScheme, leave bool, name 
 			}
 			name = lc.pickList[pick(lc.seed, len(lc.pickList), space, lc.opIdx)].Name
 		}
-	} else if lc.joins >= lc.cfg.MaxJoins {
-		return core.ChurnStats{}, fmt.Errorf("faults: churn op %d (join %q at slot %d): join budget %d exhausted", lc.opIdx+1, name, t, lc.cfg.MaxJoins)
+	} else if lc.joins >= lc.cfg.Max {
+		return core.ChurnStats{}, fmt.Errorf("faults: churn op %d (join %q at slot %d): join budget %d exhausted", lc.opIdx+1, name, t, lc.cfg.Max)
 	}
 	sts, err := ds.ApplyOps(t, []core.TopologyOp{{Leave: leave, Name: name}})
 	if err != nil {

@@ -23,7 +23,7 @@ func liveSource(t *testing.T, n, d int, lazy bool, cfg LiveChurnConfig) (*multit
 		cfg.Bound = multitree.SwapBound(d)
 	}
 	if cfg.MaxNodes == 0 {
-		cfg.MaxNodes = ls.NumReceivers() + cfg.MaxJoins*d
+		cfg.MaxNodes = ls.NumReceivers() + cfg.Max*d
 	}
 	lc, err := NewLiveChurn(cfg)
 	if err != nil {
@@ -89,10 +89,13 @@ func TestLiveChurnConfigValidation(t *testing.T) {
 			c.Kind = ChurnPlan
 			c.Plan = &Plan{Churn: []ChurnEvent{{At: 1, Name: "x"}}}
 			c.Rate = 1
-		}, "rate must be 0"},
+		}, "rate would be ignored"},
 		{"poisson without rate", func(c *LiveChurnConfig) { c.Kind = ChurnPoisson }, "needs a rate"},
 		{"rate above cap", func(c *LiveChurnConfig) { c.Kind = ChurnPoisson; c.Rate = 5 }, "needs a rate"},
 		{"flash unbounded", func(c *LiveChurnConfig) { c.Kind = ChurnFlash; c.Rate = 1 }, "bounded window"},
+		{"flash empty", func(c *LiveChurnConfig) { c.Kind = ChurnFlash; c.Rate = 1; c.Begin, c.End = 5, 5 }, "bounded window"},
+		{"window reversed", func(c *LiveChurnConfig) { c.Kind = ChurnWave; c.Rate = 1; c.Begin, c.End = 9, 3 }, "is empty"},
+		{"budget past the id space", func(c *LiveChurnConfig) { c.Kind = ChurnPoisson; c.Rate = 1; c.Max = 1 << 62 }, "churn max"},
 		{"zero bound", func(c *LiveChurnConfig) { c.Kind = ChurnPoisson; c.Rate = 1; c.Bound = 0 }, "swap bound"},
 		{"zero ceiling", func(c *LiveChurnConfig) { c.Kind = ChurnPoisson; c.Rate = 1; c.MaxNodes = 0 }, "MaxNodes"},
 	}
@@ -110,9 +113,9 @@ func TestLiveChurnConfigValidation(t *testing.T) {
 // topology — every generator kind is a pure hash of (seed, slot).
 func TestLiveChurnGeneratorDeterminism(t *testing.T) {
 	configs := []LiveChurnConfig{
-		{Kind: ChurnPoisson, Seed: 7, Rate: 0.5, MaxJoins: 8},
-		{Kind: ChurnFlash, Seed: 11, Rate: 2, Begin: 10, End: 40, MaxJoins: 12},
-		{Kind: ChurnWave, Seed: 13, Rate: 1.5, MaxJoins: 10},
+		{Churn: Churn{Kind: ChurnPoisson, Seed: 7, Rate: 0.5, Max: 8}},
+		{Churn: Churn{Kind: ChurnFlash, Seed: 11, Rate: 2, Begin: 10, End: 40, Max: 12}},
+		{Churn: Churn{Kind: ChurnWave, Seed: 13, Rate: 1.5, Max: 10}},
 	}
 	for _, cfg := range configs {
 		run := func() ([]LiveOp, []slotsim.Membership, []string) {
@@ -141,7 +144,7 @@ func TestLiveChurnGeneratorDeterminism(t *testing.T) {
 // window and drains through the second — no generated leave before the
 // midpoint, no generated join after it.
 func TestLiveChurnFlashDirection(t *testing.T) {
-	cfg := LiveChurnConfig{Kind: ChurnFlash, Seed: 3, Rate: 2, Begin: 0, End: 30, MaxJoins: 20}
+	cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnFlash, Seed: 3, Rate: 2, Begin: 0, End: 30, Max: 20}}
 	ls, lc := liveSource(t, 10, 2, false, cfg)
 	ops := stepAll(t, ls, lc, 40)
 	if len(ops) == 0 {
@@ -165,9 +168,9 @@ func TestLiveChurnFlashDirection(t *testing.T) {
 // the membership floor are skipped, not errors — the run continues and the
 // counters never cross the limits.
 func TestLiveChurnFloorAndBudget(t *testing.T) {
-	// MaxJoins 0 and Floor at the full membership: every generated op is
+	// Max 0 and Floor at the full membership: every generated op is
 	// skipped, so the log stays empty over a high-rate window.
-	cfg := LiveChurnConfig{Kind: ChurnPoisson, Seed: 5, Rate: 3, MaxJoins: 0, Floor: 10, MaxNodes: 30, Bound: 6}
+	cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPoisson, Seed: 5, Rate: 3, Max: 0}, Floor: 10, MaxNodes: 30, Bound: 6}
 	ls, lc := liveSource(t, 10, 2, false, cfg)
 	if ops := stepAll(t, ls, lc, 60); len(ops) != 0 {
 		t.Fatalf("budget 0 + floor at full membership still applied %d ops", len(ops))
@@ -177,7 +180,7 @@ func TestLiveChurnFloorAndBudget(t *testing.T) {
 	}
 
 	// A real budget is respected exactly.
-	cfg = LiveChurnConfig{Kind: ChurnPoisson, Seed: 5, Rate: 3, MaxJoins: 3}
+	cfg = LiveChurnConfig{Churn: Churn{Kind: ChurnPoisson, Seed: 5, Rate: 3, Max: 3}}
 	ls, lc = liveSource(t, 10, 2, false, cfg)
 	stepAll(t, ls, lc, 120)
 	if lc.Joins() > 3 {
@@ -195,7 +198,7 @@ func TestLiveChurnFloorAndBudget(t *testing.T) {
 // index.
 func TestLiveChurnPlanStrict(t *testing.T) {
 	plan := &Plan{Seed: 9, Churn: []ChurnEvent{{At: 2, Name: "a"}, {At: 3, Name: "b"}}}
-	cfg := LiveChurnConfig{Kind: ChurnPlan, Plan: plan, MaxJoins: 1, Bound: 6, MaxNodes: 30}
+	cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: 1}, Plan: plan, Bound: 6, MaxNodes: 30}
 	ls, lc := liveSource(t, 10, 2, false, cfg)
 	var err error
 	for s := core.Slot(0); s < 10 && err == nil; s++ {
@@ -209,7 +212,7 @@ func TestLiveChurnPlanStrict(t *testing.T) {
 		{At: 1, Leave: true, Name: AnyName},
 		{At: 2, Leave: true, Name: AnyName},
 	}}
-	cfg = LiveChurnConfig{Kind: ChurnPlan, Plan: plan, Floor: 3, Bound: 6, MaxNodes: 10}
+	cfg = LiveChurnConfig{Churn: Churn{Kind: ChurnPlan}, Plan: plan, Floor: 3, Bound: 6, MaxNodes: 10}
 	ls, lc = liveSource(t, 4, 2, false, cfg)
 	err = nil
 	for s := core.Slot(0); s < 10 && err == nil; s++ {
@@ -223,7 +226,7 @@ func TestLiveChurnPlanStrict(t *testing.T) {
 		{At: 1, Name: "late-1"},
 		{At: 2, Leave: true, Name: "ghost"},
 	}}
-	cfg = LiveChurnConfig{Kind: ChurnPlan, Plan: plan, MaxJoins: 1, Bound: 6, MaxNodes: 20}
+	cfg = LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: 1}, Plan: plan, Bound: 6, MaxNodes: 20}
 	ls, lc = liveSource(t, 7, 2, false, cfg)
 	err = nil
 	for s := core.Slot(0); s < 10 && err == nil; s++ {
@@ -247,7 +250,7 @@ func TestLiveChurnSwapBound(t *testing.T) {
 				if len(plan.Churn) == 0 {
 					continue
 				}
-				cfg := LiveChurnConfig{Kind: ChurnPlan, Plan: plan, MaxJoins: len(plan.Churn), CheckInvariants: true}
+				cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: len(plan.Churn)}, Plan: plan, CheckInvariants: true}
 				ls, lc := liveSource(t, 2*d+1, d, lazy, cfg)
 				stepAll(t, ls, lc, 60)
 				sum := lc.Summary()
@@ -276,7 +279,7 @@ func TestLiveChurnPlanWildcardDeterministic(t *testing.T) {
 		{At: 6, Leave: true, Name: AnyName},
 	}}
 	run := func() []string {
-		cfg := LiveChurnConfig{Kind: ChurnPlan, Plan: plan, MaxJoins: 2, Bound: 6, MaxNodes: 20}
+		cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: 2}, Plan: plan, Bound: 6, MaxNodes: 20}
 		ls, lc := liveSource(t, 10, 2, false, cfg)
 		var out []string
 		for _, op := range stepAll(t, ls, lc, 10) {
@@ -309,7 +312,7 @@ func TestLiveChurnBoundEnforced(t *testing.T) {
 		{At: 3, Leave: true, Name: "node-3"},
 		{At: 4, Leave: true, Name: "node-4"},
 	}}
-	cfg := LiveChurnConfig{Kind: ChurnPlan, Plan: plan, Bound: 1, MaxNodes: 30}
+	cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPlan}, Plan: plan, Bound: 1, MaxNodes: 30}
 	ls, lc := liveSource(t, 13, 3, false, cfg)
 	var err error
 	for s := core.Slot(0); s < 10 && err == nil; s++ {
@@ -322,7 +325,7 @@ func TestLiveChurnBoundEnforced(t *testing.T) {
 
 // TestLiveChurnSingleShot: reuse across runs is rejected at the first slot.
 func TestLiveChurnSingleShot(t *testing.T) {
-	cfg := LiveChurnConfig{Kind: ChurnPoisson, Seed: 2, Rate: 0.5, MaxJoins: 2}
+	cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPoisson, Seed: 2, Rate: 0.5, Max: 2}}
 	ls, lc := liveSource(t, 10, 2, false, cfg)
 	stepAll(t, ls, lc, 5)
 	if _, err := lc.Step(0, ls); err == nil || !strings.Contains(err.Error(), "single-shot") {
@@ -338,7 +341,7 @@ func TestLiveChurnMembershipWindows(t *testing.T) {
 		{At: 3, Name: "late"},
 		{At: 7, Leave: true, Name: "node-2"},
 	}}
-	cfg := LiveChurnConfig{Kind: ChurnPlan, Plan: plan, MaxJoins: 1, Bound: 6, MaxNodes: 20}
+	cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: 1}, Plan: plan, Bound: 6, MaxNodes: 20}
 	ls, lc := liveSource(t, 10, 2, false, cfg)
 	stepAll(t, ls, lc, 10)
 	var sawLate, sawLeft bool
@@ -378,7 +381,7 @@ func TestLiveChurnMembershipWindows(t *testing.T) {
 func TestLiveChurnEngineParity(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		run := func() (*slotsim.Result, *slotsim.Arrivals, ChurnSummary) {
-			cfg := LiveChurnConfig{Kind: ChurnPoisson, Seed: 17, Rate: 0.4, Begin: 5, MaxJoins: 6, CheckInvariants: true}
+			cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPoisson, Seed: 17, Rate: 0.4, Begin: 5, Max: 6}, CheckInvariants: true}
 			ls, lc := liveSource(t, 13, 3, lazy, cfg)
 			opt := liveOptions(ls, lc, slotsim.Options{Slots: ls.SteadyState() + 60, Packets: 24})
 			res, err := slotsim.Run(ls, opt)
@@ -409,7 +412,7 @@ func TestLiveChurnEngineParity(t *testing.T) {
 // bound. (TestLiveChurnMembershipWindows checks the aggregates of a run that
 // applied some.)
 func TestSummarizeEdgeCases(t *testing.T) {
-	cfg := LiveChurnConfig{Kind: ChurnPoisson, Seed: 5, Rate: 3, MaxJoins: 0, Floor: 10}
+	cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPoisson, Seed: 5, Rate: 3, Max: 0}, Floor: 10}
 	ls, lc := liveSource(t, 10, 2, false, cfg)
 	stepAll(t, ls, lc, 20)
 	if got, want := lc.Summary(), (ChurnSummary{Bound: multitree.SwapBound(2)}); got != want {
@@ -444,7 +447,7 @@ func (m membersChecked) ApplyOps(t core.Slot, ops []core.TopologyOp) ([]core.Chu
 // shrinks, under both repair policies.
 func TestLiveChurnPickListMatchesMembers(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
-		cfg := LiveChurnConfig{Kind: ChurnPoisson, Seed: 21, Rate: 2, MaxJoins: 40}
+		cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPoisson, Seed: 21, Rate: 2, Max: 40}}
 		ls, lc := liveSource(t, 12, 3, lazy, cfg)
 		ds := membersChecked{LiveScheme: ls, t: t, lc: lc}
 		grew, shrunk := false, false
@@ -489,7 +492,7 @@ func TestLiveChurnRecovers(t *testing.T) {
 				{At: at + 7, Leave: true, Name: AnyName},
 			}}
 			last := at + 7
-			cfg := LiveChurnConfig{Kind: ChurnPlan, Plan: plan, MaxJoins: 3, CheckInvariants: true}
+			cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: 3}, Plan: plan, CheckInvariants: true}
 			ls, lc := liveSource(t, c.n, c.d, lazy, cfg)
 			packets := core.Packet(int(last) + 5*c.d)
 			opt := liveOptions(ls, lc, slotsim.Options{Packets: packets})
@@ -545,7 +548,7 @@ func TestLeaveBlastRadius(t *testing.T) {
 		plan := &Plan{Churn: []ChurnEvent{
 			{At: core.Slot(m.Height()*d + 7), Leave: true, Name: initialName(t, n, d, leaver)},
 		}}
-		ls, lc := liveSource(t, n, d, false, LiveChurnConfig{Kind: ChurnPlan, Plan: plan})
+		ls, lc := liveSource(t, n, d, false, LiveChurnConfig{Churn: Churn{Kind: ChurnPlan}, Plan: plan})
 		opt := liveOptions(ls, lc, slotsim.Options{Packets: packets})
 		if _, err := slotsim.Run(ls, opt); err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package faults
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -192,11 +193,14 @@ func ParsePlan(src string) (*Plan, error) {
 		}
 		fields := strings.Fields(line)
 		directive := fields[0]
-		var args args
+		var a map[string]string
 		if directive != "seed" {
+			allowed, ok := planKeys[directive]
+			if !ok {
+				return nil, fmt.Errorf("faults: line %d: unknown directive %q (want seed, crash, loss, delay, join, or leave)", ln+1, directive)
+			}
 			var err error
-			args, err = parseArgs(fields[1:])
-			if err != nil {
+			if a, err = ParseArgs(fields[1:], allowed...); err != nil {
 				return nil, fmt.Errorf("faults: line %d: %s: %w", ln+1, directive, err)
 			}
 		}
@@ -214,32 +218,23 @@ func ParsePlan(src string) (*Plan, error) {
 			}
 			p.Seed = v
 			seenSeed = true
-		case "crash":
-			r := Rule{Kind: Crash, End: Forever}
-			if err := args.apply(&r, "node", "at"); err != nil {
-				return nil, fmt.Errorf("faults: line %d: crash: %w", ln+1, err)
+		case "crash", "loss", "delay":
+			r := ruleDefaults[directive]
+			if err := applyArgs(&r, a); err != nil {
+				return nil, fmt.Errorf("faults: line %d: %s: %w", ln+1, directive, err)
 			}
-			p.Rules = append(p.Rules, r)
-		case "loss":
-			r := Rule{Kind: Loss, From: Any, To: Any, End: Forever}
-			if err := args.apply(&r, "from", "to", "rate", "slots"); err != nil {
-				return nil, fmt.Errorf("faults: line %d: loss: %w", ln+1, err)
-			}
-			p.Rules = append(p.Rules, r)
-		case "delay":
-			r := Rule{Kind: Delay, From: Any, To: Any, Rate: 1, End: Forever}
-			if err := args.apply(&r, "from", "to", "rate", "extra", "slots"); err != nil {
-				return nil, fmt.Errorf("faults: line %d: delay: %w", ln+1, err)
+			if err := validateRule(r); err != nil {
+				return nil, fmt.Errorf("faults: line %d: %s: %w", ln+1, directive, err)
 			}
 			p.Rules = append(p.Rules, r)
 		case "join", "leave":
 			e := ChurnEvent{Leave: directive == "leave"}
-			name, ok := args["node"]
+			name, ok := a["node"]
 			if !ok {
 				return nil, fmt.Errorf("faults: line %d: %s: missing node=<name>", ln+1, directive)
 			}
 			e.Name = name
-			at, ok := args["at"]
+			at, ok := a["at"]
 			if !ok {
 				return nil, fmt.Errorf("faults: line %d: %s: missing at=<slot>", ln+1, directive)
 			}
@@ -248,20 +243,10 @@ func ParsePlan(src string) (*Plan, error) {
 				return nil, fmt.Errorf("faults: line %d: %s: at: %w", ln+1, directive, err)
 			}
 			e.At = s
-			if err := checkKeys(args, "node", "at"); err != nil {
-				return nil, fmt.Errorf("faults: line %d: %s: %w", ln+1, directive, err)
-			}
 			if err := validateChurn(e); err != nil {
 				return nil, fmt.Errorf("faults: line %d: %s: %w", ln+1, directive, err)
 			}
 			p.Churn = append(p.Churn, e)
-		default:
-			return nil, fmt.Errorf("faults: line %d: unknown directive %q (want seed, crash, loss, delay, join, or leave)", ln+1, directive)
-		}
-		if directive == "crash" || directive == "loss" || directive == "delay" {
-			if err := validateRule(p.Rules[len(p.Rules)-1]); err != nil {
-				return nil, fmt.Errorf("faults: line %d: %s: %w", ln+1, directive, err)
-			}
 		}
 	}
 	return p, nil
@@ -280,11 +265,21 @@ func Load(path string) (*Plan, error) {
 	return p, nil
 }
 
-// args is a parsed key=value directive argument list.
-type args map[string]string
+// planKeys are the arguments each plan directive but seed accepts.
+var planKeys = map[string][]string{
+	"crash": {"node", "at"},
+	"loss":  {"from", "to", "rate", "slots"},
+	"delay": {"from", "to", "rate", "extra", "slots"},
+	"join":  {"node", "at"},
+	"leave": {"node", "at"},
+}
 
-func parseArgs(fields []string) (args, error) {
-	a := make(args, len(fields))
+// ParseArgs reads a directive's key=value arguments, the syntax fault plans
+// and scenario text share. It reports the first malformed, repeated or
+// unknown argument in line order; the caller prefixes the line and the
+// directive.
+func ParseArgs(fields []string, allowed ...string) (map[string]string, error) {
+	a := make(map[string]string, len(fields))
 	for _, f := range fields {
 		k, v, ok := strings.Cut(f, "=")
 		if !ok || k == "" || v == "" {
@@ -293,34 +288,24 @@ func parseArgs(fields []string) (args, error) {
 		if _, dup := a[k]; dup {
 			return nil, fmt.Errorf("duplicate argument %q", k)
 		}
+		if !slices.Contains(allowed, k) {
+			return nil, fmt.Errorf("unknown argument %q (want %s)", k, strings.Join(allowed, ", "))
+		}
 		a[k] = v
 	}
 	return a, nil
 }
 
-// checkKeys rejects arguments outside the allowed set.
-func checkKeys(a args, allowed ...string) error {
-	for k := range a {
-		ok := false
-		for _, want := range allowed {
-			if k == want {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("unknown argument %q (want %s)", k, strings.Join(allowed, ", "))
-		}
-	}
-	return nil
+// ruleDefaults are the fields each rule directive starts from.
+var ruleDefaults = map[string]Rule{
+	"crash": {Kind: Crash, End: Forever},
+	"loss":  {Kind: Loss, From: Any, To: Any, End: Forever},
+	"delay": {Kind: Delay, From: Any, To: Any, Rate: 1, End: Forever},
 }
 
-// apply fills rule fields from the arguments, restricted to the allowed
-// keys of the directive.
-func (a args) apply(r *Rule, allowed ...string) error {
-	if err := checkKeys(a, allowed...); err != nil {
-		return err
-	}
+// applyArgs fills rule fields from its directive's arguments, which
+// ParseArgs has already checked against planKeys.
+func applyArgs(r *Rule, a map[string]string) error {
 	required := map[string]bool{}
 	switch r.Kind {
 	case Crash:
@@ -328,7 +313,7 @@ func (a args) apply(r *Rule, allowed ...string) error {
 	case Loss:
 		required["rate"] = true
 	}
-	for _, key := range allowed {
+	for _, key := range planKeys[r.Kind.String()] {
 		v, ok := a[key]
 		if !ok {
 			if required[key] {

@@ -108,6 +108,18 @@ func TestParsePlanDiagnostics(t *testing.T) {
 	}
 }
 
+// TestUnknownArgumentInLineOrder: of several unknown arguments, the first in
+// line order is the one named, on every parse. A reader that walked a map
+// named a different one from run to run.
+func TestUnknownArgumentInLineOrder(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		_, err := ParsePlan("loss rate=0.1 alpha=1 beta=2 gamma=3 delta=4")
+		if err == nil || !strings.Contains(err.Error(), `unknown argument "alpha"`) {
+			t.Fatalf("parse %d: got %v, want the unknown argument \"alpha\"", i, err)
+		}
+	}
+}
+
 func TestValidateRejectsBadStructs(t *testing.T) {
 	bad := []*Plan{
 		{Rules: []Rule{{Kind: Crash, Node: -1}}},

@@ -50,7 +50,7 @@ func generate(data []byte) (scenario, plan string, drop int, keep bool) {
 			fmt.Fprintf(&b, "param %s=%s\n", p.Name, pick(&d, p.Enum...))
 		}
 	}
-	if !f.HasForcedMode && !f.InternalMode {
+	if f.Mode == spec.AnyMode {
 		if mode := pick(&d, "", "prerecorded", "live", "prebuffered"); mode != "" {
 			fmt.Fprintf(&b, "mode %s\n", mode)
 		}

@@ -204,7 +204,7 @@ func TestOracleDifferential(t *testing.T) {
 			agree(t, builder(t, parsed("scheme multitree\nparam d=3 n=15\n"), func(sc *spec.Scenario) {
 				sc.FaultsFile = path
 				if len(plan.Churn) > 0 {
-					sc.ChurnKind = faults.ChurnPlan
+					sc.Churn = &faults.Churn{Kind: faults.ChurnPlan}
 				}
 			}))
 		})

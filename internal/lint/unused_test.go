@@ -30,8 +30,7 @@ var testOnly = map[string]string{
 	"streamcast/internal/check.KindDuplicate":              "issue-kind vocabulary: tests match the engine's violation kinds by it",
 	"streamcast/internal/obs.ReadEvents":                   "the JSONL trace format's reader, documented for outside tools",
 	"streamcast/internal/stats.StreamingHist.Observe":      "reference: tests hold ObserveN and the Metrics fold to it",
-	"streamcast/internal/faults.Injector.Plan":             "unreviewed",
-	"streamcast/internal/faults.LiveChurn.Ops":             "unreviewed",
+	"streamcast/internal/faults.LiveChurn.Ops":             "test helper: churn tests compare applied ops one by one, slot and member",
 	"streamcast/internal/hypercube.Dynamic.Lazy":           "unreviewed",
 	"streamcast/internal/hypercube.Dynamic.Scheme":         "unreviewed",
 	"streamcast/internal/multitree.Dynamic.Degree":         "unreviewed",

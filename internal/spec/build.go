@@ -67,7 +67,7 @@ func BuildWithPlan(sc *Scenario, plan *faults.Plan) (*Run, error) {
 	f := Lookup(sc.Scheme)
 	v, err := f.resolve(sc.Params)
 	if err != nil {
-		return nil, fmt.Errorf("spec: %w", err)
+		return nil, err
 	}
 
 	if plan == nil && sc.FaultsFile != "" {
@@ -79,8 +79,12 @@ func BuildWithPlan(sc *Scenario, plan *faults.Plan) (*Run, error) {
 			plan.Seed = sc.FaultSeed
 		}
 	}
+	churnKind := ""
+	if sc.Churn != nil {
+		churnKind = sc.Churn.Kind
+	}
 	planChurn := plan != nil && len(plan.Churn) > 0
-	if planChurn && sc.ChurnKind != faults.ChurnPlan {
+	if planChurn && churnKind != faults.ChurnPlan {
 		source := sc.FaultsFile
 		if source == "" {
 			source = "the fault plan"
@@ -90,18 +94,18 @@ func BuildWithPlan(sc *Scenario, plan *faults.Plan) (*Run, error) {
 				source, sc.Scheme)
 		}
 		has := "no churn directive"
-		if sc.ChurnKind != "" {
-			has = "churn kind=" + sc.ChurnKind + ", which generates its own"
+		if churnKind != "" {
+			has = "churn kind=" + churnKind + ", which generates its own"
 		}
 		return nil, fmt.Errorf("spec: %s carries join/leave events, which fire only under `churn kind=plan`, and this run has %s; set the directive or strip the plan's join/leave lines",
 			source, has)
 	}
-	if !planChurn && sc.ChurnKind == faults.ChurnPlan {
+	if !planChurn && churnKind == faults.ChurnPlan {
 		return nil, fmt.Errorf("spec: churn kind=plan needs a fault plan with join/leave events (faults file=... or a programmatic plan)")
 	}
 
-	mode := f.ForcedMode
-	if !f.HasForcedMode && !f.InternalMode {
+	mode := core.Live // LiveOnly; an OwnMode builder sets its own
+	if f.Mode == AnyMode {
 		mode = core.PreRecorded
 		if sc.Mode != "" {
 			mode = modeNames[sc.Mode]
@@ -113,21 +117,18 @@ func BuildWithPlan(sc *Scenario, plan *faults.Plan) (*Run, error) {
 		packets = f.defaultPackets(v)
 	}
 
-	var churn *churnSpec
-	if sc.ChurnKind != "" {
-		churn = &churnSpec{
-			Kind: sc.ChurnKind, Rate: sc.ChurnRate, Seed: sc.ChurnSeed,
-			Lazy: sc.ChurnPolicy == "lazy", Max: sc.ChurnMax,
-			Begin: core.Slot(sc.ChurnBegin), End: core.Slot(sc.ChurnEnd),
-		}
-	}
-
-	out, err := f.build(buildInput{Values: v, Mode: mode, Packets: packets, Plan: plan, Churn: churn})
+	out, err := f.build(buildInput{Values: v, Mode: mode, Packets: packets, Plan: plan, Churn: sc.Churn})
 	if err != nil {
 		return nil, fmt.Errorf("spec: scheme %s: %w", sc.Scheme, err)
 	}
 
 	opt := out.Opt
+	if f.Mode != OwnMode {
+		opt.Mode = mode
+	}
+	if f.Caps.BestEffort {
+		opt.AllowIncomplete = true
+	}
 	opt.Packets = packets
 	if opt.Slots == 0 {
 		opt.Slots = core.Slot(int(packets)) + out.Extra
@@ -135,7 +136,7 @@ func BuildWithPlan(sc *Scenario, plan *faults.Plan) (*Run, error) {
 	if sc.Slots > 0 {
 		opt.Slots = core.Slot(sc.Slots)
 	}
-	if sc.ChurnKind == faults.ChurnPlan {
+	if churnKind == faults.ChurnPlan {
 		for i, e := range plan.Churn {
 			if e.At >= opt.Slots {
 				verb := "join"
@@ -226,7 +227,7 @@ func (r *Run) ChurnReport(res *slotsim.Result) *obs.ChurnSLO {
 	sum := r.Live.Summary()
 	slo := slotsim.PlaybackSLO(res, r.Opt.Arrivals, r.Live.Membership(), churnProbe, r.Live.FirstChurnSlot())
 	return &obs.ChurnSLO{
-		Kind:              r.Scenario.ChurnKind,
+		Kind:              r.Scenario.Churn.Kind,
 		Ops:               sum.Ops,
 		Joins:             r.Live.Joins(),
 		Leaves:            r.Live.Leaves(),

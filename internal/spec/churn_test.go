@@ -22,8 +22,7 @@ func TestChurnDirectiveRoundTrip(t *testing.T) {
 	}
 	want := Scenario{
 		Scheme: "multitree", Params: map[string]string{"n": "30", "d": "3"},
-		ChurnKind: "poisson", ChurnRate: 0.5, ChurnSeed: 11, ChurnMax: 20,
-		ChurnPolicy: "lazy", ChurnBegin: 10, ChurnEnd: 60,
+		Churn: &faults.Churn{Kind: "poisson", Rate: 0.5, Seed: 11, Max: 20, Lazy: true, Begin: 10, End: 60},
 	}
 	if !reflect.DeepEqual(*sc, want) {
 		t.Fatalf("parsed %+v\nwant %+v", *sc, want)
@@ -36,14 +35,14 @@ func TestChurnDirectiveRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed the scenario:\n got %+v\nwant %+v", back, sc)
 	}
 
-	// policy=eager is the canonical default: parsed to the empty policy and
+	// policy=eager is the canonical default: parsed to Lazy false and
 	// omitted from the canonical form.
 	sc2, err := Parse("scheme multitree\nchurn kind=wave rate=2 policy=eager slots=3..\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc2.ChurnPolicy != "" {
-		t.Fatalf("policy=eager stored as %q, want empty", sc2.ChurnPolicy)
+	if sc2.Churn.Lazy {
+		t.Fatal("policy=eager stored as lazy")
 	}
 	if strings.Contains(sc2.Format(), "policy") {
 		t.Fatalf("canonical form spells the default policy: %q", sc2.Format())
@@ -54,39 +53,47 @@ func TestChurnDirectiveRoundTrip(t *testing.T) {
 }
 
 // TestChurnDirectiveDiagnostics: malformed churn directives and invalid
-// churn scenarios are rejected with precise messages.
+// churn scenarios are rejected by Parse with precise messages that name the
+// offending directive's line. The last three rows passed Parse on an earlier
+// version and failed only in Build, without a line.
 func TestChurnDirectiveDiagnostics(t *testing.T) {
-	cases := []struct{ src, want string }{
-		{"scheme multitree\nchurn rate=1\n", "missing kind"},
-		{"scheme multitree\nchurn kind=burst\n", "unknown kind"},
-		{"scheme multitree\nchurn kind=poisson rate=zero\n", "not a positive finite number"},
-		{"scheme multitree\nchurn kind=poisson rate=-1\n", "not a positive finite number"},
-		{"scheme multitree\nchurn kind=poisson rate=Inf\n", "not a positive finite number"},
-		{"scheme multitree\nchurn kind=poisson rate=1 seed=0\n", "non-zero integer"},
-		{"scheme multitree\nchurn kind=poisson rate=1 max=0\n", "positive integer"},
-		{"scheme multitree\nchurn kind=poisson rate=1 policy=maybe\n", "not eager or lazy"},
-		{"scheme multitree\nchurn kind=poisson rate=1 slots=7\n", "not lo..hi"},
-		{"scheme multitree\nchurn kind=poisson rate=1 slots=9..3\n", "at or after"},
-		{"scheme multitree\nchurn kind=poisson rate=1 burst=2\n", "unknown argument"},
-		{"scheme multitree\nchurn kind=poisson rate=1\nchurn kind=wave rate=1\n", "duplicate churn"},
-		{"scheme multitree\nchurn kind=poisson\n", "needs rate"},
-		{"scheme multitree\nchurn kind=flash rate=1\n", "bounded slots window"},
-		{"scheme multitree\nchurn kind=plan rate=1\nfaults file=x.plan\n", "rate would be ignored"},
-		{"scheme multitree\nchurn kind=plan slots=1..5\nfaults file=x.plan\n", "slots window would be ignored"},
-		{"scheme hypercube\nchurn kind=poisson rate=1\n", "cannot run live churn"},
-		{"scheme multitree\nparam construction=structured\nchurn kind=poisson rate=1\n", "cannot churn"},
-		{"scheme multitree\nchurn kind=poisson rate=1\ncheck\n", "drop check"},
+	cases := []struct {
+		src, want string
+		line      int
+	}{
+		{"scheme multitree\nchurn rate=1\n", "missing kind", 2},
+		{"scheme multitree\nchurn kind=burst\n", "unknown churn kind", 2},
+		{"scheme multitree\nchurn kind=poisson rate=zero\n", "is not a number", 2},
+		{"scheme multitree\nchurn kind=poisson rate=-1\n", "needs a rate in (0, 4]", 2},
+		{"scheme multitree\nchurn kind=poisson rate=Inf\n", "needs a rate in (0, 4]", 2},
+		{"scheme multitree\nchurn kind=poisson rate=1 seed=0\n", "non-zero integer", 2},
+		{"scheme multitree\nchurn kind=poisson rate=1 max=0\n", "positive integer", 2},
+		{"scheme multitree\nchurn kind=poisson rate=1 policy=maybe\n", "not eager or lazy", 2},
+		{"scheme multitree\nchurn kind=poisson rate=1 slots=7\n", "not lo..hi", 2},
+		{"scheme multitree\nchurn kind=poisson rate=1 slots=9..3\n", "is empty", 2},
+		{"scheme multitree\nchurn kind=poisson rate=1 burst=2\n", "unknown argument", 2},
+		{"scheme multitree\nchurn kind=poisson rate=1\nchurn kind=wave rate=1\n", "duplicate churn", 3},
+		{"scheme multitree\nchurn kind=poisson\n", "needs a rate", 2},
+		{"scheme multitree\nchurn kind=flash rate=1\n", "bounded window", 2},
+		{"scheme multitree\nchurn kind=plan rate=1\nfaults file=x.plan\n", "rate would be ignored", 2},
+		{"scheme multitree\nchurn kind=plan slots=1..5\nfaults file=x.plan\n", "slots window would be ignored", 2},
+		{"scheme hypercube\nchurn kind=poisson rate=1\n", "cannot run live churn", 2},
+		{"scheme multitree\nparam construction=structured\nchurn kind=poisson rate=1\n", "cannot churn", 3},
+		{"scheme multitree\nchurn kind=poisson rate=1\ncheck\n", "drop check", 2},
+		{"scheme multitree\nparam n=20\nchurn kind=poisson rate=5\n", "needs a rate in (0, 4], got 5", 3},
+		{"scheme multitree\nparam n=20\nchurn kind=flash rate=1 slots=5..5\n", "bounded window", 3},
+		{"scheme multitree\nparam n=20\nchurn kind=poisson rate=1 max=4611686018427387904\n", "churn max 4611686018427387904 is not in", 3},
 	}
 	for _, tc := range cases {
-		if _, err := Parse(tc.src); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%q: got %v, want %q", tc.src, err, tc.want)
+		_, err := Parse(tc.src)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), fmt.Sprintf("line %d: ", tc.line)) {
+			t.Errorf("%q: got %v, want %q on line %d", tc.src, err, tc.want, tc.line)
 		}
 	}
 
-	// Churn fields without a kind are rejected by Validate (programmatic
-	// scenarios cannot smuggle ignored parameters).
-	sc := &Scenario{Scheme: "multitree", ChurnRate: 1}
-	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "without a churn kind") {
+	// A directive built as a value meets the same Check.
+	sc := &Scenario{Scheme: "multitree", Churn: &faults.Churn{Rate: 1}}
+	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "unknown churn kind") {
 		t.Errorf("rate without kind: got %v", err)
 	}
 }
@@ -100,7 +107,7 @@ func churnScenario(t *testing.T, policy string, parallel bool) *Run {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.ChurnPolicy = policy
+	sc.Churn.Lazy = policy == "lazy"
 	if parallel {
 		sc.Parallel, sc.Workers = true, 2
 	}
@@ -271,5 +278,18 @@ func TestChurnPlanPastHorizon(t *testing.T) {
 	}
 	if _, err := BuildWithPlan(auto, plan(5000)); err == nil || !strings.Contains(err.Error(), "would never fire") {
 		t.Fatalf("leave at slot 5000 under the automatic horizon: got %v", err)
+	}
+}
+
+// TestChurnBudgetCeiling: a join budget its Check accepts, but whose id-space
+// ceiling (d fresh ids per join) would pass what a run can hold, is a Build
+// error instead of an overflowed ceiling.
+func TestChurnBudgetCeiling(t *testing.T) {
+	sc, err := Parse("scheme multitree\nparam d=3 n=20\nchurn kind=poisson rate=1 max=1073741824\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(sc); err == nil || !strings.Contains(err.Error(), "id space a run can hold") {
+		t.Fatalf("budget past the id space: got %v", err)
 	}
 }

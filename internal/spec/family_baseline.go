@@ -26,9 +26,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			out := &buildOutput{Scheme: c, Extra: core.Slot(in.Values.Int("n") + 4)}
-			out.Opt.Mode = in.Mode
-			return out, nil
+			return &buildOutput{Scheme: c, Extra: core.Slot(in.Values.Int("n") + 4)}, nil
 		},
 	})
 
@@ -49,7 +47,6 @@ func init() {
 				return nil, err
 			}
 			out := &buildOutput{Scheme: st, Extra: 40}
-			out.Opt.Mode = in.Mode
 			out.Opt.SendCap = st.SendCap
 			return out, nil
 		},

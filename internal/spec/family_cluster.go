@@ -31,7 +31,7 @@ func init() {
 		Caps: Capabilities{StaticCheck: true},
 		// The scheme manages its own mode: cluster.Options always runs
 		// Live with the backbone's Tc latency map.
-		InternalMode: true,
+		Mode: OwnMode,
 		defaultPackets: func(v Values) core.Packet {
 			return core.Packet(3 * v.Int("d"))
 		},

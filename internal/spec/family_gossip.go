@@ -36,9 +36,8 @@ func init() {
 		// The schedule is generated lazily from simulation state: there is
 		// no closed-form bound for internal/check to verify, and missing
 		// packets are expected (best effort).
-		Caps:          Capabilities{BestEffort: true},
-		ForcedMode:    core.Live,
-		HasForcedMode: true,
+		Caps: Capabilities{BestEffort: true},
+		Mode: LiveOnly,
 		defaultPackets: func(v Values) core.Packet {
 			return core.Packet(4 * v.Int("d"))
 		},
@@ -49,10 +48,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			out := &buildOutput{Scheme: g, Extra: core.Slot(12*n/d + 100)}
-			out.Opt.Mode = core.Live
-			out.Opt.AllowIncomplete = true
-			return out, nil
+			return &buildOutput{Scheme: g, Extra: core.Slot(12*n/d + 100)}, nil
 		},
 	})
 }

@@ -16,9 +16,8 @@ func init() {
 			{Name: "n", Kind: Int, Def: "100", Min: 1, Doc: "number of receivers"},
 			{Name: "d", Kind: Int, Def: "3", Min: 1, Doc: "source capacity d (cubes per chain group)"},
 		},
-		Caps:          Capabilities{StaticCheck: true},
-		ForcedMode:    core.Live,
-		HasForcedMode: true,
+		Caps: Capabilities{StaticCheck: true},
+		Mode: LiveOnly,
 		defaultPackets: func(v Values) core.Packet {
 			return core.Packet(4 * v.Int("d"))
 		},
@@ -34,15 +33,13 @@ func init() {
 			for 1<<lg < n+1 {
 				lg++
 			}
-			out := &buildOutput{
+			return &buildOutput{
 				Scheme: h,
 				Extra:  core.Slot((lg+1)*(lg+1) + 4),
 				MkCheck: func(win core.Packet) check.Options {
 					return check.HypercubeOptions(h, win)
 				},
-			}
-			out.Opt.Mode = core.Live
-			return out, nil
+			}, nil
 		},
 	})
 }

@@ -34,8 +34,6 @@ func init() {
 				// rounds of slack beyond the measured window.
 				Extra: core.Slot(m.Height()*d + 3*d),
 			}
-			out.Opt.Mode = in.Mode
-			out.Opt.AllowIncomplete = true
 			out.Opt.SkipUnavailable = true
 			// Round quality is read off single arrivals.
 			out.Opt.Arrivals = new(slotsim.Arrivals)

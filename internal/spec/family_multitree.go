@@ -48,41 +48,40 @@ func multiTreeExtra(m *multitree.MultiTree, d int) core.Slot {
 // join/leave events (Build has checked that the plan and the kind agree);
 // the generator kinds draw their own.
 func buildLiveMultiTree(in buildInput) (*buildOutput, error) {
-	cs := in.Churn
+	c := *in.Churn
 	n, d := in.Values.Int("n"), in.Values.Int("d")
-	dy, err := multitree.NewDynamic(n, d, cs.Lazy)
+	dy, err := multitree.NewDynamic(n, d, c.Lazy)
 	if err != nil {
 		return nil, err
 	}
 	ls := multitree.NewLiveScheme(dy, in.Mode)
 
-	budget := cs.Max
-	if budget == 0 {
-		if cs.Kind == faults.ChurnPlan {
+	if c.Max == 0 {
+		if c.Kind == faults.ChurnPlan {
 			for _, e := range in.Plan.Churn {
 				if !e.Leave {
-					budget++
+					c.Max++
 				}
 			}
 		} else {
-			budget = n
+			c.Max = n
 		}
 	}
 	// Id-space ceiling: every grow is triggered by a join and appends d
 	// fresh ids, while a shrink discards its dummy ids for good — so under
 	// join/leave oscillation across a level boundary the id space can gain
-	// up to d ids per budgeted join.
-	maxNodes := ls.NumReceivers() + budget*d + d
+	// up to d ids per budgeted join. A run holds at most
+	// core.MaxArrivalCells ids, so a ceiling past that is refused here,
+	// before the product could overflow.
+	if c.Max+1 > (core.MaxArrivalCells-ls.NumReceivers())/d {
+		return nil, fmt.Errorf("a join budget of %d with up to d=%d fresh ids per join passes the %d-node id space a run can hold",
+			c.Max, d, core.MaxArrivalCells)
+	}
 	lc, err := faults.NewLiveChurn(faults.LiveChurnConfig{
-		Kind:     cs.Kind,
-		Seed:     cs.Seed,
-		Rate:     cs.Rate,
-		Begin:    cs.Begin,
-		End:      cs.End,
-		MaxJoins: budget,
+		Churn:    c,
 		Plan:     in.Plan,
 		Bound:    multitree.SwapBound(d),
-		MaxNodes: maxNodes,
+		MaxNodes: ls.NumReceivers() + (c.Max+1)*d,
 	})
 	if err != nil {
 		return nil, err
@@ -94,7 +93,6 @@ func buildLiveMultiTree(in buildInput) (*buildOutput, error) {
 		Extra: ls.SteadyState() + core.Slot(4*d+2),
 		Live:  lc,
 	}
-	out.Opt.Mode = in.Mode
 	out.Opt.Churn = lc
 	// Live churn runs degraded by construction: repair gaps cascade as real
 	// losses, and a position swap can re-deliver a packet its new occupant
@@ -130,7 +128,6 @@ func init() {
 					return check.MultiTreeOptions(s, win)
 				},
 			}
-			out.Opt.Mode = in.Mode
 			return out, nil
 		},
 	})

@@ -22,9 +22,8 @@ func init() {
 		},
 		// All modes are probabilistic constructions, so delivery is best
 		// effort — there is no closed-form static bound for internal/check.
-		Caps:          Capabilities{BestEffort: true},
-		ForcedMode:    core.Live,
-		HasForcedMode: true,
+		Caps: Capabilities{BestEffort: true},
+		Mode: LiveOnly,
 		defaultPackets: func(v Values) core.Packet {
 			return core.Packet(4 * v.Int("degree"))
 		},
@@ -49,8 +48,6 @@ func init() {
 				// pipeline's ramp-up.
 				out.Extra = core.Slot(6*degree*bits.Len(uint(n)) + 60)
 			}
-			out.Opt.Mode = core.Live
-			out.Opt.AllowIncomplete = true
 			return out, nil
 		},
 	})

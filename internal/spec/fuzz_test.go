@@ -2,13 +2,15 @@ package spec
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // FuzzScenario hardens the scenario parser exactly as FuzzFaultPlan
 // hardens the fault-plan parser: arbitrary text must either be rejected
-// with an error or parse into a scenario that (a) passes Validate, and
-// (b) survives a Format/Parse round trip bit-exactly. The parser must
+// with an error — naming a line whenever the text has a scheme line — or
+// parse into a scenario that (a) passes Validate and its churn directive's
+// Check, and (b) survives a Format/Parse round trip bit-exactly. The parser must
 // never panic. `make ci` runs this briefly as a fuzz smoke stage;
 // `go test -fuzz FuzzScenario ./internal/spec` digs deeper.
 func FuzzScenario(f *testing.F) {
@@ -31,13 +33,26 @@ func FuzzScenario(f *testing.F) {
 	f.Add("scheme multitree\nchurn kind=flash rate=2 slots=0..40\nparallel workers=4\n")
 	f.Add("scheme multitree\nchurn kind=plan\nfaults file=chaos.plan\n")
 	f.Add("scheme multitree\nchurn kind=wave rate=1e-3 slots=3..\n")
+	// Rejected by Build, without a line, before Validate ran the churn Check.
+	f.Add("scheme multitree\nchurn kind=poisson rate=5\n")
+	f.Add("scheme multitree\nchurn kind=flash rate=1 slots=5..5\n")
+	f.Add("scheme multitree\nchurn kind=poisson rate=1 max=4611686018427387904\n")
+	f.Add("scheme multitree\nparam n=abc\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		sc, err := Parse(src)
 		if err != nil {
+			if hasScheme(src) && !strings.Contains(err.Error(), "line ") {
+				t.Fatalf("diagnostic names no line: %v\ninput: %q", err, src)
+			}
 			return // rejection is fine; panics are not
 		}
 		if err := sc.Validate(); err != nil {
 			t.Fatalf("accepted scenario fails Validate: %v\ninput: %q", err, src)
+		}
+		if sc.Churn != nil {
+			if err := sc.Churn.Check(); err != nil {
+				t.Fatalf("accepted churn directive fails its Check: %v\ninput: %q", err, src)
+			}
 		}
 		text := sc.Format()
 		back, err := Parse(text)
@@ -51,4 +66,14 @@ func FuzzScenario(f *testing.F) {
 			t.Fatalf("Format not stable: %q vs %q", again, text)
 		}
 	})
+}
+
+// hasScheme reports whether the text has a scheme directive line.
+func hasScheme(src string) bool {
+	for _, line := range strings.Split(src, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == "scheme" {
+			return true
+		}
+	}
+	return false
 }

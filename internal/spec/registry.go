@@ -83,6 +83,21 @@ type Capabilities struct {
 	LiveChurn bool
 }
 
+// ModeRule is how a family's stream mode is chosen.
+type ModeRule uint8
+
+const (
+	// AnyMode runs in the scenario's mode, prerecorded without a mode
+	// directive.
+	AnyMode ModeRule = iota
+	// LiveOnly always runs live; a mode directive naming another mode is
+	// rejected.
+	LiveOnly
+	// OwnMode means the scheme sets its stream mode itself (cluster); any
+	// mode directive is rejected.
+	OwnMode
+)
+
 // Values holds a family's fully resolved parameters: every declared
 // parameter is present, defaults filled in, values validated.
 type Values map[string]string
@@ -109,37 +124,26 @@ func (v Values) Int64(name string) int64 {
 // Str returns a parameter's text value.
 func (v Values) Str(name string) string { return v[name] }
 
-// churnSpec is the scenario's live-churn half, resolved for the builder:
-// non-nil only when the scenario carries a churn directive (which Validate
-// has already gated to LiveChurn-capable families).
-type churnSpec struct {
-	Kind       string
-	Rate       float64
-	Seed       int64
-	Lazy       bool
-	Max        int
-	Begin, End core.Slot
-}
-
 // buildInput is what a family builder receives: resolved parameters, the
 // resolved stream mode and packet window, the loaded fault plan (nil
-// without a faults directive), and the live-churn spec (nil
-// without a churn directive).
+// without a faults directive), and the validated churn directive (nil
+// without one).
 type buildInput struct {
 	Values  Values
 	Mode    core.StreamMode
 	Packets core.Packet
 	Plan    *faults.Plan
-	Churn   *churnSpec
+	Churn   *faults.Churn
 }
 
 // buildOutput is what a family builder returns. Build fills Opt.Packets,
 // and Opt.Slots (from Extra) when the builder left it zero.
 type buildOutput struct {
 	Scheme core.Scheme
-	// Opt carries the family's engine defaults (mode, capacities,
-	// AllowIncomplete...). Slots may be pre-set (cluster computes its own
-	// horizon); otherwise Build sets Slots = Packets + Extra.
+	// Opt carries the family's engine defaults (capacities, churn...).
+	// Build sets Mode (unless the family has OwnMode) and, for BestEffort
+	// families, AllowIncomplete. Slots may be pre-set (cluster computes its
+	// own horizon); otherwise Build sets Slots = Packets + Extra.
 	Opt slotsim.Options
 	// Extra is the horizon slack beyond the packet window.
 	Extra core.Slot
@@ -164,13 +168,8 @@ type Family struct {
 	Params []Param
 	// Caps are the family's capability flags.
 	Caps Capabilities
-	// ForcedMode, when HasForcedMode, is the only stream mode the family
-	// runs in; an explicit conflicting mode directive is rejected.
-	ForcedMode    core.StreamMode
-	HasForcedMode bool
-	// InternalMode means the scheme manages its stream mode itself
-	// (cluster); any explicit mode directive is rejected.
-	InternalMode bool
+	// Mode is how the family's stream mode is chosen.
+	Mode ModeRule
 
 	// defaultPackets derives the measurement window when the scenario
 	// does not set one.
@@ -190,22 +189,28 @@ func (f *Family) param(name string) *Param {
 }
 
 // resolve merges explicit parameters over the declared defaults,
-// rejecting undeclared names and ill-typed values.
+// rejecting undeclared names and ill-typed values — the first in name order,
+// so the diagnostic does not depend on map order.
 func (f *Family) resolve(explicit map[string]string) (Values, error) {
 	v := make(Values, len(f.Params))
 	for _, p := range f.Params {
 		v[p.Name] = p.Def
 	}
-	for name, val := range explicit {
+	names := make([]string, 0, len(explicit))
+	for name := range explicit {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		p := f.param(name)
 		if p == nil {
-			return nil, fmt.Errorf("scheme %s does not accept parameter %q (accepts %s)",
+			return nil, reject("param "+name, "scheme %s does not accept parameter %q (accepts %s)",
 				f.Name, name, f.paramNames())
 		}
-		if err := p.validate(val); err != nil {
-			return nil, fmt.Errorf("scheme %s: %w", f.Name, err)
+		if err := p.validate(explicit[name]); err != nil {
+			return nil, reject("param "+name, "scheme %s: %v", f.Name, err)
 		}
-		v[name] = val
+		v[name] = explicit[name]
 	}
 	return v, nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"streamcast/internal/core"
+	"streamcast/internal/faults"
 	"streamcast/internal/multitree"
 	"streamcast/internal/slotsim"
 )
@@ -145,7 +146,7 @@ func TestBuildChurnRequiresMultitree(t *testing.T) {
 		t.Fatalf("churn plan without the directive: got %v, want an error naming %s and `churn kind=plan`", err, path)
 	}
 
-	mt.ChurnKind = "plan"
+	mt.Churn = &faults.Churn{Kind: faults.ChurnPlan}
 	run, err := Build(mt)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 package spec
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"streamcast/internal/core"
+	"streamcast/internal/faults"
 )
 
 // Scenario is a complete, serializable description of one simulation run:
@@ -45,27 +46,9 @@ type Scenario struct {
 	// FaultSeed, when non-zero, overrides the plan's seed.
 	FaultsFile string
 	FaultSeed  int64
-	// ChurnKind selects a live, mid-run churn source ("plan", "poisson",
-	// "flash", "wave"); empty means no live churn. Live churn requires a
-	// family with the LiveChurn capability (multitree).
-	ChurnKind string
-	// ChurnRate is the expected membership ops per slot for the generator
-	// kinds (the peak rate for flash/wave); it must be 0 for kind=plan.
-	ChurnRate float64
-	// ChurnSeed drives every stochastic churn verdict; 0 means the fault
-	// plan's seed (kind=plan) or literally seed 0.
-	ChurnSeed int64
-	// ChurnPolicy selects the repair variant: "" (eager, the canonical
-	// default) or "lazy".
-	ChurnPolicy string
-	// ChurnMax is the join budget; 0 means the family default (the plan's
-	// join count for kind=plan, n otherwise).
-	ChurnMax int
-	// ChurnBegin and ChurnEnd bound the generator's active window in slots;
-	// ChurnEnd 0 means open-ended. Ignored (and required zero) for
-	// kind=plan.
-	ChurnBegin int
-	ChurnEnd   int
+	// Churn is the live, mid-run churn directive; nil means none. Live
+	// churn requires a family with the LiveChurn capability (multitree).
+	Churn *faults.Churn
 	// MetricsOut, TraceOut, ReportOut are the observability outputs
 	// ("-" = stdout, empty = off).
 	MetricsOut string
@@ -104,115 +87,99 @@ func modeWord(m core.StreamMode) string {
 	}
 }
 
+// rejection is a Validate error that names what it rejects: a directive
+// ("mode", "churn", ...) or one parameter ("param n"). Parse puts the line
+// that holds it in front of the message.
+type rejection struct {
+	what, msg string
+}
+
+func (r *rejection) Error() string { return "spec: " + r.msg }
+
+func reject(what, format string, a ...any) error {
+	return &rejection{what: what, msg: fmt.Sprintf(format, a...)}
+}
+
 // Validate checks the scenario against the registry: the family must
 // exist, every parameter must be declared and well-typed, the mode must be
 // one the family runs in, and check/fault/churn combinations must be
 // executable. Scenarios built as values and parsed ones go through the same
-// checks.
+// checks; each rejection names the directive or parameter it rejects.
 func (sc *Scenario) Validate() error {
 	if sc.Scheme == "" {
 		return fmt.Errorf("spec: no scheme selected")
 	}
 	f := Lookup(sc.Scheme)
 	if f == nil {
-		return fmt.Errorf("spec: unknown scheme %q (registered: %s)",
+		return reject("scheme", "unknown scheme %q (registered: %s)",
 			sc.Scheme, strings.Join(SchemeNames(), ", "))
 	}
 	if _, err := f.resolve(sc.Params); err != nil {
-		return fmt.Errorf("spec: %w", err)
+		return err
 	}
 	if sc.Mode != "" {
 		m, ok := modeNames[sc.Mode]
-		if !ok {
-			return fmt.Errorf("spec: unknown mode %q (want prerecorded, live, or prebuffered)", sc.Mode)
-		}
-		if f.InternalMode {
-			return fmt.Errorf("spec: scheme %s manages its stream mode internally; drop the mode directive", sc.Scheme)
-		}
-		if f.HasForcedMode && m != f.ForcedMode {
-			return fmt.Errorf("spec: scheme %s always runs in %s mode; mode %s would be ignored",
-				sc.Scheme, modeWord(f.ForcedMode), sc.Mode)
+		switch {
+		case !ok:
+			return reject("mode", "unknown mode %q (want prerecorded, live, or prebuffered)", sc.Mode)
+		case f.Mode == OwnMode:
+			return reject("mode", "scheme %s manages its stream mode internally; drop the mode directive", sc.Scheme)
+		case f.Mode == LiveOnly && m != core.Live:
+			return reject("mode", "scheme %s always runs in live mode; mode %s would be ignored", sc.Scheme, sc.Mode)
 		}
 	}
 	if sc.Packets < 0 {
-		return fmt.Errorf("spec: packets must be >= 0, got %d", sc.Packets)
+		return reject("packets", "packets must be >= 0, got %d", sc.Packets)
 	}
 	if sc.Slots < 0 {
-		return fmt.Errorf("spec: slots must be >= 0, got %d", sc.Slots)
+		return reject("slots", "slots must be >= 0, got %d", sc.Slots)
 	}
 	if sc.Workers != 0 && !sc.Parallel {
-		return fmt.Errorf("spec: workers is only meaningful with parallel; it would be ignored")
+		return reject("parallel", "workers is only meaningful with parallel; it would be ignored")
 	}
 	if sc.Workers < 0 {
-		return fmt.Errorf("spec: workers must be >= 0, got %d", sc.Workers)
+		return reject("parallel", "workers must be >= 0, got %d", sc.Workers)
 	}
 	if sc.Workers > maxWorkers {
-		return fmt.Errorf("spec: workers must be <= %d, got %d (the directive is accepted and ignored — the engine is single-threaded and results never depended on worker count — but a count this large is a typo)", maxWorkers, sc.Workers)
+		return reject("parallel", "workers must be <= %d, got %d (the directive is accepted and ignored — the engine is single-threaded and results never depended on worker count — but a count this large is a typo)", maxWorkers, sc.Workers)
 	}
 	if sc.Check && !f.Caps.StaticCheck {
-		return fmt.Errorf("spec: scheme %s is not statically checkable (no closed-form schedule for internal/check); drop the check directive", sc.Scheme)
+		return reject("check", "scheme %s is not statically checkable (no closed-form schedule for internal/check); drop the check directive", sc.Scheme)
 	}
 	if sc.FaultSeed != 0 && sc.FaultsFile == "" {
-		return fmt.Errorf("spec: fault seed without a fault plan; it would be ignored")
+		return reject("faults", "fault seed without a fault plan; it would be ignored")
 	}
-	if err := sc.validateChurn(f); err != nil {
-		return err
+	return sc.validateChurn(f)
+}
+
+// validateChurn checks the churn directive: its own rules (faults.Churn.Check)
+// and the ones that span directives — the family must churn, and neither
+// check nor a structured construction can go with it.
+func (sc *Scenario) validateChurn(f *Family) error {
+	if sc.Churn == nil {
+		return nil
+	}
+	if err := sc.Churn.Check(); err != nil {
+		return reject("churn", "%v", err)
+	}
+	if !f.Caps.LiveChurn {
+		return reject("churn", "scheme %s cannot run live churn (no dynamic topology); only churn-capable families (multitree) accept the churn directive", sc.Scheme)
+	}
+	if sc.Check {
+		return reject("churn", "check verifies a static schedule; it cannot preflight a topology that mutates mid-run — drop check or the churn directive")
+	}
+	if sc.Params["construction"] == "structured" {
+		return reject("churn", "live churn runs on the dynamic (greedy-based) family; construction=structured cannot churn")
 	}
 	return nil
 }
 
-// churnKinds are the accepted churn directive kinds (matching the
-// internal/faults live-churn sources).
-var churnKinds = map[string]bool{"plan": true, "poisson": true, "flash": true, "wave": true}
-
-// validateChurn checks the live-churn half of the scenario: without a kind
-// every churn field must be zero (nothing may be silently ignored); with
-// one, the family and per-kind parameter rules apply.
-func (sc *Scenario) validateChurn(f *Family) error {
-	if sc.ChurnKind == "" {
-		if sc.ChurnRate != 0 || sc.ChurnSeed != 0 || sc.ChurnPolicy != "" ||
-			sc.ChurnMax != 0 || sc.ChurnBegin != 0 || sc.ChurnEnd != 0 {
-			return fmt.Errorf("spec: churn parameters without a churn kind; they would be ignored")
-		}
-		return nil
-	}
-	if !churnKinds[sc.ChurnKind] {
-		return fmt.Errorf("spec: unknown churn kind %q (want plan, poisson, flash, or wave)", sc.ChurnKind)
-	}
-	if !f.Caps.LiveChurn {
-		return fmt.Errorf("spec: scheme %s cannot run live churn (no dynamic topology); only churn-capable families (multitree) accept the churn directive", sc.Scheme)
-	}
-	if sc.Check {
-		return fmt.Errorf("spec: check verifies a static schedule; it cannot preflight a topology that mutates mid-run — drop check or the churn directive")
-	}
-	if sc.Params["construction"] == "structured" {
-		return fmt.Errorf("spec: live churn runs on the dynamic (greedy-based) family; construction=structured cannot churn")
-	}
-	if sc.ChurnPolicy != "" && sc.ChurnPolicy != "lazy" {
-		return fmt.Errorf("spec: churn policy %q is not eager or lazy", sc.ChurnPolicy)
-	}
-	if sc.ChurnMax < 0 || sc.ChurnBegin < 0 || sc.ChurnEnd < 0 {
-		return fmt.Errorf("spec: churn max and slots must be >= 0")
-	}
-	if sc.ChurnKind == "plan" {
-		if sc.ChurnRate != 0 {
-			return fmt.Errorf("spec: churn kind=plan takes its events from the fault plan; rate would be ignored")
-		}
-		if sc.ChurnBegin != 0 || sc.ChurnEnd != 0 {
-			return fmt.Errorf("spec: churn kind=plan events carry their own slots; the slots window would be ignored")
-		}
-		return nil
-	}
-	if !(sc.ChurnRate > 0) {
-		return fmt.Errorf("spec: churn kind=%s needs rate > 0", sc.ChurnKind)
-	}
-	if sc.ChurnEnd > 0 && sc.ChurnEnd < sc.ChurnBegin {
-		return fmt.Errorf("spec: churn window %d..%d is empty", sc.ChurnBegin, sc.ChurnEnd)
-	}
-	if sc.ChurnKind == "flash" && sc.ChurnEnd == 0 {
-		return fmt.Errorf("spec: churn kind=flash needs a bounded slots window (the crowd must drain)")
-	}
-	return nil
+// argKeys are the key=value arguments of the directives that take them.
+var argKeys = map[string][]string{
+	"parallel": {"workers"},
+	"faults":   {"file", "seed"},
+	"churn":    {"kind", "rate", "seed", "max", "policy", "slots"},
+	"out":      {"metrics", "trace", "report"},
 }
 
 // Parse reads the text form of a scenario. The format is line based, in
@@ -231,249 +198,192 @@ func (sc *Scenario) validateChurn(f *Family) error {
 //	churn kind=poisson rate=0.5 seed=11 max=20 policy=lazy slots=10..60
 //	out metrics=metrics.prom trace=events.jsonl report=report.json
 //
-// Every diagnostic carries the 1-based line number and the offending
-// directive. Parse validates the result against the registry, so a
-// parameter the selected scheme would ignore is an error, not a no-op.
+// Parse reads the syntax; Validate, which it then runs, holds every other
+// rule, so a parameter the selected scheme would ignore is an error, not a
+// no-op. Every diagnostic of a scenario that names its scheme carries the
+// 1-based line number of the offending directive.
 // Format renders the canonical form; Parse(Format(sc)) reproduces sc.
 func Parse(src string) (*Scenario, error) {
 	sc := &Scenario{}
-	seen := map[string]int{}
-	once := func(ln int, directive string) error {
-		if prev, dup := seen[directive]; dup {
-			return fmt.Errorf("spec: line %d: duplicate %s directive (first on line %d)", ln, directive, prev)
-		}
-		seen[directive] = ln
-		return nil
-	}
+	lines := map[string]int{} // a directive, or "param <name>", → its line
 	for i, raw := range strings.Split(src, "\n") {
-		ln := i + 1
 		line := strings.TrimSpace(raw)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Fields(line)
-		directive := fields[0]
-		rest := fields[1:]
-		switch directive {
-		case "scheme":
-			if err := once(ln, directive); err != nil {
-				return nil, err
-			}
-			if len(rest) != 1 {
-				return nil, fmt.Errorf("spec: line %d: scheme takes exactly one name", ln)
-			}
-			sc.Scheme = rest[0]
-		case "param":
-			if len(rest) == 0 {
-				return nil, fmt.Errorf("spec: line %d: param needs at least one name=value", ln)
-			}
-			for _, f := range rest {
-				k, v, ok := strings.Cut(f, "=")
-				if !ok || k == "" || v == "" {
-					return nil, fmt.Errorf("spec: line %d: param argument %q is not name=value", ln, f)
-				}
-				if _, dup := sc.Params[k]; dup {
-					return nil, fmt.Errorf("spec: line %d: duplicate parameter %q", ln, k)
-				}
-				sc.setParam(k, v)
-			}
-		case "mode":
-			if err := once(ln, directive); err != nil {
-				return nil, err
-			}
-			if len(rest) != 1 {
-				return nil, fmt.Errorf("spec: line %d: mode takes exactly one of prerecorded, live, prebuffered", ln)
-			}
-			if _, ok := modeNames[rest[0]]; !ok {
-				return nil, fmt.Errorf("spec: line %d: unknown mode %q (want prerecorded, live, or prebuffered)", ln, rest[0])
-			}
-			sc.Mode = rest[0]
-		case "packets", "slots":
-			if err := once(ln, directive); err != nil {
-				return nil, err
-			}
-			if len(rest) != 1 {
-				return nil, fmt.Errorf("spec: line %d: %s takes exactly one integer", ln, directive)
-			}
-			n, err := strconv.Atoi(rest[0])
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("spec: line %d: %s %q is not a positive integer", ln, directive, rest[0])
-			}
-			if directive == "packets" {
-				sc.Packets = n
-			} else {
-				sc.Slots = n
-			}
-		case "parallel":
-			if err := once(ln, directive); err != nil {
-				return nil, err
-			}
-			sc.Parallel = true
-			a, err := parseArgs(ln, directive, rest, "workers")
-			if err != nil {
-				return nil, err
-			}
-			if w, ok := a["workers"]; ok {
-				n, err := strconv.Atoi(w)
-				if err != nil || n < 1 {
-					return nil, fmt.Errorf("spec: line %d: parallel: workers %q is not a positive integer", ln, w)
-				}
-				sc.Workers = n
-			}
-		case "check":
-			if err := once(ln, directive); err != nil {
-				return nil, err
-			}
-			if len(rest) != 0 {
-				return nil, fmt.Errorf("spec: line %d: check takes no arguments", ln)
-			}
-			sc.Check = true
-		case "faults":
-			if err := once(ln, directive); err != nil {
-				return nil, err
-			}
-			a, err := parseArgs(ln, directive, rest, "file", "seed")
-			if err != nil {
-				return nil, err
-			}
-			file, ok := a["file"]
-			if !ok {
-				return nil, fmt.Errorf("spec: line %d: faults: missing file=<path>", ln)
-			}
-			sc.FaultsFile = file
-			if s, ok := a["seed"]; ok {
-				v, err := strconv.ParseInt(s, 10, 64)
-				if err != nil || v == 0 {
-					return nil, fmt.Errorf("spec: line %d: faults: seed %q is not a non-zero integer", ln, s)
-				}
-				sc.FaultSeed = v
-			}
-		case "churn":
-			if err := once(ln, directive); err != nil {
-				return nil, err
-			}
-			a, err := parseArgs(ln, directive, rest, "kind", "rate", "seed", "max", "policy", "slots")
-			if err != nil {
-				return nil, err
-			}
-			kind, ok := a["kind"]
-			if !ok {
-				return nil, fmt.Errorf("spec: line %d: churn: missing kind=<plan|poisson|flash|wave>", ln)
-			}
-			if !churnKinds[kind] {
-				return nil, fmt.Errorf("spec: line %d: churn: unknown kind %q (want plan, poisson, flash, or wave)", ln, kind)
-			}
-			sc.ChurnKind = kind
-			if r, ok := a["rate"]; ok {
-				v, err := strconv.ParseFloat(r, 64)
-				if err != nil || !(v > 0) || math.IsInf(v, 0) {
-					return nil, fmt.Errorf("spec: line %d: churn: rate %q is not a positive finite number", ln, r)
-				}
-				sc.ChurnRate = v
-			}
-			if s, ok := a["seed"]; ok {
-				v, err := strconv.ParseInt(s, 10, 64)
-				if err != nil || v == 0 {
-					return nil, fmt.Errorf("spec: line %d: churn: seed %q is not a non-zero integer", ln, s)
-				}
-				sc.ChurnSeed = v
-			}
-			if m, ok := a["max"]; ok {
-				n, err := strconv.Atoi(m)
-				if err != nil || n < 1 {
-					return nil, fmt.Errorf("spec: line %d: churn: max %q is not a positive integer", ln, m)
-				}
-				sc.ChurnMax = n
-			}
-			if p, ok := a["policy"]; ok {
-				switch p {
-				case "eager":
-					// The canonical default; stored as empty so Format omits it.
-				case "lazy":
-					sc.ChurnPolicy = "lazy"
-				default:
-					return nil, fmt.Errorf("spec: line %d: churn: policy %q is not eager or lazy", ln, p)
-				}
-			}
-			if w, ok := a["slots"]; ok {
-				lo, hi, err := parseChurnWindow(w)
-				if err != nil {
-					return nil, fmt.Errorf("spec: line %d: churn: %w", ln, err)
-				}
-				sc.ChurnBegin, sc.ChurnEnd = lo, hi
-			}
-		case "out":
-			if err := once(ln, directive); err != nil {
-				return nil, err
-			}
-			a, err := parseArgs(ln, directive, rest, "metrics", "trace", "report")
-			if err != nil {
-				return nil, err
-			}
-			if len(a) == 0 {
-				return nil, fmt.Errorf("spec: line %d: out needs at least one of metrics=, trace=, report=", ln)
-			}
-			sc.MetricsOut = a["metrics"]
-			sc.TraceOut = a["trace"]
-			sc.ReportOut = a["report"]
-		default:
-			return nil, fmt.Errorf("spec: line %d: unknown directive %q (want scheme, param, mode, packets, slots, parallel, check, faults, churn, or out)", ln, directive)
+		if err := sc.parseLine(i+1, strings.Fields(line), lines); err != nil {
+			return nil, fmt.Errorf("spec: line %d: %w", i+1, err)
 		}
 	}
 	if err := sc.Validate(); err != nil {
+		var r *rejection
+		if errors.As(err, &r) && lines[r.what] > 0 {
+			return nil, fmt.Errorf("spec: line %d: %s", lines[r.what], r.msg)
+		}
 		return nil, err
 	}
 	return sc, nil
 }
 
-// parseChurnWindow parses the churn directive's "lo..hi" / "lo.." window
-// forms (mirroring fault-rule windows). An explicit end must be a positive
-// slot at or after the start; "lo.." leaves the window open-ended (End 0).
-func parseChurnWindow(v string) (lo, hi int, err error) {
-	loS, hiS, ranged := strings.Cut(v, "..")
-	if !ranged {
-		return 0, 0, fmt.Errorf("slots %q is not lo..hi or lo..", v)
+// parseLine reads one directive into sc and records its line under the
+// name Validate's rejections use.
+func (sc *Scenario) parseLine(ln int, fields []string, lines map[string]int) error {
+	directive, rest := fields[0], fields[1:]
+	if directive != "param" {
+		if prev, dup := lines[directive]; dup {
+			return fmt.Errorf("duplicate %s directive (first on line %d)", directive, prev)
+		}
+		lines[directive] = ln
 	}
-	lo, err = strconv.Atoi(loS)
-	if err != nil || lo < 0 {
-		return 0, 0, fmt.Errorf("slots start %q is not a slot number", loS)
+	var a map[string]string
+	if keys, ok := argKeys[directive]; ok {
+		var err error
+		if a, err = faults.ParseArgs(rest, keys...); err != nil {
+			return fmt.Errorf("%s: %w", directive, err)
+		}
 	}
-	if hiS == "" {
-		return lo, 0, nil
+	switch directive {
+	case "scheme":
+		if len(rest) != 1 {
+			return fmt.Errorf("scheme takes exactly one name")
+		}
+		sc.Scheme = rest[0]
+	case "param":
+		if len(rest) == 0 {
+			return fmt.Errorf("param needs at least one name=value")
+		}
+		for _, f := range rest {
+			k, v, ok := strings.Cut(f, "=")
+			if !ok || k == "" || v == "" {
+				return fmt.Errorf("param argument %q is not name=value", f)
+			}
+			if _, dup := sc.Params[k]; dup {
+				return fmt.Errorf("duplicate parameter %q", k)
+			}
+			sc.setParam(k, v)
+			lines["param "+k] = ln
+		}
+	case "mode":
+		if len(rest) != 1 {
+			return fmt.Errorf("mode takes exactly one of prerecorded, live, prebuffered")
+		}
+		sc.Mode = rest[0]
+	case "packets", "slots":
+		if len(rest) != 1 {
+			return fmt.Errorf("%s takes exactly one integer", directive)
+		}
+		n, err := strconv.Atoi(rest[0])
+		if err != nil || n < 1 {
+			return fmt.Errorf("%s %q is not a positive integer", directive, rest[0])
+		}
+		if directive == "packets" {
+			sc.Packets = n
+		} else {
+			sc.Slots = n
+		}
+	case "parallel":
+		sc.Parallel = true
+		if w, ok := a["workers"]; ok {
+			n, err := strconv.Atoi(w)
+			if err != nil || n < 1 {
+				return fmt.Errorf("parallel: workers %q is not a positive integer", w)
+			}
+			sc.Workers = n
+		}
+	case "check":
+		if len(rest) != 0 {
+			return fmt.Errorf("check takes no arguments")
+		}
+		sc.Check = true
+	case "faults":
+		file, ok := a["file"]
+		if !ok {
+			return fmt.Errorf("faults: missing file=<path>")
+		}
+		sc.FaultsFile = file
+		if s, ok := a["seed"]; ok {
+			v, err := strconv.ParseInt(s, 10, 64)
+			if err != nil || v == 0 {
+				return fmt.Errorf("faults: seed %q is not a non-zero integer", s)
+			}
+			sc.FaultSeed = v
+		}
+	case "churn":
+		c, err := parseChurn(a)
+		if err != nil {
+			return fmt.Errorf("churn: %w", err)
+		}
+		sc.Churn = c
+	case "out":
+		if len(a) == 0 {
+			return fmt.Errorf("out needs at least one of metrics=, trace=, report=")
+		}
+		sc.MetricsOut = a["metrics"]
+		sc.TraceOut = a["trace"]
+		sc.ReportOut = a["report"]
+	default:
+		return fmt.Errorf("unknown directive %q (want scheme, param, mode, packets, slots, parallel, check, faults, churn, or out)", directive)
 	}
-	hi, err = strconv.Atoi(hiS)
-	if err != nil || hi < 1 || hi < lo {
-		return 0, 0, fmt.Errorf("slots end %q is not a positive slot at or after %d", hiS, lo)
-	}
-	return lo, hi, nil
+	return nil
 }
 
-// parseArgs parses key=value directive arguments restricted to an allowed
-// key set, with line-precise diagnostics.
-func parseArgs(ln int, directive string, fields []string, allowed ...string) (map[string]string, error) {
-	a := make(map[string]string, len(fields))
-	for _, f := range fields {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok || k == "" || v == "" {
-			return nil, fmt.Errorf("spec: line %d: %s: argument %q is not key=value", ln, directive, f)
-		}
-		if _, dup := a[k]; dup {
-			return nil, fmt.Errorf("spec: line %d: %s: duplicate argument %q", ln, directive, k)
-		}
-		found := false
-		for _, want := range allowed {
-			if k == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("spec: line %d: %s: unknown argument %q (want %s)",
-				ln, directive, k, strings.Join(allowed, ", "))
-		}
-		a[k] = v
+// parseChurn reads the churn directive's arguments. Their rules are
+// faults.Churn.Check's; here only the syntax is read, and the text forms of
+// seed, max and the window end are positive because their 0 means unset.
+func parseChurn(a map[string]string) (*faults.Churn, error) {
+	c := &faults.Churn{Kind: a["kind"]}
+	if c.Kind == "" {
+		return nil, fmt.Errorf("missing kind=<plan|poisson|flash|wave>")
 	}
-	return a, nil
+	if r, ok := a["rate"]; ok {
+		v, err := strconv.ParseFloat(r, 64)
+		if err != nil {
+			return nil, fmt.Errorf("rate %q is not a number", r)
+		}
+		c.Rate = v
+	}
+	if s, ok := a["seed"]; ok {
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err != nil || v == 0 {
+			return nil, fmt.Errorf("seed %q is not a non-zero integer", s)
+		}
+		c.Seed = v
+	}
+	if m, ok := a["max"]; ok {
+		n, err := strconv.Atoi(m)
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("max %q is not a positive integer", m)
+		}
+		c.Max = n
+	}
+	switch p := a["policy"]; p {
+	case "", "eager": // eager is the canonical default, which Format omits
+	case "lazy":
+		c.Lazy = true
+	default:
+		return nil, fmt.Errorf("policy %q is not eager or lazy", p)
+	}
+	if w, ok := a["slots"]; ok {
+		// The "lo..hi" / "lo.." forms of fault-rule windows; "lo.." leaves
+		// the window open-ended (End 0).
+		loS, hiS, ranged := strings.Cut(w, "..")
+		if !ranged {
+			return nil, fmt.Errorf("slots %q is not lo..hi or lo..", w)
+		}
+		lo, err := strconv.Atoi(loS)
+		if err != nil || lo < 0 {
+			return nil, fmt.Errorf("slots start %q is not a slot number", loS)
+		}
+		c.Begin = core.Slot(lo)
+		if hiS != "" {
+			hi, err := strconv.Atoi(hiS)
+			if err != nil || hi < 1 {
+				return nil, fmt.Errorf("slots end %q is not a positive slot", hiS)
+			}
+			c.End = core.Slot(hi)
+		}
+	}
+	return c, nil
 }
 
 // Load reads and parses a scenario file. A relative faults file reference
@@ -534,26 +444,24 @@ func (sc *Scenario) Format() string {
 			fmt.Fprintf(&b, "faults file=%s\n", sc.FaultsFile)
 		}
 	}
-	if sc.ChurnKind != "" {
-		fmt.Fprintf(&b, "churn kind=%s", sc.ChurnKind)
-		if sc.ChurnRate != 0 {
-			fmt.Fprintf(&b, " rate=%s", strconv.FormatFloat(sc.ChurnRate, 'g', -1, 64))
+	if c := sc.Churn; c != nil {
+		fmt.Fprintf(&b, "churn kind=%s", c.Kind)
+		if c.Rate != 0 {
+			fmt.Fprintf(&b, " rate=%s", strconv.FormatFloat(c.Rate, 'g', -1, 64))
 		}
-		if sc.ChurnSeed != 0 {
-			fmt.Fprintf(&b, " seed=%d", sc.ChurnSeed)
+		if c.Seed != 0 {
+			fmt.Fprintf(&b, " seed=%d", c.Seed)
 		}
-		if sc.ChurnMax != 0 {
-			fmt.Fprintf(&b, " max=%d", sc.ChurnMax)
+		if c.Max != 0 {
+			fmt.Fprintf(&b, " max=%d", c.Max)
 		}
-		if sc.ChurnPolicy != "" {
-			fmt.Fprintf(&b, " policy=%s", sc.ChurnPolicy)
+		if c.Lazy {
+			b.WriteString(" policy=lazy")
 		}
-		if sc.ChurnBegin != 0 || sc.ChurnEnd != 0 {
-			if sc.ChurnEnd > 0 {
-				fmt.Fprintf(&b, " slots=%d..%d", sc.ChurnBegin, sc.ChurnEnd)
-			} else {
-				fmt.Fprintf(&b, " slots=%d..", sc.ChurnBegin)
-			}
+		if c.End > 0 {
+			fmt.Fprintf(&b, " slots=%d..%d", c.Begin, c.End)
+		} else if c.Begin != 0 {
+			fmt.Fprintf(&b, " slots=%d..", c.Begin)
 		}
 		b.WriteString("\n")
 	}

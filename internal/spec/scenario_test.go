@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -85,39 +86,45 @@ func TestFormatRoundTrip(t *testing.T) {
 // would otherwise silently ignore, with line numbers.
 func TestParseDiagnostics(t *testing.T) {
 	cases := []struct {
-		src  string
-		want string
+		src, want string
+		// line is the line the message must name; 0 only where the text
+		// names no scheme, so no directive can be blamed.
+		line int
 	}{
-		{"scheme nosuch\n", `unknown scheme "nosuch"`},
-		{"param n=5\n", "no scheme selected"},
-		{"scheme multitree\nbogus 3\n", `line 2: unknown directive "bogus"`},
-		{"scheme multitree\nparam n=x\n", `n="x" is not an integer`},
-		{"scheme multitree\nparam n=0\n", "n must be >= 1"},
+		{"scheme nosuch\n", `unknown scheme "nosuch"`, 1},
+		{"param n=5\n", "no scheme selected", 0},
+		{"scheme multitree\nbogus 3\n", `line 2: unknown directive "bogus"`, 2},
+		{"scheme multitree\nparam n=x\n", `n="x" is not an integer`, 2},
+		{"scheme multitree\nparam n=0\n", "n must be >= 1", 2},
 		// The satellite cases: parameters the legacy CLI accepted and
 		// silently ignored are now precise errors.
-		{"scheme hypercube\nparam construction=structured\n", `hypercube does not accept parameter "construction"`},
-		{"scheme multitree\nparam tc=5\n", `multitree does not accept parameter "tc"`},
-		{"scheme chain\nparam d=3\n", `chain does not accept parameter "d"`},
-		{"scheme hypercube\nmode prerecorded\n", "always runs in live mode"},
-		{"scheme cluster\nmode live\n", "manages its stream mode internally"},
-		{"scheme gossip\ncheck\n", "not statically checkable"},
-		{"scheme mdc\ncheck\n", "not statically checkable"},
-		{"scheme randreg\ncheck\n", "not statically checkable"},
-		{"scheme multitree\nparam n=5 n=6\n", `duplicate parameter "n"`},
-		{"scheme multitree\nscheme chain\n", "duplicate scheme directive"},
-		{"scheme multitree\nmode nosuch\n", `unknown mode "nosuch"`},
-		{"scheme multitree\npackets 0\n", "not a positive integer"},
+		{"scheme hypercube\nparam construction=structured\n", `hypercube does not accept parameter "construction"`, 2},
+		{"scheme multitree\nparam tc=5\n", `multitree does not accept parameter "tc"`, 2},
+		{"scheme chain\nparam d=3\n", `chain does not accept parameter "d"`, 2},
+		{"scheme hypercube\nmode prerecorded\n", "always runs in live mode", 2},
+		{"scheme cluster\nmode live\n", "manages its stream mode internally", 2},
+		{"scheme gossip\ncheck\n", "not statically checkable", 2},
+		{"scheme mdc\ncheck\n", "not statically checkable", 2},
+		{"scheme randreg\ncheck\n", "not statically checkable", 2},
+		{"scheme multitree\nparam n=5 n=6\n", `duplicate parameter "n"`, 2},
+		{"scheme multitree\nscheme chain\n", "duplicate scheme directive", 2},
+		{"scheme multitree\nmode nosuch\n", `unknown mode "nosuch"`, 2},
+		{"scheme multitree\npackets 0\n", "not a positive integer", 2},
 		// There is one engine: the directive that chose between two is gone,
 		// whichever it names.
-		{"scheme multitree\nengine runtime\n", `line 2: unknown directive "engine"`},
-		{"scheme multitree\nparam n=30\nengine slotsim\n", `line 3: unknown directive "engine"`},
-		{"scheme multitree\nparallel workers=0\n", "not a positive integer"},
-		{"scheme multitree\nfaults seed=3\n", "missing file="},
-		{"scheme multitree\nfaults file=x.plan bogus=1\n", `unknown argument "bogus"`},
-		{"scheme multitree\nout\n", "out needs at least one of"},
-		{"scheme gossip\nparam strategy=pull-eager\n", "is not one of"},
-		{"scheme multitree\nparam swaps=10:1:2\n", `multitree does not accept parameter "swaps"`},
-		{"scheme multitree\nparam construction=dfs\n", "is not one of"},
+		{"scheme multitree\nengine runtime\n", `line 2: unknown directive "engine"`, 2},
+		{"scheme multitree\nparam n=30\nengine slotsim\n", `line 3: unknown directive "engine"`, 3},
+		{"scheme multitree\nparallel workers=0\n", "not a positive integer", 2},
+		{"scheme multitree\nfaults seed=3\n", "missing file=", 2},
+		{"scheme multitree\nfaults file=x.plan bogus=1\n", `unknown argument "bogus"`, 2},
+		{"scheme multitree\nout\n", "out needs at least one of", 2},
+		{"scheme gossip\nparam strategy=pull-eager\n", "is not one of", 2},
+		{"scheme multitree\nparam swaps=10:1:2\n", `multitree does not accept parameter "swaps"`, 2},
+		{"scheme multitree\nparam construction=dfs\n", "is not one of", 2},
+		// Validate's rejections of a parameter or a directive name its line.
+		{"scheme multitree\nparam n=abc\n", `n="abc" is not an integer`, 2},
+		{"scheme multitree\nparam d=3\n\n# n is next\nparam n=abc\nmode live\n", `n="abc" is not an integer`, 5},
+		{"scheme hypercube\nparam n=20\nmode prerecorded\npackets 4\n", "always runs in live mode", 3},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)
@@ -127,6 +134,10 @@ func TestParseDiagnostics(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Parse(%q) = %v, want error containing %q", c.src, err, c.want)
+		}
+		if at := fmt.Sprintf("line %d: ", c.line); c.line > 0 && !strings.Contains(err.Error(), at) ||
+			c.line == 0 && strings.Contains(err.Error(), "line ") {
+			t.Errorf("Parse(%q) = %v, want it to name line %d", c.src, err, c.line)
 		}
 	}
 }
