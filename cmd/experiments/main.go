@@ -26,16 +26,9 @@ type runner struct {
 	run  func() (*experiments.Table, error)
 }
 
-func main() {
-	var (
-		which   = flag.String("run", "all", "experiment id or 'all'")
-		csv     = flag.Bool("csv", false, "emit CSV")
-		out     = flag.String("out", "", "directory to write per-table files into")
-		quick   = flag.Bool("quick", false, "smaller sweeps for a fast pass")
-		reports = flag.String("reports", "", "directory to write a JSON run report per simulation into")
-	)
-	flag.Parse()
-
+// runners lists every experiment in `-run all` order, at the full sizes
+// results/ records or, with quick, at the smaller -quick sizes.
+func runners(quick bool) []runner {
 	fig4Max, fig4Step := 2000, 100
 	table1Ns := []int{15, 63, 127, 255, 511, 1023}
 	boundNs := []int{20, 50, 100, 250, 500, 1000}
@@ -48,7 +41,7 @@ func main() {
 	churnPackets := 200
 	churnRates := []float64{0.25, 0.5, 1}
 	faultsN := 60
-	if *quick {
+	if quick {
 		fig4Max, fig4Step = 400, 100
 		table1Ns = []int{15, 63}
 		boundNs = []int{20, 100}
@@ -64,11 +57,11 @@ func main() {
 	}
 
 	schemesN := 40
-	if *quick {
+	if quick {
 		schemesN = 16
 	}
 
-	all := []runner{
+	return []runner{
 		{"schemes", func() (*experiments.Table, error) {
 			return experiments.SchemeMatrix(schemesN)
 		}},
@@ -124,6 +117,19 @@ func main() {
 			return experiments.RandRegFrontier(rrNs, 3, rrTrials, 1)
 		}},
 	}
+}
+
+func main() {
+	var (
+		which   = flag.String("run", "all", "experiment id or 'all'")
+		csv     = flag.Bool("csv", false, "emit CSV")
+		out     = flag.String("out", "", "directory to write per-table files into")
+		quick   = flag.Bool("quick", false, "smaller sweeps for a fast pass")
+		reports = flag.String("reports", "", "directory to write a JSON run report per simulation into")
+	)
+	flag.Parse()
+
+	all := runners(*quick)
 
 	if *reports != "" {
 		if err := os.MkdirAll(*reports, 0o755); err != nil {

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"streamcast/internal/core"
 	"streamcast/internal/multitree"
+	"streamcast/internal/randreg"
 	"streamcast/internal/slotsim"
 	"streamcast/internal/spec"
 	"streamcast/internal/stats"
@@ -36,18 +39,28 @@ func RandRegFrontier(ns []int, degree, trials int, baseSeed int64) (*Table, erro
 			"N", "scheme", "trials", "p50 delay", "p99 delay", "max delay", "max buffer", "missing",
 		},
 	}
-	// One task per simulation, in the table's own order — per population
-	// size the two deterministic schemes, then every (mode, trial) — so the
+	// One task per simulation — per population size the two deterministic
+	// schemes, then every trial's three modes in a row (seed-major) — so the
 	// largest size's runs spread over the workers instead of queueing behind
 	// one. Each task leaves its receivers' delays, worst buffer and missing
 	// count in its own cell; rows are assembled afterwards, pooling trials in
-	// seed order.
+	// seed order. The three modes of a seed run on one digraph, drawn by
+	// whichever of them starts first and dropped when the last one finishes,
+	// so at most a few graphs are live however many trials the table has.
 	modes := []string{"latin", "pull", "push"}
 	seeds := stats.TrialSeeds(baseSeed, trials)
 	perN := 2 + len(modes)*trials
 	type outcome struct {
 		delays          []float64
 		maxBuf, missing int
+	}
+	graphs := make([]sharedGraph, len(ns)*trials)
+	for i := range graphs {
+		n, seed := ns[i/trials], seeds[i%trials]
+		graphs[i].draw = sync.OnceValues(func() (*randreg.Digraph, error) {
+			return spec.RandRegGraph(n, degree, seed)
+		})
+		graphs[i].users.Store(int32(len(modes)))
 	}
 	runs := make([]outcome, len(ns)*perN)
 	err := forEachTask(len(runs), func(i int) error {
@@ -64,9 +77,15 @@ func RandRegFrontier(ns []int, degree, trials int, baseSeed int64) (*Table, erro
 			sc.Packets = 3 * degree
 			what = fmt.Sprintf("hypercube n=%d", n)
 		default:
-			mode, seed := modes[(k-2)/trials], seeds[(k-2)%trials]
-			sc = spec.RandRegScenario(n, degree, mode, seed)
-			what = fmt.Sprintf("mode=%s n=%d seed=%d", mode, n, seed)
+			trial, mode := (k-2)/len(modes), modes[(k-2)%len(modes)]
+			what = fmt.Sprintf("mode=%s n=%d seed=%d", mode, n, seeds[trial])
+			shared := &graphs[i/perN*trials+trial]
+			g, err := shared.draw()
+			if err != nil {
+				return fmt.Errorf("randreg: %s: %w", what, err)
+			}
+			defer shared.release()
+			sc = spec.RandRegScenarioOn(g, mode, seeds[trial])
 		}
 		_, res, err := specResult(sc, false)
 		if err != nil {
@@ -91,7 +110,8 @@ func RandRegFrontier(ns []int, degree, trials int, baseSeed int64) (*Table, erro
 		for m, mode := range modes {
 			var q stats.TrialQuantiles
 			maxBuf, missing := 0, 0
-			for _, o := range at[2+m*trials : 2+(m+1)*trials] {
+			for trial := 0; trial < trials; trial++ {
+				o := at[2+trial*len(modes)+m]
 				q.AddTrial(o.delays)
 				maxBuf = max(maxBuf, o.maxBuf)
 				missing += o.missing
@@ -101,4 +121,20 @@ func RandRegFrontier(ns []int, degree, trials int, baseSeed int64) (*Table, erro
 		}
 	}
 	return t, nil
+}
+
+// sharedGraph is one (N, seed) digraph of RandRegFrontier, shared by that
+// seed's runs: draw returns the same graph to each of them, and release,
+// once every user has called it, drops the table's reference.
+type sharedGraph struct {
+	draw  func() (*randreg.Digraph, error)
+	users atomic.Int32
+}
+
+// release marks one user done; the last one lets the graph go. Every user
+// called draw before its release, so nothing reads draw after it is cleared.
+func (s *sharedGraph) release() {
+	if s.users.Add(-1) == 0 {
+		s.draw = nil
+	}
 }

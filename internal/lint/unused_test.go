@@ -37,7 +37,6 @@ var testOnly = map[string]string{
 	"streamcast/internal/multitree.Interior":               "unreviewed",
 	"streamcast/internal/multitree.LiveScheme.Dynamic":     "unreviewed",
 	"streamcast/internal/multitree.MultiTree.InteriorTree": "unreviewed",
-	"streamcast/internal/randreg.Scheme.Digraph":           "unreviewed",
 }
 
 // declKey names a package-level object, or a method by its receiver's type.

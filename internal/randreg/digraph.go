@@ -162,6 +162,11 @@ func intRows(nodes, d, fill int) [][]int {
 	for i := range flat {
 		flat[i] = fill
 	}
+	return rowsOf(flat, nodes, d)
+}
+
+// rowsOf cuts flat into nodes capacity-clamped rows of d.
+func rowsOf(flat []int, nodes, d int) [][]int {
 	rows := make([][]int, nodes)
 	for v := range rows {
 		rows[v] = flat[v*d : (v+1)*d : (v+1)*d]
@@ -177,8 +182,11 @@ func intRows(nodes, d, fill int) [][]int {
 // tail's and head's free colors differ.
 func (g *Digraph) colorEdges(to []int) {
 	nodes, d := g.Nodes, g.D
-	outc := intRows(nodes, d, -1) // outc[v][c] = head of v's color-c edge, -1 free
-	inc := intRows(nodes, d, -1)  // inc[u][c] = tail of u's color-c edge, -1 free
+	outc := make([]int, nodes*d) // outc[v·d+c] = head of v's color-c edge, -1 free
+	inc := make([]int, nodes*d)  // inc[u·d+c] = tail of u's color-c edge, -1 free
+	for i := range outc {
+		outc[i], inc[i] = -1, -1
+	}
 	free := func(slots []int) int {
 		for c, w := range slots {
 			if w == -1 {
@@ -187,45 +195,38 @@ func (g *Digraph) colorEdges(to []int) {
 		}
 		panic("randreg: no free color on a d-regular node")
 	}
-	type pedge struct{ tail, head, col int }
-	var path []pedge // the chain being flipped; one buffer for every flip
 	for v := 0; v < nodes; v++ {
 		for j := 0; j < d; j++ {
 			u := to[v*d+j]
-			a, b := free(outc[v]), free(inc[u])
+			a, b := free(outc[v*d:(v+1)*d]), free(inc[u*d:(u+1)*d])
 			if a != b {
 				// Flip the a/b alternating chain starting at head u: its
 				// color-a in-edge, that tail's color-b out-edge, and so on.
-				// The chain cannot reach tail v (v misses a), so a stays
-				// free at v and becomes free at u.
-				path = path[:0]
-				x := u
-				for {
-					w := inc[x][a]
+				// The chain is a path that visits each head and each tail at
+				// most once, and at every node it visits its chain edges are
+				// exactly that side's a and b entries, so swapping the two
+				// entries recolors the chain there. The chain cannot reach
+				// tail v (v misses a), so a stays free at v and becomes free
+				// at u.
+				for x := u; ; {
+					xa, xb := x*d+a, x*d+b
+					w := inc[xa]
+					inc[xa], inc[xb] = inc[xb], w
 					if w == -1 {
 						break
 					}
-					path = append(path, pedge{w, x, a})
-					y := outc[w][b]
+					wa, wb := w*d+a, w*d+b
+					y := outc[wb]
+					outc[wa], outc[wb] = y, outc[wa]
 					if y == -1 {
 						break
 					}
-					path = append(path, pedge{w, y, b})
 					x = y
 				}
-				for _, e := range path {
-					outc[e.tail][e.col] = -1
-					inc[e.head][e.col] = -1
-				}
-				for _, e := range path {
-					nc := a + b - e.col
-					outc[e.tail][nc] = e.head
-					inc[e.head][nc] = e.tail
-				}
 			}
-			outc[v][a] = u
-			inc[u][a] = v
+			outc[v*d+a] = u
+			inc[u*d+a] = v
 		}
 	}
-	g.Out, g.In = outc, inc
+	g.Out, g.In = rowsOf(outc, nodes, d), rowsOf(inc, nodes, d)
 }

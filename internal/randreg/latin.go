@@ -1,10 +1,6 @@
 package randreg
 
-import (
-	"container/heap"
-
-	"streamcast/internal/core"
-)
+import "streamcast/internal/core"
 
 // The latin schedule mode turns the colored digraph into an exactly
 // periodic broadcast schedule, the structured counterpart of the pull/push
@@ -37,40 +33,6 @@ type latinPlan struct {
 	steady core.Slot
 }
 
-// latinCand is one candidate assignment: node v takes residue r on its
-// color-k in-edge with the given delay. Candidates are consumed smallest
-// delay first (ties broken on v, k, r), so every accepted delay is final:
-// a node's residue delay is always derived from a tail delay accepted
-// strictly earlier, which rules out circular justification by construction.
-type latinCand struct {
-	delay, v, k, r int
-}
-
-type candHeap []latinCand
-
-func (h candHeap) Len() int { return len(h) }
-func (h candHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
-	if a.delay != b.delay {
-		return a.delay < b.delay
-	}
-	if a.v != b.v {
-		return a.v < b.v
-	}
-	if a.k != b.k {
-		return a.k < b.k
-	}
-	return a.r < b.r
-}
-func (h candHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x interface{}) { *h = append(*h, x.(latinCand)) }
-func (h *candHeap) Pop() interface{} {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
-}
-
 // newLatinPlan assigns residues to in-edges greedily by earliest feasible
 // delivery delay, Dijkstra style. An edge (u → v, color k) becomes a
 // candidate for residue r the moment its tail u can supply residue-r
@@ -82,6 +44,18 @@ func (h *candHeap) Pop() interface{} {
 // order. A (node, residue) pair is dropped only when every compatible
 // color was claimed by another residue first, which on the random regular
 // digraphs this package accepts is a rare local event, not the common case.
+//
+// Candidates are consumed smallest delay first, so every accepted delay is
+// final: a node's residue delay is always derived from a tail delay accepted
+// strictly earlier, which rules out circular justification by construction.
+// That order needs no heap, only a bucket per delay: the source's candidates
+// have delays below d and every later one is published by an accepted
+// candidate of a strictly smaller delay, so a delay's bucket is complete
+// when the walk reaches it. Nor does the order inside a bucket matter: a
+// candidate's delay is ≡ k − r (mod d), so two candidates of one delay at
+// one node differ in both color and residue and never compete, and the
+// plan is the one a (delay, v, k, r) heap yields. The same congruence makes
+// a bucket entry just the in-edge v·d + k: its residue is (k − delay) mod d.
 func newLatinPlan(g *Digraph) *latinPlan {
 	nodes, d := g.Nodes, g.D
 	p := &latinPlan{
@@ -94,7 +68,7 @@ func newLatinPlan(g *Digraph) *latinPlan {
 	colorTaken := make([]bool, nodes*d)
 	resDone := make([]bool, nodes*d)
 
-	h := &candHeap{}
+	var buckets [][]int // buckets[delay] holds the candidates' in-edges v·d + k
 	// fanOut publishes u's new supply of residue r to every head of u's
 	// out-edges whose color is still unclaimed there. minSend is the first
 	// slot offset at which the tail can forward: the source holds packet p
@@ -108,28 +82,31 @@ func newLatinPlan(g *Digraph) *latinPlan {
 			if u != 0 {
 				minSend = uLag + 1
 			}
-			heap.Push(h, latinCand{
-				delay: minSend + mod(c-r-minSend, d),
-				v:     w, k: c, r: r,
-			})
+			delay := minSend + mod(c-r-minSend, d)
+			for len(buckets) <= delay {
+				buckets = append(buckets, nil)
+			}
+			buckets[delay] = append(buckets[delay], w*d+c)
 		}
 	}
 	for r := 0; r < d; r++ {
 		fanOut(0, r, 0)
 	}
-	for h.Len() > 0 {
-		c := heap.Pop(h).(latinCand)
-		if resDone[c.v*d+c.r] || colorTaken[c.v*d+c.k] {
-			continue
+	for delay := 0; delay < len(buckets); delay++ {
+		bucket := buckets[delay]
+		buckets[delay] = nil
+		for _, e := range bucket {
+			v, k, r := e/d, e%d, mod(e%d-delay, d)
+			if resDone[v*d+r] || colorTaken[v*d+k] {
+				continue
+			}
+			resDone[v*d+r] = true
+			colorTaken[v*d+k] = true
+			p.resOf[v][k] = r
+			p.delay[v][k] = delay
+			p.steady = core.Slot(delay)
+			fanOut(v, r, delay)
 		}
-		resDone[c.v*d+c.r] = true
-		colorTaken[c.v*d+c.k] = true
-		p.resOf[c.v][c.k] = c.r
-		p.delay[c.v][c.k] = c.delay
-		if s := core.Slot(c.delay); s > p.steady {
-			p.steady = s
-		}
-		fanOut(c.v, c.r, c.delay)
 	}
 	return p
 }

@@ -26,7 +26,7 @@ type refGossip struct {
 
 func newRefGossip(t *testing.T, n, degree int, mode Mode, seed int64) *refGossip {
 	t.Helper()
-	s, err := New(n, degree, mode, seed)
+	s, err := newScheme(n, degree, mode, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestGossipModesMatchReference(t *testing.T) {
 	for _, mode := range []Mode{Pull, Push} {
 		for _, c := range cases {
 			for seed := int64(1); seed <= 4; seed++ {
-				s, err := New(c.n, c.degree, mode, seed)
+				s, err := newScheme(c.n, c.degree, mode, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -135,9 +135,10 @@ func TestGossipModesMatchReference(t *testing.T) {
 // The construction below is what this package shipped before its per-node
 // slices became rows of one backing array: one small slice per node in the
 // coloring, the reachability check and the latin plan, a fresh chain slice
-// per Kempe flip, a set and a sort closure per node in Neighbors, an
-// append-grown slice per latin slot. Kept, like refGossip, as the
-// differential reference for TestConstructionMatchesReference.
+// per Kempe flip that is cleared and then recolored edge by edge, a boxed
+// container/heap of latin candidates, a set and a sort closure per node in
+// Neighbors, an append-grown slice per latin slot. Kept, like refGossip, as
+// the differential reference for TestConstructionMatchesReference.
 
 func refStronglyConnected(nodes, d int, to []int) bool {
 	reach := func(forward bool) bool {
@@ -246,6 +247,38 @@ func refDigraph(t *testing.T, nodes, d int, seed uint64) *Digraph {
 	return nil
 }
 
+// latinCand is one candidate of the reference latin plan: node v takes
+// residue r on its color-k in-edge with the given delay. The reference
+// consumes them from a container/heap, smallest (delay, v, k, r) first.
+type latinCand struct {
+	delay, v, k, r int
+}
+
+type candHeap []latinCand
+
+func (h candHeap) Len() int { return len(h) }
+func (h candHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	if a.delay != b.delay {
+		return a.delay < b.delay
+	}
+	if a.v != b.v {
+		return a.v < b.v
+	}
+	if a.k != b.k {
+		return a.k < b.k
+	}
+	return a.r < b.r
+}
+func (h candHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *candHeap) Push(x interface{}) { *h = append(*h, x.(latinCand)) }
+func (h *candHeap) Pop() interface{} {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
 func refLatinPlan(g *Digraph) (resOf, delay [][]int, steady core.Slot) {
 	nodes, d := g.Nodes, g.D
 	resOf = make([][]int, nodes)
@@ -339,21 +372,31 @@ func refNeighbors(g *Digraph, n int) map[core.NodeID][]core.NodeID {
 }
 
 // TestConstructionMatchesReference: on three seeds × three sizes (plus a
-// tight d+1-node graph, where repairs and redraws are the common case) the
-// flat-array construction yields the reference's accepted seed, coloring,
-// latin plan, latin slots and neighbor
-// lists, order included; and the reachability test agrees with the
-// reference's on every pairing the redraw chain visits, rejected ones too.
+// tight d+1-node graph, where repairs and redraws are the common case, and
+// the N = 10 000, d = 3 graphs of the randreg table's trial seeds, whose Kempe
+// chains are the longest) the flat-array construction yields the reference's
+// accepted seed, coloring, latin plan, latin slots and neighbor lists, order
+// included; and the reachability test agrees with the reference's on every
+// pairing the redraw chain visits, rejected ones too.
 func TestConstructionMatchesReference(t *testing.T) {
-	cases := []struct{ n, degree int }{{4, 4}, {40, 3}, {333, 4}, {2000, 3}}
+	cases := []struct {
+		n, degree int
+		seeds     []int64
+	}{
+		{4, 4, []int64{1, 2, 3}},
+		{40, 3, []int64{1, 2, 3}},
+		{333, 4, []int64{1, 2, 3}},
+		{2000, 3, []int64{1, 2, 3}},
+		{10000, 3, stats.TrialSeeds(1, 3)},
+	}
 	for _, c := range cases {
-		for seed := int64(1); seed <= 3; seed++ {
-			s, err := New(c.n, c.degree, Latin, seed)
+		for _, seed := range c.seeds {
+			s, err := newScheme(c.n, c.degree, Latin, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ref := refDigraph(t, c.n+1, c.degree, uint64(seed))
-			g := s.Digraph()
+			g := s.g
 			if g.Seed != ref.Seed || !reflect.DeepEqual(g.Out, ref.Out) || !reflect.DeepEqual(g.In, ref.In) {
 				t.Fatalf("n=%d d=%d seed=%d: digraph differs from the reference", c.n, c.degree, seed)
 			}

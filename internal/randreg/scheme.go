@@ -99,17 +99,13 @@ type Scheme struct {
 
 var _ core.Scheme = (*Scheme)(nil)
 
-// New builds a randreg scheme: a seeded simple strongly connected d-regular
-// digraph over n receivers plus the source, and the requested schedule mode
-// on top of it. Runs are deterministic in (n, degree, mode, seed).
-func New(n, degree int, mode Mode, seed int64) (*Scheme, error) {
-	if n < degree {
-		return nil, fmt.Errorf("randreg: n=%d receivers cannot host a simple %d-regular digraph with the source (need n >= degree)", n, degree)
-	}
-	g, err := NewDigraph(n+1, degree, uint64(seed))
-	if err != nil {
-		return nil, err
-	}
+// New builds a randreg scheme over g — node 0 the source, nodes
+// 1..g.Nodes−1 the receivers — in the requested schedule mode. The graph is
+// the caller's draw (NewDigraph), so one graph can serve all three modes of a
+// seed; seed feeds the pull and push protocols' own stream. Runs are
+// deterministic in (g, mode, seed), and the scheme never writes to g.
+func New(g *Digraph, mode Mode, seed int64) (*Scheme, error) {
+	n, degree := g.Nodes-1, g.D
 	s := &Scheme{g: g, mode: mode, n: n, d: degree}
 	switch mode {
 	case Latin:
@@ -141,9 +137,6 @@ func (s *Scheme) NumReceivers() int { return s.n }
 // ordinary degree-d node and transmits at most one packet per slot in every
 // mode — the per-node upload budget of the optimal-capacity model.
 func (s *Scheme) SourceCapacity() int { return 1 }
-
-// Digraph exposes the underlying graph for analysis and property tests.
-func (s *Scheme) Digraph() *Digraph { return s.g }
 
 // Mode returns the schedule mode.
 func (s *Scheme) Mode() Mode { return s.mode }

@@ -8,6 +8,16 @@ import (
 	"streamcast/internal/core"
 )
 
+// newScheme draws the seeded digraph over n receivers and the source and
+// builds mode on it, the way spec's randreg family does.
+func newScheme(n, degree int, mode Mode, seed int64) (*Scheme, error) {
+	g, err := NewDigraph(n+1, degree, uint64(seed))
+	if err != nil {
+		return nil, err
+	}
+	return New(g, mode, seed)
+}
+
 // validateSlots replays a scheme's schedule and enforces the streaming
 // invariants directly: per-slot send and receive load within capacity,
 // no duplicate deliveries, packets only forwarded by nodes that already
@@ -61,7 +71,7 @@ func TestLatinScheduleValid(t *testing.T) {
 		n, d int
 		seed int64
 	}{{8, 2, 1}, {20, 3, 2}, {50, 4, 3}, {100, 5, 4}} {
-		s, err := New(tc.n, tc.d, Latin, tc.seed)
+		s, err := newScheme(tc.n, tc.d, Latin, tc.seed)
 		if err != nil {
 			t.Fatalf("n=%d d=%d: %v", tc.n, tc.d, err)
 		}
@@ -74,7 +84,7 @@ func TestLatinScheduleValid(t *testing.T) {
 // with P = d, Transmissions(t+P) = Transmissions(t) shifted by P for all t at
 // or past MaxDelay.
 func TestLatinPeriodicContract(t *testing.T) {
-	s, err := New(30, 3, Latin, 7)
+	s, err := newScheme(30, 3, Latin, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +113,7 @@ func TestGossipModesValid(t *testing.T) {
 			n, d int
 			seed int64
 		}{{10, 2, 5}, {40, 3, 6}, {80, 4, 7}} {
-			s, err := New(tc.n, tc.d, mode, tc.seed)
+			s, err := newScheme(tc.n, tc.d, mode, tc.seed)
 			if err != nil {
 				t.Fatalf("%v n=%d d=%d: %v", mode, tc.n, tc.d, err)
 			}
@@ -118,11 +128,11 @@ func TestGossipModesValid(t *testing.T) {
 // the slot log is the contract).
 func TestGossipReplayDeterministic(t *testing.T) {
 	for _, mode := range []Mode{Pull, Push} {
-		a, err := New(25, 3, mode, 13)
+		a, err := newScheme(25, 3, mode, 13)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := New(25, 3, mode, 13)
+		b, err := newScheme(25, 3, mode, 13)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +154,7 @@ func TestGossipReplayDeterministic(t *testing.T) {
 // deliver a healthy prefix of the stream to every receiver.
 func TestGossipMakesProgress(t *testing.T) {
 	for _, mode := range []Mode{Pull, Push} {
-		s, err := New(30, 3, mode, 17)
+		s, err := newScheme(30, 3, mode, 17)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,22 +167,6 @@ func TestGossipMakesProgress(t *testing.T) {
 				t.Fatalf("%v: receiver %d got no packets in %d slots", mode, v, horizon)
 			}
 		}
-	}
-}
-
-// TestGraphModeIndependent: the digraph for a seed must not depend on the
-// schedule mode (the protocol rng stream is split from construction).
-func TestGraphModeIndependent(t *testing.T) {
-	var graphs []*Digraph
-	for _, mode := range []Mode{Latin, Pull, Push} {
-		s, err := New(20, 3, mode, 23)
-		if err != nil {
-			t.Fatal(err)
-		}
-		graphs = append(graphs, s.Digraph())
-	}
-	if !reflect.DeepEqual(graphs[0], graphs[1]) || !reflect.DeepEqual(graphs[0], graphs[2]) {
-		t.Fatal("digraph differs across schedule modes for the same seed")
 	}
 }
 
@@ -192,7 +186,7 @@ func TestModeRoundTrip(t *testing.T) {
 // TestNeighborsShape: every receiver reports a sorted, self-free neighbor
 // set drawn from its digraph in/out neighborhoods.
 func TestNeighborsShape(t *testing.T) {
-	s, err := New(15, 3, Latin, 29)
+	s, err := newScheme(15, 3, Latin, 29)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +216,7 @@ func TestGenerateAllocsPerSlot(t *testing.T) {
 		mode Mode
 		max  float64
 	}{{Pull, 2}, {Push, 2}, {Latin, 0}} {
-		s, err := New(1000, 3, c.mode, 31)
+		s, err := newScheme(1000, 3, c.mode, 31)
 		if err != nil {
 			t.Fatal(err)
 		}

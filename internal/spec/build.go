@@ -117,7 +117,7 @@ func BuildWithPlan(sc *Scenario, plan *faults.Plan) (*Run, error) {
 		packets = f.defaultPackets(v)
 	}
 
-	out, err := f.build(buildInput{Values: v, Mode: mode, Packets: packets, Plan: plan, Churn: sc.Churn})
+	out, err := f.build(buildInput{Values: v, Mode: mode, Packets: packets, Plan: plan, Churn: sc.Churn, Graph: sc.graph})
 	if err != nil {
 		return nil, fmt.Errorf("spec: scheme %s: %w", sc.Scheme, err)
 	}

@@ -8,6 +8,7 @@ import (
 	"streamcast/internal/check"
 	"streamcast/internal/core"
 	"streamcast/internal/faults"
+	"streamcast/internal/randreg"
 	"streamcast/internal/slotsim"
 )
 
@@ -126,14 +127,16 @@ func (v Values) Str(name string) string { return v[name] }
 
 // buildInput is what a family builder receives: resolved parameters, the
 // resolved stream mode and packet window, the loaded fault plan (nil
-// without a faults directive), and the validated churn directive (nil
-// without one).
+// without a faults directive), the validated churn directive (nil
+// without one), and the prebuilt digraph of a randreg scenario (nil unless
+// RandRegScenarioOn set one).
 type buildInput struct {
 	Values  Values
 	Mode    core.StreamMode
 	Packets core.Packet
 	Plan    *faults.Plan
 	Churn   *faults.Churn
+	Graph   *randreg.Digraph
 }
 
 // buildOutput is what a family builder returns. Build fills Opt.Packets,

@@ -11,6 +11,7 @@ import (
 
 	"streamcast/internal/core"
 	"streamcast/internal/faults"
+	"streamcast/internal/randreg"
 )
 
 // Scenario is a complete, serializable description of one simulation run:
@@ -54,6 +55,11 @@ type Scenario struct {
 	MetricsOut string
 	TraceOut   string
 	ReportOut  string
+
+	// graph is a randreg scenario's prebuilt digraph, set only by
+	// RandRegScenarioOn; nil means Build draws it from the seed. Scenario
+	// text cannot carry it.
+	graph *randreg.Digraph
 }
 
 // maxWorkers caps the parallel directive's worker count: a scenario asking
