@@ -1,13 +1,13 @@
 # Streamcast build/test entry points. Tier-1 verification (ROADMAP.md) is
 # `make ci`: build + vet + gofmt gate + full test suite (the internal/lint
-# analyzers run inside it), plus the race pass over the engine, observability
-# and experiment packages, short fuzz smokes of the fault-plan and scenario
-# parsers and of the engine against its reference interpreter, and the
-# chaos/scenario corpus replays.
+# analyzers run inside it) + the bench/ module's own vet and tests, plus the
+# race pass over the engine, observability and experiment packages, short
+# fuzz smokes of the fault-plan and scenario parsers and of the engine
+# against its reference interpreter, and the chaos/scenario corpus replays.
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check lint bench benchsmoke bench-json bench-gate fuzz chaos scenarios cover loc ci clean
+.PHONY: build test race vet fmt-check lint bench-module bench benchsmoke bench-json bench-gate fuzz chaos scenarios cover loc ci clean
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,13 @@ fmt-check:
 # `make test` runs the same tests, so ci does not list this target.
 lint:
 	$(GO) test -count=1 ./internal/lint
+
+# The end-to-end benchmark harness is a module of its own (bench/go.mod), so
+# `go vet ./...` and `go test ./...` at the root never reach it. It compiles
+# against the spec, slotsim and obs APIs, so an API change that breaks it
+# fails here rather than at the next benchmark run.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Full benchmark sweep (one iteration each) — doubles as a reproduction
 # record; see bench_test.go. internal/slotsim carries the white-box
@@ -162,7 +169,7 @@ bench-gate:
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l
 
-ci: build vet fmt-check test race fuzz chaos scenarios cover benchsmoke bench-gate
+ci: build vet fmt-check test bench-module race fuzz chaos scenarios cover benchsmoke bench-gate
 
 clean:
 	$(GO) clean ./...

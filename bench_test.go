@@ -633,7 +633,7 @@ func BenchmarkCheckedCubeRun(b *testing.B) {
 			if rep, err := run.Preflight(); err != nil || !rep.OK() {
 				b.Fatalf("check failed: %v %v", err, rep)
 			}
-			res, err := run.Execute()
+			res, err := run.Execute(nil)
 			if err != nil {
 				b.Fatal(err)
 			}

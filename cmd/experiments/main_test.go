@@ -5,6 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"streamcast/internal/experiments"
+	"streamcast/internal/obs"
 )
 
 // TestTablesMatchResults regenerates every table at the sizes `-run all`
@@ -43,5 +46,28 @@ func TestTablesMatchResults(t *testing.T) {
 	}
 	if checked != 17 {
 		t.Errorf("checked %d tables against results/, want 17", checked)
+	}
+}
+
+// TestSimulatingRunnersReport runs every table at the -quick sizes with a
+// report sink installed: each table whose rows are engine runs must send at
+// least one run report, so -reports misses no simulation. The four tables
+// that run no engine — fig4 (closed form), degree, churncmp and churnimpact
+// (topology bookkeeping) — must send none.
+func TestSimulatingRunnersReport(t *testing.T) {
+	noEngine := map[string]bool{"fig4": true, "degree": true, "churncmp": true, "churnimpact": true}
+	defer experiments.SetReportSink(nil)
+	for _, r := range runners(true) {
+		reports := 0
+		experiments.SetReportSink(func(*obs.RunReport) { reports++ })
+		if _, err := r.run(); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		switch {
+		case noEngine[r.name] && reports > 0:
+			t.Errorf("%s: %d run reports from a table listed as running no engine", r.name, reports)
+		case !noEngine[r.name] && reports == 0:
+			t.Errorf("%s: no run report; every engine run must reach the report sink", r.name)
+		}
 	}
 }

@@ -182,12 +182,10 @@ func runScenario(sc *spec.Scenario, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opt := run.Opt
-	opt.Observer = observer
 	if sc.Parallel {
 		fmt.Fprintln(stderr, "streamsim: parallel: accepted and ignored: the engine is single-threaded; results never depended on worker count")
 	}
-	res, err := slotsim.Run(run.Scheme, opt)
+	res, err := run.Execute(observer)
 	// The trace is whole once the run returns, and it is closed before
 	// anything else reaches stdout: `out trace=-` shares stdout with the
 	// text report, which must follow the trace, not split it. A failed run
@@ -210,7 +208,7 @@ func runScenario(sc *spec.Scenario, stdout, stderr io.Writer) error {
 			churn.NodesMeasured, churn.Hiccups, churn.Gaps, churn.MaxStallSlots, churn.RebufferRatio, churn.TimeToRepairSlots)
 	}
 	report(run, res, stdout)
-	return sk.finish(run.Scheme, opt, res, sc.Workers, churn)
+	return sk.finish(run.Scheme, run.Opt, res, sc.Workers, churn)
 }
 
 // report prints the slotsim result: the generic shape for most families,
@@ -219,20 +217,11 @@ func runScenario(sc *spec.Scenario, stdout, stderr io.Writer) error {
 func report(run *spec.Run, res *slotsim.Result, w io.Writer) {
 	s := run.Scheme
 	if cs, ok := s.(*cluster.Scheme); ok {
-		cfg := cs.Config()
-		var worst core.Slot
-		var sum float64
-		ids := cs.ReceiverIDs()
-		for _, id := range ids {
-			if sd := res.StartDelay[id]; sd > worst {
-				worst = sd
-			}
-			sum += float64(res.StartDelay[id])
-		}
+		worst, avg := cs.ReceiverDelays(res)
 		fmt.Fprintf(w, "scheme:        %s\n", s.Name())
-		fmt.Fprintf(w, "receivers:     %d (over %d clusters)\n", len(ids), cfg.K)
+		fmt.Fprintf(w, "receivers:     %d (over %d clusters)\n", len(cs.ReceiverIDs()), cs.Config().K)
 		fmt.Fprintf(w, "worst delay:   %d slots (receivers only)\n", worst)
-		fmt.Fprintf(w, "avg delay:     %.2f slots (receivers only)\n", sum/float64(len(ids)))
+		fmt.Fprintf(w, "avg delay:     %.2f slots (receivers only)\n", avg)
 		fmt.Fprintf(w, "worst buffer:  %d packets\n", res.WorstBuffer())
 		fmt.Fprintf(w, "slots used:    %d\n", res.SlotsUsed)
 		return

@@ -28,7 +28,7 @@ func measure(sc *spec.Scenario) (measurement, error) {
 	if err != nil {
 		return measurement{}, err
 	}
-	res, err := run.Execute()
+	res, err := run.Execute(nil)
 	if err != nil {
 		return measurement{}, err
 	}

@@ -38,10 +38,11 @@ func main() {
 		log.Fatal(err)
 	}
 	s := run.Scheme.(*cluster.Scheme)
-	res, worst, avg, err := s.Run(core.Packet(3*cfg.Degree), 120)
+	res, err := run.Execute(nil)
 	if err != nil {
 		log.Fatal(err)
 	}
+	worst, avg := s.ReceiverDelays(res)
 
 	h := analysis.TreeHeight(cfg.ClusterSize, cfg.Degree)
 	fmt.Printf("live stream to %d receivers in %d clusters (Tc=%d):\n",

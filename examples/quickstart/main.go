@@ -57,7 +57,7 @@ func main() {
 
 	// 4. Execute the schedule. The engine independently checks that every
 	// node sends and receives at most one packet per slot.
-	res, err := run.Execute()
+	res, err := run.Execute(nil)
 	if err != nil {
 		log.Fatal(err)
 	}

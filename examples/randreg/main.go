@@ -41,7 +41,7 @@ func main() {
 		// 3. Execute and report the QoS the paper trades off: playback
 		// delay against buffer space. Best-effort modes may miss packets;
 		// the engine reports rather than hides that.
-		res, err := run.Execute()
+		res, err := run.Execute(nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -67,7 +67,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := run.Execute()
+	res, err := run.Execute(nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -354,9 +354,7 @@ func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
 
 // Options returns the slotsim configuration a multi-cluster run needs:
 // Live mode, the super-node send capacities, Tc-slot backbone latency, and
-// a horizon covering the last cluster's shifted schedule. Callers that want
-// engine features beyond Run's defaults (an observer, the parallel driver)
-// can take these options, adjust them, and invoke the engine directly.
+// a horizon covering the last cluster's shifted schedule.
 func (s *Scheme) Options(packets core.Packet, extraSlots core.Slot) slotsim.Options {
 	maxShift := s.shift[s.cfg.K-1]
 	return slotsim.Options{
@@ -368,23 +366,17 @@ func (s *Scheme) Options(packets core.Packet, extraSlots core.Slot) slotsim.Opti
 	}
 }
 
-// Run simulates the scheme with the right capacity and latency
-// configuration and returns the engine result plus the worst and average
-// start delay over true receivers only.
-func (s *Scheme) Run(packets core.Packet, extraSlots core.Slot) (*slotsim.Result, core.Slot, float64, error) {
-	res, err := slotsim.Run(s, s.Options(packets, extraSlots))
-	if err != nil {
-		return nil, 0, 0, err
-	}
+// ReceiverDelays returns the worst and average start delay of a run over
+// the true receivers only: the super nodes and local roots are backbone
+// infrastructure, not viewers.
+func (s *Scheme) ReceiverDelays(res *slotsim.Result) (core.Slot, float64) {
 	var worst core.Slot
 	var sum float64
 	ids := s.ReceiverIDs()
 	for _, id := range ids {
 		d := res.StartDelay[id]
-		if d > worst {
-			worst = d
-		}
+		worst = max(worst, d)
 		sum += float64(d)
 	}
-	return res, worst, sum / float64(len(ids)), nil
+	return worst, sum / float64(len(ids))
 }

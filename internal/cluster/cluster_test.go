@@ -6,7 +6,20 @@ import (
 	"streamcast/internal/analysis"
 	"streamcast/internal/core"
 	"streamcast/internal/multitree"
+	"streamcast/internal/slotsim"
 )
+
+// simulate runs s on the engine over its own options and returns the result
+// with the worst and average delay over the true receivers.
+func simulate(t *testing.T, s *Scheme, packets core.Packet, extraSlots core.Slot) (*slotsim.Result, core.Slot, float64) {
+	t.Helper()
+	res, err := slotsim.Run(s, s.Options(packets, extraSlots))
+	if err != nil {
+		t.Fatal(err)
+	}
+	worst, avg := s.ReceiverDelays(res)
+	return res, worst, avg
+}
 
 // TestBackboneParent checks the backbone tree shape: root degree D,
 // interior degree D−1, BFS order.
@@ -31,10 +44,7 @@ func TestEndToEndDelivery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, worst, avg, err := s.Run(12, 80)
-		if err != nil {
-			t.Fatalf("%s: %v", intra, err)
-		}
+		res, worst, avg := simulate(t, s, 12, 80)
 		if res == nil || worst <= 0 || avg <= 0 {
 			t.Fatalf("%s: degenerate result worst=%d avg=%.1f", intra, worst, avg)
 		}
@@ -67,10 +77,7 @@ func TestTheorem1Shape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, worst, _, err := s.Run(3*core.Packet(d), core.Slot(h*d)+6*core.Slot(d))
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, worst, _ := simulate(t, s, 3*core.Packet(d), core.Slot(h*d)+6*core.Slot(d))
 		// Theorem 1: Tc·log_{D-1}K + Ti·d(h−1). Allow the +1-per-hop
 		// store-and-forward slack and the intra full h·d term.
 		bound := core.Slot(analysis.Theorem1Bound(9, 3, int(tc), 1, d, h)) +
@@ -141,10 +148,7 @@ func TestHeterogeneousClusterSizes(t *testing.T) {
 		}
 		want += core.NodeID(2 + n)
 	}
-	res, worst, avg, err := s.Run(8, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, worst, avg := simulate(t, s, 8, 60)
 	if res == nil || worst <= 0 || avg <= 0 {
 		t.Fatalf("degenerate result: worst=%d avg=%.2f", worst, avg)
 	}
@@ -166,10 +170,7 @@ func TestSingleCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, worst, _, err := s.Run(8, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, worst, _ := simulate(t, s, 8, 40)
 	if worst < 4 {
 		t.Errorf("worst %d below single Tc hop", worst)
 	}
@@ -188,5 +189,35 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
+	}
+}
+
+// TestHypercubeIntraEndToEnd gives the hypercube intra path a deeper
+// workout with heterogeneous sizes.
+func TestHypercubeIntraEndToEnd(t *testing.T) {
+	s, err := New(Config{
+		K: 4, D: 3, Tc: 6, ClusterSizes: []int{3, 17, 8, 25}, Degree: 1,
+		Intra: Hypercube,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, worst, avg := simulate(t, s, 8, 90)
+	if worst < 6 || avg <= 0 {
+		t.Errorf("degenerate: worst=%d avg=%.2f", worst, avg)
+	}
+	// Hypercube receivers keep the 2-packet buffer even behind the
+	// backbone.
+	for _, id := range s.ReceiverIDs() {
+		if b := res.MaxBuffer[id]; b > 2 {
+			t.Errorf("receiver %d buffer %d > 2", id, b)
+		}
+	}
+}
+
+// TestIntraKindString covers the stringer.
+func TestIntraKindString(t *testing.T) {
+	if MultiTree.String() != "multitree" || Hypercube.String() != "hypercube" {
+		t.Error("IntraKind.String broken")
 	}
 }

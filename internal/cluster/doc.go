@@ -13,9 +13,9 @@
 // (analysis.Theorem1Bound gives the closed form).
 //
 // Entry points: New(Config) builds the scheme over a global id space
-// (source 0, then per cluster S_i, S'_i and its receivers); Run simulates
-// it and reports delay over true receivers only; Options exposes the
-// engine configuration (live mode, per-kind send capacities, Tc-slot
-// backbone latency) for callers that attach observers or use the parallel
-// driver; SuperID/LocalRootID/ReceiverIDs map the id space.
+// (source 0, then per cluster S_i, S'_i and its receivers); Options is the
+// engine configuration a run needs (live mode, per-kind send capacities,
+// Tc-slot backbone latency), which the registry's cluster family hands to
+// the engine; ReceiverDelays reads a run's delay over true receivers only;
+// SuperID/LocalRootID/ReceiverIDs map the id space.
 package cluster

@@ -1,24 +1,36 @@
-package cluster
+package cluster_test
 
 import (
 	"testing"
 
+	"streamcast/internal/check"
+	"streamcast/internal/cluster"
 	"streamcast/internal/core"
-	"streamcast/internal/slotsim"
 )
 
 // TestClusterNeighborsConsistent: declared neighbor sets cover the
 // backbone, the S_i→S'_i links, and the remapped intra-cluster edges for
 // both intra kinds.
 func TestClusterNeighborsConsistent(t *testing.T) {
-	for _, intra := range []IntraKind{MultiTree, Hypercube} {
-		s, err := New(Config{
+	for _, intra := range []cluster.IntraKind{cluster.MultiTree, cluster.Hypercube} {
+		s, err := cluster.New(cluster.Config{
 			K: 7, D: 3, Tc: 4, ClusterSize: 9, Degree: 2, Intra: intra,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := slotsim.VerifyNeighbors(s, 120); err != nil {
+		// The static verifier's mesh audit over the scheme's own run: every
+		// edge the run uses must be declared at both listed ends.
+		opt := s.Options(8, 120)
+		rep, err := check.Static(s, check.Options{
+			Horizon: opt.Slots, Packets: opt.Packets, Mode: opt.Mode,
+			SendCap: opt.SendCap, Inject: opt.Inject,
+			CheckMesh: true, AllowIncomplete: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.Err(); err != nil {
 			t.Errorf("%s: %v", intra, err)
 		}
 		nb := s.Neighbors()
@@ -36,38 +48,5 @@ func TestClusterNeighborsConsistent(t *testing.T) {
 		if !set[s.SuperID(3)] || !set[s.SuperID(4)] {
 			t.Errorf("%s: S_1 missing backbone children", intra)
 		}
-	}
-}
-
-// TestHypercubeIntraEndToEnd gives the hypercube intra path a deeper
-// workout with heterogeneous sizes.
-func TestHypercubeIntraEndToEnd(t *testing.T) {
-	s, err := New(Config{
-		K: 4, D: 3, Tc: 6, ClusterSizes: []int{3, 17, 8, 25}, Degree: 1,
-		Intra: Hypercube,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, worst, avg, err := s.Run(8, 90)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if worst < 6 || avg <= 0 {
-		t.Errorf("degenerate: worst=%d avg=%.2f", worst, avg)
-	}
-	// Hypercube receivers keep the 2-packet buffer even behind the
-	// backbone.
-	for _, id := range s.ReceiverIDs() {
-		if b := res.MaxBuffer[id]; b > 2 {
-			t.Errorf("receiver %d buffer %d > 2", id, b)
-		}
-	}
-}
-
-// TestIntraKindString covers the stringer.
-func TestIntraKindString(t *testing.T) {
-	if MultiTree.String() != "multitree" || Hypercube.String() != "hypercube" {
-		t.Error("IntraKind.String broken")
 	}
 }

@@ -145,7 +145,7 @@ func MidStreamSwaps(n, d int) (*Table, error) {
 		return nil, err
 	}
 	control.Opt.Arrivals = new(slotsim.Arrivals)
-	if _, err := simulateRun(control); err != nil {
+	if _, err := simulateRun(control, nil); err != nil {
 		return nil, err
 	}
 	base := control.Scheme.(*multitree.Scheme)
@@ -207,7 +207,7 @@ func MidStreamSwaps(n, d int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := simulateRun(run); err != nil {
+		if _, err := simulateRun(run, nil); err != nil {
 			return nil, err
 		}
 		addRow(c.label, run)
@@ -237,9 +237,8 @@ func MDCGracefulDegradation(n, d int, lossRates []float64, seed int64) (*Table, 
 	}
 	m := mdcRun.Scheme.(*multitree.Scheme).Tree
 	run := func(drop slotsim.DropFunc) (*slotsim.Result, error) {
-		opt := mdcRun.Opt
-		opt.Inject = drop
-		return slotsim.Run(mdcRun.Scheme, opt)
+		mdcRun.Opt.Inject = drop
+		return simulateRun(mdcRun, nil)
 	}
 	// Each run refills the cells the mdc family keeps; addRow reads them
 	// before the next run starts.

@@ -96,8 +96,7 @@ func FaultDegradation(n, d int, seed int64) (*Table, error) {
 			return nil, err
 		}
 		met := obs.NewMetrics()
-		run.Opt.Observer = met
-		res, err := simulateRun(run)
+		res, err := simulateRun(run, met)
 		if err != nil {
 			return nil, fmt.Errorf("faults: %s: %v", sc.name, err)
 		}

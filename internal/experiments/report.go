@@ -15,16 +15,19 @@ import (
 var reportMu sync.Mutex
 
 // reportSink, when set, receives a RunReport for every simulation a runner
-// executes through the shared simulate helper.
+// executes through simulateRun.
 var reportSink func(*obs.RunReport)
 
 // SetReportSink installs (or, with nil, removes) a callback invoked with
 // the machine-readable run report of every engine execution the experiment
 // runners perform — one report per simulated scheme configuration, carrying
 // the per-slot buffer/traffic series behind the table's aggregate numbers.
-// cmd/experiments uses it to implement -reports. Safe to call concurrently
-// with runner execution; while a sink is installed, runners execute their
-// sweeps serially so the sink observes reports in deterministic row order.
+// Every table whose rows are engine runs reports, the cluster and mdc tables
+// included; fig4 (closed form), degree, churncmp and churnimpact (topology
+// bookkeeping) run no engine and report nothing. cmd/experiments uses it to
+// implement -reports. Safe to call concurrently with runner execution; while
+// a sink is installed, runners execute their sweeps serially so the sink
+// observes reports in deterministic row order.
 func SetReportSink(fn func(*obs.RunReport)) {
 	reportMu.Lock()
 	reportSink = fn
@@ -41,21 +44,22 @@ func currentSink() func(*obs.RunReport) {
 // reportsActive reports whether a run-report sink is installed.
 func reportsActive() bool { return currentSink() != nil }
 
-// simulateRun executes a registry-built run with its fully resolved engine
-// options, attaching a metrics observer when a report sink is installed.
-func simulateRun(run *spec.Run) (*slotsim.Result, error) {
-	opt := run.Opt
+// simulateRun executes a registry-built run under m, when the caller wants
+// its metrics, and sends the run's report to the sink when one is installed
+// (under metrics of its own if m is nil). A run with neither stays direct.
+func simulateRun(run *spec.Run, m *obs.Metrics) (*slotsim.Result, error) {
 	sink := currentSink()
-	if sink == nil {
-		return slotsim.Run(run.Scheme, opt)
+	if sink == nil && m == nil {
+		return run.Execute(nil)
 	}
-	m := obs.NewMetrics()
-	opt.Observer = obs.Combine(opt.Observer, m)
-	res, err := slotsim.Run(run.Scheme, opt)
-	if err != nil {
-		return nil, err
+	if m == nil {
+		m = obs.NewMetrics()
 	}
-	rep := slotsim.BuildReport(run.Scheme, opt, res, m, 0)
+	res, err := run.Execute(m)
+	if err != nil || sink == nil {
+		return res, err
+	}
+	rep := slotsim.BuildReport(run.Scheme, run.Opt, res, m, 0)
 	rep.Churn = run.ChurnReport(res)
 	sink(rep)
 	return res, nil
@@ -79,7 +83,7 @@ func specResult(sc *spec.Scenario, verify bool) (*spec.Run, *slotsim.Result, err
 			return nil, nil, err
 		}
 	}
-	res, err := simulateRun(run)
+	res, err := simulateRun(run, nil)
 	if err != nil {
 		return nil, nil, err
 	}

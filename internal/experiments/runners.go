@@ -5,7 +5,6 @@ import (
 
 	"streamcast/internal/analysis"
 	"streamcast/internal/baseline"
-	"streamcast/internal/check"
 	"streamcast/internal/cluster"
 	"streamcast/internal/core"
 	"streamcast/internal/faults"
@@ -15,15 +14,13 @@ import (
 	"streamcast/internal/spec"
 )
 
-// verified runs the static schedule/mesh verifier before a scheme is
-// simulated, so every experiment row is backed by a construction that
-// provably satisfies the paper's structural invariants and bounds.
-func verified(s core.Scheme, opt check.Options) error {
-	rep, err := check.Static(s, opt)
-	if err != nil {
-		return err
+// maxNeighbors is the largest protocol neighbor set a scheme declares.
+func maxNeighbors(s core.Scheme) int {
+	worst := 0
+	for _, l := range s.Neighbors() {
+		worst = max(worst, len(l))
 	}
-	return rep.Err()
+	return worst
 }
 
 // multitreeResult builds (through the scheme registry), statically
@@ -112,15 +109,6 @@ func Table1(ns []int, d int) (*Table, error) {
 			"N", "scheme", "max delay", "avg delay", "max buffer", "max neighbors",
 		},
 	}
-	maxNeighbors := func(nb map[core.NodeID][]core.NodeID) int {
-		worst := 0
-		for _, l := range nb {
-			if len(l) > worst {
-				worst = len(l)
-			}
-		}
-		return worst
-	}
 	groups, err := forEachRow(len(ns), func(i int) ([][]interface{}, error) {
 		n := ns[i]
 		s, res, err := multitreeResult(n, d, multitree.Greedy, core.PreRecorded)
@@ -128,7 +116,7 @@ func Table1(ns []int, d int) (*Table, error) {
 			return nil, err
 		}
 		rows := [][]interface{}{{n, "multi-tree", int(res.WorstStartDelay()), res.AvgStartDelay(),
-			res.WorstBuffer(), maxNeighbors(s.Neighbors())}}
+			res.WorstBuffer(), maxNeighbors(s)}}
 
 		// Nearest special size 2^k−1 <= n.
 		k := 1
@@ -141,21 +129,21 @@ func Table1(ns []int, d int) (*Table, error) {
 			return nil, err
 		}
 		rows = append(rows, []interface{}{special, "hypercube 2^k-1", int(hres.WorstStartDelay()),
-			hres.AvgStartDelay(), hres.WorstBuffer(), maxNeighbors(hs.Neighbors())})
+			hres.AvgStartDelay(), hres.WorstBuffer(), maxNeighbors(hs)})
 
 		ha, hares, err := hypercubeResult(n, 1)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, []interface{}{n, "hypercube chain", int(hares.WorstStartDelay()),
-			hares.AvgStartDelay(), hares.WorstBuffer(), maxNeighbors(ha.Neighbors())})
+			hares.AvgStartDelay(), hares.WorstBuffer(), maxNeighbors(ha)})
 
 		hg, hgres, err := hypercubeResult(n, d)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, []interface{}{n, fmt.Sprintf("hypercube d=%d", d), int(hgres.WorstStartDelay()),
-			hgres.AvgStartDelay(), hgres.WorstBuffer(), maxNeighbors(hg.Neighbors())})
+			hgres.AvgStartDelay(), hgres.WorstBuffer(), maxNeighbors(hg)})
 		return rows, nil
 	})
 	if err != nil {
@@ -168,9 +156,9 @@ func Table1(ns []int, d int) (*Table, error) {
 // ClusterExperiment reproduces the Figure 1 / Theorem 1 setting: K clusters
 // with backbone degree D and intra-cluster multi-trees of degree d; the
 // measured end-to-end worst-case delay is compared with the Theorem 1
-// estimate across Tc. The scheme comes out of the registry; the measurement
-// runs over the experiments' historical window (3d packets, h·d+6d slack)
-// on the scheme's own backbone-shifted runner.
+// estimate across Tc. Each row is a checked registry run at the family's
+// default window of 3d packets; delay is measured over the true receivers
+// only.
 func ClusterExperiment(k, dd, d, clusterSize int, tcs []int) (*Table, error) {
 	t := &Table{
 		ID:    "cluster",
@@ -182,18 +170,11 @@ func ClusterExperiment(k, dd, d, clusterSize int, tcs []int) (*Table, error) {
 	h := analysis.TreeHeight(clusterSize, d)
 	groups, err := forEachRow(len(tcs), func(i int) ([][]interface{}, error) {
 		tc := tcs[i]
-		run, err := spec.Build(spec.ClusterScenario(k, dd, tc, clusterSize, d, multitree.Greedy))
+		run, res, err := specResult(spec.ClusterScenario(k, dd, tc, clusterSize, d, multitree.Greedy), true)
 		if err != nil {
 			return nil, err
 		}
-		s := run.Scheme.(*cluster.Scheme)
-		if err := verified(s, check.ClusterOptions(s, core.Packet(3*d), core.Slot(h*d+6*d))); err != nil {
-			return nil, err
-		}
-		_, worst, avg, err := s.Run(core.Packet(3*d), core.Slot(h*d+6*d))
-		if err != nil {
-			return nil, err
-		}
+		worst, avg := run.Scheme.(*cluster.Scheme).ReceiverDelays(res)
 		return [][]interface{}{{tc, int(worst), avg, analysis.Theorem1Bound(k, dd, tc, 1, d, h)}}, nil
 	})
 	if err != nil {
@@ -369,15 +350,6 @@ func Baselines(ns []int) (*Table, error) {
 			"N", "scheme", "max delay", "max buffer", "max neighbors", "upload factor",
 		},
 	}
-	maxNb := func(nb map[core.NodeID][]core.NodeID) int {
-		worst := 0
-		for _, l := range nb {
-			if len(l) > worst {
-				worst = len(l)
-			}
-		}
-		return worst
-	}
 	groups, err := forEachRow(len(ns), func(i int) ([][]interface{}, error) {
 		n := ns[i]
 		chSc := spec.ChainScenario(n)
@@ -388,7 +360,7 @@ func Baselines(ns []int) (*Table, error) {
 			return nil, err
 		}
 		rows := [][]interface{}{{n, "chain", int(cres.WorstStartDelay()), cres.WorstBuffer(),
-			maxNb(chRun.Scheme.Neighbors()), 1}}
+			maxNeighbors(chRun.Scheme), 1}}
 
 		stSc := spec.SingleTreeScenario(n, 2)
 		stSc.Mode = "live"
@@ -400,7 +372,7 @@ func Baselines(ns []int) (*Table, error) {
 		}
 		st := stRun.Scheme.(*baseline.SingleTree)
 		rows = append(rows, []interface{}{n, "single tree b=2", int(stres.WorstStartDelay()),
-			stres.WorstBuffer(), maxNb(st.Neighbors()), st.UploadFactor()})
+			stres.WorstBuffer(), maxNeighbors(st), st.UploadFactor()})
 
 		for _, d := range []int{2, 3} {
 			s, res, err := multitreeResult(n, d, multitree.Greedy, core.PreRecorded)
@@ -408,14 +380,14 @@ func Baselines(ns []int) (*Table, error) {
 				return nil, err
 			}
 			rows = append(rows, []interface{}{n, fmt.Sprintf("multi-tree d=%d", d), int(res.WorstStartDelay()),
-				res.WorstBuffer(), maxNb(s.Neighbors()), 1})
+				res.WorstBuffer(), maxNeighbors(s), 1})
 		}
 		hs, hres, err := hypercubeResult(n, 1)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, []interface{}{n, "hypercube chain", int(hres.WorstStartDelay()),
-			hres.WorstBuffer(), maxNb(hs.Neighbors()), 1})
+			hres.WorstBuffer(), maxNeighbors(hs), 1})
 		return rows, nil
 	})
 	if err != nil {

@@ -25,69 +25,22 @@ type Dynamic struct {
 	// decomposition order; the slot determines its cube and vertex.
 	members []string
 	byName  map[string]int
-
-	// Lazy repair: relocations are deferred until Flush instead of being
-	// performed per op, so an add that cancels a delete (or vice versa)
-	// costs nothing — the hypercube analogue of the multi-tree family's
-	// deferred shrink. flushedN is the membership size the placements were
-	// last materialized for; dirty marks slots whose occupant changed since
-	// (a member swapped into a vacated slot sits out of place until Flush).
-	lazy     bool
-	flushedN int
-	dirty    map[int]bool
 }
 
 // NewDynamicHC builds a churn-capable chained-hypercube system over n
-// members named name(1)..name(n), with eager per-op repair.
-func NewDynamicHC(n int) (*Dynamic, error) { return NewDynamicHCPolicy(n, false) }
-
-// NewDynamicHCPolicy builds a churn-capable chained-hypercube system with an
-// explicit repair policy: eager (every op relocates immediately, as the
-// per-op costs of Add/Delete report) or lazy (ops only update membership
-// bookkeeping; the relocation work is batched and paid at the next Flush).
-func NewDynamicHCPolicy(n int, lazy bool) (*Dynamic, error) {
+// members named node-1..node-n. Every op repairs the placement at once and
+// reports its relocations.
+func NewDynamicHC(n int) (*Dynamic, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("hypercube: n must be >= 1, got %d", n)
 	}
-	dy := &Dynamic{byName: make(map[string]int, n), lazy: lazy, flushedN: n, dirty: make(map[int]bool)}
+	dy := &Dynamic{byName: make(map[string]int, n)}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("node-%d", i+1)
 		dy.members = append(dy.members, name)
 		dy.byName[name] = i
 	}
 	return dy, nil
-}
-
-// Lazy reports the repair policy.
-func (dy *Dynamic) Lazy() bool { return dy.lazy }
-
-// Flush materializes the deferred repair under the lazy policy and returns
-// the number of members relocated: every slot whose (cube, dimension,
-// vertex) placement differs between the last-flushed decomposition and the
-// current one, plus the slots whose occupant changed through delete swaps.
-// Under the eager policy (or with nothing pending) it returns 0.
-func (dy *Dynamic) Flush() int {
-	if !dy.lazy {
-		return 0
-	}
-	cur := len(dy.members)
-	m := cur
-	if dy.flushedN < m {
-		m = dy.flushedN
-	}
-	moved := 0
-	for s := 0; s < m; s++ {
-		c1, k1, v1 := placement(s, dy.flushedN)
-		c2, k2, v2 := placement(s, cur)
-		if c1 != c2 || k1 != k2 || v1 != v2 {
-			moved++
-		} else if dy.dirty[s] {
-			moved++
-		}
-	}
-	dy.flushedN = cur
-	dy.dirty = make(map[int]bool)
-	return moved
 }
 
 // N returns the current member count.
@@ -127,21 +80,15 @@ func relocations(m, nOld, nNew int) int {
 }
 
 // Add inserts a new member and returns the number of existing members that
-// had to be relocated to new cube positions. Under the lazy policy the
-// relocation work is deferred (the return is 0) and accounted at Flush.
+// had to be relocated to new cube positions.
 func (dy *Dynamic) Add(name string) (int, error) {
 	if _, dup := dy.byName[name]; dup {
 		return 0, fmt.Errorf("hypercube: member %q already present", name)
 	}
 	old := len(dy.members)
-	moved := 0
-	if !dy.lazy {
-		moved = relocations(old, old, old+1)
-		dy.flushedN = old + 1
-	}
 	dy.members = append(dy.members, name)
 	dy.byName[name] = old
-	return moved, nil
+	return relocations(old, old, old+1), nil
 }
 
 // Delete removes the named member and returns the number of surviving
@@ -156,27 +103,17 @@ func (dy *Dynamic) Delete(name string) (int, error) {
 	}
 	old := len(dy.members)
 	last := old - 1
-	moved := 0
-	if !dy.lazy {
-		moved = relocations(last, old, old-1)
-	}
+	moved := relocations(last, old, old-1)
 	if idx != last {
-		if dy.lazy {
-			dy.dirty[idx] = true
-		} else {
-			// The member from the last slot takes over the vacated slot; if
-			// that slot is itself stable it still counts as one relocation.
-			c1, k1, v1 := placement(idx, old)
-			c2, k2, v2 := placement(idx, old-1)
-			if c1 == c2 && k1 == k2 && v1 == v2 {
-				moved++
-			}
+		// The member from the last slot takes over the vacated slot; if
+		// that slot is itself stable it still counts as one relocation.
+		c1, k1, v1 := placement(idx, old)
+		c2, k2, v2 := placement(idx, old-1)
+		if c1 == c2 && k1 == k2 && v1 == v2 {
+			moved++
 		}
 		dy.members[idx] = dy.members[last]
 		dy.byName[dy.members[idx]] = idx
-	}
-	if !dy.lazy {
-		dy.flushedN = last
 	}
 	dy.members = dy.members[:last]
 	delete(dy.byName, name)
@@ -190,13 +127,4 @@ func (dy *Dynamic) Names() map[core.NodeID]string {
 		out[core.NodeID(i+1)] = name
 	}
 	return out
-}
-
-// Scheme materializes the current membership as a runnable chained-
-// hypercube scheme (source capacity 1). Under the lazy policy any deferred
-// relocation work is flushed first: a schedulable system needs every member
-// at its decomposition placement.
-func (dy *Dynamic) Scheme() (*Scheme, error) {
-	dy.Flush()
-	return New(len(dy.members), 1)
 }

@@ -78,7 +78,7 @@ func TestChurnKeepsStreaming(t *testing.T) {
 			}
 		}
 	}
-	s, err := dy.Scheme()
+	s, err := New(dy.N(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

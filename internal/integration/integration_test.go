@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"streamcast/internal/analysis"
+	"streamcast/internal/check"
 	"streamcast/internal/core"
 	"streamcast/internal/gossip"
 	"streamcast/internal/hypercube"
@@ -100,13 +101,22 @@ func TestThreeEngineAgreement(t *testing.T) {
 }
 
 // TestNeighborsCoverTrafficEverywhere applies the declared-vs-actual
-// neighbor check across the whole matrix plus the gossip mesh.
+// neighbor check across the whole matrix plus the gossip mesh: the static
+// verifier with only its mesh audit on must find no scheduled edge missing
+// from Neighbors() (and no slot-model violation cutting the run short).
 func TestNeighborsCoverTrafficEverywhere(t *testing.T) {
 	fs := matrix(t)
 	fs = append(fs, build(t, spec.GossipScenario(30, 2, 4, gossip.PullRandom, 21)))
 	for _, f := range fs {
-		if err := slotsim.VerifyNeighbors(f.scheme, f.slots); err != nil {
-			t.Errorf("%s: %v", f.scheme.Name(), err)
+		rep, err := check.Static(f.scheme, check.Options{
+			Horizon: f.slots, Packets: f.packets, Mode: f.mode,
+			CheckMesh: true, AllowIncomplete: true,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", f.scheme.Name(), err)
+		}
+		if err := rep.Err(); err != nil {
+			t.Error(err)
 		}
 	}
 }

@@ -84,10 +84,11 @@ func engineAgainst(run *spec.Run, observed, keep bool, want *slotsim.Result, cel
 	if keep {
 		run.Opt.Arrivals = new(slotsim.Arrivals)
 	}
+	var o obs.Observer
 	if observed {
-		run.Opt.Observer = obs.Combine(run.Opt.Observer, obs.SlotFunc(func(*obs.SlotView) {}))
+		o = obs.SlotFunc(func(*obs.SlotView) {})
 	}
-	got, gerr := run.Execute()
+	got, gerr := run.Execute(o)
 	if diff := sameVerdict(gerr, werr); diff != "" || werr != nil {
 		return diff
 	}

@@ -17,7 +17,6 @@ import (
 var testOnly = map[string]string{
 	"streamcast/internal/obs.Recorder":                     "test helper: tests in six packages record events with it",
 	"streamcast/internal/obs.SlotFunc":                     "test helper: tests in four packages observe a run with a function",
-	"streamcast/internal/slotsim.VerifyNeighbors":          "test helper: the partner audit the scheme tests run",
 	"streamcast/internal/check.Report.HasKind":             "test helper: asserts which issue kind a report holds",
 	"streamcast/internal/slotsim.Arrivals.Row":             "test helper: one node's arrivals as a slice",
 	"streamcast/internal/faults.RandomPlan":                "test helper: the seeded plan generator of the chaos tests",
@@ -31,8 +30,6 @@ var testOnly = map[string]string{
 	"streamcast/internal/obs.ReadEvents":                   "the JSONL trace format's reader, documented for outside tools",
 	"streamcast/internal/stats.StreamingHist.Observe":      "reference: tests hold ObserveN and the Metrics fold to it",
 	"streamcast/internal/faults.LiveChurn.Ops":             "test helper: churn tests compare applied ops one by one, slot and member",
-	"streamcast/internal/hypercube.Dynamic.Lazy":           "unreviewed",
-	"streamcast/internal/hypercube.Dynamic.Scheme":         "unreviewed",
 	"streamcast/internal/multitree.Dynamic.Degree":         "unreviewed",
 	"streamcast/internal/multitree.Interior":               "unreviewed",
 	"streamcast/internal/multitree.LiveScheme.Dynamic":     "unreviewed",

@@ -12,9 +12,10 @@ import (
 
 // Run is a scenario resolved into everything the engine needs: the
 // constructed scheme, fully populated slotsim options, the preflight
-// check options, and the fault injector. It is the registry's product —
-// every layer (CLI, experiments, integration suites, benchmarks) executes
-// schemes through a Run instead of calling constructors directly.
+// check options, and the fault injector. It is the registry's product, and
+// it has one door per stage: Preflight checks it and Execute runs it. The
+// CLI, the experiment runners and the examples go through both instead of
+// handing the scheme to the checker or the engine themselves.
 type Run struct {
 	// Scenario is the validated input.
 	Scenario *Scenario
@@ -40,11 +41,9 @@ type Run struct {
 	Plan *faults.Plan
 	// Live is the run's mid-run churn source; nil without a churn
 	// directive. After Execute it holds the applied op log, the membership
-	// windows (for slotsim.PlaybackSLO), and the first churn slot.
+	// windows (for slotsim.PlaybackSLO), and the first churn slot. The
+	// source is single-shot: a second Execute fails at slot 0.
 	Live *faults.LiveChurn
-	// executed guards the single-shot property of live-churn runs: the
-	// churn source consumes its op log, so one Run executes at most once.
-	executed bool
 }
 
 // Build resolves a scenario through the registry into a Run. It validates
@@ -197,17 +196,14 @@ func (r *Run) Preflight() (*check.Report, error) {
 	return check.Static(r.Scheme, *r.CheckOpt)
 }
 
-// Execute runs the scenario on the slotsim engine. The `parallel` directive
-// is accepted and ignored: the engine is single-threaded and results never
-// depended on worker count.
-func (r *Run) Execute() (*slotsim.Result, error) {
-	if r.Live != nil {
-		if r.executed {
-			return nil, fmt.Errorf("spec: a live-churn run is single-shot (the churn source and topology were consumed); Build the scenario again")
-		}
-		r.executed = true
-	}
-	return slotsim.Run(r.Scheme, r.Opt)
+// Execute runs the scenario on the slotsim engine with o watching every
+// slot. A nil o leaves the run direct, so a bare run may stop once its
+// window is complete. The `parallel` directive is accepted and ignored: the
+// engine is single-threaded and results never depended on worker count.
+func (r *Run) Execute(o obs.Observer) (*slotsim.Result, error) {
+	opt := r.Opt
+	opt.Observer = o
+	return slotsim.Run(r.Scheme, opt)
 }
 
 // churnProbe is how many leading expected packets a node samples before

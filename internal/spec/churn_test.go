@@ -136,8 +136,7 @@ func TestChurnScenarioParity(t *testing.T) {
 				t.Fatal("live-churn run offers static preflight options")
 			}
 			rec, met := &obs.Recorder{}, obs.NewMetrics()
-			run.Opt.Observer = obs.Combine(rec, met)
-			res, err := run.Execute()
+			res, err := run.Execute(obs.Combine(rec, met))
 			if err != nil {
 				t.Fatalf("policy=%q parallel=%v: %v", policy, parallel, err)
 			}
@@ -196,7 +195,7 @@ func TestChurnPlanScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run.Execute(); err != nil {
+	if _, err := run.Execute(nil); err != nil {
 		t.Fatal(err)
 	}
 	ops := run.Live.Ops()
@@ -208,7 +207,7 @@ func TestChurnPlanScenario(t *testing.T) {
 	}
 
 	// A second Execute is rejected: the source consumed its op log.
-	if _, err := run.Execute(); err == nil || !strings.Contains(err.Error(), "single-shot") {
+	if _, err := run.Execute(nil); err == nil || !strings.Contains(err.Error(), "single-shot") {
 		t.Fatalf("second Execute: got %v, want single-shot error", err)
 	}
 
@@ -264,7 +263,7 @@ func TestChurnPlanPastHorizon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run.Execute(); err != nil {
+	if _, err := run.Execute(nil); err != nil {
 		t.Fatal(err)
 	}
 	if ops := run.Live.Ops(); len(ops) != 2 || ops[1].Slot != 29 {

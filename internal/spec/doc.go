@@ -16,8 +16,9 @@
 // effort, live churn), and a builder that
 // turns resolved parameters into a constructed scheme plus engine and
 // check options. Build resolves a Scenario through the registry into a
-// Run, which executes on the slotsim engine and preflights through
-// internal/check. Adding a scheme family is one registration — the CLI,
+// Run, which has one door per stage: Preflight checks it through
+// internal/check and Execute runs it on the slotsim engine, under the
+// caller's observer or none. Adding a scheme family is one registration — the CLI,
 // the experiment sweeps, the integration suites, and the benchmarks all
 // enumerate the registry.
 package spec

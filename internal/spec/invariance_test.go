@@ -74,8 +74,7 @@ func executeKeeping(run *Run, observer obs.Observer) (outcome, error) {
 	if run.Opt.Arrivals == nil {
 		run.Opt.Arrivals = new(slotsim.Arrivals)
 	}
-	run.Opt.Observer = obs.Combine(run.Opt.Observer, observer)
-	res, err := run.Execute()
+	res, err := run.Execute(observer)
 	return outcome{res, run.Opt.Arrivals}, err
 }
 
@@ -140,11 +139,12 @@ func TestCellRequestInvariance(t *testing.T) {
 					run.Opt.Arrivals = new(slotsim.Arrivals)
 				}
 				var met *obs.Metrics
+				var o obs.Observer
 				if observed {
 					met = obs.NewMetrics()
-					run.Opt.Observer = obs.Combine(run.Opt.Observer, met)
+					o = met
 				}
-				res, err := run.Execute()
+				res, err := run.Execute(o)
 				if err != nil {
 					t.Fatalf("%s (observed %v, cells %v): %v", c.name, observed, keep, err)
 				}
@@ -228,7 +228,7 @@ func TestOversizedRunIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err = run.Execute()
+	_, err = run.Execute(nil)
 	took := time.Since(start)
 	if err == nil {
 		t.Fatal("Execute accepted a 596 GiB arrival matrix")

@@ -58,7 +58,7 @@ func TestSharedGraphRunsMatchText(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", mode, err)
 			}
-			if res[i], err = run.Execute(); err != nil {
+			if res[i], err = run.Execute(nil); err != nil {
 				t.Fatalf("%s: %v", mode, err)
 			}
 		}

@@ -77,7 +77,7 @@ func TestCapabilitiesMatchSchemes(t *testing.T) {
 					t.Fatalf("default scenario rejected by internal/check: %v", rep.Issues)
 				}
 			}
-			res, err := run.Execute()
+			res, err := run.Execute(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +151,7 @@ func TestBuildChurnRequiresMultitree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := run.Execute(); err != nil {
+	if _, err := run.Execute(nil); err != nil {
 		t.Fatal(err)
 	}
 	if ops := run.Live.Ops(); len(ops) != 1 || ops[0].Slot != 4 || !ops[0].Leave {
