@@ -118,13 +118,13 @@ func TestLiveChurnGeneratorDeterminism(t *testing.T) {
 		{Churn: Churn{Kind: ChurnWave, Seed: 13, Rate: 1.5, Max: 10}},
 	}
 	for _, cfg := range configs {
-		run := func() ([]LiveOp, []slotsim.Membership, []string) {
+		run := func() ([]LiveOp, []slotsim.Membership, []core.MemberInfo) {
 			ls, lc := liveSource(t, 12, 3, false, cfg)
 			ops := stepAll(t, ls, lc, 80)
-			return ops, lc.Membership(), ls.Dynamic().Names()
+			return ops, lc.Membership(), ls.Members()
 		}
-		opsA, memA, namesA := run()
-		opsB, memB, namesB := run()
+		opsA, memA, finalA := run()
+		opsB, memB, finalB := run()
 		if len(opsA) == 0 {
 			t.Fatalf("kind=%s: generator produced no ops at rate %g over 80 slots; pick another seed", cfg.Kind, cfg.Rate)
 		}
@@ -134,7 +134,7 @@ func TestLiveChurnGeneratorDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(memA, memB) {
 			t.Errorf("kind=%s: membership windows differ across identical runs", cfg.Kind)
 		}
-		if !reflect.DeepEqual(namesA, namesB) {
+		if !reflect.DeepEqual(finalA, finalB) {
 			t.Errorf("kind=%s: final membership differs across identical runs", cfg.Kind)
 		}
 	}

@@ -25,13 +25,15 @@ func (d *draw) n(k int) int {
 func pick[T any](d *draw, from ...T) T { return from[d.n(len(from))] }
 
 // generate turns fuzz input into a run: a family of the registry with small
-// parameters — populations on both sides of finish()'s 64-id tiles — a stream
-// mode where the family takes one, window widths up to and around 64, now and
-// then a horizon too short for the window, live churn from a generator where
-// the family can churn, a seeded loss / delay / crash plan, and — one input in
-// four — a DropFunc, asked before the plan, losing every transmission whose coordinates sum to a
-// multiple of drop. keep says whether the engine runs are asked for their
-// arrival cells.
+// parameters — populations on both sides of a 64-id word — a stream mode where
+// the family takes one, window widths up to and around 64, now and then a
+// horizon too short for the window, live churn from a generator where the
+// family can churn, a seeded loss / delay / crash plan, and — one input in
+// four — a DropFunc, asked before the plan, losing every transmission whose
+// coordinates sum to a multiple of drop. keep says whether the engine runs
+// are asked for their arrival cells. Last, where the family can churn and no
+// generator does, one input in three takes its membership from the plan:
+// leaves, each followed by a join, which may revive the id a leave freed.
 func generate(data []byte) (scenario, plan string, drop int, keep bool) {
 	d := draw(data)
 	fams := spec.Families()
@@ -61,7 +63,8 @@ func generate(data []byte) (scenario, plan string, drop int, keep bool) {
 	if d.n(4) == 3 {
 		fmt.Fprintf(&b, "slots %d\n", 1+d.n(60))
 	}
-	if f.Caps.LiveChurn && d.n(2) == 1 {
+	churned := f.Caps.LiveChurn && d.n(2) == 1
+	if churned {
 		lo := d.n(20)
 		fmt.Fprintf(&b, "churn kind=%s rate=%s seed=%d max=%d slots=%d..%d",
 			pick(&d, "poisson", "flash", "wave"), pick(&d, "0.25", "0.5", "1", "2", "3.5"),
@@ -90,7 +93,18 @@ func generate(data []byte) (scenario, plan string, drop int, keep bool) {
 	if d.n(4) == 1 {
 		drop = 2 + d.n(30)
 	}
-	return b.String(), plan, drop, d.n(2) == 1
+	keep = d.n(2) == 1
+	if f.Caps.LiveChurn && !churned && d.n(3) == 2 {
+		if plan == "" {
+			plan = fmt.Sprintf("seed %d\n", 1+d.n(250))
+		}
+		for k := 1 + d.n(3); k > 0; k-- {
+			at := 1 + d.n(20)
+			plan += fmt.Sprintf("leave node=any at=%d\njoin node=peer-%d at=%d\n", at, k, at+1+d.n(8))
+		}
+		b.WriteString("churn kind=plan\n")
+	}
+	return b.String(), plan, drop, keep
 }
 
 // FuzzEngineDifferential is the engine against the oracle on generated runs:

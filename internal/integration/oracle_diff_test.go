@@ -254,6 +254,28 @@ func TestOracleDifferential(t *testing.T) {
 		})
 	}
 
+	// A join that revives an id whose previous occupant already holds window
+	// packets: the engine must forget them in its ledger and in the record the
+	// run keeps, as the oracle forgets them. The same input is a seed of
+	// FuzzEngineDifferential (testdata/fuzz, plan-revive-prerecorded).
+	t.Run("churn-plan/revive", func(t *testing.T) {
+		scenario, plan, _, keep := generate(reviveSeed)
+		if !keep || !strings.Contains(scenario, "mode prerecorded\n") || !strings.Contains(scenario, "churn kind=plan\n") {
+			t.Fatalf("the seed no longer draws a pre-recorded plan-churn run that keeps its record:\n%s", scenario)
+		}
+		build := func() *spec.Run {
+			run, err := buildRun(scenario, plan, 0)
+			if err != nil {
+				t.Fatalf("%v\n%s%s", err, scenario, plan)
+			}
+			return run
+		}
+		agree(t, build)
+		if !revivesHolder(t, build()) {
+			t.Fatalf("no join took an id that held window packets:\n%s%s", scenario, plan)
+		}
+	})
+
 	// A DropFunc, as the MDC experiment uses it: an interior node that
 	// forwards nothing, and losses scattered over every link.
 	for name, drop := range map[string]slotsim.DropFunc{
@@ -290,6 +312,50 @@ func TestOracleDifferential(t *testing.T) {
 			agree(t, run)
 		})
 	}
+}
+
+// reviveSeed is the fuzz input of the churn-plan/revive case.
+var reviveSeed = []byte("\xd54\x0et\xdd\x13\x9d\xb4\xf0p\xb3\v\xa2\x9dmG\xa3\xea")
+
+// joinLog is a churn source that notes the slot at which each id last joined.
+type joinLog struct {
+	slotsim.ChurnSource
+	joined map[core.NodeID]core.Slot
+}
+
+func (j joinLog) Step(t core.Slot, ds core.DynamicScheme) ([]core.ChurnStats, error) {
+	stats, err := j.ChurnSource.Step(t, ds)
+	for _, st := range stats {
+		if !st.Leave {
+			j.joined[st.Node] = t
+		}
+	}
+	return stats, err
+}
+
+// revivesHolder executes a live-churn run and reports whether some join took
+// an id at which a window packet had arrived before the join.
+func revivesHolder(t *testing.T, run *spec.Run) bool {
+	t.Helper()
+	joins := joinLog{run.Opt.Churn, map[core.NodeID]core.Slot{}}
+	run.Opt.Churn = joins
+	first := map[core.NodeID]core.Slot{}
+	_, err := run.Execute(obs.SlotFunc(func(v *obs.SlotView) {
+		for _, tx := range v.Arrivals {
+			if _, seen := first[tx.To]; !seen && tx.Packet < run.Opt.Packets {
+				first[tx.To] = v.T
+			}
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, at := range joins.joined {
+		if got, ok := first[id]; ok && got < at {
+			return true
+		}
+	}
+	return false
 }
 
 // tampered replays a scheme with one slot's transmissions edited. Embedding

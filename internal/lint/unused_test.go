@@ -12,28 +12,23 @@ import (
 // testOnly lists the exported declarations under internal/ that no non-test
 // file of the module or of bench/ uses, each with the reason it stays. A key
 // is "<import path>.<Name>", "<import path>.<Type>.<Method>", or
-// "<import path>.*" for a whole package. An entry marked "unreviewed" was
-// found when the scan was introduced and is a candidate for deletion.
+// "<import path>.*" for a whole package.
 var testOnly = map[string]string{
-	"streamcast/internal/obs.Recorder":                     "test helper: tests in six packages record events with it",
-	"streamcast/internal/obs.SlotFunc":                     "test helper: tests in four packages observe a run with a function",
-	"streamcast/internal/check.Report.HasKind":             "test helper: asserts which issue kind a report holds",
-	"streamcast/internal/slotsim.Arrivals.Row":             "test helper: one node's arrivals as a slice",
-	"streamcast/internal/faults.RandomPlan":                "test helper: the seeded plan generator of the chaos tests",
-	"streamcast/internal/lint.*":                           "the analyzers run inside go test, which is their one caller",
-	"streamcast/internal/analysis.*":                       "paper reference: closed-form bounds the tests check runs against",
-	"streamcast/internal/graph.*":                          "paper reference: the set-splitting construction its tests check",
-	"streamcast/internal/hypercube.NewWithDimOrder":        "paper reference: the pairing-order ablation its tests check",
-	"streamcast/internal/check.KindSendCap":                "issue-kind vocabulary: tests match the engine's violation kinds by it",
-	"streamcast/internal/check.KindRecvCap":                "issue-kind vocabulary: tests match the engine's violation kinds by it",
-	"streamcast/internal/check.KindDuplicate":              "issue-kind vocabulary: tests match the engine's violation kinds by it",
-	"streamcast/internal/obs.ReadEvents":                   "the JSONL trace format's reader, documented for outside tools",
-	"streamcast/internal/stats.StreamingHist.Observe":      "reference: tests hold ObserveN and the Metrics fold to it",
-	"streamcast/internal/faults.LiveChurn.Ops":             "test helper: churn tests compare applied ops one by one, slot and member",
-	"streamcast/internal/multitree.Dynamic.Degree":         "unreviewed",
-	"streamcast/internal/multitree.Interior":               "unreviewed",
-	"streamcast/internal/multitree.LiveScheme.Dynamic":     "unreviewed",
-	"streamcast/internal/multitree.MultiTree.InteriorTree": "unreviewed",
+	"streamcast/internal/obs.Recorder":                "test helper: tests in six packages record events with it",
+	"streamcast/internal/obs.SlotFunc":                "test helper: tests in four packages observe a run with a function",
+	"streamcast/internal/check.Report.HasKind":        "test helper: asserts which issue kind a report holds",
+	"streamcast/internal/slotsim.Arrivals.Row":        "test helper: one node's arrivals as a slice",
+	"streamcast/internal/faults.RandomPlan":           "test helper: the seeded plan generator of the chaos tests",
+	"streamcast/internal/lint.*":                      "the analyzers run inside go test, which is their one caller",
+	"streamcast/internal/analysis.*":                  "paper reference: closed-form bounds the tests check runs against",
+	"streamcast/internal/graph.*":                     "paper reference: the set-splitting construction its tests check",
+	"streamcast/internal/hypercube.NewWithDimOrder":   "paper reference: the pairing-order ablation its tests check",
+	"streamcast/internal/check.KindSendCap":           "issue-kind vocabulary: tests match the engine's violation kinds by it",
+	"streamcast/internal/check.KindRecvCap":           "issue-kind vocabulary: tests match the engine's violation kinds by it",
+	"streamcast/internal/check.KindDuplicate":         "issue-kind vocabulary: tests match the engine's violation kinds by it",
+	"streamcast/internal/obs.ReadEvents":              "the JSONL trace format's reader, documented for outside tools",
+	"streamcast/internal/stats.StreamingHist.Observe": "reference: tests hold ObserveN and the Metrics fold to it",
+	"streamcast/internal/faults.LiveChurn.Ops":        "test helper: churn tests compare applied ops one by one, slot and member",
 }
 
 // declKey names a package-level object, or a method by its receiver's type.

@@ -108,9 +108,6 @@ func defaultName(i int) string { return fmt.Sprintf("node-%d", i) }
 // N returns the current number of real members.
 func (dy *Dynamic) N() int { return dy.n }
 
-// Degree returns the family's tree degree d.
-func (dy *Dynamic) Degree() int { return dy.d }
-
 // SwapBound returns the appendix's per-operation swap bound d²+d: at most
 // d swaps for an addition (grow step) and at most d+d² for a deletion
 // (replacement plus restore). No single churn operation may exceed it.

@@ -64,9 +64,6 @@ func NewLiveScheme(dy *Dynamic, mode core.StreamMode) *LiveScheme {
 	return s
 }
 
-// Dynamic returns the underlying family.
-func (s *LiveScheme) Dynamic() *Dynamic { return s.dy }
-
 // rebuild adopts the current padded size: it extends the firstRecv tables to
 // cover it if they never have, recomputes the steady-state bound, and drops
 // from or appends to the firing lists the positions the size change moved.

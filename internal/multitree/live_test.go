@@ -141,8 +141,8 @@ func TestLiveSchemeGrowRebuild(t *testing.T) {
 		}
 		slot++
 	}
-	if got := ls.NumReceivers(); got != np0+dy.Degree() {
-		t.Fatalf("id space %d after grow, want %d", got, np0+dy.Degree())
+	if got := ls.NumReceivers(); got != np0+dy.d {
+		t.Fatalf("id space %d after grow, want %d", got, np0+dy.d)
 	}
 	if err := ls.Validate(); err != nil {
 		t.Fatalf("invariants after grow: %v", err)
@@ -150,7 +150,7 @@ func TestLiveSchemeGrowRebuild(t *testing.T) {
 	// Every live member still receives: one full period past steady state
 	// must deliver to every real member at least once per tree round.
 	seen := make(map[core.NodeID]int)
-	for slot := ls.SteadyState(); slot < ls.SteadyState()+core.Slot(dy.Degree()); slot++ {
+	for slot := ls.SteadyState(); slot < ls.SteadyState()+core.Slot(dy.d); slot++ {
 		for _, tx := range ls.Transmissions(slot) {
 			seen[tx.To]++
 		}

@@ -52,11 +52,6 @@ func Padded(n, d int) int {
 	return d * ((n + d - 1) / d)
 }
 
-// Interior returns I = ⌈n/d⌉ − 1, the number of interior positions per tree.
-func Interior(n, d int) int {
-	return (n+d-1)/d - 1
-}
-
 // ParentPos returns the position of the parent of position p (0 is the
 // source).
 func ParentPos(p, d int) int {
@@ -120,17 +115,6 @@ func (m *MultiTree) Pos(k int, id core.NodeID) int {
 // IsDummy reports whether the node id is a padding dummy.
 func (m *MultiTree) IsDummy(id core.NodeID) bool {
 	return int(id) > m.N
-}
-
-// InteriorTree returns the index of the (single) tree in which node id is an
-// interior node, or -1 if it is a leaf in every tree.
-func (m *MultiTree) InteriorTree(id core.NodeID) int {
-	for k := 0; k < m.D; k++ {
-		if m.pos[k][id] <= m.I {
-			return k
-		}
-	}
-	return -1
 }
 
 // New builds an interior-disjoint tree family for n receivers with degree d

@@ -111,8 +111,8 @@ func TestPaddedInterior(t *testing.T) {
 		if got := Padded(c.n, c.d); got != c.np {
 			t.Errorf("Padded(%d,%d)=%d, want %d", c.n, c.d, got, c.np)
 		}
-		if got := Interior(c.n, c.d); got != c.i {
-			t.Errorf("Interior(%d,%d)=%d, want %d", c.n, c.d, got, c.i)
+		if got := newMultiTree(c.n, c.d).I; got != c.i {
+			t.Errorf("I(%d,%d)=%d, want %d", c.n, c.d, got, c.i)
 		}
 	}
 }
@@ -138,6 +138,17 @@ func TestConstructionsValidateAcrossSizes(t *testing.T) {
 	}
 }
 
+// interiorTree returns the index of the (single) tree in which node id is an
+// interior node, or -1 if it is a leaf in every tree.
+func interiorTree(m *MultiTree, id core.NodeID) int {
+	for k := 0; k < m.D; k++ {
+		if m.Pos(k, id) <= m.I {
+			return k
+		}
+	}
+	return -1
+}
+
 // TestInteriorTreeAssignment checks that every real non-all-leaf node is
 // interior in exactly one tree and has exactly d children there, and that
 // all-leaf nodes are leaves everywhere.
@@ -149,7 +160,7 @@ func TestInteriorTreeAssignment(t *testing.T) {
 		}
 		interiorCount := 0
 		for id := core.NodeID(1); int(id) <= m.NP; id++ {
-			k := m.InteriorTree(id)
+			k := interiorTree(m, id)
 			if m.IsDummy(id) && k >= 0 {
 				t.Errorf("%s: dummy %d interior in tree %d", c, id, k)
 			}
@@ -196,7 +207,7 @@ func TestQuickConstructionInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return m.NP == Padded(n, d) && m.I == Interior(n, d)
+		return m.NP == Padded(n, d) && m.I == (n+d-1)/d-1
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}
 	if err := quick.Check(f, cfg); err != nil {

@@ -33,12 +33,12 @@ func steadyCase(t *testing.T, n, d int) (core.Scheme, slotsim.Options) {
 // exactly as many allocations as the shorter one — i.e. the extra slots
 // allocate nothing, in the engine or in the scheme's slot generation. The
 // fixed per-run cost is the returned Result and its three per-node slices:
-// finish reads its window from the Runner's bits or cells and allocates
-// nothing else. The rows cover the direct path (multi-tree), an observed
-// chained hypercube, a DropFunc (losses through Inject), link latency (the
-// in-flight ring, through Inject), a fault plan with loss and delay (the injector, plus the
-// cell window its delay rules force), and a receive capacity of 2 (the cell
-// path through finishCells).
+// finish reads its window from the Runner's slot bits and overflow entries and
+// allocates nothing else. The rows cover the direct path (multi-tree), an
+// observed chained hypercube, a DropFunc (losses through Inject), link latency
+// (the in-flight ring, through Inject), a fault plan with loss and delay (the
+// injector, plus the receive capacity its delay rules lift), and a receive
+// capacity of 2, the last two on the same ledger as the rest.
 func TestSteadyStateAllocFree(t *testing.T) {
 	mt, mtOpt := steadyCase(t, 2000, 4)
 	cube, err := hypercube.New(1000, 2)

@@ -17,8 +17,8 @@
 //
 // Internally the engine is struct-of-arrays (see PERFORMANCE.md): there are
 // no per-node structs or per-node maps. Every per-node quantity — the
-// arrival ledger (a presence bit per node per tracked packet, plus either
-// int32 window cells or a bit per node per slot; ledger.go), epoch-stamped
+// arrival ledger (a presence bit per node per tracked packet and a bit per
+// node per slot, one layout for every run; ledger.go), epoch-stamped
 // capacity counters, and playback cursors — lives in a flat array indexed
 // by NodeID inside a reusable scratch arena, which is what lets one engine
 // span N=10 and N=10^6 with a per-slot path that performs no allocations
@@ -29,14 +29,12 @@
 //   - Run executes a core.Scheme, one slot at a time on one goroutine, and
 //     returns a Result with per-node playback start delays (StartDelay, the
 //     paper's startup delay: max_j arrival_j − j), peak buffer occupancy
-//     under the Figure 5 playback convention and missing-packet counts. The
-//     arrival times themselves — and the hiccup accounting read off them —
-//     are kept only for a run that sets Options.Arrivals (Arrivals.At, Row
-//     and Hiccups, over the engine's own packet-major int32 cells, handed
-//     over rather than copied); a run that sets neither it
-//     nor RecvCap reads its buffer peaks off one bit per node per slot. The
-//     model is lock-step, so a slot is O(N) array traffic between two hard
-//     barriers;
+//     under the Figure 5 playback convention (read off the one ledger every
+//     run keeps) and missing-packet counts. The arrival times themselves — and
+//     the hiccup accounting read off them — are a record the engine fills
+//     only for a run that sets Options.Arrivals (Arrivals.At, Row and
+//     Hiccups, over packet-major int32 cells the record owns). The model is
+//     lock-step, so a slot is O(N) array traffic between two hard barriers;
 //     PERFORMANCE.md records why sharding it across workers was measured
 //     and removed. Options.Slots is an upper bound: a Result depends on
 //     the window's arrivals alone, so a bare run
@@ -50,8 +48,8 @@
 //     stream mode, capacities, the one in-flight hook that decides loss and
 //     link latency per transmission (Inject: a LatencyFunc, a DropFunc or a
 //     fault plan), how a run degrades under loss (SkipUnavailable,
-//     AllowIncomplete), the observability hook (Observer) and whether the
-//     arrival cells outlive the run (Arrivals).
+//     AllowIncomplete), the observability hook (Observer) and the record of
+//     arrival slots a caller asks the run to fill (Arrivals).
 //   - BuildReport turns a finished run plus an obs.Metrics collector into
 //     a machine-readable obs.RunReport (see OBSERVABILITY.md).
 //

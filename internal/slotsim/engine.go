@@ -72,13 +72,14 @@ type Options struct {
 	// slot's deliveries (obs.SlotView). It changes no slot's work, only how
 	// many slots run (Slots).
 	Observer obs.Observer
-	// Arrivals, if non-nil, asks the run to keep the window's arrival cells:
-	// on success it is overwritten with the run's own cells, which the Runner
-	// then gives up, so the caller owns them and nothing copies them. A Result
-	// holds only per-node summaries, so a reader of single cells (Hiccups,
-	// PlaybackSLO, mdc.RoundQuality) sets this. A run that sets neither this
-	// nor RecvCap writes no int32 cell at all, not even to scratch: it tracks
-	// its window in bits (ledger.go) and never holds the 4·(N+1)·Packets
+	// Arrivals, if non-nil, is a record the run fills: newEngine sizes it to
+	// the run's ids and window and clears it, and every window arrival is
+	// written into it as it happens, so it holds the run's arrival slots once
+	// the run succeeds. It owns its memory: the Runner neither keeps nor
+	// reuses it. A Result holds only per-node summaries, so a reader of single
+	// cells (Hiccups, PlaybackSLO, mdc.RoundQuality) sets this. The engine
+	// never reads it, so it changes nothing else about the run: a run that
+	// leaves it nil writes no int32 cell and never holds the 4·(N+1)·Packets
 	// bytes.
 	Arrivals *Arrivals
 	// AllowDuplicates, if set, tolerates a node receiving the same packet
@@ -170,15 +171,14 @@ type Result struct {
 
 // Arrivals is the measurement window's arrival matrix, kept for a run whose
 // Options.Arrivals pointed at it: when each node received each window packet.
-// The matrix is the engine's own window cells, handed over rather than copied:
-// the Runner forgets them, so later runs on it never touch them, and a second
-// run handed the same Arrivals replaces its contents.
+// The run writes it in place; a second run handed the same Arrivals replaces
+// its contents.
 type Arrivals struct {
 	packets core.Packet
 	// cells is packet-major with row stride stride (the run's node ids,
-	// churn headroom included), in the engine's own encoding (slot + 1;
-	// 0 = never arrived): cells[j·stride+id] is window packet j at node id.
-	// A reader that visits many nodes walks it a packet row at a time.
+	// churn headroom included), encoded slot + 1 (0 = never arrived):
+	// cells[j·stride+id] is window packet j at node id. A reader that visits
+	// many nodes walks it a packet row at a time.
 	cells  []int32
 	stride int
 }
@@ -246,7 +246,7 @@ func (r *Result) WorstBuffer() int {
 
 // engine holds the mutable state of a run. All per-node state is
 // struct-of-arrays (see soa.go and PERFORMANCE.md): flat arrays indexed by
-// NodeID, with the arrival ledger (ledger.go) in packed bit and int32 arrays.
+// NodeID, with the arrival ledger (ledger.go) in packed bit arrays.
 type engine struct {
 	opt Options
 	// dyn is the run's dynamic scheme view, set only under Options.Churn;
@@ -265,18 +265,15 @@ type engine struct {
 	have      []uint64
 	words     int      // uint64 words per presence or slot row (= ⌈(n+1)/64⌉)
 	dirtyRows []uint64 // bitmap of presence (packet) rows written this run
-	// cells holds a cell run's window arrivals, packet-major with row stride
-	// n+1: cells[p·stride+id] is the arrival slot + 1 of window packet p at
-	// node id, or unset32 (0). A run that set Options.Arrivals hands this
-	// very matrix to its caller when it finishes (finishCells). nil on a
-	// cell-free run, which keeps slots instead: bit id of row t (words
-	// uint64s from t·words) is set when a window packet reached node id at
-	// the end of slot t.
-	cells   []int32
-	stride  int
-	slots   []uint64
-	sendTab []int32 // per-node send capacities, custom or default
-	recvTab []int32 // per-node receive capacities, custom or default
+	// slots is bit id of row t (words uint64s from t·words), set when a
+	// window packet reached node id at the end of slot t; a further window
+	// packet in the same slot is an overflow entry on the scratch
+	// (ledger.go).
+	slots []uint64
+	// arrivals is Options.Arrivals, the record deliver fills, or nil.
+	arrivals *Arrivals
+	sendTab  []int32 // per-node send capacities, custom or default
+	recvTab  []int32 // per-node receive capacities, custom or default
 	// direct marks a run with no Observer, Inject or Churn: nothing outside
 	// the engine reads or changes a slot, so runSlots ends the run once the
 	// window is complete.
@@ -305,15 +302,6 @@ func satMul(a, b int) int {
 		return math.MaxInt
 	}
 	return int(lo)
-}
-
-// grownInts returns s resized to n, reusing its backing array when large
-// enough. Contents are unspecified; callers reset what they read.
-func grownInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
 }
 
 // newEngine sizes and resets the run's state on the Runner's scratch.
@@ -361,18 +349,28 @@ func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
 	if maxPkt < opt.Packets {
 		maxPkt = opt.Packets
 	}
-	// A run keeps int32 window cells only where something reads them
-	// (ledger.go); every other run summarises its window from bits.
-	var cellRows core.Packet
-	if opt.Arrivals != nil || opt.RecvCap != nil {
-		cellRows = opt.Packets
-	}
 	if satMul(n+1, int(maxPkt)) > core.MaxArrivalCells {
 		const gib = 1 << 30
+		var kept core.Packet
+		if opt.Arrivals != nil {
+			kept = opt.Packets
+		}
 		return nil, fmt.Errorf("slotsim: arrival matrix too large: N=%d nodes × %d packet rows would allocate up to %.1f GiB of arrival bits and cells, over the %d-cell ceiling (core.MaxArrivalCells); shorten the horizon (%d slots) or the population",
-			n, maxPkt, arrivalBytes(n, maxPkt, cellRows, opt.Slots)/gib, core.MaxArrivalCells, opt.Slots)
+			n, maxPkt, arrivalBytes(n, maxPkt, opt.Slots, kept)/gib, core.MaxArrivalCells, opt.Slots)
 	}
-	sc.resetLedger(n, maxPkt, cellRows)
+	sc.resetLedger(n, maxPkt)
+	if a := opt.Arrivals; a != nil {
+		// A record handed in again is cleared; a fresh one is all zero
+		// already, and its pages no arrival reaches (the join headroom of a
+		// live-churn run) are never faulted in.
+		a.packets, a.stride = opt.Packets, n+1
+		if cells := (n + 1) * int(opt.Packets); cap(a.cells) >= cells {
+			a.cells = a.cells[:cells]
+			clear(a.cells)
+		} else {
+			a.cells = make([]int32, cells)
+		}
+	}
 
 	// The packed epoch-stamped counters need no initialization: a stale
 	// stamp is an already-spent tick and reads as count zero.
@@ -394,7 +392,8 @@ func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
 		have:      sc.have,
 		words:     sc.words,
 		dirtyRows: sc.dirtyRows,
-		stride:    n + 1,
+		slots:     sc.slots[:0],
+		arrivals:  opt.Arrivals,
 		direct:    opt.Observer == nil && opt.Inject == nil && opt.Churn == nil,
 		pending:   n,
 		sentSt:    sc.sentSt,
@@ -404,11 +403,6 @@ func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
 		obs:       opt.Observer,
 	}
 	e := &sc.eng
-	if cellRows > 0 {
-		e.cells = sc.cells
-	} else {
-		e.slots = sc.slots[:0]
-	}
 	// Both send and receive checks read capacity from one table per
 	// direction. The default tables are pure functions of (n, srcCap), so
 	// repeated runs of same-shaped schemes skip the O(N) refill; a custom
@@ -489,8 +483,11 @@ func (e *engine) validateSends(t core.Slot, txs []core.Transmission) error {
 // constraint. A duplicate's index goes to the scratch's dups list. A tracked
 // arrival loads its presence word once, to test and set the node's bit, and
 // marks its packet's row dirty only when the packet differs from the one last
-// marked (a repeated mark changes nothing). Hot slices live in locals, kept in
-// registers.
+// marked (a repeated mark changes nothing). A window arrival then sets the
+// node's slot bit, or, when the node already took a window packet in this slot
+// (only a custom RecvCap allows that), appends an overflow entry; and it is
+// written into Options.Arrivals when the run keeps that record. Hot slices
+// live in locals, kept in registers.
 func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) (int, error) {
 	tick := e.nextTick()
 	recvSt, recvTab, have, cursor := e.recvSt, e.recvTab, e.have, e.cursor
@@ -526,7 +523,8 @@ func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) (int, error)
 			marked = p
 		}
 		if p < e.opt.Packets {
-			// A window packet: advance the playback cursor, then book it.
+			// A window packet: advance the playback cursor, then book it in
+			// the ledger and the record.
 			cur := cursor[id]
 			got := uint32(cur) + 1
 			worst := int32(uint32(cur >> 32))
@@ -540,14 +538,17 @@ func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) (int, error)
 			if int32(t) > e.sc.maxArr {
 				e.sc.maxArr = int32(t)
 			}
-			if e.cells != nil {
-				e.cells[int(p)*e.stride+int(id)] = int32(t) + 1
+			j := int(t)*e.words + int(id)>>6
+			if j >= len(e.slots) {
+				e.growSlots(t)
+			}
+			if sw := e.slots[j]; sw&bit == 0 {
+				e.slots[j] = sw | bit
 			} else {
-				j := int(t)*e.words + int(id)>>6
-				if j >= len(e.slots) {
-					e.growSlots(t)
-				}
-				e.slots[j] |= bit
+				e.sc.over = append(e.sc.over, overflow{int32(t), int32(id)})
+			}
+			if a := e.arrivals; a != nil {
+				a.cells[int(p)*a.stride+int(id)] = int32(t) + 1
 			}
 		}
 	}

@@ -13,9 +13,8 @@ import (
 	"streamcast/internal/multitree"
 )
 
-// maxBufferRef is the buffer-occupancy scan as it was written against
-// []core.Slot rows (-1 = never arrived), kept as the oracle for the packed
-// maxBuffer.
+// maxBufferRef is the buffer-occupancy scan over one node's arrival slots
+// (-1 = never arrived): the reference the ledger's peak is held to.
 func maxBufferRef(arrival []core.Slot, start core.Slot) int {
 	var lastSlot core.Slot
 	counts := map[core.Slot]int{}
@@ -60,6 +59,10 @@ func (c joinLeaveChurn) Step(t core.Slot, ds core.DynamicScheme) ([]core.ChurnSt
 	return nil, nil
 }
 
+// joinHeadroom is how many ids a churn case of finishCase reserves past its
+// initial population; its two joins take two of them.
+const joinHeadroom = 128
+
 // finishCase builds one (scheme, options) input of the epilogue tests.
 func finishCase(t testing.TB, kind string, n int, packets core.Packet) (core.Scheme, Options) {
 	t.Helper()
@@ -77,8 +80,8 @@ func finishCase(t testing.TB, kind string, n int, packets core.Packet) (core.Sch
 		return ls, lossy(Options{
 			Slots:   core.Slot(int(packets)) + ls.SteadyState() + 14*d + 2,
 			Packets: packets,
-			// Join headroom wide enough to hold a whole tile no join reaches.
-			Churn: joinLeaveChurn{max: ls.NumReceivers() + 2*finishTile},
+			// Join headroom past what the two joins reach.
+			Churn: joinLeaveChurn{max: ls.NumReceivers() + joinHeadroom},
 		})
 	}
 	m, err := multitree.New(n, d, multitree.Greedy)
@@ -95,12 +98,12 @@ func finishCase(t testing.TB, kind string, n int, packets core.Packet) (core.Sch
 	return multitree.NewScheme(m, core.PreRecorded), opt
 }
 
-// TestFinishMatchesCellwise holds both ledgers to a naive reading of the kept
-// cells, at node counts on both sides of a tile boundary and windows from one
-// packet to hundreds. Every case runs twice on fresh Runners — cell-free, which
-// summarises its window from bits, then keeping its cells — and the two Results
-// must be identical, with every metric equal to what the cells say one by one
-// and every MaxBuffer to the reference scan's.
+// TestFinishMatchesCellwise holds the ledger to a naive reading of the kept
+// record, at node counts on both sides of a 64-id word boundary and windows
+// from one packet to hundreds. Every case runs twice on fresh Runners —
+// without the record, then keeping it — and the two Results must be
+// identical, with every metric equal to what the record says cell by cell and
+// every MaxBuffer to the reference scan's.
 func TestFinishMatchesCellwise(t *testing.T) {
 	for _, kind := range []string{"clean", "drops", "churn"} {
 		lost := 0
@@ -130,10 +133,10 @@ func TestFinishMatchesCellwise(t *testing.T) {
 					if res.N <= receivers {
 						t.Fatalf("%s: run sized for %d ids, scheme has %d: the padded-id case is vacuous", name, res.N, receivers)
 					}
-					lo := (res.N + 1 - finishTile) / finishTile * finishTile // the last whole tile
-					for id := lo; id < lo+finishTile; id++ {
+					// The joins take ids from the bottom of the headroom.
+					for id := res.N + 1 - joinHeadroom/2; id <= res.N; id++ {
 						if res.Missing[id] != int(packets) {
-							t.Fatalf("%s: id %d of tile %d..%d received packets: the empty-tile case is vacuous", name, id, lo, lo+finishTile-1)
+							t.Fatalf("%s: headroom id %d received packets: the never-joined case is vacuous", name, id)
 						}
 					}
 				} else if res.N != receivers {
@@ -180,10 +183,11 @@ func TestFinishMatchesCellwise(t *testing.T) {
 	}
 }
 
-// TestPeakIsArrivalsByStart is the lemma a cell-free run's finish rests on: when a
-// node takes at most one packet per slot, its peak buffer under playback from
-// slot s is the number of its packets that arrived in slots 0..s — for every
-// s, before the first arrival and past the last included.
+// TestPeakIsArrivalsByStart is the lemma finish rests on for a node without
+// overflow entries: when a node takes at most one packet per slot, its peak
+// buffer under playback from slot s is the number of its packets that arrived
+// in slots 0..s — for every s, before the first arrival and past the last
+// included.
 func TestPeakIsArrivalsByStart(t *testing.T) {
 	rng := rand.New(rand.NewPCG(27, 1))
 	for trial := 0; trial < 2000; trial++ {
@@ -211,11 +215,74 @@ func TestPeakIsArrivalsByStart(t *testing.T) {
 	}
 }
 
-// TestTwoPerSlotKeepsCells: under a receive capacity of 2 a node can take two
+// TestPeakFromOverflow is the rule finish rests on once a node may take several
+// packets in one slot: its peak is A(s), or its occupancy A(t) − min(t − s,
+// Packets) at one of its overflow slots t > s, whichever is larger. Random
+// rows of up to four window arrivals per slot are delivered to a one-receiver
+// engine, and finish's MaxBuffer must equal the reference scan's at the start
+// the engine derives and at every start from −3 to past the last arrival.
+func TestPeakFromOverflow(t *testing.T) {
+	rng := rand.New(rand.NewPCG(42, 1))
+	overflowed := 0
+	for trial := 0; trial < 2000; trial++ {
+		packets := 1 + rng.IntN(40)
+		horizon := 1 + rng.IntN(packets+4)
+		// Up to four packets per slot, some missing, in any packet order.
+		row, perSlot, last := make([]core.Slot, packets), make([]int, horizon), core.Slot(-1)
+		for j := range row {
+			row[j] = unset
+			if at := rng.IntN(horizon); rng.IntN(8) != 0 && perSlot[at] < 4 {
+				perSlot[at]++
+				row[j] = core.Slot(at)
+				last = max(last, row[j])
+			}
+		}
+		e, err := newEngine(&stubScheme{n: 1, srcCap: 4}, Options{Slots: core.Slot(horizon), Packets: core.Packet(packets),
+			RecvCap: func(core.NodeID) int { return 4 }, AllowIncomplete: true}, &scratch{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for at := core.Slot(0); at <= last; at++ {
+			var txs []core.Transmission
+			for j, a := range row {
+				if a == at {
+					txs = append(txs, tx(0, 1, core.Packet(j)))
+				}
+			}
+			if _, err := e.deliver(at, txs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		overflowed += len(e.sc.over)
+		peak := func() (core.Slot, int) {
+			res, err := e.finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.StartDelay[1], res.MaxBuffer[1]
+		}
+		if s, got := peak(); got != maxBufferRef(row, s) {
+			t.Fatalf("arrivals %v, derived start %d: peak %d, reference %d", row, s, got, maxBufferRef(row, s))
+		}
+		received := uint64(uint32(e.cursor[1]))
+		for s := core.Slot(-3); s <= last+3; s++ {
+			e.cursor[1] = uint64(uint32(int32(s)))<<32 | received
+			if _, got := peak(); got != maxBufferRef(row, s) {
+				t.Fatalf("arrivals %v, start %d: peak %d, reference %d", row, s, got, maxBufferRef(row, s))
+			}
+		}
+	}
+	if overflowed == 0 {
+		t.Fatal("no row put two packets in one slot: the overflow case is vacuous")
+	}
+}
+
+// TestTwoPerSlotFromBits: under a receive capacity of 2 a node can take two
 // window packets in one slot, its count jumps past the start slot's, and the
-// peak is no longer the arrivals by the start. Such a run must summarise its
-// window from cells, and agree with the reference scan.
-func TestTwoPerSlotKeepsCells(t *testing.T) {
+// peak is no longer the arrivals by the start. A run that keeps no record must
+// still agree with the reference scan, from its slot bits and its overflow
+// entry.
+func TestTwoPerSlotFromBits(t *testing.T) {
 	s := &stubScheme{n: 1, srcCap: 2, slots: map[core.Slot][]core.Transmission{
 		0: {tx(0, 1, 0)},
 		1: {tx(0, 1, 1), tx(0, 1, 2)},
@@ -225,8 +292,8 @@ func TestTwoPerSlotKeepsCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cap(r.sc.cells) == 0 {
-		t.Error("a run with a custom RecvCap kept no cells")
+	if want := []overflow{{t: 1, id: 1}}; !slices.Equal(r.sc.over, want) {
+		t.Errorf("overflow entries %v, want %v", r.sc.over, want)
 	}
 	row := []core.Slot{0, 1, 1}
 	if res.StartDelay[1] != 0 {
@@ -242,28 +309,28 @@ func TestTwoPerSlotKeepsCells(t *testing.T) {
 }
 
 // TestIncompleteRunNamesSmallestNodeAndPacket: several nodes in different
-// tiles miss packets; the error must name the lowest node id and, for it,
-// the lowest missing packet — also when a whole tile received nothing, which
-// finish recognises without gathering it.
+// 64-id blocks miss packets; the error must name the lowest node id and, for
+// it, the lowest missing packet — also when a whole block received nothing.
 func TestIncompleteRunNamesSmallestNodeAndPacket(t *testing.T) {
-	const n = 3*finishTile + 5
-	emptyTile := func(id core.NodeID) bool { return id >= finishTile && id < 2*finishTile }
+	const block = 64
+	const n = 3*block + 5
+	emptyBlock := func(id core.NodeID) bool { return id >= block && id < 2*block }
 	scattered := map[core.Transmission]bool{
-		tx(0, 2*finishTile+1, 0): true,
-		tx(0, finishTile+2, 0):   true, tx(0, finishTile+2, 1): true,
-		tx(0, finishTile+1, 1): true,
+		tx(0, 2*block+1, 0): true,
+		tx(0, block+2, 0):   true, tx(0, block+2, 1): true,
+		tx(0, block+1, 1): true,
 	}
 	for _, c := range []struct {
 		name      string
 		skip      func(id core.NodeID, p core.Packet) bool
 		node, pkt int
 	}{
-		{"scattered", func(id core.NodeID, p core.Packet) bool { return scattered[tx(0, id, p)] }, finishTile + 1, 1},
-		{"empty tile first", func(id core.NodeID, p core.Packet) bool {
-			return emptyTile(id) || id == 2*finishTile+1
-		}, finishTile, 0},
-		{"empty tile after a short node", func(id core.NodeID, p core.Packet) bool {
-			return emptyTile(id) || (id == 5 && p == 1)
+		{"scattered", func(id core.NodeID, p core.Packet) bool { return scattered[tx(0, id, p)] }, block + 1, 1},
+		{"empty block first", func(id core.NodeID, p core.Packet) bool {
+			return emptyBlock(id) || id == 2*block+1
+		}, block, 0},
+		{"empty block after a short node", func(id core.NodeID, p core.Packet) bool {
+			return emptyBlock(id) || (id == 5 && p == 1)
 		}, 5, 1},
 	} {
 		s := &stubScheme{n: n, srcCap: n, slots: map[core.Slot][]core.Transmission{}}
@@ -284,22 +351,22 @@ func TestIncompleteRunNamesSmallestNodeAndPacket(t *testing.T) {
 	}
 }
 
-// TestResultSurvivesRunnerReuse: a Result, and the cells kept beside it, own
+// TestResultSurvivesRunnerReuse: a Result, and the record kept beside it, own
 // their memory. Running other schemes, larger and smaller, on the same Runner
 // must not change what an earlier run returned — and each of those runs, on a
-// ledger the previous one wrote under another layout, must return what a
-// fresh Runner does.
+// ledger the previous one wrote at another size, must return what a fresh
+// Runner does.
 func TestResultSurvivesRunnerReuse(t *testing.T) {
 	r := NewRunner()
 	s, opt := finishCase(t, "drops", 65, 7)
-	cells := new(Arrivals)
-	opt.Arrivals = cells
+	rec := new(Arrivals)
+	opt.Arrivals = rec
 	res, err := r.Run(s, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep, keepCells := *res, *cells
-	keepCells.cells = slices.Clone(cells.cells)
+	keep, keepRec := *res, *rec
+	keepRec.cells = slices.Clone(rec.cells)
 	keep.StartDelay = slices.Clone(res.StartDelay)
 	keep.MaxBuffer = slices.Clone(res.MaxBuffer)
 	keep.Missing = slices.Clone(res.Missing)
@@ -317,43 +384,62 @@ func TestResultSurvivesRunnerReuse(t *testing.T) {
 		if want, err := NewRunner().Run(s2, opt2); err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s N=%d on a reused Runner differs from a fresh one (%v)", other.kind, other.n, err)
 		}
-		if !reflect.DeepEqual(&keep, res) || !reflect.DeepEqual(&keepCells, cells) {
-			t.Fatalf("Result or cells changed after the Runner ran %s N=%d", other.kind, other.n)
+		if !reflect.DeepEqual(&keep, res) || !reflect.DeepEqual(&keepRec, rec) {
+			t.Fatalf("Result or record changed after the Runner ran %s N=%d", other.kind, other.n)
 		}
 	}
 }
 
-// TestFinishBytesCeiling: what the epilogue allocates depends on whether the
-// run keeps its cells. Without them it is the Result and three per-node
-// slices — O(N) bytes whatever the window, the slot bits being the Runner's.
-// With them it adds the int32 window matrix, 4·(N+1)·Packets bytes; a matrix
-// of 8-byte slots would be twice that ceiling.
+// TestFinishBytesCeiling: the epilogue allocates the Result and three
+// per-node slices — O(N) bytes whatever the window, the slot bits and the
+// overflow entries being the Runner's and a kept record the caller's — on a
+// bare run, one that keeps its record and one under a receive capacity of 2.
+// A cold run at 600 packets that keeps no record allocates no 4·(N+1)·Packets
+// int32 matrix at all, under a custom RecvCap too.
 func TestFinishBytesCeiling(t *testing.T) {
 	const n = 1000
 	// 24 B per node for the three slices, rounded up generously for size
 	// classes, plus a fixed allowance for the Result header.
 	const perNode = 32*(n+1) + 1<<16
+	const matrix = 4 * (n + 1) * 600
 	for _, c := range []struct {
 		name    string
 		packets core.Packet
-		keep    bool
-		ceiling uint64
-		allocs  float64
+		opt     func(*Options)
+		cold    uint64 // ceiling of a whole run on a fresh Runner; 0 = unchecked
 	}{
-		{"bare/P8", 8, false, perNode, 4},
-		{"bare/P600", 600, false, perNode, 4},
-		{"cells/P600", 600, true, 4*(n+1)*600 + perNode, 5},
+		{"bare/P8", 8, nil, 0},
+		{"bare/P600", 600, nil, matrix},
+		{"cells/P600", 600, func(o *Options) { o.Arrivals = new(Arrivals) }, 0},
+		{"recvcap/P600", 600, func(o *Options) { o.RecvCap = func(core.NodeID) int { return 2 } }, matrix},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			s, opt := finishCase(t, "clean", n, c.packets)
-			if c.keep {
-				opt.Arrivals = new(Arrivals)
+			run := func() (core.Scheme, Options) {
+				s, opt := finishCase(t, "clean", n, c.packets)
+				if c.opt != nil {
+					c.opt(&opt)
+				}
+				return s, opt
 			}
+			if c.cold > 0 {
+				s, opt := run()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				_, err := NewRunner().Run(s, opt)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := after.TotalAlloc - before.TotalAlloc; got >= c.cold {
+					t.Errorf("a cold run allocated %d bytes for N=%d Packets=%d, at least the %d of an int32 window matrix", got, n, c.packets, c.cold)
+				}
+			}
+			s, opt := run()
 			e, err := NewRunner().runSlots(s, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := e.finish(); err != nil { // grow the counts and tile scratch
+			if _, err := e.finish(); err != nil { // sort the overflow entries once
 				t.Fatal(err)
 			}
 			var before, after runtime.MemStats
@@ -363,11 +449,11 @@ func TestFinishBytesCeiling(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := after.TotalAlloc - before.TotalAlloc; got > c.ceiling {
-				t.Errorf("finish allocated %d bytes for N=%d Packets=%d, ceiling %d", got, n, c.packets, c.ceiling)
+			if got := after.TotalAlloc - before.TotalAlloc; got > perNode {
+				t.Errorf("finish allocated %d bytes for N=%d Packets=%d, ceiling %d", got, n, c.packets, perNode)
 			}
-			if allocs := testing.AllocsPerRun(3, func() { finishSink, _ = e.finish() }); allocs > c.allocs {
-				t.Errorf("finish made %.0f allocations, want at most %.0f (Result, three per-node slices, and the matrix when kept)", allocs, c.allocs)
+			if allocs := testing.AllocsPerRun(3, func() { finishSink, _ = e.finish() }); allocs > 4 {
+				t.Errorf("finish made %.0f allocations, want at most 4 (the Result and three per-node slices)", allocs)
 			}
 		})
 	}

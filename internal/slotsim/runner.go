@@ -13,18 +13,16 @@ import (
 // state; TestSteadyStateAllocFree pins that invariant on every branch.
 //
 // All per-node state is struct-of-arrays (soa.go): flat arrays indexed by
-// NodeID, with the arrival ledger packed into bit and int32 arrays.
+// NodeID, with the arrival ledger packed into bit arrays.
 type scratch struct {
-	// The arrival ledger (ledger.go). words, stride and cellRows describe the
-	// layout of the run that last wrote it, so that the next run can undo
-	// exactly those writes (with maxArr, which bounds its slot rows).
+	// The arrival ledger (ledger.go). words describes the layout of the run
+	// that last wrote it, so that the next run can undo exactly those writes
+	// (with maxArr, which bounds its slot rows).
 	have      []uint64            // packet-major presence bits
-	dirtyRows []uint64            // packet rows of have and cells written this run
+	dirtyRows []uint64            // packet rows of have written this run
 	words     int                 // uint64 words per presence or slot row
-	cells     []int32             // a cell run's packet-major window cells (slot+1; 0 = unset); nil once handed off
-	stride    int                 // row stride of cells
-	cellRows  int                 // window rows of cells (0 = a cell-free run)
-	slots     []uint64            // a cell-free run's slot-major window arrival bits
+	slots     []uint64            // slot-major window arrival bits
+	over      []overflow          // window arrivals past a node's first in one slot
 	sentSt    []uint64            // packed send counters: epoch stamp<<32 | count
 	recvSt    []uint64            // packed receive counters, same layout
 	tick      uint32              // current epoch; monotonic across runs
@@ -34,8 +32,6 @@ type scratch struct {
 	recvTab   []int32             // precomputed receive capacities
 	tabN      int                 // nodes the capacity tables cover (0 = stale)
 	tabSrcCap int32               // source capacity the tables were filled for
-	counts    []int               // per-slot arrival counts for maxBuffer (kept zeroed)
-	tile      []int32             // finish's gather buffer: finishTile ids × Packets, node-major
 	filter    []core.Transmission // SkipUnavailable keep-list
 	arrive    []core.Transmission // same-slot arrival list
 	ring      txRing              // in-flight transmissions keyed by arrival slot

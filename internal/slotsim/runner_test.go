@@ -18,7 +18,7 @@ type outcome struct {
 	Cells *slotsim.Arrivals
 }
 
-// runKeeping executes one run on r with the cells asked for.
+// runKeeping executes one run on r that keeps its record of arrivals.
 func runKeeping(r *slotsim.Runner, s core.Scheme, opt slotsim.Options) (outcome, error) {
 	opt.Arrivals = new(slotsim.Arrivals)
 	res, err := r.Run(s, opt)
@@ -67,14 +67,14 @@ func multitreeCase(t *testing.T, n, d int, mode core.StreamMode) (core.Scheme, s
 }
 
 // TestRunnerReuse runs different schemes back to back through one Runner:
-// scratch must never leak state across runs, and cells a run handed to its
-// caller must never be reached by the runs after it.
+// scratch must never leak state across runs, and a record a run filled for
+// its caller must never be reached by the runs after it.
 func TestRunnerReuse(t *testing.T) {
 	r := slotsim.NewRunner()
 	s1, opt1 := multitreeCase(t, 25, 3, core.PreRecorded)
 	s2, opt2 := multitreeCase(t, 10, 2, core.Live)
-	// A receive capacity of 2 makes a cell run that keeps its cells in the
-	// Runner's scratch rather than handing them over.
+	// Under a receive capacity of 2 a node may take two packets in one slot,
+	// which the ledger would book as overflow entries on the Runner's scratch.
 	wide := opt1
 	wide.RecvCap = func(core.NodeID) int { return 2 }
 	// Custom capacities the schedule breaks: each run must fail, and the
@@ -115,10 +115,9 @@ func TestRunnerReuse(t *testing.T) {
 			}
 		}
 	}
-	// The first run's cells are its caller's: the Runner handed them over and
-	// forgot them, so the runs after it — five that handed over cells of
-	// their own, three that kept theirs in scratch, six that failed — must not
-	// have reached them.
+	// The first run's record is its caller's: the Runner never held it, so the
+	// runs after it — five that filled records of their own, three under a
+	// receive capacity of 2, six that failed — must not have reached it.
 	if got := rows(first.Cells, first.Res.N); !reflect.DeepEqual(got, kept) {
 		t.Fatal("first run's cells were changed by later runs on the same Runner")
 	}

@@ -110,7 +110,7 @@ func PlaybackSLO(r *Result, cells *Arrivals, members []Membership, probe int, fi
 		s.Expected += np - int(o.from)
 	}
 	s.Nodes = n
-	// The cells are packet-major, so the window is walked a packet row at a
+	// The record is packet-major, so the window is walked a packet row at a
 	// time: each member owing the packet — a prefix of them — reads its cell
 	// of the row, in id order so that the row streams, and carries its gap
 	// run on to the next row. Whether a packet is a gap is close to a coin

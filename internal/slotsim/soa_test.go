@@ -130,24 +130,25 @@ func TestLiveMatrixBoundedByHorizon(t *testing.T) {
 // TestArrivalMatrixCeiling: a run whose population × horizon asks for more
 // than core.MaxArrivalCells is refused before anything is allocated, with the
 // sizes in the message — including when the product does not fit an int — and
-// the Runner is still good for a run that fits. That run keeps no
-// cells, so it completes without allocating a single int32 cell either.
+// the Runner is still good for a run that fits. That run keeps a record, which
+// holds one cell per node id per window packet, and fills it.
 func TestArrivalMatrixCeiling(t *testing.T) {
 	r := NewRunner()
 	big := &stubScheme{n: 200_000, srcCap: 3}
 	for _, slots := range []core.Slot{800_112, math.MaxInt} {
-		_, err := r.Run(big, Options{Slots: slots, Packets: 9, Mode: core.Live, AllowIncomplete: true})
+		_, err := r.Run(big, Options{Slots: slots, Packets: 9, Mode: core.Live, AllowIncomplete: true, Arrivals: new(Arrivals)})
 		if err == nil || !strings.Contains(err.Error(), "arrival matrix too large: N=200000 nodes") {
 			t.Fatalf("Slots=%d: got %v, want the sized ceiling error", slots, err)
 		}
 	}
-	if cap(r.sc.have) != 0 || cap(r.sc.cells) != 0 {
-		t.Errorf("a refused run allocated %d presence words and %d cells", cap(r.sc.have), cap(r.sc.cells))
+	if cap(r.sc.have) != 0 || cap(r.sc.slots) != 0 {
+		t.Errorf("a refused run allocated %d presence words and %d slot words", cap(r.sc.have), cap(r.sc.slots))
 	}
-	if _, err := r.Run(chainOfTwo(), Options{Slots: 6, Packets: 1}); err != nil {
+	kept := new(Arrivals)
+	if _, err := r.Run(chainOfTwo(), Options{Slots: 6, Packets: 1, Arrivals: kept}); err != nil {
 		t.Errorf("run after a refused one: %v", err)
 	}
-	if cap(r.sc.cells) != 0 {
-		t.Errorf("a cell-free run allocated %d arrival cells", cap(r.sc.cells))
+	if len(kept.cells) != 3 || kept.At(1, 0) != 0 || kept.At(2, 0) != 1 {
+		t.Errorf("record of %d cells, node 1 at %d and node 2 at %d; want 3 cells, slots 0 and 1", len(kept.cells), kept.At(1, 0), kept.At(2, 0))
 	}
 }

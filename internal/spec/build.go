@@ -26,11 +26,12 @@ type Run struct {
 	// Scheme is the constructed scheme.
 	Scheme core.Scheme
 	// Opt are the complete engine options (horizon, window, mode,
-	// capacities, injected faults). Opt.Arrivals is set exactly for the runs
-	// whose reports read arrival cells — live churn (ChurnReport) and the mdc
-	// family (mdc.SystemQuality) — and holds them after the run; every other
-	// run keeps none. A caller with a cell reader of its own points it at an
-	// Arrivals before executing.
+	// capacities, injected faults). Opt.Arrivals, the record of arrival
+	// slots the engine fills as it runs, is set exactly for the runs whose
+	// reports read it — live churn (ChurnReport) and the mdc family
+	// (mdc.SystemQuality); every other run keeps none. A caller with a cell
+	// reader of its own points it at an Arrivals before executing. Either
+	// way the run summarises its window from the one ledger every run keeps.
 	Opt slotsim.Options
 	// CheckOpt are the static-verifier options; nil when the family is
 	// not statically checkable.

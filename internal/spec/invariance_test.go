@@ -127,8 +127,8 @@ func TestObserverAttachmentInvariance(t *testing.T) {
 
 // TestCellRequestInvariance: whether a run keeps its arrival cells changes
 // nothing it computes — not a StartDelay, MaxBuffer, Missing or SlotsUsed, bare
-// or observed, and not the observed run's Metrics fingerprint. finish()
-// summarises the same tiles either way; only where it puts them differs.
+// or observed, and not the observed run's Metrics fingerprint. The engine
+// fills the record beside its ledger and never reads it.
 func TestCellRequestInvariance(t *testing.T) {
 	for _, c := range invarianceScenarios(t) {
 		for _, observed := range []bool{false, true} {
