@@ -397,11 +397,12 @@ func BenchmarkObserverOverhead(b *testing.B) {
 
 // BenchmarkBuildReport measures assembling the run report of the
 // `churn-faulted` benchmark shape — multitree d=3 N=10000, 200 packets,
-// Poisson live churn over 2% loss — from its Result and Metrics. The run
-// itself is set up once, outside the timer. `make bench-gate` holds the row to
-// its bytes: the report's buffer series are folded from the arrival log with
-// O(N + slots) scratch, and a nodes × slots occupancy matrix back in the path
-// is ≈ 19 MB more per op.
+// Poisson live churn over 2% loss — from its Result, Metrics and arrival
+// record. The run itself is set up once, outside the timer. `make bench-gate`
+// holds the row to its bytes: the report's buffer series are folded from the
+// run's Options.Arrivals record a block of ids at a time, with O(slots)
+// scratch per block, and a nodes × slots occupancy matrix back in the path is
+// ≈ 19 MB more per op.
 func BenchmarkBuildReport(b *testing.B) {
 	run, err := spec.Build(faultedChurnScenario(b, b.TempDir()))
 	if err != nil {
@@ -444,8 +445,9 @@ func faultedChurnScenario(b *testing.B, dir string) *spec.Scenario {
 // BenchmarkFaultedChurnRun is the `churn-faulted` workload in process: per
 // iteration the registry build (a live-churn run is single-shot), the run with
 // Metrics attached on one held Runner, and the report with its churn section.
-// The injector's verdicts and the per-delivery Metrics hook sit on this path.
-// `make bench-gate` holds the row to its bytes and allocations.
+// The injector's verdicts and the per-slot Metrics hook sit on this path.
+// `make bench-gate` holds the row to its bytes and allocations: a Metrics
+// that logs each delivery again is ≈ 17 MB more per op.
 func BenchmarkFaultedChurnRun(b *testing.B) {
 	sc := faultedChurnScenario(b, b.TempDir())
 	r := slotsim.NewRunner()

@@ -46,7 +46,8 @@ func reportsActive() bool { return currentSink() != nil }
 
 // simulateRun executes a registry-built run under m, when the caller wants
 // its metrics, and sends the run's report to the sink when one is installed
-// (under metrics of its own if m is nil). A run with neither stays direct.
+// (under metrics of its own if m is nil, and keeping the arrival record the
+// report's buffer series are folded from). A run with neither stays direct.
 func simulateRun(run *spec.Run, m *obs.Metrics) (*slotsim.Result, error) {
 	sink := currentSink()
 	if sink == nil && m == nil {
@@ -54,6 +55,9 @@ func simulateRun(run *spec.Run, m *obs.Metrics) (*slotsim.Result, error) {
 	}
 	if m == nil {
 		m = obs.NewMetrics()
+	}
+	if sink != nil && run.Opt.Arrivals == nil {
+		run.Opt.Arrivals = new(slotsim.Arrivals)
 	}
 	res, err := run.Execute(m)
 	if err != nil || sink == nil {

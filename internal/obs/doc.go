@@ -14,15 +14,15 @@
 //
 // Consumers shipped here:
 //
-//   - Metrics — per-slot counter series, per-node totals, the largest and
-//     summed buffer occupancy per slot (BufferSeries, folded from an 8-byte
-//     record per delivery), a delivery-latency histogram
+//   - Metrics — per-slot counter series, per-node totals, a delivery-latency
+//     histogram
 //     (stats.StreamingHist; Slot only counts each integer lag in a table
 //     of one int per slot of lag, and Latency folds the counts in when read,
 //     so reads mid-run and at the end stay exact) and an FNV-1a schedule
-//     fingerprint. Export with
-//     WriteProm (Prometheus text format) or slotsim.BuildReport (JSON
-//     RunReport).
+//     fingerprint; nothing per delivery. Export with WriteProm (Prometheus
+//     text format) or slotsim.BuildReport (JSON RunReport), which adds the
+//     largest and summed buffer occupancy per slot, folded from the run's
+//     slotsim.Arrivals record.
 //   - JSONLWriter — a compact one-object-per-line event log, one line per
 //     event of the views' streams (SlotView.AppendEvents); ReadEvents
 //     inverts it. internal/trace golden-tests the format.
@@ -36,14 +36,15 @@
 //
 //	s, _ := hypercube.New(7, 1)
 //	m := obs.NewMetrics()
-//	opt := slotsim.Options{Slots: 20, Packets: 8, Mode: core.Live, Observer: m}
+//	opt := slotsim.Options{Slots: 20, Packets: 8, Mode: core.Live, Observer: m,
+//		Arrivals: new(slotsim.Arrivals)} // the buffer series are folded from it
 //	res, err := slotsim.Run(s, opt)
 //	if err != nil { ... }
-//	peak, total := m.BufferSeries(res.StartDelay, res.Packets)
-//	// peak[t] is the fullest receiver buffer at the end of slot t and
-//	// total[t] the packets buffered across all receivers; max over t of
-//	// peak equals res.WorstBuffer() (2 packets — Proposition 1).
-//	rep := slotsim.BuildReport(s, opt, res, m, 0) // series.buffer_max/_total
+//	rep := slotsim.BuildReport(s, opt, res, m, 0)
+//	// rep.Series.BufferMax[t] is the fullest receiver buffer at the end of
+//	// slot t and BufferTotal[t] the packets buffered across all receivers;
+//	// max over t of BufferMax equals res.WorstBuffer() (2 packets —
+//	// Proposition 1).
 //	rep.WriteJSON(os.Stdout)
 //
 // Overhead: the engine makes one pointer check and, when an Observer is

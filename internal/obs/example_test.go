@@ -20,7 +20,8 @@ func Example() {
 		panic(err)
 	}
 	m := obs.NewMetrics()
-	opt := slotsim.Options{Slots: 40, Packets: 8, Mode: core.Live, Observer: m}
+	opt := slotsim.Options{Slots: 40, Packets: 8, Mode: core.Live, Observer: m,
+		Arrivals: new(slotsim.Arrivals)} // the report's buffer series read it
 	res, err := slotsim.Run(h, opt)
 	if err != nil {
 		panic(err)
@@ -31,9 +32,10 @@ func Example() {
 	fmt.Printf("worst delay:   %d slots\n", res.WorstStartDelay())
 	fmt.Printf("worst buffer:  %d packets\n", res.WorstBuffer())
 
-	// The per-slot buffer series peaks exactly at the engine's number.
-	peak, _ := m.BufferSeries(res.StartDelay, res.Packets)
-	fmt.Printf("series peak:   %d packets\n", slices.Max(peak))
+	// The report's per-slot buffer series peaks exactly at the engine's
+	// number.
+	rep := slotsim.BuildReport(h, opt, res, m, 0)
+	fmt.Printf("series peak:   %d packets\n", slices.Max(rep.Series.BufferMax))
 	// Output:
 	// transmissions: 569
 	// worst delay:   3 slots

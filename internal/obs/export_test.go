@@ -149,90 +149,3 @@ func OracleEvents(seed int64, n int) []Event {
 	}
 	return evs
 }
-
-// ArrivalRecord is one entry of the Metrics arrival log.
-type ArrivalRecord = arrival
-
-// eachArrival calls fn for every logged delivery, in log order, with the slot
-// its run says it was delivered in.
-func (m *Metrics) eachArrival(fn func(node, pkt int32, slot core.Slot)) {
-	i, r := 0, 0
-	for _, chunk := range m.arrivals {
-		for _, a := range chunk {
-			if i == m.runs[r].end {
-				r++
-			}
-			i++
-			fn(a.node, a.pkt, m.runs[r].slot)
-		}
-	}
-}
-
-// rawOccupancy is each node's held-minus-played count at the end of every
-// slot, before the clamp at zero, and the packets it held by then: rows
-// indexed [node][slot] with slots 0..lastSlot, all-zero beyond len(start)−1.
-func (m *Metrics) rawOccupancy(start []core.Slot, window core.Packet) (occ, held [][]int) {
-	slots := int(m.lastSlot) + 1
-	rows := func() [][]int {
-		flat := make([]int, len(m.nodes)*slots)
-		out := make([][]int, len(m.nodes))
-		for id := range out {
-			out[id] = flat[id*slots : (id+1)*slots : (id+1)*slots]
-		}
-		return out
-	}
-	occ, held = rows(), rows()
-	// One counting pass buckets the log into arrivals per (node, slot),
-	// using the output rows themselves as the buckets.
-	m.eachArrival(func(node, pkt int32, slot core.Slot) {
-		if int(node) >= len(start) || int(pkt) >= int(window) || int(slot) >= slots {
-			return
-		}
-		occ[node][slot]++
-	})
-	// Each row then turns into packets held so far minus packets already
-	// played back.
-	for id, row := range occ {
-		if id >= len(start) {
-			break
-		}
-		have := 0
-		for t := range row {
-			have += row[t]
-			played := min(max(t-int(start[id]), 0), int(window))
-			row[t], held[id][t] = have-played, have
-		}
-	}
-	return occ, held
-}
-
-// OccupancySeries is the reference the buffer fold is held to: each node's
-// buffer occupancy at the end of every slot, derived from the recorded
-// arrivals by materializing the whole nodes × slots matrix. Rows beyond
-// len(start)−1 or without arrivals are all-zero. The per-node maximum of the
-// series equals the engine's Result.MaxBuffer.
-func (m *Metrics) OccupancySeries(start []core.Slot, window core.Packet) [][]int {
-	out, _ := m.rawOccupancy(start, window)
-	for _, row := range out {
-		for t, v := range row {
-			row[t] = max(v, 0)
-		}
-	}
-	return out
-}
-
-// Underflows counts the (receiver, slot) cells in which a receiver holding
-// packets has played more window packets than it holds — late or missing
-// ones — so that OccupancySeries clamps its occupancy at zero.
-func (m *Metrics) Underflows(start []core.Slot, window core.Packet) int {
-	occ, held := m.rawOccupancy(start, window)
-	n := 0
-	for id := 1; id < len(occ); id++ {
-		for t, v := range occ[id] {
-			if v < 0 && held[id][t] > 0 {
-				n++
-			}
-		}
-	}
-	return n
-}

@@ -31,26 +31,6 @@ type NodeCounters struct {
 	Sends, Receives, Duplicates, Drops int
 }
 
-// arrival is one booked packet delivery at a node, held at the width the
-// engine itself keeps ids at: eight bytes per non-duplicate delivery is what
-// a Metrics run retains most of. Its slot is not stored: deliveries come in
-// slot order (the Observer contract), so the log is cut into slotRuns instead.
-type arrival struct {
-	node, pkt int32
-}
-
-// slotRun closes one stretch of the arrival log delivered in one slot: the
-// records from the previous run's end up to (not including) end arrived at
-// the end of slot. A run costs 16 bytes per slot that delivered anything.
-type slotRun struct {
-	slot core.Slot
-	end  int
-}
-
-// arrivalChunkMin is the capacity of the arrival log's first chunk; each
-// later chunk is a quarter larger than the one before it.
-const arrivalChunkMin = 1024
-
 // FNV-1a 64-bit parameters (hash/fnv's), inlined so the per-transmission
 // fingerprint update is a register loop rather than an interface call.
 const (
@@ -81,11 +61,10 @@ func fnvMix(h uint64, v int) uint64 {
 }
 
 // Metrics is the standard collecting Observer: per-slot counter series,
-// per-node totals, one log of arrivals (from which the buffer-occupancy
-// series are folded), a streaming histogram of per-packet delivery
-// latency, and an FNV-1a fingerprint of the executed schedule. It retains
-// one record per slot, one per node and one per non-duplicate delivery, so
-// its memory grows with the event count, not only with N.
+// per-node totals, a streaming histogram of per-packet delivery latency, and
+// an FNV-1a fingerprint of the executed schedule. It retains one record per
+// slot, one per node id and one count per delivery lag, so its memory grows
+// with the slots and the ids of a run, not with its deliveries.
 //
 // A delivery's lag is an integer number of slots, so Slot only counts it
 // in a table indexed by lag (O(slots) entries); Latency folds the pending
@@ -95,14 +74,7 @@ func fnvMix(h uint64, v int) uint64 {
 type Metrics struct {
 	slots    []SlotCounters
 	inFlight int
-
-	nodes []NodeCounters
-	// arrivals logs every non-duplicate delivery in event order, as chunks
-	// that fill once and never move: growing the log allocates
-	// O(log arrivals) times and copies nothing. runs says which slot each
-	// stretch of it was delivered in. BufferSeries folds it on demand.
-	arrivals [][]arrival
-	runs     []slotRun
+	nodes    []NodeCounters
 
 	latency *stats.StreamingHist
 	// lags[l] counts the deliveries with lag l not yet folded into latency.
@@ -132,8 +104,8 @@ func (m *Metrics) grow(id core.NodeID) {
 }
 
 // Slot implements Observer: it counts the slot, hashes its transmissions
-// into the fingerprint and books its arrivals. A slot that stopped the run
-// counts toward every total but opens no entry of the slot series.
+// into the fingerprint and counts its arrivals' lags. A slot that stopped
+// the run counts toward every total but opens no entry of the slot series.
 func (m *Metrics) Slot(v *SlotView) {
 	t := v.T
 	c := SlotCounters{Slot: t, Scheduled: v.Scheduled}
@@ -157,7 +129,7 @@ func (m *Metrics) Slot(v *SlotView) {
 		h = fnvMix(h, int(tx.Packet))
 	}
 	m.hash = h
-	booked, dups := 0, v.Dups
+	dups := v.Dups
 	for i, tx := range v.Arrivals {
 		m.grow(tx.To)
 		m.nodes[tx.To].Receives++
@@ -167,15 +139,12 @@ func (m *Metrics) Slot(v *SlotView) {
 			m.nodes[tx.To].Duplicates++
 			continue
 		}
-		m.logArrival(t, tx)
-		booked++
-	}
-	if booked > 0 {
-		end := booked
-		if n := len(m.runs); n > 0 {
-			end += m.runs[n-1].end
+		if lag := int(t) - int(tx.Packet); lag >= 0 {
+			if lag >= len(m.lags) {
+				m.lags = append(m.lags, make([]int, lag+1-len(m.lags))...)
+			}
+			m.lags[lag]++
 		}
-		m.runs = append(m.runs, slotRun{slot: t, end: end})
 	}
 	c.Delivers = len(v.Arrivals)
 	m.inFlight += c.Transmits - c.Delivers
@@ -185,26 +154,6 @@ func (m *Metrics) Slot(v *SlotView) {
 	if v.Ended {
 		c.InFlight = m.inFlight
 		m.slots = append(m.slots, c)
-	}
-}
-
-// logArrival appends one non-duplicate delivery at the end of slot t to the
-// arrival log and counts its lag; Slot closes the slot's run of the log.
-func (m *Metrics) logArrival(t core.Slot, tx core.Transmission) {
-	last := len(m.arrivals) - 1
-	if last < 0 {
-		m.arrivals = append(m.arrivals, make([]arrival, 0, arrivalChunkMin))
-		last++
-	} else if c := cap(m.arrivals[last]); len(m.arrivals[last]) == c {
-		m.arrivals = append(m.arrivals, make([]arrival, 0, c+c/4))
-		last++
-	}
-	m.arrivals[last] = append(m.arrivals[last], arrival{node: int32(tx.To), pkt: int32(tx.Packet)})
-	if lag := int(t) - int(tx.Packet); lag >= 0 {
-		if lag >= len(m.lags) {
-			m.lags = append(m.lags, make([]int, lag+1-len(m.lags))...)
-		}
-		m.lags[lag]++
 	}
 }
 
@@ -259,69 +208,4 @@ func (m *Metrics) Totals() SlotCounters {
 	tot.Slot = m.lastSlot
 	tot.InFlight = m.inFlight
 	return tot
-}
-
-// BufferSeries folds the recorded arrivals into the two per-slot buffer
-// series of a run report: the largest and the summed buffer occupancy over
-// receivers 1..len(start)−1 at the end of every slot 0..lastSlot. Occupancy
-// follows the engine's playback model: packet j (within the measurement
-// window) occupies node id's buffer from the end of its arrival slot through
-// the end of slot start[id]+j, its playback slot, and a node that has played
-// more packets than it holds (late or missing ones) holds none. The per-node
-// maximum of that occupancy is the engine's Result.MaxBuffer.
-//
-// The fold walks the log once and keeps two int32s per node — packets held,
-// and the first slot not yet folded — so it needs no nodes × slots matrix:
-// when a packet reaches a node, the slots since the node's last arrival are
-// folded at its previous count, stopping once the buffer has drained (played
-// only grows); the tail after the last arrival is folded at the end. This
-// relies on deliveries arriving in slot order, which the Observer contract
-// guarantees.
-func (m *Metrics) BufferSeries(start []core.Slot, window core.Packet) (peak, total []int) {
-	slots := 0
-	if len(m.nodes) > 0 {
-		slots = int(m.lastSlot) + 1
-	}
-	peak, total = make([]int, slots), make([]int, slots)
-	nodes := min(len(start), len(m.nodes))
-	held := make([]int32, nodes)
-	next := make([]int32, nodes)
-	// fold adds node id's occupancy at count have over slots from..to−1.
-	fold := func(id int, have, from, to int) {
-		s := int(start[id])
-		for t := from; t < to; t++ {
-			played := min(max(t-s, 0), int(window))
-			occ := have - played
-			if occ <= 0 {
-				return
-			}
-			total[t] += occ
-			if occ > peak[t] {
-				peak[t] = occ
-			}
-		}
-	}
-	i, r, end, slot := 0, 0, 0, 0
-	for _, chunk := range m.arrivals {
-		for _, a := range chunk {
-			if i == end {
-				slot, end = int(m.runs[r].slot), m.runs[r].end
-				r++
-			}
-			i++
-			id := int(a.node)
-			if id < 1 || id >= nodes || int(a.pkt) >= int(window) || slot >= slots {
-				continue
-			}
-			fold(id, int(held[id]), int(next[id]), slot)
-			held[id]++
-			next[id] = int32(slot)
-		}
-	}
-	for id := 1; id < nodes; id++ {
-		if held[id] > 0 {
-			fold(id, int(held[id]), int(next[id]), slots)
-		}
-	}
-	return peak, total
 }

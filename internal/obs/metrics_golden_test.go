@@ -16,10 +16,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/metrics_golden.txt from the current collector")
 
-// goldenRuns are the three seeded runs whose full Metrics state is pinned
-// in testdata/metrics_golden.txt. The file was written by the per-node
-// arrival-slice collector that preceded the flat arrival log, so a diff
-// here means the struct-of-arrays Metrics changed an observable value.
+// goldenRuns are the three seeded runs whose full Metrics state, and the
+// buffer occupancy read off their arrival records, are pinned in
+// testdata/metrics_golden.txt. The occupancy rows were last rewritten when
+// the report's buffer series moved from the Metrics arrival log to the
+// record: the churn case's revived ids now count only their new occupants'
+// packets.
 var goldenRuns = []struct {
 	name, scenario string
 	files          map[string]string
@@ -34,8 +36,9 @@ var goldenRuns = []struct {
 }
 
 // renderMetrics prints everything a Metrics collector exposes, one value
-// per line, in a form stable enough to diff.
-func renderMetrics(w *bytes.Buffer, name string, m *obs.Metrics, res *slotsim.Result) {
+// per line, and each node's buffer occupancy read off the run's record, in
+// a form stable enough to diff.
+func renderMetrics(w *bytes.Buffer, name string, m *obs.Metrics, rec *slotsim.Arrivals, res *slotsim.Result) {
 	fmt.Fprintf(w, "== %s\n", name)
 	fmt.Fprintf(w, "fingerprint %s\n", m.Fingerprint())
 	fmt.Fprintf(w, "totals %+v\n", m.Totals())
@@ -48,9 +51,9 @@ func renderMetrics(w *bytes.Buffer, name string, m *obs.Metrics, res *slotsim.Re
 	}
 	h := m.Latency()
 	fmt.Fprintf(w, "latency n=%d sum=%g min=%g max=%g buckets=%v\n", h.N, h.Sum, h.Min, h.Max, h.Counts)
-	for id, row := range m.OccupancySeries(res.StartDelay, res.Packets) {
-		fmt.Fprintf(w, "occ %d %v\n", id, row)
-	}
+	slots := len(m.SlotSeries())
+	fmt.Fprintf(w, "occ 0 %v\n", make([]int, slots)) // the source buffers nothing
+	occupancy(rec, res, slots, func(id int, occ []int) { fmt.Fprintf(w, "occ %d %v\n", id, occ) })
 }
 
 // TestMetricsGolden replays the pinned runs and compares every exported
@@ -78,7 +81,7 @@ func TestMetricsGolden(t *testing.T) {
 		}
 		m := obs.NewMetrics()
 		opt := run.Opt
-		opt.Observer = m
+		opt.Observer, opt.Arrivals = m, new(slotsim.Arrivals)
 		res, err := slotsim.Run(run.Scheme, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)
@@ -86,7 +89,7 @@ func TestMetricsGolden(t *testing.T) {
 		tot := m.Totals()
 		sawDrop = sawDrop || tot.Drops > 0
 		sawDup = sawDup || tot.Duplicates > 0
-		renderMetrics(&got, g.name, m, res)
+		renderMetrics(&got, g.name, m, opt.Arrivals, res)
 	}
 	if !sawDrop || !sawDup {
 		t.Fatalf("golden runs must cover drops (%v) and duplicates (%v)", sawDrop, sawDup)

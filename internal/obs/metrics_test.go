@@ -173,52 +173,8 @@ func TestLatencyFoldMidRun(t *testing.T) {
 	}
 }
 
-func TestOccupancySeries(t *testing.T) {
-	m := NewMetrics()
-	driveChain(m)
-	// start[1]=0, start[2]=1 for the chain; window 5.
-	occ := m.OccupancySeries([]core.Slot{0, 0, 1}, 5)
-	if len(occ) != 3 {
-		t.Fatalf("occupancy has %d rows, want 3", len(occ))
-	}
-	// Node 1 plays packet j at slot j, the slot it arrives: occupancy 1
-	// during the window, 0 after.
-	if want := []int{1, 1, 1, 1, 1, 0, 0}; !reflect.DeepEqual(occ[1], want) {
-		t.Errorf("node 1 occupancy %v, want %v", occ[1], want)
-	}
-	// Node 2 receives packet j at slot j+1 and plays it at slot 1+j: also a
-	// steady single-packet buffer.
-	if want := []int{0, 1, 1, 1, 1, 1, 0}; !reflect.DeepEqual(occ[2], want) {
-		t.Errorf("node 2 occupancy %v, want %v", occ[2], want)
-	}
-	// The source row records no arrivals.
-	for _, v := range occ[0] {
-		if v != 0 {
-			t.Fatalf("source occupancy %v, want zeros", occ[0])
-		}
-	}
-}
-
-func TestOccupancyBurst(t *testing.T) {
-	// Three packets land in slot 2 but playback starts at slot 3: the buffer
-	// must peak at 3 and drain one per slot (packet j occupies through the
-	// end of its playback slot start+j).
-	m := NewMetrics()
-	for t := core.Slot(0); t < 7; t++ {
-		v := SlotView{T: t, Ended: true}
-		if t == 2 {
-			v.Arrivals = []core.Transmission{tx(0, 1, 0), tx(0, 1, 1), tx(0, 1, 2)}
-		}
-		m.Slot(&v)
-	}
-	occ := m.OccupancySeries([]core.Slot{0, 3}, 3)
-	if want := []int{0, 0, 3, 3, 2, 1, 0}; !reflect.DeepEqual(occ[1], want) {
-		t.Errorf("burst occupancy %v, want %v", occ[1], want)
-	}
-}
-
 // TestMetricsAllocs: once a node id has been seen, a slot that extends no
-// log — sends and drops, and no arrival or end — must not allocate; the
+// series — sends and drops, and no arrival or end — must not allocate; the
 // fingerprint update in particular is a register loop, not a hash.Hash
 // call with an escaping buffer.
 func TestMetricsAllocs(t *testing.T) {

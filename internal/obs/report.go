@@ -11,7 +11,8 @@ import (
 // run (scheme, options, schedule fingerprint), the aggregate QoS the paper
 // reports (worst/average playback delay, peak buffer), and the per-slot
 // time-series the aggregates are derived from. slotsim.BuildReport
-// assembles it from a Result plus a Metrics observer; WriteJSON emits it.
+// assembles it from a Result, a Metrics observer and the run's arrival
+// record; WriteJSON emits it.
 type RunReport struct {
 	Scheme    string `json:"scheme"`
 	Receivers int    `json:"receivers"`

@@ -50,8 +50,9 @@
 //     fault plan), how a run degrades under loss (SkipUnavailable,
 //     AllowIncomplete), the observability hook (Observer) and the record of
 //     arrival slots a caller asks the run to fill (Arrivals).
-//   - BuildReport turns a finished run plus an obs.Metrics collector into
-//     a machine-readable obs.RunReport (see OBSERVABILITY.md).
+//   - BuildReport turns a finished run, its obs.Metrics collector and its
+//     Arrivals record into a machine-readable obs.RunReport, whose buffer
+//     series it folds from the record (see OBSERVABILITY.md).
 //
 // Observability: set Options.Observer to receive one call per executed slot
 // (obs.Observer) with a view of what the slot did — every transmission,

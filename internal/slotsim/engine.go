@@ -213,6 +213,14 @@ func (a *Arrivals) Hiccups(id core.NodeID, start core.Slot) int {
 	return n
 }
 
+// forget clears node id's row: the id's previous occupant left, and its
+// arrivals are not the joining member's.
+func (a *Arrivals) forget(id core.NodeID) {
+	for j := 0; j < int(a.packets); j++ {
+		a.cells[j*a.stride+int(id)] = unset32
+	}
+}
+
 // WorstStartDelay returns the maximum playback delay over all receivers.
 func (r *Result) WorstStartDelay() core.Slot {
 	var worst core.Slot
@@ -349,7 +357,10 @@ func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
 	if maxPkt < opt.Packets {
 		maxPkt = opt.Packets
 	}
-	if satMul(n+1, int(maxPkt)) > core.MaxArrivalCells {
+	// The presence bits hold a row per tracked packet and the slot bits a row
+	// per slot; with any source capacity there are at least as many packet
+	// rows as slots.
+	if satMul(n+1, max(int(maxPkt), int(opt.Slots))) > core.MaxArrivalCells {
 		const gib = 1 << 30
 		var kept core.Packet
 		if opt.Arrivals != nil {
@@ -358,7 +369,7 @@ func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
 		return nil, fmt.Errorf("slotsim: arrival matrix too large: N=%d nodes × %d packet rows would allocate up to %.1f GiB of arrival bits and cells, over the %d-cell ceiling (core.MaxArrivalCells); shorten the horizon (%d slots) or the population",
 			n, maxPkt, arrivalBytes(n, maxPkt, opt.Slots, kept)/gib, core.MaxArrivalCells, opt.Slots)
 	}
-	sc.resetLedger(n, maxPkt)
+	sc.resetLedger(n, maxPkt, opt.Slots)
 	if a := opt.Arrivals; a != nil {
 		// A record handed in again is cleared; a fresh one is all zero
 		// already, and its pages no arrival reaches (the join headroom of a
@@ -392,7 +403,7 @@ func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
 		have:      sc.have,
 		words:     sc.words,
 		dirtyRows: sc.dirtyRows,
-		slots:     sc.slots[:0],
+		slots:     sc.slots,
 		arrivals:  opt.Arrivals,
 		direct:    opt.Observer == nil && opt.Inject == nil && opt.Churn == nil,
 		pending:   n,
@@ -539,9 +550,6 @@ func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) (int, error)
 				e.sc.maxArr = int32(t)
 			}
 			j := int(t)*e.words + int(id)>>6
-			if j >= len(e.slots) {
-				e.growSlots(t)
-			}
 			if sw := e.slots[j]; sw&bit == 0 {
 				e.slots[j] = sw | bit
 			} else {

@@ -48,12 +48,14 @@ func arrivalBytes(n int, maxPkt core.Packet, slots core.Slot, kept core.Packet) 
 }
 
 // resetLedger sizes the Runner's ledger for a run over ids 0..n tracking
-// maxPkt packets. The previous run's writes are undone against its layout
-// first: the packet rows its dirty bitmap marks are cleared in the presence
-// bits, and the slot rows up to its last window arrival. A buffer that must
-// grow is freshly allocated instead, and therefore all zero, and is never
-// cleared here: pages the run does not touch stay unfaulted.
-func (sc *scratch) resetLedger(n int, maxPkt core.Packet) {
+// maxPkt packets over a horizon of slots, one slot row per slot. The previous
+// run's writes are undone against its layout first: the packet rows its dirty
+// bitmap marks are cleared in the presence bits, and the slot rows up to its
+// last window arrival. A buffer that must grow is freshly allocated instead,
+// and therefore all zero, and is never cleared here: where the allocator maps
+// fresh pages for it, pages the run does not touch — the slot rows past its
+// last window arrival among them — stay unfaulted.
+func (sc *scratch) resetLedger(n int, maxPkt core.Packet, slots core.Slot) {
 	words := (n + 64) / 64
 	haveLen := int(maxPkt) * words
 	reuse := cap(sc.have) >= haveLen
@@ -73,6 +75,7 @@ func (sc *scratch) resetLedger(n int, maxPkt core.Packet) {
 	clear(sc.slots[:(int(sc.maxArr)+1)*sc.words])
 	sc.have = grownU64s(sc.have, haveLen)
 	sc.dirtyRows = grownU64s(sc.dirtyRows, (int(maxPkt)+63)/64)
+	sc.slots = grownU64s(sc.slots, int(slots)*words)
 	sc.words = words
 	sc.over = sc.over[:0]
 }
@@ -101,22 +104,6 @@ func (e *engine) holds(id core.NodeID, p core.Packet, t core.Slot) bool {
 	return p < e.maxPkt && e.has(id, p)
 }
 
-// growSlots makes the slot bits cover rows 0..t. Rows start at 64 and double,
-// up to the horizon, so a run regrows a handful of times at most; the rows
-// written so far are copied into the fresh array and the rest of it is never
-// touched.
-func (e *engine) growSlots(t core.Slot) {
-	rows := min(max(2*len(e.slots)/e.words, int(t)+1, 64), int(e.opt.Slots))
-	if rows*e.words <= cap(e.slots) {
-		e.slots = e.slots[:rows*e.words]
-	} else {
-		grown := make([]uint64, rows*e.words)
-		copy(grown, e.slots)
-		e.slots = grown
-	}
-	e.sc.slots = e.slots
-}
-
 // resetNode wipes the engine state of one node id so it can be reassigned to
 // a joining member: the member ids of the multi-tree family recycle through
 // dummy revival, and the new occupant must not inherit the previous
@@ -133,9 +120,7 @@ func (e *engine) resetNode(id core.NodeID) {
 	}
 	e.sc.over = slices.DeleteFunc(e.sc.over, func(o overflow) bool { return o.id == int32(id) })
 	if a := e.arrivals; a != nil {
-		for p := 0; p < int(a.packets); p++ {
-			a.cells[p*a.stride+int(id)] = unset32
-		}
+		a.forget(id)
 	}
 	lag := noLag
 	e.cursor[id] = uint64(uint32(lag)) << 32

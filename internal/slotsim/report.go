@@ -7,9 +7,12 @@ import (
 
 // BuildReport assembles the machine-readable run report from a finished
 // run: the scheme identity and schedule fingerprint, the engine options,
-// the aggregate QoS numbers of the Result, and the per-slot time-series
+// the aggregate QoS numbers of the Result, the per-slot time-series
 // collected by the Metrics observer (which must have been attached to the
-// run via Options.Observer). workers is the worker count the scenario
+// run via Options.Observer), and the buffer series folded from the run's
+// arrival record. opt must be the run's Options with Arrivals set: a nil
+// record is a caller bug and panics (spec.Build keeps a record for every
+// scenario that writes a report). workers is the worker count the scenario
 // requested (the engine ignores it); the parameter is kept for its last
 // caller, bench/pipeline.go.
 func BuildReport(s core.Scheme, opt Options, res *Result, m *obs.Metrics, workers int) *obs.RunReport {
@@ -69,10 +72,10 @@ func BuildReport(s core.Scheme, opt Options, res *Result, m *obs.Metrics, worker
 		}
 	}
 
-	// Buffer-occupancy trajectories, folded from the observed arrivals
-	// under the Result's playback starts; the per-node maximum of the
+	// Buffer-occupancy trajectories over the observed slots, folded from the
+	// record under the Result's playback starts; the per-node maximum of the
 	// occupancy they sum is exactly Result.MaxBuffer.
-	rep.Series.BufferMax, rep.Series.BufferTotal = m.BufferSeries(res.StartDelay, res.Packets)
+	rep.Series.BufferMax, rep.Series.BufferTotal = opt.Arrivals.bufferSeries(res, len(series))
 
 	rep.PerNode = obs.PerNode{
 		StartDelay: make([]int, res.N+1),
@@ -86,4 +89,74 @@ func BuildReport(s core.Scheme, opt Options, res *Result, m *obs.Metrics, worker
 		rep.PerNode.Missing = append([]int(nil), res.Missing...)
 	}
 	return rep
+}
+
+// foldBlock is how many consecutive ids bufferSeries folds at a time.
+const foldBlock = 64
+
+// bufferSeries folds the record into the run report's two per-slot buffer
+// series over slots 0..slots−1: the largest and the summed buffer occupancy
+// over the receivers at the end of every slot. Occupancy follows the engine's
+// playback model: window packet j occupies node id's buffer from the end of
+// its arrival slot through the end of slot res.StartDelay[id]+j, its playback
+// slot, and a node that has played more packets than it holds (late or
+// missing ones) holds none. The record and the ledger finish reads hold the
+// same arrivals — a revived id's row only its new occupant's (resetNode) — so
+// the per-node maximum of that occupancy is Result.MaxBuffer.
+//
+// The record is packet-major, so the fold takes it a block of ids at a time:
+// each packet row's stretch of the block is one contiguous read, counted into
+// a slots × block table of arrivals. A walk over the slots then turns the
+// table into each id's occupancy, clearing it as it goes, and stops once
+// every buffer in the block has drained after its last arrival. Ids that
+// received nothing (res.Missing is the whole window), such as the join
+// headroom of a live-churn run, are trimmed off the ends of each block, so a
+// block of them is never read.
+func (a *Arrivals) bufferSeries(res *Result, slots int) (peak, total []int) {
+	w, stride := int(a.packets), a.stride
+	peak, total = make([]int, slots), make([]int, slots)
+	count := make([]int32, slots*foldBlock)
+	var have, start [foldBlock]int
+	empty := func(id int) bool { return res.Missing[id] >= w }
+	for from := 1; from <= res.N; from += foldBlock {
+		lo, hi := from, min(from+foldBlock, res.N+1)
+		for lo < hi && empty(lo) {
+			lo++
+		}
+		for hi > lo && empty(hi-1) {
+			hi--
+		}
+		k, left := hi-lo, 0
+		for j := 0; j < w; j++ {
+			for i, c := range a.cells[j*stride+lo : j*stride+hi] {
+				// An unset cell (0) wraps past every slot.
+				if t := uint(c - 1); t < uint(slots) {
+					count[int(t)*foldBlock+i]++
+					left++
+				}
+			}
+		}
+		for i := range k {
+			have[i], start[i] = 0, int(res.StartDelay[lo+i])
+		}
+		for t := 0; t < slots; t++ {
+			row := count[t*foldBlock : t*foldBlock+k]
+			sum, top := 0, 0
+			for i, c := range row {
+				have[i] += int(c)
+				left -= int(c)
+				row[i] = 0
+				if occ := have[i] - min(max(t-start[i], 0), w); occ > 0 {
+					sum += occ
+					top = max(top, occ)
+				}
+			}
+			if sum == 0 && left == 0 {
+				break
+			}
+			total[t] += sum
+			peak[t] = max(peak[t], top)
+		}
+	}
+	return peak, total
 }

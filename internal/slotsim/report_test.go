@@ -25,7 +25,7 @@ func TestBuildReportTable1Config(t *testing.T) {
 	}
 	scheme := multitree.NewScheme(m, core.Live)
 	met := obs.NewMetrics()
-	opt := slotsim.Options{Slots: 35, Packets: 12, Mode: core.Live, Observer: met}
+	opt := slotsim.Options{Slots: 35, Packets: 12, Mode: core.Live, Observer: met, Arrivals: new(slotsim.Arrivals)}
 	res, err := slotsim.Run(scheme, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -69,11 +69,34 @@ func TestBuildReportTable1Config(t *testing.T) {
 	}
 }
 
+// TestBuildReportNeedsRecord: the buffer series are folded from the run's
+// arrival record, so a report of a run that kept none is a caller bug that
+// panics, never a report whose series are silently empty.
+func TestBuildReportNeedsRecord(t *testing.T) {
+	m, err := multitree.New(15, 3, multitree.Greedy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheme := multitree.NewScheme(m, core.Live)
+	met := obs.NewMetrics()
+	opt := slotsim.Options{Slots: 35, Packets: 12, Mode: core.Live, Observer: met}
+	res, err := slotsim.Run(scheme, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("BuildReport of a run without Options.Arrivals returned instead of panicking")
+		}
+	}()
+	slotsim.BuildReport(scheme, opt, res, met, 0)
+}
+
 // TestBuildReportMemory: building the report of an N = 2 000 live-churn run
 // over more than 200 slots allocates under a quarter of 8·N·slots bytes. The
-// buffer series are folded from the arrival log with O(N + slots) scratch; a
-// nodes × slots matrix of ints, the way they were once derived, is at least
-// 8·N·slots on its own.
+// buffer series are folded from the arrival record with O(window + slots)
+// scratch; a nodes × slots matrix of ints, the way they were once derived,
+// is at least 8·N·slots on its own.
 func TestBuildReportMemory(t *testing.T) {
 	const n = 2000
 	plan := filepath.Join(t.TempDir(), "loss.plan")

@@ -28,10 +28,12 @@ type Run struct {
 	// Opt are the complete engine options (horizon, window, mode,
 	// capacities, injected faults). Opt.Arrivals, the record of arrival
 	// slots the engine fills as it runs, is set exactly for the runs whose
-	// reports read it — live churn (ChurnReport) and the mdc family
-	// (mdc.SystemQuality); every other run keeps none. A caller with a cell
-	// reader of its own points it at an Arrivals before executing. Either
-	// way the run summarises its window from the one ledger every run keeps.
+	// reports read it — live churn (ChurnReport), the mdc family
+	// (mdc.SystemQuality) and a scenario that writes `out report=`
+	// (slotsim.BuildReport's buffer series); every other run keeps none. A
+	// caller with a reader of its own points it at an Arrivals before
+	// executing. Either way the run summarises its window from the one
+	// ledger every run keeps.
 	Opt slotsim.Options
 	// CheckOpt are the static-verifier options; nil when the family is
 	// not statically checkable.
@@ -149,8 +151,9 @@ func BuildWithPlan(sc *Scenario, plan *faults.Plan) (*Run, error) {
 		}
 	}
 
-	if out.Live != nil {
-		opt.Arrivals = new(slotsim.Arrivals) // ChurnReport's PlaybackSLO reads cells
+	if out.Live != nil || sc.ReportOut != "" {
+		// ChurnReport's PlaybackSLO and BuildReport's buffer series read it.
+		opt.Arrivals = new(slotsim.Arrivals)
 	}
 
 	run := &Run{
