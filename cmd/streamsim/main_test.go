@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -132,6 +133,61 @@ func TestChurnReportSection(t *testing.T) {
 	}
 	if rep.Churn.MaxSwaps > rep.Churn.SwapBound {
 		t.Fatalf("report records a bound breach that should have aborted: %+v", rep.Churn)
+	}
+}
+
+// TestChurnReportMatchesText: on the churn-faulted shape (multitree d=3
+// n=10000 under poisson live churn and 2 % loss) the JSON report describes
+// the ids the text report counts — the ids the run allocated, not the
+// engine's join headroom: receivers is the text's count, missing_packets the
+// `faulted:` total, and every per_node array has receivers+1 entries.
+func TestChurnReportMatchesText(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 10 000-node churned run")
+	}
+	dir := t.TempDir()
+	plan := filepath.Join(dir, "loss.plan")
+	if err := os.WriteFile(plan, []byte("seed 7\nloss from=any to=any rate=0.02 slots=0..\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	repPath := filepath.Join(dir, "report.json")
+	text := "scheme multitree\nparam d=3 n=10000\npackets 200\nfaults file=" + plan + "\n" +
+		"churn kind=poisson rate=1 seed=11 policy=lazy slots=20..\nout report=" + repPath + "\n"
+	code, stdout, stderr := invoke([]string{"-scenario", "-"}, text)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	var receivers, faulted int
+	for _, line := range strings.Split(stdout, "\n") {
+		if v, ok := strings.CutPrefix(line, "receivers:"); ok {
+			receivers, _ = strconv.Atoi(strings.TrimSpace(v))
+		}
+		if _, v, ok := strings.Cut(line, "nodes missing packets ("); ok && strings.HasPrefix(line, "faulted:") {
+			faulted, _ = strconv.Atoi(strings.TrimSuffix(v, " packets total)"))
+		}
+	}
+	if receivers == 0 || faulted == 0 {
+		t.Fatalf("text report lacks the receivers or faulted line:\n%s", stdout)
+	}
+	f, err := os.Open(repPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rep, err := obs.ReadReport(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Receivers != receivers {
+		t.Errorf("report receivers %d, text %d", rep.Receivers, receivers)
+	}
+	if rep.Aggregates.MissingPackets != faulted {
+		t.Errorf("report missing_packets %d, text faulted total %d", rep.Aggregates.MissingPackets, faulted)
+	}
+	for name, a := range map[string][]int{"start_delay": rep.PerNode.StartDelay, "max_buffer": rep.PerNode.MaxBuffer, "missing": rep.PerNode.Missing} {
+		if len(a) != rep.Receivers+1 {
+			t.Errorf("per_node.%s has %d entries, want receivers+1 = %d", name, len(a), rep.Receivers+1)
+		}
 	}
 }
 

@@ -22,13 +22,6 @@ type ChurnStats struct {
 	// Swaps is the number of position relocations the repair performed.
 	// For the multi-tree family the appendix bound is d²+d per op.
 	Swaps int
-	// Affected is the number of distinct members whose position set changed.
-	Affected int
-	// Grew and Shrunk record whether the op changed the padded capacity of
-	// the underlying construction.
-	Grew, Shrunk bool
-	// Epoch is the topology epoch after the op was applied.
-	Epoch uint64
 }
 
 // MemberInfo pairs a live member's stable NodeID with its external name.

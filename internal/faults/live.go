@@ -127,9 +127,6 @@ type LiveChurnConfig struct {
 	// are skipped (generators) or abort the run (plans). Values below 2 are
 	// raised to 2.
 	Floor int
-	// CheckInvariants re-validates the scheme's full invariant set after
-	// every op (expensive: O(N·d) per op; meant for tests and small runs).
-	CheckInvariants bool
 }
 
 // LiveOp records one applied membership op.
@@ -152,14 +149,13 @@ type LiveChurn struct {
 	plan    []ChurnEvent // kind plan: events sorted by slot
 	planIdx int
 
-	used       bool
-	live       int
-	joins      int // join ops applied (budget accounting)
-	leaves     int
-	opIdx      int64 // global op counter: victim-pick coordinate
-	nameSeq    int
-	firstChurn core.Slot
+	used    bool
+	joins   int // join ops applied (budget accounting)
+	leaves  int
+	nameSeq int
 
+	// log holds the applied ops in order; its length is the global op
+	// counter, the victim-pick coordinate.
 	log     []LiveOp
 	members []slotsim.Membership
 	byNode  map[core.NodeID]int // live membership entry per node id
@@ -189,10 +185,9 @@ func NewLiveChurn(cfg LiveChurnConfig) (*LiveChurn, error) {
 		cfg.Floor = 2
 	}
 	lc := &LiveChurn{
-		cfg:        cfg,
-		seed:       uint64(cfg.Seed),
-		firstChurn: -1,
-		byNode:     make(map[core.NodeID]int),
+		cfg:    cfg,
+		seed:   uint64(cfg.Seed),
+		byNode: make(map[core.NodeID]int),
 	}
 	if cfg.Kind == ChurnPlan {
 		if cfg.Seed == 0 {
@@ -208,7 +203,12 @@ func (lc *LiveChurn) MaxNodes() int { return lc.cfg.MaxNodes }
 
 // FirstChurnSlot returns the slot of the first applied op, or -1 if the run
 // saw no churn.
-func (lc *LiveChurn) FirstChurnSlot() core.Slot { return lc.firstChurn }
+func (lc *LiveChurn) FirstChurnSlot() core.Slot {
+	if len(lc.log) == 0 {
+		return -1
+	}
+	return lc.log[0].Slot
+}
 
 // Ops returns the applied-op log in order.
 func (lc *LiveChurn) Ops() []LiveOp { return lc.log }
@@ -226,9 +226,9 @@ func (lc *LiveChurn) Membership() []slotsim.Membership {
 }
 
 // ChurnSummary aggregates a run's applied ops: total and worst per-op swap
-// counts and how many members the operations perturbed.
+// counts.
 type ChurnSummary struct {
-	Ops, TotalSwaps, MaxSwaps, Affected int
+	Ops, TotalSwaps, MaxSwaps int
 	// AvgSwaps is TotalSwaps/Ops, or 0 when no ops were applied.
 	AvgSwaps float64
 	// Bound is the per-op swap ceiling every op was checked against
@@ -244,7 +244,6 @@ func (lc *LiveChurn) Summary() ChurnSummary {
 	}
 	for _, op := range lc.log {
 		s.TotalSwaps += op.Stats.Swaps
-		s.Affected += op.Stats.Affected
 		if op.Stats.Swaps > s.MaxSwaps {
 			s.MaxSwaps = op.Stats.Swaps
 		}
@@ -257,7 +256,6 @@ func (lc *LiveChurn) Summary() ChurnSummary {
 func (lc *LiveChurn) track(node core.NodeID, name string, join core.Slot) {
 	lc.byNode[node] = len(lc.members)
 	lc.members = append(lc.members, slotsim.Membership{Node: node, Name: name, Join: join, Leave: -1})
-	lc.live++
 }
 
 // Step implements slotsim.ChurnSource: it resolves and applies the ops
@@ -300,7 +298,7 @@ func (lc *LiveChurn) Step(t core.Slot, ds core.DynamicScheme) ([]core.ChurnStats
 				}
 				name = fmt.Sprintf("live-%d", lc.nameSeq)
 				lc.nameSeq++
-			} else if lc.live <= lc.cfg.Floor {
+			} else if len(lc.pickList) <= lc.cfg.Floor {
 				continue // at the membership floor
 			}
 			st, err := lc.apply(t, ds, leave, name, false)
@@ -375,39 +373,29 @@ func (lc *LiveChurn) directionAt(t core.Slot, i int64) bool {
 // the budget or a leave at the floor aborts the run instead of being
 // skipped.
 func (lc *LiveChurn) apply(t core.Slot, ds core.DynamicScheme, leave bool, name string, fromPlan bool) (core.ChurnStats, error) {
+	op := len(lc.log) // ops applied before this one
 	if leave {
-		if lc.live <= lc.cfg.Floor {
-			return core.ChurnStats{}, fmt.Errorf("faults: churn op %d (leave at slot %d): membership is at the %d-member floor", lc.opIdx+1, t, lc.cfg.Floor)
+		if len(lc.pickList) <= lc.cfg.Floor {
+			return core.ChurnStats{}, fmt.Errorf("faults: churn op %d (leave at slot %d): membership is at the %d-member floor", op+1, t, lc.cfg.Floor)
 		}
 		if !fromPlan || name == AnyName {
 			space := spaceChurnLeave
 			if fromPlan {
 				space = spaceChurnPick
 			}
-			name = lc.pickList[pick(lc.seed, len(lc.pickList), space, lc.opIdx)].Name
+			name = lc.pickList[pick(lc.seed, len(lc.pickList), space, int64(op))].Name
 		}
 	} else if lc.joins >= lc.cfg.Max {
-		return core.ChurnStats{}, fmt.Errorf("faults: churn op %d (join %q at slot %d): join budget %d exhausted", lc.opIdx+1, name, t, lc.cfg.Max)
+		return core.ChurnStats{}, fmt.Errorf("faults: churn op %d (join %q at slot %d): join budget %d exhausted", op+1, name, t, lc.cfg.Max)
 	}
 	sts, err := ds.ApplyOps(t, []core.TopologyOp{{Leave: leave, Name: name}})
 	if err != nil {
-		return core.ChurnStats{}, fmt.Errorf("faults: churn op %d at slot %d: %w", lc.opIdx+1, t, err)
+		return core.ChurnStats{}, fmt.Errorf("faults: churn op %d at slot %d: %w", op+1, t, err)
 	}
 	st := sts[0]
 	if st.Swaps > lc.cfg.Bound {
 		return core.ChurnStats{}, fmt.Errorf("faults: churn op %d at slot %d (member %s): %d swaps exceeds the per-op bound %d",
-			lc.opIdx+1, t, name, st.Swaps, lc.cfg.Bound)
-	}
-	if lc.cfg.CheckInvariants {
-		if v, ok := ds.(interface{ Validate() error }); ok {
-			if err := v.Validate(); err != nil {
-				return core.ChurnStats{}, fmt.Errorf("faults: churn op %d at slot %d: invariant broken: %w", lc.opIdx+1, t, err)
-			}
-		}
-	}
-	lc.opIdx++
-	if lc.firstChurn < 0 {
-		lc.firstChurn = t
+			op+1, t, name, st.Swaps, lc.cfg.Bound)
 	}
 	// ApplyOps succeeded, so a leaver is in the list and a joiner is not.
 	at, _ := slices.BinarySearchFunc(lc.pickList, name, func(m core.MemberInfo, name string) int {
@@ -416,7 +404,6 @@ func (lc *LiveChurn) apply(t core.Slot, ds core.DynamicScheme, leave bool, name 
 	if leave {
 		lc.pickList = slices.Delete(lc.pickList, at, at+1)
 		lc.leaves++
-		lc.live--
 		if idx, ok := lc.byNode[st.Node]; ok {
 			lc.members[idx].Leave = t
 			delete(lc.byNode, st.Node)

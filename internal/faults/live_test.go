@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,6 +14,20 @@ import (
 // liveSource builds a fresh Dynamic+LiveScheme pair and a LiveChurn over it
 // (the source is single-shot, so every run needs its own).
 func liveSource(t *testing.T, n, d int, lazy bool, cfg LiveChurnConfig) (*multitree.LiveScheme, *LiveChurn) {
+	t.Helper()
+	_, ls, lc := newLive(t, n, d, lazy, cfg)
+	return ls, lc
+}
+
+// checkedSource is liveSource with the source wrapped in checkedChurn, so
+// the family's full invariant set is re-validated after every single op.
+func checkedSource(t *testing.T, n, d int, lazy bool, cfg LiveChurnConfig) (*multitree.LiveScheme, checkedChurn) {
+	t.Helper()
+	dy, ls, lc := newLive(t, n, d, lazy, cfg)
+	return ls, checkedChurn{LiveChurn: lc, dy: dy}
+}
+
+func newLive(t *testing.T, n, d int, lazy bool, cfg LiveChurnConfig) (*multitree.Dynamic, *multitree.LiveScheme, *LiveChurn) {
 	t.Helper()
 	dy, err := multitree.NewDynamic(n, d, lazy)
 	if err != nil {
@@ -29,12 +44,47 @@ func liveSource(t *testing.T, n, d int, lazy bool, cfg LiveChurnConfig) (*multit
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ls, lc
+	return dy, ls, lc
+}
+
+// checkedChurn is a ChurnSource decorator: it hands the source a view of the
+// scheme whose ApplyOps re-validates the family's full invariant set after
+// every op (O(N·d) per op), so a broken invariant aborts the run at the op
+// that broke it.
+type checkedChurn struct {
+	*LiveChurn
+	dy *multitree.Dynamic
+}
+
+func (c checkedChurn) Step(t core.Slot, ds core.DynamicScheme) ([]core.ChurnStats, error) {
+	return c.LiveChurn.Step(t, validatedScheme{ds, c.dy})
+}
+
+// validatedScheme is the view checkedChurn hands its source.
+type validatedScheme struct {
+	core.DynamicScheme
+	dy *multitree.Dynamic
+}
+
+func (v validatedScheme) ApplyOps(t core.Slot, ops []core.TopologyOp) ([]core.ChurnStats, error) {
+	sts, err := v.DynamicScheme.ApplyOps(t, ops)
+	if err == nil {
+		if verr := v.dy.Validate(); verr != nil {
+			err = fmt.Errorf("invariant broken: %w", verr)
+		}
+	}
+	return sts, err
+}
+
+// churnLog is a churn source whose applied ops can be listed.
+type churnLog interface {
+	slotsim.ChurnSource
+	Ops() []LiveOp
 }
 
 // stepAll drives the source directly (no engine) over the horizon,
 // returning the op log.
-func stepAll(t *testing.T, ls *multitree.LiveScheme, lc *LiveChurn, slots core.Slot) []LiveOp {
+func stepAll(t *testing.T, ls *multitree.LiveScheme, lc churnLog, slots core.Slot) []LiveOp {
 	t.Helper()
 	for s := core.Slot(0); s < slots; s++ {
 		if _, err := lc.Step(s, ls); err != nil {
@@ -49,7 +99,7 @@ func stepAll(t *testing.T, ls *multitree.LiveScheme, lc *LiveChurn, slots core.S
 // steady state plus the family slack unless one is set, and the allowances a
 // degraded run needs (repair gaps cascade as losses, and a position swap can
 // re-deliver a packet its new occupant already held).
-func liveOptions(ls *multitree.LiveScheme, lc *LiveChurn, opt slotsim.Options) slotsim.Options {
+func liveOptions(ls *multitree.LiveScheme, lc slotsim.ChurnSource, opt slotsim.Options) slotsim.Options {
 	if opt.Slots == 0 {
 		opt.Slots = core.Slot(int(opt.Packets)) + ls.SteadyState() + core.Slot(4*ls.SourceCapacity()+2)
 	}
@@ -250,8 +300,8 @@ func TestLiveChurnSwapBound(t *testing.T) {
 				if len(plan.Churn) == 0 {
 					continue
 				}
-				cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: len(plan.Churn)}, Plan: plan, CheckInvariants: true}
-				ls, lc := liveSource(t, 2*d+1, d, lazy, cfg)
+				cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: len(plan.Churn)}, Plan: plan}
+				ls, lc := checkedSource(t, 2*d+1, d, lazy, cfg)
 				stepAll(t, ls, lc, 60)
 				sum := lc.Summary()
 				if sum.Ops != len(plan.Churn) {
@@ -381,8 +431,8 @@ func TestLiveChurnMembershipWindows(t *testing.T) {
 func TestLiveChurnEngineParity(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		run := func() (*slotsim.Result, *slotsim.Arrivals, ChurnSummary) {
-			cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPoisson, Seed: 17, Rate: 0.4, Begin: 5, Max: 6}, CheckInvariants: true}
-			ls, lc := liveSource(t, 13, 3, lazy, cfg)
+			cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPoisson, Seed: 17, Rate: 0.4, Begin: 5, Max: 6}}
+			ls, lc := checkedSource(t, 13, 3, lazy, cfg)
 			opt := liveOptions(ls, lc, slotsim.Options{Slots: ls.SteadyState() + 60, Packets: 24})
 			res, err := slotsim.Run(ls, opt)
 			if err != nil {
@@ -450,16 +500,18 @@ func TestLiveChurnPickListMatchesMembers(t *testing.T) {
 		cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPoisson, Seed: 21, Rate: 2, Max: 40}}
 		ls, lc := liveSource(t, 12, 3, lazy, cfg)
 		ds := membersChecked{LiveScheme: ls, t: t, lc: lc}
+		// Ids are appended only by a level grow; the padding of the live
+		// count falls only when the membership drops below a level.
 		grew, shrunk := false, false
+		ids, padded := ls.NumReceivers(), 0
 		for s := core.Slot(0); s < 120; s++ {
-			stats, err := lc.Step(s, ds)
-			if err != nil {
+			if _, err := lc.Step(s, ds); err != nil {
 				t.Fatalf("lazy=%v slot %d: %v", lazy, s, err)
 			}
 			ds.check("after a step")
-			for _, st := range stats {
-				grew, shrunk = grew || st.Grew, shrunk || st.Shrunk
-			}
+			p := multitree.Padded(len(lc.pickList), 3)
+			grew, shrunk = grew || ls.NumReceivers() > ids, shrunk || p < padded
+			ids, padded = ls.NumReceivers(), p
 		}
 		if lc.Joins() == 0 || lc.Leaves() == 0 || !grew || !shrunk {
 			t.Fatalf("lazy=%v: %d joins, %d leaves, grew=%v shrunk=%v; pick a seed that exercises all four", lazy, lc.Joins(), lc.Leaves(), grew, shrunk)
@@ -492,8 +544,8 @@ func TestLiveChurnRecovers(t *testing.T) {
 				{At: at + 7, Leave: true, Name: AnyName},
 			}}
 			last := at + 7
-			cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: 3}, Plan: plan, CheckInvariants: true}
-			ls, lc := liveSource(t, c.n, c.d, lazy, cfg)
+			cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: 3}, Plan: plan}
+			ls, lc := checkedSource(t, c.n, c.d, lazy, cfg)
 			packets := core.Packet(int(last) + 5*c.d)
 			opt := liveOptions(ls, lc, slotsim.Options{Packets: packets})
 			res, err := slotsim.Run(ls, opt)

@@ -194,16 +194,19 @@ func (o *oracleRun) slot(t core.Slot, scheduled []core.Transmission) error {
 	return nil
 }
 
-// result reads the QoS quantities off the arrivals of the window's packets.
+// result reads the QoS quantities off the arrivals of the window's packets,
+// for every id the scheme has allocated by the end of the run (under churn,
+// the ceiling o.n only bounds the ids a transmission may name).
 func (o *oracleRun) result() (*slotsim.Result, oracleCells, error) {
+	n := o.s.NumReceivers()
 	r := &slotsim.Result{
-		N: o.n, Packets: o.opt.Packets, SlotsUsed: o.last + 1,
-		StartDelay: make([]core.Slot, o.n+1),
-		MaxBuffer:  make([]int, o.n+1),
-		Missing:    make([]int, o.n+1),
+		N: n, Packets: o.opt.Packets, SlotsUsed: o.last + 1,
+		StartDelay: make([]core.Slot, n+1),
+		MaxBuffer:  make([]int, n+1),
+		Missing:    make([]int, n+1),
 	}
 	window := int(o.opt.Packets)
-	for id := core.NodeID(1); int(id) <= o.n; id++ {
+	for id := core.NodeID(1); int(id) <= n; id++ {
 		var arrived []core.Slot // arrival slots of the window packets id holds
 		for j := core.Packet(0); j < o.opt.Packets; j++ {
 			at, ok := o.have[id][j]

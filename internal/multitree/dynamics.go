@@ -28,19 +28,13 @@ import (
 // find-replacement step of a deletion, and at most d² for the restore step
 // when the last all-leaf node is consumed (d | N−1).
 type Dynamic struct {
-	d  int
-	np int // padded positions per tree
-	n  int // live real members
-	i  int // interior positions per tree
-
-	// trees[k][p-1] holds a member id; pos[k][mem] is its position.
-	trees [][]int
-	pos   [][]int
-
-	real   []bool // real[mem]; false = dummy
-	alive  []bool
-	names  []string
-	byName map[string]int
+	// m is the family. Its ids are the member ids, stable across churn: ids
+	// 1..NP of the greedy construction, then d fresh ids per grow. The mask
+	// marks dummies, and a shrink's discarded dummies keep their mask and
+	// lose their positions. m.N counts the live real members.
+	m      *MultiTree
+	names  []string // names[id] of a real member, "" otherwise
+	byName map[string]core.NodeID
 
 	lazy          bool
 	pendingShrink bool
@@ -69,36 +63,15 @@ func NewDynamic(n, d int, lazy bool) (*Dynamic, error) {
 		return nil, err
 	}
 	dy := &Dynamic{
-		d:      d,
-		np:     m.NP,
-		n:      n,
-		i:      m.I,
+		m:      m,
+		names:  make([]string, m.NP+1),
+		byName: make(map[string]core.NodeID, n),
 		lazy:   lazy,
-		byName: make(map[string]int, n),
 	}
-	dy.trees = make([][]int, d)
-	dy.pos = make([][]int, d)
-	// Member id 0 is unused so member ids align with initial node ids.
-	dy.real = make([]bool, m.NP+1)
-	dy.alive = make([]bool, m.NP+1)
-	dy.names = make([]string, m.NP+1)
-	for k := 0; k < d; k++ {
-		dy.trees[k] = make([]int, m.NP)
-		dy.pos[k] = make([]int, m.NP+1)
-		for p := 1; p <= m.NP; p++ {
-			id := int(m.Trees[k][p-1])
-			dy.trees[k][p-1] = id
-			dy.pos[k][id] = p
-		}
-	}
-	for id := 1; id <= m.NP; id++ {
-		dy.alive[id] = true
-		dy.real[id] = id <= n
-		if id <= n {
-			name := defaultName(id)
-			dy.names[id] = name
-			dy.byName[name] = id
-		}
+	for id := core.NodeID(1); int(id) <= n; id++ {
+		name := defaultName(int(id))
+		dy.names[id] = name
+		dy.byName[name] = id
 	}
 	return dy, nil
 }
@@ -106,7 +79,7 @@ func NewDynamic(n, d int, lazy bool) (*Dynamic, error) {
 func defaultName(i int) string { return fmt.Sprintf("node-%d", i) }
 
 // N returns the current number of real members.
-func (dy *Dynamic) N() int { return dy.n }
+func (dy *Dynamic) N() int { return dy.m.N }
 
 // SwapBound returns the appendix's per-operation swap bound d²+d: at most
 // d swaps for an addition (grow step) and at most d+d² for a deletion
@@ -119,9 +92,9 @@ func (dy *Dynamic) TotalSwaps() int { return dy.totalSwaps }
 
 // Names returns the names of all live real members in deterministic order.
 func (dy *Dynamic) Names() []string {
-	out := make([]string, 0, dy.n)
-	for id := range dy.alive {
-		if dy.alive[id] && dy.real[id] {
+	out := make([]string, 0, dy.m.N)
+	for id, dummy := range dy.m.dummy {
+		if id > 0 && !dummy {
 			out = append(out, dy.names[id])
 		}
 	}
@@ -131,30 +104,21 @@ func (dy *Dynamic) Names() []string {
 
 // swapInTree exchanges the occupants of positions pa and pb in tree k.
 func (dy *Dynamic) swapInTree(k, pa, pb int) {
-	a, b := dy.trees[k][pa-1], dy.trees[k][pb-1]
-	dy.trees[k][pa-1], dy.trees[k][pb-1] = b, a
-	dy.pos[k][a], dy.pos[k][b] = pb, pa
+	tree, pos := dy.m.Trees[k], dy.m.pos[k]
+	a, b := tree[pa-1], tree[pb-1]
+	tree[pa-1], tree[pb-1] = b, a
+	pos[a], pos[b] = pb, pa
 	dy.totalSwaps++
 }
 
 // isAllLeaf reports whether the member is a leaf in every tree.
-func (dy *Dynamic) isAllLeaf(mem int) bool {
-	for k := 0; k < dy.d; k++ {
-		if dy.pos[k][mem] <= dy.i {
+func (dy *Dynamic) isAllLeaf(mem core.NodeID) bool {
+	for _, pos := range dy.m.pos {
+		if pos[mem] <= dy.m.I {
 			return false
 		}
 	}
 	return true
-}
-
-// tailMembers returns the members occupying the last d positions of tree 0
-// (the all-leaf class), in position order.
-func (dy *Dynamic) tailMembers() []int {
-	out := make([]int, 0, dy.d)
-	for p := dy.np - dy.d + 1; p <= dy.np; p++ {
-		out = append(out, dy.trees[0][p-1])
-	}
-	return out
 }
 
 // Add inserts a new real member with the given name.
@@ -162,11 +126,12 @@ func (dy *Dynamic) Add(name string) (OpStats, error) {
 	if _, dup := dy.byName[name]; dup {
 		return OpStats{}, fmt.Errorf("multitree: member %q already present", name)
 	}
+	m := dy.m
 	before := dy.totalSwaps
-	affected := make(map[int]bool)
+	affected := make(map[core.NodeID]bool)
 
 	grew := false
-	if dy.np == dy.n {
+	if m.NP == m.N {
 		// d | N and every position is taken by a real member: grow the
 		// trees by one level (Step 1/2 of the addition algorithm).
 		dy.grow(affected)
@@ -180,10 +145,10 @@ func (dy *Dynamic) Add(name string) (OpStats, error) {
 		return OpStats{}, err
 	}
 	dy.pendingShrink = false
-	dy.real[mem] = true
+	m.dummy[mem] = false
 	dy.names[mem] = name
 	dy.byName[name] = mem
-	dy.n++
+	m.N++
 	return OpStats{
 		Swaps:    dy.totalSwaps - before,
 		Affected: len(affected),
@@ -194,14 +159,13 @@ func (dy *Dynamic) Add(name string) (OpStats, error) {
 // pickDummy returns the dummy member with the smallest tree-0 position. An
 // error means the phase invariant is broken: after the grow step every
 // family has at least one dummy slot.
-func (dy *Dynamic) pickDummy() (int, error) {
-	for p := 1; p <= dy.np; p++ {
-		mem := dy.trees[0][p-1]
-		if !dy.real[mem] {
+func (dy *Dynamic) pickDummy() (core.NodeID, error) {
+	for _, mem := range dy.m.Trees[0] {
+		if dy.m.IsDummy(mem) {
 			return mem, nil
 		}
 	}
-	return 0, fmt.Errorf("multitree: no dummy available (np=%d, n=%d): family state is corrupt", dy.np, dy.n)
+	return 0, fmt.Errorf("multitree: no dummy available (np=%d, n=%d): family state is corrupt", dy.m.NP, dy.m.N)
 }
 
 // grow adds one level: the first leaf position p* = I+1 becomes interior in
@@ -209,11 +173,12 @@ func (dy *Dynamic) pickDummy() (int, error) {
 // all-leaf tail member of the same residue, so that no member becomes
 // interior in two trees), then d fresh tail positions are appended per tree
 // and populated with d fresh dummy members in distinct-residue patterns.
-func (dy *Dynamic) grow(affected map[int]bool) {
-	d, np := dy.d, dy.np
-	pStar := dy.i + 1
+func (dy *Dynamic) grow(affected map[core.NodeID]bool) {
+	m := dy.m
+	d, np := m.D, m.NP
+	pStar := m.I + 1
 	for k := 0; k < d; k++ {
-		o := dy.trees[k][pStar-1]
+		o := m.Trees[k][pStar-1]
 		if dy.isAllLeaf(o) {
 			continue // already safe to promote
 		}
@@ -222,32 +187,31 @@ func (dy *Dynamic) grow(affected map[int]bool) {
 			if p%d == pStar%d {
 				dy.swapInTree(k, pStar, p)
 				affected[o] = true
-				affected[dy.trees[k][pStar-1]] = true
+				affected[m.Trees[k][pStar-1]] = true
 				break
 			}
 		}
 	}
 	// Extend every tree with d new positions holding d new dummy members.
-	firstNew := len(dy.real)
-	for mu := 0; mu < d; mu++ {
-		dy.real = append(dy.real, false)
-		dy.alive = append(dy.alive, true)
+	firstNew := core.NodeID(len(m.dummy))
+	for range d {
+		m.dummy = append(m.dummy, true)
 		dy.names = append(dy.names, "")
 	}
 	for k := 0; k < d; k++ {
-		dy.trees[k] = append(dy.trees[k], make([]int, d)...)
-		dy.pos[k] = append(dy.pos[k], make([]int, d)...)
+		m.Trees[k] = append(m.Trees[k], make([]core.NodeID, d)...)
+		m.pos[k] = append(m.pos[k], make([]int, d)...)
 		for mu := 0; mu < d; mu++ {
 			// Member mu takes the new position with residue
 			// (np+1+mu) − k, giving each new member a distinct phase.
 			p := np + 1 + ((mu-k)%d+d)%d
-			mem := firstNew + mu
-			dy.trees[k][p-1] = mem
-			dy.pos[k][mem] = p
+			mem := firstNew + core.NodeID(mu)
+			m.Trees[k][p-1] = mem
+			m.pos[k][mem] = p
 		}
 	}
-	dy.np += d
-	dy.i++
+	m.NP += d
+	m.I++
 }
 
 // Delete removes the named real member.
@@ -256,11 +220,12 @@ func (dy *Dynamic) Delete(name string) (OpStats, error) {
 	if !ok {
 		return OpStats{}, fmt.Errorf("multitree: member %q not present", name)
 	}
-	if dy.n <= 1 {
+	m := dy.m
+	if m.N <= 1 {
 		return OpStats{}, fmt.Errorf("multitree: cannot delete the last member")
 	}
 	before := dy.totalSwaps
-	affected := make(map[int]bool)
+	affected := make(map[core.NodeID]bool)
 	shrunk := false
 
 	if dy.pendingShrink {
@@ -277,21 +242,21 @@ func (dy *Dynamic) Delete(name string) (OpStats, error) {
 		if err != nil {
 			return OpStats{}, err
 		}
-		for k := 0; k < dy.d; k++ {
-			dy.swapInTree(k, dy.pos[k][mem], dy.pos[k][x])
+		for k, pos := range m.pos {
+			dy.swapInTree(k, pos[mem], pos[x])
 		}
 		affected[x] = true
 	}
 	// Step 3 (remove node): the member retires into a dummy.
-	dy.real[mem] = false
+	m.dummy[mem] = true
 	dy.names[mem] = ""
 	delete(dy.byName, name)
-	dy.n--
+	m.N--
 
 	// Step 2 (restore property): if the tail is now entirely dummies
 	// (d | N−1 in the paper's terms), the trees must drop a level — unless
 	// we are lazy and gamble on the next event being an addition.
-	if dy.np-dy.n == dy.d {
+	if m.NP-m.N == m.D {
 		if dy.lazy {
 			dy.pendingShrink = true
 		} else {
@@ -310,115 +275,105 @@ func (dy *Dynamic) Delete(name string) (OpStats, error) {
 // tree-0 position. An error means the phase invariant is broken: an
 // all-dummy tail triggers the shrink step before any caller needs a
 // replacement from it.
-func (dy *Dynamic) lastRealTailMember() (int, error) {
-	for p := dy.np; p > dy.np-dy.d; p-- {
-		mem := dy.trees[0][p-1]
-		if dy.real[mem] {
+func (dy *Dynamic) lastRealTailMember() (core.NodeID, error) {
+	m := dy.m
+	for p := m.NP; p > m.NP-m.D; p-- {
+		if mem := m.Trees[0][p-1]; !m.IsDummy(mem) {
 			return mem, nil
 		}
 	}
-	return 0, fmt.Errorf("multitree: no real all-leaf member in the tree-0 tail (np=%d, n=%d): family state is corrupt", dy.np, dy.n)
+	return 0, fmt.Errorf("multitree: no real all-leaf member in the tree-0 tail (np=%d, n=%d): family state is corrupt", m.NP, m.N)
 }
 
 // shrink drops the last level: the d parents of the (all-dummy) tail become
 // all-leaf nodes and are moved — by same-residue swaps within each tree —
 // into the positions that will form the new tail; the d dummy tail members
-// are then discarded and the last interior position is demoted.
-func (dy *Dynamic) shrink(affected map[int]bool) {
-	d, np := dy.d, dy.np
+// are then discarded (they keep their ids and their mask, and lose their
+// positions) and the last interior position is demoted.
+func (dy *Dynamic) shrink(affected map[core.NodeID]bool) {
+	m := dy.m
+	d, np := m.D, m.NP
 	// P[j] is the interior-position-I occupant of tree j: the new all-leaf
 	// class. Their phases are pairwise distinct, so their residues never
 	// collide within any tree.
-	parents := make([]int, d)
+	parents := make([]core.NodeID, d)
 	for j := 0; j < d; j++ {
-		parents[j] = dy.trees[j][dy.i-1]
+		parents[j] = m.Trees[j][m.I-1]
 	}
 	newTailLo := np - 2*d + 1
 	for k := 0; k < d; k++ {
 		for _, pj := range parents {
-			q := dy.pos[k][pj]
+			q := m.pos[k][pj]
 			// Target: the new-tail position with q's residue.
 			qq := newTailLo + ((q-newTailLo)%d+d)%d
 			if qq == q {
 				continue
 			}
-			affected[dy.trees[k][qq-1]] = true
+			affected[m.Trees[k][qq-1]] = true
 			affected[pj] = true
 			dy.swapInTree(k, q, qq)
 		}
 	}
 	// Discard the dummy tail and demote interior position I.
-	for p := np - d + 1; p <= np; p++ {
-		mem := dy.trees[0][p-1]
-		dy.alive[mem] = false
-	}
 	for k := 0; k < d; k++ {
-		for p := np - d + 1; p <= np; p++ {
-			dy.pos[k][dy.trees[k][p-1]] = 0
+		for _, mem := range m.Trees[k][np-d:] {
+			m.pos[k][mem] = 0
 		}
-		dy.trees[k] = dy.trees[k][:np-d]
+		m.Trees[k] = m.Trees[k][:np-d]
 	}
-	dy.np -= d
-	dy.i--
+	m.NP -= d
+	m.I--
 	dy.pendingShrink = false
 }
 
-// Snapshot materializes the current family as a MultiTree with canonical
-// ids (real members relabeled 1..N in member order, dummies after), so it
-// can be validated and scheduled exactly like a statically built family.
-// The name mapping of real members is returned alongside.
+// Snapshot copies the family with canonical ids — real members relabeled
+// 1..N in id order, dummies after — as a statically built family would
+// number them, so a Scheme over it runs on the static engine path and two
+// snapshots taken around an op can be compared member by member. The name of
+// each real member's canonical id is returned alongside.
 func (dy *Dynamic) Snapshot() (*MultiTree, map[core.NodeID]string) {
-	relabel := make(map[int]core.NodeID, dy.np)
-	names := make(map[core.NodeID]string, dy.n)
-	nextReal, nextDummy := core.NodeID(1), core.NodeID(dy.n+1)
-	for mem := range dy.alive {
-		if !dy.alive[mem] {
-			continue
-		}
-		if dy.real[mem] {
-			relabel[mem] = nextReal
-			names[nextReal] = dy.names[mem]
+	m := dy.m
+	relabel := make([]core.NodeID, len(m.dummy))
+	names := make(map[core.NodeID]string, m.N)
+	nextReal, nextDummy := core.NodeID(1), core.NodeID(m.N+1)
+	for id := core.NodeID(1); int(id) < len(m.dummy); id++ {
+		switch {
+		case m.pos[0][id] == 0:
+			// Discarded by a shrink.
+		case !m.IsDummy(id):
+			relabel[id] = nextReal
+			names[nextReal] = dy.names[id]
 			nextReal++
-		} else {
-			relabel[mem] = nextDummy
+		default:
+			relabel[id] = nextDummy
 			nextDummy++
 		}
 	}
-	m := newMultiTree(dy.n, dy.d)
-	if m.NP < dy.np {
-		// Lazy deferred-shrink state: the family is one level larger than
-		// the canonical padding for n members.
-		m.NP = dy.np
-		m.I = dy.np/dy.d - 1
-		for k := 0; k < dy.d; k++ {
-			m.Trees[k] = make([]core.NodeID, dy.np)
-			m.pos[k] = make([]int, dy.np+1)
+	// In the lazy deferred-shrink state NP is a level above the canonical
+	// padding for N members.
+	c := newMultiTree(m.N, m.D, m.NP)
+	for k, tree := range m.Trees {
+		for p, id := range tree {
+			c.Trees[k][p] = relabel[id]
 		}
 	}
-	for k := 0; k < dy.d; k++ {
-		for p := 1; p <= dy.np; p++ {
-			m.Trees[k][p-1] = relabel[dy.trees[k][p-1]]
-		}
-	}
-	m.index()
-	return m, names
+	c.index()
+	return c, names
 }
 
-// Validate checks the full invariant set on the current state.
+// Validate checks the full invariant set on the family as it stands: the
+// MultiTree invariants over the member ids, and that the all-leaf class
+// occupies the tail of every tree.
 func (dy *Dynamic) Validate() error {
-	m, _ := dy.Snapshot()
+	m := dy.m
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	// The all-leaf class must occupy the tail region of every tree.
-	tail := make(map[int]bool, dy.d)
-	for _, mem := range dy.tailMembers() {
-		tail[mem] = true
-	}
-	for k := 0; k < dy.d; k++ {
-		for p := dy.np - dy.d + 1; p <= dy.np; p++ {
-			if !tail[dy.trees[k][p-1]] {
-				return fmt.Errorf("tree %d tail member %d not in tree-0 tail class", k, dy.trees[k][p-1])
+	tail := m.NP - m.D
+	for k := 1; k < m.D; k++ {
+		for _, mem := range m.Trees[k][tail:] {
+			if m.pos[0][mem] <= tail {
+				return fmt.Errorf("tree %d tail member %d not in tree-0 tail class", k, mem)
 			}
 		}
 	}

@@ -15,8 +15,8 @@ func TestAddNoDummyIsError(t *testing.T) {
 	}
 	// np=6, n=5: one dummy slot. Marking it real without growing n breaks
 	// the invariant pickDummy relies on.
-	for mem := 1; mem < len(dy.real); mem++ {
-		dy.real[mem] = true
+	for mem := range dy.m.dummy {
+		dy.m.dummy[mem] = false
 	}
 	if _, err := dy.Add("intruder"); err == nil {
 		t.Fatal("Add on a dummyless family succeeded")
@@ -39,11 +39,11 @@ func TestDeleteNoRealTailIsError(t *testing.T) {
 	}
 	// Demote every tail member to dummy behind the bookkeeping's back, so
 	// the find-replacement step has no candidate.
-	for _, mem := range dy.tailMembers() {
-		dy.real[mem] = false
+	for _, mem := range dy.m.Trees[0][dy.m.NP-dy.m.D:] {
+		dy.m.dummy[mem] = true
 	}
 	// Delete a member that is interior somewhere (the tree-0 root is).
-	victim := dy.names[dy.trees[0][0]]
+	victim := dy.names[dy.m.Trees[0][0]]
 	if victim == "" {
 		t.Fatal("tree-0 root has no name")
 	}

@@ -74,22 +74,22 @@ func TestFiringListsMatchRoundRobin(t *testing.T) {
 // liveRoundRobinSlot is roundRobinSlot over a LiveScheme's current epoch:
 // every padded position of every tree, occupants read from the Dynamic.
 func liveRoundRobinSlot(s *LiveScheme, t core.Slot) []core.Transmission {
-	dy := s.dy
-	d := core.Slot(dy.d)
+	m := s.dy.m
+	d := core.Slot(m.D)
 	var out []core.Transmission
-	for k := 0; k < dy.d; k++ {
+	for k := 0; k < m.D; k++ {
 		for p := 1; p <= s.np; p++ {
-			child := dy.trees[k][p-1]
+			child := m.Trees[k][p-1]
 			first := s.firstRecv[k][p-1]
-			if !dy.real[child] || t < first || (t-first)%d != 0 {
+			if m.IsDummy(child) || t < first || (t-first)%d != 0 {
 				continue
 			}
-			pkt := core.Packet(k) + core.Packet(int((t-first)/d))*core.Packet(dy.d)
+			pkt := core.Packet(k) + core.Packet(int((t-first)/d))*core.Packet(m.D)
 			from := core.SourceID
-			if pp := ParentPos(p, dy.d); pp > 0 {
-				from = core.NodeID(dy.trees[k][pp-1])
+			if pp := ParentPos(p, m.D); pp > 0 {
+				from = m.Trees[k][pp-1]
 			}
-			out = append(out, core.Transmission{From: from, To: core.NodeID(child), Packet: pkt})
+			out = append(out, core.Transmission{From: from, To: child, Packet: pkt})
 		}
 	}
 	return out

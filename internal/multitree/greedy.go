@@ -24,7 +24,7 @@ import "streamcast/internal/core"
 // paper's Figure 3 verbatim. Dummy ids are the largest ids and the greedy
 // order therefore never places them as interior nodes.
 func buildGreedy(n, d int) *MultiTree {
-	m := newMultiTree(n, d)
+	m := newMultiTree(n, d, Padded(n, d))
 	i := m.I
 	np := m.NP
 

@@ -8,16 +8,16 @@ import (
 	"streamcast/internal/core"
 )
 
-// LiveScheme schedules a Dynamic family in place, without the Snapshot
-// relabeling step, so the topology can change between slots while a run is
-// in flight. It implements core.DynamicScheme.
+// LiveScheme schedules a Dynamic family in place, over its member ids, so the
+// topology can change between slots while a run is in flight. It implements
+// core.DynamicScheme.
 //
 // Member ids double as node ids and are stable across churn: a join revives
 // a dummy id (or appends d fresh ids when the trees grow a level) and a
 // leave tombstones its id. NumReceivers therefore reports the id space ever
 // allocated — departed and dummy ids stay addressable but silent, which is
-// what lets the slot engine keep its struct-of-arrays state and shard plan
-// fixed across epochs.
+// what lets the slot engine keep its struct-of-arrays state fixed across
+// epochs.
 //
 // The schedule itself is the same positional round-robin as Scheme: a
 // position's first receive slot depends only on (mode, d, tree, position), so
@@ -71,33 +71,33 @@ func NewLiveScheme(dy *Dynamic, mode core.StreamMode) *LiveScheme {
 // it is invariant under membership swaps and only changes when the trees grow
 // or shrink a level.
 func (s *LiveScheme) rebuild() {
-	dy := s.dy
+	m := s.dy.m
 	listed := s.np
-	s.np = dy.np
+	s.np = m.NP
 	s.steady = 0
 	if s.firstRecv == nil {
-		s.firstRecv = make([][]core.Slot, dy.d)
-		s.fires = make([][][]liveFiring, dy.d)
+		s.firstRecv = make([][]core.Slot, m.D)
+		s.fires = make([][][]liveFiring, m.D)
 		for r := range s.fires {
-			s.fires[r] = make([][]liveFiring, dy.d)
+			s.fires[r] = make([][]liveFiring, m.D)
 		}
 	}
 	for k, fr := range s.firstRecv {
-		fr = appendFirstRecv(fr, s.mode, dy.d, k, dy.np)
+		fr = appendFirstRecv(fr, s.mode, m.D, k, m.NP)
 		s.firstRecv[k] = fr
-		s.steady = max(s.steady, slices.Max(fr[:dy.np]))
+		s.steady = max(s.steady, slices.Max(fr[:m.NP]))
 		for _, lists := range s.fires {
 			l := lists[k]
-			for len(l) > 0 && int(l[len(l)-1].p) > dy.np {
+			for len(l) > 0 && int(l[len(l)-1].p) > m.NP {
 				l = l[:len(l)-1]
 			}
 			lists[k] = l
 		}
-		for p := listed + 1; p <= dy.np; p++ {
+		for p := listed + 1; p <= m.NP; p++ {
 			first := fr[p-1]
-			r := int(first) % dy.d
+			r := int(first) % m.D
 			s.fires[r][k] = append(s.fires[r][k], liveFiring{
-				p: int32(p), pp: int32(ParentPos(p, dy.d)),
+				p: int32(p), pp: int32(ParentPos(p, m.D)),
 				first: int32(first), lag: int32(int(first) - k),
 			})
 		}
@@ -106,15 +106,15 @@ func (s *LiveScheme) rebuild() {
 
 // Name implements core.Scheme.
 func (s *LiveScheme) Name() string {
-	return fmt.Sprintf("multitree-live(d=%d,%s)", s.dy.d, s.mode)
+	return fmt.Sprintf("multitree-live(d=%d,%s)", s.dy.m.D, s.mode)
 }
 
 // NumReceivers implements core.Scheme: the size of the stable id space
 // (live members, dummies, and tombstoned departures alike).
-func (s *LiveScheme) NumReceivers() int { return len(s.dy.real) - 1 }
+func (s *LiveScheme) NumReceivers() int { return len(s.dy.m.dummy) - 1 }
 
 // SourceCapacity implements core.Scheme.
-func (s *LiveScheme) SourceCapacity() int { return s.dy.d }
+func (s *LiveScheme) SourceCapacity() int { return s.dy.m.D }
 
 // SteadyState returns the first slot from which the current epoch's schedule
 // repeats every d slots: the latest round-0 receive slot over all padded
@@ -127,9 +127,9 @@ func (s *LiveScheme) Epoch() uint64 { return s.epoch }
 // Members implements core.DynamicScheme: live real members sorted by name.
 func (s *LiveScheme) Members() []core.MemberInfo {
 	dy := s.dy
-	out := make([]core.MemberInfo, 0, dy.n)
-	for id := 1; id < len(dy.real); id++ {
-		if dy.alive[id] && dy.real[id] {
+	out := make([]core.MemberInfo, 0, dy.m.N)
+	for id, dummy := range dy.m.dummy {
+		if id > 0 && !dummy {
 			out = append(out, core.MemberInfo{Node: core.NodeID(id), Name: dy.names[id]})
 		}
 	}
@@ -147,72 +147,29 @@ func (s *LiveScheme) ApplyOps(t core.Slot, ops []core.TopologyOp) ([]core.ChurnS
 		var err error
 		var node core.NodeID
 		if op.Leave {
-			node = core.NodeID(s.dy.byName[op.Name])
+			node = s.dy.byName[op.Name]
 			st, err = s.dy.Delete(op.Name)
 		} else {
 			st, err = s.dy.Add(op.Name)
-			if err == nil {
-				node = core.NodeID(s.dy.byName[op.Name])
-			}
+			node = s.dy.byName[op.Name]
 		}
 		if err != nil {
 			return out, fmt.Errorf("churn op at slot %d: %w", t, err)
 		}
 		s.epoch++
-		if s.dy.np != s.np {
+		if s.dy.m.NP != s.np {
 			s.rebuild()
 		}
-		out = append(out, core.ChurnStats{
-			Node:     node,
-			Leave:    op.Leave,
-			Swaps:    st.Swaps,
-			Affected: st.Affected,
-			Grew:     st.Grew,
-			Shrunk:   st.Shrunk,
-			Epoch:    s.epoch,
-		})
+		out = append(out, core.ChurnStats{Node: node, Leave: op.Leave, Swaps: st.Swaps})
 	}
 	return out, nil
 }
 
-// Validate checks the family's full invariant set at the current epoch.
-func (s *LiveScheme) Validate() error { return s.dy.Validate() }
-
 // Neighbors implements core.Scheme over the live membership: for each live
 // real member, the distinct nodes it exchanges packets with at the current
-// epoch (parents may be the source; dummy children are skipped), in the
-// order MultiTree.Neighbors lists them.
+// epoch (MultiTree.Neighbors over the family's member ids).
 func (s *LiveScheme) Neighbors() map[core.NodeID][]core.NodeID {
-	dy := s.dy
-	out := make(map[core.NodeID][]core.NodeID, dy.n)
-	rows := make([]core.NodeID, dy.n*2*dy.d) // one 2d-entry row per live real member
-	lo := 0
-	for id := 1; id < len(dy.real); id++ {
-		if !dy.alive[id] || !dy.real[id] {
-			continue
-		}
-		list := rows[lo : lo : lo+2*dy.d]
-		lo += 2 * dy.d
-		for k := 0; k < dy.d; k++ {
-			p := dy.pos[k][id]
-			pp := ParentPos(p, dy.d)
-			if pp == 0 {
-				list = core.AppendNeighbor(list, core.SourceID)
-			} else {
-				list = core.AppendNeighbor(list, core.NodeID(dy.trees[k][pp-1]))
-			}
-			if p <= dy.i {
-				for c := 0; c < dy.d; c++ {
-					child := dy.trees[k][ChildPos(p, c, dy.d)-1]
-					if dy.real[child] {
-						list = core.AppendNeighbor(list, core.NodeID(child))
-					}
-				}
-			}
-		}
-		out[core.NodeID(id)] = list
-	}
-	return out
+	return s.dy.m.Neighbors()
 }
 
 // Transmissions implements core.Scheme. The returned slice is reused across
@@ -221,24 +178,24 @@ func (s *LiveScheme) Transmissions(t core.Slot) []core.Transmission {
 	if t < 0 {
 		return nil
 	}
-	dy := s.dy
+	m := s.dy.m
 	out := s.out[:0]
-	for k, list := range s.fires[int(t)%dy.d] {
-		tk := dy.trees[k]
+	for k, list := range s.fires[int(t)%m.D] {
+		tk := m.Trees[k]
 		for _, f := range list {
 			if t < core.Slot(f.first) {
 				continue
 			}
 			child := tk[f.p-1]
-			if !dy.real[child] {
+			if m.IsDummy(child) {
 				continue
 			}
 			from := core.SourceID
 			if f.pp > 0 {
-				from = core.NodeID(tk[f.pp-1])
+				from = tk[f.pp-1]
 			}
 			out = append(out, core.Transmission{
-				From: from, To: core.NodeID(child),
+				From: from, To: child,
 				Packet: core.Packet(int(t) - int(f.lag)),
 			})
 		}

@@ -87,8 +87,8 @@ func TestLiveSchemeApplyOps(t *testing.T) {
 	if !stats[1].Leave {
 		t.Fatalf("leave stat not marked: %+v", stats[1])
 	}
-	if stats[0].Epoch != 1 || stats[1].Epoch != 2 || ls.Epoch() != 2 {
-		t.Fatalf("epochs %d,%d scheme %d, want 1,2,2", stats[0].Epoch, stats[1].Epoch, ls.Epoch())
+	if ls.Epoch() != 2 {
+		t.Fatalf("epoch %d after two ops, want 2", ls.Epoch())
 	}
 	names := make(map[string]bool)
 	for _, m := range ls.Members() {
@@ -97,7 +97,7 @@ func TestLiveSchemeApplyOps(t *testing.T) {
 	if !names["alice"] || names["node-4"] {
 		t.Fatalf("membership after ops: %v", names)
 	}
-	if err := ls.Validate(); err != nil {
+	if err := dy.Validate(); err != nil {
 		t.Fatalf("invariants after ops: %v", err)
 	}
 
@@ -132,25 +132,24 @@ func TestLiveSchemeGrowRebuild(t *testing.T) {
 	var slot core.Slot = 1
 	for j := 0; j <= dummies; j++ {
 		name := "joiner-" + string(rune('a'+j))
-		stats, err := ls.ApplyOps(slot, []core.TopologyOp{{Name: name}})
-		if err != nil {
+		if _, err := ls.ApplyOps(slot, []core.TopologyOp{{Name: name}}); err != nil {
 			t.Fatal(err)
 		}
-		if j == dummies && !stats[0].Grew {
+		if j == dummies && dy.m.NP == np0 {
 			t.Fatal("join past the dummy pool did not grow the trees")
 		}
 		slot++
 	}
-	if got := ls.NumReceivers(); got != np0+dy.d {
-		t.Fatalf("id space %d after grow, want %d", got, np0+dy.d)
+	if got := ls.NumReceivers(); got != np0+dy.m.D {
+		t.Fatalf("id space %d after grow, want %d", got, np0+dy.m.D)
 	}
-	if err := ls.Validate(); err != nil {
+	if err := dy.Validate(); err != nil {
 		t.Fatalf("invariants after grow: %v", err)
 	}
 	// Every live member still receives: one full period past steady state
 	// must deliver to every real member at least once per tree round.
 	seen := make(map[core.NodeID]int)
-	for slot := ls.SteadyState(); slot < ls.SteadyState()+core.Slot(dy.d); slot++ {
+	for slot := ls.SteadyState(); slot < ls.SteadyState()+core.Slot(dy.m.D); slot++ {
 		for _, tx := range ls.Transmissions(slot) {
 			seen[tx.To]++
 		}
@@ -179,14 +178,14 @@ func TestLiveSchemeLevelOscillationMatchesFresh(t *testing.T) {
 			if i%2 == 1 {
 				op = core.TopologyOp{Leave: true, Name: "osc-" + string(rune('a'+i-1))}
 			}
-			stats, err := ls.ApplyOps(core.Slot(i), []core.TopologyOp{op})
-			if err != nil {
+			np := dy.m.NP
+			if _, err := ls.ApplyOps(core.Slot(i), []core.TopologyOp{op}); err != nil {
 				t.Fatal(err)
 			}
-			if stats[0].Grew {
+			if dy.m.NP > np {
 				grew++
 			}
-			if stats[0].Shrunk {
+			if dy.m.NP < np {
 				shrunk++
 			}
 			fresh := NewLiveScheme(dy, mode)

@@ -13,7 +13,7 @@ import "streamcast/internal/core"
 // group are additionally rotated right by one; and G_d is rotated right by
 // one for every tree.
 func buildStructured(n, d int) *MultiTree {
-	m := newMultiTree(n, d)
+	m := newMultiTree(n, d, Padded(n, d))
 	i := m.I
 
 	// groups[g] holds the current element order of group g; order of the

@@ -29,22 +29,28 @@ func (c Construction) String() string {
 	}
 }
 
-// MultiTree is a family of d interior-disjoint d-ary trees over the padded
-// node set 1..NP. Node ids 1..N are real receivers; ids N+1..NP are dummies
-// that appear only in leaf positions and are skipped by the schedule.
+// MultiTree is a family of d interior-disjoint d-ary trees over NP padded
+// positions. Every position holds a node id; a mask marks which ids are
+// padding dummies, which appear only in leaf positions and are skipped by the
+// schedule. A static construction places ids 1..NP and masks ids N+1..NP; a
+// churned family (Dynamic) keeps one id per member it ever created, so its
+// live real ids are scattered over a larger id space.
 type MultiTree struct {
 	// N is the number of real receivers.
 	N int
 	// D is the tree degree d (and the number of trees).
 	D int
-	// NP is the padded receiver count d·⌈N/d⌉.
+	// NP is the padded receiver count: d·⌈N/d⌉ for a static construction.
 	NP int
 	// I is the number of interior positions per tree, NP/d − 1.
 	I int
 	// Trees[k][p-1] is the node id at position p of tree T_k.
 	Trees [][]core.NodeID
-	// pos[k][id] is the position of node id in tree T_k (ids 1..NP).
+	// pos[k][id] is the position of node id in tree T_k, 0 for an id the
+	// trees no longer hold.
 	pos [][]int
+	// dummy[id] marks a padding id; len(dummy)−1 is the largest id.
+	dummy []bool
 }
 
 // Padded returns the padded receiver count for n receivers and degree d.
@@ -79,10 +85,9 @@ func Depth(p, d int) int {
 	return depth
 }
 
-// newMultiTree allocates an empty family; constructions fill Trees and then
-// call index().
-func newMultiTree(n, d int) *MultiTree {
-	np := Padded(n, d)
+// newMultiTree allocates an empty family of n real ids 1..n over np
+// positions; constructions fill Trees and then call index().
+func newMultiTree(n, d, np int) *MultiTree {
 	m := &MultiTree{
 		N:     n,
 		D:     d,
@@ -90,10 +95,14 @@ func newMultiTree(n, d int) *MultiTree {
 		I:     np/d - 1,
 		Trees: make([][]core.NodeID, d),
 		pos:   make([][]int, d),
+		dummy: make([]bool, np+1),
 	}
 	for k := 0; k < d; k++ {
 		m.Trees[k] = make([]core.NodeID, np)
 		m.pos[k] = make([]int, np+1)
+	}
+	for id := n + 1; id <= np; id++ {
+		m.dummy[id] = true
 	}
 	return m
 }
@@ -114,7 +123,7 @@ func (m *MultiTree) Pos(k int, id core.NodeID) int {
 
 // IsDummy reports whether the node id is a padding dummy.
 func (m *MultiTree) IsDummy(id core.NodeID) bool {
-	return int(id) > m.N
+	return m.dummy[id]
 }
 
 // New builds an interior-disjoint tree family for n receivers with degree d
@@ -143,37 +152,44 @@ func New(n, d int, c Construction) (*MultiTree, error) {
 }
 
 // Validate checks every structural invariant the schedule relies on:
-//  1. each tree is a permutation of 1..NP;
+//  1. each tree holds NP distinct ids, indexed by pos, and every tree holds
+//     the same ids;
 //  2. the trees are interior-disjoint (each node is interior in at most one
-//     tree, and interior in exactly one when it belongs to G_0..G_{d-1});
+//     tree);
 //  3. the positions of each node across the d trees are pairwise distinct
 //     modulo d (collision-freedom of the round-robin schedule);
-//  4. dummy nodes occupy only leaf positions.
+//  4. dummy nodes occupy only leaf positions, and the N real ids all hold
+//     positions.
 func (m *MultiTree) Validate() error {
-	seen := make([]bool, m.NP+1)
-	for k := 0; k < m.D; k++ {
-		if len(m.Trees[k]) != m.NP {
-			return fmt.Errorf("tree %d has %d positions, want %d", k, len(m.Trees[k]), m.NP)
+	ids := len(m.dummy)
+	seen := make([]bool, ids)
+	for k, tree := range m.Trees {
+		if len(tree) != m.NP {
+			return fmt.Errorf("tree %d has %d positions, want %d", k, len(tree), m.NP)
 		}
-		for i := range seen {
-			seen[i] = false
-		}
-		for p, id := range m.Trees[k] {
-			if id < 1 || int(id) > m.NP {
+		clear(seen)
+		for p, id := range tree {
+			if id < 1 || int(id) >= ids {
 				return fmt.Errorf("tree %d position %d holds invalid id %d", k, p+1, id)
 			}
 			if seen[id] {
 				return fmt.Errorf("tree %d holds id %d twice", k, id)
 			}
 			seen[id] = true
+			if q := m.pos[k][id]; q != p+1 {
+				return fmt.Errorf("tree %d position %d holds id %d, indexed at position %d", k, p+1, id, q)
+			}
 		}
 	}
-	for id := core.NodeID(1); int(id) <= m.NP; id++ {
+	// byResidue[r] is the id's position ≡ r (mod d) seen so far, 0 for none.
+	byResidue := make([]int, m.D)
+	placed := 0
+	for _, id := range m.Trees[0] {
 		interiorIn := -1
-		modSeen := make(map[int]int, m.D)
+		clear(byResidue)
 		for k := 0; k < m.D; k++ {
 			p := m.pos[k][id]
-			if p < 1 || p > m.NP {
+			if p < 1 || p > m.NP || m.Trees[k][p-1] != id {
 				return fmt.Errorf("id %d missing from tree %d", id, k)
 			}
 			if p <= m.I {
@@ -185,11 +201,23 @@ func (m *MultiTree) Validate() error {
 				}
 				interiorIn = k
 			}
-			if prev, dup := modSeen[p%m.D]; dup {
+			if prev := byResidue[p%m.D]; prev != 0 {
 				return fmt.Errorf("id %d positions %d and %d congruent mod %d", id, prev, p, m.D)
 			}
-			modSeen[p%m.D] = p
+			byResidue[p%m.D] = p
 		}
+		if !m.IsDummy(id) {
+			placed++
+		}
+	}
+	real := 0
+	for _, dummy := range m.dummy[1:] {
+		if !dummy {
+			real++
+		}
+	}
+	if placed != m.N || real != m.N {
+		return fmt.Errorf("%d real ids, %d of them placed, want N=%d", real, placed, m.N)
 	}
 	return nil
 }
@@ -202,9 +230,13 @@ func (m *MultiTree) Validate() error {
 func (m *MultiTree) Neighbors() map[core.NodeID][]core.NodeID {
 	out := make(map[core.NodeID][]core.NodeID, m.N)
 	rows := make([]core.NodeID, m.N*2*m.D)
-	for id := core.NodeID(1); int(id) <= m.N; id++ {
-		lo := (int(id) - 1) * 2 * m.D
+	lo := 0
+	for id := core.NodeID(1); int(id) < len(m.dummy); id++ {
+		if m.IsDummy(id) {
+			continue
+		}
 		list := rows[lo : lo : lo+2*m.D]
+		lo += 2 * m.D
 		for k := 0; k < m.D; k++ {
 			p := m.pos[k][id]
 			pp := ParentPos(p, m.D)

@@ -111,7 +111,7 @@ func TestPaddedInterior(t *testing.T) {
 		if got := Padded(c.n, c.d); got != c.np {
 			t.Errorf("Padded(%d,%d)=%d, want %d", c.n, c.d, got, c.np)
 		}
-		if got := newMultiTree(c.n, c.d).I; got != c.i {
+		if got := newMultiTree(c.n, c.d, Padded(c.n, c.d)).I; got != c.i {
 			t.Errorf("I(%d,%d)=%d, want %d", c.n, c.d, got, c.i)
 		}
 	}

@@ -112,8 +112,9 @@ type Options struct {
 	// The engine pre-sizes its struct-of-arrays state to Churn.MaxNodes() so
 	// the arrival-matrix stride stays fixed across topology epochs, and
 	// requires AllowIncomplete + SkipUnavailable (repair gaps cascade as
-	// measurable losses). See internal/faults for the seeded, plan- and
-	// generator-driven implementation.
+	// measurable losses). The Result covers the ids the scheme allocated by
+	// the end of the run (Result.N), not that ceiling. See internal/faults
+	// for the seeded, plan- and generator-driven implementation.
 	Churn ChurnSource
 }
 
@@ -147,7 +148,10 @@ func (v *Violation) Error() string {
 
 // Result holds the measured QoS quantities of a run.
 type Result struct {
-	// N is the number of receivers.
+	// N is the number of receivers: the scheme's NumReceivers() as the run
+	// ends. Under Options.Churn that is the id space the scheme allocated —
+	// live members, dummies and departed ids alike — and never the churn
+	// ceiling the engine sized its state to; no id past N was ever a member.
 	N int
 	// Packets is the measurement window size.
 	Packets core.Packet

@@ -130,14 +130,20 @@ func (e *engine) resetNode(id core.NodeID) {
 // finish computes the Result after the last slot. The playback cursors
 // maintained at delivery time supply StartDelay, Missing and SlotsUsed
 // directly; MaxBuffer comes from the slot bits and overflow entries (see the
-// top of this file).
+// top of this file). A live-churn run's state spans the churn ceiling, but
+// its Result covers only the ids the scheme had allocated by the end of the
+// run: no id past them was ever a member.
 func (e *engine) finish() (*Result, error) {
+	n := e.n
+	if e.dyn != nil {
+		n = e.dyn.NumReceivers()
+	}
 	r := &Result{
-		N:          e.n,
+		N:          n,
 		Packets:    e.opt.Packets,
-		StartDelay: make([]core.Slot, e.n+1),
-		MaxBuffer:  make([]int, e.n+1),
-		Missing:    make([]int, e.n+1),
+		StartDelay: make([]core.Slot, n+1),
+		MaxBuffer:  make([]int, n+1),
+		Missing:    make([]int, n+1),
 	}
 	if m := core.Slot(e.sc.maxArr); m > r.SlotsUsed {
 		r.SlotsUsed = m
@@ -145,7 +151,7 @@ func (e *engine) finish() (*Result, error) {
 	np := int(e.opt.Packets)
 	over := e.sc.over
 	slices.SortFunc(over, func(a, b overflow) int { return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.t, b.t)) })
-	for id := 1; id <= e.n; id++ {
+	for id := 1; id <= n; id++ {
 		// over holds the sorted entries of this id and the ids after it.
 		k := 0
 		for k < len(over) && over[k].id == int32(id) {

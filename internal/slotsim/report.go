@@ -108,24 +108,14 @@ const foldBlock = 64
 // each packet row's stretch of the block is one contiguous read, counted into
 // a slots × block table of arrivals. A walk over the slots then turns the
 // table into each id's occupancy, clearing it as it goes, and stops once
-// every buffer in the block has drained after its last arrival. Ids that
-// received nothing (res.Missing is the whole window), such as the join
-// headroom of a live-churn run, are trimmed off the ends of each block, so a
-// block of them is never read.
+// every buffer in the block has drained after its last arrival.
 func (a *Arrivals) bufferSeries(res *Result, slots int) (peak, total []int) {
 	w, stride := int(a.packets), a.stride
 	peak, total = make([]int, slots), make([]int, slots)
 	count := make([]int32, slots*foldBlock)
 	var have, start [foldBlock]int
-	empty := func(id int) bool { return res.Missing[id] >= w }
-	for from := 1; from <= res.N; from += foldBlock {
-		lo, hi := from, min(from+foldBlock, res.N+1)
-		for lo < hi && empty(lo) {
-			lo++
-		}
-		for hi > lo && empty(hi-1) {
-			hi--
-		}
+	for lo := 1; lo <= res.N; lo += foldBlock {
+		hi := min(lo+foldBlock, res.N+1)
 		k, left := hi-lo, 0
 		for j := 0; j < w; j++ {
 			for i, c := range a.cells[j*stride+lo : j*stride+hi] {
