@@ -5,16 +5,17 @@
 // A run is described by scenario text (SCENARIOS.md is the whole
 // reference), and the command takes exactly three flags:
 //
-//	streamsim -scenario FILE|- [-pprof ADDR]
+//	streamsim -scenario FILE|- [-pprof FILE]
 //	streamsim -list-schemes
 //
 // -scenario names a scenario file, or "-" to read the scenario from stdin. A
 // relative `faults file=` path resolves against the scenario file's
 // directory, or against the working directory for stdin. -list-schemes
 // prints the scheme registry: every family with its capabilities and each
-// parameter as the `param name=default` a scenario writes. -pprof serves
-// net/http/pprof on ADDR while the run executes. A parameter the selected
-// scheme would silently ignore is a precise error, not a no-op.
+// parameter as the `param name=default` a scenario writes. -pprof writes a
+// CPU profile of the whole command (scenario load to last output) to FILE,
+// which `go tool pprof` reads directly. A parameter the selected scheme would
+// silently ignore is a precise error, not a no-op.
 //
 // Examples:
 //
@@ -46,9 +47,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
+	"runtime/pprof"
 
 	"streamcast/internal/cluster"
 	"streamcast/internal/core"
@@ -64,14 +64,14 @@ func main() {
 
 // run is the whole command: it parses args, then lists the registry or runs
 // one scenario, and returns the exit status.
-func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("streamsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scenarioPath := fs.String("scenario", "", "run this scenario (SCENARIOS.md); '-' reads it from stdin")
 	listSchemes := fs.Bool("list-schemes", false, "print the scheme registry (families, capabilities, parameters) and exit")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while running")
+	pprofPath := fs.String("pprof", "", "write a CPU profile of the run to this file (read it with go tool pprof)")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: streamsim -scenario FILE|- [-pprof ADDR]\n       streamsim -list-schemes")
+		fmt.Fprintln(stderr, "usage: streamsim -scenario FILE|- [-pprof FILE]\n       streamsim -list-schemes")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -89,13 +89,27 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(stderr, "streamsim: pprof: %v\n", err)
+	if *pprofPath != "" {
+		f, err := os.Create(*pprofPath)
+		if err == nil {
+			if err = pprof.StartCPUProfile(f); err != nil {
+				f.Close()
 			}
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "streamsim: pprof: %v\n", err)
+			return 1
+		}
+		// The profile is whole only once the file is closed.
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(stderr, "streamsim: pprof: %v\n", err)
+				code = 1
+				return
+			}
+			fmt.Fprintf(stderr, "streamsim: pprof: CPU profile written to %s\n", *pprofPath)
 		}()
-		fmt.Fprintf(stderr, "streamsim: pprof listening on http://%s/debug/pprof/\n", *pprofAddr)
 	}
 
 	sc, err := loadScenario(*scenarioPath, stdin)

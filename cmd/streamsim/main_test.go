@@ -328,3 +328,40 @@ func TestTraceToStdoutPrecedesReport(t *testing.T) {
 		t.Errorf("last trace event %v, want %v", last, want)
 	}
 }
+
+// TestPprofWritesCPUProfile: -pprof FILE leaves a gzip-compressed CPU
+// profile at FILE and changes nothing on stdout; a FILE that cannot be
+// created fails the command before the run prints anything.
+func TestPprofWritesCPUProfile(t *testing.T) {
+	text := "scheme multitree\nparam n=40 d=3\n"
+	dir := t.TempDir()
+
+	bad := filepath.Join(dir, "missing", "cpu.out")
+	code, stdout, stderr := invoke([]string{"-scenario", "-", "-pprof", bad}, text)
+	if code != 1 || !strings.Contains(stderr, "streamsim: pprof:") || stdout != "" {
+		t.Errorf("-pprof %s: exit %d, stdout %q, stderr %q; want 1, no report and a pprof error", bad, code, stdout, stderr)
+	}
+
+	code, bare, stderr := invoke([]string{"-scenario", "-"}, text)
+	if code != 0 {
+		t.Fatalf("bare run: exit %d, stderr %q", code, stderr)
+	}
+	path := filepath.Join(dir, "cpu.out")
+	code, stdout, stderr = invoke([]string{"-scenario", "-", "-pprof", path}, text)
+	if code == 1 && strings.Contains(stderr, "already in use") {
+		t.Skipf("the test binary is already profiling its CPU (go test -cpuprofile): %s", stderr)
+	}
+	if code != 0 || !strings.Contains(stderr, path) {
+		t.Fatalf("-pprof %s: exit %d, stderr %q; want 0 and the file named", path, code, stderr)
+	}
+	if stdout != bare {
+		t.Errorf("stdout with -pprof:\n%s\nwant the bare run's:\n%s", stdout, bare)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) < 2 || raw[0] != 0x1f || raw[1] != 0x8b {
+		t.Errorf("profile of %d bytes does not start with the gzip magic 1f 8b", len(raw))
+	}
+}

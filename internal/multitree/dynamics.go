@@ -45,9 +45,6 @@ type Dynamic struct {
 type OpStats struct {
 	// Swaps is the number of per-tree position exchanges performed.
 	Swaps int
-	// Affected is the number of distinct members whose position in some
-	// tree changed (these are the nodes that may suffer playback hiccups).
-	Affected int
 	// Grew and Shrunk report whether the trees gained or lost a level of
 	// positions.
 	Grew, Shrunk bool
@@ -128,13 +125,12 @@ func (dy *Dynamic) Add(name string) (OpStats, error) {
 	}
 	m := dy.m
 	before := dy.totalSwaps
-	affected := make(map[core.NodeID]bool)
 
 	grew := false
 	if m.NP == m.N {
 		// d | N and every position is taken by a real member: grow the
 		// trees by one level (Step 1/2 of the addition algorithm).
-		dy.grow(affected)
+		dy.grow()
 		grew = true
 	}
 	// Revive a dummy member — when dummies already existed (including the
@@ -149,11 +145,7 @@ func (dy *Dynamic) Add(name string) (OpStats, error) {
 	dy.names[mem] = name
 	dy.byName[name] = mem
 	m.N++
-	return OpStats{
-		Swaps:    dy.totalSwaps - before,
-		Affected: len(affected),
-		Grew:     grew,
-	}, nil
+	return OpStats{Swaps: dy.totalSwaps - before, Grew: grew}, nil
 }
 
 // pickDummy returns the dummy member with the smallest tree-0 position. An
@@ -173,7 +165,7 @@ func (dy *Dynamic) pickDummy() (core.NodeID, error) {
 // all-leaf tail member of the same residue, so that no member becomes
 // interior in two trees), then d fresh tail positions are appended per tree
 // and populated with d fresh dummy members in distinct-residue patterns.
-func (dy *Dynamic) grow(affected map[core.NodeID]bool) {
+func (dy *Dynamic) grow() {
 	m := dy.m
 	d, np := m.D, m.NP
 	pStar := m.I + 1
@@ -186,8 +178,6 @@ func (dy *Dynamic) grow(affected map[core.NodeID]bool) {
 		for p := np - d + 1; p <= np; p++ {
 			if p%d == pStar%d {
 				dy.swapInTree(k, pStar, p)
-				affected[o] = true
-				affected[m.Trees[k][pStar-1]] = true
 				break
 			}
 		}
@@ -225,13 +215,12 @@ func (dy *Dynamic) Delete(name string) (OpStats, error) {
 		return OpStats{}, fmt.Errorf("multitree: cannot delete the last member")
 	}
 	before := dy.totalSwaps
-	affected := make(map[core.NodeID]bool)
 	shrunk := false
 
 	if dy.pendingShrink {
 		// A deferred restore is outstanding and the next event is another
 		// deletion: materialize it first (lazy variant bookkeeping).
-		dy.shrink(affected)
+		dy.shrink()
 		shrunk = true
 	}
 
@@ -245,7 +234,6 @@ func (dy *Dynamic) Delete(name string) (OpStats, error) {
 		for k, pos := range m.pos {
 			dy.swapInTree(k, pos[mem], pos[x])
 		}
-		affected[x] = true
 	}
 	// Step 3 (remove node): the member retires into a dummy.
 	m.dummy[mem] = true
@@ -260,15 +248,11 @@ func (dy *Dynamic) Delete(name string) (OpStats, error) {
 		if dy.lazy {
 			dy.pendingShrink = true
 		} else {
-			dy.shrink(affected)
+			dy.shrink()
 			shrunk = true
 		}
 	}
-	return OpStats{
-		Swaps:    dy.totalSwaps - before,
-		Affected: len(affected),
-		Shrunk:   shrunk,
-	}, nil
+	return OpStats{Swaps: dy.totalSwaps - before, Shrunk: shrunk}, nil
 }
 
 // lastRealTailMember returns the real all-leaf member with the largest
@@ -290,7 +274,7 @@ func (dy *Dynamic) lastRealTailMember() (core.NodeID, error) {
 // into the positions that will form the new tail; the d dummy tail members
 // are then discarded (they keep their ids and their mask, and lose their
 // positions) and the last interior position is demoted.
-func (dy *Dynamic) shrink(affected map[core.NodeID]bool) {
+func (dy *Dynamic) shrink() {
 	m := dy.m
 	d, np := m.D, m.NP
 	// P[j] is the interior-position-I occupant of tree j: the new all-leaf
@@ -309,8 +293,6 @@ func (dy *Dynamic) shrink(affected map[core.NodeID]bool) {
 			if qq == q {
 				continue
 			}
-			affected[m.Trees[k][qq-1]] = true
-			affected[pj] = true
 			dy.swapInTree(k, q, qq)
 		}
 	}
