@@ -143,8 +143,9 @@ type regression struct {
 // beyond timeThreshold — what a benchmark allocates repeats exactly, how long
 // it takes on a shared host does not. A row whose name matches memoryOnly (nil
 // matches none) is not compared on ns/op at all: its run time is too long to
-// repeat and too noisy to gate on.
-func compare(old, cur *Snapshot, threshold, timeThreshold float64, memoryOnly *regexp.Regexp) (regs, imps []regression, missing []string) {
+// repeat and too noisy to gate on. missing counts the rows of old that cur
+// lacks, which a narrow -bench filter skips.
+func compare(old, cur *Snapshot, threshold, timeThreshold float64, memoryOnly *regexp.Regexp) (regs, imps []regression, missing int) {
 	curBy := make(map[string]Benchmark, len(cur.Benchmarks))
 	for _, b := range cur.Benchmarks {
 		curBy[b.Name] = b
@@ -152,7 +153,7 @@ func compare(old, cur *Snapshot, threshold, timeThreshold float64, memoryOnly *r
 	for _, ob := range old.Benchmarks {
 		nb, ok := curBy[ob.Name]
 		if !ok {
-			missing = append(missing, ob.Name)
+			missing++
 			continue
 		}
 		check := func(metric string, ov, nv, limit float64) {
@@ -232,8 +233,8 @@ func main() {
 			fmt.Printf("improved  %-60s %-10s %14.1f -> %14.1f (%+.1f%%)\n",
 				r.name, r.metric, r.old, r.new, 100*(r.new-r.old)/r.old)
 		}
-		for _, name := range missing {
-			fmt.Printf("missing   %s (in %s only)\n", name, *oldPath)
+		if missing > 0 {
+			fmt.Printf("%d rows missing from %s\n", missing, *newPath)
 		}
 		for _, r := range regs {
 			fmt.Printf("REGRESSED %-60s %-10s %14.1f -> %14.1f (%+.1f%%)\n",
@@ -243,7 +244,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("benchdiff: no regressions past %.0f%% (ns/op: %.0f%%; %d benchmarks compared)\n",
-			*threshold*100, *timeThreshold*100, len(old.Benchmarks)-len(missing))
+			*threshold*100, *timeThreshold*100, len(old.Benchmarks)-missing)
 	default:
 		flag.Usage()
 		os.Exit(2)

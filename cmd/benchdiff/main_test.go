@@ -99,8 +99,8 @@ func TestCompareThreshold(t *testing.T) {
 	if len(imps) != 1 || imps[0].name != "B" {
 		t.Errorf("improvements = %v, want just B", imps)
 	}
-	if len(missing) != 1 || missing[0] != "Gone" {
-		t.Errorf("missing = %v, want [Gone]", missing)
+	if missing != 1 {
+		t.Errorf("missing = %d, want 1 (Gone)", missing)
 	}
 	if regs, _, _ := compare(old, cur, 0.25, 0.4, nil); len(regs) != len(want)+1 {
 		t.Errorf("without -memory-only: %d regressions (%v), want Slow/E's ns/op as well", len(regs), regs)

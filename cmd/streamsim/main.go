@@ -222,6 +222,9 @@ func runScenario(sc *spec.Scenario, stdout, stderr io.Writer) error {
 			churn.NodesMeasured, churn.Hiccups, churn.Gaps, churn.MaxStallSlots, churn.RebufferRatio, churn.TimeToRepairSlots)
 	}
 	report(run, res, stdout)
+	if res.CertPeriod > 0 {
+		fmt.Fprintf(stderr, "streamsim: certified: slot %d, period %d\n", res.CertSlot, res.CertPeriod)
+	}
 	return sk.finish(run.Scheme, run.Opt, res, sc.Workers, churn)
 }
 

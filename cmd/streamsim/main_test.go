@@ -365,3 +365,28 @@ func TestPprofWritesCPUProfile(t *testing.T) {
 		t.Errorf("profile of %d bytes does not start with the gzip magic 1f 8b", len(raw))
 	}
 }
+
+// TestReportCallersKeepTheRecord: streamsim hands slotsim.BuildReport the
+// options spec.Build returned, which keep the arrival record for a scenario
+// with `out report=`; a nil record would panic there. Every family's default
+// scenario writes a readable report with its buffer series.
+func TestReportCallersKeepTheRecord(t *testing.T) {
+	for _, f := range spec.Families() {
+		repPath := filepath.Join(t.TempDir(), f.Name+".json")
+		text := "scheme " + f.Name + "\nout report=" + repPath + "\n"
+		if code, _, stderr := invoke([]string{"-scenario", "-"}, text); code != 0 {
+			t.Fatalf("%s: exit %d: %s", f.Name, code, stderr)
+		}
+		data, err := os.ReadFile(repPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := obs.ReadReport(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		if len(rep.Series.BufferMax) == 0 {
+			t.Errorf("%s: the report has no buffer series", f.Name)
+		}
+	}
+}

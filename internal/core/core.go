@@ -90,6 +90,19 @@ type Scheme interface {
 	Neighbors() map[NodeID][]NodeID
 }
 
+// Periodic is a Scheme that declares its schedule periodic. Period returns a
+// warm-up slot warm ≥ 0 and a period P; P ≤ 0 declares nothing. A declaration
+// with P > 0 is a promise: for every t ≥ warm, Transmissions(t+P) is
+// Transmissions(t) with the same From, To and order and every Packet plus P.
+// The engine (internal/slotsim) takes the promise as given and certifies a
+// run from it, so a scheme must declare only what its construction proves: a
+// period its schedule does not keep yields a wrong Result, where a period its
+// state never repeats at only leaves the run uncertified.
+type Periodic interface {
+	Scheme
+	Period() (warm, P Slot)
+}
+
 // AppendNeighbor appends id to a neighbor list unless the list already holds
 // it. Neighbor lists are short (at most 2d entries), so Neighbors
 // implementations dedup by scanning the list instead of building a set per

@@ -53,7 +53,7 @@ type Scheme struct {
 	out    []core.Transmission // reused across Transmissions calls
 }
 
-var _ core.Scheme = (*Scheme)(nil)
+var _ core.Periodic = (*Scheme)(nil)
 
 // New builds the hypercube-based scheme for n receivers and source
 // capacity d. The n receivers are divided into d near-equal groups (sizes
@@ -151,6 +151,21 @@ func (s *Scheme) CubeDims() [][]int {
 		}
 	}
 	return out
+}
+
+// Period implements core.Periodic for the single cube (one group of one
+// cube, dimension k): warm = k and P = k. Slot τ ≥ k injects packet τ along
+// dim(τ) and spreads packets τ−k..τ−1, and every dimension it reads is
+// dim(τ') for some τ' in τ−k..τ, which depends on τ' mod k only. So slot τ+k
+// emits the same edges in the same order with every packet k more. Below k
+// the spread's lower end is clipped at packet 0, so the pattern starts at k.
+// A grouped or chained scheme declares nothing (P = 0).
+func (s *Scheme) Period() (warm, P core.Slot) {
+	if len(s.groups) != 1 || len(s.groups[0]) != 1 {
+		return 0, 0
+	}
+	k := core.Slot(s.groups[0][0].k)
+	return k, k
 }
 
 // Transmissions implements core.Scheme. In steady state every cube emits one

@@ -228,3 +228,52 @@ func TestChainDecomposition(t *testing.T) {
 		}
 	}
 }
+
+// TestPeriodDeclaration samples the core.Periodic promise of the single cube,
+// in the paper's dimension cycle and in a permuted one: from warm on, and near
+// slot 10⁶, slot t+k is slot t with every packet k more. Grouped and chained
+// schemes declare no period.
+func TestPeriodDeclaration(t *testing.T) {
+	var cubes []*Scheme
+	for k := 1; k <= 12; k++ {
+		s, err := New(1<<k-1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cubes = append(cubes, s)
+	}
+	permuted, err := NewWithDimOrder(31, []int{3, 0, 4, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range append(cubes, permuted) {
+		warm, P := s.Period()
+		if k := core.Slot(s.groups[0][0].k); warm != k || P != k {
+			t.Fatalf("n=%d: Period() = %d, %d, want %d, %d", s.n, warm, P, k, k)
+		}
+		for _, from := range []core.Slot{warm, 1_000_000} {
+			for t0 := from; t0 <= from+P; t0++ {
+				at := append([]core.Transmission(nil), s.Transmissions(t0)...)
+				later := s.Transmissions(t0 + P)
+				if len(later) != len(at) {
+					t.Fatalf("n=%d: slot %d has %d transmissions, slot %d has %d", s.n, t0, len(at), t0+P, len(later))
+				}
+				for i, x := range at {
+					x.Packet += core.Packet(int(P))
+					if later[i] != x {
+						t.Fatalf("n=%d: slot %d entry %d is %v, want %v", s.n, t0+P, i, later[i], x)
+					}
+				}
+			}
+		}
+	}
+	for _, c := range [][2]int{{1000, 1}, {21, 3}, {30, 2}} {
+		s, err := New(c[0], c[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, P := s.Period(); P != 0 {
+			t.Errorf("n=%d d=%d: a grouped or chained scheme declares period %d", c[0], c[1], P)
+		}
+	}
+}

@@ -22,6 +22,9 @@ var panicSites = map[string][]string{
 		"register runs only from this package's init functions, each with its own literal family name, so a clash panics as the package loads, in every test run",
 		"every family literal sets build and defaultPackets; one that did not would panic as the package loads, in every test run",
 	},
+	"streamcast/internal/slotsim.BuildReport": {
+		"every caller keeps the run's arrival record before it builds a report: cmd/streamsim and bench/pipeline.go pass the options spec.Build returns for a scenario with `out report=`, which set Options.Arrivals, and internal/experiments sets it while a report sink is installed (TestReportCallersKeepTheRecord in cmd/streamsim, internal/spec and internal/experiments)",
+	},
 	"streamcast/internal/stats.SplitMix64.Intn": {
 		"every caller passes a positive bound: PermInto's i+1, and randreg's degree d and nodes·d, which NewDigraph holds to d ≥ 2",
 	},

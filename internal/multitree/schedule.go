@@ -35,6 +35,7 @@ type Scheme struct {
 	// first receive slot is ≡ r (mod d): exactly the positions that can fire
 	// in a slot t ≡ r.
 	fires [][]firing
+	warm  core.Slot           // the largest first over the firing lists (Period)
 	out   []core.Transmission // reused across Transmissions calls
 }
 
@@ -47,7 +48,7 @@ type firing struct {
 	first, lag int32
 }
 
-var _ core.Scheme = (*Scheme)(nil)
+var _ core.Periodic = (*Scheme)(nil)
 
 // NewScheme wraps a multi-tree family with a transmission schedule.
 func NewScheme(m *MultiTree, mode core.StreamMode) *Scheme {
@@ -82,6 +83,7 @@ func NewScheme(m *MultiTree, mode core.StreamMode) *Scheme {
 				from = m.Trees[k][pp-1]
 			}
 			first := s.firstRecv[k][p-1]
+			s.warm = max(s.warm, first)
 			r := int(first) % m.D
 			s.fires[r] = append(s.fires[r], firing{
 				from: int32(from), to: int32(child),
@@ -174,6 +176,16 @@ func (s *Scheme) Transmissions(t core.Slot) []core.Transmission {
 	}
 	s.out = out
 	return out[:len(out):len(out)]
+}
+
+// Period implements core.Periodic: warm is the largest first receive slot
+// and P = d. Slot t walks fires[t mod d] in a fixed order and emits every
+// firing whose first ≤ t, with packet t − lag. From warm on no firing is
+// skipped, so slot t+d walks the same list, emits the same edges in the same
+// order, and each packet is (t+d) − lag, d more than at t. This holds in all
+// three modes: the mode moves only first and lag.
+func (s *Scheme) Period() (warm, P core.Slot) {
+	return s.warm, core.Slot(s.Tree.D)
 }
 
 // FirstRecvSlot returns the slot at which node id receives its first packet

@@ -224,3 +224,39 @@ func TestFirstRecvMatchesAncestorWalk(t *testing.T) {
 		}
 	}
 }
+
+// TestPeriodDeclaration samples the core.Periodic promise: from warm on, and
+// near slot 10⁶, slot t+P is slot t with the same edges in the same order and
+// every packet P more.
+func TestPeriodDeclaration(t *testing.T) {
+	for d := 2; d <= 5; d++ {
+		for _, n := range []int{1, d, 63, 1000} {
+			m, err := New(n, d, Greedy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range []core.StreamMode{core.PreRecorded, core.Live, core.LivePreBuffered} {
+				s := NewScheme(m, mode)
+				warm, P := s.Period()
+				if P != core.Slot(d) {
+					t.Fatalf("d=%d: period %d", d, P)
+				}
+				for _, from := range []core.Slot{warm, 1_000_000} {
+					for t0 := from; t0 <= from+P; t0++ {
+						at := append([]core.Transmission(nil), s.Transmissions(t0)...)
+						later := s.Transmissions(t0 + P)
+						if len(at) == 0 || len(later) != len(at) {
+							t.Fatalf("d=%d n=%d %s: slot %d has %d transmissions, slot %d has %d", d, n, mode, t0, len(at), t0+P, len(later))
+						}
+						for i, x := range at {
+							x.Packet += core.Packet(int(P))
+							if later[i] != x {
+								t.Fatalf("d=%d n=%d %s: slot %d entry %d is %v, want %v", d, n, mode, t0+P, i, later[i], x)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -38,7 +38,10 @@ func steadyCase(t *testing.T, n, d int) (core.Scheme, slotsim.Options) {
 // observed chained hypercube, a DropFunc (losses through Inject), link latency
 // (the in-flight ring, through Inject), a fault plan with loss and delay (the
 // injector, plus the receive capacity its delay rules lift), and a receive
-// capacity of 2, the last two on the same ledger as the rest.
+// capacity of 2, the last two on the same ledger as the rest. The direct and
+// receive-capacity rows hide the scheme's period, so they run every slot; a
+// last row stops at its period certificate, whose snapshot lives on the
+// Runner's scratch.
 func TestSteadyStateAllocFree(t *testing.T) {
 	mt, mtOpt := steadyCase(t, 2000, 4)
 	cube, err := hypercube.New(1000, 2)
@@ -61,19 +64,25 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	}
 	wide := mtOpt
 	wide.RecvCap = func(core.NodeID) int { return 2 }
+	long := mtOpt
+	long.Packets = 200
+	long.Slots += 200
 	for _, c := range []struct {
 		name string
 		s    core.Scheme
 		opt  slotsim.Options
 	}{
-		{"direct", mt, mtOpt},
+		// aperiodic keeps the direct rows on every slot up to the window's
+		// end; the certified row stops at its certificate.
+		{"direct", aperiodic{mt}, mtOpt},
 		// An idle observer makes the run replay its whole horizon instead of
 		// stopping once the window is complete, so the 64 extra slots run.
 		{"observed", cube, slotsim.Options{Slots: 100, Packets: 8, Mode: core.Live, Observer: obs.SlotFunc(func(*obs.SlotView) {})}},
 		{"drop", mt, dropped},
 		{"latency", mt, late},
 		{"inject", mt, in.Apply(mtOpt)},
-		{"recvcap", mt, wide},
+		{"recvcap", aperiodic{mt}, wide},
+		{"certified", mt, long},
 	} {
 		steadyAllocFree(t, c.name, c.s, c.opt)
 	}
@@ -105,5 +114,12 @@ func steadyAllocFree(t *testing.T, name string, s core.Scheme, opt slotsim.Optio
 	}
 	if base != 4 {
 		t.Errorf("%s: a warmed run made %.0f allocations, want 4 (the Result and its three slices)", name, base)
+	}
+	res, err := r.Run(s, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if certified := res.CertPeriod > 0; certified != (name == "certified") {
+		t.Errorf("%s: certificate %d/%d", name, res.CertSlot, res.CertPeriod)
 	}
 }

@@ -37,11 +37,12 @@
 //     lock-step, so a slot is O(N) array traffic between two hard barriers;
 //     PERFORMANCE.md records why sharding it across workers was measured
 //     and removed. Options.Slots is an upper bound: a Result depends on
-//     the window's arrivals alone, so a bare run
-//     — no observer, in-flight hook or churn source — ends at the first
-//     slot boundary at which every receiver holds the
-//     whole window, and any of those keeps the run going to the horizon
-//     (PERFORMANCE.md §10).
+//     the window's arrivals alone, so a bare run — no observer, in-flight
+//     hook or churn source — ends at the first slot boundary at which
+//     every receiver holds the whole window, or at which a scheme that
+//     declares core.Periodic has repeated its state one period later (the
+//     period certificate, period.go, which extrapolates the rest); any of
+//     those keeps the run going to the horizon (PERFORMANCE.md §10).
 //   - Runner owns the scratch arena for callers that run many simulations
 //     back to back; Run draws pooled Runners automatically.
 //   - Options configures horizon (an upper bound), measurement window,

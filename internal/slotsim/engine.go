@@ -45,15 +45,21 @@ func (f DropFunc) DelayTx(core.Transmission, core.Slot) core.Slot { return 0 }
 // Options configures a simulation run.
 type Options struct {
 	// Slots is the horizon: an upper bound on the time slots simulated. The
-	// Result is a function of the window's arrivals alone, so a run that
-	// nothing outside the engine reads or changes — no Observer, Inject or
-	// Churn — ends at the first slot boundary at which every receiver holds
-	// the whole window; with any of those set, and whenever the window never
-	// completes, all Slots slots run, each through the same step. A
-	// constraint the schedule breaks only after that boundary is therefore
-	// seen by an observed or injected run and not by a bare one: the engine
-	// validates what it executes, and check.Static is the validator of a
-	// schedule over a stated horizon.
+	// Result is a function of the window's arrivals alone, so a direct run —
+	// one that nothing outside the engine reads or changes: no Observer,
+	// Inject or Churn — leaves early at the first slot boundary where either
+	//   - every receiver holds the whole window (window complete), or
+	//   - the scheme declares core.Periodic and its state has repeated one
+	//     period later (certified, period.go): every later slot repeats, and
+	//     finish extrapolates the Result the remaining slots would give,
+	//     Result.CertSlot and CertPeriod saying where and how.
+	// With an Observer, Inject or Churn set, and when neither exit comes,
+	// all Slots slots run, each through the same step. A constraint the
+	// schedule breaks only after a window-complete exit is therefore seen by
+	// an observed or injected run and not by a direct one; a certified run
+	// has proved that no later slot breaks one. The engine validates what it
+	// executes, and check.Static is the validator of a schedule over a
+	// stated horizon.
 	Slots core.Slot
 	// Packets is the measurement window: metrics are computed over packets
 	// 0..Packets-1 and the run fails unless every receiver has received all
@@ -74,8 +80,9 @@ type Options struct {
 	Observer obs.Observer
 	// Arrivals, if non-nil, is a record the run fills: newEngine sizes it to
 	// the run's ids and window and clears it, and every window arrival is
-	// written into it as it happens, so it holds the run's arrival slots once
-	// the run succeeds. It owns its memory: the Runner neither keeps nor
+	// written into it as it happens (a certified run fills the rest from its
+	// certificate), so it holds the run's arrival slots once the run
+	// succeeds. It owns its memory: the Runner neither keeps nor
 	// reuses it. A Result holds only per-node summaries, so a reader of single
 	// cells (Hiccups, PlaybackSLO, mdc.RoundQuality) sets this. The engine
 	// never reads it, so it changes nothing else about the run: a run that
@@ -171,6 +178,11 @@ type Result struct {
 	Missing []int
 	// SlotsUsed is the last slot in which any measured packet arrived, +1.
 	SlotsUsed core.Slot
+	// CertPeriod > 0 marks a run the engine certified (period.go): after
+	// slot CertSlot its state was the state CertPeriod slots earlier shifted
+	// by CertPeriod packets, so it stopped there and extrapolated every field
+	// above, each equal to what the run executed slot by slot gives.
+	CertSlot, CertPeriod core.Slot
 }
 
 // Arrivals is the measurement window's arrival matrix, kept for a run whose
@@ -501,12 +513,15 @@ func (e *engine) validateSends(t core.Slot, txs []core.Transmission) error {
 // marked (a repeated mark changes nothing). A window arrival then sets the
 // node's slot bit, or, when the node already took a window packet in this slot
 // (only a custom RecvCap allows that), appends an overflow entry; and it is
-// written into Options.Arrivals when the run keeps that record. Hot slices
-// live in locals, kept in registers.
+// written into Options.Arrivals when the run keeps that record. While a
+// period check is open (period.go) it also notes the slot's lowest window
+// packet arrived and highest packet delivered. Hot slices live in locals,
+// kept in registers.
 func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) (int, error) {
 	tick := e.nextTick()
 	recvSt, recvTab, have, cursor := e.recvSt, e.recvTab, e.have, e.cursor
 	marked := core.Packet(-1)
+	chk, lo, hi := e.sc.cert.open, e.sc.cert.lo, e.sc.cert.hi
 	for i, tx := range arrivals {
 		id, p := tx.To, tx.Packet
 		st := recvSt[id]
@@ -517,6 +532,9 @@ func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) (int, error)
 		recvSt[id] = uint64(tick)<<32 | uint64(c)
 		if int32(c) > recvTab[id] {
 			return i, &Violation{t, "receive capacity exceeded", tx}
+		}
+		if chk && p > hi {
+			hi = p
 		}
 		if id == core.SourceID || p >= e.maxPkt {
 			// The source discards incoming packets; packets beyond the
@@ -553,6 +571,9 @@ func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) (int, error)
 			if int32(t) > e.sc.maxArr {
 				e.sc.maxArr = int32(t)
 			}
+			if chk && p < lo {
+				lo = p
+			}
 			j := int(t)*e.words + int(id)>>6
 			if sw := e.slots[j]; sw&bit == 0 {
 				e.slots[j] = sw | bit
@@ -564,6 +585,7 @@ func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) (int, error)
 			}
 		}
 	}
+	e.sc.cert.lo, e.sc.cert.hi = lo, hi
 	return len(arrivals), nil
 }
 

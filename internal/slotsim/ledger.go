@@ -130,9 +130,12 @@ func (e *engine) resetNode(id core.NodeID) {
 // finish computes the Result after the last slot. The playback cursors
 // maintained at delivery time supply StartDelay, Missing and SlotsUsed
 // directly; MaxBuffer comes from the slot bits and overflow entries (see the
-// top of this file). A live-churn run's state spans the churn ceiling, but
-// its Result covers only the ids the scheme had allocated by the end of the
-// run: no id past them was ever a member.
+// top of this file). A certified run (period.go) stopped with part of the
+// window still to come: every node completes it, and SlotsUsed is the
+// window's last arrival the certificate extrapolated. A live-churn run's
+// state spans the churn ceiling, but its Result covers only the ids the
+// scheme had allocated by the end of the run: no id past them was ever a
+// member.
 func (e *engine) finish() (*Result, error) {
 	n := e.n
 	if e.dyn != nil {
@@ -148,6 +151,10 @@ func (e *engine) finish() (*Result, error) {
 	if m := core.Slot(e.sc.maxArr); m > r.SlotsUsed {
 		r.SlotsUsed = m
 	}
+	cert := &e.sc.cert
+	if cert.at >= 0 {
+		r.SlotsUsed, r.CertSlot, r.CertPeriod = cert.last, cert.at, cert.P
+	}
 	np := int(e.opt.Packets)
 	over := e.sc.over
 	slices.SortFunc(over, func(a, b overflow) int { return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.t, b.t)) })
@@ -160,7 +167,7 @@ func (e *engine) finish() (*Result, error) {
 		mine := over[:k]
 		over = over[k:]
 		cur := e.cursor[id]
-		if got := int(uint32(cur)); got < np {
+		if got := int(uint32(cur)); got < np && cert.at < 0 {
 			if !e.opt.AllowIncomplete {
 				return nil, e.neverReceived(id)
 			}

@@ -39,6 +39,7 @@ type scratch struct {
 	dups      []int               // the slot's duplicate arrival indexes
 	view      obs.SlotView        // the slot lent to the observer
 	viol      obs.Violation       // the view's violation, when it has one
+	cert      certifier           // the period certificate's snapshot (period.go)
 	eng       engine              // engine state, reset per run
 }
 
@@ -74,6 +75,8 @@ func (r *Runner) runSlots(s core.Scheme, opt Options) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.startCertifier(s)
+	cert := &r.sc.cert
 	for t := core.Slot(0); t < opt.Slots; t++ {
 		if e.dyn != nil {
 			if err := e.churnStep(t); err != nil {
@@ -86,6 +89,11 @@ func (r *Runner) runSlots(s core.Scheme, opt Options) (*engine, error) {
 		if e.pending == 0 && e.direct {
 			// Every receiver holds the whole window and nothing outside the
 			// engine can read a later slot: the Result is already decided.
+			break
+		}
+		if cert.P > 0 && e.period(t) {
+			// The state repeated one period later: every later slot repeats
+			// too, and finish extrapolates the Result.
 			break
 		}
 	}

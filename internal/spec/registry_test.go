@@ -158,3 +158,19 @@ func TestBuildChurnRequiresMultitree(t *testing.T) {
 		t.Fatalf("the plan's leave did not fire at its slot: %+v", ops)
 	}
 }
+
+// TestReportCallersKeepTheRecord: a scenario with `out report=` builds with
+// its arrival record kept, in every family. cmd/streamsim and
+// bench/pipeline.go hand these options to slotsim.BuildReport, which panics
+// on a nil record.
+func TestReportCallersKeepTheRecord(t *testing.T) {
+	for _, f := range Families() {
+		run, err := Build(&Scenario{Scheme: f.Name, ReportOut: "report.json"})
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		if run.Opt.Arrivals == nil {
+			t.Errorf("%s: a scenario that writes a report builds without an arrival record", f.Name)
+		}
+	}
+}
