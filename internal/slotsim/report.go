@@ -11,12 +11,15 @@ import (
 // collected by the Metrics observer (which must have been attached to the
 // run via Options.Observer), and the buffer series folded from the run's
 // arrival record. opt must be the run's Options with Arrivals set: a nil
-// record is a caller bug and panics with a message saying so (spec.Build keeps
-// a record for every scenario that writes a report, and a
-// TestReportCallersKeepTheRecord beside each caller holds it to that). workers is the worker count the scenario
-// requested (the engine ignores it); the parameter is kept for its last
-// caller, bench/pipeline.go.
+// record is a caller bug and panics with a message saying so (spec.Build
+// keeps a record for every scenario that writes a report, and a
+// TestReportCallersKeepTheRecord beside each caller holds it to that).
+// workers is the worker count the scenario requested (the engine ignores
+// it); the parameter is kept for its last caller, bench/pipeline.go.
 func BuildReport(s core.Scheme, opt Options, res *Result, m *obs.Metrics, workers int) *obs.RunReport {
+	if opt.Arrivals == nil {
+		panic("slotsim: BuildReport needs the run's arrival record: Options.Arrivals was nil")
+	}
 	rep := &obs.RunReport{
 		Scheme:      s.Name(),
 		Receivers:   res.N,
@@ -76,9 +79,6 @@ func BuildReport(s core.Scheme, opt Options, res *Result, m *obs.Metrics, worker
 	// Buffer-occupancy trajectories over the observed slots, folded from the
 	// record under the Result's playback starts; the per-node maximum of the
 	// occupancy they sum is exactly Result.MaxBuffer.
-	if opt.Arrivals == nil {
-		panic("slotsim: BuildReport needs the run's arrival record: Options.Arrivals was nil")
-	}
 	rep.Series.BufferMax, rep.Series.BufferTotal = opt.Arrivals.bufferSeries(res, len(series))
 
 	rep.PerNode = obs.PerNode{

@@ -1,6 +1,7 @@
 package slotsim_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -85,8 +86,11 @@ func TestBuildReportNeedsRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		if recover() == nil {
+		switch r := recover(); {
+		case r == nil:
 			t.Fatal("BuildReport of a run without Options.Arrivals returned instead of panicking")
+		case !strings.Contains(fmt.Sprint(r), "Options.Arrivals was nil"):
+			t.Fatalf("BuildReport panicked with %v, not its own message", r)
 		}
 	}()
 	slotsim.BuildReport(scheme, opt, res, met, 0)
