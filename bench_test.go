@@ -27,7 +27,7 @@ import (
 
 // benchScheme resolves a scenario through the scheme registry; benchmarks
 // that need scheme-specific accessors type-assert the result.
-func benchScheme(b *testing.B, sc *spec.Scenario) core.Scheme {
+func benchScheme(b testing.TB, sc *spec.Scenario) core.Scheme {
 	b.Helper()
 	run, err := spec.Build(sc)
 	if err != nil {
@@ -566,10 +566,16 @@ func BenchmarkCheckStatic(b *testing.B) {
 }
 
 // BenchmarkNeighbors measures building the protocol-neighbour mesh, which
-// every text report and every mesh audit asks the scheme for.
+// every mesh audit asks the scheme for, and, in each row's `/max` sub-row,
+// core.MaxNeighbors, which the text report's `max neighbors:` line reads
+// without building it.
 func BenchmarkNeighbors(b *testing.B) {
 	for _, c := range checkBenchScenarios {
 		s := benchScheme(b, c.sc)
+		want := 0
+		for _, l := range s.Neighbors() {
+			want = max(want, len(l))
+		}
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -578,6 +584,27 @@ func BenchmarkNeighbors(b *testing.B) {
 				}
 			}
 		})
+		b.Run(c.name+"/max", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := core.MaxNeighbors(s); got != want {
+					b.Fatalf("core.MaxNeighbors = %d, the map's longest list has %d", got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestMaxNeighborsAllocs pins core.MaxNeighbors on the two paper
+// constructions at benchmark size to at most one allocation (multi-tree's
+// 2d-entry buffer; the cube's lives on the stack): the text report's
+// `max neighbors:` line builds no mesh map.
+func TestMaxNeighborsAllocs(t *testing.T) {
+	for _, c := range checkBenchScenarios {
+		s := benchScheme(t, c.sc)
+		if got := testing.AllocsPerRun(3, func() { core.MaxNeighbors(s) }); got > 1 {
+			t.Errorf("%s: core.MaxNeighbors makes %v allocations, want at most 1", c.name, got)
+		}
 	}
 }
 
@@ -638,8 +665,9 @@ func BenchmarkRandRegFrontierRow(b *testing.B) {
 
 // BenchmarkCheckedCubeRun is the `cube-check` workload in process: registry
 // build, static check and run of the N = 32767 hypercube. The check is an
-// observed engine run over the whole 264-slot horizon; the bare run after it
-// ends when its window is complete (slot 19).
+// observed engine run over its own 23-slot horizon (check.HypercubeOptions:
+// delay 15 + 4 packets + 4), not the run's 264; the bare run after it ends
+// when its window is complete (slot 19).
 func BenchmarkCheckedCubeRun(b *testing.B) {
 	b.Run("N32767", func(b *testing.B) {
 		b.ReportAllocs()

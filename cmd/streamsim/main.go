@@ -248,13 +248,7 @@ func report(run *spec.Run, res *slotsim.Result, w io.Writer) {
 	fmt.Fprintf(w, "worst delay:   %d slots\n", res.WorstStartDelay())
 	fmt.Fprintf(w, "avg delay:     %.2f slots\n", res.AvgStartDelay())
 	fmt.Fprintf(w, "worst buffer:  %d packets\n", res.WorstBuffer())
-	maxNb := 0
-	for _, nb := range s.Neighbors() {
-		if len(nb) > maxNb {
-			maxNb = len(nb)
-		}
-	}
-	fmt.Fprintf(w, "max neighbors: %d\n", maxNb)
+	fmt.Fprintf(w, "max neighbors: %d\n", core.MaxNeighbors(s))
 	fmt.Fprintf(w, "slots used:    %d\n", res.SlotsUsed)
 	if d := run.Descriptions(); d > 0 {
 		mean, worst := mdc.SystemQuality(res, run.Opt.Arrivals, d)

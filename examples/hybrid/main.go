@@ -32,13 +32,7 @@ func measure(sc *spec.Scenario) (measurement, error) {
 	if err != nil {
 		return measurement{}, err
 	}
-	maxNb := 0
-	for _, nb := range run.Scheme.Neighbors() {
-		if len(nb) > maxNb {
-			maxNb = len(nb)
-		}
-	}
-	return measurement{run.Scheme.Name(), res.WorstStartDelay(), res.WorstBuffer(), maxNb}, nil
+	return measurement{run.Scheme.Name(), res.WorstStartDelay(), res.WorstBuffer(), core.MaxNeighbors(run.Scheme)}, nil
 }
 
 func main() {

@@ -69,13 +69,7 @@ func main() {
 		res.AvgStartDelay(), analysis.Theorem3LowerBound(n, d))
 	fmt.Printf("worst buffer occupancy: %d packets (bound: %d)\n",
 		res.WorstBuffer(), analysis.BufferBound(n, d))
-	maxNb := 0
-	for _, nb := range run.Scheme.Neighbors() {
-		if len(nb) > maxNb {
-			maxNb = len(nb)
-		}
-	}
-	fmt.Printf("max neighbors per node: %d (bound: 2d = %d)\n", maxNb, 2*d)
+	fmt.Printf("max neighbors per node: %d (bound: 2d = %d)\n", core.MaxNeighbors(run.Scheme), 2*d)
 
 	// 6. Per-node detail for a few nodes.
 	for _, id := range []core.NodeID{1, core.NodeID(n / 2), core.NodeID(n)} {

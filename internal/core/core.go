@@ -86,8 +86,27 @@ type Scheme interface {
 	// multi-tree node's parent, then its children, tree by tree; a cube
 	// vertex's partners by dimension, then its chain edges — so two calls
 	// return identical slices. Schemes that gather their mesh from sets
-	// (cluster, gossip) promise the members only: compare as sets.
+	// (cluster, gossip) promise the members only: compare as sets. A caller
+	// that wants only the longest list's length asks MaxNeighbors, which
+	// builds no map for the paper constructions.
 	Neighbors() map[NodeID][]NodeID
+}
+
+// MaxNeighbors returns the length of the longest list s.Neighbors() returns,
+// 0 when it lists no node: the paper's neighbour count, its third axis beside
+// delay and buffer. A scheme that has a method MaxNeighbors() int answers
+// directly and promises exactly that length; multi-tree and the hypercube
+// derive it from the per-node walk their Neighbors uses, without building the
+// map. For every other scheme the map is built and scanned.
+func MaxNeighbors(s Scheme) int {
+	if d, ok := s.(interface{ MaxNeighbors() int }); ok {
+		return d.MaxNeighbors()
+	}
+	worst := 0
+	for _, l := range s.Neighbors() {
+		worst = max(worst, len(l))
+	}
+	return worst
 }
 
 // Periodic is a Scheme that declares its schedule periodic. Period returns a

@@ -14,15 +14,6 @@ import (
 	"streamcast/internal/spec"
 )
 
-// maxNeighbors is the largest protocol neighbor set a scheme declares.
-func maxNeighbors(s core.Scheme) int {
-	worst := 0
-	for _, l := range s.Neighbors() {
-		worst = max(worst, len(l))
-	}
-	return worst
-}
-
 // multitreeResult builds (through the scheme registry), statically
 // verifies, and simulates a multi-tree scheme, returning the engine result.
 // The window stays at the experiments' historical 3d packets.
@@ -116,7 +107,7 @@ func Table1(ns []int, d int) (*Table, error) {
 			return nil, err
 		}
 		rows := [][]interface{}{{n, "multi-tree", int(res.WorstStartDelay()), res.AvgStartDelay(),
-			res.WorstBuffer(), maxNeighbors(s)}}
+			res.WorstBuffer(), core.MaxNeighbors(s)}}
 
 		// Nearest special size 2^k−1 <= n.
 		k := 1
@@ -129,21 +120,21 @@ func Table1(ns []int, d int) (*Table, error) {
 			return nil, err
 		}
 		rows = append(rows, []interface{}{special, "hypercube 2^k-1", int(hres.WorstStartDelay()),
-			hres.AvgStartDelay(), hres.WorstBuffer(), maxNeighbors(hs)})
+			hres.AvgStartDelay(), hres.WorstBuffer(), core.MaxNeighbors(hs)})
 
 		ha, hares, err := hypercubeResult(n, 1)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, []interface{}{n, "hypercube chain", int(hares.WorstStartDelay()),
-			hares.AvgStartDelay(), hares.WorstBuffer(), maxNeighbors(ha)})
+			hares.AvgStartDelay(), hares.WorstBuffer(), core.MaxNeighbors(ha)})
 
 		hg, hgres, err := hypercubeResult(n, d)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, []interface{}{n, fmt.Sprintf("hypercube d=%d", d), int(hgres.WorstStartDelay()),
-			hgres.AvgStartDelay(), hgres.WorstBuffer(), maxNeighbors(hg)})
+			hgres.AvgStartDelay(), hgres.WorstBuffer(), core.MaxNeighbors(hg)})
 		return rows, nil
 	})
 	if err != nil {
@@ -360,7 +351,7 @@ func Baselines(ns []int) (*Table, error) {
 			return nil, err
 		}
 		rows := [][]interface{}{{n, "chain", int(cres.WorstStartDelay()), cres.WorstBuffer(),
-			maxNeighbors(chRun.Scheme), 1}}
+			core.MaxNeighbors(chRun.Scheme), 1}}
 
 		stSc := spec.SingleTreeScenario(n, 2)
 		stSc.Mode = "live"
@@ -372,7 +363,7 @@ func Baselines(ns []int) (*Table, error) {
 		}
 		st := stRun.Scheme.(*baseline.SingleTree)
 		rows = append(rows, []interface{}{n, "single tree b=2", int(stres.WorstStartDelay()),
-			stres.WorstBuffer(), maxNeighbors(st), st.UploadFactor()})
+			stres.WorstBuffer(), core.MaxNeighbors(st), st.UploadFactor()})
 
 		for _, d := range []int{2, 3} {
 			s, res, err := multitreeResult(n, d, multitree.Greedy, core.PreRecorded)
@@ -380,14 +371,14 @@ func Baselines(ns []int) (*Table, error) {
 				return nil, err
 			}
 			rows = append(rows, []interface{}{n, fmt.Sprintf("multi-tree d=%d", d), int(res.WorstStartDelay()),
-				res.WorstBuffer(), maxNeighbors(s), 1})
+				res.WorstBuffer(), core.MaxNeighbors(s), 1})
 		}
 		hs, hres, err := hypercubeResult(n, 1)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, []interface{}{n, "hypercube chain", int(hres.WorstStartDelay()),
-			hres.WorstBuffer(), maxNeighbors(hs), 1})
+			hres.WorstBuffer(), core.MaxNeighbors(hs), 1})
 		return rows, nil
 	})
 	if err != nil {

@@ -251,50 +251,89 @@ func appendSpreads(out []core.Transmission, c cubeSpec, tau core.Slot) []core.Tr
 // Neighbors implements core.Scheme: each node's intra-cube partners (one per
 // dimension, where the partner of 2^dim(τ) in the pairing slot is the cube's
 // source/injector side) plus the chaining edges between consecutive cubes.
-// A vertex's list is its bit-flip partners in dimension order — a row of one
-// array per cube — followed, for the vertices 2^b, by the injector and chain
-// edges in schedule order.
+// Each list is appendNeighbors' walk of its vertex, written into a row of one
+// array per cube.
 func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
 	out := make(map[core.NodeID][]core.NodeID, s.n)
 	for _, chain := range s.groups {
 		for i, c := range chain {
-			// Intra-cube pairing partners. Only a vertex 2^b has fewer
-			// than k (its partner along b is the injector side, below), so
-			// only its row can outgrow k entries, and append then moves
-			// that one list out of the array.
+			// Only a vertex 2^b has fewer than k bit-flip partners, so only
+			// its row can outgrow k entries, and append then moves that one
+			// list out of the array.
 			rows := make([]core.NodeID, c.size()*c.k)
 			for v := 1; v < 1<<c.k; v++ {
-				list := rows[(v-1)*c.k : (v-1)*c.k : v*c.k]
-				for b := 0; b < c.k; b++ {
-					if w := v ^ 1<<b; w != 0 {
-						list = append(list, c.id(w))
-					}
-				}
-				out[c.id(v)] = list
-			}
-			// Injector edges: who delivers new packets to this cube's
-			// vertices 2^b.
-			if i == 0 {
-				for b := 0; b < c.k; b++ {
-					id := c.id(1 << b)
-					out[id] = core.AppendNeighbor(out[id], core.SourceID)
-				}
-				continue
-			}
-			prev := chain[i-1]
-			// The freed sender of prev at global slot t is
-			// prev-vertex 2^prev.dim(t−prev.base); the injectee is
-			// c-vertex 2^c.dim(t−c.base). Enumerate one full period.
-			period := core.Slot(lcm(prev.k, c.k))
-			for off := core.Slot(0); off < period; off++ {
-				t := c.base + core.Slot(c.k) + off // any slot ≥ both bases
-				from, to := prev.id(1<<prev.dim(t-prev.base)), c.id(1<<c.dim(t-c.base))
-				out[from] = core.AppendNeighbor(out[from], to)
-				out[to] = core.AppendNeighbor(out[to], from)
+				out[c.id(v)] = appendNeighbors(rows[(v-1)*c.k:(v-1)*c.k:v*c.k], chain, i, v)
 			}
 		}
 	}
 	return out
+}
+
+// MaxNeighbors returns the length of the longest list Neighbors returns
+// without building the map (core.MaxNeighbors). Every vertex of a cube that
+// is not a power of two has exactly k partners and no chain edge, so vertex 3
+// stands for all of them; a vertex 2^b has k − 1 partners plus its distinct
+// injector and chain edges, so each is walked.
+func (s *Scheme) MaxNeighbors() int {
+	// Lists longer than the buffer spill to the heap and stay correct.
+	var buf [96]core.NodeID
+	worst := 0
+	for _, chain := range s.groups {
+		for i, c := range chain {
+			if c.k >= 2 {
+				worst = max(worst, len(appendNeighbors(buf[:0], chain, i, 3)))
+			}
+			for b := 0; b < c.k; b++ {
+				worst = max(worst, len(appendNeighbors(buf[:0], chain, i, 1<<b)))
+			}
+		}
+	}
+	return worst
+}
+
+// appendNeighbors appends local vertex v of cube chain[i]'s neighbor list:
+// its bit-flip partners in dimension order, then, for a vertex 2^b, who
+// injects into it — the source for the first cube, else the previous cube's
+// freed senders — and the next cube's vertices it injects into as a freed
+// sender, each in schedule order and deduplicated by scanning the list.
+func appendNeighbors(list []core.NodeID, chain []cubeSpec, i, v int) []core.NodeID {
+	c := chain[i]
+	for b := 0; b < c.k; b++ {
+		if w := v ^ 1<<b; w != 0 {
+			list = append(list, c.id(w))
+		}
+	}
+	if v&(v-1) != 0 {
+		return list
+	}
+	if i == 0 {
+		list = core.AppendNeighbor(list, core.SourceID)
+	} else {
+		list = appendChainEdges(list, chain[i-1], c, v, false)
+	}
+	if i+1 < len(chain) {
+		list = appendChainEdges(list, c, chain[i+1], v, true)
+	}
+	return list
+}
+
+// appendChainEdges appends vertex v's partners over the chain edges from cube
+// prev to cube next: at global slot t the freed sender prev-vertex
+// 2^prev.dim(t−prev.base) injects into next-vertex 2^next.dim(t−next.base).
+// v is a vertex of prev when sender is set, of next otherwise. One period of
+// the pair enumerates every edge.
+func appendChainEdges(list []core.NodeID, prev, next cubeSpec, v int, sender bool) []core.NodeID {
+	period := core.Slot(lcm(prev.k, next.k))
+	for off := core.Slot(0); off < period; off++ {
+		t := next.base + core.Slot(next.k) + off // any slot ≥ both bases
+		from, to := 1<<prev.dim(t-prev.base), 1<<next.dim(t-next.base)
+		if sender && from == v {
+			list = core.AppendNeighbor(list, next.id(to))
+		} else if !sender && to == v {
+			list = core.AppendNeighbor(list, prev.id(from))
+		}
+	}
+	return list
 }
 
 func lcm(a, b int) int {

@@ -172,6 +172,10 @@ func (s *LiveScheme) Neighbors() map[core.NodeID][]core.NodeID {
 	return s.dy.m.Neighbors()
 }
 
+// MaxNeighbors is MultiTree.MaxNeighbors over the current epoch's members:
+// core.MaxNeighbors without the map.
+func (s *LiveScheme) MaxNeighbors() int { return s.dy.m.MaxNeighbors() }
+
 // Transmissions implements core.Scheme. The returned slice is reused across
 // calls, as core.Scheme allows: it is valid until the next call.
 func (s *LiveScheme) Transmissions(t core.Slot) []core.Transmission {

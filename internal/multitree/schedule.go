@@ -156,6 +156,9 @@ func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
 	return s.Tree.Neighbors()
 }
 
+// MaxNeighbors is MultiTree.MaxNeighbors: core.MaxNeighbors without the map.
+func (s *Scheme) MaxNeighbors() int { return s.Tree.MaxNeighbors() }
+
 // Transmissions implements core.Scheme: it emits, for slot t, every edge
 // delivery (parent → child) whose receive pattern fires at t, walking only
 // the firing list of t's residue. Transfers to dummy children are suppressed.

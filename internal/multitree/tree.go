@@ -225,8 +225,7 @@ func (m *MultiTree) Validate() error {
 // Neighbors returns each real node's protocol neighbor set: its parent in
 // every tree plus its children in the tree where it is interior. This is the
 // quantity bounded by 2d in the paper, so each list is a 2d-entry row of one
-// array, filled tree by tree (parent, then children) and deduplicated by
-// scanning it.
+// array, filled by appendNeighbors.
 func (m *MultiTree) Neighbors() map[core.NodeID][]core.NodeID {
 	out := make(map[core.NodeID][]core.NodeID, m.N)
 	rows := make([]core.NodeID, m.N*2*m.D)
@@ -235,28 +234,48 @@ func (m *MultiTree) Neighbors() map[core.NodeID][]core.NodeID {
 		if m.IsDummy(id) {
 			continue
 		}
-		list := rows[lo : lo : lo+2*m.D]
+		out[id] = m.appendNeighbors(rows[lo:lo:lo+2*m.D], id)
 		lo += 2 * m.D
-		for k := 0; k < m.D; k++ {
-			p := m.pos[k][id]
-			pp := ParentPos(p, m.D)
-			if pp == 0 {
-				list = core.AppendNeighbor(list, core.SourceID)
-			} else {
-				list = core.AppendNeighbor(list, m.Trees[k][pp-1])
-			}
-			if p <= m.I {
-				for c := 0; c < m.D; c++ {
-					child := m.Trees[k][ChildPos(p, c, m.D)-1]
-					if !m.IsDummy(child) {
-						list = core.AppendNeighbor(list, child)
-					}
+	}
+	return out
+}
+
+// MaxNeighbors returns the length of the longest list Neighbors returns,
+// walking every real node with appendNeighbors into one reused 2d-entry
+// buffer instead of building the map (core.MaxNeighbors).
+func (m *MultiTree) MaxNeighbors() int {
+	buf := make([]core.NodeID, 0, 2*m.D)
+	worst := 0
+	for id := core.NodeID(1); int(id) < len(m.dummy); id++ {
+		if !m.IsDummy(id) {
+			worst = max(worst, len(m.appendNeighbors(buf[:0], id)))
+		}
+	}
+	return worst
+}
+
+// appendNeighbors appends real node id's neighbor list: tree by tree, its
+// parent, then its real children where it is interior, deduplicated by
+// scanning the list.
+func (m *MultiTree) appendNeighbors(list []core.NodeID, id core.NodeID) []core.NodeID {
+	for k := 0; k < m.D; k++ {
+		p := m.pos[k][id]
+		pp := ParentPos(p, m.D)
+		if pp == 0 {
+			list = core.AppendNeighbor(list, core.SourceID)
+		} else {
+			list = core.AppendNeighbor(list, m.Trees[k][pp-1])
+		}
+		if p <= m.I {
+			for c := 0; c < m.D; c++ {
+				child := m.Trees[k][ChildPos(p, c, m.D)-1]
+				if !m.IsDummy(child) {
+					list = core.AppendNeighbor(list, child)
 				}
 			}
 		}
-		out[id] = list
 	}
-	return out
+	return list
 }
 
 // Height returns h: the maximum depth of any position, minus nothing — the

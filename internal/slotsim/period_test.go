@@ -239,3 +239,62 @@ func TestCertificateHorizon(t *testing.T) {
 		t.Errorf("one slot short: %v, every slot: %v", err, wantErr)
 	}
 }
+
+// TestLongerHorizonKeepsCertifiedRun: a certified run is unchanged by a
+// longer horizon. Multitree (d = 2..5, every mode) and the single cube
+// (k = 3..10) run at Slots S and 4S give field-for-field equal Results,
+// CertSlot and CertPeriod included, and, with an arrival record, equal cells.
+func TestLongerHorizonKeepsCertifiedRun(t *testing.T) {
+	same := func(name string, s core.Periodic, w core.Packet, mode core.StreamMode) {
+		t.Helper()
+		S := horizon(s, w)
+		for _, keep := range []bool{false, true} {
+			var res [2]*slotsim.Result
+			var cells [2]*slotsim.Arrivals
+			for i, slots := range []core.Slot{S, 4 * S} {
+				opt := slotsim.Options{Slots: slots, Packets: w, Mode: mode}
+				if keep {
+					opt.Arrivals = new(slotsim.Arrivals)
+				}
+				r, err := slotsim.NewRunner().Run(s, opt)
+				if err != nil {
+					t.Fatalf("%s, %d slots: %v", name, slots, err)
+				}
+				res[i], cells[i] = r, opt.Arrivals
+			}
+			if res[0].CertPeriod == 0 {
+				t.Errorf("%s: not certified at %d slots", name, S)
+			}
+			if !reflect.DeepEqual(res[0], res[1]) {
+				t.Errorf("%s (record %v): horizon ×4 changed the Result: certificate %d/%d → %d/%d, slots used %d → %d",
+					name, keep, res[0].CertSlot, res[0].CertPeriod, res[1].CertSlot, res[1].CertPeriod, res[0].SlotsUsed, res[1].SlotsUsed)
+			}
+			if !reflect.DeepEqual(cells[0], cells[1]) {
+				t.Errorf("%s: horizon ×4 changed the arrival record", name)
+			}
+		}
+	}
+	for d := 2; d <= 5; d++ {
+		for _, n := range []int{d, 100, 1000} {
+			m, err := multitree.New(n, d, multitree.Greedy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range []core.StreamMode{core.PreRecorded, core.Live, core.LivePreBuffered} {
+				s := multitree.NewScheme(m, mode)
+				warm, P := s.Period()
+				w := core.Packet(int(3*(warm+P)) + 1)
+				same(fmt.Sprintf("d=%d/n=%d/%s/W=%d", d, n, mode, w), s, w, mode)
+			}
+		}
+	}
+	for k := 3; k <= 10; k++ {
+		s, err := hypercube.New(1<<k-1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []core.StreamMode{core.PreRecorded, core.Live} {
+			same(fmt.Sprintf("k=%d/%s", k, mode), s, core.Packet(4*k+1), mode)
+		}
+	}
+}

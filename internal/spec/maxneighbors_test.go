@@ -1,0 +1,135 @@
+package spec
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"streamcast/internal/core"
+	"streamcast/internal/multitree"
+)
+
+// mapMaxNeighbors is the definition core.MaxNeighbors promises: the length of
+// the longest list in the Neighbors() map.
+func mapMaxNeighbors(s core.Scheme) int {
+	worst := 0
+	for _, l := range s.Neighbors() {
+		worst = max(worst, len(l))
+	}
+	return worst
+}
+
+// maxNeighborsParams are, per family, the parameter sets the differential
+// test builds: N = 1 (randreg's minimum, 4, where it refuses fewer), N = d,
+// multi-tree N not a multiple of d (so the trees hold dummies), and the
+// single, grouped and chained cubes around a power of two and at 1000.
+func maxNeighborsParams() map[string][]string {
+	out := map[string][]string{
+		"chain":   {"n=1", "n=2", "n=3", "n=100"},
+		"cluster": {"k=1 n=1 d=3", "k=4 n=3 d=3", "k=4 D=3 n=20 d=2 construction=structured", "k=3 n=7 d=1 intra=hypercube", "k=5 n=40 d=2 intra=hypercube"},
+		"gossip":  {"n=1 d=3", "n=3 d=3", "n=100 d=3 degree=5", "n=50 d=2 degree=8 seed=9"},
+		"randreg": {"n=4 degree=3", "n=5 degree=2 mode=pull", "n=100 degree=3 mode=push", "n=100 degree=4"},
+	}
+	for d := 2; d <= 4; d++ { // both tree families need d ≥ 2
+		for _, n := range []int{1, d, 2*d + 1, 100, 1000} {
+			out["singletree"] = append(out["singletree"], fmt.Sprintf("n=%d d=%d", n, d))
+			for _, c := range []string{"greedy", "structured"} {
+				p := fmt.Sprintf("n=%d d=%d construction=%s", n, d, c)
+				out["multitree"] = append(out["multitree"], p)
+				out["mdc"] = append(out["mdc"], p)
+			}
+		}
+	}
+	for d := 1; d <= 3; d++ {
+		ns := []int{1, d, 1000}
+		for k := 1; k <= 10; k++ {
+			ns = append(ns, d*(1<<k-1), d*(1<<k-1)+1, 1<<k-1, 1<<k)
+		}
+		for _, n := range ns {
+			out["hypercube"] = append(out["hypercube"], fmt.Sprintf("n=%d d=%d", n, d))
+		}
+	}
+	return out
+}
+
+// TestMaxNeighborsMatchesMap: for every registered family at its edge sizes,
+// core.MaxNeighbors equals the longest list of the Neighbors() map, and, where
+// the static check audits the mesh, the check report's MaxNeighbors; a live
+// multi-tree keeps the equality through churn.
+func TestMaxNeighborsMatchesMap(t *testing.T) {
+	t.Run("live-churn", liveMaxNeighborsAfterChurn)
+	params := maxNeighborsParams()
+	checked := 0
+	for _, f := range Families() {
+		sets := params[f.Name]
+		if len(sets) == 0 {
+			t.Errorf("%s: no parameter sets; add the family to maxNeighborsParams", f.Name)
+		}
+		for _, set := range sets {
+			sc := &Scenario{Scheme: f.Name}
+			for _, kv := range strings.Fields(set) {
+				k, v, _ := strings.Cut(kv, "=")
+				sc.setParam(k, v)
+			}
+			name := f.Name + " " + set
+			run, err := Build(sc)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got, want := core.MaxNeighbors(run.Scheme), mapMaxNeighbors(run.Scheme)
+			if got != want {
+				t.Errorf("%s: core.MaxNeighbors = %d, the Neighbors() map's longest list has %d", name, got, want)
+			}
+			if run.CheckOpt == nil || (run.CheckOpt.MaxNeighbors <= 0 && !run.CheckOpt.CheckMesh) {
+				continue
+			}
+			rep, err := run.Preflight()
+			if err != nil {
+				t.Fatalf("%s: check: %v", name, err)
+			}
+			if rep.MaxNeighbors != got {
+				t.Errorf("%s: core.MaxNeighbors = %d, check report reads %d", name, got, rep.MaxNeighbors)
+			}
+			checked++
+		}
+	}
+	if checked < 100 {
+		t.Errorf("only %d runs compared against the check report", checked)
+	}
+}
+
+// liveMaxNeighborsAfterChurn: a live multi-tree keeps core.MaxNeighbors
+// equal to its Neighbors() map after every op of seeded join/leave sequences
+// under the eager and the lazy policy, across level grows and shrinks.
+func liveMaxNeighborsAfterChurn(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		for d := 2; d <= 4; d++ {
+			dy, err := multitree.NewDynamic(10, d, lazy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := multitree.NewLiveScheme(dy, core.Live)
+			rng := rand.New(rand.NewSource(int64(d)))
+			joined := 0
+			for i := 0; i < 300; i++ {
+				// Grow for the first half, then shrink, so the id space
+				// crosses levels both ways.
+				var op core.TopologyOp
+				if names := dy.Names(); len(names) > 1 && (i >= 150 && rng.Intn(4) != 0 || i < 150 && rng.Intn(3) == 0) {
+					op = core.TopologyOp{Leave: true, Name: names[rng.Intn(len(names))]}
+				} else {
+					joined++
+					op = core.TopologyOp{Name: fmt.Sprintf("join-%d", joined)}
+				}
+				if _, err := s.ApplyOps(core.Slot(i), []core.TopologyOp{op}); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := core.MaxNeighbors(s), mapMaxNeighbors(s); got != want {
+					t.Fatalf("lazy=%v d=%d after op %d (%+v, %d members): core.MaxNeighbors = %d, map reads %d",
+						lazy, d, i, op, dy.N(), got, want)
+				}
+			}
+		}
+	}
+}
