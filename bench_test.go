@@ -523,6 +523,24 @@ func BenchmarkScheduleGeneration(b *testing.B) {
 			s.Transmissions(core.Slot(i % 64))
 		}
 	})
+	// The dense shape's degree and size, and an unchurned live scheme: both
+	// time steady-state slots, past every first receive slot.
+	big := benchScheme(b, spec.MultiTreeScenario(31000, 4, multitree.Greedy, core.PreRecorded))
+	b.Run("multitree-N31000", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			big.Transmissions(core.Slot(64 + i%64))
+		}
+	})
+	dy, err := multitree.NewDynamic(10000, 3, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	live := multitree.NewLiveScheme(dy, core.PreRecorded)
+	b.Run("multitree-live-N10000", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			live.Transmissions(core.Slot(64 + i%64))
+		}
+	})
 	for _, n := range []int{1023, 32767} {
 		h := benchScheme(b, spec.HypercubeScenario(n, 1))
 		b.Run(fmt.Sprintf("hypercube-N%d", n), func(b *testing.B) {

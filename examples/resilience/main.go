@@ -46,7 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 	var leaverName string
-	for _, m := range multitree.NewLiveScheme(dy, core.Live).Members() {
+	for _, m := range dy.Members() {
 		if m.Node == leaver {
 			leaverName = m.Name
 		}

@@ -94,8 +94,6 @@ type Options struct {
 	TreeExempt map[core.NodeID]bool
 	// MaxNeighbors, when > 0, bounds every node's Neighbors() degree.
 	MaxNeighbors int
-	// CheckMesh requires every scheduled edge to appear in Neighbors().
-	CheckMesh bool
 	// DelayBound, when > 0, is the closed-form worst-case playback delay
 	// the measured schedule must not exceed.
 	DelayBound core.Slot
@@ -179,11 +177,11 @@ type verifier struct {
 	kids     []int32
 	spill    map[[2]int][]core.NodeID
 
-	// Mesh audit (MaxNeighbors > 0 or CheckMesh). lists is Neighbors() by
-	// id, nil for a node the scheme does not list (the source, usually);
-	// strays are listed ids outside 0..n. offMesh buffers the scheduled
-	// edges found missing during the run: they are filed after the
-	// slot-model finding and the degree audit.
+	// Mesh audit, on every run. lists is Neighbors() by id, nil for a node
+	// the scheme does not list (the source, usually); strays are listed ids
+	// outside 0..n. offMesh buffers the scheduled edges found missing during
+	// the run: they are filed after the slot-model finding and the degree
+	// audit.
 	mesh    map[core.NodeID][]core.NodeID
 	lists   [][]core.NodeID
 	strays  []core.NodeID
@@ -269,9 +267,7 @@ func (v *verifier) Slot(sv *obs.SlotView) {
 // audit tests one transmission's edge against the mesh and, when it carries
 // a packet its sender holds, adds it to the multi-tree evidence.
 func (v *verifier) audit(t core.Slot, tx core.Transmission, relayed bool) {
-	if v.opt.CheckMesh {
-		v.checkEdge(t, tx)
-	}
+	v.checkEdge(t, tx)
 	if relayed {
 		v.observeTreeEdge(tx)
 	}
@@ -356,9 +352,6 @@ var noNeighbors = []core.NodeID{}
 
 // loadMesh reads Neighbors() once into an id-indexed table.
 func (v *verifier) loadMesh() {
-	if v.opt.MaxNeighbors <= 0 && !v.opt.CheckMesh {
-		return
-	}
 	v.mesh = v.scheme.Neighbors()
 	v.lists = make([][]core.NodeID, v.n+1)
 	for id, list := range v.mesh {

@@ -3,6 +3,7 @@ package check_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -85,7 +86,7 @@ func TestMultiTreeConstructionsPass(t *testing.T) {
 
 // TestHypercubePass: the special sizes N = 2^k − 1 and arbitrary chained
 // sizes pass, including the 2-packet buffer bound and — for single cubes —
-// the k+1 neighbor bound of Proposition 1.
+// the k neighbor bound of Proposition 1.
 func TestHypercubePass(t *testing.T) {
 	cases := []struct{ n, d int }{
 		{3, 1}, {7, 1}, {15, 1}, {31, 1}, // special N = 2^k − 1
@@ -102,6 +103,44 @@ func TestHypercubePass(t *testing.T) {
 		}
 		if !rep.OK() {
 			t.Errorf("n=%d d=%d rejected: %v", tc.n, tc.d, rep.Err())
+		}
+	}
+}
+
+// TestRejectCubeDegreeOverflow: the single cube's degree bound is exact at
+// k, the longest Neighbors() list of every single cube, so one vertex given
+// one extra partner (k + 1 entries) is rejected with the degree diagnostic.
+func TestRejectCubeDegreeOverflow(t *testing.T) {
+	for k := 2; k <= 6; k++ {
+		s, err := hypercube.New(1<<k-1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := check.HypercubeOptions(s, 8)
+		if opt.MaxNeighbors != k {
+			t.Fatalf("k=%d: neighbor bound %d, want k", k, opt.MaxNeighbors)
+		}
+		cs := &corrupt{Scheme: s, nbMod: func(nb map[core.NodeID][]core.NodeID) map[core.NodeID][]core.NodeID {
+			for id, list := range nb {
+				if len(list) != k {
+					continue
+				}
+				for o := core.NodeID(1); int(o) <= s.NumReceivers(); o++ {
+					if o != id && !slices.Contains(list, o) {
+						nb[id] = append(list, o)
+						return nb
+					}
+				}
+			}
+			t.Fatalf("k=%d: no vertex with k partners and a non-partner", k)
+			return nb
+		}}
+		rep, err := check.Static(cs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.HasKind(check.KindDegree) || rep.MaxNeighbors != k+1 {
+			t.Fatalf("k=%d: a vertex with k+1 partners not rejected (max neighbors %d): %v", k, rep.MaxNeighbors, rep.Issues)
 		}
 	}
 }

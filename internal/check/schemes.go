@@ -28,7 +28,6 @@ func MultiTreeOptions(s *multitree.Scheme, packets core.Packet) Options {
 		Mode:         s.Mode,
 		TreeDegree:   d,
 		MaxNeighbors: 2 * d,
-		CheckMesh:    true,
 		DelayBound:   delay,
 		BufferBound:  buffer,
 	}
@@ -36,9 +35,10 @@ func MultiTreeOptions(s *multitree.Scheme, packets core.Packet) Options {
 
 // HypercubeOptions derives the verification options for a hypercube scheme:
 // the Proposition 1/2 delay bound (longest per-group cube chain) and the
-// 2-packet buffer bound. The k+1 neighbor bound only holds for a single
-// unchained cube (N = 2^k − 1, d = 1); chained cubes add the freed-sender
-// edges, so the degree audit is skipped there.
+// 2-packet buffer bound. The k neighbor bound only holds for a single
+// unchained cube (N = 2^k − 1, d = 1), where a vertex 2^b has k − 1 bit-flip
+// partners plus the source and every other vertex k partners; chained cubes
+// add the freed-sender edges, so the degree audit is skipped there.
 func HypercubeOptions(s *hypercube.Scheme, packets core.Packet) Options {
 	var delay core.Slot
 	dims := s.CubeDims()
@@ -53,14 +53,13 @@ func HypercubeOptions(s *hypercube.Scheme, packets core.Packet) Options {
 	}
 	maxNb := 0
 	if len(dims) == 1 && len(dims[0]) == 1 {
-		maxNb = dims[0][0] + 1
+		maxNb = dims[0][0]
 	}
 	return Options{
 		Horizon:      delay + core.Slot(int(packets)) + 4,
 		Packets:      packets,
 		Mode:         core.Live,
 		MaxNeighbors: maxNb,
-		CheckMesh:    true,
 		DelayBound:   delay,
 		BufferBound:  analysis.Proposition1Buffer(),
 	}
@@ -86,7 +85,6 @@ func ClusterOptions(s *cluster.Scheme, packets core.Packet, extraSlots core.Slot
 		SendCap:    base.SendCap,
 		Inject:     base.Inject,
 		TreeExempt: exempt,
-		CheckMesh:  true,
 	}
 	depth := analysis.BackboneDepth(cfg.K, cfg.D)
 	switch cfg.Intra {

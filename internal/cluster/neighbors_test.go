@@ -25,7 +25,7 @@ func TestClusterNeighborsConsistent(t *testing.T) {
 		rep, err := check.Static(s, check.Options{
 			Horizon: opt.Slots, Packets: opt.Packets, Mode: opt.Mode,
 			SendCap: opt.SendCap, Inject: opt.Inject,
-			CheckMesh: true, AllowIncomplete: true,
+			AllowIncomplete: true,
 		})
 		if err != nil {
 			t.Fatal(err)

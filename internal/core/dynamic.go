@@ -39,7 +39,9 @@ type MemberInfo struct {
 // renumbering existing members) and a leave tombstones its id. NumReceivers
 // therefore reports the size of the id space ever allocated, not the live
 // population — engines size their state to the id space and treat departed
-// ids as permanently silent.
+// ids as permanently silent. SourceCapacity is fixed for a run: engines read
+// it once, at the start, for the source's send capacity and the range of
+// packet ids they track.
 type DynamicScheme interface {
 	Scheme
 	// Epoch returns the current topology epoch. It starts at 0 and

@@ -172,7 +172,7 @@ func MidStreamSwaps(n, d int) (*Table, error) {
 		return nil, err
 	}
 	names := make(map[core.NodeID]string, n)
-	for _, mem := range multitree.NewLiveScheme(dy, core.PreRecorded).Members() {
+	for _, mem := range dy.Members() {
 		names[mem.Node] = mem.Name
 	}
 

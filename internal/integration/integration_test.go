@@ -110,7 +110,7 @@ func TestNeighborsCoverTrafficEverywhere(t *testing.T) {
 	for _, f := range fs {
 		rep, err := check.Static(f.scheme, check.Options{
 			Horizon: f.slots, Packets: f.packets, Mode: f.mode,
-			CheckMesh: true, AllowIncomplete: true,
+			AllowIncomplete: true,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", f.scheme.Name(), err)

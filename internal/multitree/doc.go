@@ -19,14 +19,19 @@
 //
 // Entry points: New builds the d trees via either Construction (Greedy
 // packs interior positions first; Structured follows the paper's explicit
-// layout); NewScheme wraps a MultiTree as a core.Scheme for the engines;
+// layout); NewScheme wraps a MultiTree as a core.Scheme for the engines,
+// emitting each slot from per-residue, per-tree firing lists;
 // MultiTree.Height, Pos and IsDummy expose the layout. NewDynamic and
 // Dynamic.Add/Delete (dynamics.go) implement the appendix's membership
 // swaps on one MultiTree, whose ids are the members' stable ids and whose
 // dummy mask follows the joins and leaves; Dynamic.Validate checks that
-// layout as it stands. LiveScheme (live.go) schedules it while a run is in
-// flight; its NumReceivers is the id space the family has allocated, which
-// is what a churned run's Result covers. Snapshot copies the family with
-// canonical ids for the static Scheme, and ChurnImpact (impact.go) compares
-// two such copies to bound an op's blast radius statically.
+// layout as it stands and Dynamic.Members lists it. LiveScheme (live.go)
+// schedules it while a run is in flight: it holds a Scheme over the family
+// and, after each op, moves the firing lists' ends when the trees grew or
+// shrank and re-reads the positions the op logged, so static and live runs
+// share one emission loop. Its NumReceivers is the id space the family has
+// allocated, which is what a churned run's Result covers. Snapshot copies
+// the family with canonical ids for the static Scheme, and ChurnImpact
+// (impact.go) compares two such copies to bound an op's blast radius
+// statically.
 package multitree

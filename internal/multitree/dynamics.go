@@ -39,7 +39,14 @@ type Dynamic struct {
 	lazy          bool
 	pendingShrink bool
 	totalSwaps    int
+	// moved logs the (tree, position) pairs whose occupant or dummy mark
+	// the last Add or Delete changed, for LiveScheme to re-read. Each op
+	// clears it first.
+	moved []treePos
 }
+
+// treePos is position p of tree k.
+type treePos struct{ k, p int }
 
 // OpStats reports what one churn operation did.
 type OpStats struct {
@@ -87,15 +94,24 @@ func SwapBound(d int) int { return d*d + d }
 // operations.
 func (dy *Dynamic) TotalSwaps() int { return dy.totalSwaps }
 
-// Names returns the names of all live real members in deterministic order.
+// Names returns the names of all live real members, sorted.
 func (dy *Dynamic) Names() []string {
 	out := make([]string, 0, dy.m.N)
+	for _, mem := range dy.Members() {
+		out = append(out, mem.Name)
+	}
+	return out
+}
+
+// Members returns the live real members with their ids, sorted by name.
+func (dy *Dynamic) Members() []core.MemberInfo {
+	out := make([]core.MemberInfo, 0, dy.m.N)
 	for id, dummy := range dy.m.dummy {
 		if id > 0 && !dummy {
-			out = append(out, dy.names[id])
+			out = append(out, core.MemberInfo{Node: core.NodeID(id), Name: dy.names[id]})
 		}
 	}
-	sort.Strings(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -106,6 +122,14 @@ func (dy *Dynamic) swapInTree(k, pa, pb int) {
 	tree[pa-1], tree[pb-1] = b, a
 	pos[a], pos[b] = pb, pa
 	dy.totalSwaps++
+	dy.moved = append(dy.moved, treePos{k, pa}, treePos{k, pb})
+}
+
+// logMember logs mem's position in every tree: its dummy mark changed.
+func (dy *Dynamic) logMember(mem core.NodeID) {
+	for k, pos := range dy.m.pos {
+		dy.moved = append(dy.moved, treePos{k, pos[mem]})
+	}
 }
 
 // isAllLeaf reports whether the member is a leaf in every tree.
@@ -120,6 +144,7 @@ func (dy *Dynamic) isAllLeaf(mem core.NodeID) bool {
 
 // Add inserts a new real member with the given name.
 func (dy *Dynamic) Add(name string) (OpStats, error) {
+	dy.moved = dy.moved[:0]
 	if _, dup := dy.byName[name]; dup {
 		return OpStats{}, fmt.Errorf("multitree: member %q already present", name)
 	}
@@ -142,6 +167,7 @@ func (dy *Dynamic) Add(name string) (OpStats, error) {
 	}
 	dy.pendingShrink = false
 	m.dummy[mem] = false
+	dy.logMember(mem)
 	dy.names[mem] = name
 	dy.byName[name] = mem
 	m.N++
@@ -206,6 +232,7 @@ func (dy *Dynamic) grow() {
 
 // Delete removes the named real member.
 func (dy *Dynamic) Delete(name string) (OpStats, error) {
+	dy.moved = dy.moved[:0]
 	mem, ok := dy.byName[name]
 	if !ok {
 		return OpStats{}, fmt.Errorf("multitree: member %q not present", name)
@@ -237,6 +264,7 @@ func (dy *Dynamic) Delete(name string) (OpStats, error) {
 	}
 	// Step 3 (remove node): the member retires into a dummy.
 	m.dummy[mem] = true
+	dy.logMember(mem)
 	dy.names[mem] = ""
 	delete(dy.byName, name)
 	m.N--

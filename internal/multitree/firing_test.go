@@ -2,30 +2,40 @@ package multitree
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
 	"streamcast/internal/core"
 )
 
+// ancestorTable holds the ancestor walk's first receive slot of positions
+// 1..np of every tree: first[k][p-1].
+func ancestorTable(mode core.StreamMode, d, np int) [][]core.Slot {
+	first := make([][]core.Slot, d)
+	for k := range first {
+		for p := 1; p <= np; p++ {
+			first[k] = append(first[k], ancestorWalkFirstRecv(mode, d, k, p))
+		}
+	}
+	return first
+}
+
 // roundRobinSlot is the reference for the firing lists: the d·NP walk over
-// every tree position, testing each against its first receive slot modulo d.
-func roundRobinSlot(s *Scheme, t core.Slot) []core.Transmission {
-	m := s.Tree
+// every position of m's trees, occupants read from m, testing each position
+// against its first receive slot from the ancestor walk modulo d.
+func roundRobinSlot(m *MultiTree, first [][]core.Slot, t core.Slot) []core.Transmission {
 	d := core.Slot(m.D)
 	var out []core.Transmission
 	for k := 0; k < m.D; k++ {
 		for p := 1; p <= m.NP; p++ {
 			child := m.Trees[k][p-1]
-			if m.IsDummy(child) {
+			f := first[k][p-1]
+			if m.IsDummy(child) || t < f || (t-f)%d != 0 {
 				continue
 			}
-			first := s.firstRecv[k][p-1]
-			if t < first || (t-first)%d != 0 {
-				continue
-			}
-			round := (t - first) / d
-			pkt := core.Packet(k) + core.Packet(int(round))*core.Packet(m.D)
+			pkt := core.Packet(k) + core.Packet(int((t-f)/d))*core.Packet(m.D)
 			from := core.SourceID
 			if pp := ParentPos(p, m.D); pp > 0 {
 				from = m.Trees[k][pp-1]
@@ -37,7 +47,7 @@ func roundRobinSlot(s *Scheme, t core.Slot) []core.Transmission {
 }
 
 // TestFiringListsMatchRoundRobin: Transmissions, which walks only the firing
-// list of t's residue, emits exactly what the d·NP walk does — the same
+// lists of t's residue, emits exactly what the d·NP walk does — the same
 // transmissions in the same order — over every slot up to three rounds past
 // the steady state (the last first receive slot of a real position), for both
 // constructions. multitree.New refuses d = 1, so the degrees start at 2.
@@ -52,6 +62,7 @@ func TestFiringListsMatchRoundRobin(t *testing.T) {
 							t.Fatal(err)
 						}
 						s := NewScheme(m, mode)
+						first := ancestorTable(mode, d, m.NP)
 						var steady core.Slot
 						for id := 1; id <= n; id++ {
 							for k := 0; k < d; k++ {
@@ -60,7 +71,7 @@ func TestFiringListsMatchRoundRobin(t *testing.T) {
 						}
 						for slot := core.Slot(0); slot < steady+core.Slot(3*d); slot++ {
 							got := s.Transmissions(slot)
-							if want := roundRobinSlot(s, slot); !slices.Equal(got, want) {
+							if want := roundRobinSlot(m, first, slot); !slices.Equal(got, want) {
 								t.Fatalf("%s slot %d: firing lists %v, round robin %v", c, slot, got, want)
 							}
 						}
@@ -71,57 +82,57 @@ func TestFiringListsMatchRoundRobin(t *testing.T) {
 	}
 }
 
-// liveRoundRobinSlot is roundRobinSlot over a LiveScheme's current epoch:
-// every padded position of every tree, occupants read from the Dynamic.
-func liveRoundRobinSlot(s *LiveScheme, t core.Slot) []core.Transmission {
-	m := s.dy.m
-	d := core.Slot(m.D)
-	var out []core.Transmission
-	for k := 0; k < m.D; k++ {
-		for p := 1; p <= s.np; p++ {
-			child := m.Trees[k][p-1]
-			first := s.firstRecv[k][p-1]
-			if m.IsDummy(child) || t < first || (t-first)%d != 0 {
-				continue
-			}
-			pkt := core.Packet(k) + core.Packet(int((t-first)/d))*core.Packet(m.D)
-			from := core.SourceID
-			if pp := ParentPos(p, m.D); pp > 0 {
-				from = m.Trees[k][pp-1]
-			}
-			out = append(out, core.Transmission{From: from, To: child, Packet: pkt})
-		}
-	}
-	return out
-}
-
-// TestLiveFiringListsMatchRoundRobin: the live scheme's firing lists, kept
-// up to date by their ends as joins grow and leaves shrink the trees, emit
-// what the walk over every padded position does, after every op.
+// TestLiveFiringListsMatchRoundRobin: the live scheme's firing lists, moved
+// at their ends as joins grow and leaves shrink the trees and patched where
+// an op moved an occupant, equal the lists a fresh build over the family
+// makes and emit what the walk over every padded position does, after every
+// op of a 320-op sequence that swings the membership up and down by several
+// levels, in both the eager and the lazy variant.
 func TestLiveFiringListsMatchRoundRobin(t *testing.T) {
-	for _, d := range []int{2, 3} {
+	for d := 2; d <= 4; d++ {
 		for _, mode := range []core.StreamMode{core.PreRecorded, core.Live, core.LivePreBuffered} {
 			t.Run(fmt.Sprintf("d=%d/%s", d, mode), func(t *testing.T) {
-				dy, err := NewDynamic(3*d, d, false) // full: the first join grows a level
-				if err != nil {
-					t.Fatal(err)
-				}
-				ls := NewLiveScheme(dy, mode)
-				var ops []core.TopologyOp
-				for i := 0; i < 2*d+1; i++ {
-					ops = append(ops, core.TopologyOp{Name: fmt.Sprintf("j%d", i)})
-				}
-				for i := 0; i < 3*d; i++ {
-					ops = append(ops, core.TopologyOp{Leave: true, Name: fmt.Sprintf("node-%d", i+1)})
-				}
-				for i, op := range ops {
-					if _, err := ls.ApplyOps(core.Slot(i), []core.TopologyOp{op}); err != nil {
+				for _, lazy := range []bool{false, true} {
+					dy, err := NewDynamic(3*d, d, lazy) // full: the first join grows a level
+					if err != nil {
 						t.Fatal(err)
 					}
-					for slot := core.Slot(0); slot < ls.SteadyState()+core.Slot(3*d); slot++ {
-						if got, want := ls.Transmissions(slot), liveRoundRobinSlot(ls, slot); !slices.Equal(got, want) {
-							t.Fatalf("op %d slot %d: firing lists %v, round robin %v", i, slot, got, want)
+					ls := NewLiveScheme(dy, mode)
+					first := ancestorTable(mode, d, dy.m.NP)
+					rng := rand.New(rand.NewSource(int64(d)))
+					up := true
+					minNP, maxNP := dy.m.NP, dy.m.NP
+					for i := 0; i < 320; i++ {
+						// Four ops in five go the way of the swing, which
+						// turns at 2 and at 12d+3 members.
+						if n := dy.N(); n >= 12*d+3 {
+							up = false
+						} else if n <= 2 {
+							up = true
 						}
+						op := core.TopologyOp{Name: fmt.Sprintf("j%d", i)}
+						if join := (rng.Intn(5) != 0) == up; !join && dy.N() > 1 {
+							names := dy.Names()
+							op = core.TopologyOp{Leave: true, Name: names[rng.Intn(len(names))]}
+						}
+						if _, err := ls.ApplyOps(core.Slot(i), []core.TopologyOp{op}); err != nil {
+							t.Fatal(err)
+						}
+						minNP, maxNP = min(minNP, dy.m.NP), max(maxNP, dy.m.NP)
+						if len(first[0]) < dy.m.NP {
+							first = ancestorTable(mode, d, maxNP)
+						}
+						if fresh := NewScheme(dy.m, mode); !reflect.DeepEqual(ls.sched.fires, fresh.fires) {
+							t.Fatalf("lazy=%v op %d (%+v): patched lists %v, fresh build %v", lazy, i, op, ls.sched.fires, fresh.fires)
+						}
+						for slot := core.Slot(0); slot < ls.SteadyState()+core.Slot(3*d); slot++ {
+							if got, want := ls.Transmissions(slot), roundRobinSlot(dy.m, first, slot); !slices.Equal(got, want) {
+								t.Fatalf("lazy=%v op %d slot %d: firing lists %v, round robin %v", lazy, i, slot, got, want)
+							}
+						}
+					}
+					if maxNP-minNP < 6*d {
+						t.Fatalf("lazy=%v: NP stayed within %d..%d, the sequence never crossed several levels", lazy, minNP, maxNP)
 					}
 				}
 			})

@@ -262,3 +262,30 @@ func TestNeighborsOrderIsStable(t *testing.T) {
 		noRepeats("live", nb)
 	}
 }
+
+// TestApplyOpsPatchesInPlace: an op that leaves the padded size alone
+// patches the firing lists where it moved an occupant and allocates nothing
+// beyond the stats it returns, so it never rebuilds them.
+func TestApplyOpsPatchesInPlace(t *testing.T) {
+	for d := 2; d <= 4; d++ {
+		dy, err := NewDynamic(10*d-1, d, false) // one dummy: a join revives it
+		if err != nil {
+			t.Fatal(err)
+		}
+		ls := NewLiveScheme(dy, core.Live)
+		np := dy.m.NP
+		allocs := testing.AllocsPerRun(50, func() {
+			for _, op := range []core.TopologyOp{{Name: "x"}, {Leave: true, Name: "x"}} {
+				if _, err := ls.ApplyOps(0, []core.TopologyOp{op}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if dy.m.NP != np {
+			t.Fatalf("d=%d: NP moved %d → %d", d, np, dy.m.NP)
+		}
+		if allocs > 2 {
+			t.Errorf("d=%d: a join and a leave allocate %v times, want the two stats slices", d, allocs)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package multitree
 
 import (
 	"fmt"
-	"slices"
 
 	"streamcast/internal/core"
 )
@@ -27,22 +26,25 @@ import (
 type Scheme struct {
 	Tree *MultiTree
 	Mode core.StreamMode
-	// firstRecv[k][p-1] is the slot at which position p of tree T_k
-	// receives its round-0 packet under the canonical (pre-recorded)
-	// schedule.
-	firstRecv [][]core.Slot
-	// fires[r] lists, in (tree, position) order, the real positions whose
-	// first receive slot is ≡ r (mod d): exactly the positions that can fire
-	// in a slot t ≡ r.
-	fires [][]firing
-	warm  core.Slot           // the largest first over the firing lists (Period)
-	out   []core.Transmission // reused across Transmissions calls
+	// fires[r][k] lists, in position order, the positions p of tree T_k
+	// with p − 1 ≡ r (mod d). A position first receives in a slot ≡ its
+	// child slot (p − 1) mod d, so these are exactly the positions of T_k
+	// that can fire in a slot t ≡ r, and position p is entry (p − 1)/d of
+	// its list. Every list holds NP/d entries.
+	fires [][][]firing
+	// warm is the largest first over the real positions the builder
+	// listed. It is Period's warm for a static Scheme, which is built once;
+	// LiveScheme's patches do not keep it, and LiveScheme declares no
+	// Period.
+	warm core.Slot
+	out  []core.Transmission // reused across Transmissions calls
 }
 
-// firing is one real position of the round-robin: the edge into it, the slot
-// it first receives in, and lag = first − k. Position (k,p) fires in slot t
-// when t ≥ first and t ≡ first (mod d), with packet k + (t − first), which is
-// t − lag.
+// firing is one position (k, p) of the round-robin: the occupant of its
+// parent position (the source at the top), its own occupant (0 while a
+// dummy holds it: a dummy receives nothing), the slot it first receives in,
+// and lag = first − k. It fires in slot t when t ≥ first and t ≡ first
+// (mod d), with packet k + (t − first), which is t − lag.
 type firing struct {
 	from, to   int32
 	first, lag int32
@@ -53,52 +55,100 @@ var _ core.Periodic = (*Scheme)(nil)
 // NewScheme wraps a multi-tree family with a transmission schedule.
 func NewScheme(m *MultiTree, mode core.StreamMode) *Scheme {
 	s := &Scheme{Tree: m, Mode: mode}
-	s.firstRecv = make([][]core.Slot, m.D)
-	count := make([]int, m.D)
-	for k := 0; k < m.D; k++ {
-		s.firstRecv[k] = appendFirstRecv(make([]core.Slot, 0, m.NP), mode, m.D, k, m.NP)
-		for p, first := range s.firstRecv[k] {
-			if !m.IsDummy(m.Trees[k][p]) {
-				count[int(first)%m.D]++
+	s.resize()
+	return s
+}
+
+// resize fits the firing lists to the tree's padded size NP: it drops the
+// entries past NP and appends the positions from the lists' end up to NP,
+// reading each one's first receive slot off its parent's entry and its
+// occupants off the tree. NewScheme builds the lists with it from empty, in
+// one backing array carved to their final sizes; LiveScheme calls it after
+// every op, and it moves the ends of the lists only when the op grew or
+// shrank the trees.
+func (s *Scheme) resize() {
+	m := s.Tree
+	d, dd := m.D, core.Slot(m.D)
+	if s.fires == nil {
+		size := m.NP / d
+		backing := make([]firing, size*d*d)
+		s.fires = make([][][]firing, d)
+		for r := range s.fires {
+			s.fires[r] = make([][]firing, d)
+			for k := range s.fires[r] {
+				i := (r*d + k) * size
+				s.fires[r][k] = backing[i : i : i+size]
 			}
 		}
 	}
-	// One backing array for the d lists, each carved at its final size, and
-	// an output buffer as long as the longest.
-	s.out = make([]core.Transmission, 0, slices.Max(count))
-	backing := make([]firing, 0, m.N*m.D)
-	s.fires = make([][]firing, m.D)
-	for r, c := range count {
-		s.fires[r] = backing[len(backing) : len(backing) : len(backing)+c]
-		backing = backing[:len(backing)+c]
+	if cap(s.out) < m.NP {
+		s.out = make([]core.Transmission, 0, m.NP)
 	}
-	for k := 0; k < m.D; k++ {
-		for p := 1; p <= m.NP; p++ {
-			child := m.Trees[k][p-1]
-			if m.IsDummy(child) {
-				continue
+	for k := 0; k < d; k++ {
+		for _, lists := range s.fires {
+			lists[k] = lists[k][:min(len(lists[k]), m.NP/d)]
+		}
+		src := virtualSourceSlot(s.Mode, d, k)
+		for p := d*len(s.fires[0][k]) + 1; p <= m.NP; p++ {
+			recv, from := src, core.SourceID
+			if pp := ParentPos(p, d); pp > 0 {
+				recv, from = core.Slot(s.at(k, pp).first), m.Trees[k][pp-1]
 			}
-			from := core.SourceID
-			if pp := ParentPos(p, m.D); pp > 0 {
-				from = m.Trees[k][pp-1]
+			// The first slot after the parent's whose residue is p's child
+			// slot r.
+			r := ChildSlot(p, d)
+			first := recv + 1 + ((core.Slot(r)-recv-1)%dd+dd)%dd
+			to := s.receiver(m.Trees[k][p-1])
+			if to != 0 {
+				s.warm = max(s.warm, first)
 			}
-			first := s.firstRecv[k][p-1]
-			s.warm = max(s.warm, first)
-			r := int(first) % m.D
-			s.fires[r] = append(s.fires[r], firing{
-				from: int32(from), to: int32(child),
+			s.fires[r][k] = append(s.fires[r][k], firing{
+				from: int32(from), to: int32(to),
 				first: int32(first), lag: int32(int(first) - k),
 			})
 		}
 	}
-	return s
+}
+
+// at returns the entry of position p of tree k.
+func (s *Scheme) at(k, p int) *firing {
+	d := s.Tree.D
+	return &s.fires[(p-1)%d][k][(p-1)/d]
+}
+
+// receiver is the to of a position id occupies: id, or 0 for a dummy.
+func (s *Scheme) receiver(id core.NodeID) core.NodeID {
+	if s.Tree.IsDummy(id) {
+		return 0
+	}
+	return id
+}
+
+// repoint re-reads the occupants of position p of tree k after an op moved
+// them: the entry's own to, and the from of its children's entries. A
+// position past NP, which a shrink discarded, has no entry.
+func (s *Scheme) repoint(k, p int) {
+	m := s.Tree
+	if p > m.NP {
+		return
+	}
+	id := m.Trees[k][p-1]
+	s.at(k, p).to = int32(s.receiver(id))
+	for c := 0; c < m.D; c++ {
+		if cp := ChildPos(p, c, m.D); cp <= m.NP {
+			s.at(k, cp).from = int32(id)
+		}
+	}
 }
 
 // virtualSourceSlot returns the slot at the end of which the source is
 // treated as "receiving" the round-0 packet of tree k. Every position's
 // receive slot is then the first slot after its parent's whose residue mod d
 // equals the position's child slot, so the residue pattern — and hence the
-// collision-freedom proof — is identical in every mode.
+// collision-freedom proof — is identical in every mode. The result is purely
+// positional — it depends on (mode, d, k, p) and never on which member
+// occupies the position — which is what lets the live (churned) scheme keep
+// its firing lists across membership swaps.
 //
 //   - PreRecorded: −1 (everything available before slot 0).
 //   - Live (pipelined): k−1, so packet k+m·d is first transmitted exactly at
@@ -114,30 +164,6 @@ func virtualSourceSlot(mode core.StreamMode, d, k int) core.Slot {
 	default:
 		return -1
 	}
-}
-
-// appendFirstRecv extends fr, the round-0 receive slots of tree k's positions
-// 1..len(fr), to positions 1..np. A position receives in the first slot after
-// its parent's whose residue mod d is its child slot; a parent's position is
-// smaller than its child's, so one pass in position order finds every
-// parent's slot already in fr. The result is purely positional — it depends
-// on (mode, d, k, p) and never on which member occupies the position — which
-// is what lets the live (churned) scheme keep a stable schedule across
-// membership swaps.
-func appendFirstRecv(fr []core.Slot, mode core.StreamMode, d, k, np int) []core.Slot {
-	src := virtualSourceSlot(mode, d, k)
-	for p := len(fr) + 1; p <= np; p++ {
-		recv := src
-		if pp := ParentPos(p, d); pp > 0 {
-			recv = fr[pp-1]
-		}
-		delta := (core.Slot(ChildSlot(p, d)) - recv - 1) % core.Slot(d)
-		if delta < 0 {
-			delta += core.Slot(d)
-		}
-		fr = append(fr, recv+1+delta)
-	}
-	return fr
 }
 
 // Name implements core.Scheme.
@@ -161,32 +187,34 @@ func (s *Scheme) MaxNeighbors() int { return s.Tree.MaxNeighbors() }
 
 // Transmissions implements core.Scheme: it emits, for slot t, every edge
 // delivery (parent → child) whose receive pattern fires at t, walking only
-// the firing list of t's residue. Transfers to dummy children are suppressed.
+// the firing lists of t's residue, tree by tree. Positions held by dummies
+// are skipped.
 func (s *Scheme) Transmissions(t core.Slot) []core.Transmission {
 	if t < 0 {
 		return nil
 	}
 	out := s.out[:0]
-	list := s.fires[int(t)%len(s.fires)]
-	for _, f := range list {
-		if t < core.Slot(f.first) {
-			continue
+	for _, list := range s.fires[int(t)%len(s.fires)] {
+		for _, f := range list {
+			if t >= core.Slot(f.first) && f.to != 0 {
+				out = append(out, core.Transmission{
+					From: core.NodeID(f.from), To: core.NodeID(f.to),
+					Packet: core.Packet(int(t) - int(f.lag)),
+				})
+			}
 		}
-		out = append(out, core.Transmission{
-			From: core.NodeID(f.from), To: core.NodeID(f.to),
-			Packet: core.Packet(int(t) - int(f.lag)),
-		})
 	}
 	s.out = out
 	return out[:len(out):len(out)]
 }
 
 // Period implements core.Periodic: warm is the largest first receive slot
-// and P = d. Slot t walks fires[t mod d] in a fixed order and emits every
-// firing whose first ≤ t, with packet t − lag. From warm on no firing is
-// skipped, so slot t+d walks the same list, emits the same edges in the same
-// order, and each packet is (t+d) − lag, d more than at t. This holds in all
-// three modes: the mode moves only first and lag.
+// of a real position and P = d. Slot t walks fires[t mod d] in a fixed
+// order and emits every real position whose first ≤ t, with packet t − lag.
+// From warm on no real position is skipped, so slot t+d
+// walks the same lists, emits the same edges in the same order, and each
+// packet is d more than at t. This holds in all three modes: the mode moves
+// only first and lag.
 func (s *Scheme) Period() (warm, P core.Slot) {
 	return s.warm, core.Slot(s.Tree.D)
 }
@@ -195,8 +223,7 @@ func (s *Scheme) Period() (warm, P core.Slot) {
 // in tree k (round 0 of that tree). This is the quantity A(i,k) of the delay
 // analysis, expressed as an absolute slot.
 func (s *Scheme) FirstRecvSlot(k int, id core.NodeID) core.Slot {
-	p := s.Tree.Pos(k, id)
-	return s.firstRecv[k][p-1]
+	return core.Slot(s.at(k, s.Tree.Pos(k, id)).first)
 }
 
 // AnalyticStartDelay returns the earliest no-hiccup playback start slot for

@@ -1,6 +1,7 @@
 package multitree
 
 import (
+	"fmt"
 	"testing"
 
 	"streamcast/internal/core"
@@ -163,7 +164,7 @@ func TestLiveNeverSendsFuturePackets(t *testing.T) {
 	}
 }
 
-// ancestorWalkFirstRecv is the reference for appendFirstRecv: it walks
+// ancestorWalkFirstRecv is the reference for the firing lists' first: it walks
 // position p's ancestor chain root to leaf, advancing from the virtual source
 // slot to the first slot after each ancestor's whose residue mod d is the
 // next position's child slot.
@@ -183,10 +184,11 @@ func ancestorWalkFirstRecv(mode core.StreamMode, d, k, p int) core.Slot {
 	return recv
 }
 
-// TestFirstRecvMatchesAncestorWalk: the one-pass tables of Scheme and
-// LiveScheme equal the ancestor walk at every position, dummy positions of
-// padded sizes included, in all three stream modes; so does a table extended
-// in two steps, as LiveScheme.rebuild extends it when the trees grow.
+// TestFirstRecvMatchesAncestorWalk: the first receive slots the builder
+// reads off each parent's entry equal the ancestor walk at every position,
+// dummy positions of padded sizes included, in all three stream modes: in a
+// Scheme, in a LiveScheme, and in a LiveScheme whose lists joins extended
+// from half the size, as resize extends them when the trees grow.
 func TestFirstRecvMatchesAncestorWalk(t *testing.T) {
 	modes := []core.StreamMode{core.PreRecorded, core.Live, core.LivePreBuffered}
 	for _, n := range []int{1, 7, 64, 1001} {
@@ -195,27 +197,33 @@ func TestFirstRecvMatchesAncestorWalk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dy, err := NewDynamic(n, d, false)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, mode := range modes {
-				s, live := NewScheme(m, mode), NewLiveScheme(dy, mode)
-				for k := 0; k < d; k++ {
-					split := appendFirstRecv(nil, mode, d, k, m.NP/2)
-					split = appendFirstRecv(split, mode, d, k, m.NP)
-					for _, tab := range []struct {
-						name string
-						fr   []core.Slot
-					}{{"Scheme", s.firstRecv[k]}, {"LiveScheme", live.firstRecv[k][:live.np]}, {"two-step", split}} {
-						name, fr := tab.name, tab.fr
-						if len(fr) != m.NP {
-							t.Fatalf("n=%d d=%d %s tree %d: %s covers %d positions, want %d", n, d, mode, k, name, len(fr), m.NP)
-						}
+				dy, err := NewDynamic(n, d, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				half, err := NewDynamic(max(1, n/2), d, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				grown := NewLiveScheme(half, mode)
+				for i := half.N(); i < n; i++ {
+					if _, err := grown.ApplyOps(0, []core.TopologyOp{{Name: fmt.Sprintf("j%d", i)}}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, tab := range []struct {
+					name string
+					s    *Scheme
+				}{{"Scheme", NewScheme(m, mode)}, {"LiveScheme", NewLiveScheme(dy, mode).sched}, {"grown", grown.sched}} {
+					if np := tab.s.Tree.NP; np != m.NP {
+						t.Fatalf("n=%d d=%d %s: %s covers %d positions, want %d", n, d, mode, tab.name, np, m.NP)
+					}
+					for k := 0; k < d; k++ {
 						for p := 1; p <= m.NP; p++ {
-							if want := ancestorWalkFirstRecv(mode, d, k, p); fr[p-1] != want {
+							if got, want := core.Slot(tab.s.at(k, p).first), ancestorWalkFirstRecv(mode, d, k, p); got != want {
 								t.Fatalf("n=%d d=%d %s tree %d position %d: %s reads %d, the ancestor walk %d",
-									n, d, mode, k, p, name, fr[p-1], want)
+									n, d, mode, k, p, tab.name, got, want)
 							}
 						}
 					}

@@ -27,7 +27,7 @@ type ChurnSource interface {
 // churnStep runs the ChurnSource at the boundary entering slot t and
 // refreshes engine state for any epoch change: ids reassigned to joining
 // members are wiped (arrival row slices, playback cursor, in-flight ring
-// entries), and the capacity tables are revalidated against the new epoch.
+// entries), and the id space is checked against the pre-sized ceiling.
 func (e *engine) churnStep(t core.Slot) error {
 	stats, err := e.opt.Churn.Step(t, e.dyn)
 	if err != nil {
@@ -47,17 +47,11 @@ func (e *engine) churnStep(t core.Slot) error {
 // refreshTopology revalidates the engine's pre-sized invariants after a
 // topology epoch bump. The struct-of-arrays state is sized to the churn
 // ceiling at run start, so growth within the ceiling is free; growth beyond
-// it is a hard error rather than a silent remap. The default capacity
-// tables are keyed by (nodes, source capacity) in the scratch arena — a
-// source-capacity change patches the live send table and re-keys it so no
-// later run reuses a stale entry. A custom SendCap keeps its own source entry.
+// it is a hard error rather than a silent remap. The capacity tables need no
+// refresh: a DynamicScheme's SourceCapacity is fixed for the run.
 func (e *engine) refreshTopology(t core.Slot) error {
 	if nr := e.dyn.NumReceivers(); nr > e.n {
 		return fmt.Errorf("slotsim: slot %d: churn grew the id space to %d nodes, beyond the pre-sized ceiling %d (raise ChurnSource.MaxNodes)", t, nr, e.n)
-	}
-	if sc := e.dyn.SourceCapacity(); e.opt.SendCap == nil && int32(sc) != e.sendTab[0] {
-		e.sendTab[0] = int32(sc)
-		e.sc.tabSrcCap = int32(sc)
 	}
 	return nil
 }

@@ -47,7 +47,7 @@ func TestDeclaredNeighborsCoverActualPartners(t *testing.T) {
 			rep, err := check.Static(run.Scheme, check.Options{
 				Horizon: opt.Slots, Packets: opt.Packets, Mode: opt.Mode,
 				SendCap: opt.SendCap, Inject: opt.Inject,
-				CheckMesh: true, AllowIncomplete: true,
+				AllowIncomplete: true,
 			})
 			if err != nil {
 				t.Fatal(err)

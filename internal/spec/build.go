@@ -183,7 +183,7 @@ func BuildWithPlan(sc *Scenario, plan *faults.Plan) (*Run, error) {
 			// closed-form bound mapping (the baselines).
 			chkOpt = check.Options{
 				Horizon: opt.Slots, Packets: packets, Mode: opt.Mode,
-				SendCap: opt.SendCap, CheckMesh: true,
+				SendCap:         opt.SendCap,
 				AllowIncomplete: opt.AllowIncomplete,
 			}
 		}

@@ -81,7 +81,7 @@ func TestMaxNeighborsMatchesMap(t *testing.T) {
 			if got != want {
 				t.Errorf("%s: core.MaxNeighbors = %d, the Neighbors() map's longest list has %d", name, got, want)
 			}
-			if run.CheckOpt == nil || (run.CheckOpt.MaxNeighbors <= 0 && !run.CheckOpt.CheckMesh) {
+			if run.CheckOpt == nil {
 				continue
 			}
 			rep, err := run.Preflight()
