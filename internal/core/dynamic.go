@@ -31,9 +31,8 @@ type MemberInfo struct {
 }
 
 // DynamicScheme is a Scheme whose topology may change between slots while a
-// run is in flight. Implementations version the topology with a monotonically
-// increasing epoch: every applied op bumps the epoch, and the next
-// Transmissions call schedules the new topology.
+// run is in flight: after Apply returns, the next Transmissions call
+// schedules the new topology.
 //
 // NodeIDs are stable across ops: a join may extend the id space (never
 // renumbering existing members) and a leave tombstones its id. NumReceivers
@@ -44,16 +43,10 @@ type MemberInfo struct {
 // packet ids they track.
 type DynamicScheme interface {
 	Scheme
-	// Epoch returns the current topology epoch. It starts at 0 and
-	// increases by one per applied op.
-	Epoch() uint64
 	// Members returns the live members sorted by name. The slice is fresh:
 	// callers may retain it across ops.
 	Members() []MemberInfo
-	// ApplyOps applies the given ops in order at the boundary entering slot
-	// t, returning per-op stats. It stops at the first failing op; stats
-	// for the ops applied before the failure are still returned. Callers
-	// that need to interleave wildcard resolution with application may call
-	// it once per op.
-	ApplyOps(t Slot, ops []TopologyOp) ([]ChurnStats, error)
+	// Apply applies one op at the boundary entering slot t and returns what
+	// it did, or why it could not be applied.
+	Apply(t Slot, op TopologyOp) (ChurnStats, error)
 }

@@ -32,7 +32,7 @@ func DelayDistribution(ns []int, d int) (*Table, error) {
 		hist := stats.Sparkline(stats.Histogram(delays, 12))
 		return []interface{}{n, name, s.Min, s.P50, s.Mean, s.P90, s.P99, s.Max, hist}
 	}
-	groups, err := forEachRow(len(ns), func(i int) ([][]interface{}, error) {
+	return fillRows(t, len(ns), func(i int) ([][]interface{}, error) {
 		n := ns[i]
 		_, res, err := multitreeResult(n, d, multitree.Greedy, core.PreRecorded)
 		if err != nil {
@@ -55,11 +55,6 @@ func DelayDistribution(ns []int, d int) (*Table, error) {
 		rows = append(rows, distRow(n, "hypercube", delays))
 		return rows, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addGroups(t, groups)
-	return t, nil
 }
 
 // StructuredVsUnstructured contrasts the paper's provable-QoS schemes with
@@ -75,7 +70,7 @@ func StructuredVsUnstructured(ns []int, d int) (*Table, error) {
 			"N", "scheme", "avg delay", "p99 delay", "max delay", "holes", "provable bound",
 		},
 	}
-	groups, err := forEachRow(len(ns), func(i int) ([][]interface{}, error) {
+	return fillRows(t, len(ns), func(i int) ([][]interface{}, error) {
 		n := ns[i]
 		_, res, err := multitreeResult(n, d, multitree.Greedy, core.PreRecorded)
 		if err != nil {
@@ -106,11 +101,6 @@ func StructuredVsUnstructured(ns []int, d int) (*Table, error) {
 		rows = append(rows, []interface{}{n, "gossip pull", sum.Mean, sum.P99, sum.Max, holes, "none (best effort)"})
 		return rows, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addGroups(t, groups)
-	return t, nil
 }
 
 // MidStreamSwaps measures the blast radius of a departure repaired while
@@ -291,8 +281,6 @@ func ChurnImpact(n, d, ops int, seed int64) (*Table, error) {
 		var opsWithImpact, totalImpacted, maxImpacted, missed, stalls int
 		var maxDelayChange core.Slot
 		for i := 0; i < ops; i++ {
-			mBefore, namesBefore := dy.Snapshot()
-			before := multitree.NewScheme(mBefore, core.PreRecorded)
 			if rng.Intn(2) == 0 || dy.N() <= 2 {
 				_, err = dy.Add(fmt.Sprintf("i-%d", i))
 			} else {
@@ -302,9 +290,7 @@ func ChurnImpact(n, d, ops int, seed int64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			mAfter, namesAfter := dy.Snapshot()
-			after := multitree.NewScheme(mAfter, core.PreRecorded)
-			impacts := multitree.ChurnImpact(before, after, namesBefore, namesAfter)
+			impacts := multitree.ChurnImpact(dy, core.PreRecorded)
 			if len(impacts) > 0 {
 				opsWithImpact++
 				totalImpacted += len(impacts)
@@ -390,23 +376,18 @@ func ChurnComparison(n, d, ops int, seed int64) (*Table, error) {
 	t.AddRow(fmt.Sprintf("multi-tree d=%d", d), total, float64(total)/float64(ops),
 		max, fmt.Sprintf("d+d^2 = %d", d+d*d))
 
-	// Chained hypercube.
-	hdy, err := hypercube.NewDynamicHC(n)
-	if err != nil {
-		return nil, err
-	}
+	// Chained hypercube: a delete's pick resolves to that index of the
+	// members in decomposition order.
 	total, max = 0, 0
-	for i, o := range workload {
+	size = n
+	for _, o := range workload {
 		var moved int
 		if o.add {
-			moved, err = hdy.Add(fmt.Sprintf("c-%d", i))
+			moved = hypercube.AddRelocations(size)
+			size++
 		} else {
-			names := hdy.Names()
-			victim := names[core.NodeID(1+o.pick%hdy.N())]
-			moved, err = hdy.Delete(victim)
-		}
-		if err != nil {
-			return nil, err
+			moved = hypercube.DeleteRelocations(size, o.pick%size)
+			size--
 		}
 		total += moved
 		if moved > max {

@@ -82,11 +82,17 @@ func forEachRow(n int, build func(i int) ([][]interface{}, error)) ([][][]interf
 	return out, nil
 }
 
-// addGroups appends the ordered row groups produced by forEachRow to a table.
-func addGroups(t *Table, groups [][][]interface{}) {
+// fillRows builds t's rows through forEachRow, group after group in index
+// order, and returns t, or the error forEachRow reports.
+func fillRows(t *Table, n int, build func(i int) ([][]interface{}, error)) (*Table, error) {
+	groups, err := forEachRow(n, build)
+	if err != nil {
+		return nil, err
+	}
 	for _, g := range groups {
 		for _, row := range g {
 			t.AddRow(row...)
 		}
 	}
+	return t, nil
 }

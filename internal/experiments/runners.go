@@ -63,7 +63,7 @@ func Figure4(maxN, step int, degrees []int, construction multitree.Construction)
 	for _, d := range degrees {
 		t.Columns = append(t.Columns, fmt.Sprintf("degree %d", d))
 	}
-	groups, err := forEachRow(maxN/step, func(i int) ([][]interface{}, error) {
+	return fillRows(t, maxN/step, func(i int) ([][]interface{}, error) {
 		n := step * (i + 1)
 		row := []interface{}{n}
 		for _, d := range degrees {
@@ -71,21 +71,10 @@ func Figure4(maxN, step int, degrees []int, construction multitree.Construction)
 			if err != nil {
 				return nil, err
 			}
-			var worst core.Slot
-			for id := 1; id <= n; id++ {
-				if v := s.AnalyticStartDelay(core.NodeID(id)); v > worst {
-					worst = v
-				}
-			}
-			row = append(row, int(worst))
+			row = append(row, int(s.WorstAnalyticStartDelay()))
 		}
 		return [][]interface{}{row}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addGroups(t, groups)
-	return t, nil
 }
 
 // Table1 reproduces the paper's Table 1 empirically: maximum delay, average
@@ -100,7 +89,7 @@ func Table1(ns []int, d int) (*Table, error) {
 			"N", "scheme", "max delay", "avg delay", "max buffer", "max neighbors",
 		},
 	}
-	groups, err := forEachRow(len(ns), func(i int) ([][]interface{}, error) {
+	return fillRows(t, len(ns), func(i int) ([][]interface{}, error) {
 		n := ns[i]
 		s, res, err := multitreeResult(n, d, multitree.Greedy, core.PreRecorded)
 		if err != nil {
@@ -137,11 +126,6 @@ func Table1(ns []int, d int) (*Table, error) {
 			hgres.AvgStartDelay(), hgres.WorstBuffer(), core.MaxNeighbors(hg)})
 		return rows, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addGroups(t, groups)
-	return t, nil
 }
 
 // ClusterExperiment reproduces the Figure 1 / Theorem 1 setting: K clusters
@@ -159,7 +143,7 @@ func ClusterExperiment(k, dd, d, clusterSize int, tcs []int) (*Table, error) {
 		},
 	}
 	h := analysis.TreeHeight(clusterSize, d)
-	groups, err := forEachRow(len(tcs), func(i int) ([][]interface{}, error) {
+	return fillRows(t, len(tcs), func(i int) ([][]interface{}, error) {
 		tc := tcs[i]
 		run, res, err := specResult(spec.ClusterScenario(k, dd, tc, clusterSize, d, multitree.Greedy), true)
 		if err != nil {
@@ -168,11 +152,6 @@ func ClusterExperiment(k, dd, d, clusterSize int, tcs []int) (*Table, error) {
 		worst, avg := run.Scheme.(*cluster.Scheme).ReceiverDelays(res)
 		return [][]interface{}{{tc, int(worst), avg, analysis.Theorem1Bound(k, dd, tc, 1, d, h)}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addGroups(t, groups)
-	return t, nil
 }
 
 // DelayBounds compares measured worst-case and average delays of the
@@ -186,10 +165,7 @@ func DelayBounds(ns []int, degrees []int) (*Table, error) {
 			"N", "d", "worst measured", "thm2 bound h*d", "avg measured", "thm3 lower",
 		},
 	}
-	if len(degrees) == 0 {
-		return t, nil
-	}
-	groups, err := forEachRow(len(ns)*len(degrees), func(i int) ([][]interface{}, error) {
+	return fillRows(t, len(ns)*len(degrees), func(i int) ([][]interface{}, error) {
 		n, d := ns[i/len(degrees)], degrees[i%len(degrees)]
 		_, res, err := multitreeResult(n, d, multitree.Greedy, core.PreRecorded)
 		if err != nil {
@@ -198,11 +174,6 @@ func DelayBounds(ns []int, degrees []int) (*Table, error) {
 		return [][]interface{}{{n, d, int(res.WorstStartDelay()), analysis.Theorem2Bound(n, d),
 			res.AvgStartDelay(), analysis.Theorem3LowerBound(n, d)}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addGroups(t, groups)
-	return t, nil
 }
 
 // HypercubeAvgDelay compares the measured average delay of chained
@@ -216,7 +187,7 @@ func HypercubeAvgDelay(ns []int) (*Table, error) {
 			"N", "cubes", "avg measured", "2*log2(N)", "worst measured", "sum dims",
 		},
 	}
-	groups, err := forEachRow(len(ns), func(i int) ([][]interface{}, error) {
+	return fillRows(t, len(ns), func(i int) ([][]interface{}, error) {
 		n := ns[i]
 		s, res, err := hypercubeResult(n, 1)
 		if err != nil {
@@ -226,11 +197,6 @@ func HypercubeAvgDelay(ns []int) (*Table, error) {
 		return [][]interface{}{{n, fmt.Sprintf("%v", dims), res.AvgStartDelay(), analysis.Theorem4Bound(n),
 			int(res.WorstStartDelay()), analysis.Proposition2WorstDelay(n)}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addGroups(t, groups)
-	return t, nil
 }
 
 // DegreeOptimization reproduces the Section 2.3 analysis: the smooth bound
@@ -246,7 +212,7 @@ func DegreeOptimization(ns []int, maxD int) (*Table, error) {
 		t.Columns = append(t.Columns, fmt.Sprintf("F(%d)", d))
 	}
 	t.Columns = append(t.Columns, "argmin F", "argmin measured")
-	groups, err := forEachRow(len(ns), func(i int) ([][]interface{}, error) {
+	return fillRows(t, len(ns), func(i int) ([][]interface{}, error) {
 		n := ns[i]
 		row := []interface{}{n}
 		for d := 2; d <= maxD; d++ {
@@ -259,24 +225,13 @@ func DegreeOptimization(ns []int, maxD int) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			var worst core.Slot
-			for id := 1; id <= n; id++ {
-				if v := s.AnalyticStartDelay(core.NodeID(id)); v > worst {
-					worst = v
-				}
-			}
-			if worst < bestV {
+			if worst := s.WorstAnalyticStartDelay(); worst < bestV {
 				bestD, bestV = d, worst
 			}
 		}
 		row = append(row, bestD)
 		return [][]interface{}{row}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addGroups(t, groups)
-	return t, nil
 }
 
 // ChurnSurvival measures churn as a live, mid-run workload (replacing the
@@ -298,7 +253,7 @@ func ChurnSurvival(n, d, packets int, rates []float64, seed int64) (*Table, erro
 		},
 	}
 	policies := []string{"", "lazy"}
-	groups, err := forEachRow(len(policies)*len(rates), func(i int) ([][]interface{}, error) {
+	return fillRows(t, len(policies)*len(rates), func(i int) ([][]interface{}, error) {
 		policy := policies[i/len(rates)]
 		rate := rates[i%len(rates)]
 		sc := spec.MultiTreeScenario(n, d, multitree.Greedy, core.PreRecorded)
@@ -322,11 +277,6 @@ func ChurnSurvival(n, d, packets int, rates []float64, seed int64) (*Table, erro
 			churn.Hiccups, churn.Gaps, churn.MaxStallSlots,
 			fmt.Sprintf("%.4f", churn.RebufferRatio), churn.TimeToRepairSlots}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addGroups(t, groups)
-	return t, nil
 }
 
 // Baselines compares the chain and single-tree strawmen against the
@@ -341,7 +291,7 @@ func Baselines(ns []int) (*Table, error) {
 			"N", "scheme", "max delay", "max buffer", "max neighbors", "upload factor",
 		},
 	}
-	groups, err := forEachRow(len(ns), func(i int) ([][]interface{}, error) {
+	return fillRows(t, len(ns), func(i int) ([][]interface{}, error) {
 		n := ns[i]
 		chSc := spec.ChainScenario(n)
 		chSc.Mode = "live"
@@ -381,11 +331,6 @@ func Baselines(ns []int) (*Table, error) {
 			hres.WorstBuffer(), core.MaxNeighbors(hs), 1})
 		return rows, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addGroups(t, groups)
-	return t, nil
 }
 
 // LiveModes compares the three multi-tree stream modes (an ablation of the
@@ -399,7 +344,7 @@ func LiveModes(ns []int, d int) (*Table, error) {
 			"N", "mode", "worst delay", "avg delay", "max buffer",
 		},
 	}
-	groups, err := forEachRow(len(ns), func(i int) ([][]interface{}, error) {
+	return fillRows(t, len(ns), func(i int) ([][]interface{}, error) {
 		n := ns[i]
 		var rows [][]interface{}
 		for _, mode := range []core.StreamMode{core.PreRecorded, core.Live, core.LivePreBuffered} {
@@ -412,11 +357,6 @@ func LiveModes(ns []int, d int) (*Table, error) {
 		}
 		return rows, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	addGroups(t, groups)
-	return t, nil
 }
 
 // SchemeMatrix is the registry-driven sweep: every registered scheme family

@@ -388,16 +388,15 @@ func (lc *LiveChurn) apply(t core.Slot, ds core.DynamicScheme, leave bool, name 
 	} else if lc.joins >= lc.cfg.Max {
 		return core.ChurnStats{}, fmt.Errorf("faults: churn op %d (join %q at slot %d): join budget %d exhausted", op+1, name, t, lc.cfg.Max)
 	}
-	sts, err := ds.ApplyOps(t, []core.TopologyOp{{Leave: leave, Name: name}})
+	st, err := ds.Apply(t, core.TopologyOp{Leave: leave, Name: name})
 	if err != nil {
 		return core.ChurnStats{}, fmt.Errorf("faults: churn op %d at slot %d: %w", op+1, t, err)
 	}
-	st := sts[0]
 	if st.Swaps > lc.cfg.Bound {
 		return core.ChurnStats{}, fmt.Errorf("faults: churn op %d at slot %d (member %s): %d swaps exceeds the per-op bound %d",
 			op+1, t, name, st.Swaps, lc.cfg.Bound)
 	}
-	// ApplyOps succeeded, so a leaver is in the list and a joiner is not.
+	// Apply succeeded, so a leaver is in the list and a joiner is not.
 	at, _ := slices.BinarySearchFunc(lc.pickList, name, func(m core.MemberInfo, name string) int {
 		return strings.Compare(m.Name, name)
 	})

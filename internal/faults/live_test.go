@@ -48,7 +48,7 @@ func newLive(t *testing.T, n, d int, lazy bool, cfg LiveChurnConfig) (*multitree
 }
 
 // checkedChurn is a ChurnSource decorator: it hands the source a view of the
-// scheme whose ApplyOps re-validates the family's full invariant set after
+// scheme whose Apply re-validates the family's full invariant set after
 // every op (O(N·d) per op), so a broken invariant aborts the run at the op
 // that broke it.
 type checkedChurn struct {
@@ -66,14 +66,14 @@ type validatedScheme struct {
 	dy *multitree.Dynamic
 }
 
-func (v validatedScheme) ApplyOps(t core.Slot, ops []core.TopologyOp) ([]core.ChurnStats, error) {
-	sts, err := v.DynamicScheme.ApplyOps(t, ops)
+func (v validatedScheme) Apply(t core.Slot, op core.TopologyOp) (core.ChurnStats, error) {
+	st, err := v.DynamicScheme.Apply(t, op)
 	if err == nil {
 		if verr := v.dy.Validate(); verr != nil {
 			err = fmt.Errorf("invariant broken: %w", verr)
 		}
 	}
-	return sts, err
+	return st, err
 }
 
 // churnLog is a churn source whose applied ops can be listed.
@@ -486,9 +486,9 @@ func (m membersChecked) check(when string) {
 	}
 }
 
-func (m membersChecked) ApplyOps(t core.Slot, ops []core.TopologyOp) ([]core.ChurnStats, error) {
+func (m membersChecked) Apply(t core.Slot, op core.TopologyOp) (core.ChurnStats, error) {
 	m.check("entering an op")
-	return m.LiveScheme.ApplyOps(t, ops)
+	return m.LiveScheme.Apply(t, op)
 }
 
 // TestLiveChurnPickListMatchesMembers: victims are picked by index into the

@@ -27,5 +27,7 @@
 // core.Scheme (always run in core.Live mode); NewWithDimOrder fixes the
 // pairing-dimension rotation for the figure renderers; CubeDims exposes
 // the chain structure for the delay analysis in internal/analysis
-// (Proposition2WorstDelay).
+// (Proposition2WorstDelay). AddRelocations and DeleteRelocations
+// (dynamics.go) count the members a join or a leave relocates when the
+// members keep decomposition order: the churn cost the paper leaves open.
 package hypercube

@@ -1,50 +1,17 @@
 package hypercube
 
-import (
-	"fmt"
-
-	"streamcast/internal/core"
-)
-
-// Dynamic maintains a chained-hypercube streaming system under node churn.
-//
-// The paper leaves hypercube dynamics as future work (Section 4); this is
-// the natural construction-preserving algorithm: the chain decomposition is
-// a pure function of N, so an add or delete keeps every member whose
-// (cube, vertex) placement is unchanged and relocates only the members in
-// the suffix of the chain whose cube shapes differ (a deletion first swaps
-// the departing member with the member in the last chain slot).
+// The paper leaves hypercube dynamics as future work (Section 4). The
+// natural construction-preserving repair keeps members in decomposition
+// order: the chain decomposition is a pure function of N, and the member at
+// 0-based index i sits at placement(i, N). An add appends a member at the
+// end; a delete moves the last member into the vacated index. Either way a
+// member is relocated when its (cube, vertex) placement changes.
 //
 // The cost profile this exposes is the reason the problem is hard: away
 // from 2^k−1 boundaries only the small tail cubes are rebuilt (O(1)–O(log N)
 // relocations), but crossing a boundary (e.g. N=14→15 collapses [3 2 2 1]
 // into [4]) relocates a constant fraction of the system. The churn
 // experiment contrasts this with the multi-tree scheme's ≤ d+d² swaps.
-type Dynamic struct {
-	// members[i] is the name of the member occupying global slot i+1 in
-	// decomposition order; the slot determines its cube and vertex.
-	members []string
-	byName  map[string]int
-}
-
-// NewDynamicHC builds a churn-capable chained-hypercube system over n
-// members named node-1..node-n. Every op repairs the placement at once and
-// reports its relocations.
-func NewDynamicHC(n int) (*Dynamic, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("hypercube: n must be >= 1, got %d", n)
-	}
-	dy := &Dynamic{byName: make(map[string]int, n)}
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("node-%d", i+1)
-		dy.members = append(dy.members, name)
-		dy.byName[name] = i
-	}
-	return dy, nil
-}
-
-// N returns the current member count.
-func (dy *Dynamic) N() int { return len(dy.members) }
 
 // placement maps a 0-based decomposition slot to its (cube index, cube
 // dimension, vertex) under the chain decomposition of n nodes.
@@ -79,52 +46,26 @@ func relocations(m, nOld, nNew int) int {
 	return count
 }
 
-// Add inserts a new member and returns the number of existing members that
-// had to be relocated to new cube positions.
-func (dy *Dynamic) Add(name string) (int, error) {
-	if _, dup := dy.byName[name]; dup {
-		return 0, fmt.Errorf("hypercube: member %q already present", name)
-	}
-	old := len(dy.members)
-	dy.members = append(dy.members, name)
-	dy.byName[name] = old
-	return relocations(old, old, old+1), nil
-}
+// AddRelocations returns how many of n members a join relocates: those whose
+// index's placement differs between the decompositions of n and n+1.
+func AddRelocations(n int) int { return relocations(n, n, n+1) }
 
-// Delete removes the named member and returns the number of surviving
-// members relocated (including the one swapped into the vacated slot).
-func (dy *Dynamic) Delete(name string) (int, error) {
-	idx, ok := dy.byName[name]
-	if !ok {
-		return 0, fmt.Errorf("hypercube: member %q not present", name)
-	}
-	if len(dy.members) <= 1 {
-		return 0, fmt.Errorf("hypercube: cannot delete the last member")
-	}
-	old := len(dy.members)
-	last := old - 1
-	moved := relocations(last, old, old-1)
+// DeleteRelocations returns how many of the n−1 survivors the departure of
+// the member at 0-based index idx (0 ≤ idx < n, n ≥ 2) relocates: those
+// whose index's placement differs between the decompositions of n and n−1,
+// plus the last member, which moves into the vacated index unless it is
+// the one leaving.
+func DeleteRelocations(n, idx int) int {
+	last := n - 1
+	moved := relocations(last, n, last)
 	if idx != last {
-		// The member from the last slot takes over the vacated slot; if
-		// that slot is itself stable it still counts as one relocation.
-		c1, k1, v1 := placement(idx, old)
-		c2, k2, v2 := placement(idx, old-1)
+		// The vacated index, if its placement changed, was counted above for
+		// a member that is gone: it now counts the last member instead.
+		c1, k1, v1 := placement(idx, n)
+		c2, k2, v2 := placement(idx, last)
 		if c1 == c2 && k1 == k2 && v1 == v2 {
 			moved++
 		}
-		dy.members[idx] = dy.members[last]
-		dy.byName[dy.members[idx]] = idx
 	}
-	dy.members = dy.members[:last]
-	delete(dy.byName, name)
-	return moved, nil
-}
-
-// Names returns the member name for every current global NodeID.
-func (dy *Dynamic) Names() map[core.NodeID]string {
-	out := make(map[core.NodeID]string, len(dy.members))
-	for i, name := range dy.members {
-		out[core.NodeID(i+1)] = name
-	}
-	return out
+	return moved
 }

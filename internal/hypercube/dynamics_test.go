@@ -1,7 +1,6 @@
 package hypercube
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -24,18 +23,85 @@ func TestPlacement(t *testing.T) {
 	}
 }
 
+// replayMembers is the reference for the relocation counts: members[i] is
+// the member number at index i of decomposition order, and an op costs the
+// members present before and after it whose placement differs.
+type replayMembers struct{ members []int }
+
+// placements maps each member to its placement.
+func (r *replayMembers) placements() map[int][3]int {
+	out := make(map[int][3]int, len(r.members))
+	for i, mem := range r.members {
+		c, k, v := placement(i, len(r.members))
+		out[mem] = [3]int{c, k, v}
+	}
+	return out
+}
+
+// op applies a join (idx < 0, member mem appended) or the departure of the
+// member at index idx (the last member takes its index) and counts the
+// members whose placement changed.
+func (r *replayMembers) op(idx, mem int) int {
+	before := r.placements()
+	if idx < 0 {
+		r.members = append(r.members, mem)
+	} else {
+		last := len(r.members) - 1
+		r.members[idx] = r.members[last]
+		r.members = r.members[:last]
+	}
+	moved := 0
+	for mem, p := range r.placements() {
+		if q, ok := before[mem]; ok && q != p {
+			moved++
+		}
+	}
+	return moved
+}
+
+// TestRelocationsMatchMemberReplay holds AddRelocations and
+// DeleteRelocations to the member-slice replay: on the three scripted cases
+// below and over a seeded 2,000-op workload per seed, each delete picking an
+// index uniformly, as the churn comparison does.
+func TestRelocationsMatchMemberReplay(t *testing.T) {
+	check := func(label string, r *replayMembers, idx, mem int) {
+		t.Helper()
+		n := len(r.members)
+		got := AddRelocations(n)
+		if idx >= 0 {
+			got = DeleteRelocations(n, idx)
+		}
+		if want := r.op(idx, mem); got != want {
+			t.Fatalf("%s: N=%d index %d: %d relocations, the member replay %d", label, n, idx, got, want)
+		}
+	}
+	fresh := func(n int) *replayMembers {
+		r := &replayMembers{}
+		for i := 0; i < n; i++ {
+			r.members = append(r.members, i)
+		}
+		return r
+	}
+	for _, c := range []struct{ n, idx int }{{11, -1}, {14, -1}, {12, 0}} {
+		check("scripted", fresh(c.n), c.idx, c.n)
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := fresh(20)
+		for i := 0; i < 2000; i++ {
+			if n := len(r.members); rng.Intn(2) == 0 || n <= 2 {
+				check("workload", r, -1, 20+i)
+			} else {
+				check("workload", r, rng.Intn(n), 0)
+			}
+		}
+	}
+}
+
 // TestAddAwayFromBoundaryIsCheap: growing 11→12 ([3 2 1] → [3 2 1 1]) moves
 // nobody.
 func TestAddAwayFromBoundaryIsCheap(t *testing.T) {
-	dy, err := NewDynamicHC(11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved, err := dy.Add("fresh")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != 0 {
+	if moved := AddRelocations(11); moved != 0 {
 		t.Errorf("11->12 relocated %d members, want 0", moved)
 	}
 }
@@ -44,46 +110,30 @@ func TestAddAwayFromBoundaryIsCheap(t *testing.T) {
 // 4-cube whose pairing schedule differs, relocating every existing member —
 // the worst case that motivates the paper's open problem.
 func TestAddAcrossBoundaryIsExpensive(t *testing.T) {
-	dy, err := NewDynamicHC(14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved, err := dy.Add("fresh")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != 14 {
+	if moved := AddRelocations(14); moved != 14 {
 		t.Errorf("14->15 relocated %d members, want 14", moved)
 	}
 }
 
-// TestChurnKeepsStreaming: after a random churn sequence the materialized
-// scheme still satisfies the full communication model.
+// TestChurnKeepsStreaming: the chain decomposition is a pure function of N,
+// so wherever a random join/leave walk ends, the scheme built for that size
+// satisfies the full communication model.
 func TestChurnKeepsStreaming(t *testing.T) {
-	dy, err := NewDynamicHC(20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := 20
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 150; i++ {
-		if rng.Intn(2) == 0 || dy.N() <= 2 {
-			if _, err := dy.Add(fmt.Sprintf("c-%d", i)); err != nil {
-				t.Fatal(err)
-			}
+		if rng.Intn(2) == 0 || n <= 2 {
+			n++
 		} else {
-			names := dy.Names()
-			victim := names[core.NodeID(1+rng.Intn(dy.N()))]
-			if _, err := dy.Delete(victim); err != nil {
-				t.Fatal(err)
-			}
+			n--
 		}
 	}
-	s, err := New(dy.N(), 1)
+	s, err := New(n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lg := 1
-	for 1<<lg < dy.N()+1 {
+	for 1<<lg < n+1 {
 		lg++
 	}
 	res, err := slotsim.Run(s, slotsim.Options{
@@ -102,42 +152,9 @@ func TestChurnKeepsStreaming(t *testing.T) {
 // TestDeleteSwapAccounting: deleting a non-last member counts the swapped-in
 // member as relocated.
 func TestDeleteSwapAccounting(t *testing.T) {
-	dy, err := NewDynamicHC(12) // [3 2 1 1]
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deleting node-1 (slot 0): 12→11 is [3 2 1 1]→[3 2 1]: slots 0..9
-	// stable, the last member moves into slot 0 → exactly 1 relocation.
-	moved, err := dy.Delete("node-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != 1 {
+	// Deleting index 0 of N=12: [3 2 1 1]→[3 2 1]: indices 0..9 stable,
+	// the last member moves into index 0 → exactly 1 relocation.
+	if moved := DeleteRelocations(12, 0); moved != 1 {
 		t.Errorf("relocated %d, want 1", moved)
-	}
-	if dy.N() != 11 {
-		t.Errorf("N=%d, want 11", dy.N())
-	}
-}
-
-func TestDynamicHCErrors(t *testing.T) {
-	dy, err := NewDynamicHC(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dy.Add("node-1"); err == nil {
-		t.Error("duplicate add accepted")
-	}
-	if _, err := dy.Delete("ghost"); err == nil {
-		t.Error("unknown delete accepted")
-	}
-	if _, err := dy.Delete("node-1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dy.Delete("node-2"); err == nil {
-		t.Error("deleting last member accepted")
-	}
-	if _, err := NewDynamicHC(0); err == nil {
-		t.Error("NewDynamicHC(0) accepted")
 	}
 }

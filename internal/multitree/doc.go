@@ -30,8 +30,8 @@
 // and, after each op, moves the firing lists' ends when the trees grew or
 // shrank and re-reads the positions the op logged, so static and live runs
 // share one emission loop. Its NumReceivers is the id space the family has
-// allocated, which is what a churned run's Result covers. Snapshot copies
-// the family with canonical ids for the static Scheme, and ChurnImpact
-// (impact.go) compares two such copies to bound an op's blast radius
-// statically.
+// allocated, which is what a churned run's Result covers. ChurnImpact
+// (impact.go) bounds an op's blast radius statically: each survivor's first
+// receive slots at its positions before the op (the op's swaps undone) and
+// after it, compared by stable id on the family itself.
 package multitree

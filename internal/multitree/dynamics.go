@@ -39,14 +39,17 @@ type Dynamic struct {
 	lazy          bool
 	pendingShrink bool
 	totalSwaps    int
-	// moved logs the (tree, position) pairs whose occupant or dummy mark
-	// the last Add or Delete changed, for LiveScheme to re-read. Each op
-	// clears it first.
-	moved []treePos
+	// swaps logs the last Add's or Delete's exchanges in order, and flipped
+	// is the member whose dummy mark it changed: the joiner it revived or
+	// the leaver it retired. Each op resets both first. LiveScheme re-reads
+	// the positions they name; ChurnImpact undoes the swaps to find where a
+	// survivor sat before the op.
+	swaps   []swap
+	flipped core.NodeID
 }
 
-// treePos is position p of tree k.
-type treePos struct{ k, p int }
+// swap is an exchange of the occupants of positions a and b of tree k.
+type swap struct{ k, a, b int }
 
 // OpStats reports what one churn operation did.
 type OpStats struct {
@@ -122,14 +125,7 @@ func (dy *Dynamic) swapInTree(k, pa, pb int) {
 	tree[pa-1], tree[pb-1] = b, a
 	pos[a], pos[b] = pb, pa
 	dy.totalSwaps++
-	dy.moved = append(dy.moved, treePos{k, pa}, treePos{k, pb})
-}
-
-// logMember logs mem's position in every tree: its dummy mark changed.
-func (dy *Dynamic) logMember(mem core.NodeID) {
-	for k, pos := range dy.m.pos {
-		dy.moved = append(dy.moved, treePos{k, pos[mem]})
-	}
+	dy.swaps = append(dy.swaps, swap{k, pa, pb})
 }
 
 // isAllLeaf reports whether the member is a leaf in every tree.
@@ -144,7 +140,7 @@ func (dy *Dynamic) isAllLeaf(mem core.NodeID) bool {
 
 // Add inserts a new real member with the given name.
 func (dy *Dynamic) Add(name string) (OpStats, error) {
-	dy.moved = dy.moved[:0]
+	dy.swaps, dy.flipped = dy.swaps[:0], 0
 	if _, dup := dy.byName[name]; dup {
 		return OpStats{}, fmt.Errorf("multitree: member %q already present", name)
 	}
@@ -167,7 +163,7 @@ func (dy *Dynamic) Add(name string) (OpStats, error) {
 	}
 	dy.pendingShrink = false
 	m.dummy[mem] = false
-	dy.logMember(mem)
+	dy.flipped = mem
 	dy.names[mem] = name
 	dy.byName[name] = mem
 	m.N++
@@ -232,7 +228,7 @@ func (dy *Dynamic) grow() {
 
 // Delete removes the named real member.
 func (dy *Dynamic) Delete(name string) (OpStats, error) {
-	dy.moved = dy.moved[:0]
+	dy.swaps, dy.flipped = dy.swaps[:0], 0
 	mem, ok := dy.byName[name]
 	if !ok {
 		return OpStats{}, fmt.Errorf("multitree: member %q not present", name)
@@ -264,7 +260,7 @@ func (dy *Dynamic) Delete(name string) (OpStats, error) {
 	}
 	// Step 3 (remove node): the member retires into a dummy.
 	m.dummy[mem] = true
-	dy.logMember(mem)
+	dy.flipped = mem
 	dy.names[mem] = ""
 	delete(dy.byName, name)
 	m.N--
@@ -334,41 +330,6 @@ func (dy *Dynamic) shrink() {
 	m.NP -= d
 	m.I--
 	dy.pendingShrink = false
-}
-
-// Snapshot copies the family with canonical ids — real members relabeled
-// 1..N in id order, dummies after — as a statically built family would
-// number them, so a Scheme over it runs on the static engine path and two
-// snapshots taken around an op can be compared member by member. The name of
-// each real member's canonical id is returned alongside.
-func (dy *Dynamic) Snapshot() (*MultiTree, map[core.NodeID]string) {
-	m := dy.m
-	relabel := make([]core.NodeID, len(m.dummy))
-	names := make(map[core.NodeID]string, m.N)
-	nextReal, nextDummy := core.NodeID(1), core.NodeID(m.N+1)
-	for id := core.NodeID(1); int(id) < len(m.dummy); id++ {
-		switch {
-		case m.pos[0][id] == 0:
-			// Discarded by a shrink.
-		case !m.IsDummy(id):
-			relabel[id] = nextReal
-			names[nextReal] = dy.names[id]
-			nextReal++
-		default:
-			relabel[id] = nextDummy
-			nextDummy++
-		}
-	}
-	// In the lazy deferred-shrink state NP is a level above the canonical
-	// padding for N members.
-	c := newMultiTree(m.N, m.D, m.NP)
-	for k, tree := range m.Trees {
-		for p, id := range tree {
-			c.Trees[k][p] = relabel[id]
-		}
-	}
-	c.index()
-	return c, names
 }
 
 // Validate checks the full invariant set on the family as it stands: the

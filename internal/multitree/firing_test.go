@@ -115,7 +115,7 @@ func TestLiveFiringListsMatchRoundRobin(t *testing.T) {
 							names := dy.Names()
 							op = core.TopologyOp{Leave: true, Name: names[rng.Intn(len(names))]}
 						}
-						if _, err := ls.ApplyOps(core.Slot(i), []core.TopologyOp{op}); err != nil {
+						if _, err := ls.Apply(core.Slot(i), op); err != nil {
 							t.Fatal(err)
 						}
 						minNP, maxNP = min(minNP, dy.m.NP), max(maxNP, dy.m.NP)

@@ -1,6 +1,8 @@
 package multitree
 
 import (
+	"slices"
+
 	"streamcast/internal/core"
 )
 
@@ -10,7 +12,8 @@ import (
 // construction), so a member that moved between positions experiences the
 // difference between the two positions' delivery schedules.
 type MemberImpact struct {
-	Name string
+	// Node is the member's stable id.
+	Node core.NodeID
 	// MissedPackets counts stream packets the member skips because its
 	// new position's pipeline is ahead of its old one (moved shallower):
 	// these are the hiccups the paper attributes to churn.
@@ -25,49 +28,63 @@ type MemberImpact struct {
 	StartDelayChange core.Slot
 }
 
-// ChurnImpact compares a member's schedules before and after an operation.
-// The two snapshots must use the scheme mode consistently; impacts are
-// computed for every member present in both.
-func ChurnImpact(before, after *Scheme, beforeNames, afterNames map[core.NodeID]string) []MemberImpact {
-	// Index members by name.
-	oldID := make(map[string]core.NodeID, len(beforeNames))
-	for id, name := range beforeNames {
-		oldID[name] = id
-	}
-	d := before.Tree.D
-	var out []MemberImpact
-	for id, name := range afterNames {
-		prev, ok := oldID[name]
-		if !ok {
-			continue // newly added member: no prior schedule
+// ChurnImpact reports, in id order, what the last Add or Delete on dy did to
+// the schedule mode gives every member live both before and after it. A
+// position's first receive slot depends only on (mode, d, tree, position),
+// and a live member changes position only through the op's swaps, so its
+// position before the op is its position now with those swaps undone. A
+// member whose first receive slots all stay put is left out, and so is the
+// member the op revived: it had no prior schedule.
+func ChurnImpact(dy *Dynamic, mode core.StreamMode) []MemberImpact {
+	m := dy.m
+	var ids []core.NodeID
+	for _, sw := range dy.swaps {
+		// A survivor ends the op where its last swap put it; a position past
+		// NP was discarded with the dummy on it.
+		for _, p := range [2]int{sw.a, sw.b} {
+			if p > m.NP {
+				continue
+			}
+			if id := m.Trees[sw.k][p-1]; !m.IsDummy(id) && id != dy.flipped {
+				ids = append(ids, id)
+			}
 		}
-		var missed, stall int
+	}
+	slices.Sort(ids)
+	var out []MemberImpact
+	for _, id := range slices.Compact(ids) {
+		im := MemberImpact{Node: id}
+		var before, after core.Slot = -1 << 30, -1 << 30
 		changed := false
-		for k := 0; k < d; k++ {
-			oldRecv := before.FirstRecvSlot(k, prev)
-			newRecv := after.FirstRecvSlot(k, id)
+		for k, pos := range m.pos {
+			now := pos[id]
+			was := now
+			for i := len(dy.swaps) - 1; i >= 0; i-- {
+				if sw := dy.swaps[i]; sw.k == k && was == sw.a {
+					was = sw.b
+				} else if sw.k == k && was == sw.b {
+					was = sw.a
+				}
+			}
+			oldRecv, newRecv := firstRecv(mode, m.D, k, was), firstRecv(mode, m.D, k, now)
+			before = max(before, oldRecv-core.Slot(k))
+			after = max(after, newRecv-core.Slot(k))
 			if oldRecv == newRecv {
 				continue
 			}
 			changed = true
 			// Same residue class by construction, so the difference is a
 			// whole number of rounds.
-			diff := int(oldRecv-newRecv) / d
-			if diff > 0 {
-				missed += diff
+			if diff := int(oldRecv-newRecv) / m.D; diff > 0 {
+				im.MissedPackets += diff
 			} else {
-				stall -= diff
+				im.StallRounds -= diff
 			}
 		}
-		if !changed {
-			continue
+		if changed {
+			im.StartDelayChange = after - before
+			out = append(out, im)
 		}
-		out = append(out, MemberImpact{
-			Name:             name,
-			MissedPackets:    missed,
-			StallRounds:      stall,
-			StartDelayChange: after.AnalyticStartDelay(id) - before.AnalyticStartDelay(prev),
-		})
 	}
 	return out
 }

@@ -3,16 +3,133 @@ package multitree
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"streamcast/internal/core"
 )
 
-// snapshotScheme materializes the dynamic state as a schedulable scheme.
-func snapshotScheme(t *testing.T, dy *Dynamic) (*Scheme, map[core.NodeID]string) {
-	t.Helper()
-	m, names := dy.Snapshot()
-	return NewScheme(m, core.PreRecorded), names
+// referenceImpact is ChurnImpact read off two schedules: NewScheme over
+// clones of the family taken before and after the op, each surviving
+// member's first receive slots and analytic start delay looked up by its
+// stable id in both. A member that was no real member before is skipped.
+func referenceImpact(before, after *Dynamic, mode core.StreamMode) []MemberImpact {
+	bs, as := NewScheme(before.m, mode), NewScheme(after.m, mode)
+	members := after.Members()
+	slices.SortFunc(members, func(a, b core.MemberInfo) int { return int(a.Node) - int(b.Node) })
+	var out []MemberImpact
+	for _, mem := range members {
+		id := mem.Node
+		if int(id) >= len(before.m.dummy) || before.m.IsDummy(id) {
+			continue
+		}
+		im := MemberImpact{Node: id}
+		changed := false
+		for k := 0; k < after.m.D; k++ {
+			diff := int(bs.FirstRecvSlot(k, id) - as.FirstRecvSlot(k, id))
+			switch {
+			case diff > 0:
+				im.MissedPackets += diff / after.m.D
+			case diff < 0:
+				im.StallRounds -= diff / after.m.D
+			default:
+				continue
+			}
+			changed = true
+		}
+		if changed {
+			im.StartDelayChange = as.AnalyticStartDelay(id) - bs.AnalyticStartDelay(id)
+			out = append(out, im)
+		}
+	}
+	return out
+}
+
+// TestChurnImpactMatchesSchedules holds ChurnImpact, which reads only the
+// family's positions and the op's swap log, to referenceImpact after every
+// op of a seeded 320-op sequence that swings the membership between 2 and
+// 12d+3 members, so the trees both grow and shrink, for d = 2..4, eager and
+// lazy, in every stream mode. The sequence must perturb members both ways
+// (missed packets and stall rounds), or the comparison would be vacuous.
+func TestChurnImpactMatchesSchedules(t *testing.T) {
+	for d := 2; d <= 4; d++ {
+		for _, lazy := range []bool{false, true} {
+			dy, err := NewDynamic(3*d, d, lazy) // full: the first join grows a level
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(d)))
+			up := true
+			var grew, shrunk, missed, stalls int
+			for i := 0; i < 320; i++ {
+				if n := dy.N(); n >= 12*d+3 {
+					up = false
+				} else if n <= 2 {
+					up = true
+				}
+				before := dy.clone()
+				var st OpStats
+				if join := (rng.Intn(5) != 0) == up; join || dy.N() <= 1 {
+					st, err = dy.Add(fmt.Sprintf("j%d", i))
+				} else {
+					names := dy.Names()
+					st, err = dy.Delete(names[rng.Intn(len(names))])
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Grew {
+					grew++
+				}
+				if st.Shrunk {
+					shrunk++
+				}
+				for _, mode := range []core.StreamMode{core.PreRecorded, core.Live, core.LivePreBuffered} {
+					got, want := ChurnImpact(dy, mode), referenceImpact(before, dy.clone(), mode)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("d=%d lazy=%v op %d %s: ChurnImpact %+v, schedules %+v", d, lazy, i, mode, got, want)
+					}
+					for _, im := range got {
+						missed += im.MissedPackets
+						stalls += im.StallRounds
+					}
+				}
+			}
+			if grew < 3 || shrunk < 3 || missed == 0 || stalls == 0 {
+				t.Fatalf("d=%d lazy=%v: %d grows, %d shrinks, %d missed packets, %d stall rounds: the sequence is too tame",
+					d, lazy, grew, shrunk, missed, stalls)
+			}
+		}
+	}
+}
+
+// TestChurnImpactSkipsJoiner: the member an op revives had no schedule
+// before it, so it is never reported, even when the op's swaps move it. A
+// swap appended to an Add's log moves the joiner to a same-residue position
+// that first receives in another slot, and the survivor there to its.
+func TestChurnImpactSkipsJoiner(t *testing.T) {
+	d := 3
+	dy, err := NewDynamic(10*d-1, d, false) // one dummy: the join revives it
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := dy.clone()
+	if _, err := dy.Add("x"); err != nil {
+		t.Fatal(err)
+	}
+	joiner := dy.flipped
+	p := dy.m.pos[0][joiner]
+	for q := p - d; q >= 1; q -= d {
+		if firstRecv(core.PreRecorded, d, 0, q) != firstRecv(core.PreRecorded, d, 0, p) {
+			dy.swapInTree(0, p, q)
+			break
+		}
+	}
+	got, want := ChurnImpact(dy, core.PreRecorded), referenceImpact(before, dy.clone(), core.PreRecorded)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("ChurnImpact %+v, schedules %+v (joiner %d)", got, want, joiner)
+	}
 }
 
 // TestChurnImpactBounds verifies the appendix claim: a single operation
@@ -26,7 +143,7 @@ func TestChurnImpactBounds(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(4))
 	for step := 0; step < 120; step++ {
-		before, beforeNames := snapshotScheme(t, dy)
+		height := dy.m.Height()
 		if rng.Intn(2) == 0 || dy.N() <= 2 {
 			if _, err := dy.Add(fmt.Sprintf("i-%d", step)); err != nil {
 				t.Fatal(err)
@@ -37,8 +154,7 @@ func TestChurnImpactBounds(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		after, afterNames := snapshotScheme(t, dy)
-		impacts := ChurnImpact(before, after, beforeNames, afterNames)
+		impacts := ChurnImpact(dy, core.PreRecorded)
 		if len(impacts) > d*d+2*d {
 			t.Fatalf("step %d: %d members impacted, above the d²+2d envelope", step, len(impacts))
 		}
@@ -46,8 +162,8 @@ func TestChurnImpactBounds(t *testing.T) {
 			if im.MissedPackets < 0 || im.StallRounds < 0 {
 				t.Fatalf("step %d: negative impact %+v", step, im)
 			}
-			if im.MissedPackets > d*int(before.Tree.Height()) {
-				t.Fatalf("step %d: %s missed %d packets, above d*h", step, im.Name, im.MissedPackets)
+			if im.MissedPackets > d*height {
+				t.Fatalf("step %d: member %d missed %d packets, above d*h", step, im.Node, im.MissedPackets)
 			}
 		}
 	}
@@ -64,15 +180,13 @@ func TestChurnImpactNoOpForStableMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, beforeNames := snapshotScheme(t, dy)
 	// Find a real all-leaf member: the tail member with the highest
 	// tree-0 position is one.
-	m, names := dy.Snapshot()
+	m := dy.m
 	var victim string
 	for p := m.NP; p > m.NP-m.D; p-- {
-		id := m.Trees[0][p-1]
-		if !m.IsDummy(id) {
-			victim = names[id]
+		if id := m.Trees[0][p-1]; !m.IsDummy(id) {
+			victim = dy.names[id]
 			break
 		}
 	}
@@ -83,8 +197,7 @@ func TestChurnImpactNoOpForStableMembers(t *testing.T) {
 	if st.Swaps != 0 {
 		t.Fatalf("all-leaf deletion used %d swaps", st.Swaps)
 	}
-	after, afterNames := snapshotScheme(t, dy)
-	if impacts := ChurnImpact(before, after, beforeNames, afterNames); len(impacts) != 0 {
+	if impacts := ChurnImpact(dy, core.PreRecorded); len(impacts) != 0 {
 		t.Errorf("swap-free deletion impacted %d members: %+v", len(impacts), impacts)
 	}
 }
@@ -97,13 +210,11 @@ func TestChurnImpactDetectsPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, beforeNames := snapshotScheme(t, dy)
 	// node-1 is interior in tree 0 of the initial greedy family.
 	if _, err := dy.Delete("node-1"); err != nil {
 		t.Fatal(err)
 	}
-	after, afterNames := snapshotScheme(t, dy)
-	impacts := ChurnImpact(before, after, beforeNames, afterNames)
+	impacts := ChurnImpact(dy, core.PreRecorded)
 	if len(impacts) == 0 {
 		t.Fatal("interior deletion reported no impact")
 	}

@@ -22,21 +22,19 @@ import (
 // swap changes who occupies a position but never when the position fires.
 // After each op the Scheme's firing lists are patched where the op moved an
 // occupant, and moved at their ends when the trees grew or shrank. The
-// schedule stays exactly periodic with period d within every epoch, and
-// each applied op bumps Epoch().
+// schedule stays exactly periodic with period d between ops.
 type LiveScheme struct {
 	dy    *Dynamic
 	sched *Scheme // over dy's family; its warm is not kept, so no Period
-	epoch uint64
 }
 
 var _ core.Scheme = (*LiveScheme)(nil)
 var _ core.DynamicScheme = (*LiveScheme)(nil)
 
 // NewLiveScheme wraps a churn-capable family with the positional round-robin
-// schedule. The Dynamic is shared, not copied: ops applied through ApplyOps
+// schedule. The Dynamic is shared, not copied: ops applied through Apply
 // are visible to subsequent Transmissions calls. An op applied directly on
-// dy bypasses both epoch versioning and the patching of the firing lists.
+// dy bypasses the patching of the firing lists.
 func NewLiveScheme(dy *Dynamic, mode core.StreamMode) *LiveScheme {
 	return &LiveScheme{dy: dy, sched: NewScheme(dy.m, mode)}
 }
@@ -69,39 +67,34 @@ func (s *LiveScheme) SteadyState() core.Slot {
 	return steady
 }
 
-// Epoch implements core.DynamicScheme.
-func (s *LiveScheme) Epoch() uint64 { return s.epoch }
-
 // Members implements core.DynamicScheme: Dynamic.Members.
 func (s *LiveScheme) Members() []core.MemberInfo { return s.dy.Members() }
 
-// ApplyOps implements core.DynamicScheme: each op is applied through the
-// appendix add/delete algorithms and bumps the epoch; the firing lists then
-// follow the trees' padded size and re-read the positions the op moved.
-func (s *LiveScheme) ApplyOps(t core.Slot, ops []core.TopologyOp) ([]core.ChurnStats, error) {
-	out := make([]core.ChurnStats, 0, len(ops))
-	for _, op := range ops {
-		var st OpStats
-		var err error
-		var node core.NodeID
-		if op.Leave {
-			node = s.dy.byName[op.Name]
-			st, err = s.dy.Delete(op.Name)
-		} else {
-			st, err = s.dy.Add(op.Name)
-			node = s.dy.byName[op.Name]
-		}
-		if err != nil {
-			return out, fmt.Errorf("churn op at slot %d: %w", t, err)
-		}
-		s.epoch++
-		s.sched.resize()
-		for _, tp := range s.dy.moved {
-			s.sched.repoint(tp.k, tp.p)
-		}
-		out = append(out, core.ChurnStats{Node: node, Leave: op.Leave, Swaps: st.Swaps})
+// Apply implements core.DynamicScheme: the op runs through the appendix
+// add/delete algorithms; the firing lists then follow the trees' padded size
+// and re-read the positions the op swapped and those of the member it
+// flipped.
+func (s *LiveScheme) Apply(t core.Slot, op core.TopologyOp) (core.ChurnStats, error) {
+	dy := s.dy
+	var st OpStats
+	var err error
+	if op.Leave {
+		st, err = dy.Delete(op.Name)
+	} else {
+		st, err = dy.Add(op.Name)
 	}
-	return out, nil
+	if err != nil {
+		return core.ChurnStats{}, fmt.Errorf("churn op at slot %d: %w", t, err)
+	}
+	s.sched.resize()
+	for _, sw := range dy.swaps {
+		s.sched.repoint(sw.k, sw.a)
+		s.sched.repoint(sw.k, sw.b)
+	}
+	for k, pos := range dy.m.pos {
+		s.sched.repoint(k, pos[dy.flipped])
+	}
+	return core.ChurnStats{Node: dy.flipped, Leave: op.Leave, Swaps: st.Swaps}, nil
 }
 
 // Neighbors implements core.Scheme over the live membership: for each live

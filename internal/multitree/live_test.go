@@ -2,6 +2,7 @@ package multitree
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"streamcast/internal/core"
@@ -56,65 +57,57 @@ func TestLiveSchemeMatchesStatic(t *testing.T) {
 }
 
 // TestLiveSchemeApplyOps drives the DynamicScheme interface end to end:
-// per-op epoch bumps, stats with resolved node ids and leave direction,
-// membership reflecting the ops, and invariants holding throughout.
+// stats with resolved node ids and leave direction, membership reflecting
+// each op, a failing op changing nothing, and invariants holding throughout.
 func TestLiveSchemeApplyOps(t *testing.T) {
 	dy, err := NewDynamic(10, 2, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ls := NewLiveScheme(dy, core.Live)
-	if ls.Epoch() != 0 {
-		t.Fatalf("fresh scheme at epoch %d, want 0", ls.Epoch())
-	}
 	if got := len(ls.Members()); got != 10 {
 		t.Fatalf("%d initial members, want 10", got)
 	}
+	byName := func() map[string]core.NodeID {
+		out := make(map[string]core.NodeID)
+		for _, m := range ls.Members() {
+			out[m.Name] = m.Node
+		}
+		return out
+	}
 
-	stats, err := ls.ApplyOps(3, []core.TopologyOp{
-		{Name: "alice"},
-		{Leave: true, Name: "node-4"},
-	})
+	join, err := ls.Apply(3, core.TopologyOp{Name: "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats) != 2 {
-		t.Fatalf("%d stats, want 2", len(stats))
+	if join.Leave || join.Node < 1 || byName()["alice"] != join.Node {
+		t.Fatalf("join stat %+v, members %v", join, byName())
 	}
-	if stats[0].Leave || stats[0].Node < 1 {
-		t.Fatalf("join stat: %+v", stats[0])
+	gone := byName()["node-4"]
+	leave, err := ls.Apply(3, core.TopologyOp{Leave: true, Name: "node-4"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !stats[1].Leave {
-		t.Fatalf("leave stat not marked: %+v", stats[1])
+	if !leave.Leave || leave.Node != gone {
+		t.Fatalf("leave stat %+v, want the leave of id %d", leave, gone)
 	}
-	if ls.Epoch() != 2 {
-		t.Fatalf("epoch %d after two ops, want 2", ls.Epoch())
+	members := byName()
+	if len(members) != 10 || members["alice"] != join.Node {
+		t.Fatalf("membership after ops: %v", members)
 	}
-	names := make(map[string]bool)
-	for _, m := range ls.Members() {
-		names[m.Name] = true
-	}
-	if !names["alice"] || names["node-4"] {
-		t.Fatalf("membership after ops: %v", names)
+	if _, ok := members["node-4"]; ok {
+		t.Fatalf("node-4 still a member: %v", members)
 	}
 	if err := dy.Validate(); err != nil {
 		t.Fatalf("invariants after ops: %v", err)
 	}
 
-	// A failing op surfaces the slot and stops the batch after the ops that
-	// did apply.
-	stats, err = ls.ApplyOps(5, []core.TopologyOp{
-		{Name: "bob"},
-		{Leave: true, Name: "no-such-member"},
-	})
-	if err == nil {
-		t.Fatal("leave of unknown member accepted")
+	// A failing op surfaces the slot and changes no membership.
+	if _, err := ls.Apply(5, core.TopologyOp{Leave: true, Name: "no-such-member"}); err == nil || !strings.Contains(err.Error(), "slot 5") {
+		t.Fatalf("leave of unknown member: %v", err)
 	}
-	if len(stats) != 1 || stats[0].Leave {
-		t.Fatalf("partial batch stats: %+v", stats)
-	}
-	if ls.Epoch() != 3 {
-		t.Fatalf("epoch %d after partial batch, want 3", ls.Epoch())
+	if got := byName(); !reflect.DeepEqual(got, members) {
+		t.Fatalf("membership after a failed op: %v, want %v", got, members)
 	}
 }
 
@@ -132,7 +125,7 @@ func TestLiveSchemeGrowRebuild(t *testing.T) {
 	var slot core.Slot = 1
 	for j := 0; j <= dummies; j++ {
 		name := "joiner-" + string(rune('a'+j))
-		if _, err := ls.ApplyOps(slot, []core.TopologyOp{{Name: name}}); err != nil {
+		if _, err := ls.Apply(slot, core.TopologyOp{Name: name}); err != nil {
 			t.Fatal(err)
 		}
 		if j == dummies && dy.m.NP == np0 {
@@ -179,7 +172,7 @@ func TestLiveSchemeLevelOscillationMatchesFresh(t *testing.T) {
 				op = core.TopologyOp{Leave: true, Name: "osc-" + string(rune('a'+i-1))}
 			}
 			np := dy.m.NP
-			if _, err := ls.ApplyOps(core.Slot(i), []core.TopologyOp{op}); err != nil {
+			if _, err := ls.Apply(core.Slot(i), op); err != nil {
 				t.Fatal(err)
 			}
 			if dy.m.NP > np {
@@ -247,10 +240,12 @@ func TestNeighborsOrderIsStable(t *testing.T) {
 		if !reflect.DeepEqual(ls.Neighbors(), m.Neighbors()) {
 			t.Fatalf("d=%d: unchurned live mesh differs from the static greedy mesh", d)
 		}
-		if _, err := ls.ApplyOps(3, []core.TopologyOp{
+		for _, op := range []core.TopologyOp{
 			{Name: "alice"}, {Leave: true, Name: "node-4"}, {Name: "bob"}, {Leave: true, Name: "node-30"},
-		}); err != nil {
-			t.Fatal(err)
+		} {
+			if _, err := ls.Apply(3, op); err != nil {
+				t.Fatal(err)
+			}
 		}
 		nb := ls.Neighbors()
 		if len(nb) != len(ls.Members()) {
@@ -264,8 +259,8 @@ func TestNeighborsOrderIsStable(t *testing.T) {
 }
 
 // TestApplyOpsPatchesInPlace: an op that leaves the padded size alone
-// patches the firing lists where it moved an occupant and allocates nothing
-// beyond the stats it returns, so it never rebuilds them.
+// patches the firing lists where it moved an occupant and allocates
+// nothing, so it never rebuilds them.
 func TestApplyOpsPatchesInPlace(t *testing.T) {
 	for d := 2; d <= 4; d++ {
 		dy, err := NewDynamic(10*d-1, d, false) // one dummy: a join revives it
@@ -276,7 +271,7 @@ func TestApplyOpsPatchesInPlace(t *testing.T) {
 		np := dy.m.NP
 		allocs := testing.AllocsPerRun(50, func() {
 			for _, op := range []core.TopologyOp{{Name: "x"}, {Leave: true, Name: "x"}} {
-				if _, err := ls.ApplyOps(0, []core.TopologyOp{op}); err != nil {
+				if _, err := ls.Apply(0, op); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -284,8 +279,8 @@ func TestApplyOpsPatchesInPlace(t *testing.T) {
 		if dy.m.NP != np {
 			t.Fatalf("d=%d: NP moved %d → %d", d, np, dy.m.NP)
 		}
-		if allocs > 2 {
-			t.Errorf("d=%d: a join and a leave allocate %v times, want the two stats slices", d, allocs)
+		if allocs > 0 {
+			t.Errorf("d=%d: a join and a leave allocate %v times, want none", d, allocs)
 		}
 	}
 }

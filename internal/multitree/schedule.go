@@ -68,7 +68,7 @@ func NewScheme(m *MultiTree, mode core.StreamMode) *Scheme {
 // shrank the trees.
 func (s *Scheme) resize() {
 	m := s.Tree
-	d, dd := m.D, core.Slot(m.D)
+	d := m.D
 	if s.fires == nil {
 		size := m.NP / d
 		backing := make([]firing, size*d*d)
@@ -94,14 +94,12 @@ func (s *Scheme) resize() {
 			if pp := ParentPos(p, d); pp > 0 {
 				recv, from = core.Slot(s.at(k, pp).first), m.Trees[k][pp-1]
 			}
-			// The first slot after the parent's whose residue is p's child
-			// slot r.
-			r := ChildSlot(p, d)
-			first := recv + 1 + ((core.Slot(r)-recv-1)%dd+dd)%dd
+			first := nextRecv(recv, p, d)
 			to := s.receiver(m.Trees[k][p-1])
 			if to != 0 {
 				s.warm = max(s.warm, first)
 			}
+			r := ChildSlot(p, d)
 			s.fires[r][k] = append(s.fires[r][k], firing{
 				from: int32(from), to: int32(to),
 				first: int32(first), lag: int32(int(first) - k),
@@ -126,10 +124,11 @@ func (s *Scheme) receiver(id core.NodeID) core.NodeID {
 
 // repoint re-reads the occupants of position p of tree k after an op moved
 // them: the entry's own to, and the from of its children's entries. A
-// position past NP, which a shrink discarded, has no entry.
+// position past NP, which a shrink discarded, has no entry, nor has
+// position 0, where a discarded member sits.
 func (s *Scheme) repoint(k, p int) {
 	m := s.Tree
-	if p > m.NP {
+	if p < 1 || p > m.NP {
 		return
 	}
 	id := m.Trees[k][p-1]
@@ -164,6 +163,25 @@ func virtualSourceSlot(mode core.StreamMode, d, k int) core.Slot {
 	default:
 		return -1
 	}
+}
+
+// nextRecv returns the slot position p first receives in when its parent
+// first received in slot recv: the first slot after recv whose residue mod
+// d is p's child slot.
+func nextRecv(recv core.Slot, p, d int) core.Slot {
+	dd, r := core.Slot(d), core.Slot(ChildSlot(p, d))
+	return recv + 1 + ((r-recv-1)%dd+dd)%dd
+}
+
+// firstRecv returns the slot position p of tree k first receives in under
+// mode: nextRecv down the path from the source. It is what Scheme's entry
+// for (k, p) holds, read without a Scheme.
+func firstRecv(mode core.StreamMode, d, k, p int) core.Slot {
+	recv := virtualSourceSlot(mode, d, k)
+	if pp := ParentPos(p, d); pp > 0 {
+		recv = firstRecv(mode, d, k, pp)
+	}
+	return nextRecv(recv, p, d)
 }
 
 // Name implements core.Scheme.
@@ -238,6 +256,16 @@ func (s *Scheme) AnalyticStartDelay(id core.NodeID) core.Slot {
 		if lag := s.FirstRecvSlot(k, id) - core.Slot(k); lag > worst {
 			worst = lag
 		}
+	}
+	return worst
+}
+
+// WorstAnalyticStartDelay returns the largest AnalyticStartDelay over the
+// receivers 1..N, and 0 if none is positive.
+func (s *Scheme) WorstAnalyticStartDelay() core.Slot {
+	var worst core.Slot
+	for id := 1; id <= s.Tree.N; id++ {
+		worst = max(worst, s.AnalyticStartDelay(core.NodeID(id)))
 	}
 	return worst
 }

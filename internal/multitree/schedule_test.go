@@ -188,7 +188,8 @@ func ancestorWalkFirstRecv(mode core.StreamMode, d, k, p int) core.Slot {
 // reads off each parent's entry equal the ancestor walk at every position,
 // dummy positions of padded sizes included, in all three stream modes: in a
 // Scheme, in a LiveScheme, and in a LiveScheme whose lists joins extended
-// from half the size, as resize extends them when the trees grow.
+// from half the size, as resize extends them when the trees grow. firstRecv,
+// which ChurnImpact reads without a Scheme, equals them too.
 func TestFirstRecvMatchesAncestorWalk(t *testing.T) {
 	modes := []core.StreamMode{core.PreRecorded, core.Live, core.LivePreBuffered}
 	for _, n := range []int{1, 7, 64, 1001} {
@@ -208,7 +209,7 @@ func TestFirstRecvMatchesAncestorWalk(t *testing.T) {
 				}
 				grown := NewLiveScheme(half, mode)
 				for i := half.N(); i < n; i++ {
-					if _, err := grown.ApplyOps(0, []core.TopologyOp{{Name: fmt.Sprintf("j%d", i)}}); err != nil {
+					if _, err := grown.Apply(0, core.TopologyOp{Name: fmt.Sprintf("j%d", i)}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -225,6 +226,14 @@ func TestFirstRecvMatchesAncestorWalk(t *testing.T) {
 								t.Fatalf("n=%d d=%d %s tree %d position %d: %s reads %d, the ancestor walk %d",
 									n, d, mode, k, p, tab.name, got, want)
 							}
+						}
+					}
+				}
+				for k := 0; k < d; k++ {
+					for p := 1; p <= m.NP; p++ {
+						if got, want := firstRecv(mode, d, k, p), ancestorWalkFirstRecv(mode, d, k, p); got != want {
+							t.Fatalf("n=%d d=%d %s tree %d position %d: firstRecv %d, the ancestor walk %d",
+								n, d, mode, k, p, got, want)
 						}
 					}
 				}

@@ -10,13 +10,44 @@ import (
 	"streamcast/internal/core"
 )
 
+// canonical copies the family with canonical ids — real members relabeled
+// 1..N in id order, dummies after, members a shrink discarded dropped — as
+// a statically built family would number them.
+func canonical(dy *Dynamic) *MultiTree {
+	m := dy.m
+	relabel := make([]core.NodeID, len(m.dummy))
+	nextReal, nextDummy := core.NodeID(1), core.NodeID(m.N+1)
+	for id := core.NodeID(1); int(id) < len(m.dummy); id++ {
+		switch {
+		case m.pos[0][id] == 0:
+			// Discarded by a shrink.
+		case !m.IsDummy(id):
+			relabel[id] = nextReal
+			nextReal++
+		default:
+			relabel[id] = nextDummy
+			nextDummy++
+		}
+	}
+	// In the lazy deferred-shrink state NP is a level above the canonical
+	// padding for N members.
+	c := newMultiTree(m.N, m.D, m.NP)
+	for k, tree := range m.Trees {
+		for p, id := range tree {
+			c.Trees[k][p] = relabel[id]
+		}
+	}
+	c.index()
+	return c
+}
+
 // referenceValidate is the check Dynamic.Validate made before it read the
-// live layout in place: relabel the family to canonical ids (Snapshot) and
-// hold that copy to the static construction's invariants — each tree a
-// permutation of 1..NP, interior-disjoint, each id's positions distinct mod
-// d, dummies only at leaves — and then the tail class on the member ids.
+// live layout in place: relabel the family to canonical ids and hold that
+// copy to the static construction's invariants — each tree a permutation
+// of 1..NP, interior-disjoint, each id's positions distinct mod d, dummies
+// only at leaves — and then the tail class on the member ids.
 func referenceValidate(dy *Dynamic) error {
-	m, _ := dy.Snapshot()
+	m := canonical(dy)
 	seen := make([]bool, m.NP+1)
 	for k := 0; k < m.D; k++ {
 		if len(m.Trees[k]) != m.NP {
@@ -81,6 +112,7 @@ func (dy *Dynamic) clone() *Dynamic {
 	m.dummy = slices.Clone(dy.m.dummy)
 	c := *dy
 	c.m, c.names, c.byName = &m, slices.Clone(dy.names), maps.Clone(dy.byName)
+	c.swaps = slices.Clone(dy.swaps)
 	return &c
 }
 

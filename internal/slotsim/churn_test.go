@@ -21,11 +21,21 @@ type scriptChurn struct {
 
 func (s *scriptChurn) MaxNodes() int { return s.max }
 func (s *scriptChurn) Step(t core.Slot, ds core.DynamicScheme) ([]core.ChurnStats, error) {
-	ops := s.ops[t]
-	if len(ops) == 0 {
-		return nil, nil
+	return applyAll(t, ds, s.ops[t]...)
+}
+
+// applyAll applies ops in order through ds.Apply and returns their stats,
+// stopping at the first failing op.
+func applyAll(t core.Slot, ds core.DynamicScheme, ops ...core.TopologyOp) ([]core.ChurnStats, error) {
+	var out []core.ChurnStats
+	for _, op := range ops {
+		st, err := ds.Apply(t, op)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, st)
 	}
-	return ds.ApplyOps(t, ops)
+	return out, nil
 }
 
 // liveCase builds a fresh churn-capable run: the live multi-tree scheme, a
@@ -62,8 +72,9 @@ func liveCase(t *testing.T, n, d int, mode core.StreamMode) (*multitree.LiveSche
 	return ls, opt
 }
 
-// churnRun executes one fully observed churned run on a fresh scheme.
-func churnRun(t *testing.T, n, d int, mode core.StreamMode) (outcome, *obs.Recorder, *obs.Metrics, uint64) {
+// churnRun executes one fully observed churned run on a fresh scheme and
+// returns the membership the run ended with beside its outputs.
+func churnRun(t *testing.T, n, d int, mode core.StreamMode) (outcome, *obs.Recorder, *obs.Metrics, []core.MemberInfo) {
 	t.Helper()
 	ls, opt := liveCase(t, n, d, mode)
 	rec, met := &obs.Recorder{}, obs.NewMetrics()
@@ -72,7 +83,7 @@ func churnRun(t *testing.T, n, d int, mode core.StreamMode) (outcome, *obs.Recor
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, rec, met, ls.Epoch()
+	return out, rec, met, ls.Members()
 }
 
 // TestChurnParity is the determinism acceptance case for the epoch-aware
@@ -81,13 +92,13 @@ func churnRun(t *testing.T, n, d int, mode core.StreamMode) (outcome, *obs.Recor
 // cells, observer event streams, and metric fingerprints.
 func TestChurnParity(t *testing.T) {
 	for _, mode := range []core.StreamMode{core.PreRecorded, core.Live} {
-		refRes, refRec, refMet, refEpoch := churnRun(t, 10, 2, mode)
-		if refEpoch == 0 {
-			t.Fatalf("%s: scripted churn applied no ops; the parity case is vacuous", mode)
+		refRes, refRec, refMet, refMembers := churnRun(t, 10, 2, mode)
+		if initial, _ := liveCase(t, 10, 2, mode); reflect.DeepEqual(refMembers, initial.Members()) {
+			t.Fatalf("%s: scripted churn left the membership as it was; the parity case is vacuous", mode)
 		}
-		res, rec, met, epoch := churnRun(t, 10, 2, mode)
-		if epoch != refEpoch {
-			t.Errorf("%s: final epoch %d, first replay %d", mode, epoch, refEpoch)
+		res, rec, met, members := churnRun(t, 10, 2, mode)
+		if !reflect.DeepEqual(members, refMembers) {
+			t.Errorf("%s: final members %v, first replay %v", mode, members, refMembers)
 		}
 		if !reflect.DeepEqual(refRes, res) {
 			t.Errorf("%s: Result or arrival cells differ from the first replay", mode)
@@ -119,12 +130,13 @@ func TestIdleChurnSourceIsIdentity(t *testing.T) {
 			opt.Churn = src
 			rec, met := &obs.Recorder{}, obs.NewMetrics()
 			opt.Observer = obs.Combine(rec, met)
+			initial := ls.Members()
 			res, err := runKeeping(slotsim.NewRunner(), ls, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", mode, err)
 			}
-			if ls.Epoch() != 0 {
-				t.Fatalf("%s: topology moved to epoch %d without any op", mode, ls.Epoch())
+			if got := ls.Members(); !reflect.DeepEqual(got, initial) {
+				t.Fatalf("%s: membership moved to %v without any op", mode, got)
 			}
 			return res, rec, met
 		}

@@ -50,13 +50,19 @@ type joinLeaveChurn struct{ max int }
 
 func (c joinLeaveChurn) MaxNodes() int { return c.max }
 func (c joinLeaveChurn) Step(t core.Slot, ds core.DynamicScheme) ([]core.ChurnStats, error) {
-	switch t {
-	case 3:
-		return ds.ApplyOps(t, []core.TopologyOp{{Name: "j1"}})
-	case 7:
-		return ds.ApplyOps(t, []core.TopologyOp{{Name: "j2"}, {Leave: true, Name: "j1"}})
+	ops := map[core.Slot][]core.TopologyOp{
+		3: {{Name: "j1"}},
+		7: {{Name: "j2"}, {Leave: true, Name: "j1"}},
+	}[t]
+	var out []core.ChurnStats
+	for _, op := range ops {
+		st, err := ds.Apply(t, op)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, st)
 	}
-	return nil, nil
+	return out, nil
 }
 
 // joinHeadroom is how many ids a churn case of finishCase reserves past its

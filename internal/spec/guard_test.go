@@ -14,8 +14,8 @@ import (
 )
 
 // bannedConstructors maps an import path to the constructor names that must
-// only be called through the scheme registry. The dynamic families
-// (multitree.NewDynamic, hypercube.NewDynamicHC) and the scheme wrappers over
+// only be called through the scheme registry. The dynamic family
+// (multitree.NewDynamic) and the scheme wrappers over
 // an already built topology (multitree.NewScheme, NewLiveScheme) stay
 // callable: the ban covers the flag-plumbing duplication the registry exists
 // to end, not the building blocks the registry itself is made of.

@@ -122,7 +122,7 @@ func liveMaxNeighborsAfterChurn(t *testing.T) {
 					joined++
 					op = core.TopologyOp{Name: fmt.Sprintf("join-%d", joined)}
 				}
-				if _, err := s.ApplyOps(core.Slot(i), []core.TopologyOp{op}); err != nil {
+				if _, err := s.Apply(core.Slot(i), op); err != nil {
 					t.Fatal(err)
 				}
 				if got, want := core.MaxNeighbors(s), mapMaxNeighbors(s); got != want {

@@ -138,13 +138,7 @@ func DelayCurves(maxN, step int, degrees []int) (string, error) {
 			if err != nil {
 				return "", err
 			}
-			s := multitree.NewScheme(m, core.PreRecorded)
-			var worst core.Slot
-			for id := 1; id <= n; id++ {
-				if v := s.AnalyticStartDelay(core.NodeID(id)); v > worst {
-					worst = v
-				}
-			}
+			worst := multitree.NewScheme(m, core.PreRecorded).WorstAnalyticStartDelay()
 			fmt.Fprintf(&b, "  %-24s %3d", strings.Repeat("#", int(worst)), worst)
 		}
 		b.WriteByte('\n')
