@@ -148,7 +148,7 @@ cover:
 # run are reported as missing, never failed — that is what lets this gate run a
 # narrow -bench filter. Refresh the baseline with `make bench-json` and point
 # BENCH_BASELINE at the new snapshot.
-BENCH_BASELINE ?= BENCH_2026-10-18-pr43.json
+BENCH_BASELINE ?= BENCH_2026-10-19-pr50.json
 GATE_BENCH = $(GO) test -bench 'SlotEngineScale/multitree-N10000/sequential' -benchtime 30x -count 5 -benchmem -run XXX . && \
 	$(GO) test -bench 'SlotEngineScale/multitree-N31000-P600/sequential' -benchtime 5x -benchmem -run XXX . && \
 	$(GO) test -bench 'SlotEngineCold/multitree-N31000-P600' -benchtime 5x -benchmem -run XXX . && \

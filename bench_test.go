@@ -583,10 +583,11 @@ func BenchmarkCheckStatic(b *testing.B) {
 	}
 }
 
-// BenchmarkNeighbors measures building the protocol-neighbour mesh, which
-// every mesh audit asks the scheme for, and, in each row's `/max` sub-row,
-// core.MaxNeighbors, which the text report's `max neighbors:` line reads
-// without building it.
+// BenchmarkNeighbors measures building the protocol-neighbour map, which
+// bench/pipeline.go's text report still asks for (the check's mesh audit
+// reads the scheme's walk instead, core.EachNeighbors), and, in each row's
+// `/max` sub-row, core.MaxNeighbors, which the CLI's `max neighbors:` line
+// reads without building it.
 func BenchmarkNeighbors(b *testing.B) {
 	for _, c := range checkBenchScenarios {
 		s := benchScheme(b, c.sc)

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -177,14 +178,15 @@ type verifier struct {
 	kids     []int32
 	spill    map[[2]int][]core.NodeID
 
-	// Mesh audit, on every run. lists is Neighbors() by id, nil for a node
-	// the scheme does not list (the source, usually); strays are listed ids
-	// outside 0..n. offMesh buffers the scheduled edges found missing during
-	// the run: they are filed after the slot-model finding and the degree
-	// audit.
-	mesh    map[core.NodeID][]core.NodeID
-	lists   [][]core.NodeID
-	strays  []core.NodeID
+	// Mesh audit, on every run. rows[id] is the [lo, hi) span of flat that
+	// holds the node's list, an id outside 0..n as -1; flat[0] is padding, so
+	// a zero span means the node is not listed (the source, usually). strays
+	// are the {id, degree} of listed ids outside 0..n. offMesh buffers the
+	// scheduled edges found missing during the run: they are filed after the
+	// slot-model finding and the degree audit.
+	rows    [][2]int32
+	flat    []int32
+	strays  [][2]int
 	offMesh []Issue
 }
 
@@ -192,7 +194,7 @@ type verifier struct {
 // runs the schedule once on the slot engine, which enforces the slot model,
 // with an observer that gathers the multi-tree evidence and tests every
 // executed edge against the mesh; the degree audit and the delay, buffer and
-// completeness cross-checks then read Neighbors() and the engine's Result.
+// completeness cross-checks then read the mesh table and the engine's Result.
 // It returns an error only for unusable configuration — the engine's own
 // refusals included; scheme defects land in the report.
 func Static(s core.Scheme, opt Options) (*Report, error) {
@@ -346,25 +348,26 @@ func residueList(mask []uint64) string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// noNeighbors stands for a listed node's empty list, so that a nil entry of
-// verifier.lists always means "not listed".
-var noNeighbors = []core.NodeID{}
-
-// loadMesh reads Neighbors() once into an id-indexed table.
+// loadMesh reads the mesh's walk (core.EachNeighbors) into the id-indexed
+// table once; the neighbor bound, when set, sizes flat.
 func (v *verifier) loadMesh() {
-	v.mesh = v.scheme.Neighbors()
-	v.lists = make([][]core.NodeID, v.n+1)
-	for id, list := range v.mesh {
-		switch {
-		case id < 0 || int(id) > v.n:
-			v.strays = append(v.strays, id)
-		case list == nil:
-			v.lists[id] = noNeighbors
-		default:
-			v.lists[id] = list
+	v.rows = make([][2]int32, v.n+1)
+	v.flat = make([]int32, 1, 1+v.n*max(v.opt.MaxNeighbors, 1))
+	core.EachNeighbors(v.scheme, func(id core.NodeID, list []core.NodeID) {
+		if id < 0 || int(id) > v.n {
+			v.strays = append(v.strays, [2]int{int(id), len(list)})
+			return
 		}
-	}
-	slices.Sort(v.strays)
+		lo := len(v.flat)
+		for _, other := range list {
+			if other < 0 || int(other) > v.n {
+				other = -1
+			}
+			v.flat = append(v.flat, int32(other))
+		}
+		v.rows[id] = [2]int32{int32(lo), int32(len(v.flat))}
+	})
+	slices.SortFunc(v.strays, func(a, b [2]int) int { return cmp.Compare(a[0], b[0]) })
 }
 
 // checkEdge tests one scheduled edge against the mesh: every edge the
@@ -374,12 +377,12 @@ func (v *verifier) loadMesh() {
 // long, so membership is a scan.
 func (v *verifier) checkEdge(t core.Slot, tx core.Transmission) {
 	for _, end := range [2]core.NodeID{tx.From, tx.To} {
-		list := v.lists[end]
-		if list == nil {
+		span := v.rows[end]
+		if span[0] == 0 {
 			continue // source side: schemes do not list the source
 		}
 		other := tx.From + tx.To - end
-		if slices.Contains(list, other) {
+		if slices.Contains(v.flat[span[0]:span[1]], int32(other)) {
 			continue
 		}
 		// One finding past the cap is enough to mark the report truncated.
@@ -407,17 +410,17 @@ func (v *verifier) auditDegrees() {
 					id, degree, v.opt.MaxNeighbors)})
 		}
 	}
-	below, _ := slices.BinarySearch(v.strays, 0) // strays are sorted and hold no id in 0..n
-	for _, id := range v.strays[:below] {
-		audit(id, len(v.mesh[id]))
+	below, _ := slices.BinarySearchFunc(v.strays, 0, func(st [2]int, id int) int { return cmp.Compare(st[0], id) })
+	for _, st := range v.strays[:below] { // sorted, and none is in 0..n
+		audit(core.NodeID(st[0]), st[1])
 	}
-	for id, list := range v.lists {
-		if list != nil {
-			audit(core.NodeID(id), len(list))
+	for id, span := range v.rows {
+		if span[0] != 0 {
+			audit(core.NodeID(id), int(span[1]-span[0]))
 		}
 	}
-	for _, id := range v.strays[below:] {
-		audit(id, len(v.mesh[id]))
+	for _, st := range v.strays[below:] {
+		audit(core.NodeID(st[0]), st[1])
 	}
 }
 

@@ -17,8 +17,8 @@
 //     relays packets of more than one residue class mod d is interior in
 //     more than one tree;
 //   - per-tree fan-out <= d and per-node neighbor degree <= the paper bound;
-//   - mesh/schedule consistency — every executed edge appears in
-//     Neighbors();
+//   - mesh/schedule consistency — every executed edge appears in both
+//     endpoints' neighbor lists;
 //   - completeness of every receiver's window, and worst-case delay and
 //     buffer, read off the engine's Result, cross-checked against the
 //     closed-form bounds of Theorem 2, Propositions 1/2, and Theorem 1.
@@ -35,11 +35,12 @@
 // violation — incomplete windows and broken bounds.
 // testdata/pinned_reports.txt pins them with their text.
 //
-// The audit tables are sized, and Neighbors() is read, at the run's first
-// slot: an oversized verification is refused by the engine's
-// core.MaxArrivalCells gate before either happens. A clean verification
-// allocates nothing per node or per transmission beyond the engine's own
-// per-run arrays.
+// The audit tables are sized, and the mesh is read into one flat id-indexed
+// table, at the run's first slot: an oversized verification is refused by the
+// engine's core.MaxArrivalCells gate before either happens. The mesh comes
+// from core.EachNeighbors, so a paper construction's walk builds no map. A
+// clean verification allocates nothing per node or per transmission beyond
+// the engine's own per-run arrays and that table.
 //
 // Entry points: Static runs the verifier with explicit Options;
 // MultiTreeOptions, HypercubeOptions and ClusterOptions derive the right

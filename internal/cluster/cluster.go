@@ -332,11 +332,11 @@ func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
 			add(s.SuperID(i), s.SuperID(s.parent[i]))
 		}
 		add(s.SuperID(i), s.LocalRootID(i))
-		for id, nbs := range s.inner[i].Neighbors() {
+		core.EachNeighbors(s.inner[i], func(id core.NodeID, nbs []core.NodeID) {
 			for _, nb := range nbs {
 				add(s.remap(i, id), s.remap(i, nb))
 			}
-		}
+		})
 	}
 	out := make(map[core.NodeID][]core.NodeID, len(set))
 	for id, nbs := range set {

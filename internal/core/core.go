@@ -87,25 +87,54 @@ type Scheme interface {
 	// vertex's partners by dimension, then its chain edges — so two calls
 	// return identical slices. Schemes that gather their mesh from sets
 	// (cluster, gossip) promise the members only: compare as sets. A caller
-	// that wants only the longest list's length asks MaxNeighbors, which
-	// builds no map for the paper constructions.
+	// that wants only the longest list's length asks MaxNeighbors, and one
+	// that reads every list once asks EachNeighbors: neither builds a map
+	// for the paper constructions.
 	Neighbors() map[NodeID][]NodeID
+}
+
+// EachNeighbors calls yield once per node s.Neighbors() lists, with that list,
+// through the walk s declares when it has a method of this signature, as the
+// paper constructions do, and over the map otherwise. list is valid only
+// during the call: a walk reuses its buffer.
+func EachNeighbors(s Scheme, yield func(id NodeID, list []NodeID)) {
+	if w, ok := s.(interface {
+		EachNeighbors(yield func(id NodeID, list []NodeID))
+	}); ok {
+		w.EachNeighbors(yield)
+		return
+	}
+	for id, list := range s.Neighbors() {
+		yield(id, list)
+	}
+}
+
+// NeighborMap collects a walk of n lists, most at most width long, into the
+// map Neighbors returns: each list is copied into one shared array and capped
+// at its length, so that appending to one never writes into the next.
+func NeighborMap(n, width int, walk func(yield func(id NodeID, list []NodeID))) map[NodeID][]NodeID {
+	out := make(map[NodeID][]NodeID, n)
+	rows := make([]NodeID, 0, n*width)
+	walk(func(id NodeID, list []NodeID) {
+		lo := len(rows)
+		rows = append(rows, list...)
+		out[id] = rows[lo:len(rows):len(rows)]
+	})
+	return out
 }
 
 // MaxNeighbors returns the length of the longest list s.Neighbors() returns,
 // 0 when it lists no node: the paper's neighbour count, its third axis beside
 // delay and buffer. A scheme that has a method MaxNeighbors() int answers
-// directly and promises exactly that length; multi-tree and the hypercube
-// derive it from the per-node walk their Neighbors uses, without building the
-// map. For every other scheme the map is built and scanned.
+// directly and promises exactly that length (the hypercube reads it off O(k)
+// vertices per cube); every other scheme's lists are read through
+// EachNeighbors, so a map is built only for a scheme without a walk.
 func MaxNeighbors(s Scheme) int {
 	if d, ok := s.(interface{ MaxNeighbors() int }); ok {
 		return d.MaxNeighbors()
 	}
 	worst := 0
-	for _, l := range s.Neighbors() {
-		worst = max(worst, len(l))
-	}
+	EachNeighbors(s, func(_ NodeID, list []NodeID) { worst = max(worst, len(list)) })
 	return worst
 }
 

@@ -3,9 +3,6 @@ package hypercube
 import (
 	"math/rand"
 	"testing"
-
-	"streamcast/internal/core"
-	"streamcast/internal/slotsim"
 )
 
 func TestPlacement(t *testing.T) {
@@ -112,40 +109,6 @@ func TestAddAwayFromBoundaryIsCheap(t *testing.T) {
 func TestAddAcrossBoundaryIsExpensive(t *testing.T) {
 	if moved := AddRelocations(14); moved != 14 {
 		t.Errorf("14->15 relocated %d members, want 14", moved)
-	}
-}
-
-// TestChurnKeepsStreaming: the chain decomposition is a pure function of N,
-// so wherever a random join/leave walk ends, the scheme built for that size
-// satisfies the full communication model.
-func TestChurnKeepsStreaming(t *testing.T) {
-	n := 20
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 150; i++ {
-		if rng.Intn(2) == 0 || n <= 2 {
-			n++
-		} else {
-			n--
-		}
-	}
-	s, err := New(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg := 1
-	for 1<<lg < n+1 {
-		lg++
-	}
-	res, err := slotsim.Run(s, slotsim.Options{
-		Slots:   core.Slot(8 + (lg+1)*(lg+1) + 4),
-		Packets: 8,
-		Mode:    core.Live,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WorstBuffer() > 2 {
-		t.Errorf("post-churn buffer %d > 2", res.WorstBuffer())
 	}
 }
 

@@ -251,22 +251,23 @@ func appendSpreads(out []core.Transmission, c cubeSpec, tau core.Slot) []core.Tr
 // Neighbors implements core.Scheme: each node's intra-cube partners (one per
 // dimension, where the partner of 2^dim(τ) in the pairing slot is the cube's
 // source/injector side) plus the chaining edges between consecutive cubes.
-// Each list is appendNeighbors' walk of its vertex, written into a row of one
-// array per cube.
+// The map collects EachNeighbors.
 func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
-	out := make(map[core.NodeID][]core.NodeID, s.n)
+	return core.NeighborMap(s.n, s.MaxNeighbors(), s.EachNeighbors)
+}
+
+// EachNeighbors yields every vertex's list cube by cube, walked by
+// appendNeighbors into one reused buffer (core.EachNeighbors); a longer list
+// moves to a larger one.
+func (s *Scheme) EachNeighbors(yield func(id core.NodeID, list []core.NodeID)) {
+	buf := make([]core.NodeID, 0, 96)
 	for _, chain := range s.groups {
 		for i, c := range chain {
-			// Only a vertex 2^b has fewer than k bit-flip partners, so only
-			// its row can outgrow k entries, and append then moves that one
-			// list out of the array.
-			rows := make([]core.NodeID, c.size()*c.k)
 			for v := 1; v < 1<<c.k; v++ {
-				out[c.id(v)] = appendNeighbors(rows[(v-1)*c.k:(v-1)*c.k:v*c.k], chain, i, v)
+				yield(c.id(v), appendNeighbors(buf[:0], chain, i, v))
 			}
 		}
 	}
-	return out
 }
 
 // MaxNeighbors returns the length of the longest list Neighbors returns

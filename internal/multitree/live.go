@@ -104,6 +104,12 @@ func (s *LiveScheme) Neighbors() map[core.NodeID][]core.NodeID {
 	return s.dy.m.Neighbors()
 }
 
+// EachNeighbors is MultiTree.EachNeighbors over the current epoch's members:
+// core.EachNeighbors without the map.
+func (s *LiveScheme) EachNeighbors(yield func(id core.NodeID, list []core.NodeID)) {
+	s.dy.m.EachNeighbors(yield)
+}
+
 // MaxNeighbors is MultiTree.MaxNeighbors over the current epoch's members:
 // core.MaxNeighbors without the map.
 func (s *LiveScheme) MaxNeighbors() int { return s.dy.m.MaxNeighbors() }

@@ -200,6 +200,11 @@ func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
 	return s.Tree.Neighbors()
 }
 
+// EachNeighbors is MultiTree.EachNeighbors: core.EachNeighbors without the map.
+func (s *Scheme) EachNeighbors(yield func(id core.NodeID, list []core.NodeID)) {
+	s.Tree.EachNeighbors(yield)
+}
+
 // MaxNeighbors is MultiTree.MaxNeighbors: core.MaxNeighbors without the map.
 func (s *Scheme) MaxNeighbors() int { return s.Tree.MaxNeighbors() }
 

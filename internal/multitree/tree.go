@@ -224,33 +224,27 @@ func (m *MultiTree) Validate() error {
 
 // Neighbors returns each real node's protocol neighbor set: its parent in
 // every tree plus its children in the tree where it is interior. This is the
-// quantity bounded by 2d in the paper, so each list is a 2d-entry row of one
-// array, filled by appendNeighbors.
+// quantity bounded by 2d in the paper. The map collects EachNeighbors.
 func (m *MultiTree) Neighbors() map[core.NodeID][]core.NodeID {
-	out := make(map[core.NodeID][]core.NodeID, m.N)
-	rows := make([]core.NodeID, m.N*2*m.D)
-	lo := 0
-	for id := core.NodeID(1); int(id) < len(m.dummy); id++ {
-		if m.IsDummy(id) {
-			continue
-		}
-		out[id] = m.appendNeighbors(rows[lo:lo:lo+2*m.D], id)
-		lo += 2 * m.D
-	}
-	return out
+	return core.NeighborMap(m.N, 2*m.D, m.EachNeighbors)
 }
 
-// MaxNeighbors returns the length of the longest list Neighbors returns,
-// walking every real node with appendNeighbors into one reused 2d-entry
-// buffer instead of building the map (core.MaxNeighbors).
-func (m *MultiTree) MaxNeighbors() int {
+// EachNeighbors yields every real node's list in ascending id order, walked by
+// appendNeighbors into one reused 2d-entry buffer (core.EachNeighbors).
+func (m *MultiTree) EachNeighbors(yield func(id core.NodeID, list []core.NodeID)) {
 	buf := make([]core.NodeID, 0, 2*m.D)
-	worst := 0
 	for id := core.NodeID(1); int(id) < len(m.dummy); id++ {
 		if !m.IsDummy(id) {
-			worst = max(worst, len(m.appendNeighbors(buf[:0], id)))
+			yield(id, m.appendNeighbors(buf[:0], id))
 		}
 	}
+}
+
+// MaxNeighbors is core.MaxNeighbors: the walk, with a closure that stays on
+// the stack here and would cost two allocations through an interface.
+func (m *MultiTree) MaxNeighbors() int {
+	worst := 0
+	m.EachNeighbors(func(_ core.NodeID, list []core.NodeID) { worst = max(worst, len(list)) })
 	return worst
 }
 

@@ -3,6 +3,7 @@ package spec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,10 +54,41 @@ func maxNeighborsParams() map[string][]string {
 	return out
 }
 
+// walkMatchesMap fails unless core.EachNeighbors yields exactly the
+// Neighbors() map: every listed id once, each with its list in the same
+// order. A scheme without a walk is read through a second map, which may
+// gather a list from a set, so its lists are compared as sets.
+func walkMatchesMap(t *testing.T, name string, s core.Scheme) {
+	t.Helper()
+	want := s.Neighbors()
+	_, walks := s.(interface {
+		EachNeighbors(func(core.NodeID, []core.NodeID))
+	})
+	core.EachNeighbors(s, func(id core.NodeID, list []core.NodeID) {
+		w, ok := want[id]
+		if !ok {
+			t.Fatalf("%s: the walk yields node %d, which the map does not list or the walk yielded before", name, id)
+		}
+		delete(want, id)
+		if !walks {
+			list, w = slices.Clone(list), slices.Clone(w)
+			slices.Sort(list)
+			slices.Sort(w)
+		}
+		if !slices.Equal(list, w) {
+			t.Fatalf("%s: node %d: the walk yields %v, the map lists %v", name, id, list, w)
+		}
+	})
+	if len(want) != 0 {
+		t.Fatalf("%s: the walk skips %d of the nodes the map lists", name, len(want))
+	}
+}
+
 // TestMaxNeighborsMatchesMap: for every registered family at its edge sizes,
-// core.MaxNeighbors equals the longest list of the Neighbors() map, and, where
-// the static check audits the mesh, the check report's MaxNeighbors; a live
-// multi-tree keeps the equality through churn.
+// core.EachNeighbors yields the Neighbors() map, core.MaxNeighbors equals its
+// longest list, and, where the static check audits the mesh, so does the
+// check report's MaxNeighbors; a live multi-tree keeps both equalities
+// through churn.
 func TestMaxNeighborsMatchesMap(t *testing.T) {
 	t.Run("live-churn", liveMaxNeighborsAfterChurn)
 	params := maxNeighborsParams()
@@ -77,6 +109,7 @@ func TestMaxNeighborsMatchesMap(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
+			walkMatchesMap(t, name, run.Scheme)
 			got, want := core.MaxNeighbors(run.Scheme), mapMaxNeighbors(run.Scheme)
 			if got != want {
 				t.Errorf("%s: core.MaxNeighbors = %d, the Neighbors() map's longest list has %d", name, got, want)
@@ -99,8 +132,8 @@ func TestMaxNeighborsMatchesMap(t *testing.T) {
 	}
 }
 
-// liveMaxNeighborsAfterChurn: a live multi-tree keeps core.MaxNeighbors
-// equal to its Neighbors() map after every op of seeded join/leave sequences
+// liveMaxNeighborsAfterChurn: a live multi-tree keeps its walk and
+// core.MaxNeighbors equal to its Neighbors() map after every op of seeded join/leave sequences
 // under the eager and the lazy policy, across level grows and shrinks.
 func liveMaxNeighborsAfterChurn(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
@@ -125,6 +158,7 @@ func liveMaxNeighborsAfterChurn(t *testing.T) {
 				if _, err := s.Apply(core.Slot(i), op); err != nil {
 					t.Fatal(err)
 				}
+				walkMatchesMap(t, fmt.Sprintf("lazy=%v d=%d after op %d", lazy, d, i), s)
 				if got, want := core.MaxNeighbors(s), mapMaxNeighbors(s); got != want {
 					t.Fatalf("lazy=%v d=%d after op %d (%+v, %d members): core.MaxNeighbors = %d, map reads %d",
 						lazy, d, i, op, dy.N(), got, want)
