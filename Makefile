@@ -130,8 +130,10 @@ cover:
 # Runner, the same row on a cold Runner per iteration, whose B/op counts the
 # arrival ledger itself, BenchmarkBuildReport on the churn-faulted shape,
 # BenchmarkFaultedChurnRun (that shape's build, faulted run and report),
-# BenchmarkCheckStatic's two paper constructions, and the N = 10^4 row group
-# of the randreg table (BenchmarkRandRegFrontierRow/N10000) —
+# BenchmarkCheckStatic's two paper constructions, the N = 10^4 row group
+# of the randreg table (BenchmarkRandRegFrontierRow/N10000), and the stateful
+# generators' schedules alone (BenchmarkRandRegSchedule's pull and push rows,
+# BenchmarkGossipSchedule) —
 # held to B/op and allocs/op only (-memory-only): their ns/op reads 0.4–1.5 s
 # for one binary on a shared host, while what they allocate repeats exactly,
 # and a window matrix back on the heap, or an int32 cell per node per packet
@@ -140,7 +142,9 @@ cover:
 # ≈ 19 MB; an int32 arrival matrix of the verifier's own back in check.Static,
 # ≈ 26 MB on the multi-tree row; a boxed heap back in the latin plan, ≈ 255 k
 # more allocs on the randreg row; a digraph drawn per mode rather than per
-# seed, 57 → 72 MB there, sits on the bound's edge). Memory
+# seed, 57 → 72 MB there, sits on the bound's edge; a per-run log of every
+# generated slot back in the generators, ≈ 0.2–0.3 MB → 22–32 MB on the
+# schedule rows and ≈ 24 → 58 MB on the randreg row). Memory
 # past 25% fails; time past 50%, because the fastest of five still reads
 # 2.5–3.6 ms for the same binary on a two-core host shared with other
 # containers (the baseline before this one said 6.23 ms for a row that measures
@@ -148,7 +152,7 @@ cover:
 # run are reported as missing, never failed — that is what lets this gate run a
 # narrow -bench filter. Refresh the baseline with `make bench-json` and point
 # BENCH_BASELINE at the new snapshot.
-BENCH_BASELINE ?= BENCH_2026-10-19-pr50.json
+BENCH_BASELINE ?= BENCH_2026-10-19-pr52.json
 GATE_BENCH = $(GO) test -bench 'SlotEngineScale/multitree-N10000/sequential' -benchtime 30x -count 5 -benchmem -run XXX . && \
 	$(GO) test -bench 'SlotEngineScale/multitree-N31000-P600/sequential' -benchtime 5x -benchmem -run XXX . && \
 	$(GO) test -bench 'SlotEngineCold/multitree-N31000-P600' -benchtime 5x -benchmem -run XXX . && \
@@ -156,11 +160,12 @@ GATE_BENCH = $(GO) test -bench 'SlotEngineScale/multitree-N10000/sequential' -be
 	$(GO) test -bench '^BenchmarkBuildReport$$' -benchtime 5x -benchmem -run XXX . && \
 	$(GO) test -bench '^BenchmarkFaultedChurnRun$$' -benchtime 5x -benchmem -run XXX . && \
 	$(GO) test -bench '^BenchmarkCheckStatic/' -benchtime 5x -benchmem -run XXX . && \
-	$(GO) test -bench '^BenchmarkRandRegFrontierRow/N10000$$' -benchtime 5x -benchmem -run XXX .
+	$(GO) test -bench '^BenchmarkRandRegFrontierRow/N10000$$' -benchtime 5x -benchmem -run XXX . && \
+	$(GO) test -bench '^Benchmark(RandRegSchedule|GossipSchedule)$$' -benchtime 5x -benchmem -run XXX .
 bench-gate:
 	@snap=$$(mktemp); \
 	{ $(GATE_BENCH); } | $(GO) run ./cmd/benchdiff -write $$snap || { rm -f $$snap; exit 1; }; \
-	$(GO) run ./cmd/benchdiff -old $(BENCH_BASELINE) -new $$snap -threshold 0.25 -time-threshold 0.5 -memory-only 'N31000-P600|^BenchmarkFinish$$|^BenchmarkBuildReport$$|^BenchmarkFaultedChurnRun$$|^BenchmarkCheckStatic/|^BenchmarkRandRegFrontierRow/N10000$$'; \
+	$(GO) run ./cmd/benchdiff -old $(BENCH_BASELINE) -new $$snap -threshold 0.25 -time-threshold 0.5 -memory-only 'N31000-P600|^BenchmarkFinish$$|^BenchmarkBuildReport$$|^BenchmarkFaultedChurnRun$$|^BenchmarkCheckStatic/|^BenchmarkRandRegFrontierRow/N10000$$|^BenchmarkRandRegSchedule/|^BenchmarkGossipSchedule$$'; \
 	status=$$?; rm -f $$snap; exit $$status
 
 # The size of the program: non-test, non-testdata Go lines under internal/

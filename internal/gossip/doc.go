@@ -10,16 +10,16 @@
 // The mesh honours the same communication model as the structured schemes:
 // one send and one receive per node per slot, packets usable one slot
 // after arrival. The schedule is generated slot by slot from a seeded
-// deterministic random stream, so runs are reproducible and replayable by
-// both simulation engines.
+// deterministic random stream, so runs are reproducible and replayable.
 //
 // Generation costs O(N) per slot and allocates nothing once warm: each
 // node's have-set is a bitset with a lowest-missing frontier, a pull scans
 // target &^ puller a word at a time from that frontier (first set bit,
 // last, or popcount-and-select, by strategy), and the slot's scratch
-// buffers are reused. Generated slots go into a core.SlotLog — the packed
-// append-only store randreg's pull and push modes share — and every read,
-// first or replayed, materialises from it. reference_test.go keeps the
+// buffers are reused. No slot is stored: Transmissions returns the reused
+// buffer of the slot just generated, and a read of an earlier slot rewinds
+// — re-seeds the stream, redraws the mesh and regenerates from slot 0 — as
+// randreg's pull and push modes do. reference_test.go keeps the
 // original map-and-sort generator and requires identical schedules.
 //
 // Entry points: New(n, d, degree, strategy, seed) builds the mesh as a

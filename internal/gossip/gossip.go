@@ -44,6 +44,7 @@ type Scheme struct {
 	d        int // source capacity
 	degree   int // neighbor-set size
 	strategy Strategy
+	seed     int64
 	rng      *rand.Rand
 	nbrs     [][]core.NodeID // per node (1..n), may include the source
 
@@ -57,14 +58,13 @@ type Scheme struct {
 
 	// Per-slot scratch, reused so a slot allocates nothing once warm: the
 	// request order, how many requests each node has served, and the
-	// slot's transmissions before they enter the log.
+	// slot's transmissions, which Transmissions returns.
 	order  []int32
 	served []int32
 	txs    []core.Transmission
 
-	// log holds every generated slot for replay; log.Len() is the first
-	// slot not yet generated.
-	log core.SlotLog
+	// gen is the number of slots generated so far; txs holds the last.
+	gen core.Slot
 }
 
 // New builds a gossip mesh over n receivers with the given neighbor-set
@@ -80,7 +80,7 @@ func New(n, d, degree int, strategy Strategy, seed int64) (*Scheme, error) {
 		return nil, fmt.Errorf("gossip: neighbor degree must be >= 1, got %d", degree)
 	}
 	s := &Scheme{
-		n: n, d: d, degree: degree, strategy: strategy,
+		n: n, d: d, degree: degree, strategy: strategy, seed: seed,
 		rng:    rand.New(rand.NewSource(seed)),
 		nbrs:   make([][]core.NodeID, n+1),
 		have:   make([][]uint64, n+1),
@@ -88,12 +88,20 @@ func New(n, d, degree int, strategy Strategy, seed int64) (*Scheme, error) {
 		order:  make([]int32, n),
 		served: make([]int32, n+1),
 	}
-	// Random mesh: every node gets `degree` distinct neighbors — or the
-	// n-1 peers that exist, when degree asks for more; d random nodes
-	// additionally adopt the source, so new data has entry points.
+	s.drawMesh()
+	return s, nil
+}
+
+// drawMesh draws the random mesh from the seeded stream: every node gets
+// `degree` distinct neighbors — or the n-1 peers that exist, when degree
+// asks for more; d random nodes additionally adopt the source, so new data
+// has entry points. The protocol's draws continue the same stream.
+func (s *Scheme) drawMesh() {
+	n := s.n
 	for i := 1; i <= n; i++ {
+		s.nbrs[i] = s.nbrs[i][:0]
 		seen := map[core.NodeID]bool{core.NodeID(i): true}
-		for len(s.nbrs[i]) < degree && len(seen) < n {
+		for len(s.nbrs[i]) < s.degree && len(seen) < n {
 			nb := core.NodeID(1 + s.rng.Intn(n))
 			if !seen[nb] {
 				seen[nb] = true
@@ -101,11 +109,10 @@ func New(n, d, degree int, strategy Strategy, seed int64) (*Scheme, error) {
 			}
 		}
 	}
-	for g := 0; g < d && g < n; g++ {
+	for g := 0; g < s.d && g < n; g++ {
 		who := core.NodeID(1 + s.rng.Intn(n))
 		s.nbrs[who] = append(s.nbrs[who], core.SourceID)
 	}
-	return s, nil
 }
 
 // Name implements core.Scheme.
@@ -170,13 +177,39 @@ func (s *Scheme) give(id core.NodeID, p core.Packet) {
 	s.low[id] = lo
 }
 
-// Transmissions implements core.Scheme. Slots are generated in order up to
-// t; every read, first or replayed, is served from the log.
+// Transmissions implements core.Scheme. Slots are generated forward to t; a
+// read of a slot before the last one generated rewinds first. The slice is
+// the reused slot buffer, valid until the next call, and nil for a slot
+// with no transmissions.
 func (s *Scheme) Transmissions(t core.Slot) []core.Transmission {
-	for s.log.Len() <= t {
-		s.generate(s.log.Len())
+	if t < 0 {
+		return nil
 	}
-	return s.log.Transmissions(t)
+	if t < s.gen-1 {
+		s.rewind()
+	}
+	for ; s.gen <= t; s.gen++ {
+		s.generate(s.gen)
+	}
+	if len(s.txs) == 0 {
+		return nil
+	}
+	return s.txs[:len(s.txs):len(s.txs)]
+}
+
+// rewind returns the mesh to its state before slot 0. math/rand's state
+// cannot be copied, so the stream is re-seeded and the mesh drawn again,
+// which leaves the stream where New left it; the have-sets are emptied in
+// place. The schedule is a deterministic function of that state, so
+// regenerating replays it exactly.
+func (s *Scheme) rewind() {
+	s.rng.Seed(s.seed)
+	s.drawMesh()
+	for i := range s.have {
+		s.have[i] = s.have[i][:0]
+	}
+	clear(s.low)
+	s.gen = 0
 }
 
 // generate rolls the pull protocol forward by one slot.
@@ -213,7 +246,6 @@ func (s *Scheme) generate(t core.Slot) {
 	for _, tx := range txs {
 		s.give(tx.To, tx.Packet)
 	}
-	s.log.Append(txs)
 	s.txs = txs
 }
 

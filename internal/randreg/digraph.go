@@ -7,8 +7,8 @@ import (
 )
 
 // Digraph is a simple d-regular digraph on nodes 0..Nodes-1 (node 0 is the
-// stream source) carrying a proper d-edge-coloring: Out[v][k] is the head
-// of v's color-k out-edge and In[v][k] the tail of its color-k in-edge.
+// stream source) carrying a proper d-edge-coloring: Out[v*D+k] is the head
+// of v's color-k out-edge and In[v*D+k] the tail of its color-k in-edge.
 // Regularity makes every color class a permutation of the node set, which
 // is what the latin schedule mode exploits: at slot t every node fires its
 // color-(t mod d) out-edge, so per-slot send and receive load is exactly 1.
@@ -17,11 +17,12 @@ type Digraph struct {
 	Nodes int
 	// D is the in- and out-degree of every node.
 	D int
-	// Out[v][k] is the head of v's color-k out-edge.
-	Out [][]int
-	// In[v][k] is the tail of v's color-k in-edge; In is the per-color
+	// Out[v*D+k] is the head of v's color-k out-edge: node v's row is
+	// Out[v*D : (v+1)*D].
+	Out []int32
+	// In[v*D+k] is the tail of v's color-k in-edge; In is the per-color
 	// inverse of Out.
-	In [][]int
+	In []int32
 	// Seed is the splitmix64 state that produced the accepted pairing,
 	// after simplicity repair and connectivity retries. Equal NewDigraph
 	// seeds always yield equal accepted Seeds (the retry chain is part of
@@ -154,26 +155,6 @@ func stronglyConnected(nodes, d int, to []int) bool {
 	return reach(to) && reach(rev)
 }
 
-// intRows returns nodes rows of d ints, every entry set to fill, cut from one
-// backing array: two allocations however many nodes. Rows are capacity-
-// clamped, so an append to one cannot run into the next.
-func intRows(nodes, d, fill int) [][]int {
-	flat := make([]int, nodes*d)
-	for i := range flat {
-		flat[i] = fill
-	}
-	return rowsOf(flat, nodes, d)
-}
-
-// rowsOf cuts flat into nodes capacity-clamped rows of d.
-func rowsOf(flat []int, nodes, d int) [][]int {
-	rows := make([][]int, nodes)
-	for v := range rows {
-		rows[v] = flat[v*d : (v+1)*d : (v+1)*d]
-	}
-	return rows
-}
-
 // colorEdges computes a proper d-edge-coloring of the simple d-regular
 // digraph given by the head list, filling g.Out and g.In. Viewing tails and
 // heads as the two sides of a d-regular bipartite graph, König's theorem
@@ -182,12 +163,12 @@ func rowsOf(flat []int, nodes, d int) [][]int {
 // tail's and head's free colors differ.
 func (g *Digraph) colorEdges(to []int) {
 	nodes, d := g.Nodes, g.D
-	outc := make([]int, nodes*d) // outc[v·d+c] = head of v's color-c edge, -1 free
-	inc := make([]int, nodes*d)  // inc[u·d+c] = tail of u's color-c edge, -1 free
+	outc := make([]int32, nodes*d) // outc[v·d+c] = head of v's color-c edge, -1 free
+	inc := make([]int32, nodes*d)  // inc[u·d+c] = tail of u's color-c edge, -1 free
 	for i := range outc {
 		outc[i], inc[i] = -1, -1
 	}
-	free := func(slots []int) int {
+	free := func(slots []int32) int {
 		for c, w := range slots {
 			if w == -1 {
 				return c
@@ -215,18 +196,18 @@ func (g *Digraph) colorEdges(to []int) {
 					if w == -1 {
 						break
 					}
-					wa, wb := w*d+a, w*d+b
+					wa, wb := int(w)*d+a, int(w)*d+b
 					y := outc[wb]
 					outc[wa], outc[wb] = y, outc[wa]
 					if y == -1 {
 						break
 					}
-					x = y
+					x = int(y)
 				}
 			}
-			outc[v*d+a] = u
-			inc[u*d+a] = v
+			outc[v*d+a] = int32(u)
+			inc[u*d+a] = int32(v)
 		}
 	}
-	g.Out, g.In = rowsOf(outc, nodes, d), rowsOf(inc, nodes, d)
+	g.Out, g.In = outc, inc
 }

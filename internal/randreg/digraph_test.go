@@ -11,16 +11,20 @@ import (
 // checkRegular asserts the structural contract of an accepted digraph:
 // in-degree = out-degree = d at every node, no self-loops, no multi-edges,
 // and a proper coloring (every color class is a permutation with In the
-// per-color inverse of Out).
+// per-color inverse of Out). Both tables are flat rows of D, node v's colors
+// at v*D .. v*D+D-1.
 func checkRegular(t *testing.T, g *Digraph) {
 	t.Helper()
+	if len(g.Out) != g.Nodes*g.D || len(g.In) != g.Nodes*g.D {
+		t.Fatalf("Out/In hold %d/%d entries, want %d nodes × %d colors", len(g.Out), len(g.In), g.Nodes, g.D)
+	}
 	for v := 0; v < g.Nodes; v++ {
-		if len(g.Out[v]) != g.D || len(g.In[v]) != g.D {
-			t.Fatalf("node %d: degree lists have %d/%d colors, want %d", v, len(g.Out[v]), len(g.In[v]), g.D)
-		}
 		heads := map[int]bool{}
 		for k := 0; k < g.D; k++ {
-			u := g.Out[v][k]
+			u := int(g.Out[v*g.D+k])
+			if u < 0 || u >= g.Nodes {
+				t.Fatalf("node %d: color-%d head %d out of range", v, k, u)
+			}
 			if u == v {
 				t.Fatalf("node %d: self-loop on color %d", v, k)
 			}
@@ -28,7 +32,7 @@ func checkRegular(t *testing.T, g *Digraph) {
 				t.Fatalf("node %d: multi-edge to %d", v, u)
 			}
 			heads[u] = true
-			if g.In[u][k] != v {
+			if int(g.In[u*g.D+k]) != v {
 				t.Fatalf("color %d: In is not the inverse of Out at edge %d->%d", k, v, u)
 			}
 		}
@@ -39,7 +43,7 @@ func checkRegular(t *testing.T, g *Digraph) {
 	indeg := make([]int, g.Nodes)
 	for v := 0; v < g.Nodes; v++ {
 		for k := 0; k < g.D; k++ {
-			indeg[g.Out[v][k]]++
+			indeg[g.Out[v*g.D+k]]++
 		}
 	}
 	for v, c := range indeg {
@@ -62,11 +66,11 @@ func TestDigraphRegularity(t *testing.T) {
 			t.Fatalf("nodes=%d d=%d seed=%d: %v", nodes, d, seed, err)
 		}
 		checkRegular(t, g)
-		flat := make([]int, 0, nodes*d)
-		for v := 0; v < nodes; v++ {
-			flat = append(flat, g.Out[v]...)
+		heads := make([]int, len(g.Out))
+		for e, u := range g.Out {
+			heads[e] = int(u)
 		}
-		if !stronglyConnected(nodes, d, flat) {
+		if !stronglyConnected(nodes, d, heads) {
 			t.Fatalf("nodes=%d d=%d seed=%d: accepted graph is not strongly connected", nodes, d, seed)
 		}
 	}
@@ -170,8 +174,8 @@ func TestDigraphQuickProperties(t *testing.T) {
 		for v := 0; v < nodes; v++ {
 			heads := map[int]bool{}
 			for k := 0; k < d; k++ {
-				u := g.Out[v][k]
-				if u == v || heads[u] || g.In[u][k] != v {
+				u := int(g.Out[v*d+k])
+				if u == v || heads[u] || int(g.In[u*d+k]) != v {
 					return false
 				}
 				heads[u] = true

@@ -20,14 +20,14 @@ const latinInf = 1 << 30
 
 // latinPlan is the per-edge delay/residue assignment of the latin mode.
 type latinPlan struct {
-	// resOf[u][k] is the packet residue assigned to u's color-k in-edge,
+	// resOf[u*d+k] is the packet residue assigned to u's color-k in-edge,
 	// or -1 when the greedy assignment could not serve the edge (its
 	// residues were all claimed by other colors first); the run then
 	// degrades to missing packets, never to a schedule violation.
-	resOf [][]int
-	// delay[u][k] is the edge's delivery lag: packets p on that edge
-	// arrive at slot p + delay[u][k].
-	delay [][]int
+	resOf []int32
+	// delay[u*d+k] is the edge's delivery lag: packets p on that edge
+	// arrive at slot p + delay[u*d+k]; latinInf for an unserved edge.
+	delay []int32
 	// steady is the largest finite delay: from that slot on every edge of
 	// the plan fires each period, so the schedule is exactly periodic.
 	steady core.Slot
@@ -59,8 +59,11 @@ type latinPlan struct {
 func newLatinPlan(g *Digraph) *latinPlan {
 	nodes, d := g.Nodes, g.D
 	p := &latinPlan{
-		resOf: intRows(nodes, d, -1),
-		delay: intRows(nodes, d, latinInf),
+		resOf: make([]int32, nodes*d),
+		delay: make([]int32, nodes*d),
+	}
+	for e := range p.resOf {
+		p.resOf[e], p.delay[e] = -1, latinInf
 	}
 
 	// colorTaken[v·d+k] / resDone[v·d+r] make acceptance first come, first
@@ -74,7 +77,8 @@ func newLatinPlan(g *Digraph) *latinPlan {
 	// slot offset at which the tail can forward: the source holds packet p
 	// from slot p (offset 0), a receiver strictly after it received it.
 	fanOut := func(u, r, uLag int) {
-		for c, w := range g.Out[u] {
+		for c, head := range g.Out[u*d : (u+1)*d] {
+			w := int(head)
 			if w == 0 || resDone[w*d+r] || colorTaken[w*d+c] {
 				continue
 			}
@@ -102,8 +106,8 @@ func newLatinPlan(g *Digraph) *latinPlan {
 			}
 			resDone[v*d+r] = true
 			colorTaken[v*d+k] = true
-			p.resOf[v][k] = r
-			p.delay[v][k] = delay
+			p.resOf[e] = int32(r)
+			p.delay[e] = int32(delay)
 			p.steady = core.Slot(delay)
 			fanOut(v, r, delay)
 		}

@@ -13,9 +13,11 @@ import (
 // refGossip is the pull/push generator this package shipped before the
 // slot-log rewrite, kept as the differential reference: a fresh rng.Perm
 // and a fresh counter slice per slot, an append-grown slice per slot in a
-// memo. It shares the digraph with Scheme and nothing of the protocol.
+// memo, the source's holdings a branch on the slot. It shares the digraph
+// with Scheme, cut into per-node rows of its own, and nothing of the
+// protocol.
 type refGossip struct {
-	g        *Digraph
+	in, out  [][]int
 	mode     Mode
 	n, d     int
 	rng      *stats.SplitMix64
@@ -31,7 +33,7 @@ func newRefGossip(t *testing.T, n, degree int, mode Mode, seed int64) *refGossip
 		t.Fatal(err)
 	}
 	return &refGossip{
-		g: s.g, mode: mode, n: n, d: degree,
+		in: unflatten(s.g.In, degree), out: unflatten(s.g.Out, degree), mode: mode, n: n, d: degree,
 		rng:  stats.NewSplitMix64(stats.NewSplitMix64(uint64(seed)).Uint64() ^ 0xA5A5A5A5A5A5A5A5),
 		next: make([]core.Packet, n+1),
 	}
@@ -60,7 +62,7 @@ func (r *refGossip) generate(t core.Slot) {
 		for _, oi := range order {
 			v := oi + 1
 			p := r.next[v]
-			u := r.g.In[v][r.rng.Intn(r.d)]
+			u := r.in[v][r.rng.Intn(r.d)]
 			if !r.holds(u, p, t) || served[u] >= 1 {
 				continue
 			}
@@ -71,7 +73,7 @@ func (r *refGossip) generate(t core.Slot) {
 		order := r.rng.Perm(r.n + 1)
 		got := make([]int, r.n+1)
 		for _, v := range order {
-			w := r.g.Out[v][r.rng.Intn(r.d)]
+			w := r.out[v][r.rng.Intn(r.d)]
 			if w == 0 {
 				continue
 			}
@@ -132,13 +134,45 @@ func TestGossipModesMatchReference(t *testing.T) {
 	}
 }
 
+// unflatten cuts a flat table of d entries per node into one []int row per node.
+func unflatten(flat []int32, d int) [][]int {
+	rows := make([][]int, len(flat)/d)
+	for v := range rows {
+		for _, x := range flat[v*d : (v+1)*d] {
+			rows[v] = append(rows[v], int(x))
+		}
+	}
+	return rows
+}
+
+// flatten lays per-node rows end to end: the v*d+k layout of Digraph and
+// latinPlan, so the reference's rows compare with them entry for entry.
+func flatten(rows [][]int) []int32 {
+	var flat []int32
+	for _, row := range rows {
+		for _, x := range row {
+			flat = append(flat, int32(x))
+		}
+	}
+	return flat
+}
+
 // The construction below is what this package shipped before its per-node
-// slices became rows of one backing array: one small slice per node in the
-// coloring, the reachability check and the latin plan, a fresh chain slice
-// per Kempe flip that is cleared and then recolored edge by edge, a boxed
-// container/heap of latin candidates, a set and a sort closure per node in
-// Neighbors, an append-grown slice per latin slot. Kept, like refGossip, as
-// the differential reference for TestConstructionMatchesReference.
+// slices became rows of one backing array and then flat int32 tables: one
+// small slice per node in the coloring, the reachability check and the
+// latin plan, a fresh chain slice per Kempe flip that is cleared and then
+// recolored edge by edge, a boxed container/heap of latin candidates, a set
+// and a sort closure per node in Neighbors, an append-grown slice per latin
+// slot. Kept, like refGossip, as the differential reference for
+// TestConstructionMatchesReference.
+
+// refGraph is the reference's digraph: Out[v][k] the head of v's color-k
+// out-edge, In[v][k] the tail of its color-k in-edge.
+type refGraph struct {
+	Nodes, D int
+	Out, In  [][]int
+	Seed     uint64
+}
 
 func refStronglyConnected(nodes, d int, to []int) bool {
 	reach := func(forward bool) bool {
@@ -231,13 +265,13 @@ func refColorEdges(nodes, d int, to []int) (outc, inc [][]int) {
 
 // refDigraph is NewDigraph over the reference pieces (pairing is shared: it
 // owns the seeded draws and did not change).
-func refDigraph(t *testing.T, nodes, d int, seed uint64) *Digraph {
+func refDigraph(t *testing.T, nodes, d int, seed uint64) *refGraph {
 	t.Helper()
 	s := seed
 	for try := 0; try < redrawAttempts; try++ {
 		to, ok := pairing(nodes, d, s)
 		if ok && refStronglyConnected(nodes, d, to) {
-			g := &Digraph{Nodes: nodes, D: d, Seed: s}
+			g := &refGraph{Nodes: nodes, D: d, Seed: s}
 			g.Out, g.In = refColorEdges(nodes, d, to)
 			return g
 		}
@@ -279,7 +313,7 @@ func (h *candHeap) Pop() interface{} {
 	return x
 }
 
-func refLatinPlan(g *Digraph) (resOf, delay [][]int, steady core.Slot) {
+func refLatinPlan(g *refGraph) (resOf, delay [][]int, steady core.Slot) {
 	nodes, d := g.Nodes, g.D
 	resOf = make([][]int, nodes)
 	delay = make([][]int, nodes)
@@ -331,7 +365,7 @@ func refLatinPlan(g *Digraph) (resOf, delay [][]int, steady core.Slot) {
 	return resOf, delay, steady
 }
 
-func refLatinSlot(g *Digraph, n int, delays [][]int, t core.Slot) []core.Transmission {
+func refLatinSlot(g *refGraph, n int, delays [][]int, t core.Slot) []core.Transmission {
 	k := int(t) % g.D
 	var txs []core.Transmission
 	for u := 1; u <= n; u++ {
@@ -352,7 +386,7 @@ func refLatinSlot(g *Digraph, n int, delays [][]int, t core.Slot) []core.Transmi
 	return txs
 }
 
-func refNeighbors(g *Digraph, n int) map[core.NodeID][]core.NodeID {
+func refNeighbors(g *refGraph, n int) map[core.NodeID][]core.NodeID {
 	out := make(map[core.NodeID][]core.NodeID, n)
 	for v := 1; v <= n; v++ {
 		seen := map[int]bool{v: true}
@@ -376,7 +410,7 @@ func refNeighbors(g *Digraph, n int) map[core.NodeID][]core.NodeID {
 // the N = 10 000, d = 3 graphs of the randreg table's trial seeds, whose Kempe
 // chains are the longest) the flat-array construction yields the reference's
 // accepted seed, coloring, latin plan, latin slots and neighbor lists, order
-// included; and the reachability test agrees with the reference's on every
+// included — the reference's rows flattened to the v*d+k layout; and the reachability test agrees with the reference's on every
 // pairing the redraw chain visits, rejected ones too.
 func TestConstructionMatchesReference(t *testing.T) {
 	cases := []struct {
@@ -397,11 +431,11 @@ func TestConstructionMatchesReference(t *testing.T) {
 			}
 			ref := refDigraph(t, c.n+1, c.degree, uint64(seed))
 			g := s.g
-			if g.Seed != ref.Seed || !reflect.DeepEqual(g.Out, ref.Out) || !reflect.DeepEqual(g.In, ref.In) {
+			if g.Seed != ref.Seed || !reflect.DeepEqual(g.Out, flatten(ref.Out)) || !reflect.DeepEqual(g.In, flatten(ref.In)) {
 				t.Fatalf("n=%d d=%d seed=%d: digraph differs from the reference", c.n, c.degree, seed)
 			}
 			resOf, delay, steady := refLatinPlan(ref)
-			if s.plan.steady != steady || !reflect.DeepEqual(s.plan.resOf, resOf) || !reflect.DeepEqual(s.plan.delay, delay) {
+			if s.plan.steady != steady || !reflect.DeepEqual(s.plan.resOf, flatten(resOf)) || !reflect.DeepEqual(s.plan.delay, flatten(delay)) {
 				t.Fatalf("n=%d d=%d seed=%d: latin plan differs from the reference", c.n, c.degree, seed)
 			}
 			for u := core.Slot(0); u < steady+core.Slot(2*c.degree); u++ {

@@ -12,10 +12,11 @@
 //     missing packet from a uniformly random in-neighbor.
 //   - push: the symmetric out-neighbor push.
 //
-// Pull and push are simulation state, not closed forms: slots are generated
-// once, in order, into a core.SlotLog (the packed store internal/gossip
-// shares) and every read materialises from it, so replays and out-of-order
-// reads observe one schedule.
+// Pull and push are simulation state, not closed forms: the generator keeps
+// only its current O(N) state and builds slots in order into one reused
+// buffer. A read of an earlier slot rewinds — re-seeds the protocol stream
+// and regenerates from slot 0 — so replays and out-of-order reads observe
+// one schedule without the schedule ever being stored.
 //
 // Every bit of randomness derives from one splitmix64 seed, so runs are
 // exactly reproducible; guarantees are probabilistic (best effort), and the
@@ -82,19 +83,19 @@ type Scheme struct {
 	// Latin mode: the precomputed edge plan.
 	plan *latinPlan
 
-	// Pull/push modes: lazy stateful generation in slot order into a slot
-	// log for replay (both engines and repeated runs must observe identical
-	// schedules); log.Len() is the first slot not yet generated. next[v] is
-	// the holdings frontier: in-order transfer means node v holds exactly
-	// the packets below next[v]. order, busy and txs are per-slot scratch,
-	// reused so a slot allocates nothing once warm; txs is latinSlot's
-	// output buffer too.
-	rng   *stats.SplitMix64
-	next  []core.Packet
-	order []int
-	busy  []bool
-	txs   []core.Transmission
-	log   core.SlotLog
+	// Pull/push modes: stateful generation in slot order. gen is the number
+	// of slots generated so far and txs holds the last of them; start is the
+	// protocol stream's initial state, which rewind restores. next[v] is the
+	// holdings frontier: in-order transfer means node v holds exactly the
+	// packets below next[v], and the live source's next[0] is the current
+	// slot + 1. order and busy are per-slot scratch, reused so a slot
+	// allocates nothing once warm; txs is latinSlot's output buffer too.
+	rng, start stats.SplitMix64
+	gen        core.Slot
+	next       []core.Packet
+	order      []int
+	busy       []bool
+	txs        []core.Transmission
 }
 
 var _ core.Scheme = (*Scheme)(nil)
@@ -115,7 +116,8 @@ func New(g *Digraph, mode Mode, seed int64) (*Scheme, error) {
 	case Pull, Push:
 		// The protocol stream is split from the construction stream so the
 		// graph for a given seed never depends on the mode.
-		s.rng = stats.NewSplitMix64(stats.NewSplitMix64(uint64(seed)).Uint64() ^ 0xA5A5A5A5A5A5A5A5)
+		s.start = *stats.NewSplitMix64(stats.NewSplitMix64(uint64(seed)).Uint64() ^ 0xA5A5A5A5A5A5A5A5)
+		s.rng = s.start
 		s.next = make([]core.Packet, n+1)
 		s.order = make([]int, n+1)
 		s.busy = make([]bool, n+1)
@@ -150,9 +152,9 @@ func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
 	rows := make([]core.NodeID, s.n*2*s.d)
 	for v := 1; v <= s.n; v++ {
 		list := rows[(v-1)*2*s.d : (v-1)*2*s.d : v*2*s.d]
-		for k := 0; k < s.d; k++ {
-			list = core.AppendNeighbor(list, core.NodeID(s.g.In[v][k]))
-			list = core.AppendNeighbor(list, core.NodeID(s.g.Out[v][k]))
+		for e := v * s.d; e < (v+1)*s.d; e++ {
+			list = core.AppendNeighbor(list, core.NodeID(s.g.In[e]))
+			list = core.AppendNeighbor(list, core.NodeID(s.g.Out[e]))
 		}
 		slices.Sort(list)
 		out[core.NodeID(v)] = list
@@ -170,7 +172,10 @@ func (s *Scheme) MaxDelay() core.Slot {
 	return 0
 }
 
-// Transmissions implements core.Scheme.
+// Transmissions implements core.Scheme. In the pull and push modes slots
+// are generated forward to t; a read of a slot before the last one generated
+// rewinds first. The slice is the reused slot buffer, valid until the next
+// call, and nil for a slot with no transmissions.
 func (s *Scheme) Transmissions(t core.Slot) []core.Transmission {
 	if t < 0 {
 		return nil
@@ -178,10 +183,25 @@ func (s *Scheme) Transmissions(t core.Slot) []core.Transmission {
 	if s.mode == Latin {
 		return s.latinSlot(t)
 	}
-	for s.log.Len() <= t {
-		s.generate(s.log.Len())
+	if t < s.gen-1 {
+		s.rewind()
 	}
-	return s.log.Transmissions(t)
+	for ; s.gen <= t; s.gen++ {
+		s.generate(s.gen)
+	}
+	if len(s.txs) == 0 {
+		return nil
+	}
+	return s.txs[:len(s.txs):len(s.txs)]
+}
+
+// rewind returns the pull or push generator to its state before slot 0:
+// the protocol stream re-seeded, every frontier cleared. The schedule is a
+// deterministic function of that state, so regenerating replays it exactly.
+func (s *Scheme) rewind() {
+	s.rng = s.start
+	clear(s.next)
+	s.gen = 0
 }
 
 // latinSlot emits phase k = t mod d: every live color-k edge (v→u) delivers
@@ -191,7 +211,8 @@ func (s *Scheme) latinSlot(t core.Slot) []core.Transmission {
 	k := int(t) % s.d
 	txs := s.txs[:0]
 	for u := 1; u <= s.n; u++ {
-		delay := s.plan.delay[u][k]
+		e := u*s.d + k
+		delay := s.plan.delay[e]
 		if delay >= latinInf {
 			continue
 		}
@@ -200,7 +221,7 @@ func (s *Scheme) latinSlot(t core.Slot) []core.Transmission {
 			continue
 		}
 		txs = append(txs, core.Transmission{
-			From:   core.NodeID(s.g.In[u][k]),
+			From:   core.NodeID(s.g.In[e]),
 			To:     core.NodeID(u),
 			Packet: core.Packet(int(p)),
 		})
@@ -212,52 +233,45 @@ func (s *Scheme) latinSlot(t core.Slot) []core.Transmission {
 // generate rolls the pull or push protocol forward by one slot. All
 // decisions are made against the pre-slot state, one random draw per node
 // in a seeded random priority order, so the schedule is a deterministic
-// function of the seed alone.
+// function of the seed alone. A node u can serve packet p when next[u] > p:
+// receivers hold the in-order prefix below their frontier, and the live
+// source, whose frontier is set to t+1 here, holds the packets up to slot t.
 func (s *Scheme) generate(t core.Slot) {
+	d, next, busy := s.d, s.next, s.busy
+	next[0] = core.Packet(int(t) + 1)
+	clear(busy)
 	txs := s.txs[:0]
-	clear(s.busy)
 	if s.mode == Pull {
 		order := s.order[:s.n]
 		s.rng.PermInto(order)
 		for _, oi := range order {
 			v := oi + 1
-			p := s.next[v]
-			u := s.g.In[v][s.rng.Intn(s.d)]
-			if !s.holds(u, p, t) || s.busy[u] {
+			p := next[v]
+			u := s.g.In[v*d+s.rng.Intn(d)]
+			if next[u] <= p || busy[u] {
 				continue
 			}
-			s.busy[u] = true // u serves one request per slot
+			busy[u] = true // u serves one request per slot
 			txs = append(txs, core.Transmission{From: core.NodeID(u), To: core.NodeID(v), Packet: p})
 		}
 	} else {
 		order := s.order[:s.n+1]
 		s.rng.PermInto(order)
 		for _, v := range order {
-			w := s.g.Out[v][s.rng.Intn(s.d)]
+			w := s.g.Out[v*d+s.rng.Intn(d)]
 			if w == 0 {
 				continue // the source needs nothing pushed to it
 			}
-			p := s.next[w]
-			if !s.holds(v, p, t) || s.busy[w] {
+			p := next[w]
+			if next[v] <= p || busy[w] {
 				continue
 			}
-			s.busy[w] = true // w accepts one push per slot
+			busy[w] = true // w accepts one push per slot
 			txs = append(txs, core.Transmission{From: core.NodeID(v), To: core.NodeID(w), Packet: p})
 		}
 	}
 	for _, tx := range txs {
-		s.next[tx.To]++
+		next[tx.To]++
 	}
-	s.log.Append(txs)
 	s.txs = txs
-}
-
-// holds reports whether node u can serve packet p at slot t: receivers
-// hold the in-order prefix below their frontier; the live source holds
-// packets up to the current slot.
-func (s *Scheme) holds(u int, p core.Packet, t core.Slot) bool {
-	if u == 0 {
-		return core.Slot(int(p)) <= t
-	}
-	return s.next[u] > p
 }
