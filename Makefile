@@ -16,14 +16,15 @@ test:
 	$(GO) test ./...
 
 # Race pass. The slot engine is single-threaded; the in-process concurrency
-# is the experiments' row worker pool (forEachRow), which runs many
-# independent engine runs at once on pooled Runners, and the JSONL trace
-# writer's encoder goroutine, which formats and writes a trace beside the
-# run that records it — hence slotsim, obs, the trace goldens, streamsim
-# (whose `out trace=-` shares stdout with the text report) and the suites
-# that drive them are in the list.
+# is the experiments' CPU budget (internal/experiments/parallel.go), under
+# which cmd/experiments runs its tables at once and each table's rows run as
+# independent engine runs on pooled Runners, and the JSONL trace writer's
+# encoder goroutine, which formats and writes a trace beside the run that
+# records it — hence slotsim, obs, the trace goldens, streamsim (whose
+# `out trace=-` shares stdout with the text report), the experiments package
+# and command, and the suites that drive them are in the list.
 race:
-	$(GO) test -race ./internal/slotsim/... ./internal/obs/... ./internal/trace/... ./cmd/streamsim/... ./internal/integration/... ./internal/faults/... ./internal/experiments/...
+	$(GO) test -race ./internal/slotsim/... ./internal/obs/... ./internal/trace/... ./cmd/streamsim/... ./internal/integration/... ./internal/faults/... ./internal/experiments/... ./cmd/experiments/...
 
 vet:
 	$(GO) vet ./...
@@ -62,8 +63,9 @@ benchsmoke:
 # Measured benchmark snapshot as JSON (ns/op, B/op, allocs/op, custom
 # metrics), written to BENCH_<date><suffix>.json via cmd/benchdiff: the whole
 # sweep at BENCHTIME, then the rows `bench-gate` reruns, measured the way it
-# measures them (benchdiff keeps a row's fastest repeat), so that any snapshot
-# can serve as the gate's baseline. A snapshot is a committed record: the target
+# measures them (a row the gate reruns takes the fastest repeat of the gate's
+# own run, not a faster line of the sweep), so that any snapshot can serve as
+# the gate's baseline. A snapshot is a committed record: the target
 # refuses to overwrite one, so a second snapshot on the same date needs a
 # suffix —
 #   make bench-json SNAPSHOT_SUFFIX=-pr19

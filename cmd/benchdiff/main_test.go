@@ -51,6 +51,48 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+// gateRerun is a -benchtime 2x sweep followed by the gate's own run of one of
+// its rows, five repeats of 30 iterations, as make bench-json pipes them.
+const gateRerun = `goos: linux
+goarch: amd64
+pkg: streamcast
+BenchmarkSlotEngineScale/multitree-N10000/sequential-2         	       2	   2400000 ns/op	  100 B/op	       4 allocs/op
+BenchmarkFinish-2         	       2	   900000 ns/op	  761968 B/op	       4 allocs/op
+PASS
+ok  	streamcast	4.521s
+goos: linux
+goarch: amd64
+pkg: streamcast
+BenchmarkSlotEngineScale/multitree-N10000/sequential-2         	      30	   4500000 ns/op	  100 B/op	       4 allocs/op
+BenchmarkSlotEngineScale/multitree-N10000/sequential-2         	      30	   4300000 ns/op	  100 B/op	       4 allocs/op
+BenchmarkSlotEngineScale/multitree-N10000/sequential-2         	      30	   4400000 ns/op	  100 B/op	       4 allocs/op
+PASS
+ok  	streamcast	2.101s
+`
+
+// TestGateRowsTakeTheGatesRun holds a row the gate reruns to the fastest of
+// the gate's own repeats, not to a faster line of the sweep before it; a row
+// measured only in the sweep keeps the sweep's value.
+func TestGateRowsTakeTheGatesRun(t *testing.T) {
+	benches, err := parseBench(strings.NewReader(gateRerun))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := make(map[string]Benchmark)
+	for _, b := range benches {
+		byName[b.Name] = b
+	}
+	if len(byName) != 2 {
+		t.Fatalf("parsed %v, want two rows", byName)
+	}
+	if got := byName["BenchmarkSlotEngineScale/multitree-N10000/sequential"]; got.Iterations != 30 || got.NsPerOp != 4300000 {
+		t.Errorf("gate row parsed as %+v, want the gate run's fastest repeat (30 iterations, 4300000 ns/op)", got)
+	}
+	if got := byName["BenchmarkFinish"]; got.Iterations != 2 || got.NsPerOp != 900000 {
+		t.Errorf("sweep-only row parsed as %+v, want the sweep's line", got)
+	}
+}
+
 func TestTrimProcs(t *testing.T) {
 	cases := map[string]string{
 		"BenchmarkFoo-8":          "BenchmarkFoo",

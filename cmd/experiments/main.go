@@ -8,11 +8,18 @@
 //	experiments -out results/     additionally write one file per table
 //	experiments -run table1 -reports reports/
 //	                              also write a JSON run report per simulation
+//
+// The selected tables run at once, sharing one CPU budget of GOMAXPROCS
+// tokens (internal/experiments), and are printed in runner order as each
+// completes. With -reports they run one after another, so each table's
+// report files are numbered in its run order.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -120,85 +127,153 @@ func runners(quick bool) []runner {
 }
 
 func main() {
-	var (
-		which   = flag.String("run", "all", "experiment id or 'all'")
-		csv     = flag.Bool("csv", false, "emit CSV")
-		out     = flag.String("out", "", "directory to write per-table files into")
-		quick   = flag.Bool("quick", false, "smaller sweeps for a fast pass")
-		reports = flag.String("reports", "", "directory to write a JSON run report per simulation into")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	all := runners(*quick)
+// options are the output flags drive honours.
+type options struct {
+	csv          bool
+	out, reports string
+}
 
-	if *reports != "" {
-		if err := os.MkdirAll(*reports, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+// run is the whole command: it parses args, runs the selected tables through
+// drive and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	which := fs.String("run", "all", "experiment id or 'all'")
+	fs.BoolVar(&o.csv, "csv", false, "emit CSV")
+	fs.StringVar(&o.out, "out", "", "directory to write per-table files into")
+	quick := fs.Bool("quick", false, "smaller sweeps for a fast pass")
+	fs.StringVar(&o.reports, "reports", "", "directory to write a JSON run report per simulation into")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
+		return 2
 	}
 
-	ran := false
-	for _, r := range all {
-		if *which != "all" && *which != r.name {
-			continue
+	var sel []runner
+	for _, r := range runners(*quick) {
+		if *which == "all" || *which == r.name {
+			sel = append(sel, r)
 		}
-		ran = true
-		if *reports != "" {
-			seq := 0
-			name := r.name
-			experiments.SetReportSink(func(rep *obs.RunReport) {
-				seq++
-				writeReport(rep, filepath.Join(*reports, fmt.Sprintf("%s-%03d.json", name, seq)))
-			})
+	}
+	if len(sel) == 0 {
+		fmt.Fprintf(stderr, "experiments: unknown experiment %q\n", *which)
+		return 1
+	}
+	if o.reports != "" {
+		if err := os.MkdirAll(o.reports, 0o755); err != nil {
+			fmt.Fprintf(stderr, "experiments: %v\n", err)
+			return 1
 		}
-		tab, err := r.run()
-		experiments.SetReportSink(nil)
+	}
+	return drive(sel, o, stdout, stderr)
+}
+
+// drive runs the tables in sel and prints each, and writes its -out CSV, in
+// sel's order. The tables overlap, except under -reports, where they run one
+// after another. On the first table, in sel's order, that fails or cannot be
+// written, it prints `experiments: NAME: err` after every earlier table and
+// returns 1.
+func drive(sel []runner, o options, stdout, stderr io.Writer) int {
+	result := func(i int) (*experiments.Table, error) { return runReporting(sel[i], o.reports) }
+	if o.reports == "" {
+		result = overlap(sel)
+	}
+	for i, r := range sel {
+		tab, err := result(i)
+		if err == nil {
+			err = emit(tab, r.name, o, stdout)
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", r.name, err)
-			os.Exit(1)
-		}
-		if *csv {
-			tab.CSV(os.Stdout)
-		} else {
-			tab.Render(os.Stdout)
-		}
-		if *out != "" {
-			if err := os.MkdirAll(*out, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			f, err := os.Create(filepath.Join(*out, r.name+".csv"))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
-			tab.CSV(f)
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				os.Exit(1)
-			}
+			fmt.Fprintf(stderr, "experiments: %s: %v\n", r.name, err)
+			return 1
 		}
 	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", *which)
-		os.Exit(1)
+	return 0
+}
+
+// overlap starts every table in sel at once and returns a function that
+// waits for the i-th one's result. The budget in internal/experiments, not
+// the number of tables, bounds how many compute at any moment. Each goroutine
+// ends with its table: its send never blocks, so a caller that stops reading
+// at an error leaves none stuck.
+func overlap(sel []runner) func(i int) (*experiments.Table, error) {
+	type result struct {
+		tab *experiments.Table
+		err error
+	}
+	done := make([]chan result, len(sel))
+	for i, r := range sel {
+		done[i] = make(chan result, 1)
+		go func() {
+			tab, err := r.run()
+			done[i] <- result{tab, err}
+		}()
+	}
+	return func(i int) (*experiments.Table, error) {
+		res := <-done[i]
+		return res.tab, res.err
 	}
 }
 
-// writeReport saves one JSON run report, exiting on any I/O failure.
-func writeReport(rep *obs.RunReport, path string) {
+// runReporting runs one table with a report sink that writes each run's
+// report to dir as NAME-001.json, NAME-002.json, ... in run order. The first
+// report that cannot be written is the table's error.
+func runReporting(r runner, dir string) (*experiments.Table, error) {
+	seq := 0
+	var werr error
+	experiments.SetReportSink(func(rep *obs.RunReport) {
+		seq++
+		if werr == nil {
+			werr = writeReport(rep, filepath.Join(dir, fmt.Sprintf("%s-%03d.json", r.name, seq)))
+		}
+	})
+	defer experiments.SetReportSink(nil)
+	tab, err := r.run()
+	if werr != nil {
+		return nil, werr
+	}
+	return tab, err
+}
+
+// emit prints tab to stdout and, with -out, writes it to DIR/name.csv.
+func emit(tab *experiments.Table, name string, o options, stdout io.Writer) error {
+	var err error
+	if o.csv {
+		err = tab.CSV(stdout)
+	} else {
+		err = tab.Render(stdout)
+	}
+	if err != nil || o.out == "" {
+		return err
+	}
+	if err := os.MkdirAll(o.out, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(o.out, name+".csv"))
+	if err != nil {
+		return err
+	}
+	if err := tab.CSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeReport saves one JSON run report.
+func writeReport(rep *obs.RunReport, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	if err := rep.WriteJSON(f); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
+		f.Close()
+		return err
 	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
-	}
+	return f.Close()
 }

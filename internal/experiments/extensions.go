@@ -20,6 +20,7 @@ import (
 // delay distributions (the paper reports worst case and mean; percentiles
 // expose how the two schemes spread delay across the swarm).
 func DelayDistribution(ns []int, d int) (*Table, error) {
+	defer hold()()
 	t := &Table{
 		ID:    "delaydist",
 		Title: fmt.Sprintf("per-node playback delay distribution, d=%d", d),
@@ -63,6 +64,7 @@ func DelayDistribution(ns []int, d int) (*Table, error) {
 // and stragglers may still be missing packets when the horizon ends — the
 // paper's core argument for structured construction.
 func StructuredVsUnstructured(ns []int, d int) (*Table, error) {
+	defer hold()()
 	t := &Table{
 		ID:    "unstructured",
 		Title: fmt.Sprintf("structured (provable QoS) vs gossip (best effort), d=%d", d),
@@ -114,6 +116,7 @@ func StructuredVsUnstructured(ns []int, d int) (*Table, error) {
 // undisturbed schedule gives it — the dynamic counterpart of the static
 // ChurnImpact analysis.
 func MidStreamSwaps(n, d int) (*Table, error) {
+	defer hold()()
 	t := &Table{
 		ID:    "midstream",
 		Title: fmt.Sprintf("mid-stream leave blast radius, N=%d d=%d", n, d),
@@ -212,6 +215,7 @@ func MidStreamSwaps(n, d int) (*Table, error) {
 // interior-disjointness a single crash costs every node at most one of the
 // d descriptions.
 func MDCGracefulDegradation(n, d int, lossRates []float64, seed int64) (*Table, error) {
+	defer hold()()
 	t := &Table{
 		ID:    "mdc",
 		Title: fmt.Sprintf("MDC over multi-tree, N=%d d=%d", n, d),
@@ -264,6 +268,7 @@ func MDCGracefulDegradation(n, d int, lossRates []float64, seed int64) (*Table, 
 // members were perturbed, the packets they missed (hiccups) and the stall
 // rounds they absorbed.
 func ChurnImpact(n, d, ops int, seed int64) (*Table, error) {
+	defer hold()()
 	t := &Table{
 		ID:    "churnimpact",
 		Title: fmt.Sprintf("churn-induced playback impact, N=%d d=%d, %d ops", n, d, ops),
@@ -326,6 +331,7 @@ func ChurnImpact(n, d, ops int, seed int64) (*Table, error) {
 // boundaries) under an identical random workload — quantifying why the
 // paper calls hypercube dynamics an open problem.
 func ChurnComparison(n, d, ops int, seed int64) (*Table, error) {
+	defer hold()()
 	t := &Table{
 		ID:    "churncmp",
 		Title: fmt.Sprintf("churn cost: multi-tree swaps vs hypercube relocations (%d ops)", ops),

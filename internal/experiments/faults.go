@@ -20,6 +20,7 @@ import (
 // from the seed. The clean row anchors the comparison; "inflation" is the
 // worst startup delay of still-complete nodes relative to that clean run.
 func FaultDegradation(n, d int, seed int64) (*Table, error) {
+	defer hold()()
 	t := &Table{
 		ID:    "faults",
 		Title: fmt.Sprintf("degradation under injected faults (multi-tree, N=%d, d=%d, seed=%d)", n, d, seed),

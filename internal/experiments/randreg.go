@@ -32,6 +32,7 @@ func receiverDelays(res *slotsim.Result) []float64 {
 // playback delays across trials; buffer and missing-packet counts report
 // the worst trial and the total across trials respectively.
 func RandRegFrontier(ns []int, degree, trials int, baseSeed int64) (*Table, error) {
+	defer hold()()
 	t := &Table{
 		ID:    "randreg",
 		Title: fmt.Sprintf("randreg vs deterministic schemes, degree=%d, %d trials", degree, trials),

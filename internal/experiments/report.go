@@ -10,8 +10,9 @@ import (
 )
 
 // reportMu guards reportSink: runners consult it per simulation and may in
-// principle race with SetReportSink; forEachRow additionally degrades to a
-// serial sweep while a sink is installed so callbacks arrive in row order.
+// principle race with SetReportSink; forEachTask additionally runs a table's
+// rows one after another while a sink is installed so callbacks arrive in row
+// order.
 var reportMu sync.Mutex
 
 // reportSink, when set, receives a RunReport for every simulation a runner
@@ -25,9 +26,14 @@ var reportSink func(*obs.RunReport)
 // Every table whose rows are engine runs reports, the cluster and mdc tables
 // included; fig4 (closed form), degree, churncmp and churnimpact (topology
 // bookkeeping) run no engine and report nothing. cmd/experiments uses it to
-// implement -reports. Safe to call concurrently with runner execution; while
-// a sink is installed, runners execute their sweeps serially so the sink
-// observes reports in deterministic row order.
+// implement -reports. Safe to call concurrently with runner execution.
+//
+// The sink is global, so it sees every table that runs while it is
+// installed. While it is installed each table runs its rows one after
+// another, on the caller's goroutine, so the sink observes one table's
+// reports in deterministic row order; it does not stop two tables from
+// running at once. A caller that wants each table's reports apart, as
+// cmd/experiments -reports does, runs one table at a time.
 func SetReportSink(fn func(*obs.RunReport)) {
 	reportMu.Lock()
 	reportSink = fn

@@ -55,6 +55,7 @@ func analyticMultiTree(n, d int, c multitree.Construction) (*multitree.Scheme, e
 // the test suite cross-validates against the simulator) is evaluated for
 // every N, and a subset of sizes is additionally measured end to end.
 func Figure4(maxN, step int, degrees []int, construction multitree.Construction) (*Table, error) {
+	defer hold()()
 	t := &Table{
 		ID:    "fig4",
 		Title: "worst-case startup delay vs N (multi-tree)",
@@ -82,6 +83,7 @@ func Figure4(maxN, step int, degrees []int, construction multitree.Construction)
 // hypercube scheme at special N = 2^k−1, and the hypercube scheme at
 // arbitrary N.
 func Table1(ns []int, d int) (*Table, error) {
+	defer hold()()
 	t := &Table{
 		ID:    "table1",
 		Title: fmt.Sprintf("multi-tree (d=%d) vs hypercube: measured QoS", d),
@@ -135,6 +137,7 @@ func Table1(ns []int, d int) (*Table, error) {
 // default window of 3d packets; delay is measured over the true receivers
 // only.
 func ClusterExperiment(k, dd, d, clusterSize int, tcs []int) (*Table, error) {
+	defer hold()()
 	t := &Table{
 		ID:    "cluster",
 		Title: fmt.Sprintf("multi-cluster delay, K=%d D=%d d=%d N/cluster=%d", k, dd, d, clusterSize),
@@ -158,6 +161,7 @@ func ClusterExperiment(k, dd, d, clusterSize int, tcs []int) (*Table, error) {
 // multi-tree scheme against the Theorem 2 upper bound and the Theorem 3
 // average lower bound.
 func DelayBounds(ns []int, degrees []int) (*Table, error) {
+	defer hold()()
 	t := &Table{
 		ID:    "bounds",
 		Title: "multi-tree measured delay vs Theorem 2 / Theorem 3",
@@ -180,6 +184,7 @@ func DelayBounds(ns []int, degrees []int) (*Table, error) {
 // hypercube streaming against the Theorem 4 bound 2·log2 N and the exact
 // worst-case chain bound.
 func HypercubeAvgDelay(ns []int) (*Table, error) {
+	defer hold()()
 	t := &Table{
 		ID:    "hcavg",
 		Title: "chained hypercube: measured delay vs Theorem 4",
@@ -203,6 +208,7 @@ func HypercubeAvgDelay(ns []int) (*Table, error) {
 // F(d) per degree and the simulated optimal degree, confirming that degree
 // 2 or 3 is always optimal.
 func DegreeOptimization(ns []int, maxD int) (*Table, error) {
+	defer hold()()
 	t := &Table{
 		ID:    "degree",
 		Title: "tree degree optimization (Section 2.3)",
@@ -243,6 +249,7 @@ func DegreeOptimization(ns []int, maxD int) (*Table, error) {
 // rebuffer ratio, time to repair). Every row is a churn-directive Scenario,
 // so the sweep exercises exactly what a `churn kind=poisson` scenario runs.
 func ChurnSurvival(n, d, packets int, rates []float64, seed int64) (*Table, error) {
+	defer hold()()
 	t := &Table{
 		ID:    "churn",
 		Title: fmt.Sprintf("live churn survival, N=%d d=%d over %d packets", n, d, packets),
@@ -284,6 +291,7 @@ func ChurnSurvival(n, d, packets int, rates []float64, seed int64) (*Table, erro
 // keep their historical 5-packet live window; the single tree additionally
 // keeps its tighter 2h+8 horizon, so the scenario pins Slots explicitly.
 func Baselines(ns []int) (*Table, error) {
+	defer hold()()
 	t := &Table{
 		ID:    "baselines",
 		Title: "strawmen vs paper schemes",
@@ -337,6 +345,7 @@ func Baselines(ns []int) (*Table, error) {
 // Section 2.2.3 live-streaming variants): the pre-buffered variant costs
 // exactly d extra slots, the pipelined variant between 0 and d−1.
 func LiveModes(ns []int, d int) (*Table, error) {
+	defer hold()()
 	t := &Table{
 		ID:    "livemodes",
 		Title: fmt.Sprintf("multi-tree stream modes, d=%d", d),
@@ -365,6 +374,7 @@ func LiveModes(ns []int, d int) (*Table, error) {
 // `streamsim -list-schemes`) without touching the experiments code. Statically
 // checkable families are verified before they are measured.
 func SchemeMatrix(n int) (*Table, error) {
+	defer hold()()
 	t := &Table{
 		ID:    "schemes",
 		Title: fmt.Sprintf("every registered scheme at n=%d (family defaults)", n),

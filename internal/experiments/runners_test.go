@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strconv"
 	"strings"
 	"testing"
@@ -267,14 +269,62 @@ func TestTableRendering(t *testing.T) {
 	tab.AddRow(1, 2.5)
 	tab.AddRow("zz", "w")
 	var buf bytes.Buffer
-	tab.Render(&buf)
+	if err := tab.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
 	if !strings.Contains(out, "2.50") || !strings.Contains(out, "zz") {
 		t.Errorf("render output missing cells:\n%s", out)
 	}
 	buf.Reset()
-	tab.CSV(&buf)
+	if err := tab.CSV(&buf); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(buf.String(), "a,bb") {
 		t.Errorf("csv missing header: %s", buf.String())
+	}
+}
+
+var errDiskFull = errors.New("disk full")
+
+// failAfter accepts k bytes, then fails every write with errDiskFull.
+type failAfter struct{ k int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) <= w.k {
+		w.k -= len(p)
+		return len(p), nil
+	}
+	n := w.k
+	w.k = 0
+	return n, errDiskFull
+}
+
+// TestTableWriteErrors writes a table of several kilobytes, as text and as
+// CSV, to a writer that fails after k bytes: every k short of the whole
+// output, including one inside a later buffered write, returns the writer's
+// error, and the whole output returns none.
+func TestTableWriteErrors(t *testing.T) {
+	tab := &Table{ID: "x", Title: "t", Columns: []string{"n", "name"}}
+	for i := 0; i < 600; i++ {
+		tab.AddRow(i, "a row")
+	}
+	for name, write := range map[string]func(io.Writer) error{"Render": tab.Render, "CSV": tab.CSV} {
+		var full bytes.Buffer
+		if err := write(&full); err != nil {
+			t.Fatalf("%s into a buffer: %v", name, err)
+		}
+		size := full.Len()
+		if size <= 4096 {
+			t.Fatalf("%s: %d bytes fit one buffered write; the test needs more", name, size)
+		}
+		for _, k := range []int{0, 1, 4095, 4096, 4097, size - 1} {
+			if err := write(&failAfter{k: k}); !errors.Is(err, errDiskFull) {
+				t.Errorf("%s failing after %d of %d bytes: got %v, want the write error", name, k, size, err)
+			}
+		}
+		if err := write(&failAfter{k: size}); err != nil {
+			t.Errorf("%s with room for all %d bytes: %v", name, size, err)
+		}
 	}
 }

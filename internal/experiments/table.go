@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -32,8 +33,9 @@ func (t *Table) AddRow(vals ...interface{}) {
 	t.Rows = append(t.Rows, row)
 }
 
-// Render writes the table as aligned text.
-func (t *Table) Render(w io.Writer) {
+// Render writes the table as aligned text and returns the first write error.
+func (t *Table) Render(out io.Writer) error {
+	w := bufio.NewWriter(out)
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
 		widths[i] = len(c)
@@ -61,12 +63,16 @@ func (t *Table) Render(w io.Writer) {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w)
+	return w.Flush()
 }
 
-// CSV writes the table as comma-separated values.
-func (t *Table) CSV(w io.Writer) {
+// CSV writes the table as comma-separated values and returns the first write
+// error.
+func (t *Table) CSV(out io.Writer) error {
+	w := bufio.NewWriter(out)
 	fmt.Fprintln(w, strings.Join(t.Columns, ","))
 	for _, r := range t.Rows {
 		fmt.Fprintln(w, strings.Join(r, ","))
 	}
+	return w.Flush()
 }
