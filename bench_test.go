@@ -531,11 +531,10 @@ func BenchmarkScheduleGeneration(b *testing.B) {
 			big.Transmissions(core.Slot(64 + i%64))
 		}
 	})
-	dy, err := multitree.NewDynamic(10000, 3, false)
+	live, err := multitree.NewLiveScheme(10000, 3, false, core.PreRecorded)
 	if err != nil {
 		b.Fatal(err)
 	}
-	live := multitree.NewLiveScheme(dy, core.PreRecorded)
 	b.Run("multitree-live-N10000", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			live.Transmissions(core.Slot(64 + i%64))
@@ -760,19 +759,20 @@ func BenchmarkRegistryBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkDynamicChurnOps measures raw add/delete throughput.
+// BenchmarkDynamicChurnOps measures join/leave throughput through
+// LiveScheme.Apply, the firing-list patching included.
 func BenchmarkDynamicChurnOps(b *testing.B) {
-	dy, err := multitree.NewDynamic(256, 3, false)
+	ls, err := multitree.NewLiveScheme(256, 3, false, core.PreRecorded)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		name := fmt.Sprintf("b-%d", i)
-		if _, err := dy.Add(name); err != nil {
+		if _, err := ls.Apply(0, core.TopologyOp{Name: name}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := dy.Delete(name); err != nil {
+		if _, err := ls.Apply(0, core.TopologyOp{Leave: true, Name: name}); err != nil {
 			b.Fatal(err)
 		}
 	}

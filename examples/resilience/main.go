@@ -39,18 +39,9 @@ func main() {
 	sc.Packets = rounds * d
 	sc.Churn = &faults.Churn{Kind: faults.ChurnPlan}
 
-	// A plan names a leaver by member name; the dynamic family numbers its
-	// initial members like the static tree, so its listing translates.
-	dy, err := multitree.NewDynamic(n, d, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var leaverName string
-	for _, m := range dy.Members() {
-		if m.Node == leaver {
-			leaverName = m.Name
-		}
-	}
+	// A plan names a leaver by member name; the live family names its
+	// initial members by the static tree's ids.
+	leaverName := multitree.MemberName(leaver)
 
 	// One plan: 1% random loss, the crash, and — mid-stream churn — the
 	// interior node of T_0 leaving at slot 12. The leave is a real deletion:

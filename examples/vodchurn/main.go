@@ -28,30 +28,32 @@ func main() {
 		if lazy {
 			variant = "lazy"
 		}
-		dy, err := multitree.NewDynamic(startN, d, lazy)
+		ls, err := multitree.NewLiveScheme(startN, d, lazy, core.PreRecorded)
 		if err != nil {
 			log.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(reseeds))
-		var adds, dels, maxSwaps int
+		var adds, dels, swaps, maxSwaps int
 		for i := 0; i < ops; i++ {
-			var st multitree.OpStats
-			if rng.Intn(2) == 0 || dy.N() <= 2 {
-				st, err = dy.Add(fmt.Sprintf("viewer-%d", i))
-				adds++
-			} else {
-				names := dy.Names()
-				st, err = dy.Delete(names[rng.Intn(len(names))])
-				dels++
+			op := core.TopologyOp{Name: fmt.Sprintf("viewer-%d", i)}
+			if rng.Intn(2) != 0 {
+				if viewers := ls.Members(); len(viewers) > 2 {
+					op = core.TopologyOp{Leave: true, Name: viewers[rng.Intn(len(viewers))].Name}
+				}
 			}
+			st, err := ls.Apply(core.Slot(i), op)
 			if err != nil {
 				log.Fatal(err)
 			}
-			if st.Swaps > maxSwaps {
-				maxSwaps = st.Swaps
+			if op.Leave {
+				dels++
+			} else {
+				adds++
 			}
+			swaps += st.Swaps
+			maxSwaps = max(maxSwaps, st.Swaps)
 		}
-		if err := dy.Validate(); err != nil {
+		if err := ls.Validate(); err != nil {
 			log.Fatalf("%s: invariants broken after churn: %v", variant, err)
 		}
 
@@ -59,24 +61,24 @@ func main() {
 		// churn left it. Dummy and departed ids receive nothing, so they are
 		// reported missing and count toward neither worst case; every live
 		// member must receive the whole window.
-		scheme := multitree.NewLiveScheme(dy, core.PreRecorded)
-		res, err := slotsim.Run(scheme, slotsim.Options{
-			Slots:           scheme.SteadyState() + core.Slot(3*d),
+		res, err := slotsim.Run(ls, slotsim.Options{
+			Slots:           ls.SteadyState() + core.Slot(3*d),
 			Packets:         core.Packet(3 * d),
 			AllowIncomplete: true,
 		})
 		if err != nil {
 			log.Fatalf("%s: post-churn streaming failed: %v", variant, err)
 		}
-		for _, mem := range dy.Members() {
+		members := ls.Members()
+		for _, mem := range members {
 			if res.Missing[mem.Node] > 0 {
 				log.Fatalf("%s: %s missed %d packets after churn", variant, mem.Name, res.Missing[mem.Node])
 			}
 		}
 
-		fmt.Printf("%s variant: %d adds, %d deletes -> N=%d\n", variant, adds, dels, dy.N())
+		fmt.Printf("%s variant: %d adds, %d deletes -> N=%d\n", variant, adds, dels, len(members))
 		fmt.Printf("  total swaps: %d (avg %.2f/op, max %d/op, paper bound d+d^2=%d)\n",
-			dy.TotalSwaps(), float64(dy.TotalSwaps())/float64(ops), maxSwaps, d+d*d)
+			swaps, float64(swaps)/float64(ops), maxSwaps, d+d*d)
 		fmt.Printf("  post-churn streaming: worst delay %d slots, worst buffer %d packets\n\n",
 			res.WorstStartDelay(), res.WorstBuffer())
 	}

@@ -158,17 +158,6 @@ func MidStreamSwaps(n, d int) (*Table, error) {
 	}
 	interior := m.Trees[0][0]
 
-	// A plan names a leaver by member name; the dynamic family numbers its
-	// initial members like the static tree, so its listing translates.
-	dy, err := multitree.NewDynamic(n, d, false)
-	if err != nil {
-		return nil, err
-	}
-	names := make(map[core.NodeID]string, n)
-	for _, mem := range dy.Members() {
-		names[mem.Node] = mem.Name
-	}
-
 	addRow := func(label string, run *spec.Run) {
 		swaps := 0
 		if run.Live != nil {
@@ -194,8 +183,10 @@ func MidStreamSwaps(n, d int) (*Table, error) {
 	} {
 		sc := scenario()
 		sc.Churn = &faults.Churn{Kind: faults.ChurnPlan}
+		// A plan names a leaver by member name; the live family names its
+		// initial members by the static tree's ids.
 		run, err := spec.BuildWithPlan(sc, &faults.Plan{Churn: []faults.ChurnEvent{
-			{At: leaveSlot, Leave: true, Name: names[c.leaver]},
+			{At: leaveSlot, Leave: true, Name: multitree.MemberName(c.leaver)},
 		}})
 		if err != nil {
 			return nil, err
@@ -278,7 +269,7 @@ func ChurnImpact(n, d, ops int, seed int64) (*Table, error) {
 		},
 	}
 	for _, lazy := range []bool{false, true} {
-		dy, err := multitree.NewDynamic(n, d, lazy)
+		ls, err := multitree.NewLiveScheme(n, d, lazy, core.PreRecorded)
 		if err != nil {
 			return nil, err
 		}
@@ -286,16 +277,16 @@ func ChurnImpact(n, d, ops int, seed int64) (*Table, error) {
 		var opsWithImpact, totalImpacted, maxImpacted, missed, stalls int
 		var maxDelayChange core.Slot
 		for i := 0; i < ops; i++ {
-			if rng.Intn(2) == 0 || dy.N() <= 2 {
-				_, err = dy.Add(fmt.Sprintf("i-%d", i))
-			} else {
-				names := dy.Names()
-				_, err = dy.Delete(names[rng.Intn(len(names))])
+			op := core.TopologyOp{Name: fmt.Sprintf("i-%d", i)}
+			if rng.Intn(2) != 0 {
+				if members := ls.Members(); len(members) > 2 {
+					op = core.TopologyOp{Leave: true, Name: members[rng.Intn(len(members))].Name}
+				}
 			}
-			if err != nil {
+			if _, err := ls.Apply(core.Slot(i), op); err != nil {
 				return nil, err
 			}
-			impacts := multitree.ChurnImpact(dy, core.PreRecorded)
+			impacts := multitree.ChurnImpact(ls)
 			if len(impacts) > 0 {
 				opsWithImpact++
 				totalImpacted += len(impacts)
@@ -358,19 +349,18 @@ func ChurnComparison(n, d, ops int, seed int64) (*Table, error) {
 	}
 
 	// Multi-tree.
-	dy, err := multitree.NewDynamic(n, d, false)
+	ls, err := multitree.NewLiveScheme(n, d, false, core.PreRecorded)
 	if err != nil {
 		return nil, err
 	}
 	total, max := 0, 0
 	for i, o := range workload {
-		var st multitree.OpStats
-		if o.add {
-			st, err = dy.Add(fmt.Sprintf("c-%d", i))
-		} else {
-			names := dy.Names()
-			st, err = dy.Delete(names[o.pick%len(names)])
+		change := core.TopologyOp{Name: fmt.Sprintf("c-%d", i)}
+		if !o.add {
+			members := ls.Members()
+			change = core.TopologyOp{Leave: true, Name: members[o.pick%len(members)].Name}
 		}
+		st, err := ls.Apply(core.Slot(i), change)
 		if err != nil {
 			return nil, err
 		}

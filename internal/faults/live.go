@@ -371,12 +371,12 @@ func (lc *LiveChurn) directionAt(t core.Slot, i int64) bool {
 
 // apply resolves and applies one op. fromPlan ops are strict: a join beyond
 // the budget or a leave at the floor aborts the run instead of being
-// skipped.
+// skipped. An error names the op by its index; the engine adds the slot.
 func (lc *LiveChurn) apply(t core.Slot, ds core.DynamicScheme, leave bool, name string, fromPlan bool) (core.ChurnStats, error) {
 	op := len(lc.log) // ops applied before this one
 	if leave {
 		if len(lc.pickList) <= lc.cfg.Floor {
-			return core.ChurnStats{}, fmt.Errorf("faults: churn op %d (leave at slot %d): membership is at the %d-member floor", op+1, t, lc.cfg.Floor)
+			return core.ChurnStats{}, fmt.Errorf("faults: churn op %d (leave): membership is at the %d-member floor", op+1, lc.cfg.Floor)
 		}
 		if !fromPlan || name == AnyName {
 			space := spaceChurnLeave
@@ -386,15 +386,15 @@ func (lc *LiveChurn) apply(t core.Slot, ds core.DynamicScheme, leave bool, name 
 			name = lc.pickList[pick(lc.seed, len(lc.pickList), space, int64(op))].Name
 		}
 	} else if lc.joins >= lc.cfg.Max {
-		return core.ChurnStats{}, fmt.Errorf("faults: churn op %d (join %q at slot %d): join budget %d exhausted", op+1, name, t, lc.cfg.Max)
+		return core.ChurnStats{}, fmt.Errorf("faults: churn op %d (join %q): join budget %d exhausted", op+1, name, lc.cfg.Max)
 	}
 	st, err := ds.Apply(t, core.TopologyOp{Leave: leave, Name: name})
 	if err != nil {
-		return core.ChurnStats{}, fmt.Errorf("faults: churn op %d at slot %d: %w", op+1, t, err)
+		return core.ChurnStats{}, fmt.Errorf("faults: churn op %d: %w", op+1, err)
 	}
 	if st.Swaps > lc.cfg.Bound {
-		return core.ChurnStats{}, fmt.Errorf("faults: churn op %d at slot %d (member %s): %d swaps exceeds the per-op bound %d",
-			op+1, t, name, st.Swaps, lc.cfg.Bound)
+		return core.ChurnStats{}, fmt.Errorf("faults: churn op %d (member %s): %d swaps exceeds the per-op bound %d",
+			op+1, name, st.Swaps, lc.cfg.Bound)
 	}
 	// Apply succeeded, so a leaver is in the list and a joiner is not.
 	at, _ := slices.BinarySearchFunc(lc.pickList, name, func(m core.MemberInfo, name string) int {

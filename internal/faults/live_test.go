@@ -11,29 +11,14 @@ import (
 	"streamcast/internal/slotsim"
 )
 
-// liveSource builds a fresh Dynamic+LiveScheme pair and a LiveChurn over it
+// liveSource builds a fresh LiveScheme and a LiveChurn over it
 // (the source is single-shot, so every run needs its own).
 func liveSource(t *testing.T, n, d int, lazy bool, cfg LiveChurnConfig) (*multitree.LiveScheme, *LiveChurn) {
 	t.Helper()
-	_, ls, lc := newLive(t, n, d, lazy, cfg)
-	return ls, lc
-}
-
-// checkedSource is liveSource with the source wrapped in checkedChurn, so
-// the family's full invariant set is re-validated after every single op.
-func checkedSource(t *testing.T, n, d int, lazy bool, cfg LiveChurnConfig) (*multitree.LiveScheme, checkedChurn) {
-	t.Helper()
-	dy, ls, lc := newLive(t, n, d, lazy, cfg)
-	return ls, checkedChurn{LiveChurn: lc, dy: dy}
-}
-
-func newLive(t *testing.T, n, d int, lazy bool, cfg LiveChurnConfig) (*multitree.Dynamic, *multitree.LiveScheme, *LiveChurn) {
-	t.Helper()
-	dy, err := multitree.NewDynamic(n, d, lazy)
+	ls, err := multitree.NewLiveScheme(n, d, lazy, core.PreRecorded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := multitree.NewLiveScheme(dy, core.PreRecorded)
 	if cfg.Bound == 0 {
 		cfg.Bound = multitree.SwapBound(d)
 	}
@@ -44,7 +29,15 @@ func newLive(t *testing.T, n, d int, lazy bool, cfg LiveChurnConfig) (*multitree
 	if err != nil {
 		t.Fatal(err)
 	}
-	return dy, ls, lc
+	return ls, lc
+}
+
+// checkedSource is liveSource with the source wrapped in checkedChurn, so
+// the family's full invariant set is re-validated after every single op.
+func checkedSource(t *testing.T, n, d int, lazy bool, cfg LiveChurnConfig) (*multitree.LiveScheme, checkedChurn) {
+	t.Helper()
+	ls, lc := liveSource(t, n, d, lazy, cfg)
+	return ls, checkedChurn{LiveChurn: lc, ls: ls}
 }
 
 // checkedChurn is a ChurnSource decorator: it hands the source a view of the
@@ -53,23 +46,23 @@ func newLive(t *testing.T, n, d int, lazy bool, cfg LiveChurnConfig) (*multitree
 // that broke it.
 type checkedChurn struct {
 	*LiveChurn
-	dy *multitree.Dynamic
+	ls *multitree.LiveScheme
 }
 
 func (c checkedChurn) Step(t core.Slot, ds core.DynamicScheme) ([]core.ChurnStats, error) {
-	return c.LiveChurn.Step(t, validatedScheme{ds, c.dy})
+	return c.LiveChurn.Step(t, validatedScheme{ds, c.ls})
 }
 
 // validatedScheme is the view checkedChurn hands its source.
 type validatedScheme struct {
 	core.DynamicScheme
-	dy *multitree.Dynamic
+	ls *multitree.LiveScheme
 }
 
 func (v validatedScheme) Apply(t core.Slot, op core.TopologyOp) (core.ChurnStats, error) {
 	st, err := v.DynamicScheme.Apply(t, op)
 	if err == nil {
-		if verr := v.dy.Validate(); verr != nil {
+		if verr := v.ls.Validate(); verr != nil {
 			err = fmt.Errorf("invariant broken: %w", verr)
 		}
 	}
@@ -97,33 +90,16 @@ func stepAll(t *testing.T, ls *multitree.LiveScheme, lc churnLog, slots core.Slo
 // liveOptions completes the engine options of a live-churn run the way the
 // registry does: the source wired in, a horizon of the window plus the live
 // steady state plus the family slack unless one is set, and the allowances a
-// degraded run needs (repair gaps cascade as losses, and a position swap can
-// re-deliver a packet its new occupant already held).
+// degraded run needs (repair gaps cascade as losses; the engine itself
+// tolerates a swap's re-delivery under any churn source).
 func liveOptions(ls *multitree.LiveScheme, lc slotsim.ChurnSource, opt slotsim.Options) slotsim.Options {
 	if opt.Slots == 0 {
 		opt.Slots = core.Slot(int(opt.Packets)) + ls.SteadyState() + core.Slot(4*ls.SourceCapacity()+2)
 	}
 	opt.Churn = lc
 	opt.Arrivals = new(slotsim.Arrivals) // as spec.Build asks for every live-churn run
-	opt.AllowIncomplete, opt.SkipUnavailable, opt.AllowDuplicates = true, true, true
+	opt.AllowIncomplete, opt.SkipUnavailable = true, true
 	return opt
-}
-
-// initialName returns the name a fresh (n, d) family lists node id under —
-// what a plan must call an initial member to make it leave.
-func initialName(t *testing.T, n, d int, id core.NodeID) string {
-	t.Helper()
-	dy, err := multitree.NewDynamic(n, d, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range multitree.NewLiveScheme(dy, core.PreRecorded).Members() {
-		if m.Node == id {
-			return m.Name
-		}
-	}
-	t.Fatalf("node %d is not an initial member", id)
-	return ""
 }
 
 func TestLiveChurnConfigValidation(t *testing.T) {
@@ -536,7 +512,7 @@ func TestLiveChurnRecovers(t *testing.T) {
 			// member leaves, then joins and seeded leaves interleave.
 			at := core.Slot(m.Height()*c.d + 5)
 			plan := &Plan{Seed: int64(c.n), Churn: []ChurnEvent{
-				{At: at, Leave: true, Name: initialName(t, c.n, c.d, m.Trees[0][0])},
+				{At: at, Leave: true, Name: multitree.MemberName(m.Trees[0][0])},
 				{At: at + 1, Name: "late-a"},
 				{At: at + 3, Leave: true, Name: AnyName},
 				{At: at + 3, Name: "late-b"},
@@ -598,7 +574,7 @@ func TestLeaveBlastRadius(t *testing.T) {
 	packets := core.Packet(12 * d)
 	run := func(leaver core.NodeID) (swaps, hit, total int) {
 		plan := &Plan{Churn: []ChurnEvent{
-			{At: core.Slot(m.Height()*d + 7), Leave: true, Name: initialName(t, n, d, leaver)},
+			{At: core.Slot(m.Height()*d + 7), Leave: true, Name: multitree.MemberName(leaver)},
 		}}
 		ls, lc := liveSource(t, n, d, false, LiveChurnConfig{Churn: Churn{Kind: ChurnPlan}, Plan: plan})
 		opt := liveOptions(ls, lc, slotsim.Options{Packets: packets})

@@ -177,7 +177,7 @@ func (o *oracleRun) slot(t core.Slot, scheduled []core.Transmission) error {
 			continue
 		}
 		if _, dup := o.have[tx.To][tx.Packet]; dup {
-			if !o.opt.AllowDuplicates {
+			if o.opt.Churn == nil {
 				return &slotsim.Violation{Slot: t, Kind: "duplicate packet", Tx: tx}
 			}
 			continue

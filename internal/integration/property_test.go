@@ -113,24 +113,21 @@ func TestQuickHypercubeSchedule(t *testing.T) {
 func TestQuickDynamicChurn(t *testing.T) {
 	f := func(seed int64, dRaw uint8, lazy bool) bool {
 		d := int(dRaw)%4 + 2
-		dy, err := multitree.NewDynamic(2*d+1, d, lazy)
+		ls, err := multitree.NewLiveScheme(2*d+1, d, lazy, core.PreRecorded)
 		if err != nil {
 			return false
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 60; i++ {
-			if rng.Intn(2) == 0 || dy.N() <= 2 {
-				if _, err := dy.Add(newName(i)); err != nil {
-					return false
-				}
-			} else {
-				names := dy.Names()
-				if _, err := dy.Delete(names[rng.Intn(len(names))]); err != nil {
-					return false
-				}
+			op := core.TopologyOp{Name: newName(i)}
+			if members := ls.Members(); rng.Intn(2) != 0 && len(members) > 2 {
+				op = core.TopologyOp{Leave: true, Name: members[rng.Intn(len(members))].Name}
+			}
+			if _, err := ls.Apply(core.Slot(i), op); err != nil {
+				return false
 			}
 		}
-		return dy.Validate() == nil
+		return ls.Validate() == nil
 	}
 	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(10))}
 	if err := quick.Check(f, cfg); err != nil {

@@ -53,8 +53,8 @@ func Deliberate(f *os.File) {
 	_ = f.Close()
 }
 
-// membership stands in for multitree.Dynamic, whose Add returns an error
-// only on a duplicate name.
+// membership stands in for the churned multi-tree family, whose join
+// returns an error only on a duplicate name.
 type membership struct{ names map[string]bool }
 
 func (m *membership) Add(name string) (int, error) {

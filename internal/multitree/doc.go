@@ -21,17 +21,18 @@
 // packs interior positions first; Structured follows the paper's explicit
 // layout); NewScheme wraps a MultiTree as a core.Scheme for the engines,
 // emitting each slot from per-residue, per-tree firing lists;
-// MultiTree.Height, Pos and IsDummy expose the layout. NewDynamic and
-// Dynamic.Add/Delete (dynamics.go) implement the appendix's membership
-// swaps on one MultiTree, whose ids are the members' stable ids and whose
-// dummy mask follows the joins and leaves; Dynamic.Validate checks that
-// layout as it stands and Dynamic.Members lists it. LiveScheme (live.go)
-// schedules it while a run is in flight: it holds a Scheme over the family
-// and, after each op, moves the firing lists' ends when the trees grew or
-// shrank and re-reads the positions the op logged, so static and live runs
-// share one emission loop. Its NumReceivers is the id space the family has
-// allocated, which is what a churned run's Result covers. ChurnImpact
-// (impact.go) bounds an op's blast radius statically: each survivor's first
-// receive slots at its positions before the op (the op's swaps undone) and
-// after it, compared by stable id on the family itself.
+// MultiTree.Height, Pos and IsDummy expose the layout. LiveScheme
+// (live.go) is the family under churn: NewLiveScheme builds it over members
+// named MemberName(1)..MemberName(n), and its Apply is the one way a member
+// joins or leaves. Apply runs the appendix's membership swaps (dynamics.go)
+// on one MultiTree, whose ids are the members' stable ids and whose dummy
+// mask follows the joins and leaves, then moves the ends of its Scheme's
+// firing lists when the trees grew or shrank and re-reads the positions
+// the op logged, so static and live runs share one emission loop; Validate
+// checks the layout as it stands and Members lists it. Its NumReceivers is
+// the id space the family has allocated, which is what a churned run's
+// Result covers. ChurnImpact (impact.go) bounds the last op's blast radius
+// statically: each survivor's first receive slots at its positions before
+// the op (the op's swaps undone) and after it, compared by stable id on the
+// family itself.
 package multitree

@@ -9,32 +9,50 @@ import (
 	"streamcast/internal/slotsim"
 )
 
+// addMember and removeMember are Apply's two ops, at slot 0.
+func addMember(ls *LiveScheme, name string) (core.ChurnStats, error) {
+	return ls.Apply(0, core.TopologyOp{Name: name})
+}
+
+func removeMember(ls *LiveScheme, name string) (core.ChurnStats, error) {
+	return ls.Apply(0, core.TopologyOp{Leave: true, Name: name})
+}
+
+// memberNames lists the live members' names, sorted.
+func memberNames(ls *LiveScheme) []string {
+	var out []string
+	for _, mem := range ls.Members() {
+		out = append(out, mem.Name)
+	}
+	return out
+}
+
 // TestDynamicAddDeleteInvariants runs a long deterministic churn sequence
 // and validates every invariant after every operation.
 func TestDynamicAddDeleteInvariants(t *testing.T) {
 	for _, d := range []int{2, 3, 4, 5} {
-		dy, err := NewDynamic(3*d+1, d, false)
+		ls, err := NewLiveScheme(3*d+1, d, false, core.PreRecorded)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dy.Validate(); err != nil {
+		if err := ls.Validate(); err != nil {
 			t.Fatalf("d=%d initial: %v", d, err)
 		}
 		rng := rand.New(rand.NewSource(42))
 		next := 1000
 		for step := 0; step < 200; step++ {
-			if rng.Intn(2) == 0 || dy.N() <= 2 {
+			if rng.Intn(2) == 0 || ls.m.N <= 2 {
 				next++
-				if _, err := dy.Add(fmt.Sprintf("new-%d", next)); err != nil {
+				if _, err := addMember(ls, fmt.Sprintf("new-%d", next)); err != nil {
 					t.Fatalf("d=%d step %d add: %v", d, step, err)
 				}
 			} else {
-				names := dy.Names()
-				if _, err := dy.Delete(names[rng.Intn(len(names))]); err != nil {
+				names := memberNames(ls)
+				if _, err := removeMember(ls, names[rng.Intn(len(names))]); err != nil {
 					t.Fatalf("d=%d step %d delete: %v", d, step, err)
 				}
 			}
-			if err := dy.Validate(); err != nil {
+			if err := ls.Validate(); err != nil {
 				t.Fatalf("d=%d step %d: %v", d, step, err)
 			}
 		}
@@ -46,18 +64,18 @@ func TestDynamicAddDeleteInvariants(t *testing.T) {
 // d² for the restore step).
 func TestDynamicSwapBounds(t *testing.T) {
 	for _, d := range []int{2, 3, 4} {
-		dy, err := NewDynamic(4*d, d, false)
+		ls, err := NewLiveScheme(4*d, d, false, core.PreRecorded)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(7))
 		next, mostMoved := 0, 0
 		for step := 0; step < 300; step++ {
-			var st OpStats
-			before, gone := dy.clone(), core.NodeID(0)
-			if rng.Intn(2) == 0 || dy.N() <= 2 {
+			var st core.ChurnStats
+			before, gone := ls.clone(), core.NodeID(0)
+			if rng.Intn(2) == 0 || ls.m.N <= 2 {
 				next++
-				st, err = dy.Add(fmt.Sprintf("a-%d", next))
+				st, err = addMember(ls, fmt.Sprintf("a-%d", next))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,10 +83,10 @@ func TestDynamicSwapBounds(t *testing.T) {
 					t.Fatalf("d=%d: addition used %d swaps > d", d, st.Swaps)
 				}
 			} else {
-				names := dy.Names()
+				names := memberNames(ls)
 				name := names[rng.Intn(len(names))]
-				gone = dy.byName[name]
-				st, err = dy.Delete(name)
+				gone = ls.byName[name]
+				st, err = removeMember(ls, name)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,7 +95,7 @@ func TestDynamicSwapBounds(t *testing.T) {
 				}
 			}
 			// Moved members may hiccup; the paper bounds them by ~d².
-			moved := movedMembers(before, dy, gone)
+			moved := movedMembers(before, ls, gone)
 			if moved > d*d+2*d {
 				t.Fatalf("d=%d step %d: %d members moved", d, step, moved)
 			}
@@ -93,7 +111,7 @@ func TestDynamicSwapBounds(t *testing.T) {
 // hold positions in both layouts and whose position in some tree differs:
 // the nodes an op may cause to hiccup. Ids a grow adds and ids a shrink
 // discards are not counted.
-func movedMembers(before, after *Dynamic, gone core.NodeID) int {
+func movedMembers(before, after *LiveScheme, gone core.NodeID) int {
 	moved := 0
 	for id := core.NodeID(1); int(id) < len(before.m.dummy); id++ {
 		if id == gone || before.m.pos[0][id] == 0 || after.m.pos[0][id] == 0 {
@@ -119,23 +137,23 @@ func TestSwapBoundUnderGeneratedChurn(t *testing.T) {
 	for _, d := range []int{2, 3, 4, 5} {
 		for _, lazy := range []bool{false, true} {
 			for seed := int64(0); seed < 10; seed++ {
-				dy, err := NewDynamic(2*d+1, d, lazy)
+				ls, err := NewLiveScheme(2*d+1, d, lazy, core.PreRecorded)
 				if err != nil {
 					t.Fatal(err)
 				}
 				rng := rand.New(rand.NewSource(seed))
 				next := 0
 				for step := 0; step < 120; step++ {
-					var st OpStats
+					var st core.ChurnStats
 					var op string
-					if rng.Intn(3) > 0 || dy.N() <= 2 {
+					if rng.Intn(3) > 0 || ls.m.N <= 2 {
 						next++
 						op = "add"
-						st, err = dy.Add(fmt.Sprintf("g-%d", next))
+						st, err = addMember(ls, fmt.Sprintf("g-%d", next))
 					} else {
-						names := dy.Names()
+						names := memberNames(ls)
 						op = "delete"
-						st, err = dy.Delete(names[rng.Intn(len(names))])
+						st, err = removeMember(ls, names[rng.Intn(len(names))])
 					}
 					if err != nil {
 						t.Fatalf("d=%d lazy=%v seed=%d step %d: %v", d, lazy, seed, step, err)
@@ -145,7 +163,7 @@ func TestSwapBoundUnderGeneratedChurn(t *testing.T) {
 							d, lazy, seed, step, op, st.Swaps, SwapBound(d))
 					}
 				}
-				if err := dy.Validate(); err != nil {
+				if err := ls.Validate(); err != nil {
 					t.Fatalf("d=%d lazy=%v seed=%d: %v", d, lazy, seed, err)
 				}
 			}
@@ -161,35 +179,33 @@ func TestLazySavesSwaps(t *testing.T) {
 	n := 4 * d // d | N so a delete crosses the boundary… (N-1 ≡ d-1)
 	// Start from N = 4d+1 so that deleting brings us to 4d (tail size 1
 	// case is N ≡ 1 mod d: choose N so deletion empties the tail).
-	eager, err := NewDynamic(n+1, d, false)
+	eager, err := NewLiveScheme(n+1, d, false, core.PreRecorded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := NewDynamic(n+1, d, true)
+	lazy, err := NewLiveScheme(n+1, d, true, core.PreRecorded)
 	if err != nil {
 		t.Fatal(err)
 	}
+	swaps := map[*LiveScheme]int{}
 	for i := 0; i < 20; i++ {
-		name := eager.Names()[0]
-		if _, err := eager.Delete(name); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eager.Add(fmt.Sprintf("r-%d", i)); err != nil {
-			t.Fatal(err)
-		}
-		name = lazy.Names()[0]
-		if _, err := lazy.Delete(name); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := lazy.Add(fmt.Sprintf("r-%d", i)); err != nil {
-			t.Fatal(err)
+		for _, ls := range []*LiveScheme{eager, lazy} {
+			out, err := removeMember(ls, memberNames(ls)[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			in, err := addMember(ls, fmt.Sprintf("r-%d", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			swaps[ls] += out.Swaps + in.Swaps
 		}
 		if err := lazy.Validate(); err != nil {
 			t.Fatalf("lazy step %d: %v", i, err)
 		}
 	}
-	if lazy.TotalSwaps() >= eager.TotalSwaps() {
-		t.Errorf("lazy swaps %d >= eager swaps %d", lazy.TotalSwaps(), eager.TotalSwaps())
+	if swaps[lazy] >= swaps[eager] {
+		t.Errorf("lazy swaps %d >= eager swaps %d", swaps[lazy], swaps[eager])
 	}
 }
 
@@ -198,24 +214,24 @@ func TestLazySavesSwaps(t *testing.T) {
 // communication model.
 func TestDynamicStreamsAfterChurn(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
-		dy, err := NewDynamic(20, 3, lazy)
+		ls, err := NewLiveScheme(20, 3, lazy, core.PreRecorded)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(99))
 		for step := 0; step < 120; step++ {
-			if rng.Intn(2) == 0 || dy.N() <= 2 {
-				if _, err := dy.Add(fmt.Sprintf("c-%d", step)); err != nil {
+			if rng.Intn(2) == 0 || ls.m.N <= 2 {
+				if _, err := addMember(ls, fmt.Sprintf("c-%d", step)); err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				names := dy.Names()
-				if _, err := dy.Delete(names[rng.Intn(len(names))]); err != nil {
+				names := memberNames(ls)
+				if _, err := removeMember(ls, names[rng.Intn(len(names))]); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		m := canonical(dy)
+		m := canonical(ls)
 		s := NewScheme(m, core.PreRecorded)
 		res, err := slotsim.Run(s, slotsim.Options{
 			Slots:   core.Slot(m.Height()*m.D + 8*m.D),
@@ -232,22 +248,22 @@ func TestDynamicStreamsAfterChurn(t *testing.T) {
 
 // TestDynamicErrors exercises the error paths.
 func TestDynamicErrors(t *testing.T) {
-	dy, err := NewDynamic(4, 2, false)
+	ls, err := NewLiveScheme(4, 2, false, core.PreRecorded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dy.Add("node-1"); err == nil {
+	if _, err := addMember(ls, "node-1"); err == nil {
 		t.Error("duplicate add succeeded")
 	}
-	if _, err := dy.Delete("nope"); err == nil {
+	if _, err := removeMember(ls, "nope"); err == nil {
 		t.Error("deleting unknown member succeeded")
 	}
 	for _, n := range []string{"node-1", "node-2", "node-3"} {
-		if _, err := dy.Delete(n); err != nil {
+		if _, err := removeMember(ls, n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := dy.Delete("node-4"); err == nil {
+	if _, err := removeMember(ls, "node-4"); err == nil {
 		t.Error("deleting last member succeeded")
 	}
 }
@@ -256,25 +272,25 @@ func TestDynamicErrors(t *testing.T) {
 // both directions.
 func TestDynamicGrowShrinkRoundTrip(t *testing.T) {
 	d := 3
-	dy, err := NewDynamic(d, d, false)
+	ls, err := NewLiveScheme(d, d, false, core.PreRecorded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3*d*d; i++ {
-		if _, err := dy.Add(fmt.Sprintf("up-%d", i)); err != nil {
+		if _, err := addMember(ls, fmt.Sprintf("up-%d", i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := dy.Validate(); err != nil {
+		if err := ls.Validate(); err != nil {
 			t.Fatalf("grow %d: %v", i, err)
 		}
 	}
-	for dy.N() > 2 {
-		names := dy.Names()
-		if _, err := dy.Delete(names[len(names)-1]); err != nil {
+	for ls.m.N > 2 {
+		names := memberNames(ls)
+		if _, err := removeMember(ls, names[len(names)-1]); err != nil {
 			t.Fatal(err)
 		}
-		if err := dy.Validate(); err != nil {
-			t.Fatalf("shrink at N=%d: %v", dy.N(), err)
+		if err := ls.Validate(); err != nil {
+			t.Fatalf("shrink at N=%d: %v", ls.m.N, err)
 		}
 	}
 }

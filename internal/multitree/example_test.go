@@ -37,23 +37,28 @@ func ExampleNew_greedy() {
 	// [5 6 7 8 3 1 2 9 4 11 12 10 14 15 13]
 }
 
-// ExampleNewDynamic drives the appendix churn algorithms.
-func ExampleNewDynamic() {
-	dy, err := multitree.NewDynamic(9, 3, false)
+// ExampleLiveScheme_Apply drives the appendix churn algorithms through the
+// one door a membership change has: a join into full trees grows them a
+// level, which appends d fresh ids; the leave that follows shrinks them
+// back, and the ids stay allocated.
+func ExampleLiveScheme_Apply() {
+	ls, err := multitree.NewLiveScheme(9, 3, false, core.PreRecorded)
 	if err != nil {
 		panic(err)
 	}
-	st, err := dy.Add("alice") // d | N: the trees must grow a level
+	fmt.Printf("members=%d ids=%d\n", len(ls.Members()), ls.NumReceivers())
+	st, err := ls.Apply(0, core.TopologyOp{Name: "alice"}) // d | N: the trees must grow a level
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("grew=%v swaps=%d N=%d\n", st.Grew, st.Swaps, dy.N())
-	st, err = dy.Delete("alice") // shrink back
+	fmt.Printf("alice is id %d, swaps=%d, members=%d ids=%d\n", st.Node, st.Swaps, len(ls.Members()), ls.NumReceivers())
+	st, err = ls.Apply(1, core.TopologyOp{Leave: true, Name: "alice"}) // shrink back
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("shrunk=%v N=%d, still valid: %v\n", st.Shrunk, dy.N(), dy.Validate() == nil)
+	fmt.Printf("swaps=%d, members=%d ids=%d, still valid: %v\n", st.Swaps, len(ls.Members()), ls.NumReceivers(), ls.Validate() == nil)
 	// Output:
-	// grew=true swaps=3 N=10
-	// shrunk=true N=9, still valid: true
+	// members=9 ids=9
+	// alice is id 10, swaps=3, members=10 ids=12
+	// swaps=3, members=9 ids=12, still valid: true
 }

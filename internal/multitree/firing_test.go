@@ -93,40 +93,39 @@ func TestLiveFiringListsMatchRoundRobin(t *testing.T) {
 		for _, mode := range []core.StreamMode{core.PreRecorded, core.Live, core.LivePreBuffered} {
 			t.Run(fmt.Sprintf("d=%d/%s", d, mode), func(t *testing.T) {
 				for _, lazy := range []bool{false, true} {
-					dy, err := NewDynamic(3*d, d, lazy) // full: the first join grows a level
+					ls, err := NewLiveScheme(3*d, d, lazy, mode) // full: the first join grows a level
 					if err != nil {
 						t.Fatal(err)
 					}
-					ls := NewLiveScheme(dy, mode)
-					first := ancestorTable(mode, d, dy.m.NP)
+					first := ancestorTable(mode, d, ls.m.NP)
 					rng := rand.New(rand.NewSource(int64(d)))
 					up := true
-					minNP, maxNP := dy.m.NP, dy.m.NP
+					minNP, maxNP := ls.m.NP, ls.m.NP
 					for i := 0; i < 320; i++ {
 						// Four ops in five go the way of the swing, which
 						// turns at 2 and at 12d+3 members.
-						if n := dy.N(); n >= 12*d+3 {
+						if n := ls.m.N; n >= 12*d+3 {
 							up = false
 						} else if n <= 2 {
 							up = true
 						}
 						op := core.TopologyOp{Name: fmt.Sprintf("j%d", i)}
-						if join := (rng.Intn(5) != 0) == up; !join && dy.N() > 1 {
-							names := dy.Names()
+						if join := (rng.Intn(5) != 0) == up; !join && ls.m.N > 1 {
+							names := memberNames(ls)
 							op = core.TopologyOp{Leave: true, Name: names[rng.Intn(len(names))]}
 						}
 						if _, err := ls.Apply(core.Slot(i), op); err != nil {
 							t.Fatal(err)
 						}
-						minNP, maxNP = min(minNP, dy.m.NP), max(maxNP, dy.m.NP)
-						if len(first[0]) < dy.m.NP {
+						minNP, maxNP = min(minNP, ls.m.NP), max(maxNP, ls.m.NP)
+						if len(first[0]) < ls.m.NP {
 							first = ancestorTable(mode, d, maxNP)
 						}
-						if fresh := NewScheme(dy.m, mode); !reflect.DeepEqual(ls.sched.fires, fresh.fires) {
+						if fresh := NewScheme(ls.m, mode); !reflect.DeepEqual(ls.sched.fires, fresh.fires) {
 							t.Fatalf("lazy=%v op %d (%+v): patched lists %v, fresh build %v", lazy, i, op, ls.sched.fires, fresh.fires)
 						}
 						for slot := core.Slot(0); slot < ls.SteadyState()+core.Slot(3*d); slot++ {
-							if got, want := ls.Transmissions(slot), roundRobinSlot(dy.m, first, slot); !slices.Equal(got, want) {
+							if got, want := ls.Transmissions(slot), roundRobinSlot(ls.m, first, slot); !slices.Equal(got, want) {
 								t.Fatalf("lazy=%v op %d slot %d: firing lists %v, round robin %v", lazy, i, slot, got, want)
 							}
 						}

@@ -28,24 +28,24 @@ type MemberImpact struct {
 	StartDelayChange core.Slot
 }
 
-// ChurnImpact reports, in id order, what the last Add or Delete on dy did to
-// the schedule mode gives every member live both before and after it. A
+// ChurnImpact reports, in id order, what the last Apply on s did to the
+// schedule s gives every member live both before and after it. A
 // position's first receive slot depends only on (mode, d, tree, position),
 // and a live member changes position only through the op's swaps, so its
 // position before the op is its position now with those swaps undone. A
 // member whose first receive slots all stay put is left out, and so is the
 // member the op revived: it had no prior schedule.
-func ChurnImpact(dy *Dynamic, mode core.StreamMode) []MemberImpact {
-	m := dy.m
+func ChurnImpact(s *LiveScheme) []MemberImpact {
+	m, mode := s.m, s.sched.Mode
 	var ids []core.NodeID
-	for _, sw := range dy.swaps {
+	for _, sw := range s.swaps {
 		// A survivor ends the op where its last swap put it; a position past
 		// NP was discarded with the dummy on it.
 		for _, p := range [2]int{sw.a, sw.b} {
 			if p > m.NP {
 				continue
 			}
-			if id := m.Trees[sw.k][p-1]; !m.IsDummy(id) && id != dy.flipped {
+			if id := m.Trees[sw.k][p-1]; !m.IsDummy(id) && id != s.flipped {
 				ids = append(ids, id)
 			}
 		}
@@ -59,8 +59,8 @@ func ChurnImpact(dy *Dynamic, mode core.StreamMode) []MemberImpact {
 		for k, pos := range m.pos {
 			now := pos[id]
 			was := now
-			for i := len(dy.swaps) - 1; i >= 0; i-- {
-				if sw := dy.swaps[i]; sw.k == k && was == sw.a {
+			for i := len(s.swaps) - 1; i >= 0; i-- {
+				if sw := s.swaps[i]; sw.k == k && was == sw.a {
 					was = sw.b
 				} else if sw.k == k && was == sw.b {
 					was = sw.a

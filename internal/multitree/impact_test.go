@@ -14,7 +14,7 @@ import (
 // clones of the family taken before and after the op, each surviving
 // member's first receive slots and analytic start delay looked up by its
 // stable id in both. A member that was no real member before is skipped.
-func referenceImpact(before, after *Dynamic, mode core.StreamMode) []MemberImpact {
+func referenceImpact(before, after *LiveScheme, mode core.StreamMode) []MemberImpact {
 	bs, as := NewScheme(before.m, mode), NewScheme(after.m, mode)
 	members := after.Members()
 	slices.SortFunc(members, func(a, b core.MemberInfo) int { return int(a.Node) - int(b.Node) })
@@ -55,38 +55,37 @@ func referenceImpact(before, after *Dynamic, mode core.StreamMode) []MemberImpac
 func TestChurnImpactMatchesSchedules(t *testing.T) {
 	for d := 2; d <= 4; d++ {
 		for _, lazy := range []bool{false, true} {
-			dy, err := NewDynamic(3*d, d, lazy) // full: the first join grows a level
-			if err != nil {
-				t.Fatal(err)
+			// One scheme per mode, each fed the same ops: the families
+			// stay identical, the schedules differ.
+			modes := []core.StreamMode{core.PreRecorded, core.Live, core.LivePreBuffered}
+			lss := make([]*LiveScheme, len(modes))
+			for j, mode := range modes {
+				var err error
+				if lss[j], err = NewLiveScheme(3*d, d, lazy, mode); err != nil { // full: the first join grows a level
+					t.Fatal(err)
+				}
 			}
+			ls := lss[0]
 			rng := rand.New(rand.NewSource(int64(d)))
 			up := true
 			var grew, shrunk, missed, stalls int
 			for i := 0; i < 320; i++ {
-				if n := dy.N(); n >= 12*d+3 {
+				if n := ls.m.N; n >= 12*d+3 {
 					up = false
 				} else if n <= 2 {
 					up = true
 				}
-				before := dy.clone()
-				var st OpStats
-				if join := (rng.Intn(5) != 0) == up; join || dy.N() <= 1 {
-					st, err = dy.Add(fmt.Sprintf("j%d", i))
-				} else {
-					names := dy.Names()
-					st, err = dy.Delete(names[rng.Intn(len(names))])
+				before, np := ls.clone(), ls.m.NP
+				op := core.TopologyOp{Name: fmt.Sprintf("j%d", i)}
+				if join := (rng.Intn(5) != 0) == up; !join && ls.m.N > 1 {
+					names := memberNames(ls)
+					op = core.TopologyOp{Leave: true, Name: names[rng.Intn(len(names))]}
 				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Grew {
-					grew++
-				}
-				if st.Shrunk {
-					shrunk++
-				}
-				for _, mode := range []core.StreamMode{core.PreRecorded, core.Live, core.LivePreBuffered} {
-					got, want := ChurnImpact(dy, mode), referenceImpact(before, dy.clone(), mode)
+				for j, mode := range modes {
+					if _, err := lss[j].Apply(core.Slot(i), op); err != nil {
+						t.Fatal(err)
+					}
+					got, want := ChurnImpact(lss[j]), referenceImpact(before, lss[j].clone(), mode)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("d=%d lazy=%v op %d %s: ChurnImpact %+v, schedules %+v", d, lazy, i, mode, got, want)
 					}
@@ -95,6 +94,8 @@ func TestChurnImpactMatchesSchedules(t *testing.T) {
 						stalls += im.StallRounds
 					}
 				}
+				grew += b2i(ls.m.NP > np)
+				shrunk += b2i(ls.m.NP < np)
 			}
 			if grew < 3 || shrunk < 3 || missed == 0 || stalls == 0 {
 				t.Fatalf("d=%d lazy=%v: %d grows, %d shrinks, %d missed packets, %d stall rounds: the sequence is too tame",
@@ -106,27 +107,27 @@ func TestChurnImpactMatchesSchedules(t *testing.T) {
 
 // TestChurnImpactSkipsJoiner: the member an op revives had no schedule
 // before it, so it is never reported, even when the op's swaps move it. A
-// swap appended to an Add's log moves the joiner to a same-residue position
+// swap appended to a join's log moves the joiner to a same-residue position
 // that first receives in another slot, and the survivor there to its.
 func TestChurnImpactSkipsJoiner(t *testing.T) {
 	d := 3
-	dy, err := NewDynamic(10*d-1, d, false) // one dummy: the join revives it
+	ls, err := NewLiveScheme(10*d-1, d, false, core.PreRecorded) // one dummy: the join revives it
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := dy.clone()
-	if _, err := dy.Add("x"); err != nil {
+	before := ls.clone()
+	if _, err := addMember(ls, "x"); err != nil {
 		t.Fatal(err)
 	}
-	joiner := dy.flipped
-	p := dy.m.pos[0][joiner]
+	joiner := ls.flipped
+	p := ls.m.pos[0][joiner]
 	for q := p - d; q >= 1; q -= d {
 		if firstRecv(core.PreRecorded, d, 0, q) != firstRecv(core.PreRecorded, d, 0, p) {
-			dy.swapInTree(0, p, q)
+			ls.swapInTree(0, p, q)
 			break
 		}
 	}
-	got, want := ChurnImpact(dy, core.PreRecorded), referenceImpact(before, dy.clone(), core.PreRecorded)
+	got, want := ChurnImpact(ls), referenceImpact(before, ls.clone(), core.PreRecorded)
 	if len(want) == 0 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("ChurnImpact %+v, schedules %+v (joiner %d)", got, want, joiner)
 	}
@@ -137,24 +138,24 @@ func TestChurnImpactSkipsJoiner(t *testing.T) {
 // delivery schedule (zero missed packets, zero stalls).
 func TestChurnImpactBounds(t *testing.T) {
 	d := 3
-	dy, err := NewDynamic(30, d, false)
+	ls, err := NewLiveScheme(30, d, false, core.PreRecorded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
 	for step := 0; step < 120; step++ {
-		height := dy.m.Height()
-		if rng.Intn(2) == 0 || dy.N() <= 2 {
-			if _, err := dy.Add(fmt.Sprintf("i-%d", step)); err != nil {
+		height := ls.m.Height()
+		if rng.Intn(2) == 0 || ls.m.N <= 2 {
+			if _, err := addMember(ls, fmt.Sprintf("i-%d", step)); err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			names := dy.Names()
-			if _, err := dy.Delete(names[rng.Intn(len(names))]); err != nil {
+			names := memberNames(ls)
+			if _, err := removeMember(ls, names[rng.Intn(len(names))]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		impacts := ChurnImpact(dy, core.PreRecorded)
+		impacts := ChurnImpact(ls)
 		if len(impacts) > d*d+2*d {
 			t.Fatalf("step %d: %d members impacted, above the d²+2d envelope", step, len(impacts))
 		}
@@ -176,28 +177,28 @@ func TestChurnImpactNoOpForStableMembers(t *testing.T) {
 	// N=32 pads to NP=33 with I=10: the tail holds two real all-leaf
 	// members plus one dummy, so deleting one real tail member requires
 	// no swaps and no restore.
-	dy, err := NewDynamic(32, d, false)
+	ls, err := NewLiveScheme(32, d, false, core.PreRecorded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Find a real all-leaf member: the tail member with the highest
 	// tree-0 position is one.
-	m := dy.m
+	m := ls.m
 	var victim string
 	for p := m.NP; p > m.NP-m.D; p-- {
 		if id := m.Trees[0][p-1]; !m.IsDummy(id) {
-			victim = dy.names[id]
+			victim = ls.names[id]
 			break
 		}
 	}
-	st, err := dy.Delete(victim)
+	st, err := removeMember(ls, victim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Swaps != 0 {
 		t.Fatalf("all-leaf deletion used %d swaps", st.Swaps)
 	}
-	if impacts := ChurnImpact(dy, core.PreRecorded); len(impacts) != 0 {
+	if impacts := ChurnImpact(ls); len(impacts) != 0 {
 		t.Errorf("swap-free deletion impacted %d members: %+v", len(impacts), impacts)
 	}
 }
@@ -206,15 +207,15 @@ func TestChurnImpactNoOpForStableMembers(t *testing.T) {
 // replacement deeper/shallower and must show up in the impact report.
 func TestChurnImpactDetectsPromotion(t *testing.T) {
 	d := 2
-	dy, err := NewDynamic(12, d, false)
+	ls, err := NewLiveScheme(12, d, false, core.PreRecorded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// node-1 is interior in tree 0 of the initial greedy family.
-	if _, err := dy.Delete("node-1"); err != nil {
+	if _, err := removeMember(ls, "node-1"); err != nil {
 		t.Fatal(err)
 	}
-	impacts := ChurnImpact(dy, core.PreRecorded)
+	impacts := ChurnImpact(ls)
 	if len(impacts) == 0 {
 		t.Fatal("interior deletion reported no impact")
 	}

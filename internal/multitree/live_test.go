@@ -2,7 +2,6 @@ package multitree
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"streamcast/internal/core"
@@ -20,7 +19,7 @@ func copyTxs(txs []core.Transmission) []core.Transmission {
 }
 
 // TestLiveSchemeMatchesStatic: before any churn the live scheme must emit
-// exactly the static scheme's schedule — the initial Dynamic shares the
+// exactly the static scheme's schedule — the initial family shares the
 // greedy construction's member ids, so the transmissions agree edge for
 // edge, slot for slot, in emission order.
 func TestLiveSchemeMatchesStatic(t *testing.T) {
@@ -31,11 +30,10 @@ func TestLiveSchemeMatchesStatic(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := NewScheme(m, mode)
-			dy, err := NewDynamic(tc.n, tc.d, false)
+			ls, err := NewLiveScheme(tc.n, tc.d, false, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ls := NewLiveScheme(dy, mode)
 			if got, want := ls.SourceCapacity(), st.SourceCapacity(); got != want {
 				t.Fatalf("n=%d d=%d %s: SourceCapacity %d, static %d", tc.n, tc.d, mode, got, want)
 			}
@@ -60,11 +58,10 @@ func TestLiveSchemeMatchesStatic(t *testing.T) {
 // stats with resolved node ids and leave direction, membership reflecting
 // each op, a failing op changing nothing, and invariants holding throughout.
 func TestLiveSchemeApplyOps(t *testing.T) {
-	dy, err := NewDynamic(10, 2, false)
+	ls, err := NewLiveScheme(10, 2, false, core.Live)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := NewLiveScheme(dy, core.Live)
 	if got := len(ls.Members()); got != 10 {
 		t.Fatalf("%d initial members, want 10", got)
 	}
@@ -98,12 +95,14 @@ func TestLiveSchemeApplyOps(t *testing.T) {
 	if _, ok := members["node-4"]; ok {
 		t.Fatalf("node-4 still a member: %v", members)
 	}
-	if err := dy.Validate(); err != nil {
+	if err := ls.Validate(); err != nil {
 		t.Fatalf("invariants after ops: %v", err)
 	}
 
-	// A failing op surfaces the slot and changes no membership.
-	if _, err := ls.Apply(5, core.TopologyOp{Leave: true, Name: "no-such-member"}); err == nil || !strings.Contains(err.Error(), "slot 5") {
+	// A failing op names the member, not the slot (the churn source and the
+	// engine add what they know), and changes no membership.
+	const want = `multitree: member "no-such-member" not present`
+	if _, err := ls.Apply(5, core.TopologyOp{Leave: true, Name: "no-such-member"}); err == nil || err.Error() != want {
 		t.Fatalf("leave of unknown member: %v", err)
 	}
 	if got := byName(); !reflect.DeepEqual(got, members) {
@@ -115,34 +114,33 @@ func TestLiveSchemeApplyOps(t *testing.T) {
 // the positional table must be rebuilt for the larger padding and the
 // schedule must stay valid.
 func TestLiveSchemeGrowRebuild(t *testing.T) {
-	dy, err := NewDynamic(10, 2, false)
+	ls, err := NewLiveScheme(10, 2, false, core.PreRecorded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := NewLiveScheme(dy, core.PreRecorded)
 	np0 := ls.NumReceivers()
-	dummies := np0 - dy.N()
+	dummies := np0 - ls.m.N
 	var slot core.Slot = 1
 	for j := 0; j <= dummies; j++ {
 		name := "joiner-" + string(rune('a'+j))
 		if _, err := ls.Apply(slot, core.TopologyOp{Name: name}); err != nil {
 			t.Fatal(err)
 		}
-		if j == dummies && dy.m.NP == np0 {
+		if j == dummies && ls.m.NP == np0 {
 			t.Fatal("join past the dummy pool did not grow the trees")
 		}
 		slot++
 	}
-	if got := ls.NumReceivers(); got != np0+dy.m.D {
-		t.Fatalf("id space %d after grow, want %d", got, np0+dy.m.D)
+	if got := ls.NumReceivers(); got != np0+ls.m.D {
+		t.Fatalf("id space %d after grow, want %d", got, np0+ls.m.D)
 	}
-	if err := dy.Validate(); err != nil {
+	if err := ls.Validate(); err != nil {
 		t.Fatalf("invariants after grow: %v", err)
 	}
 	// Every live member still receives: one full period past steady state
 	// must deliver to every real member at least once per tree round.
 	seen := make(map[core.NodeID]int)
-	for slot := ls.SteadyState(); slot < ls.SteadyState()+core.Slot(dy.m.D); slot++ {
+	for slot := ls.SteadyState(); slot < ls.SteadyState()+core.Slot(ls.m.D); slot++ {
 		for _, tx := range ls.Transmissions(slot) {
 			seen[tx.To]++
 		}
@@ -160,28 +158,27 @@ func TestLiveSchemeGrowRebuild(t *testing.T) {
 // over the same family does.
 func TestLiveSchemeLevelOscillationMatchesFresh(t *testing.T) {
 	for _, mode := range []core.StreamMode{core.PreRecorded, core.Live} {
-		dy, err := NewDynamic(6, 2, false) // full: the next join grows a level
+		ls, err := NewLiveScheme(6, 2, false, mode) // full: the next join grows a level
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls := NewLiveScheme(dy, mode)
 		grew, shrunk := 0, 0
 		for i := 0; i < 8; i++ {
 			op := core.TopologyOp{Name: "osc-" + string(rune('a'+i))}
 			if i%2 == 1 {
 				op = core.TopologyOp{Leave: true, Name: "osc-" + string(rune('a'+i-1))}
 			}
-			np := dy.m.NP
+			np := ls.m.NP
 			if _, err := ls.Apply(core.Slot(i), op); err != nil {
 				t.Fatal(err)
 			}
-			if dy.m.NP > np {
+			if ls.m.NP > np {
 				grew++
 			}
-			if dy.m.NP < np {
+			if ls.m.NP < np {
 				shrunk++
 			}
-			fresh := NewLiveScheme(dy, mode)
+			fresh := &LiveScheme{m: ls.m, sched: NewScheme(ls.m, mode)}
 			if ls.SteadyState() != fresh.SteadyState() {
 				t.Fatalf("%s op %d: steady state %d, fresh scheme %d", mode, i, ls.SteadyState(), fresh.SteadyState())
 			}
@@ -228,11 +225,10 @@ func TestNeighborsOrderIsStable(t *testing.T) {
 			}
 			noRepeats(c.String(), nb)
 		}
-		dy, err := NewDynamic(77, d, false)
+		ls, err := NewLiveScheme(77, d, false, core.Live)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls := NewLiveScheme(dy, core.Live)
 		m, err := New(77, d, Greedy)
 		if err != nil {
 			t.Fatal(err)
@@ -263,12 +259,11 @@ func TestNeighborsOrderIsStable(t *testing.T) {
 // nothing, so it never rebuilds them.
 func TestApplyOpsPatchesInPlace(t *testing.T) {
 	for d := 2; d <= 4; d++ {
-		dy, err := NewDynamic(10*d-1, d, false) // one dummy: a join revives it
+		ls, err := NewLiveScheme(10*d-1, d, false, core.Live) // one dummy: a join revives it
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls := NewLiveScheme(dy, core.Live)
-		np := dy.m.NP
+		np := ls.m.NP
 		allocs := testing.AllocsPerRun(50, func() {
 			for _, op := range []core.TopologyOp{{Name: "x"}, {Leave: true, Name: "x"}} {
 				if _, err := ls.Apply(0, op); err != nil {
@@ -276,8 +271,8 @@ func TestApplyOpsPatchesInPlace(t *testing.T) {
 				}
 			}
 		})
-		if dy.m.NP != np {
-			t.Fatalf("d=%d: NP moved %d → %d", d, np, dy.m.NP)
+		if ls.m.NP != np {
+			t.Fatalf("d=%d: NP moved %d → %d", d, np, ls.m.NP)
 		}
 		if allocs > 0 {
 			t.Errorf("d=%d: a join and a leave allocate %v times, want none", d, allocs)

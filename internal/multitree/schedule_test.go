@@ -199,16 +199,15 @@ func TestFirstRecvMatchesAncestorWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, mode := range modes {
-				dy, err := NewDynamic(n, d, false)
+				ls, err := NewLiveScheme(n, d, false, mode)
 				if err != nil {
 					t.Fatal(err)
 				}
-				half, err := NewDynamic(max(1, n/2), d, false)
+				grown, err := NewLiveScheme(max(1, n/2), d, false, mode)
 				if err != nil {
 					t.Fatal(err)
 				}
-				grown := NewLiveScheme(half, mode)
-				for i := half.N(); i < n; i++ {
+				for i := grown.m.N; i < n; i++ {
 					if _, err := grown.Apply(0, core.TopologyOp{Name: fmt.Sprintf("j%d", i)}); err != nil {
 						t.Fatal(err)
 					}
@@ -216,7 +215,7 @@ func TestFirstRecvMatchesAncestorWalk(t *testing.T) {
 				for _, tab := range []struct {
 					name string
 					s    *Scheme
-				}{{"Scheme", NewScheme(m, mode)}, {"LiveScheme", NewLiveScheme(dy, mode).sched}, {"grown", grown.sched}} {
+				}{{"Scheme", NewScheme(m, mode)}, {"LiveScheme", ls.sched}, {"grown", grown.sched}} {
 					if np := tab.s.Tree.NP; np != m.NP {
 						t.Fatalf("n=%d d=%d %s: %s covers %d positions, want %d", n, d, mode, tab.name, np, m.NP)
 					}

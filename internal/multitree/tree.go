@@ -33,7 +33,7 @@ func (c Construction) String() string {
 // positions. Every position holds a node id; a mask marks which ids are
 // padding dummies, which appear only in leaf positions and are skipped by the
 // schedule. A static construction places ids 1..NP and masks ids N+1..NP; a
-// churned family (Dynamic) keeps one id per member it ever created, so its
+// churned family (LiveScheme) keeps one id per member it ever created, so its
 // live real ids are scattered over a larger id space.
 type MultiTree struct {
 	// N is the number of real receivers.

@@ -13,8 +13,8 @@ import (
 // canonical copies the family with canonical ids — real members relabeled
 // 1..N in id order, dummies after, members a shrink discarded dropped — as
 // a statically built family would number them.
-func canonical(dy *Dynamic) *MultiTree {
-	m := dy.m
+func canonical(ls *LiveScheme) *MultiTree {
+	m := ls.m
 	relabel := make([]core.NodeID, len(m.dummy))
 	nextReal, nextDummy := core.NodeID(1), core.NodeID(m.N+1)
 	for id := core.NodeID(1); int(id) < len(m.dummy); id++ {
@@ -41,13 +41,13 @@ func canonical(dy *Dynamic) *MultiTree {
 	return c
 }
 
-// referenceValidate is the check Dynamic.Validate made before it read the
+// referenceValidate is the check LiveScheme.Validate made before it read the
 // live layout in place: relabel the family to canonical ids and hold that
 // copy to the static construction's invariants — each tree a permutation
 // of 1..NP, interior-disjoint, each id's positions distinct mod d, dummies
 // only at leaves — and then the tail class on the member ids.
-func referenceValidate(dy *Dynamic) error {
-	m := canonical(dy)
+func referenceValidate(ls *LiveScheme) error {
+	m := canonical(ls)
 	seen := make([]bool, m.NP+1)
 	for k := 0; k < m.D; k++ {
 		if len(m.Trees[k]) != m.NP {
@@ -87,12 +87,12 @@ func referenceValidate(dy *Dynamic) error {
 			modSeen[p%m.D] = p
 		}
 	}
-	tail := make(map[core.NodeID]bool, dy.m.D)
-	for _, mem := range dy.m.Trees[0][dy.m.NP-dy.m.D:] {
+	tail := make(map[core.NodeID]bool, ls.m.D)
+	for _, mem := range ls.m.Trees[0][ls.m.NP-ls.m.D:] {
 		tail[mem] = true
 	}
-	for k := 0; k < dy.m.D; k++ {
-		for _, mem := range dy.m.Trees[k][dy.m.NP-dy.m.D:] {
+	for k := 0; k < ls.m.D; k++ {
+		for _, mem := range ls.m.Trees[k][ls.m.NP-ls.m.D:] {
 			if !tail[mem] {
 				return fmt.Errorf("tree %d tail member %d not in tree-0 tail class", k, mem)
 			}
@@ -102,17 +102,18 @@ func referenceValidate(dy *Dynamic) error {
 }
 
 // clone copies the family deeply, so a corruption of the copy leaves the
-// sequence that produced it running.
-func (dy *Dynamic) clone() *Dynamic {
-	m := *dy.m
+// sequence that produced it running. The copy shares the schedule, so it
+// must not Apply.
+func (s *LiveScheme) clone() *LiveScheme {
+	m := *s.m
 	m.Trees, m.pos = make([][]core.NodeID, m.D), make([][]int, m.D)
 	for k := range m.D {
-		m.Trees[k], m.pos[k] = slices.Clone(dy.m.Trees[k]), slices.Clone(dy.m.pos[k])
+		m.Trees[k], m.pos[k] = slices.Clone(s.m.Trees[k]), slices.Clone(s.m.pos[k])
 	}
-	m.dummy = slices.Clone(dy.m.dummy)
-	c := *dy
-	c.m, c.names, c.byName = &m, slices.Clone(dy.names), maps.Clone(dy.byName)
-	c.swaps = slices.Clone(dy.swaps)
+	m.dummy = slices.Clone(s.m.dummy)
+	c := *s
+	c.m, c.names, c.byName = &m, slices.Clone(s.names), maps.Clone(s.byName)
+	c.swaps = slices.Clone(s.swaps)
 	return &c
 }
 
@@ -121,21 +122,21 @@ func (dy *Dynamic) clone() *Dynamic {
 // family has nothing to break that way (no dummy, no real interior member).
 var corruptions = []struct {
 	name  string
-	apply func(dy *Dynamic, rng *rand.Rand) bool
+	apply func(ls *LiveScheme, rng *rand.Rand) bool
 }{
-	{"cross-residue swap", func(dy *Dynamic, rng *rand.Rand) bool {
-		m := dy.m
+	{"cross-residue swap", func(ls *LiveScheme, rng *rand.Rand) bool {
+		m := ls.m
 		k, pa := rng.Intn(m.D), 1+rng.Intn(m.NP)
 		pb := 1 + (pa+rng.Intn(m.D-1))%m.NP // pb ≢ pa (mod d)
 		if pb%m.D == pa%m.D {
 			return false
 		}
-		dy.swapInTree(k, pa, pb)
+		ls.swapInTree(k, pa, pb)
 		return true
 	}},
-	{"interior dummy", func(dy *Dynamic, rng *rand.Rand) bool {
+	{"interior dummy", func(ls *LiveScheme, rng *rand.Rand) bool {
 		// A dummy swapped into the interior position of its residue.
-		m := dy.m
+		m := ls.m
 		k := rng.Intn(m.D)
 		for p := m.I + 1; p <= m.NP; p++ {
 			if !m.IsDummy(m.Trees[k][p-1]) {
@@ -148,15 +149,15 @@ var corruptions = []struct {
 			if q > m.I {
 				return false
 			}
-			dy.swapInTree(k, q, p)
+			ls.swapInTree(k, q, p)
 			return true
 		}
 		return false
 	}},
-	{"interior member retired in place", func(dy *Dynamic, rng *rand.Rand) bool {
+	{"interior member retired in place", func(ls *LiveScheme, rng *rand.Rand) bool {
 		// A delete that skipped the replacement step: an interior member
 		// becomes a dummy where it stands.
-		m := dy.m
+		m := ls.m
 		if m.I == 0 {
 			return false
 		}
@@ -164,21 +165,21 @@ var corruptions = []struct {
 		m.N--
 		return true
 	}},
-	{"tail member swapped out of the tail class", func(dy *Dynamic, rng *rand.Rand) bool {
+	{"tail member swapped out of the tail class", func(ls *LiveScheme, rng *rand.Rand) bool {
 		// A same-residue swap between leaves moves a tail member of tree
 		// k ≥ 1 out of the tail; nothing but the tail class breaks.
-		m := dy.m
+		m := ls.m
 		k, p := 1+rng.Intn(m.D-1), m.NP-rng.Intn(m.D)
 		q := p - m.D
 		if q <= m.I {
 			return false
 		}
-		dy.swapInTree(k, p, q)
+		ls.swapInTree(k, p, q)
 		return true
 	}},
 }
 
-// TestValidateInPlaceMatchesReference: the in-place Dynamic.Validate and the
+// TestValidateInPlaceMatchesReference: the in-place LiveScheme.Validate and the
 // Snapshot-based reference agree after every op of random eager and lazy
 // sequences that grow and shrink the trees, and both reject every seeded
 // corruption of the state each op leaves.
@@ -186,32 +187,32 @@ func TestValidateInPlaceMatchesReference(t *testing.T) {
 	for _, d := range []int{2, 3, 4} {
 		for _, lazy := range []bool{false, true} {
 			name := fmt.Sprintf("d=%d/lazy=%v", d, lazy)
-			dy, err := NewDynamic(2*d+1, d, lazy)
+			ls, err := NewLiveScheme(2*d+1, d, lazy, core.PreRecorded)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(int64(10*d + len(name))))
 			grows, shrinks, rejected := 0, 0, make([]int, len(corruptions))
 			for i := 0; i < 400; i++ {
-				np := dy.m.NP
+				np := ls.m.NP
 				// Drift up for the first half and down for the second, so
 				// the trees gain and lose several levels.
-				if i < 200 && rng.Intn(3) > 0 || i >= 200 && rng.Intn(3) == 0 || dy.N() <= 2 {
-					_, err = dy.Add(fmt.Sprintf("j%d", i))
+				if i < 200 && rng.Intn(3) > 0 || i >= 200 && rng.Intn(3) == 0 || ls.m.N <= 2 {
+					_, err = addMember(ls, fmt.Sprintf("j%d", i))
 				} else {
-					names := dy.Names()
-					_, err = dy.Delete(names[rng.Intn(len(names))])
+					names := memberNames(ls)
+					_, err = removeMember(ls, names[rng.Intn(len(names))])
 				}
 				if err != nil {
 					t.Fatalf("%s op %d: %v", name, i, err)
 				}
-				grows += b2i(dy.m.NP > np)
-				shrinks += b2i(dy.m.NP < np)
-				if got, ref := dy.Validate(), referenceValidate(dy); got != nil || ref != nil {
+				grows += b2i(ls.m.NP > np)
+				shrinks += b2i(ls.m.NP < np)
+				if got, ref := ls.Validate(), referenceValidate(ls); got != nil || ref != nil {
 					t.Fatalf("%s op %d: in place %v, reference %v", name, i, got, ref)
 				}
 				for c, bad := range corruptions {
-					broken := dy.clone()
+					broken := ls.clone()
 					if !bad.apply(broken, rng) {
 						continue
 					}

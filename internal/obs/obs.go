@@ -51,8 +51,8 @@ type SlotView struct {
 	// arrival order.
 	Arrivals []core.Transmission
 	// Dups holds the ascending indexes into Arrivals of the packets their
-	// receiver already held, which the engine discarded
-	// (slotsim.Options.AllowDuplicates).
+	// receiver already held, which the engine discarded; only a churned run
+	// (slotsim.Options.Churn) has any.
 	Dups []int
 	// Violation is the broken model constraint that stops the run, or nil.
 	Violation *Violation

@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,7 +12,7 @@ import (
 )
 
 // TestViolationEventEndsStream pins the slot that stops a run, and a
-// duplicate that does not: each row's whole Recorder stream must equal the
+// duplicate that does not (a churned run's): each row's whole Recorder stream must equal the
 // stream written as a JSONL trace of the same run and read back, and both
 // must equal the row's stream. A run the engine stops carries what happened
 // before it stopped and no end line: a violation comes last, and an Inject
@@ -60,7 +61,7 @@ func TestViolationEventEndsStream(t *testing.T) {
 		{
 			name:  "duplicate allowed",
 			slot1: []core.Transmission{{From: 0, To: 1, Packet: 0}, {From: 1, To: 2, Packet: 0}},
-			opt:   slotsim.Options{AllowDuplicates: true, AllowIncomplete: true},
+			opt:   slotsim.Options{Churn: noChurn{}, AllowIncomplete: true, SkipUnavailable: true},
 			want: []obs.Event{
 				open(1, 2), ev(obs.KindTransmit, 1, 0, 1, 0), ev(obs.KindTransmit, 1, 1, 2, 0),
 				dup, ev(obs.KindDeliver, 1, 1, 2, 0), end(1),
@@ -119,6 +120,22 @@ func (s *scripted) Transmissions(t core.Slot) []core.Transmission {
 		return s.slot1
 	}
 	return nil
+}
+
+// Members and Apply make scripted a core.DynamicScheme whose membership never
+// changes, so a row can run it under a churn source.
+func (*scripted) Members() []core.MemberInfo { return nil }
+func (*scripted) Apply(core.Slot, core.TopologyOp) (core.ChurnStats, error) {
+	return core.ChurnStats{}, errors.New("scripted: fixed membership")
+}
+
+// noChurn is a churn source that applies no op: a run under it is a churned
+// run, which tolerates a duplicate.
+type noChurn struct{}
+
+func (noChurn) MaxNodes() int { return 0 }
+func (noChurn) Step(core.Slot, core.DynamicScheme) ([]core.ChurnStats, error) {
+	return nil, nil
 }
 
 // scriptedInject loses what the source sends to node 2 and gives whatever is

@@ -20,7 +20,8 @@ type ChurnSource interface {
 	// Step applies the membership ops scheduled for the boundary entering
 	// slot t to ds, returning the per-op stats (empty means the topology is
 	// unchanged this slot). Implementations enforce their own per-op swap
-	// bounds and return an error to abort the run.
+	// bounds and return an error to abort the run; the engine prefixes it
+	// with the slot.
 	Step(t core.Slot, ds core.DynamicScheme) ([]core.ChurnStats, error)
 }
 

@@ -44,11 +44,10 @@ func applyAll(t core.Slot, ds core.DynamicScheme, ops ...core.TopologyOp) ([]cor
 // followed by a long epoch.
 func liveCase(t *testing.T, n, d int, mode core.StreamMode) (*multitree.LiveScheme, slotsim.Options) {
 	t.Helper()
-	dy, err := multitree.NewDynamic(n, d, false)
+	ls, err := multitree.NewLiveScheme(n, d, false, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := multitree.NewLiveScheme(dy, mode)
 	script := &scriptChurn{
 		max: ls.NumReceivers() + 4*d,
 		ops: map[core.Slot][]core.TopologyOp{
@@ -67,7 +66,6 @@ func liveCase(t *testing.T, n, d int, mode core.StreamMode) (*multitree.LiveSche
 		Churn:           script,
 		AllowIncomplete: true,
 		SkipUnavailable: true,
-		AllowDuplicates: true,
 	}
 	return ls, opt
 }
@@ -156,11 +154,10 @@ func TestIdleChurnSourceIsIdentity(t *testing.T) {
 // departed id must not let the joiner inherit the leaver's arrivals. The
 // joiner's arrival row before its join slot stays empty.
 func TestChurnReassignedIDState(t *testing.T) {
-	dy, err := multitree.NewDynamic(10, 2, false)
+	ls, err := multitree.NewLiveScheme(10, 2, false, core.PreRecorded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := multitree.NewLiveScheme(dy, core.PreRecorded)
 	leaveSlot, joinSlot := core.Slot(9), core.Slot(10)
 	script := &scriptChurn{
 		max: ls.NumReceivers() + 4,
@@ -178,7 +175,6 @@ func TestChurnReassignedIDState(t *testing.T) {
 		Arrivals:        new(slotsim.Arrivals),
 		AllowIncomplete: true,
 		SkipUnavailable: true,
-		AllowDuplicates: true,
 	}
 	if _, err := slotsim.Run(ls, opt); err != nil {
 		t.Fatal(err)
@@ -219,11 +215,10 @@ func TestChurnOptionErrors(t *testing.T) {
 	}
 
 	// Churn without degraded-operation flags is rejected.
-	dy, err := multitree.NewDynamic(10, 2, false)
+	ls, err := multitree.NewLiveScheme(10, 2, false, core.PreRecorded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := multitree.NewLiveScheme(dy, core.PreRecorded)
 	strict := opt
 	strict.AllowIncomplete = false
 	if _, err := slotsim.Run(ls, strict); err == nil || !strings.Contains(err.Error(), "AllowIncomplete") {
@@ -240,14 +235,13 @@ func TestChurnOptionErrors(t *testing.T) {
 // ceiling aborts the run with a diagnostic instead of silently remapping the
 // engine's pre-sized state.
 func TestChurnCeilingExceeded(t *testing.T) {
-	dy, err := multitree.NewDynamic(10, 2, false)
+	ls, err := multitree.NewLiveScheme(10, 2, false, core.PreRecorded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := multitree.NewLiveScheme(dy, core.PreRecorded)
 	// Enough joins to exhaust the dummy pool and force a level grow, with a
 	// ceiling that only covers the initial id space.
-	joins := ls.NumReceivers() - dy.N() + 1
+	joins := ls.NumReceivers() - len(ls.Members()) + 1
 	var ops []core.TopologyOp
 	for j := 0; j < joins; j++ {
 		ops = append(ops, core.TopologyOp{Name: "grow-" + string(rune('a'+j))})
@@ -255,7 +249,7 @@ func TestChurnCeilingExceeded(t *testing.T) {
 	script := &scriptChurn{max: ls.NumReceivers(), ops: map[core.Slot][]core.TopologyOp{2: ops}}
 	opt := slotsim.Options{
 		Slots: 20, Packets: 4, Mode: core.PreRecorded,
-		Churn: script, AllowIncomplete: true, SkipUnavailable: true, AllowDuplicates: true,
+		Churn: script, AllowIncomplete: true, SkipUnavailable: true,
 	}
 	if _, err := slotsim.Run(ls, opt); err == nil || !strings.Contains(err.Error(), "ceiling") {
 		t.Fatalf("growth past ceiling: got %v, want ceiling error", err)
@@ -265,18 +259,17 @@ func TestChurnCeilingExceeded(t *testing.T) {
 // TestChurnSourceErrorAborts: an error from the ChurnSource (here: a leave
 // of an unknown member) aborts the run with the slot attached.
 func TestChurnSourceErrorAborts(t *testing.T) {
-	dy, err := multitree.NewDynamic(10, 2, false)
+	ls, err := multitree.NewLiveScheme(10, 2, false, core.PreRecorded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := multitree.NewLiveScheme(dy, core.PreRecorded)
 	script := &scriptChurn{
 		max: ls.NumReceivers(),
 		ops: map[core.Slot][]core.TopologyOp{5: {{Leave: true, Name: "nobody"}}},
 	}
 	opt := slotsim.Options{
 		Slots: 20, Packets: 4, Mode: core.PreRecorded,
-		Churn: script, AllowIncomplete: true, SkipUnavailable: true, AllowDuplicates: true,
+		Churn: script, AllowIncomplete: true, SkipUnavailable: true,
 	}
 	_, err = slotsim.Run(ls, opt)
 	if err == nil || !strings.Contains(err.Error(), "slot 5") || !strings.Contains(err.Error(), "churn") {
@@ -288,11 +281,10 @@ func TestChurnSourceErrorAborts(t *testing.T) {
 // node, a clean pre-churn run has no hiccups, and a run with a mid-stream
 // join attributes gaps (if any) to repair — never to the unchurned prefix.
 func TestChurnSLO(t *testing.T) {
-	dy, err := multitree.NewDynamic(10, 2, false)
+	ls, err := multitree.NewLiveScheme(10, 2, false, core.PreRecorded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := multitree.NewLiveScheme(dy, core.PreRecorded)
 	script := &scriptChurn{max: ls.NumReceivers() + 4, ops: nil} // no ops: clean run
 	win := core.Packet(12)
 	opt := slotsim.Options{
@@ -303,7 +295,6 @@ func TestChurnSLO(t *testing.T) {
 		Arrivals:        new(slotsim.Arrivals),
 		AllowIncomplete: true,
 		SkipUnavailable: true,
-		AllowDuplicates: true,
 	}
 	res, err := slotsim.Run(ls, opt)
 	if err != nil {

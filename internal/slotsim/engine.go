@@ -89,10 +89,6 @@ type Options struct {
 	// leaves it nil writes no int32 cell and never holds the 4·(N+1)·Packets
 	// bytes.
 	Arrivals *Arrivals
-	// AllowDuplicates, if set, tolerates a node receiving the same packet
-	// twice (the duplicate is dropped but still consumes receive capacity).
-	// By default a duplicate is a constraint violation.
-	AllowDuplicates bool
 	// Inject, if non-nil, is the run's one in-flight hook: it is asked once
 	// per validated transmission, in schedule order, whether the
 	// transmission is lost (DropTx) and how many slots its link adds to the
@@ -119,9 +115,13 @@ type Options struct {
 	// The engine pre-sizes its struct-of-arrays state to Churn.MaxNodes() so
 	// the arrival-matrix stride stays fixed across topology epochs, and
 	// requires AllowIncomplete + SkipUnavailable (repair gaps cascade as
-	// measurable losses). The Result covers the ids the scheme allocated by
-	// the end of the run (Result.N), not that ceiling. See internal/faults
-	// for the seeded, plan- and generator-driven implementation.
+	// measurable losses). A churned run tolerates a node receiving the same
+	// packet twice, since a position swap can re-deliver a packet its new
+	// occupant already held: the duplicate is dropped but still consumes
+	// receive capacity. Without Churn a duplicate is a constraint violation.
+	// The Result covers the ids the scheme allocated by the end of the run
+	// (Result.N), not that ceiling. See internal/faults for the seeded, plan-
+	// and generator-driven implementation.
 	Churn ChurnSource
 }
 
@@ -544,7 +544,7 @@ func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) (int, error)
 		k, bit := int(p)*e.words+int(id)>>6, uint64(1)<<(uint(id)&63)
 		w := have[k]
 		if w&bit != 0 {
-			if !e.opt.AllowDuplicates {
+			if e.opt.Churn == nil {
 				return i, &Violation{t, "duplicate packet", tx}
 			}
 			e.sc.dups = append(e.sc.dups, i)

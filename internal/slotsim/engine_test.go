@@ -1,6 +1,7 @@
 package slotsim
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -21,6 +22,24 @@ func (s *stubScheme) SourceCapacity() int                      { return s.srcCap
 func (s *stubScheme) Neighbors() map[core.NodeID][]core.NodeID { return nil }
 func (s *stubScheme) Transmissions(t core.Slot) []core.Transmission {
 	return s.slots[t]
+}
+
+// fixedMembers is a stubScheme as a core.DynamicScheme whose membership
+// never changes, so a run can carry a churn source over it.
+type fixedMembers struct{ *stubScheme }
+
+func (fixedMembers) Members() []core.MemberInfo { return nil }
+func (fixedMembers) Apply(core.Slot, core.TopologyOp) (core.ChurnStats, error) {
+	return core.ChurnStats{}, errors.New("stub: fixed membership")
+}
+
+// noChurn is a churn source that applies no op: a run under it is a churned
+// run, which tolerates a duplicate.
+type noChurn struct{}
+
+func (noChurn) MaxNodes() int { return 0 }
+func (noChurn) Step(core.Slot, core.DynamicScheme) ([]core.ChurnStats, error) {
+	return nil, nil
 }
 
 func tx(from, to core.NodeID, p core.Packet) core.Transmission {
@@ -115,14 +134,15 @@ func TestViolationDuplicate(t *testing.T) {
 	}}
 	_, err := Run(s, Options{Slots: 4, Packets: 1})
 	assertViolation(t, err, "duplicate")
-	// With AllowDuplicates the run proceeds (but packets 1.. never reach
+	// Under a churn source the run proceeds (but packets 1.. never reach
 	// node 1, so restrict the window).
-	s2 := &stubScheme{n: 1, srcCap: 1, slots: map[core.Slot][]core.Transmission{
+	s2 := fixedMembers{&stubScheme{n: 1, srcCap: 1, slots: map[core.Slot][]core.Transmission{
 		0: {tx(0, 1, 0)},
 		1: {tx(0, 1, 0)},
-	}}
-	if _, err := Run(s2, Options{Slots: 2, Packets: 1, AllowDuplicates: true}); err != nil {
-		t.Errorf("AllowDuplicates run failed: %v", err)
+	}}}
+	opt := Options{Slots: 2, Packets: 1, Churn: noChurn{}, AllowIncomplete: true, SkipUnavailable: true}
+	if _, err := Run(s2, opt); err != nil {
+		t.Errorf("churned run with a duplicate failed: %v", err)
 	}
 }
 

@@ -74,15 +74,14 @@ func finishCase(t testing.TB, kind string, n int, packets core.Packet) (core.Sch
 	t.Helper()
 	const d = 2
 	lossy := func(opt Options) Options {
-		opt.AllowIncomplete, opt.SkipUnavailable, opt.AllowDuplicates = true, true, true
+		opt.AllowIncomplete, opt.SkipUnavailable = true, true
 		return opt
 	}
 	if kind == "churn" {
-		dy, err := multitree.NewDynamic(n, d, false)
+		ls, err := multitree.NewLiveScheme(n, d, false, core.PreRecorded)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls := multitree.NewLiveScheme(dy, core.PreRecorded)
 		return ls, lossy(Options{
 			Slots:   core.Slot(int(packets)) + ls.SteadyState() + 14*d + 2,
 			Packets: packets,

@@ -29,7 +29,7 @@ func BuildReport(s core.Scheme, opt Options, res *Result, m *obs.Metrics, worker
 			Packets:         int(opt.Packets),
 			Mode:            opt.Mode.String(),
 			Workers:         workers,
-			AllowDuplicates: opt.AllowDuplicates,
+			AllowDuplicates: opt.Churn != nil,
 			AllowIncomplete: opt.AllowIncomplete,
 			SkipUnavailable: opt.SkipUnavailable,
 		},

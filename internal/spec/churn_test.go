@@ -292,3 +292,23 @@ func TestChurnBudgetCeiling(t *testing.T) {
 		t.Fatalf("budget past the id space: got %v", err)
 	}
 }
+
+// TestChurnErrorNamesSlotOnce: a plan leave of a member that is not there
+// aborts the run, and each layer of the message adds only what it alone
+// knows: the engine the slot, the churn source the op's index, the scheme
+// the member.
+func TestChurnErrorNamesSlotOnce(t *testing.T) {
+	sc, err := Parse("scheme multitree\nparam n=20 d=2\nchurn kind=plan\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := BuildWithPlan(sc, &faults.Plan{Seed: 1, Churn: []faults.ChurnEvent{{At: 4, Leave: true, Name: "ghost"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = run.Execute(nil)
+	const want = `slotsim: slot 4: churn: faults: churn op 1: multitree: member "ghost" not present`
+	if err == nil || err.Error() != want {
+		t.Fatalf("leave of an absent member: got %v, want %s", err, want)
+	}
+}

@@ -50,11 +50,10 @@ func multiTreeExtra(m *multitree.MultiTree, d int) core.Slot {
 func buildLiveMultiTree(in buildInput) (*buildOutput, error) {
 	c := *in.Churn
 	n, d := in.Values.Int("n"), in.Values.Int("d")
-	dy, err := multitree.NewDynamic(n, d, c.Lazy)
+	ls, err := multitree.NewLiveScheme(n, d, c.Lazy, in.Mode)
 	if err != nil {
 		return nil, err
 	}
-	ls := multitree.NewLiveScheme(dy, in.Mode)
 
 	if c.Max == 0 {
 		if c.Kind == faults.ChurnPlan {
@@ -95,11 +94,9 @@ func buildLiveMultiTree(in buildInput) (*buildOutput, error) {
 	}
 	out.Opt.Churn = lc
 	// Live churn runs degraded by construction: repair gaps cascade as real
-	// losses, and a position swap can re-deliver a packet its new occupant
-	// already held.
+	// losses.
 	out.Opt.AllowIncomplete = true
 	out.Opt.SkipUnavailable = true
-	out.Opt.AllowDuplicates = true
 	return out, nil
 }
 

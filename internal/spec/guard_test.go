@@ -14,9 +14,9 @@ import (
 )
 
 // bannedConstructors maps an import path to the constructor names that must
-// only be called through the scheme registry. The dynamic family
-// (multitree.NewDynamic) and the scheme wrappers over
-// an already built topology (multitree.NewScheme, NewLiveScheme) stay
+// only be called through the scheme registry. The churn-capable family
+// (multitree.NewLiveScheme, whose Apply is its one membership door) and the
+// scheme wrapper over an already built topology (multitree.NewScheme) stay
 // callable: the ban covers the flag-plumbing duplication the registry exists
 // to end, not the building blocks the registry itself is made of.
 var bannedConstructors = map[string][]string{

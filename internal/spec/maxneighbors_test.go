@@ -138,19 +138,18 @@ func TestMaxNeighborsMatchesMap(t *testing.T) {
 func liveMaxNeighborsAfterChurn(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		for d := 2; d <= 4; d++ {
-			dy, err := multitree.NewDynamic(10, d, lazy)
+			s, err := multitree.NewLiveScheme(10, d, lazy, core.Live)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := multitree.NewLiveScheme(dy, core.Live)
 			rng := rand.New(rand.NewSource(int64(d)))
 			joined := 0
 			for i := 0; i < 300; i++ {
 				// Grow for the first half, then shrink, so the id space
 				// crosses levels both ways.
 				var op core.TopologyOp
-				if names := dy.Names(); len(names) > 1 && (i >= 150 && rng.Intn(4) != 0 || i < 150 && rng.Intn(3) == 0) {
-					op = core.TopologyOp{Leave: true, Name: names[rng.Intn(len(names))]}
+				if members := s.Members(); len(members) > 1 && (i >= 150 && rng.Intn(4) != 0 || i < 150 && rng.Intn(3) == 0) {
+					op = core.TopologyOp{Leave: true, Name: members[rng.Intn(len(members))].Name}
 				} else {
 					joined++
 					op = core.TopologyOp{Name: fmt.Sprintf("join-%d", joined)}
@@ -161,7 +160,7 @@ func liveMaxNeighborsAfterChurn(t *testing.T) {
 				walkMatchesMap(t, fmt.Sprintf("lazy=%v d=%d after op %d", lazy, d, i), s)
 				if got, want := core.MaxNeighbors(s), mapMaxNeighbors(s); got != want {
 					t.Fatalf("lazy=%v d=%d after op %d (%+v, %d members): core.MaxNeighbors = %d, map reads %d",
-						lazy, d, i, op, dy.N(), got, want)
+						lazy, d, i, op, len(s.Members()), got, want)
 				}
 			}
 		}
