@@ -120,9 +120,14 @@ type LiveChurnConfig struct {
 	// multi-tree family); every applied op's swap count is checked against
 	// it mid-run. Must be positive.
 	Bound int
-	// MaxNodes is the engine's id-space ceiling (initial id space plus the
-	// worst-case growth of the join budget). Must be positive.
-	MaxNodes int
+	// IDs is the scheme's id space when the run starts, and IDsPerJoin the
+	// most ids one join can add to it (d for the multi-tree family, whose
+	// join grows the trees by at most one level). Both must be positive.
+	IDs, IDsPerJoin int
+	// Slots is the run's horizon: the engine steps the source at the
+	// boundaries entering slots 0..Slots−1, so no op fires past Slots−1.
+	// Must be positive. With IDs and IDsPerJoin it fixes MaxNodes.
+	Slots core.Slot
 	// Floor is the minimum live membership; leaves that would go below it
 	// are skipped (generators) or abort the run (plans). Values below 2 are
 	// raised to 2.
@@ -158,7 +163,12 @@ type LiveChurn struct {
 	// counter, the victim-pick coordinate.
 	log     []LiveOp
 	members []slotsim.Membership
-	byNode  map[core.NodeID]int // live membership entry per node id
+	// byNode holds, per node id up to MaxNodes, 1 + the index of the live
+	// member's entry in members, or 0 for an id with no live member.
+	byNode []int32
+	// maxJoins and maxNodes are the joins the run can apply and the id
+	// space they can reach, counted at construction.
+	maxJoins, maxNodes int
 	// pickList is the live membership in ds.Members() order (sorted by name),
 	// seeded from it at slot 0 and kept in step by apply: victim picks index
 	// into it, and rebuilding it per leave is an O(N log N) string sort.
@@ -178,28 +188,59 @@ func NewLiveChurn(cfg LiveChurnConfig) (*LiveChurn, error) {
 	if cfg.Bound <= 0 {
 		return nil, fmt.Errorf("faults: live churn needs a positive per-op swap bound, got %d", cfg.Bound)
 	}
-	if cfg.MaxNodes <= 0 {
-		return nil, fmt.Errorf("faults: live churn needs a positive MaxNodes ceiling, got %d", cfg.MaxNodes)
+	if cfg.IDs <= 0 || cfg.IDsPerJoin <= 0 {
+		return nil, fmt.Errorf("faults: live churn needs a positive id space and growth per join, got %d and %d", cfg.IDs, cfg.IDsPerJoin)
+	}
+	if cfg.Slots <= 0 {
+		return nil, fmt.Errorf("faults: live churn needs a positive horizon, got %d slots", cfg.Slots)
 	}
 	if cfg.Floor < 2 {
 		cfg.Floor = 2
 	}
-	lc := &LiveChurn{
-		cfg:    cfg,
-		seed:   uint64(cfg.Seed),
-		byNode: make(map[core.NodeID]int),
-	}
+	lc := &LiveChurn{cfg: cfg, seed: uint64(cfg.Seed)}
 	if cfg.Kind == ChurnPlan {
 		if cfg.Seed == 0 {
 			lc.seed = uint64(cfg.Plan.Seed)
 		}
 		lc.plan = cfg.Plan.ChurnInOrder()
 	}
+	lc.maxJoins = lc.joinsWithin()
+	lc.maxNodes = cfg.IDs + cfg.IDsPerJoin*lc.maxJoins
+	lc.byNode = make([]int32, lc.maxNodes+1)
 	return lc, nil
 }
 
-// MaxNodes implements slotsim.ChurnSource.
-func (lc *LiveChurn) MaxNodes() int { return lc.cfg.MaxNodes }
+// joinsWithin counts the joins the run can apply: the plan's joins before
+// the horizon, or the joins the generator draws over its window's slots
+// before it, and at most the budget either way. Every draw is a pure hash
+// of (seed, slot, index), so the count is the run's own, made in advance.
+func (lc *LiveChurn) joinsWithin() int {
+	joins := 0
+	if lc.cfg.Kind == ChurnPlan {
+		for _, e := range lc.plan {
+			if !e.Leave && e.At < lc.cfg.Slots {
+				joins++
+			}
+		}
+		return min(joins, lc.cfg.Max)
+	}
+	last := lc.cfg.Slots - 1
+	if lc.cfg.End > 0 {
+		last = min(last, lc.cfg.End)
+	}
+	for t := lc.cfg.Begin; t <= last && joins < lc.cfg.Max; t++ {
+		for i := range int64(lc.countAt(t)) {
+			if !lc.directionAt(t, i) {
+				joins++
+			}
+		}
+	}
+	return min(joins, lc.cfg.Max)
+}
+
+// MaxNodes implements slotsim.ChurnSource: the initial id space plus
+// IDsPerJoin ids for every join the run can apply (joinsWithin).
+func (lc *LiveChurn) MaxNodes() int { return lc.maxNodes }
 
 // FirstChurnSlot returns the slot of the first applied op, or -1 if the run
 // saw no churn.
@@ -254,8 +295,13 @@ func (lc *LiveChurn) Summary() ChurnSummary {
 
 // track opens a membership window for a node id.
 func (lc *LiveChurn) track(node core.NodeID, name string, join core.Slot) {
-	lc.byNode[node] = len(lc.members)
+	if int(node) >= len(lc.byNode) {
+		// Past the counted ceiling: the engine refuses the run at this
+		// barrier, so the table need only not panic first.
+		lc.byNode = append(lc.byNode, make([]int32, int(node)+1-len(lc.byNode))...)
+	}
 	lc.members = append(lc.members, slotsim.Membership{Node: node, Name: name, Join: join, Leave: -1})
+	lc.byNode[node] = int32(len(lc.members))
 }
 
 // Step implements slotsim.ChurnSource: it resolves and applies the ops
@@ -269,6 +315,7 @@ func (lc *LiveChurn) Step(t core.Slot, ds core.DynamicScheme) ([]core.ChurnStats
 		}
 		lc.used = true
 		lc.pickList = ds.Members()
+		lc.members = make([]slotsim.Membership, 0, len(lc.pickList)+lc.maxJoins)
 		for _, m := range lc.pickList {
 			lc.track(m.Node, m.Name, 0)
 		}
@@ -403,9 +450,9 @@ func (lc *LiveChurn) apply(t core.Slot, ds core.DynamicScheme, leave bool, name 
 	if leave {
 		lc.pickList = slices.Delete(lc.pickList, at, at+1)
 		lc.leaves++
-		if idx, ok := lc.byNode[st.Node]; ok {
-			lc.members[idx].Leave = t
-			delete(lc.byNode, st.Node)
+		if i := lc.byNode[st.Node]; i > 0 {
+			lc.members[i-1].Leave = t
+			lc.byNode[st.Node] = 0
 		}
 	} else {
 		lc.pickList = slices.Insert(lc.pickList, at, core.MemberInfo{Node: st.Node, Name: name})

@@ -11,6 +11,10 @@ import (
 	"streamcast/internal/slotsim"
 )
 
+// testHorizon is the horizon liveSource gives a source that names none: past
+// every slot these tests step or run.
+const testHorizon = 1 << 10
+
 // liveSource builds a fresh LiveScheme and a LiveChurn over it
 // (the source is single-shot, so every run needs its own).
 func liveSource(t *testing.T, n, d int, lazy bool, cfg LiveChurnConfig) (*multitree.LiveScheme, *LiveChurn) {
@@ -22,8 +26,9 @@ func liveSource(t *testing.T, n, d int, lazy bool, cfg LiveChurnConfig) (*multit
 	if cfg.Bound == 0 {
 		cfg.Bound = multitree.SwapBound(d)
 	}
-	if cfg.MaxNodes == 0 {
-		cfg.MaxNodes = ls.NumReceivers() + cfg.Max*d
+	cfg.IDs, cfg.IDsPerJoin = ls.NumReceivers(), d
+	if cfg.Slots == 0 {
+		cfg.Slots = testHorizon
 	}
 	lc, err := NewLiveChurn(cfg)
 	if err != nil {
@@ -103,7 +108,7 @@ func liveOptions(ls *multitree.LiveScheme, lc slotsim.ChurnSource, opt slotsim.O
 }
 
 func TestLiveChurnConfigValidation(t *testing.T) {
-	base := LiveChurnConfig{Bound: 6, MaxNodes: 20}
+	base := LiveChurnConfig{Bound: 6, IDs: 20, IDsPerJoin: 2, Slots: 50}
 	cases := []struct {
 		name string
 		mut  func(*LiveChurnConfig)
@@ -123,7 +128,9 @@ func TestLiveChurnConfigValidation(t *testing.T) {
 		{"window reversed", func(c *LiveChurnConfig) { c.Kind = ChurnWave; c.Rate = 1; c.Begin, c.End = 9, 3 }, "is empty"},
 		{"budget past the id space", func(c *LiveChurnConfig) { c.Kind = ChurnPoisson; c.Rate = 1; c.Max = 1 << 62 }, "churn max"},
 		{"zero bound", func(c *LiveChurnConfig) { c.Kind = ChurnPoisson; c.Rate = 1; c.Bound = 0 }, "swap bound"},
-		{"zero ceiling", func(c *LiveChurnConfig) { c.Kind = ChurnPoisson; c.Rate = 1; c.MaxNodes = 0 }, "MaxNodes"},
+		{"zero id space", func(c *LiveChurnConfig) { c.Kind = ChurnPoisson; c.Rate = 1; c.IDs = 0 }, "id space"},
+		{"zero growth", func(c *LiveChurnConfig) { c.Kind = ChurnPoisson; c.Rate = 1; c.IDsPerJoin = 0 }, "growth per join"},
+		{"zero horizon", func(c *LiveChurnConfig) { c.Kind = ChurnPoisson; c.Rate = 1; c.Slots = 0 }, "horizon"},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -196,7 +203,7 @@ func TestLiveChurnFlashDirection(t *testing.T) {
 func TestLiveChurnFloorAndBudget(t *testing.T) {
 	// Max 0 and Floor at the full membership: every generated op is
 	// skipped, so the log stays empty over a high-rate window.
-	cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPoisson, Seed: 5, Rate: 3, Max: 0}, Floor: 10, MaxNodes: 30, Bound: 6}
+	cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPoisson, Seed: 5, Rate: 3, Max: 0}, Floor: 10, Bound: 6}
 	ls, lc := liveSource(t, 10, 2, false, cfg)
 	if ops := stepAll(t, ls, lc, 60); len(ops) != 0 {
 		t.Fatalf("budget 0 + floor at full membership still applied %d ops", len(ops))
@@ -224,7 +231,7 @@ func TestLiveChurnFloorAndBudget(t *testing.T) {
 // index.
 func TestLiveChurnPlanStrict(t *testing.T) {
 	plan := &Plan{Seed: 9, Churn: []ChurnEvent{{At: 2, Name: "a"}, {At: 3, Name: "b"}}}
-	cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: 1}, Plan: plan, Bound: 6, MaxNodes: 30}
+	cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: 1}, Plan: plan, Bound: 6}
 	ls, lc := liveSource(t, 10, 2, false, cfg)
 	var err error
 	for s := core.Slot(0); s < 10 && err == nil; s++ {
@@ -238,7 +245,7 @@ func TestLiveChurnPlanStrict(t *testing.T) {
 		{At: 1, Leave: true, Name: AnyName},
 		{At: 2, Leave: true, Name: AnyName},
 	}}
-	cfg = LiveChurnConfig{Churn: Churn{Kind: ChurnPlan}, Plan: plan, Floor: 3, Bound: 6, MaxNodes: 10}
+	cfg = LiveChurnConfig{Churn: Churn{Kind: ChurnPlan}, Plan: plan, Floor: 3, Bound: 6}
 	ls, lc = liveSource(t, 4, 2, false, cfg)
 	err = nil
 	for s := core.Slot(0); s < 10 && err == nil; s++ {
@@ -252,7 +259,7 @@ func TestLiveChurnPlanStrict(t *testing.T) {
 		{At: 1, Name: "late-1"},
 		{At: 2, Leave: true, Name: "ghost"},
 	}}
-	cfg = LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: 1}, Plan: plan, Bound: 6, MaxNodes: 20}
+	cfg = LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: 1}, Plan: plan, Bound: 6}
 	ls, lc = liveSource(t, 7, 2, false, cfg)
 	err = nil
 	for s := core.Slot(0); s < 10 && err == nil; s++ {
@@ -305,7 +312,7 @@ func TestLiveChurnPlanWildcardDeterministic(t *testing.T) {
 		{At: 6, Leave: true, Name: AnyName},
 	}}
 	run := func() []string {
-		cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: 2}, Plan: plan, Bound: 6, MaxNodes: 20}
+		cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: 2}, Plan: plan, Bound: 6}
 		ls, lc := liveSource(t, 10, 2, false, cfg)
 		var out []string
 		for _, op := range stepAll(t, ls, lc, 10) {
@@ -338,7 +345,7 @@ func TestLiveChurnBoundEnforced(t *testing.T) {
 		{At: 3, Leave: true, Name: "node-3"},
 		{At: 4, Leave: true, Name: "node-4"},
 	}}
-	cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPlan}, Plan: plan, Bound: 1, MaxNodes: 30}
+	cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPlan}, Plan: plan, Bound: 1}
 	ls, lc := liveSource(t, 13, 3, false, cfg)
 	var err error
 	for s := core.Slot(0); s < 10 && err == nil; s++ {
@@ -367,7 +374,7 @@ func TestLiveChurnMembershipWindows(t *testing.T) {
 		{At: 3, Name: "late"},
 		{At: 7, Leave: true, Name: "node-2"},
 	}}
-	cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: 1}, Plan: plan, Bound: 6, MaxNodes: 20}
+	cfg := LiveChurnConfig{Churn: Churn{Kind: ChurnPlan, Max: 1}, Plan: plan, Bound: 6}
 	ls, lc := liveSource(t, 10, 2, false, cfg)
 	stepAll(t, ls, lc, 10)
 	var sawLate, sawLeft bool

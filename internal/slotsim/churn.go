@@ -13,9 +13,10 @@ import (
 // internal/faults provides the plan- and generator-driven implementation.
 type ChurnSource interface {
 	// MaxNodes returns an upper bound on the id space the churned topology
-	// can ever reach (initial members plus the worst-case growth of the
-	// join budget). The engine sizes its state once from this bound; an op
-	// that would exceed it aborts the run.
+	// can reach within the run's horizon: the initial ids plus the most that
+	// the joins the source applies there can add (faults.LiveChurn counts
+	// them before the run). The engine sizes its state once from this bound;
+	// an op that exceeds it aborts the run, since the source undercounted.
 	MaxNodes() int
 	// Step applies the membership ops scheduled for the boundary entering
 	// slot t to ds, returning the per-op stats (empty means the topology is
@@ -52,7 +53,7 @@ func (e *engine) churnStep(t core.Slot) error {
 // refresh: a DynamicScheme's SourceCapacity is fixed for the run.
 func (e *engine) refreshTopology(t core.Slot) error {
 	if nr := e.dyn.NumReceivers(); nr > e.n {
-		return fmt.Errorf("slotsim: slot %d: churn grew the id space to %d nodes, beyond the pre-sized ceiling %d (raise ChurnSource.MaxNodes)", t, nr, e.n)
+		return fmt.Errorf("slotsim: slot %d: churn grew the id space to %d nodes, past the ceiling of %d its ChurnSource declared: the source undercounts its joins over the run's horizon", t, nr, e.n)
 	}
 	return nil
 }

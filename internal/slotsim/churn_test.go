@@ -233,7 +233,9 @@ func TestChurnOptionErrors(t *testing.T) {
 
 // TestChurnCeilingExceeded: growth past the ChurnSource's declared MaxNodes
 // ceiling aborts the run with a diagnostic instead of silently remapping the
-// engine's pre-sized state.
+// engine's pre-sized state. The ceiling follows the source's own count of
+// its joins, so the message names an undercounting source as the cause, not
+// a knob to raise.
 func TestChurnCeilingExceeded(t *testing.T) {
 	ls, err := multitree.NewLiveScheme(10, 2, false, core.PreRecorded)
 	if err != nil {
@@ -251,8 +253,9 @@ func TestChurnCeilingExceeded(t *testing.T) {
 		Slots: 20, Packets: 4, Mode: core.PreRecorded,
 		Churn: script, AllowIncomplete: true, SkipUnavailable: true,
 	}
-	if _, err := slotsim.Run(ls, opt); err == nil || !strings.Contains(err.Error(), "ceiling") {
-		t.Fatalf("growth past ceiling: got %v, want ceiling error", err)
+	const want = "slotsim: slot 2: churn grew the id space to 12 nodes, past the ceiling of 10 its ChurnSource declared: the source undercounts its joins over the run's horizon"
+	if _, err := slotsim.Run(ls, opt); err == nil || err.Error() != want {
+		t.Fatalf("growth past ceiling: got %v, want %s", err, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"streamcast/internal/core"
 	"streamcast/internal/obs"
@@ -112,13 +113,15 @@ type Options struct {
 	// Churn, if non-nil, makes the topology a live workload: the source is
 	// consulted at every slot boundary (before validate) and may apply
 	// join/leave ops to the scheme, which must implement core.DynamicScheme.
-	// The engine pre-sizes its struct-of-arrays state to Churn.MaxNodes() so
-	// the arrival-matrix stride stays fixed across topology epochs, and
-	// requires AllowIncomplete + SkipUnavailable (repair gaps cascade as
-	// measurable losses). A churned run tolerates a node receiving the same
-	// packet twice, since a position swap can re-deliver a packet its new
-	// occupant already held: the duplicate is dropped but still consumes
-	// receive capacity. Without Churn a duplicate is a constraint violation.
+	// The engine pre-sizes its struct-of-arrays state to Churn.MaxNodes(),
+	// the id space the source's joins can reach within Slots (a source is
+	// built for one horizon), so the arrival-matrix stride stays fixed
+	// across topology epochs. It requires AllowIncomplete + SkipUnavailable
+	// (repair gaps cascade as measurable losses). A churned run tolerates a
+	// node receiving the same packet twice, since a position swap can
+	// re-deliver a packet its new occupant already held: the duplicate is
+	// dropped but still consumes receive capacity. Without Churn a duplicate
+	// is a constraint violation.
 	// The Result covers the ids the scheme allocated by the end of the run
 	// (Result.N), not that ceiling. See internal/faults for the seeded, plan-
 	// and generator-driven implementation.
@@ -350,9 +353,10 @@ func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
 			return nil, fmt.Errorf("slotsim: live churn requires AllowIncomplete and SkipUnavailable (repair gaps cascade as real losses)")
 		}
 		dyn = ds
-		// Pre-size every per-node array to the largest id space churn may
-		// create, so joins never remap mid-run. Ids beyond the initial
-		// population stay silent until assigned.
+		// Pre-size every per-node array to the largest id space the
+		// source's joins may create within the horizon, so joins never remap
+		// mid-run. Ids beyond the initial population stay silent until
+		// assigned.
 		if m := opt.Churn.MaxNodes(); m > n {
 			n = m
 		}
@@ -590,12 +594,13 @@ func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) (int, error)
 }
 
 // filterUnavailable drops scheduled transmissions whose sender lacks the
-// packet (loss cascading under SkipUnavailable).
+// packet (loss cascading under SkipUnavailable). Its scratch grows at most
+// once per slot, to the slot's length.
 func (e *engine) filterUnavailable(t core.Slot, txs []core.Transmission) []core.Transmission {
 	if !e.opt.SkipUnavailable {
 		return txs
 	}
-	kept := e.sc.filter[:0]
+	kept := slices.Grow(e.sc.filter[:0], len(txs))
 	for _, tx := range txs {
 		if e.holds(tx.From, tx.Packet, t) {
 			kept = append(kept, tx)
@@ -611,10 +616,11 @@ func (e *engine) filterUnavailable(t core.Slot, txs []core.Transmission) []core.
 // ring holds for t, then the same-slot (latency 1) transmissions. Later
 // arrivals go to the ring, and a lost transmission's index to the scratch's
 // lost list. A deterministic Injector sees one schedule-ordered call
-// sequence. A link shorter than one slot stops the routing there.
+// sequence. A link shorter than one slot stops the routing there. The
+// arrival scratch grows at most once per slot, to hold every transmission.
 func (e *engine) route(t core.Slot, txs []core.Transmission) (routed, arrivals []core.Transmission, err error) {
 	in := e.opt.Inject
-	arrivals = e.sc.ring.drain(t, e.sc.arrive[:0])
+	arrivals = slices.Grow(e.sc.ring.drain(t, e.sc.arrive[:0]), len(txs))
 	for i, tx := range txs {
 		if in.DropTx(tx, t) {
 			e.sc.lost = append(e.sc.lost, i)

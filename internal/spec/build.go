@@ -151,18 +151,26 @@ func BuildWithPlan(sc *Scenario, plan *faults.Plan) (*Run, error) {
 		}
 	}
 
-	if out.Live != nil || sc.ReportOut != "" {
-		// ChurnReport's PlaybackSLO and BuildReport's buffer series read it.
-		opt.Arrivals = new(slotsim.Arrivals)
-	}
-
 	run := &Run{
 		Scenario: sc,
 		Family:   f,
 		Values:   v,
 		Scheme:   out.Scheme,
 		Plan:     plan,
-		Live:     out.Live,
+	}
+	if out.Live != nil {
+		// The horizon is final, so the source can count the joins it holds
+		// and size the engine's id space to them.
+		cfg := *out.Live
+		cfg.Slots = opt.Slots
+		if run.Live, err = faults.NewLiveChurn(cfg); err != nil {
+			return nil, fmt.Errorf("spec: scheme %s: %w", sc.Scheme, err)
+		}
+		opt.Churn = run.Live
+	}
+	if out.Live != nil || sc.ReportOut != "" {
+		// ChurnReport's PlaybackSLO and BuildReport's buffer series read it.
+		opt.Arrivals = new(slotsim.Arrivals)
 	}
 	if plan != nil {
 		in, err := faults.NewInjector(plan)

@@ -280,9 +280,11 @@ func TestChurnPlanPastHorizon(t *testing.T) {
 	}
 }
 
-// TestChurnBudgetCeiling: a join budget its Check accepts, but whose id-space
-// ceiling (d fresh ids per join) would pass what a run can hold, is a Build
-// error instead of an overflowed ceiling.
+// TestChurnBudgetCeiling: a join budget its Check accepts, but whose growth
+// (d fresh ids per join) could pass what a run can hold, is a Build error
+// instead of an overflowed ceiling — although the run's horizon draws far
+// fewer joins and its id-space ceiling follows those: the budget means the
+// same whatever the horizon.
 func TestChurnBudgetCeiling(t *testing.T) {
 	sc, err := Parse("scheme multitree\nparam d=3 n=20\nchurn kind=poisson rate=1 max=1073741824\n")
 	if err != nil {
@@ -290,6 +292,128 @@ func TestChurnBudgetCeiling(t *testing.T) {
 	}
 	if _, err := Build(sc); err == nil || !strings.Contains(err.Error(), "id space a run can hold") {
 		t.Fatalf("budget past the id space: got %v", err)
+	}
+}
+
+// idWatch records the largest id space its scheme reaches at any slot
+// barrier of a run.
+type idWatch struct {
+	slotsim.ChurnSource
+	peak int
+}
+
+func (w *idWatch) Step(t core.Slot, ds core.DynamicScheme) ([]core.ChurnStats, error) {
+	stats, err := w.ChurnSource.Step(t, ds)
+	w.peak = max(w.peak, ds.NumReceivers())
+	return stats, err
+}
+
+// ceilingRun builds a live-churn run, executes it to its horizon under an
+// idWatch, and returns the run, its initial id space and the watch.
+func ceilingRun(t *testing.T, text string, plan *faults.Plan) (*Run, int, *idWatch) {
+	t.Helper()
+	sc, err := Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := BuildWithPlan(sc, plan)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, text)
+	}
+	initial := run.Scheme.NumReceivers()
+	w := &idWatch{ChurnSource: run.Opt.Churn}
+	run.Opt.Churn = w
+	if _, err := run.Execute(nil); err != nil {
+		t.Fatalf("%v\n%s", err, text)
+	}
+	return run, initial, w
+}
+
+// TestChurnCeilingFollowsHorizon: the id-space ceiling a live run is sized
+// to counts the joins its horizon holds, and no more. Over every generator
+// kind at several rates, windows, seeds and budgets, and over plans, the id
+// space never passes MaxNodes(), and MaxNodes() is the initial id space plus
+// d ids for each join the run applied — so a join drawn past the horizon, or
+// a join left out, shows. The headroom over the final id space is d per
+// applied join less the d per join that grew the trees: a join that revives
+// a dummy adds no id. A plan that joins and leaves across a level boundary
+// under the eager policy grows the trees on every join, reaching the
+// ceiling exactly, so no smaller ceiling holds in general.
+func TestChurnCeilingFollowsHorizon(t *testing.T) {
+	gens := []string{
+		"kind=poisson rate=0.5 seed=%d slots=0..",
+		"kind=poisson rate=2 seed=%d max=3 slots=5..",
+		"kind=poisson rate=4 seed=%d slots=3..12",
+		"kind=flash rate=1 seed=%d slots=0..30",
+		"kind=flash rate=4 seed=%d slots=4..500",
+		"kind=wave rate=2 seed=%d slots=0..",
+		"kind=wave rate=3 seed=%d max=5 slots=2..40",
+	}
+	runs := 0
+	for _, n := range []int{20, 200} {
+		for _, d := range []int{2, 3, 4} {
+			for i, g := range gens {
+				for seed := 1; seed <= 3; seed++ {
+					policy := []string{"", " policy=lazy"}[(i+seed)%2]
+					text := fmt.Sprintf("scheme multitree\nparam n=%d d=%d\nchurn "+g+policy+"\n", n, d, seed)
+					run, initial, w := ceilingRun(t, text, nil)
+					lc := run.Live
+					if w.peak > lc.MaxNodes() {
+						t.Errorf("id space reached %d past the ceiling %d\n%s", w.peak, lc.MaxNodes(), text)
+					}
+					if want := initial + d*lc.Joins(); lc.MaxNodes() != want {
+						t.Errorf("ceiling %d, want %d = %d initial ids + d·%d applied joins\n%s",
+							lc.MaxNodes(), want, initial, lc.Joins(), text)
+					}
+					runs++
+				}
+			}
+		}
+	}
+
+	// Join and leave one fresh member per two slots up to the last slot of
+	// the horizon, at a level boundary (d | n, no dummy), under eager repair.
+	for _, d := range []int{2, 3, 4} {
+		const slots = 30 // the last join fires at slot 29, the horizon's last
+		n := 12 * d
+		plan := &faults.Plan{Seed: 1}
+		for at := core.Slot(1); at < slots; at += 2 {
+			name := fmt.Sprintf("p%d", at)
+			plan.Churn = append(plan.Churn, faults.ChurnEvent{At: at, Name: name})
+			if at+1 < slots {
+				plan.Churn = append(plan.Churn, faults.ChurnEvent{At: at + 1, Leave: true, Name: name})
+			}
+		}
+		text := fmt.Sprintf("scheme multitree\nparam n=%d d=%d\nslots %d\nchurn kind=plan\n", n, d, slots)
+		run, initial, w := ceilingRun(t, text, plan)
+		if joins := slots / 2; run.Live.Joins() != joins {
+			t.Fatalf("d=%d: %d joins applied, want %d", d, run.Live.Joins(), joins)
+		}
+		if want := initial + d*run.Live.Joins(); run.Live.MaxNodes() != want || w.peak != want {
+			t.Errorf("d=%d: ceiling %d and peak id space %d, want both %d", d, run.Live.MaxNodes(), w.peak, want)
+		}
+		runs++
+	}
+	t.Logf("%d runs", runs)
+}
+
+// TestChurnCeilingIsPerHorizon: a live run's source is built for the horizon
+// Build resolved, so raising Run.Opt.Slots afterwards lets the generator draw
+// joins its ceiling never counted, and the run ends in the engine's ceiling
+// error rather than writing past its state. Set `slots` in the scenario
+// instead.
+func TestChurnCeilingIsPerHorizon(t *testing.T) {
+	sc, err := Parse("scheme multitree\nparam n=20 d=2\nchurn kind=flash rate=4 max=1000 slots=0..999\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := Build(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Opt.Slots *= 4
+	if _, err := run.Execute(nil); err == nil || !strings.Contains(err.Error(), "the source undercounts its joins over the run's horizon") {
+		t.Fatalf("horizon raised after Build: got %v, want the ceiling error", err)
 	}
 }
 

@@ -43,10 +43,11 @@ func multiTreeExtra(m *multitree.MultiTree, d int) core.Slot {
 }
 
 // buildLiveMultiTree wires the live-churn run: the dynamic family under the
-// positional live schedule, with a faults.LiveChurn source the slot engines
-// consult at every barrier. Under kind "plan" the ops are the fault plan's
-// join/leave events (Build has checked that the plan and the kind agree);
-// the generator kinds draw their own.
+// positional live schedule, and the config of the faults.LiveChurn source the
+// slot engines consult at every barrier, which Build completes with the
+// horizon. Under kind "plan" the ops are the fault plan's join/leave events
+// (Build has checked that the plan and the kind agree); the generator kinds
+// draw their own.
 func buildLiveMultiTree(in buildInput) (*buildOutput, error) {
 	c := *in.Churn
 	n, d := in.Values.Int("n"), in.Values.Int("d")
@@ -66,33 +67,30 @@ func buildLiveMultiTree(in buildInput) (*buildOutput, error) {
 			c.Max = n
 		}
 	}
-	// Id-space ceiling: every grow is triggered by a join and appends d
+	// Id-space growth: every grow is triggered by a join and appends d
 	// fresh ids, while a shrink discards its dummy ids for good — so under
 	// join/leave oscillation across a level boundary the id space can gain
-	// up to d ids per budgeted join. A run holds at most
-	// core.MaxArrivalCells ids, so a ceiling past that is refused here,
-	// before the product could overflow.
+	// up to d ids per join. The source sizes the run's ceiling to the joins
+	// its horizon can draw; the budget bounds them all, and a budget whose
+	// growth could pass the core.MaxArrivalCells ids a run holds is refused
+	// here, before the product could overflow.
 	if c.Max+1 > (core.MaxArrivalCells-ls.NumReceivers())/d {
 		return nil, fmt.Errorf("a join budget of %d with up to d=%d fresh ids per join passes the %d-node id space a run can hold",
 			c.Max, d, core.MaxArrivalCells)
-	}
-	lc, err := faults.NewLiveChurn(faults.LiveChurnConfig{
-		Churn:    c,
-		Plan:     in.Plan,
-		Bound:    multitree.SwapBound(d),
-		MaxNodes: ls.NumReceivers() + (c.Max+1)*d,
-	})
-	if err != nil {
-		return nil, err
 	}
 	out := &buildOutput{
 		Scheme: ls,
 		// The live steady state ranges over the padded positions, so it
 		// replaces the static height-derived slack.
 		Extra: ls.SteadyState() + core.Slot(4*d+2),
-		Live:  lc,
+		Live: &faults.LiveChurnConfig{
+			Churn:      c,
+			Plan:       in.Plan,
+			Bound:      multitree.SwapBound(d),
+			IDs:        ls.NumReceivers(),
+			IDsPerJoin: d,
+		},
 	}
-	out.Opt.Churn = lc
 	// Live churn runs degraded by construction: repair gaps cascade as real
 	// losses.
 	out.Opt.AllowIncomplete = true

@@ -153,10 +153,12 @@ type buildOutput struct {
 	// MkCheck builds the family's internal/check options for a window.
 	// Nil with Caps.StaticCheck means the generic engine-derived audit.
 	MkCheck func(win core.Packet) check.Options
-	// Live is the run's mid-run churn source (already wired into
-	// Opt.Churn); non-nil suppresses the static preflight options, since a
-	// mutating topology has no fixed schedule to verify.
-	Live *faults.LiveChurn
+	// Live configures the run's mid-run churn source, every field but the
+	// horizon set: Build fills in Slots once the horizon is final, builds
+	// the source and wires it into Opt.Churn. Non-nil suppresses the static
+	// preflight options, since a mutating topology has no fixed schedule to
+	// verify.
+	Live *faults.LiveChurnConfig
 }
 
 // Family is one registered scheme family: the single construction path for
