@@ -148,7 +148,8 @@ cover:
 # generated slot back in the generators, ≈ 0.2–0.3 MB → 22–32 MB on the
 # schedule rows and ≈ 24 → 58 MB on the randreg row; a churned run sized to
 # its join budget rather than to its horizon's joins, ≈ 15 → 40 MB on the
-# faulted churn row). Memory
+# faulted churn row; an int32 arrival record back in place of cells as wide
+# as the horizon needs, ≈ 8.9 → 15 MB there). Memory
 # past 25% fails; time past 50%, because the fastest of five still reads
 # 2.5–3.6 ms for the same binary on a two-core host shared with other
 # containers (the baseline before this one said 6.23 ms for a row that measures
@@ -156,7 +157,7 @@ cover:
 # run are reported as missing, never failed — that is what lets this gate run a
 # narrow -bench filter. Refresh the baseline with `make bench-json` and point
 # BENCH_BASELINE at the new snapshot.
-BENCH_BASELINE ?= BENCH_2026-10-19-pr56.json
+BENCH_BASELINE ?= BENCH_2026-10-20-pr57.json
 GATE_BENCH = $(GO) test -bench 'SlotEngineScale/multitree-N10000/sequential' -benchtime 30x -count 5 -benchmem -run XXX . && \
 	$(GO) test -bench 'SlotEngineScale/multitree-N31000-P600/sequential' -benchtime 5x -benchmem -run XXX . && \
 	$(GO) test -bench 'SlotEngineCold/multitree-N31000-P600' -benchtime 5x -benchmem -run XXX . && \

@@ -463,8 +463,10 @@ func faultedChurnScenario(b *testing.B, dir string) *spec.Scenario {
 // Metrics attached on one held Runner, and the report with its churn section.
 // The injector's verdicts and the per-slot Metrics hook sit on this path.
 // `make bench-gate` holds the row to its bytes and allocations: a Metrics
-// that logs each delivery again is ≈ 17 MB more per op, and a run sized to
-// its join budget rather than to its horizon's joins ≈ 25 MB more.
+// that logs each delivery again is ≈ 17 MB more per op, a run sized to its
+// join budget rather than to its horizon's joins ≈ 25 MB more, and an arrival
+// record of int32 cells rather than the one byte its 238-slot horizon needs
+// ≈ 6 MB more.
 func BenchmarkFaultedChurnRun(b *testing.B) {
 	sc := faultedChurnScenario(b, b.TempDir())
 	r := slotsim.NewRunner()

@@ -166,9 +166,9 @@ func AppendNeighbor(list []NodeID, id NodeID) []NodeID {
 // track: a run whose horizon × population asks for more is refused up front
 // with an error that states what it would allocate, instead of dying in the
 // allocator. The slot engine keeps a presence bit per cell (128 MiB at the
-// ceiling) and int32 arrival slots only for the window of a run that reads
-// them; check.Static is an engine run, so the same gate refuses an oversized
-// verification. The million-node hypercube uses under a twentieth of it.
+// ceiling) and arrival slots, 1 to 4 bytes each by the horizon, only for the
+// window of a run that reads them; check.Static is an engine run, so the same
+// gate refuses an oversized verification. The million-node hypercube uses under a twentieth of it.
 const MaxArrivalCells = 1 << 30
 
 // CompiledScheme, CompileForRun and Window remain only for bench/pipeline.go,

@@ -128,9 +128,14 @@ func (o *oracleRun) recvCap(id core.NodeID) int {
 // slot executes slot t: who sends, what the links do to it, who receives.
 func (o *oracleRun) slot(t core.Slot, scheduled []core.Transmission) error {
 	txs := slices.Clone(scheduled)
+	inRange := func(tx core.Transmission) bool {
+		return tx.From >= 0 && int(tx.From) <= o.n && tx.To >= 0 && int(tx.To) <= o.n
+	}
 	if o.opt.SkipUnavailable {
-		// A relay that lacks the packet stays silent: the loss cascades.
-		txs = slices.DeleteFunc(txs, func(tx core.Transmission) bool { return !o.holds(tx.From, tx.Packet, t) })
+		// A relay that lacks the packet stays silent: the loss cascades. A
+		// transmission naming an id outside the run is not a relay's: it
+		// stays, to be refused below.
+		txs = slices.DeleteFunc(txs, func(tx core.Transmission) bool { return inRange(tx) && !o.holds(tx.From, tx.Packet, t) })
 	}
 
 	// Senders, in schedule order.
@@ -138,7 +143,7 @@ func (o *oracleRun) slot(t core.Slot, scheduled []core.Transmission) error {
 	for _, tx := range txs {
 		sent[tx.From]++
 		switch {
-		case tx.From < 0 || int(tx.From) > o.n || tx.To < 0 || int(tx.To) > o.n:
+		case !inRange(tx):
 			return &slotsim.Violation{Slot: t, Kind: "node id out of range", Tx: tx}
 		case tx.From == tx.To:
 			return &slotsim.Violation{Slot: t, Kind: "self transmission", Tx: tx}

@@ -14,16 +14,19 @@ type arrival struct {
 	t  core.Slot
 }
 
-// writeRecord writes arrivals into rec as deliver does.
+// writeRecord books arrivals into rec as a run does after deliver.
 func writeRecord(rec *Arrivals, arrivals ...arrival) {
 	for _, a := range arrivals {
-		rec.cells[int(a.j)*rec.stride+int(a.id)] = int32(a.t) + 1
+		rec.store.note(a.t, rec.stride, rec.packets, []core.Transmission{{To: a.id, Packet: a.j}})
 	}
 }
 
-// handRecord is an empty record over ids 0..n and a window of packets.
-func handRecord(n int, packets core.Packet) *Arrivals {
-	return &Arrivals{packets: packets, stride: n + 1, cells: make([]int32, (n+1)*int(packets))}
+// handRecord is an empty record over ids 0..n and a window of packets, at
+// the cell width of a horizon of slots.
+func handRecord(n int, packets core.Packet, slots core.Slot) *Arrivals {
+	rec := new(Arrivals)
+	rec.size(n+1, packets, slots)
+	return rec
 }
 
 // handResult holds the Result fields the fold reads: the playback starts
@@ -51,9 +54,15 @@ func handResult(rec *Arrivals, start map[core.NodeID]core.Slot) *Result {
 // revived id whose row forget wiped as resetNode does, so that only its new
 // occupant's packets count, ids that received nothing (skipped, whole blocks
 // of them), and a node in a later block of ids still holding packets when the
-// observed slots end.
+// observed slots end. It folds the record at every cell width.
 func TestBufferSeriesHandDriven(t *testing.T) {
-	rec := handRecord(70, 8)
+	for _, horizon := range []core.Slot{255, 256, 65536} {
+		handDrivenSeries(t, handRecord(70, 8, horizon))
+	}
+}
+
+func handDrivenSeries(t *testing.T, rec *Arrivals) {
+	t.Helper()
 	writeRecord(rec,
 		arrival{1, 0, 0}, arrival{1, 3, 3}, arrival{1, 4, 3}, arrival{1, 5, 3}, arrival{1, 6, 3},
 		arrival{2, 0, 2}, arrival{2, 1, 2}, arrival{2, 2, 2})
@@ -73,11 +82,12 @@ func TestBufferSeriesHandDriven(t *testing.T) {
 	// Node 2's burst of three at slot 2 drains from slot 4: 0 0 3 3 2 1 0 …
 	// Node 3's new occupant plays from slot 5:              0 0 0 0 0 4 3 2 1 0 …
 	// Node 70 keeps one packet from slot 4 to the end:      0 0 0 0 1 1 1 1 1 1 1 1
+	_, width := storeBytes(rec)
 	if want := []int{1, 0, 3, 5, 4, 6, 4, 3, 2, 1, 1, 1}; !reflect.DeepEqual(total, want) {
-		t.Errorf("buffer_total %v, want %v", total, want)
+		t.Errorf("%d-byte cells: buffer_total %v, want %v", width, total, want)
 	}
 	if want := []int{1, 0, 3, 3, 2, 4, 3, 2, 1, 1, 1, 1}; !reflect.DeepEqual(peak, want) {
-		t.Errorf("buffer_max %v, want %v", peak, want)
+		t.Errorf("%d-byte cells: buffer_max %v, want %v", width, peak, want)
 	}
 }
 
@@ -85,7 +95,7 @@ func TestBufferSeriesHandDriven(t *testing.T) {
 // plays it at once, node 2 receives it a slot later and starts a slot later,
 // so each holds one packet through its window and none after.
 func TestOccupancySeries(t *testing.T) {
-	rec := handRecord(2, 5)
+	rec := handRecord(2, 5, 7)
 	for j := core.Packet(0); j < 5; j++ {
 		writeRecord(rec, arrival{1, j, core.Slot(j)}, arrival{2, j, core.Slot(j) + 1})
 	}
@@ -102,7 +112,7 @@ func TestOccupancySeries(t *testing.T) {
 // slot 3, so the buffer peaks at 3 and drains one per slot (packet j occupies
 // it through the end of its playback slot start+j).
 func TestOccupancyBurst(t *testing.T) {
-	rec := handRecord(1, 3)
+	rec := handRecord(1, 3, 7)
 	writeRecord(rec, arrival{1, 0, 2}, arrival{1, 1, 2}, arrival{1, 2, 2})
 	peak, _ := rec.bufferSeries(handResult(rec, map[core.NodeID]core.Slot{1: 3}), 7)
 	if want := []int{0, 0, 3, 3, 2, 1, 0}; !reflect.DeepEqual(peak, want) {

@@ -33,7 +33,8 @@
 //     run keeps) and missing-packet counts. The arrival times themselves — and
 //     the hiccup accounting read off them — are a record the engine fills
 //     only for a run that sets Options.Arrivals (Arrivals.At, Row and
-//     Hiccups, over packet-major int32 cells the record owns). The model is
+//     Hiccups, over packet-major cells the record owns, each the narrowest
+//     of 1, 2 or 4 bytes that holds the horizon's slots). The model is
 //     lock-step, so a slot is O(N) array traffic between two hard barriers;
 //     PERFORMANCE.md records why sharding it across workers was measured
 //     and removed. Options.Slots is an upper bound: a Result depends on

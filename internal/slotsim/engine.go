@@ -85,10 +85,12 @@ type Options struct {
 	// certificate), so it holds the run's arrival slots once the run
 	// succeeds. It owns its memory: the Runner neither keeps nor
 	// reuses it. A Result holds only per-node summaries, so a reader of single
-	// cells (Hiccups, PlaybackSLO, mdc.RoundQuality) sets this. The engine
-	// never reads it, so it changes nothing else about the run: a run that
-	// leaves it nil writes no int32 cell and never holds the 4·(N+1)·Packets
-	// bytes.
+	// cells (Hiccups, PlaybackSLO, mdc.RoundQuality) sets this. A cell is
+	// w bytes, the narrowest of 1, 2 and 4 that holds the horizon's slots
+	// (1 up to 255 slots, 2 up to 65 535), so the record is
+	// w·(N+1)·Packets bytes. The engine never reads it, so it changes
+	// nothing else about the run: a run that leaves it nil writes no cell
+	// and never holds those bytes.
 	Arrivals *Arrivals
 	// Inject, if non-nil, is the run's one in-flight hook: it is asked once
 	// per validated transmission, in schedule order, whether the
@@ -188,58 +190,6 @@ type Result struct {
 	CertSlot, CertPeriod core.Slot
 }
 
-// Arrivals is the measurement window's arrival matrix, kept for a run whose
-// Options.Arrivals pointed at it: when each node received each window packet.
-// The run writes it in place; a second run handed the same Arrivals replaces
-// its contents.
-type Arrivals struct {
-	packets core.Packet
-	// cells is packet-major with row stride stride (the run's node ids,
-	// churn headroom included), encoded slot + 1 (0 = never arrived):
-	// cells[j·stride+id] is window packet j at node id. A reader that visits
-	// many nodes walks it a packet row at a time.
-	cells  []int32
-	stride int
-}
-
-// At returns the slot at the end of which node id received window packet j,
-// or -1 if it never arrived. Node 0 is the source, which receives nothing.
-func (a *Arrivals) At(id core.NodeID, j core.Packet) core.Slot {
-	return core.Slot(a.cells[int(j)*a.stride+int(id)]) - 1
-}
-
-// Row returns node id's arrival slots over the whole window, indexed by
-// packet (-1 = never arrived), as a fresh slice. It allocates; code that
-// visits many nodes should call At.
-func (a *Arrivals) Row(id core.NodeID) []core.Slot {
-	out := make([]core.Slot, a.packets)
-	for j := range out {
-		out[j] = a.At(id, core.Packet(j))
-	}
-	return out
-}
-
-// Hiccups counts the playback interruptions node id would suffer if it
-// committed to starting playback at the given slot: packets that are
-// missing entirely or arrive after their playback slot start+j.
-func (a *Arrivals) Hiccups(id core.NodeID, start core.Slot) int {
-	n := 0
-	for j := 0; j < int(a.packets); j++ {
-		if at := a.At(id, core.Packet(j)); at == unset || at > start+core.Slot(j) {
-			n++
-		}
-	}
-	return n
-}
-
-// forget clears node id's row: the id's previous occupant left, and its
-// arrivals are not the joining member's.
-func (a *Arrivals) forget(id core.NodeID) {
-	for j := 0; j < int(a.packets); j++ {
-		a.cells[j*a.stride+int(id)] = unset32
-	}
-}
-
 // WorstStartDelay returns the maximum playback delay over all receivers.
 func (r *Result) WorstStartDelay() core.Slot {
 	var worst core.Slot
@@ -297,7 +247,7 @@ type engine struct {
 	// packet in the same slot is an overflow entry on the scratch
 	// (ledger.go).
 	slots []uint64
-	// arrivals is Options.Arrivals, the record deliver fills, or nil.
+	// arrivals is Options.Arrivals, the record step fills, or nil.
 	arrivals *Arrivals
 	sendTab  []int32 // per-node send capacities, custom or default
 	recvTab  []int32 // per-node receive capacities, custom or default
@@ -391,16 +341,7 @@ func newEngine(s core.Scheme, opt Options, sc *scratch) (*engine, error) {
 	}
 	sc.resetLedger(n, maxPkt, opt.Slots)
 	if a := opt.Arrivals; a != nil {
-		// A record handed in again is cleared; a fresh one is all zero
-		// already, and its pages no arrival reaches (the join headroom of a
-		// live-churn run) are never faulted in.
-		a.packets, a.stride = opt.Packets, n+1
-		if cells := (n + 1) * int(opt.Packets); cap(a.cells) >= cells {
-			a.cells = a.cells[:cells]
-			clear(a.cells)
-		} else {
-			a.cells = make([]int32, cells)
-		}
+		a.size(n+1, opt.Packets, opt.Slots)
 	}
 
 	// The packed epoch-stamped counters need no initialization: a stale
@@ -483,11 +424,16 @@ func fillCaps(tab []int32, f CapacityFunc, src int32) []int32 {
 	return tab
 }
 
+// outOfRange reports whether tx names an id outside the run's 0..n.
+func (e *engine) outOfRange(tx core.Transmission) bool {
+	return tx.From < 0 || int(tx.From) > e.n || tx.To < 0 || int(tx.To) > e.n
+}
+
 // validateSends checks sender-side constraints for the slot's transmissions.
 func (e *engine) validateSends(t core.Slot, txs []core.Transmission) error {
 	tick := e.nextTick()
 	for _, tx := range txs {
-		if tx.From < 0 || int(tx.From) > e.n || tx.To < 0 || int(tx.To) > e.n {
+		if e.outOfRange(tx) {
 			return &Violation{t, "node id out of range", tx}
 		}
 		if tx.From == tx.To {
@@ -516,8 +462,7 @@ func (e *engine) validateSends(t core.Slot, txs []core.Transmission) error {
 // marks its packet's row dirty only when the packet differs from the one last
 // marked (a repeated mark changes nothing). A window arrival then sets the
 // node's slot bit, or, when the node already took a window packet in this slot
-// (only a custom RecvCap allows that), appends an overflow entry; and it is
-// written into Options.Arrivals when the run keeps that record. While a
+// (only a custom RecvCap allows that), appends an overflow entry. While a
 // period check is open (period.go) it also notes the slot's lowest window
 // packet arrived and highest packet delivered. Hot slices live in locals,
 // kept in registers.
@@ -584,9 +529,6 @@ func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) (int, error)
 			} else {
 				e.sc.over = append(e.sc.over, overflow{int32(t), int32(id)})
 			}
-			if a := e.arrivals; a != nil {
-				a.cells[int(p)*a.stride+int(id)] = int32(t) + 1
-			}
 		}
 	}
 	e.sc.cert.lo, e.sc.cert.hi = lo, hi
@@ -594,15 +536,17 @@ func (e *engine) deliver(t core.Slot, arrivals []core.Transmission) (int, error)
 }
 
 // filterUnavailable drops scheduled transmissions whose sender lacks the
-// packet (loss cascading under SkipUnavailable). Its scratch grows at most
-// once per slot, to the slot's length.
+// packet (loss cascading under SkipUnavailable). One that names an id outside
+// the run is kept without reading the ledger, for validateSends to refuse: it
+// is a violation under every setting. Its scratch grows at most once per
+// slot, to the slot's length.
 func (e *engine) filterUnavailable(t core.Slot, txs []core.Transmission) []core.Transmission {
 	if !e.opt.SkipUnavailable {
 		return txs
 	}
 	kept := slices.Grow(e.sc.filter[:0], len(txs))
 	for _, tx := range txs {
-		if e.holds(tx.From, tx.Packet, t) {
+		if e.outOfRange(tx) || e.holds(tx.From, tx.Packet, t) {
 			kept = append(kept, tx)
 		}
 	}
@@ -644,7 +588,9 @@ func (e *engine) route(t core.Slot, txs []core.Transmission) (routed, arrivals [
 // step executes one slot and then, if the run is observed, hands the
 // observer the slot's view. Without Inject every link takes exactly one slot
 // and nothing is lost in flight, so the schedule's own slice is the slot's
-// arrival list and the route copy is skipped.
+// arrival list and the route copy is skipped. A run that keeps
+// Options.Arrivals books the arrivals deliver applied into it, one pass at
+// the record's width.
 func (e *engine) step(t core.Slot, txs []core.Transmission) error {
 	scheduled := len(txs)
 	sc := e.sc
@@ -662,6 +608,9 @@ func (e *engine) step(t core.Slot, txs []core.Transmission) error {
 		var n int
 		n, err = e.deliver(t, arrivals)
 		arrivals = arrivals[:n]
+		if a := e.arrivals; a != nil {
+			a.store.note(t, a.stride, e.opt.Packets, arrivals)
+		}
 	}
 	if e.obs != nil {
 		sc.view = obs.SlotView{T: t, Scheduled: scheduled, Sent: txs, Lost: sc.lost,

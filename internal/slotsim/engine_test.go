@@ -192,6 +192,44 @@ func TestViolationSelfAndRange(t *testing.T) {
 	assertViolation(t, err, "out of range")
 }
 
+// TestRangeBeforeSkip: a transmission naming an id outside the run is the
+// same violation whether or not the run skips unheld packets. The range is
+// checked before the ledger is read, so under SkipUnavailable an out-of-range
+// sender neither indexes the presence bits (a panic below 0 or past the last
+// word) nor is dropped as one that lacks the packet (an id inside the last
+// word), and neither is an unheld packet sent to an id outside the run. The
+// slot's earlier transmissions stay in order: under SkipUnavailable an unheld
+// one is dropped before the bad one is reached.
+func TestRangeBeforeSkip(t *testing.T) {
+	for _, bad := range []core.Transmission{
+		tx(-1, 2, 0), tx(5, 2, 0), tx(70, 2, 0), tx(1<<20, 2, 0), tx(3, 9, 0), tx(1, -4, 0),
+	} {
+		for _, skip := range []bool{false, true} {
+			slot1 := []core.Transmission{tx(1, 2, 0), bad}
+			if skip {
+				slot1 = []core.Transmission{tx(3, 2, 0), tx(1, 2, 0), bad}
+			}
+			s := &stubScheme{n: 3, srcCap: 1, slots: map[core.Slot][]core.Transmission{
+				0: {tx(0, 1, 0)},
+				1: slot1,
+			}}
+			var err error
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s, skip %v: panic %v", bad, skip, p)
+					}
+				}()
+				_, err = Run(s, Options{Slots: 4, Packets: 1, AllowIncomplete: true, SkipUnavailable: skip})
+			}()
+			want := &Violation{Slot: 1, Kind: "node id out of range", Tx: bad}
+			if v, ok := err.(*Violation); !ok || *v != *want {
+				t.Errorf("%s, skip %v: got %v, want %v", bad, skip, err, want)
+			}
+		}
+	}
+}
+
 // TestIncompleteDelivery: the run fails if a node misses a packet in the
 // window.
 func TestIncompleteDelivery(t *testing.T) {

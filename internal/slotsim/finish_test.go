@@ -367,7 +367,7 @@ func TestResultSurvivesRunnerReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	keep, keepRec := *res, *rec
-	keepRec.cells = slices.Clone(rec.cells)
+	keepRec.store = cloneStore(rec.store)
 	keep.StartDelay = slices.Clone(res.StartDelay)
 	keep.MaxBuffer = slices.Clone(res.MaxBuffer)
 	keep.Missing = slices.Clone(res.Missing)

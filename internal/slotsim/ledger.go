@@ -30,8 +30,9 @@ import (
 // or, larger, the occupancy at one of the node's overflow slots past s.
 //
 // The arrival slots themselves are a record kept only for a caller that asks
-// (Options.Arrivals): deliver writes each window arrival into it beside the
-// bits. Nothing the engine computes reads it.
+// (Options.Arrivals, record.go): step books the window arrivals deliver
+// applied into it, at the cell width the horizon needs. Nothing the engine
+// computes reads it.
 
 // overflow is a window arrival at node id in a slot t in which the node had
 // already taken one.
@@ -39,12 +40,12 @@ type overflow struct{ t, id int32 }
 
 // arrivalBytes is the most a run of n+1 node ids tracking maxPkt packet rows
 // over a horizon of slots allocates for its ledger — the presence bits and as
-// many slot rows as slots — plus 4·(n+1)·kept bytes of a record of kept window
-// packets. It is computed in float64 so that a hostile horizon cannot overflow
-// it.
+// many slot rows as slots — plus w·(n+1)·kept bytes of a record of kept window
+// packets, w the cell width the horizon gets (cellWidth). It is computed in
+// float64 so that a hostile horizon cannot overflow it.
 func arrivalBytes(n int, maxPkt core.Packet, slots core.Slot, kept core.Packet) float64 {
 	rowBytes := float64((n+64)/64) * 8
-	return rowBytes*(float64(maxPkt)+float64(slots)) + 4*float64(n+1)*float64(kept)
+	return rowBytes*(float64(maxPkt)+float64(slots)) + float64(cellWidth(slots))*float64(n+1)*float64(kept)
 }
 
 // resetLedger sizes the Runner's ledger for a run over ids 0..n tracking

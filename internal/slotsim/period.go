@@ -182,19 +182,25 @@ func (e *engine) highestRow(from, above core.Packet) core.Packet {
 
 // extendRecord completes a certified run's Arrivals record, when it keeps
 // one: a window cell still unset at the certificate is the cell P packets
-// earlier plus P slots, and rows below floor are already whole. Rows are
-// filled in packet order, so the earlier cell is always set by then.
+// earlier plus P slots, and rows below floor are already whole.
 func (e *engine) extendRecord(floor core.Packet, P core.Slot) {
-	a := e.arrivals
-	if a == nil {
-		return
+	if a := e.arrivals; a != nil {
+		a.store.extend(int(floor), int(a.packets), a.stride, P)
 	}
-	for p := int(floor); p < int(a.packets); p++ {
-		row := a.cells[p*a.stride : (p+1)*a.stride]
-		prev := a.cells[(p-int(P))*a.stride:]
+}
+
+// extend fills the unset cells of receivers in rows from..to−1 with the cell
+// P rows earlier plus P. Rows are filled in packet order, so the earlier cell
+// is always set by then; the sum is an arrival inside the horizon, which the
+// width holds (cellWidth).
+func (c cells[T]) extend(from, to, stride int, P core.Slot) {
+	d := T(P)
+	for p := from; p < to; p++ {
+		row := c[p*stride : (p+1)*stride]
+		prev := c[(p-int(P))*stride:]
 		for id := 1; id < len(row); id++ {
-			if row[id] == unset32 {
-				row[id] = prev[id] + int32(P)
+			if row[id] == 0 {
+				row[id] = prev[id] + d
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package slotsim_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"streamcast/internal/core"
@@ -269,8 +270,15 @@ func TestLongerHorizonKeepsCertifiedRun(t *testing.T) {
 				t.Errorf("%s (record %v): horizon ×4 changed the Result: certificate %d/%d → %d/%d, slots used %d → %d",
 					name, keep, res[0].CertSlot, res[0].CertPeriod, res[1].CertSlot, res[1].CertPeriod, res[0].SlotsUsed, res[1].SlotsUsed)
 			}
-			if !reflect.DeepEqual(cells[0], cells[1]) {
-				t.Errorf("%s: horizon ×4 changed the arrival record", name)
+			// The two horizons may store the record at different cell widths;
+			// its slots must be the same.
+			if keep {
+				for id := core.NodeID(0); int(id) <= res[0].N; id++ {
+					if a, b := cells[0].Row(id), cells[1].Row(id); !slices.Equal(a, b) {
+						t.Errorf("%s: horizon ×4 changed node %d's arrivals: %v → %v", name, id, a, b)
+						break
+					}
+				}
 			}
 		}
 	}

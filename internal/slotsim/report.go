@@ -120,16 +120,7 @@ func (a *Arrivals) bufferSeries(res *Result, slots int) (peak, total []int) {
 	var have, start [foldBlock]int
 	for lo := 1; lo <= res.N; lo += foldBlock {
 		hi := min(lo+foldBlock, res.N+1)
-		k, left := hi-lo, 0
-		for j := 0; j < w; j++ {
-			for i, c := range a.cells[j*stride+lo : j*stride+hi] {
-				// An unset cell (0) wraps past every slot.
-				if t := uint(c - 1); t < uint(slots) {
-					count[int(t)*foldBlock+i]++
-					left++
-				}
-			}
-		}
+		k, left := hi-lo, a.store.tally(lo, hi, stride, w, slots, count)
 		for i := range k {
 			have[i], start[i] = 0, int(res.StartDelay[lo+i])
 		}
@@ -153,4 +144,22 @@ func (a *Arrivals) bufferSeries(res *Result, slots int) (peak, total []int) {
 		}
 	}
 	return peak, total
+}
+
+// tally counts the arrivals of ids lo..hi−1 (at most foldBlock) in slots
+// 0..slots−1 into count, a slots × foldBlock table indexed by slot and
+// id − lo, one packet row's stretch of the block at a time, and returns how
+// many it counted.
+func (c cells[T]) tally(lo, hi, stride, packets, slots int, count []int32) int {
+	n := 0
+	for j := 0; j < packets; j++ {
+		for i, v := range c[j*stride+lo : j*stride+hi] {
+			// An unset cell (0) wraps past every slot.
+			if t := uint(v) - 1; t < uint(slots) {
+				count[int(t)*foldBlock+i]++
+				n++
+			}
+		}
+	}
+	return n
 }

@@ -73,7 +73,6 @@ func PlaybackSLO(r *Result, cells *Arrivals, members []Membership, probe int, fi
 	// then by id: a joiner owes playback only from the live edge at its join
 	// slot, since the schedule never re-sends rounds produced before it
 	// arrived.
-	type owed struct{ from, id int32 }
 	var owing []owed
 	for _, m := range members {
 		if m.Leave >= 0 || m.Node < 1 || int(m.Node) > r.N {
@@ -110,18 +109,36 @@ func PlaybackSLO(r *Result, cells *Arrivals, members []Membership, probe int, fi
 		s.Expected += np - int(o.from)
 	}
 	s.Nodes = n
-	// The record is packet-major, so the window is walked a packet row at a
-	// time: each member owing the packet — a prefix of them — reads its cell
-	// of the row, in id order so that the row streams, and carries its gap
-	// run on to the next row. Whether a packet is a gap is close to a coin
-	// flip, so the walk counts without branching on it.
-	hiccups, gaps, stall, reach := 0, 0, 0, 0
+	hiccups, gaps, stall, reach := cells.store.walk(cells.stride, np, owing, ids, start, run)
+	s.Hiccups, s.Gaps, s.MaxStall = hiccups, gaps, core.Slot(stall)
+	if firstChurn >= 0 {
+		// A slot no gap reached is 0, at or before the first churn op.
+		s.TimeToRepair = max(core.Slot(reach)-firstChurn, 0)
+	}
+	if s.Expected > 0 {
+		s.RebufferRatio = float64(s.Hiccups) / float64(s.Expected)
+	}
+	return s
+}
+
+// owed is a member owed playback: its id and the first window packet it is
+// owed.
+type owed struct{ from, id int32 }
+
+// walk is PlaybackSLO's pass over the window. The record is packet-major, so
+// the window is walked a packet row at a time: each member owing the packet —
+// a prefix of them, as owing is sorted — reads its cell of the row, in id
+// order so that the row streams, and carries its gap run on to the next row.
+// It returns the gap packets, the gap runs, the longest run and the latest
+// slot a gap reached (a gap packet's playback slot + 1). Whether a packet is a
+// gap is close to a coin flip, so the walk counts without branching on it.
+func (c cells[T]) walk(stride, packets int, owing []owed, ids, start, run []int32) (hiccups, gaps, stall, reach int) {
 	owes := 0
-	for j := 0; j < np; j++ {
-		for owes < n && int(owing[owes].from) <= j {
+	for j := 0; j < packets; j++ {
+		for owes < len(owing) && int(owing[owes].from) <= j {
 			owes++
 		}
-		row := cells.cells[j*cells.stride : (j+1)*cells.stride]
+		row := c[j*stride : (j+1)*stride]
 		st, gr := start[:owes], run[:owes]
 		for i, id := range ids[:owes] {
 			// An unset cell (0) wraps to the largest uint32: later than any
@@ -137,15 +154,7 @@ func PlaybackSLO(r *Result, cells *Arrivals, members []Membership, probe int, fi
 			reach = max(reach, gap*(play+1))
 		}
 	}
-	s.Hiccups, s.Gaps, s.MaxStall = hiccups, gaps, core.Slot(stall)
-	if firstChurn >= 0 {
-		// A slot no gap reached is 0, at or before the first churn op.
-		s.TimeToRepair = max(core.Slot(reach)-firstChurn, 0)
-	}
-	if s.Expected > 0 {
-		s.RebufferRatio = float64(s.Hiccups) / float64(s.Expected)
-	}
-	return s
+	return hiccups, gaps, stall, reach
 }
 
 // b2i is 1 for true and 0 for false; the compiler turns it into a flag

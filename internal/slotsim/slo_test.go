@@ -82,7 +82,8 @@ func TestPlaybackSLOMatchesReference(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		n, np := 1+rng.IntN(200), 1+rng.IntN(150)
 		stride := n + 1 + rng.IntN(3)
-		cells := &Arrivals{packets: core.Packet(np), stride: stride, cells: make([]int32, np*stride)}
+		cells := new(Arrivals)
+		cells.size(stride, core.Packet(np), []core.Slot{255, 65535, 65536}[rng.IntN(3)])
 		lossy, late := rng.Float64(), rng.IntN(8)
 		for j := 0; j < np; j++ {
 			for id := 1; id < stride; id++ {
@@ -90,7 +91,7 @@ func TestPlaybackSLOMatchesReference(t *testing.T) {
 					continue
 				}
 				at := max(j+rng.IntN(late+1)-rng.IntN(3), 0)
-				cells.cells[j*stride+id] = int32(at) + 1
+				cells.store.note(core.Slot(at), stride, core.Packet(np), []core.Transmission{{To: core.NodeID(id), Packet: core.Packet(j)}})
 			}
 		}
 		r := &Result{N: n, Packets: core.Packet(np), StartDelay: make([]core.Slot, n+1)}

@@ -13,7 +13,10 @@ package slotsim
 //	cursor     [N+1]uint64                 playback cursor: worstLag (high 32) | got (low 32)
 //	dirtyRows  [(maxPkt+63)/64]uint64      bitmap of presence (packet) rows written this run
 //
-// The slot bits and overflow entries are the rest of the ledger (ledger.go). The counters and cursors pack two logically separate fields
+// The slot bits and overflow entries are the rest of the ledger (ledger.go).
+// An Arrivals record, kept only when the caller asks, is the caller's
+// (record.go): [Packets · (N+1)] cells of 1, 2 or 4 bytes, by the horizon.
+// The counters and cursors pack two logically separate fields
 // into one word on purpose: the hot path reads and writes them together, so
 // packing halves the cache lines touched per transmission. The presence bits
 // are packet-major because one slot moves few distinct packets across many
@@ -34,11 +37,6 @@ package slotsim
 //     instead of an O(maxPkt·N) wipe.
 
 import "streamcast/internal/core"
-
-// unset32 marks a not-yet-arrived packet in an Arrivals record. Arrival
-// slots are stored biased by +1 so the zero value means "unset" and a
-// cleared record needs no fill pass.
-const unset32 int32 = 0
 
 // noLag is the worstLag sentinel for "no window packet arrived yet".
 // Lags can be negative (a pre-recorded packet may arrive slots early), so

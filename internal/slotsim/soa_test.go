@@ -141,6 +141,13 @@ func TestArrivalMatrixCeiling(t *testing.T) {
 			t.Fatalf("Slots=%d: got %v, want the sized ceiling error", slots, err)
 		}
 	}
+	// The figure counts a kept record at the width its horizon gets: at 200
+	// slots, 1 byte a cell, 1.2 GB of the 1.4 GiB (4.7 GiB at 4 bytes).
+	_, err := r.Run(&stubScheme{n: 6_000_000, srcCap: 3}, Options{Slots: 200, Packets: 200, Mode: core.Live, Arrivals: new(Arrivals)})
+	const want = "slotsim: arrival matrix too large: N=6000000 nodes × 200 packet rows would allocate up to 1.4 GiB of arrival bits and cells, over the 1073741824-cell ceiling (core.MaxArrivalCells); shorten the horizon (200 slots) or the population"
+	if err == nil || err.Error() != want {
+		t.Errorf("got %v,\nwant %s", err, want)
+	}
 	if cap(r.sc.have) != 0 || cap(r.sc.slots) != 0 {
 		t.Errorf("a refused run allocated %d presence words and %d slot words", cap(r.sc.have), cap(r.sc.slots))
 	}
@@ -148,7 +155,7 @@ func TestArrivalMatrixCeiling(t *testing.T) {
 	if _, err := r.Run(chainOfTwo(), Options{Slots: 6, Packets: 1, Arrivals: kept}); err != nil {
 		t.Errorf("run after a refused one: %v", err)
 	}
-	if len(kept.cells) != 3 || kept.At(1, 0) != 0 || kept.At(2, 0) != 1 {
-		t.Errorf("record of %d cells, node 1 at %d and node 2 at %d; want 3 cells, slots 0 and 1", len(kept.cells), kept.At(1, 0), kept.At(2, 0))
+	if size, _ := storeBytes(kept); size != 3 || kept.At(1, 0) != 0 || kept.At(2, 0) != 1 {
+		t.Errorf("record of %d bytes, node 1 at %d and node 2 at %d; want 3 one-byte cells, slots 0 and 1", size, kept.At(1, 0), kept.At(2, 0))
 	}
 }

@@ -77,6 +77,16 @@ func sansCert(o outcome) outcome {
 	return outcome{&r, o.Cells}
 }
 
+// arrivalRows is every node's row of o's arrival record: what the record
+// holds, whatever the cell width its run's horizon gave it.
+func arrivalRows(o outcome) [][]core.Slot {
+	rows := make([][]core.Slot, o.Res.N+1)
+	for id := range rows {
+		rows[id] = o.Cells.Row(core.NodeID(id))
+	}
+	return rows
+}
+
 // executeKeeping executes the run with its arrival cells asked for, as
 // live-churn and mdc runs ask already, under one more observer when given.
 func executeKeeping(run *Run, observer obs.Observer) (outcome, error) {
@@ -181,7 +191,8 @@ func TestCellRequestInvariance(t *testing.T) {
 // the whole window by the end of slot T−1, a horizon of T, T+1, T+64 or T+65
 // slots gives the same Result and the same cells, bare — where the stop rule
 // leaves at T whatever the horizon — and observed, where every slot of the
-// horizon runs. This is the property the stop rule rests on (TestStopRule
+// horizon runs (the cells read back by row, since a horizon past 255 slots
+// stores them wider). This is the property the stop rule rests on (TestStopRule
 // pins it on hand cases). A scenario whose window never completes has no such
 // T and is skipped — the faulted and the two churned entries (a joiner's id
 // misses what was sent before it joined) and randreg latin at n=400, whose
@@ -213,7 +224,7 @@ func TestPrefixStability(t *testing.T) {
 					t.Errorf("%s: horizon T+%d = %d (observed %v): %v", c.name, k, T+k, observed, err)
 					continue
 				}
-				if !reflect.DeepEqual(sansCert(full), sansCert(got)) {
+				if !reflect.DeepEqual(sansCert(full).Res, sansCert(got).Res) || !reflect.DeepEqual(arrivalRows(full), arrivalRows(got)) {
 					t.Errorf("%s: horizon T+%d = %d (observed %v) gives a different Result or cells than the scenario's own horizon (slots used %d vs %d, worst delay %d vs %d)",
 						c.name, k, T+k, observed, got.Res.SlotsUsed, full.Res.SlotsUsed, got.Res.WorstStartDelay(), full.Res.WorstStartDelay())
 				}
