@@ -586,8 +586,8 @@ func BenchmarkCheckStatic(b *testing.B) {
 }
 
 // BenchmarkNeighbors measures building the protocol-neighbour map, which
-// bench/pipeline.go's text report still asks for (the check's mesh audit
-// reads the scheme's walk instead, core.EachNeighbors), and, in each row's
+// bench/pipeline.go's text report still asks for (the program reads the
+// scheme's EachNeighbors walk instead), and, in each row's
 // `/max` sub-row, core.MaxNeighbors, which the CLI's `max neighbors:` line
 // reads without building it.
 func BenchmarkNeighbors(b *testing.B) {

@@ -47,19 +47,19 @@ func (c *Chain) Transmissions(t core.Slot) []core.Transmission {
 	return out
 }
 
-// Neighbors implements core.Scheme: each node talks to its predecessor and
-// successor only.
-func (c *Chain) Neighbors() map[core.NodeID][]core.NodeID {
-	out := make(map[core.NodeID][]core.NodeID, c.N)
+// EachNeighbors implements core.Scheme: each node talks to its predecessor
+// and successor only.
+func (c *Chain) EachNeighbors(yield func(id core.NodeID, list []core.NodeID)) {
+	var list [2]core.NodeID
 	for i := 1; i <= c.N; i++ {
-		var nb []core.NodeID
-		nb = append(nb, core.NodeID(i-1)) // NodeID(0) is the source
-		if i < c.N {
-			nb = append(nb, core.NodeID(i+1))
-		}
-		out[core.NodeID(i)] = nb
+		list = [2]core.NodeID{core.NodeID(i - 1), core.NodeID(i + 1)} // NodeID(0) is the source
+		yield(core.NodeID(i), list[:min(2, 1+c.N-i)])
 	}
-	return out
+}
+
+// Neighbors implements core.Scheme: the walk as a map.
+func (c *Chain) Neighbors() map[core.NodeID][]core.NodeID {
+	return core.NeighborMap(c.N, 2, c.EachNeighbors)
 }
 
 // SingleTree is the single b-ary multicast tree scheme: receivers occupy
@@ -120,20 +120,22 @@ func (s *SingleTree) Transmissions(t core.Slot) []core.Transmission {
 	return out
 }
 
-// Neighbors implements core.Scheme.
-func (s *SingleTree) Neighbors() map[core.NodeID][]core.NodeID {
-	out := make(map[core.NodeID][]core.NodeID, s.N)
+// EachNeighbors implements core.Scheme: each position's parent, then its
+// children.
+func (s *SingleTree) EachNeighbors(yield func(id core.NodeID, list []core.NodeID)) {
+	buf := make([]core.NodeID, 0, 1+s.B)
 	for p := 1; p <= s.N; p++ {
-		nb := []core.NodeID{core.NodeID((p - 1) / s.B)}
-		for c := 0; c < s.B; c++ {
-			child := s.B*p + 1 + c
-			if child <= s.N {
-				nb = append(nb, core.NodeID(child))
-			}
+		list := append(buf[:0], core.NodeID((p-1)/s.B))
+		for c := s.B*p + 1; c <= min(s.B*p+s.B, s.N); c++ {
+			list = append(list, core.NodeID(c))
 		}
-		out[core.NodeID(p)] = nb
+		yield(core.NodeID(p), list)
 	}
-	return out
+}
+
+// Neighbors implements core.Scheme: the walk as a map.
+func (s *SingleTree) Neighbors() map[core.NodeID][]core.NodeID {
+	return core.NeighborMap(s.N, 1+s.B, s.EachNeighbors)
 }
 
 // SendCap returns the per-node send capacity this scheme requires: b for

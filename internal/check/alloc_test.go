@@ -18,8 +18,8 @@ import (
 // engine run that read the Neighbors() map 39 and 40, and the run that reads
 // the scheme's neighbor walk 23 of each. The count budget leaves room for
 // another Go release's runtime. The byte budgets sit about a tenth above the
-// walk's 115 KB and 139 KB per run; reading the Neighbors() map again costs
-// 256 KB and 262 KB.
+// walk's 115 KB and 139 KB per run; reading the Neighbors() map, the walk
+// collected, would cost 256 KB and 262 KB.
 func TestStaticAllocationBudget(t *testing.T) {
 	const budget = 120
 	hc, err := hypercube.New(1023, 1)

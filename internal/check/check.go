@@ -1,7 +1,6 @@
 package check
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -93,7 +92,7 @@ type Options struct {
 	// infrastructure relays (cluster super nodes, local roots) that
 	// legitimately forward every residue class.
 	TreeExempt map[core.NodeID]bool
-	// MaxNeighbors, when > 0, bounds every node's Neighbors() degree.
+	// MaxNeighbors, when > 0, bounds every listed node's degree.
 	MaxNeighbors int
 	// DelayBound, when > 0, is the closed-form worst-case playback delay
 	// the measured schedule must not exceed.
@@ -123,7 +122,7 @@ type Report struct {
 	// WorstBuffer is the peak buffer occupancy over the same receivers; 0
 	// when the run stopped at a slot-model violation.
 	WorstBuffer int
-	// MaxNeighbors is the largest Neighbors() degree observed.
+	// MaxNeighbors is the largest degree listed.
 	MaxNeighbors int
 }
 
@@ -160,7 +159,7 @@ func (r *Report) HasKind(kind string) bool {
 // only the verifier does, fed by the engine as the run's obs.Observer. The
 // tables are sized at slot 0's view, after the engine has accepted the run,
 // so an oversized verification is refused before any of them is allocated
-// or Neighbors() is read.
+// or the mesh is walked.
 type verifier struct {
 	scheme core.Scheme
 	opt    Options
@@ -180,13 +179,11 @@ type verifier struct {
 
 	// Mesh audit, on every run. rows[id] is the [lo, hi) span of flat that
 	// holds the node's list, an id outside 0..n as -1; flat[0] is padding, so
-	// a zero span means the node is not listed (the source, usually). strays
-	// are the {id, degree} of listed ids outside 0..n. offMesh buffers the
-	// scheduled edges found missing during the run: they are filed after the
-	// slot-model finding and the degree audit.
+	// a zero span means the node is not listed (the source always). offMesh
+	// buffers the scheduled edges found missing during the run: they are
+	// filed after the slot-model finding and the degree audit.
 	rows    [][2]int32
 	flat    []int32
-	strays  [][2]int
 	offMesh []Issue
 }
 
@@ -348,14 +345,15 @@ func residueList(mask []uint64) string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// loadMesh reads the mesh's walk (core.EachNeighbors) into the id-indexed
-// table once; the neighbor bound, when set, sizes flat.
+// loadMesh reads the mesh's walk into the id-indexed table once, filing each
+// walked id outside 1..n as a range finding; the neighbor bound sizes flat.
 func (v *verifier) loadMesh() {
 	v.rows = make([][2]int32, v.n+1)
 	v.flat = make([]int32, 1, 1+v.n*max(v.opt.MaxNeighbors, 1))
-	core.EachNeighbors(v.scheme, func(id core.NodeID, list []core.NodeID) {
-		if id < 0 || int(id) > v.n {
-			v.strays = append(v.strays, [2]int{int(id), len(list)})
+	v.scheme.EachNeighbors(func(id core.NodeID, list []core.NodeID) {
+		if id < 1 || int(id) > v.n {
+			v.issue(Issue{Slot: -1, Kind: KindRange,
+				Detail: fmt.Sprintf("the mesh lists node %d; receivers are 1..%d", id, v.n)})
 			return
 		}
 		lo := len(v.flat)
@@ -367,7 +365,6 @@ func (v *verifier) loadMesh() {
 		}
 		v.rows[id] = [2]int32{int32(lo), int32(len(v.flat))}
 	})
-	slices.SortFunc(v.strays, func(a, b [2]int) int { return cmp.Compare(a[0], b[0]) })
 }
 
 // checkEdge tests one scheduled edge against the mesh: every edge the
@@ -402,25 +399,14 @@ func (v *verifier) checkEdge(t core.Slot, tx core.Transmission) {
 
 // auditDegrees checks every listed node's degree, in ascending id order.
 func (v *verifier) auditDegrees() {
-	audit := func(id core.NodeID, degree int) {
+	for id, span := range v.rows {
+		degree := int(span[1] - span[0])
 		v.report.MaxNeighbors = max(v.report.MaxNeighbors, degree)
 		if v.opt.MaxNeighbors > 0 && degree > v.opt.MaxNeighbors {
 			v.issue(Issue{Slot: -1, Kind: KindDegree,
 				Detail: fmt.Sprintf("node %d has %d protocol neighbors, bound is %d",
 					id, degree, v.opt.MaxNeighbors)})
 		}
-	}
-	below, _ := slices.BinarySearchFunc(v.strays, 0, func(st [2]int, id int) int { return cmp.Compare(st[0], id) })
-	for _, st := range v.strays[:below] { // sorted, and none is in 0..n
-		audit(core.NodeID(st[0]), st[1])
-	}
-	for id, span := range v.rows {
-		if span[0] != 0 {
-			audit(core.NodeID(id), int(span[1]-span[0]))
-		}
-	}
-	for _, st := range v.strays[below:] {
-		audit(core.NodeID(st[0]), st[1])
 	}
 }
 

@@ -39,6 +39,24 @@ func (c *corrupt) Neighbors() map[core.NodeID][]core.NodeID {
 	return nb
 }
 
+// EachNeighbors walks the mutated map in ascending id order; without a mesh
+// mutation it is the wrapped scheme's own walk.
+func (c *corrupt) EachNeighbors(yield func(id core.NodeID, list []core.NodeID)) {
+	if c.nbMod == nil {
+		c.Scheme.EachNeighbors(yield)
+		return
+	}
+	nb := c.Neighbors()
+	ids := make([]core.NodeID, 0, len(nb))
+	for id := range nb {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		yield(id, nb[id])
+	}
+}
+
 // findInterior returns a real node of tree 0 that has at least one real
 // child, i.e. a node the schedule uses as a tree-0 interior relay.
 func findInterior(t *testing.T, m *multitree.MultiTree) core.NodeID {
@@ -419,6 +437,9 @@ func (h huge) Transmissions(core.Slot) []core.Transmission {
 func (h huge) Neighbors() map[core.NodeID][]core.NodeID {
 	h.t.Fatal("Neighbors called on a scheme too large to verify")
 	return nil
+}
+func (h huge) EachNeighbors(func(core.NodeID, []core.NodeID)) {
+	h.t.Fatal("EachNeighbors called on a scheme too large to verify")
 }
 
 // TestOversizedVerificationIsRefused: a horizon × population whose arrival

@@ -29,16 +29,17 @@
 // engine's first-violation semantics: the run stops at the first broken
 // constraint, which becomes one Issue with the engine's kind string, and the
 // offending transmission is audited like an executed one. Structural and
-// bound findings stay multi-issue. They are filed in a fixed order: tree
-// findings as the run meets them, the slot-model violation, degree overflows
-// by id, missing mesh edges in schedule order, and — after a run without a
-// violation — incomplete windows and broken bounds.
+// bound findings stay multi-issue. They are filed in a fixed order: ids the
+// mesh walk yields outside 1..N (a range finding each, as the walk yields
+// them), tree findings as the run meets them, the slot-model violation,
+// degree overflows by id, missing mesh edges in schedule order, and — after a
+// run without a violation — incomplete windows and broken bounds.
 // testdata/pinned_reports.txt pins them with their text.
 //
 // The audit tables are sized, and the mesh is read into one flat id-indexed
 // table, at the run's first slot: an oversized verification is refused by the
 // engine's core.MaxArrivalCells gate before either happens. The mesh comes
-// from core.EachNeighbors, so a paper construction's walk builds no map. A
+// from the scheme's EachNeighbors walk; no map is built. A
 // clean verification allocates nothing per node or per transmission beyond
 // the engine's own per-run arrays and that table.
 //

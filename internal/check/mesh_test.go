@@ -11,9 +11,9 @@ import (
 	"streamcast/internal/hypercube"
 )
 
-// walked declares a neighbor walk: its scheme's own walk, less every neighbor
-// drop names. Its Neighbors() fails the test, so a verification that builds
-// the map cannot pass.
+// walked is a scheme's own walk, less every neighbor drop names. Its
+// Neighbors() fails the test, so a verification that builds the map cannot
+// pass.
 type walked struct {
 	core.Scheme
 	t    *testing.T
@@ -27,7 +27,7 @@ func (w walked) Neighbors() map[core.NodeID][]core.NodeID {
 
 func (w walked) EachNeighbors(yield func(id core.NodeID, list []core.NodeID)) {
 	var kept []core.NodeID
-	core.EachNeighbors(w.Scheme, func(id core.NodeID, list []core.NodeID) {
+	w.Scheme.EachNeighbors(func(id core.NodeID, list []core.NodeID) {
 		kept = kept[:0]
 		for _, other := range list {
 			if w.drop == nil || !w.drop(id, other) {
@@ -39,8 +39,8 @@ func (w walked) EachNeighbors(yield func(id core.NodeID, list []core.NodeID)) {
 }
 
 // TestStaticReadsTheWalk: both paper constructions pass the check through
-// their walk alone, with the degree the map would give, and Static never asks
-// a walk-declaring scheme for the Neighbors() map.
+// their walk alone, with the degree core.MaxNeighbors gives, and Static never
+// asks for the Neighbors() map.
 func TestStaticReadsTheWalk(t *testing.T) {
 	hc, err := hypercube.New(1023, 1)
 	if err != nil {
@@ -95,10 +95,11 @@ func TestWalkOmissionMatchesMap(t *testing.T) {
 	}
 }
 
-// TestStrayDegreesInIDOrder: a map-based scheme may list ids outside 0..n;
-// each is degree-audited, and the overflows are filed in ascending id order
-// around the in-range nodes — below 0 first, above n last.
-func TestStrayDegreesInIDOrder(t *testing.T) {
+// TestStrayIDsAreRangeIssues: a walk that yields ids outside 1..n files one
+// range issue for each, in walk order, and none of them counts as a degree;
+// an id outside the range inside an in-range list still counts toward that
+// node's degree.
+func TestStrayIDsAreRangeIssues(t *testing.T) {
 	_, s := mustMultiTree(t, 13, 2) // the bound is 2d = 4
 	five := []core.NodeID{1, 2, 3, 4, 5}
 	cs := &corrupt{Scheme: s, nbMod: func(nb map[core.NodeID][]core.NodeID) map[core.NodeID][]core.NodeID {
@@ -118,12 +119,12 @@ func TestStrayDegreesInIDOrder(t *testing.T) {
 	}
 	deg3 := len(s.Neighbors()[3]) + 4
 	want := []string{
-		"neighbor bound exceeded: node -2 has 5 protocol neighbors, bound is 4",
+		"node id out of range: the mesh lists node -2; receivers are 1..13",
+		"node id out of range: the mesh lists node 20; receivers are 1..13",
+		"node id out of range: the mesh lists node 40; receivers are 1..13",
 		fmt.Sprintf("neighbor bound exceeded: node 3 has %d protocol neighbors, bound is 4", deg3),
-		"neighbor bound exceeded: node 20 has 5 protocol neighbors, bound is 4",
-		"neighbor bound exceeded: node 40 has 6 protocol neighbors, bound is 4",
 	}
-	if !slices.Equal(got, want) || rep.MaxNeighbors != max(6, deg3) {
-		t.Errorf("issues %q, max neighbors %d; want %q, %d", got, rep.MaxNeighbors, want, max(6, deg3))
+	if !slices.Equal(got, want) || rep.MaxNeighbors != deg3 {
+		t.Errorf("issues %q, max neighbors %d; want %q, %d", got, rep.MaxNeighbors, want, deg3)
 	}
 }

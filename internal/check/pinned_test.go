@@ -165,7 +165,8 @@ func pinnedCases() []pinnedCase {
 			return check.Static(cs, check.MultiTreeOptions(s, 6))
 		}},
 		{"degree overflow at listed ids outside the node range", check.KindDegree, func(t *testing.T) (*check.Report, error) {
-			// Degrees are audited in ascending id order, whatever is listed.
+			// A walked id outside 1..n is a range finding, filed as the
+			// walk yields it; in-range degrees are audited in id order.
 			_, s := mustMultiTree(t, 13, 2)
 			cs := &corrupt{Scheme: s, nbMod: func(nb map[core.NodeID][]core.NodeID) map[core.NodeID][]core.NodeID {
 				nb[40] = []core.NodeID{1, 2, 3, 4, 5, 6}
@@ -247,8 +248,8 @@ func pinnedCases() []pinnedCase {
 // TestPinnedReports holds the verifier to its whole reports: every issue's
 // text, the order issues are filed in, where MaxIssues cuts, and the measured
 // delay, buffer and degree. testdata/pinned_reports.txt was last rewritten
-// when the verifier became an engine run plus its audits; a diff means an
-// observable change.
+// when a walked id outside 1..n became a range finding instead of a degree
+// row; a diff means an observable change.
 func TestPinnedReports(t *testing.T) {
 	var got bytes.Buffer
 	for _, pc := range pinnedCases() {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"streamcast/internal/core"
 	"streamcast/internal/hypercube"
@@ -310,46 +311,43 @@ func (s *Scheme) remap(i int, local core.NodeID) core.NodeID {
 	return s.ReceiverID(i, local)
 }
 
-// Neighbors implements core.Scheme. Edges are collected symmetrically so
-// the local root's fan-out (which inner schemes record only on the receiver
-// side) appears in its own set too.
-func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
-	set := make(map[core.NodeID]map[core.NodeID]bool, s.total)
-	add := func(a, b core.NodeID) {
-		if set[a] == nil {
-			set[a] = make(map[core.NodeID]bool)
-		}
-		if set[b] == nil {
-			set[b] = make(map[core.NodeID]bool)
-		}
-		set[a][b] = true
-		set[b][a] = true
-	}
+// EachNeighbors implements core.Scheme, cluster by cluster: S_i lists its
+// backbone parent, its backbone children and S'_i; S'_i lists S_i and the
+// receivers whose inner list holds the inner source (inner schemes record the
+// local root's fan-out only there); then come the remapped inner lists.
+func (s *Scheme) EachNeighbors(yield func(id core.NodeID, list []core.NodeID)) {
+	var list []core.NodeID
 	for i := 0; i < s.cfg.K; i++ {
-		if s.parent[i] < 0 {
-			add(s.SuperID(i), core.SourceID)
-		} else {
-			add(s.SuperID(i), s.SuperID(s.parent[i]))
+		list = append(list[:0], core.SourceID)
+		if s.parent[i] >= 0 {
+			list[0] = s.SuperID(s.parent[i])
 		}
-		add(s.SuperID(i), s.LocalRootID(i))
-		core.EachNeighbors(s.inner[i], func(id core.NodeID, nbs []core.NodeID) {
-			for _, nb := range nbs {
-				add(s.remap(i, id), s.remap(i, nb))
+		for c := s.cfg.D + i*(s.cfg.D-1); c < s.cfg.D+(i+1)*(s.cfg.D-1) && c < s.cfg.K; c++ {
+			list = append(list, s.SuperID(c))
+		}
+		yield(s.SuperID(i), append(list, s.LocalRootID(i)))
+
+		list = append(list[:0], s.SuperID(i))
+		s.inner[i].EachNeighbors(func(id core.NodeID, nbs []core.NodeID) {
+			if slices.Contains(nbs, core.SourceID) {
+				list = append(list, s.remap(i, id))
 			}
 		})
+		yield(s.LocalRootID(i), list)
+
+		s.inner[i].EachNeighbors(func(id core.NodeID, nbs []core.NodeID) {
+			list = list[:0]
+			for _, nb := range nbs {
+				list = append(list, s.remap(i, nb))
+			}
+			yield(s.remap(i, id), list)
+		})
 	}
-	out := make(map[core.NodeID][]core.NodeID, len(set))
-	for id, nbs := range set {
-		if id == core.SourceID {
-			continue
-		}
-		list := make([]core.NodeID, 0, len(nbs))
-		for nb := range nbs {
-			list = append(list, nb)
-		}
-		out[id] = list
-	}
-	return out
+}
+
+// Neighbors implements core.Scheme: the walk as a map.
+func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
+	return core.NeighborMap(s.total, 2*s.cfg.Degree, s.EachNeighbors)
 }
 
 // Options returns the slotsim configuration a multi-cluster run needs:

@@ -79,34 +79,17 @@ type Scheme interface {
 	// which may reuse its memory; a caller that keeps a slot copies it. A
 	// Scheme is therefore not safe for concurrent use.
 	Transmissions(t Slot) []Transmission
-	// Neighbors returns, for each receiver, the set of distinct nodes it
-	// ever exchanges packets with (its protocol-maintenance neighbor set).
-	// A list holds no duplicates and is not sorted. The paper constructions
-	// (multi-tree, hypercube) return each list in construction order — a
-	// multi-tree node's parent, then its children, tree by tree; a cube
-	// vertex's partners by dimension, then its chain edges — so two calls
-	// return identical slices. Schemes that gather their mesh from sets
-	// (cluster, gossip) promise the members only: compare as sets. A caller
-	// that wants only the longest list's length asks MaxNeighbors, and one
-	// that reads every list once asks EachNeighbors: neither builds a map
-	// for the paper constructions.
+	// EachNeighbors walks the mesh, the one way the program reads it: it
+	// yields each listed receiver, ids ascending in 1..N, with the distinct
+	// nodes it ever exchanges packets with (the source among them where it
+	// is one). A list holds neither a duplicate nor its own id, a
+	// receiver–receiver edge is listed at both ends, and a list is valid only
+	// during the call (a walk reuses its buffer). The paper constructions list
+	// a multi-tree node's parent, then its children, tree by tree, and a cube
+	// vertex's partners by dimension, then its chain edges.
+	EachNeighbors(yield func(id NodeID, list []NodeID))
+	// Neighbors is the walk as a map (NeighborMap), for the benchmark harness.
 	Neighbors() map[NodeID][]NodeID
-}
-
-// EachNeighbors calls yield once per node s.Neighbors() lists, with that list,
-// through the walk s declares when it has a method of this signature, as the
-// paper constructions do, and over the map otherwise. list is valid only
-// during the call: a walk reuses its buffer.
-func EachNeighbors(s Scheme, yield func(id NodeID, list []NodeID)) {
-	if w, ok := s.(interface {
-		EachNeighbors(yield func(id NodeID, list []NodeID))
-	}); ok {
-		w.EachNeighbors(yield)
-		return
-	}
-	for id, list := range s.Neighbors() {
-		yield(id, list)
-	}
 }
 
 // NeighborMap collects a walk of n lists, most at most width long, into the
@@ -123,18 +106,17 @@ func NeighborMap(n, width int, walk func(yield func(id NodeID, list []NodeID))) 
 	return out
 }
 
-// MaxNeighbors returns the length of the longest list s.Neighbors() returns,
-// 0 when it lists no node: the paper's neighbour count, its third axis beside
-// delay and buffer. A scheme that has a method MaxNeighbors() int answers
-// directly and promises exactly that length (the hypercube reads it off O(k)
-// vertices per cube); every other scheme's lists are read through
-// EachNeighbors, so a map is built only for a scheme without a walk.
+// MaxNeighbors returns the length of the longest list s.EachNeighbors
+// yields, 0 when it lists no node: the paper's neighbour count, its third axis
+// beside delay and buffer. A scheme that has a method MaxNeighbors() int
+// answers directly and promises exactly that length (the hypercube reads it
+// off O(k) vertices per cube).
 func MaxNeighbors(s Scheme) int {
 	if d, ok := s.(interface{ MaxNeighbors() int }); ok {
 		return d.MaxNeighbors()
 	}
 	worst := 0
-	EachNeighbors(s, func(_ NodeID, list []NodeID) { worst = max(worst, len(list)) })
+	s.EachNeighbors(func(_ NodeID, list []NodeID) { worst = max(worst, len(list)) })
 	return worst
 }
 
@@ -152,9 +134,8 @@ type Periodic interface {
 }
 
 // AppendNeighbor appends id to a neighbor list unless the list already holds
-// it. Neighbor lists are short (at most 2d entries), so Neighbors
-// implementations dedup by scanning the list instead of building a set per
-// node.
+// it. Neighbor lists are short (at most 2d entries), so walks dedup by
+// scanning the list instead of building a set per node.
 func AppendNeighbor(list []NodeID, id NodeID) []NodeID {
 	if slices.Contains(list, id) {
 		return list

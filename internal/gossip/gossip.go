@@ -126,32 +126,34 @@ func (s *Scheme) NumReceivers() int { return s.n }
 // SourceCapacity implements core.Scheme.
 func (s *Scheme) SourceCapacity() int { return s.d }
 
-// Neighbors implements core.Scheme.
-func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
-	out := make(map[core.NodeID][]core.NodeID, s.n)
-	sym := make(map[core.NodeID]map[core.NodeID]bool, s.n)
-	add := func(a, b core.NodeID) {
-		if sym[a] == nil {
-			sym[a] = map[core.NodeID]bool{}
-		}
-		sym[a][b] = true
-	}
+// EachNeighbors implements core.Scheme: the neighbors a node drew, then the
+// receivers that drew it, each once (a receiver may have adopted the source
+// twice). Only a mesh read needs who drew whom, so the walk gathers it.
+func (s *Scheme) EachNeighbors(yield func(id core.NodeID, list []core.NodeID)) {
+	drawnBy := make([][]core.NodeID, s.n+1)
 	for i := 1; i <= s.n; i++ {
 		for _, nb := range s.nbrs[i] {
-			add(core.NodeID(i), nb)
 			if nb != core.SourceID {
-				add(nb, core.NodeID(i))
+				drawnBy[nb] = append(drawnBy[nb], core.NodeID(i))
 			}
 		}
 	}
-	for id, set := range sym {
-		list := make([]core.NodeID, 0, len(set))
-		for nb := range set {
-			list = append(list, nb)
+	var list []core.NodeID
+	for i := 1; i <= s.n; i++ {
+		list = list[:0]
+		for _, nb := range s.nbrs[i] {
+			list = core.AppendNeighbor(list, nb)
 		}
-		out[id] = list
+		for _, nb := range drawnBy[i] {
+			list = core.AppendNeighbor(list, nb)
+		}
+		yield(core.NodeID(i), list)
 	}
-	return out
+}
+
+// Neighbors implements core.Scheme: the walk as a map.
+func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
+	return core.NeighborMap(s.n, 2*s.degree, s.EachNeighbors)
 }
 
 // give records a packet arrival (usable from the next slot) and advances

@@ -124,6 +124,32 @@ func TestGossipNeighborDegree(t *testing.T) {
 	}
 }
 
+// TestDoubleAdoptionListedOnce: with seed 8, two of the d = 3 source
+// adoptions draw node 7, so it pulls from the source twice as often as a
+// single adoption would; its mesh still lists the source once.
+func TestDoubleAdoptionListedOnce(t *testing.T) {
+	s, err := New(8, 3, 5, PullOldest, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := slices.Index(s.nbrs[7], core.SourceID); got < 0 || slices.Index(s.nbrs[7][got+1:], core.SourceID) < 0 {
+		t.Fatalf("node 7 drew %v: want the source twice", s.nbrs[7])
+	}
+	listed := 0
+	s.EachNeighbors(func(id core.NodeID, list []core.NodeID) {
+		if id == 7 {
+			for _, nb := range list {
+				if nb == core.SourceID {
+					listed++
+				}
+			}
+		}
+	})
+	if listed != 1 {
+		t.Errorf("node 7 lists the source %d times, want once", listed)
+	}
+}
+
 func TestGossipValidation(t *testing.T) {
 	if _, err := New(0, 1, 1, PullOldest, 1); err == nil {
 		t.Error("n=0 accepted")

@@ -248,17 +248,15 @@ func appendSpreads(out []core.Transmission, c cubeSpec, tau core.Slot) []core.Tr
 	return out
 }
 
-// Neighbors implements core.Scheme: each node's intra-cube partners (one per
-// dimension, where the partner of 2^dim(τ) in the pairing slot is the cube's
-// source/injector side) plus the chaining edges between consecutive cubes.
-// The map collects EachNeighbors.
+// Neighbors implements core.Scheme: the walk as a map.
 func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
 	return core.NeighborMap(s.n, s.MaxNeighbors(), s.EachNeighbors)
 }
 
-// EachNeighbors yields every vertex's list cube by cube, walked by
-// appendNeighbors into one reused buffer (core.EachNeighbors); a longer list
-// moves to a larger one.
+// EachNeighbors implements core.Scheme, cube by cube: each node's intra-cube
+// partners (one per dimension, where the partner of 2^dim(τ) in the pairing
+// slot is the cube's source/injector side) plus the chaining edges between
+// consecutive cubes, in one reused buffer that a longer list outgrows.
 func (s *Scheme) EachNeighbors(yield func(id core.NodeID, list []core.NodeID)) {
 	buf := make([]core.NodeID, 0, 96)
 	for _, chain := range s.groups {
@@ -270,8 +268,8 @@ func (s *Scheme) EachNeighbors(yield func(id core.NodeID, list []core.NodeID)) {
 	}
 }
 
-// MaxNeighbors returns the length of the longest list Neighbors returns
-// without building the map (core.MaxNeighbors). Every vertex of a cube that
+// MaxNeighbors returns the length of the longest list EachNeighbors yields
+// without walking every vertex (core.MaxNeighbors). Every vertex of a cube that
 // is not a power of two has exactly k partners and no chain edge, so vertex 3
 // stands for all of them; a vertex 2^b has k − 1 partners plus its distinct
 // injector and chain edges, so each is walked.

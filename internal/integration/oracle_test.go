@@ -227,17 +227,16 @@ func (o *oracleRun) result() (*slotsim.Result, oracleCells, error) {
 			}
 			arrived = append(arrived, at)
 		}
-		// Occupancy at the end of each slot: a packet arriving in slot t
-		// counts, and so does the one played in slot t.
-		for t := core.Slot(0); len(arrived) > 0 && t <= slices.Max(arrived); t++ {
-			held := 0
-			for _, at := range arrived {
-				if at <= t {
-					held++
-				}
-			}
-			passed := min(max(int(t-r.StartDelay[id]), 0), window)
-			r.MaxBuffer[id] = max(r.MaxBuffer[id], held-passed)
+		// Occupancy at the end of slot t: the packets arrived in slots up to
+		// t, the one arriving in slot t among them, less the positions played
+		// by then, the one played in slot t among them. Between two arrivals
+		// it only falls, so its peak is at an arrival slot: sorted, arrival i
+		// (from 0) is in a slot that ends holding at least i+1 packets, and
+		// exactly that many when it is the slot's last arrival.
+		slices.Sort(arrived)
+		for i, at := range arrived {
+			passed := min(max(int(at-r.StartDelay[id]), 0), window)
+			r.MaxBuffer[id] = max(r.MaxBuffer[id], i+1-passed)
 		}
 	}
 	return r, o.have, nil

@@ -2,6 +2,7 @@ package integration
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -43,7 +44,11 @@ func (s shifted) Period() (warm, P core.Slot) {
 //   - on a bare run that certifies before its window is complete, whose
 //     remaining cells, the last one among them, the certificate extrapolates;
 //   - on an observed run whose horizon cuts the window two slots short, so
-//     that cells past it stay unset, and there the report's buffer series too.
+//     that cells past it stay unset, and there the report's buffer series
+//     too, folded in under 1 MiB beyond the series at every horizon.
+//
+// The window is a few periods long at every boundary, and 3 000 packets at
+// 65 535/65 536, whose arrivals then span thousands of slots up to the last.
 func TestRecordWidthAgainstOracle(t *testing.T) {
 	run, err := spec.Build(spec.MultiTreeScenario(6, 2, multitree.Greedy, core.Live))
 	if err != nil {
@@ -54,16 +59,20 @@ func TestRecordWidthAgainstOracle(t *testing.T) {
 		t.Fatalf("%T declares no period", run.Scheme)
 	}
 	warm, P := inner.Period()
-	window := core.Packet(int(3*(warm+P)) + 1)
-	// The unshifted run's last window arrival, at its own horizon.
-	alone, err := slotsim.Run(inner, slotsim.Options{Slots: 4 * core.Slot(int(window)), Packets: window, Mode: core.Live})
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := alone.SlotsUsed - 1
-	for _, horizon := range []core.Slot{255, 256, 65535, 65536} {
+	short := core.Packet(int(3*(warm+P)) + 1)
+	for _, c := range []struct {
+		horizon core.Slot
+		window  core.Packet
+	}{{255, short}, {256, short}, {65535, short}, {65536, short}, {65535, 3000}, {65536, 3000}} {
+		horizon, window := c.horizon, c.window
+		// The unshifted run's last window arrival, at its own horizon.
+		alone, err := slotsim.Run(inner, slotsim.Options{Slots: 4 * core.Slot(int(window)), Packets: window, Mode: core.Live})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := alone.SlotsUsed - 1
 		for _, observed := range []bool{false, true} {
-			name := fmt.Sprintf("%d/observed=%v", horizon, observed)
+			name := fmt.Sprintf("%d/window=%d/observed=%v", horizon, window, observed)
 			by := horizon - 1 - last
 			if observed {
 				by += 2
@@ -106,10 +115,19 @@ func TestRecordWidthAgainstOracle(t *testing.T) {
 			}
 			holdsOracle(t, name, got, opt.Arrivals, cells)
 			if observed {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
 				rep := slotsim.BuildReport(s, opt, got, met, 0)
+				runtime.ReadMemStats(&after)
 				peak, total := oracleSeries(got, cells, len(met.SlotSeries()))
 				if !slices.Equal(rep.Series.BufferMax, peak) || !slices.Equal(rep.Series.BufferTotal, total) {
 					t.Errorf("%s: the report's buffer series differ from the oracle's", name)
+				}
+				// The fold's count table has a row per slot the record's
+				// arrivals span, not per horizon slot: slots × 64 cells
+				// were 16 MiB at 65 536 slots.
+				if extra := after.TotalAlloc - before.TotalAlloc - seriesBytes(rep.Series); extra >= 1<<20 {
+					t.Errorf("%s: BuildReport allocated %d bytes beyond its slot series, want under 1 MiB", name, extra)
 				}
 			}
 		}
@@ -235,6 +253,15 @@ func oracleSeries(res *slotsim.Result, cells oracleCells, slots int) (peak, tota
 		}
 	}
 	return peak, total
+}
+
+// seriesBytes is the memory of a report's per-slot series.
+func seriesBytes(s obs.Series) uint64 {
+	n := 0
+	for _, xs := range [][]int{s.Scheduled, s.Transmits, s.Delivers, s.InFlight, s.Drops, s.BufferMax, s.BufferTotal} {
+		n += len(xs)
+	}
+	return uint64(8 * n)
 }
 
 func sumOf(xs []int) int {

@@ -148,21 +148,19 @@ func (s *LiveScheme) Apply(_ core.Slot, op core.TopologyOp) (core.ChurnStats, er
 	return core.ChurnStats{Node: s.flipped, Leave: op.Leave, Swaps: len(s.swaps)}, nil
 }
 
-// Neighbors implements core.Scheme over the live membership: for each live
-// real member, the distinct nodes it exchanges packets with at the current
-// epoch (MultiTree.Neighbors over the family's member ids).
+// Neighbors implements core.Scheme: the walk as a map.
 func (s *LiveScheme) Neighbors() map[core.NodeID][]core.NodeID {
-	return s.m.Neighbors()
+	return core.NeighborMap(s.m.N, 2*s.m.D, s.EachNeighbors)
 }
 
-// EachNeighbors is MultiTree.EachNeighbors over the current epoch's members:
-// core.EachNeighbors without the map.
+// EachNeighbors implements core.Scheme over the live membership: for each
+// live real member, the distinct nodes it exchanges packets with at the
+// current epoch (MultiTree.EachNeighbors over the family's member ids).
 func (s *LiveScheme) EachNeighbors(yield func(id core.NodeID, list []core.NodeID)) {
 	s.m.EachNeighbors(yield)
 }
 
-// MaxNeighbors is MultiTree.MaxNeighbors over the current epoch's members:
-// core.MaxNeighbors without the map.
+// MaxNeighbors is MultiTree.MaxNeighbors over the current epoch's members.
 func (s *LiveScheme) MaxNeighbors() int { return s.m.MaxNeighbors() }
 
 // Transmissions implements core.Scheme: Scheme.Transmissions over the

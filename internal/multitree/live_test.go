@@ -219,8 +219,8 @@ func TestNeighborsOrderIsStable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nb := m.Neighbors()
-			if !reflect.DeepEqual(nb, m.Neighbors()) {
+			nb := meshOf(m)
+			if !reflect.DeepEqual(nb, meshOf(m)) {
 				t.Fatalf("%s d=%d: two Neighbors() calls disagree", c, d)
 			}
 			noRepeats(c.String(), nb)
@@ -233,7 +233,7 @@ func TestNeighborsOrderIsStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(ls.Neighbors(), m.Neighbors()) {
+		if !reflect.DeepEqual(ls.Neighbors(), meshOf(m)) {
 			t.Fatalf("d=%d: unchurned live mesh differs from the static greedy mesh", d)
 		}
 		for _, op := range []core.TopologyOp{

@@ -195,17 +195,17 @@ func (s *Scheme) NumReceivers() int { return s.Tree.N }
 // SourceCapacity implements core.Scheme.
 func (s *Scheme) SourceCapacity() int { return s.Tree.D }
 
-// Neighbors implements core.Scheme.
+// Neighbors implements core.Scheme: the walk as a map.
 func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
-	return s.Tree.Neighbors()
+	return core.NeighborMap(s.Tree.N, 2*s.Tree.D, s.EachNeighbors)
 }
 
-// EachNeighbors is MultiTree.EachNeighbors: core.EachNeighbors without the map.
+// EachNeighbors implements core.Scheme: MultiTree.EachNeighbors.
 func (s *Scheme) EachNeighbors(yield func(id core.NodeID, list []core.NodeID)) {
 	s.Tree.EachNeighbors(yield)
 }
 
-// MaxNeighbors is MultiTree.MaxNeighbors: core.MaxNeighbors without the map.
+// MaxNeighbors is MultiTree.MaxNeighbors.
 func (s *Scheme) MaxNeighbors() int { return s.Tree.MaxNeighbors() }
 
 // Transmissions implements core.Scheme: it emits, for slot t, every edge

@@ -222,15 +222,9 @@ func (m *MultiTree) Validate() error {
 	return nil
 }
 
-// Neighbors returns each real node's protocol neighbor set: its parent in
-// every tree plus its children in the tree where it is interior. This is the
-// quantity bounded by 2d in the paper. The map collects EachNeighbors.
-func (m *MultiTree) Neighbors() map[core.NodeID][]core.NodeID {
-	return core.NeighborMap(m.N, 2*m.D, m.EachNeighbors)
-}
-
-// EachNeighbors yields every real node's list in ascending id order, walked by
-// appendNeighbors into one reused 2d-entry buffer (core.EachNeighbors).
+// EachNeighbors yields each real node's protocol neighbor set by ascending id
+// (core.Scheme.EachNeighbors): its parent in every tree plus its children in
+// the tree where it is interior, at most 2d, in one reused buffer.
 func (m *MultiTree) EachNeighbors(yield func(id core.NodeID, list []core.NodeID)) {
 	buf := make([]core.NodeID, 0, 2*m.D)
 	for id := core.NodeID(1); int(id) < len(m.dummy); id++ {

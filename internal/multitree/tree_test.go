@@ -174,6 +174,11 @@ func TestInteriorTreeAssignment(t *testing.T) {
 	}
 }
 
+// meshOf collects the tree family's neighbor walk into a map.
+func meshOf(m *MultiTree) map[core.NodeID][]core.NodeID {
+	return core.NeighborMap(m.N, 2*m.D, m.EachNeighbors)
+}
+
 // TestNeighborsBounded verifies the paper's 2d neighbor bound for the
 // multi-tree scheme (the source counts as a neighbor).
 func TestNeighborsBounded(t *testing.T) {
@@ -183,7 +188,7 @@ func TestNeighborsBounded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for id, nb := range m.Neighbors() {
+			for id, nb := range meshOf(m) {
 				if len(nb) > 2*d {
 					t.Errorf("%s d=%d: node %d has %d neighbors, > 2d", c, d, id, len(nb))
 				}

@@ -108,10 +108,11 @@ func TestViolationEventEndsStream(t *testing.T) {
 // nothing.
 type scripted struct{ slot1 []core.Transmission }
 
-func (*scripted) Name() string                             { return "scripted" }
-func (*scripted) NumReceivers() int                        { return 3 }
-func (*scripted) SourceCapacity() int                      { return 2 }
-func (*scripted) Neighbors() map[core.NodeID][]core.NodeID { return nil }
+func (*scripted) Name() string                                   { return "scripted" }
+func (*scripted) NumReceivers() int                              { return 3 }
+func (*scripted) SourceCapacity() int                            { return 2 }
+func (*scripted) Neighbors() map[core.NodeID][]core.NodeID       { return nil }
+func (*scripted) EachNeighbors(func(core.NodeID, []core.NodeID)) {}
 func (s *scripted) Transmissions(t core.Slot) []core.Transmission {
 	switch t {
 	case 0:

@@ -143,23 +143,25 @@ func (s *Scheme) SourceCapacity() int { return 1 }
 // Mode returns the schedule mode.
 func (s *Scheme) Mode() Mode { return s.mode }
 
-// Neighbors implements core.Scheme: each receiver's protocol-maintenance
-// set is its in- and out-neighborhood in the digraph.
-func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
-	out := make(map[core.NodeID][]core.NodeID, s.n)
-	// A node has d in- and d out-neighbors, none of them itself (the digraph
-	// is simple), so every list fits a 2d-entry row of one array.
-	rows := make([]core.NodeID, s.n*2*s.d)
+// EachNeighbors implements core.Scheme: each receiver's in- and
+// out-neighborhood in the digraph, read off its flat v*d+k rows and sorted,
+// in one buffer of 2d entries (the digraph is simple: none is the node).
+func (s *Scheme) EachNeighbors(yield func(id core.NodeID, list []core.NodeID)) {
+	buf := make([]core.NodeID, 0, 2*s.d)
 	for v := 1; v <= s.n; v++ {
-		list := rows[(v-1)*2*s.d : (v-1)*2*s.d : v*2*s.d]
+		list := buf[:0]
 		for e := v * s.d; e < (v+1)*s.d; e++ {
 			list = core.AppendNeighbor(list, core.NodeID(s.g.In[e]))
 			list = core.AppendNeighbor(list, core.NodeID(s.g.Out[e]))
 		}
 		slices.Sort(list)
-		out[core.NodeID(v)] = list
+		yield(core.NodeID(v), list)
 	}
-	return out
+}
+
+// Neighbors implements core.Scheme: the walk as a map.
+func (s *Scheme) Neighbors() map[core.NodeID][]core.NodeID {
+	return core.NeighborMap(s.n, 2*s.d, s.EachNeighbors)
 }
 
 // MaxDelay returns the latin plan's largest edge delay (0 for the gossip

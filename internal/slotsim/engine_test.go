@@ -16,10 +16,11 @@ type stubScheme struct {
 	slots  map[core.Slot][]core.Transmission
 }
 
-func (s *stubScheme) Name() string                             { return "stub" }
-func (s *stubScheme) NumReceivers() int                        { return s.n }
-func (s *stubScheme) SourceCapacity() int                      { return s.srcCap }
-func (s *stubScheme) Neighbors() map[core.NodeID][]core.NodeID { return nil }
+func (s *stubScheme) Name() string                                   { return "stub" }
+func (s *stubScheme) NumReceivers() int                              { return s.n }
+func (s *stubScheme) SourceCapacity() int                            { return s.srcCap }
+func (s *stubScheme) Neighbors() map[core.NodeID][]core.NodeID       { return nil }
+func (s *stubScheme) EachNeighbors(func(core.NodeID, []core.NodeID)) {}
 func (s *stubScheme) Transmissions(t core.Slot) []core.Transmission {
 	return s.slots[t]
 }

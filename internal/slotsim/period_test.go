@@ -151,11 +151,12 @@ func (f falsePeriod) Period() (warm, P core.Slot) { return f.warm, f.P }
 // moves.
 type halfRelay struct{ out []core.Transmission }
 
-func (*halfRelay) Name() string                             { return "half-relay" }
-func (*halfRelay) NumReceivers() int                        { return 2 }
-func (*halfRelay) SourceCapacity() int                      { return 1 }
-func (*halfRelay) Neighbors() map[core.NodeID][]core.NodeID { return nil }
-func (*halfRelay) Period() (warm, P core.Slot)              { return 2, 2 }
+func (*halfRelay) Name() string                                   { return "half-relay" }
+func (*halfRelay) NumReceivers() int                              { return 2 }
+func (*halfRelay) SourceCapacity() int                            { return 1 }
+func (*halfRelay) Neighbors() map[core.NodeID][]core.NodeID       { return nil }
+func (*halfRelay) EachNeighbors(func(core.NodeID, []core.NodeID)) {}
+func (*halfRelay) Period() (warm, P core.Slot)                    { return 2, 2 }
 func (h *halfRelay) Transmissions(t core.Slot) []core.Transmission {
 	h.out = append(h.out[:0], core.Transmission{From: 0, To: 1, Packet: core.Packet(int(t))})
 	if t%2 == 0 && t > 0 {
@@ -169,11 +170,12 @@ func (h *halfRelay) Transmissions(t core.Slot) []core.Transmission {
 // receiver, which books an overflow entry each time.
 type burst struct{ out []core.Transmission }
 
-func (*burst) Name() string                             { return "burst" }
-func (*burst) NumReceivers() int                        { return 1 }
-func (*burst) SourceCapacity() int                      { return 2 }
-func (*burst) Neighbors() map[core.NodeID][]core.NodeID { return nil }
-func (*burst) Period() (warm, P core.Slot)              { return 0, 2 }
+func (*burst) Name() string                                   { return "burst" }
+func (*burst) NumReceivers() int                              { return 1 }
+func (*burst) SourceCapacity() int                            { return 2 }
+func (*burst) Neighbors() map[core.NodeID][]core.NodeID       { return nil }
+func (*burst) EachNeighbors(func(core.NodeID, []core.NodeID)) {}
+func (*burst) Period() (warm, P core.Slot)                    { return 0, 2 }
 func (b *burst) Transmissions(t core.Slot) []core.Transmission {
 	b.out = b.out[:0]
 	if t%2 == 0 {

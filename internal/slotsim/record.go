@@ -104,8 +104,8 @@ type cells[T cell] []T
 
 // store is an Arrivals record's cells at the width its run's horizon needs
 // (cellWidth): a cells[uint8], cells[uint16] or cells[uint32]. Besides the
-// kernels here, tally folds a block of ids for the report's buffer series
-// (report.go), walk is PlaybackSLO's pass (slo.go), and extend completes a
+// kernels here, span and tally fold the report's buffer series (report.go),
+// walk is PlaybackSLO's pass (slo.go), and extend completes a
 // certified run (period.go).
 type store interface {
 	at(i int) core.Slot
@@ -114,7 +114,8 @@ type store interface {
 	forget(id, stride, packets int)
 	note(t core.Slot, stride int, window core.Packet, arrivals []core.Transmission)
 	extend(from, to, stride int, P core.Slot)
-	tally(lo, hi, stride, packets, slots int, count []int32) int
+	span() (first, last int)
+	tally(lo, hi, stride, packets, first, last int, count []int32) int
 	walk(stride, packets int, owing []owed, ids, start, run []int32) (hiccups, gaps, stall, reach int)
 }
 

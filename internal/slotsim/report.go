@@ -110,22 +110,27 @@ const foldBlock = 64
 //
 // The record is packet-major, so the fold takes it a block of ids at a time:
 // each packet row's stretch of the block is one contiguous read, counted into
-// a slots × block table of arrivals. A walk over the slots then turns the
-// table into each id's occupancy, clearing it as it goes, and stops once
-// every buffer in the block has drained after its last arrival.
+// a table of arrivals with a row per slot from the record's first arrival to
+// its last. A walk over the slots from the first arrival then turns the table
+// into each id's occupancy, clearing it as it goes, and stops once every
+// buffer in the block has drained after its last arrival.
 func (a *Arrivals) bufferSeries(res *Result, slots int) (peak, total []int) {
 	w, stride := int(a.packets), a.stride
 	peak, total = make([]int, slots), make([]int, slots)
-	count := make([]int32, slots*foldBlock)
+	first, last := a.store.span()
+	last = min(last, slots-1)
+	// One row past the last arrival's stays zero: every later slot reads it.
+	count := make([]int32, max(last-first+2, 0)*foldBlock)
 	var have, start [foldBlock]int
-	for lo := 1; lo <= res.N; lo += foldBlock {
+	for lo := 1; lo <= res.N && first <= last; lo += foldBlock {
 		hi := min(lo+foldBlock, res.N+1)
-		k, left := hi-lo, a.store.tally(lo, hi, stride, w, slots, count)
+		k, left := hi-lo, a.store.tally(lo, hi, stride, w, first, last, count)
 		for i := range k {
 			have[i], start[i] = 0, int(res.StartDelay[lo+i])
 		}
-		for t := 0; t < slots; t++ {
-			row := count[t*foldBlock : t*foldBlock+k]
+		for t := first; t < slots; t++ {
+			at := (min(t, last+1) - first) * foldBlock
+			row := count[at : at+k]
 			sum, top := 0, 0
 			for i, c := range row {
 				have[i] += int(c)
@@ -146,17 +151,26 @@ func (a *Arrivals) bufferSeries(res *Result, slots int) (peak, total []int) {
 	return peak, total
 }
 
+// span returns the first and the last slot a cell records; first > last when
+// none does. An unset cell (0) wraps past every slot, so the minimum skips it.
+func (c cells[T]) span() (first, last int) {
+	lo, hi := ^T(0), T(0)
+	for _, v := range c {
+		lo, hi = min(lo, v-1), max(hi, v)
+	}
+	return int(lo), int(hi) - 1
+}
+
 // tally counts the arrivals of ids lo..hi−1 (at most foldBlock) in slots
-// 0..slots−1 into count, a slots × foldBlock table indexed by slot and
-// id − lo, one packet row's stretch of the block at a time, and returns how
-// many it counted.
-func (c cells[T]) tally(lo, hi, stride, packets, slots int, count []int32) int {
+// first..last into count, a table of foldBlock cells a slot from first, and
+// returns how many it counted.
+func (c cells[T]) tally(lo, hi, stride, packets, first, last int, count []int32) int {
 	n := 0
 	for j := 0; j < packets; j++ {
 		for i, v := range c[j*stride+lo : j*stride+hi] {
-			// An unset cell (0) wraps past every slot.
-			if t := uint(v) - 1; t < uint(slots) {
-				count[int(t)*foldBlock+i]++
+			// An unset cell (0) falls before first.
+			if t := int(v) - 1 - first; uint(t) <= uint(last-first) {
+				count[t*foldBlock+i]++
 				n++
 			}
 		}

@@ -75,38 +75,7 @@ func guarded(rel string) bool {
 // `//lint:ignore construction <reason>` comment on the call line or the line
 // above it.
 func TestNoStrayConstruction(t *testing.T) {
-	root := filepath.Join("..", "..")
-	var files []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path == root {
-				return nil
-			}
-			// testdata, hidden directories and nested modules are not this
-			// module's source.
-			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") {
-				return filepath.SkipDir
-			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		if strings.HasSuffix(path, ".go") && guarded(rel) {
-			files = append(files, path)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := moduleFiles(t, guarded)
 	if len(files) < 50 {
 		t.Fatalf("scanned only %d files; the walk is broken", len(files))
 	}
@@ -176,4 +145,109 @@ func TestNoStrayConstruction(t *testing.T) {
 			return true
 		})
 	}
+}
+
+// moduleFiles returns the module's Go files (testdata, hidden directories and
+// nested modules left out) whose slash path relative to the repo root keep
+// accepts.
+func moduleFiles(t *testing.T, keep func(rel string) bool) []string {
+	t.Helper()
+	root := filepath.Join("..", "..")
+	var files []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		if strings.HasSuffix(path, ".go") && keep(filepath.ToSlash(rel)) {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestNeighborMapIsBenchOnly asserts that the program reads the mesh through
+// EachNeighbors only: no non-test file of the module calls a Neighbors()
+// method, and every Neighbors() method is the one-line view
+// `return core.NeighborMap(…, recv.EachNeighbors)`. The map is kept for the
+// benchmark harness, a module of its own.
+func TestNeighborMapIsBenchOnly(t *testing.T) {
+	files := moduleFiles(t, func(rel string) bool { return !strings.HasSuffix(rel, "_test.go") })
+	if len(files) < 50 {
+		t.Fatalf("scanned only %d files; the walk is broken", len(files))
+	}
+	fset := token.NewFileSet()
+	views := 0
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Neighbors" && len(n.Args) == 0 {
+					pos := fset.Position(n.Pos())
+					t.Errorf("%s:%d: a Neighbors() call; read the mesh with EachNeighbors", pos.Filename, pos.Line)
+				}
+			case *ast.FuncDecl:
+				if n.Recv == nil || n.Name.Name != "Neighbors" {
+					return true
+				}
+				if !isNeighborMapView(n) {
+					pos := fset.Position(n.Pos())
+					t.Errorf("%s:%d: Neighbors is not `return core.NeighborMap(…, recv.EachNeighbors)`", pos.Filename, pos.Line)
+				}
+				views++
+			}
+			return true
+		})
+	}
+	if views < 8 {
+		t.Errorf("found %d Neighbors() methods, want at least the eight schemes'", views)
+	}
+}
+
+// isNeighborMapView reports whether a Neighbors method's body is one return
+// of core.NeighborMap over its receiver's EachNeighbors.
+func isNeighborMapView(fn *ast.FuncDecl) bool {
+	if fn.Body == nil || len(fn.Body.List) != 1 || len(fn.Recv.List) != 1 || len(fn.Recv.List[0].Names) != 1 {
+		return false
+	}
+	ret, ok := fn.Body.List[0].(*ast.ReturnStmt)
+	if !ok || len(ret.Results) != 1 {
+		return false
+	}
+	call, ok := ret.Results[0].(*ast.CallExpr)
+	if !ok || len(call.Args) != 3 {
+		return false
+	}
+	if fun, ok := call.Fun.(*ast.SelectorExpr); !ok || fun.Sel.Name != "NeighborMap" {
+		return false
+	}
+	walk, ok := call.Args[2].(*ast.SelectorExpr)
+	if !ok || walk.Sel.Name != "EachNeighbors" {
+		return false
+	}
+	recv, ok := walk.X.(*ast.Ident)
+	return ok && recv.Name == fn.Recv.List[0].Names[0].Name
 }

@@ -11,25 +11,16 @@ import (
 	"streamcast/internal/multitree"
 )
 
-// mapMaxNeighbors is the definition core.MaxNeighbors promises: the length of
-// the longest list in the Neighbors() map.
-func mapMaxNeighbors(s core.Scheme) int {
-	worst := 0
-	for _, l := range s.Neighbors() {
-		worst = max(worst, len(l))
-	}
-	return worst
-}
-
-// maxNeighborsParams are, per family, the parameter sets the differential
+// maxNeighborsParams are, per family, the parameter sets the walk contract
 // test builds: N = 1 (randreg's minimum, 4, where it refuses fewer), N = d,
+// a gossip mesh whose node 7 adopts the source twice (seed 8),
 // multi-tree N not a multiple of d (so the trees hold dummies), and the
 // single, grouped and chained cubes around a power of two and at 1000.
 func maxNeighborsParams() map[string][]string {
 	out := map[string][]string{
 		"chain":   {"n=1", "n=2", "n=3", "n=100"},
 		"cluster": {"k=1 n=1 d=3", "k=4 n=3 d=3", "k=4 D=3 n=20 d=2 construction=structured", "k=3 n=7 d=1 intra=hypercube", "k=5 n=40 d=2 intra=hypercube"},
-		"gossip":  {"n=1 d=3", "n=3 d=3", "n=100 d=3 degree=5", "n=50 d=2 degree=8 seed=9"},
+		"gossip":  {"n=1 d=3", "n=3 d=3", "n=8 d=3 seed=8", "n=100 d=3 degree=5", "n=50 d=2 degree=8 seed=9"},
 		"randreg": {"n=4 degree=3", "n=5 degree=2 mode=pull", "n=100 degree=3 mode=push", "n=100 degree=4"},
 	}
 	for d := 2; d <= 4; d++ { // both tree families need d ≥ 2
@@ -54,43 +45,47 @@ func maxNeighborsParams() map[string][]string {
 	return out
 }
 
-// walkMatchesMap fails unless core.EachNeighbors yields exactly the
-// Neighbors() map: every listed id once, each with its list in the same
-// order. A scheme without a walk is read through a second map, which may
-// gather a list from a set, so its lists are compared as sets.
-func walkMatchesMap(t *testing.T, name string, s core.Scheme) {
+// walkContract fails unless s's walk keeps the core.Scheme contract: listed
+// ids ascending within 1..N, each once; no list holding its own id, a
+// duplicate or an id outside 0..N; every receiver–receiver edge listed at
+// both ends; core.MaxNeighbors the longest list's length, which it returns.
+func walkContract(t *testing.T, name string, s core.Scheme) int {
 	t.Helper()
-	want := s.Neighbors()
-	_, walks := s.(interface {
-		EachNeighbors(func(core.NodeID, []core.NodeID))
+	n := s.NumReceivers()
+	lists := map[core.NodeID][]core.NodeID{}
+	last, worst := core.SourceID, 0
+	s.EachNeighbors(func(id core.NodeID, list []core.NodeID) {
+		if id <= last || int(id) > n {
+			t.Fatalf("%s: the walk yields node %d after node %d; want ascending ids in 1..%d", name, id, last, n)
+		}
+		last = id
+		for i, other := range list {
+			if other == id || other < 0 || int(other) > n || slices.Contains(list[:i], other) {
+				t.Fatalf("%s: node %d lists %v: %d is itself, outside 0..%d or listed twice", name, id, list, other, n)
+			}
+		}
+		lists[id] = slices.Clone(list)
+		worst = max(worst, len(list))
 	})
-	core.EachNeighbors(s, func(id core.NodeID, list []core.NodeID) {
-		w, ok := want[id]
-		if !ok {
-			t.Fatalf("%s: the walk yields node %d, which the map does not list or the walk yielded before", name, id)
+	for id, list := range lists {
+		for _, other := range list {
+			if other != core.SourceID && !slices.Contains(lists[other], id) {
+				t.Fatalf("%s: node %d lists %d, whose list %v does not list it", name, id, other, lists[other])
+			}
 		}
-		delete(want, id)
-		if !walks {
-			list, w = slices.Clone(list), slices.Clone(w)
-			slices.Sort(list)
-			slices.Sort(w)
-		}
-		if !slices.Equal(list, w) {
-			t.Fatalf("%s: node %d: the walk yields %v, the map lists %v", name, id, list, w)
-		}
-	})
-	if len(want) != 0 {
-		t.Fatalf("%s: the walk skips %d of the nodes the map lists", name, len(want))
 	}
+	if got := core.MaxNeighbors(s); got != worst {
+		t.Fatalf("%s: core.MaxNeighbors = %d, the walk's longest list has %d", name, got, worst)
+	}
+	return worst
 }
 
-// TestMaxNeighborsMatchesMap: for every registered family at its edge sizes,
-// core.EachNeighbors yields the Neighbors() map, core.MaxNeighbors equals its
-// longest list, and, where the static check audits the mesh, so does the
-// check report's MaxNeighbors; a live multi-tree keeps both equalities
-// through churn.
-func TestMaxNeighborsMatchesMap(t *testing.T) {
-	t.Run("live-churn", liveMaxNeighborsAfterChurn)
+// TestNeighborWalkContract holds every registered family at its edge sizes to
+// walkContract and, where the static check audits the mesh, the check
+// report's MaxNeighbors to the walk's longest list; a live multi-tree keeps
+// the contract through churn.
+func TestNeighborWalkContract(t *testing.T) {
+	t.Run("live-churn", liveWalkAfterChurn)
 	params := maxNeighborsParams()
 	checked := 0
 	for _, f := range Families() {
@@ -109,11 +104,7 @@ func TestMaxNeighborsMatchesMap(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			walkMatchesMap(t, name, run.Scheme)
-			got, want := core.MaxNeighbors(run.Scheme), mapMaxNeighbors(run.Scheme)
-			if got != want {
-				t.Errorf("%s: core.MaxNeighbors = %d, the Neighbors() map's longest list has %d", name, got, want)
-			}
+			worst := walkContract(t, name, run.Scheme)
 			if run.CheckOpt == nil {
 				continue
 			}
@@ -121,8 +112,8 @@ func TestMaxNeighborsMatchesMap(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: check: %v", name, err)
 			}
-			if rep.MaxNeighbors != got {
-				t.Errorf("%s: core.MaxNeighbors = %d, check report reads %d", name, got, rep.MaxNeighbors)
+			if rep.MaxNeighbors != worst {
+				t.Errorf("%s: the walk's longest list has %d, check report reads %d", name, worst, rep.MaxNeighbors)
 			}
 			checked++
 		}
@@ -132,10 +123,10 @@ func TestMaxNeighborsMatchesMap(t *testing.T) {
 	}
 }
 
-// liveMaxNeighborsAfterChurn: a live multi-tree keeps its walk and
-// core.MaxNeighbors equal to its Neighbors() map after every op of seeded join/leave sequences
-// under the eager and the lazy policy, across level grows and shrinks.
-func liveMaxNeighborsAfterChurn(t *testing.T) {
+// liveWalkAfterChurn: a live multi-tree keeps the walk contract after every
+// op of seeded join/leave sequences under the eager and the lazy policy,
+// across level grows and shrinks.
+func liveWalkAfterChurn(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		for d := 2; d <= 4; d++ {
 			s, err := multitree.NewLiveScheme(10, d, lazy, core.Live)
@@ -157,11 +148,7 @@ func liveMaxNeighborsAfterChurn(t *testing.T) {
 				if _, err := s.Apply(core.Slot(i), op); err != nil {
 					t.Fatal(err)
 				}
-				walkMatchesMap(t, fmt.Sprintf("lazy=%v d=%d after op %d", lazy, d, i), s)
-				if got, want := core.MaxNeighbors(s), mapMaxNeighbors(s); got != want {
-					t.Fatalf("lazy=%v d=%d after op %d (%+v, %d members): core.MaxNeighbors = %d, map reads %d",
-						lazy, d, i, op, len(s.Members()), got, want)
-				}
+				walkContract(t, fmt.Sprintf("lazy=%v d=%d after op %d (%+v, %d members)", lazy, d, i, op, len(s.Members())), s)
 			}
 		}
 	}
