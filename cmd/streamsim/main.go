@@ -230,7 +230,9 @@ func runScenario(sc *spec.Scenario, stdout, stderr io.Writer) error {
 
 // report prints the slotsim result: the generic shape for most families,
 // the receivers-only shape for cluster (its delay statistics exclude the
-// backbone infrastructure nodes), and the quality lines for mdc.
+// backbone infrastructure nodes), the quality line for mdc, and the nodes
+// that missed window packets: a `faulted:` line under a fault plan, a
+// `missing:` line on a run without faults or live churn that starved some.
 func report(run *spec.Run, res *slotsim.Result, w io.Writer) {
 	s := run.Scheme
 	if cs, ok := s.(*cluster.Scheme); ok {
@@ -254,16 +256,22 @@ func report(run *spec.Run, res *slotsim.Result, w io.Writer) {
 		mean, worst := mdc.SystemQuality(res, run.Opt.Arrivals, d)
 		fmt.Fprintf(w, "mdc quality:   %.3f mean, %.3f worst node (%d descriptions)\n", mean, worst, d)
 	}
-	if run.Injector != nil {
-		degraded, missing := 0, 0
-		for id := 1; id <= s.NumReceivers(); id++ {
-			if res.Missing[id] > 0 {
-				degraded++
-				missing += res.Missing[id]
-			}
+	degraded, missing := 0, 0
+	for id := 1; id <= s.NumReceivers(); id++ {
+		if res.Missing[id] > 0 {
+			degraded++
+			missing += res.Missing[id]
 		}
+	}
+	switch {
+	case run.Injector != nil:
 		fmt.Fprintf(w, "faulted:       %d of %d nodes missing packets (%d packets total)\n",
 			degraded, s.NumReceivers(), missing)
+	case run.Live == nil && degraded > 0:
+		// A best-effort run that starves nodes says so. A churned run's
+		// Missing also counts dummy and departed ids; its playback SLO line
+		// reports the members' gaps instead.
+		fmt.Fprintf(w, "missing:       %d of %d nodes (%d packets)\n", degraded, s.NumReceivers(), missing)
 	}
 }
 

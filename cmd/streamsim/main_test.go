@@ -191,6 +191,46 @@ func TestChurnReportMatchesText(t *testing.T) {
 	}
 }
 
+// TestStarvedRunSaysSo: a run without faults or live churn that misses
+// window packets says how many on a `missing:` line (seed 2's latin plan
+// leaves two of 40 nodes a residue class short), the report's
+// missing_packets total; under a fault plan the `faulted:` line reports them
+// instead, and a complete run prints neither.
+func TestStarvedRunSaysSo(t *testing.T) {
+	dir := t.TempDir()
+	plan := filepath.Join(dir, "loss.plan")
+	if err := os.WriteFile(plan, []byte("seed 7\nloss from=any to=any rate=0.02 slots=0..\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	repPath := filepath.Join(dir, "report.json")
+	const starved = "scheme randreg\nparam n=40 degree=3 mode=latin seed=2\npackets 30\n"
+	for _, c := range []struct{ text, want, not string }{
+		{starved + "out report=" + repPath + "\n", "missing:       2 of 40 nodes (20 packets)\n", "faulted:"},
+		{starved + "faults file=" + plan + "\n", "faulted:", "missing:"},
+		{"scheme randreg\nparam n=40 degree=3 mode=latin seed=1\npackets 30\n", "slots used:", "missing:"},
+	} {
+		code, stdout, stderr := invoke([]string{"-scenario", "-"}, c.text)
+		if code != 0 {
+			t.Fatalf("exit %d: %s", code, stderr)
+		}
+		if !strings.Contains(stdout, c.want) || strings.Contains(stdout, c.not) {
+			t.Errorf("%q: want %q and no %q in\n%s", c.text, c.want, c.not, stdout)
+		}
+	}
+	f, err := os.Open(repPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rep, err := obs.ReadReport(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Aggregates.MissingPackets != 20 {
+		t.Errorf("report missing_packets %d, text 20", rep.Aggregates.MissingPackets)
+	}
+}
+
 // TestListSchemes: the registry listing renders every family and spells each
 // parameter as the `param` directive a scenario writes.
 func TestListSchemes(t *testing.T) {

@@ -65,24 +65,16 @@ func (i Issue) String() string {
 
 // Options configures one static verification.
 type Options struct {
-	// Horizon is the number of slots to run; every one is executed and
-	// audited (the engine's early stop does not apply to an observed run).
-	Horizon core.Slot
-	// Packets is the measurement window for the delay/buffer/completeness
-	// cross-checks.
-	Packets core.Packet
-	// Mode is the data-availability assumption at the source.
-	Mode core.StreamMode
-	// SendCap overrides per-node send capacity (nil: SourceCapacity for the
-	// source, 1 otherwise).
-	SendCap func(id core.NodeID) int
-	// RecvCap overrides per-node receive capacity (nil: 1).
-	RecvCap func(id core.NodeID) int
-	// Inject is the run's in-flight hook (nil: every link takes 1 slot);
-	// a slotsim.LatencyFunc sets per-link latency. A link that would take
-	// fewer than 1 slot is a configuration error: Static returns the
-	// engine's error.
-	Inject slotsim.Injector
+	// Run is the engine configuration the schedule is verified under:
+	// horizon (Slots), measurement window (Packets), stream mode,
+	// capacities and in-flight hook. Static runs a copy of it with its own
+	// observer attached and the engine's AllowIncomplete forced, so every
+	// one of the Run.Slots slots is executed and audited and a short window
+	// is a finding, not an engine error. Run.AllowIncomplete switches the
+	// completeness audit off (best-effort schemes). A link the hook makes
+	// take fewer than 1 slot is a configuration error: Static returns the
+	// engine's error, as it does for every option the engine refuses.
+	Run slotsim.Options
 	// TreeDegree, when > 0, enables the multi-tree structural audit: packet
 	// j belongs to tree j mod TreeDegree, every non-source sender must
 	// relay a single residue class (interior-disjointness) and fan out to
@@ -99,8 +91,6 @@ type Options struct {
 	DelayBound core.Slot
 	// BufferBound, when > 0, bounds the per-node peak buffer occupancy.
 	BufferBound int
-	// AllowIncomplete skips the completeness check (gossip-style schemes).
-	AllowIncomplete bool
 	// MaxIssues caps the number of recorded issues (0: 32). Recording stops
 	// at the cap, but every audit still runs, so summary stats stay valid.
 	MaxIssues int
@@ -187,38 +177,26 @@ type verifier struct {
 	offMesh []Issue
 }
 
-// Static verifies the scheme's schedule and mesh over opt.Horizon slots. It
-// runs the schedule once on the slot engine, which enforces the slot model,
-// with an observer that gathers the multi-tree evidence and tests every
-// executed edge against the mesh; the degree audit and the delay, buffer and
-// completeness cross-checks then read the mesh table and the engine's Result.
-// It returns an error only for unusable configuration — the engine's own
-// refusals included; scheme defects land in the report.
+// Static verifies the scheme's schedule and mesh under opt.Run. It runs the
+// schedule once on the slot engine, which enforces the slot model, with an
+// observer that gathers the multi-tree evidence and tests every executed edge
+// against the mesh; the degree audit and the delay, buffer and completeness
+// cross-checks then read the mesh table and the engine's Result. It returns
+// an error only for unusable configuration — the engine's own refusals;
+// scheme defects land in the report.
 func Static(s core.Scheme, opt Options) (*Report, error) {
-	if opt.Horizon <= 0 {
-		return nil, fmt.Errorf("check: Horizon must be > 0, got %d", opt.Horizon)
-	}
-	if opt.Packets <= 0 {
-		return nil, fmt.Errorf("check: Packets must be > 0, got %d", opt.Packets)
-	}
 	if opt.MaxIssues == 0 {
 		opt.MaxIssues = 32
 	}
 	v := &verifier{scheme: s, opt: opt, n: s.NumReceivers(), report: &Report{Scheme: s.Name()}}
+	run := opt.Run
+	run.AllowIncomplete = true
+	run.Observer = v
 	// A Runner of its own, not the pool's: its scratch is garbage once the
 	// verdict is in. A pooled one stays reachable, and the run after the
 	// check is not always handed it (sync.Pool keeps a Runner per P), so a
 	// checked N = 32 767 cube peaked ≈ 3.5 MB higher with the pool.
-	res, err := slotsim.NewRunner().Run(s, slotsim.Options{
-		Slots:           opt.Horizon,
-		Packets:         opt.Packets,
-		Mode:            opt.Mode,
-		SendCap:         opt.SendCap,
-		RecvCap:         opt.RecvCap,
-		Inject:          opt.Inject,
-		AllowIncomplete: true,
-		Observer:        v,
-	})
+	res, err := slotsim.NewRunner().Run(s, run)
 	var viol *slotsim.Violation
 	switch {
 	case errors.As(err, &viol):
@@ -392,7 +370,7 @@ func (v *verifier) checkEdge(t core.Slot, tx core.Transmission) {
 			}
 		}
 		v.offMesh = append(v.offMesh, Issue{Slot: t, Kind: KindMesh, Tx: tx,
-			Detail: fmt.Sprintf("node %d does not list %d in Neighbors()", end, other)})
+			Detail: fmt.Sprintf("node %d does not list %d in its EachNeighbors walk", end, other)})
 		return
 	}
 }
@@ -416,9 +394,9 @@ func (v *verifier) auditDegrees() {
 func (v *verifier) crossCheck(res *slotsim.Result) {
 	for id := 1; id <= v.n; id++ {
 		if m := res.Missing[id]; m > 0 {
-			if !v.opt.AllowIncomplete {
+			if !v.opt.Run.AllowIncomplete {
 				v.issue(Issue{Slot: -1, Kind: KindIncomplete,
-					Detail: fmt.Sprintf("node %d misses %d of %d window packets within %d slots", id, m, v.opt.Packets, v.opt.Horizon)})
+					Detail: fmt.Sprintf("node %d misses %d of %d window packets within %d slots", id, m, v.opt.Run.Packets, v.opt.Run.Slots)})
 			}
 			continue
 		}

@@ -343,10 +343,10 @@ func TestBoundCrossChecksFire(t *testing.T) {
 // TestOptionValidation: unusable configuration is an error, not a report.
 func TestOptionValidation(t *testing.T) {
 	_, s := mustMultiTree(t, 5, 2)
-	if _, err := check.Static(s, check.Options{Horizon: 0, Packets: 4}); err == nil {
+	if _, err := check.Static(s, check.Options{Run: slotsim.Options{Slots: 0, Packets: 4}}); err == nil {
 		t.Error("Horizon 0 accepted")
 	}
-	if _, err := check.Static(s, check.Options{Horizon: 20, Packets: 0}); err == nil {
+	if _, err := check.Static(s, check.Options{Run: slotsim.Options{Slots: 20, Packets: 0}}); err == nil {
 		t.Error("Packets 0 accepted")
 	}
 }
@@ -356,7 +356,7 @@ func TestOptionValidation(t *testing.T) {
 func TestBadLatencyIsAnError(t *testing.T) {
 	_, s := mustMultiTree(t, 5, 2)
 	opt := check.MultiTreeOptions(s, 4)
-	opt.Inject = slotsim.LatencyFunc(func(core.NodeID, core.NodeID) core.Slot { return 0 })
+	opt.Run.Inject = slotsim.LatencyFunc(func(core.NodeID, core.NodeID) core.Slot { return 0 })
 	rep, err := check.Static(s, opt)
 	if err == nil || !strings.Contains(err.Error(), "at least 1") {
 		t.Fatalf("latency 0: report %v, error %v", rep, err)
@@ -393,7 +393,7 @@ func TestRejectIncompleteWindow(t *testing.T) {
 	if len(rep.Issues) != 1 || rep.Issues[0].Kind != check.KindIncomplete || !strings.Contains(rep.Issues[0].Detail, want) {
 		t.Fatalf("want one %q issue with %q, got %v", check.KindIncomplete, want, rep.Issues)
 	}
-	opt.AllowIncomplete = true
+	opt.Run.AllowIncomplete = true
 	if rep, err := check.Static(starve(s, bad), opt); err != nil || !rep.OK() {
 		t.Fatalf("AllowIncomplete: %v %v", err, rep.Issues)
 	}
@@ -453,8 +453,8 @@ func TestOversizedVerificationIsRefused(t *testing.T) {
 		opt  check.Options
 		want string
 	}{
-		{"population", huge{t, 1 << 28, 1}, check.Options{Horizon: 20, Packets: 8}, "N=268435456 nodes × 21 packet rows"},
-		{"overflow", huge{t, 1 << 28, 1 << 40}, check.Options{Horizon: 1 << 30, Packets: 8}, "arrival matrix too large"},
+		{"population", huge{t, 1 << 28, 1}, check.Options{Run: slotsim.Options{Slots: 20, Packets: 8}}, "N=268435456 nodes × 21 packet rows"},
+		{"overflow", huge{t, 1 << 28, 1 << 40}, check.Options{Run: slotsim.Options{Slots: 1 << 30, Packets: 8}}, "arrival matrix too large"},
 	}
 	for _, c := range cases {
 		var before, after runtime.MemStats

@@ -43,8 +43,11 @@
 // clean verification allocates nothing per node or per transmission beyond
 // the engine's own per-run arrays and that table.
 //
-// Entry points: Static runs the verifier with explicit Options;
-// MultiTreeOptions, HypercubeOptions and ClusterOptions derive the right
-// Options (bounds included) for the paper constructions. A scenario's
-// check directive runs the verifier as a preflight.
+// Entry points: Static runs the verifier with explicit Options, whose Run is
+// the slotsim.Options the schedule is executed under — check keeps no copy
+// of an engine setting; MultiTreeOptions, HypercubeOptions and
+// ClusterOptions derive the right Options (bounds and verifier horizon
+// included) for the paper constructions. A scenario's check directive runs
+// the verifier as a preflight on the run's own engine options, before any
+// fault plan is applied.
 package check

@@ -66,14 +66,14 @@ func rewriteFirstAt(at core.Slot, rewrite func(*core.Transmission)) func(core.Sl
 // withCaps raises every receiver's send capacity, and with recv also every
 // receive capacity, to two packets per slot.
 func withCaps(opt check.Options, d int, recv bool) check.Options {
-	opt.SendCap = func(id core.NodeID) int {
+	opt.Run.SendCap = func(id core.NodeID) int {
 		if id == core.SourceID {
 			return d
 		}
 		return 2
 	}
 	if recv {
-		opt.RecvCap = func(core.NodeID) int { return 2 }
+		opt.Run.RecvCap = func(core.NodeID) int { return 2 }
 	}
 	return opt
 }

@@ -6,6 +6,7 @@ import (
 	"streamcast/internal/core"
 	"streamcast/internal/hypercube"
 	"streamcast/internal/multitree"
+	"streamcast/internal/slotsim"
 )
 
 // MultiTreeOptions derives the verification options for a multi-tree scheme:
@@ -23,9 +24,11 @@ func MultiTreeOptions(s *multitree.Scheme, packets core.Packet) Options {
 		buffer += d
 	}
 	return Options{
-		Horizon:      delay + core.Slot(int(packets)) + core.Slot(d) + 4,
-		Packets:      packets,
-		Mode:         s.Mode,
+		Run: slotsim.Options{
+			Slots:   delay + core.Slot(int(packets)) + core.Slot(d) + 4,
+			Packets: packets,
+			Mode:    s.Mode,
+		},
 		TreeDegree:   d,
 		MaxNeighbors: 2 * d,
 		DelayBound:   delay,
@@ -56,9 +59,11 @@ func HypercubeOptions(s *hypercube.Scheme, packets core.Packet) Options {
 		maxNb = dims[0][0]
 	}
 	return Options{
-		Horizon:      delay + core.Slot(int(packets)) + 4,
-		Packets:      packets,
-		Mode:         core.Live,
+		Run: slotsim.Options{
+			Slots:   delay + core.Slot(int(packets)) + 4,
+			Packets: packets,
+			Mode:    core.Live,
+		},
 		MaxNeighbors: maxNb,
 		DelayBound:   delay,
 		BufferBound:  analysis.Proposition1Buffer(),
@@ -66,26 +71,19 @@ func HypercubeOptions(s *hypercube.Scheme, packets core.Packet) Options {
 }
 
 // ClusterOptions derives the verification options for a multi-cluster scheme:
-// the scheme's own capacity and Tc-latency configuration (so the holds pass
-// checks Tc-consistency on the backbone), the Theorem 1 delay envelope, and
-// the multi-tree audit with the super nodes and local roots exempted — they
-// are infrastructure relays that legitimately forward every residue class.
+// the scheme's own engine options as Run (its capacities and Tc latency, so
+// the holds pass checks Tc-consistency on the backbone), the Theorem 1 delay
+// envelope, and the multi-tree audit with the super nodes and local roots
+// exempted — they are infrastructure relays that legitimately forward every
+// residue class.
 func ClusterOptions(s *cluster.Scheme, packets core.Packet, extraSlots core.Slot) Options {
-	base := s.Options(packets, extraSlots)
 	cfg := s.Config()
 	exempt := make(map[core.NodeID]bool, 2*cfg.K)
 	for i := 0; i < cfg.K; i++ {
 		exempt[s.SuperID(i)] = true
 		exempt[s.LocalRootID(i)] = true
 	}
-	opt := Options{
-		Horizon:    base.Slots,
-		Packets:    packets,
-		Mode:       base.Mode,
-		SendCap:    base.SendCap,
-		Inject:     base.Inject,
-		TreeExempt: exempt,
-	}
+	opt := Options{Run: s.Options(packets, extraSlots), TreeExempt: exempt}
 	depth := analysis.BackboneDepth(cfg.K, cfg.D)
 	switch cfg.Intra {
 	case cluster.MultiTree:

@@ -22,11 +22,8 @@ func TestClusterNeighborsConsistent(t *testing.T) {
 		// The static verifier's mesh audit over the scheme's own run: every
 		// edge the run uses must be declared at both listed ends.
 		opt := s.Options(8, 120)
-		rep, err := check.Static(s, check.Options{
-			Horizon: opt.Slots, Packets: opt.Packets, Mode: opt.Mode,
-			SendCap: opt.SendCap, Inject: opt.Inject,
-			AllowIncomplete: true,
-		})
+		opt.AllowIncomplete = true
+		rep, err := check.Static(s, check.Options{Run: opt})
 		if err != nil {
 			t.Fatal(err)
 		}

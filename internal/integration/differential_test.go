@@ -20,12 +20,12 @@ import (
 func verdict(t *testing.T, tag string, s core.Scheme, opt check.Options, starved core.Slot) {
 	t.Helper()
 	if rep, err := check.Static(s, opt); err != nil || !rep.OK() {
-		t.Fatalf("%s: rejected at the derived horizon %d: %v %v", tag, opt.Horizon, err, rep.Err())
+		t.Fatalf("%s: rejected at the derived horizon %d: %v %v", tag, opt.Run.Slots, err, rep.Err())
 	}
-	if starved <= 0 || opt.AllowIncomplete {
+	if starved <= 0 || opt.Run.AllowIncomplete {
 		return
 	}
-	opt.Horizon = starved
+	opt.Run.Slots = starved
 	if rep, err := check.Static(s, opt); err != nil || rep.OK() {
 		t.Fatalf("%s: accepted over a starved horizon of %d slots (err=%v)", tag, starved, err)
 	}

@@ -103,15 +103,15 @@ func TestThreeEngineAgreement(t *testing.T) {
 // TestNeighborsCoverTrafficEverywhere applies the declared-vs-actual
 // neighbor check across the whole matrix plus the gossip mesh: the static
 // verifier with only its mesh audit on must find no scheduled edge missing
-// from Neighbors() (and no slot-model violation cutting the run short).
+// from its EachNeighbors walk (and no slot-model violation cutting the run short).
 func TestNeighborsCoverTrafficEverywhere(t *testing.T) {
 	fs := matrix(t)
 	fs = append(fs, build(t, spec.GossipScenario(30, 2, 4, gossip.PullRandom, 21)))
 	for _, f := range fs {
-		rep, err := check.Static(f.scheme, check.Options{
-			Horizon: f.slots, Packets: f.packets, Mode: f.mode,
+		rep, err := check.Static(f.scheme, check.Options{Run: slotsim.Options{
+			Slots: f.slots, Packets: f.packets, Mode: f.mode,
 			AllowIncomplete: true,
-		})
+		}})
 		if err != nil {
 			t.Fatalf("%s: %v", f.scheme.Name(), err)
 		}

@@ -44,11 +44,8 @@ func TestDeclaredNeighborsCoverActualPartners(t *testing.T) {
 				t.Fatal(err)
 			}
 			opt := run.Opt
-			rep, err := check.Static(run.Scheme, check.Options{
-				Horizon: opt.Slots, Packets: opt.Packets, Mode: opt.Mode,
-				SendCap: opt.SendCap, Inject: opt.Inject,
-				AllowIncomplete: true,
-			})
+			opt.AllowIncomplete = true
+			rep, err := check.Static(run.Scheme, check.Options{Run: opt})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -36,7 +36,11 @@ type Run struct {
 	// ledger every run keeps.
 	Opt slotsim.Options
 	// CheckOpt are the static-verifier options; nil when the family is
-	// not statically checkable.
+	// not statically checkable or the run has live churn. CheckOpt.Run is
+	// Opt as it stands before the arrival record and a fault plan are
+	// attached, over the verifier's own horizon where the family derives
+	// one (multitree, hypercube, cluster): the check audits the fault-free
+	// schedule.
 	CheckOpt *check.Options
 	// Injector is the fault injector; nil without a fault plan.
 	Injector *faults.Injector
@@ -158,6 +162,15 @@ func BuildWithPlan(sc *Scenario, plan *faults.Plan) (*Run, error) {
 		Scheme:   out.Scheme,
 		Plan:     plan,
 	}
+	if f.Caps.StaticCheck && out.Live == nil {
+		run.CheckOpt = out.Check
+		if run.CheckOpt == nil {
+			// The generic audit of the families without a closed-form bound
+			// mapping (the baselines): the run's engine options as they stand
+			// here, before the arrival record or a fault plan is attached.
+			run.CheckOpt = &check.Options{Run: opt}
+		}
+	}
 	if out.Live != nil {
 		// The horizon is final, so the source can count the joins it holds
 		// and size the engine's id space to them.
@@ -181,22 +194,6 @@ func BuildWithPlan(sc *Scenario, plan *faults.Plan) (*Run, error) {
 		opt = in.Apply(opt)
 	}
 	run.Opt = opt
-
-	if f.Caps.StaticCheck && out.Live == nil {
-		var chkOpt check.Options
-		if out.MkCheck != nil {
-			chkOpt = out.MkCheck(packets)
-		} else {
-			// Generic engine-derived audit for families without a
-			// closed-form bound mapping (the baselines).
-			chkOpt = check.Options{
-				Horizon: opt.Slots, Packets: packets, Mode: opt.Mode,
-				SendCap:         opt.SendCap,
-				AllowIncomplete: opt.AllowIncomplete,
-			}
-		}
-		run.CheckOpt = &chkOpt
-	}
 	return run, nil
 }
 

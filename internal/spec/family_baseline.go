@@ -7,8 +7,8 @@ import (
 	"streamcast/internal/core"
 )
 
-// The baseline families carry no closed-form bound mapping, so their
-// MkCheck stays nil: Build derives the generic engine-options audit.
+// The baseline families carry no closed-form bound mapping, so their Check
+// stays nil: Build derives the generic audit from the run's engine options.
 
 func init() {
 	register(&Family{

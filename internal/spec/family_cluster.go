@@ -49,16 +49,11 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			extra := clusterExtra(v.Int("d"))
-			return &buildOutput{
-				Scheme: s,
-				// cluster.Options computes the full horizon (backbone shift
-				// + window + slack) and the Tc latency/send-capacity maps.
-				Opt: s.Options(in.Packets, extra),
-				MkCheck: func(win core.Packet) check.Options {
-					return check.ClusterOptions(s, win, extra)
-				},
-			}, nil
+			// The check's Run is the run's engine options: cluster.Options
+			// computes the full horizon (backbone shift + window + slack) and
+			// the Tc latency/send-capacity maps once, for both.
+			chk := check.ClusterOptions(s, in.Packets, clusterExtra(v.Int("d")))
+			return &buildOutput{Scheme: s, Opt: chk.Run, Check: &chk}, nil
 		},
 	})
 }

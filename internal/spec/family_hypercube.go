@@ -33,13 +33,8 @@ func init() {
 			for 1<<lg < n+1 {
 				lg++
 			}
-			return &buildOutput{
-				Scheme: h,
-				Extra:  core.Slot((lg+1)*(lg+1) + 4),
-				MkCheck: func(win core.Packet) check.Options {
-					return check.HypercubeOptions(h, win)
-				},
-			}, nil
+			chk := check.HypercubeOptions(h, in.Packets)
+			return &buildOutput{Scheme: h, Extra: core.Slot((lg+1)*(lg+1) + 4), Check: &chk}, nil
 		},
 	})
 }

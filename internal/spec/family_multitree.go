@@ -116,14 +116,8 @@ func init() {
 				return nil, err
 			}
 			s := multitree.NewScheme(m, in.Mode)
-			out := &buildOutput{
-				Scheme: s,
-				Extra:  multiTreeExtra(m, in.Values.Int("d")),
-				MkCheck: func(win core.Packet) check.Options {
-					return check.MultiTreeOptions(s, win)
-				},
-			}
-			return out, nil
+			chk := check.MultiTreeOptions(s, in.Packets)
+			return &buildOutput{Scheme: s, Extra: multiTreeExtra(m, in.Values.Int("d")), Check: &chk}, nil
 		},
 	})
 }

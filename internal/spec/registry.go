@@ -150,9 +150,11 @@ type buildOutput struct {
 	Opt slotsim.Options
 	// Extra is the horizon slack beyond the packet window.
 	Extra core.Slot
-	// MkCheck builds the family's internal/check options for a window.
-	// Nil with Caps.StaticCheck means the generic engine-derived audit.
-	MkCheck func(win core.Packet) check.Options
+	// Check is the family's internal/check options for the run's window,
+	// with a verifier horizon of its own. Nil with Caps.StaticCheck means
+	// the generic audit: the run's own engine options, before any fault
+	// plan is applied.
+	Check *check.Options
 	// Live configures the run's mid-run churn source, every field but the
 	// horizon set: Build fills in Slots once the horizon is final, builds
 	// the source and wires it into Opt.Churn. Non-nil suppresses the static
