@@ -67,13 +67,17 @@ func (i Issue) String() string {
 type Options struct {
 	// Run is the engine configuration the schedule is verified under:
 	// horizon (Slots), measurement window (Packets), stream mode,
-	// capacities and in-flight hook. Static runs a copy of it with its own
-	// observer attached and the engine's AllowIncomplete forced, so every
-	// one of the Run.Slots slots is executed and audited and a short window
-	// is a finding, not an engine error. Run.AllowIncomplete switches the
-	// completeness audit off (best-effort schemes). A link the hook makes
-	// take fewer than 1 slot is a configuration error: Static returns the
-	// engine's error, as it does for every option the engine refuses.
+	// capacities and in-flight hook. Run.AllowIncomplete switches the
+	// completeness audit off (best-effort schemes). Static runs a copy of
+	// it with its own observer attached and the engine's AllowIncomplete
+	// forced, so every one of the Run.Slots slots is executed and audited
+	// and a short window is a finding, not an engine error. The copy drops
+	// what a verification does not run under: SkipUnavailable (a send of an
+	// unheld packet is always a finding), Arrivals (the caller's record is
+	// neither filled nor resized) and Churn (a fixed schedule is audited).
+	// A link the hook makes take fewer than 1 slot is a configuration
+	// error: Static returns the engine's error, as it does for every option
+	// the engine refuses.
 	Run slotsim.Options
 	// TreeDegree, when > 0, enables the multi-tree structural audit: packet
 	// j belongs to tree j mod TreeDegree, every non-source sender must
@@ -191,6 +195,9 @@ func Static(s core.Scheme, opt Options) (*Report, error) {
 	v := &verifier{scheme: s, opt: opt, n: s.NumReceivers(), report: &Report{Scheme: s.Name()}}
 	run := opt.Run
 	run.AllowIncomplete = true
+	run.SkipUnavailable = false
+	run.Arrivals = nil
+	run.Churn = nil
 	run.Observer = v
 	// A Runner of its own, not the pool's: its scratch is garbage once the
 	// verdict is in. A pooled one stays reachable, and the run after the

@@ -2,6 +2,7 @@ package check_test
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -315,6 +316,29 @@ func TestRejectEarlyBackboneSend(t *testing.T) {
 	}
 	if !rep.HasKind(check.KindNotHeld) {
 		t.Fatalf("early backbone send not detected: %v", rep.Issues)
+	}
+}
+
+// TestRunSideFieldsAreNotAudited: a Run carrying the settings of a faulted
+// or recorded run is verified as the plain schedule. SkipUnavailable does
+// not hide a send of an unheld packet, and the caller's arrival record is
+// left as it was.
+func TestRunSideFieldsAreNotAudited(t *testing.T) {
+	_, s := mustMultiTree(t, 13, 2)
+	opt := check.MultiTreeOptions(s, 6)
+	rec := new(slotsim.Arrivals)
+	opt.Run.SkipUnavailable = true
+	opt.Run.Arrivals = rec
+	cs := &corrupt{Scheme: s, txMod: appendAt(1, core.Transmission{From: 5, To: 6, Packet: 30})}
+	rep, err := check.Static(cs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.HasKind(check.KindNotHeld) {
+		t.Errorf("SkipUnavailable hid the unheld send: %v", rep.Issues)
+	}
+	if !reflect.DeepEqual(*rec, slotsim.Arrivals{}) {
+		t.Error("the check run wrote the caller's arrival record")
 	}
 }
 

@@ -45,9 +45,11 @@
 //
 // Entry points: Static runs the verifier with explicit Options, whose Run is
 // the slotsim.Options the schedule is executed under — check keeps no copy
-// of an engine setting; MultiTreeOptions, HypercubeOptions and
-// ClusterOptions derive the right Options (bounds and verifier horizon
-// included) for the paper constructions. A scenario's check directive runs
-// the verifier as a preflight on the run's own engine options, before any
-// fault plan is applied.
+// of an engine setting. Static drops the fields of a run that are not the
+// schedule's: SkipUnavailable, the arrival record and the churn source.
+// MultiTreeOptions, HypercubeOptions and ClusterOptions derive the right
+// Options (bounds and verifier horizon included) for the paper
+// constructions. A scenario's check directive runs the verifier as a
+// preflight on the run's own engine options, before any fault plan is
+// applied, over the family's verifier horizon where it derives one.
 package check

@@ -12,7 +12,9 @@ import (
 // MultiTreeOptions derives the verification options for a multi-tree scheme:
 // the Theorem 2 delay bound (plus the pipelining slack of the live variants),
 // the Section 2.3 buffer bound, interior-disjointness at the tree degree, and
-// the 2d neighbor bound (d parents, one tree's worth of children).
+// the 2d neighbor bound (d parents, one tree's worth of children). Run is
+// the scheme's plain engine configuration over the verifier's horizon;
+// spec.Build keeps only that horizon and runs the run's own options.
 func MultiTreeOptions(s *multitree.Scheme, packets core.Packet) Options {
 	n, d := s.Tree.N, s.Tree.D
 	delay := core.Slot(analysis.Theorem2Bound(n, d))
@@ -41,7 +43,8 @@ func MultiTreeOptions(s *multitree.Scheme, packets core.Packet) Options {
 // 2-packet buffer bound. The k neighbor bound only holds for a single
 // unchained cube (N = 2^k − 1, d = 1), where a vertex 2^b has k − 1 bit-flip
 // partners plus the source and every other vertex k partners; chained cubes
-// add the freed-sender edges, so the degree audit is skipped there.
+// add the freed-sender edges, so the degree audit is skipped there. Run is
+// as in MultiTreeOptions.
 func HypercubeOptions(s *hypercube.Scheme, packets core.Packet) Options {
 	var delay core.Slot
 	dims := s.CubeDims()

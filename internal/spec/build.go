@@ -40,7 +40,7 @@ type Run struct {
 	// Opt as it stands before the arrival record and a fault plan are
 	// attached, over the verifier's own horizon where the family derives
 	// one (multitree, hypercube, cluster): the check audits the fault-free
-	// schedule.
+	// schedule. Build sets it that way for every family.
 	CheckOpt *check.Options
 	// Injector is the fault injector; nil without a fault plan.
 	Injector *faults.Injector
@@ -163,13 +163,20 @@ func BuildWithPlan(sc *Scenario, plan *faults.Plan) (*Run, error) {
 		Plan:     plan,
 	}
 	if f.Caps.StaticCheck && out.Live == nil {
-		run.CheckOpt = out.Check
-		if run.CheckOpt == nil {
-			// The generic audit of the families without a closed-form bound
-			// mapping (the baselines): the run's engine options as they stand
-			// here, before the arrival record or a fault plan is attached.
-			run.CheckOpt = &check.Options{Run: opt}
+		// The verifier runs the run's engine options as they stand here,
+		// before the arrival record or a fault plan is attached. A family's
+		// derived options add the audit bounds and a horizon of their own;
+		// without them (the baselines) the audit is the generic one.
+		chk := check.Options{}
+		if out.Check != nil {
+			chk = *out.Check
 		}
+		horizon := chk.Run.Slots
+		chk.Run = opt
+		if horizon > 0 {
+			chk.Run.Slots = horizon
+		}
+		run.CheckOpt = &chk
 	}
 	if out.Live != nil {
 		// The horizon is final, so the source can count the joins it holds

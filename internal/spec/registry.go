@@ -150,10 +150,11 @@ type buildOutput struct {
 	Opt slotsim.Options
 	// Extra is the horizon slack beyond the packet window.
 	Extra core.Slot
-	// Check is the family's internal/check options for the run's window,
-	// with a verifier horizon of its own. Nil with Caps.StaticCheck means
-	// the generic audit: the run's own engine options, before any fault
-	// plan is applied.
+	// Check is the family's internal/check options: the audit bounds and,
+	// in Run.Slots, the verifier's horizon. Build keeps only that horizon
+	// of Run and fills the rest from the run's own engine options, before
+	// any fault plan is applied. Nil with Caps.StaticCheck means the
+	// generic audit over the run's horizon.
 	Check *check.Options
 	// Live configures the run's mid-run churn source, every field but the
 	// horizon set: Build fills in Slots once the horizon is final, builds
